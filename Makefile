@@ -32,94 +32,30 @@ test:
 
 # Race-detector pass over the whole tree; parallelism is on by default
 # (pool width = GOMAXPROCS), so this exercises the concurrent hot paths.
-# The second invocation pins the noisy parallel-equivalence suites — the
-# tests that prove counter-based noise is bit-identical at any pool width —
-# so a -run filter or cached result can never silently skip them. The
-# third pins the serving-pipeline and memo single-flight concurrency
-# suites (micro-batcher, backpressure, shadow swaps at pool widths 1/4/16,
-# deduplicated concurrent memo Calls, lock-free histogram observes). The
-# fourth pins the device-fault subsystem: injection determinism,
-# program-and-verify + spare remapping, engine health scans and repairs,
-# and the serving-layer circuit breaker (docs/FAULTS.md). The fifth pins
-# the observability layer (docs/OBSERVABILITY.md): concurrent span
-# recording, traced-vs-untraced bit-identity at pool widths 1/4/16,
-# context-canceled request shedding, and the cimserve telemetry
-# endpoint lifecycle. The sixth pins the serving fleet (docs/CLUSTER.md):
-# router edge cases, join/leave under in-flight traffic, rolling
-# reprogram with zero downtime, and the keyed-noise determinism suites
-# that make fleet outputs bit-identical at any engine count. The seventh
-# pins the GEMM batching path (docs/PERF.md): batch-vs-looped bit-identity
-# across functional, bit-serial, noisy keyed/unkeyed, and fault-remapped
-# kernels, mixed-shape scratch-pool reuse, and concurrent batched MVMs.
-# The eighth pins the hybrid dispatch layer (docs/HYBRID.md): Von Neumann
-# twin bit-identity at pool widths 1/4/16, calibrator decision-sequence
-# determinism, route invariance through the dispatcher and the serving
-# pipeline, and reprogram suspension of the twin. The ninth pins the
-# resilience layer (docs/RESILIENCE.md): hedged-request bit-identity and
-# budget accounting, the AIMD limiter and brownout state machines, chaos
-# crash-window failover, and fleet membership churn (Leave/Join) racing
-# a rolling reprogram while hedged requests are in flight. The tenth pins
-# the workload-generation layer (docs/CAPACITY.md): arrival-schedule
-# bit-identity at pool widths 1/4/16, the chaos Poisson deprecation path,
-# trace record/replay, the open-loop drive (never-retry, no-self-throttle,
-# lateness accounting), the capacity sweep, and its benchjson gate.
+# -count=1 so a cached result can never stand in for a run.
 race:
-	$(GO) test -race ./...
-	$(GO) test -race -count=1 \
-		-run 'Noisy|ParallelEquivalence|OrderIndependence' \
-		./internal/crossbar/ ./internal/dpe/ ./internal/experiments/
-	$(GO) test -race -count=1 \
-		-run 'Serve|Shadow|Backpressure|SingleFlight|HistogramConcurrent' \
-		./internal/serve/ ./internal/memo/ ./internal/metrics/
-	$(GO) test -race -count=1 \
-		-run 'Fault|Health|Repair|Breaker' \
-		./internal/faultinject/ ./internal/crossbar/ ./internal/dpe/ \
-		./internal/serve/ ./internal/experiments/
-	$(GO) test -race -count=1 \
-		-run 'Trace|Concurrent|Canceled|Telemetry|Prom|Quantile' \
-		./internal/obs/ ./internal/crossbar/ ./internal/dpe/ \
-		./internal/serve/ ./internal/metrics/ ./internal/experiments/ \
-		./cmd/cimserve/
-	$(GO) test -race -count=1 \
-		-run 'Fleet|Router|Rolling|RoundRobin|Weighted|WearAware|JoinLeave|Keyed' \
-		./internal/fleet/ ./internal/serve/ ./internal/dpe/ \
-		./internal/experiments/ ./cmd/cimserve/
-	$(GO) test -race -count=1 \
-		-run 'MVMBatch|InferBatch|ScratchReuse' \
-		./internal/crossbar/ ./internal/dpe/
-	$(GO) test -race -count=1 \
-		-run 'Hybrid|Dispatch|Calibrator|Twin' \
-		./internal/hybrid/ ./internal/vonneumann/ ./internal/experiments/
-	$(GO) test -race -count=1 \
-		-run 'Hedge|Hedger|AIMD|Brownout|Limiter|Chaos|Straggler|Crash|Spikes|Arrivals|Wrap|Scenario|Reprogram|LeaveJoinRacing|Deadline|Resilience' \
-		./internal/fleet/ ./internal/chaos/ ./internal/serve/ ./cmd/cimserve/
-	$(GO) test -race -count=1 \
-		-run 'Arrivals|Poisson|MMPP|Diurnal|Trace|Mix|Drive|OpenLoop|Capacity' \
-		./internal/workloadgen/ ./internal/chaos/ ./internal/experiments/ \
-		./cmd/cimserve/ ./cmd/benchjson/
+	$(GO) test -race -count=1 ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable record of the MVM kernel benchmarks: the single-vector
-# BenchmarkCrossbarMVM sweep plus the batched BenchmarkCrossbarMVMBatch
-# GEMM sweep (batch 1/8/32/128 x 64..512, with each result's interleaved
-# looped-baseline speedup metric), converted to BENCH_mvm.json. Also runs
-# the serving-pipeline benchmark so BENCH_serve.json stays in step, and
-# the hybrid dispatch, chaos, and capacity sweeps so BENCH_hybrid.json,
-# BENCH_chaos.json, and BENCH_capacity.json do too.
+# BenchmarkCrossbarMVM sweep plus the BenchmarkCrossbarMVMBatch sweep
+# (batch 1/8/32/128 x 64..512, ns/vec per batch size), converted to
+# BENCH_mvm.json. Also runs the serving-pipeline benchmark so
+# BENCH_serve.json stays in step, and the hybrid dispatch, chaos, and
+# capacity sweeps so BENCH_hybrid.json, BENCH_chaos.json, and
+# BENCH_capacity.json do too.
 bench-json: bench-serve bench-mvm bench-hybrid bench-chaos bench-capacity
 
-# The MVM sweeps alone, with the GEMM regression gate: fails unless every
-# deterministic batch >= 8 result on an ISAAC-scale panel (>= 256) beats
-# the looped per-vector baseline by at least 1.5x (the speedup metric is
-# measured interleaved inside one benchmark, so host clock drift between
-# runs cannot fake or mask a regression; noisy mode and cache-resident
-# sub-256 panels are exempt — see docs/PERF.md).
+# The MVM sweeps alone. An archive, not a gate: both sweeps time the one
+# kernel, so there is no second path to hold a ratio against; the
+# regression guard is `benchmark/run.sh compare` (benchmark/README.md) on
+# sim_bitserial_b1 and sim_functional_b64.
 bench-mvm:
 	$(GO) test -run '^$$' -bench '^BenchmarkCrossbarMVM(Batch)?$$' \
-		-benchtime 5x -benchmem . \
-		| $(GO) run ./cmd/benchjson -gate-batch-speedup 1.5 -out BENCH_mvm.json
+		-benchtime 30x -benchmem . \
+		| $(GO) run ./cmd/benchjson -out BENCH_mvm.json
 	@echo wrote BENCH_mvm.json
 
 # Serving-pipeline benchmark: 64 closed-loop clients over the 8-bit MLP

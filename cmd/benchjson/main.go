@@ -60,8 +60,6 @@ type Document struct {
 func main() {
 	in := flag.String("in", "", "input file (default stdin)")
 	out := flag.String("out", "", "output file (default stdout)")
-	gateBatch := flag.Float64("gate-batch-speedup", 0,
-		"fail unless every deterministic BenchmarkCrossbarMVMBatch result at batch >= 8 reports a speedup metric at least this large (0 disables)")
 	gateHybrid := flag.Bool("gate-hybrid", false,
 		"fail unless the hybrid sweep shows a measured crossover and auto dispatch at least matches the best single backend")
 	gateChaos := flag.Bool("gate-chaos", false,
@@ -103,11 +101,6 @@ func main() {
 	}
 	// Gate after writing: a failing sweep still leaves the JSON artifact
 	// on disk, so the offending numbers can be inspected.
-	if *gateBatch > 0 {
-		if err := GateBatchSpeedup(doc, *gateBatch); err != nil {
-			fatal(err)
-		}
-	}
 	if *gateHybrid {
 		if err := GateHybrid(doc); err != nil {
 			fatal(err)
@@ -128,55 +121,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchjson:", err)
 	os.Exit(1)
-}
-
-// GateBatchSpeedup enforces the GEMM-batching performance floor: every
-// BenchmarkCrossbarMVMBatch result with batch >= 8 in a deterministic mode
-// on an ISAAC-scale panel (size >= 256, the shapes the DPE actually maps
-// layers onto) must carry a "speedup" metric (the benchmark's interleaved
-// looped-MVMInto vs MVMBatchInto ratio, immune to host clock drift) of at
-// least minRatio. Noisy-mode results are exempt: position-keyed noise
-// draws dominate their runtime and cannot be amortized by batching, so
-// their speedup ceiling is structural, not a regression signal. Sub-256
-// panels are exempt for the symmetric reason: their packed panels are
-// cache-resident even for the looped baseline, so there is little
-// streamed-panel traffic to amortize and the (real but small) speedups
-// sit too close to the floor to gate without flaking (docs/PERF.md). A
-// matching result without the metric is an error — the gate must not
-// pass vacuously.
-func GateBatchSpeedup(doc *Document, minRatio float64) error {
-	checked := 0
-	for _, res := range doc.Results {
-		rest, ok := strings.CutPrefix(res.Name, "BenchmarkCrossbarMVMBatch/")
-		if !ok || strings.Contains(rest, "_noisy") {
-			continue
-		}
-		if size, _, ok := strings.Cut(rest, "x"); ok {
-			if n, err := strconv.Atoi(size); err == nil && n < 256 {
-				continue
-			}
-		}
-		i := strings.LastIndex(rest, "_b")
-		if i < 0 {
-			continue
-		}
-		batch, err := strconv.Atoi(rest[i+2:])
-		if err != nil || batch < 8 {
-			continue
-		}
-		checked++
-		sp, ok := res.Extra["speedup"]
-		if !ok {
-			return fmt.Errorf("gate-batch-speedup: %s has no speedup metric", res.Name)
-		}
-		if sp < minRatio {
-			return fmt.Errorf("gate-batch-speedup: %s speedup %.3f < %.3f", res.Name, sp, minRatio)
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("gate-batch-speedup: no deterministic batch >= 8 results to check")
-	}
-	return nil
 }
 
 // GateHybrid enforces the hybrid-dispatch acceptance criteria on a

@@ -79,62 +79,6 @@ func TestParseExtraMetrics(t *testing.T) {
 	}
 }
 
-// gateDoc builds a Document from (name, speedup) pairs; a negative
-// speedup means "no speedup metric reported".
-func gateDoc(entries map[string]float64) *Document {
-	doc := &Document{}
-	for name, sp := range entries {
-		res := Result{Name: name, NsPerOp: 1}
-		if sp >= 0 {
-			res.Extra = map[string]float64{"speedup": sp}
-		}
-		doc.Results = append(doc.Results, res)
-	}
-	return doc
-}
-
-// TestGateBatchSpeedup pins the `make bench-mvm` regression gate: batch
-// >= 8 deterministic results on panels >= 256 must meet the floor; noisy
-// results, small batches, and cache-resident sub-256 panels are exempt,
-// and a sweep with nothing to check fails loudly.
-func TestGateBatchSpeedup(t *testing.T) {
-	ok := gateDoc(map[string]float64{
-		"BenchmarkCrossbarMVMBatch/256x256_8b_b1":        0.9, // batch 1: exempt
-		"BenchmarkCrossbarMVMBatch/256x256_8b_b8":        1.7,
-		"BenchmarkCrossbarMVMBatch/256x256_8b_b32":       2.1,
-		"BenchmarkCrossbarMVMBatch/256x256_8b_func_b32":  1.9,
-		"BenchmarkCrossbarMVMBatch/256x256_8b_noisy_b32": 1.1, // noisy: exempt
-		"BenchmarkCrossbarMVMBatch/64x64_8b_func_b8":     1.1, // sub-256 panel: exempt
-		"BenchmarkCrossbarMVMBatch/128x128_8b_func_b8":   1.4, // sub-256 panel: exempt
-		"BenchmarkCrossbarMVM/256x256_8b":                -1,  // single sweep: ignored
-	})
-	if err := GateBatchSpeedup(ok, 1.5); err != nil {
-		t.Errorf("passing sweep gated: %v", err)
-	}
-
-	slow := gateDoc(map[string]float64{
-		"BenchmarkCrossbarMVMBatch/256x256_8b_b32": 1.2,
-	})
-	if err := GateBatchSpeedup(slow, 1.5); err == nil {
-		t.Error("speedup 1.2 passed a 1.5 gate")
-	}
-
-	missing := gateDoc(map[string]float64{
-		"BenchmarkCrossbarMVMBatch/256x256_8b_b32": -1,
-	})
-	if err := GateBatchSpeedup(missing, 1.5); err == nil {
-		t.Error("result without a speedup metric passed the gate")
-	}
-
-	empty := gateDoc(map[string]float64{
-		"BenchmarkCrossbarMVMBatch/256x256_8b_noisy_b32": 1.0,
-		"BenchmarkCrossbarMVMBatch/128x128_8b_b32":       1.0,
-	})
-	if err := GateBatchSpeedup(empty, 1.5); err == nil {
-		t.Error("gate passed vacuously with no eligible batch results")
-	}
-}
-
 // hybridDoc builds a Document of hybrid sweep/mixed rows: sweep maps cell
 // name -> speedup_cim, mixed maps dispatch mode -> sim_req_per_s. A
 // negative value omits the metric to exercise the vacuous-pass errors.

@@ -1,36 +1,30 @@
 package crossbar
 
-// Batched multi-vector MVM: the matrix-matrix (GEMM) hot path.
+// The MVM kernel. Every analog read in the simulator — one vector or a
+// serving micro-batch — runs through MVMBatchInto; MVM and MVMInto are a
+// batch of one.
 //
-// The single-vector kernel in crossbar.go streams the whole weight panel
-// (sliceT or packedT) out of L2/L3 once per vector. At fleet scale the
-// traffic that matters is micro-batched — serve.Batcher flushes batches
-// into dpe.Engine.InferBatch — and running a batch as N independent
-// MVMInto calls re-pays that panel traffic, the shift-scale table walks,
-// and the per-call bookkeeping N times.
+// The loop nest is matrix-matrix, not matrix-vector:
 //
-// MVMBatchInto restructures the loop nest from matrix-vector to
-// matrix-matrix:
-//
-//   - Input quantization and per-bit active-row decode happen once per
-//     batch into a single pooled 2-D scratch arena (mvmBatchScratch), not
-//     once per call.
+//   - Input quantization happens once per call into a single pooled 2-D
+//     scratch arena (mvmBatchScratch).
 //   - The kernel iterates columns outermost and batch items inside an
 //     item block, so one column's weight panel is loaded once and reused
 //     across every input bit of every item in the block — the weight
 //     matrix is streamed once per batch instead of once per vector.
 //   - Item blocks are sized so the per-item working set (active-row runs
-//     for the bit-serial kernels, quantized inputs for the functional
-//     kernel) stays L1-resident while the panel streams through.
+//     for the generic bit-serial kernel, quantized inputs otherwise)
+//     stays L1-resident while the panel streams through.
 //
-// Bit-identity with looped MVMInto is exact, not approximate: for every
-// (item, column) accumulator the (input bit, slice) accumulation order is
-// unchanged — reordering the column/item loops around it cannot perturb a
-// float64 in the result — and noise draws stay position-keyed per item
-// ((b*slices+s)*usedCols + c against that item's own source), so the
-// batched and serial paths consume identical draws. The equivalence suite
-// in batch_test.go pins this with == across functional, bit-serial
-// (packed and generic), noisy keyed/unkeyed, and fault-remapped tiles.
+// Outputs do not depend on the batch an item rides in: for every (item,
+// column) accumulator the (input bit, slice) accumulation order is fixed
+// — the column/item loops around it cannot perturb a float64 in the
+// result — and noise draws are position-keyed per item
+// ((b*slices+s)*usedCols + c against that item's own source). The naive
+// oracle in kernel_test.go is the reference: the suites there and in
+// batch_test.go pin == against it and across batch sizes for functional,
+// bit-serial (packed and generic), noisy keyed/unkeyed, and
+// fault-remapped tiles.
 
 import (
 	"fmt"
@@ -41,9 +35,9 @@ import (
 	"cimrev/internal/obs"
 )
 
-// mvmBatchScratch is the 2-D batch working set. One instance serves a
-// whole MVMBatchInto call and cycles through the crossbar's batch pool,
-// so steady-state batched MVMs allocate nothing.
+// mvmBatchScratch is the 2-D working set. One instance serves a whole
+// MVMBatchInto call and cycles through the crossbar's pool, so
+// steady-state MVMs allocate nothing.
 type mvmBatchScratch struct {
 	// xInt is the quantized, shift-encoded input panel, item-major:
 	// item i occupies xInt[i*usedRows : i*usedRows+usedRows].
@@ -54,14 +48,14 @@ type mvmBatchScratch struct {
 	// acc is the shift-add accumulator panel, item-major
 	// (acc[i*usedCols+c]). The functional kernel assigns each element's
 	// final reduction; the bit-serial kernels zero their item block up
-	// front and accumulate ADC terms across input bits, mirroring the
-	// serial kernels' acc[c] += order exactly.
+	// front and accumulate ADC terms in (input bit, slice) order.
 	acc []float64
 	// active holds concatenated active-row runs for every (item, input
 	// bit); activeStart[i*(InputBits+1)+b] is the offset of item i's bit-b
-	// run. Built once per batch, reused by every column of the generic
-	// bit-serial kernel. The packed kernel needs neither: it classifies
-	// rows by nibble value on the fly from xInt.
+	// run. Built (and sized) once per call by decodeActiveRuns for the
+	// generic bit-serial kernel only; the packed kernels classify rows by
+	// nibble value on the fly from xInt and the functional kernel dots
+	// xInt directly.
 	active      []int32
 	activeStart []int32
 	// runs is the per-item-block run-view arena hoisted out of the generic
@@ -94,9 +88,8 @@ func blockItems(perItemBytes int) int {
 // usedRows elements; results have usedCols. nss supplies one counter-based
 // noise source per item (item i's draws are keyed exactly as a lone
 // MVM(input_i, nss[i]) would be); it may be nil when ReadNoise is zero.
-// The returned cost is the uniform per-item MVM cost — the same value
-// MVMInto reports for each vector; batch-level cost models (pipelining,
-// energy totals) belong to the caller, exactly as with looped MVMInto.
+// The returned cost is the uniform per-item MVM cost; batch-level cost
+// models (pipelining, energy totals) belong to the caller.
 func (x *Crossbar) MVMBatch(inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
 	if !x.programmed {
 		return nil, energy.Zero, fmt.Errorf("crossbar: MVM before Program")
@@ -133,15 +126,14 @@ func (x *Crossbar) MVMBatchIntoCtx(pc obs.Ctx, dsts, inputs [][]float64, nss []n
 }
 
 // MVMBatchInto is MVMBatch writing results into dsts (dsts[i] of length
-// usedCols). It is the zero-allocation batched kernel: the whole 2-D
-// working set comes from the crossbar's batch scratch pool, so
-// steady-state calls do not allocate at any batch size. Safe for
-// concurrent use on a programmed crossbar. A zero-length batch is a
-// successful no-op. Outputs are bit-identical to looping MVMInto over the
-// items with the matching per-item noise source.
+// usedCols). It is the zero-allocation kernel: the whole 2-D working set
+// comes from the crossbar's scratch pool, so steady-state calls do not
+// allocate at any batch size. Safe for concurrent use on a programmed
+// crossbar. A zero-length batch is a successful no-op. Item i's output
+// depends only on (inputs[i], nss[i]), never on its batchmates.
 func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (energy.Cost, error) {
 	// Fail fast: every shape and value check completes before quantization
-	// or scratch acquisition, mirroring MVMInto.
+	// or scratch acquisition.
 	if !x.programmed {
 		return energy.Zero, fmt.Errorf("crossbar: MVM before Program")
 	}
@@ -153,8 +145,8 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 		return energy.Zero, fmt.Errorf("crossbar: %d noise sources for %d inputs", len(nss), n)
 	}
 	if n == 0 {
-		// A zero-length batch is exactly a zero-iteration MVMInto loop: a
-		// successful no-op, even on a noisy configuration.
+		// A zero-length batch is a successful no-op, even on a noisy
+		// configuration.
 		return energy.Zero, nil
 	}
 	if x.cfg.ReadNoise > 0 {
@@ -220,28 +212,13 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 		// InputBits per-bit gathers of the same rows.
 		x.bitSerialBatchPacked(s, n, nss)
 	} else {
-		// Decode per-bit active-row runs for every item once; the column
-		// loop below reuses them InputBits × usedCols times.
-		bits := x.cfg.InputBits
-		for i := 0; i < n; i++ {
-			base := i * (bits + 1)
-			xi := s.xInt[i*x.usedRows : (i+1)*x.usedRows]
-			for b := 0; b < bits; b++ {
-				s.activeStart[base+b] = int32(len(s.active))
-				mask := int32(1) << uint(b)
-				for r, q := range xi {
-					if q&mask != 0 {
-						s.active = append(s.active, int32(r))
-					}
-				}
-			}
-			s.activeStart[base+bits] = int32(len(s.active))
-		}
+		x.decodeActiveRuns(s, n)
 		x.bitSerialBatchKernel(s, n, nss)
 	}
 
-	// Remove the shift-encoding offsets and restore each item's scale —
-	// the same per-column epilogue as MVMInto, once per item.
+	// Remove the shift-encoding offsets and restore each item's real-valued
+	// scale: y = wScale*xScale * (4*acc/(Wmax*Xmax) - 2*colSum/Wmax -
+	// 2*xSum/Xmax + rows).
 	wMax := float64(int(1)<<x.cfg.WeightBits - 1)
 	fxMax := float64(xMax)
 	rows := float64(x.usedRows)
@@ -260,12 +237,12 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 	return x.mvmCost(), nil
 }
 
-// getBatchScratch returns a batch scratch sized for n items of the
-// programmed shape. Buffers grow monotonically (capacity checks against
-// the *current* shape and batch, never a cached size), so one pool serves
+// getBatchScratch returns a scratch sized for n items of the programmed
+// shape. Buffers grow monotonically (capacity checks against the
+// *current* shape and batch, never a cached size), so one pool serves
 // any interleaving of reprogrammed shapes and batch sizes without ever
-// handing back an undersized arena — the same audit contract as
-// getScratch; TestScratchReuseAcrossReshapes pins it.
+// handing back an undersized arena; TestScratchReuseAcrossReshapes pins
+// it.
 func (x *Crossbar) getBatchScratch(n int) *mvmBatchScratch {
 	s, _ := x.batchScratch.Get().(*mvmBatchScratch)
 	if s == nil {
@@ -288,12 +265,23 @@ func (x *Crossbar) getBatchScratch(n int) *mvmBatchScratch {
 	} else {
 		s.acc = s.acc[:need]
 	}
-	if need := n * (x.cfg.InputBits + 1); cap(s.activeStart) < need {
+	return s
+}
+
+// decodeActiveRuns sizes the active-row arenas and decodes per-bit
+// active-row runs for every item once; the generic bit-serial kernel's
+// column loop reuses them InputBits × usedCols times. Only that kernel
+// reads them, so no other path pays for the arena (n·InputBits·usedRows
+// int32 — 256 KiB at batch 64 on a 128-row array — every time the pool
+// is refilled after a GC cycle).
+func (x *Crossbar) decodeActiveRuns(s *mvmBatchScratch, n int) {
+	bits := x.cfg.InputBits
+	if need := n * (bits + 1); cap(s.activeStart) < need {
 		s.activeStart = make([]int32, need)
 	} else {
 		s.activeStart = s.activeStart[:need]
 	}
-	if need := n * x.cfg.InputBits * x.usedRows; cap(s.active) < need {
+	if need := n * bits * x.usedRows; cap(s.active) < need {
 		s.active = make([]int32, 0, need)
 	} else {
 		s.active = s.active[:0]
@@ -304,14 +292,28 @@ func (x *Crossbar) getBatchScratch(n int) *mvmBatchScratch {
 	} else {
 		s.runs = s.runs[:64]
 	}
-	return s
+	for i := 0; i < n; i++ {
+		base := i * (bits + 1)
+		xi := s.xInt[i*x.usedRows : (i+1)*x.usedRows]
+		for b := 0; b < bits; b++ {
+			s.activeStart[base+b] = int32(len(s.active))
+			mask := int32(1) << uint(b)
+			for r, q := range xi {
+				if q&mask != 0 {
+					s.active = append(s.active, int32(r))
+				}
+			}
+		}
+		s.activeStart[base+bits] = int32(len(s.active))
+	}
 }
 
-// functionalBatchKernel is the exact-integer batch kernel: for each item
-// block, every column's slice panels are loaded once and dotted against
-// each item's quantized input while hot. The per-(item, column) reduction
-// (slice-descending shift-accumulate over a contiguous row scan) is the
-// one functionalKernel performs, so results are bit-identical.
+// functionalBatchKernel is the generic exact-integer kernel (functional
+// mode: ideal converters, same cost model): for each item block, every
+// column's slice panels are loaded once and dotted against each item's
+// quantized input while hot. The per-(item, column) reduction is a
+// slice-descending shift-accumulate over a contiguous row scan — integer
+// arithmetic, so one exact int64 per accumulator.
 func (x *Crossbar) functionalBatchKernel(s *mvmBatchScratch, n int) {
 	rows := x.cfg.Rows
 	usedRows := x.usedRows
@@ -350,8 +352,8 @@ func (x *Crossbar) functionalBatchKernel(s *mvmBatchScratch, n int) {
 	}
 }
 
-// functionalBatchPacked is the lane-packed functional batch kernel. The
-// exact integer reduction functionalKernel computes per (item, column) —
+// functionalBatchPacked is the lane-packed functional kernel. The exact
+// integer reduction functionalBatchKernel computes per (item, column) —
 // Σ_si dot(slice_si, xi) · 2^(si·CellBits) — equals Σ_b 2^b · Σ_si
 // colSum(si, b) · 2^(si·CellBits), where colSum(si, b) sums slice si over
 // the rows whose input bit b is set. The kernel reads those per-bit sums
@@ -359,7 +361,7 @@ func (x *Crossbar) functionalBatchKernel(s *mvmBatchScratch, n int) {
 // instead of one multiply-add pass per slice), recombines classes into
 // per-bit lane sums, and unpacks lanes with shifts. Every step is exact
 // integer arithmetic producing the same int64, so the float64 conversion
-// is bit-identical to the serial kernel's.
+// is bit-identical to the generic kernel's.
 func (x *Crossbar) functionalBatchPacked(s *mvmBatchScratch, n int) {
 	rows := x.cfg.Rows
 	usedRows := x.usedRows
@@ -482,13 +484,13 @@ func nibbleHistogram(T *[4][16]uint64, col []uint64, xi []int32, groups int) {
 // classes with that bit set. Everything is uint64 lane arithmetic over
 // disjoint row subsets of one column, each bounded by the full-column
 // packing invariant (cellMax·usedRows ≤ 0xFFFF), so no lane ever carries
-// and the reassembled per-bit sums equal the serial kernel's gathers
+// and the reassembled per-bit sums equal the generic kernel's gathers
 // exactly. Compared with per-bit gathers (InputBits·usedRows/2 indexed
 // loads expected), the histogram touches each row once with two
 // sequential loads, no index lists, and no branches. Per (item, column)
 // the float ADC accumulator extends in (bit, slice) order, and each
 // item's noise draw stays position-keyed against its own source, so
-// outputs match looped MVMInto bit for bit.
+// outputs match the generic kernel and the naive oracle bit for bit.
 func (x *Crossbar) bitSerialBatchPacked(s *mvmBatchScratch, n int, nss []noise.Source) {
 	rows := x.cfg.Rows
 	usedRows := x.usedRows
@@ -561,9 +563,9 @@ func (x *Crossbar) bitSerialBatchPacked(s *mvmBatchScratch, n int, nss []noise.S
 							nsBit := uint64(b) * uint64(nslices) * uint64(cols)
 							for si := 0; si < nslices; si++ {
 								colSum := float64((packed >> uint(16*si)) & 0xFFFF)
-								// Same position-keyed draw as the serial
-								// path: index (b*slices+si)*usedCols + c,
-								// item i's own source.
+								// Position-keyed draw: index
+								// (b*slices+si)*usedCols + c, item i's own
+								// source.
 								colSum *= 1 + nss[i].Norm(nsBit+uint64(si)*uint64(cols)+uint64(c))*sigma
 								if colSum < 0 {
 									colSum = 0
@@ -583,12 +585,12 @@ func (x *Crossbar) bitSerialBatchPacked(s *mvmBatchScratch, n int, nss []noise.S
 	}
 }
 
-// bitSerialBatchKernel is the generic (slice-at-a-time) batched bit-serial
-// kernel, taken when Program could not build packedT. Same (item block,
-// input bit, column, item) nest and unrolled integer gather as the packed
-// kernel, with one gather per weight slice; per (item, column) the float
-// accumulator extends in (bit, slice) order, matching bitSerialKernel
-// exactly.
+// bitSerialBatchKernel is the generic (slice-at-a-time) bit-serial
+// kernel, taken when Program could not build packedT. The nest is (item
+// block, input bit, column, item) with one 4-way unrolled integer gather
+// per weight slice over the item's active-row run; per (item, column)
+// the float accumulator extends in (bit, slice) order — the honest analog
+// pipeline, one ADC conversion per (cycle, slice, column).
 func (x *Crossbar) bitSerialBatchKernel(s *mvmBatchScratch, n int, nss []noise.Source) {
 	rows := x.cfg.Rows
 	usedRows := x.usedRows
@@ -638,6 +640,9 @@ func (x *Crossbar) bitSerialBatchKernel(s *mvmBatchScratch, n int, nss []noise.S
 							a += x.adcLUT[s0+s1+s2+s3] * scaleTab[b+si*cellBits]
 							continue
 						}
+						// Multiplicative cycle-to-cycle read noise on the
+						// analog partial, matching the device model: each
+						// read deviates by a relative Gaussian factor.
 						colSum := float64(s0 + s1 + s2 + s3)
 						nsBase := (uint64(b)*uint64(nslices) + uint64(si)) * uint64(cols)
 						colSum *= 1 + nss[i].Norm(nsBase+uint64(c))*sigma

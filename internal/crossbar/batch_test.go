@@ -1,11 +1,12 @@
 package crossbar
 
-// Batch-kernel equivalence suite: MVMBatch / MVMBatchInto / Tile.MVMBatch
-// must be bit-identical to looping the single-vector kernel over the
-// items — functional, bit-serial packed and generic, noisy keyed and
-// unkeyed, fault-remapped tiles, ragged final item blocks, and the
-// batch = 0/1 edges — plus the zero-allocation and mixed-shape scratch
-// contracts. `make race` pins this suite by name ('Batch').
+// Batch-size invariance suite: an item's output must not depend on the
+// batch it rides in, so MVMBatch / MVMBatchInto / Tile.MVMBatch at batch n
+// must be bit-identical to n calls at batch 1 (MVMInto, Tile.MVM) —
+// functional, bit-serial packed and generic, noisy keyed and unkeyed,
+// fault-remapped tiles, ragged final item blocks, and the batch = 0/1
+// edges — plus the zero-allocation and mixed-shape scratch contracts.
+// kernel_test.go pins batch 1 and 3 to the naive oracle.
 
 import (
 	"fmt"
@@ -37,11 +38,11 @@ func perItemSources(root noise.Source, n int) []noise.Source {
 	return nss
 }
 
-// TestMVMBatchMatchesLoopedMVMInto is the core equivalence contract:
+// TestMVMBatchMatchesLoopedMVMInto is the batch-size invariance contract:
 // across functional, packed bit-serial (CellBits 2 → 4 slices), generic
 // bit-serial (CellBits 1 → 8 slices, no lane packing), noise on/off, odd
-// shapes, and batch sizes around the kernel's item-block boundaries, the
-// batched kernel must equal a loop of single-vector MVMInto calls with ==.
+// shapes, and batch sizes around the kernel's item-block boundaries, one
+// call at batch n must equal n MVMInto calls (batch 1) with ==.
 func TestMVMBatchMatchesLoopedMVMInto(t *testing.T) {
 	shapes := []struct{ m, n int }{
 		{16, 16},
@@ -79,7 +80,7 @@ func TestMVMBatchMatchesLoopedMVMInto(t *testing.T) {
 							nss = perItemSources(noise.NewSource(99), bsz)
 						}
 
-						// Serial oracle: loop MVMInto with item i's source.
+						// Batch of one per item, with item i's source.
 						want := make([][]float64, bsz)
 						var wantCost, gotCost [2]int64
 						for i := 0; i < bsz; i++ {
@@ -121,9 +122,9 @@ func TestMVMBatchMatchesLoopedMVMInto(t *testing.T) {
 	}
 }
 
-// TestMVMBatchMatchesNaiveOracle closes the loop to the original naive
-// reference: batched outputs equal naiveMVM per item, noisy keyed
-// included, so the GEMM path inherits the single-kernel oracle pin.
+// TestMVMBatchMatchesNaiveOracle closes the loop to the naive reference
+// at a batch size past TestKernelMatchesNaiveOracle's: batched outputs
+// equal naiveMVM per item, noisy keyed included.
 func TestMVMBatchMatchesNaiveOracle(t *testing.T) {
 	for _, sigma := range []float64{0, 0.02} {
 		cfg := DefaultConfig()
@@ -164,10 +165,11 @@ func TestMVMBatchMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
-// TestTileMVMBatchMatchesLoopedMVM: the batched tile dispatch (block ×
-// item-chunk fan-out, derived per-block noise, fixed-order merge) equals
-// looping Tile.MVM per item — including multi-block shapes with ragged
-// remainder blocks — at pool widths 1, 4, and 16.
+// TestTileMVMBatchMatchesLoopedMVM: the tile dispatch (block × item-chunk
+// fan-out, derived per-block noise, fixed-order merge) is batch-size and
+// chunking invariant: one MVMBatch of n equals n Tile.MVM calls (batch 1)
+// — including multi-block shapes with ragged remainder blocks — at pool
+// widths 1, 4, and 16.
 func TestTileMVMBatchMatchesLoopedMVM(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWidth(0) })
 	shapes := []struct{ m, n int }{
@@ -232,7 +234,8 @@ func TestTileMVMBatchMatchesLoopedMVM(t *testing.T) {
 
 // TestMVMBatchFaultRemappedTile: the batched path runs unmodified over
 // fault-remapped arrays (remaps resolve at Program time into the stored
-// levels), so batch ≡ loop must hold on a tile that has consumed spares.
+// levels), so batch n ≡ n × batch 1 must hold on a tile that has consumed
+// spares.
 func TestMVMBatchFaultRemappedTile(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rows, cfg.Cols = 16, 16
@@ -276,8 +279,8 @@ func TestMVMBatchFaultRemappedTile(t *testing.T) {
 }
 
 // TestMVMBatchIntoZeroAlloc is the steady-state allocation contract for
-// the batched kernel: after the first call warms the batch pool,
-// MVMBatchInto must not allocate at any batch size.
+// the kernel: after the first call warms the scratch pool, MVMBatchInto
+// must not allocate at any batch size.
 func TestMVMBatchIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop items, so alloc counts are unreliable")

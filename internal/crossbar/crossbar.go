@@ -21,21 +21,24 @@
 //
 // # Kernel layout
 //
-// The simulator's MVM kernel is organized for locality and zero
+// There is one MVM kernel, MVMBatchInto (batch.go): it runs a panel of
+// input vectors against the programmed array, and MVM/MVMInto are that
+// kernel on a batch of one. It is organized for locality and zero
 // steady-state allocation (see docs/PERF.md for measurements):
 //
 //   - Slice levels are stored column-major (sliceT[s][c*Rows+r]), so the
 //     row reduction for a column is a contiguous scan.
 //   - When the shape allows (≤4 slices, no 16-bit lane overflow), slices
 //     are additionally packed into 16-bit lanes of one word per cell
-//     (packedT), so the bit-serial gather reads every slice of a cell at
-//     once and the per-slice column sums fall out of lane extraction.
-//   - Active-row index lists are built once per MVM per input bit, so the
-//     bit-serial loop only touches rows whose input bit is set instead of
-//     testing every (row, column) cell.
-//   - Shift-and-add scales come from a precomputed power-of-two table.
-//   - Working buffers live in a per-crossbar sync.Pool; noise-free MVMs on
-//     a programmed crossbar are read-only and safe to run concurrently.
+//     (packedT). The kernel then streams each packed column once per item,
+//     histogramming the lanes by input nibble, and every per-bit,
+//     per-slice column sum falls out of lane extraction.
+//   - Shapes outside that envelope take the generic slice-at-a-time path:
+//     per-bit active-row lists built once per call, one gather per slice.
+//   - The noise-free ADC transfer is a table load (adcLUT) and the
+//     shift-and-add scales a precomputed power-of-two table.
+//   - Working buffers live in a per-crossbar sync.Pool; MVMs on a
+//     programmed crossbar are read-only and safe to run concurrently.
 //
 // Analog read noise comes from a counter-based internal/noise Source: the
 // perturbation applied to (input bit b, slice s, column c) is a pure
@@ -138,20 +141,6 @@ func (c Config) Validate() error {
 // slices returns the number of physical bit-slice arrays.
 func (c Config) slices() int { return c.WeightBits / c.CellBits }
 
-// mvmScratch holds the per-MVM working set. Instances cycle through the
-// crossbar's pool so steady-state MVMs allocate nothing.
-type mvmScratch struct {
-	// xInt is the quantized, shift-encoded input.
-	xInt []int32
-	// acc accumulates shift-added partial sums per column.
-	acc []float64
-	// active holds the concatenated active-row lists, one run per input
-	// bit; activeStart[b] is the offset of bit b's run (activeStart has
-	// InputBits+1 entries).
-	active      []int32
-	activeStart []int32
-}
-
 // Crossbar is one logical crossbar: slices() physical arrays of Rows x Cols
 // cells. Programming mutates the crossbar and must not race with reads, but
 // MVM on a programmed crossbar is read-only (working state lives in pooled
@@ -167,9 +156,9 @@ type Crossbar struct {
 
 	// packedT[c*Rows+r], when non-nil, packs every slice level of cell
 	// (r, c) into 16-bit lanes of one word (slice s at bit 16*s). The
-	// bit-serial kernel then loads all slices of a cell with a single
-	// gather and reads the per-slice column sums out of the lanes — exact
-	// integer arithmetic, bit-identical to the slice-at-a-time path.
+	// kernel then loads all slices of a cell at once and reads the
+	// per-slice column sums out of the lanes — exact integer arithmetic,
+	// bit-identical to the slice-at-a-time path.
 	// Program leaves it nil when the lanes don't fit: more than 4 slices,
 	// or cellMax*usedRows overflowing 16 bits.
 	packedT []uint64
@@ -191,9 +180,9 @@ type Crossbar struct {
 
 	// adcLUT[v] = Round(v/adcStep)*adcStep for every integer column sum
 	// v ∈ [0, adcMaxSum]. Noise-free column sums are integers bounded by
-	// adcMaxSum = usedRows·cellMax, so the batch kernels replace the
+	// adcMaxSum = usedRows·cellMax, so the kernel replaces the
 	// divide-and-round ADC transfer with one table load — exact, because
-	// each entry is computed with the serial kernels' own expression.
+	// each entry is computed with the noisy path's own expression.
 	adcLUT []float64
 
 	// scaleTab[k] = 2^k, the shift-and-add merge factors, indexed by
@@ -216,15 +205,14 @@ type Crossbar struct {
 	faultEpoch  uint64
 	faultReport faultinject.Report
 
-	// scratch pools *mvmScratch so concurrent MVMs on one crossbar don't
-	// contend on a shared buffer and steady-state MVMs don't allocate.
-	// batchScratch does the same for the 2-D arenas of the batched kernels
-	// (batch.go). Both pools size buffers against the *current* programmed
-	// shape on every Get — capacity grows monotonically and lengths are
-	// re-sliced per call — so a crossbar reprogrammed across different
-	// shapes can never hand back an undersized scratch from an earlier,
-	// smaller configuration (TestScratchReuseAcrossReshapes pins this).
-	scratch      sync.Pool
+	// batchScratch pools *mvmBatchScratch so concurrent MVMs on one
+	// crossbar don't contend on a shared buffer and steady-state MVMs
+	// don't allocate. Buffers are sized against the *current* programmed
+	// shape and batch on every Get — capacity grows monotonically and
+	// lengths are re-sliced per call — so a crossbar reprogrammed across
+	// different shapes can never hand back an undersized scratch from an
+	// earlier, smaller configuration (TestScratchReuseAcrossReshapes pins
+	// this).
 	batchScratch sync.Pool
 }
 
@@ -406,8 +394,8 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 	}
 
 	// Pack slice levels into 16-bit lanes when they fit (≤4 slices and no
-	// possible lane overflow): the bit-serial kernel then gathers each
-	// active cell once instead of once per slice.
+	// possible lane overflow): the kernel then reads each cell once
+	// instead of once per slice.
 	cellMaxInt := int(1)<<x.cfg.CellBits - 1
 	if x.numSlices <= 4 && cellMaxInt*x.usedRows <= 0xFFFF {
 		n := x.cfg.Rows * x.cfg.Cols
@@ -440,7 +428,7 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 
 	// Tabulate the ADC transfer for every integer column sum. adcMaxSum is
 	// an exact integer (usedRows · cellMax), so the table covers all
-	// noise-free sums; entries reuse the serial kernels' exact expression.
+	// noise-free sums; entries reuse the noisy path's exact expression.
 	if need := int(x.adcMaxSum) + 1; cap(x.adcLUT) < need {
 		x.adcLUT = make([]float64, need)
 	} else {
@@ -672,213 +660,12 @@ func (x *Crossbar) MVMIntoCtx(pc obs.Ctx, dst, input []float64, ns noise.Source)
 	return cost, err
 }
 
-// MVMInto is MVM writing the result into dst (len usedCols). It is the
-// zero-allocation kernel: all working state comes from the crossbar's
-// scratch pool, so steady-state calls do not allocate. Safe for concurrent
-// use on a programmed crossbar.
+// MVMInto is MVM writing the result into dst (len usedCols): the batch
+// kernel on a batch of one, with the same checks, the same zero
+// steady-state allocation and the same concurrency contract as
+// MVMBatchInto.
 func (x *Crossbar) MVMInto(dst, input []float64, ns noise.Source) (energy.Cost, error) {
-	// Fail fast: every shape and value check completes before quantization
-	// or scratch acquisition.
-	if !x.programmed {
-		return energy.Zero, fmt.Errorf("crossbar: MVM before Program")
-	}
-	if len(input) != x.usedRows {
-		return energy.Zero, fmt.Errorf("crossbar: input length %d != programmed rows %d", len(input), x.usedRows)
-	}
-	if len(dst) != x.usedCols {
-		return energy.Zero, fmt.Errorf("crossbar: dst length %d != programmed cols %d", len(dst), x.usedCols)
-	}
-	if x.cfg.ReadNoise > 0 && !ns.Valid() {
-		return energy.Zero, fmt.Errorf("crossbar: ReadNoise %g requires a noise source", x.cfg.ReadNoise)
-	}
-	xScale := 0.0
-	for i, v := range input {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return energy.Zero, fmt.Errorf("crossbar: non-finite input at index %d", i)
-		}
-		if a := math.Abs(v); a > xScale {
-			xScale = a
-		}
-	}
-	if xScale == 0 {
-		xScale = 1
-	}
-
-	s := x.getScratch()
-	defer x.scratch.Put(s)
-
-	// Quantize and shift-encode the input.
-	xMax := int32(1)<<x.cfg.InputBits - 1
-	var xSumInt int64
-	for i, v := range input {
-		x01 := (v/xScale + 1) / 2
-		xi := int32(math.Round(x01 * float64(xMax)))
-		s.xInt[i] = xi
-		xSumInt += int64(xi)
-	}
-
-	if x.cfg.Functional {
-		x.functionalKernel(s)
-	} else {
-		x.bitSerialKernel(s, ns)
-	}
-
-	// Remove the shift-encoding offsets and restore the real-valued scale:
-	// y = wScale*xScale * (4*acc/(Wmax*Xmax) - 2*colSum/Wmax - 2*xSum/Xmax + n).
-	wMax := float64(int(1)<<x.cfg.WeightBits - 1)
-	fxMax := float64(xMax)
-	n := float64(x.usedRows)
-	for c := range dst {
-		t := 4*s.acc[c]/(wMax*fxMax) -
-			2*float64(x.colSumInt[c])/wMax -
-			2*float64(xSumInt)/fxMax + n
-		dst[c] = x.wScale * xScale * t
-	}
-	return x.mvmCost(), nil
-}
-
-// getScratch returns a scratch sized for the programmed shape, with acc
-// zeroed. Buffers grow once and are reused via the pool thereafter.
-func (x *Crossbar) getScratch() *mvmScratch {
-	s, _ := x.scratch.Get().(*mvmScratch)
-	if s == nil {
-		s = &mvmScratch{}
-	}
-	if cap(s.xInt) < x.usedRows {
-		s.xInt = make([]int32, x.usedRows)
-	}
-	s.xInt = s.xInt[:x.usedRows]
-	if cap(s.acc) < x.usedCols {
-		s.acc = make([]float64, x.usedCols)
-	}
-	s.acc = s.acc[:x.usedCols]
-	for i := range s.acc {
-		s.acc[i] = 0
-	}
-	if cap(s.activeStart) < x.cfg.InputBits+1 {
-		s.activeStart = make([]int32, x.cfg.InputBits+1)
-	}
-	s.activeStart = s.activeStart[:x.cfg.InputBits+1]
-	if cap(s.active) < x.cfg.InputBits*x.usedRows {
-		s.active = make([]int32, 0, x.cfg.InputBits*x.usedRows)
-	}
-	s.active = s.active[:0]
-	return s
-}
-
-// functionalKernel computes exact integer accumulation: equivalent to the
-// bit-serial loop with ideal converters. The column-major layout makes
-// every slice's row reduction a contiguous scan.
-func (x *Crossbar) functionalKernel(s *mvmScratch) {
-	rows := x.cfg.Rows
-	for c := 0; c < x.usedCols; c++ {
-		base := c * rows
-		var sum int64
-		for si := x.numSlices - 1; si >= 0; si-- {
-			col := x.sliceT[si][base : base+x.usedRows]
-			var part int64
-			for r, lv := range col {
-				part += int64(lv) * int64(s.xInt[r])
-			}
-			sum = sum<<uint(x.cfg.CellBits) + part
-		}
-		s.acc[c] = float64(sum)
-	}
-}
-
-// bitSerialKernel walks the honest analog pipeline: one array cycle per
-// input bit, one ADC conversion per (cycle, slice, column). Per-bit
-// active-row lists skip rows whose input bit is clear, and the column-major
-// layout keeps each reduction contiguous.
-func (x *Crossbar) bitSerialKernel(s *mvmScratch, ns noise.Source) {
-	// Active-row index lists, built once per MVM.
-	for b := 0; b < x.cfg.InputBits; b++ {
-		s.activeStart[b] = int32(len(s.active))
-		mask := int32(1) << uint(b)
-		for r := 0; r < x.usedRows; r++ {
-			if s.xInt[r]&mask != 0 {
-				s.active = append(s.active, int32(r))
-			}
-		}
-	}
-	s.activeStart[x.cfg.InputBits] = int32(len(s.active))
-
-	if x.packedT != nil {
-		x.bitSerialPacked(s, ns)
-		return
-	}
-
-	rows := x.cfg.Rows
-	sigma := x.cfg.ReadNoise
-	for b := 0; b < x.cfg.InputBits; b++ {
-		rowsB := s.active[s.activeStart[b]:s.activeStart[b+1]]
-		for si := 0; si < x.numSlices; si++ {
-			sl := x.sliceT[si]
-			scale := x.scaleTab[b+si*x.cfg.CellBits]
-			// Noise draws are position-keyed: (b, si, c) -> one counter.
-			nsBase := (uint64(b)*uint64(x.numSlices) + uint64(si)) * uint64(x.usedCols)
-			for c := 0; c < x.usedCols; c++ {
-				col := sl[c*rows : c*rows+x.usedRows]
-				var sum int64
-				for _, r := range rowsB {
-					sum += int64(col[r])
-				}
-				colSum := float64(sum)
-				if sigma > 0 {
-					// Multiplicative cycle-to-cycle read noise on the
-					// analog partial, matching the device model: each
-					// read deviates by a relative Gaussian factor.
-					colSum *= 1 + ns.Norm(nsBase+uint64(c))*sigma
-					if colSum < 0 {
-						colSum = 0
-					}
-				}
-				// ADC: clip then quantize.
-				if colSum > x.adcMaxSum {
-					colSum = x.adcMaxSum
-				}
-				s.acc[c] += math.Round(colSum/x.adcStep) * x.adcStep * scale
-			}
-		}
-	}
-}
-
-// bitSerialPacked is the lane-packed variant of the bit-serial kernel,
-// taken whenever Program could build packedT. One gather per active cell
-// accumulates all slice sums at once in 16-bit lanes (exact — Program
-// guarantees no lane can overflow); the ADC transfer, noise draw indexing,
-// and per-column (bit, slice) accumulation order are identical to the
-// slice-at-a-time path, so the two kernels are bit-identical.
-func (x *Crossbar) bitSerialPacked(s *mvmScratch, ns noise.Source) {
-	rows := x.cfg.Rows
-	sigma := x.cfg.ReadNoise
-	for b := 0; b < x.cfg.InputBits; b++ {
-		rowsB := s.active[s.activeStart[b]:s.activeStart[b+1]]
-		nsBit := uint64(b) * uint64(x.numSlices) * uint64(x.usedCols)
-		for c := 0; c < x.usedCols; c++ {
-			col := x.packedT[c*rows : c*rows+x.usedRows]
-			var packed uint64
-			for _, r := range rowsB {
-				packed += col[r]
-			}
-			for si := 0; si < x.numSlices; si++ {
-				colSum := float64((packed >> uint(16*si)) & 0xFFFF)
-				if sigma > 0 {
-					// Same position-keyed draw as the generic path:
-					// index (b*slices+si)*usedCols + c.
-					colSum *= 1 + ns.Norm(nsBit+uint64(si)*uint64(x.usedCols)+uint64(c))*sigma
-					if colSum < 0 {
-						colSum = 0
-					}
-				}
-				// ADC: clip then quantize.
-				if colSum > x.adcMaxSum {
-					colSum = x.adcMaxSum
-				}
-				s.acc[c] += math.Round(colSum/x.adcStep) * x.adcStep * x.scaleTab[b+si*x.cfg.CellBits]
-			}
-		}
-	}
+	return x.MVMBatchInto([][]float64{dst}, [][]float64{input}, []noise.Source{ns})
 }
 
 // mvmCost returns the cost of one full MVM: InputBits array cycles (slices

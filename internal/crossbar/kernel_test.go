@@ -9,14 +9,13 @@ import (
 	"cimrev/internal/noise"
 )
 
-// naiveMVM is the pre-optimization reference kernel, kept as the oracle for
-// the cache-aware rewrite: row-major cell walk, per-cell input-bit test,
-// math.Pow shift-add scales, float64 column sums — exactly the arithmetic
-// the original implementation performed, with the counter-based noise
-// source substituted in (position-keyed draws make loop order irrelevant,
-// so the oracle and the kernel consume identical noise). Any divergence
-// between this and MVM is a kernel bug, not a tolerance issue: outputs
-// must match bit for bit.
+// naiveMVM is the reference the kernel is pinned to — the only other
+// implementation of the analog pipeline in the repository: row-major cell
+// walk, per-cell input-bit test, math.Pow shift-add scales, float64 column
+// sums, with the counter-based noise source (position-keyed draws make
+// loop order irrelevant, so the oracle and the kernel consume identical
+// noise). Any divergence between this and MVM/MVMBatch is a kernel bug,
+// not a tolerance issue: outputs must match bit for bit.
 func naiveMVM(cfg Config, w [][]float64, input []float64, ns noise.Source) []float64 {
 	usedRows, usedCols := len(w), len(w[0])
 	slices := cfg.WeightBits / cfg.CellBits
@@ -126,66 +125,112 @@ func naiveMVM(cfg Config, w [][]float64, input []float64, ns noise.Source) []flo
 	return out
 }
 
-// TestKernelMatchesNaiveOracle asserts the optimized kernel (transposed
-// layout, active-row lists, scale table, integer sums, pooled scratch) is
-// bit-identical to the naive reference across functional/bit-serial modes,
-// cell widths, noise on/off, and odd tile-remainder shapes.
+// TestKernelMatchesNaiveOracle asserts the kernel (transposed layout,
+// lane packing and nibble histograms or active-row lists, scale and ADC
+// tables, integer sums, pooled scratch) is bit-identical to the naive
+// reference across functional/bit-serial modes, cell and weight widths on
+// both sides of the lane-packing envelope, every nibble-group count and
+// partial nibble of InputBits, noise on/off, odd tile-remainder shapes,
+// and through MVM as well as MVMBatch at batch 1 and 3.
 func TestKernelMatchesNaiveOracle(t *testing.T) {
-	shapes := []struct{ m, n int }{
+	type shape struct{ m, n int }
+	small := []shape{
 		{16, 16}, // full array
 		{13, 7},  // odd remainders
 		{1, 16},  // single row
 		{16, 1},  // single column
 		{5, 11},
 	}
-	for _, functional := range []bool{false, true} {
-		for _, cellBits := range []int{1, 2, 4} {
-			for _, sigma := range []float64{0, 0.03} {
-				if functional && sigma > 0 {
-					continue // functional mode has no noise path
-				}
-				for _, sh := range shapes {
-					cfg := DefaultConfig()
-					cfg.Rows, cfg.Cols = 16, 16
-					cfg.CellBits = cellBits
-					cfg.Functional = functional
-					cfg.ReadNoise = sigma
+	arrays := []struct {
+		rows, cols, cellBits, weightBits int
+		packed                           bool
+		shapes                           []shape
+	}{
+		{16, 16, 1, 8, false, small}, // 8 slices: generic
+		{16, 16, 2, 8, true, small},
+		{16, 16, 4, 8, true, small},
+		{16, 16, 2, 16, false, small[:2]}, // 8 slices: generic
+		{16, 16, 4, 16, true, small[:2]},
+		{16, 16, 8, 16, true, small[:2]},
+		// 255·300 overflows a 16-bit lane: generic despite one slice.
+		{300, 8, 8, 8, false, []shape{{300, 5}}},
+	}
+	for _, arr := range arrays {
+		for _, inputBits := range []int{1, 3, 4, 6, 8, 9, 12, 16} {
+			for _, functional := range []bool{false, true} {
+				for _, sigma := range []float64{0, 0.03} {
+					if functional && sigma > 0 {
+						continue // functional mode has no noise path
+					}
+					for _, sh := range arr.shapes {
+						cfg := DefaultConfig()
+						cfg.Rows, cfg.Cols = arr.rows, arr.cols
+						cfg.CellBits, cfg.WeightBits = arr.cellBits, arr.weightBits
+						cfg.InputBits = inputBits
+						cfg.Functional = functional
+						cfg.ReadNoise = sigma
 
-					rng := rand.New(rand.NewSource(int64(sh.m*100 + sh.n + cellBits)))
-					w := randomMatrix(rng, sh.m, sh.n)
-					in := randomVector(rng, sh.m)
-
-					xb, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := xb.Program(w); err != nil {
-						t.Fatal(err)
-					}
-					ns := NoNoise
-					if sigma > 0 {
-						ns = noise.NewSource(99)
-					}
-					got, _, err := xb.MVM(in, ns)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := naiveMVM(cfg, w, in, ns)
-					for c := range want {
-						if got[c] != want[c] {
-							t.Fatalf("functional=%v cell=%d sigma=%g shape=%dx%d col %d: kernel %v != oracle %v",
-								functional, cellBits, sigma, sh.m, sh.n, c, got[c], want[c])
+						rng := rand.New(rand.NewSource(int64(sh.m*100 + sh.n + arr.cellBits)))
+						w := randomMatrix(rng, sh.m, sh.n)
+						ins := batchInputs(rng, 3, sh.m)
+						var nss []noise.Source
+						if sigma > 0 {
+							nss = perItemSources(noise.NewSource(99), len(ins))
 						}
-					}
-					// Repeat on the same crossbar: pooled scratch must not
-					// leak state between calls.
-					again, _, err := xb.MVM(in, ns)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for c := range want {
-						if again[c] != want[c] {
-							t.Fatalf("second call diverged at col %d: %v != %v", c, again[c], want[c])
+
+						xb, err := New(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := xb.Program(w); err != nil {
+							t.Fatal(err)
+						}
+						if got := xb.packedT != nil; got != arr.packed {
+							t.Fatalf("cell=%d weight=%d rows=%d: packed=%v, table expects %v",
+								arr.cellBits, arr.weightBits, sh.m, got, arr.packed)
+						}
+						want := make([][]float64, len(ins))
+						for i, in := range ins {
+							ns := NoNoise
+							if nss != nil {
+								ns = nss[i]
+							}
+							want[i] = naiveMVM(cfg, w, in, ns)
+						}
+						check := func(path string, got [][]float64) {
+							t.Helper()
+							for i := range got {
+								for c := range want[i] {
+									if got[i][c] != want[i][c] {
+										t.Fatalf("%s functional=%v cell=%d weight=%d input=%d sigma=%g shape=%dx%d item %d col %d: kernel %v != oracle %v",
+											path, functional, arr.cellBits, arr.weightBits, inputBits, sigma, sh.m, sh.n, i, c, got[i][c], want[i][c])
+									}
+								}
+							}
+						}
+						// Every path twice on the same crossbar: pooled
+						// scratch must not leak state between calls.
+						for rep := 0; rep < 2; rep++ {
+							ns := NoNoise
+							if nss != nil {
+								ns = nss[0]
+							}
+							single, _, err := xb.MVM(ins[0], ns)
+							if err != nil {
+								t.Fatal(err)
+							}
+							check("MVM", [][]float64{single})
+							for _, bsz := range []int{1, 3} {
+								var bnss []noise.Source
+								if nss != nil {
+									bnss = nss[:bsz]
+								}
+								got, _, err := xb.MVMBatch(ins[:bsz], bnss)
+								if err != nil {
+									t.Fatal(err)
+								}
+								check("MVMBatch", got)
+							}
 						}
 					}
 				}

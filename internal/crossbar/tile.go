@@ -43,19 +43,23 @@ type Tile struct {
 	// parallel block programming is bit-identical to serial.
 	faults   faultinject.Model
 	faultSrc noise.Source
-	// scratch pools per-MVM block outputs and costs so steady-state tile
-	// MVMs stop allocating a slab per call. Pooled (not a plain field)
-	// because a programmed tile may serve concurrent MVMs. batchScratch
-	// is the same for the batched dispatch path (tile_batch.go).
-	scratch      sync.Pool
+	// batchScratch pools per-call block outputs, costs and view arenas so
+	// steady-state tile MVMs stop allocating a slab per call. Pooled (not
+	// a plain field) because a programmed tile may serve concurrent MVMs.
 	batchScratch sync.Pool
 }
 
-// tileScratch is the reusable per-MVM workspace for a tile: one output
-// slab (stride cfg.Cols per block) and one cost slot per block.
-type tileScratch struct {
+// tileBatchScratch is the pooled per-call workspace for a tile MVM: the
+// per-(block, item) output slab, per-task costs, and the view /
+// derived-source arenas handed to the crossbar kernel. Sized against the
+// current block grid and batch on every use (the same monotonic-capacity
+// audit contract as the crossbar scratch pool).
+type tileBatchScratch struct {
 	outs  []float64
 	costs []energy.Cost
+	dsts  [][]float64
+	ins   [][]float64
+	nss   []noise.Source
 }
 
 // NewTile returns an empty tile that will allocate crossbars on Program.
@@ -235,78 +239,152 @@ func (t *Tile) ProgramCtx(pc obs.Ctx, w [][]float64) (energy.Cost, error) {
 	return cost, nil
 }
 
-// MVM computes y = W · input across the block grid. Blocks run in parallel
-// regardless of noise: block b draws from the derived stream ns.Derive(b),
-// so noisy outputs are bit-identical at any worker-pool width. Partial
-// results for each column-block are merged with digital adds in fixed
-// (br, bc) order.
+// MVM computes y = W · input across the block grid: MVMBatch on a batch
+// of one. Blocks run in parallel regardless of noise: block b draws from
+// the derived stream ns.Derive(b), so noisy outputs are bit-identical at
+// any worker-pool width.
 func (t *Tile) MVM(input []float64, ns noise.Source) ([]float64, energy.Cost, error) {
-	return t.MVMCtx(obs.Ctx{}, input, ns)
+	outs, cost, err := t.MVMBatch([][]float64{input}, []noise.Source{ns})
+	if err != nil {
+		return nil, energy.Zero, err
+	}
+	return outs[0], cost, nil
 }
 
-// MVMCtx is MVM under a trace span: the tile-level MVM is a "tile.mvm"
-// child of pc with one "xbar.mvm" grandchild per block. With a zero Ctx it
-// is the plain kernel plus per-block nil-check branches — the serving hot
-// path stays allocation-free when tracing is off.
-func (t *Tile) MVMCtx(pc obs.Ctx, input []float64, ns noise.Source) ([]float64, energy.Cost, error) {
-	sp := pc.Child("tile.mvm")
-	out, cost, err := t.mvm(sp, input, ns)
-	sp.End(cost)
-	return out, cost, err
+// MVMBatch computes y_i = W · input_i for every batch item across the
+// block grid. nss supplies one noise source per item (nil when the
+// configuration is noise-free); block b of item i draws from
+// nss[i].Derive(b), whatever batch the item rides in. The returned cost
+// is the uniform per-item tile MVM cost; batch-level cost models belong
+// to the caller.
+func (t *Tile) MVMBatch(inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
+	return t.MVMBatchCtx(obs.Ctx{}, inputs, nss)
 }
 
-func (t *Tile) mvm(sp obs.Ctx, input []float64, ns noise.Source) ([]float64, energy.Cost, error) {
+// MVMBatchCtx is MVMBatch under a trace span: one "tile.mvm_batch" child
+// of pc, annotated with the batch size and recording the serial-equivalent
+// cost (per-item cost × batch), with one "xbar.mvm_batch" grandchild per
+// (block, item-chunk) task. With a zero Ctx the serving hot path stays
+// allocation-free below the (returned) output panel.
+func (t *Tile) MVMBatchCtx(pc obs.Ctx, inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
+	sp := pc.Child("tile.mvm_batch")
+	outs, cost, err := t.mvmBatch(sp, inputs, nss)
+	if sp.Active() {
+		sp.Annotate("batch", float64(len(inputs)))
+	}
+	sp.End(energy.Cost{
+		LatencyPS: cost.LatencyPS * int64(len(inputs)),
+		EnergyPJ:  cost.EnergyPJ * float64(len(inputs)),
+	})
+	return outs, cost, err
+}
+
+// mvmBatch fans the batch out over (block × item-chunk) tasks — blocks
+// alone would under-fill the worker pool for small tiles, items alone
+// would re-pay every block's weight-panel traffic per item — and each
+// task runs the crossbar kernel (MVMBatchInto) on its item panel.
+// Chunking affects only wall-clock locality and parallelism: item i's
+// noise comes from its own derived stream, and block stripes merge in
+// fixed (block, item) order, so outputs are bit-identical at any pool
+// width and any chunking.
+func (t *Tile) mvmBatch(sp obs.Ctx, inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
 	if !t.programmed {
 		return nil, energy.Zero, fmt.Errorf("crossbar: tile MVM before Program")
 	}
-	if len(input) != t.rows {
-		return nil, energy.Zero, fmt.Errorf("crossbar: input length %d != rows %d", len(input), t.rows)
+	n := len(inputs)
+	if nss != nil && len(nss) != n {
+		return nil, energy.Zero, fmt.Errorf("crossbar: %d noise sources for %d inputs", len(nss), n)
+	}
+	for i, in := range inputs {
+		if len(in) != t.rows {
+			return nil, energy.Zero, fmt.Errorf("crossbar: input %d length %d != rows %d", i, len(in), t.rows)
+		}
+	}
+	if n == 0 {
+		return [][]float64{}, energy.Zero, nil
 	}
 
 	brows, bcols := t.BlockGrid()
 	nb := brows * bcols
-	s := t.getScratch(nb)
-	defer t.scratch.Put(s)
 
-	// Evaluate the independent blocks, fanning out across the worker pool.
-	// Each block writes its partial result into a private stripe of the
-	// pooled slab via MVMInto (no per-block allocation), and noisy blocks
-	// consume their own derived stream, so no state is shared between
-	// goroutines. The merge below runs in fixed order, so outputs and cost
-	// totals are bit-identical to serial execution at any pool width.
+	// Split the batch into chunks so (blocks × chunks) covers the worker
+	// pool; at width 1 the whole batch stays in one chunk per block for
+	// maximum weight-panel reuse.
+	chunks := (parallel.Width() + nb - 1) / nb
+	if chunks > n {
+		chunks = n
+	}
+	chunkSz := (n + chunks - 1) / chunks
+	chunks = (n + chunkSz - 1) / chunkSz
+	tasks := nb * chunks
+
+	s := t.getBatchScratch(nb, n, tasks)
+	defer t.batchScratch.Put(s)
+
 	stride := t.cfg.Cols
-	err := parallel.ForErr(nb, func(b int) error {
+	err := parallel.ForErr(tasks, func(tk int) error {
+		b, k := tk/chunks, tk%chunks
+		i0 := k * chunkSz
+		i1 := min(i0+chunkSz, n)
+		if i0 >= i1 {
+			return nil
+		}
 		br, bc := b/bcols, b%bcols
 		r0 := br * t.cfg.Rows
 		r1 := min(r0+t.cfg.Rows, t.rows)
 		c0 := bc * t.cfg.Cols
 		c1 := min(c0+t.cfg.Cols, t.cols)
-		bns := NoNoise
-		if ns.Valid() {
-			bns = ns.Derive(uint64(b))
+		for i := i0; i < i1; i++ {
+			idx := b*n + i
+			s.ins[idx] = inputs[i][r0:r1]
+			s.dsts[idx] = s.outs[idx*stride : idx*stride+(c1-c0)]
+			if nss != nil {
+				s.nss[idx] = NoNoise
+				if nss[i].Valid() {
+					s.nss[idx] = nss[i].Derive(uint64(b))
+				}
+			}
 		}
-		dst := s.outs[b*stride : b*stride+(c1-c0)]
-		c, err := t.blocks[br][bc].MVMIntoCtx(sp, dst, input[r0:r1], bns)
+		var bnss []noise.Source
+		if nss != nil {
+			bnss = s.nss[b*n+i0 : b*n+i1]
+		}
+		c, err := t.blocks[br][bc].MVMBatchIntoCtx(sp, s.dsts[b*n+i0:b*n+i1], s.ins[b*n+i0:b*n+i1], bnss)
 		if err != nil {
 			return fmt.Errorf("crossbar: block (%d,%d) MVM: %w", br, bc, err)
 		}
-		s.costs[b] = c
+		s.costs[tk] = c
 		return nil
 	})
 	if err != nil {
 		return nil, energy.Zero, err
 	}
 
-	// Deterministic reduction: digital adds in (br, bc) order.
-	out := make([]float64, t.cols)
+	// Per-item cost: fold block costs in fixed order (chunk 0 of every
+	// block is never empty and all chunks report the same
+	// shape-determined cost).
 	cost := energy.Zero
 	for b := 0; b < nb; b++ {
-		cost = cost.Par(s.costs[b])
+		cost = cost.Par(s.costs[b*chunks])
+	}
+
+	// Deterministic reduction: digital adds in (block, item) order — per
+	// output element the block stripes accumulate in ascending block
+	// order.
+	slab := make([]float64, n*t.cols)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = slab[i*t.cols : (i+1)*t.cols]
+	}
+	for b := 0; b < nb; b++ {
 		c0 := (b % bcols) * t.cfg.Cols
 		c1 := min(c0+t.cfg.Cols, t.cols)
-		stripe := s.outs[b*stride : b*stride+(c1-c0)]
-		for i, v := range stripe {
-			out[c0+i] += v
+		for i := 0; i < n; i++ {
+			stripe := s.outs[(b*n+i)*stride : (b*n+i)*stride+(c1-c0)]
+			dst := out[i][c0:]
+			for j, v := range stripe {
+				dst[j] += v
+			}
 		}
 	}
 	// Digital merge: one add per partial element beyond the first block row.
@@ -320,28 +398,31 @@ func (t *Tile) mvm(sp obs.Ctx, input []float64, ns noise.Source) ([]float64, ene
 	return out, cost, nil
 }
 
-// getScratch pops (or grows) a pooled workspace sized for nb blocks.
-func (t *Tile) getScratch(nb int) *tileScratch {
-	s, _ := t.scratch.Get().(*tileScratch)
+// getBatchScratch pops (or grows) a pooled batch workspace for nb blocks,
+// n items, and the given task count.
+func (t *Tile) getBatchScratch(nb, n, tasks int) *tileBatchScratch {
+	s, _ := t.batchScratch.Get().(*tileBatchScratch)
 	if s == nil {
-		s = &tileScratch{}
+		s = &tileBatchScratch{}
 	}
-	if need := nb * t.cfg.Cols; cap(s.outs) < need {
+	if need := nb * n * t.cfg.Cols; cap(s.outs) < need {
 		s.outs = make([]float64, need)
 	} else {
 		s.outs = s.outs[:need]
 	}
-	if cap(s.costs) < nb {
-		s.costs = make([]energy.Cost, nb)
+	if cap(s.costs) < tasks {
+		s.costs = make([]energy.Cost, tasks)
 	} else {
-		s.costs = s.costs[:nb]
+		s.costs = s.costs[:tasks]
+	}
+	if need := nb * n; cap(s.dsts) < need {
+		s.dsts = make([][]float64, need)
+		s.ins = make([][]float64, need)
+		s.nss = make([]noise.Source, need)
+	} else {
+		s.dsts = s.dsts[:need]
+		s.ins = s.ins[:need]
+		s.nss = s.nss[:need]
 	}
 	return s
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -333,115 +333,26 @@ func (e *Engine) reprogram(sp obs.Ctx, net *nn.Network, hide bool) (energy.Cost,
 	return cost, nil
 }
 
-// Infer runs one inference, returning the output vector and its cost. The
-// inference claims the next noise sequence number, so noisy results depend
-// only on (seed, inference index since Load) — not on batching or pool
-// width.
+// Infer runs one inference, returning the output vector and its cost: a
+// batch of one. The inference claims the next noise sequence number, so
+// noisy results depend only on (seed, inference index since Load) — not on
+// batching or pool width.
 func (e *Engine) Infer(in []float64) ([]float64, energy.Cost, error) {
 	return e.InferCtx(obs.Ctx{}, in)
 }
 
 // InferCtx is Infer with tracing: a "dpe.infer" span with one child per
 // stage ("dpe.dense" / "dpe.conv" / "dpe.digital"), each carrying that
-// stage's cost and wrapping the tile.mvm spans beneath it.
+// stage's cost and wrapping the tile.mvm_batch spans beneath it. Cluster
+// hangs one such span per item under its batch span.
 func (e *Engine) InferCtx(pc obs.Ctx, in []float64) ([]float64, energy.Cost, error) {
 	sp := pc.Child("dpe.infer")
-	out, cost, err := e.infer(sp, in)
+	outs, cost, err := e.inferBatch(sp, [][]float64{in}, nil)
 	sp.End(cost)
-	return out, cost, err
-}
-
-func (e *Engine) infer(sp obs.Ctx, in []float64) ([]float64, energy.Cost, error) {
-	if e.net == nil {
-		return nil, energy.Zero, fmt.Errorf("dpe: Infer before Load")
+	if err != nil {
+		return nil, energy.Zero, err
 	}
-	if len(in) != e.net.InSize() {
-		return nil, energy.Zero, fmt.Errorf("dpe: input length %d != %d", len(in), e.net.InSize())
-	}
-	perInf := e.src.Derive(e.seq.Add(1) - 1)
-	v := in
-	total := energy.Zero
-	for i := range e.stages {
-		out, cost, err := e.runStage(sp, &e.stages[i], v, perInf.Derive(uint64(i)))
-		if err != nil {
-			return nil, energy.Zero, fmt.Errorf("dpe: stage %d (%s): %w", i, e.stages[i].layer.Name(), err)
-		}
-		total = total.Seq(cost)
-		v = out
-	}
-	e.inferences.Add(1)
-	return v, total, nil
-}
-
-// runStage executes one stage. ns is the stage's derived noise stream
-// (src.Derive(inference).Derive(stageIndex)); conv stages derive one child
-// per im2col patch, and tiles derive one grandchild per block, so every
-// analog draw in the engine has a unique position-keyed counter. pc is
-// the enclosing inference span; each stage opens one child under it.
-func (e *Engine) runStage(pc obs.Ctx, s *stage, in []float64, ns noise.Source) ([]float64, energy.Cost, error) {
-	switch {
-	case s.dense != nil:
-		sp := pc.Child("dpe.dense")
-		out, cost, err := s.tile.MVMCtx(sp, in, ns)
-		if err != nil {
-			sp.End(energy.Zero)
-			return nil, energy.Zero, err
-		}
-		for o := range out {
-			out[o] += s.dense.B[o]
-		}
-		// Bias adds ride the existing shift-add hardware.
-		cost = cost.Seq(energy.Cost{EnergyPJ: float64(len(out)) * energy.ShiftAddEnergyPJ})
-		sp.End(cost)
-		return out, cost, nil
-	case s.conv != nil:
-		sp := pc.Child("dpe.conv")
-		out, cost, err := e.runConv(sp, s, in, ns)
-		if sp.Active() && err == nil {
-			sp.Annotate("patches", float64(s.conv.OutH()*s.conv.OutW()))
-		}
-		sp.End(cost)
-		return out, cost, err
-	default:
-		sp := pc.Child("dpe.digital")
-		out, cost, err := e.runDigital(s.layer, in)
-		sp.End(cost)
-		return out, cost, err
-	}
-}
-
-// runConv streams im2col patches through the filter crossbar. Replicas
-// process patches concurrently: latency covers ceil(patches/replicas)
-// waves, energy covers every patch. Patch (oy, ox) draws noise from
-// ns.Derive(oy*outW+ox), independent of streaming order.
-func (e *Engine) runConv(pc obs.Ctx, s *stage, in []float64, ns noise.Source) ([]float64, energy.Cost, error) {
-	l := s.conv
-	oh, ow := l.OutH(), l.OutW()
-	out := make([]float64, oh*ow*l.F)
-	patches := oh * ow
-	var patchCost energy.Cost
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			patch, err := l.Patch(in, oy, ox)
-			if err != nil {
-				return nil, energy.Zero, err
-			}
-			y, cost, err := s.tile.MVMCtx(pc, patch, ns.Derive(uint64(oy*ow+ox)))
-			if err != nil {
-				return nil, energy.Zero, err
-			}
-			patchCost = cost // uniform across patches
-			for f := 0; f < l.F; f++ {
-				out[(oy*ow+ox)*l.F+f] = y[f] + l.B[f]
-			}
-		}
-	}
-	waves := (patches + e.cfg.ConvReplicas - 1) / e.cfg.ConvReplicas
-	cost := energy.Cost{
-		LatencyPS: patchCost.LatencyPS * int64(waves),
-		EnergyPJ:  patchCost.EnergyPJ * float64(patches),
-	}
-	return out, cost, nil
+	return outs[0], cost, nil
 }
 
 // runDigital executes activation and pooling stages on digital micro-units.
@@ -533,12 +444,11 @@ func (e *Engine) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float6
 // With seqs == nil, items claim a contiguous run of the engine's
 // inference counter (seq0+i); with seqs != nil, item i uses the
 // caller-supplied key seqs[i] and the counter does not advance. Either
-// way item i's stage-s draws come from src.Derive(key_i).Derive(s) — the
-// exact streams the item-major loop used — so outputs stay bit-identical
-// to running the items through Infer one at a time.
+// way item i's stage-s draws come from src.Derive(key_i).Derive(s), so
+// item i's output does not depend on the batch it rides in.
 func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]float64, energy.Cost, error) {
 	if e.net == nil {
-		return nil, energy.Zero, fmt.Errorf("dpe: InferBatch before Load")
+		return nil, energy.Zero, fmt.Errorf("dpe: inference before Load")
 	}
 	if len(inputs) == 0 {
 		return nil, energy.Zero, fmt.Errorf("dpe: empty batch")
@@ -575,7 +485,7 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 		for i := range nss {
 			nss[i] = perInf[i].Derive(uint64(s))
 		}
-		outs, cost, err := e.runStageBatch(sp, &e.stages[s], vs, nss)
+		outs, cost, err := e.runStage(sp, &e.stages[s], vs, nss)
 		if err != nil {
 			return nil, energy.Zero, fmt.Errorf("dpe: stage %d (%s): %w", s, e.stages[s].layer.Name(), err)
 		}
@@ -594,13 +504,14 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 	return vs, cost, nil
 }
 
-// runStageBatch executes one stage for the whole batch. nss[i] is item
-// i's derived stage stream (src.Derive(key_i).Derive(stageIndex)) — the
-// same derivation runStage hands a lone inference, so every analog draw
-// keeps its unique position-keyed counter. Each stage opens one span for
-// the batch carrying the serial-equivalent cost (per-item × batch); the
-// returned cost is the uniform per-item stage cost.
-func (e *Engine) runStageBatch(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
+// runStage executes one stage for the whole batch. nss[i] is item i's
+// derived stage stream (src.Derive(key_i).Derive(stageIndex)); conv stages
+// derive one child per im2col patch, and tiles derive one grandchild per
+// block, so every analog draw in the engine has a unique position-keyed
+// counter. pc is the enclosing inference span; each stage opens one child
+// under it for the batch, carrying the serial-equivalent cost (per-item ×
+// batch); the returned cost is the uniform per-item stage cost.
+func (e *Engine) runStage(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
 	n := len(ins)
 	switch {
 	case s.dense != nil:
@@ -624,7 +535,7 @@ func (e *Engine) runStageBatch(pc obs.Ctx, s *stage, ins [][]float64, nss []nois
 		return outs, cost, nil
 	case s.conv != nil:
 		sp := pc.Child("dpe.conv")
-		outs, cost, err := e.runConvBatch(sp, s, ins, nss)
+		outs, cost, err := e.runConv(sp, s, ins, nss)
 		if sp.Active() && err == nil {
 			sp.Annotate("patches", float64(s.conv.OutH()*s.conv.OutW()))
 			sp.Annotate("batch", float64(n))
@@ -654,14 +565,14 @@ func (e *Engine) runStageBatch(pc obs.Ctx, s *stage, ins [][]float64, nss []nois
 	}
 }
 
-// runConvBatch streams im2col patches through the filter crossbar for the
+// runConv streams im2col patches through the filter crossbar for the
 // whole batch, one batched tile MVM per patch position: the filter panel
 // is streamed once per batch per position instead of once per item. Patch
-// (oy, ox) of item i draws noise from nss[i].Derive(oy*outW+ox) — the
-// derivation runConv uses — independent of streaming order. Replica
-// accounting is unchanged: per item, latency covers ceil(patches/
-// replicas) waves and energy covers every patch.
-func (e *Engine) runConvBatch(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
+// (oy, ox) of item i draws noise from nss[i].Derive(oy*outW+ox),
+// independent of streaming order. Replicas process patches concurrently:
+// per item, latency covers ceil(patches/replicas) waves and energy covers
+// every patch.
+func (e *Engine) runConv(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
 	l := s.conv
 	oh, ow := l.OutH(), l.OutW()
 	n := len(ins)
