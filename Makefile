@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check docs-check test race verify bench bench-smoke bench-json bench-mvm bench-serve bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity cover fuzz experiments examples clean
+.PHONY: all build vet fmt-check docs-check test race verify bench bench-smoke bench-json bench-mvm bench-pairs bench-serve bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity cover fuzz experiments examples clean
 
 all: build vet test
 
@@ -39,24 +39,55 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable record of the MVM kernel benchmarks: the single-vector
-# BenchmarkCrossbarMVM sweep plus the BenchmarkCrossbarMVMBatch sweep
-# (batch 1/8/32/128 x 64..512, ns/vec per batch size), converted to
-# BENCH_mvm.json. Also runs the serving-pipeline benchmark so
+# Machine-readable record of the MVM kernel benchmark: the
+# BenchmarkCrossbarMVMBatch sweep (batch 1/8/32/128 x 64..512, ns/vec per
+# batch size; the b1 rows are the single-vector MVMInto cost), converted
+# to BENCH_mvm.json. Also runs the serving-pipeline benchmark so
 # BENCH_serve.json stays in step, and the hybrid dispatch, chaos, and
 # capacity sweeps so BENCH_hybrid.json, BENCH_chaos.json, and
 # BENCH_capacity.json do too.
 bench-json: bench-serve bench-mvm bench-hybrid bench-chaos bench-capacity
 
-# The MVM sweeps alone. An archive, not a gate: both sweeps time the one
-# kernel, so there is no second path to hold a ratio against; the
-# regression guard is `benchmark/run.sh compare` (benchmark/README.md) on
-# sim_bitserial_b1 and sim_functional_b64.
+# The MVM sweep alone. An archive, not a gate: there is no second path to
+# hold a ratio against; the regression guard is `benchmark/run.sh compare`
+# (benchmark/README.md) on sim_bitserial_b1 and sim_functional_b64, and
+# `make bench-pairs` runs it against a parent commit.
 bench-mvm:
-	$(GO) test -run '^$$' -bench '^BenchmarkCrossbarMVM(Batch)?$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkCrossbarMVMBatch$$' \
 		-benchtime 30x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_mvm.json
 	@echo wrote BENCH_mvm.json
+
+# Paired repository-benchmark runs, the form every speed claim takes
+# (ROADMAP: one command, one workload, an interleaved same-run baseline):
+# extracts PARENT into a tree under .bench_build/pairs/, runs PAIRS
+# alternating parent/change runs of each WORKLOAD (seeds SEED, SEED+1, …;
+# even pairs parent first, odd pairs change first) through each side's own
+# benchmark/run.sh, then compares the two results files against the
+# BENCHMARK.json bounds. The change side is the working tree.
+#   make bench-pairs WORKLOAD=sim_functional_b64 PAIRS=10 PARENT=HEAD~1
+WORKLOAD ?= sim_functional_b64
+PAIRS ?= 10
+PARENT ?= HEAD~1
+SEED ?= 1
+bench-pairs:
+	@set -eu; d=$(CURDIR)/.bench_build/pairs; \
+	rm -rf $$d; mkdir -p $$d/parent; \
+	git archive $(PARENT) | tar -x -C $$d/parent; \
+	for w in $(WORKLOAD); do \
+		for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
+			order="parent change"; \
+			if [ $$((i % 2)) -eq 1 ]; then order="change parent"; fi; \
+			for side in $$order; do \
+				root=$(CURDIR); \
+				if [ $$side = parent ]; then root=$$d/parent; fi; \
+				echo "bench-pairs: $$w pair $$i $$side"; \
+				bash $$root/benchmark/run.sh --workload $$w --seed $$(($(SEED) + i)) \
+					--out $$d/$$side.json >> $$d/$$side.log; \
+			done; \
+		done; \
+	done; \
+	bash benchmark/run.sh compare $$d/parent.json $$d/change.json
 
 # Serving-pipeline benchmark: 64 closed-loop clients over the 8-bit MLP
 # workload, serial per-request baseline vs the micro-batched pipeline

@@ -338,58 +338,15 @@ func runFailover(b *testing.B, withSpare bool) float64 {
 
 // --- Substrate micro-benchmarks ---
 
-// BenchmarkCrossbarMVM is the MVM kernel's perf trajectory: a size sweep
-// (64-512 rows, 8-bit weights/inputs) in bit-serial, functional, and noisy
-// modes, through the zero-allocation MVMInto path. `make bench-json`
-// serializes this benchmark into BENCH_mvm.json so future PRs can track
-// regressions; docs/PERF.md records the history.
-func BenchmarkCrossbarMVM(b *testing.B) {
-	run := func(name string, cfg crossbar.Config, n int, ns NoiseSource) {
-		b.Run(name, func(b *testing.B) {
-			cfg.Rows, cfg.Cols = n, n
-			xb, err := crossbar.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			if _, err := xb.Program(randomMatrix(rng, n, n)); err != nil {
-				b.Fatal(err)
-			}
-			in := randomVector(rng, n)
-			dst := make([]float64, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := xb.MVMInto(dst, in, ns); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, n := range []int{64, 128, 256, 512} {
-		base := crossbar.DefaultConfig() // 8b weights, 8b inputs
-		run(fmt.Sprintf("%dx%d_8b", n, n), base, n, NoNoise)
-
-		fn := base
-		fn.Functional = true
-		run(fmt.Sprintf("%dx%d_8b_func", n, n), fn, n, NoNoise)
-
-		noisy := base
-		noisy.ReadNoise = 0.02
-		run(fmt.Sprintf("%dx%d_8b_noisy", n, n), noisy, n, NewNoiseSource(7))
-	}
-}
-
 // BenchmarkCrossbarMVMBatch is the kernel's batch trajectory:
 // MVMBatchInto over a size × batch sweep, in bit-serial, functional, and
 // noisy (per-item keyed sources) modes. "ns/vec" is the per-vector time at
 // that batch size; the b1 rows are what MVMInto costs. Rows are timed one
 // after another, so on a host whose speed drifts a row-to-row ratio
-// carries the drift. `make bench-mvm` archives this sweep next to
-// BenchmarkCrossbarMVM in BENCH_mvm.json; the regression guard for the
-// kernel is the repository benchmark (`benchmark/run.sh compare` on
-// sim_functional_b64 and sim_bitserial_b1), which scales by a reference
-// kernel timed alongside.
+// carries the drift. `make bench-mvm` archives this sweep in
+// BENCH_mvm.json; the regression guard for the kernel is the repository
+// benchmark (`benchmark/run.sh compare` on sim_functional_b64 and
+// sim_bitserial_b1), which scales by a reference kernel timed alongside.
 func BenchmarkCrossbarMVMBatch(b *testing.B) {
 	run := func(name string, cfg crossbar.Config, n, batch int, noisy bool) {
 		b.Run(name, func(b *testing.B) {

@@ -1,8 +1,11 @@
 package crossbar
 
-// The MVM kernel. Every analog read in the simulator — one vector or a
+// The MVM kernels. Every analog read in the simulator — one vector or a
 // serving micro-batch — runs through MVMBatchInto; MVM and MVMInto are a
-// batch of one.
+// batch of one. Functional mode runs one integer GEMM over the fused
+// weight panel (functionalGEMM); bit-serial mode runs the nibble-histogram
+// kernel over packedT, or the slice-at-a-time kernel when Program could
+// not pack.
 //
 // The loop nest is matrix-matrix, not matrix-vector:
 //
@@ -16,7 +19,8 @@ package crossbar
 //     for the generic bit-serial kernel, quantized inputs otherwise)
 //     stays L1-resident while the panel streams through.
 //
-// Outputs do not depend on the batch an item rides in: for every (item,
+// Outputs do not depend on the batch an item rides in: the functional
+// accumulator is one exact integer, and for every bit-serial (item,
 // column) accumulator the (input bit, slice) accumulation order is fixed
 // — the column/item loops around it cannot perturb a float64 in the
 // result — and noise draws are position-keyed per item
@@ -53,7 +57,7 @@ type mvmBatchScratch struct {
 	// active holds concatenated active-row runs for every (item, input
 	// bit); activeStart[i*(InputBits+1)+b] is the offset of item i's bit-b
 	// run. Built (and sized) once per call by decodeActiveRuns for the
-	// generic bit-serial kernel only; the packed kernels classify rows by
+	// generic bit-serial kernel only; the packed kernel classifies rows by
 	// nibble value on the fly from xInt and the functional kernel dots
 	// xInt directly.
 	active      []int32
@@ -201,11 +205,7 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 	}
 
 	if x.cfg.Functional {
-		if x.packedT != nil {
-			x.functionalBatchPacked(s, n)
-		} else {
-			x.functionalBatchKernel(s, n)
-		}
+		x.functionalGEMM(s, n)
 	} else if x.packedT != nil {
 		// The packed kernel classifies rows by nibble value on the fly —
 		// one histogram pass over the column per item replaces up to
@@ -218,20 +218,19 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 
 	// Remove the shift-encoding offsets and restore each item's real-valued
 	// scale: y = wScale*xScale * (4*acc/(Wmax*Xmax) - 2*colSum/Wmax -
-	// 2*xSum/Xmax + rows).
-	wMax := float64(int(1)<<x.cfg.WeightBits - 1)
+	// 2*xSum/Xmax + rows). The colSum term is tabulated per column at
+	// Program time and the xSum term computed once per item, each with the
+	// expression and in the association of the formula above.
 	fxMax := float64(xMax)
+	full := float64(int(1)<<x.cfg.WeightBits-1) * fxMax
 	rows := float64(x.usedRows)
-	for i := 0; i < n; i++ {
-		dst := dsts[i]
-		acc := s.acc[i*x.usedCols : (i+1)*x.usedCols]
-		xSum := float64(s.xSumInt[i])
+	colOffset := x.colOffset[:x.usedCols]
+	for i, dst := range dsts {
+		acc := s.acc[i*x.usedCols:][:len(colOffset)]
+		xOffset := 2 * float64(s.xSumInt[i]) / fxMax
 		scale := x.wScale * s.xScale[i]
-		for c := range dst {
-			t := 4*acc[c]/(wMax*fxMax) -
-				2*float64(x.colSumInt[c])/wMax -
-				2*xSum/fxMax + rows
-			dst[c] = scale * t
+		for c, off := range colOffset {
+			dst[c] = scale * (4*acc[c]/full - off - xOffset + rows)
 		}
 	}
 	return x.mvmCost(), nil
@@ -308,116 +307,78 @@ func (x *Crossbar) decodeActiveRuns(s *mvmBatchScratch, n int) {
 	}
 }
 
-// functionalBatchKernel is the generic exact-integer kernel (functional
-// mode: ideal converters, same cost model): for each item block, every
-// column's slice panels are loaded once and dotted against each item's
-// quantized input while hot. The per-(item, column) reduction is a
-// slice-descending shift-accumulate over a contiguous row scan — integer
-// arithmetic, so one exact int64 per accumulator.
-func (x *Crossbar) functionalBatchKernel(s *mvmBatchScratch, n int) {
-	rows := x.cfg.Rows
-	usedRows := x.usedRows
+// functionalGEMM is the functional-mode kernel (ideal converters, same
+// cost model): one exact unsigned-integer matrix-matrix product of the
+// fused weight panel with the quantized input panel. Per item block and
+// column word, four items share each weight load; a word carries one or
+// two columns (x.lanes), and with two, w·x = wLo·x + (wHi·x)<<32, so each
+// 32-bit lane of the running sum is its own column's dot product — bounded
+// by wMax·xMax·usedRows ≤ 2^32−1 at Program time, so no lane ever carries.
+// The sum of a lane is the integer Σ_r W[r,c]·x[r] whichever way it is
+// associated, so its float64 is the naive oracle's.
+func (x *Crossbar) functionalGEMM(s *mvmBatchScratch, n int) {
+	rows := x.usedRows
 	cols := x.usedCols
-	nslices := x.numSlices
-	shift := uint(x.cfg.CellBits)
-	blk := blockItems(usedRows * 4) // per-item xInt bytes
+	words := len(x.fused) / rows
+	// unpack writes column word cw's lane sums into item i's accumulators.
+	// Lane sums are below 2^63, so the signed conversion is exact.
+	unpack := func(i, cw int, a uint64) {
+		if x.lanes == 1 {
+			s.acc[i*cols+cw] = float64(int64(a))
+			return
+		}
+		s.acc[i*cols+2*cw] = float64(int64(a & math.MaxUint32))
+		if 2*cw+1 < cols {
+			s.acc[i*cols+2*cw+1] = float64(int64(a >> 32))
+		}
+	}
+	blk := blockItems(rows * 4) // per-item xInt bytes
 	for i0 := 0; i0 < n; i0 += blk {
 		i1 := min(i0+blk, n)
-		for c := 0; c < cols; c++ {
-			base := c * rows
-			for i := i0; i < i1; i++ {
-				xi := s.xInt[i*usedRows : (i+1)*usedRows]
-				var sum int64
-				for si := nslices - 1; si >= 0; si-- {
-					col := x.sliceT[si][base : base+usedRows]
-					// Four independent integer partials: the slice dot
-					// product is exact arithmetic, so re-association
-					// cannot perturb the final float64 conversion.
-					var p0, p1, p2, p3 int64
-					r, nr := 0, len(col)
-					for ; r <= nr-4; r += 4 {
-						p0 += int64(col[r]) * int64(xi[r])
-						p1 += int64(col[r+1]) * int64(xi[r+1])
-						p2 += int64(col[r+2]) * int64(xi[r+2])
-						p3 += int64(col[r+3]) * int64(xi[r+3])
-					}
-					for ; r < nr; r++ {
-						p0 += int64(col[r]) * int64(xi[r])
-					}
-					sum = sum<<shift + p0 + p1 + p2 + p3
+		for cw := 0; cw < words; cw++ {
+			col := x.fused[cw*rows:][:rows]
+			i := i0
+			for ; i+4 <= i1; i += 4 {
+				a0, a1, a2, a3 := dot4(col, s.xInt[i*rows:][:4*rows])
+				unpack(i, cw, a0)
+				unpack(i+1, cw, a1)
+				unpack(i+2, cw, a2)
+				unpack(i+3, cw, a3)
+			}
+			for ; i < i1; i++ {
+				xi := s.xInt[i*rows:][:rows]
+				var a uint64
+				for r, w := range col {
+					a += w * uint64(xi[r])
 				}
-				s.acc[i*cols+c] = float64(sum)
+				unpack(i, cw, a)
 			}
 		}
 	}
 }
 
-// functionalBatchPacked is the lane-packed functional kernel. The exact
-// integer reduction functionalBatchKernel computes per (item, column) —
-// Σ_si dot(slice_si, xi) · 2^(si·CellBits) — equals Σ_b 2^b · Σ_si
-// colSum(si, b) · 2^(si·CellBits), where colSum(si, b) sums slice si over
-// the rows whose input bit b is set. The kernel reads those per-bit sums
-// out of one nibble histogram of the packed column (one pass per item
-// instead of one multiply-add pass per slice), recombines classes into
-// per-bit lane sums, and unpacks lanes with shifts. Every step is exact
-// integer arithmetic producing the same int64, so the float64 conversion
-// is bit-identical to the generic kernel's.
-func (x *Crossbar) functionalBatchPacked(s *mvmBatchScratch, n int) {
-	rows := x.cfg.Rows
-	usedRows := x.usedRows
-	cols := x.usedCols
-	bits := x.cfg.InputBits
-	nslices := x.numSlices
-	cellBits := uint(x.cfg.CellBits)
-	packedT := x.packedT
-	groups := x.nibGroups()
-	// Per-item working set: the quantized input row. Doubled so the block
-	// leaves L1 headroom for the column panel it races.
-	blk := blockItems(usedRows * 8)
-	for i0 := 0; i0 < n; i0 += blk {
-		i1 := min(i0+blk, n)
-		for c := 0; c < cols; c++ {
-			col := packedT[c*rows : c*rows+usedRows]
-			for i := i0; i < i1; i++ {
-				xi := s.xInt[i*usedRows : i*usedRows+usedRows]
-				var T [4][16]uint64
-				nibbleHistogram(&T, col, xi, groups)
-				var sum uint64
-				for g := 0; g < groups; g++ {
-					gw := min(4, bits-4*g)
-					nc := 1 << uint(gw)
-					Tg := &T[g]
-					var packs [4]uint64
-					if gw == 4 {
-						packs[0] = Tg[1] + Tg[3] + Tg[5] + Tg[7] + Tg[9] + Tg[11] + Tg[13] + Tg[15]
-						packs[1] = Tg[2] + Tg[3] + Tg[6] + Tg[7] + Tg[10] + Tg[11] + Tg[14] + Tg[15]
-						packs[2] = Tg[4] + Tg[5] + Tg[6] + Tg[7] + Tg[12] + Tg[13] + Tg[14] + Tg[15]
-						packs[3] = Tg[8] + Tg[9] + Tg[10] + Tg[11] + Tg[12] + Tg[13] + Tg[14] + Tg[15]
-					} else {
-						for bb := 0; bb < gw; bb++ {
-							bit := 1 << uint(bb)
-							var p uint64
-							for m := bit; m < nc; m++ {
-								if m&bit != 0 {
-									p += Tg[m]
-								}
-							}
-							packs[bb] = p
-						}
-					}
-					for bb := 0; bb < gw; bb++ {
-						p := packs[bb]
-						var u uint64
-						for si := 0; si < nslices; si++ {
-							u += (p >> uint(16*si) & 0xFFFF) << (uint(si) * cellBits)
-						}
-						sum += u << uint(4*g+bb)
-					}
-				}
-				s.acc[i*cols+c] = float64(sum)
-			}
-		}
+// dot4 is functionalGEMM's inner loop: one weight column word against the
+// quantized rows of four consecutive items (xs, item-major), four
+// independent accumulator chains on each weight load. It is kept out of
+// line because the register allocator then sees only the loop's own
+// values: inlined into the block loops, three of the four accumulators
+// spill to the stack and every add waits on a store-to-load forward
+// (1.1–1.4× slower at batch ≥ 8, docs/PERF.md).
+//
+//go:noinline
+func dot4(col []uint64, xs []int32) (a0, a1, a2, a3 uint64) {
+	rows := len(col)
+	x0 := xs[:rows]
+	x1 := xs[rows:][:rows]
+	x2 := xs[2*rows:][:rows]
+	x3 := xs[3*rows:][:rows]
+	for r, w := range col {
+		a0 += w * uint64(x0[r])
+		a1 += w * uint64(x1[r])
+		a2 += w * uint64(x2[r])
+		a3 += w * uint64(x3[r])
 	}
+	return a0, a1, a2, a3
 }
 
 // nibGroups returns the number of nibble groups the input bits split

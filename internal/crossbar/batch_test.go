@@ -6,7 +6,7 @@ package crossbar
 // functional, bit-serial packed and generic, noisy keyed and unkeyed,
 // fault-remapped tiles, ragged final item blocks, and the batch = 0/1
 // edges — plus the zero-allocation and mixed-shape scratch contracts.
-// kernel_test.go pins batch 1 and 3 to the naive oracle.
+// kernel_test.go pins batches 1 to 9 to the naive oracle.
 
 import (
 	"fmt"
@@ -377,36 +377,56 @@ func TestMVMBatchValidation(t *testing.T) {
 // sized scratch from its pools — results stay oracle-exact on every
 // interleaving, single-vector and batched, and no stale capacity or
 // length from a larger earlier shape can leak into a smaller one (or
-// vice versa).
+// vice versa). The functional crossbar's reshapes also cross the lane
+// bound, so its reused weight panel changes layout each round.
 func TestScratchReuseAcrossReshapes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Rows, cfg.Cols = 32, 32
-	xb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shapes := []struct{ m, n int }{{32, 32}, {5, 7}, {32, 32}, {11, 3}}
+	type shape struct{ m, n, lanes int } // lanes: functional panel only
+	bitSerial := DefaultConfig()
+	bitSerial.Rows, bitSerial.Cols = 32, 32
+	// Functional at 16 input bits: 257 rows is the last two-lane shape
+	// (255·65535·257 ≤ 2^32−1), so reprogramming walks the fused panel
+	// two-lane → one-lane → two-lane → one-lane, shrinking and regrowing it.
+	functional := DefaultConfig()
+	functional.Rows, functional.Cols = 300, 8
+	functional.InputBits = 16
+	functional.Functional = true
 	rng := rand.New(rand.NewSource(21))
-	for round, sh := range shapes {
-		w := randomMatrix(rng, sh.m, sh.n)
-		if _, err := xb.Program(w); err != nil {
-			t.Fatal(err)
-		}
-		ins := batchInputs(rng, 4, sh.m)
-		got, _, err := xb.MVMBatch(ins, nil)
+	for _, tc := range []struct {
+		cfg    Config
+		shapes []shape
+	}{
+		{bitSerial, []shape{{32, 32, 0}, {5, 7, 0}, {32, 32, 0}, {11, 3, 0}}},
+		{functional, []shape{{257, 5, 2}, {300, 8, 1}, {40, 3, 2}, {258, 7, 1}}},
+	} {
+		cfg := tc.cfg
+		xb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ins {
-			single, _, err := xb.MVM(ins[i], NoNoise)
+		for round, sh := range tc.shapes {
+			w := randomMatrix(rng, sh.m, sh.n)
+			if _, err := xb.Program(w); err != nil {
+				t.Fatal(err)
+			}
+			if xb.lanes != sh.lanes {
+				t.Fatalf("round %d shape %dx%d: lanes %d, want %d", round, sh.m, sh.n, xb.lanes, sh.lanes)
+			}
+			ins := batchInputs(rng, 5, sh.m)
+			got, _, err := xb.MVMBatch(ins, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := naiveMVM(cfg, w, ins[i], NoNoise)
-			for c := range want {
-				if got[i][c] != want[c] || single[c] != want[c] {
-					t.Fatalf("round %d shape %dx%d item %d col %d: batch %v single %v oracle %v",
-						round, sh.m, sh.n, i, c, got[i][c], single[c], want[c])
+			for i := range ins {
+				single, _, err := xb.MVM(ins[i], NoNoise)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := naiveMVM(cfg, w, ins[i], NoNoise)
+				for c := range want {
+					if got[i][c] != want[c] || single[c] != want[c] {
+						t.Fatalf("functional=%v round %d shape %dx%d item %d col %d: batch %v single %v oracle %v",
+							cfg.Functional, round, sh.m, sh.n, i, c, got[i][c], single[c], want[c])
+					}
 				}
 			}
 		}

@@ -21,20 +21,27 @@
 //
 // # Kernel layout
 //
-// There is one MVM kernel, MVMBatchInto (batch.go): it runs a panel of
-// input vectors against the programmed array, and MVM/MVMInto are that
-// kernel on a batch of one. It is organized for locality and zero
+// There is one MVM entry point, MVMBatchInto (batch.go): it runs a panel
+// of input vectors against the programmed array, and MVM/MVMInto are that
+// call on a batch of one. It is organized for locality and zero
 // steady-state allocation (see docs/PERF.md for measurements):
 //
 //   - Slice levels are stored column-major (sliceT[s][c*Rows+r]), so the
 //     row reduction for a column is a contiguous scan.
-//   - When the shape allows (≤4 slices, no 16-bit lane overflow), slices
-//     are additionally packed into 16-bit lanes of one word per cell
-//     (packedT). The kernel then streams each packed column once per item,
-//     histogramming the lanes by input nibble, and every per-bit,
-//     per-slice column sum falls out of lane extraction.
-//   - Shapes outside that envelope take the generic slice-at-a-time path:
-//     per-bit active-row lists built once per call, one gather per slice.
+//   - Functional mode needs one exact integer per (item, column), so
+//     Program fuses each cell's stored slice levels into its full integer
+//     weight and packs adjacent columns into 32-bit lanes of one word
+//     (fused: two columns per word when no lane can carry, one
+//     otherwise). The kernel is an integer matrix-matrix product over
+//     that panel, four items sharing each weight load.
+//   - Bit-serial mode needs every per-(input bit, slice) column sum for
+//     its ADC conversions. When the shape allows (≤4 slices, no 16-bit
+//     lane overflow), slices are packed into 16-bit lanes of one word per
+//     cell (packedT); the kernel streams each packed column once per
+//     item, histogramming the lanes by input nibble, and every per-bit,
+//     per-slice column sum falls out of lane extraction. Shapes outside
+//     that envelope take the generic slice-at-a-time path: per-bit
+//     active-row lists built once per call, one gather per slice.
 //   - The noise-free ADC transfer is a table load (adcLUT) and the
 //     shift-and-add scales a precomputed power-of-two table.
 //   - Working buffers live in a per-crossbar sync.Pool; MVMs on a
@@ -91,7 +98,8 @@ type Config struct {
 	// result is computed from exact integer arithmetic (no per-cycle ADC
 	// quantization or noise) while the cost model stays identical. Large
 	// benchmark sweeps use it; accuracy studies keep the default
-	// bit-serial mode.
+	// bit-serial mode. It never draws read noise, so Validate rejects it
+	// together with ReadNoise > 0.
 	Functional bool
 	// SpareCols is the number of spare physical columns held in reserve
 	// beyond Cols for fault repair: when device-fault injection is active
@@ -132,6 +140,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("crossbar: ADCBits must be in [1,16], got %d (an ADC needs at least one bit; 0 would collapse the quantization step)", c.ADCBits)
 	case c.ReadNoise < 0:
 		return fmt.Errorf("crossbar: ReadNoise must be non-negative, got %g", c.ReadNoise)
+	case c.Functional && c.ReadNoise > 0:
+		return fmt.Errorf("crossbar: Functional mode computes exact integer sums and never draws read noise, so ReadNoise %g would be silently ignored; set Functional = false for a noisy configuration", c.ReadNoise)
 	case c.SpareCols < 0:
 		return fmt.Errorf("crossbar: SpareCols must be non-negative, got %d", c.SpareCols)
 	}
@@ -160,11 +170,21 @@ type Crossbar struct {
 	// per-slice column sums out of the lanes — exact integer arithmetic,
 	// bit-identical to the slice-at-a-time path.
 	// Program leaves it nil when the lanes don't fit: more than 4 slices,
-	// or cellMax*usedRows overflowing 16 bits.
+	// or cellMax*usedRows overflowing 16 bits. Bit-serial mode only.
 	packedT []uint64
 
-	// colSumInt[c] is the column sum of integer weights, stored at program
-	// time for digital offset removal.
+	// fused[cw*usedRows+r] is the functional-mode weight panel: the full
+	// integer weight Σ_s level_s << s*CellBits of cell (r, c), fused from
+	// the stored slice levels, with column c in 32-bit lane c%lanes of
+	// column word cw = c/lanes. lanes is 2 when wMax*xMax*usedRows fits
+	// 32 bits — a column's whole dot product fits its lane, so no lane can
+	// carry into its neighbour — and 1 otherwise. Functional mode only.
+	fused []uint64
+	lanes int
+
+	// colSumInt[c] is the column sum of the intended integer weights,
+	// accumulated at program time; digital offset removal reads it through
+	// colOffset.
 	colSumInt []int64
 
 	// usedRows and usedCols are the programmed submatrix dimensions.
@@ -183,7 +203,13 @@ type Crossbar struct {
 	// adcMaxSum = usedRows·cellMax, so the kernel replaces the
 	// divide-and-round ADC transfer with one table load — exact, because
 	// each entry is computed with the noisy path's own expression.
+	// Bit-serial mode only.
 	adcLUT []float64
+
+	// colOffset[c] = 2*colSumInt[c]/wMax, the weight-offset term of the
+	// output epilogue, tabulated at Program time with the epilogue's own
+	// expression.
+	colOffset []float64
 
 	// scaleTab[k] = 2^k, the shift-and-add merge factors, indexed by
 	// inputBit + slice*CellBits.
@@ -236,6 +262,7 @@ func New(cfg Config) (*Crossbar, error) {
 		numSlices: cfg.slices(),
 		sliceT:    sl,
 		colSumInt: make([]int64, cfg.Cols),
+		colOffset: make([]float64, cfg.Cols),
 		scaleTab:  scaleTab,
 	}, nil
 }
@@ -393,6 +420,78 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 		pulses, verifies = x.programAndVerify(wIntT, cellMask)
 	}
 
+	for c, sum := range x.colSumInt[:cols] {
+		x.colOffset[c] = 2 * float64(sum) / wMax
+	}
+	if x.cfg.Functional {
+		x.fuseWeights()
+	} else {
+		x.packSlices()
+	}
+
+	x.programmed = true
+
+	cells := int64(len(w)) * int64(cols) * int64(x.numSlices)
+	if faulty {
+		// Program-and-verify cost: every pulse is a real memristor write
+		// and every verify a real read-back — retries and spare-column
+		// reprogramming are charged, never free. Latency: rows write in
+		// parallel across columns but serially row by row, each row wave
+		// now followed by its verify read; every retry pulse and every
+		// spare-column pulse beyond the base grid serializes on top.
+		x.faultEpoch++
+		x.writes += pulses
+		extraPulses := pulses - cells
+		extraVerifies := verifies - cells
+		return energy.Cost{
+			LatencyPS: int64(len(w))*(energy.CrossbarWriteLatencyPS+energy.CrossbarReadLatencyPS) +
+				extraPulses*energy.CrossbarWriteLatencyPS +
+				extraVerifies*energy.CrossbarReadLatencyPS,
+			EnergyPJ: float64(pulses)*energy.CrossbarWriteEnergyPJ +
+				float64(verifies)*energy.CrossbarCellReadEnergyPJ,
+		}, nil
+	}
+	x.faultReport = faultinject.Report{}
+	x.writes += cells
+	return energy.Cost{
+		LatencyPS: int64(len(w)) * energy.CrossbarWriteLatencyPS,
+		EnergyPJ:  float64(cells) * energy.CrossbarWriteEnergyPJ,
+	}, nil
+}
+
+// fuseWeights builds the functional-mode panel (see Crossbar.fused) from
+// the stored slice levels — after fault remap, so stuck and drifted cells
+// reach the kernel exactly as they reach the slice-at-a-time reduction.
+func (x *Crossbar) fuseWeights() {
+	wMax := uint64(1)<<x.cfg.WeightBits - 1
+	xMax := uint64(1)<<x.cfg.InputBits - 1
+	x.lanes = 1
+	if wMax*xMax*uint64(x.usedRows) <= math.MaxUint32 {
+		x.lanes = 2
+	}
+	rows := x.usedRows
+	words := (x.usedCols + x.lanes - 1) / x.lanes
+	if need := words * rows; cap(x.fused) < need {
+		x.fused = make([]uint64, need)
+	} else {
+		x.fused = x.fused[:need]
+		clear(x.fused)
+	}
+	for c := 0; c < x.usedCols; c++ {
+		col := x.fused[c/x.lanes*rows:][:rows]
+		lane := uint(c % x.lanes * 32)
+		for s, sl := range x.sliceT {
+			shift := lane + uint(s*x.cfg.CellBits)
+			for r, lv := range sl[c*x.cfg.Rows:][:rows] {
+				col[r] |= uint64(lv) << shift
+			}
+		}
+	}
+}
+
+// packSlices builds the bit-serial kernels' read-only tables for the
+// programmed shape: packedT when the lanes fit, and the ADC transfer.
+func (x *Crossbar) packSlices() {
 	// Pack slice levels into 16-bit lanes when they fit (≤4 slices and no
 	// possible lane overflow): the kernel then reads each cell once
 	// instead of once per slice.
@@ -437,35 +536,6 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 	for v := range x.adcLUT {
 		x.adcLUT[v] = math.Round(float64(v)/x.adcStep) * x.adcStep
 	}
-
-	x.programmed = true
-
-	cells := int64(len(w)) * int64(cols) * int64(x.numSlices)
-	if faulty {
-		// Program-and-verify cost: every pulse is a real memristor write
-		// and every verify a real read-back — retries and spare-column
-		// reprogramming are charged, never free. Latency: rows write in
-		// parallel across columns but serially row by row, each row wave
-		// now followed by its verify read; every retry pulse and every
-		// spare-column pulse beyond the base grid serializes on top.
-		x.faultEpoch++
-		x.writes += pulses
-		extraPulses := pulses - cells
-		extraVerifies := verifies - cells
-		return energy.Cost{
-			LatencyPS: int64(len(w))*(energy.CrossbarWriteLatencyPS+energy.CrossbarReadLatencyPS) +
-				extraPulses*energy.CrossbarWriteLatencyPS +
-				extraVerifies*energy.CrossbarReadLatencyPS,
-			EnergyPJ: float64(pulses)*energy.CrossbarWriteEnergyPJ +
-				float64(verifies)*energy.CrossbarCellReadEnergyPJ,
-		}, nil
-	}
-	x.faultReport = faultinject.Report{}
-	x.writes += cells
-	return energy.Cost{
-		LatencyPS: int64(len(w)) * energy.CrossbarWriteLatencyPS,
-		EnergyPJ:  float64(cells) * energy.CrossbarWriteEnergyPJ,
-	}, nil
 }
 
 // maxPulseTrains bounds the program-and-verify loop: one initial pulse,

@@ -27,6 +27,8 @@ func TestConfigValidate(t *testing.T) {
 		{"inputbits zero", func(c *Config) { c.InputBits = 0 }, false},
 		{"adcbits zero", func(c *Config) { c.ADCBits = 0 }, false},
 		{"negative noise", func(c *Config) { c.ReadNoise = -1 }, false},
+		{"noisy bit-serial", func(c *Config) { c.ReadNoise = 0.02 }, true},
+		{"noisy functional", func(c *Config) { c.Functional = true; c.ReadNoise = 0.02 }, false},
 		{"1-bit cells", func(c *Config) { c.CellBits = 1 }, true},
 	}
 	for _, tt := range tests {

@@ -224,6 +224,19 @@ func TestFaultSpareExhaustion(t *testing.T) {
 	if reflect.DeepEqual(out, refOut) {
 		t.Fatal("lost columns produced bit-identical outputs — degradation is silent")
 	}
+	// The functional panel is fused from the stored levels, not the
+	// intended ones: the corrupted array still equals the oracle run over
+	// what the cells hold, through the four-item block and its remainder.
+	ins := [][]float64{in, randVec(16, 5), randVec(16, 6), randVec(16, 7), randVec(16, 8)}
+	got, _, err := xb.MVMBatch(ins, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range ins {
+		if want := naiveMVMStored(xb.cfg, w, in, NoNoise, xb.sliceT); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("item %d: corrupted array %v != oracle over stored levels %v", i, got[i], want)
+		}
+	}
 }
 
 // TestFaultTransientRetries pins program-and-verify: transient write

@@ -17,6 +17,15 @@ import (
 // noise). Any divergence between this and MVM/MVMBatch is a kernel bug,
 // not a tolerance issue: outputs must match bit for bit.
 func naiveMVM(cfg Config, w [][]float64, input []float64, ns noise.Source) []float64 {
+	return naiveMVMStored(cfg, w, input, ns, nil)
+}
+
+// naiveMVMStored is naiveMVM over the levels a fault-injected crossbar
+// actually stored: stored[s][c*cfg.Rows+r] (the sliceT layout) replaces the
+// level the quantized weight asked for, while the digital offset removal
+// keeps the intended column sums, as Program does. A nil stored is the
+// fault-free array.
+func naiveMVMStored(cfg Config, w [][]float64, input []float64, ns noise.Source, stored [][]uint8) []float64 {
 	usedRows, usedCols := len(w), len(w[0])
 	slices := cfg.WeightBits / cfg.CellBits
 
@@ -49,6 +58,9 @@ func naiveMVM(cfg Config, w [][]float64, input []float64, ns noise.Source) []flo
 			colSum[c] += float64(wInt)
 			for s := 0; s < slices; s++ {
 				level[s][r][c] = (wInt >> uint(s*cfg.CellBits)) & cellMask
+				if stored != nil {
+					level[s][r][c] = int(stored[s][c*cfg.Rows+r])
+				}
 			}
 		}
 	}
@@ -125,13 +137,93 @@ func naiveMVM(cfg Config, w [][]float64, input []float64, ns noise.Source) []flo
 	return out
 }
 
-// TestKernelMatchesNaiveOracle asserts the kernel (transposed layout,
-// lane packing and nibble histograms or active-row lists, scale and ADC
-// tables, integer sums, pooled scratch) is bit-identical to the naive
-// reference across functional/bit-serial modes, cell and weight widths on
-// both sides of the lane-packing envelope, every nibble-group count and
-// partial nibble of InputBits, noise on/off, odd tile-remainder shapes,
-// and through MVM as well as MVMBatch at batch 1 and 3.
+// oracleBatches are the batch sizes every oracle case runs: a lone item,
+// the functional kernel's four-item block exactly, and blocks with 1–3
+// remainder items before and after it.
+var oracleBatches = []int{1, 3, 4, 5, 8, 9}
+
+// checkAgainstOracle programs w on a fresh crossbar, lets assertPath
+// inspect which kernel layout Program chose, and compares MVM and MVMBatch
+// at every oracleBatches size to naiveMVM with ==, twice over so pooled
+// scratch cannot leak state between calls. len(ins) must cover the
+// largest batch; nss is nil on noise-free configurations.
+func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64, nss []noise.Source, assertPath func(*Crossbar)) {
+	t.Helper()
+	xb, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := xb.Program(w); err != nil {
+		t.Fatal(err)
+	}
+	assertPath(xb)
+	source := func(i int) noise.Source {
+		if nss == nil {
+			return NoNoise
+		}
+		return nss[i]
+	}
+	want := make([][]float64, len(ins))
+	for i, in := range ins {
+		want[i] = naiveMVM(cfg, w, in, source(i))
+	}
+	check := func(path string, got [][]float64) {
+		t.Helper()
+		for i := range got {
+			for c := range want[i] {
+				if got[i][c] != want[i][c] {
+					t.Fatalf("%s functional=%v cell=%d weight=%d input=%d sigma=%g shape=%dx%d batch=%d item %d col %d: kernel %v != oracle %v",
+						path, cfg.Functional, cfg.CellBits, cfg.WeightBits, cfg.InputBits, cfg.ReadNoise,
+						len(w), len(w[0]), len(got), i, c, got[i][c], want[i][c])
+				}
+			}
+		}
+	}
+	for rep := 0; rep < 2; rep++ {
+		single, _, err := xb.MVM(ins[0], source(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("MVM", [][]float64{single})
+		for _, bsz := range oracleBatches {
+			var bnss []noise.Source
+			if nss != nil {
+				bnss = nss[:bsz]
+			}
+			got, _, err := xb.MVMBatch(ins[:bsz], bnss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("MVMBatch", got)
+		}
+	}
+}
+
+// assertLanes is the functional-mode path assertion: the fused panel
+// exists with the expected lane count, and none of the bit-serial tables
+// were built beside it.
+func assertLanes(t *testing.T, want int) func(*Crossbar) {
+	return func(xb *Crossbar) {
+		t.Helper()
+		if xb.lanes != want || xb.fused == nil {
+			t.Fatalf("weight=%d input=%d rows=%d: lanes=%d (fused nil: %v), table expects %d",
+				xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.lanes, xb.fused == nil, want)
+		}
+		if xb.packedT != nil || xb.adcLUT != nil {
+			t.Fatal("functional crossbar built the bit-serial tables (packedT/adcLUT)")
+		}
+	}
+}
+
+// TestKernelMatchesNaiveOracle asserts the kernels (transposed layout;
+// functional: fused lane-packed integer GEMM; bit-serial: slice lane
+// packing and nibble histograms or active-row lists, scale and ADC tables;
+// integer sums, pooled scratch) are bit-identical to the naive reference
+// across functional/bit-serial modes, cell and weight widths on both sides
+// of each mode's packing envelope, every nibble-group count and partial
+// nibble of InputBits, noise on/off, odd tile-remainder shapes (an odd
+// usedCols leaves the functional panel's last word half empty), and
+// through MVM as well as MVMBatch at every oracleBatches size.
 func TestKernelMatchesNaiveOracle(t *testing.T) {
 	type shape struct{ m, n int }
 	small := []shape{
@@ -143,24 +235,35 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 	}
 	arrays := []struct {
 		rows, cols, cellBits, weightBits int
-		packed                           bool
-		shapes                           []shape
+		// packed: bit-serial mode builds packedT at these shapes.
+		packed bool
+		// laneBits: the largest InputBits at which functional mode still
+		// packs two columns per word at these shapes.
+		laneBits int
+		shapes   []shape
 	}{
-		{16, 16, 1, 8, false, small}, // 8 slices: generic
-		{16, 16, 2, 8, true, small},
-		{16, 16, 4, 8, true, small},
-		{16, 16, 2, 16, false, small[:2]}, // 8 slices: generic
-		{16, 16, 4, 16, true, small[:2]},
-		{16, 16, 8, 16, true, small[:2]},
+		{16, 16, 1, 8, false, 16, small}, // 8 slices: generic
+		{16, 16, 2, 8, true, 16, small},
+		{16, 16, 4, 8, true, 16, small},
+		// 65535·4095·16 fits 32 bits, 65535·65535·13 does not.
+		{16, 16, 2, 16, false, 12, small[:2]}, // 8 slices: generic
+		{16, 16, 4, 16, true, 12, small[:2]},
+		{16, 16, 8, 16, true, 12, small[:2]},
 		// 255·300 overflows a 16-bit lane: generic despite one slice.
-		{300, 8, 8, 8, false, []shape{{300, 5}}},
+		// 255·32767·300 fits 32 bits, 255·65535·300 does not.
+		{300, 8, 8, 8, false, 15, []shape{{300, 5}}},
+		// The lane bound itself at 16 input bits:
+		// 255·65535·257 = 4 294 836 225 ≤ 2^32−1 < 255·65535·258.
+		{257, 8, 2, 8, true, 16, []shape{{257, 5}}},
+		{258, 8, 2, 8, true, 15, []shape{{258, 5}}},
 	}
+	maxBatch := oracleBatches[len(oracleBatches)-1]
 	for _, arr := range arrays {
 		for _, inputBits := range []int{1, 3, 4, 6, 8, 9, 12, 16} {
 			for _, functional := range []bool{false, true} {
 				for _, sigma := range []float64{0, 0.03} {
 					if functional && sigma > 0 {
-						continue // functional mode has no noise path
+						continue // Validate rejects it: functional mode has no noise path
 					}
 					for _, sh := range arr.shapes {
 						cfg := DefaultConfig()
@@ -172,70 +275,68 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 
 						rng := rand.New(rand.NewSource(int64(sh.m*100 + sh.n + arr.cellBits)))
 						w := randomMatrix(rng, sh.m, sh.n)
-						ins := batchInputs(rng, 3, sh.m)
+						ins := batchInputs(rng, maxBatch, sh.m)
 						var nss []noise.Source
 						if sigma > 0 {
 							nss = perItemSources(noise.NewSource(99), len(ins))
 						}
-
-						xb, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := xb.Program(w); err != nil {
-							t.Fatal(err)
-						}
-						if got := xb.packedT != nil; got != arr.packed {
-							t.Fatalf("cell=%d weight=%d rows=%d: packed=%v, table expects %v",
-								arr.cellBits, arr.weightBits, sh.m, got, arr.packed)
-						}
-						want := make([][]float64, len(ins))
-						for i, in := range ins {
-							ns := NoNoise
-							if nss != nil {
-								ns = nss[i]
-							}
-							want[i] = naiveMVM(cfg, w, in, ns)
-						}
-						check := func(path string, got [][]float64) {
+						assertPath := func(xb *Crossbar) {
 							t.Helper()
-							for i := range got {
-								for c := range want[i] {
-									if got[i][c] != want[i][c] {
-										t.Fatalf("%s functional=%v cell=%d weight=%d input=%d sigma=%g shape=%dx%d item %d col %d: kernel %v != oracle %v",
-											path, functional, arr.cellBits, arr.weightBits, inputBits, sigma, sh.m, sh.n, i, c, got[i][c], want[i][c])
-									}
-								}
+							if got := xb.packedT != nil; got != arr.packed {
+								t.Fatalf("cell=%d weight=%d rows=%d: packed=%v, table expects %v",
+									arr.cellBits, arr.weightBits, sh.m, got, arr.packed)
+							}
+							if xb.fused != nil {
+								t.Fatal("bit-serial crossbar built the functional fused panel")
 							}
 						}
-						// Every path twice on the same crossbar: pooled
-						// scratch must not leak state between calls.
-						for rep := 0; rep < 2; rep++ {
-							ns := NoNoise
-							if nss != nil {
-								ns = nss[0]
+						if functional {
+							lanes := 1
+							if inputBits <= arr.laneBits {
+								lanes = 2
 							}
-							single, _, err := xb.MVM(ins[0], ns)
-							if err != nil {
-								t.Fatal(err)
-							}
-							check("MVM", [][]float64{single})
-							for _, bsz := range []int{1, 3} {
-								var bnss []noise.Source
-								if nss != nil {
-									bnss = nss[:bsz]
-								}
-								got, _, err := xb.MVMBatch(ins[:bsz], bnss)
-								if err != nil {
-									t.Fatal(err)
-								}
-								check("MVMBatch", got)
-							}
+							assertPath = assertLanes(t, lanes)
 						}
+						checkAgainstOracle(t, cfg, w, ins, nss, assertPath)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestFunctionalLaneSaturation drives every lane of the two-column panel
+// to the largest sum the envelope admits — every weight and every input at
+// +max on the largest in-envelope row count, 255·65535·257 = 65535·65535·1
+// = 4 294 836 225 — so a carry into the neighbouring column would break ==
+// against the oracle. Odd and even column counts: the last word half
+// empty and full.
+func TestFunctionalLaneSaturation(t *testing.T) {
+	for _, tc := range []struct{ cellBits, weightBits, rows, cols int }{
+		{2, 8, 257, 5},
+		{2, 8, 257, 4},
+		{4, 16, 1, 7},
+	} {
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = tc.rows, 8
+		cfg.CellBits, cfg.WeightBits = tc.cellBits, tc.weightBits
+		cfg.InputBits = 16
+		cfg.Functional = true
+		w := make([][]float64, tc.rows)
+		for r := range w {
+			w[r] = make([]float64, tc.cols)
+			for c := range w[r] {
+				w[r][c] = 1
+			}
+		}
+		ins := make([][]float64, oracleBatches[len(oracleBatches)-1])
+		for i := range ins {
+			ins[i] = make([]float64, tc.rows)
+			for r := range ins[i] {
+				ins[i][r] = 1
+			}
+		}
+		checkAgainstOracle(t, cfg, w, ins, nil, assertLanes(t, 2))
 	}
 }
 

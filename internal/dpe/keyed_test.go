@@ -2,11 +2,16 @@ package dpe
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
+// noisyConfig is bit-serial with read noise live: functional mode never
+// draws noise (crossbar.Config.Validate rejects the combination), so a
+// keyed-noise suite on it would pin the noise-free path.
 func noisyConfig() Config {
 	cfg := testConfig()
+	cfg.Crossbar.Functional = false
 	cfg.Crossbar.ReadNoise = 0.02
 	return cfg
 }
@@ -64,6 +69,25 @@ func TestInferBatchKeyedMatchesAutoSequence(t *testing.T) {
 				t.Fatalf("input %d: keyed output differs from auto-sequenced", i)
 			}
 		}
+	}
+
+	// The suite is about noise only if noisyConfig draws some: the same
+	// keys on its noise-free twin must give different outputs.
+	quietCfg := noisyConfig()
+	quietCfg.Crossbar.ReadNoise = 0
+	quiet, err := New(quietCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := quiet.Load(net); err != nil {
+		t.Fatal(err)
+	}
+	flat, _, err := quiet.InferBatchKeyed(seqs, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(got, flat) {
+		t.Fatal("noisyConfig outputs equal the noise-free outputs: the keyed-noise suites are vacuous")
 	}
 }
 

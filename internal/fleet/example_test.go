@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/fleet"
@@ -57,33 +58,32 @@ func ExampleFleet_SubmitSeq() {
 	}
 	cfg := dpe.DefaultConfig()
 	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
-	cfg.Crossbar.ReadNoise = 0.02 // analog read noise, counter-keyed
+	cfg.Crossbar.Functional = false // bit-serial: the mode that draws read noise
+	cfg.Crossbar.ReadNoise = 0.02   // analog read noise, counter-keyed
 
 	in := make([]float64, 16)
 	for i := range in {
 		in[i] = float64(i) / 16
 	}
 
-	var outs [2][]float64
-	for i, engines := range []int{1, 3} {
+	submit := func(cfg dpe.Config, engines int) []float64 {
 		f, _, err := fleet.New(cfg, net, fleet.WithEngines(engines))
 		if err != nil {
 			panic(err)
 		}
+		defer f.Close()
 		out, _, err := f.SubmitSeq(context.Background(), 42, in)
 		if err != nil {
 			panic(err)
 		}
-		outs[i] = out
-		f.Close()
+		return out
 	}
-	identical := true
-	for j := range outs[0] {
-		if outs[0][j] != outs[1][j] {
-			identical = false
-		}
-	}
-	fmt.Println("1-engine and 3-engine outputs bit-identical:", identical)
+	one, three := submit(cfg, 1), submit(cfg, 3)
+	quiet := cfg
+	quiet.Crossbar.ReadNoise = 0
+	fmt.Println("1-engine and 3-engine outputs bit-identical:", slices.Equal(one, three))
+	fmt.Println("and the noise is live (output differs from the noise-free one):", !slices.Equal(one, submit(quiet, 1)))
 	// Output:
 	// 1-engine and 3-engine outputs bit-identical: true
+	// and the noise is live (output differs from the noise-free one): true
 }

@@ -18,10 +18,13 @@ import (
 )
 
 // testConfig is a small noisy DPE so determinism tests exercise the keyed
-// noise path, not just the deterministic matrix math.
+// noise path, not just the deterministic matrix math. Bit-serial, because
+// functional mode never draws noise (crossbar.Config.Validate rejects the
+// combination); TestFleetDeterminism asserts the noise is live.
 func testConfig() dpe.Config {
 	cfg := dpe.DefaultConfig()
 	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
+	cfg.Crossbar.Functional = false
 	cfg.Crossbar.ReadNoise = 0.02
 	return cfg
 }
@@ -132,6 +135,23 @@ func TestFleetDeterminism(t *testing.T) {
 		want[i] = out
 	}
 	ref.Close()
+
+	// The contract is about noise only if testConfig draws some: request 0
+	// on its noise-free twin must come out different.
+	quietCfg := testConfig()
+	quietCfg.Crossbar.ReadNoise = 0
+	quiet, _, err := New(quietCfg, net, WithEngines(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, _, err := quiet.SubmitSeq(context.Background(), 0, inputs[0])
+	quiet.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sliceEq(flat, want[0]) {
+		t.Fatal("testConfig output equals the noise-free output: the determinism suites are vacuous")
+	}
 
 	for _, policyName := range PolicyNames() {
 		for _, width := range []int{1, 8} {

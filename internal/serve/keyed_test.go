@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -9,8 +10,11 @@ import (
 	"cimrev/internal/dpe"
 )
 
+// noisyPairConfig is bit-serial with read noise live: functional mode
+// never draws noise (crossbar.Config.Validate rejects the combination).
 func noisyPairConfig() dpe.Config {
 	cfg := testEngineConfig()
+	cfg.Crossbar.Functional = false
 	cfg.Crossbar.ReadNoise = 0.02
 	return cfg
 }
@@ -39,6 +43,24 @@ func TestSubmitKeyedBitIdentical(t *testing.T) {
 	want, _, err := ref.InferBatchKeyed(seqs, inputs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The suite is about noise only if noisyPairConfig draws some: the
+	// same keys on its noise-free twin must give different outputs.
+	quietCfg := noisyPairConfig()
+	quietCfg.Crossbar.ReadNoise = 0
+	quiet, err := dpe.New(quietCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := quiet.Load(net); err != nil {
+		t.Fatal(err)
+	}
+	flat, _, err := quiet.InferBatchKeyed(seqs, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want, flat) {
+		t.Fatal("noisyPairConfig outputs equal the noise-free outputs: the keyed-noise suites are vacuous")
 	}
 
 	pair, _, err := NewShadowPair(noisyPairConfig(), net)
