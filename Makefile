@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check docs-check test race verify bench bench-smoke bench-json bench-mvm bench-pairs bench-serve bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity cover fuzz experiments examples clean
+.PHONY: all build vet fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-mvm bench-pairs bench-serve bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity cover fuzz experiments examples clean
 
 all: build vet test
 
@@ -35,6 +35,19 @@ test:
 # -count=1 so a cached result can never stand in for a run.
 race:
 	$(GO) test -race -count=1 ./...
+
+# Non-test Go lines added/removed per package between PARENT and the
+# working tree (stage new files first: untracked ones are not in the diff),
+# outside benchmark/ — the LOC delta ROADMAP asks every PR to report.
+#   make loc PARENT=HEAD~1
+loc:
+	@git diff --numstat $(PARENT) -- '*.go' ':!*_test.go' ':!benchmark' | awk ' \
+		{ pkg = $$3; if (!sub(/\/[^\/]*$$/, "", pkg)) pkg = "."; \
+		  if (!(pkg in add)) order[++n] = pkg; \
+		  add[pkg] += $$1; del[pkg] += $$2; ta += $$1; td += $$2 } \
+		END { for (i = 1; i <= n; i++) { p = order[i]; \
+		    printf "%-28s +%-5d -%-5d %+d\n", p, add[p], del[p], add[p] - del[p] } \
+		  printf "%-28s +%-5d -%-5d %+d\n", "total", ta, td, ta - td }'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,6 +1,7 @@
 // Command cimserve is the load generator for the inference serving
-// pipeline (internal/serve). It stands up the paper's Section VI DPE
-// behind the micro-batching frontend, drives it with a workloadgen load
+// stack (internal/fleet over internal/serve). It stands up the paper's
+// Section VI DPE as a fleet of -engines boards, each behind its own
+// micro-batching frontend, drives it with a workloadgen load
 // (closed-loop clients by default, open-loop arrival processes on
 // request), and reports throughput and latency quantiles in `go test
 // -bench` text format so the output pipes straight through cmd/benchjson
@@ -12,9 +13,10 @@
 //
 //   - serial: every request pays serial per-request Infer latency — the
 //     pre-pipeline baseline where concurrent callers queue on one engine.
-//   - batch: requests flow through the adaptive micro-batcher into
-//     InferBatch, which overlaps batch items across the engine's stage
-//     pipeline (simulated time) and across the worker pool (wall time).
+//   - batch: requests flow through the fleet router and an engine's
+//     adaptive micro-batcher into the batched kernel, which overlaps batch
+//     items across the engine's stage pipeline (simulated time) and across
+//     the worker pool (wall time).
 //
 // Load generation is the internal/workloadgen driver (docs/CAPACITY.md):
 // -arrivals selects the arrival process — closed (the default: -clients
@@ -32,17 +34,18 @@
 // closed-loop artifact, and an open-loop schedule against a fully
 // serialized engine just measures unbounded pile-up.
 //
-// With -engines N (N > 1) the batch mode becomes a fleet run: N
-// independent engines — each its own shadow pair, breaker, queue, and
-// metrics namespace — behind the -policy request router (round-robin,
-// least-loaded, weighted, wear-aware; internal/fleet, docs/CLUSTER.md).
-// Requests carry their noise key (the fleet sequence number), so per-
-// request outputs are bit-identical to a single-engine run under every
-// policy. -reprogram in fleet mode performs *rolling* reprograms: one
-// standby programs at a time, health-gated promotion, zero fleet downtime.
-// The -listen endpoint exposes every engine's registry on one /metrics
-// page with {engine="<id>"} labels and aggregates fleet health on
-// /healthz.
+// The batch mode is always a fleet run (internal/fleet, docs/CLUSTER.md):
+// -engines N independent engines — each its own shadow pair, breaker,
+// queue, and metrics namespace — behind the -policy request router
+// (round-robin, least-loaded, weighted, wear-aware). The default, -engines
+// 1, is a fleet of one: the same stack, the same telemetry shape, and bench
+// lines named batch_* (N > 1 names them fleet_*_e<N>_<policy> and adds the
+// engines metric). Requests carry their noise key (the drive sequence
+// number), so per-request outputs are bit-identical at every fleet size
+// under every policy. -reprogram performs *rolling* reprograms: one standby
+// programs at a time, health-gated promotion, zero fleet downtime. The
+// -listen endpoint exposes every engine's registry on one /metrics page
+// with {engine="<id>"} labels and aggregates fleet health on /healthz.
 //
 // Each mode reports wall-clock ns/op plus custom metrics: req_per_s (wall
 // throughput), sim_req_per_s (simulated throughput from the energy
@@ -56,9 +59,11 @@
 // docs/HYBRID.md): cim (default) serves every flush from the crossbar
 // path, vn serves from the executing Von Neumann twin (bit-identical on
 // deterministic configs), and auto routes each flush by the calibrated
-// cost model, pinning keyed/noisy traffic to CIM. Non-default modes add
-// dispatch_cim / dispatch_vn / dispatch_pinned_noisy to the bench line,
-// and the dispatch.* counters appear on /metrics.
+// cost model — unless the deployment has no twin (-stuck > 0: each board's
+// defects are its own), in which case everything is pinned to CIM and
+// counted as dispatch_pinned_noisy. Non-default modes add dispatch_cim /
+// dispatch_vn / dispatch_pinned_noisy to the bench line, and the
+// dispatch.* counters appear on /metrics.
 //
 // Errors in batch mode are broken out by cause so the benchjson archive
 // distinguishes capacity problems from health problems (docs/FAULTS.md):
@@ -73,16 +78,16 @@
 // -deadline sets a per-request budget — requests that expire anywhere in
 // the pipeline (ingress queue included) shed with the typed
 // ErrDeadlineExceeded and are counted as deadline_exceeded, never
-// retried. -hedge (fleet mode) re-issues requests that outlive the
-// tracked p95 on a second engine — keyed noise makes the two attempts
+// retried. -hedge (needs -engines >= 2) re-issues requests that outlive
+// the tracked p95 on a second engine — keyed noise makes the two attempts
 // bit-identical, so first-response-wins is safe; hedged / hedge_won land
-// on the bench line. -overload (fleet mode) enables the per-engine AIMD
-// concurrency limiter and the priority brownout. -chaos <scenario>
-// injects a deterministic fault plan (none, straggler, crash, overload —
-// internal/chaos) into every engine; /healthz reports the active
-// scenario and each engine's current concurrency limit. Note the
-// micro-batcher's *flush* deadline — how long a partial batch may wait
-// for company — is the separate -maxdelay flag.
+// on the bench line. -overload enables the per-engine AIMD concurrency
+// limiter and the priority brownout. -chaos <scenario> injects a
+// deterministic fault plan (none, straggler, crash, overload —
+// internal/chaos) into every engine; /healthz reports the active scenario
+// and each engine's current concurrency limit. Note the micro-batcher's
+// *flush* deadline — how long a partial batch may wait for company — is the
+// separate -maxdelay flag.
 package main
 
 import (
@@ -205,9 +210,7 @@ func (o options) validate() error {
 	case o.engines < 1:
 		return fmt.Errorf("cimserve: -engines must be >= 1, got %d", o.engines)
 	case o.hedge && o.engines < 2:
-		return fmt.Errorf("cimserve: -hedge needs a fleet to hedge across, use -engines >= 2")
-	case o.overload && o.engines < 2:
-		return fmt.Errorf("cimserve: -overload is a fleet-mode control, use -engines >= 2")
+		return fmt.Errorf("cimserve: -hedge needs a second engine to hedge onto, use -engines >= 2")
 	}
 	switch o.arrivals {
 	case "", "closed", "poisson", "mmpp", "diurnal", "trace":
@@ -234,10 +237,8 @@ func (o options) validate() error {
 	if _, err := hybrid.ParseMode(o.dispatch); err != nil {
 		return fmt.Errorf("cimserve: -dispatch: %w", err)
 	}
-	if plan, err := chaos.ScenarioPlan(o.chaos, o.seed, 1); err != nil {
+	if _, err := chaos.ScenarioPlan(o.chaos, o.seed, 1); err != nil {
 		return fmt.Errorf("cimserve: -chaos: %w", err)
-	} else if plan.Enabled() && o.engines < 2 {
-		return fmt.Errorf("cimserve: -chaos %s targets a fleet, use -engines >= 2", o.chaos)
 	}
 	return nil
 }
@@ -368,16 +369,16 @@ func main() {
 	flag.StringVar(&o.mode, "mode", "both", "serving modes to run: both|serial|batch")
 	flag.StringVar(&layersFlag, "layers", "256,256,256,256,256,128,10", "8-bit MLP layer sizes")
 	flag.Int64Var(&o.seed, "seed", 1, "workload and engine seed")
-	flag.IntVar(&o.reprogram, "reprogram", 0, "shadow-engine weight swaps to perform mid-run (batch mode)")
+	flag.IntVar(&o.reprogram, "reprogram", 0, "rolling shadow-engine reprograms to perform mid-run (batch mode)")
 	flag.Float64Var(&o.stuck, "stuck", 0, "stuck-cell rate injected into every crossbar (split evenly GMin/GMax)")
 	flag.IntVar(&o.spares, "spares", 0, "spare columns per crossbar for fault remapping")
 	flag.StringVar(&o.listen, "listen", "", "address for the live telemetry endpoint (/metrics, /healthz, /debug/pprof); empty disables")
-	flag.IntVar(&o.engines, "engines", 1, "fleet size: engines behind the request router (1 = single-engine batch mode)")
+	flag.IntVar(&o.engines, "engines", 1, "fleet size: engines behind the request router")
 	flag.StringVar(&o.policy, "policy", "round-robin", "fleet routing policy: round-robin, least-loaded, weighted, wear-aware")
 	flag.StringVar(&o.dispatch, "dispatch", "cim", "backend dispatch policy: cim (crossbar only), vn (Von Neumann twin only), auto (cost-model routing)")
-	flag.BoolVar(&o.hedge, "hedge", false, "fleet mode: hedge requests that outlive the tracked p95 onto a second engine (first response wins, bit-identical)")
-	flag.BoolVar(&o.overload, "overload", false, "fleet mode: enable the per-engine AIMD concurrency limiter and priority brownout")
-	flag.StringVar(&o.chaos, "chaos", "none", "fleet mode: deterministic chaos scenario to inject: none, straggler, crash, overload")
+	flag.BoolVar(&o.hedge, "hedge", false, "hedge requests that outlive the tracked p95 onto a second engine (first response wins, bit-identical; needs -engines >= 2)")
+	flag.BoolVar(&o.overload, "overload", false, "enable the per-engine AIMD concurrency limiter and priority brownout")
+	flag.StringVar(&o.chaos, "chaos", "none", "deterministic chaos scenario to inject into every engine: none, straggler, crash, overload")
 	flag.StringVar(&o.arrivals, "arrivals", "closed", "arrival process: closed (clients loop), poisson, mmpp, diurnal, trace (open-loop, -mode batch)")
 	flag.Float64Var(&o.rate, "rate", 0, "offered req/s for -arrivals poisson|mmpp|diurnal")
 	flag.StringVar(&o.mix, "mix", "none", "request-class mix: none (single class) or default (seed-keyed batch-1/batch-8/analytics)")
@@ -466,7 +467,7 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "pkg: cimrev/cmd/cimserve\n")
 
 	// The telemetry endpoint (when -listen is set) outlives both modes;
-	// runBatch installs the live registry/pair/breaker into it.
+	// runFleet installs the live fleet into it.
 	tel := &telemetry{}
 	if o.listen != "" {
 		addr, stop, err := startTelemetry(o.listen, tel)
@@ -486,11 +487,7 @@ func run(w io.Writer, o options) error {
 		emit(w, fmt.Sprintf("BenchmarkServe/serial_c%d", o.clients), serial, nil, nil)
 	}
 	if o.mode == "both" || o.mode == "batch" {
-		if o.engines > 1 {
-			batch, err = runFleet(cfg, net, netB, inputs, o, gen, tel)
-		} else {
-			batch, err = runBatch(cfg, net, netB, inputs, o, gen, tel)
-		}
+		batch, err = runFleet(cfg, net, netB, inputs, o, gen, tel)
 		if err != nil {
 			return err
 		}
@@ -543,19 +540,17 @@ func run(w io.Writer, o options) error {
 		}
 		// Closed-loop names keep their historical shape; open-loop names
 		// carry the arrival process instead of the (ignored) client count.
-		name := fmt.Sprintf("BenchmarkServe/batch_c%d_b%d", o.clients, o.batch)
+		// A fleet of one keeps the batch_* name BENCH_serve.json is keyed by.
+		load := fmt.Sprintf("c%d", o.clients)
 		if o.openLoop() {
-			name = fmt.Sprintf("BenchmarkServe/batch_%s_b%d", o.arrivals, o.batch)
+			load = o.arrivals
 		}
+		name := fmt.Sprintf("BenchmarkServe/batch_%s_b%d", load, o.batch)
 		if o.engines > 1 {
 			extra["engines"] = float64(o.engines)
 			order = append(order, "engines")
-			policy := strings.ReplaceAll(o.policy, "-", "_")
-			if o.openLoop() {
-				name = fmt.Sprintf("BenchmarkServe/fleet_%s_b%d_e%d_%s", o.arrivals, o.batch, o.engines, policy)
-			} else {
-				name = fmt.Sprintf("BenchmarkServe/fleet_c%d_b%d_e%d_%s", o.clients, o.batch, o.engines, policy)
-			}
+			name = fmt.Sprintf("BenchmarkServe/fleet_%s_b%d_e%d_%s", load, o.batch, o.engines,
+				strings.ReplaceAll(o.policy, "-", "_"))
 		}
 		emit(w, name, batch, extra, order)
 	}
@@ -665,139 +660,16 @@ func fanout(req workloadgen.Request, one func(element int) (workloadgen.Outcome,
 	return worst, werr
 }
 
-// runBatch measures the pipeline: the workloadgen drive submits to the
-// micro-batching server over a health-gated shadow pair, with optional
-// mid-run weight swaps. Request failures are classified by cause rather
-// than collapsed into one count: backpressure (ErrOverloaded) retries in
-// closed-loop mode, breaker sheds (ErrUnhealthy) abandon the request,
-// anything else aborts the run.
-func runBatch(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o options, gen loadgen, tel *telemetry) (runStats, error) {
-	pair, _, err := serve.NewShadowPair(cfg, net)
-	if err != nil {
-		return runStats{}, err
-	}
-	// One registry spans the whole pipeline — the redesigned serve.Config
-	// threads it into both the breaker and the micro-batcher, so the
-	// telemetry endpoint scrapes a single coherent namespace.
-	reg := metrics.NewRegistry()
-	// The breaker sits between the micro-batcher and the shadow pair. With
-	// no faults injected it is transparent; with -stuck past the spare
-	// budget, failed swaps trip it and subsequent requests shed with
-	// ErrUnhealthy instead of silently serving degraded weights.
-	brk, err := serve.NewBreaker(pair,
-		serve.WithRetry(3, time.Millisecond, 50*time.Millisecond),
-		serve.WithSeed(o.seed),
-		serve.WithRegistry(reg),
-	)
-	if err != nil {
-		return runStats{}, err
-	}
-	// The hybrid dispatcher sits between the micro-batcher and the breaker:
-	// it routes each flush to the crossbar path or to the executing Von
-	// Neumann twin (bit-identical on deterministic configs) per -dispatch.
-	// Faulty deployments have no twin; auto mode then pins everything to
-	// CIM, and vn mode is rejected by hybrid.New.
-	dmode, err := hybrid.ParseMode(o.dispatch)
-	if err != nil {
-		return runStats{}, err
-	}
-	var twin *vonneumann.Backend
-	if !cfg.Faults.Enabled() && cfg.Crossbar.ReadNoise == 0 {
-		twin, err = vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, net)
-		if err != nil {
-			return runStats{}, err
-		}
-	}
-	disp, err := hybrid.New(brk, twin, hybrid.WithMode(dmode), hybrid.WithRegistry(reg))
-	if err != nil {
-		return runStats{}, err
-	}
-	srv, err := serve.New(disp,
-		serve.WithBatch(o.batch, o.maxdelay),
-		serve.WithQueueBound(o.queue),
-		serve.WithRegistry(reg),
-	)
-	if err != nil {
-		return runStats{}, err
-	}
-	if tel != nil {
-		tel.set(reg, pair, brk)
-	}
-
-	var deadlined, unhealthy, reprogramFailed atomic.Int64
-	var energyBits atomic.Uint64
-
-	// Shadow swaps spread across the run: reprogramming must cost the
-	// serving path nothing but the buffer swap. A swap that fails after the
-	// breaker's retry budget is counted, not fatal — the breakdown in the
-	// bench output is the measurement.
-	var swapsDone sync.WaitGroup
-	if o.reprogram > 0 {
-		swapsDone.Add(1)
-		go func() {
-			defer swapsDone.Done()
-			interval := time.Duration(int64(o.requests)) * time.Microsecond / time.Duration(o.reprogram+1)
-			if interval < 2*time.Millisecond {
-				interval = 2 * time.Millisecond
-			}
-			for k := 0; k < o.reprogram; k++ {
-				time.Sleep(interval)
-				target := netB
-				if k%2 == 1 {
-					target = net
-				}
-				// Reprogram through the dispatcher so the twin requantizes in
-				// the same swap and never serves stale weights.
-				if _, _, err := disp.Reprogram(target); err != nil {
-					reprogramFailed.Add(1)
-				}
-			}
-		}()
-	}
-
-	rep, derr := workloadgen.Drive(driveConfig(o, gen), func(req workloadgen.Request) (workloadgen.Outcome, error) {
-		return fanout(req, func(int) (workloadgen.Outcome, error) {
-			// SubmitDeadline with d <= 0 is plain Submit, so the fast path
-			// is unchanged when -deadline is off.
-			_, cost, err := srv.SubmitDeadline(context.Background(), o.deadline, inputs[req.Seq%uint64(len(inputs))])
-			out, ferr := classify(err, &deadlined, &unhealthy)
-			if out == workloadgen.OK {
-				addEnergy(&energyBits, cost.EnergyPJ)
-			}
-			return out, ferr
-		})
-	})
-	swapsDone.Wait()
-	srv.Close()
-	if derr != nil {
-		return runStats{}, derr
-	}
-
-	snap := srv.Registry().Snapshot()
-	st := runStats{
-		simPS:            srv.SimTimePS(),
-		energyPJ:         loadEnergy(&energyBits),
-		lat:              snap.Histograms["serve.latency_ns"],
-		swaps:            pair.Swaps(),
-		unhealthy:        unhealthy.Load(),
-		reprogramFailed:  reprogramFailed.Load(),
-		deadlineExceeded: deadlined.Load(),
-		retries:          snap.Counters["serve.reprogram_retries"],
-		dispCIM:          snap.Counters["dispatch.cim"],
-		dispVN:           snap.Counters["dispatch.vn"],
-		dispPinned:       snap.Counters["dispatch.pinned_noisy"],
-	}
-	st.fromReport(rep)
-	st.avgBatch = snap.Histograms["serve.batch_size"].Mean()
-	return st, nil
-}
-
-// runFleet measures cluster-scale serving: the workloadgen drive feeds
-// o.engines independent serving pipelines behind the o.policy router.
-// Every request is stamped with its fleet sequence number as its noise
-// key, so outputs are bit-identical to a 1-engine run regardless of
-// placement. -reprogram fires rolling reprograms — each one updates every
-// engine, one standby at a time, with the fleet serving throughout.
+// runFleet measures the serving stack: the workloadgen drive feeds
+// o.engines independent serving pipelines (one is a fleet too) behind the
+// o.policy router. Every request is stamped with its drive sequence number
+// as its noise key, so outputs are bit-identical at any fleet size
+// regardless of placement. -reprogram fires rolling reprograms — each one
+// updates every engine, one standby at a time, with the fleet serving
+// throughout. Request failures are classified by cause rather than
+// collapsed into one count: backpressure (ErrOverloaded) retries in
+// closed-loop mode, breaker sheds (ErrUnhealthy) and blown deadlines
+// abandon the request, anything else aborts the run.
 func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o options, gen loadgen, tel *telemetry) (runStats, error) {
 	policy, err := fleet.ParsePolicy(o.policy)
 	if err != nil {
@@ -834,8 +706,10 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 	}
 	// Non-default dispatch wraps every engine's breaker in its own hybrid
 	// dispatcher with a per-engine twin, so the dispatch.* counters land in
-	// each engine's registry. Fleet traffic is all keyed, which auto mode
-	// pins to CIM — the counters make that observable per engine.
+	// each engine's registry and a rolling reprogram reloads the twin in the
+	// same swap. Faulty deployments have no twin (each board's defects are
+	// its own): auto mode then pins everything to CIM, and vn mode is
+	// rejected by hybrid.New.
 	var wrapErr error
 	if dmode != hybrid.ModeCIM {
 		fopts = append(fopts, fleet.WithWrapBackend(func(id int, b serve.Backend, reg *metrics.Registry) serve.Backend {
@@ -844,7 +718,7 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 				return b
 			}
 			var twin *vonneumann.Backend
-			if !cfg.Faults.Enabled() && cfg.Crossbar.ReadNoise == 0 {
+			if !cfg.Faults.Enabled() {
 				tw, err := vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, net)
 				if err != nil {
 					wrapErr = fmt.Errorf("engine %d twin: %w", id, err)
@@ -877,7 +751,10 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 	var energyBits atomic.Uint64
 
 	// Rolling reprograms spread across the run: every engine swaps, one
-	// standby at a time, and no request ever fails for it.
+	// standby at a time, and reprogramming costs the serving path nothing
+	// but the buffer swap. An engine whose swap fails after the breaker's
+	// retry budget is counted, not fatal — the breakdown in the bench output
+	// is the measurement.
 	var swapsDone sync.WaitGroup
 	if o.reprogram > 0 {
 		swapsDone.Add(1)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -48,19 +49,29 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *options) { o.engines = 0 },
 		func(o *options) { o.policy = "random" },
 		func(o *options) { o.dispatch = "gpu" },
-		// The resilience flags are fleet-mode controls: hedging, overload
-		// control, and chaos scenarios all need -engines >= 2, and a chaos
-		// scenario outside the catalog is rejected up front.
+		// Hedging needs a second engine to hedge onto, and a chaos scenario
+		// outside the catalog is rejected up front.
 		func(o *options) { o.hedge = true },
-		func(o *options) { o.overload = true },
-		func(o *options) { o.chaos = "straggler" },
-		func(o *options) { o.engines = 2; o.chaos = "meteor" },
+		func(o *options) { o.chaos = "meteor" },
 	}
 	for i, m := range mut {
 		o := good
 		m(&o)
 		if err := o.validate(); err == nil {
 			t.Errorf("mutation %d accepted: %+v", i, o)
+		}
+	}
+	// The AIMD limiter and the chaos wrap are per engine: both work on a
+	// fleet of one.
+	for _, m := range []func(*options){
+		func(o *options) { o.overload = true },
+		func(o *options) { o.chaos = "straggler" },
+		func(o *options) { o.engines = 2; o.hedge = true },
+	} {
+		o := good
+		m(&o)
+		if err := o.validate(); err != nil {
+			t.Errorf("%+v rejected: %v", o, err)
 		}
 	}
 }
@@ -79,6 +90,8 @@ func TestRunEndToEnd(t *testing.T) {
 		mode:      "both",
 		layers:    []int{32, 24, 10},
 		seed:      7,
+		engines:   1,
+		policy:    "round-robin",
 		dispatch:  "cim",
 		reprogram: 1,
 	}
@@ -113,9 +126,10 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 // TestRunUnhealthySheds injects stuck cells past the (empty) spare budget
-// and requests a swap: the standby cannot be repaired, the breaker trips,
-// and the error breakdown shows unhealthy sheds and the failed reprogram —
-// but the run itself completes.
+// and requests a swap on a fleet of one: the standby cannot be repaired, the
+// only engine's breaker trips, the router has nowhere to fail over to, and
+// the error breakdown shows unhealthy sheds and the failed reprogram — but
+// the run itself completes.
 func TestRunUnhealthySheds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -130,6 +144,8 @@ func TestRunUnhealthySheds(t *testing.T) {
 		mode:      "batch",
 		layers:    []int{32, 24, 10},
 		seed:      7,
+		engines:   1,
+		policy:    "round-robin",
 		dispatch:  "cim",
 		reprogram: 1,
 		stuck:     0.05,
@@ -150,7 +166,7 @@ func TestRunUnhealthySheds(t *testing.T) {
 	}
 }
 
-// TestRunFleetEndToEnd drives the fleet mode (-engines 4) with one rolling
+// TestRunFleetEndToEnd drives a multi-engine fleet (-engines 4) with one rolling
 // reprogram mid-run and checks the bench line carries the fleet name and
 // the engines metric, with a clean error breakdown (zero downtime).
 func TestRunFleetEndToEnd(t *testing.T) {
@@ -182,6 +198,95 @@ func TestRunFleetEndToEnd(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// benchKeys returns the metric names of the BenchmarkServe/<prefix> line in
+// out, in order, and the value printed for each.
+func benchKeys(t *testing.T, out, prefix string) ([]string, map[string]string) {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "BenchmarkServe/"+prefix) {
+			continue
+		}
+		fields := strings.Fields(line)[2:] // name, iterations, then (value, unit) pairs
+		var keys []string
+		vals := map[string]string{}
+		for i := 0; i+1 < len(fields); i += 2 {
+			keys = append(keys, fields[i+1])
+			vals[fields[i+1]] = fields[i]
+		}
+		return keys, vals
+	}
+	t.Fatalf("no BenchmarkServe/%s line in:\n%s", prefix, out)
+	return nil, nil
+}
+
+// TestRunOneStackAtEveryFleetSize pins the tentpole at the CLI: -engines 1
+// and -engines 2 run the same stack, so their bench lines carry the same
+// keys in the same order apart from the engines metric (and the batch_* vs
+// fleet_* name), with the optional groups switched on, and auto dispatch
+// routes at both sizes. It also pins the -engines 1 energy figure to what
+// the deleted single-engine stack printed for the same flags at seed 1
+// (deterministic at the line's %.4g).
+func TestRunOneStackAtEveryFleetSize(t *testing.T) {
+	o := options{
+		clients:  4,
+		requests: 64,
+		batch:    4,
+		maxdelay: time.Millisecond,
+		deadline: 5 * time.Second,
+		queue:    64,
+		mode:     "batch",
+		layers:   []int{32, 24, 10},
+		seed:     1,
+		policy:   "round-robin",
+		dispatch: "auto",
+		overload: true,
+		chaos:    "none",
+	}
+	lines := map[int][]string{}
+	for _, engines := range []int{1, 2} {
+		o.engines = engines
+		if err := o.validate(); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := run(&sb, o); err != nil {
+			t.Fatal(err)
+		}
+		prefix := "batch_c4_b4-"
+		if engines > 1 {
+			prefix = "fleet_c4_b4_e2_round_robin-"
+		}
+		keys, vals := benchKeys(t, sb.String(), prefix)
+		lines[engines] = keys
+		// The default config is noise- and fault-free, so every engine has
+		// a twin: auto dispatch pins nothing and routes every request.
+		cim, _ := strconv.Atoi(vals["dispatch_cim"])
+		vn, _ := strconv.Atoi(vals["dispatch_vn"])
+		if vals["dispatch_pinned_noisy"] != "0" || cim+vn != o.requests {
+			t.Errorf("-engines %d auto dispatch: cim %d + vn %d of %d requests, pinned %s",
+				engines, cim, vn, o.requests, vals["dispatch_pinned_noisy"])
+		}
+	}
+	one, two := lines[1], lines[2]
+	if len(two) == 0 || two[len(two)-1] != "engines" {
+		t.Fatalf("-engines 2 line does not end with the engines metric: %v", two)
+	}
+	if got, want := strings.Join(one, " "), strings.Join(two[:len(two)-1], " "); got != want {
+		t.Errorf("bench keys differ beyond engines:\n -engines 1: %s\n -engines 2: %s", got, want)
+	}
+
+	// Energy on the crossbar path: the parent commit's runBatch printed
+	// "1880 pj_per_req" for these flags (-dispatch cim, no resilience).
+	o.engines, o.dispatch, o.overload, o.deadline = 1, "cim", false, 0
+	var sb strings.Builder
+	if err := run(&sb, o); err != nil {
+		t.Fatal(err)
+	}
+	if _, vals := benchKeys(t, sb.String(), "batch_c4_b4-"); vals["pj_per_req"] != "1880" {
+		t.Errorf("-engines 1 seed 1 pj_per_req = %s, want the single-engine stack's 1880", vals["pj_per_req"])
 	}
 }
 

@@ -1,27 +1,29 @@
 // Live telemetry endpoint for cimserve: -listen starts an HTTP server
-// exposing the serving pipeline's state while the load runs.
+// exposing the serving fleet's state while the load runs. There is one
+// shape at every fleet size — a single engine is a fleet of one.
 //
-//   - /metrics    — the serving registry in Prometheus text format
-//     (metrics.Snapshot.WriteProm): request/batch counters, latency and
-//     batch-size summaries, breaker state. In fleet mode (-engines > 1)
-//     one page carries the fleet.* registry unlabeled plus every engine's
-//     private serve.* registry rendered with an {engine="<id>"} label
-//     (metrics.Snapshot.WritePromLabeled), so per-engine series share
-//     names without colliding.
-//   - /healthz    — JSON liveness: the live engine's fault scan (via
-//     ShadowPair.Health, which holds the engine's read gate so the scan
-//     cannot race a reprogram) plus breaker and swap state. 200 when
-//     serving and healthy, 503 when the breaker is open or columns are
-//     lost. In fleet mode the body aggregates every engine (per-engine
-//     entries plus the rolling-reprogram status); the fleet is "ok" while
-//     at least one engine is routable — degraded members are listed, not
-//     fatal, because the router fails over around them.
+//   - /metrics    — Prometheus text format: the fleet.* registry unlabeled
+//     (metrics.Snapshot.WriteProm) followed by every engine's private
+//     registry — serve.* request/batch counters, latency and batch-size
+//     summaries, breaker state, dispatch.* — rendered with an
+//     {engine="<id>"} label (metrics.Snapshot.WritePromLabeled), so
+//     per-engine series share names without colliding.
+//   - /healthz    — JSON liveness: one entry per engine carrying its live
+//     fault scan (via ShadowPair.Health, which holds the engine's read gate
+//     so the scan cannot race a reprogram) plus breaker, drain and swap
+//     state, then the rolling-reprogram status and the resilience state.
+//     The fleet is "ok" (200) while at least one engine is routable —
+//     degraded members are listed, not fatal, because the router fails
+//     over around them — and "unhealthy" (503) when none is: a fleet of
+//     one with a tripped breaker.
 //   - /debug/pprof — the standard Go profiler endpoints, wired manually
 //     onto the private mux (the default mux is never used, so cimserve
 //     cannot leak handlers into importers).
 //
-// The handlers read only snapshots and atomics; a scrape can never stall
-// the dispatcher or the closed-loop clients. See docs/OBSERVABILITY.md.
+// Until the batch run has built its fleet both data endpoints answer 503
+// ("initializing"). The handlers read only snapshots and atomics; a scrape
+// can never stall the dispatcher or the closed-loop clients. See
+// docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -31,94 +33,51 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"cimrev/internal/fleet"
-	"cimrev/internal/metrics"
-	"cimrev/internal/serve"
 )
 
-// telemetry is the shared state the HTTP handlers read. The batch run
-// installs its registry/pair/breaker once they exist; until then the
-// endpoints report "initializing".
+// telemetry is the shared state the HTTP handlers read: the live fleet,
+// installed by runFleet once it exists. Until then the endpoints report
+// "initializing".
 type telemetry struct {
-	mu   sync.Mutex
-	reg  *metrics.Registry
-	pair *serve.ShadowPair
-	brk  *serve.Breaker
-	fl   *fleet.Fleet
-}
-
-// set installs the live serving objects (called once by runBatch).
-func (t *telemetry) set(reg *metrics.Registry, pair *serve.ShadowPair, brk *serve.Breaker) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reg, t.pair, t.brk = reg, pair, brk
+	fl atomic.Pointer[fleet.Fleet]
 }
 
 // setFleet installs the live fleet (called once by runFleet).
-func (t *telemetry) setFleet(f *fleet.Fleet) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.fl = f
-}
+func (t *telemetry) setFleet(f *fleet.Fleet) { t.fl.Store(f) }
 
-// get returns the current serving objects (any may be nil early on).
-func (t *telemetry) get() (*metrics.Registry, *serve.ShadowPair, *serve.Breaker) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.reg, t.pair, t.brk
-}
-
-// getFleet returns the live fleet, nil outside fleet mode.
-func (t *telemetry) getFleet() *fleet.Fleet {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fl
-}
-
-// handleMetrics renders the serving registry as Prometheus text. In fleet
-// mode it renders the fleet registry followed by each engine's registry
-// under an {engine="<id>"} label.
+// handleMetrics renders the fleet registry followed by each engine's
+// registry under an {engine="<id>"} label.
 func (t *telemetry) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if f := t.getFleet(); f != nil {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = f.Registry().Snapshot().WriteProm(w)
-		for _, e := range f.Engines() {
-			labels := map[string]string{"engine": strconv.Itoa(e.ID())}
-			_ = e.Registry().Snapshot().WritePromLabeled(w, labels)
-		}
-		return
-	}
-	reg, _, _ := t.get()
-	if reg == nil {
+	f := t.fl.Load()
+	if f == nil {
 		http.Error(w, "# registry not initialized yet\n", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = reg.Snapshot().WriteProm(w)
+	_ = f.Registry().Snapshot().WriteProm(w)
+	for _, e := range f.Engines() {
+		labels := map[string]string{"engine": strconv.Itoa(e.ID())}
+		_ = e.Registry().Snapshot().WritePromLabeled(w, labels)
+	}
 }
 
-// healthzBody is the /healthz JSON shape.
-type healthzBody struct {
-	Status    string `json:"status"` // "ok", "unhealthy", or "initializing"
-	Tripped   bool   `json:"breaker_tripped"`
-	Swaps     int64  `json:"swaps"`
-	Stages    int    `json:"stages_scanned"`
-	LostCols  int    `json:"lost_cols"`
-	StuckBad  int    `json:"stuck_cells"`
-	Remapped  int    `json:"remapped_cols"`
-	CheckedAt string `json:"checked_at"`
-}
-
-// engineHealth is one fleet member's entry in the fleet /healthz body.
+// engineHealth is one fleet member's entry in the /healthz body.
 type engineHealth struct {
 	ID       int   `json:"id"`
 	Tripped  bool  `json:"breaker_tripped"`
 	Draining bool  `json:"draining"`
 	Swaps    int64 `json:"swaps"`
+	// The live engine's fault scan (dpe.Health): stages covered, columns
+	// lost past the spare budget, stuck cells, and columns remapped onto
+	// spares.
+	Stages   int   `json:"stages_scanned"`
 	LostCols int   `json:"lost_cols"`
+	StuckBad int   `json:"stuck_cells"`
+	Remapped int   `json:"remapped_cols"`
 	Wear     int64 `json:"wear_writes"`
 	Routed   int64 `json:"routed"`
 	// Limit is the engine's current AIMD concurrency limit and InFlight
@@ -128,9 +87,9 @@ type engineHealth struct {
 	InFlight int64 `json:"in_flight"`
 }
 
-// fleetHealthzBody is the /healthz JSON shape in fleet mode.
+// fleetHealthzBody is the /healthz JSON shape.
 type fleetHealthzBody struct {
-	Status  string              `json:"status"` // "ok" or "unhealthy"
+	Status  string              `json:"status"` // "ok", "unhealthy", or "initializing"
 	Engines []engineHealth      `json:"engines"`
 	Rolling fleet.RollingStatus `json:"rolling"`
 	// Resilience state (docs/RESILIENCE.md): the active chaos scenario
@@ -142,64 +101,31 @@ type fleetHealthzBody struct {
 	CheckedAt string `json:"checked_at"`
 }
 
-// handleHealthz scans the live engine through the shadow pair's read gate
-// and reports 200 (serving, healthy) or 503 (tripped breaker or lost
-// columns). In fleet mode the scan covers every member: the fleet is ok
-// while at least one engine is routable.
+// handleHealthz scans every member's live engine through its shadow pair's
+// read gate and reports 200 while at least one engine is routable (breaker
+// closed, not draining), 503 otherwise — including before the fleet exists.
 func (t *telemetry) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if f := t.getFleet(); f != nil {
-		body := fleetHealthzBody{
-			Rolling:   f.RollingStatus(),
-			Chaos:     f.Chaos().Plan().Name,
-			Hedging:   f.Hedging(),
-			Brownout:  f.BrownoutActive(),
-			CheckedAt: time.Now().UTC().Format(time.RFC3339Nano),
-		}
-		routable := 0
+	body := fleetHealthzBody{Status: "initializing", CheckedAt: time.Now().UTC().Format(time.RFC3339Nano)}
+	code := http.StatusServiceUnavailable
+	if f := t.fl.Load(); f != nil {
+		body.Rolling = f.RollingStatus()
+		body.Chaos = f.Chaos().Plan().Name
+		body.Hedging = f.Hedging()
+		body.Brownout = f.BrownoutActive()
+		body.Status = "unhealthy"
 		for _, e := range f.Engines() {
 			h := e.Health()
 			eh := engineHealth{
 				ID: e.ID(), Tripped: e.Tripped(), Draining: e.Draining(),
-				Swaps: e.Pair().Swaps(), LostCols: h.Total.LostCols,
+				Swaps: e.Pair().Swaps(), Stages: len(h.Stages),
+				LostCols: h.Total.LostCols, StuckBad: h.Total.StuckCells, Remapped: h.Total.RemappedCols,
 				Wear: e.Wear(), Routed: e.Routed(),
 				Limit: e.Limit(), InFlight: e.InFlight(),
 			}
 			if !eh.Tripped && !eh.Draining {
-				routable++
+				body.Status, code = "ok", http.StatusOK
 			}
 			body.Engines = append(body.Engines, eh)
-		}
-		body.Status = "ok"
-		code := http.StatusOK
-		if routable == 0 {
-			body.Status = "unhealthy"
-			code = http.StatusServiceUnavailable
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		_ = json.NewEncoder(w).Encode(body)
-		return
-	}
-	_, pair, brk := t.get()
-	body := healthzBody{Status: "initializing", CheckedAt: time.Now().UTC().Format(time.RFC3339Nano)}
-	code := http.StatusServiceUnavailable
-	if pair != nil {
-		h := pair.Health()
-		body.Status = "ok"
-		body.Swaps = pair.Swaps()
-		body.Stages = len(h.Stages)
-		body.LostCols = h.Total.LostCols
-		body.StuckBad = h.Total.StuckCells
-		body.Remapped = h.Total.RemappedCols
-		code = http.StatusOK
-		if !h.Healthy() {
-			body.Status = "unhealthy"
-			code = http.StatusServiceUnavailable
-		}
-		if brk != nil && brk.Tripped() {
-			body.Tripped = true
-			body.Status = "unhealthy"
-			code = http.StatusServiceUnavailable
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,10 +14,8 @@ import (
 	"cimrev/internal/chaos"
 	"cimrev/internal/dpe"
 	"cimrev/internal/fleet"
-	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
 	"cimrev/internal/serve"
-	"math/rand"
 )
 
 // getBody fetches url and returns status code and body.
@@ -35,10 +35,11 @@ func getBody(t *testing.T, url string) (int, string) {
 }
 
 // TestTelemetryEndpoints stands up the -listen HTTP server on a loopback
-// port and walks it through its lifecycle: initializing (503s before the
-// batch run installs its objects), serving (/metrics in Prometheus text,
-// /healthz 200 with the fault-scan JSON, pprof wired), and unhealthy
-// (tripped breaker -> 503).
+// port and walks it through its lifecycle with a fleet of one:
+// initializing (503s before the batch run installs its fleet), serving
+// (/metrics in Prometheus text, /healthz 200 with the engine's fault-scan
+// entry, pprof wired), and unhealthy (the only engine's breaker tripped ->
+// 503).
 func TestTelemetryEndpoints(t *testing.T) {
 	tel := &telemetry{}
 	addr, stop, err := startTelemetry("127.0.0.1:0", tel)
@@ -56,43 +57,35 @@ func TestTelemetryEndpoints(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("/healthz before init = %d, want 503", code)
 	}
-	var hb healthzBody
+	var hb fleetHealthzBody
 	if err := json.Unmarshal([]byte(body), &hb); err != nil {
 		t.Fatalf("/healthz body not JSON: %v (%q)", err, body)
 	}
-	if hb.Status != "initializing" {
-		t.Errorf("pre-init status %q, want initializing", hb.Status)
+	if hb.Status != "initializing" || len(hb.Engines) != 0 {
+		t.Errorf("pre-init body %+v, want status initializing and no engines", hb)
 	}
 
-	// Install a live serving pipeline.
+	// Install a live one-engine fleet whose breaker probe cannot pass, so
+	// the first reprogram trips it.
 	cfg := dpe.DefaultConfig()
 	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
 	net, err := nn.NewMLP("telemetry-test", []int{32, 24, 10}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, _, err := serve.NewShadowPair(cfg, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	brk, err := serve.NewBreaker(pair, serve.WithRegistry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(brk,
-		serve.WithBatch(4, time.Millisecond), serve.WithQueueBound(64),
-		serve.WithRegistry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tel.set(reg, pair, brk)
-
-	// Serve a little traffic so the registry has content to scrape.
 	in := make([]float64, 32)
+	f, _, err := fleet.New(cfg, net, fleet.WithServeOptions(
+		serve.WithBatch(4, time.Millisecond), serve.WithQueueBound(64),
+		serve.WithProbe(0.9, [][]float64{in}, []int{-1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tel.setFleet(f)
+
+	// Serve a little traffic so the registries have content to scrape.
 	for i := 0; i < 8; i++ {
-		if _, _, err := srv.Infer(in); err != nil {
+		if _, _, err := f.SubmitSeq(context.Background(), uint64(i), in); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,11 +95,12 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("/metrics = %d, want 200:\n%s", code, body)
 	}
 	for _, want := range []string{
+		"fleet_requests 8",
 		"# TYPE serve_requests counter",
-		"serve_requests 8",
+		`serve_requests{engine="0"} 8`,
 		"# TYPE serve_latency_ns summary",
-		`serve_latency_ns{quantile="0.99"}`,
-		"serve_latency_ns_count 8",
+		`serve_latency_ns{engine="0",quantile="0.99"}`,
+		`serve_latency_ns_count{engine="0"} 8`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -117,15 +111,23 @@ func TestTelemetryEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/healthz = %d, want 200: %s", code, body)
 	}
-	hb = healthzBody{}
+	hb = fleetHealthzBody{}
 	if err := json.Unmarshal([]byte(body), &hb); err != nil {
 		t.Fatal(err)
 	}
-	if hb.Status != "ok" || hb.Tripped || hb.LostCols != 0 {
-		t.Errorf("healthy pipeline reported %+v", hb)
+	if hb.Status != "ok" || len(hb.Engines) != 1 {
+		t.Fatalf("healthy fleet of one reported %+v", hb)
 	}
-	if hb.Stages == 0 {
+	if eh := hb.Engines[0]; eh.Tripped || eh.LostCols != 0 || eh.Routed != 8 {
+		t.Errorf("healthy engine reported %+v", eh)
+	}
+	if hb.Engines[0].Stages == 0 {
 		t.Error("health scan covered no stages")
+	}
+	for _, key := range []string{`"stages_scanned"`, `"stuck_cells"`, `"remapped_cols"`, `"lost_cols"`} {
+		if !strings.Contains(body, key) {
+			t.Errorf("/healthz engine entry missing %s: %s", key, body)
+		}
 	}
 
 	// pprof is wired onto the private mux.
@@ -133,26 +135,20 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Errorf("/debug/pprof/cmdline = %d, want 200", code)
 	}
 
-	// A tripped breaker flips /healthz to 503 without touching /metrics.
-	probe := [][]float64{in}
-	badLabels := []int{-1}
-	brk2, err := serve.NewBreaker(pair, serve.WithProbe(0.9, probe, badLabels), serve.WithRegistry(reg))
-	if err != nil {
-		t.Fatal(err)
+	// A tripped breaker on the only engine flips /healthz to 503 without
+	// touching /metrics.
+	if rep := f.RollingReprogram(net); rep.Failed != 1 {
+		t.Fatalf("impossible probe labels passed: %+v", rep)
 	}
-	if _, _, err := brk2.Reprogram(net); err == nil {
-		t.Fatal("impossible probe labels passed")
-	}
-	tel.set(reg, pair, brk2)
 	code, body = getBody(t, base+"/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz with tripped breaker = %d, want 503: %s", code, body)
 	}
-	hb = healthzBody{}
+	hb = fleetHealthzBody{}
 	if err := json.Unmarshal([]byte(body), &hb); err != nil {
 		t.Fatal(err)
 	}
-	if !hb.Tripped || hb.Status != "unhealthy" {
+	if hb.Status != "unhealthy" || len(hb.Engines) != 1 || !hb.Engines[0].Tripped {
 		t.Errorf("tripped breaker reported %+v", hb)
 	}
 	if code, _ := getBody(t, base+"/metrics"); code != http.StatusOK {
@@ -160,9 +156,11 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 }
 
-// TestRunWithListen drives the full closed loop with -listen enabled and
-// scrapes the endpoint mid-run: the batch mode installs its registry and
-// the scrape shows real traffic counters.
+// TestRunWithListen drives the full closed loop at -engines 1 with the
+// telemetry endpoint up and scrapes it mid-run and after: runFleet installs
+// its fleet, a mid-run scrape shows the engine's live serve.* series, and
+// the fleet registry still shows the run's traffic once the engines have
+// drained.
 func TestRunWithListen(t *testing.T) {
 	tel := &telemetry{}
 	addr, stop, err := startTelemetry("127.0.0.1:0", tel)
@@ -173,16 +171,19 @@ func TestRunWithListen(t *testing.T) {
 
 	o := options{
 		clients:  4,
-		requests: 64,
+		requests: 4096, // long enough that a scrape lands mid-run
 		batch:    4,
 		maxdelay: time.Millisecond,
 		queue:    64,
 		mode:     "batch",
 		layers:   []int{32, 24, 10},
 		seed:     7,
+		engines:  1,
+		policy:   "round-robin",
 		dispatch: "cim",
+		chaos:    "none",
 	}
-	// run() would start its own listener from o.listen; drive runBatch
+	// run() would start its own listener from o.listen; drive runFleet
 	// directly against the already-started one to keep the port in hand.
 	cfg := dpe.DefaultConfig()
 	cfg.Seed = o.seed
@@ -195,23 +196,47 @@ func TestRunWithListen(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = make([]float64, o.layers[0])
 	}
-	st, err := runBatch(cfg, net, net, inputs, o, loadgen{}, tel)
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		st  runStats
+		err error
 	}
-	if st.requests != o.requests {
-		t.Fatalf("served %d, want %d", st.requests, o.requests)
+	done := make(chan result, 1)
+	go func() {
+		st, err := runFleet(cfg, net, net, inputs, o, loadgen{}, tel)
+		done <- result{st, err}
+	}()
+	var res result
+	sawEngine := false
+	for running := true; running; {
+		select {
+		case res = <-done:
+			running = false
+		default:
+			if code, body := getBody(t, "http://"+addr+"/metrics"); code == http.StatusOK &&
+				strings.Contains(body, `serve_requests{engine="0"}`) {
+				sawEngine = true
+			}
+		}
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.st.requests != o.requests {
+		t.Fatalf("served %d, want %d", res.st.requests, o.requests)
+	}
+	if !sawEngine {
+		t.Error("no mid-run scrape showed the engine's serve_requests series")
 	}
 	code, body := getBody(t, "http://"+addr+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics after run = %d", code)
 	}
-	if !strings.Contains(body, fmt.Sprintf("serve_requests %d", o.requests)) {
+	if !strings.Contains(body, fmt.Sprintf("fleet_requests %d", o.requests)) {
 		t.Errorf("/metrics does not show the run's %d requests:\n%s", o.requests, body)
 	}
 }
 
-// TestTelemetryFleet: in fleet mode /metrics carries the fleet registry
+// TestTelemetryFleet: with several engines /metrics carries the fleet registry
 // plus every engine's registry under an {engine="<id>"} label, and
 // /healthz aggregates per-engine health with the rolling status.
 func TestTelemetryFleet(t *testing.T) {
@@ -247,7 +272,7 @@ func TestTelemetryFleet(t *testing.T) {
 	tel.setFleet(f)
 
 	in := make([]float64, 16)
-	if _, _, err := f.Infer(in); err != nil {
+	if _, _, err := f.SubmitSeq(context.Background(), 0, in); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,10 +24,10 @@
 // the crashed engine would have produced. That is the mechanism behind the
 // harness's zero-lost-keyed-requests SLO (docs/RESILIENCE.md).
 //
-// Arrivals (arrivals.go) is the matching open-loop load side: a
-// deterministic Poisson arrival process, so overload is reachable (a
-// closed-loop generator self-throttles and can never push the fleet past
-// saturation).
+// The matching open-loop load side — the deterministic Poisson burst that
+// makes overload reachable (a closed-loop generator self-throttles and can
+// never push the fleet past saturation) — is workloadgen.Poisson driven by
+// workloadgen.Drive.
 package chaos
 
 import (
@@ -93,7 +93,8 @@ func ScenarioNames() []string { return []string{"none", "straggler", "crash", "o
 //     rejoins, and every reprogram hangs — the crash-during-rolling-
 //     reprogram scenario.
 //   - "overload": deterministic latency spikes on all engines; the
-//     overload itself comes from the open-loop arrival burst (Arrivals).
+//     overload itself comes from the open-loop arrival burst
+//     (workloadgen.Poisson).
 func ScenarioPlan(name string, seed int64, scale float64) (Plan, error) {
 	if scale <= 0 {
 		scale = 1

@@ -15,6 +15,7 @@ import (
 	"cimrev/internal/fleet"
 	"cimrev/internal/nn"
 	"cimrev/internal/serve"
+	"cimrev/internal/workloadgen"
 )
 
 // ChaosRow is one (scenario, hedging) cell of the SLO-retention chaos
@@ -186,8 +187,12 @@ func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenari
 	}
 	defer f.Close()
 
+	// The drive's own Shed outcome means "retry" to a closed loop; the sweep
+	// counts a shed and moves on, so it keeps its own counters and reports
+	// every refusal as a Drop.
 	var shed, lost, mismatched atomic.Int64
-	submit := func(seq uint64) {
+	submit := func(req workloadgen.Request) (workloadgen.Outcome, error) {
+		seq := req.Seq
 		in := inputs[seq%uint64(len(inputs))]
 		pri := fleet.PriorityHigh
 		if scenario == "overload" && seq%4 == 3 {
@@ -200,68 +205,46 @@ func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenari
 			if !sliceEqual(out, oracle[seq]) {
 				mismatched.Add(1)
 			}
+			return workloadgen.OK, nil
 		case errors.Is(err, serve.ErrOverloaded):
 			shed.Add(1)
 		default:
 			lost.Add(1)
 		}
+		return workloadgen.Drop, nil
 	}
 
-	rolled, rollFailed := 0, 0
+	drive := workloadgen.DriveConfig{Requests: requests, Clients: 8}
 	if scenario == "overload" {
 		// Open loop: a deterministic Poisson burst arriving far faster than
 		// the spiked fleet can serve. Arrivals do not wait for responses —
-		// that is what makes overload reachable — and they follow an
-		// absolute schedule rather than per-gap sleeps: the mean gap (5µs)
-		// is below the host's sleep granularity, so a sleep-per-arrival loop
-		// would silently throttle the burst ~20x. Oversleeping just means
-		// the next arrivals fire immediately to catch the schedule up.
-		arr := chaos.NewArrivals(plan.Seed, 200_000)
-		next := time.Now()
-		var wg sync.WaitGroup
-		for seq := 0; seq < requests; seq++ {
-			next = next.Add(arr.Gap(uint64(seq)))
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-			wg.Add(1)
-			go func(seq uint64) {
-				defer wg.Done()
-				submit(seq)
-			}(uint64(seq))
+		// that is what makes overload reachable (workloadgen.Drive fires the
+		// absolute schedule, so the 5µs mean gap survives the host's sleep
+		// granularity).
+		arr, err := workloadgen.NewPoisson(plan.Seed, 200_000)
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-	} else {
-		var next atomic.Uint64
-		var clients sync.WaitGroup
-		var roll sync.WaitGroup
-		if scenario == "crash" {
-			// The crash window races a rolling reprogram (same network, so
-			// the oracle stays valid): reprogram hangs pin the roll while
-			// engine 0 is dark — the crash-during-rolling-reprogram case.
-			roll.Add(1)
-			go func() {
-				defer roll.Done()
-				time.Sleep(2 * time.Millisecond)
-				rep := f.RollingReprogram(net)
-				rolled, rollFailed = rep.Succeeded, rep.Failed
-			}()
-		}
-		for c := 0; c < 8; c++ {
-			clients.Add(1)
-			go func() {
-				defer clients.Done()
-				for {
-					seq := next.Add(1) - 1
-					if seq >= uint64(requests) {
-						return
-					}
-					submit(seq)
-				}
-			}()
-		}
-		clients.Wait()
-		roll.Wait()
+		drive.Arrivals = arr
+	}
+	rolled, rollFailed := 0, 0
+	var roll sync.WaitGroup
+	if scenario == "crash" {
+		// The crash window races a rolling reprogram (same network, so
+		// the oracle stays valid): reprogram hangs pin the roll while
+		// engine 0 is dark — the crash-during-rolling-reprogram case.
+		roll.Add(1)
+		go func() {
+			defer roll.Done()
+			time.Sleep(2 * time.Millisecond)
+			rep := f.RollingReprogram(net)
+			rolled, rollFailed = rep.Succeeded, rep.Failed
+		}()
+	}
+	_, err = workloadgen.Drive(drive, submit)
+	roll.Wait()
+	if err != nil {
+		return nil, err
 	}
 
 	reg := f.Registry()

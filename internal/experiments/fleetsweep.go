@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/fleet"
 	"cimrev/internal/nn"
 	"cimrev/internal/serve"
+	"cimrev/internal/workloadgen"
 )
 
 // FleetRow is one (routing policy, engine count) grid point of the
@@ -129,35 +128,33 @@ func fleetPoint(netA, netB *nn.Network, inputs [][]float64, policyName string, e
 	}
 	defer f.Close()
 
-	var next atomic.Uint64
-	var failed atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				seq := next.Add(1) - 1
-				if seq >= uint64(requests) {
-					return
-				}
-				in := inputs[seq%uint64(len(inputs))]
-				if _, _, err := f.SubmitSeq(context.Background(), seq, in); err != nil {
-					failed.Add(1)
-				}
-			}
-		}()
-	}
 	// Zero-downtime witness: roll the whole fleet onto netB while the
-	// closed loop is in full flight. Every engine swaps, no request fails.
-	rep := f.RollingReprogram(netB)
-	wg.Wait()
+	// closed loop is in full flight. Every engine swaps, no request fails
+	// (a failure is a Drop: counted, never retried).
+	var rep *fleet.RollingReport
+	rolled := make(chan struct{})
+	go func() {
+		defer close(rolled)
+		rep = f.RollingReprogram(netB)
+	}()
+	drive, err := workloadgen.Drive(workloadgen.DriveConfig{Requests: requests, Clients: clients},
+		func(req workloadgen.Request) (workloadgen.Outcome, error) {
+			in := inputs[req.Seq%uint64(len(inputs))]
+			if _, _, err := f.SubmitSeq(context.Background(), req.Seq, in); err != nil {
+				return workloadgen.Drop, nil
+			}
+			return workloadgen.OK, nil
+		})
+	<-rolled
+	if err != nil {
+		return nil, err
+	}
 
 	row := &FleetRow{
 		Policy:        policyName,
 		Engines:       engines,
 		Requests:      requests,
-		Failed:        int(failed.Load()),
+		Failed:        int(drive.Drops),
 		RolledEngines: rep.Succeeded,
 		RollingFailed: rep.Failed,
 	}

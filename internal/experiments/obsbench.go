@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -145,14 +146,15 @@ func ObsOverhead() (*ObsResult, error) {
 			return 0, err
 		}
 		defer srv.Close()
+		ctx := context.Background()
 		for i := 0; i < 32; i++ { // warm-up
-			if _, _, err := srv.Infer(reqs[i]); err != nil {
+			if _, _, err := srv.SubmitKeyed(ctx, uint64(i), reqs[i]); err != nil {
 				return 0, err
 			}
 		}
 		start := time.Now()
-		for _, in := range reqs {
-			if _, _, err := srv.Infer(in); err != nil {
+		for i, in := range reqs {
+			if _, _, err := srv.SubmitKeyed(ctx, uint64(i), in); err != nil {
 				return 0, err
 			}
 		}

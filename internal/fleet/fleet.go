@@ -8,12 +8,18 @@
 // scheduler that updates one standby at a time with zero fleet downtime
 // (rolling.go).
 //
+// A Fleet is the only serving stack in the tree: a single board is a fleet
+// of one (cimserve -engines 1), and newEngine is the one place the
+// per-engine stack is composed.
+//
 // # Topology
 //
-//	client ─ Submit ─▶ Fleet ─ Router(policy) ─▶ Engine i
-//	                                             ├─ serve.Server   (queue + micro-batcher)
-//	                                             ├─ serve.Breaker  (health gate)
-//	                                             └─ serve.ShadowPair ─ dpe.Engine ×2
+//	client ─ SubmitSeq ─▶ Fleet ─ Router(policy) ─▶ Engine i
+//	                                                ├─ serve.Server   (queue + micro-batcher)
+//	                                                ├─ [chaos wrap]   (WithChaos)
+//	                                                ├─ [WrapBackend]  (the hybrid dispatcher's slot)
+//	                                                ├─ serve.Breaker  (health gate)
+//	                                                └─ serve.ShadowPair ─ dpe.Engine ×2
 //
 // Every engine replicates the same network (same dpe.Config, same noise
 // seed), so any engine can serve any request. Routing policies (router.go)
@@ -29,8 +35,8 @@
 // # Determinism
 //
 // The fleet preserves the simulator's bit-identity contract at any fan-out:
-// every request carries its own noise sequence number (its global arrival
-// index, or a caller-chosen key via SubmitSeq) down through
+// every request carries its own noise sequence number (the caller's key,
+// the one argument SubmitSeq adds to an input) down through
 // serve.Server.SubmitKeyed to dpe.Engine.InferBatchKeyed, where analog read
 // noise is a pure function of (Config.Seed, key, stage, position). Which
 // engine serves a request, how the batcher groups it, and the worker-pool
@@ -58,7 +64,7 @@ import (
 	"cimrev/internal/serve"
 )
 
-// ErrNoEngines is returned by Submit when the fleet has no members (all
+// ErrNoEngines is returned by SubmitSeq when the fleet has no members (all
 // have left). Distinct from the all-unhealthy case, which wraps
 // serve.ErrUnhealthy, and the all-overloaded case, which wraps
 // serve.ErrOverloaded.
@@ -75,6 +81,9 @@ type Engine struct {
 	brk    *serve.Breaker
 	srv    *serve.Server
 	reg    *metrics.Registry
+	// rep is what RollingReprogram drives: the WrapBackend wrapper when it
+	// can reprogram, else the breaker.
+	rep reprogrammer
 	// lim is the engine's AIMD concurrency limiter, nil unless the fleet
 	// was built WithOverloadControl (limiter.go).
 	lim *aimdLimiter
@@ -174,11 +183,11 @@ type Config struct {
 	// insertion point. It receives the engine id, the breaker as a
 	// serve.Backend, and the engine's private registry (so wrapper
 	// counters land next to that engine's serve.* series). Returning nil
-	// or b leaves the engine unwrapped. Note that every fleet request is
-	// keyed (its noise sequence number), which an auto-mode hybrid
-	// dispatcher pins to the crossbar side — rolling reprograms go through
-	// the breaker underneath the wrapper without making a digital twin's
-	// weights observable mid-swap.
+	// or b leaves the engine unwrapped. A wrapper with a
+	// Reprogram(*nn.Network) method of the breaker's shape
+	// (hybrid.Reprogrammer) takes over the engine's rolling reprograms —
+	// it owns state that must change with the weights (a digital twin) and
+	// is expected to reprogram the breaker it wraps.
 	WrapBackend func(id int, b serve.Backend, reg *metrics.Registry) serve.Backend
 	// Hedge enables hedged requests (hedge.go) when non-nil.
 	Hedge *HedgeConfig
@@ -299,8 +308,8 @@ func newFleetMetrics(reg *metrics.Registry) fleetMetrics {
 }
 
 // Fleet is a routed set of DPE serving engines. Construct with New; the
-// zero value is not usable. Submit/SubmitSeq are safe for concurrent use,
-// as are Join, Leave, and RollingReprogram.
+// zero value is not usable. SubmitSeq/SubmitSeqPri are safe for concurrent
+// use, as are Join, Leave, and RollingReprogram.
 type Fleet struct {
 	dcfg   dpe.Config
 	cfg    Config
@@ -310,16 +319,12 @@ type Fleet struct {
 	tracer *obs.Tracer
 
 	// mu guards the engine set and the current network (what joiners
-	// program). Submit holds it shared just long enough to snapshot the
+	// program). SubmitSeq holds it shared just long enough to snapshot the
 	// engine slice; membership changes hold it exclusively.
 	mu      sync.RWMutex
 	engines []*Engine
 	nextID  int
 	net     *nn.Network
-
-	// seq numbers requests fleet-globally: request k's analog noise draws
-	// from the counter stream for k, on whichever engine serves it.
-	seq atomic.Uint64
 
 	// hedge and over are the resilience controllers, nil when disabled.
 	hedge *hedger
@@ -410,9 +415,13 @@ func (f *Fleet) newEngine(id, weight int, net *nn.Network) (*Engine, energy.Cost
 		return nil, energy.Zero, fmt.Errorf("fleet: engine %d: %w", id, err)
 	}
 	var be serve.Backend = brk
+	var rp reprogrammer = brk
 	if f.cfg.WrapBackend != nil {
 		if w := f.cfg.WrapBackend(id, brk, reg); w != nil {
 			be = w
+			if wr, ok := w.(reprogrammer); ok {
+				rp = wr
+			}
 		}
 	}
 	// Chaos wraps outermost so injected stalls and crashes hit whatever
@@ -422,7 +431,7 @@ func (f *Fleet) newEngine(id, weight int, net *nn.Network) (*Engine, energy.Cost
 	if err != nil {
 		return nil, energy.Zero, fmt.Errorf("fleet: engine %d: %w", id, err)
 	}
-	e := &Engine{id: id, weight: weight, pair: pair, brk: brk, srv: srv, reg: reg}
+	e := &Engine{id: id, weight: weight, pair: pair, brk: brk, srv: srv, reg: reg, rep: rp}
 	if f.cfg.Overload != nil {
 		e.lim = newAIMDLimiter(f.cfg.Overload.withDefaults())
 	}
@@ -475,20 +484,6 @@ func (f *Fleet) SimTimePS() int64 {
 		}
 	}
 	return max
-}
-
-// Infer submits one inference with a background context; see Submit.
-func (f *Fleet) Infer(in []float64) ([]float64, energy.Cost, error) {
-	return f.Submit(context.Background(), in)
-}
-
-// Submit routes one inference, stamping it with the next fleet-global
-// sequence number (its noise key). Under concurrent submission the
-// arrival order — and therefore which request gets which key — is
-// scheduling-dependent; callers that need run-to-run reproducible noisy
-// outputs assign their own keys via SubmitSeq.
-func (f *Fleet) Submit(ctx context.Context, in []float64) ([]float64, energy.Cost, error) {
-	return f.SubmitSeq(ctx, f.seq.Add(1)-1, in)
 }
 
 // SubmitSeq routes one inference with a caller-owned noise key: the output
@@ -647,7 +642,7 @@ func (f *Fleet) Join() (*Engine, energy.Cost, error) {
 // routing set immediately (no new requests land on it), then its server
 // closes, which serves everything already queued to completion. Requests
 // that race the close observe serve.ErrClosed and fail over to another
-// engine inside Submit — a drain never fails a request.
+// engine inside SubmitSeq — a drain never fails a request.
 func (f *Fleet) Leave(id int) error {
 	f.mu.Lock()
 	idx := -1

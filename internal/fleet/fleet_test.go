@@ -12,9 +12,12 @@ import (
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/faultinject"
+	"cimrev/internal/hybrid"
+	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
 	"cimrev/internal/parallel"
 	"cimrev/internal/serve"
+	"cimrev/internal/vonneumann"
 )
 
 // testConfig is a small noisy DPE so determinism tests exercise the keyed
@@ -243,7 +246,7 @@ func TestFleetErrorTyping(t *testing.T) {
 				t.Fatalf("engine %d not tripped after failed probe", e.ID())
 			}
 		}
-		_, _, err = f.Submit(context.Background(), in)
+		_, _, err = f.SubmitSeq(context.Background(), 0, in)
 		if !errors.Is(err, serve.ErrUnhealthy) {
 			t.Errorf("all-tripped fleet: err = %v, want ErrUnhealthy", err)
 		}
@@ -294,7 +297,7 @@ func TestFleetErrorTyping(t *testing.T) {
 		for _, e := range f.Engines() {
 			e.srv.Close()
 		}
-		_, _, err = f.Submit(context.Background(), in)
+		_, _, err = f.SubmitSeq(context.Background(), 0, in)
 		if !errors.Is(err, serve.ErrOverloaded) {
 			t.Errorf("all-closed fleet: err = %v, want ErrOverloaded", err)
 		}
@@ -309,7 +312,7 @@ func TestFleetErrorTyping(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		_, _, err = f.Submit(context.Background(), in)
+		_, _, err = f.SubmitSeq(context.Background(), 0, in)
 		if !errors.Is(err, ErrNoEngines) {
 			t.Errorf("empty fleet: err = %v, want ErrNoEngines", err)
 		}
@@ -323,7 +326,7 @@ func TestFleetErrorTyping(t *testing.T) {
 		defer f.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, _, err = f.Submit(ctx, in)
+		_, _, err = f.SubmitSeq(ctx, 0, in)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("canceled submit: err = %v, want context.Canceled", err)
 		}
@@ -345,6 +348,7 @@ func TestJoinLeaveDuringTraffic(t *testing.T) {
 
 	inputs := testInputs(16, 24, 5)
 	var stop atomic.Bool
+	var seq atomic.Uint64
 	var reqs, fails atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -352,7 +356,7 @@ func TestJoinLeaveDuringTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				_, _, err := f.Submit(context.Background(), inputs[(w+i)%len(inputs)])
+				_, _, err := f.SubmitSeq(context.Background(), seq.Add(1)-1, inputs[(w+i)%len(inputs)])
 				reqs.Add(1)
 				if err != nil {
 					fails.Add(1)
@@ -414,6 +418,7 @@ func TestRollingReprogramZeroDowntime(t *testing.T) {
 
 	inputs := testInputs(8, 24, 5)
 	var stop atomic.Bool
+	var seq atomic.Uint64
 	var reqs, fails atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -421,7 +426,7 @@ func TestRollingReprogramZeroDowntime(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				if _, _, err := f.Submit(context.Background(), inputs[(w+i)%len(inputs)]); err != nil {
+				if _, _, err := f.SubmitSeq(context.Background(), seq.Add(1)-1, inputs[(w+i)%len(inputs)]); err != nil {
 					fails.Add(1)
 					t.Errorf("worker %d request %d: %v", w, i, err)
 					return
@@ -485,6 +490,85 @@ func TestRollingReprogramZeroDowntime(t *testing.T) {
 				t.Fatalf("engine %d input %d: post-roll output differs from fresh netB engine", e.ID(), i)
 			}
 		}
+	}
+}
+
+// TestRollingReprogramReloadsTwin is the stale-twin regression: an engine
+// wrapped in a forced-vn hybrid dispatcher serves from the dispatcher's
+// digital twin, so a rolling reprogram has to go through the dispatcher
+// (crossbar swap + twin reload), not through the breaker underneath it —
+// otherwise the fleet keeps answering from the old network after the roll.
+func TestRollingReprogramReloadsTwin(t *testing.T) {
+	netA := testMLP(t, 3, 24, 16, 8)
+	netB := testMLP(t, 4, 24, 16, 8)
+	cfg := dpe.DefaultConfig() // noise-free: the only kind of config with a twin
+	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
+	var wrapErr error
+	f, _, err := New(cfg, netA, WithEngines(1),
+		WithWrapBackend(func(_ int, b serve.Backend, reg *metrics.Registry) serve.Backend {
+			twin, err := vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, netA)
+			if err != nil {
+				wrapErr = err
+				return b
+			}
+			d, err := hybrid.New(b.(hybrid.CIMBackend), twin, hybrid.WithMode(hybrid.ModeVN), hybrid.WithRegistry(reg))
+			if err != nil {
+				wrapErr = err
+				return b
+			}
+			return d
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if wrapErr != nil {
+		t.Fatal(wrapErr)
+	}
+
+	oracle := func(net *nn.Network, in []float64) []float64 {
+		eng, err := dpe.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Load(net); err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := eng.Infer(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	in := testInputs(1, 24, 5)[0]
+	wantA, wantB := oracle(netA, in), oracle(netB, in)
+	if sliceEq(wantA, wantB) {
+		t.Fatal("netA and netB agree on the probe input: the test cannot tell them apart")
+	}
+
+	got, _, err := f.SubmitSeq(context.Background(), 0, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sliceEq(got, wantA) {
+		t.Fatalf("before the roll: %v, want netA's %v", got, wantA)
+	}
+	if rep := f.RollingReprogram(netB); rep.Err() != nil || rep.Succeeded != 1 {
+		t.Fatalf("rolling reprogram: %+v (%v)", rep, rep.Err())
+	}
+	got, _, err = f.SubmitSeq(context.Background(), 1, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sliceEq(got, wantB) {
+		t.Errorf("after the roll the twin still serves the old network: %v, want netB's %v", got, wantB)
+	}
+	e := f.Engines()[0]
+	if vn := e.Registry().Counter("dispatch.vn").Value(); vn != 2 {
+		t.Errorf("dispatch.vn = %d, want 2: the test must be served by the twin", vn)
+	}
+	if e.Pair().Swaps() != 1 {
+		t.Errorf("crossbar side swapped %d times, want 1", e.Pair().Swaps())
 	}
 }
 
@@ -613,7 +697,7 @@ func TestFleetMetricsAndSimTime(t *testing.T) {
 	in := testInputs(1, 16, 9)[0]
 	const n = 10
 	for i := 0; i < n; i++ {
-		if _, _, err := f.Infer(in); err != nil {
+		if _, _, err := f.SubmitSeq(context.Background(), uint64(i), in); err != nil {
 			t.Fatal(err)
 		}
 	}

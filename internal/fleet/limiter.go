@@ -32,8 +32,8 @@ import (
 )
 
 // Priority classes for brownout shedding. The zero value is PriorityHigh:
-// existing callers (Submit, SubmitSeq) are interactive by default, and
-// only callers that explicitly mark work PriorityLow opt into brownout.
+// SubmitSeq callers are interactive by default, and only callers that
+// explicitly mark work PriorityLow opt into brownout.
 type Priority int
 
 const (

@@ -32,6 +32,12 @@ import (
 	"cimrev/internal/nn"
 )
 
+// reprogrammer is the weight-update surface RollingReprogram drives on each
+// engine: serve.Breaker, or a WrapBackend wrapper of the same shape.
+type reprogrammer interface {
+	Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error)
+}
+
 // EngineReprogram is one engine's outcome within a rolling reprogram.
 type EngineReprogram struct {
 	// ID is the engine's fleet ID.
@@ -108,9 +114,11 @@ func (f *Fleet) setStatus(s RollingStatus) {
 // RollingReprogram updates the whole fleet to net with zero downtime: each
 // engine in turn programs its standby behind serving and swaps, one engine
 // at a time, health-gated exactly as Breaker.Reprogram (retry + backoff,
-// repair-before-swap, post-swap probe). The fleet serves throughout — the
-// router keeps routing to every engine not currently tripped, and the
-// engine being reprogrammed keeps serving its old weights until its swap.
+// repair-before-swap, post-swap probe) — or through the engine's WrapBackend
+// wrapper when that can reprogram (Config.WrapBackend). The fleet serves
+// throughout — the router keeps routing to every engine not currently
+// tripped, and the engine being reprogrammed keeps serving its old weights
+// until its swap.
 //
 // Engines joined after the roll starts program the new network on join and
 // are not rolled; engines that leave mid-roll are skipped. A failed engine
@@ -152,7 +160,7 @@ func (f *Fleet) RollingReprogram(net *nn.Network) *RollingReport {
 		if d := f.chaos.ReprogramDelay(e.id); d > 0 {
 			time.Sleep(d)
 		}
-		v, h, err := e.brk.Reprogram(net)
+		v, h, err := e.rep.Reprogram(net)
 		pe := EngineReprogram{ID: e.id, Visible: v, Hidden: h, Err: err}
 		rep.PerEngine = append(rep.PerEngine, pe)
 		rep.Attempted++

@@ -21,9 +21,9 @@ const (
 	// ModeVN routes every flush to the Von Neumann twin. It requires a
 	// twin, which in turn requires a deterministic (noise-free) config.
 	ModeVN
-	// ModeAuto routes each flush by the cost model: keyed (noisy-intent)
-	// traffic and all traffic on twin-less (noisy or faulty) deployments
-	// pin to CIM; the rest follows the calibrated crossover.
+	// ModeAuto routes each flush by the cost model: a twin-less (noisy or
+	// faulty) deployment pins everything to CIM; with a twin every flush,
+	// keyed or not, follows the calibrated crossover.
 	ModeAuto
 )
 
@@ -77,23 +77,25 @@ type Reprogrammer interface {
 // invisible in the outputs — only the simulated cost changes — so the
 // dispatcher is free to chase the cheaper backend per flush.
 //
-// Routing rules, in order:
+// Routing rules, in order (useVN is the one place they live):
 //
 //   - Forced modes (cim, vn) always use their backend, except that vn
 //     falls back to CIM while a reprogram is in flight (the twin is
 //     mid-swap and must not serve stale weights).
-//   - Keyed traffic in auto mode pins to CIM: request keys declare
-//     noise intent, and fleet determinism depends on the engine's keyed
-//     noise derivation even when the current config draws nothing.
-//   - Twin-less dispatchers (noisy or faulty deployments have no digital
-//     twin) pin everything to CIM in auto mode.
+//   - Twin-less dispatchers pin everything to CIM in auto mode, counted
+//     under dispatch.pinned_noisy. vonneumann.NewBackend rejects
+//     ReadNoise > 0 and callers build no twin for a faulty deployment, so
+//     a twin exists only where noise keys draw nothing: "has a twin" is
+//     the whole pin rule, and keyed traffic needs no rule of its own.
 //   - Everything else follows the calibrator: a static crossover model
 //     seeded from the shared CIM board constants and the twin's exact
 //     roofline prior, refined per batch-size class by an EWMA over
 //     observed flush costs.
 //
 // A Dispatcher is a serve.Backend (plus the ctx and keyed extensions), so
-// it slots between a Breaker and a serve.Server unchanged.
+// it slots between a Breaker and a serve.Server unchanged. The three entry
+// points are one body: InferBatch and InferBatchCtx are InferBatchKeyedCtx
+// with nil keys, which the crossbar side serves from its own counter.
 type Dispatcher struct {
 	cim  CIMBackend
 	vn   *vonneumann.Backend
@@ -136,7 +138,9 @@ func WithProbeEvery(n int) Option { return func(c *dispatcherConfig) { c.probeEv
 // New builds a dispatcher over a crossbar backend and an optional Von
 // Neumann twin. A nil twin is legal except in ModeVN: it means the
 // deployment has no digital twin (noisy or faulty config), and auto mode
-// pins all its traffic to CIM. If cim also implements Reprogrammer,
+// pins all its traffic to CIM. A non-nil twin must be exact for cim — same
+// network, noise-free and fault-free config — because any mode may then
+// serve any flush from it. If cim also implements Reprogrammer,
 // Dispatcher.Reprogram coordinates weight swaps across both backends.
 func New(cim CIMBackend, vn *vonneumann.Backend, opts ...Option) (*Dispatcher, error) {
 	if cim == nil {
@@ -173,77 +177,57 @@ func New(cim CIMBackend, vn *vonneumann.Backend, opts ...Option) (*Dispatcher, e
 func (d *Dispatcher) Mode() Mode { return d.mode }
 
 // Counts returns the routed-request totals: CIM-routed, VN-routed, and
-// CIM-pinned (keyed or twin-less traffic in auto mode).
+// CIM-pinned (auto-mode traffic on a twin-less dispatcher).
 func (d *Dispatcher) Counts() (cim, vn, pinned int64) {
 	return d.cntCIM.Value(), d.cntVN.Value(), d.cntPinned.Value()
 }
 
-// InferBatch routes one unkeyed flush.
+// InferBatch routes one flush without noise keys.
 func (d *Dispatcher) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error) {
-	return d.InferBatchCtx(obs.Ctx{}, inputs)
+	return d.InferBatchKeyedCtx(obs.Ctx{}, nil, inputs)
 }
 
-// InferBatchCtx routes one unkeyed flush under a trace span context.
+// InferBatchCtx is InferBatch under a trace span context.
 func (d *Dispatcher) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error) {
-	n := int64(len(inputs))
-	useVN := false
-	switch d.mode {
-	case ModeVN:
-		useVN = !d.suspended.Load()
-	case ModeAuto:
-		if d.vn == nil {
-			d.cntPinned.Add(n)
-			return d.cim.InferBatchCtx(pc, inputs)
-		}
-		useVN = !d.suspended.Load() && d.cal.choose(len(inputs))
-	}
-	if useVN {
-		d.cntVN.Add(n)
-		outs, cost, err := d.vn.InferBatchCtx(pc, inputs)
-		if err == nil {
-			d.observe(len(inputs), true, cost)
-		}
-		return outs, cost, err
-	}
-	d.cntCIM.Add(n)
-	outs, cost, err := d.cim.InferBatchCtx(pc, inputs)
-	if err == nil {
-		d.observe(len(inputs), false, cost)
-	}
-	return outs, cost, err
+	return d.InferBatchKeyedCtx(pc, nil, inputs)
 }
 
-// InferBatchKeyedCtx routes one keyed flush. Auto mode pins keyed traffic
-// to CIM (the keys declare noise intent); forced vn mode serves it from
-// the twin keyless, which is exact because a twin only exists for
-// deterministic configs, where keys consume no noise draws.
-func (d *Dispatcher) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error) {
-	n := int64(len(inputs))
-	if d.mode == ModeVN && !d.suspended.Load() {
-		d.cntVN.Add(n)
-		outs, cost, err := d.vn.InferBatchCtx(pc, inputs)
-		if err == nil {
-			d.observe(len(inputs), true, cost)
-		}
-		return outs, cost, err
+// useVN chooses the backend for one flush of n items and counts it under
+// that choice — the dispatcher's only routing decision.
+func (d *Dispatcher) useVN(n int) bool {
+	vn, cnt := false, d.cntCIM
+	switch {
+	case d.mode == ModeAuto && d.vn == nil:
+		cnt = d.cntPinned
+	case d.mode == ModeCIM || d.suspended.Load():
+		// Forced, or a reprogram is swapping both backends: the crossbar.
+	case d.mode == ModeVN || d.cal.choose(n):
+		vn, cnt = true, d.cntVN
 	}
-	if d.mode == ModeAuto {
-		d.cntPinned.Add(n)
-	} else {
-		d.cntCIM.Add(n)
-	}
-	outs, cost, err := d.cim.InferBatchKeyedCtx(pc, seqs, inputs)
-	if err == nil && d.mode != ModeAuto {
-		d.observe(len(inputs), false, cost)
-	}
-	return outs, cost, err
+	cnt.Add(int64(n))
+	return vn
 }
 
-// observe feeds a successful flush into the calibrator, if there is one.
-func (d *Dispatcher) observe(n int, vn bool, cost energy.Cost) {
-	if d.cal != nil {
+// InferBatchKeyedCtx routes one flush. seqs are the items' noise keys, nil
+// for a flush without keys. The twin is served keyless either way, which is
+// exact because a twin only exists for deterministic configs, where keys
+// consume no noise draws; the crossbar side gets the keys when there are
+// any.
+func (d *Dispatcher) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) (outs [][]float64, cost energy.Cost, err error) {
+	n := len(inputs)
+	vn := d.useVN(n)
+	switch {
+	case vn:
+		outs, cost, err = d.vn.InferBatchCtx(pc, inputs)
+	case seqs == nil:
+		outs, cost, err = d.cim.InferBatchCtx(pc, inputs)
+	default:
+		outs, cost, err = d.cim.InferBatchKeyedCtx(pc, seqs, inputs)
+	}
+	if err == nil && d.cal != nil {
 		d.cal.observe(n, vn, cost.LatencyPS)
 	}
+	return outs, cost, err
 }
 
 // Estimates reports the calibrator's current per-item latency estimates

@@ -120,33 +120,67 @@ func TestDispatchRouteInvariance(t *testing.T) {
 	}
 }
 
-// TestDispatchKeyedPinned pins the auto-mode noise rule: keyed traffic
-// goes to CIM with its keys intact (outputs match the reference keyed
-// call) and is counted as pinned, never routed to the twin.
+// TestDispatchKeyedPinned pins when keyed auto traffic is pinned: only on
+// a twin-less dispatcher. Over a twin, keyed flushes follow the calibrator
+// exactly as unkeyed ones do — both backends serve, the requests are counted
+// under dispatch.cim / dispatch.vn, none under dispatch.pinned_noisy — and
+// every output == the forced-cim dispatcher's for the same keys. Without a
+// twin the same traffic goes to CIM with its keys intact and is counted as
+// pinned.
 func TestDispatchKeyedPinned(t *testing.T) {
 	net, err := nn.NewMLP("keyed-mlp", []int{40, 20, 10}, rand.New(rand.NewSource(22)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	ref, disp := dispatchFixture(t, ModeAuto, net, reg)
-	ins := dispatchInputs(t, 6, 40, 23)
-	seqs := []uint64{5, 900, 1, 77, 31337, 0}
-	want, _, err := ref.InferBatchKeyed(seqs, ins)
+	_, auto := dispatchFixture(t, ModeAuto, net, reg)
+	_, forced := dispatchFixture(t, ModeCIM, net, nil)
+	eng, err := dpe.New(dpe.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := disp.InferBatchKeyedCtx(obs.Ctx{}, seqs, ins)
+	if _, err := eng.Load(net); err != nil {
+		t.Fatal(err)
+	}
+	twinless, err := New(eng, nil, WithMode(ModeAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSame(t, want, got, "keyed")
-	cim, vn, pinned := disp.Counts()
-	if pinned != 6 || vn != 0 || cim != 0 {
-		t.Errorf("keyed counters: cim %d, vn %d, pinned %d; want 0, 0, 6", cim, vn, pinned)
+	var total int64
+	for flush := 0; flush < 40; flush++ {
+		n := 1 + flush%7
+		total += int64(n)
+		ins := dispatchInputs(t, n, 40, int64(2300+flush))
+		seqs := make([]uint64, n)
+		for i := range seqs {
+			seqs[i] = uint64(31337*flush + 77*i) // out of order across flushes
+		}
+		want, _, err := forced.InferBatchKeyedCtx(obs.Ctx{}, seqs, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := auto.InferBatchKeyedCtx(obs.Ctx{}, seqs, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSame(t, want, got, "keyed auto vs forced cim")
+		got, _, err = twinless.InferBatchKeyedCtx(obs.Ctx{}, seqs, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSame(t, want, got, "keyed twin-less")
 	}
-	if got := reg.Snapshot().Counters["dispatch.pinned_noisy"]; got != 6 {
-		t.Errorf("registry dispatch.pinned_noisy = %d, want 6", got)
+	cim, vn, pinned := auto.Counts()
+	if cim == 0 || vn == 0 || pinned != 0 || cim+vn != total {
+		t.Errorf("keyed auto counters: cim %d, vn %d, pinned %d; want both > 0, pinned 0, sum %d", cim, vn, pinned, total)
+	}
+	snap := reg.Snapshot().Counters
+	if snap["dispatch.cim"] != cim || snap["dispatch.vn"] != vn || snap["dispatch.pinned_noisy"] != 0 {
+		t.Errorf("registry dispatch.* = %d / %d / %d, want %d / %d / 0",
+			snap["dispatch.cim"], snap["dispatch.vn"], snap["dispatch.pinned_noisy"], cim, vn)
+	}
+	if cim, vn, pinned := twinless.Counts(); cim != 0 || vn != 0 || pinned != total {
+		t.Errorf("keyed twin-less counters: cim %d, vn %d, pinned %d; want 0, 0, %d", cim, vn, pinned, total)
 	}
 }
 
@@ -234,8 +268,8 @@ func TestDispatchThroughServer(t *testing.T) {
 	}
 	defer srv.Close()
 	ins := dispatchInputs(t, 24, 48, 27)
-	for _, in := range ins {
-		got, _, err := srv.Submit(context.Background(), in)
+	for i, in := range ins {
+		got, _, err := srv.SubmitKeyed(context.Background(), uint64(i), in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -306,7 +307,7 @@ func TestServerShedsUnhealthyBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = srv.Infer(in[i])
+			_, _, errs[i] = srv.SubmitKeyed(context.Background(), uint64(i), in[i])
 		}(i)
 	}
 	wg.Wait()

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSubmitPreCanceledContext: a context that is already done never
-// enqueues — Submit fails fast with ErrCanceled wrapping the cause.
+// enqueues — SubmitKeyed fails fast with ErrCanceled wrapping the cause.
 func TestSubmitPreCanceledContext(t *testing.T) {
 	bk := &countingBackend{}
 	srv, err := New(bk, WithBatch(4, time.Millisecond), WithQueueBound(16))
@@ -20,9 +20,9 @@ func TestSubmitPreCanceledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = srv.Submit(ctx, []float64{1})
+	_, _, err = srv.SubmitKeyed(ctx, 0, []float64{1})
 	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Submit with dead context = %v, want ErrCanceled", err)
+		t.Fatalf("SubmitKeyed with dead context = %v, want ErrCanceled", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ErrCanceled does not wrap the context cause: %v", err)
@@ -42,8 +42,8 @@ func TestSubmitNilContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, _, err := srv.Submit(nil, []float64{1}); err != nil { //nolint:staticcheck // nil ctx is part of the contract
-		t.Fatalf("Submit(nil, ...) = %v, want nil error", err)
+	if _, _, err := srv.SubmitKeyed(nil, 0, []float64{1}); err != nil { //nolint:staticcheck // nil ctx is part of the contract
+		t.Fatalf("SubmitKeyed(nil, ...) = %v, want nil error", err)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestSubmitCanceledWhileQueued(t *testing.T) {
 	// Jam the dispatcher inside a flush so the queue holds still.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Infer([]float64{0})
+		_, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{0})
 		firstDone <- err
 	}()
 	<-bk.entered
@@ -75,7 +75,7 @@ func TestSubmitCanceledWhileQueued(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = srv.Submit(ctx, []float64{float64(i + 1)})
+			_, _, errs[i] = srv.SubmitKeyed(ctx, uint64(i+1), []float64{float64(i + 1)})
 		}(i)
 	}
 	deadline := time.After(5 * time.Second)
@@ -128,7 +128,7 @@ func TestSubmitCanceledMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Submit(ctx, []float64{1})
+		_, _, err := srv.SubmitKeyed(ctx, 0, []float64{1})
 		done <- err
 	}()
 	<-bk.entered // the request is on the device
@@ -161,7 +161,7 @@ func TestSubmitDeadlineExceeded(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Submit(ctx, []float64{1})
+		_, _, err := srv.SubmitKeyed(ctx, 0, []float64{1})
 		done <- err
 	}()
 	<-bk.entered
@@ -203,9 +203,9 @@ func TestSubmitDeadlinePreEnqueue(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err = srv.Submit(ctx, []float64{1})
+	_, _, err = srv.SubmitKeyed(ctx, 0, []float64{1})
 	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Submit with expired deadline = %v, want ErrDeadlineExceeded", err)
+		t.Fatalf("SubmitKeyed with expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
 	bk.mu.Lock()
 	if len(bk.sizes) != 0 {
@@ -239,7 +239,7 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 	// Jam the dispatcher inside a flush so the queue holds still.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Infer([]float64{0})
+		_, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{0})
 		firstDone <- err
 	}()
 	<-bk.entered
@@ -251,7 +251,9 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = srv.SubmitDeadline(context.Background(), 20*time.Millisecond, []float64{float64(i + 1)})
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			_, _, errs[i] = srv.SubmitKeyed(ctx, uint64(i+1), []float64{float64(i + 1)})
 		}(i)
 	}
 	deadline := time.After(5 * time.Second)
@@ -293,18 +295,4 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 		t.Errorf("serve.canceled = %d, want 0", got)
 	}
 	close(bk.entered)
-}
-
-// TestSubmitDeadlineZeroIsSubmit: SubmitDeadline with d <= 0 is plain
-// Submit — no budget, the request completes normally.
-func TestSubmitDeadlineZeroIsSubmit(t *testing.T) {
-	bk := &countingBackend{}
-	srv, err := New(bk, WithBatch(1, time.Millisecond), WithQueueBound(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if _, _, err := srv.SubmitDeadline(context.Background(), 0, []float64{1}); err != nil {
-		t.Fatalf("SubmitDeadline(d=0) = %v, want nil", err)
-	}
 }

@@ -101,57 +101,6 @@ func TestSubmitKeyedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSubmitKeyedMixedWithPlain: keyed and unkeyed requests interleaved
-// through one server must not disturb each other — keyed requests never
-// consume engine-counter positions, so the unkeyed stream stays identical
-// to an unkeyed-only run.
-func TestSubmitKeyedMixedWithPlain(t *testing.T) {
-	net := testMLP(t, 32, 24, 10)
-	inputs := testInputs(8, 32, 7)
-
-	// Reference: unkeyed-only server consuming counter 0..7 in order.
-	mk := func() *Server {
-		pair, _, err := NewShadowPair(noisyPairConfig(), net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := New(pair, WithBatch(4, 2*time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-	refSrv := mk()
-	defer refSrv.Close()
-	want := make([][]float64, len(inputs))
-	for i, in := range inputs {
-		out, _, err := refSrv.Infer(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = out
-	}
-
-	// Mixed: same unkeyed requests in order, with keyed requests (high
-	// keys, far from the counter range) interleaved between them.
-	mixSrv := mk()
-	defer mixSrv.Close()
-	for i, in := range inputs {
-		if _, _, err := mixSrv.SubmitKeyed(context.Background(), uint64(1000+i), in); err != nil {
-			t.Fatal(err)
-		}
-		out, _, err := mixSrv.Infer(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want[i] {
-			if out[j] != want[i][j] {
-				t.Fatalf("request %d: interleaved keyed traffic perturbed the unkeyed noise stream", i)
-			}
-		}
-	}
-}
-
 // TestQueueDepth: the live backpressure signal the fleet's least-loaded
 // policy reads. Idle server reports zero.
 func TestQueueDepth(t *testing.T) {

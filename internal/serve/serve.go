@@ -1,6 +1,8 @@
 // Package serve is the request-level inference serving pipeline: it fans
-// millions of small, independent Infer calls into the fast batched kernels
-// underneath (dpe.Engine.InferBatch / dpe.Cluster.InferBatch), which is
+// millions of small, independent requests — each submitted through the one
+// entry point, Server.SubmitKeyed, under its own noise key — into the fast
+// batched kernels underneath (dpe.Engine.InferBatchKeyed; dpe.Cluster's
+// InferBatch, which takes no keys, is served through the fallback), which is
 // where the Section VI throughput claims actually live. "Breaking
 // Barriers" (Crafton et al., PAPERS.md) makes the point sharply: CIM
 // throughput is dominated by array *utilization*, not raw array speed, and
@@ -14,11 +16,13 @@
 //     opened — whichever comes first. Light load pays one deadline of extra
 //     latency at most; heavy load amortizes toward full batches.
 //   - Explicit backpressure and cancellation: the ingress queue holds at
-//     most QueueBound requests. Past the high-water mark, Submit fails fast
-//     with ErrOverloaded instead of growing an unbounded queue. Submit also
-//     honors context.Context: a caller that cancels stops waiting with
-//     ErrCanceled, and the flush loop skips requests whose context died
-//     while they sat in the queue — abandoned work is shed, not computed.
+//     most QueueBound requests. Past the high-water mark, SubmitKeyed fails
+//     fast with ErrOverloaded instead of growing an unbounded queue. It also
+//     honors context.Context — a deadline is the caller's ctx: a caller that
+//     cancels stops waiting with ErrCanceled, one whose deadline fires with
+//     ErrDeadlineExceeded, and the flush loop skips requests whose context
+//     died while they sat in the queue — abandoned work is shed, not
+//     computed.
 //   - Observability: per-request wall-clock latency lands in a lock-free
 //     metrics.Histogram (p50/p95/p99 via HistogramSnapshot.Quantile), the
 //     simulated cost algebra (internal/energy) keeps running totals of
@@ -67,26 +71,26 @@ type ctxBackend interface {
 }
 
 // keyedBackend is the optional request-keyed-noise variant of Backend
-// (dpe.Engine, ShadowPair, Breaker). Requests submitted via SubmitKeyed
-// carry their own noise sequence numbers down to the engine, making their
-// outputs a pure function of (engine config, key, input) — independent of
+// (dpe.Engine, ShadowPair, Breaker, hybrid.Dispatcher). Every request
+// carries its own noise sequence number down to the engine, making its
+// output a pure function of (engine config, key, input) — independent of
 // batch composition, queue interleaving, or which engine of a fleet serves
-// them (docs/CLUSTER.md). Backends without it serve keyed requests through
-// the plain path, ignoring the keys.
+// it (docs/CLUSTER.md). Backends without it are served through the plain
+// path, ignoring the keys.
 type keyedBackend interface {
 	InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error)
 }
 
-// ErrOverloaded is returned by Submit when the ingress queue is at its
+// ErrOverloaded is returned by SubmitKeyed when the ingress queue is at its
 // high-water mark. The request was NOT enqueued; the caller owns the retry
 // policy. This is the backpressure contract: past QueueBound the server
 // sheds load instead of queueing without bound.
 var ErrOverloaded = errors.New("serve: ingress queue full (backpressure)")
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by SubmitKeyed after Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrCanceled is returned by Submit when the request's context is
+// ErrCanceled is returned by SubmitKeyed when the request's context is
 // *canceled* before a result arrives. The request may still be skipped (if
 // its batch had not flushed yet) or its result discarded (if it had);
 // either way the caller has stopped paying for it. A context whose
@@ -95,7 +99,7 @@ var ErrClosed = errors.New("serve: server closed")
 // (serve.canceled vs serve.deadline_exceeded).
 var ErrCanceled = errors.New("serve: request canceled")
 
-// ErrDeadlineExceeded is returned by Submit when the request's context
+// ErrDeadlineExceeded is returned by SubmitKeyed when the request's context
 // deadline fires before a result arrives — the latency-budget signal, as
 // opposed to ErrCanceled (the caller walked away). Expired requests are
 // shed at whatever stage the expiry is detected: before enqueue, while
@@ -116,13 +120,12 @@ func expiryError(cause error) error {
 	return fmt.Errorf("%w: %w", ErrCanceled, cause)
 }
 
-// request is one enqueued inference. keyed requests carry their own noise
-// sequence number down to a keyedBackend.
+// request is one enqueued inference, carrying its own noise sequence number
+// down to a keyedBackend.
 type request struct {
 	ctx   context.Context
 	in    []float64
 	seq   uint64
-	keyed bool
 	start time.Time
 	resp  chan response
 }
@@ -202,7 +205,7 @@ type Server struct {
 	tracer  *obs.Tracer
 
 	// ingressMu guards the closed flag and the queue send against Close:
-	// Submit holds it shared while enqueueing; Close holds it exclusively
+	// SubmitKeyed holds it shared while enqueueing; Close holds it exclusively
 	// while closing the channel, so no send can race the close.
 	ingressMu sync.RWMutex
 	closed    bool
@@ -258,62 +261,31 @@ func (s *Server) QueueDepth() int { return len(s.queue) }
 // simulated second is requests / (SimTimePS * 1e-12).
 func (s *Server) SimTimePS() int64 { return s.simPS.Load() }
 
-// Infer submits one inference with a background context; see Submit.
-func (s *Server) Infer(in []float64) ([]float64, energy.Cost, error) {
-	return s.Submit(context.Background(), in)
-}
-
-// Submit submits one inference and blocks until its batch completes or ctx
-// is done. The returned cost is the request's share of its batch: the full
-// batch latency (the request waited for the whole batch) and 1/n of the
-// batch energy. The caller must not mutate in until Submit returns.
+// SubmitKeyed submits one inference under a caller-owned noise sequence
+// number and blocks until its batch completes or ctx is done. It is the one
+// way into the server. The request's analog read noise is drawn from the
+// stream for seq, so the output is a pure function of (engine config, seq,
+// input) — identical no matter how the batcher groups it or which engine of
+// a fleet serves it (docs/CLUSTER.md). That needs a backend implementing
+// InferBatchKeyedCtx (dpe.Engine, ShadowPair, Breaker, hybrid.Dispatcher);
+// over a plain Backend the key is ignored.
 //
-// Submit fails fast with ErrOverloaded when the ingress queue is at its
-// bound and with ErrClosed after Close; both leave the request unqueued.
-// If ctx is canceled while the request waits, Submit returns ErrCanceled
-// (wrapping ctx.Err()): a request still queued is skipped at flush time,
-// one already mid-batch completes on the device but its result is
-// discarded.
-func (s *Server) Submit(ctx context.Context, in []float64) ([]float64, energy.Cost, error) {
-	return s.submit(&request{ctx: ctx, in: in})
-}
-
-// SubmitDeadline is Submit with a per-request latency budget: the request
-// runs under ctx bounded by deadline d (d <= 0 means no budget beyond
-// ctx's own). A request that cannot complete inside its budget is shed at
-// whatever stage the expiry is detected — before enqueue, while queued, or
-// mid-batch — and the caller gets ErrDeadlineExceeded. See
+// The returned cost is the request's share of its batch: the full batch
+// latency (the request waited for the whole batch) and 1/n of the batch
+// energy. The caller must not mutate in until SubmitKeyed returns.
+//
+// SubmitKeyed fails fast with ErrOverloaded when the ingress queue is at
+// its bound and with ErrClosed after Close; both leave the request
+// unqueued. A per-request latency budget is the caller's ctx (a nil ctx is
+// context.Background()): if ctx is canceled while the request waits the
+// caller gets ErrCanceled, if its deadline fires ErrDeadlineExceeded, each
+// wrapping ctx.Err(). The request is shed at whatever stage the expiry is
+// detected — before enqueue, while queued (skipped at flush time), or
+// mid-batch (it completes on the device but its result is discarded). See
 // docs/RESILIENCE.md for the deadline-propagation contract.
-func (s *Server) SubmitDeadline(ctx context.Context, d time.Duration, in []float64) ([]float64, energy.Cost, error) {
-	if d <= 0 {
-		return s.Submit(ctx, in)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(ctx, d)
-	defer cancel()
-	return s.Submit(ctx, in)
-}
-
-// SubmitKeyed is Submit with a caller-owned noise sequence number: the
-// request's analog read noise is drawn from the stream for seq instead of
-// the backend engine's internal inference counter, so the output is a pure
-// function of (engine config, seq, input) — identical no matter how the
-// batcher groups it or which engine of a fleet serves it. Requires a
-// backend implementing InferBatchKeyedCtx (dpe.Engine, ShadowPair,
-// Breaker); over a plain Backend the key is ignored and SubmitKeyed
-// behaves exactly like Submit. See docs/CLUSTER.md for the determinism
-// contract this enables.
 func (s *Server) SubmitKeyed(ctx context.Context, seq uint64, in []float64) ([]float64, energy.Cost, error) {
-	return s.submit(&request{ctx: ctx, in: in, seq: seq, keyed: s.kbe != nil})
-}
-
-func (s *Server) submit(req *request) ([]float64, energy.Cost, error) {
-	ctx := req.ctx
 	if ctx == nil {
 		ctx = context.Background()
-		req.ctx = ctx
 	}
 	if err := ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -321,8 +293,7 @@ func (s *Server) submit(req *request) ([]float64, energy.Cost, error) {
 		}
 		return nil, energy.Zero, s.met.expire(err)
 	}
-	req.start = time.Now()
-	req.resp = make(chan response, 1)
+	req := &request{ctx: ctx, in: in, seq: seq, start: time.Now(), resp: make(chan response, 1)}
 
 	s.ingressMu.RLock()
 	if s.closed {
@@ -411,7 +382,7 @@ func (s *Server) collect(first *request) []*request {
 // and is excluded from the device batch, so dead work never reaches the
 // crossbars. Only the queued-stage counter is bumped here: the *cause*
 // counters (serve.canceled / serve.deadline_exceeded) are the caller's,
-// incremented once in submit when the error surfaces.
+// incremented once in SubmitKeyed when the error surfaces.
 func (s *Server) shedExpired(batch []*request) []*request {
 	kept := batch[:0]
 	for _, req := range batch {
@@ -427,12 +398,11 @@ func (s *Server) shedExpired(batch []*request) []*request {
 	return kept
 }
 
-// inferBatch invokes the backend for one flush group. Keyed groups (every
-// request stamped with its own noise sequence number, keyedBackend
-// available) go through InferBatchKeyedCtx; everything else takes the
-// plain path, traced when the backend supports it.
-func (s *Server) inferBatch(sp obs.Ctx, batch []*request, inputs [][]float64, keyed bool) ([][]float64, energy.Cost, error) {
-	if keyed {
+// inferBatch invokes the backend for one device batch: with the requests'
+// noise keys through InferBatchKeyedCtx when the backend has it, otherwise
+// through the plain path (keys ignored), traced when the backend supports it.
+func (s *Server) inferBatch(sp obs.Ctx, batch []*request, inputs [][]float64) ([][]float64, energy.Cost, error) {
+	if s.kbe != nil {
 		seqs := make([]uint64, len(batch))
 		for i, req := range batch {
 			seqs[i] = req.seq
@@ -445,48 +415,23 @@ func (s *Server) inferBatch(sp obs.Ctx, batch []*request, inputs [][]float64, ke
 	return s.backend.InferBatch(inputs)
 }
 
-// flush runs one collected batch through the backend. When the batch mixes
-// keyed and unkeyed requests (possible only if callers mix Submit and
-// SubmitKeyed on one server), it splits into two device batches so keyed
-// requests never consume engine-counter sequence numbers out from under
-// unkeyed ones.
+// flush sheds the requests that died in the queue, runs the rest through
+// the backend as one device batch, and distributes results. A batch-level
+// error falls back to per-request execution so that one bad request (wrong
+// input length, say) cannot poison its batchmates: only the offending
+// request sees its error. Each flush is one root span ("serve.flush") when
+// tracing is enabled.
 func (s *Server) flush(batch []*request) {
 	batch = s.shedExpired(batch)
 	if len(batch) == 0 {
 		return
 	}
-	if s.kbe == nil {
-		s.flushGroup(batch, false)
-		return
-	}
-	var keyed, plain []*request
-	for _, req := range batch {
-		if req.keyed {
-			keyed = append(keyed, req)
-		} else {
-			plain = append(plain, req)
-		}
-	}
-	if len(plain) > 0 {
-		s.flushGroup(plain, false)
-	}
-	if len(keyed) > 0 {
-		s.flushGroup(keyed, true)
-	}
-}
-
-// flushGroup runs one device batch through the backend and distributes
-// results. A batch-level error falls back to per-request execution so that
-// one bad request (wrong input length, say) cannot poison its batchmates:
-// only the offending request sees its error. Each group is one root span
-// ("serve.flush") when tracing is enabled.
-func (s *Server) flushGroup(batch []*request, keyed bool) {
 	inputs := make([][]float64, len(batch))
 	for i, req := range batch {
 		inputs[i] = req.in
 	}
 	sp := s.tracer.Root("serve.flush")
-	outs, cost, err := s.inferBatch(sp, batch, inputs, keyed)
+	outs, cost, err := s.inferBatch(sp, batch, inputs)
 	if sp.Active() {
 		sp.Annotate("batch", float64(len(batch)))
 		if err != nil {
@@ -508,7 +453,7 @@ func (s *Server) flushGroup(batch []*request, keyed bool) {
 			return
 		}
 		s.met.batchErrors.Inc()
-		s.flushIndividually(batch, keyed)
+		s.flushIndividually(batch)
 		return
 	}
 	s.met.batches.Inc()
@@ -530,12 +475,12 @@ func (s *Server) flushGroup(batch []*request, keyed bool) {
 
 // flushIndividually retries a failed batch one request at a time,
 // isolating the poison pill. Healthy requests pay single-request batch
-// cost; failing ones get their own error. Keyed requests keep their keys,
-// so the retried output is bit-identical to the batched one.
-func (s *Server) flushIndividually(batch []*request, keyed bool) {
+// cost; failing ones get their own error. Requests keep their keys, so the
+// retried output is bit-identical to the batched one.
+func (s *Server) flushIndividually(batch []*request) {
 	for _, req := range batch {
 		sp := s.tracer.Root("serve.flush_single")
-		outs, cost, err := s.inferBatch(sp, []*request{req}, [][]float64{req.in}, keyed)
+		outs, cost, err := s.inferBatch(sp, []*request{req}, [][]float64{req.in})
 		sp.End(cost)
 		if err != nil {
 			s.met.errors.Inc()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -106,7 +107,7 @@ func TestServeMatchesDirectInfer(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					out, cost, err := srv.Infer(inputs[i])
+					out, cost, err := srv.SubmitKeyed(context.Background(), uint64(i), inputs[i])
 					if err != nil {
 						t.Errorf("request %d: %v", i, err)
 						return
@@ -192,7 +193,7 @@ func TestBackpressure(t *testing.T) {
 	// First request: dispatcher picks it up and blocks in the backend.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Infer([]float64{0})
+		_, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{0})
 		firstDone <- err
 	}()
 	<-bk.entered // dispatcher is now stuck inside InferBatch
@@ -204,7 +205,7 @@ func TestBackpressure(t *testing.T) {
 		parked.Add(1)
 		go func(i int) {
 			defer parked.Done()
-			_, _, err := srv.Infer([]float64{float64(i + 1)})
+			_, _, err := srv.SubmitKeyed(context.Background(), uint64(i+1), []float64{float64(i + 1)})
 			parkedErrs[i] = err
 		}(i)
 	}
@@ -220,8 +221,8 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// The queue is at its high-water mark: the next request must be shed.
-	if _, _, err := srv.Infer([]float64{99}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("Infer past high-water mark = %v, want ErrOverloaded", err)
+	if _, _, err := srv.SubmitKeyed(context.Background(), 99, []float64{99}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("SubmitKeyed past high-water mark = %v, want ErrOverloaded", err)
 	}
 	if got := srv.Registry().Counter("serve.rejected").Value(); got != 1 {
 		t.Errorf("serve.rejected = %d, want 1", got)
@@ -277,7 +278,7 @@ func TestDeadlineFlush(t *testing.T) {
 	}
 	defer srv.Close()
 	start := time.Now()
-	if _, _, err := srv.Infer([]float64{1}); err != nil {
+	if _, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -305,7 +306,7 @@ func TestMaxBatchCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := srv.Infer([]float64{1}); err == nil {
+			if _, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{1}); err == nil {
 				served.Add(1)
 			}
 		}()
@@ -346,7 +347,7 @@ func TestCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = srv.Infer(inputs[i])
+			_, _, errs[i] = srv.SubmitKeyed(context.Background(), uint64(i), inputs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -356,8 +357,8 @@ func TestCloseDrains(t *testing.T) {
 			t.Errorf("request %d: %v", i, err)
 		}
 	}
-	if _, _, err := srv.Infer(inputs[0]); !errors.Is(err, ErrClosed) {
-		t.Errorf("Infer after Close = %v, want ErrClosed", err)
+	if _, _, err := srv.SubmitKeyed(context.Background(), 0, inputs[0]); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitKeyed after Close = %v, want ErrClosed", err)
 	}
 	srv.Close() // idempotent
 }
@@ -382,13 +383,13 @@ func TestPoisonPillIsolated(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, badErr = srv.Infer(bad)
+		_, _, badErr = srv.SubmitKeyed(context.Background(), 0, bad)
 	}()
 	for i := range good {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, goodErrs[i] = srv.Infer(good[i])
+			_, _, goodErrs[i] = srv.SubmitKeyed(context.Background(), uint64(i+1), good[i])
 		}(i)
 	}
 	wg.Wait()
@@ -424,7 +425,7 @@ func TestServeClusterBackend(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, _, err := srv.Infer(inputs[i])
+			out, _, err := srv.SubmitKeyed(context.Background(), uint64(i), inputs[i])
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return

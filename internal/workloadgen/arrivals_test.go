@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cimrev/internal/noise"
 	"cimrev/internal/parallel"
 )
 
@@ -72,6 +73,37 @@ func TestArrivalsSameSeedSameSchedule(t *testing.T) {
 		}
 		if !diverged {
 			t.Errorf("%s: different seeds produced the same 2048-gap schedule", a1[k].Name())
+		}
+	}
+}
+
+// TestPoissonGapFormula pins the Poisson schedule to its closed form
+//
+//	gap(i) = -1e9/rps * ln(noise.NewSource(seed).Float64(i))
+//
+// bit for bit — the formula the generator has had since it lived in
+// internal/chaos, so every archived sweep and recorded trace keyed off a
+// (seed, rps) pair replays unchanged.
+func TestPoissonGapFormula(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		rps  float64
+	}{
+		{1717, 200_000}, // the overload-scenario burst in experiments.ChaosSweep
+		{3, 10_000},
+		{-7, 123.5},
+	} {
+		src := noise.NewSource(tc.seed)
+		meanNS := 1e9 / tc.rps
+		p, err := NewPoisson(tc.seed, tc.rps)
+		if err != nil {
+			t.Fatalf("NewPoisson(%d, %g): %v", tc.seed, tc.rps, err)
+		}
+		for i := uint64(0); i < 4096; i++ {
+			want := time.Duration(-meanNS * math.Log(src.Float64(i)))
+			if g := p.Gap(i); g != want {
+				t.Fatalf("seed %d rps %g: gap %d = %v, want %v", tc.seed, tc.rps, i, g, want)
+			}
 		}
 	}
 }
