@@ -1,6 +1,9 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-mvm bench-pairs bench-serve bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity cover fuzz experiments examples clean
+# The sweeps archived as BENCH_<exp>.json, one bench-<exp> target each.
+BENCH_JSON := bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity
+
+.PHONY: all build vet fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-pairs $(BENCH_JSON) cover fuzz experiments examples clean
 
 all: build vet test
 
@@ -22,8 +25,10 @@ fmt-check:
 
 # Docs cross-reference check: every docs/*.md referenced from README.md or
 # DESIGN.md must exist, and every file in docs/ must be referenced from one
-# of them — no dangling links, no orphaned documents. Implemented as a Go
-# test (docs_test.go) so `go test ./...` enforces it too.
+# of them — no dangling links, no orphaned documents — and every
+# BENCH_<x>.json, cmd/<name> and `make bench-<x>` the docs name must exist
+# in the tree / this Makefile. Implemented as Go tests (docs_test.go) so
+# `go test ./...` enforces it too.
 docs-check:
 	$(GO) test -run TestDocs -count=1 .
 
@@ -52,24 +57,22 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable record of the MVM kernel benchmark: the
-# BenchmarkCrossbarMVMBatch sweep (batch 1/8/32/128 x 64..512, ns/vec per
-# batch size; the b1 rows are the single-vector MVMInto cost), converted
-# to BENCH_mvm.json. Also runs the serving-pipeline benchmark so
-# BENCH_serve.json stays in step, and the hybrid dispatch, chaos, and
-# capacity sweeps so BENCH_hybrid.json, BENCH_chaos.json, and
-# BENCH_capacity.json do too.
-bench-json: bench-serve bench-mvm bench-hybrid bench-chaos bench-capacity
+# Machine-readable archives of the six sweeps that are kept as files
+# (docs/FAULTS.md, OBSERVABILITY.md, CLUSTER.md, HYBRID.md, RESILIENCE.md,
+# CAPACITY.md say what each one shows): BENCH_<exp>.json is `cimbench -exp
+# <exp> -format json`, one {experiment, generated_at, result} document that
+# is encoding/json over the struct the text table is rendered from. The
+# hybrid, chaos and capacity results carry an acceptance gate (their Check
+# method, internal/experiments); cimbench writes the document first and
+# runs the gate second, so a failing sweep fails the target and still
+# leaves its numbers on disk. fault and hybrid are simulated cost only and
+# reproduce value for value; obs, fleet, chaos and capacity measure host
+# wall time, so a host stall can fail the chaos or capacity gate: run the
+# target again. All six take about fifteen seconds.
+bench-json: $(BENCH_JSON)
 
-# The MVM sweep alone. An archive, not a gate: there is no second path to
-# hold a ratio against; the regression guard is `benchmark/run.sh compare`
-# (benchmark/README.md) on sim_bitserial_b1 and sim_functional_b64, and
-# `make bench-pairs` runs it against a parent commit.
-bench-mvm:
-	$(GO) test -run '^$$' -bench '^BenchmarkCrossbarMVMBatch$$' \
-		-benchtime 30x -benchmem . \
-		| $(GO) run ./cmd/benchjson -out BENCH_mvm.json
-	@echo wrote BENCH_mvm.json
+$(BENCH_JSON): bench-%:
+	$(GO) run ./cmd/cimbench -exp $* -format json > BENCH_$*.json
 
 # Paired repository-benchmark runs, the form every speed claim takes
 # (ROADMAP: one command, one workload, an interleaved same-run baseline):
@@ -101,82 +104,6 @@ bench-pairs:
 		done; \
 	done; \
 	bash benchmark/run.sh compare $$d/parent.json $$d/change.json
-
-# Serving-pipeline benchmark: 64 closed-loop clients over the 8-bit MLP
-# workload, serial per-request baseline vs the micro-batched pipeline
-# (with two shadow-engine weight swaps mid-run), emitted through
-# cmd/benchjson as BENCH_serve.json (throughput, p50/p95/p99, energy).
-bench-serve:
-	$(GO) run ./cmd/cimserve -clients 64 -requests 2048 -batch 64 -reprogram 2 \
-		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
-	@echo wrote BENCH_serve.json
-
-# Device-fault sweep artifact: the (stuck rate x spare budget) grid from
-# internal/experiments, emitted as benchmark lines and archived through
-# cmd/benchjson as BENCH_fault.json (accuracy, remap/lost counts, retry
-# pulses, programming energy in each result's extra map).
-bench-fault:
-	$(GO) run ./cmd/cimbench -exp fault -format bench \
-		| $(GO) run ./cmd/benchjson -out BENCH_fault.json
-	@echo wrote BENCH_fault.json
-
-# Tracer-overhead artifact (docs/OBSERVABILITY.md budget: disabled <5%
-# over untraced, 0 allocs): wall-clock ns/op for the MVM hot path and
-# the serve request path — untraced vs disabled-tracer vs enabled —
-# archived through cmd/benchjson as BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/cimbench -exp obs -format bench \
-		| $(GO) run ./cmd/benchjson -out BENCH_obs.json
-	@echo wrote BENCH_obs.json
-
-# Serving-fleet artifact (docs/CLUSTER.md): every routing policy at
-# engine counts 1/2/4/8 under closed-loop load with a rolling reprogram
-# mid-run. Simulated throughput, speedup vs 1 engine, wall p50/p99, and
-# the zero-downtime evidence (failed must be 0, rolled_engines = engines)
-# land in BENCH_fleet.json via cmd/benchjson.
-bench-fleet:
-	$(GO) run ./cmd/cimbench -exp fleet -format bench \
-		| $(GO) run ./cmd/benchjson -out BENCH_fleet.json
-	@echo wrote BENCH_fleet.json
-
-# Hybrid dispatch artifact (docs/HYBRID.md): the CIM-vs-CPU crossover
-# grid (layer size x batch, per-item simulated latency on the crossbar vs
-# the executing Von Neumann twin) plus the mixed-workload comparison of
-# forced-cim / forced-vn / auto dispatch. The -gate-hybrid check fails
-# unless the sweep measures a real crossover (cells on both sides of
-# speedup 1) and auto throughput at least matches the best single
-# backend. Everything is simulated cost, so the gate is deterministic.
-bench-hybrid:
-	$(GO) run ./cmd/cimbench -exp hybrid -format bench \
-		| $(GO) run ./cmd/benchjson -gate-hybrid -out BENCH_hybrid.json
-	@echo wrote BENCH_hybrid.json
-
-# Chaos-harness artifact (docs/RESILIENCE.md): the scenario x hedging grid
-# (fault-free baseline, straggler, crash-during-rolling-reprogram, open-
-# loop overload burst) scored against the fault-free single-engine keyed
-# oracle. The -gate-chaos check fails on any lost keyed request, any
-# non-bit-identical output, or overload p99 beyond 10x the fault-free
-# baseline — the SLOs the resilience layer exists to keep. The headline
-# straggler rows should show hedging recovering most of the p99
-# regression (hedge_wins > 0, hedged p99 well under the unhedged row).
-bench-chaos:
-	$(GO) run ./cmd/cimbench -exp chaos -format bench \
-		| $(GO) run ./cmd/benchjson -gate-chaos -out BENCH_chaos.json
-	@echo wrote BENCH_chaos.json
-
-# SLO capacity-planning artifact (docs/CAPACITY.md): the engines x
-# offered-rate grid driven open loop (deterministic Poisson schedule,
-# mixed batch-1/batch-8/analytics request classes), each cell scored
-# against the 25ms p99 SLO with zero sheds and zero lost requests, plus
-# the rated capacity per engine count (top of the passing prefix) and the
-# closed-vs-open comparison rows that demonstrate coordinated omission.
-# The -gate-capacity check fails unless every pass bit is backed by its
-# own cell's numbers, the passing cells form a monotone prefix of the
-# rate ladder, and every engine count rates at some rung.
-bench-capacity:
-	$(GO) run ./cmd/cimbench -exp capacity -format bench \
-		| $(GO) run ./cmd/benchjson -gate-capacity -out BENCH_capacity.json
-	@echo wrote BENCH_capacity.json
 
 # Quick benchmark smoke: one iteration of the Section VI latency sweep,
 # enough to catch a broken hot path without a full benchmark run.

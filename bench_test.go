@@ -343,8 +343,7 @@ func runFailover(b *testing.B, withSpare bool) float64 {
 // noisy (per-item keyed sources) modes. "ns/vec" is the per-vector time at
 // that batch size; the b1 rows are what MVMInto costs. Rows are timed one
 // after another, so on a host whose speed drifts a row-to-row ratio
-// carries the drift. `make bench-mvm` archives this sweep in
-// BENCH_mvm.json; the regression guard for the kernel is the repository
+// carries the drift. The regression guard for the kernel is the repository
 // benchmark (`benchmark/run.sh compare` on sim_functional_b64 and
 // sim_bitserial_b1), which scales by a reference kernel timed alongside.
 func BenchmarkCrossbarMVMBatch(b *testing.B) {

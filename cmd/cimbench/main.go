@@ -10,27 +10,23 @@
 //	cimbench -sizes 512,4096  # layer sizes for the Section VI sweep
 //	cimbench -parallel 8      # simulation worker-pool width (wall-clock
 //	                          # only; 1 = serial, 0 = GOMAXPROCS default)
-//	cimbench -exp fault -format bench
-//	                          # emit the fault sweep as benchmark result
-//	                          # lines for cmd/benchjson (make bench-fault)
-//	cimbench -exp obs -format bench
-//	                          # tracer overhead measurements (make bench-obs)
-//	cimbench -exp fleet -format bench -engines 1,2,4,8
+//	cimbench -exp fault -format json
+//	                          # any experiment as one JSON document
+//	                          # {experiment, generated_at, result}: result is
+//	                          # encoding/json over the same struct the text
+//	                          # table is rendered from (make bench-json
+//	                          # archives six of them as BENCH_<exp>.json)
+//	cimbench -exp fleet -engines 1,2,4,8
 //	                          # cluster-scale serving sweep: routing policy x
 //	                          # fleet size, rolling reprogram mid-run
-//	                          # (make bench-fleet)
-//	cimbench -exp hybrid -format bench
-//	                          # CIM-vs-CPU crossover sweep + mixed-workload
-//	                          # dispatch comparison (make bench-hybrid)
-//	cimbench -exp chaos -format bench
-//	                          # SLO-retention chaos sweep: scenario x hedging
-//	                          # grid against the fault-free oracle
-//	                          # (make bench-chaos, gated by -gate-chaos)
-//	cimbench -exp capacity -format bench -slo 25ms
+//	cimbench -exp hybrid      # CIM-vs-CPU crossover sweep + mixed-workload
+//	                          # dispatch comparison (gated)
+//	cimbench -exp chaos       # SLO-retention chaos sweep: scenario x hedging
+//	                          # grid against the fault-free oracle (gated)
+//	cimbench -exp capacity -slo 25ms
 //	                          # open-loop SLO capacity sweep: fleet size x
 //	                          # offered rate grid, rated capacity per size,
-//	                          # closed-vs-open comparison (make
-//	                          # bench-capacity, gated by -gate-capacity)
+//	                          # closed-vs-open comparison (gated)
 //	cimbench -trace out.json  # run the traced reference workload and write
 //	                          # a Chrome trace_event file (chrome://tracing,
 //	                          # ui.perfetto.dev)
@@ -38,9 +34,12 @@
 //	                          # cost-attribution table
 //
 // Experiments are rows of a single registry table (the experiment type
-// below): name, -exp all membership, bench-format support, and runner
-// live in one place, and the -exp usage string, format validation, and
-// error text all derive from it.
+// below): name, -exp all membership, and runner live in one place, and the
+// -exp usage string and error text derive from it. A result that has an
+// acceptance gate carries it as a Check method (hybrid, chaos, capacity);
+// cimbench writes the result first and runs the gate second, so a failing
+// sweep still leaves its table or JSON behind, then exits non-zero with
+// the gate's message on stderr.
 //
 // Simulated results are bit-identical at every -parallel width: the flag
 // only controls how many OS threads chew through the independent tiles,
@@ -57,8 +56,11 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -74,9 +76,8 @@ import (
 // formatter is the common shape of every experiment result.
 type formatter interface{ Format() string }
 
-// benchable is the additional shape of results that can render as
-// benchmark result lines for cmd/benchjson.
-type benchable interface{ BenchFormat() string }
+// checker is the additional shape of results with an acceptance gate.
+type checker interface{ Check() error }
 
 // params carries the parsed flag values into experiment runners.
 type params struct {
@@ -89,16 +90,14 @@ type params struct {
 }
 
 // experiment is one registry row: the single place an experiment's name,
-// -exp all membership, bench support, and runner are declared.
+// -exp all membership, and runner are declared.
 type experiment struct {
 	name string
 	// solo experiments measure wall-clock behavior (client goroutines,
 	// timed sleeps, latency quantiles); they run only when selected
 	// explicitly, never as part of -exp all.
 	solo bool
-	// bench reports whether the result supports -format bench.
-	bench bool
-	run   func(p params) (formatter, error)
+	run  func(p params) (formatter, error)
 }
 
 // registry is the experiment table, in canonical output order.
@@ -117,29 +116,29 @@ var registry = []experiment{
 	{name: "parallelism", run: func(params) (formatter, error) {
 		return experiments.ParallelismSweep([]float64{0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99})
 	}},
-	{name: "fault", bench: true, run: func(params) (formatter, error) {
+	{name: "fault", run: func(params) (formatter, error) {
 		return experiments.FaultSweep(
 			[]float64{0, 0.002, 0.005, 0.01, 0.02},
 			[]int{0, 4, 8, 16},
 		)
 	}},
-	{name: "obs", solo: true, bench: true, run: func(params) (formatter, error) {
+	{name: "obs", solo: true, run: func(params) (formatter, error) {
 		return experiments.ObsOverhead()
 	}},
-	{name: "hybrid", bench: true, run: func(params) (formatter, error) {
+	{name: "hybrid", run: func(params) (formatter, error) {
 		return experiments.HybridSweep(
 			[]int{16, 32, 64, 128, 256, 512},
 			[]int{1, 8, 64},
 			24,
 		)
 	}},
-	{name: "fleet", solo: true, bench: true, run: func(p params) (formatter, error) {
+	{name: "fleet", solo: true, run: func(p params) (formatter, error) {
 		return experiments.FleetSweep(p.engines, fleet.PolicyNames(), 32, 2000)
 	}},
-	{name: "chaos", solo: true, bench: true, run: func(params) (formatter, error) {
+	{name: "chaos", solo: true, run: func(params) (formatter, error) {
 		return experiments.ChaosSweep(nil, 512)
 	}},
-	{name: "capacity", solo: true, bench: true, run: func(p params) (formatter, error) {
+	{name: "capacity", solo: true, run: func(p params) (formatter, error) {
 		cfg := experiments.CapacityConfig{RatesRPS: p.rates, SLO: p.slo}
 		if p.enginesSet {
 			cfg.Engines = p.engines
@@ -158,17 +157,6 @@ func expNames() []string {
 	return names
 }
 
-// benchNames lists the experiments that support -format bench.
-func benchNames() []string {
-	var names []string
-	for _, e := range registry {
-		if e.bench {
-			names = append(names, e.name)
-		}
-	}
-	return names
-}
-
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(expNames(), ", "))
 	sizes := flag.String("sizes", "512,1024,2048,4096", "comma-separated layer sizes for the Section VI sweep")
@@ -177,7 +165,7 @@ func main() {
 	rates := flag.String("rates", "", "comma-separated offered rates (req/s) for the capacity sweep (empty = built-in ladder)")
 	slo := flag.Duration("slo", 25*time.Millisecond, "p99 service-latency SLO for the capacity sweep")
 	workers := flag.Int("parallel", 0, "simulation worker-pool width: N goroutines, 1 = serial, 0 = GOMAXPROCS (results are identical at any width)")
-	format := flag.String("format", "text", "output format: text (human tables) or bench (benchmark result lines, "+strings.Join(benchNames(), "/")+" only)")
+	format := flag.String("format", "text", "output format: text (human tables) or json (one {experiment, generated_at, result} document per experiment)")
 	trace := flag.String("trace", "", "run the traced reference workload and write Chrome trace_event JSON to this file")
 	attr := flag.Bool("attr", false, "run the traced reference workload and print the cost-attribution table")
 	flag.Parse()
@@ -193,7 +181,7 @@ func main() {
 	p, err := parseParams(*sizes, *boards, *engines, *rates, *slo)
 	if err == nil {
 		p.enginesSet = flagWasSet("engines")
-		err = run(*exp, *format, p)
+		err = run(os.Stdout, *exp, *format, p)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cimbench:", err)
@@ -270,13 +258,13 @@ func runTrace(traceFile string, attr bool) error {
 	return nil
 }
 
-// run selects registry rows for exp and executes them across the worker
-// pool, printing outputs in canonical order. All selection and format
-// rules — which experiments -exp all covers, which support -format bench,
-// and the error vocabulary — derive from the registry table.
-func run(exp, format string, p params) error {
-	if format != "text" && format != "bench" {
-		return fmt.Errorf("unknown format %q (want text or bench)", format)
+// run selects registry rows for exp, executes them across the worker
+// pool, and writes their results to w in canonical order — text tables, or
+// one JSON document per experiment. Gates run last: the error joins every
+// failed Check, after everything has been written.
+func run(w io.Writer, exp, format string, p params) error {
+	if format != "text" && format != "json" {
+		return fmt.Errorf("unknown format %q (want text or json)", format)
 	}
 	selected := registry[:0:0]
 	for _, e := range registry {
@@ -287,36 +275,35 @@ func run(exp, format string, p params) error {
 	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q (want %s)", exp, strings.Join(expNames(), ", "))
 	}
-	if format == "bench" {
-		for _, e := range selected {
-			if !e.bench {
-				return fmt.Errorf("-format bench is not supported by %q (supported: %s)",
-					e.name, strings.Join(benchNames(), ", "))
-			}
-		}
-	}
 
-	outputs, err := parallel.MapErr(len(selected), func(i int) (string, error) {
-		res, err := selected[i].run(p)
-		if err != nil {
-			return "", err
-		}
-		if format == "bench" {
-			b, ok := res.(benchable)
-			if !ok {
-				return "", fmt.Errorf("experiment %q is marked bench but its result has no BenchFormat", selected[i].name)
-			}
-			return b.BenchFormat(), nil
-		}
-		return res.Format(), nil
+	results, err := parallel.MapErr(len(selected), func(i int) (formatter, error) {
+		return selected[i].run(p)
 	})
 	if err != nil {
 		return err
 	}
-	for _, out := range outputs {
-		fmt.Println(out)
+	generatedAt := time.Now().UTC().Format(time.RFC3339)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	var gates []error
+	for i, res := range results {
+		if format == "json" {
+			err = enc.Encode(struct {
+				Experiment  string    `json:"experiment"`
+				GeneratedAt string    `json:"generated_at"`
+				Result      formatter `json:"result"`
+			}{selected[i].name, generatedAt, res})
+		} else {
+			_, err = fmt.Fprintln(w, res.Format())
+		}
+		if err != nil {
+			return err
+		}
+		if c, ok := res.(checker); ok {
+			gates = append(gates, c.Check())
+		}
 	}
-	return nil
+	return errors.Join(gates...)
 }
 
 func parseInts(list string) ([]int, error) {

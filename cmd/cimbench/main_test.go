@@ -1,6 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +49,7 @@ func TestParseParams(t *testing.T) {
 }
 
 // TestRegistryShape: the registry is the single source of truth — every
-// row has a unique name and a runner, and the derived vocabularies cover
+// row has a unique name and a runner, and the derived vocabulary covers
 // it.
 func TestRegistryShape(t *testing.T) {
 	seen := map[string]bool{}
@@ -54,9 +61,6 @@ func TestRegistryShape(t *testing.T) {
 			t.Fatalf("duplicate experiment %q", e.name)
 		}
 		seen[e.name] = true
-		if e.solo && !e.bench {
-			t.Errorf("%s: solo wall-clock experiments exist for bench artifacts and must support -format bench", e.name)
-		}
 	}
 	for _, want := range []string{"fig2", "fault", "hybrid", "obs", "fleet", "chaos", "capacity"} {
 		if !seen[want] {
@@ -67,18 +71,16 @@ func TestRegistryShape(t *testing.T) {
 	if !strings.HasPrefix(names, "all,") || !strings.Contains(names, "capacity") {
 		t.Errorf("expNames() = %s", names)
 	}
-	for _, bn := range benchNames() {
-		if !seen[bn] {
-			t.Errorf("benchNames lists unknown experiment %q", bn)
-		}
-	}
 }
 
-// TestRunSelectionErrors: unknown experiments and unsupported formats
-// fail with error text derived from the table.
+// smallParams keeps the flag-sized sweeps (secvi, scale) cheap.
+var smallParams = params{sizes: []int{64}, boards: []int{1}, engines: []int{1}}
+
+// TestRunSelectionErrors: unknown experiments and unknown formats fail
+// with error text derived from the table. The bench-line text format is
+// gone: "bench" is as unknown as "csv".
 func TestRunSelectionErrors(t *testing.T) {
-	p := params{sizes: []int{16}, boards: []int{1}, engines: []int{1}}
-	err := run("bogus", "text", p)
+	err := run(io.Discard, "bogus", "text", smallParams)
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
@@ -87,32 +89,22 @@ func TestRunSelectionErrors(t *testing.T) {
 			t.Errorf("unknown-experiment error does not name %q: %v", want, err)
 		}
 	}
-	if err := run("fig2", "csv", p); err == nil || !strings.Contains(err.Error(), "text or bench") {
-		t.Errorf("bad format error = %v", err)
-	}
-	// fig2 has no bench rendering; the error lists the experiments that do.
-	err = run("fig2", "bench", p)
-	if err == nil {
-		t.Fatal("-format bench accepted for a text-only experiment")
-	}
-	for _, want := range []string{"fault", "capacity", "chaos"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("bench-support error does not name %q: %v", want, err)
+	for _, format := range []string{"csv", "bench"} {
+		if err := run(io.Discard, "fig2", format, smallParams); err == nil || !strings.Contains(err.Error(), "text or json") {
+			t.Errorf("-format %s error = %v", format, err)
 		}
-	}
-	// -exp all excludes the solo wall-clock sweeps but still includes
-	// text-only experiments, so bench format under all is an error too.
-	if err := run("all", "bench", p); err == nil {
-		t.Error("-format bench accepted with -exp all")
 	}
 }
 
 func TestRunSingleExperiments(t *testing.T) {
-	// The cheap experiments run end to end (output goes to stdout).
-	p := params{sizes: []int{64}, boards: []int{1}, engines: []int{1}}
+	// The cheap experiments run end to end.
 	for _, exp := range []string{"fig2", "table1", "table2"} {
-		if err := run(exp, "text", p); err != nil {
+		var out bytes.Buffer
+		if err := run(&out, exp, "text", smallParams); err != nil {
 			t.Errorf("run(%s): %v", exp, err)
+		}
+		if out.Len() == 0 {
+			t.Errorf("run(%s) wrote nothing", exp)
 		}
 	}
 }
@@ -121,13 +113,106 @@ func TestRunSecVISmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if err := run("secvi", "text", params{sizes: []int{64, 128}, boards: []int{1}, engines: []int{1}}); err != nil {
+	if err := run(io.Discard, "secvi", "text", params{sizes: []int{64, 128}, boards: []int{1}, engines: []int{1}}); err != nil {
 		t.Errorf("run(secvi): %v", err)
 	}
-	if err := run("scale", "text", params{sizes: []int{64}, boards: []int{1, 2}, engines: []int{1}}); err != nil {
+	if err := run(io.Discard, "scale", "text", params{sizes: []int{64}, boards: []int{1, 2}, engines: []int{1}}); err != nil {
 		t.Errorf("run(scale): %v", err)
 	}
-	if err := run("fault", "bench", params{sizes: []int{64}, boards: []int{1}, engines: []int{1}}); err != nil {
-		t.Errorf("run(fault, bench): %v", err)
+}
+
+// TestRunJSONEveryRow: -format json needs no per-result code, so every
+// row -exp all covers (the solo rows are wall-clock sweeps of the same
+// kind of struct) is exactly one valid JSON document naming its
+// experiment, and the hybrid row's gate passes in this format too.
+func TestRunJSONEveryRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every deterministic experiment; skipped in -short")
+	}
+	for _, e := range registry {
+		if e.solo {
+			continue
+		}
+		var out bytes.Buffer
+		if err := run(&out, e.name, "json", smallParams); err != nil {
+			t.Errorf("run(%s, json): %v", e.name, err)
+			continue
+		}
+		dec := json.NewDecoder(&out)
+		var doc struct {
+			Experiment  string          `json:"experiment"`
+			GeneratedAt string          `json:"generated_at"`
+			Result      json.RawMessage `json:"result"`
+		}
+		if err := dec.Decode(&doc); err != nil {
+			t.Errorf("%s: output is not JSON: %v", e.name, err)
+			continue
+		}
+		if doc.Experiment != e.name || doc.GeneratedAt == "" || len(doc.Result) < 3 {
+			t.Errorf("%s: envelope = {%q, %q, %d result bytes}", e.name, doc.Experiment, doc.GeneratedAt, len(doc.Result))
+		}
+		if dec.More() {
+			t.Errorf("%s: more than one JSON document", e.name)
+		}
+	}
+}
+
+// gated is a stub result whose gate always fails.
+type gated struct{ Rows int }
+
+func (gated) Format() string { return "stub table" }
+func (gated) Check() error   { return errors.New("stub gate failed") }
+
+// TestRunWritesBeforeGate: a failing Check still leaves the artifact —
+// the table or JSON document is complete on the writer when the gate's
+// error comes back.
+func TestRunWritesBeforeGate(t *testing.T) {
+	saved := registry
+	t.Cleanup(func() { registry = saved })
+	registry = []experiment{{name: "stub", run: func(params) (formatter, error) { return gated{Rows: 3}, nil }}}
+
+	for format, want := range map[string]string{"text": "stub table\n", "json": `"Rows": 3`} {
+		var out bytes.Buffer
+		err := run(&out, "stub", format, smallParams)
+		if err == nil || !strings.Contains(err.Error(), "stub gate failed") {
+			t.Errorf("%s: run() = %v, want the gate's error", format, err)
+		}
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("%s: output %q written before the gate does not contain %q", format, out.String(), want)
+		}
+		if format == "json" && !json.Valid(out.Bytes()) {
+			t.Errorf("json: output is not a complete document: %q", out.String())
+		}
+	}
+}
+
+// expToken matches an experiment named on a cimbench command line in the
+// docs: "-exp <name>".
+var expToken = regexp.MustCompile(`-exp ([a-z0-9]+)`)
+
+// TestDocsNameRealExperiments: every `-exp <name>` the docs tell a reader
+// to type is a registry name.
+func TestDocsNameRealExperiments(t *testing.T) {
+	files, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md",
+		"../../.claude/skills/verify/SKILL.md")
+	valid := map[string]bool{}
+	for _, name := range expNames() {
+		valid[name] = true
+	}
+	for _, file := range files {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range expToken.FindAllStringSubmatch(string(text), -1) {
+			if !valid[m[1]] {
+				t.Errorf("%s names `-exp %s`, which is not an experiment (want %s)",
+					filepath.Base(file), m[1], strings.Join(expNames(), ", "))
+			}
+		}
 	}
 }

@@ -3,11 +3,10 @@
 // Section VI DPE as a fleet of -engines boards, each behind its own
 // micro-batching frontend, drives it with a workloadgen load
 // (closed-loop clients by default, open-loop arrival processes on
-// request), and reports throughput and latency quantiles in `go test
-// -bench` text format so the output pipes straight through cmd/benchjson
-// into BENCH_serve.json:
-//
-//	go run ./cmd/cimserve | go run ./cmd/benchjson -out BENCH_serve.json
+// request), and reports throughput and latency quantiles as one `go test
+// -bench`-style result line per mode on stdout, with a human summary on
+// stderr. The archived serving numbers are the repository benchmark's
+// serve_* workloads (benchmark/README.md), not a cimserve run.
 //
 // Two serving modes are measured:
 //
@@ -65,7 +64,7 @@
 // dispatch_vn / dispatch_pinned_noisy to the bench line, and the
 // dispatch.* counters appear on /metrics.
 //
-// Errors in batch mode are broken out by cause so the benchjson archive
+// Errors in batch mode are broken out by cause so the result line
 // distinguishes capacity problems from health problems (docs/FAULTS.md):
 // shed counts backpressure rejections (ErrOverloaded; closed-loop clients
 // retry them, open-loop drives count them and keep the schedule), unhealthy
@@ -540,7 +539,7 @@ func run(w io.Writer, o options) error {
 		}
 		// Closed-loop names keep their historical shape; open-loop names
 		// carry the arrival process instead of the (ignored) client count.
-		// A fleet of one keeps the batch_* name BENCH_serve.json is keyed by.
+		// A fleet of one keeps the batch_* name.
 		load := fmt.Sprintf("c%d", o.clients)
 		if o.openLoop() {
 			load = o.arrivals
@@ -839,8 +838,8 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 }
 
 // emit writes one `go test -bench`-style result line: name, iterations,
-// ns/op, then custom (value, unit) pairs that cmd/benchjson collects into
-// its Extra map. The -1 suffix mirrors go test's GOMAXPROCS suffix.
+// ns/op, then custom (value, unit) pairs in testing.B.ReportMetric style.
+// The -N suffix mirrors go test's GOMAXPROCS suffix.
 func emit(w io.Writer, name string, s runStats, extra map[string]float64, order []string) {
 	nsPerOp := float64(s.wall.Nanoseconds()) / float64(s.requests)
 	fmt.Fprintf(w, "%s-%d %d %.0f ns/op", name, runtime.GOMAXPROCS(0), s.requests, nsPerOp)
@@ -856,7 +855,7 @@ func emit(w io.Writer, name string, s runStats, extra map[string]float64, order 
 }
 
 // summary prints the human-readable comparison to stderr so stdout stays
-// machine-clean for the benchjson pipe.
+// machine-clean.
 func summary(w io.Writer, o options, serial, batch runStats) {
 	fmt.Fprintf(w, "cimserve: %d requests, %s, MLP %v (8-bit)\n", o.requests, loadDesc(o), o.layers)
 	if serial.requests > 0 {

@@ -77,8 +77,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestRunEndToEnd drives a miniature closed loop through both modes (with
-// one shadow swap) and checks the bench-format output that feeds
-// cmd/benchjson.
+// one shadow swap) and checks the bench-format output.
 func TestRunEndToEnd(t *testing.T) {
 	var sb strings.Builder
 	o := options{

@@ -5,12 +5,15 @@ package cimrev
 // so every docs/*.md they reference must exist, and every file in docs/
 // must be reachable from at least one of them. This keeps the system map
 // honest — a document cannot be deleted while still linked, and a new
-// document cannot land orphaned.
+// document cannot land orphaned. The same goes for the things the docs
+// tell a reader to open or type: every BENCH_<x>.json archive, cmd/<name>
+// executable and `make bench-<x>` target they name must exist.
 
 import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +53,74 @@ func TestDocsCrossReferences(t *testing.T) {
 	for _, f := range files {
 		if _, ok := referenced[filepath.ToSlash(f)]; !ok {
 			t.Errorf("%s is orphaned: not referenced from README.md or DESIGN.md", f)
+		}
+	}
+}
+
+var (
+	benchFileRe = regexp.MustCompile(`BENCH_[a-z0-9]+\.json`)
+	cmdDirRe    = regexp.MustCompile(`cmd/[a-z0-9]+`)
+	makeBenchRe = regexp.MustCompile(`make (bench-[a-z0-9]+)`)
+	makeVarRe   = regexp.MustCompile(`^([A-Z_]+) *[:?]?= *(.*)$`)
+)
+
+// makeTargets returns the targets the Makefile defines rules for: the
+// words left of the colon on every rule line, with $(VAR) references
+// expanded from the file's own assignments.
+func makeTargets(t *testing.T) map[string]bool {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("reading Makefile: %v", err)
+	}
+	vars := map[string]string{}
+	targets := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if m := makeVarRe.FindStringSubmatch(line); m != nil {
+			vars[m[1]] = m[2]
+			continue
+		}
+		if line == "" || line[0] == '\t' || line[0] == '#' {
+			continue
+		}
+		left, _, isRule := strings.Cut(line, ":")
+		if !isRule {
+			continue
+		}
+		for name, value := range vars {
+			left = strings.ReplaceAll(left, "$("+name+")", value)
+		}
+		for _, target := range strings.Fields(left) {
+			targets[target] = true
+		}
+	}
+	return targets
+}
+
+func TestDocsNameRealArtifacts(t *testing.T) {
+	files, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "README.md", "DESIGN.md", "EXPERIMENTS.md")
+	targets := makeTargets(t)
+	if !targets["bench-json"] {
+		t.Fatalf("Makefile parse found no bench-json target: %v", targets)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("reading %s: %v", file, err)
+		}
+		text := string(data)
+		for _, path := range append(benchFileRe.FindAllString(text, -1), cmdDirRe.FindAllString(text, -1)...) {
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("%s names %s: %v", file, path, err)
+			}
+		}
+		for _, m := range makeBenchRe.FindAllStringSubmatch(text, -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s names `make %s`, which the Makefile has no rule for", file, m[1])
+			}
 		}
 	}
 }

@@ -21,9 +21,9 @@ type CapacityConfig struct {
 	// Engines are the fleet sizes to rate (default 1, 2, 4).
 	Engines []int
 	// RatesRPS is the ascending offered-rate ladder every fleet size is
-	// driven through (default 1k..32k rps). The ladder must straddle the
-	// knee: the gate requires at least one failing cell per fleet size,
-	// so a ladder the fleet can fully absorb is an error, not a pass.
+	// driven through (default 1k..64k rps). The ladder should straddle
+	// the knee: a fleet that absorbs every rung is rated at the top one,
+	// which says only that the ladder was too short.
 	RatesRPS []float64
 	// Requests is the offered load per cell (default 1200).
 	Requests int
@@ -325,36 +325,29 @@ func capacityScore(k int, rate float64, rep workloadgen.Report, slo time.Duratio
 	return cell
 }
 
-// BenchFormat renders the sweep as benchmark result lines for
-// cmd/benchjson (make bench-capacity -> BENCH_capacity.json, gated by
-// -gate-capacity). ns/op is the cell's service-latency p99; the SLO
-// columns ride along as custom (value, unit) pairs so the gate can
-// recompute every verdict from raw metrics.
-func (r *CapacityResult) BenchFormat() string {
-	slo := float64(r.SLO.Nanoseconds())
-	var b strings.Builder
+// Check is the capacity-planning gate; cimbench runs it after writing the
+// sweep. Per fleet size (docs/CAPACITY.md) the knee must be monotone — the
+// passing cells form a prefix of the ascending rate ladder, because a pass
+// above a failure means the knee is noise, not capacity, and the rated
+// number under it is not reproducible — and the fleet must rate at some
+// rung: one that cannot serve the bottom of the ladder has no capacity to
+// report.
+func (r *CapacityResult) Check() error {
+	failed := map[int]bool{} // engines -> a lower rung already failed
 	for _, c := range r.Cells {
-		pass := 0
-		if c.Pass {
-			pass = 1
+		if c.Pass && failed[c.Engines] {
+			return fmt.Errorf("capacity gate: engines=%d passes at %g rps after failing at a lower rate — the knee is not monotone", c.Engines, c.RateRPS)
 		}
-		b.WriteString(fmt.Sprintf(
-			"BenchmarkCapacity/engines=%d/rate=%g 1 %.0f ns/op %d requests %d ok %d shed %d lost %.0f p50_ns %.0f late_p99_ns %.1f achieved_rps %d peak_inflight %d pass %.0f slo_ns\n",
-			c.Engines, c.RateRPS, c.P99NS, c.Requests, c.OKs, c.Shed, c.Lost,
-			c.P50NS, c.LateP99NS, c.AchievedRPS, c.PeakInFlight, pass, slo))
+		if !c.Pass {
+			failed[c.Engines] = true
+		}
 	}
 	for _, rt := range r.Rated {
-		b.WriteString(fmt.Sprintf(
-			"BenchmarkCapacityRated/engines=%d 1 %.0f ns/op %g rated_rps %.0f slo_ns\n",
-			rt.Engines, rt.P99NS, rt.RatedRPS, slo))
+		if rt.RatedRPS == 0 {
+			return fmt.Errorf("capacity gate: engines=%d passes at no rate on the ladder", rt.Engines)
+		}
 	}
-	for _, row := range r.Compare {
-		b.WriteString(fmt.Sprintf(
-			"BenchmarkCapacityCompare/engines=%d/mode=%s 1 %.0f ns/op %g offered_rps %.1f achieved_rps %d shed %d lost %d peak_inflight %.0f slo_ns\n",
-			row.Engines, row.Mode, row.P99NS, row.OfferedRPS, row.AchievedRPS,
-			row.Shed, row.Lost, row.PeakInFlight, slo))
-	}
-	return b.String()
+	return nil
 }
 
 // Format renders the sweep tables.

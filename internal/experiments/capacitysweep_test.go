@@ -76,17 +76,49 @@ func TestCapacitySweep(t *testing.T) {
 			t.Errorf("Format missing %q:\n%s", want, text)
 		}
 	}
-	bench := res.BenchFormat()
-	for _, want := range []string{
-		"BenchmarkCapacity/engines=1/rate=2000 1 ",
-		"BenchmarkCapacity/engines=1/rate=200000 1 ",
-		"BenchmarkCapacityRated/engines=1 1 ",
-		"BenchmarkCapacityCompare/engines=1/mode=closed 1 ",
-		"BenchmarkCapacityCompare/engines=1/mode=open 1 ",
-		"rated_rps", "slo_ns", "pass", "late_p99_ns", "peak_inflight",
+	if err := res.Check(); err != nil {
+		t.Errorf("Check() = %v", err)
+	}
+}
+
+// TestCapacityCheck pins the capacity gate predicate by predicate on
+// struct literals: per engine count the passing cells are a prefix of the
+// ascending ladder, and every engine count rates at some rung.
+func TestCapacityCheck(t *testing.T) {
+	ladder := func(k int, pass ...bool) []CapacityCell {
+		rates := []float64{1000, 4000, 64000}
+		cells := make([]CapacityCell, len(pass))
+		for i, p := range pass {
+			cells[i] = CapacityCell{Engines: k, RateRPS: rates[i], Pass: p}
+		}
+		return cells
+	}
+	rated := func(rps ...float64) []CapacityRated {
+		rows := make([]CapacityRated, len(rps))
+		for i, r := range rps {
+			rows[i] = CapacityRated{Engines: i + 1, RatedRPS: r}
+		}
+		return rows
+	}
+	for _, tc := range []struct {
+		name string
+		res  CapacityResult
+		ok   bool
+	}{
+		{"monotone knee, both sizes rate", CapacityResult{
+			Cells: append(ladder(1, true, true, false), ladder(2, true, true, false)...),
+			Rated: rated(4000, 4000)}, true},
+		{"ladder fully absorbed", CapacityResult{
+			Cells: ladder(1, true, true, true), Rated: rated(64000)}, true},
+		{"pass above a failure", CapacityResult{
+			Cells: append(ladder(1, true, true, false), ladder(2, true, false, true)...),
+			Rated: rated(4000, 1000)}, false},
+		{"bottom rung fails, nothing rated", CapacityResult{
+			Cells: append(ladder(1, true, true, false), ladder(2, false, false, false)...),
+			Rated: rated(4000, 0)}, false},
 	} {
-		if !strings.Contains(bench, want) {
-			t.Errorf("BenchFormat missing %q:\n%s", want, bench)
+		if err := tc.res.Check(); (err == nil) != tc.ok {
+			t.Errorf("%s: Check() = %v, want pass=%v", tc.name, err, tc.ok)
 		}
 	}
 }

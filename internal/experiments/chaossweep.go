@@ -282,29 +282,48 @@ func sliceEqual(a, b []float64) bool {
 	return true
 }
 
-// BenchFormat renders the sweep as benchmark result lines for
-// cmd/benchjson (make bench-chaos -> BENCH_chaos.json, gated by
-// -gate-chaos). ns/op is the cell's wall p99 over successful requests; the
-// SLO columns ride along as custom (value, unit) pairs.
-func (r *ChaosResult) BenchFormat() string {
-	var b strings.Builder
-	for _, row := range r.Rows {
-		hedged := "off"
-		if row.Hedged {
-			hedged = "on"
-		}
-		bit := 0
-		if row.BitIdentical {
-			bit = 1
-		}
-		b.WriteString(fmt.Sprintf(
-			"BenchmarkChaos/scenario=%s/hedged=%s 1 %.0f ns/op %d requests %d shed %d lost %d hedges %d hedge_wins %d brownout_shed %.0f wall_p50_ns %.0f wall_p99_ns %d bit_identical %d rolled_engines %d rolling_failed\n",
-			row.Scenario, hedged, row.WallP99NS,
-			row.Requests, row.Shed, row.Lost, row.Hedges, row.HedgeWins,
-			row.BrownoutSheds, row.WallP50NS, row.WallP99NS, bit,
-			row.RolledEngines, row.RollingFailed))
+// Check is the chaos-harness SLO gate; cimbench runs it after writing the
+// sweep. No cell may lose a keyed request (chaos may cost latency, or shed
+// under overload, but hedging and typed failover exist so that a crashed or
+// stalled engine's requests land somewhere else) and every cell must stay
+// bit-identical to the fault-free oracle: injected faults perturb timing
+// and availability, never answers. For each hedging flag the overload
+// cell's wall p99 must be within 10x the fault-free ("none") cell's — what
+// adaptive shedding buys: excess load is refused, admitted requests keep
+// their latency. A sweep without a (none, overload) pair fails rather than
+// pass with the tail unchecked.
+func (r *ChaosResult) Check() error {
+	type cell struct {
+		scenario string
+		hedged   bool
 	}
-	return b.String()
+	p99 := map[cell]float64{}
+	for _, row := range r.Rows {
+		if row.Lost != 0 {
+			return fmt.Errorf("chaos gate: %s (hedged=%v) lost %d keyed requests, want 0", row.Scenario, row.Hedged, row.Lost)
+		}
+		if !row.BitIdentical {
+			return fmt.Errorf("chaos gate: %s (hedged=%v) is not bit-identical to the fault-free oracle (%d mismatched)",
+				row.Scenario, row.Hedged, row.Mismatched)
+		}
+		p99[cell{row.Scenario, row.Hedged}] = row.WallP99NS
+	}
+	pairs := 0
+	for _, hedged := range []bool{false, true} {
+		base, okBase := p99[cell{"none", hedged}]
+		over, okOver := p99[cell{"overload", hedged}]
+		if !okBase || !okOver {
+			continue
+		}
+		pairs++
+		if over > 10*base {
+			return fmt.Errorf("chaos gate: overload p99 %.0f ns > 10x fault-free baseline %.0f ns (hedged=%v)", over, base, hedged)
+		}
+	}
+	if pairs == 0 {
+		return fmt.Errorf("chaos gate: no (none, overload) cell pair to compare p99 against")
+	}
+	return nil
 }
 
 // Format renders the sweep table.

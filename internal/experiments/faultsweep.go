@@ -148,24 +148,6 @@ func FaultSweep(rates []float64, spares []int) (*FaultResult, error) {
 	return &FaultResult{Rows: rows}, nil
 }
 
-// BenchFormat renders the sweep as `go test -bench` result lines so the
-// grid archives through cmd/benchjson (make bench-fault -> BENCH_fault.json).
-// ns/op is the simulated per-inference latency; the fault counters and
-// energies ride along as custom (value, unit) pairs, which benchjson lands
-// in each result's extra map.
-func (r *FaultResult) BenchFormat() string {
-	var b strings.Builder
-	for _, row := range r.Rows {
-		b.WriteString(fmt.Sprintf(
-			"BenchmarkFault/rate=%g/spares=%d 1 %.3f ns/op %.4f accuracy %d stuck_cells %d remapped_cols %d lost_cols %d retry_pulses %.1f program_pj %.3f infer_pj\n",
-			row.StuckRate, row.SpareCols,
-			float64(row.InferLatencyPS)/1e3,
-			row.Accuracy, row.StuckCells, row.RemappedCols, row.LostCols,
-			row.RetryPulses, row.ProgramEnergyPJ, row.InferEnergyPJ))
-	}
-	return b.String()
-}
-
 // Format renders the sweep table.
 func (r *FaultResult) Format() string {
 	var b strings.Builder

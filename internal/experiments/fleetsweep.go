@@ -167,27 +167,6 @@ func fleetPoint(netA, netB *nn.Network, inputs [][]float64, policyName string, e
 	return row, nil
 }
 
-// BenchFormat renders the sweep as `go test -bench` result lines for
-// cmd/benchjson (make bench-fleet -> BENCH_fleet.json). ns/op is the
-// simulated per-request serving time on the busiest engine; throughput,
-// speedup, wall quantiles, and the rolling-reprogram outcome ride along
-// as custom (value, unit) pairs.
-func (r *FleetResult) BenchFormat() string {
-	var b strings.Builder
-	for _, row := range r.Rows {
-		simNS := 0.0
-		if row.SimThroughputRPS > 0 {
-			simNS = 1e9 / row.SimThroughputRPS
-		}
-		b.WriteString(fmt.Sprintf(
-			"BenchmarkFleet/policy=%s/engines=%d 1 %.3f ns/op %.0f sim_rps %.3f speedup_vs_1 %d failed %.0f wall_p50_ns %.0f wall_p99_ns %d rolled_engines %d rolling_failed\n",
-			row.Policy, row.Engines, simNS,
-			row.SimThroughputRPS, row.SpeedupVs1, row.Failed,
-			row.WallP50NS, row.WallP99NS, row.RolledEngines, row.RollingFailed))
-	}
-	return b.String()
-}
-
 // Format renders the sweep table.
 func (r *FleetResult) Format() string {
 	var b strings.Builder

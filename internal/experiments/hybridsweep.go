@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -226,36 +227,38 @@ func hybridIntensity(net *nn.Network, n int) float64 {
 	return flops / bytes
 }
 
-// BenchFormat renders the sweep as `go test -bench` result lines for
-// cmd/benchjson (make bench-hybrid -> BENCH_hybrid.json). Crossover cells
-// report both backends' per-item latency and the CIM speedup (rating as
-// the suitability scale's ordinal); mixed rows report the dispatched
-// throughput the -gate-hybrid check compares.
-func (r *HybridResult) BenchFormat() string {
-	var b strings.Builder
+// Check is the hybrid-dispatch acceptance gate; cimbench runs it after
+// writing the sweep. The crossover must be measured, not asserted — at
+// least one cell on each side of SpeedupCIM == 1, or the dispatch decision
+// is degenerate and the sweep proves nothing — and auto dispatch must pay
+// for itself: all three modes served the mixed workload and auto's
+// throughput at least matches the best single backend's (a tie passes).
+func (r *HybridResult) Check() error {
+	var below, above int
 	for _, c := range r.Cells {
-		served := c.CIMPerItemNS
-		if c.VNPerItemNS < served {
-			served = c.VNPerItemNS
+		if c.SpeedupCIM < 1 {
+			below++
 		}
-		b.WriteString(fmt.Sprintf(
-			"BenchmarkHybridSweep/size=%d/batch=%d 1 %.3f ns/op %.3f cim_ns_per_item %.3f vn_ns_per_item %.4f speedup_cim %.3f flops_per_byte %d rating\n",
-			c.Size, c.Batch, served, c.CIMPerItemNS, c.VNPerItemNS, c.SpeedupCIM, c.FlopsPerByte, int(c.Rating)))
+		if c.SpeedupCIM > 1 {
+			above++
+		}
 	}
+	if below == 0 || above == 0 {
+		return fmt.Errorf("hybrid gate: no measured crossover (%d cells favor VN, %d favor CIM; need both)", below, above)
+	}
+	rps := map[string]float64{}
 	for _, m := range r.Mixed {
-		simNS := 0.0
-		if m.SimThroughputRPS > 0 {
-			simNS = 1e9 / m.SimThroughputRPS
-		}
-		b.WriteString(fmt.Sprintf(
-			"BenchmarkHybridMixed/dispatch=%s 1 %.3f ns/op %.6g sim_req_per_s %d dispatch_cim %d dispatch_vn %d dispatch_pinned_noisy",
-			m.Mode, simNS, m.SimThroughputRPS, m.CIMRouted, m.VNRouted, m.Pinned))
-		if m.Mode == "auto" {
-			b.WriteString(fmt.Sprintf(" %.4f speedup_vs_best", r.AutoSpeedupVsBest))
-		}
-		b.WriteString("\n")
+		rps[m.Mode] = m.SimThroughputRPS
 	}
-	return b.String()
+	for _, mode := range []string{"cim", "vn", "auto"} {
+		if _, ok := rps[mode]; !ok {
+			return fmt.Errorf("hybrid gate: no mixed-workload row for dispatch mode %q", mode)
+		}
+	}
+	if best := math.Max(rps["cim"], rps["vn"]); rps["auto"] < best {
+		return fmt.Errorf("hybrid gate: auto dispatch %.0f req/s lost to best single backend %.0f req/s", rps["auto"], best)
+	}
+	return nil
 }
 
 // Format renders the crossover table and the mixed-workload comparison.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"cimrev/internal/parallel"
@@ -54,30 +53,45 @@ func TestHybridSweepCrossover(t *testing.T) {
 	if auto.CIMRouted == 0 || auto.VNRouted == 0 {
 		t.Errorf("auto never split the workload (cim %d, vn %d)", auto.CIMRouted, auto.VNRouted)
 	}
-	best := cim.SimThroughputRPS
-	if vn.SimThroughputRPS > best {
-		best = vn.SimThroughputRPS
-	}
-	if auto.SimThroughputRPS < best {
-		t.Errorf("auto %.0f req/s lost to best single backend %.0f req/s", auto.SimThroughputRPS, best)
-	}
 	if res.AutoSpeedupVsBest < 1 {
 		t.Errorf("AutoSpeedupVsBest = %.4f, want >= 1", res.AutoSpeedupVsBest)
 	}
+	if err := res.Check(); err != nil {
+		t.Errorf("Check() = %v", err)
+	}
+}
 
-	bench := res.BenchFormat()
-	for _, want := range []string{
-		"BenchmarkHybridSweep/size=16/batch=1 ",
-		"BenchmarkHybridSweep/size=512/batch=64 ",
-		"BenchmarkHybridMixed/dispatch=cim ",
-		"BenchmarkHybridMixed/dispatch=vn ",
-		"BenchmarkHybridMixed/dispatch=auto ",
-		"sim_req_per_s",
-		"speedup_cim",
-		"speedup_vs_best",
+// TestHybridCheck pins the hybrid gate predicate by predicate on struct
+// literals: cells on both sides of the crossover, all three dispatch modes
+// present, auto at least matching the best single backend (a tie passes).
+func TestHybridCheck(t *testing.T) {
+	crossover := []HybridCell{{Size: 16, Batch: 1, SpeedupCIM: 0.01}, {Size: 512, Batch: 64, SpeedupCIM: 2.5}}
+	mixed := func(cim, vn, auto float64) []HybridMixed {
+		return []HybridMixed{
+			{Mode: "cim", SimThroughputRPS: cim},
+			{Mode: "vn", SimThroughputRPS: vn},
+			{Mode: "auto", SimThroughputRPS: auto},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		res  HybridResult
+		ok   bool
+	}{
+		{"auto wins", HybridResult{Cells: crossover, Mixed: mixed(1000, 5000, 6000)}, true},
+		{"auto ties the best single backend", HybridResult{Cells: crossover, Mixed: mixed(1000, 5000, 5000)}, true},
+		{"auto loses to the best single backend", HybridResult{Cells: crossover, Mixed: mixed(1000, 5000, 4999)}, false},
+		{"one-sided sweep, CIM everywhere", HybridResult{
+			Cells: []HybridCell{{SpeedupCIM: 3.0}, {SpeedupCIM: 2.5}},
+			Mixed: mixed(1000, 500, 1000)}, false},
+		{"one-sided sweep, VN everywhere", HybridResult{
+			Cells: []HybridCell{{SpeedupCIM: 0.1}, {SpeedupCIM: 1}},
+			Mixed: mixed(500, 1000, 1000)}, false},
+		{"vn mode missing", HybridResult{Cells: crossover, Mixed: []HybridMixed{
+			{Mode: "cim", SimThroughputRPS: 1000}, {Mode: "auto", SimThroughputRPS: 5000}}}, false},
 	} {
-		if !strings.Contains(bench, want) {
-			t.Errorf("BenchFormat missing %q", want)
+		if err := tc.res.Check(); (err == nil) != tc.ok {
+			t.Errorf("%s: Check() = %v, want pass=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -172,23 +172,6 @@ func ObsOverhead() (*ObsResult, error) {
 	return res, nil
 }
 
-// BenchFormat renders the measurements as `go test -bench` result lines
-// for cmd/benchjson (make bench-obs -> BENCH_obs.json).
-func (r *ObsResult) BenchFormat() string {
-	var b strings.Builder
-	b.WriteString(fmt.Sprintf("BenchmarkObs/mvm_untraced %d %.1f ns/op\n",
-		r.MVMIters, r.MVMUntracedNS))
-	b.WriteString(fmt.Sprintf("BenchmarkObs/mvm_disabled %d %.1f ns/op %.2f overhead_pct\n",
-		r.MVMIters, r.MVMDisabledNS, r.MVMOverheadPct))
-	b.WriteString(fmt.Sprintf("BenchmarkObs/mvm_enabled %d %.1f ns/op %d spans\n",
-		r.MVMIters, r.MVMEnabledNS, r.SpansRecorded))
-	b.WriteString(fmt.Sprintf("BenchmarkObs/serve_untraced %d %.1f ns/op\n",
-		r.ServeIters, r.ServeUntracedNS))
-	b.WriteString(fmt.Sprintf("BenchmarkObs/serve_disabled %d %.1f ns/op %.2f overhead_pct\n",
-		r.ServeIters, r.ServeDisabledNS, r.ServeOverheadPct))
-	return b.String()
-}
-
 // Format renders the human-readable overhead table.
 func (r *ObsResult) Format() string {
 	var b strings.Builder

@@ -40,7 +40,7 @@ func TestTraceRunBitIdentical(t *testing.T) {
 }
 
 // TestObsOverheadRuns: the overhead measurement completes and renders
-// both output formats with every variant present. Wall-clock numbers are
+// its table with every variant measured. Wall-clock numbers are
 // host-dependent; the hard overhead guarantees are the allocation
 // assertions in internal/crossbar (TestMVMTracingOffZeroAllocs).
 func TestObsOverheadRuns(t *testing.T) {
@@ -60,16 +60,6 @@ func TestObsOverheadRuns(t *testing.T) {
 	if res.SpansRecorded < res.MVMIters {
 		t.Errorf("enabled run recorded %d spans, want >= %d (one root per MVM)",
 			res.SpansRecorded, res.MVMIters)
-	}
-	bench := res.BenchFormat()
-	for _, want := range []string{
-		"BenchmarkObs/mvm_untraced", "BenchmarkObs/mvm_disabled",
-		"BenchmarkObs/mvm_enabled", "BenchmarkObs/serve_untraced",
-		"BenchmarkObs/serve_disabled", "overhead_pct",
-	} {
-		if !strings.Contains(bench, want) {
-			t.Errorf("BenchFormat() missing %q", want)
-		}
 	}
 	if !strings.Contains(res.Format(), "mvm disabled") {
 		t.Error("Format() missing variant table")
