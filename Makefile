@@ -105,18 +105,22 @@ bench-pairs:
 	done; \
 	bash benchmark/run.sh compare $$d/parent.json $$d/change.json
 
-# Quick benchmark smoke: one iteration of the Section VI latency sweep,
-# enough to catch a broken hot path without a full benchmark run.
+# Quick benchmark smoke: one iteration of the Section VI latency sweep
+# (functional kernel) and of one noisy bit-serial MVM (the per-conversion
+# noise draw and ADC), enough to catch a broken hot path without a full
+# benchmark run.
 bench-smoke:
-	$(GO) test -bench=SecVILatency -benchtime=1x .
+	$(GO) test -bench='SecVILatency|CrossbarMVMBatch/128x128_8b_noisy_b1$$' -benchtime=1x .
 
 cover:
 	$(GO) test -cover ./...
 
 # Short fuzzing pass over the wire-format parsers, the checksum layer,
-# and the histogram quantile estimator (the hedge delay and every latency
+# the histogram quantile estimator (the hedge delay and every latency
 # SLO read through it: quantiles must stay monotone in q, inside
-# [Min, Max], and self-consistent on arbitrary observation sets).
+# [Min, Max], and self-consistent on arbitrary observation sets), and the
+# normal sampler (any key and index: finite, inside the tail sampler's
+# bound, equal when evaluated again).
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=15s ./internal/packet/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/isa/
@@ -124,6 +128,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSealOpen -fuzztime=15s ./internal/fault/
 	$(GO) test -fuzz=FuzzFlipBit -fuzztime=15s ./internal/fault/
 	$(GO) test -fuzz=FuzzHistogramQuantile -fuzztime=15s ./internal/metrics/
+	$(GO) test -fuzz=FuzzNorm -fuzztime=15s ./internal/noise/
 
 # Regenerate every paper table and figure.
 experiments:

@@ -44,15 +44,17 @@
 // Simulated results are bit-identical at every -parallel width: the flag
 // only controls how many OS threads chew through the independent tiles,
 // batch items, and sweep points (see docs/PARALLELISM.md). That includes
-// the noisy experiments (adc, noise): analog read noise is counter-based —
-// every draw is a pure function of (seed, inference, stage, block,
-// position) — so noisy sweeps fan out like noise-free ones instead of
-// forcing themselves serial. Selected experiments also run concurrently
-// with each other, with output printed in the canonical order. The
-// wall-clock experiments (obs, fleet, chaos, capacity) are marked solo in
-// the registry: they run only when selected explicitly, never under
-// -exp all, where contention with the other experiments would measure
-// noise.
+// the one experiment that draws analog read noise, noise (adc sweeps the
+// converter at ReadNoise 0 and draws none, so a change of sampler leaves
+// its table alone): read noise is counter-based — every draw is a pure
+// function of (seed, inference, stage, block, position), a ziggurat sample
+// over that position's own word — so the noisy sweep fans out like the
+// noise-free ones instead of forcing itself serial. Selected experiments
+// also run concurrently with each other, with output printed in the
+// canonical order. The wall-clock experiments (obs, fleet, chaos,
+// capacity) are marked solo in the registry: they run only when selected
+// explicitly, never under -exp all, where contention with the other
+// experiments would measure noise.
 package main
 
 import (

@@ -435,6 +435,22 @@ func nibbleHistogram(T *[4][16]uint64, col []uint64, xi []int32, groups int) {
 	}
 }
 
+// adcNoisy is one noisy analog-to-digital conversion, shared by both
+// bit-serial kernels. colSum arrives already perturbed by multiplicative
+// cycle-to-cycle read noise, matching the device model: each read deviates
+// by the relative Gaussian factor 1 + z·sigma, z the conversion's
+// position-keyed standard normal draw. The ADC clips it to [0, maxSum] and
+// quantizes in steps of step.
+func adcNoisy(colSum, step, maxSum float64) float64 {
+	if colSum < 0 {
+		colSum = 0
+	}
+	if colSum > maxSum {
+		colSum = maxSum
+	}
+	return math.Round(colSum/step) * step
+}
+
 // bitSerialBatchPacked is the lane-packed batched bit-serial kernel. The
 // nest is (item block, column, item): one column's packed panel is loaded
 // once per block and reused by every item while L1-hot. Per (item,
@@ -483,6 +499,10 @@ func (x *Crossbar) bitSerialBatchPacked(s *mvmBatchScratch, n int, nss []noise.S
 				nibbleHistogram(&T, col, xi, groups)
 				idx := i*cols + c
 				a := acc[idx]
+				// The conversion of (bit b, slice si) takes draw
+				// (b*slices+si)*usedCols + c of item i's own source, and
+				// the loops below visit (b, si) in exactly that order.
+				draw := uint64(c)
 				for g := 0; g < groups; g++ {
 					b0 := 4 * g
 					gw := min(4, bits-b0)
@@ -521,21 +541,10 @@ func (x *Crossbar) bitSerialBatchPacked(s *mvmBatchScratch, n int, nss []noise.S
 						for bb := 0; bb < gw; bb++ {
 							b := b0 + bb
 							packed := packs[bb]
-							nsBit := uint64(b) * uint64(nslices) * uint64(cols)
 							for si := 0; si < nslices; si++ {
 								colSum := float64((packed >> uint(16*si)) & 0xFFFF)
-								// Position-keyed draw: index
-								// (b*slices+si)*usedCols + c, item i's own
-								// source.
-								colSum *= 1 + nss[i].Norm(nsBit+uint64(si)*uint64(cols)+uint64(c))*sigma
-								if colSum < 0 {
-									colSum = 0
-								}
-								// ADC: clip then quantize.
-								if colSum > adcMaxSum {
-									colSum = adcMaxSum
-								}
-								a += math.Round(colSum/adcStep) * adcStep * scaleTab[b+si*cellBits]
+								a += adcNoisy(colSum*(1+nss[i].Norm(draw)*sigma), adcStep, adcMaxSum) * scaleTab[b+si*cellBits]
+								draw += uint64(cols)
 							}
 						}
 					}
@@ -578,10 +587,14 @@ func (x *Crossbar) bitSerialBatchKernel(s *mvmBatchScratch, n int, nss []noise.S
 			}
 			for c := 0; c < cols; c++ {
 				base := c * rows
+				// Slice si of this (bit, column) takes draw
+				// (b*slices+si)*usedCols + c of each item's own source.
+				draw0 := uint64(b)*uint64(nslices)*uint64(cols) + uint64(c)
 				for k, rowsB := range runs {
 					i := i0 + k
 					idx := i*cols + c
 					a := acc[idx]
+					draw := draw0
 					for si := 0; si < nslices; si++ {
 						col := x.sliceT[si][base : base+usedRows]
 						var s0, s1, s2, s3 int64
@@ -601,20 +614,8 @@ func (x *Crossbar) bitSerialBatchKernel(s *mvmBatchScratch, n int, nss []noise.S
 							a += x.adcLUT[s0+s1+s2+s3] * scaleTab[b+si*cellBits]
 							continue
 						}
-						// Multiplicative cycle-to-cycle read noise on the
-						// analog partial, matching the device model: each
-						// read deviates by a relative Gaussian factor.
-						colSum := float64(s0 + s1 + s2 + s3)
-						nsBase := (uint64(b)*uint64(nslices) + uint64(si)) * uint64(cols)
-						colSum *= 1 + nss[i].Norm(nsBase+uint64(c))*sigma
-						if colSum < 0 {
-							colSum = 0
-						}
-						// ADC: clip then quantize.
-						if colSum > adcMaxSum {
-							colSum = adcMaxSum
-						}
-						a += math.Round(colSum/adcStep) * adcStep * scaleTab[b+si*cellBits]
+						a += adcNoisy(float64(s0+s1+s2+s3)*(1+nss[i].Norm(draw)*sigma), adcStep, adcMaxSum) * scaleTab[b+si*cellBits]
+						draw += uint64(cols)
 					}
 					acc[idx] = a
 				}

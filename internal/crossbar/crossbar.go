@@ -51,7 +51,9 @@
 // perturbation applied to (input bit b, slice s, column c) is a pure
 // function of the caller-provided source and that position, so noisy MVMs
 // are bit-identical at any worker-pool width and need no draw-order
-// serialization.
+// serialization. The draw is a ziggurat sample whose rejections re-draw
+// from a chain seeded by the draw's own word (internal/noise), so that
+// holds on its slow paths too; the kernels share one conversion, adcNoisy.
 //
 // Costs follow the constants in internal/energy. Programming (weight
 // updates) is three orders of magnitude slower than reading — the write
@@ -138,8 +140,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("crossbar: InputBits must be in [1,16], got %d", c.InputBits)
 	case c.ADCBits < 1 || c.ADCBits > 16:
 		return fmt.Errorf("crossbar: ADCBits must be in [1,16], got %d (an ADC needs at least one bit; 0 would collapse the quantization step)", c.ADCBits)
-	case c.ReadNoise < 0:
-		return fmt.Errorf("crossbar: ReadNoise must be non-negative, got %g", c.ReadNoise)
+	case !(c.ReadNoise >= 0) || math.IsInf(c.ReadNoise, 1):
+		// Written so that NaN fails it. NaN < 0 is false, and so is NaN > 0:
+		// it skipped MVMBatchInto's source check and still took the kernel's
+		// noisy branch.
+		return fmt.Errorf("crossbar: ReadNoise must be finite and non-negative, got %g", c.ReadNoise)
 	case c.Functional && c.ReadNoise > 0:
 		return fmt.Errorf("crossbar: Functional mode computes exact integer sums and never draws read noise, so ReadNoise %g would be silently ignored; set Functional = false for a noisy configuration", c.ReadNoise)
 	case c.SpareCols < 0:
@@ -701,8 +706,10 @@ func (x *Crossbar) programAndVerify(wIntT []int32, cellMask uint8) (pulses, veri
 // analog pipeline, allocating the result vector. input must have usedRows
 // elements; the result has usedCols. ns supplies counter-based analog read
 // noise and may be NoNoise when ReadNoise is zero; the draw applied to
-// (input bit b, slice s, column c) is ns.Norm((b*slices+s)*usedCols + c),
-// so results are independent of evaluation order.
+// (input bit b, slice s, column c) is ns.Norm((b*slices+s)*usedCols + c) —
+// one word of the source's counter stream, or for the 3 % of draws that
+// leave the ziggurat's fast path, a chain of words seeded by that one — so
+// results are independent of evaluation order.
 func (x *Crossbar) MVM(input []float64, ns noise.Source) ([]float64, energy.Cost, error) {
 	if !x.programmed {
 		return nil, energy.Zero, fmt.Errorf("crossbar: MVM before Program")

@@ -27,6 +27,10 @@ func TestConfigValidate(t *testing.T) {
 		{"inputbits zero", func(c *Config) { c.InputBits = 0 }, false},
 		{"adcbits zero", func(c *Config) { c.ADCBits = 0 }, false},
 		{"negative noise", func(c *Config) { c.ReadNoise = -1 }, false},
+		// NaN < 0 is false: it used to pass, skip the noise-source check
+		// (NaN > 0 is false too) and index a nil source slice in the kernel.
+		{"NaN noise", func(c *Config) { c.ReadNoise = math.NaN() }, false},
+		{"infinite noise", func(c *Config) { c.ReadNoise = math.Inf(1) }, false},
 		{"noisy bit-serial", func(c *Config) { c.ReadNoise = 0.02 }, true},
 		{"noisy functional", func(c *Config) { c.Functional = true; c.ReadNoise = 0.02 }, false},
 		{"1-bit cells", func(c *Config) { c.CellBits = 1 }, true},

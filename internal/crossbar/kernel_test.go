@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cimrev/internal/noise"
+	"cimrev/internal/obs"
 )
 
 // naiveMVM is the reference the kernel is pinned to — the only other
@@ -385,6 +386,70 @@ func TestNoisyMVMOrderIndependence(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different noise sources produced identical noisy outputs")
+	}
+}
+
+// TestNoisySlowPathDraws runs the purity suites over draws known to leave
+// the sampler's fast path, where a draw consumes further words of its own
+// rejection chain. noise.NewSource(82) is the source internal/noise's
+// TestNormBranches names branch by branch: on a 16-column array its draws
+// 48 (wedge rejected, retried), 52 (wedge accepted), 123 and 382 (tail)
+// all land inside the 512 conversions of one MVM. Such a draw must still be
+// a pure function of (source, index): == the oracle through MVM and at
+// every batch size with the source at the front, middle and back of the
+// batch, on the packed and the generic layout, traced and untraced.
+func TestNoisySlowPathDraws(t *testing.T) {
+	slow := noise.NewSource(82)
+	for _, i := range []uint64{123, 382} {
+		// Visible from outside the package: only the tail sampler returns
+		// a value past the ziggurat's last edge.
+		if z := slow.Norm(i); math.Abs(z) <= 3.4427 {
+			t.Fatalf("draw %d of NewSource(82) = %v is no longer a tail draw: pick the source again from noise.TestNormBranches", i, z)
+		}
+	}
+	maxBatch := oracleBatches[len(oracleBatches)-1]
+	nss := perItemSources(slow, maxBatch)
+	nss[0], nss[4], nss[maxBatch-1] = slow, slow, slow
+	for _, cellBits := range []int{1, 2} { // 8 slices: generic; 4 slices: packed
+		cfg := smallConfig()
+		cfg.CellBits = cellBits
+		cfg.ReadNoise = 0.03
+		rng := rand.New(rand.NewSource(82))
+		w := randomMatrix(rng, 16, 16)
+		ins := batchInputs(rng, maxBatch, 16)
+		checkAgainstOracle(t, cfg, w, ins, nss, func(xb *Crossbar) {
+			t.Helper()
+			if got := xb.packedT != nil; got != (cellBits == 2) {
+				t.Fatalf("cell=%d: packed=%v", cellBits, got)
+			}
+		})
+
+		xb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := xb.Program(w); err != nil {
+			t.Fatal(err)
+		}
+		dsts := make([][]float64, maxBatch)
+		for i := range dsts {
+			dsts[i] = make([]float64, 16)
+		}
+		tr := obs.New()
+		root := tr.Root("run.mvm_batch")
+		cost, err := xb.MVMBatchIntoCtx(root, dsts, ins, nss)
+		root.End(cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range dsts {
+			want := naiveMVM(cfg, w, ins[i], nss[i])
+			for c := range want {
+				if dsts[i][c] != want[c] {
+					t.Fatalf("cell=%d traced batch item %d col %d: kernel %v != oracle %v", cellBits, i, c, dsts[i][c], want[c])
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -95,6 +96,16 @@ func TestTileParallelEquivalence(t *testing.T) {
 // replaced the fallback test when the fallback was deleted.)
 func TestTileNoisyParallelEquivalence(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWidth(0) })
+
+	// The widths are compared over draws that leave the sampler's fast
+	// path: tileAt(…, 7) keys the tile with NewSource(8), so its block 0
+	// (32 columns, draws 0..1023) reads NewSource(8).Derive(0), whose draw
+	// 127 is a wedge rejection and draw 506 a tail draw
+	// (noise.TestNormBranches names both). The tail one shows from here:
+	// only the tail sampler returns a value past the last ziggurat edge.
+	if z := noise.NewSource(8).Derive(0).Norm(506); math.Abs(z) <= 3.4427 {
+		t.Fatalf("draw 506 of block 0 = %v is no longer a tail draw: pick the seed again", z)
+	}
 
 	refOut, refLat, refEn := tileAt(t, 1, 0.02, 7)
 	for _, w := range equivalenceWidths[1:] {

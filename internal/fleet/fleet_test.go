@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"cimrev/internal/hybrid"
 	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
+	"cimrev/internal/noise"
 	"cimrev/internal/parallel"
 	"cimrev/internal/serve"
 	"cimrev/internal/vonneumann"
@@ -154,6 +156,27 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 	if sliceEq(flat, want[0]) {
 		t.Fatal("testConfig output equals the noise-free output: the determinism suites are vacuous")
+	}
+
+	// And it must hold where the sampler is hardest to keep pure: on draws
+	// that leave the ziggurat's fast path and consume a rejection chain.
+	// Request seq's first layer (32×24 on one 64×64 array, 8 bits × 4
+	// slices × 24 columns) reads src.Derive(seq).Derive(0).Derive(0); only
+	// the tail sampler returns a value past the last ziggurat edge, so a
+	// tail draw among the requests shows from here (wedge rejections are
+	// twenty times as frequent).
+	tails := 0
+	src := noise.NewSource(testConfig().Seed)
+	for seq := uint64(0); seq < n; seq++ {
+		layer0 := src.Derive(seq).Derive(0).Derive(0)
+		for i := uint64(0); i < 8*4*24; i++ {
+			if math.Abs(layer0.Norm(i)) > 3.4427 {
+				tails++
+			}
+		}
+	}
+	if tails == 0 {
+		t.Fatal("no request draws from the sampler's tail: the contract is not tested on the rejection paths")
 	}
 
 	for _, policyName := range PolicyNames() {

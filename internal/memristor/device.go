@@ -78,8 +78,8 @@ func (p DeviceParams) Validate() error {
 		return fmt.Errorf("memristor: GMax (%g) must exceed GMin (%g)", p.GMax, p.GMin)
 	case p.Levels < 2:
 		return fmt.Errorf("memristor: need at least 2 levels, got %d", p.Levels)
-	case p.ReadNoise < 0:
-		return fmt.Errorf("memristor: ReadNoise must be non-negative, got %g", p.ReadNoise)
+	case !(p.ReadNoise >= 0) || math.IsInf(p.ReadNoise, 1): // NaN fails it too
+		return fmt.Errorf("memristor: ReadNoise must be finite and non-negative, got %g", p.ReadNoise)
 	}
 	return nil
 }

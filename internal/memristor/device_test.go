@@ -30,6 +30,8 @@ func TestDeviceParamsValidate(t *testing.T) {
 		{"gmax below gmin", func(p *DeviceParams) { p.GMax = p.GMin / 2 }, true},
 		{"one level", func(p *DeviceParams) { p.Levels = 1 }, true},
 		{"negative noise", func(p *DeviceParams) { p.ReadNoise = -0.1 }, true},
+		{"NaN noise", func(p *DeviceParams) { p.ReadNoise = math.NaN() }, true},
+		{"infinite noise", func(p *DeviceParams) { p.ReadNoise = math.Inf(1) }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -33,6 +33,22 @@
 // The zero Source is "no source": Valid reports false, and noisy consumers
 // reject it the way they used to reject a nil *rand.Rand. NewSource and
 // Derive never return the zero Source.
+//
+// # The normal sampler
+//
+// Norm is the inner loop of every noisy simulation — one draw per (input
+// bit, weight slice, column) ADC conversion, 74,048 per inference of the
+// benchmark's 256-wide MLP — so it is a ziggurat over the one word
+// Uint64(i): a table compare and a multiply for 97 % of draws. A ziggurat
+// is a rejection method, and the stock ones (rand.NormFloat64) take their
+// retry from the next word of a shared stream, which would make draw i
+// depend on how many words draw i-1 consumed. Here a draw that needs more
+// words takes them from a chain seeded by its own first word,
+// w' = mix(w + golden), so it never touches the counter of another draw
+// and positional determinism survives any number of rejections.
+// Uint64, Float64 and Derive are the stream everything else is keyed by
+// (arrival schedules, fault maps, chaos spikes); TestStreamGolden pins
+// them, and a change of sampler re-rolls Norm alone.
 package noise
 
 import "math"
@@ -92,12 +108,99 @@ func (s Source) Float64(i uint64) float64 {
 	return (float64(s.Uint64(i)>>11) + 0.5) * (1.0 / (1 << 53))
 }
 
-// Norm returns the i-th standard normal draw (mean 0, std 1), via
-// Box-Muller over two uniform draws. Unlike rand.NormFloat64's ziggurat,
-// the value is a branch-free pure function of (source, i) — the property
-// the parallel noisy simulation depends on.
+// The ziggurat (Marsaglia & Tsang 2000) covers the half-normal density
+// f(x) = exp(-x²/2) with zigLayers regions of equal area zigV: layers
+// 1..127 are rectangles [0, x_l] × [f(x_l), f(x_{l-1})] with x_127 = zigR
+// down to x_0 = 0, and layer 0 is the base strip, the rectangle
+// [0, zigR] × [0, f(zigR)] plus the tail beyond zigR. zigR is the edge at
+// which the recurrence f(x_{l-1}) = f(x_l) + zigV/x_l closes on f(x_0) = 1,
+// solved to float64 precision (Marsaglia & Tsang print its first twelve
+// digits); TestZigguratTables recomputes the tables and the closure.
+const (
+	zigLayers = 128
+	zigR      = 3.442619855896652
+	zigV      = 9.912563035336461e-3
+)
+
+// zigK, zigW and zigF are the per-layer tables. A layer's 53-bit signed
+// uniform j maps to x = j·zigW[l], which spans (-x_l, x_l) (the strip's
+// width zigV/f(zigR) for l = 0); |j| < zigK[l] means |x| < x_{l-1}, where
+// the whole rectangle lies under the curve; zigF[l] = f(x_l).
+var zigK, zigW, zigF = zigTables()
+
+func zigTables() (k [zigLayers]uint64, w, f [zigLayers]float64) {
+	const m = 1 << 52
+	fr := math.Exp(-0.5 * zigR * zigR)
+	k[0], w[0], f[0] = uint64(zigR*fr/zigV*m), zigV/fr/m, 1
+	x := zigR
+	for l := zigLayers - 1; l >= 1; l-- {
+		w[l], f[l] = x/m, math.Exp(-0.5*x*x)
+		inner := 0.0
+		if l > 1 {
+			inner = math.Sqrt(-2 * math.Log(zigV/x+f[l]))
+		}
+		k[l] = uint64(inner / x * m)
+		x = inner
+	}
+	return k, w, f
+}
+
+// Norm returns the i-th standard normal draw (mean 0, std 1): an exact
+// ziggurat sample over the single word Uint64(i). The low 7 bits of the
+// word pick the layer and the high 53 the signed uniform — disjoint bits,
+// so the two are independent — and 97.2 % of draws return from the one
+// compare and one multiply below; the rest finish in normSlow, still as a
+// pure function of (source, i). (Through PR 17 this was Box-Muller over
+// two uniforms: as pure, but a log, a sqrt and a cos per draw, 57 % of a
+// noisy inference; docs/PERF.md.)
 func (s Source) Norm(i uint64) float64 {
-	u1 := s.Float64(2 * i)
-	u2 := s.Float64(2*i + 1)
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	w := s.Uint64(i)
+	j := int64(w) >> 11
+	l := w % zigLayers
+	if uint64(max(j, -j)) < zigK[l] {
+		return float64(j) * zigW[l]
+	}
+	return normSlow(w)
+}
+
+// normSlow finishes a draw whose word w missed its layer's fast region.
+// Layer 0 samples the tail beyond zigR (Marsaglia's exponential rejection,
+// bounded by zigR + 54·ln2/zigR < 14.4 on the Float64 lattice); any other
+// layer tests the wedge between its rectangle and the curve, and on
+// rejection starts over. Every further word comes from the chain
+// w ← mix(w + golden) seeded by the draw's own word, never from a
+// neighbouring counter, so the value cannot depend on evaluation order.
+func normSlow(w uint64) float64 {
+	for {
+		j := int64(w) >> 11
+		l := w % zigLayers
+		x := float64(j) * zigW[l]
+		if uint64(max(j, -j)) < zigK[l] {
+			return x // only a retry lands here
+		}
+		if l == 0 {
+			for {
+				w = mix(w + golden)
+				x = -math.Log(unit(w)) / zigR
+				w = mix(w + golden)
+				if y := -math.Log(unit(w)); y+y >= x*x {
+					break
+				}
+			}
+			if j < 0 {
+				return -zigR - x
+			}
+			return zigR + x
+		}
+		w = mix(w + golden)
+		if zigF[l]+unit(w)*(zigF[l-1]-zigF[l]) < math.Exp(-0.5*x*x) {
+			return x
+		}
+		w = mix(w + golden)
+	}
+}
+
+// unit maps a chain word to the same centered (0, 1) lattice as Float64.
+func unit(w uint64) float64 {
+	return (float64(w>>11) + 0.5) * (1.0 / (1 << 53))
 }
