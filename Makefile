@@ -3,7 +3,7 @@ GO ?= go
 # The sweeps archived as BENCH_<exp>.json, one bench-<exp> target each.
 BENCH_JSON := bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity
 
-.PHONY: all build vet fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-pairs $(BENCH_JSON) cover fuzz experiments examples clean
+.PHONY: all build vet fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-pairs bench-alt $(BENCH_JSON) cover fuzz experiments examples clean
 
 all: build vet test
 
@@ -105,6 +105,47 @@ bench-pairs:
 	done; \
 	bash benchmark/run.sh compare $$d/parent.json $$d/change.json
 
+# Alternating micro-benchmark runs, the form every kernel-level number in
+# docs/PERF.md takes (a single `go test -bench` run spans 40–110 µs for one
+# 62 µs kernel on this host): extracts PARENT into a tree under
+# .bench_build/alt/, builds each side's test binary of package PKG once,
+# runs BENCH for TURNS turns of ITERS iterations per side, alternating the
+# two binaries (even turns parent first, odd turns change first), and prints
+# min / p25 / median / p75 of ns/op per (benchmark, side). The change side
+# is the working tree.
+#   make bench-alt BENCH='CrossbarMVMBatch/128x128_8b_noisy_b1$$' PARENT=HEAD~1 TURNS=9 ITERS=2000
+BENCH ?= CrossbarMVMBatch/128x128_8b(_noisy)?_b1$$
+PKG ?= .
+TURNS ?= 9
+ITERS ?= 2000
+bench-alt:
+	@set -eu; d=$(CURDIR)/.bench_build/alt; \
+	rm -rf $$d; mkdir -p $$d/parent; \
+	git archive $(PARENT) | tar -x -C $$d/parent; \
+	(cd $$d/parent/$(PKG) && $(GO) test -c -o $$d/parent.test .); \
+	(cd $(PKG) && $(GO) test -c -o $$d/change.test .); \
+	for t in $$(seq 0 $$(($(TURNS) - 1))); do \
+		order="parent change"; \
+		if [ $$((t % 2)) -eq 1 ]; then order="change parent"; fi; \
+		for side in $$order; do \
+			dir=$(CURDIR)/$(PKG); \
+			if [ $$side = parent ]; then dir=$$d/parent/$(PKG); fi; \
+			echo "bench-alt: turn $$t $$side" >&2; \
+			(cd $$dir && $$d/$$side.test -test.run '^$$' -test.bench '$(BENCH)' \
+				-test.benchtime $(ITERS)x -test.timeout 20m) | \
+				awk -v side=$$side '/^Benchmark/ { print $$1, side, $$3 }' >> $$d/turns.txt; \
+		done; \
+	done; \
+	sort -k1,1 -k2,2r -k3,3n $$d/turns.txt | awk ' \
+		function q(f) { x = 1 + f * (n - 1); lo = int(x); hi = lo < n ? lo + 1 : lo; \
+			return v[lo] + (x - lo) * (v[hi] - v[lo]) } \
+		function f(x) { return sprintf(x < 100 ? "%10.2f" : "%10.0f", x) } \
+		function flush() { if (n) printf "%-58s %-6s %s %s %s %s\n", \
+			key, side, f(v[1]), f(q(.25)), f(q(.5)), f(q(.75)); n = 0 } \
+		BEGIN { printf "%-58s %-6s %10s %10s %10s %10s\n", "benchmark (ns/op)", "side", "min", "p25", "median", "p75" } \
+		{ if ($$1 != key || $$2 != side) flush(); key = $$1; side = $$2; v[++n] = $$3 } \
+		END { flush() }'
+
 # Quick benchmark smoke: one iteration of the Section VI latency sweep
 # (functional kernel) and of one noisy bit-serial MVM (the per-conversion
 # noise draw and ADC), enough to catch a broken hot path without a full
@@ -118,9 +159,12 @@ cover:
 # Short fuzzing pass over the wire-format parsers, the checksum layer,
 # the histogram quantile estimator (the hedge delay and every latency
 # SLO read through it: quantiles must stay monotone in q, inside
-# [Min, Max], and self-consistent on arbitrary observation sets), and the
+# [Min, Max], and self-consistent on arbitrary observation sets), the
 # normal sampler (any key and index: finite, inside the tail sampler's
-# bound, equal when evaluated again).
+# bound, equal when evaluated again, and equal to the strided fill over
+# any start, stride and length), and the bit-serial kernel's column sums
+# (any shape, levels and inputs: AND + popcount over the bit planes equals
+# a per-bit gather over the stored levels).
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=15s ./internal/packet/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/isa/
@@ -129,6 +173,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFlipBit -fuzztime=15s ./internal/fault/
 	$(GO) test -fuzz=FuzzHistogramQuantile -fuzztime=15s ./internal/metrics/
 	$(GO) test -fuzz=FuzzNorm -fuzztime=15s ./internal/noise/
+	$(GO) test -fuzz=FuzzPlaneSums -fuzztime=15s ./internal/crossbar/
 
 # Regenerate every paper table and figure.
 experiments:

@@ -361,27 +361,44 @@ func BenchmarkCrossbarMVMBatch(b *testing.B) {
 			ins := make([][]float64, batch)
 			dsts := make([][]float64, batch)
 			slab := make([]float64, batch*n)
-			var nss []NoiseSource
-			if noisy {
-				root := NewNoiseSource(7)
-				nss = make([]NoiseSource, batch)
-				for i := range nss {
-					nss[i] = root.Derive(uint64(i))
-				}
-			}
 			for i := range ins {
 				ins[i] = randomVector(rng, n)
 				dsts[i] = slab[i*n : (i+1)*n]
 			}
+			// A noisy row takes a fresh source per item per iteration and
+			// rotates its inputs, as the engine issues them. With one input
+			// and one source repeated, the branch predictor learns which of
+			// the call's draws leave the sampler's fast path, and the row
+			// flatters a branchy sampler by about a fifth (docs/PERF.md).
+			var nss []NoiseSource
+			var root NoiseSource
+			pool := ins
+			if noisy {
+				root = NewNoiseSource(7)
+				nss = make([]NoiseSource, batch)
+				for len(pool) < 64 {
+					pool = append(pool, randomVector(rng, n))
+				}
+				ins = make([][]float64, batch)
+			}
+			next := func(i int) {
+				for j := range nss {
+					k := i*batch + j
+					ins[j] = pool[k%len(pool)]
+					nss[j] = root.Derive(uint64(k)) // two finalizers: ns against a 25–700 µs call
+				}
+			}
 			// Warm the scratch pool outside the timed region so the
 			// archived allocs/op reflect steady state (0), not the
 			// one-time pool fill.
+			next(0)
 			if _, err := xb.MVMBatchInto(dsts, ins, nss); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				next(i)
 				if _, err := xb.MVMBatchInto(dsts, ins, nss); err != nil {
 					b.Fatal(err)
 				}

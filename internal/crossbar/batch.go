@@ -3,21 +3,22 @@ package crossbar
 // The MVM kernels. Every analog read in the simulator — one vector or a
 // serving micro-batch — runs through MVMBatchInto; MVM and MVMInto are a
 // batch of one. Functional mode runs one integer GEMM over the fused
-// weight panel (functionalGEMM); bit-serial mode runs the nibble-histogram
-// kernel over packedT, or the slice-at-a-time kernel when Program could
-// not pack.
+// weight panel (functionalGEMM); bit-serial mode runs the bit-plane kernel
+// (bitSerialKernel): a column sum is AND + popcount of an input-bit row
+// mask against a weight bit plane.
 //
 // The loop nest is matrix-matrix, not matrix-vector:
 //
 //   - Input quantization happens once per call into a single pooled 2-D
-//     scratch arena (mvmBatchScratch).
-//   - The kernel iterates columns outermost and batch items inside an
-//     item block, so one column's weight panel is loaded once and reused
-//     across every input bit of every item in the block — the weight
-//     matrix is streamed once per batch instead of once per vector.
-//   - Item blocks are sized so the per-item working set (active-row runs
-//     for the generic bit-serial kernel, quantized inputs otherwise)
-//     stays L1-resident while the panel streams through.
+//     scratch arena (mvmBatchScratch); bit-serial mode then transposes each
+//     item's quantized row into one row mask per input bit (rowMasks).
+//   - The kernels iterate columns outermost and batch items inside, so one
+//     column's weights are loaded once and reused by every item — the
+//     weight matrix is streamed once per batch instead of once per vector.
+//   - The functional kernel sizes its item blocks so the quantized inputs
+//     stay L1-resident while the panel streams through. The bit-serial
+//     kernel needs no blocking: an item's masks are InputBits·planeWords
+//     words, 128 bytes on the default array.
 //
 // Outputs do not depend on the batch an item rides in: the functional
 // accumulator is one exact integer, and for every bit-serial (item,
@@ -27,12 +28,13 @@ package crossbar
 // ((b*slices+s)*usedCols + c against that item's own source). The naive
 // oracle in kernel_test.go is the reference: the suites there and in
 // batch_test.go pin == against it and across batch sizes for functional,
-// bit-serial (packed and generic), noisy keyed/unkeyed, and
-// fault-remapped tiles.
+// bit-serial (every plane-word count and cell width), noisy keyed/unkeyed,
+// and fault-remapped tiles.
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cimrev/internal/energy"
 	"cimrev/internal/noise"
@@ -50,29 +52,28 @@ type mvmBatchScratch struct {
 	xScale  []float64
 	xSumInt []int64
 	// acc is the shift-add accumulator panel, item-major
-	// (acc[i*usedCols+c]). The functional kernel assigns each element's
-	// final reduction; the bit-serial kernels zero their item block up
-	// front and accumulate ADC terms in (input bit, slice) order.
+	// (acc[i*usedCols+c]); each kernel assigns every element once.
 	acc []float64
-	// active holds concatenated active-row runs for every (item, input
-	// bit); activeStart[i*(InputBits+1)+b] is the offset of item i's bit-b
-	// run. Built (and sized) once per call by decodeActiveRuns for the
-	// generic bit-serial kernel only; the packed kernel classifies rows by
-	// nibble value on the fly from xInt and the functional kernel dots
-	// xInt directly.
-	active      []int32
-	activeStart []int32
-	// runs is the per-item-block run-view arena hoisted out of the generic
-	// kernel's column loop: one slice header per item per bit instead of
-	// one per (column, item, bit).
-	runs [][]int32
+	// masks holds one row mask per (item, input bit), the binary word-line
+	// vector of that array cycle: word masks[(i*InputBits+b)*planeWords+w]
+	// has bit r%64 set when bit b of item i's quantized input at row
+	// 64w+r%64 is set. Built (and sized) once per call by rowMasks for the
+	// bit-serial kernel only; the functional kernel dots xInt directly.
+	masks []uint64
+	// sums and z are the bit-serial kernel's buffers for the conversions
+	// of one (item, column): the InputBits·slices integer column sums and
+	// their noise draws, in conversion order. Sized by rowMasks from the
+	// configuration (at most the 16·16 conversions Validate admits), not
+	// kept at that bound on the kernel's stack.
+	sums []uint32
+	z    []float64
 }
 
-// blockItems returns the batch-block size for the kernel's item loop: the
-// largest item count whose per-item working set (perItemBytes) fits a
-// 32 KiB L1 budget alongside one column panel, clamped to [2, 64]. The
-// block size affects only locality, never results — every (item, column)
-// accumulation is independent and order-preserved.
+// blockItems returns the batch-block size for the functional kernel's item
+// loop: the largest item count whose per-item working set (perItemBytes)
+// fits a 32 KiB L1 budget alongside one column panel, clamped to [2, 64].
+// The block size affects only locality, never results — every (item,
+// column) accumulation is independent and order-preserved.
 func blockItems(perItemBytes int) int {
 	if perItemBytes <= 0 {
 		return 64
@@ -206,14 +207,9 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 
 	if x.cfg.Functional {
 		x.functionalGEMM(s, n)
-	} else if x.packedT != nil {
-		// The packed kernel classifies rows by nibble value on the fly —
-		// one histogram pass over the column per item replaces up to
-		// InputBits per-bit gathers of the same rows.
-		x.bitSerialBatchPacked(s, n, nss)
 	} else {
-		x.decodeActiveRuns(s, n)
-		x.bitSerialBatchKernel(s, n, nss)
+		x.rowMasks(s, n)
+		x.bitSerialKernel(s, n, nss)
 	}
 
 	// Remove the shift-encoding offsets and restore each item's real-valued
@@ -267,43 +263,43 @@ func (x *Crossbar) getBatchScratch(n int) *mvmBatchScratch {
 	return s
 }
 
-// decodeActiveRuns sizes the active-row arenas and decodes per-bit
-// active-row runs for every item once; the generic bit-serial kernel's
-// column loop reuses them InputBits × usedCols times. Only that kernel
-// reads them, so no other path pays for the arena (n·InputBits·usedRows
-// int32 — 256 KiB at batch 64 on a 128-row array — every time the pool
-// is refilled after a GC cycle).
-func (x *Crossbar) decodeActiveRuns(s *mvmBatchScratch, n int) {
-	bits := x.cfg.InputBits
-	if need := n * (bits + 1); cap(s.activeStart) < need {
-		s.activeStart = make([]int32, need)
+// rowMasks sizes the bit-serial arenas and transposes every item's
+// quantized row into its per-input-bit row masks, once per call; the
+// kernel's column loop reuses them usedCols times. Eight rows a step, as
+// packSlices builds the planes: the low and the high byte of eight
+// quantized inputs are one word each, and gatherBits pulls one input bit
+// out of each.
+func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
+	inBits, pw, rows := x.cfg.InputBits, x.planeWords, x.usedRows
+	if need := n * inBits * pw; cap(s.masks) < need {
+		s.masks = make([]uint64, need)
 	} else {
-		s.activeStart = s.activeStart[:need]
+		s.masks = s.masks[:need]
+		clear(s.masks)
 	}
-	if need := n * bits * x.usedRows; cap(s.active) < need {
-		s.active = make([]int32, 0, need)
-	} else {
-		s.active = s.active[:0]
-	}
-	// The item-block loop never exceeds the blockItems clamp of 64 views.
-	if cap(s.runs) < 64 {
-		s.runs = make([][]int32, 64)
-	} else {
-		s.runs = s.runs[:64]
+	if s.sums == nil {
+		// Fixed by the configuration, which a crossbar and so its pool
+		// never changes, not by the programmed shape.
+		s.sums = make([]uint32, inBits*x.numSlices)
+		s.z = make([]float64, inBits*x.numSlices)
 	}
 	for i := 0; i < n; i++ {
-		base := i * (bits + 1)
-		xi := s.xInt[i*x.usedRows : (i+1)*x.usedRows]
-		for b := 0; b < bits; b++ {
-			s.activeStart[base+b] = int32(len(s.active))
-			mask := int32(1) << uint(b)
-			for r, q := range xi {
-				if q&mask != 0 {
-					s.active = append(s.active, int32(r))
+		xi := s.xInt[i*rows:][:rows]
+		mk := s.masks[i*inBits*pw:][:inBits*pw]
+		for r := 0; r < rows; r += 8 {
+			var lo, hi uint64
+			for j, q := range xi[r:min(r+8, rows)] {
+				lo |= uint64(q&0xFF) << uint(8*j)
+				hi |= uint64(q>>8) << uint(8*j)
+			}
+			for b := 0; b < inBits; b++ {
+				v := lo
+				if b >= 8 {
+					v = hi
 				}
+				mk[b*pw+r/64] |= gatherBits(v, uint(b%8)) << uint(r%64)
 			}
 		}
-		s.activeStart[base+bits] = int32(len(s.active))
 	}
 }
 
@@ -381,66 +377,11 @@ func dot4(col []uint64, xs []int32) (a0, a1, a2, a3 uint64) {
 	return a0, a1, a2, a3
 }
 
-// nibGroups returns the number of nibble groups the input bits split
-// into for the packed kernel's histogram classification.
-func (x *Crossbar) nibGroups() int {
-	return (x.cfg.InputBits + 3) / 4
-}
-
-// nibbleHistogram streams one packed column against one item's quantized
-// input row, accumulating T[g][m] = Σ col[r] over the rows whose group-g
-// nibble of xi[r] equals m. Each row costs two sequential loads and one
-// lane add per group — no index lists, no branches — and bit b of the
-// input is set for row r exactly when r's group-⌊b/4⌋ nibble has bit b%4
-// set, so every per-bit column sum is a disjoint union of classes and
-// can be reassembled from T with a few integer adds. All sums are uint64
-// lane sums over disjoint row subsets of one column, bounded by the
-// packing invariant (cellMax·usedRows ≤ 0xFFFF): no lane ever carries.
-// InputBits ≤ 16 bounds groups by 4, and nibble indices are masked to 4
-// bits, so every histogram access is in range.
-func nibbleHistogram(T *[4][16]uint64, col []uint64, xi []int32, groups int) {
-	xi = xi[:len(col)]
-	if groups == 2 {
-		// The dominant shape (5–8 input bits): both nibbles of one q load
-		// classify the same col load, 2-way unrolled into disjoint
-		// even/odd accumulators to break the read-modify-write dependency
-		// on repeated classes.
-		var evLo, evHi, odLo, odHi [16]uint64
-		r := 0
-		for ; r+2 <= len(col); r += 2 {
-			v0, v1 := col[r], col[r+1]
-			q0, q1 := uint32(xi[r]), uint32(xi[r+1])
-			evLo[q0&15] += v0
-			evHi[(q0>>4)&15] += v0
-			odLo[q1&15] += v1
-			odHi[(q1>>4)&15] += v1
-		}
-		if r < len(col) {
-			v := col[r]
-			q := uint32(xi[r])
-			evLo[q&15] += v
-			evHi[(q>>4)&15] += v
-		}
-		for m := 1; m < 16; m++ {
-			T[0][m] = evLo[m] + odLo[m]
-			T[1][m] = evHi[m] + odHi[m]
-		}
-		return
-	}
-	for r, v := range col {
-		q := uint32(xi[r])
-		for g := 0; g < groups; g++ {
-			T[g][(q>>uint(4*g))&15] += v
-		}
-	}
-}
-
-// adcNoisy is one noisy analog-to-digital conversion, shared by both
-// bit-serial kernels. colSum arrives already perturbed by multiplicative
-// cycle-to-cycle read noise, matching the device model: each read deviates
-// by the relative Gaussian factor 1 + z·sigma, z the conversion's
-// position-keyed standard normal draw. The ADC clips it to [0, maxSum] and
-// quantizes in steps of step.
+// adcNoisy is one noisy analog-to-digital conversion. colSum arrives
+// already perturbed by multiplicative cycle-to-cycle read noise, matching
+// the device model: each read deviates by the relative Gaussian factor
+// 1 + z·sigma, z the conversion's position-keyed standard normal draw. The
+// ADC clips it to [0, maxSum] and quantizes in steps of step.
 func adcNoisy(colSum, step, maxSum float64) float64 {
 	if colSum < 0 {
 		colSum = 0
@@ -451,173 +392,99 @@ func adcNoisy(colSum, step, maxSum float64) float64 {
 	return math.Round(colSum/step) * step
 }
 
-// bitSerialBatchPacked is the lane-packed batched bit-serial kernel. The
-// nest is (item block, column, item): one column's packed panel is loaded
-// once per block and reused by every item while L1-hot. Per (item,
-// column) the kernel streams the column against the item's quantized row
-// exactly once, histogramming the packed lanes by nibble value —
-// T[g][m] accumulates col[r] over rows whose group-g nibble equals m —
-// and then reassembles each input bit's column sum as the sum of the
-// classes with that bit set. Everything is uint64 lane arithmetic over
-// disjoint row subsets of one column, each bounded by the full-column
-// packing invariant (cellMax·usedRows ≤ 0xFFFF), so no lane ever carries
-// and the reassembled per-bit sums equal the generic kernel's gathers
-// exactly. Compared with per-bit gathers (InputBits·usedRows/2 indexed
-// loads expected), the histogram touches each row once with two
-// sequential loads, no index lists, and no branches. Per (item, column)
-// the float ADC accumulator extends in (bit, slice) order, and each
-// item's noise draw stays position-keyed against its own source, so
-// outputs match the generic kernel and the naive oracle bit for bit.
-func (x *Crossbar) bitSerialBatchPacked(s *mvmBatchScratch, n int, nss []noise.Source) {
-	rows := x.cfg.Rows
-	usedRows := x.usedRows
+// bitSerialKernel is the bit-serial kernel: the honest analog pipeline, one
+// ADC conversion per (array cycle, slice, column). The nest is (column,
+// item): one column's planes are loaded once and meet every item's masks.
+// Per (item, column) it fills the InputBits·slices integer column sums in
+// conversion order (columnSums), takes that many draws in one fill —
+// conversion k uses draw c + k·usedCols of the item's own source — and
+// converts them in one flat loop, so the float accumulator extends in the
+// oracle's (bit ascending, slice ascending) order and outputs match it bit
+// for bit.
+func (x *Crossbar) bitSerialKernel(s *mvmBatchScratch, n int, nss []noise.Source) {
 	cols := x.usedCols
-	bits := x.cfg.InputBits
-	nslices := x.numSlices
-	cellBits := x.cfg.CellBits
+	inBits, pw := x.cfg.InputBits, x.planeWords
 	sigma := x.cfg.ReadNoise
 	adcStep, adcMaxSum := x.adcStep, x.adcMaxSum
-	packedT := x.packedT
-	scaleTab := x.scaleTab
 	adcLUT := x.adcLUT
-	acc := s.acc
-	groups := x.nibGroups()
-	// Per-item working set: the quantized input row. Doubled so the block
-	// leaves L1 headroom for the column panel and the ADC LUT it races.
-	blk := blockItems(usedRows * 8)
-	for i0 := 0; i0 < n; i0 += blk {
-		i1 := min(i0+blk, n)
-		accBlk := acc[i0*cols : i1*cols]
-		for j := range accBlk {
-			accBlk[j] = 0
-		}
-		for c := 0; c < cols; c++ {
-			col := packedT[c*rows : c*rows+usedRows]
-			for i := i0; i < i1; i++ {
-				xi := s.xInt[i*usedRows : i*usedRows+usedRows]
-				var T [4][16]uint64
-				nibbleHistogram(&T, col, xi, groups)
-				idx := i*cols + c
-				a := acc[idx]
-				// The conversion of (bit b, slice si) takes draw
-				// (b*slices+si)*usedCols + c of item i's own source, and
-				// the loops below visit (b, si) in exactly that order.
-				draw := uint64(c)
-				for g := 0; g < groups; g++ {
-					b0 := 4 * g
-					gw := min(4, bits-b0)
-					nc := 1 << uint(gw)
-					Tg := &T[g]
-					var packs [4]uint64
-					if gw == 4 {
-						packs[0] = Tg[1] + Tg[3] + Tg[5] + Tg[7] + Tg[9] + Tg[11] + Tg[13] + Tg[15]
-						packs[1] = Tg[2] + Tg[3] + Tg[6] + Tg[7] + Tg[10] + Tg[11] + Tg[14] + Tg[15]
-						packs[2] = Tg[4] + Tg[5] + Tg[6] + Tg[7] + Tg[12] + Tg[13] + Tg[14] + Tg[15]
-						packs[3] = Tg[8] + Tg[9] + Tg[10] + Tg[11] + Tg[12] + Tg[13] + Tg[14] + Tg[15]
-					} else {
-						for bb := 0; bb < gw; bb++ {
-							bit := 1 << uint(bb)
-							var p uint64
-							for m := bit; m < nc; m++ {
-								if m&bit != 0 {
-									p += Tg[m]
-								}
-							}
-							packs[bb] = p
-						}
-					}
-					if sigma == 0 {
-						// Noise-free lane sums are integers ≤ adcMaxSum, so
-						// the tabulated ADC transfer replaces the clip,
-						// divide, and round — bit-exactly.
-						for bb := 0; bb < gw; bb++ {
-							b := b0 + bb
-							packed := packs[bb]
-							for si := 0; si < nslices; si++ {
-								a += adcLUT[(packed>>uint(16*si))&0xFFFF] * scaleTab[b+si*cellBits]
-							}
-						}
-					} else {
-						for bb := 0; bb < gw; bb++ {
-							b := b0 + bb
-							packed := packs[bb]
-							for si := 0; si < nslices; si++ {
-								colSum := float64((packed >> uint(16*si)) & 0xFFFF)
-								a += adcNoisy(colSum*(1+nss[i].Norm(draw)*sigma), adcStep, adcMaxSum) * scaleTab[b+si*cellBits]
-								draw += uint64(cols)
-							}
-						}
-					}
+	sums, z := s.sums, s.z[:len(s.sums)]
+	scale := x.scaleTab[:len(sums)]
+	colWords, itemWords := x.cfg.WeightBits*pw, inBits*pw
+	for c := 0; c < cols; c++ {
+		pc := x.planes[c*colWords:][:colWords]
+		for i := 0; i < n; i++ {
+			columnSums(sums, pc, s.masks[i*itemWords:][:itemWords], x.numSlices, x.cfg.CellBits, pw)
+			var a float64
+			if sigma == 0 {
+				// Noise-free sums are integers ≤ adcMaxSum, so the tabulated
+				// ADC transfer replaces the clip, divide, and round —
+				// bit-exactly.
+				for k, v := range sums {
+					a += adcLUT[v] * scale[k]
 				}
-				acc[idx] = a
+			} else {
+				nss[i].NormStride(z, uint64(c), uint64(cols))
+				for k, v := range sums {
+					a += adcNoisy(float64(v)*(1+z[k]*sigma), adcStep, adcMaxSum) * scale[k]
+				}
 			}
+			s.acc[i*cols+c] = a
 		}
 	}
 }
 
-// bitSerialBatchKernel is the generic (slice-at-a-time) bit-serial
-// kernel, taken when Program could not build packedT. The nest is (item
-// block, input bit, column, item) with one 4-way unrolled integer gather
-// per weight slice over the item's active-row run; per (item, column)
-// the float accumulator extends in (bit, slice) order — the honest analog
-// pipeline, one ADC conversion per (cycle, slice, column).
-func (x *Crossbar) bitSerialBatchKernel(s *mvmBatchScratch, n int, nss []noise.Source) {
-	rows := x.cfg.Rows
-	usedRows := x.usedRows
-	cols := x.usedCols
-	bits := x.cfg.InputBits
-	nslices := x.numSlices
-	cellBits := x.cfg.CellBits
-	sigma := x.cfg.ReadNoise
-	adcStep, adcMaxSum := x.adcStep, x.adcMaxSum
-	scaleTab := x.scaleTab
-	acc := s.acc
-	blk := blockItems(bits * usedRows * 2)
-	for i0 := 0; i0 < n; i0 += blk {
-		i1 := min(i0+blk, n)
-		accBlk := acc[i0*cols : i1*cols]
-		for j := range accBlk {
-			accBlk[j] = 0
-		}
-		for b := 0; b < bits; b++ {
-			runs := s.runs[:i1-i0]
-			for k := range runs {
-				base := (i0+k)*(bits+1) + b
-				runs[k] = s.active[s.activeStart[base]:s.activeStart[base+1]]
+// columnSums fills sums[b*slices+s] with the analog column sum of array
+// cycle b on slice s, for one column's planes pc and one item's masks mk
+// (pw words each). A cycle drives the binary word-line vector of one input
+// bit into the cells, so the sum is Σ_p 2^p · popcount(mask_b AND
+// plane_{s,p}), 64 rows an instruction: an exact integer ≤ adcMaxSum, the
+// one a gather over the stored levels adds up.
+//
+// The loops specialise on the programmed shape, never on a knob. The default
+// block (two plane words, 2-bit cells) holds a slice's four plane words
+// across the input-bit loop: four popcounts a conversion and no loop inside
+// it, which at one trip would cost as much as the popcounts. It walks the
+// masks by reslicing: indexed, the same loop ran 16 or 21 µs a 128² MVM
+// depending on which 64-byte boundary the linker gave the function. Any
+// other shape takes two planes of a slice at a time and, per input bit,
+// counts both over the words in one loop, 128 rows a step, summing in
+// registers; a lone last plane (odd cell widths) rides as its own upper
+// plane at weight zero. docs/PERF.md has the shapes tried and their times.
+func columnSums(sums []uint32, pc, mk []uint64, slices, cellBits, pw int) {
+	if pw == 2 && cellBits == 2 {
+		for s := 0; s < slices; s++ {
+			q := pc[4*s:][:4]
+			l0, l1, h0, h1 := q[0], q[1], q[2], q[3]
+			k := s
+			for m := mk; len(m) >= 2; m = m[2:] {
+				m0, m1 := m[0], m[1]
+				sums[k] = uint32(bits.OnesCount64(m0&l0) + bits.OnesCount64(m1&l1) +
+					2*(bits.OnesCount64(m0&h0)+bits.OnesCount64(m1&h1)))
+				k += slices
 			}
-			for c := 0; c < cols; c++ {
-				base := c * rows
-				// Slice si of this (bit, column) takes draw
-				// (b*slices+si)*usedCols + c of each item's own source.
-				draw0 := uint64(b)*uint64(nslices)*uint64(cols) + uint64(c)
-				for k, rowsB := range runs {
-					i := i0 + k
-					idx := i*cols + c
-					a := acc[idx]
-					draw := draw0
-					for si := 0; si < nslices; si++ {
-						col := x.sliceT[si][base : base+usedRows]
-						var s0, s1, s2, s3 int64
-						r, nr := 0, len(rowsB)
-						for ; r <= nr-4; r += 4 {
-							s0 += int64(col[rowsB[r]])
-							s1 += int64(col[rowsB[r+1]])
-							s2 += int64(col[rowsB[r+2]])
-							s3 += int64(col[rowsB[r+3]])
-						}
-						for ; r < nr; r++ {
-							s0 += int64(col[rowsB[r]])
-						}
-						if sigma == 0 {
-							// Integer sums ≤ adcMaxSum: tabulated ADC
-							// transfer, bit-exact with the divide path.
-							a += x.adcLUT[s0+s1+s2+s3] * scaleTab[b+si*cellBits]
-							continue
-						}
-						a += adcNoisy(float64(s0+s1+s2+s3)*(1+nss[i].Norm(draw)*sigma), adcStep, adcMaxSum) * scaleTab[b+si*cellBits]
-						draw += uint64(cols)
-					}
-					acc[idx] = a
+		}
+		return
+	}
+	inBits := len(mk) / pw
+	for s := 0; s < slices; s++ {
+		for p := 0; p < cellBits; p += 2 {
+			lo := pc[(s*cellBits+p)*pw:][:pw]
+			hi, hiWeight := lo, 0
+			if p+1 < cellBits {
+				hi, hiWeight = pc[(s*cellBits+p+1)*pw:][:pw], 2
+			}
+			for b := 0; b < inBits; b++ {
+				m := mk[b*pw:][:pw]
+				lo, hi := lo[:len(m)], hi[:len(m)] // pw words each; said here, it spares the loop bounds checks (5–8 %)
+				var l, h int
+				for w := 0; w+1 < len(m); w += 2 {
+					l += bits.OnesCount64(m[w]&lo[w]) + bits.OnesCount64(m[w+1]&lo[w+1])
+					h += bits.OnesCount64(m[w]&hi[w]) + bits.OnesCount64(m[w+1]&hi[w+1])
+				}
+				if p == 0 {
+					sums[b*slices+s] = uint32(l + hiWeight*h)
+				} else {
+					sums[b*slices+s] += uint32(l+hiWeight*h) << uint(p)
 				}
 			}
 		}

@@ -3,7 +3,7 @@ package crossbar
 // Batch-size invariance suite: an item's output must not depend on the
 // batch it rides in, so MVMBatch / MVMBatchInto / Tile.MVMBatch at batch n
 // must be bit-identical to n calls at batch 1 (MVMInto, Tile.MVM) —
-// functional, bit-serial packed and generic, noisy keyed and unkeyed,
+// functional, bit-serial in 1- and 2-bit cells, noisy keyed and unkeyed,
 // fault-remapped tiles, ragged final item blocks, and the batch = 0/1
 // edges — plus the zero-allocation and mixed-shape scratch contracts.
 // kernel_test.go pins batches 1 to 9 to the naive oracle.
@@ -39,10 +39,11 @@ func perItemSources(root noise.Source, n int) []noise.Source {
 }
 
 // TestMVMBatchMatchesLoopedMVMInto is the batch-size invariance contract:
-// across functional, packed bit-serial (CellBits 2 → 4 slices), generic
-// bit-serial (CellBits 1 → 8 slices, no lane packing), noise on/off, odd
-// shapes, and batch sizes around the kernel's item-block boundaries, one
-// call at batch n must equal n MVMInto calls (batch 1) with ==.
+// across functional, bit-serial on the default block (CellBits 2) and
+// through the general plane loop (CellBits 1 → 8 slices), noise on/off,
+// odd shapes, and batch sizes around the functional kernel's item-block
+// boundaries, one call at batch n must equal n MVMInto calls (batch 1)
+// with ==.
 func TestMVMBatchMatchesLoopedMVMInto(t *testing.T) {
 	shapes := []struct{ m, n int }{
 		{16, 16},
@@ -280,16 +281,17 @@ func TestMVMBatchFaultRemappedTile(t *testing.T) {
 
 // TestMVMBatchIntoZeroAlloc is the steady-state allocation contract for
 // the kernel: after the first call warms the scratch pool, MVMBatchInto
-// must not allocate at any batch size.
+// must not allocate at any batch size — functional, bit-serial and noisy
+// (the mask arena and the draw fill come out of the pooled scratch).
 func TestMVMBatchIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop items, so alloc counts are unreliable")
 	}
-	for _, functional := range []bool{false, true} {
+	for _, mode := range zeroAllocModes {
 		for _, bsz := range []int{1, 8, 32} {
 			cfg := DefaultConfig()
 			cfg.Rows, cfg.Cols = 64, 64
-			cfg.Functional = functional
+			cfg.Functional, cfg.ReadNoise = mode.functional, mode.sigma
 			xb, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -304,19 +306,36 @@ func TestMVMBatchIntoZeroAlloc(t *testing.T) {
 			for i := range dsts {
 				dsts[i] = slab[i*64 : (i+1)*64]
 			}
-			if _, err := xb.MVMBatchInto(dsts, ins, nil); err != nil {
+			var nss []noise.Source
+			if mode.sigma > 0 {
+				nss = perItemSources(noise.NewSource(3), bsz)
+			}
+			if _, err := xb.MVMBatchInto(dsts, ins, nss); err != nil {
 				t.Fatal(err) // warm the pool
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := xb.MVMBatchInto(dsts, ins, nil); err != nil {
+				if _, err := xb.MVMBatchInto(dsts, ins, nss); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("functional=%v batch=%d: MVMBatchInto allocates %g objects/op, want 0", functional, bsz, allocs)
+				t.Errorf("%s batch=%d: MVMBatchInto allocates %g objects/op, want 0", mode.name, bsz, allocs)
 			}
 		}
 	}
+}
+
+// zeroAllocModes are the three kernel configurations the allocation
+// contracts run: the functional GEMM, the bit-serial kernel, and the
+// bit-serial kernel drawing noise.
+var zeroAllocModes = []struct {
+	name       string
+	functional bool
+	sigma      float64
+}{
+	{"functional", true, 0},
+	{"bit-serial", false, 0},
+	{"noisy", false, 0.02},
 }
 
 // TestMVMBatchValidation: every batch-shape and noise precondition fails
@@ -375,14 +394,28 @@ func TestMVMBatchValidation(t *testing.T) {
 // regression: one crossbar reprogrammed across different shapes (and one
 // tile reshaped across block grids) must keep handing back correctly
 // sized scratch from its pools — results stay oracle-exact on every
-// interleaving, single-vector and batched, and no stale capacity or
-// length from a larger earlier shape can leak into a smaller one (or
-// vice versa). The functional crossbar's reshapes also cross the lane
-// bound, so its reused weight panel changes layout each round.
+// interleaving, single-vector and batched, and no stale capacity, length
+// or content from a larger earlier shape can leak into a smaller one (or
+// vice versa). The bit-serial crossbars shrink and regrow the mask arena in
+// rows (one to three 128-row steps and back), in batch, and — one pool per
+// crossbar — at 3, 8 and 16 input bits; the masks are OR-built, so a word
+// left uncleared by a larger call would break == here. The functional
+// crossbar's reshapes cross the lane bound, so its reused weight panel
+// changes layout each round.
 func TestScratchReuseAcrossReshapes(t *testing.T) {
-	type shape struct{ m, n, lanes int } // lanes: functional panel only
-	bitSerial := DefaultConfig()
-	bitSerial.Rows, bitSerial.Cols = 32, 32
+	type shape struct{ m, n, lanes, batch int } // lanes: functional panel only
+	serial := []shape{{300, 8, 0, 5}, {5, 7, 0, 9}, {129, 3, 0, 1}, {64, 8, 0, 7}, {257, 5, 0, 2}, {128, 2, 0, 9}}
+	type reshapes struct {
+		cfg    Config
+		shapes []shape
+	}
+	var cases []reshapes
+	for _, inputBits := range []int{3, 8, 16} {
+		bitSerial := DefaultConfig()
+		bitSerial.Rows, bitSerial.Cols = 300, 8
+		bitSerial.InputBits = inputBits
+		cases = append(cases, reshapes{bitSerial, serial})
+	}
 	// Functional at 16 input bits: 257 rows is the last two-lane shape
 	// (255·65535·257 ≤ 2^32−1), so reprogramming walks the fused panel
 	// two-lane → one-lane → two-lane → one-lane, shrinking and regrowing it.
@@ -390,14 +423,9 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 	functional.Rows, functional.Cols = 300, 8
 	functional.InputBits = 16
 	functional.Functional = true
+	cases = append(cases, reshapes{functional, []shape{{257, 5, 2, 5}, {300, 8, 1, 5}, {40, 3, 2, 5}, {258, 7, 1, 5}}})
 	rng := rand.New(rand.NewSource(21))
-	for _, tc := range []struct {
-		cfg    Config
-		shapes []shape
-	}{
-		{bitSerial, []shape{{32, 32, 0}, {5, 7, 0}, {32, 32, 0}, {11, 3, 0}}},
-		{functional, []shape{{257, 5, 2}, {300, 8, 1}, {40, 3, 2}, {258, 7, 1}}},
-	} {
+	for _, tc := range cases {
 		cfg := tc.cfg
 		xb, err := New(cfg)
 		if err != nil {
@@ -411,7 +439,7 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 			if xb.lanes != sh.lanes {
 				t.Fatalf("round %d shape %dx%d: lanes %d, want %d", round, sh.m, sh.n, xb.lanes, sh.lanes)
 			}
-			ins := batchInputs(rng, 5, sh.m)
+			ins := batchInputs(rng, sh.batch, sh.m)
 			got, _, err := xb.MVMBatch(ins, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -424,8 +452,8 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 				want := naiveMVM(cfg, w, ins[i], NoNoise)
 				for c := range want {
 					if got[i][c] != want[c] || single[c] != want[c] {
-						t.Fatalf("functional=%v round %d shape %dx%d item %d col %d: batch %v single %v oracle %v",
-							cfg.Functional, round, sh.m, sh.n, i, c, got[i][c], single[c], want[c])
+						t.Fatalf("functional=%v input=%d round %d shape %dx%d item %d col %d: batch %v single %v oracle %v",
+							cfg.Functional, cfg.InputBits, round, sh.m, sh.n, i, c, got[i][c], single[c], want[c])
 					}
 				}
 			}
@@ -471,48 +499,56 @@ func smallTileConfig() Config {
 }
 
 // TestMVMBatchConcurrent: a programmed crossbar may serve concurrent
-// batched MVMs — the batch pool must hand each goroutine its own arena.
+// batched MVMs — the batch pool must hand each goroutine its own arena
+// (masks, column sums and, on the noisy configuration, draws).
 func TestMVMBatchConcurrent(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Rows, cfg.Cols = 24, 24
-	xb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	w := randomMatrix(rng, 24, 24)
-	if _, err := xb.Program(w); err != nil {
-		t.Fatal(err)
-	}
-	ins := batchInputs(rng, 6, 24)
-	want, _, err := xb.MVMBatch(ins, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func() {
-			for k := 0; k < 20; k++ {
-				got, _, err := xb.MVMBatch(ins, nil)
-				if err != nil {
-					errc <- err
-					return
-				}
-				for i := range want {
-					for c := range want[i] {
-						if got[i][c] != want[i][c] {
-							errc <- fmt.Errorf("concurrent batch diverged at item %d col %d", i, c)
-							return
+	for _, sigma := range []float64{0, 0.02} {
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = 24, 24
+		cfg.ReadNoise = sigma
+		xb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		w := randomMatrix(rng, 24, 24)
+		if _, err := xb.Program(w); err != nil {
+			t.Fatal(err)
+		}
+		ins := batchInputs(rng, 6, 24)
+		var nss []noise.Source
+		if sigma > 0 {
+			nss = perItemSources(noise.NewSource(9), len(ins))
+		}
+		want, _, err := xb.MVMBatch(ins, nss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			go func() {
+				for k := 0; k < 20; k++ {
+					got, _, err := xb.MVMBatch(ins, nss)
+					if err != nil {
+						errc <- err
+						return
+					}
+					for i := range want {
+						for c := range want[i] {
+							if got[i][c] != want[i][c] {
+								errc <- fmt.Errorf("sigma=%g: concurrent batch diverged at item %d col %d", sigma, i, c)
+								return
+							}
 						}
 					}
 				}
+				errc <- nil
+			}()
+		}
+		for g := 0; g < 8; g++ {
+			if err := <-errc; err != nil {
+				t.Fatal(err)
 			}
-			errc <- nil
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
 		}
 	}
 }

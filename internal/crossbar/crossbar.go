@@ -26,8 +26,8 @@
 // call on a batch of one. It is organized for locality and zero
 // steady-state allocation (see docs/PERF.md for measurements):
 //
-//   - Slice levels are stored column-major (sliceT[s][c*Rows+r]), so the
-//     row reduction for a column is a contiguous scan.
+//   - Slice levels are stored column-major (sliceT[s][c*Rows+r]): what
+//     Program, program-and-verify and the fault tests read and write.
 //   - Functional mode needs one exact integer per (item, column), so
 //     Program fuses each cell's stored slice levels into its full integer
 //     weight and packs adjacent columns into 32-bit lanes of one word
@@ -35,13 +35,14 @@
 //     otherwise). The kernel is an integer matrix-matrix product over
 //     that panel, four items sharing each weight load.
 //   - Bit-serial mode needs every per-(input bit, slice) column sum for
-//     its ADC conversions. When the shape allows (≤4 slices, no 16-bit
-//     lane overflow), slices are packed into 16-bit lanes of one word per
-//     cell (packedT); the kernel streams each packed column once per
-//     item, histogramming the lanes by input nibble, and every per-bit,
-//     per-slice column sum falls out of lane extraction. Shapes outside
-//     that envelope take the generic slice-at-a-time path: per-bit
-//     active-row lists built once per call, one gather per slice.
+//     its ADC conversions, and one array cycle drives a binary word-line
+//     vector into the cells: the sum is Σ_p 2^p · popcount(rowmask_b AND
+//     plane_{s,p,c}). Program transposes the stored levels into weight bit
+//     planes (planes: 64 rows per word, one run of words per column and
+//     weight bit), MVMBatchInto builds one row mask per item and input
+//     bit, and the one bit-serial kernel fills a column's sums by AND +
+//     popcount, takes its noise draws in one strided fill and converts
+//     them in one flat loop. Every shape Validate admits takes it.
 //   - The noise-free ADC transfer is a table load (adcLUT) and the
 //     shift-and-add scales a precomputed power-of-two table.
 //   - Working buffers live in a per-crossbar sync.Pool; MVMs on a
@@ -53,7 +54,8 @@
 // are bit-identical at any worker-pool width and need no draw-order
 // serialization. The draw is a ziggurat sample whose rejections re-draw
 // from a chain seeded by the draw's own word (internal/noise), so that
-// holds on its slow paths too; the kernels share one conversion, adcNoisy.
+// holds on its slow paths too. The kernel takes a column's draws through
+// Source.NormStride, which is Norm over a strided run of indices.
 //
 // Costs follow the constants in internal/energy. Programming (weight
 // updates) is three orders of magnitude slower than reading — the write
@@ -61,6 +63,7 @@
 package crossbar
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -165,18 +168,20 @@ type Crossbar struct {
 	numSlices int
 
 	// sliceT[s][c*Rows+r] holds the CellBits-wide slice s of the shifted,
-	// quantized weight at (r, c) — column-major, so the per-column row
-	// reduction in the MVM kernel is a contiguous scan.
+	// quantized weight at (r, c) as the cell stores it — column-major, so a
+	// column is contiguous for program-and-verify's commit and for the two
+	// transpositions the kernels read instead (fused, planes).
 	sliceT [][]uint8
 
-	// packedT[c*Rows+r], when non-nil, packs every slice level of cell
-	// (r, c) into 16-bit lanes of one word (slice s at bit 16*s). The
-	// kernel then loads all slices of a cell at once and reads the
-	// per-slice column sums out of the lanes — exact integer arithmetic,
-	// bit-identical to the slice-at-a-time path.
-	// Program leaves it nil when the lanes don't fit: more than 4 slices,
-	// or cellMax*usedRows overflowing 16 bits. Bit-serial mode only.
-	packedT []uint64
+	// planes is the bit-serial kernel's view of the array: the stored slice
+	// levels (after fault remap and drift, exactly what sliceT holds)
+	// transposed into weight bit planes. Word planes[(c*WeightBits+k)*
+	// planeWords+w] has bit r%64 set when bit p of the level that slice s
+	// stores at (64w+r%64, c) is set, k = s*CellBits+p. planeWords is
+	// ⌈usedRows/128⌉·2: the kernel consumes two words a step, and the rows
+	// past usedRows are zero bits that add nothing. Bit-serial mode only.
+	planes     []uint64
+	planeWords int
 
 	// fused[cw*usedRows+r] is the functional-mode weight panel: the full
 	// integer weight Σ_s level_s << s*CellBits of cell (r, c), fused from
@@ -216,8 +221,8 @@ type Crossbar struct {
 	// expression.
 	colOffset []float64
 
-	// scaleTab[k] = 2^k, the shift-and-add merge factors, indexed by
-	// inputBit + slice*CellBits.
+	// scaleTab[b*slices+s] = 2^(b+s*CellBits), the shift-and-add merge
+	// factor of conversion (input bit b, slice s), in conversion order.
 	scaleTab []float64
 
 	// writes counts cell programming operations (wear). With fault
@@ -257,10 +262,11 @@ func New(cfg Config) (*Crossbar, error) {
 	for i := range sl {
 		sl[i] = make([]uint8, n)
 	}
-	// Largest shift-add exponent: (InputBits-1) + (slices-1)*CellBits.
-	scaleTab := make([]float64, cfg.InputBits+cfg.WeightBits)
-	for i := range scaleTab {
-		scaleTab[i] = float64(int64(1) << uint(i))
+	scaleTab := make([]float64, 0, cfg.InputBits*cfg.slices())
+	for b := 0; b < cfg.InputBits; b++ {
+		for s := 0; s < cfg.slices(); s++ {
+			scaleTab = append(scaleTab, float64(int64(1)<<uint(b+s*cfg.CellBits)))
+		}
 	}
 	return &Crossbar{
 		cfg:       cfg,
@@ -494,30 +500,39 @@ func (x *Crossbar) fuseWeights() {
 	}
 }
 
-// packSlices builds the bit-serial kernels' read-only tables for the
-// programmed shape: packedT when the lanes fit, and the ADC transfer.
+// packSlices builds the bit-serial kernel's read-only tables for the
+// programmed shape: the weight bit planes and the ADC transfer.
 func (x *Crossbar) packSlices() {
-	// Pack slice levels into 16-bit lanes when they fit (≤4 slices and no
-	// possible lane overflow): the kernel then reads each cell once
-	// instead of once per slice.
-	cellMaxInt := int(1)<<x.cfg.CellBits - 1
-	if x.numSlices <= 4 && cellMaxInt*x.usedRows <= 0xFFFF {
-		n := x.cfg.Rows * x.cfg.Cols
-		if cap(x.packedT) < n {
-			x.packedT = make([]uint64, n)
-		}
-		x.packedT = x.packedT[:n]
-		for i := range x.packedT {
-			x.packedT[i] = 0
-		}
-		for s := 0; s < x.numSlices; s++ {
-			shift := uint(16 * s)
-			for i, lv := range x.sliceT[s] {
-				x.packedT[i] |= uint64(lv) << shift
+	rows, cellBits := x.usedRows, x.cfg.CellBits
+	pw := (rows + 127) / 128 * 2
+	x.planeWords = pw
+	if need := x.usedCols * x.cfg.WeightBits * pw; cap(x.planes) < need {
+		x.planes = make([]uint64, need)
+	} else {
+		x.planes = x.planes[:need]
+		clear(x.planes)
+	}
+	// Eight rows a step, so that Program does not pay for the kernel: the
+	// eight level bytes are one word, and gatherBits pulls bit p of each
+	// into one byte of the plane.
+	for c := 0; c < x.usedCols; c++ {
+		for s, sl := range x.sliceT {
+			col := sl[c*x.cfg.Rows:][:rows]
+			pl := x.planes[(c*x.cfg.WeightBits+s*cellBits)*pw:][:cellBits*pw]
+			for r := 0; r < rows; r += 8 {
+				var v uint64
+				if r+8 <= rows {
+					v = binary.LittleEndian.Uint64(col[r:])
+				} else {
+					for j, lv := range col[r:] {
+						v |= uint64(lv) << uint(8*j)
+					}
+				}
+				for p := 0; p < cellBits; p++ {
+					pl[p*pw+r/64] |= gatherBits(v, uint(p)) << uint(r%64)
+				}
 			}
 		}
-	} else {
-		x.packedT = nil
 	}
 
 	// ADC transfer function for one cycle+slice: the largest possible
@@ -541,6 +556,15 @@ func (x *Crossbar) packSlices() {
 	for v := range x.adcLUT {
 		x.adcLUT[v] = math.Round(float64(v)/x.adcStep) * x.adcStep
 	}
+}
+
+// gatherBits returns bit p of each of v's eight bytes as one byte, byte j's
+// bit at position j. The mask leaves one bit per byte, at 8j; the multiplier
+// is Σ 2^(7i), i = 1..8, so the product holds byte j's bit at 8j+7i for
+// every i. Those 64 positions are all different (8(j−j') = 7(i'−i) forces
+// i = i'), so nothing carries, and i = 8−j puts it at 56+j.
+func gatherBits(v uint64, p uint) uint64 {
+	return (v >> p & 0x0101010101010101) * 0x0102040810204080 >> 56
 }
 
 // maxPulseTrains bounds the program-and-verify loop: one initial pulse,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"cimrev/internal/faultinject"
 	"cimrev/internal/noise"
 	"cimrev/internal/obs"
 )
@@ -144,7 +145,7 @@ func naiveMVMStored(cfg Config, w [][]float64, input []float64, ns noise.Source,
 var oracleBatches = []int{1, 3, 4, 5, 8, 9}
 
 // checkAgainstOracle programs w on a fresh crossbar, lets assertPath
-// inspect which kernel layout Program chose, and compares MVM and MVMBatch
+// inspect which tables Program built, and compares MVM and MVMBatch
 // at every oracleBatches size to naiveMVM with ==, twice over so pooled
 // scratch cannot leak state between calls. len(ins) must cover the
 // largest batch; nss is nil on noise-free configurations.
@@ -198,11 +199,14 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 			check("MVMBatch", got)
 		}
 	}
+	if s := xb.getBatchScratch(1); cfg.Functional && (s.masks != nil || s.sums != nil) {
+		t.Fatal("functional MVM sized the bit-serial arenas (masks/sums)")
+	}
 }
 
 // assertLanes is the functional-mode path assertion: the fused panel
-// exists with the expected lane count, and none of the bit-serial tables
-// were built beside it.
+// exists with the expected lane count, and neither the bit planes nor the
+// ADC table were built beside it.
 func assertLanes(t *testing.T, want int) func(*Crossbar) {
 	return func(xb *Crossbar) {
 		t.Helper()
@@ -210,21 +214,37 @@ func assertLanes(t *testing.T, want int) func(*Crossbar) {
 			t.Fatalf("weight=%d input=%d rows=%d: lanes=%d (fused nil: %v), table expects %d",
 				xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.lanes, xb.fused == nil, want)
 		}
-		if xb.packedT != nil || xb.adcLUT != nil {
-			t.Fatal("functional crossbar built the bit-serial tables (packedT/adcLUT)")
+		if xb.planes != nil || xb.adcLUT != nil {
+			t.Fatal("functional crossbar built the bit-serial tables (planes/adcLUT)")
 		}
 	}
 }
 
-// TestKernelMatchesNaiveOracle asserts the kernels (transposed layout;
-// functional: fused lane-packed integer GEMM; bit-serial: slice lane
-// packing and nibble histograms or active-row lists, scale and ADC tables;
-// integer sums, pooled scratch) are bit-identical to the naive reference
-// across functional/bit-serial modes, cell and weight widths on both sides
-// of each mode's packing envelope, every nibble-group count and partial
-// nibble of InputBits, noise on/off, odd tile-remainder shapes (an odd
-// usedCols leaves the functional panel's last word half empty), and
-// through MVM as well as MVMBatch at every oracleBatches size.
+// assertPlanes is the bit-serial path assertion: the bit planes exist at
+// the padded word count, and no functional panel was fused beside them.
+func assertPlanes(t *testing.T) func(*Crossbar) {
+	return func(xb *Crossbar) {
+		t.Helper()
+		if want := (xb.usedRows + 127) / 128 * 2; xb.planes == nil || xb.planeWords != want {
+			t.Fatalf("rows=%d: planeWords=%d (planes nil: %v), want %d", xb.usedRows, xb.planeWords, xb.planes == nil, want)
+		}
+		if xb.fused != nil {
+			t.Fatal("bit-serial crossbar built the functional fused panel beside its bit planes")
+		}
+	}
+}
+
+// TestKernelMatchesNaiveOracle asserts the kernels (functional: fused
+// lane-packed integer GEMM; bit-serial: weight bit planes, input-bit row
+// masks, AND + popcount column sums, one strided draw fill, scale and ADC
+// tables; pooled scratch) are bit-identical to the naive reference across
+// functional/bit-serial modes, cell and weight widths on both sides of the
+// functional lane bound, every used-row count around a plane-word boundary
+// (the padded tail word included) in every cell width at the 256
+// conversions per column Validate admits at most, an odd cell width (a
+// plane pair and a lone plane per slice), noise on/off, odd tile-remainder
+// shapes (an odd usedCols leaves the functional panel's last word half
+// empty), and through MVM as well as MVMBatch at every oracleBatches size.
 func TestKernelMatchesNaiveOracle(t *testing.T) {
 	type shape struct{ m, n int }
 	small := []shape{
@@ -234,37 +254,47 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 		{16, 1},  // single column
 		{5, 11},
 	}
-	arrays := []struct {
+	type array struct {
 		rows, cols, cellBits, weightBits int
-		// packed: bit-serial mode builds packedT at these shapes.
-		packed bool
 		// laneBits: the largest InputBits at which functional mode still
-		// packs two columns per word at these shapes.
+		// packs two columns per word at these shapes; 0 runs the shapes
+		// in bit-serial mode only.
 		laneBits int
 		shapes   []shape
-	}{
-		{16, 16, 1, 8, false, 16, small}, // 8 slices: generic
-		{16, 16, 2, 8, true, 16, small},
-		{16, 16, 4, 8, true, 16, small},
+	}
+	arrays := []array{
+		{16, 16, 1, 8, 16, small},
+		{16, 16, 2, 8, 16, small},
+		{16, 16, 4, 8, 16, small},
+		{16, 16, 3, 9, 16, small[:2]}, // planes (0,1) as a pair, plane 2 alone
 		// 65535·4095·16 fits 32 bits, 65535·65535·13 does not.
-		{16, 16, 2, 16, false, 12, small[:2]}, // 8 slices: generic
-		{16, 16, 4, 16, true, 12, small[:2]},
-		{16, 16, 8, 16, true, 12, small[:2]},
-		// 255·300 overflows a 16-bit lane: generic despite one slice.
+		{16, 16, 2, 16, 12, small[:2]},
+		{16, 16, 4, 16, 12, small[:2]},
+		{16, 16, 8, 16, 12, small[:2]},
 		// 255·32767·300 fits 32 bits, 255·65535·300 does not.
-		{300, 8, 8, 8, false, 15, []shape{{300, 5}}},
+		{300, 8, 8, 8, 15, []shape{{300, 5}}},
 		// The lane bound itself at 16 input bits:
 		// 255·65535·257 = 4 294 836 225 ≤ 2^32−1 < 255·65535·258.
-		{257, 8, 2, 8, true, 16, []shape{{257, 5}}},
-		{258, 8, 2, 8, true, 15, []shape{{258, 5}}},
+		{257, 8, 2, 8, 16, []shape{{257, 5}}},
+		{258, 8, 2, 8, 15, []shape{{258, 5}}},
+	}
+	// Every plane-word boundary: one row, a word less one, full, plus one;
+	// the same around the 128-row step; three steps with a padded tail.
+	// 16-bit weights, so 1-bit cells with 16 input bits reach the 256
+	// conversions a column can have. The array is taller than any of them,
+	// so the stored levels' column stride is never the used-row count.
+	for _, rows := range []int{1, 63, 64, 65, 127, 128, 129, 300} {
+		for _, cellBits := range []int{1, 2, 4, 8} {
+			arrays = append(arrays, array{301, 4, cellBits, 16, 0, []shape{{rows, 3}}})
+		}
 	}
 	maxBatch := oracleBatches[len(oracleBatches)-1]
 	for _, arr := range arrays {
 		for _, inputBits := range []int{1, 3, 4, 6, 8, 9, 12, 16} {
 			for _, functional := range []bool{false, true} {
 				for _, sigma := range []float64{0, 0.03} {
-					if functional && sigma > 0 {
-						continue // Validate rejects it: functional mode has no noise path
+					if functional && (sigma > 0 || arr.laneBits == 0) {
+						continue // Validate rejects functional noise; the row sweep is the bit-serial kernel's
 					}
 					for _, sh := range arr.shapes {
 						cfg := DefaultConfig()
@@ -281,16 +311,7 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 						if sigma > 0 {
 							nss = perItemSources(noise.NewSource(99), len(ins))
 						}
-						assertPath := func(xb *Crossbar) {
-							t.Helper()
-							if got := xb.packedT != nil; got != arr.packed {
-								t.Fatalf("cell=%d weight=%d rows=%d: packed=%v, table expects %v",
-									arr.cellBits, arr.weightBits, sh.m, got, arr.packed)
-							}
-							if xb.fused != nil {
-								t.Fatal("bit-serial crossbar built the functional fused panel")
-							}
-						}
+						assertPath := assertPlanes(t)
 						if functional {
 							lanes := 1
 							if inputBits <= arr.laneBits {
@@ -304,6 +325,114 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlanesMatchStoredLevels: the bit planes are a transposition of what
+// the cells hold and nothing else. On an array whose stored levels differ
+// from the intended ones in every way Program can make them differ —
+// columns remapped to spares, spares exhausted and corrupted columns
+// committed, verified cells drifted — every (row, column, slice) level
+// rebuilt from the planes equals sliceT, and every plane bit past the used
+// rows is zero.
+func TestPlanesMatchStoredLevels(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rows, cfg.Cols = 140, 24
+	cfg.SpareCols = 4
+	xb, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := faultinject.Model{StuckLowRate: 0.0005, StuckHighRate: 0.0005, DriftRate: 0.05, DriftMax: 0.5, Seed: 4}
+	if err := xb.SetFaults(m, m.Root()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	const rows, cols = 130, 20 // three plane words in use, the fourth padding
+	w := randomMatrix(rng, rows, cols)
+	for epoch := 0; epoch < 3; epoch++ { // drift compounds per program pass
+		if _, err := xb.Program(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := xb.FaultReport(); rep.RemappedCols == 0 || rep.LostCols == 0 || rep.DriftCells == 0 {
+		t.Fatalf("array is not remapped, spare-exhausted and drifted; the test is vacuous: %+v", rep)
+	}
+	pw := xb.planeWords
+	for c := 0; c < cols; c++ {
+		for s := 0; s < xb.numSlices; s++ {
+			for r := 0; r < 64*pw; r++ {
+				var level uint8
+				for p := 0; p < cfg.CellBits; p++ {
+					word := xb.planes[(c*cfg.WeightBits+s*cfg.CellBits+p)*pw+r/64]
+					level |= uint8(word>>uint(r%64)&1) << uint(p)
+				}
+				var want uint8
+				if r < rows {
+					want = xb.sliceT[s][c*cfg.Rows+r]
+				}
+				if level != want {
+					t.Fatalf("row %d col %d slice %d: planes hold level %d, cells %d", r, c, s, level, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPlaneSums: for any shape, stored levels and quantized inputs, the
+// AND + popcount column sums over the planes and the row masks equal a
+// per-bit gather over sliceT — the integer the oracle's float loop adds up.
+func FuzzPlaneSums(f *testing.F) {
+	f.Add(int64(1), uint16(128), uint8(2), uint8(4), uint8(8))  // the default block
+	f.Add(int64(2), uint16(300), uint8(8), uint8(1), uint8(16)) // sums past 16 bits
+	f.Add(int64(3), uint16(65), uint8(1), uint8(16), uint8(16)) // 256 conversions
+	f.Add(int64(4), uint16(1), uint8(3), uint8(5), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, cellBits, slices, inBits uint8) {
+		cfg := DefaultConfig()
+		cfg.CellBits = 1 + int(cellBits)%8
+		cfg.WeightBits = cfg.CellBits * (1 + int(slices)%(16/cfg.CellBits))
+		cfg.InputBits = 1 + int(inBits)%16
+		cfg.Rows, cfg.Cols = 1+int(rows)%400, 3
+		xb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		xb.usedRows, xb.usedCols = 1+rng.Intn(cfg.Rows), 1+rng.Intn(cfg.Cols)
+		for _, sl := range xb.sliceT {
+			for i := range sl {
+				sl[i] = uint8(rng.Intn(1 << cfg.CellBits))
+			}
+		}
+		xb.packSlices()
+		const n = 2
+		s := xb.getBatchScratch(n)
+		for i := range s.xInt {
+			s.xInt[i] = int32(rng.Intn(1 << cfg.InputBits))
+		}
+		xb.rowMasks(s, n)
+		itemWords := cfg.InputBits * xb.planeWords
+		colWords := cfg.WeightBits * xb.planeWords
+		for c := 0; c < xb.usedCols; c++ {
+			for i := 0; i < n; i++ {
+				columnSums(s.sums, xb.planes[c*colWords:][:colWords], s.masks[i*itemWords:][:itemWords],
+					xb.numSlices, cfg.CellBits, xb.planeWords)
+				for b := 0; b < cfg.InputBits; b++ {
+					for sl := 0; sl < xb.numSlices; sl++ {
+						var want uint32
+						for r := 0; r < xb.usedRows; r++ {
+							if s.xInt[i*xb.usedRows+r]>>uint(b)&1 != 0 {
+								want += uint32(xb.sliceT[sl][c*cfg.Rows+r])
+							}
+						}
+						if got := s.sums[b*xb.numSlices+sl]; got != want {
+							t.Fatalf("cell=%d weight=%d input=%d rows=%d: item %d col %d bit %d slice %d: popcount sum %d != gather %d",
+								cfg.CellBits, cfg.WeightBits, cfg.InputBits, xb.usedRows, i, c, b, sl, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestFunctionalLaneSaturation drives every lane of the two-column panel
@@ -397,7 +526,7 @@ func TestNoisyMVMOrderIndependence(t *testing.T) {
 // all land inside the 512 conversions of one MVM. Such a draw must still be
 // a pure function of (source, index): == the oracle through MVM and at
 // every batch size with the source at the front, middle and back of the
-// batch, on the packed and the generic layout, traced and untraced.
+// batch, through both loops of columnSums, traced and untraced.
 func TestNoisySlowPathDraws(t *testing.T) {
 	slow := noise.NewSource(82)
 	for _, i := range []uint64{123, 382} {
@@ -410,19 +539,14 @@ func TestNoisySlowPathDraws(t *testing.T) {
 	maxBatch := oracleBatches[len(oracleBatches)-1]
 	nss := perItemSources(slow, maxBatch)
 	nss[0], nss[4], nss[maxBatch-1] = slow, slow, slow
-	for _, cellBits := range []int{1, 2} { // 8 slices: generic; 4 slices: packed
+	for _, cellBits := range []int{1, 2} { // the general loop; the default block
 		cfg := smallConfig()
 		cfg.CellBits = cellBits
 		cfg.ReadNoise = 0.03
 		rng := rand.New(rand.NewSource(82))
 		w := randomMatrix(rng, 16, 16)
 		ins := batchInputs(rng, maxBatch, 16)
-		checkAgainstOracle(t, cfg, w, ins, nss, func(xb *Crossbar) {
-			t.Helper()
-			if got := xb.packedT != nil; got != (cellBits == 2) {
-				t.Fatalf("cell=%d: packed=%v", cellBits, got)
-			}
-		})
+		checkAgainstOracle(t, cfg, w, ins, nss, assertPlanes(t))
 
 		xb, err := New(cfg)
 		if err != nil {
@@ -454,15 +578,16 @@ func TestNoisySlowPathDraws(t *testing.T) {
 }
 
 // TestMVMIntoZeroAlloc is the steady-state allocation contract: after the
-// first call warms the scratch pool, MVMInto must not allocate.
+// first call warms the scratch pool, MVMInto must not allocate, in any of
+// the kernel's modes.
 func TestMVMIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop items, so alloc counts are unreliable")
 	}
-	for _, functional := range []bool{false, true} {
+	for _, mode := range zeroAllocModes {
 		cfg := DefaultConfig()
 		cfg.Rows, cfg.Cols = 64, 64
-		cfg.Functional = functional
+		cfg.Functional, cfg.ReadNoise = mode.functional, mode.sigma
 		xb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -473,16 +598,20 @@ func TestMVMIntoZeroAlloc(t *testing.T) {
 		}
 		in := randomVector(rng, 64)
 		dst := make([]float64, 64)
-		if _, err := xb.MVMInto(dst, in, NoNoise); err != nil {
+		ns := NoNoise
+		if mode.sigma > 0 {
+			ns = noise.NewSource(3)
+		}
+		if _, err := xb.MVMInto(dst, in, ns); err != nil {
 			t.Fatal(err) // warm the pool
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := xb.MVMInto(dst, in, NoNoise); err != nil {
+			if _, err := xb.MVMInto(dst, in, ns); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("functional=%v: MVMInto allocates %g objects/op, want 0", functional, allocs)
+			t.Errorf("%s: MVMInto allocates %g objects/op, want 0", mode.name, allocs)
 		}
 	}
 }

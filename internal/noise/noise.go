@@ -46,6 +46,14 @@
 // words takes them from a chain seeded by its own first word,
 // w' = mix(w + golden), so it never touches the counter of another draw
 // and positional determinism survives any number of rejections.
+//
+// Norm is the definition of a draw; the crossbar kernel takes its draws
+// through NormStride, which fills a slice with Norm over a strided run of
+// indices — the conversions of one column are draws c, c+cols, c+2·cols, …
+// — so that the call leaves the conversion loop (Norm is too big for the Go
+// inliner to move into another package) and the fast path runs in a loop
+// of this package's own. The fill is Norm bit for bit, slow paths included.
+//
 // Uint64, Float64 and Derive are the stream everything else is keyed by
 // (arrival schedules, fault maps, chaos spikes); TestStreamGolden pins
 // them, and a change of sampler re-rolls Norm alone.
@@ -161,6 +169,29 @@ func (s Source) Norm(i uint64) float64 {
 		return float64(j) * zigW[l]
 	}
 	return normSlow(w)
+}
+
+// NormStride fills dst[k] = s.Norm(start + k·stride), bit for bit, index
+// arithmetic wrapping mod 2^64 as Norm's does. It is Norm with the call
+// taken out of the caller's loop: the crossbar kernel's draws for one
+// (item, column) are one strided run, and Norm cannot inline into another
+// package (docs/PERF.md), so the counter steps by stride·golden and the
+// fast path runs here, in a loop the compiler sees whole. Norm stays the
+// definition; TestNormStrideMatchesNorm holds the fill to it.
+func (s Source) NormStride(dst []float64, start, stride uint64) {
+	ctr := s.key + (start+1)*golden
+	step := stride * golden
+	for k := range dst {
+		w := mix(ctr)
+		ctr += step
+		j := int64(w) >> 11
+		l := w % zigLayers
+		if uint64(max(j, -j)) < zigK[l] {
+			dst[k] = float64(j) * zigW[l]
+		} else {
+			dst[k] = normSlow(w)
+		}
+	}
 }
 
 // normSlow finishes a draw whose word w missed its layer's fast region.

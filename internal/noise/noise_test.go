@@ -462,14 +462,72 @@ func TestNormFinite(t *testing.T) {
 	}
 }
 
+// strideMatches holds NormStride to its definition: element k of a fill of
+// n draws from start at stride is Norm(start + k·stride), == and in any
+// order, the index wrapping mod 2^64 in both.
+func strideMatches(t *testing.T, s Source, start, stride uint64, n int) {
+	t.Helper()
+	dst := make([]float64, n)
+	s.NormStride(dst, start, stride)
+	for k := n - 1; k >= 0; k-- {
+		i := start + uint64(k)*stride
+		if want := s.Norm(i); dst[k] != want {
+			t.Fatalf("NormStride(start %d, stride %d)[%d] = %v, Norm(%d) = %v (source %v)", start, stride, k, dst[k], i, want, s)
+		}
+	}
+}
+
+// TestNormStrideMatchesNorm: the fill is Norm and nothing else — over the
+// strides the crossbar issues (1, a 10-column head, a 128-column array) and
+// one past 2^32, from starts whose indices wrap past 2^64, at lengths 0, 1
+// and the 256 conversions a column can have; on every draw slowDraws names
+// as a fill's first, last and middle element, so wedge accepts, rejections
+// and tail draws come out of the chain the same as out of Norm; and from 16
+// goroutines filling their own buffers at once.
+func TestNormStrideMatchesNorm(t *testing.T) {
+	s := NewSource(5)
+	for _, stride := range []uint64{1, 10, 128, 1<<32 + 1} {
+		for _, start := range []uint64{0, 7, 1<<64 - 1, 1<<64 - 300, -(255 * stride)} { // the last: element 255 is index 0
+			for _, n := range []int{0, 1, 256} {
+				strideMatches(t, s, start, stride, n)
+			}
+		}
+	}
+	for _, d := range slowDraws {
+		for _, stride := range []uint64{1, 16, 128} {
+			for _, at := range []uint64{0, 17, 31} { // the named draw is element at of 32
+				strideMatches(t, d.src, d.i-at*stride, stride, 32)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g uint64) {
+			defer wg.Done()
+			src := NewSource(82)
+			dst := make([]float64, 512)
+			src.NormStride(dst, g, 16) // 16 columns: draws 48, 52, 123, 382 … land in one fill or another
+			for k, v := range dst {
+				if want := src.Norm(g + uint64(k)*16); v != want {
+					t.Errorf("goroutine %d: NormStride[%d] = %v, Norm = %v", g, k, v, want)
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+}
+
 // FuzzNorm: for any key and index the draw is finite, inside the tail
-// sampler's bound, and the same when evaluated again.
+// sampler's bound, and the same when evaluated again; and for any start,
+// stride and length a strided fill is Norm element by element.
 func FuzzNorm(f *testing.F) {
-	f.Add(uint64(0), uint64(0))
-	f.Add(NewSource(82).key, uint64(123)) // a tail draw
-	f.Add(NewSource(82).key, uint64(48))  // a wedge rejection
-	f.Add(uint64(1<<64-1), uint64(1<<64-1))
-	f.Fuzz(func(t *testing.T, key, i uint64) {
+	f.Add(uint64(0), uint64(0), uint64(1), uint8(0))
+	f.Add(NewSource(82).key, uint64(123), uint64(128), uint8(32)) // a tail draw
+	f.Add(NewSource(82).key, uint64(48), uint64(16), uint8(255))  // a wedge rejection
+	f.Add(uint64(1<<64-1), uint64(1<<64-1), uint64(1<<64-1), uint8(3))
+	f.Fuzz(func(t *testing.T, key, i, stride uint64, n uint8) {
 		s := Source{key: key}
 		v := s.Norm(i)
 		if !inBound(v) {
@@ -478,13 +536,14 @@ func FuzzNorm(f *testing.F) {
 		if again := s.Norm(i); again != v {
 			t.Fatalf("Norm(%d) with key %#x = %v, then %v", i, key, v, again)
 		}
+		strideMatches(t, s, i, stride, int(n))
 	})
 }
 
 var normSink float64
 
 // BenchmarkNorm is the ns/draw figure docs/PERF.md quotes: independent
-// draws at consecutive indices of one source, as the kernels issue them.
+// draws at consecutive indices of one source.
 func BenchmarkNorm(b *testing.B) {
 	s := NewSource(1)
 	var sum float64
@@ -492,4 +551,16 @@ func BenchmarkNorm(b *testing.B) {
 		sum += s.Norm(uint64(i))
 	}
 	normSink = sum
+}
+
+// BenchmarkNormStride is the same figure for the fill, as the crossbar
+// kernel issues it: the 32 conversions of one column of a 128-column
+// array, a fresh column every fill. ns/op is ns per draw.
+func BenchmarkNormStride(b *testing.B) {
+	s := NewSource(1)
+	var z [32]float64
+	for i := 0; i < b.N; i += len(z) {
+		s.NormStride(z[:], uint64(i/len(z)), 128)
+	}
+	normSink = z[0]
 }
