@@ -3,20 +3,29 @@ GO ?= go
 # The sweeps archived as BENCH_<exp>.json, one bench-<exp> target each.
 BENCH_JSON := bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity
 
-.PHONY: all build vet fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-pairs bench-alt $(BENCH_JSON) cover fuzz experiments examples clean
+.PHONY: all build vet vet-arm64 fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-pairs bench-alt $(BENCH_JSON) cover fuzz experiments examples clean
 
 all: build vet test
 
-# Tier-1 verify path: format + docs cross-reference check + build + vet +
-# tests, then the same tests again under the race detector (the parallel
-# simulation engine must stay race-clean).
-verify: fmt-check docs-check build vet test race
+# Tier-1 verify path: format + docs cross-reference check + build + vet
+# (on amd64 that includes asmdecl over internal/crossbar's one assembly
+# file) + the same for a second architecture + tests, then the same tests
+# again under the race detector (the parallel simulation engine must stay
+# race-clean).
+verify: fmt-check docs-check build vet vet-arm64 test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# internal/crossbar's functional kernel has an amd64 assembly routine and no
+# other: everywhere else the Go kernel is the only one, and nothing but a
+# cross-build says that the package still compiles without the routine.
+# Both commands run offline and need no arm64 host.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./internal/crossbar && GOARCH=arm64 $(GO) build ./...
 
 # Fail if any tracked Go file is not gofmt-clean; prints the offenders.
 fmt-check:
@@ -112,12 +121,15 @@ bench-pairs:
 # runs BENCH for TURNS turns of ITERS iterations per side, alternating the
 # two binaries (even turns parent first, odd turns change first), and prints
 # min / p25 / median / p75 of ns/op per (benchmark, side). The change side
-# is the working tree.
+# is the working tree. CPU is go test's -cpu list (empty: GOMAXPROCS); the
+# worker pool's width follows it.
 #   make bench-alt BENCH='CrossbarMVMBatch/128x128_8b_noisy_b1$$' PARENT=HEAD~1 TURNS=9 ITERS=2000
+#   make bench-alt BENCH=EngineWorkloads CPU=1,2 ITERS=500
 BENCH ?= CrossbarMVMBatch/128x128_8b(_noisy)?_b1$$
 PKG ?= .
 TURNS ?= 9
 ITERS ?= 2000
+CPU ?=
 bench-alt:
 	@set -eu; d=$(CURDIR)/.bench_build/alt; \
 	rm -rf $$d; mkdir -p $$d/parent; \
@@ -132,7 +144,7 @@ bench-alt:
 			if [ $$side = parent ]; then dir=$$d/parent/$(PKG); fi; \
 			echo "bench-alt: turn $$t $$side" >&2; \
 			(cd $$dir && $$d/$$side.test -test.run '^$$' -test.bench '$(BENCH)' \
-				-test.benchtime $(ITERS)x -test.timeout 20m) | \
+				-test.benchtime $(ITERS)x -test.cpu '$(CPU)' -test.timeout 20m) | \
 				awk -v side=$$side '/^Benchmark/ { print $$1, side, $$3 }' >> $$d/turns.txt; \
 		done; \
 	done; \
@@ -162,9 +174,12 @@ cover:
 # [Min, Max], and self-consistent on arbitrary observation sets), the
 # normal sampler (any key and index: finite, inside the tail sampler's
 # bound, equal when evaluated again, and equal to the strided fill over
-# any start, stride and length), and the bit-serial kernel's column sums
+# any start, stride and length), the bit-serial kernel's column sums
 # (any shape, levels and inputs: AND + popcount over the bit planes equals
-# a per-bit gather over the stored levels).
+# a per-bit gather over the stored levels), and the functional vector
+# kernel (any shape, batch and operand widths in its envelope: the
+# assembly routine over the 16-bit panels equals a scalar sum over the
+# stored levels; skipped on a host without AVX2).
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=15s ./internal/packet/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/isa/
@@ -174,6 +189,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzHistogramQuantile -fuzztime=15s ./internal/metrics/
 	$(GO) test -fuzz=FuzzNorm -fuzztime=15s ./internal/noise/
 	$(GO) test -fuzz=FuzzPlaneSums -fuzztime=15s ./internal/crossbar/
+	$(GO) test -fuzz=FuzzVectorDot -fuzztime=15s ./internal/crossbar/
 
 # Regenerate every paper table and figure.
 experiments:

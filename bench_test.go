@@ -457,6 +457,84 @@ func BenchmarkEngineInferBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineWorkloads is the engine rung of the repository benchmark's
+// four workloads (benchmark/workloads.go), without the benchmark around it:
+// the same two models on the same arrays, called the way the workloads call
+// the engine — Infer one input at a time on the noisy bit-serial
+// configuration, InferBatchKeyed with rotating inputs and keys on the
+// functional one, at the batch sizes the closed loop fixes (64) and the
+// serving workloads' batcher lands on (1–4 on the big model, 1–16 on the
+// small). "ns/vec" is the time per inference. Run it as `make bench-alt
+// BENCH=EngineWorkloads CPU=1,2`: the pool's width follows -cpu, and what
+// two workers buy is one of the things the rows are for (docs/PERF.md).
+func BenchmarkEngineWorkloads(b *testing.B) {
+	const inputPool = 1021 // as the benchmark: prime, so rotating batches visit every input
+	run := func(name string, sizes []int, xbar, batch int, noisy bool) {
+		b.Run(name, func(b *testing.B) {
+			cfg := dpe.DefaultConfig()
+			cfg.Crossbar.Rows, cfg.Crossbar.Cols = xbar, xbar
+			if noisy {
+				cfg.Crossbar.Functional = false
+				cfg.Crossbar.ReadNoise = 0.01
+			}
+			net, err := nn.NewMLP("bench", sizes, rand.New(rand.NewSource(4242)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := dpe.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Load(net); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			pool := make([][]float64, inputPool)
+			for i := range pool {
+				pool[i] = randomVector(rng, sizes[0])
+			}
+			ins := make([][]float64, batch)
+			seqs := make([]uint64, batch)
+			var next uint64
+			call := func() error {
+				for j := range ins {
+					seqs[j] = next + uint64(j)
+					ins[j] = pool[seqs[j]%inputPool]
+				}
+				next += uint64(batch)
+				if noisy {
+					_, _, err := eng.Infer(ins[0])
+					return err
+				}
+				_, _, err := eng.InferBatchKeyed(seqs, ins)
+				return err
+			}
+			for i := 0; i < 8; i++ { // fill the scratch pools
+				if err := call(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := call(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch), "ns/vec")
+		})
+	}
+	big, small := []int{256, 256, 256, 256, 256, 128, 10}, []int{16, 16, 10}
+	run("big_bitserial_noisy_b1", big, 128, 1, true)
+	for _, batch := range []int{1, 4, 64} {
+		run(fmt.Sprintf("big_functional_b%d", batch), big, 128, batch, false)
+	}
+	for _, batch := range []int{1, 2, 4, 16} {
+		run(fmt.Sprintf("small_functional_b%d", batch), small, 64, batch, false)
+	}
+}
+
 func BenchmarkDPEInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net, err := nn.NewMLP("bench", []int{256, 256, 10}, rng)

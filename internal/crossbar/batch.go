@@ -2,10 +2,12 @@ package crossbar
 
 // The MVM kernels. Every analog read in the simulator — one vector or a
 // serving micro-batch — runs through MVMBatchInto; MVM and MVMInto are a
-// batch of one. Functional mode runs one integer GEMM over the fused
-// weight panel (functionalGEMM); bit-serial mode runs the bit-plane kernel
-// (bitSerialKernel): a column sum is AND + popcount of an input-bit row
-// mask against a weight bit plane.
+// batch of one. Functional mode runs one exact integer GEMM, on the vector
+// unit over 16-bit panels where Program found that possible (vectorGEMM:
+// amd64 with AVX2, operands of at most 15 bits, column sums below 2^31) and
+// in Go over the fused weight panel everywhere else (functionalGEMM);
+// bit-serial mode runs the bit-plane kernel (bitSerialKernel): a column sum
+// is AND + popcount of an input-bit row mask against a weight bit plane.
 //
 // The loop nest is matrix-matrix, not matrix-vector:
 //
@@ -15,21 +17,23 @@ package crossbar
 //   - The kernels iterate columns outermost and batch items inside, so one
 //     column's weights are loaded once and reused by every item — the
 //     weight matrix is streamed once per batch instead of once per vector.
-//   - The functional kernel sizes its item blocks so the quantized inputs
-//     stay L1-resident while the panel streams through. The bit-serial
-//     kernel needs no blocking: an item's masks are InputBits·planeWords
-//     words, 128 bytes on the default array.
+//   - functionalGEMM sizes its item blocks so the quantized inputs stay
+//     L1-resident while the panel streams through; vectorGEMM's inputs are
+//     half the bytes and it runs all items of the call per column (blocking
+//     its items measured nothing, docs/PERF.md). The bit-serial kernel needs
+//     no blocking: an item's masks are InputBits·planeWords words, 128 bytes
+//     on the default array.
 //
 // Outputs do not depend on the batch an item rides in: the functional
-// accumulator is one exact integer, and for every bit-serial (item,
-// column) accumulator the (input bit, slice) accumulation order is fixed
-// — the column/item loops around it cannot perturb a float64 in the
-// result — and noise draws are position-keyed per item
-// ((b*slices+s)*usedCols + c against that item's own source). The naive
+// accumulator is one exact integer whichever kernel adds it up, and for
+// every bit-serial (item, column) accumulator the (input bit, slice)
+// accumulation order is fixed — the column/item loops around it cannot
+// perturb a float64 in the result — and noise draws are position-keyed per
+// item ((b*slices+s)*usedCols + c against that item's own source). The naive
 // oracle in kernel_test.go is the reference: the suites there and in
-// batch_test.go pin == against it and across batch sizes for functional,
-// bit-serial (every plane-word count and cell width), noisy keyed/unkeyed,
-// and fault-remapped tiles.
+// batch_test.go pin == against it and across batch sizes for functional
+// (both kernels on a host that has both), bit-serial (every plane-word count
+// and cell width), noisy keyed/unkeyed, and fault-remapped tiles.
 
 import (
 	"fmt"
@@ -58,8 +62,13 @@ type mvmBatchScratch struct {
 	// vector of that array cycle: word masks[(i*InputBits+b)*planeWords+w]
 	// has bit r%64 set when bit b of item i's quantized input at row
 	// 64w+r%64 is set. Built (and sized) once per call by rowMasks for the
-	// bit-serial kernel only; the functional kernel dots xInt directly.
+	// bit-serial kernel only; the functional kernels dot xInt directly
+	// (functionalGEMM) or its 16-bit copy (vectorGEMM).
 	masks []uint64
+	// x16 is xInt as the vector kernel reads it: signed 16-bit words, item i
+	// at x16[i*rows16:], zero from usedRows up to rows16. Built (and sized)
+	// once per call by vectorGEMM only.
+	x16 []int16
 	// sums and z are the bit-serial kernel's buffers for the conversions
 	// of one (item, column): the InputBits·slices integer column sums and
 	// their noise draws, in conversion order. Sized by rowMasks from the
@@ -205,9 +214,12 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 		s.xSumInt[i] = sum
 	}
 
-	if x.cfg.Functional {
+	switch {
+	case x.panel16 != nil:
+		x.vectorGEMM(s, n)
+	case x.cfg.Functional:
 		x.functionalGEMM(s, n)
-	} else {
+	default:
 		x.rowMasks(s, n)
 		x.bitSerialKernel(s, n, nss)
 	}
@@ -300,6 +312,42 @@ func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
 				mk[b*pw+r/64] |= gatherBits(v, uint(b%8)) << uint(r%64)
 			}
 		}
+	}
+}
+
+// vectorDot is the host's vector routine for one functional-mode column —
+// acc[i*stride] = float64(Σ_r w[r]·x[i*rows+r]) for each of n items, rows a
+// multiple of 16 — or nil when the host has none: set once at start-up from
+// the CPU's feature bits (dot_amd64.go; there is no other implementation),
+// read by fuseWeights when it picks the kernel, and set to nil by tests that
+// want the Go kernel on a host that has both.
+var vectorDot func(acc *float64, stride int, w, x *int16, rows, n int)
+
+// vectorGEMM is the functional-mode kernel on the vector unit: the exact
+// integer product functionalGEMM computes, over 16-bit panels. It narrows
+// each item's quantized row into x16 and zeroes its pad — on every call: the
+// arena is reused across shapes, and the routine multiplies the pad rows like
+// any others (panel16's pad is zero too, so either side alone keeps their
+// products out of the sum; neither relies on the other) — then runs one
+// column of panel16 against every item per vectorDot call. fuseWeights built
+// panel16 only for shapes on which this is exact, so the float64 the routine
+// stores is the one functionalGEMM and the oracle produce.
+func (x *Crossbar) vectorGEMM(s *mvmBatchScratch, n int) {
+	rows, rows16, cols := x.usedRows, x.rows16, x.usedCols
+	if need := n * rows16; cap(s.x16) < need {
+		s.x16 = make([]int16, need)
+	} else {
+		s.x16 = s.x16[:need]
+	}
+	for i := 0; i < n; i++ {
+		xi := s.x16[i*rows16:][:rows16]
+		for r, q := range s.xInt[i*rows:][:rows] {
+			xi[r] = int16(q)
+		}
+		clear(xi[rows:])
+	}
+	for c := 0; c < cols; c++ {
+		vectorDot(&s.acc[c], cols, &x.panel16[c*rows16], &s.x16[0], rows16, n)
 	}
 }
 

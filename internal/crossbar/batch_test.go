@@ -281,8 +281,9 @@ func TestMVMBatchFaultRemappedTile(t *testing.T) {
 
 // TestMVMBatchIntoZeroAlloc is the steady-state allocation contract for
 // the kernel: after the first call warms the scratch pool, MVMBatchInto
-// must not allocate at any batch size — functional, bit-serial and noisy
-// (the mask arena and the draw fill come out of the pooled scratch).
+// must not allocate at any batch size — functional through either kernel,
+// bit-serial and noisy (the 16-bit input panel, the mask arena and the draw
+// fill come out of the pooled scratch).
 func TestMVMBatchIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop items, so alloc counts are unreliable")
@@ -291,7 +292,7 @@ func TestMVMBatchIntoZeroAlloc(t *testing.T) {
 		for _, bsz := range []int{1, 8, 32} {
 			cfg := DefaultConfig()
 			cfg.Rows, cfg.Cols = 64, 64
-			cfg.Functional, cfg.ReadNoise = mode.functional, mode.sigma
+			cfg.Functional, cfg.InputBits, cfg.ReadNoise = mode.functional, mode.inputBits, mode.sigma
 			xb, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -325,17 +326,20 @@ func TestMVMBatchIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// zeroAllocModes are the three kernel configurations the allocation
-// contracts run: the functional GEMM, the bit-serial kernel, and the
-// bit-serial kernel drawing noise.
+// zeroAllocModes are the kernel configurations the allocation and
+// concurrency contracts run: functional at the default 8 input bits (the
+// vector kernel where the host has it) and at 16 (functionalGEMM on every
+// host), the bit-serial kernel, and the bit-serial kernel drawing noise.
 var zeroAllocModes = []struct {
 	name       string
 	functional bool
+	inputBits  int
 	sigma      float64
 }{
-	{"functional", true, 0},
-	{"bit-serial", false, 0},
-	{"noisy", false, 0.02},
+	{"functional", true, 8, 0},
+	{"functional, 16 input bits", true, 16, 0},
+	{"bit-serial", false, 8, 0},
+	{"noisy", false, 8, 0.02},
 }
 
 // TestMVMBatchValidation: every batch-shape and noise precondition fails
@@ -399,9 +403,14 @@ func TestMVMBatchValidation(t *testing.T) {
 // vice versa). The bit-serial crossbars shrink and regrow the mask arena in
 // rows (one to three 128-row steps and back), in batch, and — one pool per
 // crossbar — at 3, 8 and 16 input bits; the masks are OR-built, so a word
-// left uncleared by a larger call would break == here. The functional
-// crossbar's reshapes cross the lane bound, so its reused weight panel
-// changes layout each round.
+// left uncleared by a larger call would break == here. The 16-input-bit
+// functional crossbar is functionalGEMM's on every host, and its reshapes
+// cross the lane bound, so its reused weight panel changes layout each round.
+// The 8-input-bit one is the vector kernel's where the host has it: 128 → 20
+// → 128 rows and back through a padded tail past 128 and a lone row, batches
+// shrinking and growing, on one weight arena and one pooled 16-bit input
+// arena. The kernel sums whatever the rows past usedRows hold on both, so
+// both pads are checked for zeros after every round as well as the outputs.
 func TestScratchReuseAcrossReshapes(t *testing.T) {
 	type shape struct{ m, n, lanes, batch int } // lanes: functional panel only
 	serial := []shape{{300, 8, 0, 5}, {5, 7, 0, 9}, {129, 3, 0, 1}, {64, 8, 0, 7}, {257, 5, 0, 2}, {128, 2, 0, 9}}
@@ -424,6 +433,8 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 	functional.InputBits = 16
 	functional.Functional = true
 	cases = append(cases, reshapes{functional, []shape{{257, 5, 2, 5}, {300, 8, 1, 5}, {40, 3, 2, 5}, {258, 7, 1, 5}}})
+	functional.InputBits = 8
+	cases = append(cases, reshapes{functional, []shape{{128, 8, 2, 9}, {20, 3, 2, 2}, {128, 8, 2, 9}, {300, 5, 2, 1}, {1, 8, 2, 12}, {17, 2, 2, 3}}})
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range cases {
 		cfg := tc.cfg
@@ -436,8 +447,10 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 			if _, err := xb.Program(w); err != nil {
 				t.Fatal(err)
 			}
-			if xb.lanes != sh.lanes {
-				t.Fatalf("round %d shape %dx%d: lanes %d, want %d", round, sh.m, sh.n, xb.lanes, sh.lanes)
+			if cfg.Functional {
+				assertLanes(t, sh.lanes)(xb)
+			} else {
+				assertPlanes(t)(xb)
 			}
 			ins := batchInputs(rng, sh.batch, sh.m)
 			got, _, err := xb.MVMBatch(ins, nil)
@@ -456,6 +469,14 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 							cfg.Functional, cfg.InputBits, round, sh.m, sh.n, i, c, got[i][c], single[c], want[c])
 					}
 				}
+			}
+			if xb.panel16 != nil {
+				if _, _, err := xb.MVMBatch(ins, nil); err != nil { // the scratch's latest call is the batch again
+					t.Fatal(err)
+				}
+				s := xb.getBatchScratch(sh.batch)
+				assertPadsZero(t, xb, s, sh.batch)
+				xb.batchScratch.Put(s)
 			}
 		}
 	}
@@ -500,12 +521,14 @@ func smallTileConfig() Config {
 
 // TestMVMBatchConcurrent: a programmed crossbar may serve concurrent
 // batched MVMs — the batch pool must hand each goroutine its own arena
-// (masks, column sums and, on the noisy configuration, draws).
+// (the functional kernels' input panels; masks, column sums and, on the
+// noisy configuration, draws).
 func TestMVMBatchConcurrent(t *testing.T) {
-	for _, sigma := range []float64{0, 0.02} {
+	for _, mode := range zeroAllocModes {
 		cfg := DefaultConfig()
 		cfg.Rows, cfg.Cols = 24, 24
-		cfg.ReadNoise = sigma
+		cfg.Functional, cfg.InputBits, cfg.ReadNoise = mode.functional, mode.inputBits, mode.sigma
+		sigma := mode.sigma
 		xb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -536,7 +559,7 @@ func TestMVMBatchConcurrent(t *testing.T) {
 					for i := range want {
 						for c := range want[i] {
 							if got[i][c] != want[i][c] {
-								errc <- fmt.Errorf("sigma=%g: concurrent batch diverged at item %d col %d", sigma, i, c)
+								errc <- fmt.Errorf("%s: concurrent batch diverged at item %d col %d", mode.name, i, c)
 								return
 							}
 						}

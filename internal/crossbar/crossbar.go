@@ -30,10 +30,21 @@
 //     Program, program-and-verify and the fault tests read and write.
 //   - Functional mode needs one exact integer per (item, column), so
 //     Program fuses each cell's stored slice levels into its full integer
-//     weight and packs adjacent columns into 32-bit lanes of one word
-//     (fused: two columns per word when no lane can carry, one
-//     otherwise). The kernel is an integer matrix-matrix product over
-//     that panel, four items sharing each weight load.
+//     weight, in one of two panels. On amd64 with AVX2, when weights and
+//     inputs are at most 15 bits and a padded column of largest products
+//     stays below 2^31, the panel is column-major int16 with each column
+//     zero-padded to 16 rows (panel16) and the kernel is one assembly
+//     routine per column over all items of the call (dot_amd64.s:
+//     VPMADDWD, sixteen multiply-adds an instruction, summed in eight
+//     int32 lanes and then across them). Otherwise — every other
+//     architecture, x86 without AVX2, 16-bit operands, sums past 2^31 —
+//     Program packs adjacent columns into 32-bit lanes of one uint64
+//     (fused: two columns per word when no lane can carry, one otherwise)
+//     and the kernel is functionalGEMM, the integer matrix-matrix product
+//     in Go, four items sharing each weight load. Both are exact, so they
+//     agree bit for bit; which one runs follows from CPUID and the
+//     programmed shape at Program time (fuseWeights) and from nothing a
+//     caller can set.
 //   - Bit-serial mode needs every per-(input bit, slice) column sum for
 //     its ADC conversions, and one array cycle drives a binary word-line
 //     vector into the cells: the sum is Σ_p 2^p · popcount(rowmask_b AND
@@ -169,8 +180,8 @@ type Crossbar struct {
 
 	// sliceT[s][c*Rows+r] holds the CellBits-wide slice s of the shifted,
 	// quantized weight at (r, c) as the cell stores it — column-major, so a
-	// column is contiguous for program-and-verify's commit and for the two
-	// transpositions the kernels read instead (fused, planes).
+	// column is contiguous for program-and-verify's commit and for the
+	// transpositions the kernels read instead (fused or panel16, planes).
 	sliceT [][]uint8
 
 	// planes is the bit-serial kernel's view of the array: the stored slice
@@ -188,9 +199,18 @@ type Crossbar struct {
 	// the stored slice levels, with column c in 32-bit lane c%lanes of
 	// column word cw = c/lanes. lanes is 2 when wMax*xMax*usedRows fits
 	// 32 bits — a column's whole dot product fits its lane, so no lane can
-	// carry into its neighbour — and 1 otherwise. Functional mode only.
+	// carry into its neighbour — and 1 otherwise. Functional mode only, and
+	// only when the vector kernel cannot run (fuseWeights): a functional
+	// crossbar holds fused or panel16, never both.
 	fused []uint64
 	lanes int
+
+	// panel16[c*rows16+r] is the vector kernel's weight panel: the same
+	// fused integer weight as a signed 16-bit word, column-major, each column
+	// zero-padded to rows16 = usedRows rounded up to the kernel's 16-row
+	// step. lanes is 0 beside it.
+	panel16 []int16
+	rows16  int
 
 	// colSumInt[c] is the column sum of the intended integer weights,
 	// accumulated at program time; digital offset removal reads it through
@@ -470,12 +490,25 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 	}, nil
 }
 
-// fuseWeights builds the functional-mode panel (see Crossbar.fused) from
-// the stored slice levels — after fault remap, so stuck and drifted cells
-// reach the kernel exactly as they reach the slice-at-a-time reduction.
+// fuseWeights builds the functional-mode panel from the stored slice levels
+// — after fault remap, so stuck and drifted cells reach the kernel exactly
+// as they reach the slice-at-a-time reduction — and in building one panel or
+// the other selects the kernel that reads it, here and nowhere else: the
+// vector kernel (Crossbar.panel16, vectorGEMM) when the host has one and it
+// is exact on the programmed shape, functionalGEMM over Crossbar.fused
+// otherwise. Exact means every operand is a non-negative int16 and a whole
+// padded column of largest products stays below 2^31, so that no signed pair
+// sum, 32-bit lane or horizontal partial sum of the kernel can wrap.
 func (x *Crossbar) fuseWeights() {
 	wMax := uint64(1)<<x.cfg.WeightBits - 1
 	xMax := uint64(1)<<x.cfg.InputBits - 1
+	if vectorDot != nil && x.cfg.WeightBits <= 15 && x.cfg.InputBits <= 15 &&
+		wMax*xMax*uint64(x.usedRows+15) < 1<<31 {
+		x.fused, x.lanes = nil, 0
+		x.fuseWeights16()
+		return
+	}
+	x.panel16 = nil
 	x.lanes = 1
 	if wMax*xMax*uint64(x.usedRows) <= math.MaxUint32 {
 		x.lanes = 2
@@ -495,6 +528,30 @@ func (x *Crossbar) fuseWeights() {
 			shift := lane + uint(s*x.cfg.CellBits)
 			for r, lv := range sl[c*x.cfg.Rows:][:rows] {
 				col[r] |= uint64(lv) << shift
+			}
+		}
+	}
+}
+
+// fuseWeights16 builds the vector kernel's panel (see Crossbar.panel16). The
+// arena is reused across reprograms, so it is cleared first: the levels are
+// OR-ed in, and the kernel multiplies the pad rows, which a smaller shape
+// finds inside what a larger one wrote.
+func (x *Crossbar) fuseWeights16() {
+	rows := x.usedRows
+	x.rows16 = (rows + 15) &^ 15
+	if need := x.usedCols * x.rows16; cap(x.panel16) < need {
+		x.panel16 = make([]int16, need)
+	} else {
+		x.panel16 = x.panel16[:need]
+		clear(x.panel16)
+	}
+	for c := 0; c < x.usedCols; c++ {
+		col := x.panel16[c*x.rows16:][:rows]
+		for s, sl := range x.sliceT {
+			shift := uint(s * x.cfg.CellBits)
+			for r, lv := range sl[c*x.cfg.Rows:][:rows] {
+				col[r] |= int16(lv) << shift
 			}
 		}
 	}

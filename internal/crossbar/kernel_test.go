@@ -140,25 +140,37 @@ func naiveMVMStored(cfg Config, w [][]float64, input []float64, ns noise.Source,
 }
 
 // oracleBatches are the batch sizes every oracle case runs: a lone item,
-// the functional kernel's four-item block exactly, and blocks with 1–3
-// remainder items before and after it.
+// the Go functional kernel's four-item block exactly, and blocks with 1–3
+// remainder items before and after it. A case that brings more inputs than
+// the largest of them also runs all of its inputs as one batch.
 var oracleBatches = []int{1, 3, 4, 5, 8, 9}
+
+// goKernelOnly takes the vector kernel away from every crossbar programmed
+// until the returned function gives it back, as on a host without one. It
+// writes a package variable: not for parallel tests.
+func goKernelOnly() (restore func()) {
+	saved := vectorDot
+	vectorDot = nil
+	return func() { vectorDot = saved }
+}
+
+// vectorShape is the vector kernel's envelope, stated on its own: operands
+// that are non-negative int16s, and a padded column of largest products
+// below 2^31.
+func vectorShape(cfg Config, usedRows int) bool {
+	wMax, xMax := int64(1)<<cfg.WeightBits-1, int64(1)<<cfg.InputBits-1
+	return cfg.Functional && cfg.WeightBits <= 15 && cfg.InputBits <= 15 && wMax*xMax*int64(usedRows+15) < 1<<31
+}
 
 // checkAgainstOracle programs w on a fresh crossbar, lets assertPath
 // inspect which tables Program built, and compares MVM and MVMBatch
 // at every oracleBatches size to naiveMVM with ==, twice over so pooled
 // scratch cannot leak state between calls. len(ins) must cover the
-// largest batch; nss is nil on noise-free configurations.
+// largest batch; nss is nil on noise-free configurations. A functional case
+// on a host with the vector kernel runs twice, once per kernel — the host's
+// selection, then goKernelOnly — against the same oracle outputs.
 func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64, nss []noise.Source, assertPath func(*Crossbar)) {
 	t.Helper()
-	xb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := xb.Program(w); err != nil {
-		t.Fatal(err)
-	}
-	assertPath(xb)
 	source := func(i int) noise.Source {
 		if nss == nil {
 			return NoNoise
@@ -169,50 +181,81 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 	for i, in := range ins {
 		want[i] = naiveMVM(cfg, w, in, source(i))
 	}
-	check := func(path string, got [][]float64) {
-		t.Helper()
-		for i := range got {
-			for c := range want[i] {
-				if got[i][c] != want[i][c] {
-					t.Fatalf("%s functional=%v cell=%d weight=%d input=%d sigma=%g shape=%dx%d batch=%d item %d col %d: kernel %v != oracle %v",
-						path, cfg.Functional, cfg.CellBits, cfg.WeightBits, cfg.InputBits, cfg.ReadNoise,
-						len(w), len(w[0]), len(got), i, c, got[i][c], want[i][c])
-				}
-			}
-		}
+	batches := oracleBatches
+	if len(ins) > batches[len(batches)-1] {
+		batches = append(batches[:len(batches):len(batches)], len(ins))
 	}
-	for rep := 0; rep < 2; rep++ {
-		single, _, err := xb.MVM(ins[0], source(0))
+	kernels := 1
+	if cfg.Functional && vectorDot != nil {
+		kernels = 2
+	}
+	for k := 0; k < kernels; k++ {
+		if k == 1 {
+			defer goKernelOnly()()
+		}
+		xb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("MVM", [][]float64{single})
-		for _, bsz := range oracleBatches {
-			var bnss []noise.Source
-			if nss != nil {
-				bnss = nss[:bsz]
+		if _, err := xb.Program(w); err != nil {
+			t.Fatal(err)
+		}
+		assertPath(xb)
+		check := func(path string, got [][]float64) {
+			t.Helper()
+			for i := range got {
+				for c := range want[i] {
+					if got[i][c] != want[i][c] {
+						t.Fatalf("%s functional=%v (vector kernel: %v) cell=%d weight=%d input=%d sigma=%g shape=%dx%d batch=%d item %d col %d: kernel %v != oracle %v",
+							path, cfg.Functional, xb.panel16 != nil, cfg.CellBits, cfg.WeightBits, cfg.InputBits, cfg.ReadNoise,
+							len(w), len(w[0]), len(got), i, c, got[i][c], want[i][c])
+					}
+				}
 			}
-			got, _, err := xb.MVMBatch(ins[:bsz], bnss)
+		}
+		for rep := 0; rep < 2; rep++ {
+			single, _, err := xb.MVM(ins[0], source(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("MVMBatch", got)
+			check("MVM", [][]float64{single})
+			for _, bsz := range batches {
+				var bnss []noise.Source
+				if nss != nil {
+					bnss = nss[:bsz]
+				}
+				got, _, err := xb.MVMBatch(ins[:bsz], bnss)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("MVMBatch", got)
+			}
 		}
-	}
-	if s := xb.getBatchScratch(1); cfg.Functional && (s.masks != nil || s.sums != nil) {
-		t.Fatal("functional MVM sized the bit-serial arenas (masks/sums)")
+		if s := xb.getBatchScratch(1); cfg.Functional && (s.masks != nil || s.sums != nil) {
+			t.Fatal("functional MVM sized the bit-serial arenas (masks/sums)")
+		} else if xb.panel16 == nil && s.x16 != nil {
+			t.Fatal("an MVM that is not the vector kernel's sized the 16-bit input panel (x16)")
+		}
 	}
 }
 
-// assertLanes is the functional-mode path assertion: the fused panel
-// exists with the expected lane count, and neither the bit planes nor the
-// ADC table were built beside it.
+// assertLanes is the functional-mode path assertion: Program built exactly
+// one weight panel, the one its kernel reads — the 16-bit panel, padded to
+// the 16-row step, when the host has the vector kernel and the shape is in
+// its envelope; the fused panel at the expected lane count otherwise — and
+// neither the bit planes nor the ADC table beside it.
 func assertLanes(t *testing.T, want int) func(*Crossbar) {
 	return func(xb *Crossbar) {
 		t.Helper()
-		if xb.lanes != want || xb.fused == nil {
-			t.Fatalf("weight=%d input=%d rows=%d: lanes=%d (fused nil: %v), table expects %d",
-				xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.lanes, xb.fused == nil, want)
+		if vectorDot != nil && vectorShape(xb.cfg, xb.usedRows) {
+			rows16 := (xb.usedRows + 15) / 16 * 16
+			if len(xb.panel16) != xb.usedCols*rows16 || xb.rows16 != rows16 || xb.fused != nil || xb.lanes != 0 {
+				t.Fatalf("weight=%d input=%d rows=%d cols=%d in the vector envelope: panel16 %d words at stride %d (fused nil: %v, lanes %d)",
+					xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.usedCols, len(xb.panel16), xb.rows16, xb.fused == nil, xb.lanes)
+			}
+		} else if xb.lanes != want || xb.fused == nil || xb.panel16 != nil {
+			t.Fatalf("weight=%d input=%d rows=%d: lanes=%d (fused nil: %v, panel16 nil: %v), table expects %d",
+				xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.lanes, xb.fused == nil, xb.panel16 == nil, want)
 		}
 		if xb.planes != nil || xb.adcLUT != nil {
 			t.Fatal("functional crossbar built the bit-serial tables (planes/adcLUT)")
@@ -228,24 +271,30 @@ func assertPlanes(t *testing.T) func(*Crossbar) {
 		if want := (xb.usedRows + 127) / 128 * 2; xb.planes == nil || xb.planeWords != want {
 			t.Fatalf("rows=%d: planeWords=%d (planes nil: %v), want %d", xb.usedRows, xb.planeWords, xb.planes == nil, want)
 		}
-		if xb.fused != nil {
-			t.Fatal("bit-serial crossbar built the functional fused panel beside its bit planes")
+		if xb.fused != nil || xb.panel16 != nil {
+			t.Fatal("bit-serial crossbar built a functional weight panel beside its bit planes")
 		}
 	}
 }
 
-// TestKernelMatchesNaiveOracle asserts the kernels (functional: fused
-// lane-packed integer GEMM; bit-serial: weight bit planes, input-bit row
-// masks, AND + popcount column sums, one strided draw fill, scale and ADC
-// tables; pooled scratch) are bit-identical to the naive reference across
-// functional/bit-serial modes, cell and weight widths on both sides of the
-// functional lane bound, every used-row count around a plane-word boundary
-// (the padded tail word included) in every cell width at the 256
-// conversions per column Validate admits at most, an odd cell width (a
-// plane pair and a lone plane per slice), noise on/off, odd tile-remainder
-// shapes (an odd usedCols leaves the functional panel's last word half
-// empty), and through MVM as well as MVMBatch at every oracleBatches size.
+// TestKernelMatchesNaiveOracle asserts the kernels (functional: the vector
+// kernel over 16-bit panels where the host has it, and the fused lane-packed
+// integer GEMM, each functional row through both; bit-serial: weight bit
+// planes, input-bit row masks, AND + popcount column sums, one strided draw
+// fill, scale and ADC tables; pooled scratch) are bit-identical to the naive
+// reference across functional/bit-serial modes, cell and weight widths on
+// both sides of the functional lane bound and of the vector envelope, every
+// used-row count around a plane-word boundary (the padded tail word
+// included) in every cell width at the 256 conversions per column Validate
+// admits at most, every used-row count around the vector kernel's 16-row
+// step on one column and on 129, an odd cell width (a plane pair and a lone
+// plane per slice), noise on/off, odd tile-remainder shapes (an odd usedCols
+// leaves the fused panel's last word half empty), and through MVM as well as
+// MVMBatch at every oracleBatches size, the 16-row-step rows at 64 as well.
 func TestKernelMatchesNaiveOracle(t *testing.T) {
+	if vectorDot == nil {
+		t.Log("host has no vector kernel (amd64 with AVX2): functional rows ran through functionalGEMM only")
+	}
 	type shape struct{ m, n int }
 	small := []shape{
 		{16, 16}, // full array
@@ -256,7 +305,7 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 	}
 	type array struct {
 		rows, cols, cellBits, weightBits int
-		// laneBits: the largest InputBits at which functional mode still
+		// laneBits: the largest InputBits at which functionalGEMM still
 		// packs two columns per word at these shapes; 0 runs the shapes
 		// in bit-serial mode only.
 		laneBits int
@@ -271,6 +320,10 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 		{16, 16, 2, 16, 12, small[:2]},
 		{16, 16, 4, 16, 12, small[:2]},
 		{16, 16, 8, 16, 12, small[:2]},
+		// 15-bit weights, the widest the vector kernel takes, and on these
+		// shapes inside its envelope at 9 input bits and outside at 12:
+		// 32767·511·31 < 2^31 < 32767·4095·28.
+		{16, 16, 5, 15, 13, small[:2]},
 		// 255·32767·300 fits 32 bits, 255·65535·300 does not.
 		{300, 8, 8, 8, 15, []shape{{300, 5}}},
 		// The lane bound itself at 16 input bits:
@@ -288,7 +341,6 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 			arrays = append(arrays, array{301, 4, cellBits, 16, 0, []shape{{rows, 3}}})
 		}
 	}
-	maxBatch := oracleBatches[len(oracleBatches)-1]
 	for _, arr := range arrays {
 		for _, inputBits := range []int{1, 3, 4, 6, 8, 9, 12, 16} {
 			for _, functional := range []bool{false, true} {
@@ -306,24 +358,87 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 
 						rng := rand.New(rand.NewSource(int64(sh.m*100 + sh.n + arr.cellBits)))
 						w := randomMatrix(rng, sh.m, sh.n)
-						ins := batchInputs(rng, maxBatch, sh.m)
 						var nss []noise.Source
-						if sigma > 0 {
-							nss = perItemSources(noise.NewSource(99), len(ins))
-						}
 						assertPath := assertPlanes(t)
+						batch := oracleBatches[len(oracleBatches)-1]
 						if functional {
 							lanes := 1
 							if inputBits <= arr.laneBits {
 								lanes = 2
 							}
 							assertPath = assertLanes(t, lanes)
+						} else if sigma > 0 {
+							nss = perItemSources(noise.NewSource(99), batch)
 						}
-						checkAgainstOracle(t, cfg, w, ins, nss, assertPath)
+						checkAgainstOracle(t, cfg, w, batchInputs(rng, batch, sh.m), nss, assertPath)
 					}
 				}
 			}
 		}
+	}
+	// The same boundaries for the vector kernel's 16-row step, functional
+	// only: a lone row (fifteen pad rows), a step less one, full, plus one,
+	// the same around the benchmark's 128, a padded tail past them; one
+	// column and one more than the benchmark's array has; a batch of 64, the
+	// benchmark's. All inside the envelope but 15 input bits on 300 rows
+	// (255·32767·315 ≥ 2^31), and two lanes wherever functionalGEMM runs.
+	for _, rows := range []int{1, 15, 16, 17, 127, 128, 129, 300} {
+		for _, cols := range []int{1, 129} {
+			for _, inputBits := range []int{8, 15} {
+				cfg := DefaultConfig()
+				cfg.Rows, cfg.Cols = 301, 129
+				cfg.InputBits = inputBits
+				cfg.Functional = true
+				rng := rand.New(rand.NewSource(int64(rows*100 + cols)))
+				checkAgainstOracle(t, cfg, randomMatrix(rng, rows, cols), batchInputs(rng, 64, rows), nil, assertLanes(t, 2))
+			}
+		}
+	}
+}
+
+// TestVectorEnvelope pins the vector kernel's envelope from both sides: which
+// panel Program builds, and so which kernel every MVM takes, follows from the
+// host's feature bits and the programmed shape alone — and on both sides of
+// every clause the outputs are the oracle's, through the kernel the shape
+// selects and through the Go kernel.
+func TestVectorEnvelope(t *testing.T) {
+	if vectorDot == nil {
+		t.Skip("host has no vector kernel (amd64 with AVX2): every functional shape takes functionalGEMM")
+	}
+	for _, tc := range []struct {
+		name                            string
+		cellBits, weightBits, inputBits int
+		rows                            int
+		vector                          bool
+	}{
+		{"default 8x8 on 128 rows", 2, 8, 8, 128, true},
+		{"16-bit weights are not int16", 4, 16, 8, 16, false},
+		{"16-bit inputs are not int16", 2, 8, 16, 16, false},
+		{"15x12 on one row, 32767·4095·16 < 2^31", 5, 15, 12, 1, true},
+		{"15x12 on two rows, 32767·4095·17 ≥ 2^31", 5, 15, 12, 2, false},
+		{"12x12 on 100 rows, 4095²·115 < 2^31", 4, 12, 12, 100, true},
+		{"12x12 on 113 rows, 4095²·128 < 2^31", 4, 12, 12, 113, true},
+		{"12x12 on 114 rows, 4095²·129 ≥ 2^31", 4, 12, 12, 114, false},
+		{"12x12 on 128 rows, 4095²·143 ≥ 2^31", 4, 12, 12, 128, false},
+		{"8x8 on 33010 rows, 255²·33025 < 2^31", 2, 8, 8, 33010, true},
+		{"8x8 on 33011 rows, 255²·33026 ≥ 2^31", 2, 8, 8, 33011, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = tc.rows, 2
+		cfg.CellBits, cfg.WeightBits, cfg.InputBits = tc.cellBits, tc.weightBits, tc.inputBits
+		cfg.Functional = true
+		if got := vectorShape(cfg, tc.rows); got != tc.vector {
+			t.Fatalf("%s: the test's own envelope says %v", tc.name, got)
+		}
+		rng := rand.New(rand.NewSource(int64(tc.rows)))
+		checkAgainstOracle(t, cfg, randomMatrix(rng, tc.rows, 2), batchInputs(rng, 9, tc.rows), nil, func(xb *Crossbar) {
+			// The second pass runs under goKernelOnly: fused whatever the shape.
+			want := tc.vector && vectorDot != nil
+			if vector := xb.panel16 != nil; vector != want || (xb.fused != nil) == vector {
+				t.Errorf("%s: vector panel built: %v, fused panel built: %v; want the vector kernel: %v",
+					tc.name, vector, xb.fused != nil, want)
+			}
+		})
 	}
 }
 
@@ -374,6 +489,61 @@ func TestPlanesMatchStoredLevels(t *testing.T) {
 					t.Fatalf("row %d col %d slice %d: planes hold level %d, cells %d", r, c, s, level, want)
 				}
 			}
+		}
+	}
+}
+
+// TestFunctionalPanelMatchesStoredLevels is the same statement for functional
+// mode, made on outputs: either weight panel is fused from sliceT after
+// programAndVerify, so on the same remapped, spare-exhausted and drifted array
+// both kernels equal the oracle's slice-at-a-time reduction over the stored
+// levels with == — and differ from the oracle over the intended ones.
+func TestFunctionalPanelMatchesStoredLevels(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rows, cfg.Cols = 140, 24
+	cfg.SpareCols = 4
+	cfg.Functional = true
+	const rows, cols = 130, 20 // a padded tail on the vector kernel's ninth step
+	rng := rand.New(rand.NewSource(4))
+	w := randomMatrix(rng, rows, cols)
+	ins := batchInputs(rng, 7, rows)
+	for _, goKernel := range []bool{false, true} {
+		if goKernel {
+			defer goKernelOnly()()
+		}
+		xb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := faultinject.Model{StuckLowRate: 0.0005, StuckHighRate: 0.0005, DriftRate: 0.05, DriftMax: 0.5, Seed: 4}
+		if err := xb.SetFaults(m, m.Root()); err != nil {
+			t.Fatal(err)
+		}
+		for epoch := 0; epoch < 3; epoch++ { // drift compounds per program pass
+			if _, err := xb.Program(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rep := xb.FaultReport(); rep.RemappedCols == 0 || rep.LostCols == 0 || rep.DriftCells == 0 {
+			t.Fatalf("array is not remapped, spare-exhausted and drifted; the test is vacuous: %+v", rep)
+		}
+		assertLanes(t, 2)(xb)
+		got, _, err := xb.MVMBatch(ins, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulted := false
+		for i, in := range ins {
+			want, intended := naiveMVMStored(cfg, w, in, NoNoise, xb.sliceT), naiveMVM(cfg, w, in, NoNoise)
+			for c := range want {
+				if got[i][c] != want[c] {
+					t.Fatalf("vector kernel %v, item %d col %d: kernel %v != oracle over stored levels %v", xb.panel16 != nil, i, c, got[i][c], want[c])
+				}
+				faulted = faulted || want[c] != intended[c]
+			}
+		}
+		if !faulted {
+			t.Fatal("stored levels give the intended outputs; the test is vacuous")
 		}
 	}
 }
@@ -435,23 +605,125 @@ func FuzzPlaneSums(f *testing.F) {
 	})
 }
 
-// TestFunctionalLaneSaturation drives every lane of the two-column panel
-// to the largest sum the envelope admits — every weight and every input at
-// +max on the largest in-envelope row count, 255·65535·257 = 65535·65535·1
-// = 4 294 836 225 — so a carry into the neighbouring column would break ==
-// against the oracle. Odd and even column counts: the last word half
-// empty and full.
+// assertPadsZero checks the rows the vector kernel reads past usedRows, on
+// both sides: each column of the weight panel and each of the n items the
+// latest call left in scratch s. Either side being zero makes the products
+// zero; both are pinned, so neither relies on the other. A scratch the pool
+// handed out fresh (under -race it drops items) has no items to check.
+func assertPadsZero(t *testing.T, xb *Crossbar, s *mvmBatchScratch, n int) {
+	t.Helper()
+	rows, rows16 := xb.usedRows, xb.rows16
+	for c := 0; c < xb.usedCols; c++ {
+		for r, w := range xb.panel16[c*rows16:][rows:rows16] {
+			if w != 0 {
+				t.Fatalf("rows=%d: weight panel column %d pad row %d holds %d", rows, c, rows+r, w)
+			}
+		}
+	}
+	for i := 0; i < n && len(s.x16) >= n*rows16; i++ {
+		for r, q := range s.x16[i*rows16:][rows:rows16] {
+			if q != 0 {
+				t.Fatalf("rows=%d batch=%d: input panel item %d pad row %d holds %d", rows, n, i, rows+r, q)
+			}
+		}
+	}
+}
+
+// FuzzVectorDot: for any shape, batch and operand widths inside the vector
+// kernel's envelope, any stored levels and any quantized inputs, the panel
+// fuseWeights builds and the routine vectorGEMM runs over it give the integer
+// Σ_r W[r,c]·x[r] a scalar loop over sliceT adds up — on a scratch whose
+// 16-bit arena an earlier, larger call left full of ones.
+func FuzzVectorDot(f *testing.F) {
+	if vectorDot == nil {
+		f.Skip("host has no vector kernel (amd64 with AVX2)")
+	}
+	f.Add(int64(1), uint16(128), uint8(128), uint8(64), uint8(2), uint8(4), uint8(8)) // the benchmark's block
+	f.Add(int64(2), uint16(113), uint8(3), uint8(1), uint8(4), uint8(3), uint8(12))   // 12 × 12 bits on its last row count
+	f.Add(int64(3), uint16(1), uint8(1), uint8(5), uint8(5), uint8(3), uint8(12))     // 15 × 12 bits: one row, fifteen pad rows
+	f.Add(int64(4), uint16(399), uint8(7), uint8(3), uint8(1), uint8(1), uint8(15))   // a padded tail past 24 steps
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, cols, items, cellBits, slices, inBits uint8) {
+		cfg := DefaultConfig()
+		cfg.Functional = true
+		cfg.CellBits = 1 + int(cellBits)%8
+		cfg.WeightBits = cfg.CellBits * (1 + int(slices)%(15/cfg.CellBits))
+		cfg.InputBits = 1 + int(inBits)%15
+		cfg.Rows, cfg.Cols = 1+int(rows)%400, 1+int(cols)%130
+		for cfg.Rows > 1 && !vectorShape(cfg, cfg.Rows) {
+			cfg.Rows /= 2
+		}
+		if !vectorShape(cfg, cfg.Rows) {
+			t.Skip("operands too wide for the envelope on any row count")
+		}
+		xb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		xb.usedRows, xb.usedCols = 1+rng.Intn(cfg.Rows), 1+rng.Intn(cfg.Cols)
+		for _, sl := range xb.sliceT {
+			for i := range sl {
+				sl[i] = uint8(rng.Intn(1 << cfg.CellBits))
+			}
+		}
+		xb.fuseWeights()
+		if xb.panel16 == nil {
+			t.Fatalf("weight=%d input=%d rows=%d is in the envelope, and fuseWeights built no 16-bit panel", cfg.WeightBits, cfg.InputBits, xb.usedRows)
+		}
+		n := 1 + int(items)%70
+		s := xb.getBatchScratch(n)
+		s.x16 = make([]int16, (n+1)*xb.rows16)
+		for i := range s.x16 {
+			s.x16[i] = 1
+		}
+		for i := range s.xInt {
+			s.xInt[i] = int32(rng.Intn(1 << cfg.InputBits))
+		}
+		xb.vectorGEMM(s, n)
+		assertPadsZero(t, xb, s, n)
+		for i := 0; i < n; i++ {
+			for c := 0; c < xb.usedCols; c++ {
+				var want int64
+				for r := 0; r < xb.usedRows; r++ {
+					for sl := range xb.sliceT {
+						want += int64(xb.sliceT[sl][c*cfg.Rows+r]) << uint(sl*cfg.CellBits) * int64(s.xInt[i*xb.usedRows+r])
+					}
+				}
+				if got := s.acc[i*xb.usedCols+c]; got != float64(want) {
+					t.Fatalf("cell=%d weight=%d input=%d shape=%dx%d batch=%d item %d col %d: vector kernel %v != scalar sum %d",
+						cfg.CellBits, cfg.WeightBits, cfg.InputBits, xb.usedRows, xb.usedCols, n, i, c, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestFunctionalLaneSaturation drives both functional kernels to the largest
+// sums their envelopes admit — every weight and every input at +max on the
+// largest in-envelope row count — so a carry into the neighbouring column
+// (functionalGEMM's two-column words: 255·65535·257 = 65535·65535·1 =
+// 4 294 836 225 ≤ 2^32−1) or a wrapped pair sum, lane or horizontal sum (the
+// vector kernel's signed 32-bit arithmetic: 255²·(33010+15), 4095²·(113+15)
+// and 32767·4095·(1+15) are the last products below 2^31, and 4095²·113 is a
+// real column sum of 1 894 899 825) would break == against the oracle. Odd
+// and even column counts: the fused panel's last word half empty and full.
 func TestFunctionalLaneSaturation(t *testing.T) {
-	for _, tc := range []struct{ cellBits, weightBits, rows, cols int }{
-		{2, 8, 257, 5},
-		{2, 8, 257, 4},
-		{4, 16, 1, 7},
+	for _, tc := range []struct{ cellBits, weightBits, inputBits, rows, cols int }{
+		{2, 8, 16, 257, 5},
+		{2, 8, 16, 257, 4},
+		{4, 16, 16, 1, 7},
+		{2, 8, 8, 33010, 3},
+		{4, 12, 12, 113, 5},
+		{5, 15, 12, 1, 4},
 	} {
 		cfg := DefaultConfig()
 		cfg.Rows, cfg.Cols = tc.rows, 8
 		cfg.CellBits, cfg.WeightBits = tc.cellBits, tc.weightBits
-		cfg.InputBits = 16
+		cfg.InputBits = tc.inputBits
 		cfg.Functional = true
+		if edge := vectorShape(cfg, tc.rows) && !vectorShape(cfg, tc.rows+1); tc.inputBits < 16 && !edge {
+			t.Fatalf("weight=%d input=%d: %d rows is not the vector envelope's edge", tc.weightBits, tc.inputBits, tc.rows)
+		}
 		w := make([][]float64, tc.rows)
 		for r := range w {
 			w[r] = make([]float64, tc.cols)
@@ -587,7 +859,7 @@ func TestMVMIntoZeroAlloc(t *testing.T) {
 	for _, mode := range zeroAllocModes {
 		cfg := DefaultConfig()
 		cfg.Rows, cfg.Cols = 64, 64
-		cfg.Functional, cfg.ReadNoise = mode.functional, mode.sigma
+		cfg.Functional, cfg.InputBits, cfg.ReadNoise = mode.functional, mode.inputBits, mode.sigma
 		xb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,10 @@
 //
 // The simulator exploits the same spatial parallelism the hardware does:
 // Load and Reprogram fan independent layers across the internal/parallel
-// worker pool, InferBatch fans independent batch items, and Cluster fans
-// independent boards — all with deterministic index-ordered reductions, so
+// worker pool, Cluster fans independent boards, and InferBatch advances its
+// batch stage by stage, handing each dense or conv stage's tile the whole
+// item panel — the fan-out of a batch is the tile's (block × item-chunk)
+// tasks, not its items — all with deterministic index-ordered reductions, so
 // outputs and energy/latency totals are bit-identical to serial execution
 // at any pool width (see docs/PARALLELISM.md). Analog read noise comes
 // from a counter-based internal/noise tree keyed by (seed, inference
