@@ -3,7 +3,7 @@ GO ?= go
 # The sweeps archived as BENCH_<exp>.json, one bench-<exp> target each.
 BENCH_JSON := bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity
 
-.PHONY: all build vet vet-arm64 fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-pairs bench-alt $(BENCH_JSON) cover fuzz experiments examples clean
+.PHONY: all build vet vet-arm64 fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-pairs bench-alt profile $(BENCH_JSON) cover fuzz experiments examples clean
 
 all: build vet test
 
@@ -158,6 +158,22 @@ bench-alt:
 		{ if ($$1 != key || $$2 != side) flush(); key = $$1; side = $$2; v[++n] = $$3 } \
 		END { flush() }'
 
+# CPU profile of one benchmark row, the picture ROADMAP and docs/PERF.md
+# quote when they say where a call's time goes: builds package PKG's test
+# binary under .bench_build/profile/, runs BENCH for ITERS iterations at
+# -cpu CPU under -test.cpuprofile, and prints pprof's header (Duration is
+# the wall time, Total samples the CPU time), its 25 heaviest nodes and,
+# when LIST names functions, their annotated source.
+#   make profile BENCH=EngineWorkloads/big_functional_b64 CPU=2 ITERS=3000 LIST='MVMBatchInto|runStage'
+LIST ?=
+profile:
+	@set -eu; d=$(CURDIR)/.bench_build/profile; mkdir -p $$d; \
+	(cd $(PKG) && $(GO) test -c -o $$d/profile.test . && \
+		$$d/profile.test -test.run '^$$' -test.bench '$(BENCH)' -test.benchtime $(ITERS)x \
+			-test.cpu '$(CPU)' -test.cpuprofile $$d/cpu.prof -test.timeout 20m); \
+	$(GO) tool pprof -top -nodecount=25 $$d/profile.test $$d/cpu.prof; \
+	if [ -n '$(LIST)' ]; then $(GO) tool pprof -list '$(LIST)' $$d/profile.test $$d/cpu.prof; fi
+
 # Quick benchmark smoke: one iteration of the Section VI latency sweep
 # (functional kernel) and of one noisy bit-serial MVM (the per-conversion
 # noise draw and ADC), enough to catch a broken hot path without a full
@@ -176,10 +192,12 @@ cover:
 # bound, equal when evaluated again, and equal to the strided fill over
 # any start, stride and length), the bit-serial kernel's column sums
 # (any shape, levels and inputs: AND + popcount over the bit planes equals
-# a per-bit gather over the stored levels), and the functional vector
+# a per-bit gather over the stored levels), the functional vector
 # kernel (any shape, batch and operand widths in its envelope: the
 # assembly routine over the 16-bit panels equals a scalar sum over the
-# stored levels; skipped on a host without AVX2).
+# stored levels; skipped on a host without AVX2), and the input quantizer
+# (any input width, item length, magnitude and values: both panels, the
+# quantized sum and the scale equal the oracle's Abs / Round expressions).
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=15s ./internal/packet/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/isa/
@@ -190,6 +208,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzNorm -fuzztime=15s ./internal/noise/
 	$(GO) test -fuzz=FuzzPlaneSums -fuzztime=15s ./internal/crossbar/
 	$(GO) test -fuzz=FuzzVectorDot -fuzztime=15s ./internal/crossbar/
+	$(GO) test -fuzz=FuzzQuantize -fuzztime=15s ./internal/crossbar/
 
 # Regenerate every paper table and figure.
 experiments:

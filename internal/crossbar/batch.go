@@ -1,19 +1,25 @@
 package crossbar
 
 // The MVM kernels. Every analog read in the simulator — one vector or a
-// serving micro-batch — runs through MVMBatchInto; MVM and MVMInto are a
-// batch of one. Functional mode runs one exact integer GEMM, on the vector
-// unit over 16-bit panels where Program found that possible (vectorGEMM:
-// amd64 with AVX2, operands of at most 15 bits, column sums below 2^31) and
-// in Go over the fused weight panel everywhere else (functionalGEMM);
-// bit-serial mode runs the bit-plane kernel (bitSerialKernel): a column sum
-// is AND + popcount of an input-bit row mask against a weight bit plane.
+// serving micro-batch — is two steps over one pooled scratch: quantize turns
+// a panel of input vectors into the integers the programmed kernel reads,
+// and multiply runs that kernel and the digital epilogue into the caller's
+// destination. MVMBatchInto is the one after the other; MVM and MVMInto are
+// a batch of one; a Tile runs quantize once per (row block, item chunk) and
+// multiply once per block of that row (tile.go). Functional mode runs one
+// exact integer GEMM, on the vector unit over 16-bit panels where Program
+// found that possible (vectorGEMM: amd64 with AVX2, operands of at most 15
+// bits, column sums below 2^31) and in Go over the fused weight panel
+// everywhere else (functionalGEMM); bit-serial mode runs the bit-plane kernel
+// (bitSerialKernel): a column sum is AND + popcount of an input-bit row mask
+// against a weight bit plane.
 //
 // The loop nest is matrix-matrix, not matrix-vector:
 //
-//   - Input quantization happens once per call into a single pooled 2-D
-//     scratch arena (mvmBatchScratch); bit-serial mode then transposes each
-//     item's quantized row into one row mask per input bit (rowMasks).
+//   - quantize writes each item once, straight into the panel the kernel
+//     reads, in a single pooled 2-D scratch arena (mvmBatchScratch);
+//     bit-serial mode then transposes each item's quantized row into one row
+//     mask per input bit (rowMasks).
 //   - The kernels iterate columns outermost and batch items inside, so one
 //     column's weights are loaded once and reused by every item — the
 //     weight matrix is streamed once per batch instead of once per vector.
@@ -33,7 +39,9 @@ package crossbar
 // oracle in kernel_test.go is the reference: the suites there and in
 // batch_test.go pin == against it and across batch sizes for functional
 // (both kernels on a host that has both), bit-serial (every plane-word count
-// and cell width), noisy keyed/unkeyed, and fault-remapped tiles.
+// and cell width), noisy keyed/unkeyed, and fault-remapped tiles, and
+// TestQuantizeMatchesRound and FuzzQuantize pin the quantizer's integers,
+// sums and scales to the oracle's own expressions.
 
 import (
 	"fmt"
@@ -45,30 +53,31 @@ import (
 	"cimrev/internal/obs"
 )
 
-// mvmBatchScratch is the 2-D working set. One instance serves a whole
-// MVMBatchInto call and cycles through the crossbar's pool, so
-// steady-state MVMs allocate nothing.
+// mvmBatchScratch is the 2-D working set. One instance serves a quantize
+// and every multiply that reads what it left — one for MVMBatchInto, one per
+// block of a row for a tile task — and cycles through a crossbar's pool, so
+// steady-state MVMs allocate nothing. The step that fills an arena sizes it.
 type mvmBatchScratch struct {
-	// xInt is the quantized, shift-encoded input panel, item-major:
-	// item i occupies xInt[i*usedRows : i*usedRows+usedRows].
+	// xInt is the quantized, shift-encoded input panel of the Go functional
+	// kernel and of bit-serial mode, item-major: item i occupies
+	// xInt[i*usedRows : i*usedRows+usedRows].
 	xInt []int32
+	// x16 is the same panel as the vector kernel reads it, and what quantize
+	// fills instead of xInt on a crossbar that runs that kernel: signed
+	// 16-bit words, item i at x16[i*rows16:], zero from usedRows up to rows16.
+	x16 []int16
 	// xScale and xSumInt are the per-item input scale and quantized sum.
 	xScale  []float64
 	xSumInt []int64
 	// acc is the shift-add accumulator panel, item-major
-	// (acc[i*usedCols+c]); each kernel assigns every element once.
+	// (acc[i*usedCols+c]); each kernel assigns every element once. Sized by
+	// multiply: the blocks of a tile row share inputs, not column counts.
 	acc []float64
 	// masks holds one row mask per (item, input bit), the binary word-line
 	// vector of that array cycle: word masks[(i*InputBits+b)*planeWords+w]
 	// has bit r%64 set when bit b of item i's quantized input at row
-	// 64w+r%64 is set. Built (and sized) once per call by rowMasks for the
-	// bit-serial kernel only; the functional kernels dot xInt directly
-	// (functionalGEMM) or its 16-bit copy (vectorGEMM).
+	// 64w+r%64 is set. Built by rowMasks for the bit-serial kernel only.
 	masks []uint64
-	// x16 is xInt as the vector kernel reads it: signed 16-bit words, item i
-	// at x16[i*rows16:], zero from usedRows up to rows16. Built (and sized)
-	// once per call by vectorGEMM only.
-	x16 []int16
 	// sums and z are the bit-serial kernel's buffers for the conversions
 	// of one (item, column): the InputBits·slices integer column sums and
 	// their noise draws, in conversion order. Sized by rowMasks from the
@@ -76,6 +85,18 @@ type mvmBatchScratch struct {
 	// kept at that bound on the kernel's stack.
 	sums []uint32
 	z    []float64
+}
+
+// grow returns buf with length n, reallocated only when its capacity is
+// short: a pooled arena grows monotonically and is re-sliced to the current
+// shape and batch on every use, so one pool serves any interleaving of
+// reprogrammed shapes and batch sizes (TestScratchReuseAcrossReshapes). A
+// reused arena holds whatever the last call left there.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // blockItems returns the batch-block size for the functional kernel's item
@@ -108,11 +129,7 @@ func (x *Crossbar) MVMBatch(inputs [][]float64, nss []noise.Source) ([][]float64
 	if !x.programmed {
 		return nil, energy.Zero, fmt.Errorf("crossbar: MVM before Program")
 	}
-	slab := make([]float64, len(inputs)*x.usedCols)
-	dsts := make([][]float64, len(inputs))
-	for i := range dsts {
-		dsts[i] = slab[i*x.usedCols : (i+1)*x.usedCols]
-	}
+	dsts := newPanel(len(inputs), x.usedCols)
 	cost, err := x.MVMBatchInto(dsts, inputs, nss)
 	if err != nil {
 		return nil, energy.Zero, err
@@ -120,23 +137,36 @@ func (x *Crossbar) MVMBatch(inputs [][]float64, nss []noise.Source) ([][]float64
 	return dsts, cost, nil
 }
 
+// newPanel returns a fresh n × width result panel: one slab and its rows.
+func newPanel(n, width int) [][]float64 {
+	slab := make([]float64, n*width)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width]
+	}
+	return rows
+}
+
 // MVMBatchIntoCtx is MVMBatchInto under a trace span: the batched analog
 // read is recorded as one "xbar.mvm_batch" child of pc carrying the
 // serial-equivalent cost (per-item cost × batch) and a batch annotation.
-// With a zero Ctx it is the raw batch kernel plus one branch — zero
+// With a zero Ctx it is the raw batch kernel plus a few nil checks — zero
 // allocations, preserving the hot-path contract.
 func (x *Crossbar) MVMBatchIntoCtx(pc obs.Ctx, dsts, inputs [][]float64, nss []noise.Source) (energy.Cost, error) {
-	if !pc.Active() {
-		return x.MVMBatchInto(dsts, inputs, nss)
-	}
 	sp := pc.Child("xbar.mvm_batch")
 	cost, err := x.MVMBatchInto(dsts, inputs, nss)
-	sp.Annotate("batch", float64(len(inputs)))
-	sp.End(energy.Cost{
-		LatencyPS: cost.LatencyPS * int64(len(inputs)),
-		EnergyPJ:  cost.EnergyPJ * float64(len(inputs)),
-	})
+	endBatchSpan(sp, cost, len(inputs))
 	return cost, err
+}
+
+// endBatchSpan ends the span of a batched read of n items whose per-item
+// cost is cost: annotated with the batch, carrying the serial-equivalent
+// cost (per-item × batch).
+func endBatchSpan(sp obs.Ctx, cost energy.Cost, n int) {
+	if sp.Active() {
+		sp.Annotate("batch", float64(n))
+	}
+	sp.End(cost.Scale(int64(n)))
 }
 
 // MVMBatchInto is MVMBatch writing results into dsts (dsts[i] of length
@@ -146,8 +176,8 @@ func (x *Crossbar) MVMBatchIntoCtx(pc obs.Ctx, dsts, inputs [][]float64, nss []n
 // crossbar. A zero-length batch is a successful no-op. Item i's output
 // depends only on (inputs[i], nss[i]), never on its batchmates.
 func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (energy.Cost, error) {
-	// Fail fast: every shape and value check completes before quantization
-	// or scratch acquisition.
+	// Every check completes before the kernel starts — a non-finite input
+	// is found by the quantizer's own scan — so dsts are untouched on error.
 	if !x.programmed {
 		return energy.Zero, fmt.Errorf("crossbar: MVM before Program")
 	}
@@ -155,72 +185,173 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 	if len(dsts) != n {
 		return energy.Zero, fmt.Errorf("crossbar: %d dsts for %d inputs", len(dsts), n)
 	}
-	if nss != nil && len(nss) != n {
-		return energy.Zero, fmt.Errorf("crossbar: %d noise sources for %d inputs", len(nss), n)
+	if err := x.cfg.checkSources(nss, n); err != nil {
+		return energy.Zero, err
 	}
 	if n == 0 {
-		// A zero-length batch is a successful no-op, even on a noisy
-		// configuration.
 		return energy.Zero, nil
 	}
-	if x.cfg.ReadNoise > 0 {
-		if nss == nil {
-			return energy.Zero, fmt.Errorf("crossbar: ReadNoise %g requires per-item noise sources", x.cfg.ReadNoise)
-		}
-		for i, ns := range nss {
-			if !ns.Valid() {
-				return energy.Zero, fmt.Errorf("crossbar: ReadNoise %g requires a noise source (item %d)", x.cfg.ReadNoise, i)
-			}
+	for i, dst := range dsts {
+		if len(dst) != x.usedCols {
+			return energy.Zero, fmt.Errorf("crossbar: dst %d length %d != programmed cols %d", i, len(dst), x.usedCols)
 		}
 	}
-	for i, in := range inputs {
-		if len(in) != x.usedRows {
-			return energy.Zero, fmt.Errorf("crossbar: input %d length %d != programmed rows %d", i, len(in), x.usedRows)
-		}
-		if len(dsts[i]) != x.usedCols {
-			return energy.Zero, fmt.Errorf("crossbar: dst %d length %d != programmed cols %d", i, len(dsts[i]), x.usedCols)
-		}
-		for j, v := range in {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return energy.Zero, fmt.Errorf("crossbar: non-finite input at item %d index %d", i, j)
-			}
-		}
-	}
-
-	s := x.getBatchScratch(n)
+	s := x.getScratch()
 	defer x.batchScratch.Put(s)
-
-	// Quantize and shift-encode every item once, up front.
-	xMax := int32(1)<<x.cfg.InputBits - 1
-	for i, in := range inputs {
-		xScale := 0.0
-		for _, v := range in {
-			if a := math.Abs(v); a > xScale {
-				xScale = a
-			}
-		}
-		if xScale == 0 {
-			xScale = 1
-		}
-		xi := s.xInt[i*x.usedRows : (i+1)*x.usedRows]
-		var sum int64
-		for r, v := range in {
-			x01 := (v/xScale + 1) / 2
-			q := int32(math.Round(x01 * float64(xMax)))
-			xi[r] = q
-			sum += int64(q)
-		}
-		s.xScale[i] = xScale
-		s.xSumInt[i] = sum
+	if err := x.quantize(s, inputs); err != nil {
+		return energy.Zero, err
 	}
+	x.multiply(s, dsts, nss, store)
+	return x.cost, nil
+}
 
+// checkSources is the noise precondition of a batch of n: one source per
+// item when any are given, and on a noisy configuration every one present
+// and valid. A zero-length batch passes even there.
+func (c Config) checkSources(nss []noise.Source, n int) error {
+	if nss != nil && len(nss) != n {
+		return fmt.Errorf("crossbar: %d noise sources for %d inputs", len(nss), n)
+	}
+	if n == 0 || !(c.ReadNoise > 0) {
+		return nil
+	}
+	if nss == nil {
+		return fmt.Errorf("crossbar: ReadNoise %g requires per-item noise sources", c.ReadNoise)
+	}
+	for i, ns := range nss {
+		if !ns.Valid() {
+			return fmt.Errorf("crossbar: ReadNoise %g requires a noise source (item %d)", c.ReadNoise, i)
+		}
+	}
+	return nil
+}
+
+// getScratch pops the pool's scratch, or makes an empty one: quantize and
+// multiply size what they fill.
+func (x *Crossbar) getScratch() *mvmBatchScratch {
+	s, _ := x.batchScratch.Get().(*mvmBatchScratch)
+	if s == nil {
+		s = &mvmBatchScratch{}
+	}
+	return s
+}
+
+// The sign-cleared IEEE-754 bits of a float64 order as its magnitude does,
+// and ±Inf and every NaN sit at or above infBits: one unsigned maximum over
+// an item's cleared bits is both its max |v| and its "any NaN or Inf".
+const (
+	signBit = 1 << 63
+	infBits = 0x7FF << 52
+)
+
+// quantize is the input half of an MVM, and the only place an input is
+// checked, scaled, rounded or narrowed: it rejects a mis-sized or non-finite
+// item, takes each item's scale max |v| (1 for an all-zero item),
+// shift-encodes v to Round((v/scale + 1)/2 · xMax) and leaves in s what the
+// programmed kernel reads — x16 for the vector kernel, its pad zeroed on
+// every call (the arena is reused across shapes and the routine multiplies
+// the pad; panel16's pad is zero too, and neither side relies on the other),
+// xInt for the Go kernel, xInt and its row masks for bit-serial — beside the
+// per-item scale and sum the epilogue needs. All of it follows from the
+// configuration, usedRows and the kernel Program chose, never from usedCols:
+// the blocks of one tile row share a call.
+func (x *Crossbar) quantize(s *mvmBatchScratch, inputs [][]float64) error {
+	n, rows := len(inputs), x.usedRows
+	for i, in := range inputs {
+		if len(in) != rows {
+			return fmt.Errorf("crossbar: input %d length %d != programmed rows %d", i, len(in), rows)
+		}
+	}
+	s.xScale, s.xSumInt = grow(s.xScale, n), grow(s.xSumInt, n)
+	if x.panel16 != nil {
+		s.x16 = grow(s.x16, n*x.rows16)
+	} else {
+		s.xInt = grow(s.xInt, n*rows)
+	}
+	xMax := float64(int32(1)<<x.cfg.InputBits - 1)
+	for i, in := range inputs {
+		var top uint64
+		for _, v := range in {
+			top = max(top, math.Float64bits(v)&^signBit)
+		}
+		if top >= infBits {
+			return nonFinite(i, in)
+		}
+		scale := 1.0
+		if top != 0 {
+			scale = math.Float64frombits(top)
+		}
+		s.xScale[i] = scale
+		if x.panel16 != nil {
+			xi := s.x16[i*x.rows16:][:x.rows16]
+			s.xSumInt[i] = quantizeRow(xi[:rows], in, scale, xMax)
+			clear(xi[rows:])
+		} else {
+			s.xSumInt[i] = quantizeRow(s.xInt[i*rows:][:rows], in, scale, xMax)
+		}
+	}
+	if !x.cfg.Functional {
+		x.rowMasks(s, n)
+	}
+	return nil
+}
+
+// quantizeRow is the quantization loop: dst[r] = Round((in[r]/scale + 1)/2 ·
+// xMax), the oracle's expression, returning the sum. The conversion rounds
+// the product before roundHalfUp doubles it, which a compiler with a fused
+// multiply-add may otherwise do from the unrounded one.
+func quantizeRow[T int16 | int32](dst []T, in []float64, scale, xMax float64) (sum int64) {
+	for r, v := range in {
+		x01 := (v/scale + 1) / 2
+		q := roundHalfUp(float64(x01 * xMax))
+		dst[r] = T(q)
+		sum += int64(q)
+	}
+	return sum
+}
+
+// roundHalfUp is math.Round for 0 ≤ t < 2^30, without its branches: rounding
+// half away from zero is ⌊t⌋ plus one when the fraction reaches a half, and
+// that is (⌊2t⌋ + 1) >> 1 — 2t is exact, ⌊2t⌋ = 2⌊t⌋ + [frac ≥ ½], and the
+// truncating conversion is the floor of a non-negative value. (⌊t + ½⌋ is not
+// it: below 1 the sum is inexact, and 0.49999999999999994 + 0.5 is 1.)
+func roundHalfUp(t float64) int32 {
+	return (int32(2*t) + 1) >> 1
+}
+
+// nonFinite names the first NaN or Inf of item i: the rescan that runs only
+// once quantize's integer compare has found that there is one.
+func nonFinite(i int, in []float64) error {
+	for j, v := range in {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("crossbar: non-finite input at item %d index %d", i, j)
+		}
+	}
+	panic("crossbar: nonFinite called on a finite item")
+}
+
+// merge says how multiply's results meet what dsts hold.
+type merge int
+
+const (
+	store merge = iota // dst = y: the exported entry points
+	first              // dst = 0 + y: a tile's first block row (a merge starts from +0, and 0 + −0 is +0)
+	add                // dst += y: its later block rows
+)
+
+// multiply is the array half of an MVM: it runs the kernel Program chose
+// over the panel quantize left in s, for len(dsts) items, and the digital
+// epilogue into dsts (dsts[i] of length usedCols) as m says. nss is read on
+// a noisy configuration only. It cannot fail: every check ran before it.
+func (x *Crossbar) multiply(s *mvmBatchScratch, dsts [][]float64, nss []noise.Source, m merge) {
+	n := len(dsts)
+	s.acc = grow(s.acc, n*x.usedCols)
 	switch {
 	case x.panel16 != nil:
 		x.vectorGEMM(s, n)
 	case x.cfg.Functional:
 		x.functionalGEMM(s, n)
 	default:
-		x.rowMasks(s, n)
 		x.bitSerialKernel(s, n, nss)
 	}
 
@@ -229,66 +360,47 @@ func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (e
 	// 2*xSum/Xmax + rows). The colSum term is tabulated per column at
 	// Program time and the xSum term computed once per item, each with the
 	// expression and in the association of the formula above.
-	fxMax := float64(xMax)
+	fxMax := float64(int32(1)<<x.cfg.InputBits - 1)
 	full := float64(int(1)<<x.cfg.WeightBits-1) * fxMax
 	rows := float64(x.usedRows)
 	colOffset := x.colOffset[:x.usedCols]
 	for i, dst := range dsts {
+		dst = dst[:len(colOffset)]
 		acc := s.acc[i*x.usedCols:][:len(colOffset)]
 		xOffset := 2 * float64(s.xSumInt[i]) / fxMax
 		scale := x.wScale * s.xScale[i]
 		for c, off := range colOffset {
-			dst[c] = scale * (4*acc[c]/full - off - xOffset + rows)
+			// The conversion rounds the product before a merge adds to it;
+			// a fused multiply-add would round scale·(…) + dst[c] once.
+			y := float64(scale * (4*acc[c]/full - off - xOffset + rows))
+			switch m {
+			case first:
+				y += 0
+			case add:
+				y += dst[c]
+			}
+			dst[c] = y
 		}
 	}
-	return x.mvmCost(), nil
 }
 
-// getBatchScratch returns a scratch sized for n items of the programmed
-// shape. Buffers grow monotonically (capacity checks against the
-// *current* shape and batch, never a cached size), so one pool serves
-// any interleaving of reprogrammed shapes and batch sizes without ever
-// handing back an undersized arena; TestScratchReuseAcrossReshapes pins
-// it.
-func (x *Crossbar) getBatchScratch(n int) *mvmBatchScratch {
-	s, _ := x.batchScratch.Get().(*mvmBatchScratch)
-	if s == nil {
-		s = &mvmBatchScratch{}
-	}
-	if need := n * x.usedRows; cap(s.xInt) < need {
-		s.xInt = make([]int32, need)
-	} else {
-		s.xInt = s.xInt[:need]
-	}
-	if cap(s.xScale) < n {
-		s.xScale = make([]float64, n)
-		s.xSumInt = make([]int64, n)
-	} else {
-		s.xScale = s.xScale[:n]
-		s.xSumInt = s.xSumInt[:n]
-	}
-	if need := n * x.usedCols; cap(s.acc) < need {
-		s.acc = make([]float64, need)
-	} else {
-		s.acc = s.acc[:need]
-	}
-	return s
+// multiplyCtx is multiply under the span MVMBatchIntoCtx records.
+func (x *Crossbar) multiplyCtx(pc obs.Ctx, s *mvmBatchScratch, dsts [][]float64, nss []noise.Source, m merge) {
+	sp := pc.Child("xbar.mvm_batch")
+	x.multiply(s, dsts, nss, m)
+	endBatchSpan(sp, x.cost, len(dsts))
 }
 
 // rowMasks sizes the bit-serial arenas and transposes every item's
-// quantized row into its per-input-bit row masks, once per call; the
+// quantized row into its per-input-bit row masks, once per quantize; the
 // kernel's column loop reuses them usedCols times. Eight rows a step, as
 // packSlices builds the planes: the low and the high byte of eight
 // quantized inputs are one word each, and gatherBits pulls one input bit
 // out of each.
 func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
 	inBits, pw, rows := x.cfg.InputBits, x.planeWords, x.usedRows
-	if need := n * inBits * pw; cap(s.masks) < need {
-		s.masks = make([]uint64, need)
-	} else {
-		s.masks = s.masks[:need]
-		clear(s.masks)
-	}
+	s.masks = grow(s.masks, n*inBits*pw)
+	clear(s.masks) // OR-built below
 	if s.sums == nil {
 		// Fixed by the configuration, which a crossbar and so its pool
 		// never changes, not by the programmed shape.
@@ -324,28 +436,13 @@ func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
 var vectorDot func(acc *float64, stride int, w, x *int16, rows, n int)
 
 // vectorGEMM is the functional-mode kernel on the vector unit: the exact
-// integer product functionalGEMM computes, over 16-bit panels. It narrows
-// each item's quantized row into x16 and zeroes its pad — on every call: the
-// arena is reused across shapes, and the routine multiplies the pad rows like
-// any others (panel16's pad is zero too, so either side alone keeps their
-// products out of the sum; neither relies on the other) — then runs one
-// column of panel16 against every item per vectorDot call. fuseWeights built
-// panel16 only for shapes on which this is exact, so the float64 the routine
-// stores is the one functionalGEMM and the oracle produce.
+// integer product functionalGEMM computes, over 16-bit panels. quantize left
+// each item's row in x16, pad zeroed; one vectorDot call runs one column of
+// panel16 against every item. fuseWeights built panel16 only for shapes on
+// which this is exact, so the float64 the routine stores is the one
+// functionalGEMM and the oracle produce.
 func (x *Crossbar) vectorGEMM(s *mvmBatchScratch, n int) {
-	rows, rows16, cols := x.usedRows, x.rows16, x.usedCols
-	if need := n * rows16; cap(s.x16) < need {
-		s.x16 = make([]int16, need)
-	} else {
-		s.x16 = s.x16[:need]
-	}
-	for i := 0; i < n; i++ {
-		xi := s.x16[i*rows16:][:rows16]
-		for r, q := range s.xInt[i*rows:][:rows] {
-			xi[r] = int16(q)
-		}
-		clear(xi[rows:])
-	}
+	rows16, cols := x.rows16, x.usedCols
 	for c := 0; c < cols; c++ {
 		vectorDot(&s.acc[c], cols, &x.panel16[c*rows16], &s.x16[0], rows16, n)
 	}

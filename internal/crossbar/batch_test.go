@@ -343,8 +343,10 @@ var zeroAllocModes = []struct {
 }
 
 // TestMVMBatchValidation: every batch-shape and noise precondition fails
-// fast, before scratch acquisition or quantization.
+// before scratch acquisition, and a non-finite input before any dst is
+// written (testNonFinite).
 func TestMVMBatchValidation(t *testing.T) {
+	t.Run("non-finite", testNonFinite)
 	cfg := smallConfig()
 	xb, err := New(cfg)
 	if err != nil {
@@ -474,38 +476,43 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 				if _, _, err := xb.MVMBatch(ins, nil); err != nil { // the scratch's latest call is the batch again
 					t.Fatal(err)
 				}
-				s := xb.getBatchScratch(sh.batch)
+				s := xb.getScratch()
 				assertPadsZero(t, xb, s, sh.batch)
 				xb.batchScratch.Put(s)
 			}
 		}
 	}
 
-	// Tile reshape: alternate a 1-block and a 2x2-block logical shape so
-	// pooled tile scratch (outs slab, views, costs) crosses grid sizes.
-	tile, err := NewTile(smallTileConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round, sh := range []struct{ m, n int }{{8, 8}, {30, 30}, {8, 8}} {
-		w := randomMatrix(rng, sh.m, sh.n)
-		if _, err := tile.Program(w); err != nil {
-			t.Fatal(err)
-		}
-		ins := batchInputs(rng, 3, sh.m)
-		got, _, err := tile.MVMBatch(ins, nil)
+	// Tile reshape: one tile walked across block grids — one block, 2×2 with
+	// a narrower last column block (16 + 14), 3×2 with a 7-wide one under an
+	// 8-row last block row, and back — at growing and shrinking batches, so
+	// the pooled view arenas cross groupings and each row block's one shared
+	// quantize scratch serves column blocks of different widths (acc is the
+	// multiply's to size, per block). Oracle-exact on every round, functional
+	// and bit-serial, at a pool wider and narrower than the batch.
+	t.Cleanup(func() { parallel.SetWidth(0) })
+	for _, functional := range []bool{false, true} {
+		cfg := smallTileConfig()
+		cfg.Functional = functional
+		tile, err := NewTile(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ins {
-			want, _, err := tile.MVM(ins[i], NoNoise)
-			if err != nil {
+		for round, sh := range []struct{ m, n, batch int }{{8, 8, 3}, {30, 30, 9}, {40, 23, 2}, {30, 30, 1}, {8, 8, 5}} {
+			w := randomMatrix(rng, sh.m, sh.n)
+			if _, err := tile.Program(w); err != nil {
 				t.Fatal(err)
 			}
-			for c := range want {
-				if got[i][c] != want[c] {
-					t.Fatalf("tile round %d shape %dx%d item %d col %d: %v != %v",
-						round, sh.m, sh.n, i, c, got[i][c], want[c])
+			ins := batchInputs(rng, sh.batch, sh.m)
+			for _, width := range []int{4, 1} {
+				parallel.SetWidth(width)
+				got, _, err := tile.MVMBatch(ins, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ins {
+					sameBits(t, fmt.Sprintf("tile functional=%v round %d shape %dx%d width %d item %d", functional, round, sh.m, sh.n, width, i),
+						got[i], naiveTileMVM(cfg, w, ins[i], NoNoise, nil))
 				}
 			}
 		}

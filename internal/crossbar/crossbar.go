@@ -22,9 +22,10 @@
 // # Kernel layout
 //
 // There is one MVM entry point, MVMBatchInto (batch.go): it runs a panel
-// of input vectors against the programmed array, and MVM/MVMInto are that
-// call on a batch of one. It is organized for locality and zero
-// steady-state allocation (see docs/PERF.md for measurements):
+// of input vectors against the programmed array — one quantizer, then the
+// kernel and the digital epilogue — and MVM/MVMInto are that call on a batch
+// of one. It is organized for locality and zero steady-state allocation (see
+// docs/PERF.md for measurements):
 //
 //   - Slice levels are stored column-major (sliceT[s][c*Rows+r]): what
 //     Program, program-and-verify and the fault tests read and write.
@@ -50,7 +51,7 @@
 //     vector into the cells: the sum is Σ_p 2^p · popcount(rowmask_b AND
 //     plane_{s,p,c}). Program transposes the stored levels into weight bit
 //     planes (planes: 64 rows per word, one run of words per column and
-//     weight bit), MVMBatchInto builds one row mask per item and input
+//     weight bit), the quantizer builds one row mask per item and input
 //     bit, and the one bit-serial kernel fills a column's sums by AND +
 //     popcount, takes its noise draws in one strided fill and converts
 //     them in one flat loop. Every shape Validate admits takes it.
@@ -244,6 +245,10 @@ type Crossbar struct {
 	// scaleTab[b*slices+s] = 2^(b+s*CellBits), the shift-and-add merge
 	// factor of conversion (input bit b, slice s), in conversion order.
 	scaleTab []float64
+
+	// cost is the simulated cost of one MVM on the programmed shape
+	// (mvmCost), tabulated at Program time: every read charges it.
+	cost energy.Cost
 
 	// writes counts cell programming operations (wear). With fault
 	// injection active it counts real program pulses, including every
@@ -460,6 +465,7 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 		x.packSlices()
 	}
 
+	x.cost = x.mvmCost()
 	x.programmed = true
 
 	cells := int64(len(w)) * int64(cols) * int64(x.numSlices)
@@ -826,9 +832,9 @@ func (x *Crossbar) MVMInto(dst, input []float64, ns noise.Source) (energy.Cost, 
 	return x.MVMBatchInto([][]float64{dst}, [][]float64{input}, []noise.Source{ns})
 }
 
-// mvmCost returns the cost of one full MVM: InputBits array cycles (slices
-// fire in parallel, each with its own ADC), plus digital merge and buffer
-// traffic.
+// mvmCost returns the cost of one full MVM on the programmed shape:
+// InputBits array cycles (slices fire in parallel, each with its own ADC),
+// plus digital merge and buffer traffic. Program tabulates it (Crossbar.cost).
 func (x *Crossbar) mvmCost() energy.Cost {
 	cycles := int64(x.cfg.InputBits)
 	slices := float64(x.numSlices)

@@ -231,10 +231,12 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 				check("MVMBatch", got)
 			}
 		}
-		if s := xb.getBatchScratch(1); cfg.Functional && (s.masks != nil || s.sums != nil) {
+		if s := xb.getScratch(); cfg.Functional && (s.masks != nil || s.sums != nil) {
 			t.Fatal("functional MVM sized the bit-serial arenas (masks/sums)")
 		} else if xb.panel16 == nil && s.x16 != nil {
 			t.Fatal("an MVM that is not the vector kernel's sized the 16-bit input panel (x16)")
+		} else if xb.panel16 != nil && s.xInt != nil {
+			t.Fatal("the vector kernel's MVM sized the 32-bit input panel (xInt) beside its own")
 		}
 	}
 }
@@ -575,7 +577,8 @@ func FuzzPlaneSums(f *testing.F) {
 		}
 		xb.packSlices()
 		const n = 2
-		s := xb.getBatchScratch(n)
+		s := xb.getScratch()
+		s.xInt = make([]int32, n*xb.usedRows)
 		for i := range s.xInt {
 			s.xInt[i] = int32(rng.Intn(1 << cfg.InputBits))
 		}
@@ -630,10 +633,11 @@ func assertPadsZero(t *testing.T, xb *Crossbar, s *mvmBatchScratch, n int) {
 }
 
 // FuzzVectorDot: for any shape, batch and operand widths inside the vector
-// kernel's envelope, any stored levels and any quantized inputs, the panel
-// fuseWeights builds and the routine vectorGEMM runs over it give the integer
-// Σ_r W[r,c]·x[r] a scalar loop over sliceT adds up — on a scratch whose
-// 16-bit arena an earlier, larger call left full of ones.
+// kernel's envelope, any stored levels and any inputs, the panel fuseWeights
+// builds, the 16-bit panel quantize narrows into and the routine vectorGEMM
+// runs over the two give the integer Σ_r W[r,c]·x[r] a scalar loop over sliceT
+// and the quantized inputs adds up — on a scratch whose 16-bit arena an
+// earlier, larger call left full of ones.
 func FuzzVectorDot(f *testing.F) {
 	if vectorDot == nil {
 		f.Skip("host has no vector kernel (amd64 with AVX2)")
@@ -671,22 +675,30 @@ func FuzzVectorDot(f *testing.F) {
 			t.Fatalf("weight=%d input=%d rows=%d is in the envelope, and fuseWeights built no 16-bit panel", cfg.WeightBits, cfg.InputBits, xb.usedRows)
 		}
 		n := 1 + int(items)%70
-		s := xb.getBatchScratch(n)
+		s := xb.getScratch()
 		s.x16 = make([]int16, (n+1)*xb.rows16)
 		for i := range s.x16 {
 			s.x16[i] = 1
 		}
-		for i := range s.xInt {
-			s.xInt[i] = int32(rng.Intn(1 << cfg.InputBits))
+		// Inputs whose quantized values cover the whole input range: the
+		// first pins the item's scale to 1, the rest are uniform in [−1, 1].
+		ins := batchInputs(rng, n, xb.usedRows)
+		for _, in := range ins {
+			in[0] = 1
 		}
+		if err := xb.quantize(s, ins); err != nil {
+			t.Fatal(err)
+		}
+		s.acc = grow(s.acc, n*xb.usedCols)
 		xb.vectorGEMM(s, n)
 		assertPadsZero(t, xb, s, n)
 		for i := 0; i < n; i++ {
+			xi := s.x16[i*xb.rows16:][:xb.usedRows]
 			for c := 0; c < xb.usedCols; c++ {
 				var want int64
 				for r := 0; r < xb.usedRows; r++ {
 					for sl := range xb.sliceT {
-						want += int64(xb.sliceT[sl][c*cfg.Rows+r]) << uint(sl*cfg.CellBits) * int64(s.xInt[i*xb.usedRows+r])
+						want += int64(xb.sliceT[sl][c*cfg.Rows+r]) << uint(sl*cfg.CellBits) * int64(xi[r])
 					}
 				}
 				if got := s.acc[i*xb.usedCols+c]; got != float64(want) {

@@ -18,17 +18,21 @@ import (
 // compute in parallel (each owns its arrays and converters), so MVM latency
 // is one block MVM plus the merge, while energy sums across blocks.
 //
-// The simulator mirrors the hardware's spatial parallelism: independent
-// blocks of Program and MVM fan out across the internal/parallel worker
-// pool, with per-block results merged in fixed (row, column) order so cost
-// totals and outputs are bit-identical to serial execution at any pool
-// width. Analog read noise no longer forces sequential evaluation: each
-// block derives its own counter-based noise stream (ns.Derive(blockIndex)),
-// so the draw applied to any (block, bit, slice, column) is a pure function
-// of position, not of goroutine schedule (see internal/noise and
-// docs/PARALLELISM.md). A Tile's mutating methods are not safe for
-// concurrent use from multiple goroutines, while MVM on a programmed tile —
-// noisy or not — is read-only and may be called concurrently.
+// The simulator mirrors the hardware's spatial parallelism: the blocks of
+// Program and the (item chunk × column-block group) tasks of an MVM fan out
+// across the internal/parallel worker pool. An MVM task owns finished output
+// elements: it walks its column blocks' block rows in ascending order,
+// quantizing each row block's inputs once, and every block adds its stripe
+// straight into the destination, so an output element is the same
+// 0 + b₀ + b₁ + … whichever task computes it, and costs fold in fixed (row,
+// column) order: outputs and cost totals are bit-identical to serial
+// execution at any pool width. Analog read noise no longer forces sequential
+// evaluation: each block derives its own counter-based noise stream
+// (ns.Derive(blockIndex)), so the draw applied to any (block, bit, slice,
+// column) is a pure function of position, not of goroutine schedule (see
+// internal/noise and docs/PARALLELISM.md). A Tile's mutating methods are not
+// safe for concurrent use from multiple goroutines, while MVM on a programmed
+// tile — noisy or not — is read-only and may be called concurrently.
 type Tile struct {
 	cfg        Config
 	blocks     [][]*Crossbar // blocks[br][bc]
@@ -43,23 +47,22 @@ type Tile struct {
 	// parallel block programming is bit-identical to serial.
 	faults   faultinject.Model
 	faultSrc noise.Source
-	// batchScratch pools per-call block outputs, costs and view arenas so
-	// steady-state tile MVMs stop allocating a slab per call. Pooled (not
-	// a plain field) because a programmed tile may serve concurrent MVMs.
+	// batchScratch pools the per-call view arenas so steady-state tile MVMs
+	// allocate nothing. Pooled (not a plain field) because a programmed tile
+	// may serve concurrent MVMs.
 	batchScratch sync.Pool
 }
 
 // tileBatchScratch is the pooled per-call workspace for a tile MVM: the
-// per-(block, item) output slab, per-task costs, and the view /
-// derived-source arenas handed to the crossbar kernel. Sized against the
-// current block grid and batch on every use (the same monotonic-capacity
-// audit contract as the crossbar scratch pool).
+// input-view, destination-view and derived-source arenas its tasks hand to
+// the crossbar steps, one element per (column-block group, item) — each
+// belongs to exactly one task, which rewrites it per block. There is no
+// output arena: blocks accumulate into the caller's destination. Sized on
+// every use (grow).
 type tileBatchScratch struct {
-	outs  []float64
-	costs []energy.Cost
-	dsts  [][]float64
-	ins   [][]float64
-	nss   []noise.Source
+	dsts [][]float64
+	ins  [][]float64
+	nss  []noise.Source
 }
 
 // NewTile returns an empty tile that will allocate crossbars on Program.
@@ -261,130 +264,147 @@ func (t *Tile) MVMBatch(inputs [][]float64, nss []noise.Source) ([][]float64, en
 	return t.MVMBatchCtx(obs.Ctx{}, inputs, nss)
 }
 
-// MVMBatchCtx is MVMBatch under a trace span: one "tile.mvm_batch" child
-// of pc, annotated with the batch size and recording the serial-equivalent
-// cost (per-item cost × batch), with one "xbar.mvm_batch" grandchild per
-// (block, item-chunk) task. With a zero Ctx the serving hot path stays
-// allocation-free below the (returned) output panel.
+// MVMBatchCtx is MVMBatch under a trace span: MVMBatchIntoCtx into a fresh
+// output panel, with no finish.
 func (t *Tile) MVMBatchCtx(pc obs.Ctx, inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
-	sp := pc.Child("tile.mvm_batch")
-	outs, cost, err := t.mvmBatch(sp, inputs, nss)
-	if sp.Active() {
-		sp.Annotate("batch", float64(len(inputs)))
-	}
-	sp.End(energy.Cost{
-		LatencyPS: cost.LatencyPS * int64(len(inputs)),
-		EnergyPJ:  cost.EnergyPJ * float64(len(inputs)),
-	})
-	return outs, cost, err
-}
-
-// mvmBatch fans the batch out over (block × item-chunk) tasks — blocks
-// alone would under-fill the worker pool for small tiles, items alone
-// would re-pay every block's weight-panel traffic per item — and each
-// task runs the crossbar kernel (MVMBatchInto) on its item panel.
-// Chunking affects only wall-clock locality and parallelism: item i's
-// noise comes from its own derived stream, and block stripes merge in
-// fixed (block, item) order, so outputs are bit-identical at any pool
-// width and any chunking.
-func (t *Tile) mvmBatch(sp obs.Ctx, inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
-	if !t.programmed {
-		return nil, energy.Zero, fmt.Errorf("crossbar: tile MVM before Program")
-	}
-	n := len(inputs)
-	if nss != nil && len(nss) != n {
-		return nil, energy.Zero, fmt.Errorf("crossbar: %d noise sources for %d inputs", len(nss), n)
-	}
-	for i, in := range inputs {
-		if len(in) != t.rows {
-			return nil, energy.Zero, fmt.Errorf("crossbar: input %d length %d != rows %d", i, len(in), t.rows)
-		}
-	}
-	if n == 0 {
-		return [][]float64{}, energy.Zero, nil
-	}
-
-	brows, bcols := t.BlockGrid()
-	nb := brows * bcols
-
-	// Split the batch into chunks so (blocks × chunks) covers the worker
-	// pool; at width 1 the whole batch stays in one chunk per block for
-	// maximum weight-panel reuse.
-	chunks := (parallel.Width() + nb - 1) / nb
-	if chunks > n {
-		chunks = n
-	}
-	chunkSz := (n + chunks - 1) / chunks
-	chunks = (n + chunkSz - 1) / chunkSz
-	tasks := nb * chunks
-
-	s := t.getBatchScratch(nb, n, tasks)
-	defer t.batchScratch.Put(s)
-
-	stride := t.cfg.Cols
-	err := parallel.ForErr(tasks, func(tk int) error {
-		b, k := tk/chunks, tk%chunks
-		i0 := k * chunkSz
-		i1 := min(i0+chunkSz, n)
-		if i0 >= i1 {
-			return nil
-		}
-		br, bc := b/bcols, b%bcols
-		r0 := br * t.cfg.Rows
-		r1 := min(r0+t.cfg.Rows, t.rows)
-		c0 := bc * t.cfg.Cols
-		c1 := min(c0+t.cfg.Cols, t.cols)
-		for i := i0; i < i1; i++ {
-			idx := b*n + i
-			s.ins[idx] = inputs[i][r0:r1]
-			s.dsts[idx] = s.outs[idx*stride : idx*stride+(c1-c0)]
-			if nss != nil {
-				s.nss[idx] = NoNoise
-				if nss[i].Valid() {
-					s.nss[idx] = nss[i].Derive(uint64(b))
-				}
-			}
-		}
-		var bnss []noise.Source
-		if nss != nil {
-			bnss = s.nss[b*n+i0 : b*n+i1]
-		}
-		c, err := t.blocks[br][bc].MVMBatchIntoCtx(sp, s.dsts[b*n+i0:b*n+i1], s.ins[b*n+i0:b*n+i1], bnss)
-		if err != nil {
-			return fmt.Errorf("crossbar: block (%d,%d) MVM: %w", br, bc, err)
-		}
-		s.costs[tk] = c
-		return nil
-	})
+	outs := newPanel(len(inputs), t.cols)
+	cost, err := t.MVMBatchIntoCtx(pc, outs, inputs, nss, nil)
 	if err != nil {
 		return nil, energy.Zero, err
 	}
+	return outs, cost, nil
+}
 
-	// Per-item cost: fold block costs in fixed order (chunk 0 of every
-	// block is never empty and all chunks report the same
-	// shape-determined cost).
-	cost := energy.Zero
-	for b := 0; b < nb; b++ {
-		cost = cost.Par(s.costs[b*chunks])
+// MVMBatchIntoCtx is the tile's one MVM entry: MVMBatch writing into the
+// caller's panel (dsts[i] of length cols, overwritten whatever it held,
+// unspecified after an error), under one "tile.mvm_batch" child of pc that
+// carries the batch size and the serial-equivalent cost (per-item cost ×
+// batch) and has one "xbar.mvm_batch" grandchild per (block, item-chunk)
+// read. finish, when not nil, is the digital tail of the read: it is called
+// exactly once per item on every stripe of finished output elements —
+// columns [c0, c0+len(stripe)) of that item's dst, after their last block
+// row — from the pool worker that computed them, so it must be safe to call
+// concurrently on disjoint stripes; which columns share a stripe follows the
+// fan-out, not the caller. A steady-state call allocates no panel, slab or
+// view, only what the fan-out itself does.
+func (t *Tile) MVMBatchIntoCtx(pc obs.Ctx, dsts, inputs [][]float64, nss []noise.Source, finish func(c0 int, stripe []float64)) (energy.Cost, error) {
+	sp := pc.Child("tile.mvm_batch")
+	cost, err := t.mvmBatch(sp, dsts, inputs, nss, finish)
+	endBatchSpan(sp, cost, len(inputs))
+	return cost, err
+}
+
+// mvmBatch fans the batch out over (item chunk × column-block group) tasks.
+// Chunks cover the worker pool first — one per worker, so a task's items meet
+// every weight panel once — and the column blocks split into groups only when
+// the batch has fewer items than the pool has workers; both follow from
+// (batch, pool width, block grid) and nothing else. A task owns the output
+// elements of its items on its columns, start to finish: per block row, in
+// ascending order, it quantizes its items' slice of that row once
+// (Crossbar.quantize) and every block of its group adds its stripe straight
+// into dsts (Crossbar.multiply: 0 + b₀ for the first row, += after); then
+// finish runs on what is now final. The decomposition affects only
+// wall-clock locality and parallelism: block b = br·bcols + bc of item i
+// draws from nss[i].Derive(b) and an element's block-row sum has one order,
+// so outputs are bit-identical at any pool width and any batch.
+func (t *Tile) mvmBatch(sp obs.Ctx, dsts, inputs [][]float64, nss []noise.Source, finish func(c0 int, stripe []float64)) (energy.Cost, error) {
+	if !t.programmed {
+		return energy.Zero, fmt.Errorf("crossbar: tile MVM before Program")
+	}
+	n := len(inputs)
+	if len(dsts) != n {
+		return energy.Zero, fmt.Errorf("crossbar: %d dsts for %d inputs", len(dsts), n)
+	}
+	if err := t.cfg.checkSources(nss, n); err != nil {
+		return energy.Zero, err
+	}
+	for i, in := range inputs {
+		if len(in) != t.rows {
+			return energy.Zero, fmt.Errorf("crossbar: input %d length %d != rows %d", i, len(in), t.rows)
+		}
+		if len(dsts[i]) != t.cols {
+			return energy.Zero, fmt.Errorf("crossbar: dst %d length %d != cols %d", i, len(dsts[i]), t.cols)
+		}
+	}
+	if n == 0 {
+		return energy.Zero, nil
+	}
+	if t.cfg.ReadNoise == 0 {
+		nss = nil // no kernel reads them: spare the per-(block, item) derivations
 	}
 
-	// Deterministic reduction: digital adds in (block, item) order — per
-	// output element the block stripes accumulate in ascending block
-	// order.
-	slab := make([]float64, n*t.cols)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = slab[i*t.cols : (i+1)*t.cols]
+	brows, bcols := t.BlockGrid()
+	width := parallel.Width()
+	chunkSz := (n + width - 1) / width
+	chunks := (n + chunkSz - 1) / chunkSz
+	groups := 1
+	if n < width {
+		groups = min(bcols, (width+chunks-1)/chunks)
 	}
-	for b := 0; b < nb; b++ {
-		c0 := (b % bcols) * t.cfg.Cols
-		c1 := min(c0+t.cfg.Cols, t.cols)
-		for i := 0; i < n; i++ {
-			stripe := s.outs[(b*n+i)*stride : (b*n+i)*stride+(c1-c0)]
-			dst := out[i][c0:]
-			for j, v := range stripe {
-				dst[j] += v
+	groupSz := (bcols + groups - 1) / groups
+	groups = (bcols + groupSz - 1) / groupSz
+
+	s := t.getBatchScratch(groups * n)
+	defer t.batchScratch.Put(s)
+
+	err := parallel.ForErr(chunks*groups, func(tk int) error {
+		k, g := tk/groups, tk%groups
+		i0, i1 := k*chunkSz, min((k+1)*chunkSz, n)
+		bc0, bc1 := g*groupSz, min((g+1)*groupSz, bcols)
+		ins, outs := s.ins[g*n+i0:g*n+i1], s.dsts[g*n+i0:g*n+i1]
+		var bnss []noise.Source
+		if nss != nil {
+			bnss = s.nss[g*n+i0 : g*n+i1]
+		}
+		for br, row := range t.blocks {
+			r0 := br * t.cfg.Rows
+			r1 := min(r0+t.cfg.Rows, t.rows)
+			for j := range ins {
+				ins[j] = inputs[i0+j][r0:r1]
 			}
+			// The blocks of a row share usedRows, the configuration and so
+			// the kernel Program chose: one quantized panel serves them all.
+			xs := row[bc0].getScratch()
+			err := row[bc0].quantize(xs, ins)
+			m := add
+			if br == 0 {
+				m = first
+			}
+			for bc := bc0; bc < bc1 && err == nil; bc++ {
+				c0 := bc * t.cfg.Cols
+				c1 := min(c0+t.cfg.Cols, t.cols)
+				for j := range outs {
+					outs[j] = dsts[i0+j][c0:c1]
+					if nss != nil {
+						bnss[j] = nss[i0+j].Derive(uint64(br*bcols + bc))
+					}
+				}
+				row[bc].multiplyCtx(sp, xs, outs, bnss, m)
+			}
+			row[bc0].batchScratch.Put(xs)
+			if err != nil {
+				return fmt.Errorf("crossbar: block (%d,%d) MVM: %w", br, bc0, err)
+			}
+		}
+		if finish != nil {
+			c0 := bc0 * t.cfg.Cols
+			c1 := min(bc1*t.cfg.Cols, t.cols)
+			for _, dst := range dsts[i0:i1] {
+				finish(c0, dst[c0:c1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return energy.Zero, err
+	}
+
+	// Per-item cost: block costs are shape-determined (tabulated at
+	// Program) and fold in fixed (row, column) order.
+	cost := energy.Zero
+	for _, row := range t.blocks {
+		for _, b := range row {
+			cost = cost.Par(b.cost)
 		}
 	}
 	// Digital merge: one add per partial element beyond the first block row.
@@ -395,34 +415,16 @@ func (t *Tile) mvmBatch(sp obs.Ctx, inputs [][]float64, nss []noise.Source) ([][
 			EnergyPJ:  float64(merges) * energy.ShiftAddEnergyPJ,
 		})
 	}
-	return out, cost, nil
+	return cost, nil
 }
 
-// getBatchScratch pops (or grows) a pooled batch workspace for nb blocks,
-// n items, and the given task count.
-func (t *Tile) getBatchScratch(nb, n, tasks int) *tileBatchScratch {
+// getBatchScratch pops (or grows) a pooled batch workspace of the given
+// number of views.
+func (t *Tile) getBatchScratch(views int) *tileBatchScratch {
 	s, _ := t.batchScratch.Get().(*tileBatchScratch)
 	if s == nil {
 		s = &tileBatchScratch{}
 	}
-	if need := nb * n * t.cfg.Cols; cap(s.outs) < need {
-		s.outs = make([]float64, need)
-	} else {
-		s.outs = s.outs[:need]
-	}
-	if cap(s.costs) < tasks {
-		s.costs = make([]energy.Cost, tasks)
-	} else {
-		s.costs = s.costs[:tasks]
-	}
-	if need := nb * n; cap(s.dsts) < need {
-		s.dsts = make([][]float64, need)
-		s.ins = make([][]float64, need)
-		s.nss = make([]noise.Source, need)
-	} else {
-		s.dsts = s.dsts[:need]
-		s.ins = s.ins[:need]
-		s.nss = s.nss[:need]
-	}
+	s.dsts, s.ins, s.nss = grow(s.dsts, views), grow(s.ins, views), grow(s.nss, views)
 	return s
 }

@@ -15,8 +15,10 @@
 // Load and Reprogram fan independent layers across the internal/parallel
 // worker pool, Cluster fans independent boards, and InferBatch advances its
 // batch stage by stage, handing each dense or conv stage's tile the whole
-// item panel — the fan-out of a batch is the tile's (block × item-chunk)
-// tasks, not its items — all with deterministic index-ordered reductions, so
+// item panel — the fan-out of a batch is the tile's (item chunk ×
+// column-block group) tasks, not its items, and a dense stage's merge, bias
+// and elementwise activation finish inside the task that computed the
+// elements — all with deterministic index-ordered reductions, so
 // outputs and energy/latency totals are bit-identical to serial execution
 // at any pool width (see docs/PARALLELISM.md). Analog read noise comes
 // from a counter-based internal/noise tree keyed by (seed, inference
@@ -27,6 +29,7 @@ package dpe
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"cimrev/internal/crossbar"
@@ -85,6 +88,55 @@ type stage struct {
 	conv *nn.Conv2D
 	// dense is set for Dense stages.
 	dense *nn.Dense
+	// act is set for activation stages.
+	act *nn.ActivationLayer
+	// finish, on a Dense stage, is what the tile's tasks run on every
+	// finished output stripe: the bias add, then — when the next stage is an
+	// elementwise activation — that activation. That stage is then fused: it
+	// keeps its slot, its span and its simulated cost, and touches no data.
+	finish func(c0 int, stripe []float64)
+	fused  bool
+}
+
+// linkStages derives each Dense stage's finish, and the activation stages
+// that fuses, from the layer sequence alone. Softmax is not elementwise and
+// never fuses; a conv stage scatters its patches itself, so the activation
+// behind it runs as a stage.
+func linkStages(stages []stage) {
+	for i := range stages {
+		stages[i].act, _ = stages[i].layer.(*nn.ActivationLayer)
+	}
+	elementwise := func(a *nn.ActivationLayer) bool { return a != nil && a.Kind() != nn.ActSoftmax }
+	for i := range stages {
+		s := &stages[i]
+		s.fused = i > 0 && stages[i-1].dense != nil && elementwise(s.act)
+		d := s.dense
+		if d == nil {
+			continue
+		}
+		var act *nn.ActivationLayer
+		if i+1 < len(stages) && elementwise(stages[i+1].act) {
+			act = stages[i+1].act
+		}
+		s.finish = func(c0 int, stripe []float64) {
+			addBias(stripe, d.B[c0:])
+			if act != nil {
+				act.Apply(stripe)
+			}
+		}
+	}
+}
+
+func addBias(stripe, b []float64) {
+	for j, v := range b[:len(stripe)] {
+		stripe[j] += v
+	}
+}
+
+// panel is an n × width activation panel: one slab and its row views.
+type panel struct {
+	slab []float64
+	rows [][]float64
 }
 
 // Engine is a programmed Dot Product Engine.
@@ -108,6 +160,32 @@ type Engine struct {
 	// seq0+i, so a batch's noise is identical to the same inputs run
 	// through Infer one at a time — and identical at any pool width.
 	seq atomic.Uint64
+	// panels pools the activation panels between stages (*panel): batches
+	// may run concurrently.
+	panels sync.Pool
+}
+
+// getPanel returns an n × width panel whose contents are unspecified: from
+// the pool, or — keep set — allocated for a caller who will keep it.
+func (e *Engine) getPanel(n, width int, keep bool) *panel {
+	var p *panel
+	if !keep {
+		p, _ = e.panels.Get().(*panel)
+	}
+	if p == nil {
+		p = &panel{}
+	}
+	if cap(p.slab) < n*width {
+		p.slab = make([]float64, n*width)
+	}
+	if cap(p.rows) < n {
+		p.rows = make([][]float64, n)
+	}
+	p.rows = p.rows[:n]
+	for i := range p.rows {
+		p.rows[i] = p.slab[i*width : (i+1)*width]
+	}
+	return p
 }
 
 // New returns an empty engine.
@@ -243,6 +321,7 @@ func (e *Engine) load(sp obs.Ctx, net *nn.Network) (energy.Cost, error) {
 	for _, c := range costs {
 		total = total.Par(c)
 	}
+	linkStages(stages)
 	e.net = net
 	e.stages = stages
 	e.programCost = total
@@ -318,6 +397,9 @@ func (e *Engine) reprogram(sp obs.Ctx, net *nn.Network, hide bool) (energy.Cost,
 		}
 		return nil
 	})
+	// Also after a failure: a finish must read the bias of the layer its
+	// stage now holds.
+	linkStages(e.stages)
 	if err != nil {
 		return energy.Zero, err
 	}
@@ -357,18 +439,13 @@ func (e *Engine) InferCtx(pc obs.Ctx, in []float64) ([]float64, energy.Cost, err
 	return outs[0], cost, nil
 }
 
-// runDigital executes activation and pooling stages on digital micro-units.
-func (e *Engine) runDigital(layer nn.Layer, in []float64) ([]float64, energy.Cost, error) {
-	out, err := layer.Forward(in)
-	if err != nil {
-		return nil, energy.Zero, err
-	}
-	n := float64(len(in))
-	cost := energy.Cost{
+// digitalCost is the per-item cost of an activation or pooling stage on the
+// digital micro-units.
+func digitalCost(layer nn.Layer) energy.Cost {
+	return energy.Cost{
 		LatencyPS: energy.EDRAMAccessLatencyPS,
-		EnergyPJ:  n * (energy.ShiftAddEnergyPJ + energy.EDRAMAccessEnergyPJPerByte),
+		EnergyPJ:  float64(layer.InSize()) * (energy.ShiftAddEnergyPJ + energy.EDRAMAccessEnergyPJPerByte),
 	}
-	return out, cost, nil
 }
 
 // InferBatch runs a batch through the engine's stage pipeline. Stages are
@@ -441,13 +518,20 @@ func (e *Engine) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float6
 
 // inferBatch runs the batch stage-major: every item advances through
 // stage s together, so dense (and conv, per patch position) stages hand
-// the tile the whole item panel in one MVMBatchCtx call — the GEMM path
+// the tile the whole item panel in one MVMBatchIntoCtx call — the GEMM path
 // that streams each weight panel once per batch instead of once per item.
 // With seqs == nil, items claim a contiguous run of the engine's
 // inference counter (seq0+i); with seqs != nil, item i uses the
 // caller-supplied key seqs[i] and the counter does not advance. Either
 // way item i's stage-s draws come from src.Derive(key_i).Derive(s), so
 // item i's output does not depend on the batch it rides in.
+//
+// A stage reads the panel the stage before it left and writes a new one
+// (dense, conv, pooling, and an activation that comes first: the caller's
+// inputs are never written) or works in place on it (every other activation).
+// Panels come from the engine's pool and go back once the next is written;
+// the last one written is allocated for this batch, since the stages after
+// it are in place and the caller keeps what they leave there.
 func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]float64, energy.Cost, error) {
 	if e.net == nil {
 		return nil, energy.Zero, fmt.Errorf("dpe: inference before Load")
@@ -475,8 +559,14 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 		perInf[i] = e.src.Derive(key)
 	}
 
-	vs := make([][]float64, n)
-	copy(vs, inputs)
+	lastWritten := 0
+	for s := range e.stages {
+		if !e.stages[s].inPlace(s) {
+			lastWritten = s
+		}
+	}
+	vs := inputs
+	var held *panel // the pooled panel vs is, once a stage has written one
 	nss := make([]noise.Source, n)
 	// Stage costs are uniform across items (every item runs the same
 	// arrays), so one per-item total and the bottleneck stage suffice for
@@ -484,18 +574,30 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 	total := energy.Zero
 	var stageMax int64
 	for s := range e.stages {
+		st := &e.stages[s]
 		for i := range nss {
 			nss[i] = perInf[i].Derive(uint64(s))
 		}
-		outs, cost, err := e.runStage(sp, &e.stages[s], vs, nss)
+		var out *panel
+		outs := vs
+		if !st.inPlace(s) {
+			out = e.getPanel(n, st.layer.OutSize(), s == lastWritten)
+			outs = out.rows
+		}
+		cost, err := e.runStage(sp, st, outs, vs, nss)
 		if err != nil {
-			return nil, energy.Zero, fmt.Errorf("dpe: stage %d (%s): %w", s, e.stages[s].layer.Name(), err)
+			return nil, energy.Zero, fmt.Errorf("dpe: stage %d (%s): %w", s, st.layer.Name(), err)
 		}
 		total = total.Seq(cost)
 		if cost.LatencyPS > stageMax {
 			stageMax = cost.LatencyPS
 		}
-		vs = outs
+		if out != nil {
+			if held != nil {
+				e.panels.Put(held)
+			}
+			held, vs = out, outs
+		}
 	}
 	e.inferences.Add(int64(n))
 
@@ -506,64 +608,64 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 	return vs, cost, nil
 }
 
-// runStage executes one stage for the whole batch. nss[i] is item i's
-// derived stage stream (src.Derive(key_i).Derive(stageIndex)); conv stages
-// derive one child per im2col patch, and tiles derive one grandchild per
-// block, so every analog draw in the engine has a unique position-keyed
-// counter. pc is the enclosing inference span; each stage opens one child
-// under it for the batch, carrying the serial-equivalent cost (per-item ×
-// batch); the returned cost is the uniform per-item stage cost.
-func (e *Engine) runStage(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
+// inPlace reports whether the stage, at index i, works on the panel it is
+// handed: an activation does, unless it comes first and would be writing the
+// caller's inputs.
+func (s *stage) inPlace(i int) bool { return s.act != nil && i > 0 }
+
+// runStage executes one stage for the whole batch, reading ins and leaving
+// its results in outs — the same panel for a stage that works in place.
+// nss[i] is item i's derived stage stream
+// (src.Derive(key_i).Derive(stageIndex)); conv stages derive one child per
+// im2col patch, and tiles derive one grandchild per block, so every analog
+// draw in the engine has a unique position-keyed counter. pc is the
+// enclosing inference span; each stage opens one child under it for the
+// batch, carrying the serial-equivalent cost (per-item × batch); the
+// returned cost is the uniform per-item stage cost.
+func (e *Engine) runStage(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noise.Source) (energy.Cost, error) {
 	n := len(ins)
 	switch {
 	case s.dense != nil:
 		sp := pc.Child("dpe.dense")
-		outs, cost, err := s.tile.MVMBatchCtx(sp, ins, nss)
+		cost, err := s.tile.MVMBatchIntoCtx(sp, outs, ins, nss, s.finish)
 		if err != nil {
 			sp.End(energy.Zero)
-			return nil, energy.Zero, err
-		}
-		for _, out := range outs {
-			for o := range out {
-				out[o] += s.dense.B[o]
-			}
+			return energy.Zero, err
 		}
 		// Bias adds ride the existing shift-add hardware.
-		cost = cost.Seq(energy.Cost{EnergyPJ: float64(len(outs[0])) * energy.ShiftAddEnergyPJ})
-		sp.End(energy.Cost{
-			LatencyPS: cost.LatencyPS * int64(n),
-			EnergyPJ:  cost.EnergyPJ * float64(n),
-		})
-		return outs, cost, nil
+		cost = cost.Seq(energy.Cost{EnergyPJ: float64(s.dense.OutSize()) * energy.ShiftAddEnergyPJ})
+		sp.End(cost.Scale(int64(n)))
+		return cost, nil
 	case s.conv != nil:
 		sp := pc.Child("dpe.conv")
-		outs, cost, err := e.runConv(sp, s, ins, nss)
+		cost, err := e.runConv(sp, s, outs, ins, nss)
 		if sp.Active() && err == nil {
 			sp.Annotate("patches", float64(s.conv.OutH()*s.conv.OutW()))
 			sp.Annotate("batch", float64(n))
 		}
-		sp.End(energy.Cost{
-			LatencyPS: cost.LatencyPS * int64(n),
-			EnergyPJ:  cost.EnergyPJ * float64(n),
-		})
-		return outs, cost, err
+		sp.End(cost.Scale(int64(n)))
+		return cost, err
 	default:
+		// Activation and pooling stages run on digital micro-units.
 		sp := pc.Child("dpe.digital")
-		outs := make([][]float64, n)
-		var cost energy.Cost
-		for i := range ins {
-			out, c, err := e.runDigital(s.layer, ins[i])
-			if err != nil {
-				sp.End(energy.Zero)
-				return nil, energy.Zero, err
+		for i, in := range ins {
+			switch {
+			case s.fused:
+			case s.act != nil:
+				copy(outs[i], in) // a no-op in place
+				s.act.Apply(outs[i])
+			default:
+				out, err := s.layer.Forward(in)
+				if err != nil {
+					sp.End(energy.Zero)
+					return energy.Zero, err
+				}
+				copy(outs[i], out)
 			}
-			outs[i], cost = out, c
 		}
-		sp.End(energy.Cost{
-			LatencyPS: cost.LatencyPS * int64(n),
-			EnergyPJ:  cost.EnergyPJ * float64(n),
-		})
-		return outs, cost, nil
+		cost := digitalCost(s.layer)
+		sp.End(cost.Scale(int64(n)))
+		return cost, nil
 	}
 }
 
@@ -574,18 +676,15 @@ func (e *Engine) runStage(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Sou
 // independent of streaming order. Replicas process patches concurrently:
 // per item, latency covers ceil(patches/replicas) waves and energy covers
 // every patch.
-func (e *Engine) runConv(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
+func (e *Engine) runConv(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noise.Source) (energy.Cost, error) {
 	l := s.conv
 	oh, ow := l.OutH(), l.OutW()
 	n := len(ins)
-	outs := make([][]float64, n)
-	slab := make([]float64, n*oh*ow*l.F)
-	for i := range outs {
-		outs[i] = slab[i*oh*ow*l.F : (i+1)*oh*ow*l.F]
-	}
 	patches := oh * ow
 	patchIns := make([][]float64, n)
 	patchNss := make([]noise.Source, n)
+	ys := e.getPanel(n, l.F, false)
+	defer e.panels.Put(ys)
 	var patchCost energy.Cost
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
@@ -593,19 +692,19 @@ func (e *Engine) runConv(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Sour
 			for i := range ins {
 				patch, err := l.Patch(ins[i], oy, ox)
 				if err != nil {
-					return nil, energy.Zero, err
+					return energy.Zero, err
 				}
 				patchIns[i] = patch
 				patchNss[i] = nss[i].Derive(uint64(p))
 			}
-			ys, cost, err := s.tile.MVMBatchCtx(pc, patchIns, patchNss)
+			cost, err := s.tile.MVMBatchIntoCtx(pc, ys.rows, patchIns, patchNss, nil)
 			if err != nil {
-				return nil, energy.Zero, err
+				return energy.Zero, err
 			}
 			patchCost = cost // uniform across patches
 			for i := range ins {
 				for f := 0; f < l.F; f++ {
-					outs[i][p*l.F+f] = ys[i][f] + l.B[f]
+					outs[i][p*l.F+f] = ys.rows[i][f] + l.B[f]
 				}
 			}
 		}
@@ -615,7 +714,7 @@ func (e *Engine) runConv(pc obs.Ctx, s *stage, ins [][]float64, nss []noise.Sour
 		LatencyPS: patchCost.LatencyPS * int64(waves),
 		EnergyPJ:  patchCost.EnergyPJ * float64(patches),
 	}
-	return outs, cost, nil
+	return cost, nil
 }
 
 // EffectiveWeightBandwidth returns the rate at which an inference "touches"

@@ -105,6 +105,97 @@ func TestSoftmaxOverflowSafe(t *testing.T) {
 	}
 }
 
+// forwardBeforeApply is ActivationLayer.Forward as it was written before it
+// became a copy and an Apply: out of place, ReLU by comparison. It is the
+// reference Apply is pinned to.
+func forwardBeforeApply(kind Activation, in []float64) []float64 {
+	out := make([]float64, len(in))
+	switch kind {
+	case ActReLU:
+		for i, v := range in {
+			if v > 0 {
+				out[i] = v
+			}
+		}
+	case ActSigmoid:
+		for i, v := range in {
+			out[i] = 1 / (1 + math.Exp(-v))
+		}
+	case ActTanh:
+		for i, v := range in {
+			out[i] = math.Tanh(v)
+		}
+	case ActSoftmax:
+		maxV := math.Inf(-1)
+		for _, v := range in {
+			if v > maxV {
+				maxV = v
+			}
+		}
+		var sum float64
+		for i, v := range in {
+			out[i] = math.Exp(v - maxV)
+			sum += out[i]
+		}
+		for i := range out {
+			out[i] /= sum
+		}
+	}
+	return out
+}
+
+// TestApplyMatchesForward: Apply in place, Forward over it, and Apply stripe
+// by stripe (the elementwise kinds, as the DPE's tile tasks call it) give the
+// bits the out-of-place Forward gave, for all four kinds, on −0, ±large,
+// ±denormal and ±Inf beside ordinary values; Forward leaves its input alone.
+func TestApplyMatchesForward(t *testing.T) {
+	in := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, 709, -709, 745, -745, 1e308, -1e308,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), 3, -2.5}
+	r := rng()
+	for i := 0; i < 50; i++ {
+		in = append(in, r.NormFloat64()*4)
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d: %v (%#x), want %v (%#x)", what, i,
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	for _, kind := range []Activation{ActReLU, ActSigmoid, ActTanh, ActSoftmax} {
+		var src []float64
+		for _, v := range in {
+			if kind != ActSoftmax || !math.IsInf(v, 0) { // an Inf makes every softmax output NaN
+				src = append(src, v)
+			}
+		}
+		l, err := NewActivation(kind, len(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := forwardBeforeApply(kind, src)
+		kept := append([]float64(nil), src...)
+		got, err := l.Forward(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(kind.String()+" Forward", got, want)
+		same(kind.String()+" Forward's input", src, kept)
+		inPlace := append([]float64(nil), src...)
+		l.Apply(inPlace)
+		same(kind.String()+" Apply", inPlace, want)
+		if kind != ActSoftmax {
+			striped := append([]float64(nil), src...)
+			for c0 := 0; c0 < len(striped); c0 += 7 {
+				l.Apply(striped[c0:min(c0+7, len(striped))])
+			}
+			same(kind.String()+" Apply by stripes", striped, want)
+		}
+	}
+}
+
 func TestActivationShapeError(t *testing.T) {
 	relu, err := NewActivation(ActReLU, 3)
 	if err != nil {

@@ -1,12 +1,14 @@
 // Package parallel is the simulator's shared worker-pool layer: bounded
 // goroutine fan-out with deterministic result ordering for the hot paths in
-// internal/crossbar (the block × item-chunk tasks of a tiled batched MVM,
-// the blocks of tile programming), internal/dpe (layer programming, cluster
-// boards), and internal/experiments (sweep points). The serving pipeline
-// (internal/serve) rides the same pool: every micro-batch it flushes is one
-// dpe.Engine.InferBatchKeyed call, which advances the whole batch stage by
-// stage and fans out only inside each stage's tile (crossbar.Tile.mvmBatch),
-// so one width knob governs both offline sweeps and online serving.
+// internal/crossbar (the item chunk × column-block group tasks of a tiled
+// batched MVM, the blocks of tile programming), internal/dpe (layer
+// programming, cluster boards), and internal/experiments (sweep points). The
+// serving pipeline (internal/serve) rides the same pool: every micro-batch it
+// flushes is one dpe.Engine.InferBatchKeyed call, which advances the whole
+// batch stage by stage and fans out only inside each stage's tile
+// (crossbar.Tile.mvmBatch, whose tasks also do a dense stage's merge, bias
+// and activation), so one width knob governs both offline sweeps and online
+// serving.
 //
 // The hardware this repository simulates is massively spatially parallel —
 // thousands of crossbar tiles compute matrix-vector products at once — so
