@@ -50,18 +50,23 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Non-test Go lines added/removed per package between PARENT and the
-# working tree (stage new files first: untracked ones are not in the diff),
-# outside benchmark/ — the LOC delta ROADMAP asks every PR to report.
+# Go lines added/removed per package between PARENT and the working tree
+# (stage new files first: untracked ones are not in the diff), outside
+# benchmark/ — the LOC delta ROADMAP asks every PR to report, in two blocks
+# of the same columns: non-test files, then *_test.go.
 #   make loc PARENT=HEAD~1
+LOC_TABLE = awk ' \
+	{ pkg = $$3; if (!sub(/\/[^\/]*$$/, "", pkg)) pkg = "."; \
+	  if (!(pkg in add)) order[++n] = pkg; \
+	  add[pkg] += $$1; del[pkg] += $$2; ta += $$1; td += $$2 } \
+	END { for (i = 1; i <= n; i++) { p = order[i]; \
+	    printf "%-28s +%-5d -%-5d %+d\n", p, add[p], del[p], add[p] - del[p] } \
+	  printf "%-28s +%-5d -%-5d %+d\n", "total", ta, td, ta - td }'
 loc:
-	@git diff --numstat $(PARENT) -- '*.go' ':!*_test.go' ':!benchmark' | awk ' \
-		{ pkg = $$3; if (!sub(/\/[^\/]*$$/, "", pkg)) pkg = "."; \
-		  if (!(pkg in add)) order[++n] = pkg; \
-		  add[pkg] += $$1; del[pkg] += $$2; ta += $$1; td += $$2 } \
-		END { for (i = 1; i <= n; i++) { p = order[i]; \
-		    printf "%-28s +%-5d -%-5d %+d\n", p, add[p], del[p], add[p] - del[p] } \
-		  printf "%-28s +%-5d -%-5d %+d\n", "total", ta, td, ta - td }'
+	@echo "non-test Go lines:"; \
+	git diff --numstat $(PARENT) -- '*.go' ':!*_test.go' ':!benchmark' | $(LOC_TABLE); \
+	echo; echo "test Go lines (*_test.go):"; \
+	git diff --numstat $(PARENT) -- '*_test.go' ':!benchmark' | $(LOC_TABLE)
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

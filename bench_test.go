@@ -469,14 +469,19 @@ func BenchmarkEngineInferBatch(b *testing.B) {
 // time per inference; B/op beside allocs/op says what a call leaves the
 // collector (the output panel, and little else). Run it as `make bench-alt
 // BENCH=EngineWorkloads CPU=1,2`: the pool's width follows -cpu, and what
-// two workers buy is one of the things the rows are for (docs/PERF.md).
+// two workers buy is one of the things the rows are for (docs/PERF.md). The
+// big_twin rows are the big functional model served by its Von Neumann twin
+// (vonneumann.Backend.InferBatch, same inputs): what a VN-routed flush costs
+// the host beside the engine's row of the same batch.
 func BenchmarkEngineWorkloads(b *testing.B) {
 	const inputPool = 1021 // as the benchmark: prime, so rotating batches visit every input
-	run := func(name string, sizes []int, xbar, batch int, noisy bool) {
+	// how is the call a row times: "noisy" (Infer on the noisy bit-serial
+	// configuration), "keyed" (InferBatchKeyed) or "twin" (the twin's InferBatch).
+	run := func(name string, sizes []int, xbar, batch int, how string) {
 		b.Run(name, func(b *testing.B) {
 			cfg := dpe.DefaultConfig()
 			cfg.Crossbar.Rows, cfg.Crossbar.Cols = xbar, xbar
-			if noisy {
+			if how == "noisy" {
 				cfg.Crossbar.Functional = false
 				cfg.Crossbar.ReadNoise = 0.01
 			}
@@ -490,6 +495,13 @@ func BenchmarkEngineWorkloads(b *testing.B) {
 			}
 			if _, err := eng.Load(net); err != nil {
 				b.Fatal(err)
+			}
+			var twin *vonneumann.Backend
+			if how == "twin" {
+				twin, err = vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, net)
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 			rng := rand.New(rand.NewSource(1))
 			pool := make([][]float64, inputPool)
@@ -505,11 +517,14 @@ func BenchmarkEngineWorkloads(b *testing.B) {
 					ins[j] = pool[seqs[j]%inputPool]
 				}
 				next += uint64(batch)
-				if noisy {
-					_, _, err := eng.Infer(ins[0])
-					return err
+				switch how {
+				case "noisy":
+					_, _, err = eng.Infer(ins[0])
+				case "twin":
+					_, _, err = twin.InferBatch(ins)
+				default:
+					_, _, err = eng.InferBatchKeyed(seqs, ins)
 				}
-				_, _, err := eng.InferBatchKeyed(seqs, ins)
 				return err
 			}
 			for i := 0; i < 8; i++ { // fill the scratch pools
@@ -529,12 +544,15 @@ func BenchmarkEngineWorkloads(b *testing.B) {
 		})
 	}
 	big, small := []int{256, 256, 256, 256, 256, 128, 10}, []int{16, 16, 10}
-	run("big_bitserial_noisy_b1", big, 128, 1, true)
+	run("big_bitserial_noisy_b1", big, 128, 1, "noisy")
 	for _, batch := range []int{1, 4, 16, 64} {
-		run(fmt.Sprintf("big_functional_b%d", batch), big, 128, batch, false)
+		run(fmt.Sprintf("big_functional_b%d", batch), big, 128, batch, "keyed")
+	}
+	for _, batch := range []int{1, 64} {
+		run(fmt.Sprintf("big_twin_b%d", batch), big, 128, batch, "twin")
 	}
 	for _, batch := range []int{1, 2, 4, 16} {
-		run(fmt.Sprintf("small_functional_b%d", batch), small, 64, batch, false)
+		run(fmt.Sprintf("small_functional_b%d", batch), small, 64, batch, "keyed")
 	}
 }
 

@@ -167,13 +167,13 @@ func (o options) generated() bool {
 func parseLayers(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) < 2 {
-		return nil, fmt.Errorf("cimserve: -layers needs at least 2 comma-separated sizes, got %q", s)
+		return nil, fmt.Errorf("-layers needs at least 2 comma-separated sizes, got %q", s)
 	}
 	sizes := make([]int, len(parts))
 	for i, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || v < 1 {
-			return nil, fmt.Errorf("cimserve: -layers entry %d (%q) must be a positive integer", i, p)
+			return nil, fmt.Errorf("-layers entry %d (%q) must be a positive integer", i, p)
 		}
 		sizes[i] = v
 	}
@@ -185,59 +185,59 @@ func parseLayers(s string) ([]int, error) {
 func (o options) validate() error {
 	switch {
 	case o.clients < 1:
-		return fmt.Errorf("cimserve: -clients must be >= 1, got %d", o.clients)
+		return fmt.Errorf("-clients must be >= 1, got %d", o.clients)
 	case o.requests < 1:
-		return fmt.Errorf("cimserve: -requests must be >= 1, got %d", o.requests)
+		return fmt.Errorf("-requests must be >= 1, got %d", o.requests)
 	case o.batch < 1:
-		return fmt.Errorf("cimserve: -batch must be >= 1, got %d", o.batch)
+		return fmt.Errorf("-batch must be >= 1, got %d", o.batch)
 	case o.maxdelay <= 0:
-		return fmt.Errorf("cimserve: -maxdelay must be positive, got %v", o.maxdelay)
+		return fmt.Errorf("-maxdelay must be positive, got %v", o.maxdelay)
 	case o.deadline < 0:
-		return fmt.Errorf("cimserve: -deadline must be >= 0 (0 disables), got %v", o.deadline)
+		return fmt.Errorf("-deadline must be >= 0 (0 disables), got %v", o.deadline)
 	case o.queue < 1:
-		return fmt.Errorf("cimserve: -queue must be >= 1, got %d", o.queue)
+		return fmt.Errorf("-queue must be >= 1, got %d", o.queue)
 	case !o.openLoop() && o.queue < o.clients:
-		return fmt.Errorf("cimserve: -queue (%d) must be >= -clients (%d): a closed loop never has more than one outstanding request per client, so a smaller queue just sheds load spuriously", o.queue, o.clients)
+		return fmt.Errorf("-queue (%d) must be >= -clients (%d): a closed loop never has more than one outstanding request per client, so a smaller queue just sheds load spuriously", o.queue, o.clients)
 	case o.mode != "both" && o.mode != "serial" && o.mode != "batch":
-		return fmt.Errorf("cimserve: -mode must be one of both|serial|batch, got %q", o.mode)
+		return fmt.Errorf("-mode must be one of both|serial|batch, got %q", o.mode)
 	case o.reprogram < 0:
-		return fmt.Errorf("cimserve: -reprogram must be >= 0, got %d", o.reprogram)
+		return fmt.Errorf("-reprogram must be >= 0, got %d", o.reprogram)
 	case o.stuck < 0 || o.stuck >= 1:
-		return fmt.Errorf("cimserve: -stuck must be in [0, 1), got %g", o.stuck)
+		return fmt.Errorf("-stuck must be in [0, 1), got %g", o.stuck)
 	case o.spares < 0:
-		return fmt.Errorf("cimserve: -spares must be >= 0, got %d", o.spares)
+		return fmt.Errorf("-spares must be >= 0, got %d", o.spares)
 	case o.engines < 1:
-		return fmt.Errorf("cimserve: -engines must be >= 1, got %d", o.engines)
+		return fmt.Errorf("-engines must be >= 1, got %d", o.engines)
 	case o.hedge && o.engines < 2:
-		return fmt.Errorf("cimserve: -hedge needs a second engine to hedge onto, use -engines >= 2")
+		return fmt.Errorf("-hedge needs a second engine to hedge onto, use -engines >= 2")
 	}
 	switch o.arrivals {
 	case "", "closed", "poisson", "mmpp", "diurnal", "trace":
 	default:
-		return fmt.Errorf("cimserve: -arrivals must be one of closed|poisson|mmpp|diurnal|trace, got %q", o.arrivals)
+		return fmt.Errorf("-arrivals must be one of closed|poisson|mmpp|diurnal|trace, got %q", o.arrivals)
 	}
 	switch {
 	case o.generated() && o.rate <= 0:
-		return fmt.Errorf("cimserve: -arrivals %s needs a positive -rate (offered req/s), got %g", o.arrivals, o.rate)
+		return fmt.Errorf("-arrivals %s needs a positive -rate (offered req/s), got %g", o.arrivals, o.rate)
 	case o.arrivals == "trace" && o.tracefile == "":
-		return fmt.Errorf("cimserve: -arrivals trace needs -tracefile")
+		return fmt.Errorf("-arrivals trace needs -tracefile")
 	case o.tracefile != "" && o.arrivals != "trace":
-		return fmt.Errorf("cimserve: -tracefile only applies to -arrivals trace")
+		return fmt.Errorf("-tracefile only applies to -arrivals trace")
 	case o.record != "" && !o.generated():
-		return fmt.Errorf("cimserve: -record needs a schedule generator (-arrivals poisson|mmpp|diurnal), got %q", o.arrivals)
+		return fmt.Errorf("-record needs a schedule generator (-arrivals poisson|mmpp|diurnal), got %q", o.arrivals)
 	case o.openLoop() && o.mode != "batch":
-		return fmt.Errorf("cimserve: -arrivals %s is open-loop and requires -mode batch (the serial baseline is a closed-loop artifact)", o.arrivals)
+		return fmt.Errorf("-arrivals %s is open-loop and requires -mode batch (the serial baseline is a closed-loop artifact)", o.arrivals)
 	case o.mix != "" && o.mix != "none" && o.mix != "default":
-		return fmt.Errorf("cimserve: -mix must be none or default, got %q", o.mix)
+		return fmt.Errorf("-mix must be none or default, got %q", o.mix)
 	}
 	if _, err := fleet.ParsePolicy(o.policy); err != nil {
-		return fmt.Errorf("cimserve: -policy: %w", err)
+		return fmt.Errorf("-policy: %w", err)
 	}
 	if _, err := hybrid.ParseMode(o.dispatch); err != nil {
-		return fmt.Errorf("cimserve: -dispatch: %w", err)
+		return fmt.Errorf("-dispatch: %w", err)
 	}
 	if _, err := chaos.ScenarioPlan(o.chaos, o.seed, 1); err != nil {
-		return fmt.Errorf("cimserve: -chaos: %w", err)
+		return fmt.Errorf("-chaos: %w", err)
 	}
 	return nil
 }
@@ -269,12 +269,12 @@ func buildLoad(o options) (loadgen, error) {
 	case "trace":
 		f, ferr := os.Open(o.tracefile)
 		if ferr != nil {
-			return g, fmt.Errorf("cimserve: -tracefile: %w", ferr)
+			return g, fmt.Errorf("-tracefile: %w", ferr)
 		}
 		tr, terr := workloadgen.ReadTrace(f)
 		f.Close()
 		if terr != nil {
-			return g, fmt.Errorf("cimserve: -tracefile %s: %w", o.tracefile, terr)
+			return g, fmt.Errorf("-tracefile %s: %w", o.tracefile, terr)
 		}
 		rep, rerr := tr.Replay()
 		if rerr != nil {
@@ -398,8 +398,12 @@ func main() {
 	}
 }
 
+// errorLine is what a fatal error prints: the program's name, once — the
+// errors this package builds carry no prefix of their own.
+func errorLine(err error) string { return "cimserve: " + err.Error() }
+
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cimserve:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
 }
 

@@ -27,6 +27,21 @@ func TestParseLayers(t *testing.T) {
 	}
 }
 
+// TestErrorLineNamesProgramOnce: a flag error reaches the terminal as
+// "cimserve: -flag ...", whether validate or parseLayers built it.
+func TestErrorLineNamesProgramOnce(t *testing.T) {
+	_, layersErr := parseLayers("256")
+	for _, err := range []error{options{}.validate(), layersErr} {
+		if err == nil {
+			t.Fatal("bad flags accepted")
+		}
+		line := errorLine(err)
+		if !strings.HasPrefix(line, "cimserve: -") || strings.Count(line, "cimserve:") != 1 {
+			t.Errorf("fatal line %q, want the program's name once, then the flag", line)
+		}
+	}
+}
+
 func TestOptionsValidate(t *testing.T) {
 	good := options{clients: 4, requests: 8, batch: 2, maxdelay: time.Millisecond,
 		queue: 16, mode: "both", layers: []int{16, 8}, engines: 1, policy: "round-robin", dispatch: "cim"}

@@ -153,7 +153,7 @@ func newTelemetryMux(t *telemetry) *http.ServeMux {
 func startTelemetry(addr string, t *telemetry) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", nil, fmt.Errorf("cimserve: -listen %s: %w", addr, err)
+		return "", nil, fmt.Errorf("-listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: newTelemetryMux(t)}
 	go func() { _ = srv.Serve(ln) }()

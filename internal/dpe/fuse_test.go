@@ -52,22 +52,47 @@ func stagedNet(t *testing.T, kind nn.Activation, lead bool) *nn.Network {
 }
 
 // unfusedInfer is the engine's pipeline written the way it ran before any
-// stage was fused, one item at a time on the engine's own tiles: a dense
-// stage is Tile.MVM, then the bias added to the finished vector; every
-// activation is its layer's Forward on the vector before it. Stage s of the
-// inference keyed key draws from src.Derive(key).Derive(s).
+// stage was fused or batched, one item at a time on the engine's own tiles: a
+// dense stage is Tile.MVM, then the bias added to the finished vector; a conv
+// stage is one Tile.MVM per im2col patch, scattered with its bias to the
+// patch's output position; every activation and pooling stage is its layer's
+// Forward on the vector before it. Stage s of the inference keyed key draws
+// from src.Derive(key).Derive(s), and patch p of a conv stage from that
+// stream's child p.
 func unfusedInfer(t *testing.T, e *Engine, in []float64, key uint64) []float64 {
 	t.Helper()
 	v := in
 	for s := range e.stages {
 		st := &e.stages[s]
+		ns := e.src.Derive(key).Derive(uint64(s))
 		if st.dense != nil {
-			out, _, err := st.tile.MVM(v, e.src.Derive(key).Derive(uint64(s)))
+			out, _, err := st.tile.MVM(v, ns)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for o := range out {
 				out[o] += st.dense.B[o]
+			}
+			v = out
+			continue
+		}
+		if l := st.conv; l != nil {
+			out := make([]float64, l.OutSize())
+			for oy := 0; oy < l.OutH(); oy++ {
+				for ox := 0; ox < l.OutW(); ox++ {
+					patch, err := l.Patch(v, oy, ox)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := oy*l.OutW() + ox
+					y, _, err := st.tile.MVM(patch, ns.Derive(uint64(p)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for f := 0; f < l.F; f++ {
+						out[p*l.F+f] = y[f] + l.B[f]
+					}
+				}
 			}
 			v = out
 			continue
@@ -98,9 +123,10 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // ReLU, sigmoid and tanh networks, for a dense layer with nothing to fuse
 // behind it (the last one; and every one of the softmax MLP's but its
 // hidden ReLUs), and behind a leading activation — functional and with keyed
-// read noise, at batches on both sides of the pool widths. The noisy batch
-// also equals a second engine's Infer, one input at a time: key i is the
-// engine counter's i-th number.
+// read noise, at batches on both sides of the pool widths — and for the CNN,
+// whose conv stage streams one batched tile call per patch position. The
+// noisy batch also equals a second engine's Infer, one input at a time: key i
+// is the engine counter's i-th number.
 func TestFusedMatchesUnfused(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWidth(0) })
 	functional := testConfig()
@@ -115,6 +141,14 @@ func TestFusedMatchesUnfused(t *testing.T) {
 		nets[kind.String()+"-leading"] = stagedNet(t, kind, true)
 		wantFused[kind.String()], wantFused[kind.String()+"-leading"] = 2, 2
 	}
+	lenet, err := nn.NewLeNetStyle("lenet", 8, 32, 10, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f, rng := 0, rand.New(rand.NewSource(12)); f < 8; f++ {
+		lenet.Layers[0].(*nn.Conv2D).B[f] = rng.Float64() - 0.5 // NewConv2D leaves the bias zero
+	}
+	nets["lenet"], wantFused["lenet"] = lenet, 1
 	for name, net := range nets {
 		for mode, cfg := range map[string]Config{"functional": functional, "noisy": noisy} {
 			t.Run(name+"/"+mode, func(t *testing.T) {
@@ -135,7 +169,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 					t.Fatalf("%d stages fused, want %d", fused, wantFused[name])
 				}
 				const items = 64
-				inputs := noisyInputs(items, 40, 5)
+				inputs := noisyInputs(items, net.InSize(), 5)
 				seqs := make([]uint64, items)
 				want := make([][]float64, items)
 				for i := range seqs {

@@ -244,7 +244,7 @@ func (d *Dispatcher) Estimates(n int) (cimPS, vnPS float64, ok bool) {
 // routing: Von Neumann routing is suspended (flushes fall back to the CIM
 // side, which the underlying pair keeps serving mid-swap), the wrapped
 // Reprogrammer performs the crossbar swap, and on success the twin is
-// requantized from the same network before routing resumes. A twin reload
+// reloaded from the same network before routing resumes. A twin reload
 // failure is returned after the crossbar swap has already happened — the
 // caller's view is the same as a Breaker reprogram failure mid-retry.
 func (d *Dispatcher) Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error) {

@@ -252,6 +252,41 @@ func TestDispatchForcedModes(t *testing.T) {
 	}
 }
 
+// TestDispatchVNTraceIsOneLeaf pins what a VN-routed flush looks like in a
+// trace: exactly one vn.infer_batch span under the caller's, with nothing
+// beneath it — the twin's private engine runs untraced, so no dpe.*, tile.*
+// or xbar.* span (and none of their crossbar costs) appears — carrying the
+// batch size and the roofline cost PredictBatchCost returns.
+func TestDispatchVNTraceIsOneLeaf(t *testing.T) {
+	net, err := nn.NewMLP("trace-mlp", []int{200, 80, 10}, rand.New(rand.NewSource(30)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, disp := dispatchFixture(t, ModeVN, net, nil)
+	tr := obs.New()
+	root := tr.Root("test.flush")
+	const n = 8
+	_, cost, err := disp.InferBatchKeyedCtx(root, []uint64{7, 6, 5, 4, 3, 2, 1, 0}, dispatchInputs(t, n, 200, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End(cost)
+	spans := tr.Snapshot()
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want the root and one vn.infer_batch: %+v", len(spans), spans)
+	}
+	vn, top := spans[0], spans[1] // retirement order: the leaf ends first
+	if vn.Name != "vn.infer_batch" || vn.Parent != top.ID || top.Name != "test.flush" {
+		t.Fatalf("span tree %q (parent %d) under %q (id %d)", vn.Name, vn.Parent, top.Name, top.ID)
+	}
+	if want := disp.vn.PredictBatchCost(n); vn.Cost != want || cost != want {
+		t.Errorf("span cost %+v, returned %+v, want PredictBatchCost(%d) = %+v", vn.Cost, cost, n, want)
+	}
+	if b, ok := vn.Note("batch"); !ok || b != n {
+		t.Errorf("batch annotation %v (present %v), want %d", b, ok, n)
+	}
+}
+
 // TestDispatchThroughServer pins the serve integration: a Dispatcher slots
 // in as the Server's backend, and every response equals the reference
 // engine's single-item output regardless of how the server batched it or

@@ -6,93 +6,45 @@ import (
 	"sync"
 
 	"cimrev/internal/crossbar"
+	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
 	"cimrev/internal/nn"
 	"cimrev/internal/obs"
 )
 
-// Backend is the executing digital twin of a deterministic DPE engine: a
-// Von Neumann backend that reproduces the crossbar inference path
-// bit-exactly in integer arithmetic, priced by the package's roofline and
-// cache models instead of the analog cost constants.
+// Backend is the executing Von Neumann twin of a deterministic DPE engine:
+// one execution, two price lists. The arithmetic is a private dpe.Engine of
+// the same crossbar config with no noise and no faults — the only
+// configurations a twin exists for — so the twin's outputs equal the
+// engine's with == because they come from the same kernels, whichever
+// kernel a Program picks, at any batch size and worker-pool width
+// (docs/HYBRID.md).
 //
-// Exactness argument (docs/HYBRID.md): the deterministic crossbar pipeline
-// is, end to end, a pure function of quantized integers. Program quantizes
-// each tile block's weights to WeightBits with a per-block scale; MVMInto
-// quantizes the block's input segment to InputBits; the functional kernel
-// reduces them with exact int64 arithmetic, and the bit-serial kernel (at
-// ReadNoise 0) applies the tabulated adcLUT transfer to exact integer
-// column sums. The Backend replays those same integer computations — a
-// blocked int GEMM for functional configs, the LUT transfer for bit-serial
-// ones — followed by the identical float64 offset-removal expression and
-// the identical fixed-order block merge, so every intermediate float64 is
-// the same value in the same order and the outputs compare with ==, not a
-// tolerance. The crossbar's tile decomposition doubles as the cache
-// blocking: one quantized 128x128 int32 panel is 64 KiB, L2-resident on
-// the modeled machine.
+// The cost is not the engine's. The Backend prices each stage as a blocked
+// integer GEMM on the modelled machine: one roofline kernel per dense or conv
+// panel (weights stream from memory unless the whole quantized network fits
+// in the LLC), so the simulated latency and energy are honest Von Neumann
+// numbers. Bit-serial configs pay the full replication factor — reproducing
+// the per-(input bit, slice) ADC transfer digitally is a slices x InputBits/2
+// more expensive integer kernel, and the model says so rather than
+// pretending the cheap functional GEMM suffices.
 //
-// Costs are a different story on purpose: the Backend prices each stage as
-// a roofline GEMM kernel (weights stream from memory unless the whole
-// quantized network fits in the LLC), so the simulated latency and energy
-// are honest Von Neumann numbers. Bit-serial configs pay the full
-// replication factor — reproducing the per-(input bit, slice) ADC transfer
-// digitally is a slices x InputBits/2 more expensive integer kernel, and
-// the model says so rather than pretending the cheap functional GEMM
-// suffices.
-//
-// A Backend is safe for concurrent InferBatch calls; Reload serializes
-// against them with a RW lock. Noisy or faulty configurations have no twin
-// — NewBackend rejects ReadNoise > 0, and callers with fault injection
-// enabled must not build one (the dispatcher pins that traffic to CIM).
+// A Backend is safe for concurrent InferBatch calls; Reload swaps in a
+// freshly loaded engine under the write half of a RW lock. Noisy or faulty
+// configurations have no twin — NewBackend rejects ReadNoise > 0, and
+// callers with fault injection enabled must not build one (the dispatcher
+// pins that traffic to CIM).
 type Backend struct {
 	mach Machine
 	hcfg HierarchyConfig
 	xcfg crossbar.Config
 
-	mu     sync.RWMutex
-	net    *nn.Network
-	stages []twinStage
-
-	// scaleTab[i] = 2^i, the bit-serial shift-and-add factors — the same
-	// table the crossbar kernel uses.
-	scaleTab []float64
+	mu  sync.RWMutex
+	net *nn.Network
+	eng *dpe.Engine
 	// resident is true when every stage's quantized weight panel fits in
 	// the LLC together, making steady-state weight traffic free.
 	resident bool
-}
-
-// twinStage mirrors one dpe stage: a quantized integer panel for dense and
-// conv layers, the layer itself for digital stages.
-type twinStage struct {
-	layer nn.Layer
-	dense *nn.Dense
-	conv  *nn.Conv2D
-	panel *intPanel
-}
-
-// intPanel is the digital replica of a programmed crossbar.Tile: the same
-// ceil(M/Rows) x ceil(N/Cols) block decomposition with each block holding
-// its own quantization scale, integer weights, stored column sums, and ADC
-// transfer table.
-type intPanel struct {
-	rows, cols   int
-	brows, bcols int
-	blocks       []intBlock // block b = br*bcols + bc
-}
-
-// intBlock is the digital replica of one programmed crossbar's state.
-type intBlock struct {
-	ur, uc int // used rows/cols
-	wScale float64
-	// wIntT[c*ur+r] is the shift-encoded quantized weight, column-major —
-	// the GEMM panel. Slice levels for the bit-serial path are extracted
-	// from it by shift and mask, exactly as Program distributed them.
-	wIntT     []int32
-	colSumInt []int64
-	adcStep   float64
-	// adcLUT[v] = Round(v/adcStep)*adcStep for integer column sums v —
-	// the same table Program builds, computed with the same expression.
-	adcLUT []float64
 }
 
 // NewBackend builds the executing twin for a deterministic crossbar config
@@ -113,10 +65,6 @@ func NewBackend(mach Machine, hcfg HierarchyConfig, xcfg crossbar.Config, net *n
 		return nil, fmt.Errorf("vonneumann: no digital twin for ReadNoise %g (noisy traffic is pinned to CIM)", xcfg.ReadNoise)
 	}
 	b := &Backend{mach: mach, hcfg: hcfg, xcfg: xcfg}
-	b.scaleTab = make([]float64, xcfg.InputBits+xcfg.WeightBits)
-	for i := range b.scaleTab {
-		b.scaleTab[i] = float64(int64(1) << uint(i))
-	}
 	if err := b.Reload(net); err != nil {
 		return nil, err
 	}
@@ -136,242 +84,64 @@ func (b *Backend) Network() *nn.Network {
 	return b.net
 }
 
-// Reload re-quantizes the twin from net — the digital analogue of a
-// shadow-pair reprogram. After the first load the topology must stay
-// identical, mirroring dpe.Engine.Reprogram. It blocks until in-flight
-// InferBatch calls drain.
+// Reload loads net into a fresh engine and swaps it in — the digital
+// analogue of a shadow-pair reprogram. After the first load the topology
+// must stay identical, mirroring dpe.Engine.Reprogram. In-flight InferBatch
+// calls finish on the engine they started on: the swap waits for them, the
+// load does not make them wait. A failed Reload changes nothing.
 func (b *Backend) Reload(net *nn.Network) error {
 	if net == nil || len(net.Layers) == 0 {
 		return fmt.Errorf("vonneumann: empty network")
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.net != nil {
-		if len(net.Layers) != len(b.stages) {
+	if cur := b.Network(); cur != nil {
+		if len(net.Layers) != len(cur.Layers) {
 			return fmt.Errorf("vonneumann: Reload requires identical topology")
 		}
 		for i, l := range net.Layers {
-			if l.InSize() != b.stages[i].layer.InSize() || l.OutSize() != b.stages[i].layer.OutSize() {
+			if was := cur.Layers[i]; l.InSize() != was.InSize() || l.OutSize() != was.OutSize() {
 				return fmt.Errorf("vonneumann: Reload layer %d shape mismatch", i)
 			}
 		}
 	}
-	stages := make([]twinStage, len(net.Layers))
-	for i, layer := range net.Layers {
-		s := twinStage{layer: layer}
-		switch l := layer.(type) {
-		case *nn.Dense:
-			s.dense = l
-			s.panel = b.quantizePanel(l.WeightMatrix())
-		case *nn.Conv2D:
-			s.conv = l
-			s.panel = b.quantizePanel(l.Im2ColMatrix())
-		case *nn.ActivationLayer, *nn.MaxPool2D:
-			// Digital stages run the layer directly.
-		default:
-			return fmt.Errorf("vonneumann: unsupported layer %d (%s)", i, layer.Name())
-		}
-		stages[i] = s
+	eng, err := dpe.New(dpe.Config{Crossbar: b.xcfg, ConvReplicas: 1})
+	if err == nil {
+		_, err = eng.Load(net)
 	}
-	b.net = net
-	b.stages = stages
-	b.resident = b.weightBytes() <= float64(b.hcfg.LLCSize)
+	if err != nil {
+		return fmt.Errorf("vonneumann: %w", err)
+	}
+	resident := weightBytes(net) <= float64(b.hcfg.LLCSize)
+	b.mu.Lock()
+	b.net, b.eng, b.resident = net, eng, resident
+	b.mu.Unlock()
 	return nil
 }
 
+// panelShape returns the weight panel a dense or conv layer programs
+// (dense: in x out; conv: the im2col matrix) and how many vectors one item
+// streams through it. ok is false for a digital layer.
+func panelShape(layer nn.Layer) (rows, cols, patches int, ok bool) {
+	switch l := layer.(type) {
+	case *nn.Dense:
+		return l.InSize(), l.OutSize(), 1, true
+	case *nn.Conv2D:
+		return l.Kh * l.Kw * l.C, l.F, l.OutH() * l.OutW(), true
+	}
+	return 0, 0, 0, false
+}
+
 // weightBytes is the total quantized panel footprint (int32 elements).
-func (b *Backend) weightBytes() float64 {
+func weightBytes(net *nn.Network) float64 {
 	var total float64
-	for _, s := range b.stages {
-		if s.panel != nil {
-			total += float64(s.panel.rows) * float64(s.panel.cols) * 4
+	for _, layer := range net.Layers {
+		if rows, cols, _, ok := panelShape(layer); ok {
+			total += float64(rows) * float64(cols) * 4
 		}
 	}
 	return total
 }
 
-// quantizePanel replays crossbar.Tile.Program's per-block quantization:
-// each Rows x Cols block normalizes by its own max |w|, shift-encodes into
-// [0, 2^WeightBits-1] with the same rounding, and tabulates the same ADC
-// transfer for its row count.
-func (b *Backend) quantizePanel(w [][]float64) *intPanel {
-	m, n := len(w), len(w[0])
-	p := &intPanel{
-		rows: m, cols: n,
-		brows: (m + b.xcfg.Rows - 1) / b.xcfg.Rows,
-		bcols: (n + b.xcfg.Cols - 1) / b.xcfg.Cols,
-	}
-	p.blocks = make([]intBlock, p.brows*p.bcols)
-	wMax := float64(int(1)<<b.xcfg.WeightBits - 1)
-	cellMax := float64(int(1)<<b.xcfg.CellBits - 1)
-	for bi := range p.blocks {
-		br, bc := bi/p.bcols, bi%p.bcols
-		r0, r1 := br*b.xcfg.Rows, minInt((br+1)*b.xcfg.Rows, m)
-		c0, c1 := bc*b.xcfg.Cols, minInt((bc+1)*b.xcfg.Cols, n)
-		blk := intBlock{ur: r1 - r0, uc: c1 - c0}
-		wScale := 0.0
-		for r := r0; r < r1; r++ {
-			for _, v := range w[r][c0:c1] {
-				if a := math.Abs(v); a > wScale {
-					wScale = a
-				}
-			}
-		}
-		if wScale == 0 {
-			wScale = 1
-		}
-		blk.wScale = wScale
-		blk.wIntT = make([]int32, blk.ur*blk.uc)
-		blk.colSumInt = make([]int64, blk.uc)
-		for r := r0; r < r1; r++ {
-			for c := c0; c < c1; c++ {
-				w01 := (w[r][c]/wScale + 1) / 2
-				wInt := int(math.Round(w01 * wMax))
-				blk.colSumInt[c-c0] += int64(wInt)
-				blk.wIntT[(c-c0)*blk.ur+(r-r0)] = int32(wInt)
-			}
-		}
-		adcMaxSum := float64(blk.ur) * cellMax
-		blk.adcStep = adcMaxSum / float64(int(1)<<b.xcfg.ADCBits-1)
-		blk.adcLUT = make([]float64, int(adcMaxSum)+1)
-		for v := range blk.adcLUT {
-			blk.adcLUT[v] = math.Round(float64(v)/blk.adcStep) * blk.adcStep
-		}
-		p.blocks[bi] = blk
-	}
-	return p
-}
-
-// segQuant is one block-row's quantized input segment: every block in the
-// row shares it, exactly as every crossbar in a tile row receives the same
-// input slice.
-type segQuant struct {
-	xScale  float64
-	xInt    []int32
-	xSumInt int64
-	// active[b] lists the segment rows whose input bit b is set — the
-	// bit-serial path's active-row lists.
-	active [][]int32
-}
-
-// panelMVM replays crossbar.Tile MVM: per-block MVMs merged in fixed block
-// order with digital adds.
-func (b *Backend) panelMVM(p *intPanel, input []float64) ([]float64, error) {
-	if len(input) != p.rows {
-		return nil, fmt.Errorf("vonneumann: input length %d != rows %d", len(input), p.rows)
-	}
-	for i, v := range input {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("vonneumann: non-finite input at index %d", i)
-		}
-	}
-	xMax := int32(1)<<b.xcfg.InputBits - 1
-	segs := make([]segQuant, p.brows)
-	for br := range segs {
-		r0, r1 := br*b.xcfg.Rows, minInt((br+1)*b.xcfg.Rows, p.rows)
-		seg := input[r0:r1]
-		q := segQuant{xInt: make([]int32, len(seg))}
-		for _, v := range seg {
-			if a := math.Abs(v); a > q.xScale {
-				q.xScale = a
-			}
-		}
-		if q.xScale == 0 {
-			q.xScale = 1
-		}
-		for i, v := range seg {
-			x01 := (v/q.xScale + 1) / 2
-			xi := int32(math.Round(x01 * float64(xMax)))
-			q.xInt[i] = xi
-			q.xSumInt += int64(xi)
-		}
-		if !b.xcfg.Functional {
-			q.active = make([][]int32, b.xcfg.InputBits)
-			for bit := range q.active {
-				mask := int32(1) << uint(bit)
-				for r, xi := range q.xInt {
-					if xi&mask != 0 {
-						q.active[bit] = append(q.active[bit], int32(r))
-					}
-				}
-			}
-		}
-		segs[br] = q
-	}
-
-	out := make([]float64, p.cols)
-	stripe := make([]float64, b.xcfg.Cols)
-	for bi := range p.blocks {
-		br, bc := bi/p.bcols, bi%p.bcols
-		blk := &p.blocks[bi]
-		dst := stripe[:blk.uc]
-		b.blockMVM(blk, &segs[br], dst)
-		c0 := bc * b.xcfg.Cols
-		for i, v := range dst {
-			out[c0+i] += v
-		}
-	}
-	return out, nil
-}
-
-// blockMVM replays one crossbar's deterministic MVMInto: the exact integer
-// kernel, then the identical offset-removal expression.
-func (b *Backend) blockMVM(blk *intBlock, q *segQuant, dst []float64) {
-	if b.xcfg.Functional {
-		// Functional config: the analog pipeline reduces to an exact
-		// integer GEMV on the quantized panel — the blocked int GEMM this
-		// backend exists for. The int64 accumulation equals the crossbar's
-		// slice-by-slice shift-and-add identically (both are exact).
-		for c := 0; c < blk.uc; c++ {
-			col := blk.wIntT[c*blk.ur : (c+1)*blk.ur]
-			var sum int64
-			for r, wv := range col {
-				sum += int64(wv) * int64(q.xInt[r])
-			}
-			dst[c] = float64(sum)
-		}
-	} else {
-		// Bit-serial config at ReadNoise 0: per (input bit, slice, column)
-		// the integer column sum over active rows goes through the adcLUT
-		// transfer and shift-and-add scale, accumulated per column in the
-		// crossbar kernel's (bit asc, slice asc) float64 order.
-		numSlices := b.xcfg.WeightBits / b.xcfg.CellBits
-		cellMask := int32(1)<<b.xcfg.CellBits - 1
-		sums := make([]int64, numSlices)
-		for c := 0; c < blk.uc; c++ {
-			col := blk.wIntT[c*blk.ur : (c+1)*blk.ur]
-			acc := 0.0
-			for bit := 0; bit < b.xcfg.InputBits; bit++ {
-				for si := range sums {
-					sums[si] = 0
-				}
-				for _, r := range q.active[bit] {
-					wv := col[r]
-					for si := 0; si < numSlices; si++ {
-						sums[si] += int64((wv >> uint(si*b.xcfg.CellBits)) & cellMask)
-					}
-				}
-				for si := 0; si < numSlices; si++ {
-					acc += blk.adcLUT[sums[si]] * b.scaleTab[bit+si*b.xcfg.CellBits]
-				}
-			}
-			dst[c] = acc
-		}
-	}
-	// Offset removal — the verbatim crossbar expression:
-	// y = wScale*xScale * (4*acc/(Wmax*Xmax) - 2*colSum/Wmax - 2*xSum/Xmax + n).
-	wMax := float64(int(1)<<b.xcfg.WeightBits - 1)
-	fxMax := float64(int32(1)<<b.xcfg.InputBits - 1)
-	n := float64(blk.ur)
-	for c := range dst {
-		t := 4*dst[c]/(wMax*fxMax) -
-			2*float64(blk.colSumInt[c])/wMax -
-			2*float64(q.xSumInt)/fxMax + n
-		dst[c] = blk.wScale * q.xScale * t
-	}
-}
-
-// InferBatch runs the batch through the digital twin, returning outputs
+// InferBatch runs the batch through the twin's engine, returning outputs
 // bit-identical to dpe.Engine.InferBatch on the same (config, network)
 // and the roofline-priced Von Neumann cost of the batch.
 func (b *Backend) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error) {
@@ -379,7 +149,9 @@ func (b *Backend) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, erro
 }
 
 // InferBatchCtx is InferBatch under a trace span ("vn.infer_batch",
-// annotated with the batch size).
+// annotated with the batch size). The span is a leaf: the engine runs
+// untraced, since its spans would carry crossbar costs the twin does not
+// charge.
 func (b *Backend) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -392,14 +164,10 @@ func (b *Backend) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, en
 		}
 	}
 	sp := pc.Child("vn.infer_batch")
-	outs := make([][]float64, len(inputs))
-	for i, in := range inputs {
-		out, err := b.inferOne(in)
-		if err != nil {
-			sp.End(energy.Zero)
-			return nil, energy.Zero, err
-		}
-		outs[i] = out
+	outs, _, err := b.eng.InferBatch(inputs)
+	if err != nil {
+		sp.End(energy.Zero)
+		return nil, energy.Zero, fmt.Errorf("vonneumann: %w", err)
 	}
 	cost := b.predictLocked(len(inputs))
 	if sp.Active() {
@@ -407,54 +175,6 @@ func (b *Backend) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, en
 	}
 	sp.End(cost)
 	return outs, cost, nil
-}
-
-// inferOne advances one item through the stage chain, mirroring
-// dpe.Engine.runStage for each stage kind.
-func (b *Backend) inferOne(in []float64) ([]float64, error) {
-	v := in
-	for i := range b.stages {
-		s := &b.stages[i]
-		switch {
-		case s.dense != nil:
-			out, err := b.panelMVM(s.panel, v)
-			if err != nil {
-				return nil, err
-			}
-			for o := range out {
-				out[o] += s.dense.B[o]
-			}
-			v = out
-		case s.conv != nil:
-			l := s.conv
-			oh, ow := l.OutH(), l.OutW()
-			out := make([]float64, oh*ow*l.F)
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					patch, err := l.Patch(v, oy, ox)
-					if err != nil {
-						return nil, err
-					}
-					y, err := b.panelMVM(s.panel, patch)
-					if err != nil {
-						return nil, err
-					}
-					p := oy*ow + ox
-					for f := 0; f < l.F; f++ {
-						out[p*l.F+f] = y[f] + l.B[f]
-					}
-				}
-			}
-			v = out
-		default:
-			out, err := s.layer.Forward(v)
-			if err != nil {
-				return nil, err
-			}
-			v = out
-		}
-	}
-	return v, nil
 }
 
 // PredictBatchCost prices a batch of n items without executing it — the
@@ -478,20 +198,15 @@ func (b *Backend) predictLocked(n int) energy.Cost {
 		}
 	}
 	total := energy.Zero
-	for i := range b.stages {
-		s := &b.stages[i]
+	for _, layer := range b.net.Layers {
 		var k Kernel
-		switch {
-		case s.dense != nil:
-			k = b.stageGEMM(n, s.panel.rows, s.panel.cols, 1, replay)
-		case s.conv != nil:
-			patches := s.conv.OutH() * s.conv.OutW()
-			k = b.stageGEMM(n, s.panel.rows, s.panel.cols, patches, replay)
-		default:
+		if rows, cols, patches, ok := panelShape(layer); ok {
+			k = b.stageGEMM(n, rows, cols, patches, replay)
+		} else {
 			k = Kernel{
-				Name:  s.layer.Name(),
-				Flops: float64(n) * s.layer.Flops(),
-				Bytes: float64(n) * 16 * float64(s.layer.InSize()),
+				Name:  layer.Name(),
+				Flops: float64(n) * layer.Flops(),
+				Bytes: float64(n) * 16 * float64(layer.InSize()),
 			}
 		}
 		c, err := b.mach.Run(k)
@@ -526,11 +241,4 @@ func (b *Backend) stageGEMM(n, rows, cols, patches int, replay float64) Kernel {
 func (b *Backend) roundLines(bytes float64) float64 {
 	line := float64(b.hcfg.LineSize)
 	return math.Ceil(bytes/line) * line
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,16 @@
 package vonneumann
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"cimrev/internal/crossbar"
 	"cimrev/internal/dpe"
+	"cimrev/internal/energy"
 	"cimrev/internal/nn"
 	"cimrev/internal/parallel"
 )
@@ -61,12 +66,12 @@ func twinPair(t *testing.T, cfg dpe.Config, net *nn.Network) (*dpe.Engine, *Back
 	return eng, twin
 }
 
-// TestTwinBitIdentityFunctionalWidths pins the tentpole contract: on a
-// functional (exact integer) config, the digital twin's outputs equal the
-// crossbar engine's with ==, for a multi-tile MLP, at worker-pool widths
-// 1, 4, and 16. Width 1 is the serial reference; the engine fans blocks
-// and batch items across the pool while the twin is single-threaded, so
-// agreement at every width is the route-invariance foundation.
+// TestTwinBitIdentityFunctionalWidths pins the twin's contract: on a
+// functional (exact integer) config, the twin's outputs equal the crossbar
+// engine's with ==, for a multi-tile MLP, at worker-pool widths 1, 4, and
+// 16. Width 1 is the serial reference; both sides fan their tile tasks
+// across the pool, so agreement at every width, and of every width with
+// width 1, is the route-invariance foundation.
 func TestTwinBitIdentityFunctionalWidths(t *testing.T) {
 	cfg := dpe.DefaultConfig() // functional, ISAAC-scale, 8-bit
 	net, err := nn.NewMLP("twin-mlp", []int{300, 200, 50, 10}, rand.New(rand.NewSource(7)))
@@ -97,10 +102,9 @@ func TestTwinBitIdentityFunctionalWidths(t *testing.T) {
 	}
 }
 
-// TestTwinBitIdentityBitSerial pins the harder half of the exactness
-// argument: the deterministic bit-serial pipeline — per-(input bit, slice)
-// ADC quantization and shift-and-add merge — is replayed digitally through
-// the same adcLUT transfer, bit for bit.
+// TestTwinBitIdentityBitSerial pins the other kernel: the deterministic
+// bit-serial pipeline — per-(input bit, slice) ADC quantization and
+// shift-and-add merge — comes out of the twin bit for bit.
 func TestTwinBitIdentityBitSerial(t *testing.T) {
 	cfg := dpe.DefaultConfig()
 	cfg.Crossbar.Functional = false
@@ -121,9 +125,11 @@ func TestTwinBitIdentityBitSerial(t *testing.T) {
 	requireBitIdentical(t, want, got, "bit-serial")
 }
 
-// TestTwinBitIdentityConv pins the conv path: im2col patch streaming, the
-// per-patch panel MVM, and the bias layout all match the engine exactly,
-// on both functional and bit-serial configs.
+// TestTwinBitIdentityConv pins the conv path: a twin loaded with a CNN
+// matches an engine that streams patches through four replicas, on both
+// functional and bit-serial configs (the twin's engine has one replica:
+// replication changes crossbar cost, never outputs). The independent
+// reference for conv streaming itself is unfusedInfer in internal/dpe.
 func TestTwinBitIdentityConv(t *testing.T) {
 	net, err := nn.NewLeNetStyle("twin-cnn", 8, 32, 10, rand.New(rand.NewSource(4)))
 	if err != nil {
@@ -207,11 +213,136 @@ func TestTwinReload(t *testing.T) {
 	if err := twin.Reload(bad); err == nil {
 		t.Fatal("shape-mismatched Reload accepted")
 	}
+	// A rejected Reload changes nothing: the twin still serves netB.
+	if twin.Network() != netB {
+		t.Error("rejected Reload replaced the network")
+	}
+	got, _, err = twin.InferBatch(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, want, got, "after rejected reload")
+}
+
+// TestTwinRejectsBadInputs pins the twin's error paths: an empty batch, a
+// short item, and a NaN or infinity at the first, a middle or the last
+// index of an item are errors with nil outputs and no panic, and the next
+// well-formed batch is served exactly as the engine serves it.
+func TestTwinRejectsBadInputs(t *testing.T) {
+	net, err := nn.NewMLP("twin-bad-in", []int{200, 80, 10}, rand.New(rand.NewSource(14)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, twin := twinPair(t, dpe.DefaultConfig(), net)
+	good := twinInputs(t, 6, 200, 15)
+	want, _, err := eng.InferBatch(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reject := func(label string, ins [][]float64) {
+		t.Helper()
+		outs, cost, err := twin.InferBatch(ins)
+		if err == nil || outs != nil || cost != (energy.Cost{}) {
+			t.Errorf("%s: outs %v cost %+v err %v, want nil, zero and an error", label, outs, cost, err)
+		}
+		got, _, err := twin.InferBatch(good)
+		if err != nil {
+			t.Fatalf("after %s: %v", label, err)
+		}
+		requireBitIdentical(t, want, got, "after "+label)
+	}
+	reject("empty batch", nil)
+	short := twinInputs(t, 3, 200, 16)
+	short[1] = short[1][:199]
+	reject("short item", short)
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		for _, idx := range []int{0, 137, 199} {
+			ins := twinInputs(t, 3, 200, 17)
+			ins[2][idx] = v
+			reject(fmt.Sprintf("%s at %d", name, idx), ins)
+		}
+	}
+}
+
+// TestTwinReloadUnderTraffic pins Reload's swap: while it alternates two
+// networks of one topology, four goroutines in InferBatch see no error and
+// every output row is bit-equal to engine A's or engine B's row for that
+// input — a flush runs on one engine from its first stage to its last,
+// never on a mixture.
+func TestTwinReloadUnderTraffic(t *testing.T) {
+	cfg := dpe.DefaultConfig()
+	rng := rand.New(rand.NewSource(18))
+	netA, err := nn.NewMLP("twin-a", []int{150, 60, 10}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netB, err := nn.NewMLP("twin-b", []int{150, 60, 10}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := twinInputs(t, 5, 150, 19)
+	engA, twin := twinPair(t, cfg, netA)
+	engB, _ := twinPair(t, cfg, netB)
+	wantA, _, err := engA.InferBatch(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, _, err := engB.InferBatch(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, _, err := twin.InferBatch(ins)
+				if err != nil {
+					errs <- err
+					return
+				}
+				a, b := true, true
+				for i := range got {
+					a = a && slices.Equal(got[i], wantA[i])
+					b = b && slices.Equal(got[i], wantB[i])
+				}
+				if !a && !b {
+					errs <- fmt.Errorf("flush matches neither network: %v", got)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 20; r++ {
+		next := netB
+		if r%2 == 1 {
+			next = netA
+		}
+		if err := twin.Reload(next); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 // TestTwinRejectsNoisyAndInvalid pins fail-fast construction: noisy
 // configs have no digital twin, and broken cache geometries or configs are
-// rejected before any quantization happens.
+// rejected before anything is programmed.
 func TestTwinRejectsNoisyAndInvalid(t *testing.T) {
 	net, err := nn.NewMLP("twin-rej", []int{16, 8}, rand.New(rand.NewSource(1)))
 	if err != nil {
