@@ -34,7 +34,8 @@ fmt-check:
 
 # Docs cross-reference check: every docs/*.md referenced from README.md or
 # DESIGN.md must exist, and every file in docs/ must be referenced from one
-# of them — no dangling links, no orphaned documents — and every
+# of them — no dangling links, no orphaned documents; the same between
+# docs/PERF.md and its dated entries under docs/perf/ — and every
 # BENCH_<x>.json, cmd/<name> and `make bench-<x>` the docs name must exist
 # in the tree / this Makefile. Implemented as Go tests (docs_test.go) so
 # `go test ./...` enforces it too.

@@ -249,6 +249,17 @@ type loadgen struct {
 	mix      workloadgen.Picker
 }
 
+// noiseKey is the key element j of req is submitted under. A mix-less
+// drive keeps the drive sequence — bit-identical to the historical closed
+// loop; under a mix every class takes the one (request, element) rule, so
+// no two requests share a noise stream.
+func (g loadgen) noiseKey(req workloadgen.Request, element int) uint64 {
+	if g.mix == nil {
+		return req.Seq
+	}
+	return req.ElementKey(element)
+}
+
 // buildLoad constructs the arrival process and class picker the options
 // select. Trace replays resolve their recorded class names against the
 // -mix classes; with -mix none a classed trace replays its schedule only.
@@ -571,10 +582,6 @@ func driveConfig(o options, gen loadgen) workloadgen.DriveConfig {
 	}
 }
 
-// serveMaxBatch bounds Class.Batch so fleet batch elements get distinct
-// noise keys (seq*serveMaxBatch + element).
-const serveMaxBatch = 8
-
 // runSerial measures the baseline: o.clients closed-loop clients contend
 // for one engine whose Infer calls are fully serialized — every request
 // pays serial per-request latency, in wall-clock and in simulated time.
@@ -633,34 +640,6 @@ func classify(err error, deadlined, unhealthy *atomic.Int64) (workloadgen.Outcom
 	default:
 		return workloadgen.Fatal, err
 	}
-}
-
-// fanout submits a request's class batch through one: a Class.Batch of k
-// issues k concurrent submissions and the worst element outcome wins
-// (Fatal > Drop > Shed > OK).
-func fanout(req workloadgen.Request, one func(element int) (workloadgen.Outcome, error)) (workloadgen.Outcome, error) {
-	batch := req.Class.Batch
-	if batch <= 1 {
-		return one(0)
-	}
-	outcomes := make([]workloadgen.Outcome, batch)
-	errs := make([]error, batch)
-	var wg sync.WaitGroup
-	for j := 0; j < batch; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			outcomes[j], errs[j] = one(j)
-		}(j)
-	}
-	wg.Wait()
-	worst, werr := workloadgen.OK, error(nil)
-	for j, out := range outcomes {
-		if out > worst {
-			worst, werr = out, errs[j]
-		}
-	}
-	return worst, werr
 }
 
 // runFleet measures the serving stack: the workloadgen drive feeds
@@ -780,20 +759,14 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 	}
 
 	rep, derr := workloadgen.Drive(driveConfig(o, gen), func(req workloadgen.Request) (workloadgen.Outcome, error) {
-		return fanout(req, func(element int) (workloadgen.Outcome, error) {
+		return workloadgen.Fanout(req, func(element int) (workloadgen.Outcome, error) {
 			// Each attempt gets its own deadline: the budget covers one
 			// trip through the router + engine, not the drive's retry loop.
 			ctx, cancel := context.Background(), func() {}
 			if o.deadline > 0 {
 				ctx, cancel = context.WithTimeout(ctx, o.deadline)
 			}
-			// Batch-1 requests keep the drive sequence as their noise key —
-			// bit-identical to the historical closed loop; batch-k elements
-			// derive distinct keys under the same request.
-			seq := req.Seq
-			if req.Class.Batch > 1 {
-				seq = req.Seq*serveMaxBatch + uint64(element)
-			}
+			seq := gen.noiseKey(req, element)
 			_, cost, err := f.SubmitSeq(ctx, seq, inputs[seq%uint64(len(inputs))])
 			cancel()
 			out, ferr := classify(err, &deadlined, &unhealthy)

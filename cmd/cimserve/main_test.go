@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cimrev/internal/workloadgen"
 )
 
 func TestParseLayers(t *testing.T) {
@@ -433,6 +435,35 @@ func TestRunOpenLoopEndToEnd(t *testing.T) {
 	}
 	if strings.Contains(out, "_c4_") {
 		t.Errorf("open-loop bench name still carries a client count:\n%s", out)
+	}
+}
+
+// TestNoiseKeys pins which noise key a submission carries: -mix none issues
+// the drive sequence itself (the keys the closed loop has always issued),
+// and under -mix default every class, batch 1 included, takes
+// workloadgen's one (request, element) rule — batch-1 requests used to
+// keep their bare sequence number beside batch-8 elements keyed seq*8 + j,
+// so request 8 and element 0 of request 1 collided.
+func TestNoiseKeys(t *testing.T) {
+	plain, err := buildLoad(options{arrivals: "closed", mix: "none", seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := buildLoad(options{arrivals: "closed", mix: "default", seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(0); seq < 64; seq++ {
+		if key := plain.noiseKey(workloadgen.Request{Seq: seq}, 0); key != seq {
+			t.Fatalf("-mix none: request %d keyed %d, want its sequence number", seq, key)
+		}
+		req := workloadgen.Request{Seq: seq, Class: mixed.mix.Pick(seq)}
+		for j := 0; j < req.Class.Batch; j++ {
+			if key := mixed.noiseKey(req, j); key != req.ElementKey(j) {
+				t.Fatalf("-mix default: request %d (%s) element %d keyed %d, want %d",
+					seq, req.Class.Name, j, key, req.ElementKey(j))
+			}
+		}
 	}
 }
 

@@ -5,9 +5,11 @@ package cimrev
 // so every docs/*.md they reference must exist, and every file in docs/
 // must be reachable from at least one of them. This keeps the system map
 // honest — a document cannot be deleted while still linked, and a new
-// document cannot land orphaned. The same goes for the things the docs
-// tell a reader to open or type: every BENCH_<x>.json archive, cmd/<name>
-// executable and `make bench-<x>` target they name must exist.
+// document cannot land orphaned. docs/PERF.md is in turn the entry point
+// into docs/perf/, its append-only dated entries. The same goes for the
+// things the docs tell a reader to open or type: every BENCH_<x>.json
+// archive, cmd/<name> executable and `make bench-<x>` target they name
+// must exist.
 
 import (
 	"os"
@@ -17,22 +19,32 @@ import (
 	"testing"
 )
 
-var docsRefRe = regexp.MustCompile(`docs/[A-Za-z0-9_.-]+\.md`)
+var (
+	docsRefRe = regexp.MustCompile(`docs/[A-Za-z0-9_.-]+\.md`)
+	perfRefRe = regexp.MustCompile(`docs/perf/[A-Za-z0-9_.-]+\.md`)
+)
 
 func TestDocsCrossReferences(t *testing.T) {
-	entryPoints := []string{"README.md", "DESIGN.md"}
-	referenced := map[string][]string{} // docs/X.md -> entry points naming it
+	checkDocsReferenced(t, docsRefRe, "docs/*.md", "README.md", "DESIGN.md")
+	checkDocsReferenced(t, perfRefRe, "docs/perf/*.md", "docs/PERF.md")
+}
+
+// checkDocsReferenced fails unless the entry points' references matching re
+// and the files matching glob are the same set.
+func checkDocsReferenced(t *testing.T, re *regexp.Regexp, glob string, entryPoints ...string) {
+	t.Helper()
+	referenced := map[string][]string{} // document -> entry points naming it
 	for _, entry := range entryPoints {
 		data, err := os.ReadFile(entry)
 		if err != nil {
 			t.Fatalf("reading %s: %v", entry, err)
 		}
-		for _, ref := range docsRefRe.FindAllString(string(data), -1) {
+		for _, ref := range re.FindAllString(string(data), -1) {
 			referenced[ref] = append(referenced[ref], entry)
 		}
 	}
 	if len(referenced) == 0 {
-		t.Fatal("no docs/*.md references found in README.md or DESIGN.md")
+		t.Fatalf("no %s references found in %v", glob, entryPoints)
 	}
 
 	// Every reference must resolve to a real file.
@@ -43,16 +55,16 @@ func TestDocsCrossReferences(t *testing.T) {
 	}
 
 	// Every document must be referenced — no orphans.
-	files, err := filepath.Glob("docs/*.md")
+	files, err := filepath.Glob(glob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) == 0 {
-		t.Fatal("docs/ contains no markdown files")
+		t.Fatalf("%s matches no files", glob)
 	}
 	for _, f := range files {
 		if _, ok := referenced[filepath.ToSlash(f)]; !ok {
-			t.Errorf("%s is orphaned: not referenced from README.md or DESIGN.md", f)
+			t.Errorf("%s is orphaned: not referenced from %v", f, entryPoints)
 		}
 	}
 }
@@ -97,11 +109,14 @@ func makeTargets(t *testing.T) map[string]bool {
 }
 
 func TestDocsNameRealArtifacts(t *testing.T) {
-	files, err := filepath.Glob("docs/*.md")
-	if err != nil {
-		t.Fatal(err)
+	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	for _, glob := range []string{"docs/*.md", "docs/perf/*.md"} {
+		matches, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matches...)
 	}
-	files = append(files, "README.md", "DESIGN.md", "EXPERIMENTS.md")
 	targets := makeTargets(t)
 	if !targets["bench-json"] {
 		t.Fatalf("Makefile parse found no bench-json target: %v", targets)

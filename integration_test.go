@@ -14,90 +14,7 @@ import (
 	"cimrev/internal/memristor"
 	"cimrev/internal/security"
 	"cimrev/internal/service"
-	"cimrev/internal/virt"
 )
-
-// TestIntegrationTenantIsolationWithQoS runs two tenants on one fabric:
-// partitioned pipelines, a bandwidth reservation for the paying tenant,
-// and a check that isolation blocks cross-tenant traffic while both
-// pipelines still compute correctly.
-func TestIntegrationTenantIsolationWithQoS(t *testing.T) {
-	reg := NewRegistry()
-	ledger := NewLedger()
-	fabric, err := NewFabric(DefaultFabricConfig(), ledger, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tenant A: tiles 0-1; tenant B: tiles 2-3. Each runs src -> relu.
-	type tenant struct {
-		src, fn Address
-	}
-	a := tenant{Address{Tile: 0}, Address{Tile: 1}}
-	b := tenant{Address{Tile: 2}, Address{Tile: 3}}
-	for _, tn := range []tenant{a, b} {
-		for _, u := range []Address{tn.src, tn.fn} {
-			if _, err := fabric.AddUnit(u, cim.KindCompute, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := fabric.Configure(tn.fn, isa.FuncReLU, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := fabric.Connect(tn.src, tn.fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	mgr, err := virt.NewManager(fabric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.CreatePartition("tenant-a", []Address{a.src, a.fn}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.CreatePartition("tenant-b", []Address{b.src, b.fn}); err != nil {
-		t.Fatal(err)
-	}
-	// Tenant A pays for guaranteed bandwidth.
-	if err := mgr.ReserveBandwidth("tenant-a", 0.6); err != nil {
-		t.Fatal(err)
-	}
-
-	// Isolation: no cross-tenant traffic.
-	if err := mgr.CheckTraffic(a.src, b.fn); err == nil {
-		t.Error("cross-tenant traffic allowed")
-	}
-	if err := mgr.CheckTraffic(a.src, a.fn); err != nil {
-		t.Errorf("intra-tenant traffic blocked: %v", err)
-	}
-
-	// Both tenants compute concurrently on the shared fabric.
-	if err := fabric.Stream(a.src, []float64{-1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fabric.Stream(b.src, []float64{3, -4}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := fabric.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out[a.fn]; len(got) != 1 || got[0][0] != 0 || got[0][1] != 2 {
-		t.Errorf("tenant A output = %v", got)
-	}
-	if got := out[b.fn]; len(got) != 1 || got[0][0] != 3 || got[0][1] != 0 {
-		t.Errorf("tenant B output = %v", got)
-	}
-
-	// Tear down tenant B; its units return to the free pool.
-	if err := mgr.DeletePartition("tenant-b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.CheckTraffic(a.src, b.fn); err == nil {
-		t.Error("traffic to freed units should still be blocked (A is partitioned)")
-	}
-}
 
 // TestIntegrationSecureInferenceService threads security + DPE: encrypted
 // requests are opened and inspected at the boundary, authorized by

@@ -306,12 +306,6 @@ func New(cfg Config) (*Crossbar, error) {
 // Config returns the crossbar configuration.
 func (x *Crossbar) Config() Config { return x.cfg }
 
-// Programmed reports whether weights have been loaded.
-func (x *Crossbar) Programmed() bool { return x.programmed }
-
-// UsedShape returns the programmed submatrix dimensions (rows, cols).
-func (x *Crossbar) UsedShape() (int, int) { return x.usedRows, x.usedCols }
-
 // Writes returns the total cell-programming count (wear indicator).
 func (x *Crossbar) Writes() int64 { return x.writes }
 
@@ -335,9 +329,6 @@ func (x *Crossbar) SetFaults(m faultinject.Model, src noise.Source) error {
 	x.faultSrc = src
 	return nil
 }
-
-// FaultsEnabled reports whether device-fault injection is active.
-func (x *Crossbar) FaultsEnabled() bool { return x.faults.Enabled() }
 
 // FaultReport returns the fault-handling record of the most recent Program
 // pass: stuck/drifting cells encountered, retry pulses charged, columns

@@ -109,9 +109,6 @@ func (t *Tile) SetFaults(m faultinject.Model, src noise.Source) error {
 	return nil
 }
 
-// FaultsEnabled reports whether device-fault injection is active.
-func (t *Tile) FaultsEnabled() bool { return t.faults.Enabled() }
-
 // FaultReport aggregates the per-block fault reports of the most recent
 // Program pass in fixed (block-row, block-col) order.
 func (t *Tile) FaultReport() faultinject.Report {

@@ -74,25 +74,8 @@ const (
 	// I/O, so ~10-20 pJ/byte at the interface; we charge 10).
 	DRAMAccessEnergyPJPerByte = 10.0
 
-	// DRAMAccessLatencyPS is one uncached DRAM access.
-	DRAMAccessLatencyPS = 80_000 // 80 ns
-
 	// CPUStaticPowerW is socket static/uncore power in watts.
 	CPUStaticPowerW = 40.0
-
-	// --- Caches ---
-
-	// L1AccessLatencyPS, L1AccessEnergyPJPerByte: L1 hit costs.
-	L1AccessLatencyPS       = 1_200 // ~4 cycles @3.3GHz
-	L1AccessEnergyPJPerByte = 0.1
-
-	// L2AccessLatencyPS, L2AccessEnergyPJPerByte: L2 hit costs.
-	L2AccessLatencyPS       = 4_000
-	L2AccessEnergyPJPerByte = 0.3
-
-	// LLCAccessLatencyPS, LLCAccessEnergyPJPerByte: LLC hit costs.
-	LLCAccessLatencyPS       = 12_000
-	LLCAccessEnergyPJPerByte = 1.0
 
 	// --- GPU (HBM-era accelerator) ---
 

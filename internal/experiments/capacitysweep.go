@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"cimrev/internal/fleet"
@@ -144,10 +143,6 @@ type CapacityResult struct {
 	SLO     time.Duration
 }
 
-// capacityMaxBatch bounds Class.Batch so batch elements get distinct
-// noise keys (seq*capacityMaxBatch + element).
-const capacityMaxBatch = 8
-
 // CapacitySweep drives every fleet size through the offered-rate ladder
 // open-loop and reports rated capacity under the SLO. Every cell runs the
 // default request-class mix (batch-1 and batch-8 neural inference plus
@@ -176,11 +171,6 @@ func CapacitySweep(cfg CapacityConfig) (*CapacityResult, error) {
 		}
 	}
 	mix := workloadgen.DefaultMix(cfg.Seed)
-	for _, c := range mix.Classes() {
-		if c.Batch > capacityMaxBatch {
-			return nil, fmt.Errorf("experiments: capacity mix class %s batch %d exceeds %d", c.Name, c.Batch, capacityMaxBatch)
-		}
-	}
 
 	res := &CapacityResult{SLO: cfg.SLO}
 	topRate := cfg.RatesRPS[len(cfg.RatesRPS)-1]
@@ -267,41 +257,18 @@ func capacityDrive(net *nn.Network, inputs [][]float64, mix workloadgen.Mix, k i
 	defer f.Close()
 
 	submit := func(req workloadgen.Request) (workloadgen.Outcome, error) {
-		batch := req.Class.Batch
-		if batch < 1 {
-			batch = 1
-		}
-		outcomes := make([]workloadgen.Outcome, batch)
-		var wg sync.WaitGroup
-		for j := 0; j < batch; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				seq := req.Seq*capacityMaxBatch + uint64(j)
-				_, _, err := f.SubmitSeq(context.Background(), seq, inputs[seq%uint64(len(inputs))])
-				switch {
-				case err == nil:
-					outcomes[j] = workloadgen.OK
-				case errors.Is(err, serve.ErrOverloaded):
-					outcomes[j] = workloadgen.Shed
-				default:
-					outcomes[j] = workloadgen.Drop
-				}
-			}(j)
-		}
-		wg.Wait()
-		// Worst element wins: a batch with a lost element is lost, else a
-		// shed element makes it shed, else it was served.
-		worst := workloadgen.OK
-		for _, o := range outcomes {
-			if o == workloadgen.Drop {
+		return workloadgen.Fanout(req, func(element int) (workloadgen.Outcome, error) {
+			seq := req.ElementKey(element)
+			_, _, err := f.SubmitSeq(context.Background(), seq, inputs[seq%uint64(len(inputs))])
+			switch {
+			case err == nil:
+				return workloadgen.OK, nil
+			case errors.Is(err, serve.ErrOverloaded):
+				return workloadgen.Shed, nil
+			default:
 				return workloadgen.Drop, nil
 			}
-			if o == workloadgen.Shed {
-				worst = workloadgen.Shed
-			}
-		}
-		return worst, nil
+		})
 	}
 	return workloadgen.Drive(dcfg, submit)
 }

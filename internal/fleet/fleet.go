@@ -230,10 +230,8 @@ func WithEngines(n int) Option { return func(c *Config) { c.Engines = n } }
 // WithWeights sets the initial engines' routing weights by position.
 func WithWeights(ws ...int) Option { return func(c *Config) { c.Weights = ws } }
 
-// WithRouter installs a router (see NewRouter and the policy constructors).
-func WithRouter(r *Router) Option { return func(c *Config) { c.Router = r } }
-
-// WithPolicy is shorthand for WithRouter(NewRouter(p)).
+// WithPolicy installs a router over policy p (see NewRouter and the policy
+// constructors).
 func WithPolicy(p Policy) Option { return func(c *Config) { c.Router = NewRouter(p) } }
 
 // WithTracer records fleet and per-engine serving spans into tr.

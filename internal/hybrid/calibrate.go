@@ -13,9 +13,9 @@ const (
 	// latencies: heavy enough that a few flushes overturn a wrong prior,
 	// light enough that one outlier flush does not flip routing.
 	calibratorAlpha = 0.25
-	// defaultProbeEvery is how often a bucket routes against its current
+	// probeEvery is how often a bucket routes against its current
 	// preference to keep the other backend's estimate fresh.
-	defaultProbeEvery = 16
+	probeEvery = 16
 )
 
 // ewma is an exponentially weighted moving average of per-item latency in
@@ -55,22 +55,17 @@ type bucketState struct {
 // flush in a bucket routes to the other backend so a stale estimate
 // cannot pin routing forever.
 type calibrator struct {
-	mu         sync.Mutex
-	probeEvery int64
-	seedCIM    func(n int) float64
-	seedVN     func(n int) float64
-	buckets    map[int]*bucketState
+	mu      sync.Mutex
+	seedCIM func(n int) float64
+	seedVN  func(n int) float64
+	buckets map[int]*bucketState
 }
 
-func newCalibrator(probeEvery int, seedCIM, seedVN func(n int) float64) *calibrator {
-	if probeEvery <= 0 {
-		probeEvery = defaultProbeEvery
-	}
+func newCalibrator(seedCIM, seedVN func(n int) float64) *calibrator {
 	return &calibrator{
-		probeEvery: int64(probeEvery),
-		seedCIM:    seedCIM,
-		seedVN:     seedVN,
-		buckets:    make(map[int]*bucketState),
+		seedCIM: seedCIM,
+		seedVN:  seedVN,
+		buckets: make(map[int]*bucketState),
 	}
 }
 
@@ -98,7 +93,7 @@ func (c *calibrator) choose(n int) bool {
 	b := c.bucket(n)
 	b.flushes++
 	preferVN := b.vn.v < b.cim.v
-	if b.flushes%c.probeEvery == 0 {
+	if b.flushes%probeEvery == 0 {
 		return !preferVN
 	}
 	return preferVN

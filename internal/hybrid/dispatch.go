@@ -1,3 +1,9 @@
+// Package hybrid is the runtime form of the paper's Section III.F, "CIM as
+// an accelerator inside a Von Neumann host": Dispatcher sits between the
+// serving pipeline and its two backends and routes every micro-batch flush
+// to the crossbar engine or to the executing Von Neumann twin, by a static
+// cost model seeded from the board constants and refined per batch-size
+// bucket by an online EWMA calibrator (docs/HYBRID.md).
 package hybrid
 
 import (
@@ -114,9 +120,8 @@ type Dispatcher struct {
 
 // config collects dispatcher options.
 type dispatcherConfig struct {
-	mode       Mode
-	reg        *metrics.Registry
-	probeEvery int
+	mode Mode
+	reg  *metrics.Registry
 }
 
 // Option configures a Dispatcher.
@@ -130,11 +135,6 @@ func WithMode(m Mode) Option { return func(c *dispatcherConfig) { c.mode = m } }
 // up next to the serve.* series on /metrics.
 func WithRegistry(reg *metrics.Registry) Option { return func(c *dispatcherConfig) { c.reg = reg } }
 
-// WithProbeEvery sets how often auto mode routes against its preference
-// to refresh the other backend's estimate (default every 16th flush per
-// batch-size class).
-func WithProbeEvery(n int) Option { return func(c *dispatcherConfig) { c.probeEvery = n } }
-
 // New builds a dispatcher over a crossbar backend and an optional Von
 // Neumann twin. A nil twin is legal except in ModeVN: it means the
 // deployment has no digital twin (noisy or faulty config), and auto mode
@@ -146,7 +146,7 @@ func New(cim CIMBackend, vn *vonneumann.Backend, opts ...Option) (*Dispatcher, e
 	if cim == nil {
 		return nil, fmt.Errorf("hybrid: nil CIM backend")
 	}
-	cfg := dispatcherConfig{mode: ModeCIM, probeEvery: defaultProbeEvery}
+	cfg := dispatcherConfig{mode: ModeCIM}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -166,7 +166,7 @@ func New(cim CIMBackend, vn *vonneumann.Backend, opts ...Option) (*Dispatcher, e
 	}
 	d.rep, _ = cim.(Reprogrammer)
 	if vn != nil {
-		d.cal = newCalibrator(cfg.probeEvery, cimSeed(vn.Network()), func(n int) float64 {
+		d.cal = newCalibrator(cimSeed(vn.Network()), func(n int) float64 {
 			return float64(vn.PredictBatchCost(n).LatencyPS) / float64(n)
 		})
 	}

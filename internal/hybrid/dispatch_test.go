@@ -392,7 +392,7 @@ func TestDispatchReprogram(t *testing.T) {
 // contrary observations flip a bucket's preference.
 func TestCalibratorDeterminism(t *testing.T) {
 	mk := func() *calibrator {
-		return newCalibrator(4,
+		return newCalibrator(
 			func(n int) float64 { return 100 }, // CIM prior: cheap
 			func(n int) float64 { return 200 }, // VN prior: dear
 		)
@@ -415,13 +415,13 @@ func TestCalibratorDeterminism(t *testing.T) {
 
 	c := mk()
 	var vnRouted int
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 4*probeEvery; i++ {
 		if c.choose(2) {
 			vnRouted++
 		}
 	}
 	if vnRouted != 4 {
-		t.Errorf("probe cadence: %d VN routes in 16 flushes at probeEvery=4, want 4", vnRouted)
+		t.Errorf("probe cadence: %d VN routes in %d flushes, want 4", vnRouted, 4*probeEvery)
 	}
 
 	// VN turns out far cheaper than its prior: the EWMA must flip the

@@ -66,9 +66,6 @@ func NewMesh(w, h int, linkBW float64, reg *metrics.Registry) (*Mesh, error) {
 	return &Mesh{w: w, h: h, linkBW: linkBW, links: make(map[linkKey]*linkState), reg: reg}, nil
 }
 
-// Dims returns the mesh dimensions.
-func (m *Mesh) Dims() (w, h int) { return m.w, m.h }
-
 // LinkBandwidth returns the per-link bandwidth in bytes/s.
 func (m *Mesh) LinkBandwidth() float64 { return m.linkBW }
 

@@ -27,12 +27,6 @@ func NewPhotonicLink(lengthM, bandwidth float64) (*PhotonicLink, error) {
 	return &PhotonicLink{lengthM: lengthM, bandwidth: bandwidth}, nil
 }
 
-// Length returns the link length in meters.
-func (l *PhotonicLink) Length() float64 { return l.lengthM }
-
-// Bandwidth returns the link bandwidth in bytes/s.
-func (l *PhotonicLink) Bandwidth() float64 { return l.bandwidth }
-
 // Transfer returns the cost of moving nbytes across the link: time of
 // flight plus serialization for latency; distance-independent energy.
 func (l *PhotonicLink) Transfer(nbytes int) (energy.Cost, error) {

@@ -79,9 +79,6 @@ type Span struct {
 	Notes []Note
 }
 
-// WallDur returns the span's wall-clock duration.
-func (s Span) WallDur() time.Duration { return time.Duration(s.EndNS - s.StartNS) }
-
 // Category returns the span name's layer prefix ("xbar" for "xbar.mvm").
 func (s Span) Category() string {
 	for i := 0; i < len(s.Name); i++ {

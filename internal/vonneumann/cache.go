@@ -1,115 +1,11 @@
 // Package vonneumann models the architecture the paper positions CIM
 // against (Section I, Fig 1): a CPU or GPU that must move every operand
-// through a memory hierarchy. It provides a trace-driven set-associative
-// cache simulator (the cache hierarchies whose "complexity and security
-// flaws" Section I recounts) and roofline machine models used as the
-// baselines in every experiment.
+// through a memory hierarchy. It provides the roofline machine models used
+// as the baselines in every experiment, the cache geometry they price
+// against, and the executing twin the hybrid dispatcher routes to.
 package vonneumann
 
-import (
-	"fmt"
-
-	"cimrev/internal/energy"
-)
-
-// Level identifies where an access was served.
-type Level int
-
-const (
-	// LevelL1 is a first-level cache hit.
-	LevelL1 Level = iota + 1
-	// LevelL2 is a second-level cache hit.
-	LevelL2
-	// LevelLLC is a last-level cache hit.
-	LevelLLC
-	// LevelDRAM is a miss all the way to memory.
-	LevelDRAM
-)
-
-// String names the level.
-func (l Level) String() string {
-	switch l {
-	case LevelL1:
-		return "L1"
-	case LevelL2:
-		return "L2"
-	case LevelLLC:
-		return "LLC"
-	case LevelDRAM:
-		return "DRAM"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
-// cacheLevel is one set-associative cache with true-LRU replacement.
-type cacheLevel struct {
-	sets     int
-	ways     int
-	lineBits uint
-	// tags[set][way]; lru[set][way] — larger is more recent.
-	tags  [][]uint64
-	valid [][]bool
-	lru   [][]uint64
-	tick  uint64
-}
-
-func newCacheLevel(sizeBytes, ways, lineSize int) (*cacheLevel, error) {
-	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 {
-		return nil, fmt.Errorf("vonneumann: cache params must be positive (%d, %d, %d)", sizeBytes, ways, lineSize)
-	}
-	if lineSize&(lineSize-1) != 0 {
-		return nil, fmt.Errorf("vonneumann: line size %d must be a power of two", lineSize)
-	}
-	lines := sizeBytes / lineSize
-	if lines < ways || lines%ways != 0 {
-		return nil, fmt.Errorf("vonneumann: size %d / line %d must be a multiple of ways %d", sizeBytes, lineSize, ways)
-	}
-	sets := lines / ways
-	var lineBits uint
-	for 1<<lineBits < lineSize {
-		lineBits++
-	}
-	c := &cacheLevel{sets: sets, ways: ways, lineBits: lineBits}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.lru = make([][]uint64, sets)
-	for i := 0; i < sets; i++ {
-		c.tags[i] = make([]uint64, ways)
-		c.valid[i] = make([]bool, ways)
-		c.lru[i] = make([]uint64, ways)
-	}
-	return c, nil
-}
-
-// access returns true on hit; on miss it fills the line, evicting LRU.
-func (c *cacheLevel) access(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := int(line % uint64(c.sets))
-	tag := line / uint64(c.sets)
-	c.tick++
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.lru[set][w] = c.tick
-			return true
-		}
-	}
-	// Miss: fill LRU way.
-	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if !c.valid[set][w] {
-			victim = w
-			break
-		}
-		if c.lru[set][w] < c.lru[set][victim] {
-			victim = w
-		}
-	}
-	c.tags[set][victim] = tag
-	c.valid[set][victim] = true
-	c.lru[set][victim] = c.tick
-	return false
-}
+import "fmt"
 
 // HierarchyConfig sizes a three-level cache hierarchy.
 type HierarchyConfig struct {
@@ -130,11 +26,10 @@ func DefaultHierarchy() HierarchyConfig {
 	}
 }
 
-// Validate rejects geometries the per-level constructor would silently
-// mangle (sizes that are not whole lines truncate via integer division)
-// or that describe a physically incoherent hierarchy. Every constructor
-// that consumes a HierarchyConfig calls this first so the executing
-// backend fails fast instead of simulating a cache that cannot exist.
+// Validate rejects geometries that are not whole sets of whole lines or
+// that describe a physically incoherent hierarchy. NewBackend calls this
+// first so the executing twin fails fast instead of pricing against a
+// cache that cannot exist.
 func (cfg HierarchyConfig) Validate() error {
 	if cfg.LineSize <= 0 {
 		return fmt.Errorf("vonneumann: line size must be positive (%d)", cfg.LineSize)
@@ -172,96 +67,4 @@ func (cfg HierarchyConfig) Validate() error {
 		return fmt.Errorf("vonneumann: L2 size %d exceeds LLC size %d", cfg.L2Size, cfg.LLCSize)
 	}
 	return nil
-}
-
-// Hierarchy is a three-level inclusive cache simulator with per-level cost
-// accounting. Not safe for concurrent use.
-type Hierarchy struct {
-	cfg HierarchyConfig
-	l1  *cacheLevel
-	l2  *cacheLevel
-	llc *cacheLevel
-
-	hits   map[Level]int64
-	access int64
-}
-
-// NewHierarchy builds the hierarchy.
-func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	l1, err := newCacheLevel(cfg.L1Size, cfg.L1Ways, cfg.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("vonneumann: L1: %w", err)
-	}
-	l2, err := newCacheLevel(cfg.L2Size, cfg.L2Ways, cfg.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("vonneumann: L2: %w", err)
-	}
-	llc, err := newCacheLevel(cfg.LLCSize, cfg.LLCWays, cfg.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("vonneumann: LLC: %w", err)
-	}
-	return &Hierarchy{
-		cfg: cfg, l1: l1, l2: l2, llc: llc,
-		hits: make(map[Level]int64),
-	}, nil
-}
-
-// LineSize returns the cache line size in bytes.
-func (h *Hierarchy) LineSize() int { return h.cfg.LineSize }
-
-// Access simulates one load of the byte at addr, returning the serving
-// level and its cost (for the full line's worth of energy at that level).
-func (h *Hierarchy) Access(addr uint64) (Level, energy.Cost) {
-	h.access++
-	line := float64(h.cfg.LineSize)
-	if h.l1.access(addr) {
-		h.hits[LevelL1]++
-		return LevelL1, energy.Cost{
-			LatencyPS: energy.L1AccessLatencyPS,
-			EnergyPJ:  line * energy.L1AccessEnergyPJPerByte,
-		}
-	}
-	if h.l2.access(addr) {
-		h.hits[LevelL2]++
-		return LevelL2, energy.Cost{
-			LatencyPS: energy.L2AccessLatencyPS,
-			EnergyPJ:  line * energy.L2AccessEnergyPJPerByte,
-		}
-	}
-	if h.llc.access(addr) {
-		h.hits[LevelLLC]++
-		return LevelLLC, energy.Cost{
-			LatencyPS: energy.LLCAccessLatencyPS,
-			EnergyPJ:  line * energy.LLCAccessEnergyPJPerByte,
-		}
-	}
-	h.hits[LevelDRAM]++
-	return LevelDRAM, energy.Cost{
-		LatencyPS: energy.DRAMAccessLatencyPS,
-		EnergyPJ:  line * energy.DRAMAccessEnergyPJPerByte,
-	}
-}
-
-// Stats reports per-level hit counts and the total access count.
-func (h *Hierarchy) Stats() (map[Level]int64, int64) {
-	out := make(map[Level]int64, len(h.hits))
-	for k, v := range h.hits {
-		out[k] = v
-	}
-	return out, h.access
-}
-
-// HitRate returns the fraction of accesses served at or above the level.
-func (h *Hierarchy) HitRate(level Level) float64 {
-	if h.access == 0 {
-		return 0
-	}
-	var n int64
-	for l := LevelL1; l <= level; l++ {
-		n += h.hits[l]
-	}
-	return float64(n) / float64(h.access)
 }

@@ -3,119 +3,7 @@ package vonneumann
 import (
 	"math"
 	"testing"
-
-	"cimrev/internal/energy"
 )
-
-func TestCacheLevelValidation(t *testing.T) {
-	if _, err := newCacheLevel(0, 1, 64); err == nil {
-		t.Error("zero size accepted")
-	}
-	if _, err := newCacheLevel(1024, 4, 63); err == nil {
-		t.Error("non-power-of-two line accepted")
-	}
-	if _, err := newCacheLevel(128, 4, 64); err == nil {
-		t.Error("fewer lines than ways accepted")
-	}
-}
-
-func TestCacheLevelHitMissLRU(t *testing.T) {
-	// Direct-mapped-ish tiny cache: 2 sets x 2 ways x 64B lines = 256B.
-	c, err := newCacheLevel(256, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lines 0, 2, 4 map to set 0 (line % 2 == 0).
-	if c.access(0) {
-		t.Error("cold access hit")
-	}
-	if !c.access(0) {
-		t.Error("warm access missed")
-	}
-	c.access(2 * 64) // set 0 now holds lines 0, 2
-	c.access(0)      // touch 0 so line 2 is LRU
-	c.access(4 * 64) // evicts line 2
-	if !c.access(0) {
-		t.Error("line 0 should have survived (was MRU)")
-	}
-	if c.access(2 * 64) {
-		t.Error("line 2 should have been evicted (was LRU)")
-	}
-}
-
-func TestHierarchyLevels(t *testing.T) {
-	h, err := NewHierarchy(DefaultHierarchy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cold access misses everywhere.
-	level, cost := h.Access(0)
-	if level != LevelDRAM {
-		t.Errorf("cold access level = %v, want DRAM", level)
-	}
-	if cost.LatencyPS != energy.DRAMAccessLatencyPS {
-		t.Errorf("DRAM latency = %d", cost.LatencyPS)
-	}
-	// Immediately warm in L1.
-	level, cost = h.Access(0)
-	if level != LevelL1 {
-		t.Errorf("warm access level = %v, want L1", level)
-	}
-	if cost.LatencyPS != energy.L1AccessLatencyPS {
-		t.Errorf("L1 latency = %d", cost.LatencyPS)
-	}
-}
-
-func TestHierarchyCapacityMiss(t *testing.T) {
-	cfg := DefaultHierarchy()
-	h, err := NewHierarchy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stream far more than L1 (32 KiB): revisiting the start must miss L1
-	// but hit L2 (1 MiB holds it).
-	span := uint64(256 << 10) // 256 KiB
-	for a := uint64(0); a < span; a += 64 {
-		h.Access(a)
-	}
-	level, _ := h.Access(0)
-	if level != LevelL2 {
-		t.Errorf("revisit after 256KiB stream = %v, want L2", level)
-	}
-}
-
-func TestHierarchyHitRate(t *testing.T) {
-	h, err := NewHierarchy(DefaultHierarchy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.HitRate(LevelL1); got != 0 {
-		t.Errorf("empty hit rate = %g, want 0", got)
-	}
-	h.Access(0) // DRAM
-	h.Access(0) // L1
-	h.Access(0) // L1
-	if got := h.HitRate(LevelL1); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("L1 hit rate = %g, want 2/3", got)
-	}
-	if got := h.HitRate(LevelDRAM); got != 1 {
-		t.Errorf("DRAM-inclusive hit rate = %g, want 1", got)
-	}
-	stats, n := h.Stats()
-	if n != 3 || stats[LevelL1] != 2 || stats[LevelDRAM] != 1 {
-		t.Errorf("Stats = %v, %d", stats, n)
-	}
-}
-
-func TestLevelString(t *testing.T) {
-	for l, want := range map[Level]string{
-		LevelL1: "L1", LevelL2: "L2", LevelLLC: "LLC", LevelDRAM: "DRAM",
-	} {
-		if got := l.String(); got != want {
-			t.Errorf("Level(%d) = %q, want %q", l, got, want)
-		}
-	}
-}
 
 func TestMachineValidate(t *testing.T) {
 	m := CPU()

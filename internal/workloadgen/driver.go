@@ -15,8 +15,8 @@ type Request struct {
 	// keyed submission (fleet.SubmitSeq) and the arrival index in the
 	// schedule.
 	Seq uint64
-	// Class is the request's traffic class (SingleClass when the drive
-	// has no mix).
+	// Class is the request's traffic class (the implicit batch-1 class
+	// when the drive has no mix).
 	Class Class
 	// Scheduled is the request's intended fire time as an offset from
 	// the start of the run (0 in closed-loop mode, where there is no
@@ -28,6 +28,11 @@ type Request struct {
 	// answers; lateness makes that visible separately from latency.
 	Lateness time.Duration
 }
+
+// ElementKey is the noise key of element j of the request's class batch
+// (0 <= j < Class.Batch): distinct for every (request, element) of a drive
+// because Class.Validate bounds Batch by MaxClassBatch.
+func (r Request) ElementKey(j int) uint64 { return r.Seq*MaxClassBatch + uint64(j) }
 
 // Outcome classifies one submission attempt.
 type Outcome int
@@ -69,6 +74,34 @@ func (o Outcome) String() string {
 // be safe for concurrent calls.
 type SubmitFunc func(Request) (Outcome, error)
 
+// Fanout submits a request's class batch through one: a Class.Batch of k
+// issues k concurrent submissions and the worst element outcome wins
+// (Fatal > Drop > Shed > OK).
+func Fanout(req Request, one func(element int) (Outcome, error)) (Outcome, error) {
+	batch := req.Class.Batch
+	if batch <= 1 {
+		return one(0)
+	}
+	outcomes := make([]Outcome, batch)
+	errs := make([]error, batch)
+	var wg sync.WaitGroup
+	for j := 0; j < batch; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			outcomes[j], errs[j] = one(j)
+		}(j)
+	}
+	wg.Wait()
+	worst, werr := OK, error(nil)
+	for j, out := range outcomes {
+		if out > worst {
+			worst, werr = out, errs[j]
+		}
+	}
+	return worst, werr
+}
+
 // DriveConfig configures one load-generation run.
 type DriveConfig struct {
 	// Arrivals selects open-loop mode: requests fire on the process's
@@ -76,7 +109,8 @@ type DriveConfig struct {
 	// closed-loop mode: Clients workers each issue their next request
 	// the moment the previous one returns.
 	Arrivals Arrivals
-	// Mix assigns request classes; nil gives every request SingleClass.
+	// Mix assigns request classes; nil gives every request the implicit
+	// batch-1 class.
 	Mix Picker
 	// Requests is the total number of requests to issue (>= 1).
 	Requests int

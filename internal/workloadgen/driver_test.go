@@ -185,6 +185,49 @@ func TestDriveMixClasses(t *testing.T) {
 	}
 }
 
+// TestElementKeysDistinct: over a drive of the default mix no two
+// (request, element) pairs share a noise key. (The rule "seq for batch 1,
+// seq*8 + j for batch k" gave request 8 and element 0 of request 1 the
+// same stream.)
+func TestElementKeysDistinct(t *testing.T) {
+	mix := DefaultMix(1)
+	seen := make(map[uint64]uint64)
+	for seq := uint64(0); seq < 4096; seq++ {
+		req := Request{Seq: seq, Class: mix.Pick(seq)}
+		for j := 0; j < req.Class.Batch; j++ {
+			key := req.ElementKey(j)
+			if prev, dup := seen[key]; dup {
+				t.Fatalf("requests %d and %d share noise key %d", prev, seq, key)
+			}
+			seen[key] = seq
+		}
+	}
+}
+
+// TestFanoutWorstOutcomeWins: a batch-k request issues k elements and
+// reports the worst element's outcome and error; batch 1 is one call.
+func TestFanoutWorstOutcomeWins(t *testing.T) {
+	boom := errors.New("boom")
+	var calls atomic.Int64
+	out, err := Fanout(Request{Class: Class{Batch: 4}}, func(j int) (Outcome, error) {
+		calls.Add(1)
+		switch j {
+		case 1:
+			return Shed, nil
+		case 2:
+			return Fatal, boom
+		}
+		return OK, nil
+	})
+	if out != Fatal || err != boom || calls.Load() != 4 {
+		t.Errorf("Fanout = (%v, %v) after %d calls, want (fatal, boom) after 4", out, err, calls.Load())
+	}
+	out, err = Fanout(Request{Class: Class{Batch: 1}}, func(j int) (Outcome, error) { return Drop, nil })
+	if out != Drop || err != nil {
+		t.Errorf("batch-1 Fanout = (%v, %v), want (drop, nil)", out, err)
+	}
+}
+
 // TestDriveConfigValidation: degenerate drives are rejected.
 func TestDriveConfigValidation(t *testing.T) {
 	ok := func(Request) (Outcome, error) { return OK, nil }

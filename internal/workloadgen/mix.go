@@ -18,7 +18,8 @@ type Class struct {
 	// Workload is the paper's application class the request represents.
 	Workload workloads.Class
 	// Batch is the client-side fan-out: a batch-k request submits k
-	// inputs and completes when all k answers are back (>= 1).
+	// inputs and completes when all k answers are back (1 ..
+	// MaxClassBatch).
 	Batch int
 	// Scale is the model-size scale factor relative to the deployment's
 	// reference network (> 0); drivers use it to pick input payloads.
@@ -27,13 +28,18 @@ type Class struct {
 	Weight float64
 }
 
+// MaxClassBatch bounds Class.Batch: the elements of request seq own the
+// noise keys seq*MaxClassBatch .. seq*MaxClassBatch + MaxClassBatch-1
+// (Request.ElementKey), so no two requests of a drive share a key.
+const MaxClassBatch = 8
+
 // Validate reports whether the class is well-formed.
 func (c Class) Validate() error {
 	switch {
 	case c.Name == "":
 		return fmt.Errorf("workloadgen: class needs a name")
-	case c.Batch < 1:
-		return fmt.Errorf("workloadgen: class %q batch must be >= 1, got %d", c.Name, c.Batch)
+	case c.Batch < 1 || c.Batch > MaxClassBatch:
+		return fmt.Errorf("workloadgen: class %q batch must be in [1, %d], got %d", c.Name, MaxClassBatch, c.Batch)
 	case c.Scale <= 0:
 		return fmt.Errorf("workloadgen: class %q scale must be > 0, got %g", c.Name, c.Scale)
 	case c.Weight <= 0:
@@ -137,7 +143,3 @@ func DefaultMix(seed int64) Mix {
 // singleClass is the implicit class of a mix-less drive: batch-1
 // reference-size inference.
 var singleClass = Class{Name: "default", Workload: workloads.NeuralNetworks, Batch: 1, Scale: 1, Weight: 1}
-
-// SingleClass returns the implicit batch-1 class used when a driver runs
-// without a mix.
-func SingleClass() Class { return singleClass }

@@ -169,6 +169,7 @@ func TestMixValidation(t *testing.T) {
 	for _, bad := range []Class{
 		{Batch: 1, Scale: 1, Weight: 1},
 		{Name: "b", Batch: 0, Scale: 1, Weight: 1},
+		{Name: "b", Batch: MaxClassBatch + 1, Scale: 1, Weight: 1},
 		{Name: "b", Batch: 1, Scale: 0, Weight: 1},
 		{Name: "b", Batch: 1, Scale: 1, Weight: 0},
 	} {
