@@ -181,11 +181,12 @@ profile:
 	if [ -n '$(LIST)' ]; then $(GO) tool pprof -list '$(LIST)' $$d/profile.test $$d/cpu.prof; fi
 
 # Quick benchmark smoke: one iteration of the Section VI latency sweep
-# (functional kernel) and of one noisy bit-serial MVM (the per-conversion
-# noise draw and ADC), enough to catch a broken hot path without a full
-# benchmark run.
+# (functional kernel), of one noisy bit-serial MVM (the per-conversion
+# noise draw and ADC) and of one odd functional batch (the vector
+# routine's one-item pass after its item pairs), enough to catch a broken
+# hot path without a full benchmark run.
 bench-smoke:
-	$(GO) test -bench='SecVILatency|CrossbarMVMBatch/128x128_8b_noisy_b1$$' -benchtime=1x .
+	$(GO) test -bench='SecVILatency|CrossbarMVMBatch/128x128_8b_(noisy_b1|func_b7)$$' -benchtime=1x .
 
 cover:
 	$(GO) test -cover ./...

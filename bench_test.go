@@ -339,30 +339,33 @@ func runFailover(b *testing.B, withSpare bool) float64 {
 
 // BenchmarkCrossbarMVMBatch is the kernel's batch trajectory:
 // MVMBatchInto over a size × batch sweep, in bit-serial, functional, and
-// noisy (per-item keyed sources) modes. "ns/vec" is the per-vector time at
+// noisy (per-item keyed sources) modes, then the functional vector routine's
+// tails: odd batches, whose last item takes its one-item pass, and the
+// benchmark MLP's last layer as programmed, 128 rows × 10 columns, two pad
+// columns in its third group. "ns/vec" is the per-vector time at
 // that batch size; the b1 rows are what MVMInto costs. Rows are timed one
 // after another, so on a host whose speed drifts a row-to-row ratio
 // carries the drift. The regression guard for the kernel is the repository
 // benchmark (`benchmark/run.sh compare` on sim_functional_b64 and
 // sim_bitserial_b1), which scales by a reference kernel timed alongside.
 func BenchmarkCrossbarMVMBatch(b *testing.B) {
-	run := func(name string, cfg crossbar.Config, n, batch int, noisy bool) {
+	run := func(name string, cfg crossbar.Config, rows, cols, batch int, noisy bool) {
 		b.Run(name, func(b *testing.B) {
-			cfg.Rows, cfg.Cols = n, n
+			cfg.Rows, cfg.Cols = rows, cols
 			xb, err := crossbar.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(1))
-			if _, err := xb.Program(randomMatrix(rng, n, n)); err != nil {
+			if _, err := xb.Program(randomMatrix(rng, rows, cols)); err != nil {
 				b.Fatal(err)
 			}
 			ins := make([][]float64, batch)
 			dsts := make([][]float64, batch)
-			slab := make([]float64, batch*n)
+			slab := make([]float64, batch*cols)
 			for i := range ins {
-				ins[i] = randomVector(rng, n)
-				dsts[i] = slab[i*n : (i+1)*n]
+				ins[i] = randomVector(rng, rows)
+				dsts[i] = slab[i*cols : (i+1)*cols]
 			}
 			// A noisy row takes a fresh source per item per iteration and
 			// rotates its inputs, as the engine issues them. With one input
@@ -376,7 +379,7 @@ func BenchmarkCrossbarMVMBatch(b *testing.B) {
 				root = NewNoiseSource(7)
 				nss = make([]NoiseSource, batch)
 				for len(pool) < 64 {
-					pool = append(pool, randomVector(rng, n))
+					pool = append(pool, randomVector(rng, rows))
 				}
 				ins = make([][]float64, batch)
 			}
@@ -409,16 +412,21 @@ func BenchmarkCrossbarMVMBatch(b *testing.B) {
 	for _, n := range []int{64, 128, 256, 512} {
 		for _, batch := range []int{1, 8, 32, 128} {
 			base := crossbar.DefaultConfig() // 8b weights, 8b inputs
-			run(fmt.Sprintf("%dx%d_8b_b%d", n, n, batch), base, n, batch, false)
+			run(fmt.Sprintf("%dx%d_8b_b%d", n, n, batch), base, n, n, batch, false)
 
 			fn := base
 			fn.Functional = true
-			run(fmt.Sprintf("%dx%d_8b_func_b%d", n, n, batch), fn, n, batch, false)
+			run(fmt.Sprintf("%dx%d_8b_func_b%d", n, n, batch), fn, n, n, batch, false)
 
 			noisy := base
 			noisy.ReadNoise = 0.02
-			run(fmt.Sprintf("%dx%d_8b_noisy_b%d", n, n, batch), noisy, n, batch, true)
+			run(fmt.Sprintf("%dx%d_8b_noisy_b%d", n, n, batch), noisy, n, n, batch, true)
 		}
+	}
+	fn := crossbar.DefaultConfig()
+	fn.Functional = true
+	for _, tail := range []struct{ cols, batch int }{{128, 7}, {128, 33}, {10, 1}, {10, 64}} {
+		run(fmt.Sprintf("128x%d_8b_func_b%d", tail.cols, tail.batch), fn, 128, tail.cols, tail.batch, false)
 	}
 }
 

@@ -9,8 +9,9 @@ package crossbar
 // multiply once per block of that row (tile.go). Functional mode runs one
 // exact integer GEMM, on the vector unit over 16-bit panels where Program
 // found that possible (vectorGEMM: amd64 with AVX2, operands of at most 15
-// bits, column sums below 2^31) and in Go over the fused weight panel
-// everywhere else (functionalGEMM); bit-serial mode runs the bit-plane kernel
+// bits, column sums below 2^31; one register-tiled routine, four columns by
+// two items a pass) and in Go over the fused weight panel everywhere else
+// (functionalGEMM); bit-serial mode runs the bit-plane kernel
 // (bitSerialKernel): a column sum is AND + popcount of an input-bit row mask
 // against a weight bit plane.
 //
@@ -25,10 +26,10 @@ package crossbar
 //     weight matrix is streamed once per batch instead of once per vector.
 //   - functionalGEMM sizes its item blocks so the quantized inputs stay
 //     L1-resident while the panel streams through; vectorGEMM's inputs are
-//     half the bytes and it runs all items of the call per column (blocking
-//     its items measured nothing, docs/PERF.md). The bit-serial kernel needs
-//     no blocking: an item's masks are InputBits·planeWords words, 128 bytes
-//     on the default array.
+//     half the bytes and it runs all items of the call, two a pass, per
+//     group of four columns (blocking its items measured nothing,
+//     docs/PERF.md). The bit-serial kernel needs no blocking: an item's masks
+//     are InputBits·planeWords words, 128 bytes on the default array.
 //
 // Outputs do not depend on the batch an item rides in: the functional
 // accumulator is one exact integer whichever kernel adds it up, and for
@@ -70,7 +71,7 @@ type mvmBatchScratch struct {
 	xScale  []float64
 	xSumInt []int64
 	// acc is the shift-add accumulator panel, item-major
-	// (acc[i*usedCols+c]); each kernel assigns every element once. Sized by
+	// (acc[i*accStride+c]); each kernel assigns every element once. Sized by
 	// multiply: the blocks of a tile row share inputs, not column counts.
 	acc []float64
 	// masks holds one row mask per (item, input bit), the binary word-line
@@ -345,7 +346,7 @@ const (
 // a noisy configuration only. It cannot fail: every check ran before it.
 func (x *Crossbar) multiply(s *mvmBatchScratch, dsts [][]float64, nss []noise.Source, m merge) {
 	n := len(dsts)
-	s.acc = grow(s.acc, n*x.usedCols)
+	s.acc = grow(s.acc, n*x.accStride)
 	switch {
 	case x.panel16 != nil:
 		x.vectorGEMM(s, n)
@@ -366,7 +367,7 @@ func (x *Crossbar) multiply(s *mvmBatchScratch, dsts [][]float64, nss []noise.So
 	colOffset := x.colOffset[:x.usedCols]
 	for i, dst := range dsts {
 		dst = dst[:len(colOffset)]
-		acc := s.acc[i*x.usedCols:][:len(colOffset)]
+		acc := s.acc[i*x.accStride:][:len(colOffset)]
 		xOffset := 2 * float64(s.xSumInt[i]) / fxMax
 		scale := x.wScale * s.xScale[i]
 		for c, off := range colOffset {
@@ -427,25 +428,25 @@ func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
 	}
 }
 
-// vectorDot is the host's vector routine for one functional-mode column —
-// acc[i*stride] = float64(Σ_r w[r]·x[i*rows+r]) for each of n items, rows a
-// multiple of 16 — or nil when the host has none: set once at start-up from
-// the CPU's feature bits (dot_amd64.go; there is no other implementation),
-// read by fuseWeights when it picks the kernel, and set to nil by tests that
-// want the Go kernel on a host that has both.
-var vectorDot func(acc *float64, stride int, w, x *int16, rows, n int)
+// vectorDot is the host's vector routine for a whole functional-mode product
+// — acc[i*stride+c] = float64(Σ_r w[c*rows+r]·x[i*rows+r]) for each of cols
+// columns and n items, rows a multiple of 16 and cols of 4 — or nil when the
+// host has none: set once at start-up from the CPU's feature bits
+// (dot_amd64.go; there is no other implementation), read by fuseWeights when
+// it picks the kernel, and set to nil by tests that want the Go kernel on a
+// host that has both.
+var vectorDot func(acc *float64, stride int, w, x *int16, rows, cols, n int)
 
 // vectorGEMM is the functional-mode kernel on the vector unit: the exact
-// integer product functionalGEMM computes, over 16-bit panels. quantize left
-// each item's row in x16, pad zeroed; one vectorDot call runs one column of
-// panel16 against every item. fuseWeights built panel16 only for shapes on
-// which this is exact, so the float64 the routine stores is the one
-// functionalGEMM and the oracle produce.
+// integer product functionalGEMM computes, over 16-bit panels, in one
+// vectorDot call. quantize left each item's row in x16, pad zeroed; panel16
+// is zero-padded to the routine's 16-row step and four-column tile, and acc's
+// stride is the padded column count, so the pad columns' zero sums land
+// between items where the epilogue does not read. fuseWeights built panel16
+// only for shapes on which this is exact, so the float64 the routine stores
+// is the one functionalGEMM and the oracle produce.
 func (x *Crossbar) vectorGEMM(s *mvmBatchScratch, n int) {
-	rows16, cols := x.rows16, x.usedCols
-	for c := 0; c < cols; c++ {
-		vectorDot(&s.acc[c], cols, &x.panel16[c*rows16], &s.x16[0], rows16, n)
-	}
+	vectorDot(&s.acc[0], x.accStride, &x.panel16[0], &s.x16[0], x.rows16, x.accStride, n)
 }
 
 // functionalGEMM is the functional-mode kernel (ideal converters, same
@@ -526,7 +527,8 @@ func dot4(col []uint64, xs []int32) (a0, a1, a2, a3 uint64) {
 // already perturbed by multiplicative cycle-to-cycle read noise, matching
 // the device model: each read deviates by the relative Gaussian factor
 // 1 + z·sigma, z the conversion's position-keyed standard normal draw. The
-// ADC clips it to [0, maxSum] and quantizes in steps of step.
+// ADC clips it to [0, maxSum] and quantizes in steps of step: the quotient is
+// at most 2^ADCBits − 1 ≤ 65535, where roundHalfUp is the oracle's math.Round.
 func adcNoisy(colSum, step, maxSum float64) float64 {
 	if colSum < 0 {
 		colSum = 0
@@ -534,7 +536,7 @@ func adcNoisy(colSum, step, maxSum float64) float64 {
 	if colSum > maxSum {
 		colSum = maxSum
 	}
-	return math.Round(colSum/step) * step
+	return float64(roundHalfUp(colSum/step)) * step
 }
 
 // bitSerialKernel is the bit-serial kernel: the honest analog pipeline, one

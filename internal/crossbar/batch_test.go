@@ -409,10 +409,13 @@ func TestMVMBatchValidation(t *testing.T) {
 // functional crossbar is functionalGEMM's on every host, and its reshapes
 // cross the lane bound, so its reused weight panel changes layout each round.
 // The 8-input-bit one is the vector kernel's where the host has it: 128 → 20
-// → 128 rows and back through a padded tail past 128 and a lone row, batches
-// shrinking and growing, on one weight arena and one pooled 16-bit input
-// arena. The kernel sums whatever the rows past usedRows hold on both, so
-// both pads are checked for zeros after every round as well as the outputs.
+// → 128 rows and back through a padded tail past 128 and a lone row, 130 → 10
+// → 8 columns and on through one to three pad columns, batches shrinking and
+// growing, even and odd, on one weight arena, one pooled 16-bit input arena
+// and one accumulator arena whose stride follows the padded column count
+// (assertLanes). The kernel sums whatever the rows past usedRows hold on both
+// panels and whatever the weight panel's columns past usedCols hold, so all
+// three pads are checked for zeros after every round as well as the outputs.
 func TestScratchReuseAcrossReshapes(t *testing.T) {
 	type shape struct{ m, n, lanes, batch int } // lanes: functional panel only
 	serial := []shape{{300, 8, 0, 5}, {5, 7, 0, 9}, {129, 3, 0, 1}, {64, 8, 0, 7}, {257, 5, 0, 2}, {128, 2, 0, 9}}
@@ -435,8 +438,8 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 	functional.InputBits = 16
 	functional.Functional = true
 	cases = append(cases, reshapes{functional, []shape{{257, 5, 2, 5}, {300, 8, 1, 5}, {40, 3, 2, 5}, {258, 7, 1, 5}}})
-	functional.InputBits = 8
-	cases = append(cases, reshapes{functional, []shape{{128, 8, 2, 9}, {20, 3, 2, 2}, {128, 8, 2, 9}, {300, 5, 2, 1}, {1, 8, 2, 12}, {17, 2, 2, 3}}})
+	functional.InputBits, functional.Cols = 8, 130
+	cases = append(cases, reshapes{functional, []shape{{128, 130, 2, 9}, {20, 10, 2, 3}, {128, 8, 2, 9}, {300, 5, 2, 1}, {1, 7, 2, 12}, {17, 2, 2, 3}}})
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range cases {
 		cfg := tc.cfg

@@ -33,9 +33,10 @@
 //     Program fuses each cell's stored slice levels into its full integer
 //     weight, in one of two panels. On amd64 with AVX2, when weights and
 //     inputs are at most 15 bits and a padded column of largest products
-//     stays below 2^31, the panel is column-major int16 with each column
-//     zero-padded to 16 rows (panel16) and the kernel is one assembly
-//     routine per column over all items of the call (dot_amd64.s:
+//     stays below 2^31, the panel is column-major int16, zero-padded to
+//     a multiple of 16 rows and of four columns (panel16), and the kernel
+//     is one assembly routine over the whole panel and all items of the
+//     call (dot_amd64.s: a register tile of four columns by two items,
 //     VPMADDWD, sixteen multiply-adds an instruction, summed in eight
 //     int32 lanes and then across them). Otherwise — every other
 //     architecture, x86 without AVX2, 16-bit operands, sums past 2^31 —
@@ -209,9 +210,15 @@ type Crossbar struct {
 	// panel16[c*rows16+r] is the vector kernel's weight panel: the same
 	// fused integer weight as a signed 16-bit word, column-major, each column
 	// zero-padded to rows16 = usedRows rounded up to the kernel's 16-row
-	// step. lanes is 0 beside it.
+	// step, and zero columns after the last up to the kernel's four-column
+	// tile. lanes is 0 beside it.
 	panel16 []int16
 	rows16  int
+
+	// accStride is the item stride of the kernel's accumulator panel
+	// (mvmBatchScratch.acc): usedCols, and on the vector kernel panel16's
+	// padded column count, which the routine fills whole.
+	accStride int
 
 	// colSumInt[c] is the column sum of the intended integer weights,
 	// accumulated at program time; digital offset removal reads it through
@@ -433,7 +440,7 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 			}
 		}
 	}
-	x.usedRows, x.usedCols = len(w), cols
+	x.usedRows, x.usedCols, x.accStride = len(w), cols, cols
 	x.wScale = wScale
 
 	// Device-fault path: per-cell program-and-verify with escalating
@@ -532,12 +539,13 @@ func (x *Crossbar) fuseWeights() {
 
 // fuseWeights16 builds the vector kernel's panel (see Crossbar.panel16). The
 // arena is reused across reprograms, so it is cleared first: the levels are
-// OR-ed in, and the kernel multiplies the pad rows, which a smaller shape
-// finds inside what a larger one wrote.
+// OR-ed in, and the kernel multiplies the pad rows and columns, which a
+// smaller shape finds inside what a larger one wrote.
 func (x *Crossbar) fuseWeights16() {
 	rows := x.usedRows
 	x.rows16 = (rows + 15) &^ 15
-	if need := x.usedCols * x.rows16; cap(x.panel16) < need {
+	x.accStride = (x.usedCols + 3) &^ 3
+	if need := x.accStride * x.rows16; cap(x.panel16) < need {
 		x.panel16 = make([]int16, need)
 	} else {
 		x.panel16 = x.panel16[:need]

@@ -7,7 +7,7 @@ package crossbar
 // batch.go, reached through vectorDot.
 
 //go:noescape
-func dotAVX2(acc *float64, stride int, w, x *int16, rows, n int)
+func gemmAVX2(acc *float64, stride int, w, x *int16, rows, cols, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -26,6 +26,6 @@ func init() {
 		return
 	}
 	if _, ebx, _, _ := cpuid(7, 0); ebx&avx2 != 0 {
-		vectorDot = dotAVX2
+		vectorDot = gemmAVX2
 	}
 }

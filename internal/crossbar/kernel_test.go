@@ -243,21 +243,23 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 
 // assertLanes is the functional-mode path assertion: Program built exactly
 // one weight panel, the one its kernel reads — the 16-bit panel, padded to
-// the 16-row step, when the host has the vector kernel and the shape is in
-// its envelope; the fused panel at the expected lane count otherwise — and
-// neither the bit planes nor the ADC table beside it.
+// the 16-row step and the four-column tile, the accumulators at the padded
+// column count, when the host has the vector kernel and the shape is in its
+// envelope; the fused panel at the expected lane count, the accumulators at
+// usedCols, otherwise — and neither the bit planes nor the ADC table beside
+// it.
 func assertLanes(t *testing.T, want int) func(*Crossbar) {
 	return func(xb *Crossbar) {
 		t.Helper()
 		if vectorDot != nil && vectorShape(xb.cfg, xb.usedRows) {
-			rows16 := (xb.usedRows + 15) / 16 * 16
-			if len(xb.panel16) != xb.usedCols*rows16 || xb.rows16 != rows16 || xb.fused != nil || xb.lanes != 0 {
-				t.Fatalf("weight=%d input=%d rows=%d cols=%d in the vector envelope: panel16 %d words at stride %d (fused nil: %v, lanes %d)",
-					xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.usedCols, len(xb.panel16), xb.rows16, xb.fused == nil, xb.lanes)
+			rows16, cols4 := (xb.usedRows+15)/16*16, (xb.usedCols+3)/4*4
+			if len(xb.panel16) != cols4*rows16 || xb.rows16 != rows16 || xb.accStride != cols4 || xb.fused != nil || xb.lanes != 0 {
+				t.Fatalf("weight=%d input=%d rows=%d cols=%d in the vector envelope: panel16 %d words at stride %d, acc stride %d (fused nil: %v, lanes %d)",
+					xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.usedCols, len(xb.panel16), xb.rows16, xb.accStride, xb.fused == nil, xb.lanes)
 			}
-		} else if xb.lanes != want || xb.fused == nil || xb.panel16 != nil {
-			t.Fatalf("weight=%d input=%d rows=%d: lanes=%d (fused nil: %v, panel16 nil: %v), table expects %d",
-				xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.lanes, xb.fused == nil, xb.panel16 == nil, want)
+		} else if xb.lanes != want || xb.fused == nil || xb.panel16 != nil || xb.accStride != xb.usedCols {
+			t.Fatalf("weight=%d input=%d rows=%d cols=%d: lanes=%d, acc stride %d (fused nil: %v, panel16 nil: %v), table expects %d",
+				xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.usedCols, xb.lanes, xb.accStride, xb.fused == nil, xb.panel16 == nil, want)
 		}
 		if xb.planes != nil || xb.adcLUT != nil {
 			t.Fatal("functional crossbar built the bit-serial tables (planes/adcLUT)")
@@ -444,6 +446,64 @@ func TestVectorEnvelope(t *testing.T) {
 	}
 }
 
+// TestVectorTileEdges pins the edges of the vector routine's register tile the
+// way TestKernelMatchesNaiveOracle pins its 16-row step: every column count
+// around the four-column group (a lone column to one past a group, the
+// benchmark MLP's ten, and the same around the array's 128, so one to three
+// pad columns and none), every batch around the two-item pass (odd ones end
+// in the four-by-one pass) up to and past 32, on every row count around the
+// 16-row step and the array's 128. The vector kernel, the Go kernel and
+// naiveMVM agree with ==.
+func TestVectorTileEdges(t *testing.T) {
+	if vectorDot == nil {
+		t.Log("host has no vector kernel (amd64 with AVX2): every shape ran through functionalGEMM only")
+	}
+	batches := []int{1, 2, 3, 31, 32, 33}
+	cfg := DefaultConfig()
+	cfg.Rows, cfg.Cols = 128, 130
+	cfg.Functional = true
+	for _, rows := range []int{1, 15, 16, 17, 128} {
+		for _, cols := range []int{1, 2, 3, 4, 5, 7, 10, 127, 128, 130} {
+			rng := rand.New(rand.NewSource(int64(rows*1000 + cols)))
+			w := randomMatrix(rng, rows, cols)
+			ins := batchInputs(rng, batches[len(batches)-1], rows)
+			want := make([][]float64, len(ins))
+			for i, in := range ins {
+				want[i] = naiveMVM(cfg, w, in, NoNoise)
+			}
+			for _, goKernel := range []bool{false, true} {
+				restore := func() {}
+				if goKernel {
+					restore = goKernelOnly()
+				}
+				xb, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := xb.Program(w); err != nil {
+					t.Fatal(err)
+				}
+				assertLanes(t, 2)(xb)
+				restore()
+				for _, n := range batches {
+					got, _, err := xb.MVMBatch(ins[:n], nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range got {
+						for c := range want[i] {
+							if got[i][c] != want[i][c] {
+								t.Fatalf("vector kernel %v shape=%dx%d batch=%d item %d col %d: kernel %v != oracle %v",
+									xb.panel16 != nil, rows, cols, n, i, c, got[i][c], want[i][c])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPlanesMatchStoredLevels: the bit planes are a transposition of what
 // the cells hold and nothing else. On an array whose stored levels differ
 // from the intended ones in every way Program can make them differ —
@@ -611,8 +671,9 @@ func FuzzPlaneSums(f *testing.F) {
 // assertPadsZero checks the rows the vector kernel reads past usedRows, on
 // both sides: each column of the weight panel and each of the n items the
 // latest call left in scratch s. Either side being zero makes the products
-// zero; both are pinned, so neither relies on the other. A scratch the pool
-// handed out fresh (under -race it drops items) has no items to check.
+// zero; both are pinned, so neither relies on the other. The columns it reads
+// past usedCols are the weight panel's alone, and zero whole. A scratch the
+// pool handed out fresh (under -race it drops items) has no items to check.
 func assertPadsZero(t *testing.T, xb *Crossbar, s *mvmBatchScratch, n int) {
 	t.Helper()
 	rows, rows16 := xb.usedRows, xb.rows16
@@ -621,6 +682,11 @@ func assertPadsZero(t *testing.T, xb *Crossbar, s *mvmBatchScratch, n int) {
 			if w != 0 {
 				t.Fatalf("rows=%d: weight panel column %d pad row %d holds %d", rows, c, rows+r, w)
 			}
+		}
+	}
+	for j, w := range xb.panel16[xb.usedCols*rows16:] {
+		if w != 0 {
+			t.Fatalf("cols=%d: weight panel pad column %d row %d holds %d", xb.usedCols, xb.usedCols+j/rows16, j%rows16, w)
 		}
 	}
 	for i := 0; i < n && len(s.x16) >= n*rows16; i++ {
@@ -646,6 +712,7 @@ func FuzzVectorDot(f *testing.F) {
 	f.Add(int64(2), uint16(113), uint8(3), uint8(1), uint8(4), uint8(3), uint8(12))   // 12 × 12 bits on its last row count
 	f.Add(int64(3), uint16(1), uint8(1), uint8(5), uint8(5), uint8(3), uint8(12))     // 15 × 12 bits: one row, fifteen pad rows
 	f.Add(int64(4), uint16(399), uint8(7), uint8(3), uint8(1), uint8(1), uint8(15))   // a padded tail past 24 steps
+	f.Add(int64(5), uint16(128), uint8(129), uint8(32), uint8(1), uint8(3), uint8(7)) // 70 × 117, a column past a group of four, at an odd batch of 33
 	f.Fuzz(func(t *testing.T, seed int64, rows uint16, cols, items, cellBits, slices, inBits uint8) {
 		cfg := DefaultConfig()
 		cfg.Functional = true
@@ -689,7 +756,7 @@ func FuzzVectorDot(f *testing.F) {
 		if err := xb.quantize(s, ins); err != nil {
 			t.Fatal(err)
 		}
-		s.acc = grow(s.acc, n*xb.usedCols)
+		s.acc = grow(s.acc, n*xb.accStride)
 		xb.vectorGEMM(s, n)
 		assertPadsZero(t, xb, s, n)
 		for i := 0; i < n; i++ {
@@ -701,7 +768,7 @@ func FuzzVectorDot(f *testing.F) {
 						want += int64(xb.sliceT[sl][c*cfg.Rows+r]) << uint(sl*cfg.CellBits) * int64(xi[r])
 					}
 				}
-				if got := s.acc[i*xb.usedCols+c]; got != float64(want) {
+				if got := s.acc[i*xb.accStride+c]; got != float64(want) {
 					t.Fatalf("cell=%d weight=%d input=%d shape=%dx%d batch=%d item %d col %d: vector kernel %v != scalar sum %d",
 						cfg.CellBits, cfg.WeightBits, cfg.InputBits, xb.usedRows, xb.usedCols, n, i, c, got, want)
 				}

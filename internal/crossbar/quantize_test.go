@@ -107,18 +107,21 @@ func checkQuantize(t *testing.T, inputBits int, ins [][]float64) {
 // TestQuantizeMatchesRound pins the quantizer to the oracle's expressions.
 // The rounding: roundHalfUp == math.Round at every exact half k + ½ of every
 // input width's range, at both float64 neighbours of each, at 0, at xMax and
-// at 0.49999999999999994 — the value ⌊t + ½⌋ gets wrong. The whole step: for
-// every input width, inputs that land t = x01·xMax on and beside every half
-// the expression can reach, through both panels. The scale: an all-zero item
-// scales by 1; a lone denormal and a lone MaxFloat64 are their item's scale,
-// taken from the integer order of the IEEE bits.
+// at 0.49999999999999994 — the value ⌊t + ½⌋ gets wrong — and, for adcNoisy,
+// whose quotient is clipped to [0, 2^ADCBits − 1] on the same widths and may
+// sit an ulp past that, at k = xMax and just above xMax too: every half below
+// 2^16 in all. The whole step: for every input width, inputs that land t =
+// x01·xMax on and beside every half the expression can reach, through both
+// panels. The scale: an all-zero item scales by 1; a lone denormal and a lone
+// MaxFloat64 are their item's scale, taken from the integer order of the IEEE
+// bits.
 func TestQuantizeMatchesRound(t *testing.T) {
 	for bits := 1; bits <= 16; bits++ {
 		xMax := float64(int(1)<<bits - 1)
-		ts := []float64{0, 0.49999999999999994, xMax, math.Nextafter(xMax, 0)}
-		for k := 0.0; k < xMax; k++ {
+		ts := []float64{0, 0.49999999999999994, xMax, math.Nextafter(xMax, 0), math.Nextafter(xMax, 2*xMax)}
+		for k := 0.0; k <= xMax; k++ {
 			h := k + 0.5
-			ts = append(ts, h, math.Nextafter(h, 0), math.Nextafter(h, xMax))
+			ts = append(ts, h, math.Nextafter(h, 0), math.Nextafter(h, 2*xMax))
 		}
 		for _, v := range ts {
 			if got, want := roundHalfUp(v), int32(math.Round(v)); got != want {
