@@ -182,11 +182,12 @@ profile:
 
 # Quick benchmark smoke: one iteration of the Section VI latency sweep
 # (functional kernel), of one noisy bit-serial MVM (the per-conversion
-# noise draw and ADC) and of one odd functional batch (the vector
-# routine's one-item pass after its item pairs), enough to catch a broken
+# noise draw and ADC), of one odd functional batch (the vector routine's
+# one-item pass after its item pairs) and of one 125-row functional read
+# (the vector quantizer's masked one-lane tail), enough to catch a broken
 # hot path without a full benchmark run.
 bench-smoke:
-	$(GO) test -bench='SecVILatency|CrossbarMVMBatch/128x128_8b_(noisy_b1|func_b7)$$' -benchtime=1x .
+	$(GO) test -bench='SecVILatency|CrossbarMVMBatch/(128x128_8b_(noisy_b1|func_b7)|125x128_8b_func_b1)$$' -benchtime=1x .
 
 cover:
 	$(GO) test -cover ./...
@@ -200,11 +201,13 @@ cover:
 # any start, stride and length), the bit-serial kernel's column sums
 # (any shape, levels and inputs: AND + popcount over the bit planes equals
 # a per-bit gather over the stored levels), the functional vector
-# kernel (any shape, batch and operand widths in its envelope: the
-# assembly routine over the 16-bit panels equals a scalar sum over the
-# stored levels; skipped on a host without AVX2), and the input quantizer
-# (any input width, item length, magnitude and values: both panels, the
-# quantized sum and the scale equal the oracle's Abs / Round expressions).
+# kernel (any shape, batch, operand widths in its envelope, column offsets
+# and scales: gemmAVX2's finished outputs over the 16-bit panels equal the
+# Go dequantize of a scalar sum over the stored levels; skipped on a host
+# without AVX2), and the input quantizer (any input width, item length,
+# magnitude and values: quantizeAVX2's 16-bit panel, quantizeRow's 32-bit
+# one, the quantized sum and the scale equal the oracle's Abs / Round
+# expressions).
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=15s ./internal/packet/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/isa/

@@ -339,10 +339,11 @@ func runFailover(b *testing.B, withSpare bool) float64 {
 
 // BenchmarkCrossbarMVMBatch is the kernel's batch trajectory:
 // MVMBatchInto over a size × batch sweep, in bit-serial, functional, and
-// noisy (per-item keyed sources) modes, then the functional vector routine's
-// tails: odd batches, whose last item takes its one-item pass, and the
-// benchmark MLP's last layer as programmed, 128 rows × 10 columns, two pad
-// columns in its third group. "ns/vec" is the per-vector time at
+// noisy (per-item keyed sources) modes, then the functional vector routines'
+// tails: odd batches, whose last item takes its one-item pass, the benchmark
+// MLP's last layer as programmed, 128 rows × 10 columns, two pad columns in
+// its third group, and 125 rows, whose last input lane the vector quantizer
+// reads masked, one lane of four. "ns/vec" is the per-vector time at
 // that batch size; the b1 rows are what MVMInto costs. Rows are timed one
 // after another, so on a host whose speed drifts a row-to-row ratio
 // carries the drift. The regression guard for the kernel is the repository
@@ -425,8 +426,8 @@ func BenchmarkCrossbarMVMBatch(b *testing.B) {
 	}
 	fn := crossbar.DefaultConfig()
 	fn.Functional = true
-	for _, tail := range []struct{ cols, batch int }{{128, 7}, {128, 33}, {10, 1}, {10, 64}} {
-		run(fmt.Sprintf("128x%d_8b_func_b%d", tail.cols, tail.batch), fn, 128, tail.cols, tail.batch, false)
+	for _, tail := range []struct{ rows, cols, batch int }{{128, 128, 7}, {128, 128, 33}, {128, 10, 1}, {128, 10, 64}, {125, 128, 1}, {125, 128, 64}} {
+		run(fmt.Sprintf("%dx%d_8b_func_b%d", tail.rows, tail.cols, tail.batch), fn, tail.rows, tail.cols, tail.batch, false)
 	}
 }
 

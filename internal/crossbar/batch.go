@@ -10,8 +10,9 @@ package crossbar
 // exact integer GEMM, on the vector unit over 16-bit panels where Program
 // found that possible (vectorGEMM: amd64 with AVX2, operands of at most 15
 // bits, column sums below 2^31; one register-tiled routine, four columns by
-// two items a pass) and in Go over the fused weight panel everywhere else
-// (functionalGEMM); bit-serial mode runs the bit-plane kernel
+// two items a pass, that also finishes the epilogue, fed by a vector
+// quantizer) and in Go over the fused weight panel everywhere else
+// (functionalGEMM, then dequantize); bit-serial mode runs the bit-plane kernel
 // (bitSerialKernel): a column sum is AND + popcount of an input-bit row mask
 // against a weight bit plane.
 //
@@ -70,9 +71,15 @@ type mvmBatchScratch struct {
 	// xScale and xSumInt are the per-item input scale and quantized sum.
 	xScale  []float64
 	xSumInt []int64
+	// terms[2i] and terms[2i+1] are item i's epilogue terms, xOffset =
+	// 2·xSum/xMax and scale = wScale·xScale, computed once per multiply (the
+	// scale follows the block's weights).
+	terms []float64
 	// acc is the shift-add accumulator panel, item-major
-	// (acc[i*accStride+c]); each kernel assigns every element once. Sized by
-	// multiply: the blocks of a tile row share inputs, not column counts.
+	// (acc[i*accStride+c]); each kernel assigns every element once, and
+	// the epilogue turns it into the block's outputs y in place — the vector
+	// routine stores y directly. Sized by multiply: the blocks of a tile row
+	// share inputs, not column counts.
 	acc []float64
 	// masks holds one row mask per (item, input bit), the binary word-line
 	// vector of that array cycle: word masks[(i*InputBits+b)*planeWords+w]
@@ -253,9 +260,11 @@ const (
 // every call (the arena is reused across shapes and the routine multiplies
 // the pad; panel16's pad is zero too, and neither side relies on the other),
 // xInt for the Go kernel, xInt and its row masks for bit-serial — beside the
-// per-item scale and sum the epilogue needs. All of it follows from the
-// configuration, usedRows and the kernel Program chose, never from usedCols:
-// the blocks of one tile row share a call.
+// per-item scale and sum the epilogue needs. On the vector panel one
+// vectorQuantize call per item does the scan and the rounding; elsewhere
+// quantizeRow does the rounding. All of it follows from the configuration,
+// usedRows and the kernel Program chose, never from usedCols: the blocks of
+// one tile row share a call.
 func (x *Crossbar) quantize(s *mvmBatchScratch, inputs [][]float64) error {
 	n, rows := len(inputs), x.usedRows
 	for i, in := range inputs {
@@ -264,12 +273,21 @@ func (x *Crossbar) quantize(s *mvmBatchScratch, inputs [][]float64) error {
 		}
 	}
 	s.xScale, s.xSumInt = grow(s.xScale, n), grow(s.xSumInt, n)
+	xMax := float64(int32(1)<<x.cfg.InputBits - 1)
 	if x.panel16 != nil {
 		s.x16 = grow(s.x16, n*x.rows16)
-	} else {
-		s.xInt = grow(s.xInt, n*rows)
+		for i, in := range inputs {
+			xi := s.x16[i*x.rows16:][:x.rows16]
+			sum, top := vectorQuantize(&xi[0], &in[0], rows, xMax)
+			if top >= infBits {
+				return nonFinite(i, in)
+			}
+			s.xScale[i], s.xSumInt[i] = scaleOf(top), sum
+			clear(xi[rows:]) // after the routine, whose last group of four stores into the pad
+		}
+		return nil
 	}
-	xMax := float64(int32(1)<<x.cfg.InputBits - 1)
+	s.xInt = grow(s.xInt, n*rows)
 	for i, in := range inputs {
 		var top uint64
 		for _, v := range in {
@@ -278,18 +296,8 @@ func (x *Crossbar) quantize(s *mvmBatchScratch, inputs [][]float64) error {
 		if top >= infBits {
 			return nonFinite(i, in)
 		}
-		scale := 1.0
-		if top != 0 {
-			scale = math.Float64frombits(top)
-		}
-		s.xScale[i] = scale
-		if x.panel16 != nil {
-			xi := s.x16[i*x.rows16:][:x.rows16]
-			s.xSumInt[i] = quantizeRow(xi[:rows], in, scale, xMax)
-			clear(xi[rows:])
-		} else {
-			s.xSumInt[i] = quantizeRow(s.xInt[i*rows:][:rows], in, scale, xMax)
-		}
+		s.xScale[i] = scaleOf(top)
+		s.xSumInt[i] = quantizeRow(s.xInt[i*rows:][:rows], in, s.xScale[i], xMax)
 	}
 	if !x.cfg.Functional {
 		x.rowMasks(s, n)
@@ -297,15 +305,25 @@ func (x *Crossbar) quantize(s *mvmBatchScratch, inputs [][]float64) error {
 	return nil
 }
 
+// scaleOf is an item's scale from the maximum of its sign-cleared bits: max
+// |v|, or 1 for an all-zero item.
+func scaleOf(top uint64) float64 {
+	if top == 0 {
+		return 1
+	}
+	return math.Float64frombits(top)
+}
+
 // quantizeRow is the quantization loop: dst[r] = Round((in[r]/scale + 1)/2 ·
 // xMax), the oracle's expression, returning the sum. The conversion rounds
 // the product before roundHalfUp doubles it, which a compiler with a fused
-// multiply-add may otherwise do from the unrounded one.
-func quantizeRow[T int16 | int32](dst []T, in []float64, scale, xMax float64) (sum int64) {
+// multiply-add may otherwise do from the unrounded one. The vector routine
+// evaluates the same expression four lanes at a time (dot_amd64.s).
+func quantizeRow(dst []int32, in []float64, scale, xMax float64) (sum int64) {
 	for r, v := range in {
 		x01 := (v/scale + 1) / 2
 		q := roundHalfUp(float64(x01 * xMax))
-		dst[r] = T(q)
+		dst[r] = q
 		sum += int64(q)
 	}
 	return sum
@@ -342,45 +360,64 @@ const (
 
 // multiply is the array half of an MVM: it runs the kernel Program chose
 // over the panel quantize left in s, for len(dsts) items, and the digital
-// epilogue into dsts (dsts[i] of length usedCols) as m says. nss is read on
-// a noisy configuration only. It cannot fail: every check ran before it.
+// epilogue, and merges the block's outputs into dsts (dsts[i] of length
+// usedCols) as m says. The vector routine finishes its outputs itself; the
+// Go kernels leave integer sums that dequantize finishes. nss is read on a
+// noisy configuration only. It cannot fail: every check ran before it.
 func (x *Crossbar) multiply(s *mvmBatchScratch, dsts [][]float64, nss []noise.Source, m merge) {
 	n := len(dsts)
 	s.acc = grow(s.acc, n*x.accStride)
+	s.terms = grow(s.terms, 2*n)
+	fxMax := float64(int32(1)<<x.cfg.InputBits - 1)
+	for i := range n {
+		s.terms[2*i] = 2 * float64(s.xSumInt[i]) / fxMax
+		s.terms[2*i+1] = x.wScale * s.xScale[i]
+	}
 	switch {
 	case x.panel16 != nil:
 		x.vectorGEMM(s, n)
 	case x.cfg.Functional:
 		x.functionalGEMM(s, n)
+		x.dequantize(s, n)
 	default:
 		x.bitSerialKernel(s, n, nss)
+		x.dequantize(s, n)
 	}
 
-	// Remove the shift-encoding offsets and restore each item's real-valued
-	// scale: y = wScale*xScale * (4*acc/(Wmax*Xmax) - 2*colSum/Wmax -
-	// 2*xSum/Xmax + rows). The colSum term is tabulated per column at
-	// Program time and the xSum term computed once per item, each with the
-	// expression and in the association of the formula above.
-	fxMax := float64(int32(1)<<x.cfg.InputBits - 1)
-	full := float64(int(1)<<x.cfg.WeightBits-1) * fxMax
-	rows := float64(x.usedRows)
-	colOffset := x.colOffset[:x.usedCols]
 	for i, dst := range dsts {
-		dst = dst[:len(colOffset)]
-		acc := s.acc[i*x.accStride:][:len(colOffset)]
-		xOffset := 2 * float64(s.xSumInt[i]) / fxMax
-		scale := x.wScale * s.xScale[i]
-		for c, off := range colOffset {
-			// The conversion rounds the product before a merge adds to it;
-			// a fused multiply-add would round scale·(…) + dst[c] once.
-			y := float64(scale * (4*acc[c]/full - off - xOffset + rows))
-			switch m {
-			case first:
-				y += 0
-			case add:
-				y += dst[c]
+		y := s.acc[i*x.accStride:][:len(dst)]
+		switch m {
+		case store:
+			copy(dst, y)
+		case first:
+			for c, v := range y {
+				dst[c] = v + 0
 			}
-			dst[c] = y
+		case add:
+			for c, v := range y {
+				dst[c] += v
+			}
+		}
+	}
+}
+
+// dequantize is the digital epilogue of the Go kernels, in place over acc:
+// it removes the shift-encoding offsets and restores each item's real-valued
+// scale, y = wScale·xScale · (4·acc/(wMax·xMax) − 2·colSum/wMax − 2·xSum/xMax
+// + rows), with colOffset[c] tabulated at Program, the item's terms computed
+// by multiply and the constants from dequant, each with the expression and
+// in the association of the formula. The vector routine's REDUCE evaluates
+// the same operations in the same order, four columns a lane each. y is
+// stored before multiply's merge adds it to dst, so no fused multiply-add
+// can round scale·(…) + dst[c] once.
+func (x *Crossbar) dequantize(s *mvmBatchScratch, n int) {
+	four, full, rows := x.dequant[0], x.dequant[1], x.dequant[2]
+	colOffset := x.colOffset[:x.usedCols]
+	for i := 0; i < n; i++ {
+		acc := s.acc[i*x.accStride:][:len(colOffset)]
+		xOffset, scale := s.terms[2*i], s.terms[2*i+1]
+		for c, off := range colOffset {
+			acc[c] = scale * (four*acc[c]/full - off - xOffset + rows)
 		}
 	}
 }
@@ -428,25 +465,34 @@ func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
 	}
 }
 
-// vectorDot is the host's vector routine for a whole functional-mode product
-// — acc[i*stride+c] = float64(Σ_r w[c*rows+r]·x[i*rows+r]) for each of cols
-// columns and n items, rows a multiple of 16 and cols of 4 — or nil when the
-// host has none: set once at start-up from the CPU's feature bits
-// (dot_amd64.go; there is no other implementation), read by fuseWeights when
-// it picks the kernel, and set to nil by tests that want the Go kernel on a
-// host that has both.
-var vectorDot func(acc *float64, stride int, w, x *int16, rows, cols, n int)
+// vectorDot and vectorQuantize are the host's vector routines, or nil when
+// the host has none: set together once at start-up from the CPU's feature
+// bits (dot_amd64.go; there is no other implementation). vectorDot is a whole
+// functional-mode read — y[i*stride+c] = dequantize's output for the integer
+// Σ_r w[c*rows+r]·x[i*rows+r], for each of cols columns and n items, rows a
+// multiple of 16 and cols of 4 — and vectorQuantize one item of quantize into
+// the 16-bit panel, returning its sum and the maximum of its sign-cleared
+// bits. fuseWeights reads vectorDot when it picks the kernel, and the panel it
+// builds selects both routines: tests set vectorDot alone to nil to get the Go
+// kernel and quantizer on a host that has both.
+var (
+	vectorDot      func(y *float64, stride int, w, x *int16, rows, cols, n int, colOffset, terms *float64, k *[3]float64)
+	vectorQuantize func(dst *int16, in *float64, n int, xMax float64) (sum int64, top uint64)
+)
 
-// vectorGEMM is the functional-mode kernel on the vector unit: the exact
-// integer product functionalGEMM computes, over 16-bit panels, in one
-// vectorDot call. quantize left each item's row in x16, pad zeroed; panel16
-// is zero-padded to the routine's 16-row step and four-column tile, and acc's
-// stride is the padded column count, so the pad columns' zero sums land
-// between items where the epilogue does not read. fuseWeights built panel16
-// only for shapes on which this is exact, so the float64 the routine stores
-// is the one functionalGEMM and the oracle produce.
+// vectorGEMM is the functional-mode kernel and epilogue on the vector unit:
+// the exact integer product functionalGEMM computes, over 16-bit panels, and
+// dequantize's expression over it, in one vectorDot call. quantize left each
+// item's row in x16, pad zeroed; panel16 is zero-padded to the routine's
+// 16-row step and four-column tile, colOffset is as long as that tile, and
+// acc's stride is the padded column count, so the pad columns' outputs land
+// between items where the merge does not read. fuseWeights built panel16
+// only for shapes on which the integer is exact, so the float64 it converts
+// to is the one functionalGEMM and the oracle produce, and the y it stores
+// the one dequantize computes from it.
 func (x *Crossbar) vectorGEMM(s *mvmBatchScratch, n int) {
-	vectorDot(&s.acc[0], x.accStride, &x.panel16[0], &s.x16[0], x.rows16, x.accStride, n)
+	vectorDot(&s.acc[0], x.accStride, &x.panel16[0], &s.x16[0], x.rows16, x.accStride, n,
+		&x.colOffset[0], &s.terms[0], &x.dequant)
 }
 
 // functionalGEMM is the functional-mode kernel (ideal converters, same

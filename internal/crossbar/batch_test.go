@@ -413,9 +413,12 @@ func TestMVMBatchValidation(t *testing.T) {
 // → 8 columns and on through one to three pad columns, batches shrinking and
 // growing, even and odd, on one weight arena, one pooled 16-bit input arena
 // and one accumulator arena whose stride follows the padded column count
-// (assertLanes). The kernel sums whatever the rows past usedRows hold on both
-// panels and whatever the weight panel's columns past usedCols hold, so all
-// three pads are checked for zeros after every round as well as the outputs.
+// (assertLanes) — and last 130 → 10 columns on 128 rows, the benchmark MLP's
+// last layer after a full-width block, so the two pad columns of colOffset
+// the routine reads hold the wider shape's offsets. The kernel sums whatever
+// the rows past usedRows hold on both panels and whatever the weight panel's
+// columns past usedCols hold, so all three pads are checked for zeros after
+// every round as well as the outputs.
 func TestScratchReuseAcrossReshapes(t *testing.T) {
 	type shape struct{ m, n, lanes, batch int } // lanes: functional panel only
 	serial := []shape{{300, 8, 0, 5}, {5, 7, 0, 9}, {129, 3, 0, 1}, {64, 8, 0, 7}, {257, 5, 0, 2}, {128, 2, 0, 9}}
@@ -439,7 +442,7 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 	functional.Functional = true
 	cases = append(cases, reshapes{functional, []shape{{257, 5, 2, 5}, {300, 8, 1, 5}, {40, 3, 2, 5}, {258, 7, 1, 5}}})
 	functional.InputBits, functional.Cols = 8, 130
-	cases = append(cases, reshapes{functional, []shape{{128, 130, 2, 9}, {20, 10, 2, 3}, {128, 8, 2, 9}, {300, 5, 2, 1}, {1, 7, 2, 12}, {17, 2, 2, 3}}})
+	cases = append(cases, reshapes{functional, []shape{{128, 130, 2, 9}, {20, 10, 2, 3}, {128, 8, 2, 9}, {300, 5, 2, 1}, {1, 7, 2, 12}, {17, 2, 2, 3}, {128, 130, 2, 5}, {128, 10, 2, 64}}})
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range cases {
 		cfg := tc.cfg

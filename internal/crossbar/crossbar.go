@@ -246,8 +246,14 @@ type Crossbar struct {
 
 	// colOffset[c] = 2*colSumInt[c]/wMax, the weight-offset term of the
 	// output epilogue, tabulated at Program time with the epilogue's own
-	// expression.
+	// expression. It is Cols rounded up to four long: the vector routine
+	// reads it four columns at a time, pad columns included.
 	colOffset []float64
+
+	// dequant is the epilogue's three constants for the programmed shape,
+	// {4, wMax·xMax, usedRows}, tabulated at Program time: dequantize and
+	// the vector routine read the same three.
+	dequant [3]float64
 
 	// scaleTab[b*slices+s] = 2^(b+s*CellBits), the shift-and-add merge
 	// factor of conversion (input bit b, slice s), in conversion order.
@@ -305,7 +311,7 @@ func New(cfg Config) (*Crossbar, error) {
 		numSlices: cfg.slices(),
 		sliceT:    sl,
 		colSumInt: make([]int64, cfg.Cols),
-		colOffset: make([]float64, cfg.Cols),
+		colOffset: make([]float64, (cfg.Cols+3)&^3),
 		scaleTab:  scaleTab,
 	}, nil
 }
@@ -457,6 +463,7 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 	for c, sum := range x.colSumInt[:cols] {
 		x.colOffset[c] = 2 * float64(sum) / wMax
 	}
+	x.dequant = [3]float64{4, wMax * float64(int32(1)<<x.cfg.InputBits-1), float64(len(w))}
 	if x.cfg.Functional {
 		x.fuseWeights()
 	} else {
@@ -498,9 +505,9 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 // — after fault remap, so stuck and drifted cells reach the kernel exactly
 // as they reach the slice-at-a-time reduction — and in building one panel or
 // the other selects the kernel that reads it, here and nowhere else: the
-// vector kernel (Crossbar.panel16, vectorGEMM) when the host has one and it
-// is exact on the programmed shape, functionalGEMM over Crossbar.fused
-// otherwise. Exact means every operand is a non-negative int16 and a whole
+// vector routines (Crossbar.panel16; vectorGEMM, and vectorQuantize in
+// quantize) when the host has them and the kernel is exact on the programmed
+// shape, functionalGEMM over Crossbar.fused and quantizeRow otherwise. Exact means every operand is a non-negative int16 and a whole
 // padded column of largest products stays below 2^31, so that no signed pair
 // sum, 32-bit lane or horizontal partial sum of the kernel can wrap.
 func (x *Crossbar) fuseWeights() {

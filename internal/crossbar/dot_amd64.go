@@ -1,13 +1,16 @@
 package crossbar
 
-// The functional-mode vector kernel, amd64 only: dot_amd64.s holds the one
-// routine and the two feature-test stubs (golang.org/x/sys/cpu is not a
-// dependency of this module). Everything else about the kernel — the panel,
-// the envelope, the fallback — is architecture-neutral Go in crossbar.go and
-// batch.go, reached through vectorDot.
+// The functional-mode vector routines, amd64 only: dot_amd64.s holds the GEMM
+// and the quantizer and the two feature-test stubs (golang.org/x/sys/cpu is
+// not a dependency of this module). Everything else about the kernel — the
+// panels, the envelope, the fallback — is architecture-neutral Go in
+// crossbar.go and batch.go, reached through vectorDot and vectorQuantize.
 
 //go:noescape
-func gemmAVX2(acc *float64, stride int, w, x *int16, rows, cols, n int)
+func gemmAVX2(y *float64, stride int, w, x *int16, rows, cols, n int, colOffset, terms *float64, k *[3]float64)
+
+//go:noescape
+func quantizeAVX2(dst *int16, in *float64, n int, xMax float64) (sum int64, top uint64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -26,6 +29,6 @@ func init() {
 		return
 	}
 	if _, ebx, _, _ := cpuid(7, 0); ebx&avx2 != 0 {
-		vectorDot = gemmAVX2
+		vectorDot, vectorQuantize = gemmAVX2, quantizeAVX2
 	}
 }

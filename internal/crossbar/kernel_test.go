@@ -246,11 +246,15 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 // the 16-row step and the four-column tile, the accumulators at the padded
 // column count, when the host has the vector kernel and the shape is in its
 // envelope; the fused panel at the expected lane count, the accumulators at
-// usedCols, otherwise — and neither the bit planes nor the ADC table beside
-// it.
+// usedCols, otherwise — colOffset at least as long as the accumulator stride
+// (the vector routine reads it four columns at a time), and neither the bit
+// planes nor the ADC table beside it.
 func assertLanes(t *testing.T, want int) func(*Crossbar) {
 	return func(xb *Crossbar) {
 		t.Helper()
+		if len(xb.colOffset) < xb.accStride {
+			t.Fatalf("rows=%d cols=%d: colOffset holds %d columns, the accumulator stride is %d", xb.usedRows, xb.usedCols, len(xb.colOffset), xb.accStride)
+		}
 		if vectorDot != nil && vectorShape(xb.cfg, xb.usedRows) {
 			rows16, cols4 := (xb.usedRows+15)/16*16, (xb.usedCols+3)/4*4
 			if len(xb.panel16) != cols4*rows16 || xb.rows16 != rows16 || xb.accStride != cols4 || xb.fused != nil || xb.lanes != 0 {
@@ -699,11 +703,13 @@ func assertPadsZero(t *testing.T, xb *Crossbar, s *mvmBatchScratch, n int) {
 }
 
 // FuzzVectorDot: for any shape, batch and operand widths inside the vector
-// kernel's envelope, any stored levels and any inputs, the panel fuseWeights
-// builds, the 16-bit panel quantize narrows into and the routine vectorGEMM
-// runs over the two give the integer Σ_r W[r,c]·x[r] a scalar loop over sliceT
-// and the quantized inputs adds up — on a scratch whose 16-bit arena an
-// earlier, larger call left full of ones.
+// kernel's envelope, any stored levels, weight scale, non-zero column offsets
+// and inputs, the y the routine stores — over the panel fuseWeights builds,
+// the 16-bit panel quantize fills and the per-item terms multiply computes
+// from what quantize returned — is what the Go dequantize computes from the
+// integer Σ_r W[r,c]·x[r] a scalar loop over sliceT and the quantized inputs
+// adds up, with ==, on a scratch whose 16-bit arena an earlier, larger call
+// left full of ones.
 func FuzzVectorDot(f *testing.F) {
 	if vectorDot == nil {
 		f.Skip("host has no vector kernel (amd64 with AVX2)")
@@ -741,6 +747,14 @@ func FuzzVectorDot(f *testing.F) {
 		if xb.panel16 == nil {
 			t.Fatalf("weight=%d input=%d rows=%d is in the envelope, and fuseWeights built no 16-bit panel", cfg.WeightBits, cfg.InputBits, xb.usedRows)
 		}
+		// What Program tabulates beside the panel, from random column sums
+		// up to a column of largest weights and a scale of any magnitude.
+		wMax := float64(int(1)<<cfg.WeightBits - 1)
+		for c := range xb.colOffset[:xb.usedCols] {
+			xb.colOffset[c] = 2 * float64(1+rng.Int63n(int64(wMax)*int64(xb.usedRows))) / wMax
+		}
+		xb.wScale = math.Ldexp(1+rng.Float64(), rng.Intn(41)-20)
+		xb.dequant = [3]float64{4, wMax * float64(int(1)<<cfg.InputBits-1), float64(xb.usedRows)}
 		n := 1 + int(items)%70
 		s := xb.getScratch()
 		s.x16 = make([]int16, (n+1)*xb.rows16)
@@ -756,20 +770,29 @@ func FuzzVectorDot(f *testing.F) {
 		if err := xb.quantize(s, ins); err != nil {
 			t.Fatal(err)
 		}
-		s.acc = grow(s.acc, n*xb.accStride)
-		xb.vectorGEMM(s, n)
+		dsts := newPanel(n, xb.usedCols)
+		xb.multiply(s, dsts, nil, store)
 		assertPadsZero(t, xb, s, n)
+		// The reference: the scalar sums in an accumulator panel of the same
+		// stride, finished by dequantize with the terms multiply computed.
+		ref := &mvmBatchScratch{acc: make([]float64, n*xb.accStride), terms: s.terms}
 		for i := 0; i < n; i++ {
 			xi := s.x16[i*xb.rows16:][:xb.usedRows]
 			for c := 0; c < xb.usedCols; c++ {
-				var want int64
+				var sum int64
 				for r := 0; r < xb.usedRows; r++ {
 					for sl := range xb.sliceT {
-						want += int64(xb.sliceT[sl][c*cfg.Rows+r]) << uint(sl*cfg.CellBits) * int64(xi[r])
+						sum += int64(xb.sliceT[sl][c*cfg.Rows+r]) << uint(sl*cfg.CellBits) * int64(xi[r])
 					}
 				}
-				if got := s.acc[i*xb.accStride+c]; got != float64(want) {
-					t.Fatalf("cell=%d weight=%d input=%d shape=%dx%d batch=%d item %d col %d: vector kernel %v != scalar sum %d",
+				ref.acc[i*xb.accStride+c] = float64(sum)
+			}
+		}
+		xb.dequantize(ref, n)
+		for i := 0; i < n; i++ {
+			for c := 0; c < xb.usedCols; c++ {
+				if got, want := dsts[i][c], ref.acc[i*xb.accStride+c]; got != want {
+					t.Fatalf("cell=%d weight=%d input=%d shape=%dx%d batch=%d item %d col %d: vector routine y = %v, dequantize of the scalar sum %v",
 						cfg.CellBits, cfg.WeightBits, cfg.InputBits, xb.usedRows, xb.usedCols, n, i, c, got, want)
 				}
 			}

@@ -59,7 +59,11 @@ func quantizerFor(t testing.TB, inputBits, rows int, vector bool) *Crossbar {
 }
 
 // checkQuantize runs quantize over ins on both panels and compares each
-// item's integers, pad, sum and scale to oracleQuantize with ==.
+// item's integers, pad, sum and scale to oracleQuantize with ==. The 16-bit
+// arena is dirty before the call — every row of every item, the rows
+// [rows, ⌈rows/4⌉·4) the vector routine's last group of four stores into
+// included, and one item's worth past the last — and comes back with every
+// item's pad zero and nothing written past the last item.
 func checkQuantize(t *testing.T, inputBits int, ins [][]float64) {
 	t.Helper()
 	rows := len(ins[0])
@@ -71,10 +75,20 @@ func checkQuantize(t *testing.T, inputBits int, ins [][]float64) {
 		s := xb.getScratch()
 		s.x16 = make([]int16, (len(ins)+1)*(rows+16))
 		for i := range s.x16 {
-			s.x16[i] = 1 // a dirty arena: the pad must come back zeroed
+			s.x16[i] = 1
 		}
 		if err := xb.quantize(s, ins); err != nil {
 			t.Fatal(err)
+		}
+		if vector {
+			if (rows+3)&^3 > xb.rows16 {
+				t.Fatalf("rows=%d: the routine's last group of four ends past the item's %d rows", rows, xb.rows16)
+			}
+			for j, q := range s.x16[len(ins)*xb.rows16 : cap(s.x16)] {
+				if q != 1 {
+					t.Fatalf("input=%d rows=%d: the arena %d elements past the last item holds %d", inputBits, rows, j, q)
+				}
+			}
 		}
 		for i, in := range ins {
 			want, scale, sum := oracleQuantize(inputBits, in)
@@ -169,15 +183,17 @@ func TestQuantizeMatchesRound(t *testing.T) {
 }
 
 // testNonFinite is TestMVMBatchValidation's value check: a NaN, +Inf or −Inf
-// at the first, a middle and the last index of items 1, 7, 128 and 129 long —
-// below, on and past the 16-row step and the 128-row array — is rejected
-// with the error text, item and index the validation loop the quantizer's
-// scan replaced gave, by MVMBatchInto on both functional panels and in
-// bit-serial mode, and dsts come back untouched: the item before the bad
-// one has been quantized by then, and nothing has been multiplied.
+// at the first, a middle and the last index of items 1–5, 7, 128 and 129
+// long — a lone masked lane, every partial group of four and a whole one of
+// the vector quantizer, below, on and past the 16-row step and the 128-row
+// array — is rejected with the error text, item and index the validation
+// loop the quantizer's scan replaced gave, by MVMBatchInto on both
+// functional panels and in bit-serial mode, and dsts come back untouched:
+// the item before the bad one has been quantized by then, and nothing has
+// been multiplied.
 func testNonFinite(t *testing.T) {
 	bad := map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
-	for _, rows := range []int{1, 7, 128, 129} {
+	for _, rows := range []int{1, 2, 3, 4, 5, 7, 128, 129} {
 		for _, mode := range []string{"vector", "go", "bit-serial"} {
 			var xb *Crossbar
 			if mode == "bit-serial" {
@@ -233,6 +249,9 @@ func FuzzQuantize(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint16(1), int16(-320))     // one denormal
 	f.Add(int64(4), uint8(15), uint16(17), int16(-1000))  // underflows to an all-zero item
 	f.Add(int64(5), uint8(12), uint16(250), int16(-3000)) // exponent clamps
+	f.Add(int64(6), uint8(8), uint16(4), int16(0))        // five rows: one masked lane after a group of four
+	f.Add(int64(7), uint8(7), uint16(5), int16(2))        // six: two masked lanes
+	f.Add(int64(8), uint8(15), uint16(6), int16(-2))      // seven: three masked lanes
 	f.Fuzz(func(t *testing.T, seed int64, inBits uint8, rows uint16, exp10 int16) {
 		bits := 1 + int(inBits)%16
 		n := 1 + int(rows)%300
