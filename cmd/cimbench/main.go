@@ -165,7 +165,7 @@ func main() {
 	boards := flag.String("boards", "1,2,4,8,16", "comma-separated board counts for the scale experiment")
 	engines := flag.String("engines", "1,2,4,8", "comma-separated fleet sizes for the fleet serving and capacity sweeps")
 	rates := flag.String("rates", "", "comma-separated offered rates (req/s) for the capacity sweep (empty = built-in ladder)")
-	slo := flag.Duration("slo", 25*time.Millisecond, "p99 service-latency SLO for the capacity sweep")
+	slo := flag.Duration("slo", experiments.DefaultSLO, "p99 service-latency SLO for the capacity sweep")
 	workers := flag.Int("parallel", 0, "simulation worker-pool width: N goroutines, 1 = serial, 0 = GOMAXPROCS (results are identical at any width)")
 	format := flag.String("format", "text", "output format: text (human tables) or json (one {experiment, generated_at, result} document per experiment)")
 	trace := flag.String("trace", "", "run the traced reference workload and write Chrome trace_event JSON to this file")

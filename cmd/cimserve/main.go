@@ -13,7 +13,7 @@
 //   - serial: every request pays serial per-request Infer latency — the
 //     pre-pipeline baseline where concurrent callers queue on one engine.
 //   - batch: requests flow through the fleet router and an engine's
-//     adaptive micro-batcher into the batched kernel, which overlaps batch
+//     work-conserving micro-batcher into the batched kernel, which overlaps batch
 //     items across the engine's stage pipeline (simulated time) and across
 //     the worker pool (wall time).
 //
@@ -75,7 +75,7 @@
 //
 // The resilience layer (docs/RESILIENCE.md) is driven by four flags:
 // -deadline sets a per-request budget — requests that expire anywhere in
-// the pipeline (ingress queue included) shed with the typed
+// the pipeline (pending list included) shed with the typed
 // ErrDeadlineExceeded and are counted as deadline_exceeded, never
 // retried. -hedge (needs -engines >= 2) re-issues requests that outlive
 // the tracked p95 on a second engine — keyed noise makes the two attempts
@@ -84,9 +84,9 @@
 // limiter and the priority brownout. -chaos <scenario> injects a
 // deterministic fault plan (none, straggler, crash, overload —
 // internal/chaos) into every engine; /healthz reports the active scenario
-// and each engine's current concurrency limit. Note the micro-batcher's
-// *flush* deadline — how long a partial batch may wait for company — is the
-// separate -maxdelay flag.
+// and each engine's current concurrency limit. The -maxdelay flag is still
+// validated but no longer read: the micro-batcher never holds a request back
+// for company (docs/SERVING.md).
 package main
 
 import (
@@ -122,7 +122,7 @@ type options struct {
 	clients   int
 	requests  int
 	batch     int
-	maxdelay  time.Duration // micro-batcher flush deadline
+	maxdelay  time.Duration // serve.Config.MaxDelay: validated, not read
 	deadline  time.Duration // per-request deadline (0 = none)
 	queue     int
 	mode      string
@@ -373,9 +373,9 @@ func main() {
 	flag.IntVar(&o.clients, "clients", 64, "concurrent closed-loop clients (ignored by open-loop -arrivals)")
 	flag.IntVar(&o.requests, "requests", 2048, "total requests per mode")
 	flag.IntVar(&o.batch, "batch", 64, "micro-batcher max batch size")
-	flag.DurationVar(&o.maxdelay, "maxdelay", 2*time.Millisecond, "micro-batcher flush deadline: max delay a partial batch waits for company")
+	flag.DurationVar(&o.maxdelay, "maxdelay", 2*time.Millisecond, "validated but not read: the micro-batcher never waits for company")
 	flag.DurationVar(&o.deadline, "deadline", 0, "per-request deadline; expired requests shed with ErrDeadlineExceeded (0 disables)")
-	flag.IntVar(&o.queue, "queue", 4096, "ingress queue bound (backpressure high-water mark)")
+	flag.IntVar(&o.queue, "queue", 4096, "pending-list bound (backpressure high-water mark)")
 	flag.StringVar(&o.mode, "mode", "both", "serving modes to run: both|serial|batch")
 	flag.StringVar(&layersFlag, "layers", "256,256,256,256,256,128,10", "8-bit MLP layer sizes")
 	flag.Int64Var(&o.seed, "seed", 1, "workload and engine seed")

@@ -145,7 +145,9 @@ func TestRunEndToEnd(t *testing.T) {
 // and requests a swap on a fleet of one: the standby cannot be repaired, the
 // only engine's breaker trips, the router has nowhere to fail over to, and
 // the error breakdown shows unhealthy sheds and the failed reprogram — but
-// the run itself completes.
+// the run itself completes. The drive is open-loop so that its length is
+// the schedule's (~200ms), not the server's speed: a closed loop can
+// finish before the swap's retries have run out and the breaker trips.
 func TestRunUnhealthySheds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -153,7 +155,9 @@ func TestRunUnhealthySheds(t *testing.T) {
 	var sb strings.Builder
 	o := options{
 		clients:   4,
-		requests:  4096, // long enough that the loop outlasts the swap retries
+		requests:  2048,
+		arrivals:  "poisson",
+		rate:      10_000,
 		batch:     4,
 		maxdelay:  time.Millisecond,
 		queue:     64,

@@ -45,7 +45,7 @@ import (
 // Plan is one chaos scenario: which engines misbehave, how, and when.
 // Engine indices refer to fleet engine IDs; -1 disables that fault. Steps
 // are engine-local batch counters (the wrapper counts every batch the
-// engine's dispatcher flushes through it), so a plan is independent of
+// engine's flusher sends through it), so a plan is independent of
 // wall-clock speed and request interleaving.
 type Plan struct {
 	// Name labels the scenario ("straggler", "crash", ...) for /healthz

@@ -14,6 +14,11 @@ import (
 	"cimrev/internal/workloadgen"
 )
 
+// DefaultSLO is the serving tier's p99 latency objective: the capacity
+// sweep rates cells against it unless told otherwise, and the chaos gate
+// holds the overload cells to it.
+const DefaultSLO = 25 * time.Millisecond
+
 // CapacityConfig parameterizes the SLO capacity sweep. Zero values select
 // the defaults; the schedule of every cell is a pure function of Seed.
 type CapacityConfig struct {
@@ -27,7 +32,7 @@ type CapacityConfig struct {
 	// Requests is the offered load per cell (default 1200).
 	Requests int
 	// SLO is the p99 service-latency objective a cell must meet, on top
-	// of zero shed and zero lost requests (default 25ms).
+	// of zero shed and zero lost requests (default DefaultSLO).
 	SLO time.Duration
 	// Seed keys the arrival schedule and the request-class mix.
 	Seed int64
@@ -49,7 +54,7 @@ func (c CapacityConfig) withDefaults() CapacityConfig {
 		c.Requests = 1200
 	}
 	if c.SLO == 0 {
-		c.SLO = 25 * time.Millisecond
+		c.SLO = DefaultSLO
 	}
 	if c.Seed == 0 {
 		c.Seed = 2121

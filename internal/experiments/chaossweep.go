@@ -150,9 +150,9 @@ func chaosDPEConfig() dpe.Config {
 // chaosPoint runs one (scenario, hedging) cell.
 func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenario string, hedged bool, requests int) (*ChaosRow, error) {
 	// The straggler must stand clear of the fleet's natural latency for the
-	// hedge race to be measurable — and that floor is host-timer bound
-	// (~2ms on coarse-tick kernels), not compute bound. Scale its stall to
-	// ~20ms so a stuck request is unambiguous at any plausible floor. The
+	// hedge race to be measurable. That floor is tens of microseconds here,
+	// but a host stall can lift a tail by milliseconds, so scale the stall
+	// to ~20ms: a stuck request is unambiguous at any plausible floor. The
 	// other scenarios keep canonical scale.
 	scale := 1.0
 	if scenario == "straggler" {
@@ -174,9 +174,10 @@ func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenari
 	}
 	if hedged {
 		// Default p95 tracking and 5% budget. The delay cap must thread a
-		// needle: above the fault-free tail (~3-4ms here, so normal requests
-		// do not burn hedge tokens and starve the genuinely stuck ones) but
-		// far below the straggler stall (so a hedge still saves most of it).
+		// needle: above the fault-free tail (under 1ms here, so normal
+		// requests do not burn hedge tokens and starve the genuinely stuck
+		// ones) but far below the straggler stall (so a hedge still saves
+		// most of it).
 		// The small burst bank keeps total hedge volume a rounding error
 		// against the cell's request count.
 		opts = append(opts, fleet.WithHedge(fleet.HedgeConfig{MaxDelay: 4 * time.Millisecond, Burst: 8}))
@@ -287,17 +288,13 @@ func sliceEqual(a, b []float64) bool {
 // under overload, but hedging and typed failover exist so that a crashed or
 // stalled engine's requests land somewhere else) and every cell must stay
 // bit-identical to the fault-free oracle: injected faults perturb timing
-// and availability, never answers. For each hedging flag the overload
-// cell's wall p99 must be within 10x the fault-free ("none") cell's — what
+// and availability, never answers. Every overload cell's wall p99 must be
+// under DefaultSLO, the objective the capacity sweep rates against — what
 // adaptive shedding buys: excess load is refused, admitted requests keep
-// their latency. A sweep without a (none, overload) pair fails rather than
-// pass with the tail unchecked.
+// their latency. A sweep without an overload cell fails rather than pass
+// with the tail unchecked.
 func (r *ChaosResult) Check() error {
-	type cell struct {
-		scenario string
-		hedged   bool
-	}
-	p99 := map[cell]float64{}
+	overload := 0
 	for _, row := range r.Rows {
 		if row.Lost != 0 {
 			return fmt.Errorf("chaos gate: %s (hedged=%v) lost %d keyed requests, want 0", row.Scenario, row.Hedged, row.Lost)
@@ -306,22 +303,16 @@ func (r *ChaosResult) Check() error {
 			return fmt.Errorf("chaos gate: %s (hedged=%v) is not bit-identical to the fault-free oracle (%d mismatched)",
 				row.Scenario, row.Hedged, row.Mismatched)
 		}
-		p99[cell{row.Scenario, row.Hedged}] = row.WallP99NS
-	}
-	pairs := 0
-	for _, hedged := range []bool{false, true} {
-		base, okBase := p99[cell{"none", hedged}]
-		over, okOver := p99[cell{"overload", hedged}]
-		if !okBase || !okOver {
+		if row.Scenario != "overload" {
 			continue
 		}
-		pairs++
-		if over > 10*base {
-			return fmt.Errorf("chaos gate: overload p99 %.0f ns > 10x fault-free baseline %.0f ns (hedged=%v)", over, base, hedged)
+		overload++
+		if row.WallP99NS >= float64(DefaultSLO.Nanoseconds()) {
+			return fmt.Errorf("chaos gate: overload p99 %.0f ns is not under the %v SLO (hedged=%v)", row.WallP99NS, DefaultSLO, row.Hedged)
 		}
 	}
-	if pairs == 0 {
-		return fmt.Errorf("chaos gate: no (none, overload) cell pair to compare p99 against")
+	if overload == 0 {
+		return fmt.Errorf("chaos gate: no overload cell to hold to the %v SLO", DefaultSLO)
 	}
 	return nil
 }

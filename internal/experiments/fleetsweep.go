@@ -46,9 +46,9 @@ type FleetRow struct {
 
 // FleetResult is the routing-policy x fleet-size sweep: the serving
 // tier's answer to the paper's scale-out question. Simulated throughput
-// should scale near-linearly with engine count under every policy — the
-// batcher loses a little pipeline-fill efficiency at smaller per-engine
-// batches, which is exactly the gap between SpeedupVs1 and Engines.
+// should scale near-linearly with engine count under every policy; every
+// flush is one request, so the gap between SpeedupVs1 and Engines is the
+// policy's routing imbalance.
 type FleetResult struct {
 	Rows []FleetRow
 	// Clients is the closed-loop client count every row ran with.
@@ -118,10 +118,14 @@ func fleetPoint(netA, netB *nn.Network, inputs [][]float64, policyName string, e
 	}
 	cfg := dpe.DefaultConfig()
 	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
+	// One request per flush, so an engine's simulated time is its routed
+	// count times one request's latency. The batcher takes whatever arrived
+	// during the previous flush, which on the host is a matter of
+	// scheduling: with larger batches the speedup would measure the host.
 	f, _, err := fleet.New(cfg, netA,
 		fleet.WithEngines(engines),
 		fleet.WithPolicy(policy),
-		fleet.WithServeOptions(serve.WithBatch(64, 500*time.Microsecond)),
+		fleet.WithServeOptions(serve.WithBatch(1, 500*time.Microsecond)),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fleet point (%s, %d): %w", policyName, engines, err)

@@ -1,6 +1,6 @@
 // Package fleet is the cluster-scale serving layer: N independent DPE
 // engines — each a serve.ShadowPair behind its own micro-batcher, bounded
-// ingress queue, circuit breaker, and metrics namespace — routed by a
+// pending list, circuit breaker, and metrics namespace — routed by a
 // pluggable request Router. It is the answer to the paper's Section VI
 // scaling story at the serving tier: one board's write asymmetry hides
 // behind its own shadow engine (internal/serve), and the *fleet* hides
@@ -15,7 +15,7 @@
 // # Topology
 //
 //	client ─ SubmitSeq ─▶ Fleet ─ Router(policy) ─▶ Engine i
-//	                                                ├─ serve.Server   (queue + micro-batcher)
+//	                                                ├─ serve.Server   (pending list + flusher)
 //	                                                ├─ [chaos wrap]   (WithChaos)
 //	                                                ├─ [WrapBackend]  (the hybrid dispatcher's slot)
 //	                                                ├─ serve.Breaker  (health gate)
@@ -24,7 +24,7 @@
 // Every engine replicates the same network (same dpe.Config, same noise
 // seed), so any engine can serve any request. Routing policies (router.go)
 // choose among the healthy, non-draining engines: round-robin, least-loaded
-// (live ingress-queue depth), weighted, and wear-aware (route away from
+// (live pending-list depth), weighted, and wear-aware (route away from
 // engines whose fault reports show consumed spares or lost columns —
 // reading dpe HealthCheck and the internal/faultinject wear accounting).
 // A refused engine (full queue, tripped breaker, mid-drain close) fails
@@ -96,9 +96,10 @@ type Engine struct {
 	// engine's own registry has the authoritative serve.* counters).
 	routed atomic.Int64
 	// inflight counts requests currently inside this engine's pipeline
-	// (queued or executing). The ingress queue alone is a poor load signal
-	// — the dispatcher drains it into open batches almost immediately — so
-	// the least-loaded policy reads queued + in-flight.
+	// (pending or on the device). The pending list alone is a poor load
+	// signal — the flusher takes a batch from it the moment it is idle, so
+	// an engine busy with one flush can read zero — so the least-loaded
+	// policy reads pending + in-flight.
 	inflight atomic.Int64
 }
 
@@ -110,14 +111,14 @@ func (e *Engine) ID() int { return e.id }
 // policy, ignored by the others).
 func (e *Engine) Weight() int { return e.weight }
 
-// QueueDepth returns the engine's current ingress-queue depth.
+// QueueDepth returns how many requests wait in the engine's pending list.
 func (e *Engine) QueueDepth() int { return e.srv.QueueDepth() }
 
 // InFlight returns how many fleet requests are currently inside the
 // engine's pipeline (queued or executing).
 func (e *Engine) InFlight() int64 { return e.inflight.Load() }
 
-// Load returns the engine's outstanding-work signal — ingress-queue depth
+// Load returns the engine's outstanding-work signal — pending-list depth
 // plus in-flight requests — which the least-loaded policy minimizes.
 func (e *Engine) Load() int64 { return int64(e.srv.QueueDepth()) + e.inflight.Load() }
 

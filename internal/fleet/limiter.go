@@ -1,6 +1,6 @@
 // Adaptive overload control: AIMD concurrency limits + priority brownout.
 //
-// The static ingress queue bound (serve.Config.QueueBound) is a blunt
+// The static pending-list bound (serve.Config.QueueBound) is a blunt
 // defense: it caps *memory*, not *latency* — a 4096-deep queue in front of
 // a struggling engine is 4096 requests' worth of queueing delay before the
 // first rejection. Two adaptive mechanisms replace it as the only line:

@@ -116,7 +116,7 @@ func (roundRobin) Order(candidates []*Engine, seq uint64) []*Engine {
 }
 
 // LeastLoaded returns the policy that prefers the engine with the least
-// outstanding work — ingress-queue depth plus in-flight requests —
+// outstanding work — pending-list depth plus in-flight requests —
 // breaking ties by rotating on the sequence number so tied engines share
 // traffic instead of all landing on the lowest ID. A slow or momentarily
 // busy engine accumulates load and stops attracting traffic until it

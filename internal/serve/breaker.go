@@ -45,7 +45,7 @@ import (
 // ErrUnhealthy is the typed sentinel for health-driven load shedding: a
 // tripped Breaker returns it from InferBatch, and ShadowPair.Reprogram
 // wraps it when a standby stays unhealthy after repair. Callers match it
-// with errors.Is; the Server's dispatcher sheds whole batches on it.
+// with errors.Is; the Server's flusher sheds whole batches on it.
 var ErrUnhealthy = errors.New("serve: backend unhealthy")
 
 // UnhealthyError carries the probe evidence behind a breaker trip. It

@@ -272,7 +272,7 @@ func TestBreakerProbeTrip(t *testing.T) {
 	}
 }
 
-// TestServerShedsUnhealthyBatches pins the dispatcher integration: batches
+// TestServerShedsUnhealthyBatches pins the flusher integration: batches
 // against a tripped breaker shed whole with ErrUnhealthy — no per-request
 // fallback hammering — and the shed count lands in serve.unhealthy.
 func TestServerShedsUnhealthyBatches(t *testing.T) {

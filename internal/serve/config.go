@@ -1,5 +1,5 @@
 // Serving configuration: one validated Config for the whole pipeline
-// (batcher, ingress queue, breaker retry/backoff, health probe, telemetry),
+// (batcher, pending list, breaker retry/backoff, health probe, telemetry),
 // built from Default() plus functional options.
 //
 // Before this redesign the batcher and the circuit breaker each took their
@@ -38,15 +38,15 @@ import (
 type Config struct {
 	// --- Micro-batcher (Server) ---
 
-	// MaxBatch is the flush threshold: a batch is dispatched as soon as
-	// it holds this many requests. Must be >= 1.
+	// MaxBatch caps a batch: the flusher takes at most this many pending
+	// requests per flush. Must be >= 1.
 	MaxBatch int
-	// MaxDelay is the flush deadline: an open batch is dispatched at most
-	// this long after its first request arrived, even if under-full.
-	// Must be > 0.
+	// MaxDelay is validated (must be > 0) but not read: the batcher is
+	// work-conserving and never holds a request back for batch-mates. It
+	// stays only because WithBatch still takes it.
 	MaxDelay time.Duration
-	// QueueBound is the ingress queue's high-water mark: the maximum
-	// number of requests waiting for dispatch. Must be >= 1. Requests
+	// QueueBound is the pending list's high-water mark: the maximum
+	// number of requests waiting for the flusher. Must be >= 1. Requests
 	// beyond it are rejected with ErrOverloaded.
 	QueueBound int
 
@@ -86,7 +86,7 @@ type Config struct {
 }
 
 // Default returns the serving configuration the benchmarks use: batches
-// up to 64, a 2ms flush deadline, a 4096-deep ingress queue, no retries,
+// up to 64, a 2ms MaxDelay, a 4096-deep pending list, no retries,
 // and no probe — identical to the pre-redesign DefaultConfig() +
 // zero-valued BreakerConfig behavior.
 func Default() Config {
@@ -102,9 +102,9 @@ func (c Config) Validate() error {
 	case c.MaxBatch < 1:
 		return fmt.Errorf("serve: MaxBatch must be >= 1, got %d (a batcher that never fills never flushes)", c.MaxBatch)
 	case c.MaxDelay <= 0:
-		return fmt.Errorf("serve: MaxDelay must be positive, got %v (a zero deadline would busy-spin the dispatcher)", c.MaxDelay)
+		return fmt.Errorf("serve: MaxDelay must be positive, got %v", c.MaxDelay)
 	case c.QueueBound < 1:
-		return fmt.Errorf("serve: QueueBound must be >= 1, got %d (a zero-length ingress queue rejects every request)", c.QueueBound)
+		return fmt.Errorf("serve: QueueBound must be >= 1, got %d (a zero-length pending list rejects every request)", c.QueueBound)
 	}
 	return c.validateBreaker()
 }
@@ -135,12 +135,12 @@ type Option func(*Config)
 // option in the same call takes effect, in argument order).
 func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
 
-// WithBatch sets the flush threshold and deadline.
+// WithBatch sets the batch cap and MaxDelay (validated, not read).
 func WithBatch(maxBatch int, maxDelay time.Duration) Option {
 	return func(c *Config) { c.MaxBatch, c.MaxDelay = maxBatch, maxDelay }
 }
 
-// WithQueueBound sets the ingress queue's high-water mark.
+// WithQueueBound sets the pending list's high-water mark.
 func WithQueueBound(n int) Option { return func(c *Config) { c.QueueBound = n } }
 
 // WithRetry sets the breaker's reprogram retry budget and backoff window.

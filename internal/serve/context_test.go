@@ -48,7 +48,7 @@ func TestSubmitNilContext(t *testing.T) {
 }
 
 // TestSubmitCanceledWhileQueued pins the shed path: requests whose context
-// dies while they sit in the ingress queue are skipped at flush time — the
+// dies while they sit in the pending list are skipped at flush time — the
 // callers get ErrCanceled and the abandoned inputs never reach the
 // backend.
 func TestSubmitCanceledWhileQueued(t *testing.T) {
@@ -59,7 +59,7 @@ func TestSubmitCanceledWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Jam the dispatcher inside a flush so the queue holds still.
+	// Jam the flusher inside a flush so the queue holds still.
 	firstDone := make(chan error, 1)
 	go func() {
 		_, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{0})
@@ -79,16 +79,16 @@ func TestSubmitCanceledWhileQueued(t *testing.T) {
 		}(i)
 	}
 	deadline := time.After(5 * time.Second)
-	for len(srv.queue) < parked {
+	for srv.QueueDepth() < parked {
 		select {
 		case <-deadline:
-			t.Fatalf("queue never filled: %d/%d", len(srv.queue), parked)
+			t.Fatalf("queue never filled: %d/%d", srv.QueueDepth(), parked)
 		default:
 			time.Sleep(time.Millisecond)
 		}
 	}
 
-	// Abandon them, then let the dispatcher run again.
+	// Abandon them, then let the flusher run again.
 	cancel()
 	wg.Wait()
 	close(bk.release)
@@ -136,7 +136,7 @@ func TestSubmitCanceledMidBatch(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrCanceled) {
 		t.Fatalf("mid-batch cancel = %v, want ErrCanceled", err)
 	}
-	// The dispatcher finishes the flush into the buffered channel; Close
+	// The flusher finishes the flush into the buffered channel; Close
 	// must not hang on the abandoned request.
 	close(bk.release)
 	srv.Close()
@@ -225,7 +225,7 @@ func TestSubmitDeadlinePreEnqueue(t *testing.T) {
 }
 
 // TestSubmitDeadlineWhileQueued: requests whose deadline fires while they
-// sit in the ingress queue are shed before flush — they never reach the
+// sit in the pending list are shed before flush — they never reach the
 // backend, the callers get ErrDeadlineExceeded, and the queued-stage
 // counter records each shed.
 func TestSubmitDeadlineWhileQueued(t *testing.T) {
@@ -236,7 +236,7 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Jam the dispatcher inside a flush so the queue holds still.
+	// Jam the flusher inside a flush so the queue holds still.
 	firstDone := make(chan error, 1)
 	go func() {
 		_, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{0})
@@ -257,16 +257,16 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 		}(i)
 	}
 	deadline := time.After(5 * time.Second)
-	for len(srv.queue) < parked {
+	for srv.QueueDepth() < parked {
 		select {
 		case <-deadline:
-			t.Fatalf("queue never filled: %d/%d", len(srv.queue), parked)
+			t.Fatalf("queue never filled: %d/%d", srv.QueueDepth(), parked)
 		default:
 			time.Sleep(time.Millisecond)
 		}
 	}
 
-	// Let the deadlines fire, then release the dispatcher.
+	// Let the deadlines fire, then release the flusher.
 	wg.Wait()
 	close(bk.release)
 	if err := <-firstDone; err != nil {

@@ -10,12 +10,13 @@
 //
 // The pipeline has three pieces:
 //
-//   - An adaptive micro-batcher (Server): requests enter a bounded ingress
-//     queue; a dispatcher drains it into batches, flushing when MaxBatch
-//     requests have accumulated or MaxDelay has elapsed since the batch
-//     opened — whichever comes first. Light load pays one deadline of extra
-//     latency at most; heavy load amortizes toward full batches.
-//   - Explicit backpressure and cancellation: the ingress queue holds at
+//   - A work-conserving micro-batcher (Server): requests join a pending
+//     list, and one long-lived flusher goroutine takes up to MaxBatch of
+//     them from its head, flushes them as one device batch, and repeats
+//     until the list is empty. A batch is whatever arrived while the
+//     previous flush ran: one request at light load, full batches at
+//     saturation. No request waits on a timer for batch-mates.
+//   - Explicit backpressure and cancellation: the pending list holds at
 //     most QueueBound requests. Past the high-water mark, SubmitKeyed fails
 //     fast with ErrOverloaded instead of growing an unbounded queue. It also
 //     honors context.Context — a deadline is the caller's ctx: a caller that
@@ -57,8 +58,8 @@ import (
 type Backend interface {
 	// InferBatch runs the batch, returning one output per input plus the
 	// simulated cost of the whole batch. It must be safe for the pipeline
-	// to call from its dispatcher goroutine while other goroutines read
-	// engine statistics.
+	// to call from its flusher goroutine while other goroutines read
+	// engine statistics. It must not keep inputs (the flusher's scratch).
 	InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error)
 }
 
@@ -81,7 +82,7 @@ type keyedBackend interface {
 	InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error)
 }
 
-// ErrOverloaded is returned by SubmitKeyed when the ingress queue is at its
+// ErrOverloaded is returned by SubmitKeyed when the pending list is at its
 // high-water mark. The request was NOT enqueued; the caller owns the retry
 // policy. This is the backpressure contract: past QueueBound the server
 // sheds load instead of queueing without bound.
@@ -110,25 +111,20 @@ var ErrCanceled = errors.New("serve: request canceled")
 // docs/RESILIENCE.md.
 var ErrDeadlineExceeded = errors.New("serve: request deadline exceeded")
 
-// expiryError wraps a context failure cause in the matching typed
-// sentinel: ErrDeadlineExceeded when the deadline fired, ErrCanceled for a
-// plain cancellation.
-func expiryError(cause error) error {
-	if errors.Is(cause, context.DeadlineExceeded) {
-		return fmt.Errorf("%w: %w", ErrDeadlineExceeded, cause)
-	}
-	return fmt.Errorf("%w: %w", ErrCanceled, cause)
-}
-
 // request is one enqueued inference, carrying its own noise sequence number
 // down to a keyedBackend.
 type request struct {
-	ctx   context.Context
-	in    []float64
-	seq   uint64
-	start time.Time
-	resp  chan response
+	ctx  context.Context
+	in   []float64
+	seq  uint64
+	resp chan response
 }
+
+// requestPool recycles requests, each with its response channel. A request
+// goes back only from a caller that received its response, because the
+// flusher is then done with it; a caller that leaves on ctx.Done abandons
+// it to the collector, since the flusher may still send into its channel.
+var requestPool = sync.Pool{New: func() any { return &request{resp: make(chan response, 1)} }}
 
 // response carries the result back to the waiting caller.
 type response struct {
@@ -183,14 +179,16 @@ func newServerMetrics(reg *metrics.Registry) serverMetrics {
 }
 
 // expire classifies a context failure, counts the cause (serve.canceled vs
-// serve.deadline_exceeded), and returns the typed error the caller gets.
+// serve.deadline_exceeded), and returns the typed error the caller gets:
+// cause wrapped in ErrDeadlineExceeded when the deadline fired, in
+// ErrCanceled for a plain cancellation.
 func (m *serverMetrics) expire(cause error) error {
 	if errors.Is(cause, context.DeadlineExceeded) {
 		m.deadline.Inc()
-	} else {
-		m.canceled.Inc()
+		return fmt.Errorf("%w: %w", ErrDeadlineExceeded, cause)
 	}
-	return expiryError(cause)
+	m.canceled.Inc()
+	return fmt.Errorf("%w: %w", ErrCanceled, cause)
 }
 
 // Server is the micro-batching inference frontend. Construct with New;
@@ -204,14 +202,17 @@ type Server struct {
 	met     serverMetrics
 	tracer  *obs.Tracer
 
-	// ingressMu guards the closed flag and the queue send against Close:
-	// SubmitKeyed holds it shared while enqueueing; Close holds it exclusively
-	// while closing the channel, so no send can race the close.
-	ingressMu sync.RWMutex
-	closed    bool
-	queue     chan *request
+	// mu guards pending and closed. work wakes the parked flusher when a
+	// request arrives or the server closes; flusherDone closes as it exits.
+	mu          sync.Mutex
+	work        *sync.Cond
+	pending     []*request
+	closed      bool
+	flusherDone chan struct{}
 
-	dispatcherDone chan struct{}
+	// batch and inputs are the flusher's scratch, reused flush to flush.
+	batch  []*request
+	inputs [][]float64
 
 	// simPS accumulates the simulated latency of every flushed batch:
 	// the virtual time the device spent serving. Energy accumulates in
@@ -220,7 +221,7 @@ type Server struct {
 }
 
 // New starts a server over backend, configured by Default() refined with
-// opts. The dispatcher goroutine runs until Close.
+// opts. The flusher goroutine runs until Close.
 func New(backend Backend, opts ...Option) (*Server, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("serve: nil backend")
@@ -234,27 +235,32 @@ func New(backend Backend, opts ...Option) (*Server, error) {
 		reg = metrics.NewRegistry()
 	}
 	s := &Server{
-		cfg:            cfg,
-		backend:        backend,
-		reg:            reg,
-		met:            newServerMetrics(reg),
-		tracer:         cfg.Tracer,
-		queue:          make(chan *request, cfg.QueueBound),
-		dispatcherDone: make(chan struct{}),
+		cfg:         cfg,
+		backend:     backend,
+		reg:         reg,
+		met:         newServerMetrics(reg),
+		tracer:      cfg.Tracer,
+		flusherDone: make(chan struct{}),
 	}
+	s.work = sync.NewCond(&s.mu)
 	s.cbe, _ = backend.(ctxBackend)
 	s.kbe, _ = backend.(keyedBackend)
-	go s.dispatch()
+	go s.flusher()
 	return s, nil
 }
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// QueueDepth returns how many requests currently wait in the ingress
-// queue. It is a point-in-time reading, safe to call concurrently — the
-// fleet router's least-loaded policy polls it on every routing decision.
-func (s *Server) QueueDepth() int { return len(s.queue) }
+// QueueDepth returns how many requests currently wait in the pending list
+// for the flusher to take them. It is a point-in-time reading, safe to
+// call concurrently — the fleet router's least-loaded policy polls it on
+// every routing decision.
+func (s *Server) QueueDepth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pending)
+}
 
 // SimTimePS returns the accumulated simulated serving time in picoseconds:
 // the sum of every flushed batch's critical-path latency. Requests per
@@ -274,7 +280,7 @@ func (s *Server) SimTimePS() int64 { return s.simPS.Load() }
 // latency (the request waited for the whole batch) and 1/n of the batch
 // energy. The caller must not mutate in until SubmitKeyed returns.
 //
-// SubmitKeyed fails fast with ErrOverloaded when the ingress queue is at
+// SubmitKeyed fails fast with ErrOverloaded when the pending list is at
 // its bound and with ErrClosed after Close; both leave the request
 // unqueued. A per-request latency budget is the caller's ctx (a nil ctx is
 // context.Background()): if ctx is canceled while the request waits the
@@ -293,96 +299,84 @@ func (s *Server) SubmitKeyed(ctx context.Context, seq uint64, in []float64) ([]f
 		}
 		return nil, energy.Zero, s.met.expire(err)
 	}
-	req := &request{ctx: ctx, in: in, seq: seq, start: time.Now(), resp: make(chan response, 1)}
+	start := time.Now()
 
-	s.ingressMu.RLock()
-	if s.closed {
-		s.ingressMu.RUnlock()
+	s.mu.Lock()
+	switch {
+	case s.closed:
+		s.mu.Unlock()
 		return nil, energy.Zero, ErrClosed
-	}
-	select {
-	case s.queue <- req:
-		s.ingressMu.RUnlock()
-	default:
-		s.ingressMu.RUnlock()
+	case len(s.pending) >= s.cfg.QueueBound:
+		s.mu.Unlock()
 		s.met.rejected.Inc()
 		return nil, energy.Zero, ErrOverloaded
 	}
+	req := requestPool.Get().(*request)
+	req.ctx, req.in, req.seq = ctx, in, seq
+	s.pending = append(s.pending, req)
+	s.mu.Unlock()
+	s.work.Signal() // wakes the flusher if it is parked; a no-op while it flushes
 
 	select {
 	case r := <-req.resp:
-		s.met.latencyNS.Observe(float64(time.Since(req.start).Nanoseconds()))
+		s.met.latencyNS.Observe(float64(time.Since(start).Nanoseconds()))
+		req.ctx, req.in = nil, nil
+		requestPool.Put(req)
 		if r.err != nil {
 			return nil, energy.Zero, r.err
 		}
 		return r.out, r.cost, nil
 	case <-ctx.Done():
-		// The dispatcher will still send into the buffered resp channel
-		// (or skip the request at flush); nobody is listening, nothing
-		// leaks.
+		// The flusher will still send into the buffered resp channel (or
+		// skip the request at flush); nobody is listening, nothing leaks.
 		return nil, energy.Zero, s.met.expire(ctx.Err())
 	}
 }
 
-// Close stops accepting requests, drains everything already queued
+// Close stops accepting requests, drains everything already pending
 // (in-flight callers get real responses, not errors), and waits for the
-// dispatcher to exit. Close is idempotent.
+// flusher to exit. Close is idempotent.
 func (s *Server) Close() {
-	s.ingressMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
-	s.ingressMu.Unlock()
-	<-s.dispatcherDone
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.work.Signal()
+	<-s.flusherDone
 }
 
-// dispatch is the batcher loop: block for the first request of a batch,
-// then collect until MaxBatch or MaxDelay, then flush.
-func (s *Server) dispatch() {
-	defer close(s.dispatcherDone)
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
+// flusher is the batcher loop: take a batch, flush it, repeat. It parks
+// while nothing is pending and exits once the server is closed and drained.
+func (s *Server) flusher() {
+	defer close(s.flusherDone)
+	for s.take() {
+		s.flush(s.batch)
+	}
+}
+
+// take moves up to MaxBatch requests from the head of the pending list into
+// the flusher's batch, first waiting for one to arrive. It reports false
+// once the server is closed and nothing is pending.
+func (s *Server) take() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.pending) == 0 {
+		if s.closed {
+			return false
 		}
-		batch := s.collect(first)
-		s.flush(batch)
+		s.work.Wait()
 	}
+	n := min(len(s.pending), s.cfg.MaxBatch)
+	s.batch = append(s.batch[:0], s.pending[:n]...)
+	rest := copy(s.pending, s.pending[n:])
+	clear(s.pending[rest:])
+	s.pending = s.pending[:rest]
+	return true
 }
 
-// collect gathers a batch starting from first: it returns when MaxBatch
-// requests are in hand, when MaxDelay has elapsed since the batch opened,
-// or when the queue closes (draining flushes the remainder).
-func (s *Server) collect(first *request) []*request {
-	batch := make([]*request, 1, s.cfg.MaxBatch)
-	batch[0] = first
-	if s.cfg.MaxBatch == 1 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.MaxDelay)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case req, ok := <-s.queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, req)
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
-}
-
-// shedExpired splits out requests whose context died while they waited in
-// the queue: each gets a typed expiry response (ErrDeadlineExceeded or
-// ErrCanceled, into its buffered channel — the caller usually already left)
-// and is excluded from the device batch, so dead work never reaches the
-// crossbars. Only the queued-stage counter is bumped here: the *cause*
-// counters (serve.canceled / serve.deadline_exceeded) are the caller's,
-// incremented once in SubmitKeyed when the error surfaces.
+// shedExpired drops requests whose context died while they were pending, so
+// dead work never reaches the crossbars. They get no response: the closed
+// Done channel already unblocks their callers. Only the queued-stage counter
+// is bumped here; the cause counters are the caller's, bumped by expire.
 func (s *Server) shedExpired(batch []*request) []*request {
 	kept := batch[:0]
 	for _, req := range batch {
@@ -390,7 +384,6 @@ func (s *Server) shedExpired(batch []*request) []*request {
 			if errors.Is(err, context.DeadlineExceeded) {
 				s.met.deadlineQueued.Inc()
 			}
-			req.resp <- response{err: expiryError(err)}
 			continue
 		}
 		kept = append(kept, req)
@@ -401,6 +394,7 @@ func (s *Server) shedExpired(batch []*request) []*request {
 // inferBatch invokes the backend for one device batch: with the requests'
 // noise keys through InferBatchKeyedCtx when the backend has it, otherwise
 // through the plain path (keys ignored), traced when the backend supports it.
+// Keys, unlike inputs, are allocated per flush: a backend may keep them.
 func (s *Server) inferBatch(sp obs.Ctx, batch []*request, inputs [][]float64) ([][]float64, energy.Cost, error) {
 	if s.kbe != nil {
 		seqs := make([]uint64, len(batch))
@@ -426,12 +420,12 @@ func (s *Server) flush(batch []*request) {
 	if len(batch) == 0 {
 		return
 	}
-	inputs := make([][]float64, len(batch))
-	for i, req := range batch {
-		inputs[i] = req.in
+	s.inputs = s.inputs[:0]
+	for _, req := range batch {
+		s.inputs = append(s.inputs, req.in)
 	}
 	sp := s.tracer.Root("serve.flush")
-	outs, cost, err := s.inferBatch(sp, batch, inputs)
+	outs, cost, err := s.inferBatch(sp, batch, s.inputs)
 	if sp.Active() {
 		sp.Annotate("batch", float64(len(batch)))
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
 	"cimrev/internal/nn"
+	"cimrev/internal/obs"
 	"cimrev/internal/parallel"
 )
 
@@ -154,7 +155,7 @@ func TestServeMatchesDirectInfer(t *testing.T) {
 }
 
 // blockingBackend blocks inside InferBatch until released; it lets tests
-// fill the ingress queue deterministically.
+// fill the pending list deterministically.
 type blockingBackend struct {
 	entered chan struct{} // receives one token per InferBatch entry
 	release chan struct{}
@@ -179,7 +180,7 @@ func (b *blockingBackend) InferBatch(inputs [][]float64) ([][]float64, energy.Co
 	return outs, energy.Cost{LatencyPS: 1000, EnergyPJ: float64(len(inputs))}, nil
 }
 
-// TestBackpressure: once the dispatcher is stuck in a flush and the queue
+// TestBackpressure: once the flusher is stuck in a flush and the pending list
 // holds QueueBound requests, further Infers are rejected with
 // ErrOverloaded — the queue must never grow past its bound.
 func TestBackpressure(t *testing.T) {
@@ -190,13 +191,13 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First request: dispatcher picks it up and blocks in the backend.
+	// First request: the flusher takes it and blocks in the backend.
 	firstDone := make(chan error, 1)
 	go func() {
 		_, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{0})
 		firstDone <- err
 	}()
-	<-bk.entered // dispatcher is now stuck inside InferBatch
+	<-bk.entered // the flusher is now stuck inside InferBatch
 
 	// Fill the queue to its bound with parked requests.
 	var parked sync.WaitGroup
@@ -211,10 +212,10 @@ func TestBackpressure(t *testing.T) {
 	}
 	// Wait until all bound requests are actually enqueued.
 	deadline := time.After(5 * time.Second)
-	for len(srv.queue) < bound {
+	for srv.QueueDepth() < bound {
 		select {
 		case <-deadline:
-			t.Fatalf("queue never filled: %d/%d", len(srv.queue), bound)
+			t.Fatalf("queue never filled: %d/%d", srv.QueueDepth(), bound)
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -268,11 +269,12 @@ func (b *countingBackend) InferBatch(inputs [][]float64) ([][]float64, energy.Co
 	return outs, energy.Cost{LatencyPS: 10, EnergyPJ: 1}, nil
 }
 
-// TestDeadlineFlush: a lone request must not wait for a full batch — the
-// MaxDelay deadline flushes it.
-func TestDeadlineFlush(t *testing.T) {
+// TestIdleServerDoesNotWait: a lone request on an idle server is flushed at
+// once as a batch of one — it never waits for batch-mates, however long
+// MaxDelay is.
+func TestIdleServerDoesNotWait(t *testing.T) {
 	bk := &countingBackend{}
-	srv, err := New(bk, WithBatch(1<<20, 10*time.Millisecond), WithQueueBound(16))
+	srv, err := New(bk, WithBatch(16, 10*time.Second), WithQueueBound(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +283,8 @@ func TestDeadlineFlush(t *testing.T) {
 	if _, _, err := srv.SubmitKeyed(context.Background(), 0, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline flush took %v", elapsed)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("lone request took %v on an idle server", elapsed)
 	}
 	bk.mu.Lock()
 	defer bk.mu.Unlock()
@@ -361,6 +363,135 @@ func TestCloseDrains(t *testing.T) {
 		t.Errorf("SubmitKeyed after Close = %v, want ErrClosed", err)
 	}
 	srv.Close() // idempotent
+}
+
+// echoBackend answers each item with its own noise key and counts the keys
+// it served, so a test can see which requests reached the device and that
+// every answer went back to its own caller.
+type echoBackend struct {
+	delay time.Duration
+	mu    sync.Mutex
+	seen  map[uint64]int
+}
+
+func (b *echoBackend) InferBatch([][]float64) ([][]float64, energy.Cost, error) {
+	return nil, energy.Zero, errors.New("echoBackend: unkeyed flush")
+}
+
+func (b *echoBackend) InferBatchKeyedCtx(_ obs.Ctx, seqs []uint64, _ [][]float64) ([][]float64, energy.Cost, error) {
+	time.Sleep(b.delay)
+	outs := make([][]float64, len(seqs))
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, k := range seqs {
+		b.seen[k]++
+		outs[i] = []float64{float64(k)}
+	}
+	return outs, energy.Cost{LatencyPS: 1, EnergyPJ: 1}, nil
+}
+
+// TestRequestConservation races submitters carrying random cancels and
+// deadlines against Close, one seeded composition per subtest. Every
+// SubmitKeyed returns, with its own result, ErrClosed, ErrOverloaded or a
+// typed expiry; no request reaches the device twice, and none that was
+// refused reaches it at all; the counters match what the callers saw; and
+// Close returns, so the flusher has exited.
+func TestRequestConservation(t *testing.T) {
+	for seed := int64(1); seed <= 32; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { conserve(t, seed) })
+	}
+}
+
+func conserve(t *testing.T, seed int64) {
+	const n = 64
+	rng := rand.New(rand.NewSource(seed))
+	bk := &echoBackend{delay: time.Duration(rng.Intn(100)) * time.Microsecond, seen: map[uint64]int{}}
+	srv, err := New(bk, WithBatch(1+rng.Intn(8), time.Millisecond), WithQueueBound(1+rng.Intn(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([][]float64, n)
+	errs := make([]error, n)
+	closeAfter := rng.Intn(n)
+	closed := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		switch rng.Intn(3) {
+		case 0:
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(2000))*time.Microsecond)
+		case 1:
+			ctx, cancel = context.WithCancel(ctx)
+			time.AfterFunc(time.Duration(rng.Intn(1000))*time.Microsecond, cancel)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer cancel()
+			outs[i], _, errs[i] = srv.SubmitKeyed(ctx, uint64(i), []float64{float64(i)})
+		}(i)
+		if i == closeAfter {
+			go func() {
+				srv.Close()
+				close(closed)
+			}()
+		}
+	}
+	returned := make(chan struct{})
+	go func() {
+		wg.Wait()
+		<-closed
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a SubmitKeyed or Close still blocked after 10s")
+	}
+
+	var over, canceled, deadline int64
+	for i, err := range errs {
+		reached := bk.seen[uint64(i)]
+		switch {
+		case reached > 1:
+			t.Errorf("request %d reached the device %d times", i, reached)
+		case err == nil:
+			if reached != 1 || len(outs[i]) != 1 || outs[i][0] != float64(i) {
+				t.Errorf("request %d: answer %v (device saw it %d times), want its own key", i, outs[i], reached)
+			}
+		case errors.Is(err, ErrClosed), errors.Is(err, ErrOverloaded):
+			if reached != 0 {
+				t.Errorf("request %d refused with %v but reached the device", i, err)
+			}
+			if errors.Is(err, ErrOverloaded) {
+				over++
+			}
+		case errors.Is(err, ErrCanceled):
+			canceled++
+		case errors.Is(err, ErrDeadlineExceeded):
+			deadline++
+		default:
+			t.Errorf("request %d: unexpected error %v", i, err)
+		}
+	}
+	served := int64(0)
+	for _, c := range bk.seen {
+		served += int64(c)
+	}
+	reg := srv.Registry()
+	for name, want := range map[string]int64{
+		"serve.rejected":          over,
+		"serve.canceled":          canceled,
+		"serve.deadline_exceeded": deadline,
+		"serve.requests":          served,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if d := srv.QueueDepth(); d != 0 {
+		t.Errorf("QueueDepth after Close = %d, want 0", d)
+	}
 }
 
 // TestPoisonPillIsolated: a malformed request (wrong input length) fails
