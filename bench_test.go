@@ -472,8 +472,10 @@ func BenchmarkEngineInferBatch(b *testing.B) {
 // configuration, InferBatchKeyed with rotating inputs and keys on the
 // functional one, at the batch sizes the closed loop fixes (64) and the
 // serving workloads' batcher lands on (1–4 on the big model, 1–16 on the
-// small), and on the big model at 16 between them, where the tile's item
-// chunks first cover a pool of any width a host here has. "ns/vec" is the
+// small), and on the big model at 16 and 32 between them: 16 is where the
+// tile's item chunks first cover a pool of any width a host here has, and 16
+// and 32 bracket the pool's fan-out work (internal/parallel's fanOutMACs),
+// below which a 256-wide read runs inline on its caller. "ns/vec" is the
 // time per inference; B/op beside allocs/op says what a call leaves the
 // collector (the output panel, and little else). Run it as `make bench-alt
 // BENCH=EngineWorkloads CPU=1,2`: the pool's width follows -cpu, and what
@@ -553,7 +555,7 @@ func BenchmarkEngineWorkloads(b *testing.B) {
 	}
 	big, small := []int{256, 256, 256, 256, 256, 128, 10}, []int{16, 16, 10}
 	run("big_bitserial_noisy_b1", big, 128, 1, "noisy")
-	for _, batch := range []int{1, 4, 16, 64} {
+	for _, batch := range []int{1, 4, 16, 32, 64} {
 		run(fmt.Sprintf("big_functional_b%d", batch), big, 128, batch, "keyed")
 	}
 	for _, batch := range []int{1, 64} {

@@ -292,10 +292,13 @@ func (t *Tile) MVMBatchIntoCtx(pc obs.Ctx, dsts, inputs [][]float64, nss []noise
 }
 
 // mvmBatch fans the batch out over (item chunk × column-block group) tasks.
-// Chunks cover the worker pool first — one per worker, so a task's items meet
-// every weight panel once — and the column blocks split into groups only when
-// the batch has fewer items than the pool has workers; both follow from
-// (batch, pool width, block grid) and nothing else. A task owns the output
+// The width is what parallel.WidthFor grants the read: a functional read
+// below the pool's fan-out work (n·rows·cols MACs) is one task, run inline
+// on the caller, and a bit-serial one — many conversions per MAC — gets the
+// pool's width. Chunks cover that width first — one per worker, so a task's
+// items meet every weight panel once — and the column blocks split into
+// groups only when the batch has fewer items than the width; both follow
+// from (batch, width, block grid) and nothing else. A task owns the output
 // elements of its items on its columns, start to finish: per block row, in
 // ascending order, it quantizes its items' slice of that row once
 // (Crossbar.quantize) and every block of its group adds its stripe straight
@@ -303,7 +306,7 @@ func (t *Tile) MVMBatchIntoCtx(pc obs.Ctx, dsts, inputs [][]float64, nss []noise
 // finish runs on what is now final. The decomposition affects only
 // wall-clock locality and parallelism: block b = br·bcols + bc of item i
 // draws from nss[i].Derive(b) and an element's block-row sum has one order,
-// so outputs are bit-identical at any pool width and any batch.
+// so outputs are bit-identical at any width and any batch.
 func (t *Tile) mvmBatch(sp obs.Ctx, dsts, inputs [][]float64, nss []noise.Source, finish func(c0 int, stripe []float64)) (energy.Cost, error) {
 	if !t.programmed {
 		return energy.Zero, fmt.Errorf("crossbar: tile MVM before Program")
@@ -332,6 +335,9 @@ func (t *Tile) mvmBatch(sp obs.Ctx, dsts, inputs [][]float64, nss []noise.Source
 
 	brows, bcols := t.BlockGrid()
 	width := parallel.Width()
+	if t.cfg.Functional {
+		width = parallel.WidthFor(n * t.rows * t.cols)
+	}
 	chunkSz := (n + width - 1) / width
 	chunks := (n + chunkSz - 1) / chunkSz
 	groups := 1

@@ -70,7 +70,9 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // 1, 2, 3, 9 and 64 at pool widths 1, 2, 4 and 16, so both fan-out regimes
 // (column-block groups while the batch is narrower than the pool, item
 // chunks from there on) and the batch == width edge between them run every
-// mode. The "underflow" mode is the sign of zero: weight and input scales
+// mode. The widths are set explicitly, and parallel.WidthFor takes an
+// explicit width as set, so a 16² read splits at them however little work it
+// is. The "underflow" mode is the sign of zero: weight and input scales
 // whose product underflows make every block stripe ±0, and a merge that
 // starts from +0 gives +0.
 func TestTileMatchesNaiveOracle(t *testing.T) {

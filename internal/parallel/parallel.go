@@ -5,10 +5,12 @@
 // programming, cluster boards), and internal/experiments (sweep points). The
 // serving pipeline (internal/serve) rides the same pool: every micro-batch it
 // flushes is one dpe.Engine.InferBatchKeyed call, which advances the whole
-// batch stage by stage and fans out only inside each stage's tile
-// (crossbar.Tile.mvmBatch, whose tasks also do a dense stage's merge, bias
-// and activation), so one width knob governs both offline sweeps and online
-// serving.
+// batch stage by stage; each stage's tile read (crossbar.Tile.mvmBatch,
+// whose tasks also do a dense stage's merge, bias and activation) asks
+// WidthFor for its width, so a small read — a serving flush of one or a few
+// requests — runs inline on the flusher and only a read large enough to pay
+// for a fork-join fans out. One width knob and one work rule govern both
+// offline sweeps and online serving.
 //
 // The hardware this repository simulates is massively spatially parallel —
 // thousands of crossbar tiles compute matrix-vector products at once — so
@@ -45,6 +47,19 @@
 // call; nested fan-outs (an experiment sweep whose points run batched
 // inference over tiled crossbars) may multiply momentarily, which is
 // harmless for CPU-bound simulation work at these scales.
+//
+// # Work
+//
+// A fork-join costs goroutine starts, wake-ups and a barrier whatever the
+// work behind it, and below a certain size the work is cheaper than that.
+// WidthFor is the one rule for when a call's work pays: at the default
+// width, a call of fewer than fanOutMACs multiply-accumulates runs on one
+// worker, inline on its caller, without consulting GOMAXPROCS; from there
+// on it gets the full width. A width set explicitly with SetWidth is taken
+// as asked, whatever the work, so pinned-width suites and cimbench
+// -parallel N keep exactly N workers. The rule decides only which
+// goroutine runs a task, never what the task computes, so it cannot change
+// a result.
 package parallel
 
 import (
@@ -55,6 +70,13 @@ import (
 
 // width holds the configured pool width; 0 means "use GOMAXPROCS".
 var width atomic.Int32
+
+// fanOutMACs is the work, in multiply-accumulates, from which a call at the
+// default width fans out: 2²¹, a 256×256 functional read of 32 items. On a
+// 2-vCPU amd64 host a batch-16 read of the 256-wide MLP ran no faster on two
+// workers than inline, and a batch-32 one 1.2–1.3× faster
+// (docs/perf/2026-10-15-pr27.md).
+const fanOutMACs = 1 << 21
 
 // Width returns the current worker-pool width. It defaults to
 // runtime.GOMAXPROCS(0) and is always at least 1.
@@ -77,6 +99,20 @@ func SetWidth(n int) {
 		return
 	}
 	width.Store(int32(n))
+}
+
+// WidthFor returns the worker count for a call whose work is macs
+// multiply-accumulates: the explicitly set width if there is one, else 1
+// below fanOutMACs and Width() from there on. Below the constant it reads
+// one atomic and nothing else.
+func WidthFor(macs int) int {
+	if w := int(width.Load()); w > 0 {
+		return w
+	}
+	if macs < fanOutMACs {
+		return 1
+	}
+	return Width()
 }
 
 // Sequential reports whether the pool is in sequential mode (width 1).
@@ -158,7 +194,7 @@ func ForErr(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if Sequential() || n == 1 {
+	if n == 1 || Sequential() { // n first: one task never asks for GOMAXPROCS
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err

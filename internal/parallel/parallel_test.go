@@ -187,3 +187,29 @@ func TestDeterministicFloatReduction(t *testing.T) {
 		}
 	}
 }
+
+// TestWidthFor is the work rule's table: at the default width a call below
+// fanOutMACs runs on one worker and one at or above it gets GOMAXPROCS; an
+// explicitly set width is returned as set, whatever the work.
+func TestWidthFor(t *testing.T) {
+	resetWidth(t)
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		set, macs, want int
+	}{
+		{0, 0, 1},
+		{0, fanOutMACs - 1, 1},
+		{0, fanOutMACs, procs},
+		{0, 4 * fanOutMACs, procs},
+		{1, 4 * fanOutMACs, 1},
+		{2, 0, 2},
+		{4, fanOutMACs - 1, 4},
+		{4, fanOutMACs, 4},
+		{16, 4 * fanOutMACs, 16},
+	} {
+		SetWidth(tc.set)
+		if got := WidthFor(tc.macs); got != tc.want {
+			t.Errorf("SetWidth(%d): WidthFor(%d) = %d, want %d", tc.set, tc.macs, got, tc.want)
+		}
+	}
+}
