@@ -22,7 +22,6 @@ import (
 	"cimrev/internal/fault"
 	"cimrev/internal/nn"
 	"cimrev/internal/packet"
-	"cimrev/internal/security"
 	"cimrev/internal/vonneumann"
 )
 
@@ -196,42 +195,6 @@ func BenchmarkAblationCellBits(b *testing.B) {
 			b.ReportMetric(cost.EnergyPJ, "pJ/mvm")
 		})
 	}
-}
-
-// BenchmarkAblationEncryption measures the packet-encryption overhead of
-// the Section IV.A security model.
-func BenchmarkAblationEncryption(b *testing.B) {
-	p := &packet.Packet{
-		Type:    packet.TypeData,
-		Payload: randomVector(rand.New(rand.NewSource(1)), 128),
-	}
-	b.Run("plaintext", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Marshal(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("aes-gcm", func(b *testing.B) {
-		kr := security.NewKeyRing()
-		key, err := kr.Generate(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var cost energy.Cost
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ct, c, err := security.Seal(p, key)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cost = c
-			if _, _, err := security.Open(ct, key); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(cost.EnergyPJ, "pJ/seal")
-	})
 }
 
 // BenchmarkAblationWriteHiding compares reprogram latency with and without
@@ -620,23 +583,6 @@ func BenchmarkDataflowPipeline(b *testing.B) {
 	}
 }
 
-func BenchmarkPacketMarshal(b *testing.B) {
-	p := &packet.Packet{
-		Type:    packet.TypeData,
-		Payload: randomVector(rand.New(rand.NewSource(1)), 64),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := p.Marshal()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := packet.Unmarshal(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- helpers ---
 
 func benchName(prefix string, v int) string {
@@ -681,23 +627,6 @@ func BenchmarkAssociativeSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc.LongestPrefixMatch(uint64(rng.Uint32()))
-	}
-}
-
-func BenchmarkAssociativeAdd(b *testing.B) {
-	ap, err := NewAssociativeProcessor(1024, 32, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for r := 0; r < 1024; r++ {
-		if err := ap.Write(r, uint64(rng.Uint32())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ap.AddConstant(uint64(i))
 	}
 }
 

@@ -229,11 +229,6 @@ func NewAssociativeProcessor(rows, width int, led *Ledger) (*AssociativeProcesso
 // Serviceability (Section V.D: graceful aging and self-healing).
 
 // NewWearMonitor watches unit aging against the device endurance model.
-func NewWearMonitor(fabric *Fabric, threshold float64, reg *metrics.Registry) (*service.Monitor, error) {
-	return service.NewMonitor(fabric, memristor.DefaultParams(), threshold, reg)
-}
-
-// NewHealer closes the self-healing loop: worn units retire to spares.
-func NewHealer(monitor *service.Monitor, guard *fault.Guard, reg *metrics.Registry) (*service.Healer, error) {
-	return service.NewHealer(monitor, guard, reg)
+func NewWearMonitor(fabric *Fabric, threshold float64) (*service.Monitor, error) {
+	return service.NewMonitor(fabric, memristor.DefaultParams(), threshold)
 }

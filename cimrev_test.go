@@ -123,13 +123,11 @@ func TestFacadeAssociative(t *testing.T) {
 	if err := ap.Write(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	ap.AddConstant(3)
-	v, err := ap.Read(0)
-	if err != nil {
+	if err := ap.Write(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if v != 10 {
-		t.Errorf("AP add = %d, want 10", v)
+	if v, _ := ap.Max(); v != 10 {
+		t.Errorf("AP max = %d, want 10", v)
 	}
 }
 
@@ -155,21 +153,21 @@ func TestFacadeSelfHealing(t *testing.T) {
 	if err := guard.AddSpare(primary, spare); err != nil {
 		t.Fatal(err)
 	}
-	mon, err := NewWearMonitor(fabric, 0.5, nil)
+	mon, err := NewWearMonitor(fabric, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	healer, err := NewHealer(mon, guard, nil)
+	// A fresh unit is not at risk (default endurance is 1e9 writes), so
+	// it keeps serving; a failure still recovers onto its spare.
+	rep, err := mon.Inspect(primary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh units: nothing retires (default endurance is 1e9 writes).
-	retired, err := healer.Heal()
-	if err != nil {
-		t.Fatal(err)
+	if rep.AtRisk {
+		t.Errorf("fresh unit at risk: %+v", rep)
 	}
-	if len(retired) != 0 {
-		t.Errorf("fresh fabric retired %v", retired)
+	if recovered, err := guard.Fail(primary); err != nil || !recovered {
+		t.Errorf("Fail = %v, %v; want recovery onto the spare", recovered, err)
 	}
 }
 

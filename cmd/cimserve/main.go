@@ -36,8 +36,8 @@
 // The batch mode is always a fleet run (internal/fleet, docs/CLUSTER.md):
 // -engines N independent engines — each its own shadow pair, breaker,
 // queue, and metrics namespace — behind the -policy request router
-// (round-robin, least-loaded, weighted, wear-aware). The default, -engines
-// 1, is a fleet of one: the same stack, the same telemetry shape, and bench
+// (round-robin, least-loaded, wear-aware). The default, -engines 1, is a
+// fleet of one: the same stack, the same telemetry shape, and bench
 // lines named batch_* (N > 1 names them fleet_*_e<N>_<policy> and adds the
 // engines metric). Requests carry their noise key (the drive sequence
 // number), so per-request outputs are bit-identical at every fleet size
@@ -384,7 +384,7 @@ func main() {
 	flag.IntVar(&o.spares, "spares", 0, "spare columns per crossbar for fault remapping")
 	flag.StringVar(&o.listen, "listen", "", "address for the live telemetry endpoint (/metrics, /healthz, /debug/pprof); empty disables")
 	flag.IntVar(&o.engines, "engines", 1, "fleet size: engines behind the request router")
-	flag.StringVar(&o.policy, "policy", "round-robin", "fleet routing policy: round-robin, least-loaded, weighted, wear-aware")
+	flag.StringVar(&o.policy, "policy", "round-robin", "fleet routing policy: round-robin, least-loaded, wear-aware")
 	flag.StringVar(&o.dispatch, "dispatch", "cim", "backend dispatch policy: cim (crossbar only), vn (Von Neumann twin only), auto (cost-model routing)")
 	flag.BoolVar(&o.hedge, "hedge", false, "hedge requests that outlive the tracked p95 onto a second engine (first response wins, bit-identical; needs -engines >= 2)")
 	flag.BoolVar(&o.overload, "overload", false, "enable the per-engine AIMD concurrency limiter and priority brownout")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -65,8 +66,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Errorf("pre-init body %+v, want status initializing and no engines", hb)
 	}
 
-	// Install a live one-engine fleet whose breaker probe cannot pass, so
-	// the first reprogram trips it.
+	// Install a live one-engine fleet.
 	cfg := dpe.DefaultConfig()
 	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
 	net, err := nn.NewMLP("telemetry-test", []int{32, 24, 10}, rand.New(rand.NewSource(2)))
@@ -75,8 +75,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 	in := make([]float64, 32)
 	f, _, err := fleet.New(cfg, net, fleet.WithServeOptions(
-		serve.WithBatch(4, time.Millisecond), serve.WithQueueBound(64),
-		serve.WithProbe(0.9, [][]float64{in}, []int{-1})))
+		serve.WithBatch(4, time.Millisecond), serve.WithQueueBound(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +135,15 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 
 	// A tripped breaker on the only engine flips /healthz to 503 without
-	// touching /metrics.
-	if rep := f.RollingReprogram(net); rep.Failed != 1 {
-		t.Fatalf("impossible probe labels passed: %+v", rep)
+	// touching /metrics. A non-finite weight fails the reprogram (the
+	// crossbar rejects it before writing), which trips the breaker.
+	bad, err := nn.NewMLP("telemetry-test", []int{32, 24, 10}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Layers[0].(*nn.Dense).W[0][0] = math.NaN()
+	if rep := f.RollingReprogram(bad); rep.Failed != 1 {
+		t.Fatalf("reprogram with a NaN weight passed: %+v", rep)
 	}
 	code, body = getBody(t, base+"/healthz")
 	if code != http.StatusServiceUnavailable {
@@ -314,13 +319,9 @@ func TestTelemetryFleet(t *testing.T) {
 		}
 	}
 
-	// Drain every engine: the fleet has no routable members and /healthz
-	// must flip to 503.
-	for _, e := range f.Engines() {
-		if err := f.Leave(e.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Close the fleet: it has no routable members and /healthz must flip
+	// to 503.
+	f.Close()
 	if code, _ := getBody(t, base+"/healthz"); code != http.StatusServiceUnavailable {
 		t.Errorf("/healthz with no routable engines = %d, want 503", code)
 	}

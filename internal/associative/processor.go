@@ -6,16 +6,14 @@ import (
 	"cimrev/internal/energy"
 )
 
-// Processor is an associative processor: a CAM array extended with
-// parallel masked writes, computing "where the data is" by sweeping
-// compare-and-write passes over all rows simultaneously. Arithmetic is
-// bit-serial but row-parallel: adding a constant to a million rows costs
-// the same cycles as adding it to one.
+// Processor is an associative processor: a CAM array computing "where the
+// data is" by sweeping compare passes over all rows simultaneously. Its
+// operations are bit-serial but row-parallel: the max of a million rows
+// costs the same cycles as the max of one.
 type Processor struct {
 	rows  int
 	width int
 	data  []uint64
-	tags  []bool // per-row tag register set by Compare
 	led   *energy.Ledger
 }
 
@@ -31,7 +29,6 @@ func NewProcessor(rows, width int, led *energy.Ledger) (*Processor, error) {
 		rows:  rows,
 		width: width,
 		data:  make([]uint64, rows),
-		tags:  make([]bool, rows),
 		led:   led,
 	}, nil
 }
@@ -62,83 +59,19 @@ func (p *Processor) Write(row int, value uint64) error {
 	return nil
 }
 
-// Read returns one row's word.
-func (p *Processor) Read(row int) (uint64, error) {
-	if row < 0 || row >= p.rows {
-		return 0, fmt.Errorf("associative: row %d outside [0,%d)", row, p.rows)
-	}
-	return p.data[row], nil
-}
-
-// Compare tags every row whose masked bits equal pattern — one parallel
+// Compare counts the rows whose masked bits equal pattern — one parallel
 // cycle regardless of row count.
 func (p *Processor) Compare(pattern, mask uint64) int {
 	mask &= p.widthMask()
 	pattern &= mask
 	n := 0
-	for r := range p.data {
-		p.tags[r] = p.data[r]&mask == pattern
-		if p.tags[r] {
+	for _, v := range p.data {
+		if v&mask == pattern {
 			n++
 		}
 	}
 	p.charge("ap-compare", matchCycleLatencyPS, float64(p.rows*p.width)*matchCellEnergyPJ)
 	return n
-}
-
-// TaggedWrite writes value into the masked bits of every tagged row — the
-// second half of the AP compare/write primitive.
-func (p *Processor) TaggedWrite(value, mask uint64) int {
-	mask &= p.widthMask()
-	value &= mask
-	n := 0
-	for r := range p.data {
-		if p.tags[r] {
-			p.data[r] = (p.data[r] &^ mask) | value
-			n++
-		}
-	}
-	p.charge("ap-write", writeCycleLatencyPS, float64(n)*float64(popcount(mask))*writeCellEnergyPJ)
-	return n
-}
-
-// AddConstant adds k to every row simultaneously using bit-serial
-// compare/write passes: for each bit position, rows are partitioned by
-// (data bit, carry) and rewritten per the full-adder truth table. The
-// carry rides in a dedicated tag pass per bit, so the whole operation
-// costs O(width) cycles for any number of rows — the associative
-// processor's defining trade.
-func (p *Processor) AddConstant(k uint64) energy.Cost {
-	mask := p.widthMask()
-	k &= mask
-	carry := make([]bool, p.rows)
-	cycles := 0
-	for bit := 0; bit < p.width; bit++ {
-		kb := k&(1<<bit) != 0
-		bitMask := uint64(1) << bit
-		// Four compare/write passes cover the (data, carry) truth table;
-		// this software model applies them in one sweep while charging
-		// the four-cycle cost.
-		for r := range p.data {
-			db := p.data[r]&bitMask != 0
-			sum := db != kb != carry[r]
-			carry[r] = (db && kb) || (db && carry[r]) || (kb && carry[r])
-			if sum {
-				p.data[r] |= bitMask
-			} else {
-				p.data[r] &^= bitMask
-			}
-		}
-		cycles += 4
-	}
-	cost := energy.Cost{
-		LatencyPS: int64(cycles) * (matchCycleLatencyPS + writeCycleLatencyPS),
-		EnergyPJ:  float64(cycles) * float64(p.rows) * (matchCellEnergyPJ + writeCellEnergyPJ),
-	}
-	if p.led != nil {
-		p.led.Charge("ap-add", cost)
-	}
-	return cost
 }
 
 // Max returns the maximum stored value via bit-serial elimination: from the

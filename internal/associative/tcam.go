@@ -4,9 +4,9 @@
 // [53][54] and Associative Processors [55][56][57]".
 //
 // A TCAM matches a search key against every stored ternary word (0, 1,
-// don't-care) in a single array cycle; an AssociativeProcessor extends it
-// with parallel masked writes, enabling SIMD-style computation where the
-// data lives — including bit-serial arithmetic over all rows at once.
+// don't-care) in a single array cycle; an associative Processor answers
+// compare and max queries over every row at once, where the data lives, in
+// bit-serial passes whose cost does not grow with the row count.
 package associative
 
 import (
@@ -92,19 +92,6 @@ func (t *TCAM) Store(row int, value, care uint64) error {
 	t.value[row] = value & care & mask
 	t.care[row] = care & mask
 	t.used[row] = true
-	t.charge("tcam-store", energy.Cost{
-		LatencyPS: writeCycleLatencyPS,
-		EnergyPJ:  float64(t.width) * writeCellEnergyPJ,
-	})
-	return nil
-}
-
-// Erase invalidates a row.
-func (t *TCAM) Erase(row int) error {
-	if err := t.checkRow(row); err != nil {
-		return err
-	}
-	t.used[row] = false
 	t.charge("tcam-store", energy.Cost{
 		LatencyPS: writeCycleLatencyPS,
 		EnergyPJ:  float64(t.width) * writeCellEnergyPJ,

@@ -2,7 +2,6 @@ package cim
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"cimrev/internal/crossbar"
@@ -113,8 +112,7 @@ func NewFabric(cfg Config, ledger *energy.Ledger, reg *metrics.Registry) (*Fabri
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// Mesh exposes the board interconnect (for QoS reservations and load
-// reporting).
+// Mesh exposes the board interconnect.
 func (f *Fabric) Mesh() *interconnect.Mesh { return f.mesh }
 
 // Ledger returns the fabric's cost ledger (may be nil).
@@ -133,8 +131,7 @@ func (f *Fabric) edgeCost(from, to dataflow.NodeID, nbytes int) energy.Cost {
 	if !okS || !okD {
 		return energy.Zero
 	}
-	cost, err := f.mesh.Transfer(uint32(src.Tile)<<16|uint32(src.Unit),
-		f.coordOf(src), f.coordOf(dst), nbytes, interconnect.BestEffort)
+	cost, err := f.mesh.Transfer(f.coordOf(src), f.coordOf(dst), nbytes)
 	if err != nil {
 		return energy.Zero
 	}
@@ -184,22 +181,6 @@ func (f *Fabric) Unit(addr packet.Address) (*Unit, error) {
 	return u, nil
 }
 
-// Units returns all units sorted by address for stable iteration.
-func (f *Fabric) Units() []*Unit {
-	out := make([]*Unit, 0, len(f.units))
-	for _, u := range f.units {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Addr, out[j].Addr
-		if a.Tile != b.Tile {
-			return a.Tile < b.Tile
-		}
-		return a.Unit < b.Unit
-	})
-	return out
-}
-
 // funcFactory builds node functions, backing FuncMVM with real crossbar
 // hardware (the capability dataflow.DefaultFuncFactory lacks).
 func (f *Fabric) funcFactory(fn isa.Function, weights [][]float64) (dataflow.NodeFunc, error) {
@@ -220,19 +201,15 @@ func (f *Fabric) funcFactory(fn isa.Function, weights [][]float64) (dataflow.Nod
 	if f.ledger != nil {
 		f.ledger.Charge("program", cost)
 	}
-	return f.mvmFunc(tile, nil), nil
+	return f.mvmFunc(tile), nil
 }
 
-// mvmFunc wraps a crossbar tile as a dataflow node function. unit may be
-// nil when the tile is not attached to a tracked unit.
-func (f *Fabric) mvmFunc(tile *crossbar.Tile, unit *Unit) dataflow.NodeFunc {
+// mvmFunc wraps a crossbar tile as a dataflow node function.
+func (f *Fabric) mvmFunc(tile *crossbar.Tile) dataflow.NodeFunc {
 	return func(_ *dataflow.State, in []float64) ([]float64, energy.Cost, error) {
 		out, cost, err := tile.MVM(in, f.src.Derive(f.mvmSeq.Add(1)-1))
 		if err != nil {
 			return nil, energy.Zero, err
-		}
-		if unit != nil {
-			unit.mvms++
 		}
 		if f.reg != nil {
 			f.reg.Counter("fabric.mvms").Inc()
@@ -274,7 +251,7 @@ func (f *Fabric) Configure(addr packet.Address, fn isa.Function, weights [][]flo
 			f.ledger.Charge("program", cost)
 		}
 		u.tile = tile
-		node.Fn = f.mvmFunc(tile, u)
+		node.Fn = f.mvmFunc(tile)
 	} else {
 		nf, err := dataflow.DefaultFuncFactory(fn, weights)
 		if err != nil {
@@ -320,29 +297,6 @@ func (f *Fabric) Connect(src, dst packet.Address) error {
 	return f.graph.Connect(a.ID, b.ID)
 }
 
-// Disconnect removes the edge src -> dst.
-func (f *Fabric) Disconnect(src, dst packet.Address) error {
-	a, err := f.graph.NodeByAddr(src)
-	if err != nil {
-		return err
-	}
-	b, err := f.graph.NodeByAddr(dst)
-	if err != nil {
-		return err
-	}
-	return f.graph.Disconnect(a.ID, b.ID)
-}
-
-// SetRouter installs a dynamic-dataflow router on a unit.
-func (f *Fabric) SetRouter(addr packet.Address, r dataflow.Router) error {
-	node, err := f.graph.NodeByAddr(addr)
-	if err != nil {
-		return err
-	}
-	node.Router = r
-	return nil
-}
-
 // NodeID resolves a unit address to its dataflow node (for routers).
 func (f *Fabric) NodeID(addr packet.Address) (dataflow.NodeID, error) {
 	node, err := f.graph.NodeByAddr(addr)
@@ -350,25 +304,6 @@ func (f *Fabric) NodeID(addr packet.Address) (dataflow.NodeID, error) {
 		return 0, err
 	}
 	return node.ID, nil
-}
-
-// Edge is one directed connection between units.
-type Edge struct {
-	From, To packet.Address
-}
-
-// Edges returns the fabric's dataflow edges as address pairs.
-func (f *Fabric) Edges() []Edge {
-	raw := f.graph.Edges()
-	out := make([]Edge, 0, len(raw))
-	for _, e := range raw {
-		from, okF := f.byNode[e.From]
-		to, okT := f.byNode[e.To]
-		if okF && okT {
-			out = append(out, Edge{From: from, To: to})
-		}
-	}
-	return out
 }
 
 // Predecessors returns the units with an edge into addr.
@@ -485,11 +420,6 @@ func (f *Fabric) Stream(addr packet.Address, data []float64) error {
 func (f *Fabric) InjectPacket(p *packet.Packet) error {
 	return f.engine.InjectPacket(p)
 }
-
-// Makespan returns the completion time (virtual picoseconds) of the most
-// recent Run, accounting for unit-level parallelism — the fabric-level
-// latency metric, as opposed to the ledger's aggregate busy time.
-func (f *Fabric) Makespan() int64 { return f.engine.Makespan() }
 
 // Run drains the dataflow queue, returning outputs keyed by unit address.
 func (f *Fabric) Run() (map[packet.Address][][]float64, error) {

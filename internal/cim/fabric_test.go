@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"cimrev/internal/dataflow"
 	"cimrev/internal/energy"
 	"cimrev/internal/isa"
 	"cimrev/internal/metrics"
@@ -77,22 +76,6 @@ func TestAddUnitValidation(t *testing.T) {
 	}
 }
 
-func TestUnitsSorted(t *testing.T) {
-	f, _ := newFabric(t)
-	for _, a := range []packet.Address{addr(2, 0), addr(0, 1), addr(0, 0)} {
-		if _, err := f.AddUnit(a, KindCompute, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	us := f.Units()
-	if len(us) != 3 {
-		t.Fatalf("Units = %d, want 3", len(us))
-	}
-	if us[0].Addr != addr(0, 0) || us[1].Addr != addr(0, 1) || us[2].Addr != addr(2, 0) {
-		t.Errorf("units out of order: %v %v %v", us[0].Addr, us[1].Addr, us[2].Addr)
-	}
-}
-
 func TestFabricMVMPipeline(t *testing.T) {
 	f, led := newFabric(t)
 	if _, err := f.AddUnit(addr(0, 0), KindCrossbar, 4); err != nil {
@@ -146,9 +129,6 @@ func TestFabricMVMPipeline(t *testing.T) {
 	u, err := f.Unit(addr(0, 0))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if u.MVMs() != 1 {
-		t.Errorf("MVMs = %d, want 1", u.MVMs())
 	}
 	if u.Writes() == 0 {
 		t.Error("crossbar writes not tracked")
@@ -328,45 +308,6 @@ func TestDisableUnitContainment(t *testing.T) {
 	}
 }
 
-func TestDynamicRouterOnFabric(t *testing.T) {
-	f, _ := newFabric(t)
-	for i := uint16(0); i < 3; i++ {
-		if _, err := f.AddUnit(addr(i, 0), KindCompute, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hot, err := f.NodeID(addr(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := f.NodeID(addr(2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = f.SetRouter(addr(0, 0), func(_ *dataflow.State, p *packet.Packet) []dataflow.NodeID {
-		if p.Payload[0] > 0 {
-			return []dataflow.NodeID{hot}
-		}
-		return []dataflow.NodeID{cold}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Stream(addr(0, 0), []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Stream(addr(0, 0), []float64{-1}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[addr(1, 0)]) != 1 || len(out[addr(2, 0)]) != 1 {
-		t.Errorf("dynamic routing split wrong: %v", out)
-	}
-}
-
 func TestEdgeCostDistanceSensitivity(t *testing.T) {
 	// Transfers between distant tiles must cost more latency than
 	// same-tile transfers.
@@ -388,7 +329,6 @@ func TestEdgeCostDistanceSensitivity(t *testing.T) {
 	}
 	farNet := led.Category("network").LatencyPS
 
-	led.Reset()
 	f2, led2 := newFabric(t)
 	if _, err := f2.AddUnit(addr(0, 0), KindCompute, 1); err != nil {
 		t.Fatal(err)
@@ -411,47 +351,6 @@ func TestEdgeCostDistanceSensitivity(t *testing.T) {
 	}
 }
 
-func TestFabricMakespan(t *testing.T) {
-	// Two independent pipelines on distinct units overlap: fabric makespan
-	// stays near one pipeline's latency, not the sum.
-	f, _ := newFabric(t)
-	for tile := uint16(0); tile < 4; tile++ {
-		if _, err := f.AddUnit(addr(tile, 0), KindCompute, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Connect(addr(0, 0), addr(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Connect(addr(2, 0), addr(3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Stream(addr(0, 0), []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-	single := f.Makespan()
-	if single <= 0 {
-		t.Fatal("zero makespan")
-	}
-
-	if err := f.Stream(addr(0, 0), []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Stream(addr(2, 0), []float64{3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-	both := f.Makespan()
-	if both >= 2*single {
-		t.Errorf("independent pipelines serialized: %d vs 2x%d", both, single)
-	}
-}
-
 func TestFabricTopologyIntrospection(t *testing.T) {
 	f, led := newFabric(t)
 	a, b, c := addr(0, 0), addr(1, 0), addr(2, 0)
@@ -465,14 +364,6 @@ func TestFabricTopologyIntrospection(t *testing.T) {
 	}
 	if err := f.Connect(b, c); err != nil {
 		t.Fatal(err)
-	}
-
-	edges := f.Edges()
-	if len(edges) != 2 {
-		t.Fatalf("Edges = %v", edges)
-	}
-	if edges[0].From != a || edges[0].To != b {
-		t.Errorf("first edge = %v", edges[0])
 	}
 
 	preds, err := f.Predecessors(b)
@@ -496,18 +387,6 @@ func TestFabricTopologyIntrospection(t *testing.T) {
 		t.Error("successors of missing unit succeeded")
 	}
 
-	if err := f.Disconnect(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Edges()) != 1 {
-		t.Error("Disconnect did not remove the edge")
-	}
-	if err := f.Disconnect(a, b); err == nil {
-		t.Error("double disconnect accepted")
-	}
-	if err := f.Disconnect(addr(9, 9), b); err == nil {
-		t.Error("disconnect from missing unit accepted")
-	}
 	if err := f.Connect(addr(9, 9), b); err == nil {
 		t.Error("connect from missing unit accepted")
 	}

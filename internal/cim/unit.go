@@ -63,7 +63,6 @@ type Unit struct {
 	tile *crossbar.Tile
 
 	failed bool
-	mvms   int64
 }
 
 // Function returns the configured ISA function (zero if unconfigured).
@@ -71,9 +70,6 @@ func (u *Unit) Function() isa.Function { return u.fn }
 
 // Failed reports whether the unit has been fault-disabled.
 func (u *Unit) Failed() bool { return u.failed }
-
-// MVMs returns how many matrix-vector products the unit has executed.
-func (u *Unit) MVMs() int64 { return u.mvms }
 
 // Writes returns the unit's crossbar cell-programming count; zero for
 // non-crossbar units. This is the wear signal the serviceability model

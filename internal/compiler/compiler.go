@@ -49,17 +49,6 @@ type Plan struct {
 	OutputAddr packet.Address
 }
 
-// CrossbarUnits returns how many crossbar units the plan uses.
-func (p *Plan) CrossbarUnits() int {
-	var n int
-	for _, pl := range p.Placements {
-		if pl.Kind == cim.KindCrossbar {
-			n++
-		}
-	}
-	return n
-}
-
 // Compile lowers net onto a board described by cfg. Supported layers:
 // Dense (crossbar MVM) and ActivationLayer (digital). Convolutional
 // networks are executed by the DPE engine's layer orchestrator instead of

@@ -36,9 +36,6 @@ func TestCompilePlacements(t *testing.T) {
 	if len(plan.Placements) != 4 {
 		t.Fatalf("placements = %d, want 4", len(plan.Placements))
 	}
-	if plan.CrossbarUnits() != 2 {
-		t.Errorf("crossbar units = %d, want 2", plan.CrossbarUnits())
-	}
 	if plan.Placements[0].Kind != cim.KindCrossbar || plan.Placements[0].Fn != isa.FuncMVM {
 		t.Errorf("first placement = %v/%v, want crossbar/mvm", plan.Placements[0].Kind, plan.Placements[0].Fn)
 	}

@@ -126,25 +126,6 @@ func blockItems(perItemBytes int) int {
 	return k
 }
 
-// MVMBatch computes y_i = W · input_i for every batch item through the
-// full analog pipeline, allocating the result panel. inputs[i] must have
-// usedRows elements; results have usedCols. nss supplies one counter-based
-// noise source per item (item i's draws are keyed exactly as a lone
-// MVM(input_i, nss[i]) would be); it may be nil when ReadNoise is zero.
-// The returned cost is the uniform per-item MVM cost; batch-level cost
-// models (pipelining, energy totals) belong to the caller.
-func (x *Crossbar) MVMBatch(inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
-	if !x.programmed {
-		return nil, energy.Zero, fmt.Errorf("crossbar: MVM before Program")
-	}
-	dsts := newPanel(len(inputs), x.usedCols)
-	cost, err := x.MVMBatchInto(dsts, inputs, nss)
-	if err != nil {
-		return nil, energy.Zero, err
-	}
-	return dsts, cost, nil
-}
-
 // newPanel returns a fresh n × width result panel: one slab and its rows.
 func newPanel(n, width int) [][]float64 {
 	slab := make([]float64, n*width)
@@ -153,18 +134,6 @@ func newPanel(n, width int) [][]float64 {
 		rows[i] = slab[i*width : (i+1)*width]
 	}
 	return rows
-}
-
-// MVMBatchIntoCtx is MVMBatchInto under a trace span: the batched analog
-// read is recorded as one "xbar.mvm_batch" child of pc carrying the
-// serial-equivalent cost (per-item cost × batch) and a batch annotation.
-// With a zero Ctx it is the raw batch kernel plus a few nil checks — zero
-// allocations, preserving the hot-path contract.
-func (x *Crossbar) MVMBatchIntoCtx(pc obs.Ctx, dsts, inputs [][]float64, nss []noise.Source) (energy.Cost, error) {
-	sp := pc.Child("xbar.mvm_batch")
-	cost, err := x.MVMBatchInto(dsts, inputs, nss)
-	endBatchSpan(sp, cost, len(inputs))
-	return cost, err
 }
 
 // endBatchSpan ends the span of a batched read of n items whose per-item
@@ -177,12 +146,18 @@ func endBatchSpan(sp obs.Ctx, cost energy.Cost, n int) {
 	sp.End(cost.Scale(int64(n)))
 }
 
-// MVMBatchInto is MVMBatch writing results into dsts (dsts[i] of length
-// usedCols). It is the zero-allocation kernel: the whole 2-D working set
-// comes from the crossbar's scratch pool, so steady-state calls do not
-// allocate at any batch size. Safe for concurrent use on a programmed
-// crossbar. A zero-length batch is a successful no-op. Item i's output
-// depends only on (inputs[i], nss[i]), never on its batchmates.
+// MVMBatchInto computes y_i = W · input_i for every batch item through the
+// full analog pipeline, writing results into dsts (dsts[i] of length
+// usedCols). inputs[i] must have usedRows elements. nss supplies one
+// counter-based noise source per item (item i's draws are keyed exactly as
+// a lone MVM(input_i, nss[i]) would be); it may be nil when ReadNoise is
+// zero. The returned cost is the uniform per-item MVM cost; batch-level
+// cost models (pipelining, energy totals) belong to the caller. It is the
+// zero-allocation kernel: the whole 2-D working set comes from the
+// crossbar's scratch pool, so steady-state calls do not allocate at any
+// batch size. Safe for concurrent use on a programmed crossbar. A
+// zero-length batch is a successful no-op. Item i's output depends only on
+// (inputs[i], nss[i]), never on its batchmates.
 func (x *Crossbar) MVMBatchInto(dsts, inputs [][]float64, nss []noise.Source) (energy.Cost, error) {
 	// Every check completes before the kernel starts — a non-finite input
 	// is found by the quantizer's own scan — so dsts are untouched on error.
@@ -422,7 +397,7 @@ func (x *Crossbar) dequantize(s *mvmBatchScratch, n int) {
 	}
 }
 
-// multiplyCtx is multiply under the span MVMBatchIntoCtx records.
+// multiplyCtx is multiply under one "xbar.mvm_batch" child of pc.
 func (x *Crossbar) multiplyCtx(pc obs.Ctx, s *mvmBatchScratch, dsts [][]float64, nss []noise.Source, m merge) {
 	sp := pc.Child("xbar.mvm_batch")
 	x.multiply(s, dsts, nss, m)

@@ -1,7 +1,7 @@
 package crossbar
 
 // Batch-size invariance suite: an item's output must not depend on the
-// batch it rides in, so MVMBatch / MVMBatchInto / Tile.MVMBatch at batch n
+// batch it rides in, so MVMBatchInto / Tile.MVMBatch at batch n
 // must be bit-identical to n calls at batch 1 (MVMInto, Tile.MVM) —
 // functional, bit-serial in 1- and 2-bit cells, noisy keyed and unkeyed,
 // fault-remapped tiles, ragged final item blocks, and the batch = 0/1
@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cimrev/internal/energy"
 	"cimrev/internal/faultinject"
 	"cimrev/internal/noise"
 	"cimrev/internal/parallel"
@@ -26,6 +27,16 @@ func batchInputs(rng *rand.Rand, n, dim int) [][]float64 {
 		ins[i] = randomVector(rng, dim)
 	}
 	return ins
+}
+
+// mvmBatch is MVMBatchInto into a fresh result panel.
+func mvmBatch(x *Crossbar, inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
+	dsts := newPanel(len(inputs), x.usedCols)
+	cost, err := x.MVMBatchInto(dsts, inputs, nss)
+	if err != nil {
+		return nil, energy.Zero, err
+	}
+	return dsts, cost, nil
 }
 
 // perItemSources derives one noise source per item from a root, the way
@@ -97,7 +108,7 @@ func TestMVMBatchMatchesLoopedMVMInto(t *testing.T) {
 							wantCost = [2]int64{c.LatencyPS, int64(c.EnergyPJ)}
 						}
 
-						got, cost, err := xb.MVMBatch(ins, nss)
+						got, cost, err := mvmBatch(xb, ins, nss)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -147,7 +158,7 @@ func TestMVMBatchMatchesNaiveOracle(t *testing.T) {
 		if sigma > 0 {
 			nss = perItemSources(noise.NewSource(42), bsz)
 		}
-		got, _, err := xb.MVMBatch(ins, nss)
+		got, _, err := mvmBatch(xb, ins, nss)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +363,7 @@ func TestMVMBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := xb.MVMBatch([][]float64{{1, 1}}, nil); err == nil {
+	if _, _, err := mvmBatch(xb, [][]float64{{1, 1}}, nil); err == nil {
 		t.Error("MVMBatch before Program should fail")
 	}
 	if _, err := xb.Program([][]float64{{1, 0}, {0, 1}}); err != nil {
@@ -365,13 +376,13 @@ func TestMVMBatchValidation(t *testing.T) {
 	if _, err := xb.MVMBatchInto([][]float64{make([]float64, 3), make([]float64, 2)}, ok, nil); err == nil {
 		t.Error("wrong dst length should fail")
 	}
-	if _, _, err := xb.MVMBatch([][]float64{{1, 1, 1}}, nil); err == nil {
+	if _, _, err := mvmBatch(xb, [][]float64{{1, 1, 1}}, nil); err == nil {
 		t.Error("wrong input length should fail")
 	}
-	if _, _, err := xb.MVMBatch(ok, make([]noise.Source, 1)); err == nil {
+	if _, _, err := mvmBatch(xb, ok, make([]noise.Source, 1)); err == nil {
 		t.Error("noise source count mismatch should fail")
 	}
-	if _, _, err := xb.MVMBatch([][]float64{{math.NaN(), 1}}, nil); err == nil {
+	if _, _, err := mvmBatch(xb, [][]float64{{math.NaN(), 1}}, nil); err == nil {
 		t.Error("non-finite input should fail")
 	}
 
@@ -384,10 +395,10 @@ func TestMVMBatchValidation(t *testing.T) {
 	if _, err := xn.Program([][]float64{{1, 0}, {0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := xn.MVMBatch(ok, nil); err == nil {
+	if _, _, err := mvmBatch(xn, ok, nil); err == nil {
 		t.Error("noisy batch without sources should fail")
 	}
-	if _, _, err := xn.MVMBatch(ok, make([]noise.Source, 2)); err == nil {
+	if _, _, err := mvmBatch(xn, ok, make([]noise.Source, 2)); err == nil {
 		t.Error("noisy batch with invalid (zero) sources should fail")
 	}
 	// Empty batch: a successful no-op even on a noisy config.
@@ -461,7 +472,7 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 				assertPlanes(t)(xb)
 			}
 			ins := batchInputs(rng, sh.batch, sh.m)
-			got, _, err := xb.MVMBatch(ins, nil)
+			got, _, err := mvmBatch(xb, ins, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -479,7 +490,7 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 				}
 			}
 			if xb.panel16 != nil {
-				if _, _, err := xb.MVMBatch(ins, nil); err != nil { // the scratch's latest call is the batch again
+				if _, _, err := mvmBatch(xb, ins, nil); err != nil { // the scratch's latest call is the batch again
 					t.Fatal(err)
 				}
 				s := xb.getScratch()
@@ -556,7 +567,7 @@ func TestMVMBatchConcurrent(t *testing.T) {
 		if sigma > 0 {
 			nss = perItemSources(noise.NewSource(9), len(ins))
 		}
-		want, _, err := xb.MVMBatch(ins, nss)
+		want, _, err := mvmBatch(xb, ins, nss)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -564,7 +575,7 @@ func TestMVMBatchConcurrent(t *testing.T) {
 		for g := 0; g < 8; g++ {
 			go func() {
 				for k := 0; k < 20; k++ {
-					got, _, err := xb.MVMBatch(ins, nss)
+					got, _, err := mvmBatch(xb, ins, nss)
 					if err != nil {
 						errc <- err
 						return

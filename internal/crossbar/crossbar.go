@@ -322,10 +322,6 @@ func (x *Crossbar) Config() Config { return x.cfg }
 // Writes returns the total cell-programming count (wear indicator).
 func (x *Crossbar) Writes() int64 { return x.writes }
 
-// WeightScale returns the scale factor that maps stored normalized weights
-// back to the caller's range.
-func (x *Crossbar) WeightScale() float64 { return x.wScale }
-
 // SetFaults installs a device-fault model, effective from the next Program
 // pass. src keys every fault decision positionally (see internal/faultinject);
 // tiles derive one child per block so sweeps stay bit-identical at any
@@ -348,10 +344,6 @@ func (x *Crossbar) SetFaults(m faultinject.Model, src noise.Source) error {
 // remapped to spares, and columns lost past spare exhaustion. Zero when
 // fault injection is disabled or before Program.
 func (x *Crossbar) FaultReport() faultinject.Report { return x.faultReport }
-
-// FaultEpoch returns how many Program passes have run with fault injection
-// active (the endurance clock the drift model compounds against).
-func (x *Crossbar) FaultEpoch() uint64 { return x.faultEpoch }
 
 // Program loads the weight matrix w (w[r][c], at most Rows x Cols). Weights
 // may be any finite values; the crossbar normalizes by max |w|. Shape and
@@ -864,26 +856,4 @@ func (x *Crossbar) mvmCost() energy.Cost {
 		LatencyPS: cycles*energy.CrossbarReadLatencyPS + 2*energy.EDRAMAccessLatencyPS,
 		EnergyPJ:  float64(cycles)*perCycle + bufEnergy,
 	}
-}
-
-// IdealMVM computes the product with no analog effects — the reference the
-// tests compare the analog pipeline against.
-func (x *Crossbar) IdealMVM(w [][]float64, input []float64) ([]float64, error) {
-	if len(w) == 0 {
-		return nil, fmt.Errorf("crossbar: empty weights")
-	}
-	if len(input) != len(w) {
-		return nil, fmt.Errorf("crossbar: input length %d != rows %d", len(input), len(w))
-	}
-	cols := len(w[0])
-	out := make([]float64, cols)
-	for r, row := range w {
-		if len(row) != cols {
-			return nil, fmt.Errorf("crossbar: ragged matrix at row %d", r)
-		}
-		for c, v := range row {
-			out[c] += v * input[r]
-		}
-	}
-	return out, nil
 }

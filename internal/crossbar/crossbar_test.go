@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -88,7 +89,7 @@ func TestCrossbarMVMMatchesIdeal(t *testing.T) {
 	}
 	// Error budget: weight/input quantization at 8 bits plus ADC
 	// quantization on a 4-row array is small; allow 3% of the value scale.
-	scale := xb.WeightScale() * 0.7 * 4 // |w|max * |x|max * rows
+	scale := xb.wScale * 0.7 * 4 // |w|max * |x|max * rows
 	for c := range want {
 		if math.Abs(got[c]-want[c]) > 0.03*scale {
 			t.Errorf("col %d: analog %g vs ideal %g (budget %g)", c, got[c], want[c], 0.03*scale)
@@ -343,7 +344,7 @@ func TestCrossbarAccuracyProperty(t *testing.T) {
 				xScale = a
 			}
 		}
-		budget := 0.05 * float64(len(tc.w)) * xb.WeightScale() * xScale
+		budget := 0.05 * float64(len(tc.w)) * xb.wScale * xScale
 		if budget < 0.02 {
 			budget = 0.02
 		}
@@ -458,4 +459,26 @@ func TestFunctionalModeAtLeastAsAccurate(t *testing.T) {
 	if ef, eb := meanErr(true), meanErr(false); ef > eb {
 		t.Errorf("functional error %g exceeds bit-serial error %g", ef, eb)
 	}
+}
+
+// IdealMVM computes the product with no analog effects — the reference the
+// tests compare the analog pipeline against.
+func (x *Crossbar) IdealMVM(w [][]float64, input []float64) ([]float64, error) {
+	if len(w) == 0 {
+		return nil, fmt.Errorf("crossbar: empty weights")
+	}
+	if len(input) != len(w) {
+		return nil, fmt.Errorf("crossbar: input length %d != rows %d", len(input), len(w))
+	}
+	cols := len(w[0])
+	out := make([]float64, cols)
+	for r, row := range w {
+		if len(row) != cols {
+			return nil, fmt.Errorf("crossbar: ragged matrix at row %d", r)
+		}
+		for c, v := range row {
+			out[c] += v * input[r]
+		}
+	}
+	return out, nil
 }

@@ -228,7 +228,7 @@ func TestFaultSpareExhaustion(t *testing.T) {
 	// intended ones: the corrupted array still equals the oracle run over
 	// what the cells hold, through the four-item block and its remainder.
 	ins := [][]float64{in, randVec(16, 5), randVec(16, 6), randVec(16, 7), randVec(16, 8)}
-	got, _, err := xb.MVMBatch(ins, nil)
+	got, _, err := mvmBatch(xb, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,8 +361,8 @@ func TestFaultDriftDegradesAcrossEpochs(t *testing.T) {
 		}
 		lastDev = dev(out)
 	}
-	if xb.FaultEpoch() != 6 {
-		t.Fatalf("fault epoch %d, want 6", xb.FaultEpoch())
+	if xb.faultEpoch != 6 {
+		t.Fatalf("fault epoch %d, want 6", xb.faultEpoch)
 	}
 	if !(lastDev > firstDev && lastDev > 0) {
 		t.Fatalf("drift must compound: epoch-1 deviation %g, epoch-6 %g", firstDev, lastDev)

@@ -224,7 +224,7 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 				if nss != nil {
 					bnss = nss[:bsz]
 				}
-				got, _, err := xb.MVMBatch(ins[:bsz], bnss)
+				got, _, err := mvmBatch(xb, ins[:bsz], bnss)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -490,7 +490,7 @@ func TestVectorTileEdges(t *testing.T) {
 				assertLanes(t, 2)(xb)
 				restore()
 				for _, n := range batches {
-					got, _, err := xb.MVMBatch(ins[:n], nil)
+					got, _, err := mvmBatch(xb, ins[:n], nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -594,7 +594,7 @@ func TestFunctionalPanelMatchesStoredLevels(t *testing.T) {
 			t.Fatalf("array is not remapped, spare-exhausted and drifted; the test is vacuous: %+v", rep)
 		}
 		assertLanes(t, 2)(xb)
-		got, _, err := xb.MVMBatch(ins, nil)
+		got, _, err := mvmBatch(xb, ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -933,13 +933,16 @@ func TestNoisySlowPathDraws(t *testing.T) {
 		for i := range dsts {
 			dsts[i] = make([]float64, 16)
 		}
+		// The traced read a tile makes: quantize, then multiplyCtx.
 		tr := obs.New()
 		root := tr.Root("run.mvm_batch")
-		cost, err := xb.MVMBatchIntoCtx(root, dsts, ins, nss)
-		root.End(cost)
-		if err != nil {
+		sc := xb.getScratch()
+		if err := xb.quantize(sc, ins); err != nil {
 			t.Fatal(err)
 		}
+		xb.multiplyCtx(root, sc, dsts, nss, store)
+		xb.batchScratch.Put(sc)
+		root.End(xb.cost)
 		for i := range dsts {
 			want := naiveMVM(cfg, w, ins[i], nss[i])
 			for c := range want {

@@ -176,7 +176,7 @@ func BenchmarkCrossbarMVMTracingOn(b *testing.B) {
 		}
 		if tr.Len() > 1<<20 {
 			b.StopTimer()
-			tr.Reset()
+			tr = obs.New()
 			b.StartTimer()
 		}
 	}

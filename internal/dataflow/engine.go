@@ -63,11 +63,9 @@ type Engine struct {
 	outputs map[NodeID][][]float64
 
 	// Virtual-time tracking: nodes are resources that serialize their own
-	// work while distinct nodes overlap, so a Run's completion time (the
-	// makespan) reflects real pipeline and fan-out parallelism rather
-	// than the sum of all work.
+	// work while distinct nodes overlap, so tokens are delivered in the
+	// order a pipelined, fanned-out fabric would see them.
 	busyUntil map[NodeID]int64
-	makespan  int64
 }
 
 type token struct {
@@ -117,9 +115,6 @@ func NewEngine(g *Graph, ledger *energy.Ledger, opts ...Option) (*Engine, error)
 	return e, nil
 }
 
-// Graph returns the engine's graph.
-func (e *Engine) Graph() *Graph { return e.graph }
-
 // Inject queues a data token for the node.
 func (e *Engine) Inject(node NodeID, payload []float64) error {
 	n, err := e.graph.Node(node)
@@ -149,21 +144,11 @@ func (e *Engine) InjectPacket(p *packet.Packet) error {
 	return nil
 }
 
-// Pending returns the number of queued tokens.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Makespan returns the completion time (in picoseconds of virtual time) of
-// the most recent Run: the moment the last token retired, accounting for
-// node-level parallelism. Contrast with the ledger's latency, which sums
-// busy time across all nodes.
-func (e *Engine) Makespan() int64 { return e.makespan }
-
 // Run delivers tokens until the queue drains, returning per-sink outputs
 // accumulated since the last Run. It fails if maxSteps deliveries occur
 // without draining (livelock guard for cyclic graphs).
 func (e *Engine) Run() (map[NodeID][][]float64, error) {
 	steps := 0
-	e.makespan = 0
 	for k := range e.busyUntil {
 		delete(e.busyUntil, k)
 	}
@@ -230,12 +215,8 @@ func (e *Engine) applyData(n *Node, tok token) error {
 	}
 	end := start + cost.LatencyPS
 	e.busyUntil[n.ID] = end
-	if end > e.makespan {
-		e.makespan = end
-	}
 	if out == nil {
-		// A nil output means the node did not fire (e.g. a Join still
-		// waiting for its remaining inputs): nothing propagates.
+		// A nil output means the node did not fire: nothing propagates.
 		return nil
 	}
 

@@ -405,88 +405,6 @@ func TestEngineCustomEdgeCoster(t *testing.T) {
 	}
 }
 
-func TestJoinFiringRule(t *testing.T) {
-	// a and b feed a join that fires only when both inputs arrived.
-	g := NewGraph()
-	a := mustNode(t, g, "a", addr(1), Forward())
-	b := mustNode(t, g, "b", addr(2), Forward())
-	j := mustNode(t, g, "join", addr(3), Join(2))
-	for _, src := range []NodeID{a, b} {
-		if err := g.Connect(src, j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, err := NewEngine(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Only one operand present: the join must not fire.
-	if err := e.Inject(a, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[j]) != 0 {
-		t.Fatalf("join fired with one input: %v", out[j])
-	}
-
-	// Second operand arrives: one firing with both payloads concatenated.
-	if err := e.Inject(b, []float64{3}); err != nil {
-		t.Fatal(err)
-	}
-	out, err = e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := out[j]
-	if len(res) != 1 {
-		t.Fatalf("join firings = %d, want 1", len(res))
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if res[0][i] != want[i] {
-			t.Errorf("joined[%d] = %g, want %g", i, res[0][i], want[i])
-		}
-	}
-
-	// The join resets: the next pair fires again.
-	if err := e.Inject(a, []float64{9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Inject(b, []float64{8}); err != nil {
-		t.Fatal(err)
-	}
-	out, err = e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[j]) != 1 || out[j][0][0] != 9 || out[j][0][1] != 8 {
-		t.Errorf("second firing = %v", out[j])
-	}
-}
-
-func TestJoinDegenerate(t *testing.T) {
-	g := NewGraph()
-	j := mustNode(t, g, "join1", addr(1), Join(1))
-	e, err := NewEngine(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Inject(j, []float64{4}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[j]) != 1 || out[j][0][0] != 4 {
-		t.Errorf("Join(1) = %v, want pass-through", out[j])
-	}
-}
-
 // Property: execution is deterministic — the same graph and injection
 // sequence produce identical outputs and identical ledger totals.
 func TestEngineDeterminism(t *testing.T) {
@@ -535,114 +453,5 @@ func TestEngineDeterminism(t *testing.T) {
 				t.Fatalf("outputs diverge at %d/%d", i, j)
 			}
 		}
-	}
-}
-
-func TestMakespanParallelBranchesOverlap(t *testing.T) {
-	// src fans out to two branches that converge on distinct sinks; the
-	// branches overlap in virtual time, so the makespan is far below the
-	// ledger's summed busy time.
-	g := NewGraph()
-	src := mustNode(t, g, "src", addr(1), Forward())
-	l := mustNode(t, g, "left", addr(2), Sigmoid())
-	r := mustNode(t, g, "right", addr(3), Sigmoid())
-	if err := g.Connect(src, l); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Connect(src, r); err != nil {
-		t.Fatal(err)
-	}
-	led := energy.NewLedger()
-	e, err := NewEngine(g, led)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]float64, 64)
-	if err := e.Inject(src, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	makespan := e.Makespan()
-	if makespan <= 0 {
-		t.Fatal("zero makespan")
-	}
-	serialized := led.Total().LatencyPS
-	if makespan >= serialized {
-		t.Errorf("makespan %d not below serialized busy time %d", makespan, serialized)
-	}
-}
-
-func TestMakespanPipelining(t *testing.T) {
-	// Many tokens through a 3-stage pipeline: stages overlap across
-	// tokens, so makespan ~ fill + (n-1) x stage, well under n x depth.
-	build := func() (*Engine, NodeID) {
-		g := NewGraph()
-		a := mustNode(t, g, "a", addr(1), Sigmoid())
-		b := mustNode(t, g, "b", addr(2), Sigmoid())
-		c := mustNode(t, g, "c", addr(3), Sigmoid())
-		if err := g.Connect(a, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Connect(b, c); err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, a
-	}
-
-	e1, src1 := build()
-	if err := e1.Inject(src1, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	single := e1.Makespan()
-
-	const n = 10
-	e2, src2 := build()
-	for i := 0; i < n; i++ {
-		if err := e2.Inject(src2, []float64{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	batch := e2.Makespan()
-	if batch >= int64(n)*single {
-		t.Errorf("batch makespan %d not below serial %d (no pipelining)", batch, int64(n)*single)
-	}
-	if batch <= single {
-		t.Errorf("batch makespan %d impossibly at or below single %d", batch, single)
-	}
-}
-
-func TestMakespanResetsBetweenRuns(t *testing.T) {
-	g, src, _, _ := buildPipeline(t)
-	e, err := NewEngine(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Inject(src, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	first := e.Makespan()
-	if err := e.Inject(src, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Makespan() != first {
-		t.Errorf("identical runs have different makespans: %d vs %d", first, e.Makespan())
 	}
 }

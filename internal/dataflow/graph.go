@@ -59,11 +59,6 @@ func (n *Node) Successors() []NodeID {
 	return append([]NodeID(nil), n.succs...)
 }
 
-// StateVec returns a copy of the node's persistent state vector.
-func (n *Node) StateVec() []float64 {
-	return append([]float64(nil), n.state.Vec...)
-}
-
 // Graph is a mutable dataflow graph. Mutability is the point: dynamic and
 // self-programmable dataflow reconfigure it between (or during) runs.
 // Graph is not safe for concurrent mutation; the Engine serializes access.
@@ -149,21 +144,6 @@ func (g *Graph) Connect(from, to NodeID) error {
 	return nil
 }
 
-// Disconnect removes the edge from -> to if present.
-func (g *Graph) Disconnect(from, to NodeID) error {
-	src, ok := g.nodes[from]
-	if !ok {
-		return fmt.Errorf("dataflow: no node %d", from)
-	}
-	for i, s := range src.succs {
-		if s == to {
-			src.succs = append(src.succs[:i], src.succs[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("dataflow: no edge %d->%d", from, to)
-}
-
 // RemoveNode deletes a node and every edge touching it — the fault
 // containment primitive ("boundaries of each component ... can be shut
 // down", Section V.A).
@@ -186,25 +166,6 @@ func (g *Graph) RemoveNode(id NodeID) error {
 	return nil
 }
 
-// Edge is one directed connection.
-type Edge struct {
-	From, To NodeID
-}
-
-// Edges returns every edge, ordered by (From, To).
-func (g *Graph) Edges() []Edge {
-	var out []Edge
-	for _, id := range g.NodeIDs() {
-		n := g.nodes[id]
-		succs := append([]NodeID(nil), n.succs...)
-		sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
-		for _, s := range succs {
-			out = append(out, Edge{From: id, To: s})
-		}
-	}
-	return out
-}
-
 // Predecessors returns the IDs of nodes with an edge into id, ascending.
 func (g *Graph) Predecessors(id NodeID) []NodeID {
 	var out []NodeID
@@ -214,17 +175,6 @@ func (g *Graph) Predecessors(id NodeID) []NodeID {
 				out = append(out, nid)
 				break
 			}
-		}
-	}
-	return out
-}
-
-// Sinks returns nodes with no successors, in ID order.
-func (g *Graph) Sinks() []NodeID {
-	var out []NodeID
-	for _, id := range g.NodeIDs() {
-		if len(g.nodes[id].succs) == 0 {
-			out = append(out, id)
 		}
 	}
 	return out
@@ -319,35 +269,6 @@ func Accumulate() NodeFunc {
 			LatencyPS: energy.EDRAMAccessLatencyPS,
 			EnergyPJ:  float64(len(in)) * energy.ShiftAddEnergyPJ,
 		}, nil
-	}
-}
-
-// Join implements the classic dataflow firing rule for multi-input nodes:
-// it buffers incoming tokens and fires only when k tokens have arrived,
-// emitting their concatenation (in arrival order) and resetting. Until the
-// k-th token, it emits nothing — downstream nodes see no partial firings.
-func Join(k int) NodeFunc {
-	return func(s *State, in []float64) ([]float64, energy.Cost, error) {
-		if k <= 1 {
-			out := append([]float64(nil), in...)
-			return out, energy.Cost{LatencyPS: energy.EDRAMAccessLatencyPS}, nil
-		}
-		// State layout: Vec[0] is the arrival count, the rest the buffer.
-		if len(s.Vec) == 0 {
-			s.Vec = []float64{0}
-		}
-		s.Vec = append(s.Vec, in...)
-		s.Vec[0]++
-		cost := energy.Cost{
-			LatencyPS: energy.EDRAMAccessLatencyPS,
-			EnergyPJ:  float64(8*len(in)) * energy.EDRAMAccessEnergyPJPerByte,
-		}
-		if int(s.Vec[0]) < k {
-			return nil, cost, nil
-		}
-		out := append([]float64(nil), s.Vec[1:]...)
-		s.Vec = []float64{0}
-		return out, cost, nil
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"cimrev/internal/energy"
 	"cimrev/internal/isa"
 	"cimrev/internal/packet"
 )
@@ -59,7 +58,7 @@ func TestGraphAddNodeErrors(t *testing.T) {
 	}
 }
 
-func TestGraphConnectDisconnect(t *testing.T) {
+func TestGraphConnect(t *testing.T) {
 	g := NewGraph()
 	a := mustNode(t, g, "a", addr(1), Forward())
 	b := mustNode(t, g, "b", addr(2), Forward())
@@ -83,16 +82,6 @@ func TestGraphConnectDisconnect(t *testing.T) {
 	n, _ := g.Node(a)
 	if got := n.Successors(); len(got) != 1 || got[0] != b {
 		t.Errorf("Successors = %v, want [%d]", got, b)
-	}
-
-	if err := g.Disconnect(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Disconnect(a, b); err == nil {
-		t.Error("double disconnect succeeded")
-	}
-	if err := g.Disconnect(99, b); err == nil {
-		t.Error("disconnect from missing node succeeded")
 	}
 }
 
@@ -124,20 +113,6 @@ func TestGraphRemoveNode(t *testing.T) {
 	// Address is free for reuse.
 	if _, err := g.AddNode("b2", addr(2), Forward()); err != nil {
 		t.Errorf("address reuse after removal failed: %v", err)
-	}
-}
-
-func TestGraphSinks(t *testing.T) {
-	g := NewGraph()
-	a := mustNode(t, g, "a", addr(1), Forward())
-	b := mustNode(t, g, "b", addr(2), Forward())
-	c := mustNode(t, g, "c", addr(3), Forward())
-	if err := g.Connect(a, b); err != nil {
-		t.Fatal(err)
-	}
-	sinks := g.Sinks()
-	if len(sinks) != 2 || sinks[0] != b || sinks[1] != c {
-		t.Errorf("Sinks = %v, want [%d %d]", sinks, b, c)
 	}
 }
 
@@ -230,28 +205,7 @@ func TestMaxPoolState(t *testing.T) {
 	}
 }
 
-func TestStateVecIsCopy(t *testing.T) {
-	g := NewGraph()
-	id := mustNode(t, g, "acc", addr(1), Accumulate())
-	e, err := NewEngine(g, energy.NewLedger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Inject(id, []float64{5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := g.Node(id)
-	v := n.StateVec()
-	v[0] = 999
-	if n.StateVec()[0] == 999 {
-		t.Error("StateVec leaked internal state")
-	}
-}
-
-func TestGraphEdgesAndPredecessors(t *testing.T) {
+func TestGraphPredecessors(t *testing.T) {
 	g := NewGraph()
 	a := mustNode(t, g, "a", addr(1), Forward())
 	b := mustNode(t, g, "b", addr(2), Forward())
@@ -261,13 +215,6 @@ func TestGraphEdgesAndPredecessors(t *testing.T) {
 	}
 	if err := g.Connect(b, c); err != nil {
 		t.Fatal(err)
-	}
-	edges := g.Edges()
-	if len(edges) != 2 {
-		t.Fatalf("Edges = %v", edges)
-	}
-	if edges[0] != (Edge{From: a, To: c}) || edges[1] != (Edge{From: b, To: c}) {
-		t.Errorf("edges unordered: %v", edges)
 	}
 	preds := g.Predecessors(c)
 	if len(preds) != 2 || preds[0] != a || preds[1] != b {
@@ -334,23 +281,11 @@ func TestEngineAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Graph() != g {
-		t.Error("Graph accessor wrong")
-	}
-	if e.Pending() != 0 {
-		t.Error("fresh engine has pending tokens")
-	}
 	if err := e.Inject(id, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Pending() != 0 {
-		t.Error("tokens left after Run")
+	if out, err := e.Run(); err != nil || len(out[id]) != 1 {
+		t.Errorf("Run = %v, %v; want one output", out, err)
 	}
 }
 

@@ -149,11 +149,6 @@ type Engine struct {
 	net      *nn.Network
 	stages   []stage
 
-	programCost energy.Cost
-	// inferences counts completed inferences. It is atomic because
-	// InferBatch retires batch items from multiple pool workers, and
-	// Inferences() may be read while a batch is in flight.
-	inferences atomic.Int64
 	// seq numbers inferences for noise derivation: inference k (counted
 	// since Load) draws from src.Derive(k). Infer claims one number;
 	// InferBatch claims a contiguous run and assigns item i the number
@@ -202,14 +197,6 @@ func New(cfg Config) (*Engine, error) {
 
 // Network returns the loaded network (nil before Load).
 func (e *Engine) Network() *nn.Network { return e.net }
-
-// ProgramCost returns the cost of the most recent Load — dominated by the
-// slow memristor writes (Section VI's asymmetry).
-func (e *Engine) ProgramCost() energy.Cost { return e.programCost }
-
-// Inferences returns how many inferences have run since Load. It is safe
-// to call concurrently with InferBatch.
-func (e *Engine) Inferences() int64 { return e.inferences.Load() }
 
 // Wear returns the engine's lifetime cell-write count: the sum of every
 // stage tile's Writes(), retry pulses and retired-array history included.
@@ -324,8 +311,6 @@ func (e *Engine) load(sp obs.Ctx, net *nn.Network) (energy.Cost, error) {
 	linkStages(stages)
 	e.net = net
 	e.stages = stages
-	e.programCost = total
-	e.inferences.Store(0)
 	e.seq.Store(0)
 	return total, nil
 }
@@ -408,7 +393,6 @@ func (e *Engine) reprogram(sp obs.Ctx, net *nn.Network, hide bool) (energy.Cost,
 		cost = cost.Par(c)
 	}
 	e.net = net
-	e.programCost = cost
 	if hide {
 		// Writes retire off the critical path; the visible latency is one
 		// buffer swap. Energy is still paid in full.
@@ -599,8 +583,6 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 			held, vs = out, outs
 		}
 	}
-	e.inferences.Add(int64(n))
-
 	cost := energy.Cost{
 		LatencyPS: total.LatencyPS + int64(n-1)*stageMax,
 		EnergyPJ:  total.EnergyPJ * float64(n),

@@ -69,9 +69,6 @@ func TestEngineInferMatchesSoftware(t *testing.T) {
 	if pcost.LatencyPS == 0 {
 		t.Error("zero programming cost")
 	}
-	if e.ProgramCost() != pcost {
-		t.Error("ProgramCost mismatch")
-	}
 
 	in := make([]float64, 16)
 	for i := range in {
@@ -104,9 +101,6 @@ func TestEngineInferMatchesSoftware(t *testing.T) {
 	}
 	if cost.LatencyPS <= 0 || cost.EnergyPJ <= 0 {
 		t.Errorf("degenerate inference cost %v", cost)
-	}
-	if e.Inferences() != 1 {
-		t.Errorf("Inferences = %d, want 1", e.Inferences())
 	}
 	if _, _, err := e.Infer([]float64{1}); err == nil {
 		t.Error("wrong input length accepted")

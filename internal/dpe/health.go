@@ -101,7 +101,7 @@ func (e *Engine) HealthCheck() Health {
 	return h
 }
 
-// Repair reprograms every stage whose fault report shows lost columns,
+// RepairCtx reprograms every stage whose fault report shows lost columns,
 // re-running program-and-verify, the self-test scan, and spare remapping
 // on the same physical arrays. Transient write failures re-roll on the
 // new program epoch, so losses they caused usually clear; stuck cells are
@@ -111,14 +111,10 @@ func (e *Engine) HealthCheck() Health {
 // The cost is real: every pulse of every retried cell lands in the
 // returned ledger entry (stages repair in parallel, so latency is the max
 // stage cost and energy sums — the same fold as Load). Repairing a
-// healthy engine returns zero cost. Repair must not race inference.
-func (e *Engine) Repair() (energy.Cost, Health, error) {
-	return e.RepairCtx(obs.Ctx{})
-}
-
-// RepairCtx is Repair with tracing: a "dpe.repair" span (annotated with
-// the number of stages reprogrammed) whose children are the per-stage
-// tile.program spans.
+// healthy engine returns zero cost. RepairCtx must not race inference.
+//
+// It is traced as a "dpe.repair" child of pc (annotated with the number of
+// stages reprogrammed) whose children are the per-stage tile.program spans.
 func (e *Engine) RepairCtx(pc obs.Ctx) (energy.Cost, Health, error) {
 	sp := pc.Child("dpe.repair")
 	cost, h, err := e.repair(sp)

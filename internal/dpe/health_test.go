@@ -7,6 +7,7 @@ import (
 
 	"cimrev/internal/faultinject"
 	"cimrev/internal/nn"
+	"cimrev/internal/obs"
 	"cimrev/internal/parallel"
 )
 
@@ -52,7 +53,7 @@ func TestHealthCheckNoFaults(t *testing.T) {
 	if h.Total != (faultinject.Report{}) {
 		t.Fatalf("fault-free engine has nonzero report: %+v", h.Total)
 	}
-	cost, h2, err := eng.Repair()
+	cost, h2, err := eng.RepairCtx(obs.Ctx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,8 @@ func TestRepairedEngineMatchesFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Load(net); err != nil {
+	refProg, err := ref.Load(net)
+	if err != nil {
 		t.Fatal(err)
 	}
 	refOut, refCost, err := ref.Infer(in)
@@ -94,7 +96,8 @@ func TestRepairedEngineMatchesFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Load(net); err != nil {
+	prog, err := eng.Load(net)
+	if err != nil {
 		t.Fatal(err)
 	}
 	h := eng.HealthCheck()
@@ -115,9 +118,8 @@ func TestRepairedEngineMatchesFaultFree(t *testing.T) {
 		t.Fatalf("inference cost changed under repair: %v != %v", cost, refCost)
 	}
 	// Programming, by contrast, must have cost more: retries + remaps.
-	if eng.ProgramCost().EnergyPJ <= ref.ProgramCost().EnergyPJ {
-		t.Fatalf("faulty load energy %g not above clean %g",
-			eng.ProgramCost().EnergyPJ, ref.ProgramCost().EnergyPJ)
+	if prog.EnergyPJ <= refProg.EnergyPJ {
+		t.Fatalf("faulty load energy %g not above clean %g", prog.EnergyPJ, refProg.EnergyPJ)
 	}
 }
 
@@ -141,7 +143,7 @@ func TestSpareExhaustionReported(t *testing.T) {
 	}
 	// Stuck-cell losses are position-pinned: Repair re-runs the write
 	// loop (charging real cost) but cannot conjure spare columns.
-	cost, h2, err := eng.Repair()
+	cost, h2, err := eng.RepairCtx(obs.Ctx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestRepairClearsTransientLosses(t *testing.T) {
 		t.Skipf("seed 4 produced no transient losses (report %s); pick a harsher seed", h)
 	}
 	for attempt := 0; attempt < 8 && !h.Healthy(); attempt++ {
-		if _, h, err = eng.Repair(); err != nil {
+		if _, h, err = eng.RepairCtx(obs.Ctx{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -171,8 +171,8 @@ func TestTraceSpanTree(t *testing.T) {
 	// The batch annotation rides on the batch span.
 	for _, s := range spans {
 		if s.Name == "dpe.infer_batch" {
-			if v, ok := s.Note("batch"); !ok || v != batch {
-				t.Errorf("dpe.infer_batch batch note = %v, %v", v, ok)
+			if len(s.Notes) == 0 || s.Notes[0] != (obs.Note{Key: "batch", Val: batch}) {
+				t.Errorf("dpe.infer_batch notes = %v, want batch=%d first", s.Notes, batch)
 			}
 		}
 	}

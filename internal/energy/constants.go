@@ -31,10 +31,6 @@ const (
 
 	// --- Converters ---
 
-	// ADCConversionLatencyPS is one conversion of an 8-bit 1.28 GS/s SAR
-	// ADC as used by ISAAC.
-	ADCConversionLatencyPS = 781 // ~1/1.28GHz
-
 	// ADCConversionEnergyPJ is the per-sample energy at 8-bit resolution.
 	// Energy scales ~2^bits; callers adjust for other resolutions.
 	ADCConversionEnergyPJ = 1.56

@@ -196,36 +196,6 @@ func TestLedgerChargeAndTotal(t *testing.T) {
 	}
 }
 
-func TestLedgerChargeParallel(t *testing.T) {
-	l := NewLedger()
-	l.Charge("a", Cost{LatencyPS: 10, EnergyPJ: 1})
-	// Parallel work shorter than the current critical path must not extend it.
-	l.ChargeParallel("b", Cost{LatencyPS: 5, EnergyPJ: 2})
-	if got := l.Total().LatencyPS; got != 10 {
-		t.Errorf("critical path = %d, want 10", got)
-	}
-	// Parallel work longer than it must replace it.
-	l.ChargeParallel("c", Cost{LatencyPS: 50, EnergyPJ: 1})
-	if got := l.Total().LatencyPS; got != 50 {
-		t.Errorf("critical path = %d, want 50", got)
-	}
-	if got := l.Total().EnergyPJ; got != 4 {
-		t.Errorf("energy = %g, want 4", got)
-	}
-}
-
-func TestLedgerReset(t *testing.T) {
-	l := NewLedger()
-	l.Charge("x", Cost{LatencyPS: 10, EnergyPJ: 1})
-	l.Reset()
-	if got := l.Total(); got != Zero {
-		t.Errorf("after Reset Total = %+v, want zero", got)
-	}
-	if cats := l.Categories(); len(cats) != 0 {
-		t.Errorf("after Reset Categories = %v, want empty", cats)
-	}
-}
-
 func TestLedgerCategoriesSorted(t *testing.T) {
 	l := NewLedger()
 	for _, name := range []string{"zeta", "alpha", "mid"} {

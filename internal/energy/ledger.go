@@ -23,32 +23,14 @@ func NewLedger() *Ledger {
 	return &Ledger{byCat: make(map[string]Cost)}
 }
 
-// Charge records cost against category. Charge extends the critical path
-// serially; use ChargeParallel when the caller knows the work overlapped
-// with already-charged work.
+// Charge records cost against category and extends the critical path
+// serially; callers whose work overlapped compose Costs with Par before
+// charging.
 func (l *Ledger) Charge(category string, c Cost) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.byCat[category] = l.byCat[category].Seq(c)
 	l.critical += c.LatencyPS
-}
-
-// ChargeParallel records the energy of cost against category and extends the
-// critical path only if the cost's latency exceeds the remaining slack.
-// Parallel charges model work overlapping everything charged so far in the
-// current epoch; callers that need precise overlap semantics should compose
-// Costs with Par before charging.
-func (l *Ledger) ChargeParallel(category string, c Cost) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	prev := l.byCat[category]
-	l.byCat[category] = Cost{
-		LatencyPS: prev.LatencyPS + c.LatencyPS,
-		EnergyPJ:  prev.EnergyPJ + c.EnergyPJ,
-	}
-	if c.LatencyPS > l.critical {
-		l.critical = c.LatencyPS
-	}
 }
 
 // Total returns the summed cost across all categories with the ledger's
@@ -80,14 +62,6 @@ func (l *Ledger) Categories() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Reset clears all accumulated costs.
-func (l *Ledger) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.byCat = make(map[string]Cost)
-	l.critical = 0
 }
 
 // Report renders a multi-line per-category breakdown followed by the total.

@@ -188,7 +188,7 @@ func CapacitySweep(cfg CapacityConfig) (*CapacityResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := capacityDrive(net, inputs, mix, k, workloadgen.DriveConfig{
+			rep, err := capacityDrive(net, inputs, k, workloadgen.DriveConfig{
 				Arrivals: arr,
 				Mix:      mix,
 				Requests: cfg.Requests,
@@ -216,7 +216,7 @@ func CapacitySweep(cfg CapacityConfig) (*CapacityResult, error) {
 		// The comparison pair at the top ladder rate: the open side is the
 		// grid's own top cell; the closed side re-drives the same load
 		// with 8 waiting clients.
-		closedRep, err := capacityDrive(net, inputs, mix, k, workloadgen.DriveConfig{
+		closedRep, err := capacityDrive(net, inputs, k, workloadgen.DriveConfig{
 			Mix:      mix,
 			Requests: cfg.Requests,
 			Clients:  8,
@@ -247,7 +247,7 @@ func CapacitySweep(cfg CapacityConfig) (*CapacityResult, error) {
 // drive against it. Request classes map onto the fleet as Batch
 // concurrent keyed submissions (distinct noise keys per element); a
 // request is served only if every element is.
-func capacityDrive(net *nn.Network, inputs [][]float64, mix workloadgen.Mix, k int, dcfg workloadgen.DriveConfig) (workloadgen.Report, error) {
+func capacityDrive(net *nn.Network, inputs [][]float64, k int, dcfg workloadgen.DriveConfig) (workloadgen.Report, error) {
 	f, _, err := fleet.New(chaosDPEConfig(), net,
 		fleet.WithEngines(k),
 		fleet.WithPolicy(fleet.LeastLoaded()),

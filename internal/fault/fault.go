@@ -132,12 +132,6 @@ func (g *Guard) AddSpare(primary, spare packet.Address) error {
 	return nil
 }
 
-// Spare returns the registered spare for primary.
-func (g *Guard) Spare(primary packet.Address) (packet.Address, bool) {
-	s, ok := g.spares[primary]
-	return s, ok
-}
-
 // Fail injects a unit failure and recovers: the primary is disabled
 // (containment), and if a spare exists the primary's edges are rewired to
 // it (stream redirection). It reports whether recovery happened.
@@ -210,6 +204,3 @@ func (g *Guard) Replay(addr packet.Address) (int, error) {
 func (g *Guard) Ack(addr packet.Address) {
 	delete(g.held, addr)
 }
-
-// HeldCount returns how many streams are retained for addr.
-func (g *Guard) HeldCount(addr packet.Address) int { return len(g.held[addr]) }

@@ -180,7 +180,7 @@ func TestGuardValidation(t *testing.T) {
 	if err := guard.AddSpare(spare, addr(9, 9)); err == nil {
 		t.Error("missing spare accepted")
 	}
-	if got, ok := guard.Spare(mid); !ok || got != spare {
+	if got, ok := guard.spares[mid]; !ok || got != spare {
 		t.Errorf("Spare = %v, %v", got, ok)
 	}
 }
@@ -292,8 +292,8 @@ func TestHeldReplayAfterUnrecoveredFailure(t *testing.T) {
 	if err := guard.StreamHeld(src, []float64{5}); err != nil {
 		t.Fatal(err)
 	}
-	if guard.HeldCount(src) != 1 {
-		t.Fatalf("HeldCount = %d, want 1", guard.HeldCount(src))
+	if len(guard.held[src]) != 1 {
+		t.Fatalf("held streams = %d, want 1", len(guard.held[src]))
 	}
 	if recovered, err := guard.Fail(mid); err != nil || recovered {
 		t.Fatalf("Fail = %v, %v; want contained without recovery", recovered, err)
@@ -328,7 +328,7 @@ func TestHeldReplayAfterUnrecoveredFailure(t *testing.T) {
 		t.Error("replayed stream did not reach the sink")
 	}
 	guard.Ack(src)
-	if guard.HeldCount(src) != 0 {
+	if len(guard.held[src]) != 0 {
 		t.Error("Ack did not clear held streams")
 	}
 }

@@ -24,7 +24,7 @@
 // Every engine replicates the same network (same dpe.Config, same noise
 // seed), so any engine can serve any request. Routing policies (router.go)
 // choose among the healthy, non-draining engines: round-robin, least-loaded
-// (live pending-list depth), weighted, and wear-aware (route away from
+// (live pending-list depth), and wear-aware (route away from
 // engines whose fault reports show consumed spares or lost columns —
 // reading dpe HealthCheck and the internal/faultinject wear accounting).
 // A refused engine (full queue, tripped breaker, mid-drain close) fails
@@ -60,7 +60,6 @@ import (
 	"cimrev/internal/energy"
 	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
-	"cimrev/internal/obs"
 	"cimrev/internal/serve"
 )
 
@@ -75,12 +74,11 @@ var ErrNoEngines = errors.New("fleet: no engines")
 // series never collide (cimserve exposes each registry with an engine
 // label on /metrics).
 type Engine struct {
-	id     int
-	weight int
-	pair   *serve.ShadowPair
-	brk    *serve.Breaker
-	srv    *serve.Server
-	reg    *metrics.Registry
+	id   int
+	pair *serve.ShadowPair
+	brk  *serve.Breaker
+	srv  *serve.Server
+	reg  *metrics.Registry
 	// rep is what RollingReprogram drives: the WrapBackend wrapper when it
 	// can reprogram, else the breaker.
 	rep reprogrammer
@@ -88,8 +86,8 @@ type Engine struct {
 	// was built WithOverloadControl (limiter.go).
 	lim *aimdLimiter
 
-	// draining flips when Leave removes the engine from the routing set,
-	// just before its server closes: the router skips draining engines and
+	// draining flips when Close takes the engine out of service, just
+	// before its server closes: the router skips draining engines and
 	// in-flight requests finish normally.
 	draining atomic.Bool
 	// routed counts requests this engine accepted (routing statistics; the
@@ -103,13 +101,8 @@ type Engine struct {
 	inflight atomic.Int64
 }
 
-// ID returns the engine's fleet-unique identifier (stable across
-// join/leave churn; never reused).
+// ID returns the engine's fleet-unique identifier: its position at New.
 func (e *Engine) ID() int { return e.id }
-
-// Weight returns the engine's routing weight (≥ 1; used by the weighted
-// policy, ignored by the others).
-func (e *Engine) Weight() int { return e.weight }
 
 // QueueDepth returns how many requests wait in the engine's pending list.
 func (e *Engine) QueueDepth() int { return e.srv.QueueDepth() }
@@ -157,7 +150,7 @@ func (e *Engine) Registry() *metrics.Registry { return e.reg }
 // Pair returns the engine's shadow pair (statistics only).
 func (e *Engine) Pair() *serve.ShadowPair { return e.pair }
 
-// Breaker returns the engine's circuit breaker (statistics / Reset only).
+// Breaker returns the engine's circuit breaker (statistics only).
 func (e *Engine) Breaker() *serve.Breaker { return e.brk }
 
 // Config configures a Fleet. Construct with Default() (or zero options to
@@ -165,19 +158,12 @@ func (e *Engine) Breaker() *serve.Breaker { return e.brk }
 type Config struct {
 	// Engines is the initial fleet size. Must be ≥ 1.
 	Engines int
-	// Weights are the initial engines' routing weights, by position.
-	// Empty means every engine weighs 1; otherwise the length must equal
-	// Engines and every weight must be ≥ 1. Engines joined later weigh 1.
-	Weights []int
 	// Router picks engines per request. Nil selects round-robin.
 	Router *Router
-	// Tracer records fleet-layer spans (rolling reprograms) and is
-	// threaded into every engine's serving pipeline.
-	Tracer *obs.Tracer
 	// ServeOptions are applied to every engine's Breaker and Server
-	// (batching, queue bound, retry, probe). Per-engine plumbing — the
-	// private registry, the tracer, and a per-engine jitter seed — is
-	// appended after them and cannot be overridden.
+	// (batching, queue bound, retry). A per-engine jitter seed goes before
+	// them and the engine's private registry after them, so the registry
+	// cannot be overridden.
 	ServeOptions []serve.Option
 	// WrapBackend, when non-nil, wraps each engine's breaker before it is
 	// handed to the micro-batching server — the hybrid dispatcher's
@@ -208,16 +194,8 @@ func Default() Config { return Config{Engines: 1} }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	switch {
-	case c.Engines < 1:
+	if c.Engines < 1 {
 		return fmt.Errorf("fleet: Engines must be >= 1, got %d", c.Engines)
-	case len(c.Weights) != 0 && len(c.Weights) != c.Engines:
-		return fmt.Errorf("fleet: %d weights for %d engines", len(c.Weights), c.Engines)
-	}
-	for i, w := range c.Weights {
-		if w < 1 {
-			return fmt.Errorf("fleet: weight %d for engine %d must be >= 1", w, i)
-		}
 	}
 	return nil
 }
@@ -228,15 +206,9 @@ type Option func(*Config)
 // WithEngines sets the initial fleet size.
 func WithEngines(n int) Option { return func(c *Config) { c.Engines = n } }
 
-// WithWeights sets the initial engines' routing weights by position.
-func WithWeights(ws ...int) Option { return func(c *Config) { c.Weights = ws } }
-
 // WithPolicy installs a router over policy p (see NewRouter and the policy
 // constructors).
 func WithPolicy(p Policy) Option { return func(c *Config) { c.Router = NewRouter(p) } }
-
-// WithTracer records fleet and per-engine serving spans into tr.
-func WithTracer(tr *obs.Tracer) Option { return func(c *Config) { c.Tracer = tr } }
 
 // WithServeOptions forwards opts to every engine's serve.New/NewBreaker.
 func WithServeOptions(opts ...serve.Option) Option {
@@ -272,8 +244,6 @@ type fleetMetrics struct {
 	requests    *metrics.Counter
 	failovers   *metrics.Counter
 	unrouteable *metrics.Counter
-	joins       *metrics.Counter
-	leaves      *metrics.Counter
 	rollings    *metrics.Counter
 	engines     *metrics.Gauge
 	latencyNS   *metrics.Histogram
@@ -292,8 +262,6 @@ func newFleetMetrics(reg *metrics.Registry) fleetMetrics {
 		requests:    reg.Counter("fleet.requests"),
 		failovers:   reg.Counter("fleet.failovers"),
 		unrouteable: reg.Counter("fleet.unrouteable"),
-		joins:       reg.Counter("fleet.joins"),
-		leaves:      reg.Counter("fleet.leaves"),
 		rollings:    reg.Counter("fleet.rolling_reprograms"),
 		engines:     reg.Gauge("fleet.engines"),
 		latencyNS:   reg.Histogram("fleet.latency_ns"),
@@ -308,22 +276,18 @@ func newFleetMetrics(reg *metrics.Registry) fleetMetrics {
 
 // Fleet is a routed set of DPE serving engines. Construct with New; the
 // zero value is not usable. SubmitSeq/SubmitSeqPri are safe for concurrent
-// use, as are Join, Leave, and RollingReprogram.
+// use, as are RollingReprogram and Close.
 type Fleet struct {
 	dcfg   dpe.Config
 	cfg    Config
 	router *Router
 	reg    *metrics.Registry
 	met    fleetMetrics
-	tracer *obs.Tracer
 
-	// mu guards the engine set and the current network (what joiners
-	// program). SubmitSeq holds it shared just long enough to snapshot the
-	// engine slice; membership changes hold it exclusively.
+	// mu guards the engine set. SubmitSeq holds it shared just long
+	// enough to snapshot the engine slice; Close holds it exclusively.
 	mu      sync.RWMutex
 	engines []*Engine
-	nextID  int
-	net     *nn.Network
 
 	// hedge and over are the resilience controllers, nil when disabled.
 	hedge *hedger
@@ -363,8 +327,6 @@ func New(dcfg dpe.Config, net *nn.Network, opts ...Option) (*Fleet, energy.Cost,
 		router: router,
 		reg:    reg,
 		met:    newFleetMetrics(reg),
-		tracer: cfg.Tracer,
-		net:    net,
 		chaos:  cfg.Chaos,
 	}
 	if cfg.Hedge != nil {
@@ -375,11 +337,7 @@ func New(dcfg dpe.Config, net *nn.Network, opts ...Option) (*Fleet, energy.Cost,
 	}
 	total := energy.Zero
 	for i := 0; i < cfg.Engines; i++ {
-		w := 1
-		if len(cfg.Weights) > 0 {
-			w = cfg.Weights[i]
-		}
-		e, cost, err := f.newEngine(i, w, net)
+		e, cost, err := f.newEngine(i, net)
 		if err != nil {
 			f.Close()
 			return nil, energy.Zero, err
@@ -387,7 +345,6 @@ func New(dcfg dpe.Config, net *nn.Network, opts ...Option) (*Fleet, energy.Cost,
 		f.engines = append(f.engines, e)
 		total = total.Par(cost)
 	}
-	f.nextID = cfg.Engines
 	f.met.engines.Set(float64(cfg.Engines))
 	return f, total, nil
 }
@@ -395,7 +352,7 @@ func New(dcfg dpe.Config, net *nn.Network, opts ...Option) (*Fleet, energy.Cost,
 // newEngine builds one fleet member and programs net into it. Engine id's
 // fault model (when enabled) seeds at base+id; its breaker jitter seeds at
 // dcfg.Seed+id so synchronized retries decorrelate across the fleet.
-func (f *Fleet) newEngine(id, weight int, net *nn.Network) (*Engine, energy.Cost, error) {
+func (f *Fleet) newEngine(id int, net *nn.Network) (*Engine, energy.Cost, error) {
 	ecfg := f.dcfg
 	if ecfg.Faults.Enabled() {
 		ecfg.Faults.Seed += int64(id)
@@ -405,10 +362,10 @@ func (f *Fleet) newEngine(id, weight int, net *nn.Network) (*Engine, energy.Cost
 		return nil, energy.Zero, fmt.Errorf("fleet: engine %d: %w", id, err)
 	}
 	reg := metrics.NewRegistry()
-	sopts := make([]serve.Option, 0, len(f.cfg.ServeOptions)+3)
+	sopts := make([]serve.Option, 0, len(f.cfg.ServeOptions)+2)
 	sopts = append(sopts, serve.WithSeed(f.dcfg.Seed+int64(id)))
 	sopts = append(sopts, f.cfg.ServeOptions...)
-	sopts = append(sopts, serve.WithRegistry(reg), serve.WithTracer(f.tracer))
+	sopts = append(sopts, serve.WithRegistry(reg))
 	brk, err := serve.NewBreaker(pair, sopts...)
 	if err != nil {
 		return nil, energy.Zero, fmt.Errorf("fleet: engine %d: %w", id, err)
@@ -430,7 +387,7 @@ func (f *Fleet) newEngine(id, weight int, net *nn.Network) (*Engine, energy.Cost
 	if err != nil {
 		return nil, energy.Zero, fmt.Errorf("fleet: engine %d: %w", id, err)
 	}
-	e := &Engine{id: id, weight: weight, pair: pair, brk: brk, srv: srv, reg: reg, rep: rp}
+	e := &Engine{id: id, pair: pair, brk: brk, srv: srv, reg: reg, rep: rp}
 	if f.cfg.Overload != nil {
 		e.lim = newAIMDLimiter(f.cfg.Overload.withDefaults())
 	}
@@ -455,7 +412,7 @@ func (f *Fleet) Hedging() bool { return f.hedge != nil }
 // low-priority traffic (false when overload control is disabled).
 func (f *Fleet) BrownoutActive() bool { return f.over != nil && f.over.active() }
 
-// Engines returns a snapshot of the current members in join order.
+// Engines returns a snapshot of the current members in ID order.
 func (f *Fleet) Engines() []*Engine {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -610,61 +567,6 @@ func (f *Fleet) tryOrder(ctx context.Context, order []*Engine, seq uint64, in []
 		return nil, energy.Zero, fmt.Errorf("fleet: all %d routable engines refused (%w): %w", len(order), errExhausted, serve.ErrOverloaded)
 	}
 	return nil, energy.Zero, fmt.Errorf("fleet: all %d routable engines shed (%w): %w", len(order), errExhausted, serve.ErrUnhealthy)
-}
-
-// Join adds one engine (weight 1) programmed with the fleet's current
-// network, returning it and its programming cost. The slow memristor
-// writes happen before the engine enters the routing set, so joining never
-// stalls serving — the new engine takes traffic only once fully
-// programmed and healthy.
-func (f *Fleet) Join() (*Engine, energy.Cost, error) {
-	f.mu.Lock()
-	id := f.nextID
-	f.nextID++
-	net := f.net
-	f.mu.Unlock()
-
-	e, cost, err := f.newEngine(id, 1, net)
-	if err != nil {
-		return nil, energy.Zero, err
-	}
-	f.mu.Lock()
-	f.engines = append(f.engines, e)
-	n := len(f.engines)
-	f.mu.Unlock()
-	f.met.joins.Inc()
-	f.met.engines.Set(float64(n))
-	return e, cost, nil
-}
-
-// Leave removes engine id with a graceful drain: the engine exits the
-// routing set immediately (no new requests land on it), then its server
-// closes, which serves everything already queued to completion. Requests
-// that race the close observe serve.ErrClosed and fail over to another
-// engine inside SubmitSeq — a drain never fails a request.
-func (f *Fleet) Leave(id int) error {
-	f.mu.Lock()
-	idx := -1
-	for i, e := range f.engines {
-		if e.id == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		f.mu.Unlock()
-		return fmt.Errorf("fleet: no engine %d", id)
-	}
-	e := f.engines[idx]
-	f.engines = append(f.engines[:idx], f.engines[idx+1:]...)
-	n := len(f.engines)
-	f.mu.Unlock()
-
-	e.draining.Store(true)
-	e.srv.Close()
-	f.met.leaves.Inc()
-	f.met.engines.Set(float64(n))
-	return nil
 }
 
 // Close drains and removes every engine. Close is idempotent.

@@ -12,14 +12,14 @@
 //
 // State machine per engine (see docs/CLUSTER.md for the fleet view):
 //
-//	idle ──▶ programming standby ──▶ [repair] ──▶ probe ──▶ swap ──▶ idle
-//	                │                    │           │
-//	                └────────────────────┴───────────┴──▶ breaker trips,
-//	                     engine sheds, roll continues with the next engine
+//	idle ──▶ programming standby ──▶ [repair] ──▶ swap ──▶ idle
+//	                │                    │
+//	                └────────────────────┴──▶ breaker trips (after its
+//	                     retries), engine sheds, roll continues with the
+//	                     next engine
 //
-// Promotion is health-gated twice: the shadow pair refuses to swap in a
-// standby that stays unhealthy after repair, and the breaker's post-swap
-// probe trips on accuracy regression. A failed engine is left tripped
+// Promotion is health-gated: the shadow pair refuses to swap in a standby
+// that stays unhealthy after repair. A failed engine is left tripped
 // (visible on /healthz, skipped by the router) rather than failing the
 // roll: the rest of the fleet still converges to the new weights.
 package fleet
@@ -114,35 +114,27 @@ func (f *Fleet) setStatus(s RollingStatus) {
 // RollingReprogram updates the whole fleet to net with zero downtime: each
 // engine in turn programs its standby behind serving and swaps, one engine
 // at a time, health-gated exactly as Breaker.Reprogram (retry + backoff,
-// repair-before-swap, post-swap probe) — or through the engine's WrapBackend
+// repair-before-swap) — or through the engine's WrapBackend
 // wrapper when that can reprogram (Config.WrapBackend). The fleet serves
 // throughout — the router keeps routing to every engine not currently
 // tripped, and the engine being reprogrammed keeps serving its old weights
 // until its swap.
 //
-// Engines joined after the roll starts program the new network on join and
-// are not rolled; engines that leave mid-roll are skipped. A failed engine
-// is left tripped and routed around; the roll continues. Rolls are
+// Engines that Close takes out of service mid-roll are skipped. A failed
+// engine is left tripped and routed around; the roll continues. Rolls are
 // serialized fleet-wide: a second RollingReprogram blocks until the first
 // finishes. The per-engine outcomes, including the visible/hidden cost
 // split, are in the returned report (check report.Err()).
-//
-// With a tracer configured, the roll is one "fleet.rolling_reprogram" root
-// span annotated with engine counts; each engine's attempt appears as its
-// own "serve.reprogram" root (the breaker owns that span).
 func (f *Fleet) RollingReprogram(net *nn.Network) *RollingReport {
 	f.rollMu.Lock()
 	defer f.rollMu.Unlock()
 
-	// Future joiners program net; the roll snapshot covers current members.
 	f.mu.Lock()
-	f.net = net
 	engines := make([]*Engine, len(f.engines))
 	copy(engines, f.engines)
 	f.mu.Unlock()
 
 	f.met.rollings.Inc()
-	sp := f.tracer.Root("fleet.rolling_reprogram")
 	rep := &RollingReport{Visible: energy.Zero, Hidden: energy.Zero}
 	total := len(engines)
 	for _, e := range engines {
@@ -173,10 +165,5 @@ func (f *Fleet) RollingReprogram(net *nn.Network) *RollingReport {
 		}
 	}
 	f.setStatus(RollingStatus{Done: rep.Attempted, Failed: rep.Failed, Total: total})
-	if sp.Active() {
-		sp.Annotate("engines", float64(rep.Attempted))
-		sp.Annotate("failed", float64(rep.Failed))
-	}
-	sp.End(rep.Visible)
 	return rep
 }

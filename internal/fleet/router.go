@@ -3,7 +3,7 @@
 // Routing has a determinism obligation the usual load balancer does not:
 // because every request carries its own noise key (fleet.go), *any*
 // placement yields bit-identical outputs — so policies are free to chase
-// load, weights, or wear without ever being consulted about correctness.
+// load or wear without ever being consulted about correctness.
 // What policies must still be is reproducible in themselves: given the
 // same engine snapshot and the same request sequence number they return
 // the same preference order, so a replayed trace routes identically. All
@@ -48,9 +48,6 @@ func NewRouter(policy Policy) *Router {
 	return &Router{policy: policy}
 }
 
-// Policy returns the router's policy.
-func (r *Router) Policy() Policy { return r.policy }
-
 // Route filters engines down to the routable set (not draining, breaker
 // closed) and returns it in the policy's preference order, along with how
 // many engines were excluded for a tripped breaker — the signal the fleet
@@ -73,26 +70,24 @@ func (r *Router) Route(engines []*Engine, seq uint64) (order []*Engine, tripped 
 }
 
 // ParsePolicy maps a CLI name to a policy: "round-robin" (alias "rr"),
-// "least-loaded" (alias "ll"), "weighted", "wear-aware" (alias "wear").
+// "least-loaded" (alias "ll"), "wear-aware" (alias "wear").
 func ParsePolicy(name string) (Policy, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "round-robin", "roundrobin", "rr":
 		return RoundRobin(), nil
 	case "least-loaded", "leastloaded", "ll":
 		return LeastLoaded(), nil
-	case "weighted":
-		return Weighted(), nil
 	case "wear-aware", "wearaware", "wear":
 		return WearAware(), nil
 	default:
-		return nil, fmt.Errorf("fleet: unknown policy %q (want round-robin, least-loaded, weighted, wear-aware)", name)
+		return nil, fmt.Errorf("fleet: unknown policy %q (want round-robin, least-loaded, wear-aware)", name)
 	}
 }
 
 // PolicyNames lists the canonical policy names (cimbench -exp fleet sweeps
 // all of them).
 func PolicyNames() []string {
-	return []string{"round-robin", "least-loaded", "weighted", "wear-aware"}
+	return []string{"round-robin", "least-loaded", "wear-aware"}
 }
 
 // RoundRobin returns the policy that rotates through engines by request
@@ -138,40 +133,6 @@ func (leastLoaded) Order(candidates []*Engine, seq uint64) []*Engine {
 	sort.SliceStable(out, func(i, j int) bool {
 		return load[out[i].id] < load[out[j].id]
 	})
-	return out
-}
-
-// Weighted returns the policy that spreads requests proportionally to
-// engine weight: over any window of totalWeight consecutive sequence
-// numbers, an engine of weight w is first choice exactly w times.
-// Remaining engines follow in ring order, so failover stays local.
-func Weighted() Policy { return weighted{} }
-
-type weighted struct{}
-
-func (weighted) Name() string { return "weighted" }
-
-func (weighted) Order(candidates []*Engine, seq uint64) []*Engine {
-	n := len(candidates)
-	total := 0
-	for _, e := range candidates {
-		total += e.weight
-	}
-	// Walk the weight wheel: slot seq%total lands inside some engine's
-	// weight band; that engine leads.
-	slot := int(seq % uint64(total))
-	start := 0
-	for i, e := range candidates {
-		if slot < e.weight {
-			start = i
-			break
-		}
-		slot -= e.weight
-	}
-	out := make([]*Engine, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, candidates[(start+i)%n])
-	}
 	return out
 }
 

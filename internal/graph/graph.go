@@ -3,7 +3,7 @@
 // (typical in the intelligence community) need to track information over a
 // long time, the graphs are hard to reproduce after reboots/failures due to
 // their sheer size". It provides a compressed sparse row graph, synthetic
-// generators, PageRank and BFS kernels, and an adjacency-matrix export so
+// generators, a PageRank kernel, and an adjacency-matrix export so
 // PageRank can run as iterated MVM on the Dot Product Engine.
 package graph
 
@@ -179,33 +179,6 @@ func (g *Graph) TransitionMatrix(damping float64) ([][]float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// BFS returns hop distances from src (-1 for unreachable) and the number of
-// edges traversed.
-func (g *Graph) BFS(src int) ([]int, int, error) {
-	if src < 0 || src >= g.n {
-		return nil, 0, fmt.Errorf("graph: source %d outside [0,%d)", src, g.n)
-	}
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	traversed := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			traversed++
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, int(v))
-			}
-		}
-	}
-	return dist, traversed, nil
 }
 
 // L1Distance returns the L1 norm of the difference of two vectors, used by

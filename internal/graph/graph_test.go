@@ -187,30 +187,6 @@ func TestTransitionMatrixValidation(t *testing.T) {
 	}
 }
 
-func TestBFS(t *testing.T) {
-	// 0 -> 1 -> 2, 3 isolated.
-	g, err := NewGraph(4, [][]int{{1}, {2}, {}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, traversed, err := g.BFS(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 2, -1}
-	for i := range want {
-		if dist[i] != want[i] {
-			t.Errorf("dist[%d] = %d, want %d", i, dist[i], want[i])
-		}
-	}
-	if traversed != 2 {
-		t.Errorf("traversed = %d, want 2", traversed)
-	}
-	if _, _, err := g.BFS(9); err == nil {
-		t.Error("out-of-range source accepted")
-	}
-}
-
 func TestL1Distance(t *testing.T) {
 	if d := L1Distance([]float64{1, 2}, []float64{0, 4}); d != 3 {
 		t.Errorf("L1 = %g, want 3", d)

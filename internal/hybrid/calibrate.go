@@ -115,15 +115,6 @@ func (c *calibrator) observe(n int, vn bool, latencyPS int64) {
 	}
 }
 
-// estimates reports the current per-item latency estimates for batch size
-// n without counting a flush — the sweep's view into the learned model.
-func (c *calibrator) estimates(n int) (cimPS, vnPS float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.bucket(n)
-	return b.cim.v, b.vn.v
-}
-
 // cimSeed builds the static per-item CIM prior from the shared board
 // constants (the same energy.CIM* block the suitability calculator uses):
 // compute at peak MVM throughput, operand streaming over the mesh, and the

@@ -173,9 +173,6 @@ func New(cim CIMBackend, vn *vonneumann.Backend, opts ...Option) (*Dispatcher, e
 	return d, nil
 }
 
-// Mode returns the dispatch policy.
-func (d *Dispatcher) Mode() Mode { return d.mode }
-
 // Counts returns the routed-request totals: CIM-routed, VN-routed, and
 // CIM-pinned (auto-mode traffic on a twin-less dispatcher).
 func (d *Dispatcher) Counts() (cim, vn, pinned int64) {
@@ -228,16 +225,6 @@ func (d *Dispatcher) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]fl
 		d.cal.observe(n, vn, cost.LatencyPS)
 	}
 	return outs, cost, err
-}
-
-// Estimates reports the calibrator's current per-item latency estimates
-// (in picoseconds) for batch size n, or ok=false on twin-less dispatchers.
-func (d *Dispatcher) Estimates(n int) (cimPS, vnPS float64, ok bool) {
-	if d.cal == nil {
-		return 0, 0, false
-	}
-	cimPS, vnPS = d.cal.estimates(n)
-	return cimPS, vnPS, true
 }
 
 // Reprogram swaps weights on both backends atomically with respect to

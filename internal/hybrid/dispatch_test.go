@@ -247,9 +247,6 @@ func TestDispatchForcedModes(t *testing.T) {
 	if cim, vn, pinned := twinless.Counts(); cim != 0 || vn != 0 || pinned != 5 {
 		t.Errorf("twin-less auto counters: %d, %d, %d; want 0, 0, 5", cim, vn, pinned)
 	}
-	if _, _, ok := twinless.Estimates(4); ok {
-		t.Error("twin-less dispatcher reported estimates")
-	}
 }
 
 // TestDispatchVNTraceIsOneLeaf pins what a VN-routed flush looks like in a
@@ -282,8 +279,8 @@ func TestDispatchVNTraceIsOneLeaf(t *testing.T) {
 	if want := disp.vn.PredictBatchCost(n); vn.Cost != want || cost != want {
 		t.Errorf("span cost %+v, returned %+v, want PredictBatchCost(%d) = %+v", vn.Cost, cost, n, want)
 	}
-	if b, ok := vn.Note("batch"); !ok || b != n {
-		t.Errorf("batch annotation %v (present %v), want %d", b, ok, n)
+	if len(vn.Notes) != 1 || vn.Notes[0] != (obs.Note{Key: "batch", Val: float64(n)}) {
+		t.Errorf("annotations %v, want [batch=%d]", vn.Notes, n)
 	}
 }
 
@@ -435,7 +432,7 @@ func TestCalibratorDeterminism(t *testing.T) {
 		} else {
 			flip.observe(2, false, 2*100)
 		}
-		if cim, vnEst := flip.estimates(2); vnEst < cim {
+		if b := flip.bucket(2); b.vn.v < b.cim.v {
 			flipped = true
 			break
 		}

@@ -105,18 +105,18 @@ func abs(x int) int {
 
 func TestTransferCostScalesWithDistanceAndSize(t *testing.T) {
 	m := newMesh(t, 8, 8)
-	near, err := m.Transfer(1, Coord{0, 0}, Coord{1, 0}, 1000, BestEffort)
+	near, err := m.Transfer(Coord{0, 0}, Coord{1, 0}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	far, err := m.Transfer(1, Coord{0, 0}, Coord{7, 7}, 1000, BestEffort)
+	far, err := m.Transfer(Coord{0, 0}, Coord{7, 7}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if far.LatencyPS <= near.LatencyPS {
 		t.Errorf("far transfer %d ps not slower than near %d ps", far.LatencyPS, near.LatencyPS)
 	}
-	small, err := m.Transfer(1, Coord{0, 0}, Coord{1, 0}, 10, BestEffort)
+	small, err := m.Transfer(Coord{0, 0}, Coord{1, 0}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,122 +130,22 @@ func TestTransferCostScalesWithDistanceAndSize(t *testing.T) {
 
 func TestTransferZeroAndSelf(t *testing.T) {
 	m := newMesh(t, 4, 4)
-	c, err := m.Transfer(1, Coord{1, 1}, Coord{1, 1}, 1000, BestEffort)
+	c, err := m.Transfer(Coord{1, 1}, Coord{1, 1}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c != energy.Zero {
 		t.Errorf("self transfer cost = %v, want zero", c)
 	}
-	c, err = m.Transfer(1, Coord{0, 0}, Coord{1, 1}, 0, BestEffort)
+	c, err = m.Transfer(Coord{0, 0}, Coord{1, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c != energy.Zero {
 		t.Errorf("zero-byte transfer cost = %v, want zero", c)
 	}
-	if _, err := m.Transfer(1, Coord{0, 0}, Coord{1, 1}, -1, BestEffort); err == nil {
+	if _, err := m.Transfer(Coord{0, 0}, Coord{1, 1}, -1); err == nil {
 		t.Error("negative size should fail")
-	}
-}
-
-func TestReserveLaneQoS(t *testing.T) {
-	m := newMesh(t, 4, 1)
-	src, dst := Coord{0, 0}, Coord{3, 0}
-
-	// Without a reservation, Guaranteed fails.
-	if _, err := m.Transfer(7, src, dst, 100, Guaranteed); err == nil {
-		t.Error("Guaranteed without reservation should fail")
-	}
-
-	if err := m.ReserveLane(7, src, dst, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	g, err := m.Transfer(7, src, dst, 1_000_000, Guaranteed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	be, err := m.Transfer(8, src, dst, 1_000_000, BestEffort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both see 50% of the link: reserved share vs unreserved remainder.
-	if g.LatencyPS != be.LatencyPS {
-		t.Errorf("guaranteed %d ps vs best-effort %d ps, want equal at 50/50 split", g.LatencyPS, be.LatencyPS)
-	}
-
-	// A second large reservation squeezes best-effort but not stream 7.
-	if err := m.ReserveLane(9, src, dst, 0.4); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := m.Transfer(7, src, dst, 1_000_000, Guaranteed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.LatencyPS != g.LatencyPS {
-		t.Errorf("guaranteed latency changed %d -> %d under interference", g.LatencyPS, g2.LatencyPS)
-	}
-	be2, err := m.Transfer(8, src, dst, 1_000_000, BestEffort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if be2.LatencyPS <= be.LatencyPS {
-		t.Errorf("best-effort latency %d should grow after more reservation (was %d)", be2.LatencyPS, be.LatencyPS)
-	}
-}
-
-func TestReserveLaneOverSubscription(t *testing.T) {
-	m := newMesh(t, 2, 1)
-	src, dst := Coord{0, 0}, Coord{1, 0}
-	if err := m.ReserveLane(1, src, dst, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ReserveLane(2, src, dst, 0.6); err == nil {
-		t.Error("over-subscription should fail")
-	}
-	if err := m.ReserveLane(3, src, dst, 0.95); err == nil {
-		t.Error("fraction > 0.9 should fail")
-	}
-	if err := m.ReserveLane(3, src, dst, 0); err == nil {
-		t.Error("zero fraction should fail")
-	}
-}
-
-func TestReleaseLane(t *testing.T) {
-	m := newMesh(t, 2, 1)
-	src, dst := Coord{0, 0}, Coord{1, 0}
-	if err := m.ReserveLane(1, src, dst, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseLane(1)
-	// Full reservation is available again.
-	if err := m.ReserveLane(2, src, dst, 0.9); err != nil {
-		t.Errorf("reservation after release failed: %v", err)
-	}
-	// Released stream can no longer transfer guaranteed.
-	if _, err := m.Transfer(1, src, dst, 10, Guaranteed); err == nil {
-		t.Error("released stream should have no guaranteed lane")
-	}
-}
-
-func TestLoads(t *testing.T) {
-	m := newMesh(t, 3, 1)
-	// Two transfers cross link (0,0)->(1,0); one crosses (1,0)->(2,0).
-	if _, err := m.Transfer(1, Coord{0, 0}, Coord{1, 0}, 100, BestEffort); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Transfer(1, Coord{0, 0}, Coord{2, 0}, 100, BestEffort); err != nil {
-		t.Fatal(err)
-	}
-	loads := m.Loads()
-	if len(loads) != 2 {
-		t.Fatalf("Loads returned %d links, want 2", len(loads))
-	}
-	if loads[0].Bytes != 200 || loads[0].From != (Coord{0, 0}) {
-		t.Errorf("hottest link = %+v, want (0,0)->(1,0) with 200B", loads[0])
-	}
-	if loads[1].Bytes != 100 {
-		t.Errorf("second link bytes = %g, want 100", loads[1].Bytes)
 	}
 }
 
@@ -255,7 +155,7 @@ func TestMeshMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Transfer(1, Coord{0, 0}, Coord{3, 3}, 100, BestEffort); err != nil {
+	if _, err := m.Transfer(Coord{0, 0}, Coord{3, 3}, 100); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
@@ -311,45 +211,5 @@ func TestPhotonicLinkValidation(t *testing.T) {
 	}
 	if _, err := l.Transfer(-1); err == nil {
 		t.Error("negative size should fail")
-	}
-}
-
-func TestSystemCrossBoardTransfer(t *testing.T) {
-	s, err := NewSystem(2, 4, 4, 10e9, 1.0, 100e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := s.Transfer(1, 0, Coord{0, 0}, 0, Coord{3, 3}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cross, err := s.Transfer(1, 0, Coord{0, 0}, 1, Coord{3, 3}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cross.LatencyPS <= same.LatencyPS {
-		t.Errorf("cross-board %d ps should exceed same-board %d ps", cross.LatencyPS, same.LatencyPS)
-	}
-}
-
-func TestSystemValidation(t *testing.T) {
-	if _, err := NewSystem(0, 2, 2, 1e9, 1, 1e9); err == nil {
-		t.Error("zero boards should fail")
-	}
-	s, err := NewSystem(2, 2, 2, 1e9, 1, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Boards() != 2 {
-		t.Errorf("Boards = %d, want 2", s.Boards())
-	}
-	if _, err := s.Board(5); err == nil {
-		t.Error("out-of-range board should fail")
-	}
-	if _, err := s.Transfer(1, -1, Coord{}, 0, Coord{}, 10); err == nil {
-		t.Error("bad src board should fail")
-	}
-	if _, err := s.Transfer(1, 0, Coord{}, 9, Coord{}, 10); err == nil {
-		t.Error("bad dst board should fail")
 	}
 }

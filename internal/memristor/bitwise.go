@@ -8,7 +8,7 @@ import (
 
 // BitwiseEngine models the dual-mode ReRAM macro of Chen et al. [18]: a
 // memory array that can either serve ordinary reads/writes or compute bulk
-// bitwise AND, OR, and XOR across whole rows inside the array ("sub-14ns
+// bitwise AND across whole rows inside the array ("sub-14ns
 // computing-in-memory"), without moving the operands to a processor.
 //
 // Rows are fixed-width bit vectors packed into uint64 words. In-array
@@ -42,12 +42,6 @@ func NewBitwiseEngine(rows, words int, ledger *energy.Ledger) (*BitwiseEngine, e
 	}
 	return &BitwiseEngine{rows: r, words: words, ledger: ledger}, nil
 }
-
-// Rows returns the number of rows.
-func (e *BitwiseEngine) Rows() int { return len(e.rows) }
-
-// Words returns the row width in 64-bit words.
-func (e *BitwiseEngine) Words() int { return e.words }
 
 func (e *BitwiseEngine) checkRow(idx ...int) error {
 	for _, i := range idx {
@@ -98,26 +92,12 @@ func (e *BitwiseEngine) Load(i int) ([]uint64, error) {
 
 // And computes dst ← a ∧ b in a single in-array pass.
 func (e *BitwiseEngine) And(a, b, dst int) error {
-	return e.compute(a, b, dst, func(x, y uint64) uint64 { return x & y })
-}
-
-// Or computes dst ← a ∨ b in a single in-array pass.
-func (e *BitwiseEngine) Or(a, b, dst int) error {
-	return e.compute(a, b, dst, func(x, y uint64) uint64 { return x | y })
-}
-
-// Xor computes dst ← a ⊕ b in a single in-array pass.
-func (e *BitwiseEngine) Xor(a, b, dst int) error {
-	return e.compute(a, b, dst, func(x, y uint64) uint64 { return x ^ y })
-}
-
-func (e *BitwiseEngine) compute(a, b, dst int, op func(x, y uint64) uint64) error {
 	if err := e.checkRow(a, b, dst); err != nil {
 		return err
 	}
 	ra, rb, rd := e.rows[a], e.rows[b], e.rows[dst]
 	for w := range rd {
-		rd[w] = op(ra[w], rb[w])
+		rd[w] = ra[w] & rb[w]
 	}
 	e.charge("bitwise-compute", int64(e.words))
 	return nil

@@ -165,9 +165,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 { return h.Snapshot().Mean() }
 
-// Min returns the smallest observation, or 0 when empty.
-func (h *Histogram) Min() float64 { return h.Snapshot().Min }
-
 // Max returns the largest observation, or 0 when empty.
 func (h *Histogram) Max() float64 { return h.Snapshot().Max }
 

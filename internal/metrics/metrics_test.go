@@ -79,7 +79,7 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Snapshot().Min != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("empty histogram must report zeros")
 	}
 }
@@ -95,7 +95,7 @@ func TestHistogramStats(t *testing.T) {
 	if got := h.Mean(); got != 4 {
 		t.Errorf("Mean = %g, want 4", got)
 	}
-	if got := h.Min(); got != 1 {
+	if got := h.Snapshot().Min; got != 1 {
 		t.Errorf("Min = %g, want 1", got)
 	}
 	if got := h.Max(); got != 10 {

@@ -13,7 +13,6 @@ import (
 // double-counts.
 func ExampleTracer() {
 	tr := obs.New()
-	tr.Enable()
 
 	root := tr.Root("serve.request")
 	infer := root.Child("dpe.infer")

@@ -89,20 +89,10 @@ func (s Span) Category() string {
 	return s.Name
 }
 
-// Note returns the named annotation and whether it exists.
-func (s Span) Note(key string) (float64, bool) {
-	for _, n := range s.Notes {
-		if n.Key == key {
-			return n.Val, true
-		}
-	}
-	return 0, false
-}
-
 // Tracer collects spans. The zero value and nil are both valid "tracing
 // off" tracers: every method is nil-safe, and Root on a disabled tracer
 // returns the zero Ctx, which turns the whole downstream span tree into
-// no-ops. Construct with New (enabled) and toggle with Enable/Disable.
+// no-ops. Construct with New (enabled); Disable turns recording off.
 //
 // Recording is safe for concurrent use: the parallel worker pool retires
 // spans from many goroutines.
@@ -125,17 +115,6 @@ func New() *Tracer {
 	t.on.Store(true)
 	return t
 }
-
-// SetLimit caps retained completed spans (minimum 1). Call before tracing.
-func (t *Tracer) SetLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.limit = n
-}
-
-// Enable turns recording on.
-func (t *Tracer) Enable() { t.on.Store(true) }
 
 // Disable turns recording off. In-flight spans still retire (their parents
 // are already committed to the tree); new Root calls become no-ops.
@@ -223,18 +202,6 @@ func (t *Tracer) Snapshot() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Span(nil), t.done...)
-}
-
-// Reset discards all completed spans and the drop count. The span records
-// were already recycled at retirement; Reset just releases the done list.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.done = t.done[:0]
-	t.mu.Unlock()
-	t.dropped.Store(0)
 }
 
 // Ctx is a handle on one open span, threaded by value through the stack.

@@ -2,17 +2,13 @@
 // paper grounds both its programming models (Section III.B: routing "could
 // be expressed explicitly as a part of the incoming packet", and
 // self-programmable dataflow "carrying code as a part of the packets") and
-// its security story (Section IV.A: "packets in flight can be encrypted and
-// networking key protection model can be readily applied") in packets, so
-// the packet format carries data, explicit routes, and embedded programs,
-// and marshals to bytes for encryption and wire-cost accounting.
+// its security story (Section IV.A: data "inspected prior and after
+// entering and exiting CIM") in packets, so the packet format carries data,
+// explicit routes, and embedded programs, and prices its wire size for
+// cost accounting.
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Type discriminates what a packet carries.
 type Type uint8
@@ -87,97 +83,6 @@ const headerBytes = 6 + 6 + 4 + 8 + 1 + 2 + 2 + 2 // src+dst+stream+seq+type+3 l
 // payload value, embedded code, and 6 bytes per explicit hop.
 func (p *Packet) SizeBytes() int {
 	return headerBytes + 8*len(p.Payload) + len(p.Code) + 6*len(p.Route)
-}
-
-// Marshal encodes the packet into a self-describing byte string.
-func (p *Packet) Marshal() ([]byte, error) {
-	if len(p.Payload) > math.MaxUint16 {
-		return nil, fmt.Errorf("packet: payload too large (%d values)", len(p.Payload))
-	}
-	if len(p.Code) > math.MaxUint16 {
-		return nil, fmt.Errorf("packet: code too large (%d bytes)", len(p.Code))
-	}
-	if len(p.Route) > math.MaxUint16 {
-		return nil, fmt.Errorf("packet: route too long (%d hops)", len(p.Route))
-	}
-	buf := make([]byte, 0, p.SizeBytes())
-	buf = appendAddress(buf, p.Src)
-	buf = appendAddress(buf, p.Dst)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Stream))
-	buf = binary.BigEndian.AppendUint64(buf, p.Seq)
-	buf = append(buf, byte(p.Type))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Payload)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Code)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Route)))
-	for _, v := range p.Payload {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = append(buf, p.Code...)
-	for _, hop := range p.Route {
-		buf = appendAddress(buf, hop)
-	}
-	return buf, nil
-}
-
-func appendAddress(buf []byte, a Address) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, a.Board)
-	buf = binary.BigEndian.AppendUint16(buf, a.Tile)
-	buf = binary.BigEndian.AppendUint16(buf, a.Unit)
-	return buf
-}
-
-// Unmarshal decodes a packet previously encoded with Marshal.
-func Unmarshal(data []byte) (*Packet, error) {
-	if len(data) < headerBytes {
-		return nil, fmt.Errorf("packet: truncated header (%d bytes)", len(data))
-	}
-	var p Packet
-	off := 0
-	readAddr := func() Address {
-		a := Address{
-			Board: binary.BigEndian.Uint16(data[off:]),
-			Tile:  binary.BigEndian.Uint16(data[off+2:]),
-			Unit:  binary.BigEndian.Uint16(data[off+4:]),
-		}
-		off += 6
-		return a
-	}
-	p.Src = readAddr()
-	p.Dst = readAddr()
-	p.Stream = StreamID(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	p.Seq = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	p.Type = Type(data[off])
-	off++
-	nPayload := int(binary.BigEndian.Uint16(data[off:]))
-	nCode := int(binary.BigEndian.Uint16(data[off+2:]))
-	nRoute := int(binary.BigEndian.Uint16(data[off+4:]))
-	off += 6
-
-	need := off + 8*nPayload + nCode + 6*nRoute
-	if len(data) != need {
-		return nil, fmt.Errorf("packet: length %d != expected %d", len(data), need)
-	}
-	if nPayload > 0 {
-		p.Payload = make([]float64, nPayload)
-		for i := range p.Payload {
-			p.Payload[i] = math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
-			off += 8
-		}
-	}
-	if nCode > 0 {
-		p.Code = make([]byte, nCode)
-		copy(p.Code, data[off:off+nCode])
-		off += nCode
-	}
-	if nRoute > 0 {
-		p.Route = make([]Address, nRoute)
-		for i := range p.Route {
-			p.Route[i] = readAddr()
-		}
-	}
-	return &p, nil
 }
 
 // Clone returns a deep copy so that redirected or replayed packets (fault

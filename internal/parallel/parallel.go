@@ -221,14 +221,6 @@ func ForErr(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Map runs fn(i) for every i in [0, n) across the pool and returns the
-// results in index order.
-func Map[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
 // MapErr runs fn(i) for every i in [0, n) across the pool, collecting
 // results in index order. On error it returns nil and the lowest-index
 // error (see ForErr for the determinism argument).

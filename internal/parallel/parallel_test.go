@@ -86,19 +86,6 @@ func TestForZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestMapOrdering(t *testing.T) {
-	resetWidth(t)
-	for _, w := range []int{1, 4, 16} {
-		SetWidth(w)
-		got := Map(257, func(i int) int { return i * i })
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("width %d: Map[%d] = %d, want %d", w, i, v, i*i)
-			}
-		}
-	}
-}
-
 func TestForErrReturnsLowestIndexError(t *testing.T) {
 	resetWidth(t)
 	for _, w := range []int{1, 4, 16} {
@@ -173,7 +160,7 @@ func TestDeterministicFloatReduction(t *testing.T) {
 	// reduced float sum must be bit-identical across widths.
 	sumAt := func(w int) float64 {
 		SetWidth(w)
-		vals := Map(501, func(i int) float64 { return 1.0 / float64(i+3) })
+		vals, _ := MapErr(501, func(i int) (float64, error) { return 1.0 / float64(i+3), nil })
 		s := 0.0
 		for _, v := range vals {
 			s += v

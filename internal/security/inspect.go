@@ -1,3 +1,10 @@
+// Package security implements Section IV.A of the paper, which elevates
+// security to a first-class requirement of the CIM architecture:
+//
+//   - "Data can be inspected prior and after entering and exiting CIM":
+//     an Inspector enforcing ingress/egress policy.
+//   - "Paths can be better secured by partitioning": an Isolator denying
+//     cross-partition traffic.
 package security
 
 import (
@@ -58,22 +65,17 @@ func (ins *Inspector) Inspect(p *packet.Packet) error {
 	return nil
 }
 
-// Isolator partitions units and denies cross-partition traffic unless a
-// flow is explicitly allowed — the "dynamic hardware isolation" of Section
-// IV.B. Safe for concurrent use.
+// Isolator partitions units and denies cross-partition traffic — the
+// "dynamic hardware isolation" of Section IV.B. Safe for concurrent use.
 type Isolator struct {
 	mu          sync.Mutex
 	partitionOf map[packet.Address]int
-	allowed     map[[2]int]bool
 }
 
 // NewIsolator returns an empty isolator; unassigned units belong to
 // partition 0.
 func NewIsolator() *Isolator {
-	return &Isolator{
-		partitionOf: make(map[packet.Address]int),
-		allowed:     make(map[[2]int]bool),
-	}
+	return &Isolator{partitionOf: make(map[packet.Address]int)}
 }
 
 // Assign places a unit in a partition.
@@ -83,37 +85,12 @@ func (iso *Isolator) Assign(addr packet.Address, part int) {
 	iso.partitionOf[addr] = part
 }
 
-// PartitionOf returns the unit's partition (0 if unassigned).
-func (iso *Isolator) PartitionOf(addr packet.Address) int {
-	iso.mu.Lock()
-	defer iso.mu.Unlock()
-	return iso.partitionOf[addr]
-}
-
-// Allow permits directed traffic from partition a to partition b.
-func (iso *Isolator) Allow(a, b int) {
-	iso.mu.Lock()
-	defer iso.mu.Unlock()
-	iso.allowed[[2]int{a, b}] = true
-}
-
-// Revoke removes a previously allowed flow.
-func (iso *Isolator) Revoke(a, b int) {
-	iso.mu.Lock()
-	defer iso.mu.Unlock()
-	delete(iso.allowed, [2]int{a, b})
-}
-
-// Check returns nil if src may send to dst: same partition, or an allowed
-// directed flow.
+// Check returns nil if src and dst share a partition.
 func (iso *Isolator) Check(src, dst packet.Address) error {
 	iso.mu.Lock()
 	defer iso.mu.Unlock()
 	a, b := iso.partitionOf[src], iso.partitionOf[dst]
 	if a == b {
-		return nil
-	}
-	if iso.allowed[[2]int{a, b}] {
 		return nil
 	}
 	return fmt.Errorf("security: partition %d may not send to partition %d (%v -> %v)", a, b, src, dst)

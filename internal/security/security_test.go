@@ -18,121 +18,6 @@ func samplePacket() *packet.Packet {
 	}
 }
 
-func TestKeyRingLifecycle(t *testing.T) {
-	kr := NewKeyRing()
-	if _, err := kr.Key(1); err == nil {
-		t.Error("missing key lookup succeeded")
-	}
-	k1, err := kr.Generate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(k1) != 32 {
-		t.Errorf("key length = %d, want 32", len(k1))
-	}
-	got, err := kr.Key(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(k1) {
-		t.Error("Key returned different bytes")
-	}
-	// Rekeying replaces.
-	k2, err := kr.Generate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(k1) == string(k2) {
-		t.Error("rekey produced identical key")
-	}
-	kr.Revoke(1)
-	if _, err := kr.Key(1); err == nil {
-		t.Error("revoked key still available")
-	}
-}
-
-func TestSealOpenRoundTrip(t *testing.T) {
-	kr := NewKeyRing()
-	key, err := kr.Generate(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := samplePacket()
-	ct, cost, err := Seal(p, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost.EnergyPJ <= 0 {
-		t.Error("no crypto cost charged")
-	}
-	got, _, err := Open(ct, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stream != p.Stream || len(got.Payload) != 3 || got.Payload[2] != 3 {
-		t.Errorf("decrypted packet mismatch: %+v", got)
-	}
-}
-
-func TestOpenRejectsTampering(t *testing.T) {
-	kr := NewKeyRing()
-	key, err := kr.Generate(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, _, err := Seal(samplePacket(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct[len(ct)-1] ^= 0x01
-	if _, _, err := Open(ct, key); err == nil {
-		t.Error("tampered ciphertext accepted")
-	}
-}
-
-func TestOpenRejectsWrongKey(t *testing.T) {
-	kr := NewKeyRing()
-	k1, err := kr.Generate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := kr.Generate(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, _, err := Seal(samplePacket(), k1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(ct, k2); err == nil {
-		t.Error("wrong key accepted")
-	}
-}
-
-func TestSealKeyValidation(t *testing.T) {
-	if _, _, err := Seal(samplePacket(), []byte("short")); err == nil {
-		t.Error("short key accepted")
-	}
-	if _, _, err := Open([]byte{1, 2}, make([]byte, 32)); err == nil {
-		t.Error("short ciphertext accepted")
-	}
-}
-
-func TestSealNonceUnique(t *testing.T) {
-	key := make([]byte, 32)
-	ct1, _, err := Seal(samplePacket(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct2, _, err := Seal(samplePacket(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ct1) == string(ct2) {
-		t.Error("two seals produced identical ciphertext (nonce reuse)")
-	}
-}
-
 func TestInspectorTypePolicy(t *testing.T) {
 	ins := NewInspector(Policy{AllowedTypes: []packet.Type{packet.TypeData}})
 	if err := ins.Inspect(samplePacket()); err != nil {
@@ -190,20 +75,8 @@ func TestIsolator(t *testing.T) {
 	if err := iso.Check(a, c); err == nil {
 		t.Error("cross-partition traffic accepted")
 	}
-	iso.Allow(1, 2)
-	if err := iso.Check(a, c); err != nil {
-		t.Errorf("allowed flow rejected: %v", err)
-	}
-	// Directed: reverse still denied.
 	if err := iso.Check(c, a); err == nil {
-		t.Error("reverse flow accepted")
-	}
-	iso.Revoke(1, 2)
-	if err := iso.Check(a, c); err == nil {
-		t.Error("revoked flow accepted")
-	}
-	if got := iso.PartitionOf(c); got != 2 {
-		t.Errorf("PartitionOf = %d, want 2", got)
+		t.Error("reverse cross-partition traffic accepted")
 	}
 	// Unassigned units share partition 0.
 	d, e := packet.Address{Tile: 8}, packet.Address{Tile: 9}
@@ -212,118 +85,9 @@ func TestIsolator(t *testing.T) {
 	}
 }
 
-func TestCapabilityMintVerifyAuthorize(t *testing.T) {
-	auth, err := NewAuthority()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap1, err := auth.Mint(0, 2, 5, RightRead|RightWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := auth.Verify(cap1); err != nil {
-		t.Errorf("freshly minted capability invalid: %v", err)
-	}
-	in := packet.Address{Board: 0, Tile: 3}
-	if err := auth.Authorize(cap1, in, RightRead); err != nil {
-		t.Errorf("covered read rejected: %v", err)
-	}
-	if err := auth.Authorize(cap1, in, RightConfigure); err == nil {
-		t.Error("ungranted right accepted")
-	}
-	out := packet.Address{Board: 0, Tile: 9}
-	if err := auth.Authorize(cap1, out, RightRead); err == nil {
-		t.Error("out-of-range address accepted")
-	}
-	wrongBoard := packet.Address{Board: 1, Tile: 3}
-	if err := auth.Authorize(cap1, wrongBoard, RightRead); err == nil {
-		t.Error("wrong board accepted")
-	}
-}
-
-func TestCapabilityForgeryDetected(t *testing.T) {
-	auth, err := NewAuthority()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap1, err := auth.Mint(0, 0, 1, RightRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := cap1
-	forged.Rights = RightRead | RightConfigure // amplification attempt
-	if err := auth.Verify(forged); err == nil {
-		t.Error("forged rights accepted")
-	}
-	forged2 := cap1
-	forged2.TileHi = 100
-	if err := auth.Verify(forged2); err == nil {
-		t.Error("forged range accepted")
-	}
-	// A different authority's capabilities do not verify.
-	other, err := NewAuthority()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Verify(cap1); err == nil {
-		t.Error("foreign capability accepted")
-	}
-}
-
-func TestCapabilityDeriveAttenuation(t *testing.T) {
-	auth, err := NewAuthority()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent, err := auth.Mint(0, 0, 10, RightRead|RightWrite|RightExecute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, err := auth.Derive(parent, 2, 4, RightRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := auth.Authorize(child, packet.Address{Tile: 3}, RightRead); err != nil {
-		t.Errorf("derived capability rejected: %v", err)
-	}
-	// Amplification is impossible.
-	if _, err := auth.Derive(parent, 0, 10, RightConfigure); err == nil {
-		t.Error("rights amplification accepted")
-	}
-	if _, err := auth.Derive(parent, 0, 11, RightRead); err == nil {
-		t.Error("range widening accepted")
-	}
-	forged := parent
-	forged.MAC = nil
-	if _, err := auth.Derive(forged, 0, 1, RightRead); err == nil {
-		t.Error("derive from unsealed parent accepted")
-	}
-}
-
-func TestCapabilityMintValidation(t *testing.T) {
-	auth, err := NewAuthority()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := auth.Mint(0, 5, 2, RightRead); err == nil {
-		t.Error("inverted range accepted")
-	}
-	if _, err := auth.Mint(0, 0, 1, 0); err == nil {
-		t.Error("rightless capability accepted")
-	}
-}
-
-func TestCryptoCostScales(t *testing.T) {
-	small := CryptoCost(100)
-	big := CryptoCost(10_000)
-	if big.EnergyPJ <= small.EnergyPJ || big.LatencyPS <= small.LatencyPS {
-		t.Error("crypto cost must scale with size")
-	}
-}
-
 func TestErrorsMentionSecurity(t *testing.T) {
 	// Error strings should carry the package prefix for log triage.
-	_, _, err := Seal(samplePacket(), nil)
+	err := NewInspector(Policy{}).Inspect(nil)
 	if err == nil || !strings.Contains(err.Error(), "security:") {
 		t.Errorf("error %v lacks package prefix", err)
 	}

@@ -10,23 +10,20 @@
 //     deterministic jitter (a counter-based noise stream, so tests replay
 //     bit-identically). Each retry re-runs Load on a fresh program epoch,
 //     which re-rolls transient write failures.
-//   - After a successful swap, the new live engine is probed against a
-//     labeled holdout set. If probe accuracy falls below MinAccuracy the
-//     breaker trips: the degraded weights stay live (they were already
-//     swapped and the old weights are now mid-overwrite on the standby),
-//     but every subsequent batch sheds with a typed ErrUnhealthy instead
-//     of silently serving bad answers.
+//   - When every attempt fails, the breaker trips: the live engine keeps
+//     its previous weights, but every subsequent batch sheds with a typed
+//     ErrUnhealthy instead of silently serving from an engine the fault
+//     model could not reprogram.
 //   - While tripped, InferBatch fails fast. A subsequent successful
-//     Reprogram (healthy swap + passing probe) closes the breaker; Reset
-//     forces it closed for operators who accept the degradation.
+//     Reprogram closes the breaker.
 //
 // The Server's flush loop recognizes ErrUnhealthy and sheds whole batches
 // without the per-request fallback — retrying one request at a time
 // against a tripped breaker is pure waste.
 //
 // The Breaker shares the pipeline-wide serve.Config: NewBreaker takes the
-// same functional options as New, consuming the retry/backoff/probe fields
-// (WithRetry, WithProbe, WithSeed) plus the shared Registry and Tracer.
+// same functional options as New, consuming the retry/backoff fields
+// (WithRetry, WithSeed) plus the shared Registry and Tracer.
 package serve
 
 import (
@@ -48,37 +45,18 @@ import (
 // with errors.Is; the Server's flusher sheds whole batches on it.
 var ErrUnhealthy = errors.New("serve: backend unhealthy")
 
-// UnhealthyError carries the probe evidence behind a breaker trip. It
-// unwraps to ErrUnhealthy so errors.Is(err, ErrUnhealthy) matches.
-type UnhealthyError struct {
-	// Accuracy is the measured probe accuracy that tripped the breaker.
-	Accuracy float64
-	// MinAccuracy is the configured floor it fell below.
-	MinAccuracy float64
-}
-
-func (e *UnhealthyError) Error() string {
-	return fmt.Sprintf("serve: probe accuracy %.4f below floor %.4f: %v",
-		e.Accuracy, e.MinAccuracy, ErrUnhealthy)
-}
-
-// Unwrap makes errors.Is(err, ErrUnhealthy) true.
-func (e *UnhealthyError) Unwrap() error { return ErrUnhealthy }
-
 // breakerMetrics holds the breaker's interned metric handles.
 type breakerMetrics struct {
-	shed     *metrics.Counter
-	trips    *metrics.Counter
-	retries  *metrics.Counter
-	probeAcc *metrics.Gauge
+	shed    *metrics.Counter
+	trips   *metrics.Counter
+	retries *metrics.Counter
 }
 
 func newBreakerMetrics(reg *metrics.Registry) breakerMetrics {
 	return breakerMetrics{
-		shed:     reg.Counter("serve.breaker_shed"),
-		trips:    reg.Counter("serve.breaker_trips"),
-		retries:  reg.Counter("serve.reprogram_retries"),
-		probeAcc: reg.Gauge("serve.probe_accuracy"),
+		shed:    reg.Counter("serve.breaker_shed"),
+		trips:   reg.Counter("serve.breaker_trips"),
+		retries: reg.Counter("serve.reprogram_retries"),
 	}
 }
 
@@ -99,7 +77,7 @@ type Breaker struct {
 }
 
 // NewBreaker wraps pair with health gating, configured by Default()
-// refined with opts (the breaker consumes the retry/backoff/probe fields;
+// refined with opts (the breaker consumes the retry/backoff fields;
 // batcher fields are ignored here and validated by New).
 func NewBreaker(pair *ShadowPair, opts ...Option) (*Breaker, error) {
 	if pair == nil {
@@ -123,15 +101,8 @@ func NewBreaker(pair *ShadowPair, opts ...Option) (*Breaker, error) {
 	}, nil
 }
 
-// Pair returns the underlying shadow pair (statistics only).
-func (b *Breaker) Pair() *ShadowPair { return b.pair }
-
 // Tripped reports whether the breaker is open (shedding).
 func (b *Breaker) Tripped() bool { return b.tripped.Load() }
-
-// Reset forces the breaker closed without a probe: the operator accepts
-// whatever weights are live.
-func (b *Breaker) Reset() { b.tripped.Store(false) }
 
 // InferBatch serves the batch from the live engine, or sheds the whole
 // batch with ErrUnhealthy while the breaker is open.
@@ -161,15 +132,11 @@ func (b *Breaker) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float
 	return b.pair.InferBatchKeyedCtx(pc, seqs, inputs)
 }
 
-// Reprogram pushes net through the shadow pair with retry, backoff, and a
-// post-swap accuracy probe. On success the breaker (re)closes. Failure
-// modes:
-//
-//   - Every attempt failed (standby unhealthy after repair, or a hard
-//     Load error): the breaker trips and the last error is returned; the
-//     live engine keeps serving the previous weights.
-//   - The swap happened but the probe came in under MinAccuracy: the
-//     breaker trips and an *UnhealthyError with the evidence is returned.
+// Reprogram pushes net through the shadow pair with retry and backoff. On
+// success the breaker (re)closes. If every attempt fails (standby
+// unhealthy after repair, or a hard Load error) the breaker trips and the
+// last error is returned; the live engine keeps serving the previous
+// weights.
 //
 // The hidden cost accumulates across every attempt — failed programming
 // passes burn real energy, and the ledger shows it.
@@ -178,7 +145,7 @@ func (b *Breaker) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float
 // span annotated with the attempt count, wrapping the per-attempt
 // "serve.shadow_swap" spans (and their dpe.load / tile.program children).
 // The span's cost is the visible cost — the hidden cost lives on the
-// children and in HiddenCost().
+// children.
 func (b *Breaker) Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error) {
 	sp := b.tracer.Root("serve.reprogram")
 	attempts := 0
@@ -215,19 +182,6 @@ func (b *Breaker) reprogram(sp obs.Ctx, net *nn.Network, attemptsOut *int) (visi
 		b.trip()
 		return energy.Zero, hidden, fmt.Errorf("serve: reprogram failed after %d attempts: %w", attempts, err)
 	}
-
-	if len(b.cfg.ProbeInputs) > 0 {
-		acc, perr := b.probe(sp)
-		if perr != nil {
-			b.trip()
-			return energy.Zero, hidden, fmt.Errorf("serve: post-swap probe: %w", perr)
-		}
-		b.met.probeAcc.Set(acc)
-		if acc < b.cfg.MinAccuracy {
-			b.trip()
-			return energy.Zero, hidden, &UnhealthyError{Accuracy: acc, MinAccuracy: b.cfg.MinAccuracy}
-		}
-	}
 	b.tripped.Store(false)
 	return visible, hidden, nil
 }
@@ -255,34 +209,4 @@ func (b *Breaker) backoff(k int) time.Duration {
 	}
 	f := 0.5 + 0.5*b.jitter.Float64(b.draws.Add(1))
 	return time.Duration(float64(d) * f)
-}
-
-// probe runs the holdout set through the live engine (bypassing the
-// tripped check — the probe is how the breaker decides) and returns
-// argmax accuracy.
-func (b *Breaker) probe(pc obs.Ctx) (float64, error) {
-	sp := pc.Child("serve.probe")
-	outs, cost, err := b.pair.InferBatchCtx(sp, b.cfg.ProbeInputs)
-	sp.End(cost)
-	if err != nil {
-		return 0, err
-	}
-	correct := 0
-	for i, out := range outs {
-		if argmax(out) == b.cfg.ProbeLabels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(outs)), nil
-}
-
-// argmax returns the index of the largest element (first on ties).
-func argmax(v []float64) int {
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }

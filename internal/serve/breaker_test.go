@@ -46,9 +46,6 @@ func TestBreakerConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Option{
-		WithProbe(-0.1, nil, nil),
-		WithProbe(1.5, nil, nil),
-		WithProbe(0.5, make([][]float64, 3), make([]int, 2)),
 		WithRetry(-1, 0, 0),
 		WithRetry(0, -time.Second, 0),
 		WithRetry(0, time.Second, time.Millisecond),
@@ -85,7 +82,7 @@ func TestShadowRepairBeforeSwap(t *testing.T) {
 	if pair.Swaps() != 1 {
 		t.Fatalf("swaps = %d, want 1", pair.Swaps())
 	}
-	if h := pair.Live().HealthCheck(); !h.Healthy() {
+	if h := pair.live.Load().eng.HealthCheck(); !h.Healthy() {
 		t.Fatalf("swapped-in engine unhealthy: %s", h)
 	}
 
@@ -202,74 +199,6 @@ func TestBreakerTripsOnSpareExhaustion(t *testing.T) {
 	if got := reg.Counter("serve.breaker_shed").Value(); got != 4 {
 		t.Fatalf("shed = %d, want 4", got)
 	}
-
-	// Reset closes it; the live engine (old weights, degraded but loaded)
-	// serves again.
-	br.Reset()
-	if _, _, err := br.InferBatch(inputs); err != nil {
-		t.Fatalf("reset breaker still shedding: %v", err)
-	}
-}
-
-// TestBreakerProbeTrip pins accuracy gating: a swap that lands but probes
-// below MinAccuracy trips the breaker with a typed UnhealthyError carrying
-// the evidence, while a passing probe keeps it closed.
-func TestBreakerProbeTrip(t *testing.T) {
-	netA, netB := twoNets(t, 32, 24, 10)
-	probe := testInputs(16, 32, 31)
-
-	// Impossible labels: argmax never returns -1, so accuracy probes 0.
-	badLabels := make([]int, len(probe))
-	for i := range badLabels {
-		badLabels[i] = -1
-	}
-	pair, _, err := NewShadowPair(testEngineConfig(), netA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err := NewBreaker(pair, WithProbe(0.5, probe, badLabels))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = br.Reprogram(netB)
-	var ue *UnhealthyError
-	if !errors.As(err, &ue) {
-		t.Fatalf("want *UnhealthyError, got %v", err)
-	}
-	if !errors.Is(err, ErrUnhealthy) {
-		t.Fatal("UnhealthyError does not unwrap to ErrUnhealthy")
-	}
-	if ue.Accuracy != 0 || ue.MinAccuracy != 0.5 {
-		t.Fatalf("evidence %+v", ue)
-	}
-	if !br.Tripped() {
-		t.Fatal("failed probe did not trip the breaker")
-	}
-
-	// Labels matching the fault-free reference: probe accuracy 1.0, the
-	// breaker stays closed, and the gauge records it.
-	goodLabels := make([]int, len(probe))
-	for i, out := range faultFreeOutputs(t, netB, probe) {
-		goodLabels[i] = argmax(out)
-	}
-	pair2, _, err := NewShadowPair(testEngineConfig(), netA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	br2, err := NewBreaker(pair2, WithProbe(0.5, probe, goodLabels), WithRegistry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := br2.Reprogram(netB); err != nil {
-		t.Fatalf("healthy reprogram tripped: %v", err)
-	}
-	if br2.Tripped() {
-		t.Fatal("breaker open after passing probe")
-	}
-	if acc := reg.Gauge("serve.probe_accuracy").Value(); acc != 1.0 {
-		t.Fatalf("probe accuracy gauge %g, want 1.0", acc)
-	}
 }
 
 // TestServerShedsUnhealthyBatches pins the flusher integration: batches
@@ -277,17 +206,14 @@ func TestBreakerProbeTrip(t *testing.T) {
 // fallback hammering — and the shed count lands in serve.unhealthy.
 func TestServerShedsUnhealthyBatches(t *testing.T) {
 	netA, netB := twoNets(t, 32, 24, 10)
-	probe := testInputs(8, 32, 31)
-	badLabels := make([]int, len(probe))
-	for i := range badLabels {
-		badLabels[i] = -1
-	}
-	pair, _, err := NewShadowPair(testEngineConfig(), netA)
+	// Stuck cells past a zero spare budget: the reprogram cannot land.
+	cfg := faultyEngineConfig(faultinject.Model{StuckLowRate: 0.05, StuckHighRate: 0.05, Seed: 11}, 0)
+	pair, _, err := NewShadowPair(cfg, netA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	br, err := NewBreaker(pair, WithProbe(0.5, probe, badLabels), WithRegistry(reg))
+	br, err := NewBreaker(pair, WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +296,6 @@ func TestBreakerConcurrentAccess(t *testing.T) {
 				return
 			}
 			_ = br.Tripped()
-			br.Reset()
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)

@@ -1,13 +1,8 @@
 // Serving configuration: one validated Config for the whole pipeline
-// (batcher, pending list, breaker retry/backoff, health probe, telemetry),
-// built from Default() plus functional options.
-//
-// Before this redesign the batcher and the circuit breaker each took their
-// own config struct (Config and BreakerConfig) with overlapping plumbing
-// fields (Registry, Seed), and callers had to keep the two consistent by
-// hand. Now a single Config feeds both New (the Server) and NewBreaker;
-// each constructor validates the fields it consumes, and shared plumbing
-// (Registry, Tracer) is set once:
+// (batcher, pending list, breaker retry/backoff, telemetry), built from
+// Default() plus functional options. A single Config feeds both New (the
+// Server) and NewBreaker; each constructor validates the fields it
+// consumes, and shared plumbing (Registry, Tracer) is set once:
 //
 //	srv, err := serve.New(backend,
 //	    serve.WithBatch(64, 2*time.Millisecond),
@@ -17,11 +12,10 @@
 //	)
 //	brk, err := serve.NewBreaker(pair,
 //	    serve.WithRetry(3, time.Millisecond, 50*time.Millisecond),
-//	    serve.WithProbe(0.9, probeIns, probeLabels),
 //	    serve.WithRegistry(reg),
 //	)
 //
-// Zero options means Default(): the exact pre-redesign defaults.
+// Zero options means Default().
 package serve
 
 import (
@@ -33,8 +27,7 @@ import (
 )
 
 // Config configures the serving pipeline. Construct with Default() (or
-// zero options to New/NewBreaker) and refine with functional options; a
-// hand-built Config can be installed wholesale with WithConfig.
+// zero options to New/NewBreaker) and refine with functional options.
 type Config struct {
 	// --- Micro-batcher (Server) ---
 
@@ -52,15 +45,6 @@ type Config struct {
 
 	// --- Circuit breaker (Breaker) ---
 
-	// MinAccuracy is the probe-accuracy floor in [0, 1]. A post-swap probe
-	// below it trips the breaker. With no probe set, accuracy gating is
-	// skipped and only reprogram failures can trip.
-	MinAccuracy float64
-	// ProbeInputs / ProbeLabels are the labeled holdout set probed after
-	// every swap. Labels are argmax class indices. Both may be empty
-	// (disables probing); lengths must match.
-	ProbeInputs [][]float64
-	ProbeLabels []int
 	// MaxRetries bounds how many times a failed Reprogram is retried
 	// (total attempts = MaxRetries + 1). Zero disables retries.
 	MaxRetries int
@@ -86,9 +70,7 @@ type Config struct {
 }
 
 // Default returns the serving configuration the benchmarks use: batches
-// up to 64, a 2ms MaxDelay, a 4096-deep pending list, no retries,
-// and no probe — identical to the pre-redesign DefaultConfig() +
-// zero-valued BreakerConfig behavior.
+// up to 64, a 2ms MaxDelay, a 4096-deep pending list and no retries.
 func Default() Config {
 	return Config{MaxBatch: 64, MaxDelay: 2 * time.Millisecond, QueueBound: 4096}
 }
@@ -113,11 +95,6 @@ func (c Config) Validate() error {
 // it directly so a Breaker-only caller need not fill batcher fields.
 func (c Config) validateBreaker() error {
 	switch {
-	case c.MinAccuracy < 0 || c.MinAccuracy > 1:
-		return fmt.Errorf("serve: MinAccuracy must be in [0, 1], got %g", c.MinAccuracy)
-	case len(c.ProbeInputs) != len(c.ProbeLabels):
-		return fmt.Errorf("serve: probe set mismatch: %d inputs, %d labels",
-			len(c.ProbeInputs), len(c.ProbeLabels))
 	case c.MaxRetries < 0:
 		return fmt.Errorf("serve: MaxRetries must be >= 0, got %d", c.MaxRetries)
 	case c.BaseBackoff < 0 || c.MaxBackoff < 0:
@@ -131,10 +108,6 @@ func (c Config) validateBreaker() error {
 // Option mutates a Config during construction.
 type Option func(*Config)
 
-// WithConfig replaces the whole configuration (applied before any other
-// option in the same call takes effect, in argument order).
-func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
-
 // WithBatch sets the batch cap and MaxDelay (validated, not read).
 func WithBatch(maxBatch int, maxDelay time.Duration) Option {
 	return func(c *Config) { c.MaxBatch, c.MaxDelay = maxBatch, maxDelay }
@@ -146,11 +119,6 @@ func WithQueueBound(n int) Option { return func(c *Config) { c.QueueBound = n } 
 // WithRetry sets the breaker's reprogram retry budget and backoff window.
 func WithRetry(maxRetries int, base, max time.Duration) Option {
 	return func(c *Config) { c.MaxRetries, c.BaseBackoff, c.MaxBackoff = maxRetries, base, max }
-}
-
-// WithProbe installs the post-swap holdout probe and its accuracy floor.
-func WithProbe(minAccuracy float64, inputs [][]float64, labels []int) Option {
-	return func(c *Config) { c.MinAccuracy, c.ProbeInputs, c.ProbeLabels = minAccuracy, inputs, labels }
 }
 
 // WithSeed keys the deterministic retry-jitter stream.

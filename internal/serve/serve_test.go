@@ -79,7 +79,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	net := testMLP(t, 16, 8)
 	eng := loadedEngine(t, net)
-	if _, err := New(eng, WithConfig(Config{MaxBatch: 0, MaxDelay: time.Millisecond, QueueBound: 1})); err == nil {
+	if _, err := New(eng, WithBatch(0, time.Millisecond)); err == nil {
 		t.Error("invalid config accepted by New")
 	}
 }

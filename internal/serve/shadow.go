@@ -13,7 +13,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -49,11 +48,6 @@ type ShadowPair struct {
 	standby     *guardedEngine
 
 	swaps atomic.Int64
-	// hiddenPS / hiddenPJ accumulate the full (off-critical-path) cost of
-	// every shadow reprogram, so the hidden work stays visible to the
-	// energy ledger even though no request ever waits for it.
-	hiddenPS atomic.Int64
-	hiddenPJ atomic.Uint64 // float64 bits, CAS-added
 }
 
 // NewShadowPair builds the pair and programs net into the live engine,
@@ -77,22 +71,8 @@ func NewShadowPair(cfg dpe.Config, net *nn.Network) (*ShadowPair, energy.Cost, e
 	return p, cost, nil
 }
 
-// Live returns the engine currently on the serving path. Useful for
-// statistics; do not program it.
-func (p *ShadowPair) Live() *dpe.Engine { return p.live.Load().eng }
-
 // Swaps returns how many reprogram-and-swap cycles have completed.
 func (p *ShadowPair) Swaps() int64 { return p.swaps.Load() }
-
-// HiddenCost returns the accumulated full cost of all shadow reprograms:
-// the write latency and energy that were paid off the critical path. The
-// energy ledger needs this; no request ever waited for it.
-func (p *ShadowPair) HiddenCost() energy.Cost {
-	return energy.Cost{
-		LatencyPS: p.hiddenPS.Load(),
-		EnergyPJ:  loadFloat(&p.hiddenPJ),
-	}
-}
 
 // InferBatch serves the batch from the live engine. It takes the engine's
 // read gate for the duration, so a subsequent swap cannot reprogram this
@@ -137,7 +117,7 @@ func (p *ShadowPair) Wear() int64 {
 // Health scans the engine currently on the serving path, holding its read
 // gate so the scan cannot race a reprogram of a just-retired standby. This
 // is the safe form for liveness endpoints (cimserve -listen /healthz):
-// Live().HealthCheck() without the gate could observe a tile mid-program.
+// a scan without the gate could observe a tile mid-program.
 func (p *ShadowPair) Health() dpe.Health {
 	g := p.live.Load()
 	g.mu.RLock()
@@ -159,12 +139,12 @@ func (p *ShadowPair) Health() dpe.Health {
 //
 // When device-fault injection is active (dpe.Config.Faults), Reprogram is
 // health-aware: if program-and-verify left the standby with lost columns,
-// it runs one Repair pass in place — still off the critical path, still
-// charged to the hidden ledger — before swapping. A standby that remains
-// unhealthy after repair is NEVER swapped in: Reprogram returns an error
-// wrapping ErrUnhealthy, the live engine keeps serving the old weights,
-// and the hidden cost of the failed attempt stays on the books (the energy
-// was spent even though no swap happened).
+// it runs one Repair pass in place — still off the critical path, its
+// cost part of the returned hidden cost — before swapping. A standby that
+// remains unhealthy after repair is NEVER swapped in: Reprogram returns an
+// error wrapping ErrUnhealthy, the live engine keeps serving the old
+// weights, and the failed attempt's cost is still returned as hidden (the
+// energy was spent even though no swap happened).
 func (p *ShadowPair) Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error) {
 	return p.ReprogramCtx(obs.Ctx{}, net)
 }
@@ -211,8 +191,6 @@ func (p *ShadowPair) reprogram(sp obs.Ctx, net *nn.Network) (visible, hidden ene
 		}
 		if rerr != nil {
 			sb.mu.Unlock()
-			p.hiddenPS.Add(cost.LatencyPS)
-			addFloat(&p.hiddenPJ, cost.EnergyPJ)
 			return energy.Zero, cost, rerr
 		}
 	}
@@ -223,22 +201,7 @@ func (p *ShadowPair) reprogram(sp obs.Ctx, net *nn.Network) (visible, hidden ene
 	old := p.live.Swap(sb)
 	p.standby = old
 	p.swaps.Add(1)
-	p.hiddenPS.Add(cost.LatencyPS)
-	addFloat(&p.hiddenPJ, cost.EnergyPJ)
 
 	visible = energy.Cost{LatencyPS: energy.EDRAMAccessLatencyPS, EnergyPJ: cost.EnergyPJ}
 	return visible, cost, nil
 }
-
-// addFloat CAS-adds delta to the float64 stored as bits in cell.
-func addFloat(cell *atomic.Uint64, delta float64) {
-	for {
-		old := cell.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if cell.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func loadFloat(cell *atomic.Uint64) float64 { return math.Float64frombits(cell.Load()) }

@@ -5,19 +5,15 @@
 // from even happening."
 //
 // A Monitor watches unit wear (crossbar write counts against the device
-// endurance model) and predicts remaining lifetime; a Healer closes the
-// loop by proactively failing worn units over to spares *before* they die,
-// using the fault package's redirection machinery.
+// endurance model) and predicts remaining lifetime, so a worn unit can be
+// failed over to a spare (fault.Guard) *before* it dies.
 package service
 
 import (
 	"fmt"
-	"sort"
 
 	"cimrev/internal/cim"
-	"cimrev/internal/fault"
 	"cimrev/internal/memristor"
-	"cimrev/internal/metrics"
 	"cimrev/internal/packet"
 )
 
@@ -42,12 +38,11 @@ type Monitor struct {
 	params memristor.DeviceParams
 	// Threshold is the wear fraction past which a unit is at risk.
 	Threshold float64
-	reg       *metrics.Registry
 }
 
 // NewMonitor wraps a fabric with the given device technology and risk
 // threshold (fraction of endurance, in (0, 1]).
-func NewMonitor(fabric *cim.Fabric, params memristor.DeviceParams, threshold float64, reg *metrics.Registry) (*Monitor, error) {
+func NewMonitor(fabric *cim.Fabric, params memristor.DeviceParams, threshold float64) (*Monitor, error) {
 	if fabric == nil {
 		return nil, fmt.Errorf("service: nil fabric")
 	}
@@ -57,7 +52,7 @@ func NewMonitor(fabric *cim.Fabric, params memristor.DeviceParams, threshold flo
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("service: threshold %g outside (0,1]", threshold)
 	}
-	return &Monitor{fabric: fabric, params: params, Threshold: threshold, reg: reg}, nil
+	return &Monitor{fabric: fabric, params: params, Threshold: threshold}, nil
 }
 
 // Inspect reports one unit's health. Wear is averaged over the unit's
@@ -82,97 +77,4 @@ func (m *Monitor) Inspect(addr packet.Address) (HealthReport, error) {
 	rep.RemainingWrites = remaining
 	rep.AtRisk = rep.WearFraction >= m.Threshold
 	return rep, nil
-}
-
-// Survey inspects every unit, sorted by descending wear.
-func (m *Monitor) Survey() ([]HealthReport, error) {
-	units := m.fabric.Units()
-	out := make([]HealthReport, 0, len(units))
-	for _, u := range units {
-		if u.Failed() {
-			continue
-		}
-		rep, err := m.Inspect(u.Addr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].WearFraction != out[j].WearFraction {
-			return out[i].WearFraction > out[j].WearFraction
-		}
-		return lessAddr(out[i].Addr, out[j].Addr)
-	})
-	if m.reg != nil {
-		m.reg.Gauge("service.atrisk").Set(float64(countAtRisk(out)))
-	}
-	return out, nil
-}
-
-func countAtRisk(reps []HealthReport) int {
-	n := 0
-	for _, r := range reps {
-		if r.AtRisk {
-			n++
-		}
-	}
-	return n
-}
-
-func lessAddr(a, b packet.Address) bool {
-	if a.Tile != b.Tile {
-		return a.Tile < b.Tile
-	}
-	return a.Unit < b.Unit
-}
-
-// Healer closes the self-healing loop: at-risk units are proactively
-// switched out to spares before they fail.
-type Healer struct {
-	monitor *Monitor
-	guard   *fault.Guard
-	reg     *metrics.Registry
-}
-
-// NewHealer combines a monitor with a fault guard whose spares it will
-// consume.
-func NewHealer(monitor *Monitor, guard *fault.Guard, reg *metrics.Registry) (*Healer, error) {
-	if monitor == nil || guard == nil {
-		return nil, fmt.Errorf("service: nil monitor or guard")
-	}
-	return &Healer{monitor: monitor, guard: guard, reg: reg}, nil
-}
-
-// Heal surveys the fabric and retires every at-risk unit that has a
-// registered spare, returning the retired addresses. Units at risk but
-// without spares are left in place (and remain visible in the survey) —
-// that is the signal to dispatch a field engineer, the paper's "from
-// device/management layer to support agents" escalation.
-func (h *Healer) Heal() ([]packet.Address, error) {
-	reports, err := h.monitor.Survey()
-	if err != nil {
-		return nil, err
-	}
-	var retired []packet.Address
-	for _, rep := range reports {
-		if !rep.AtRisk {
-			continue
-		}
-		if _, ok := h.guard.Spare(rep.Addr); !ok {
-			continue
-		}
-		recovered, err := h.guard.Fail(rep.Addr)
-		if err != nil {
-			return retired, fmt.Errorf("service: retire %v: %w", rep.Addr, err)
-		}
-		if !recovered {
-			return retired, fmt.Errorf("service: retire %v: spare vanished", rep.Addr)
-		}
-		retired = append(retired, rep.Addr)
-		if h.reg != nil {
-			h.reg.Counter("service.retired").Inc()
-		}
-	}
-	return retired, nil
 }

@@ -4,10 +4,8 @@ import (
 	"testing"
 
 	"cimrev/internal/cim"
-	"cimrev/internal/fault"
 	"cimrev/internal/isa"
 	"cimrev/internal/memristor"
-	"cimrev/internal/metrics"
 	"cimrev/internal/packet"
 )
 
@@ -57,25 +55,25 @@ func lowEndurance() memristor.DeviceParams {
 
 func TestMonitorValidation(t *testing.T) {
 	fabric, _, _, _ := wornFabric(t, 0)
-	if _, err := NewMonitor(nil, lowEndurance(), 0.5, nil); err == nil {
+	if _, err := NewMonitor(nil, lowEndurance(), 0.5); err == nil {
 		t.Error("nil fabric accepted")
 	}
 	bad := lowEndurance()
 	bad.Levels = 0
-	if _, err := NewMonitor(fabric, bad, 0.5, nil); err == nil {
+	if _, err := NewMonitor(fabric, bad, 0.5); err == nil {
 		t.Error("bad params accepted")
 	}
-	if _, err := NewMonitor(fabric, lowEndurance(), 0, nil); err == nil {
+	if _, err := NewMonitor(fabric, lowEndurance(), 0); err == nil {
 		t.Error("zero threshold accepted")
 	}
-	if _, err := NewMonitor(fabric, lowEndurance(), 1.5, nil); err == nil {
+	if _, err := NewMonitor(fabric, lowEndurance(), 1.5); err == nil {
 		t.Error("threshold > 1 accepted")
 	}
 }
 
 func TestMonitorInspect(t *testing.T) {
 	fabric, worn, fresh, _ := wornFabric(t, 30)
-	mon, err := NewMonitor(fabric, lowEndurance(), 0.8, metrics.NewRegistry())
+	mon, err := NewMonitor(fabric, lowEndurance(), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +114,7 @@ func TestMonitorInspectNonCrossbar(t *testing.T) {
 	if _, err := fabric.AddUnit(a, cim.KindCompute, 1); err != nil {
 		t.Fatal(err)
 	}
-	mon, err := NewMonitor(fabric, lowEndurance(), 0.5, nil)
+	mon, err := NewMonitor(fabric, lowEndurance(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,109 +124,5 @@ func TestMonitorInspectNonCrossbar(t *testing.T) {
 	}
 	if rep.WearFraction != 0 || rep.AtRisk {
 		t.Errorf("digital unit reported wear: %+v", rep)
-	}
-}
-
-func TestSurveySortedByWear(t *testing.T) {
-	fabric, worn, _, _ := wornFabric(t, 30)
-	mon, err := NewMonitor(fabric, lowEndurance(), 0.8, metrics.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps, err := mon.Survey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 3 {
-		t.Fatalf("survey covered %d units, want 3", len(reps))
-	}
-	if reps[0].Addr != worn {
-		t.Errorf("hottest unit = %v, want %v", reps[0].Addr, worn)
-	}
-	for i := 1; i < len(reps); i++ {
-		if reps[i].WearFraction > reps[i-1].WearFraction {
-			t.Error("survey not sorted by wear")
-		}
-	}
-}
-
-func TestHealerRetiresWornUnit(t *testing.T) {
-	fabric, worn, _, spare := wornFabric(t, 30)
-	reg := metrics.NewRegistry()
-	mon, err := NewMonitor(fabric, lowEndurance(), 0.8, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard, err := fault.NewGuard(fabric, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := guard.AddSpare(worn, spare); err != nil {
-		t.Fatal(err)
-	}
-	healer, err := NewHealer(mon, guard, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retired, err := healer.Heal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(retired) != 1 || retired[0] != worn {
-		t.Fatalf("retired %v, want [%v]", retired, worn)
-	}
-	u, err := fabric.Unit(worn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !u.Failed() {
-		t.Error("worn unit still active")
-	}
-	// Second pass: nothing left to retire.
-	retired, err = healer.Heal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(retired) != 0 {
-		t.Errorf("second heal retired %v", retired)
-	}
-	if reg.Snapshot().Counters["service.retired"] != 1 {
-		t.Error("retired counter wrong")
-	}
-}
-
-func TestHealerLeavesAtRiskWithoutSpare(t *testing.T) {
-	fabric, worn, _, _ := wornFabric(t, 30)
-	mon, err := NewMonitor(fabric, lowEndurance(), 0.8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard, err := fault.NewGuard(fabric, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healer, err := NewHealer(mon, guard, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retired, err := healer.Heal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(retired) != 0 {
-		t.Errorf("healed without a spare: %v", retired)
-	}
-	u, err := fabric.Unit(worn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Failed() {
-		t.Error("unit retired despite no spare")
-	}
-}
-
-func TestHealerValidation(t *testing.T) {
-	if _, err := NewHealer(nil, nil, nil); err == nil {
-		t.Error("nil components accepted")
 	}
 }

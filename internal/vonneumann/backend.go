@@ -71,12 +71,6 @@ func NewBackend(mach Machine, hcfg HierarchyConfig, xcfg crossbar.Config, net *n
 	return b, nil
 }
 
-// Config returns the crossbar configuration the twin replicates.
-func (b *Backend) Config() crossbar.Config { return b.xcfg }
-
-// Machine returns the pricing machine model.
-func (b *Backend) Machine() Machine { return b.mach }
-
 // Network returns the currently loaded network.
 func (b *Backend) Network() *nn.Network {
 	b.mu.RLock()

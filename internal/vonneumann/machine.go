@@ -82,15 +82,6 @@ type Kernel struct {
 	Bytes float64
 }
 
-// OperationalIntensity returns FLOPs per byte — the x-axis of a roofline
-// plot and a column of the paper's Table 2.
-func (k Kernel) OperationalIntensity() float64 {
-	if k.Bytes == 0 {
-		return math.Inf(1)
-	}
-	return k.Flops / k.Bytes
-}
-
 // Run returns the cost of executing the kernel on the machine.
 func (m Machine) Run(k Kernel) (energy.Cost, error) {
 	if err := m.Validate(); err != nil {

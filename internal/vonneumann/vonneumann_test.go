@@ -141,17 +141,6 @@ func TestGEMVKernel(t *testing.T) {
 	}
 }
 
-func TestOperationalIntensity(t *testing.T) {
-	k := Kernel{Flops: 100, Bytes: 50}
-	if got := k.OperationalIntensity(); got != 2 {
-		t.Errorf("OI = %g, want 2", got)
-	}
-	k.Bytes = 0
-	if got := k.OperationalIntensity(); !math.IsInf(got, 1) {
-		t.Errorf("OI with zero bytes = %g, want +Inf", got)
-	}
-}
-
 func TestGEMVCrossoverShape(t *testing.T) {
 	// The CPU's GEMV latency must grow superlinearly past the cache size:
 	// that crossover is where CIM's latency win explodes (E4 shape).

@@ -125,9 +125,6 @@ func (r *TraceReplay) Name() string { return "trace" }
 // one.
 func (r *TraceReplay) Rate() float64 { return r.rate }
 
-// Len returns the number of recorded arrivals (one replay cycle).
-func (r *TraceReplay) Len() int { return len(r.trace.TimesNS) }
-
 // at returns the absolute offset of arrival i, cycling past the recorded
 // window.
 func (r *TraceReplay) at(i uint64) int64 {

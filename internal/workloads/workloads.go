@@ -207,14 +207,6 @@ func (k Kernel) Validate() error {
 	return nil
 }
 
-// OperationalIntensity returns FLOPs per byte.
-func (k Kernel) OperationalIntensity() float64 {
-	if k.DataBytes == 0 {
-		return 0
-	}
-	return k.Flops / k.DataBytes
-}
-
 // flopsFor maps a compute level to FLOPs per unit of work.
 func flopsFor(l Level) float64 {
 	switch l {

@@ -150,17 +150,6 @@ func TestKernelValidateCatchesBadFields(t *testing.T) {
 	}
 }
 
-func TestOperationalIntensity(t *testing.T) {
-	k := Kernel{Flops: 100, DataBytes: 50}
-	if k.OperationalIntensity() != 2 {
-		t.Error("OI wrong")
-	}
-	k.DataBytes = 0
-	if k.OperationalIntensity() != 0 {
-		t.Error("zero-byte OI should be 0")
-	}
-}
-
 func TestHighCIMClassesShareDataflowShape(t *testing.T) {
 	// Classes the paper rates high must have substantial in-memory
 	// mappability; low classes must not.
