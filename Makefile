@@ -3,7 +3,7 @@ GO ?= go
 # The sweeps archived as BENCH_<exp>.json, one bench-<exp> target each.
 BENCH_JSON := bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity
 
-.PHONY: all build vet vet-arm64 fmt-check docs-check test race verify loc bench bench-smoke bench-json bench-pairs bench-alt profile $(BENCH_JSON) cover fuzz experiments examples clean
+.PHONY: all build vet vet-arm64 fmt-check docs-check test race bench-check verify loc bench bench-smoke bench-json bench-pairs bench-alt profile $(BENCH_JSON) cover fuzz experiments examples clean
 
 all: build vet test
 
@@ -11,8 +11,8 @@ all: build vet test
 # (on amd64 that includes asmdecl over internal/crossbar's one assembly
 # file) + the same for a second architecture + tests, then the same tests
 # again under the race detector (the parallel simulation engine must stay
-# race-clean).
-verify: fmt-check docs-check build vet vet-arm64 test race
+# race-clean), then the repository benchmark's own module.
+verify: fmt-check docs-check build vet vet-arm64 test race bench-check
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,12 @@ test:
 # -count=1 so a cached result can never stand in for a run.
 race:
 	$(GO) test -race -count=1 ./...
+
+# benchmark/ is its own Go module, so the root's `go build ./...` and
+# `go test ./...` never compile it; it imports internal/serve, fleet and
+# hybrid, so an API change there has to be checked from inside it.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Go lines added/removed per package between PARENT and the working tree
 # (stage new files first: untracked ones are not in the diff), outside

@@ -84,9 +84,9 @@
 // limiter and the priority brownout. -chaos <scenario> injects a
 // deterministic fault plan (none, straggler, crash, overload —
 // internal/chaos) into every engine; /healthz reports the active scenario
-// and each engine's current concurrency limit. The -maxdelay flag is still
-// validated but no longer read: the micro-batcher never holds a request back
-// for company (docs/SERVING.md).
+// and each engine's current concurrency limit. The micro-batcher never
+// holds a request back for company, so -batch is its only knob
+// (docs/SERVING.md).
 package main
 
 import (
@@ -122,7 +122,6 @@ type options struct {
 	clients   int
 	requests  int
 	batch     int
-	maxdelay  time.Duration // serve.Config.MaxDelay: validated, not read
 	deadline  time.Duration // per-request deadline (0 = none)
 	queue     int
 	mode      string
@@ -190,8 +189,6 @@ func (o options) validate() error {
 		return fmt.Errorf("-requests must be >= 1, got %d", o.requests)
 	case o.batch < 1:
 		return fmt.Errorf("-batch must be >= 1, got %d", o.batch)
-	case o.maxdelay <= 0:
-		return fmt.Errorf("-maxdelay must be positive, got %v", o.maxdelay)
 	case o.deadline < 0:
 		return fmt.Errorf("-deadline must be >= 0 (0 disables), got %v", o.deadline)
 	case o.queue < 1:
@@ -373,7 +370,6 @@ func main() {
 	flag.IntVar(&o.clients, "clients", 64, "concurrent closed-loop clients (ignored by open-loop -arrivals)")
 	flag.IntVar(&o.requests, "requests", 2048, "total requests per mode")
 	flag.IntVar(&o.batch, "batch", 64, "micro-batcher max batch size")
-	flag.DurationVar(&o.maxdelay, "maxdelay", 2*time.Millisecond, "validated but not read: the micro-batcher never waits for company")
 	flag.DurationVar(&o.deadline, "deadline", 0, "per-request deadline; expired requests shed with ErrDeadlineExceeded (0 disables)")
 	flag.IntVar(&o.queue, "queue", 4096, "pending-list bound (backpressure high-water mark)")
 	flag.StringVar(&o.mode, "mode", "both", "serving modes to run: both|serial|batch")
@@ -665,7 +661,7 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 		fleet.WithEngines(o.engines),
 		fleet.WithPolicy(policy),
 		fleet.WithServeOptions(
-			serve.WithBatch(o.batch, o.maxdelay),
+			serve.WithBatch(o.batch, 0),
 			serve.WithQueueBound(o.queue),
 			serve.WithRetry(3, time.Millisecond, 50*time.Millisecond),
 		),

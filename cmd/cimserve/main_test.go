@@ -45,7 +45,7 @@ func TestErrorLineNamesProgramOnce(t *testing.T) {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	good := options{clients: 4, requests: 8, batch: 2, maxdelay: time.Millisecond,
+	good := options{clients: 4, requests: 8, batch: 2,
 		queue: 16, mode: "both", layers: []int{16, 8}, engines: 1, policy: "round-robin", dispatch: "cim"}
 	if err := good.validate(); err != nil {
 		t.Fatalf("good options rejected: %v", err)
@@ -54,7 +54,6 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *options) { o.clients = 0 },
 		func(o *options) { o.requests = 0 },
 		func(o *options) { o.batch = 0 },
-		func(o *options) { o.maxdelay = 0 },
 		func(o *options) { o.deadline = -time.Millisecond },
 		func(o *options) { o.queue = 0 },
 		func(o *options) { o.queue = o.clients - 1 },
@@ -101,7 +100,6 @@ func TestRunEndToEnd(t *testing.T) {
 		clients:   4,
 		requests:  32,
 		batch:     4,
-		maxdelay:  time.Millisecond,
 		queue:     64,
 		mode:      "both",
 		layers:    []int{32, 24, 10},
@@ -159,7 +157,6 @@ func TestRunUnhealthySheds(t *testing.T) {
 		arrivals:  "poisson",
 		rate:      10_000,
 		batch:     4,
-		maxdelay:  time.Millisecond,
 		queue:     64,
 		mode:      "batch",
 		layers:    []int{32, 24, 10},
@@ -195,7 +192,6 @@ func TestRunFleetEndToEnd(t *testing.T) {
 		clients:   8,
 		requests:  256,
 		batch:     8,
-		maxdelay:  time.Millisecond,
 		queue:     64,
 		mode:      "batch",
 		layers:    []int{32, 24, 10},
@@ -254,7 +250,6 @@ func TestRunOneStackAtEveryFleetSize(t *testing.T) {
 		clients:  4,
 		requests: 64,
 		batch:    4,
-		maxdelay: time.Millisecond,
 		deadline: 5 * time.Second,
 		queue:    64,
 		mode:     "batch",
@@ -326,7 +321,6 @@ func TestRunFleetResilience(t *testing.T) {
 		clients:  8,
 		requests: 192,
 		batch:    8,
-		maxdelay: time.Millisecond,
 		// Far above the straggler's 2ms stall: the deadline path is
 		// exercised (every request carries a budget) without flaky sheds.
 		deadline: 5 * time.Second,
@@ -365,7 +359,7 @@ func TestRunFleetResilience(t *testing.T) {
 // generators need a rate, traces need a file, open loops need -mode
 // batch, and recording needs a generator.
 func TestOptionsValidateLoadgen(t *testing.T) {
-	good := options{clients: 4, requests: 8, batch: 2, maxdelay: time.Millisecond,
+	good := options{clients: 4, requests: 8, batch: 2,
 		queue: 16, mode: "batch", layers: []int{16, 8}, engines: 1,
 		policy: "round-robin", dispatch: "cim",
 		arrivals: "poisson", rate: 1000, mix: "default"}
@@ -409,7 +403,6 @@ func TestRunOpenLoopEndToEnd(t *testing.T) {
 		clients:  4, // ignored by the open loop but still validated
 		requests: 96,
 		batch:    4,
-		maxdelay: time.Millisecond,
 		queue:    64,
 		mode:     "batch",
 		layers:   []int{32, 24, 10},
@@ -481,7 +474,6 @@ func TestRunTraceRecordReplay(t *testing.T) {
 		clients:  4,
 		requests: 64,
 		batch:    4,
-		maxdelay: time.Millisecond,
 		queue:    64,
 		mode:     "batch",
 		layers:   []int{32, 24, 10},

@@ -75,7 +75,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 	in := make([]float64, 32)
 	f, _, err := fleet.New(cfg, net, fleet.WithServeOptions(
-		serve.WithBatch(4, time.Millisecond), serve.WithQueueBound(64)))
+		serve.WithBatch(4, 0), serve.WithQueueBound(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,6 @@ func TestRunWithListen(t *testing.T) {
 		clients:  4,
 		requests: 4096, // long enough that a scrape lands mid-run
 		batch:    4,
-		maxdelay: time.Millisecond,
 		queue:    64,
 		mode:     "batch",
 		layers:   []int{32, 24, 10},

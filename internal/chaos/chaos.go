@@ -10,7 +10,7 @@
 // The injector attaches to a fleet engine as a backend wrapper
 // (fleet.WithChaos → Injector.Wrap), outermost in the stack:
 //
-//	serve.Server → [chaos] → [hybrid] → serve.Breaker → serve.ShadowPair
+//	serve.Server → [chaos] → [hybrid] → serve.ShadowPair
 //
 // Disabled chaos is free: Wrap returns the wrapped backend itself — no
 // extra interface hop, no per-call branch, zero allocations — so the

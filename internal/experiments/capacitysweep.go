@@ -254,7 +254,7 @@ func capacityDrive(net *nn.Network, inputs [][]float64, k int, dcfg workloadgen.
 		// The queue bound is the knee-shaper: below capacity the queue
 		// never fills and nothing sheds; above it, excess arrivals shed
 		// fast instead of stretching the admitted tail without bound.
-		fleet.WithServeOptions(serve.WithBatch(16, 100*time.Microsecond), serve.WithQueueBound(64)),
+		fleet.WithServeOptions(serve.WithBatch(16, 0), serve.WithQueueBound(64)),
 	)
 	if err != nil {
 		return workloadgen.Report{}, err

@@ -116,27 +116,27 @@ func ChaosSweep(scenarios []string, requests int) (*ChaosResult, error) {
 	return res, nil
 }
 
-// chaosOracle computes every request's fault-free answer on a single
-// chaos-free engine. Keyed noise makes this the unique correct output for
-// request seq regardless of fleet size, routing, hedging, or injected
-// faults.
+// chaosOracle computes every request's fault-free answer on one engine, as
+// a single keyed batch. Keyed noise makes this the unique correct output
+// for request seq regardless of fleet size, routing, batching, hedging, or
+// injected faults.
 func chaosOracle(net *nn.Network, inputs [][]float64, requests int) ([][]float64, error) {
-	cfg := chaosDPEConfig()
-	f, _, err := fleet.New(cfg, net,
-		fleet.WithEngines(1),
-		fleet.WithServeOptions(serve.WithBatch(16, 50*time.Microsecond)),
-	)
+	eng, err := dpe.New(chaosDPEConfig())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos oracle: %w", err)
 	}
-	defer f.Close()
-	out := make([][]float64, requests)
-	for seq := 0; seq < requests; seq++ {
-		o, _, err := f.SubmitSeq(context.Background(), uint64(seq), inputs[seq%len(inputs)])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos oracle request %d: %w", seq, err)
-		}
-		out[seq] = o
+	if _, err := eng.Load(net); err != nil {
+		return nil, fmt.Errorf("experiments: chaos oracle: %w", err)
+	}
+	seqs := make([]uint64, requests)
+	ins := make([][]float64, requests)
+	for seq := range seqs {
+		seqs[seq] = uint64(seq)
+		ins[seq] = inputs[seq%len(inputs)]
+	}
+	out, _, err := eng.InferBatchKeyed(seqs, ins)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: chaos oracle: %w", err)
 	}
 	return out, nil
 }
@@ -169,7 +169,7 @@ func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenari
 		// A small queue bound plus the AIMD limiter keep queueing delay
 		// bounded under the overload burst: excess offered load sheds
 		// instead of stretching the tail of admitted requests.
-		fleet.WithServeOptions(serve.WithBatch(16, 100*time.Microsecond), serve.WithQueueBound(32)),
+		fleet.WithServeOptions(serve.WithBatch(16, 0), serve.WithQueueBound(32)),
 		fleet.WithOverloadControl(fleet.OverloadConfig{InitialLimit: 16}),
 	}
 	if hedged {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/fleet"
@@ -125,7 +124,7 @@ func fleetPoint(netA, netB *nn.Network, inputs [][]float64, policyName string, e
 	f, _, err := fleet.New(cfg, netA,
 		fleet.WithEngines(engines),
 		fleet.WithPolicy(policy),
-		fleet.WithServeOptions(serve.WithBatch(1, 500*time.Microsecond)),
+		fleet.WithServeOptions(serve.WithBatch(1, 0)),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fleet point (%s, %d): %w", policyName, engines, err)

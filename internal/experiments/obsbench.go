@@ -137,7 +137,7 @@ func ObsOverhead() (*ObsResult, error) {
 		if _, err := eng.Load(net); err != nil {
 			return 0, err
 		}
-		opts := []serve.Option{serve.WithBatch(1, time.Millisecond), serve.WithQueueBound(64)}
+		opts := []serve.Option{serve.WithBatch(1, 0), serve.WithQueueBound(64)}
 		if tracer != nil {
 			opts = append(opts, serve.WithTracer(tracer))
 		}

@@ -1,6 +1,6 @@
 // Package fleet is the cluster-scale serving layer: N independent DPE
-// engines — each a serve.ShadowPair behind its own micro-batcher, bounded
-// pending list, circuit breaker, and metrics namespace — routed by a
+// engines — each a health-gated serve.ShadowPair behind its own
+// micro-batcher, bounded pending list, and metrics namespace — routed by a
 // pluggable request Router. It is the answer to the paper's Section VI
 // scaling story at the serving tier: one board's write asymmetry hides
 // behind its own shadow engine (internal/serve), and the *fleet* hides
@@ -18,8 +18,7 @@
 //	                                                ├─ serve.Server   (pending list + flusher)
 //	                                                ├─ [chaos wrap]   (WithChaos)
 //	                                                ├─ [WrapBackend]  (the hybrid dispatcher's slot)
-//	                                                ├─ serve.Breaker  (health gate)
-//	                                                └─ serve.ShadowPair ─ dpe.Engine ×2
+//	                                                └─ serve.ShadowPair (health gate) ─ dpe.Engine ×2
 //
 // Every engine replicates the same network (same dpe.Config, same noise
 // seed), so any engine can serve any request. Routing policies (router.go)
@@ -27,7 +26,7 @@
 // (live pending-list depth), and wear-aware (route away from
 // engines whose fault reports show consumed spares or lost columns —
 // reading dpe HealthCheck and the internal/faultinject wear accounting).
-// A refused engine (full queue, tripped breaker, mid-drain close) fails
+// A refused engine (full queue, tripped pair, mid-drain close) fails
 // over to the next engine in policy order; only when every routable engine
 // refuses does the fleet surface an error, typed to distinguish capacity
 // (serve.ErrOverloaded) from health (serve.ErrUnhealthy).
@@ -69,18 +68,17 @@ import (
 // serve.ErrOverloaded.
 var ErrNoEngines = errors.New("fleet: no engines")
 
-// Engine is one fleet member: a shadow pair behind its own breaker and
-// micro-batching server, with a private metrics registry so per-engine
-// series never collide (cimserve exposes each registry with an engine
-// label on /metrics).
+// Engine is one fleet member: a shadow pair behind its own micro-batching
+// server, with a private metrics registry so per-engine series never
+// collide (cimserve exposes each registry with an engine label on
+// /metrics).
 type Engine struct {
 	id   int
 	pair *serve.ShadowPair
-	brk  *serve.Breaker
 	srv  *serve.Server
 	reg  *metrics.Registry
 	// rep is what RollingReprogram drives: the WrapBackend wrapper when it
-	// can reprogram, else the breaker.
+	// can reprogram, else the pair.
 	rep reprogrammer
 	// lim is the engine's AIMD concurrency limiter, nil unless the fleet
 	// was built WithOverloadControl (limiter.go).
@@ -115,8 +113,9 @@ func (e *Engine) InFlight() int64 { return e.inflight.Load() }
 // plus in-flight requests — which the least-loaded policy minimizes.
 func (e *Engine) Load() int64 { return int64(e.srv.QueueDepth()) + e.inflight.Load() }
 
-// Tripped reports whether the engine's circuit breaker is open.
-func (e *Engine) Tripped() bool { return e.brk.Tripped() }
+// Tripped reports whether the engine's shadow pair is shedding after a
+// failed reprogram.
+func (e *Engine) Tripped() bool { return e.pair.Tripped() }
 
 // Limit returns the engine's current AIMD concurrency limit, 0 when
 // overload control is disabled (cimserve surfaces this on /healthz).
@@ -150,9 +149,6 @@ func (e *Engine) Registry() *metrics.Registry { return e.reg }
 // Pair returns the engine's shadow pair (statistics only).
 func (e *Engine) Pair() *serve.ShadowPair { return e.pair }
 
-// Breaker returns the engine's circuit breaker (statistics only).
-func (e *Engine) Breaker() *serve.Breaker { return e.brk }
-
 // Config configures a Fleet. Construct with Default() (or zero options to
 // New) and refine with functional options.
 type Config struct {
@@ -160,21 +156,21 @@ type Config struct {
 	Engines int
 	// Router picks engines per request. Nil selects round-robin.
 	Router *Router
-	// ServeOptions are applied to every engine's Breaker and Server
+	// ServeOptions are applied to every engine's ShadowPair and Server
 	// (batching, queue bound, retry). A per-engine jitter seed goes before
 	// them and the engine's private registry after them, so the registry
 	// cannot be overridden.
 	ServeOptions []serve.Option
-	// WrapBackend, when non-nil, wraps each engine's breaker before it is
-	// handed to the micro-batching server — the hybrid dispatcher's
-	// insertion point. It receives the engine id, the breaker as a
+	// WrapBackend, when non-nil, wraps each engine's shadow pair before it
+	// is handed to the micro-batching server — the hybrid dispatcher's
+	// insertion point. It receives the engine id, the pair as a
 	// serve.Backend, and the engine's private registry (so wrapper
 	// counters land next to that engine's serve.* series). Returning nil
 	// or b leaves the engine unwrapped. A wrapper with a
-	// Reprogram(*nn.Network) method of the breaker's shape
+	// Reprogram(*nn.Network) method of the pair's shape
 	// (hybrid.Reprogrammer) takes over the engine's rolling reprograms —
 	// it owns state that must change with the weights (a digital twin) and
-	// is expected to reprogram the breaker it wraps.
+	// is expected to reprogram the pair it wraps.
 	WrapBackend func(id int, b serve.Backend, reg *metrics.Registry) serve.Backend
 	// Hedge enables hedged requests (hedge.go) when non-nil.
 	Hedge *HedgeConfig
@@ -210,7 +206,8 @@ func WithEngines(n int) Option { return func(c *Config) { c.Engines = n } }
 // constructors).
 func WithPolicy(p Policy) Option { return func(c *Config) { c.Router = NewRouter(p) } }
 
-// WithServeOptions forwards opts to every engine's serve.New/NewBreaker.
+// WithServeOptions forwards opts to every engine's serve.NewShadowPair and
+// serve.New.
 func WithServeOptions(opts ...serve.Option) Option {
 	return func(c *Config) { c.ServeOptions = append(c.ServeOptions, opts...) }
 }
@@ -221,7 +218,7 @@ func WithWrapBackend(fn func(id int, b serve.Backend, reg *metrics.Registry) ser
 }
 
 // WithHedge enables hedged requests with cfg (zero fields take the
-// documented defaults — p95 delay, 5% budget).
+// documented defaults; the delay tracks p95 within a 5% budget).
 func WithHedge(cfg HedgeConfig) Option {
 	return func(c *Config) { h := cfg; c.Hedge = &h }
 }
@@ -333,7 +330,7 @@ func New(dcfg dpe.Config, net *nn.Network, opts ...Option) (*Fleet, energy.Cost,
 		f.hedge = newHedger(*cfg.Hedge, f.met.latencyNS)
 	}
 	if cfg.Overload != nil {
-		f.over = newBrownout(cfg.Overload.withDefaults())
+		f.over = newBrownout()
 	}
 	total := energy.Zero
 	for i := 0; i < cfg.Engines; i++ {
@@ -350,30 +347,26 @@ func New(dcfg dpe.Config, net *nn.Network, opts ...Option) (*Fleet, energy.Cost,
 }
 
 // newEngine builds one fleet member and programs net into it. Engine id's
-// fault model (when enabled) seeds at base+id; its breaker jitter seeds at
+// fault model (when enabled) seeds at base+id; its retry jitter seeds at
 // dcfg.Seed+id so synchronized retries decorrelate across the fleet.
 func (f *Fleet) newEngine(id int, net *nn.Network) (*Engine, energy.Cost, error) {
 	ecfg := f.dcfg
 	if ecfg.Faults.Enabled() {
 		ecfg.Faults.Seed += int64(id)
 	}
-	pair, cost, err := serve.NewShadowPair(ecfg, net)
-	if err != nil {
-		return nil, energy.Zero, fmt.Errorf("fleet: engine %d: %w", id, err)
-	}
 	reg := metrics.NewRegistry()
 	sopts := make([]serve.Option, 0, len(f.cfg.ServeOptions)+2)
 	sopts = append(sopts, serve.WithSeed(f.dcfg.Seed+int64(id)))
 	sopts = append(sopts, f.cfg.ServeOptions...)
 	sopts = append(sopts, serve.WithRegistry(reg))
-	brk, err := serve.NewBreaker(pair, sopts...)
+	pair, cost, err := serve.NewShadowPair(ecfg, net, sopts...)
 	if err != nil {
 		return nil, energy.Zero, fmt.Errorf("fleet: engine %d: %w", id, err)
 	}
-	var be serve.Backend = brk
-	var rp reprogrammer = brk
+	var be serve.Backend = pair
+	var rp reprogrammer = pair
 	if f.cfg.WrapBackend != nil {
-		if w := f.cfg.WrapBackend(id, brk, reg); w != nil {
+		if w := f.cfg.WrapBackend(id, pair, reg); w != nil {
 			be = w
 			if wr, ok := w.(reprogrammer); ok {
 				rp = wr
@@ -387,9 +380,9 @@ func (f *Fleet) newEngine(id int, net *nn.Network) (*Engine, energy.Cost, error)
 	if err != nil {
 		return nil, energy.Zero, fmt.Errorf("fleet: engine %d: %w", id, err)
 	}
-	e := &Engine{id: id, pair: pair, brk: brk, srv: srv, reg: reg, rep: rp}
+	e := &Engine{id: id, pair: pair, srv: srv, reg: reg, rep: rp}
 	if f.cfg.Overload != nil {
-		e.lim = newAIMDLimiter(f.cfg.Overload.withDefaults())
+		e.lim = newAIMDLimiter(*f.cfg.Overload)
 	}
 	return e, cost, nil
 }
@@ -446,7 +439,7 @@ func (f *Fleet) SimTimePS() int64 {
 // is a pure function of (engine config seed, seq, input), bit-identical
 // whether the fleet has 1 engine or 40, under every routing policy, at any
 // -parallel width. The router orders routable engines by policy; an engine
-// that refuses (queue full, concurrency limit hit, breaker tripped,
+// that refuses (queue full, concurrency limit hit, pair tripped,
 // draining) fails over to the next. When every routable engine refuses,
 // the returned error wraps serve.ErrOverloaded if any refusal was capacity
 // and serve.ErrUnhealthy only when health shed every attempt; a fleet

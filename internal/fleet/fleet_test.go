@@ -218,14 +218,14 @@ func TestFleetDeterminism(t *testing.T) {
 }
 
 // TestFleetErrorTyping pins the fleet-wide error distinction: every
-// breaker tripped wraps serve.ErrUnhealthy, every server refusing on
+// shadow pair tripped wraps serve.ErrUnhealthy, every server refusing on
 // capacity wraps serve.ErrOverloaded, and an empty fleet is ErrNoEngines.
 func TestFleetErrorTyping(t *testing.T) {
 	net := testMLP(t, 3, 16, 8)
 	in := testInputs(1, 16, 9)[0]
 
 	// Stuck cells past a zero spare budget: no standby can be repaired,
-	// so every reprogram fails and trips the engine's breaker.
+	// so every reprogram fails and trips the engine's shadow pair.
 	faulty := testConfig()
 	faulty.Crossbar.SpareCols = 0
 	faulty.Faults = faultinject.Model{StuckLowRate: 0.05, StuckHighRate: 0.05, Seed: 11}
@@ -265,7 +265,7 @@ func TestFleetErrorTyping(t *testing.T) {
 		defer f.Close()
 		// Trip only engine 0; engine 1 stays healthy.
 		engines := f.Engines()
-		if _, _, err := engines[0].Breaker().Reprogram(net); err == nil {
+		if _, _, err := engines[0].Pair().Reprogram(net); err == nil {
 			t.Fatal("expected reprogram failure")
 		}
 		if !engines[0].Tripped() || engines[1].Tripped() {
@@ -426,7 +426,7 @@ func TestRollingReprogramZeroDowntime(t *testing.T) {
 // TestRollingReprogramReloadsTwin is the stale-twin regression: an engine
 // wrapped in a forced-vn hybrid dispatcher serves from the dispatcher's
 // digital twin, so a rolling reprogram has to go through the dispatcher
-// (crossbar swap + twin reload), not through the breaker underneath it —
+// (crossbar swap + twin reload), not through the pair underneath it —
 // otherwise the fleet keeps answering from the old network after the roll.
 func TestRollingReprogramReloadsTwin(t *testing.T) {
 	netA := testMLP(t, 3, 24, 16, 8)

@@ -15,13 +15,12 @@
 //     a still-queued duplicate is shed before it reaches a crossbar and a
 //     mid-batch one has its result discarded.
 //
-// The delay adapts: it tracks a configurable quantile (default p95) of the
-// fleet's observed request latency, so only the slowest ~5% of requests
-// ever hedge, and a token budget (default 5% of request volume) caps the
-// extra load even when the latency distribution collapses. See
-// docs/RESILIENCE.md for why p95-delay hedging needs the straggler's
-// traffic share below the hedge quantile — and why the straggler sweep
-// pairs hedging with the least-loaded policy.
+// The delay adapts: it tracks the p95 of the fleet's observed request
+// latency, so only the slowest ~5% of requests ever hedge, and a token
+// budget (5% of request volume) caps the extra load even when the latency
+// distribution collapses. See docs/RESILIENCE.md for why p95-delay
+// hedging needs the straggler's traffic share below the hedge quantile —
+// and why the straggler sweep pairs hedging with the least-loaded policy.
 package fleet
 
 import (
@@ -33,50 +32,36 @@ import (
 	"cimrev/internal/metrics"
 )
 
-// HedgeConfig tunes hedged requests. The zero value is refined to the
-// defaults by WithHedge.
+// HedgeConfig tunes hedged requests. Zero fields take the defaults.
 type HedgeConfig struct {
-	// Quantile of the fleet latency distribution used as the hedge delay
-	// (0 → 0.95): a request older than this is assumed stuck.
-	Quantile float64
-	// MinDelay / MaxDelay clamp the adaptive delay (0 → 200µs / 20ms).
-	// The floor keeps a cold, fast fleet from hedging everything; the cap
-	// keeps hedges firing when a straggler has dragged p95 itself into
-	// the stall time.
-	MinDelay, MaxDelay time.Duration
-	// Budget is the hedge rate cap as a fraction of submitted requests
-	// (0 → 0.05): hedge tokens accrue at Budget per request and each
-	// hedge spends one. Denied hedges count in fleet.hedge_denied.
-	Budget float64
-	// Burst bounds banked tokens (0 → 64): a long quiet period cannot
+	// MaxDelay caps the adaptive delay (0 → 20ms): it keeps hedges firing
+	// when a straggler has dragged p95 itself into the stall time.
+	MaxDelay time.Duration
+	// Burst bounds banked hedge tokens (0 → 64): a long quiet period cannot
 	// bank an unbounded hedge storm.
 	Burst int
 }
 
-// withDefaults fills zero fields with the canonical defaults.
-func (c HedgeConfig) withDefaults() HedgeConfig {
-	if c.Quantile == 0 {
-		c.Quantile = 0.95
-	}
-	if c.MinDelay == 0 {
-		c.MinDelay = 200 * time.Microsecond
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 20 * time.Millisecond
-	}
-	if c.Budget == 0 {
-		c.Budget = 0.05
-	}
-	if c.Burst == 0 {
-		c.Burst = 64
-	}
-	return c
-}
+const (
+	// hedgeQuantile is the fleet latency quantile used as the hedge delay:
+	// a request older than this is assumed stuck.
+	hedgeQuantile = 0.95
+	// hedgeMinDelay floors the adaptive delay, so a cold, fast fleet does
+	// not hedge everything.
+	hedgeMinDelay = 200 * time.Microsecond
+	// hedgeBudget is the hedge rate cap as a fraction of submitted
+	// requests: tokens accrue at hedgeBudget per request and each hedge
+	// spends one. Denied hedges count in fleet.hedge_denied.
+	hedgeBudget = 0.05
+)
 
 // hedger holds the live hedging state: the adaptive delay and the token
 // budget, both lock-free.
 type hedger struct {
-	cfg HedgeConfig
+	// minDelay / maxDelay clamp the adaptive delay; burst bounds the
+	// bucket in hedges.
+	minDelay, maxDelay time.Duration
+	burst              int64
 	// latency is the fleet.latency_ns histogram the delay tracks.
 	latency *metrics.Histogram
 	// delayNS is the cached adaptive delay, recomputed from the histogram
@@ -94,26 +79,32 @@ const delayEvery = 64
 const hedgeToken = 1000
 
 func newHedger(cfg HedgeConfig, latency *metrics.Histogram) *hedger {
-	h := &hedger{cfg: cfg.withDefaults(), latency: latency}
-	h.delayNS.Store(int64(h.cfg.MaxDelay))
+	h := &hedger{minDelay: hedgeMinDelay, maxDelay: cfg.MaxDelay, burst: int64(cfg.Burst), latency: latency}
+	if h.maxDelay == 0 {
+		h.maxDelay = 20 * time.Millisecond
+	}
+	if h.burst == 0 {
+		h.burst = 64
+	}
+	h.delayNS.Store(int64(h.maxDelay))
 	// The bucket starts full: a straggler in the first requests of a fresh
 	// fleet is exactly when hedging pays, and the burst bound caps the cost.
-	h.credits.Store(int64(h.cfg.Burst) * hedgeToken)
+	h.credits.Store(h.burst * hedgeToken)
 	return h
 }
 
 // delay returns the current hedge delay, refreshing the cached quantile
 // on the refresh cadence. With no latency history yet it stays at
-// MaxDelay — hedge conservatively until there is a distribution to track.
+// maxDelay — hedge conservatively until there is a distribution to track.
 func (h *hedger) delay() time.Duration {
 	if h.tick.Add(1)%delayEvery == 0 {
 		if snap := h.latency.Snapshot(); snap.Count > 0 {
-			d := time.Duration(snap.Quantile(h.cfg.Quantile))
-			if d < h.cfg.MinDelay {
-				d = h.cfg.MinDelay
+			d := time.Duration(snap.Quantile(hedgeQuantile))
+			if d < h.minDelay {
+				d = h.minDelay
 			}
-			if d > h.cfg.MaxDelay {
-				d = h.cfg.MaxDelay
+			if d > h.maxDelay {
+				d = h.maxDelay
 			}
 			h.delayNS.Store(int64(d))
 		}
@@ -125,8 +116,8 @@ func (h *hedger) delay() time.Duration {
 // burst bound. The clamp races benignly: a concurrent earn can overshoot
 // by a few tokens before the store lands, never unboundedly.
 func (h *hedger) earn() {
-	if v := h.credits.Add(int64(h.cfg.Budget * hedgeToken)); v > int64(h.cfg.Burst)*hedgeToken {
-		h.credits.Store(int64(h.cfg.Burst) * hedgeToken)
+	if v := h.credits.Add(int64(hedgeBudget * hedgeToken)); v > h.burst*hedgeToken {
+		h.credits.Store(h.burst * hedgeToken)
 	}
 }
 

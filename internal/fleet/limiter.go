@@ -16,14 +16,14 @@
 //     diverting traffic before its queue fills.
 //
 //   - Brownout shedding by priority class: under sustained overload
-//     (aggregate fleet load above aggregate limit for OnStreak
+//     (aggregate fleet load above aggregate limit for brownoutOn
 //     consecutive samples) the fleet stops accepting PriorityLow
 //     requests outright — batch/background traffic browns out so
 //     interactive traffic keeps its latency. The shed error wraps
 //     serve.ErrOverloaded, so callers see the familiar capacity type.
 //
 // Both mechanisms are lock-free on the submit path; the brownout sampler
-// runs every sampleEvery requests. See docs/RESILIENCE.md for the state
+// runs every brownoutEvery requests. See docs/RESILIENCE.md for the state
 // machine.
 package fleet
 
@@ -44,44 +44,24 @@ const (
 	PriorityLow
 )
 
-// OverloadConfig tunes the AIMD limiter and brownout controller. The zero
-// value is refined to the defaults by WithOverloadControl.
+// OverloadConfig tunes the AIMD limiter and brownout controller. Zero
+// fields take the defaults.
 type OverloadConfig struct {
 	// InitialLimit is each engine's starting concurrency limit (0 → 32).
 	InitialLimit int
-	// MinLimit / MaxLimit clamp the limit (0 → 1 / 4096). The floor keeps
-	// a collapsed engine probing for recovery.
-	MinLimit, MaxLimit int
-	// OnStreak is how many consecutive overloaded samples switch brownout
-	// on (0 → 3); OffStreak, how many healthy samples switch it off
-	// (0 → 6; slower off than on, so brownout does not flap).
-	OnStreak, OffStreak int
-	// SampleEvery is the brownout sampling cadence in requests (0 → 32).
-	SampleEvery int
 }
 
-// withDefaults fills zero fields with the canonical defaults.
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.InitialLimit == 0 {
-		c.InitialLimit = 32
-	}
-	if c.MinLimit == 0 {
-		c.MinLimit = 1
-	}
-	if c.MaxLimit == 0 {
-		c.MaxLimit = 4096
-	}
-	if c.OnStreak == 0 {
-		c.OnStreak = 3
-	}
-	if c.OffStreak == 0 {
-		c.OffStreak = 6
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 32
-	}
-	return c
-}
+const (
+	// limitMin / limitMax clamp an engine's concurrency limit. The floor
+	// keeps a collapsed engine probing for recovery.
+	limitMin, limitMax = 1, 4096
+	// brownoutOn consecutive overloaded samples switch brownout on;
+	// brownoutOff healthy ones switch it off (slower off than on, so
+	// brownout does not flap).
+	brownoutOn, brownoutOff = 3, 6
+	// brownoutEvery is the brownout sampling cadence in requests.
+	brownoutEvery = 32
+)
 
 // aimdLimiter is one engine's adaptive concurrency limit. All state is
 // atomic; acquire is advisory (checked against the engine's in-flight
@@ -94,7 +74,10 @@ type aimdLimiter struct {
 }
 
 func newAIMDLimiter(cfg OverloadConfig) *aimdLimiter {
-	l := &aimdLimiter{min: int64(cfg.MinLimit), max: int64(cfg.MaxLimit)}
+	l := &aimdLimiter{min: limitMin, max: limitMax}
+	if cfg.InitialLimit == 0 {
+		cfg.InitialLimit = 32
+	}
 	l.limit.Store(int64(cfg.InitialLimit))
 	return l
 }
@@ -137,23 +120,25 @@ func (l *aimdLimiter) onOverload() {
 // outstanding work against the aggregate concurrency limit on a sampling
 // cadence and flips the shedding flag on sustained excess.
 type brownout struct {
-	cfg       OverloadConfig
-	tick      atomic.Uint64
-	onStreak  atomic.Int64
-	offStreak atomic.Int64
-	shedding  atomic.Bool
+	// onAfter / offAfter are the streak lengths that switch shedding on
+	// and off.
+	onAfter, offAfter int64
+	tick              atomic.Uint64
+	onStreak          atomic.Int64
+	offStreak         atomic.Int64
+	shedding          atomic.Bool
 }
 
-func newBrownout(cfg OverloadConfig) *brownout { return &brownout{cfg: cfg} }
+func newBrownout() *brownout { return &brownout{onAfter: brownoutOn, offAfter: brownoutOff} }
 
 // active reports whether low-priority traffic is currently shed.
 func (b *brownout) active() bool { return b.shedding.Load() }
 
-// observe runs the sampler every SampleEvery requests: overloaded when the
+// observe runs the sampler every brownoutEvery requests: overloaded when the
 // fleet's outstanding work exceeds its aggregate concurrency limit (work
 // is queueing beyond what the limiters will admit).
 func (b *brownout) observe(engines []*Engine) {
-	if b.tick.Add(1)%uint64(b.cfg.SampleEvery) != 0 {
+	if b.tick.Add(1)%brownoutEvery != 0 {
 		return
 	}
 	var load, limit int64
@@ -167,19 +152,19 @@ func (b *brownout) observe(engines []*Engine) {
 }
 
 // update feeds one (load, limit) sample into the streak state machine.
-// Streak counters debounce both transitions: OnStreak consecutive
-// overloaded samples switch shedding on, OffStreak healthy ones switch it
+// Streak counters debounce both transitions: onAfter consecutive
+// overloaded samples switch shedding on, offAfter healthy ones switch it
 // off.
 func (b *brownout) update(load, limit int64) {
 	if load > limit {
 		b.offStreak.Store(0)
-		if b.onStreak.Add(1) >= int64(b.cfg.OnStreak) {
+		if b.onStreak.Add(1) >= b.onAfter {
 			b.shedding.Store(true)
 		}
 		return
 	}
 	b.onStreak.Store(0)
-	if b.offStreak.Add(1) >= int64(b.cfg.OffStreak) {
+	if b.offStreak.Add(1) >= b.offAfter {
 		b.shedding.Store(false)
 	}
 }

@@ -54,13 +54,13 @@ func TestHedgeBitIdentity(t *testing.T) {
 	for _, width := range []int{1, 8} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
 			parallel.SetWidth(width)
-			// Aggressive hedging (tiny delay, fat budget) against a slowed
-			// engine 0, so hedges actually fire and win.
+			// Aggressive hedging (short delay cap, a bucket as deep as the
+			// run) against a slowed engine 0, so hedges actually fire and win.
 			f, _, err := New(testConfig(), net,
 				WithEngines(3),
 				WithPolicy(RoundRobin()),
 				WithChaos(stragglerInjector(2*time.Millisecond)),
-				WithHedge(HedgeConfig{MinDelay: 100 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Budget: 1, Burst: n}),
+				WithHedge(HedgeConfig{MaxDelay: 500 * time.Microsecond, Burst: n}),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +106,7 @@ func TestHedgeWinsAgainstStraggler(t *testing.T) {
 		WithEngines(3),
 		WithPolicy(RoundRobin()),
 		WithChaos(stragglerInjector(5*time.Millisecond)),
-		WithHedge(HedgeConfig{MinDelay: 100 * time.Microsecond, MaxDelay: 300 * time.Microsecond, Budget: 1, Burst: 64}),
+		WithHedge(HedgeConfig{MaxDelay: 300 * time.Microsecond, Burst: 64}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +134,9 @@ func TestHedgeWinsAgainstStraggler(t *testing.T) {
 }
 
 // TestHedgeBudget: the token bucket caps hedge volume at roughly
-// Budget × requests + Burst, and denials are counted.
+// hedgeBudget × requests + Burst, and denials are counted.
 func TestHedgeBudget(t *testing.T) {
-	h := newHedger(HedgeConfig{Budget: 0.05, Burst: 2}, nil)
+	h := newHedger(HedgeConfig{Burst: 2}, nil)
 	// Drain the initial burst.
 	spent := 0
 	for h.spend() {
@@ -159,16 +159,17 @@ func TestHedgeBudget(t *testing.T) {
 }
 
 // TestHedgerDelayClamps: the adaptive delay tracks the latency histogram's
-// quantile but never leaves [MinDelay, MaxDelay], and stays at MaxDelay
+// quantile but never leaves [minDelay, MaxDelay], and stays at MaxDelay
 // while there is no history.
 func TestHedgerDelayClamps(t *testing.T) {
 	reg := newFleetMetrics(metrics.NewRegistry())
-	h := newHedger(HedgeConfig{MinDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}, reg.latencyNS)
+	h := newHedger(HedgeConfig{MaxDelay: 8 * time.Millisecond}, reg.latencyNS)
+	h.minDelay = time.Millisecond
 	if got := h.delay(); got != 8*time.Millisecond {
 		t.Fatalf("empty-history delay = %v, want MaxDelay", got)
 	}
 	// Saturate the histogram with tiny latencies: the delay must clamp up
-	// to MinDelay, not chase the 100ns p95.
+	// to minDelay, not chase the 100ns p95.
 	for i := 0; i < 1000; i++ {
 		reg.latencyNS.Observe(100)
 	}
@@ -176,7 +177,7 @@ func TestHedgerDelayClamps(t *testing.T) {
 		h.delay()
 	}
 	if got := h.delay(); got != time.Millisecond {
-		t.Errorf("fast-fleet delay = %v, want MinDelay clamp", got)
+		t.Errorf("fast-fleet delay = %v, want minDelay clamp", got)
 	}
 	// Now huge latencies: the delay must clamp down to MaxDelay.
 	for i := 0; i < 100000; i++ {
@@ -193,7 +194,8 @@ func TestHedgerDelayClamps(t *testing.T) {
 // TestAIMDLimiter pins the control law: a full limit's worth of successes
 // adds one; an overload halves; both respect the clamps.
 func TestAIMDLimiter(t *testing.T) {
-	l := newAIMDLimiter(OverloadConfig{InitialLimit: 8, MinLimit: 2, MaxLimit: 10}.withDefaults())
+	l := newAIMDLimiter(OverloadConfig{InitialLimit: 8})
+	l.min, l.max = 2, 10
 	if got := l.Limit(); got != 8 {
 		t.Fatalf("initial limit = %d, want 8", got)
 	}
@@ -210,24 +212,25 @@ func TestAIMDLimiter(t *testing.T) {
 	l.onOverload()
 	l.onOverload()
 	if got := l.Limit(); got != 2 {
-		t.Errorf("limit after repeated overload = %d, want MinLimit 2", got)
+		t.Errorf("limit after repeated overload = %d, want min 2", got)
 	}
 	for i := 0; i < 1000; i++ {
 		l.onSuccess()
 	}
 	if got := l.Limit(); got != 10 {
-		t.Errorf("limit after sustained success = %d, want MaxLimit 10", got)
+		t.Errorf("limit after sustained success = %d, want max 10", got)
 	}
 	if !l.admits(9) || l.admits(10) {
 		t.Errorf("admits(9)=%v admits(10)=%v at limit 10, want true/false", l.admits(9), l.admits(10))
 	}
 }
 
-// TestBrownoutStateMachine pins the debounced transitions: OnStreak
-// consecutive overloaded samples switch shedding on, OffStreak healthy
+// TestBrownoutStateMachine pins the debounced transitions: onAfter
+// consecutive overloaded samples switch shedding on, offAfter healthy
 // samples switch it off, and interleaved samples reset the streaks.
 func TestBrownoutStateMachine(t *testing.T) {
-	b := newBrownout(OverloadConfig{OnStreak: 3, OffStreak: 2}.withDefaults())
+	b := newBrownout()
+	b.onAfter, b.offAfter = 3, 2
 	over := func() { b.update(100, 10) }
 	calm := func() { b.update(1, 10) }
 
@@ -252,7 +255,7 @@ func TestBrownoutStateMachine(t *testing.T) {
 	}
 	calm()
 	if b.active() {
-		t.Fatal("brownout not cleared after OffStreak healthy samples")
+		t.Fatal("brownout not cleared after offAfter healthy samples")
 	}
 }
 
@@ -386,7 +389,7 @@ func TestRollingReprogramRacingHedges(t *testing.T) {
 		WithEngines(3),
 		WithPolicy(LeastLoaded()),
 		WithChaos(stragglerInjector(500*time.Microsecond)),
-		WithHedge(HedgeConfig{MinDelay: 200 * time.Microsecond, MaxDelay: time.Millisecond, Budget: 0.5, Burst: 32}),
+		WithHedge(HedgeConfig{MaxDelay: time.Millisecond, Burst: 32}),
 	)
 	if err != nil {
 		t.Fatal(err)

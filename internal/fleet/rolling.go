@@ -14,7 +14,7 @@
 //
 //	idle ──▶ programming standby ──▶ [repair] ──▶ swap ──▶ idle
 //	                │                    │
-//	                └────────────────────┴──▶ breaker trips (after its
+//	                └────────────────────┴──▶ pair trips (after its
 //	                     retries), engine sheds, roll continues with the
 //	                     next engine
 //
@@ -33,7 +33,7 @@ import (
 )
 
 // reprogrammer is the weight-update surface RollingReprogram drives on each
-// engine: serve.Breaker, or a WrapBackend wrapper of the same shape.
+// engine: serve.ShadowPair, or a WrapBackend wrapper of the same shape.
 type reprogrammer interface {
 	Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error)
 }
@@ -48,7 +48,7 @@ type EngineReprogram struct {
 	// failed attempts and repair passes.
 	Hidden energy.Cost
 	// Err is the engine's failure, nil on success. A failed engine's
-	// breaker is left tripped.
+	// shadow pair is left tripped.
 	Err error
 }
 
@@ -113,7 +113,7 @@ func (f *Fleet) setStatus(s RollingStatus) {
 
 // RollingReprogram updates the whole fleet to net with zero downtime: each
 // engine in turn programs its standby behind serving and swaps, one engine
-// at a time, health-gated exactly as Breaker.Reprogram (retry + backoff,
+// at a time, health-gated exactly as ShadowPair.Reprogram (retry + backoff,
 // repair-before-swap) — or through the engine's WrapBackend
 // wrapper when that can reprogram (Config.WrapBackend). The fleet serves
 // throughout — the router keeps routing to every engine not currently

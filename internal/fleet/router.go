@@ -19,8 +19,8 @@ import (
 
 // Policy orders routable engines by preference for one request.
 //
-// Order receives the routable engine snapshot (non-draining, breaker
-// closed; never empty) and the request's fleet sequence number, and
+// Order receives the routable engine snapshot (non-draining, not
+// tripped; never empty) and the request's fleet sequence number, and
 // returns the engines in try-first order. Implementations must not mutate
 // candidates and should be pure functions of their arguments (plus
 // whatever live signals — queue depth, wear — they poll), so that a
@@ -48,9 +48,9 @@ func NewRouter(policy Policy) *Router {
 	return &Router{policy: policy}
 }
 
-// Route filters engines down to the routable set (not draining, breaker
-// closed) and returns it in the policy's preference order, along with how
-// many engines were excluded for a tripped breaker — the signal the fleet
+// Route filters engines down to the routable set (not draining, not
+// tripped) and returns it in the policy's preference order, along with how
+// many engines were excluded for a tripped shadow pair — the signal the fleet
 // uses to type its all-refused error (health vs capacity).
 func (r *Router) Route(engines []*Engine, seq uint64) (order []*Engine, tripped int) {
 	routable := make([]*Engine, 0, len(engines))

@@ -62,17 +62,17 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // CIMBackend is the crossbar side of the dispatcher: the batch-inference
-// surface shared by dpe.Engine, serve.ShadowPair, and serve.Breaker.
+// surface shared by dpe.Engine and serve.ShadowPair.
 type CIMBackend interface {
 	InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error)
 	InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error)
 	InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error)
 }
 
-// Reprogrammer is the weight-update surface of serve.ShadowPair and
-// serve.Breaker. A CIMBackend that also implements it gets dispatcher-
-// coordinated reprograms: Dispatcher.Reprogram suspends Von Neumann
-// routing, swaps the crossbar side, reloads the twin, and resumes.
+// Reprogrammer is the weight-update surface of serve.ShadowPair. A
+// CIMBackend that also implements it gets dispatcher-coordinated
+// reprograms: Dispatcher.Reprogram suspends Von Neumann routing, swaps the
+// crossbar side, reloads the twin, and resumes.
 type Reprogrammer interface {
 	Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error)
 }
@@ -99,7 +99,7 @@ type Reprogrammer interface {
 //     observed flush costs.
 //
 // A Dispatcher is a serve.Backend (plus the ctx and keyed extensions), so
-// it slots between a Breaker and a serve.Server unchanged. The three entry
+// it slots between a ShadowPair and a serve.Server unchanged. The three entry
 // points are one body: InferBatch and InferBatchCtx are InferBatchKeyedCtx
 // with nil keys, which the crossbar side serves from its own counter.
 type Dispatcher struct {
@@ -233,7 +233,7 @@ func (d *Dispatcher) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]fl
 // Reprogrammer performs the crossbar swap, and on success the twin is
 // reloaded from the same network before routing resumes. A twin reload
 // failure is returned after the crossbar swap has already happened — the
-// caller's view is the same as a Breaker reprogram failure mid-retry.
+// caller's view is the same as a ShadowPair reprogram failure mid-retry.
 func (d *Dispatcher) Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error) {
 	if d.rep == nil {
 		return energy.Zero, energy.Zero, fmt.Errorf("hybrid: CIM backend does not support Reprogram")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/metrics"
@@ -294,7 +293,7 @@ func TestDispatchThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, disp := dispatchFixture(t, ModeAuto, net, nil)
-	srv, err := serve.New(disp, serve.WithBatch(8, time.Millisecond), serve.WithQueueBound(64))
+	srv, err := serve.New(disp, serve.WithBatch(8, 0), serve.WithQueueBound(64))
 	if err != nil {
 		t.Fatal(err)
 	}

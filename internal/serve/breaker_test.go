@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"cimrev/internal/dpe"
+	"cimrev/internal/energy"
 	"cimrev/internal/faultinject"
 	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
+	"cimrev/internal/obs"
 )
 
 // faultyEngineConfig is testEngineConfig with a device-fault model.
@@ -41,24 +43,23 @@ func faultFreeOutputs(t *testing.T, net *nn.Network, inputs [][]float64) [][]flo
 }
 
 func TestBreakerConfigValidate(t *testing.T) {
-	pair, _, err := NewShadowPair(testEngineConfig(), testMLP(t, 32, 24, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := testMLP(t, 32, 24, 10)
 	bad := []Option{
 		WithRetry(-1, 0, 0),
 		WithRetry(0, -time.Second, 0),
 		WithRetry(0, time.Second, time.Millisecond),
+		WithBatch(0, 0),
+		WithQueueBound(0),
 	}
 	for i, opt := range bad {
-		if _, err := NewBreaker(pair, opt); err == nil {
+		if _, _, err := NewShadowPair(testEngineConfig(), net, opt); err == nil {
 			t.Errorf("option %d accepted", i)
 		}
 	}
-	if _, err := NewBreaker(nil); err == nil {
-		t.Error("nil pair accepted")
+	if _, _, err := NewShadowPair(testEngineConfig(), nil); err == nil {
+		t.Error("nil network accepted")
 	}
-	if _, err := NewBreaker(pair); err != nil {
+	if _, _, err := NewShadowPair(testEngineConfig(), net); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
 }
@@ -112,25 +113,21 @@ func TestShadowRepairBeforeSwap(t *testing.T) {
 
 // TestBreakerRetryUntilHealthy pins the retry loop: at seed 3 the standby
 // needs several Load epochs before program-and-verify settles every
-// column, so the breaker's first attempts fail and a later retry lands.
+// column, so the pair's first attempts fail and a later retry lands.
 func TestBreakerRetryUntilHealthy(t *testing.T) {
 	netA, netB := twoNets(t, 32, 24, 10)
 	cfg := faultyEngineConfig(faultinject.Model{WriteFailRate: 0.885, Seed: 3}, 0)
-	pair, _, err := NewShadowPair(cfg, netA)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := metrics.NewRegistry()
-	br, err := NewBreaker(pair, WithRetry(5, 0, 0), WithRegistry(reg))
+	pair, _, err := NewShadowPair(cfg, netA, WithRetry(5, 0, 0), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hidden, err := br.Reprogram(netB)
+	_, hidden, err := pair.Reprogram(netB)
 	if err != nil {
 		t.Fatalf("reprogram did not recover within 6 attempts: %v", err)
 	}
-	if br.Tripped() {
-		t.Fatal("breaker tripped after successful reprogram")
+	if pair.Tripped() {
+		t.Fatal("pair tripped after successful reprogram")
 	}
 	retries := reg.Counter("serve.reprogram_retries").Value()
 	if retries == 0 {
@@ -157,16 +154,12 @@ func TestBreakerRetryUntilHealthy(t *testing.T) {
 
 // TestBreakerTripsOnSpareExhaustion pins the degradation path: stuck cells
 // past a zero spare budget cannot repair, every retry fails with
-// ErrUnhealthy, the breaker trips and sheds, and the old weights stay live.
+// ErrUnhealthy, the pair trips and sheds, and the old weights stay live.
 func TestBreakerTripsOnSpareExhaustion(t *testing.T) {
 	netA, netB := twoNets(t, 32, 24, 10)
 	cfg := faultyEngineConfig(faultinject.Model{StuckLowRate: 0.05, StuckHighRate: 0.05, Seed: 11}, 0)
-	pair, _, err := NewShadowPair(cfg, netA)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := metrics.NewRegistry()
-	br, err := NewBreaker(pair,
+	pair, _, err := NewShadowPair(cfg, netA,
 		WithRetry(2, time.Microsecond, time.Millisecond),
 		WithSeed(1),
 		WithRegistry(reg),
@@ -174,12 +167,12 @@ func TestBreakerTripsOnSpareExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = br.Reprogram(netB)
+	_, _, err = pair.Reprogram(netB)
 	if !errors.Is(err, ErrUnhealthy) {
 		t.Fatalf("want ErrUnhealthy, got %v", err)
 	}
-	if !br.Tripped() {
-		t.Fatal("breaker did not trip")
+	if !pair.Tripped() {
+		t.Fatal("pair did not trip")
 	}
 	if pair.Swaps() != 0 {
 		t.Fatalf("unhealthy standby was swapped in (%d swaps)", pair.Swaps())
@@ -191,37 +184,37 @@ func TestBreakerTripsOnSpareExhaustion(t *testing.T) {
 		t.Fatalf("trips = %d, want 1", got)
 	}
 
-	// Open breaker sheds whole batches with the typed error.
+	// A tripped pair sheds whole batches with the typed error, on every
+	// entry point.
 	inputs := testInputs(4, 32, 23)
-	if _, _, err := br.InferBatch(inputs); !errors.Is(err, ErrUnhealthy) {
-		t.Fatalf("tripped breaker served: %v", err)
+	if _, _, err := pair.InferBatch(inputs); !errors.Is(err, ErrUnhealthy) {
+		t.Fatalf("tripped pair served: %v", err)
 	}
-	if got := reg.Counter("serve.breaker_shed").Value(); got != 4 {
-		t.Fatalf("shed = %d, want 4", got)
+	if _, _, err := pair.InferBatchKeyedCtx(obs.Ctx{}, []uint64{0, 1, 2, 3}, inputs); !errors.Is(err, ErrUnhealthy) {
+		t.Fatalf("tripped pair served keyed: %v", err)
+	}
+	if got := reg.Counter("serve.breaker_shed").Value(); got != 8 {
+		t.Fatalf("shed = %d, want 8", got)
 	}
 }
 
 // TestServerShedsUnhealthyBatches pins the flusher integration: batches
-// against a tripped breaker shed whole with ErrUnhealthy — no per-request
+// against a tripped pair shed whole with ErrUnhealthy — no per-request
 // fallback hammering — and the shed count lands in serve.unhealthy.
 func TestServerShedsUnhealthyBatches(t *testing.T) {
 	netA, netB := twoNets(t, 32, 24, 10)
 	// Stuck cells past a zero spare budget: the reprogram cannot land.
 	cfg := faultyEngineConfig(faultinject.Model{StuckLowRate: 0.05, StuckHighRate: 0.05, Seed: 11}, 0)
-	pair, _, err := NewShadowPair(cfg, netA)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := metrics.NewRegistry()
-	br, err := NewBreaker(pair, WithRegistry(reg))
+	pair, _, err := NewShadowPair(cfg, netA, WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := br.Reprogram(netB); !errors.Is(err, ErrUnhealthy) {
+	if _, _, err := pair.Reprogram(netB); !errors.Is(err, ErrUnhealthy) {
 		t.Fatalf("setup: %v", err)
 	}
 
-	srv, err := New(br, WithBatch(8, time.Millisecond), WithQueueBound(256), WithRegistry(reg))
+	srv, err := New(pair, WithBatch(8, 0), WithQueueBound(256), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,19 +240,15 @@ func TestServerShedsUnhealthyBatches(t *testing.T) {
 		t.Fatalf("serve.unhealthy = %d, want %d", got, n)
 	}
 	if got := reg.Counter("serve.errors").Value(); got != 0 {
-		t.Fatalf("per-request fallback ran %d times against a tripped breaker", got)
+		t.Fatalf("per-request fallback ran %d times against a tripped pair", got)
 	}
 }
 
-// TestBreakerConcurrentAccess exercises the breaker under the race
+// TestBreakerConcurrentAccess exercises the health gate under the race
 // detector: concurrent inference, reprogramming, and state flips.
 func TestBreakerConcurrentAccess(t *testing.T) {
 	netA, netB := twoNets(t, 32, 24, 10)
-	pair, _, err := NewShadowPair(testEngineConfig(), netA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err := NewBreaker(pair, WithRetry(1, 0, 0))
+	pair, _, err := NewShadowPair(testEngineConfig(), netA, WithRetry(1, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +265,7 @@ func TestBreakerConcurrentAccess(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := br.InferBatch(inputs); err != nil && !errors.Is(err, ErrUnhealthy) {
+				if _, _, err := pair.InferBatch(inputs); err != nil && !errors.Is(err, ErrUnhealthy) {
 					t.Errorf("infer: %v", err)
 					return
 				}
@@ -291,14 +280,81 @@ func TestBreakerConcurrentAccess(t *testing.T) {
 			if i%2 == 0 {
 				net = netB
 			}
-			if _, _, err := br.Reprogram(net); err != nil {
+			if _, _, err := pair.Reprogram(net); err != nil {
 				t.Errorf("reprogram: %v", err)
 				return
 			}
-			_ = br.Tripped()
+			_ = pair.Tripped()
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestReprogramSpanTree pins the reprogram trace: one "serve.reprogram"
+// root per Reprogram whose attempts note counts its "serve.shadow_swap"
+// children, with the visible cost on the root and the hidden cost split
+// across the children — on a clean swap and on seed 3's retried one.
+func TestReprogramSpanTree(t *testing.T) {
+	netA, netB := twoNets(t, 32, 24, 10)
+	for _, tc := range []struct {
+		name  string
+		cfg   dpe.Config
+		retry bool // the faulty config must take more than one attempt
+	}{
+		{"clean", testEngineConfig(), false},
+		{"seed3", faultyEngineConfig(faultinject.Model{WriteFailRate: 0.885, Seed: 3}, 0), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.New()
+			pair, _, err := NewShadowPair(tc.cfg, netA, WithRetry(5, 0, 0), WithTracer(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			visible, hidden, err := pair.Reprogram(netB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans := tr.Snapshot()
+			var roots []obs.Span
+			for _, s := range spans {
+				if s.Parent == 0 {
+					roots = append(roots, s)
+				}
+			}
+			if len(roots) != 1 || roots[0].Name != "serve.reprogram" {
+				t.Fatalf("roots = %+v, want one serve.reprogram", roots)
+			}
+			root := roots[0]
+			attempts := -1.0
+			for _, n := range root.Notes {
+				if n.Key == "attempts" {
+					attempts = n.Val
+				}
+			}
+			children, sum := 0, energy.Zero
+			for _, s := range spans {
+				if s.Parent == root.ID {
+					if s.Name != "serve.shadow_swap" {
+						t.Fatalf("root child %q, want serve.shadow_swap", s.Name)
+					}
+					children++
+					sum = sum.Seq(s.Cost)
+				}
+			}
+			if attempts != float64(children) {
+				t.Errorf("attempts note = %g, shadow_swap children = %d", attempts, children)
+			}
+			if tc.retry && children < 2 {
+				t.Errorf("%d attempts: seed 3 no longer exercises the retry path", children)
+			}
+			if root.Cost != visible {
+				t.Errorf("root cost %+v, want visible %+v", root.Cost, visible)
+			}
+			if sum != hidden {
+				t.Errorf("children's costs sum to %+v, want hidden %+v", sum, hidden)
+			}
+		})
+	}
 }

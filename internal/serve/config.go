@@ -1,18 +1,19 @@
 // Serving configuration: one validated Config for the whole pipeline
-// (batcher, pending list, breaker retry/backoff, telemetry), built from
+// (batcher, pending list, reprogram retry/backoff, telemetry), built from
 // Default() plus functional options. A single Config feeds both New (the
-// Server) and NewBreaker; each constructor validates the fields it
-// consumes, and shared plumbing (Registry, Tracer) is set once:
+// Server) and NewShadowPair (the board); both validate the whole Config,
+// each reads the fields it consumes, and shared plumbing (Registry,
+// Tracer) is set once:
 //
-//	srv, err := serve.New(backend,
-//	    serve.WithBatch(64, 2*time.Millisecond),
+//	pair, _, err := serve.NewShadowPair(dcfg, net,
+//	    serve.WithRetry(3, time.Millisecond, 50*time.Millisecond),
+//	    serve.WithRegistry(reg),
+//	)
+//	srv, err := serve.New(pair,
+//	    serve.WithBatch(64, 0),
 //	    serve.WithQueueBound(4096),
 //	    serve.WithRegistry(reg),
 //	    serve.WithTracer(tracer),
-//	)
-//	brk, err := serve.NewBreaker(pair,
-//	    serve.WithRetry(3, time.Millisecond, 50*time.Millisecond),
-//	    serve.WithRegistry(reg),
 //	)
 //
 // Zero options means Default().
@@ -27,23 +28,19 @@ import (
 )
 
 // Config configures the serving pipeline. Construct with Default() (or
-// zero options to New/NewBreaker) and refine with functional options.
+// zero options to New/NewShadowPair) and refine with functional options.
 type Config struct {
 	// --- Micro-batcher (Server) ---
 
 	// MaxBatch caps a batch: the flusher takes at most this many pending
 	// requests per flush. Must be >= 1.
 	MaxBatch int
-	// MaxDelay is validated (must be > 0) but not read: the batcher is
-	// work-conserving and never holds a request back for batch-mates. It
-	// stays only because WithBatch still takes it.
-	MaxDelay time.Duration
 	// QueueBound is the pending list's high-water mark: the maximum
 	// number of requests waiting for the flusher. Must be >= 1. Requests
 	// beyond it are rejected with ErrOverloaded.
 	QueueBound int
 
-	// --- Circuit breaker (Breaker) ---
+	// --- Reprogram retry (ShadowPair) ---
 
 	// MaxRetries bounds how many times a failed Reprogram is retried
 	// (total attempts = MaxRetries + 1). Zero disables retries.
@@ -63,16 +60,16 @@ type Config struct {
 	// Registry receives serving metrics. Nil selects a private registry
 	// (always safe; reachable via Server.Registry).
 	Registry *metrics.Registry
-	// Tracer records serve-layer spans (flushes, shadow swaps, breaker
-	// reprograms) and is threaded down into the engine/crossbar spans.
+	// Tracer records serve-layer spans (flushes, reprograms and their
+	// shadow swaps) and is threaded down into the engine/crossbar spans.
 	// Nil or disabled means the pipeline pays only nil-check branches.
 	Tracer *obs.Tracer
 }
 
 // Default returns the serving configuration the benchmarks use: batches
-// up to 64, a 2ms MaxDelay, a 4096-deep pending list and no retries.
+// up to 64, a 4096-deep pending list and no retries.
 func Default() Config {
-	return Config{MaxBatch: 64, MaxDelay: 2 * time.Millisecond, QueueBound: 4096}
+	return Config{MaxBatch: 64, QueueBound: 4096}
 }
 
 // Validate reports whether the configuration is usable. Like the
@@ -83,18 +80,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.MaxBatch < 1:
 		return fmt.Errorf("serve: MaxBatch must be >= 1, got %d (a batcher that never fills never flushes)", c.MaxBatch)
-	case c.MaxDelay <= 0:
-		return fmt.Errorf("serve: MaxDelay must be positive, got %v", c.MaxDelay)
 	case c.QueueBound < 1:
 		return fmt.Errorf("serve: QueueBound must be >= 1, got %d (a zero-length pending list rejects every request)", c.QueueBound)
-	}
-	return c.validateBreaker()
-}
-
-// validateBreaker checks only the breaker-facing fields; NewBreaker uses
-// it directly so a Breaker-only caller need not fill batcher fields.
-func (c Config) validateBreaker() error {
-	switch {
 	case c.MaxRetries < 0:
 		return fmt.Errorf("serve: MaxRetries must be >= 0, got %d", c.MaxRetries)
 	case c.BaseBackoff < 0 || c.MaxBackoff < 0:
@@ -108,15 +95,17 @@ func (c Config) validateBreaker() error {
 // Option mutates a Config during construction.
 type Option func(*Config)
 
-// WithBatch sets the batch cap and MaxDelay (validated, not read).
-func WithBatch(maxBatch int, maxDelay time.Duration) Option {
-	return func(c *Config) { c.MaxBatch, c.MaxDelay = maxBatch, maxDelay }
+// WithBatch sets the batch cap. The second argument is ignored: the
+// batcher is work-conserving and never holds a request back for
+// batch-mates, so there is no delay to set.
+func WithBatch(maxBatch int, _ time.Duration) Option {
+	return func(c *Config) { c.MaxBatch = maxBatch }
 }
 
 // WithQueueBound sets the pending list's high-water mark.
 func WithQueueBound(n int) Option { return func(c *Config) { c.QueueBound = n } }
 
-// WithRetry sets the breaker's reprogram retry budget and backoff window.
+// WithRetry sets the pair's reprogram retry budget and backoff window.
 func WithRetry(maxRetries int, base, max time.Duration) Option {
 	return func(c *Config) { c.MaxRetries, c.BaseBackoff, c.MaxBackoff = maxRetries, base, max }
 }

@@ -12,7 +12,7 @@ import (
 // enqueues — SubmitKeyed fails fast with ErrCanceled wrapping the cause.
 func TestSubmitPreCanceledContext(t *testing.T) {
 	bk := &countingBackend{}
-	srv, err := New(bk, WithBatch(4, time.Millisecond), WithQueueBound(16))
+	srv, err := New(bk, WithBatch(4, 0), WithQueueBound(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSubmitPreCanceledContext(t *testing.T) {
 // TestSubmitNilContext: a nil context is treated as context.Background().
 func TestSubmitNilContext(t *testing.T) {
 	bk := &countingBackend{}
-	srv, err := New(bk, WithBatch(1, time.Millisecond), WithQueueBound(16))
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSubmitNilContext(t *testing.T) {
 func TestSubmitCanceledWhileQueued(t *testing.T) {
 	const parked = 4
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, time.Millisecond), WithQueueBound(parked+1))
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(parked+1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSubmitCanceledWhileQueued(t *testing.T) {
 // into the buffered response channel and nothing leaks or deadlocks.
 func TestSubmitCanceledMidBatch(t *testing.T) {
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, time.Millisecond), WithQueueBound(8))
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSubmitCanceledMidBatch(t *testing.T) {
 // stage counters.
 func TestSubmitDeadlineExceeded(t *testing.T) {
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, time.Millisecond), WithQueueBound(8))
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSubmitDeadlineExceeded(t *testing.T) {
 // cancel counter does not.
 func TestSubmitDeadlinePreEnqueue(t *testing.T) {
 	bk := &countingBackend{}
-	srv, err := New(bk, WithBatch(4, time.Millisecond), WithQueueBound(16))
+	srv, err := New(bk, WithBatch(4, 0), WithQueueBound(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSubmitDeadlinePreEnqueue(t *testing.T) {
 func TestSubmitDeadlineWhileQueued(t *testing.T) {
 	const parked = 4
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, time.Millisecond), WithQueueBound(parked+1))
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(parked+1))
 	if err != nil {
 		t.Fatal(err)
 	}

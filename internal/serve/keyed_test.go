@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"cimrev/internal/dpe"
 )
@@ -20,7 +19,7 @@ func noisyPairConfig() dpe.Config {
 }
 
 // TestSubmitKeyedBitIdentical: outputs served through the full pipeline
-// (queue, batcher, shadow pair, breaker) with caller-owned keys are
+// (queue, batcher, shadow pair) with caller-owned keys are
 // bit-identical to the same keys run directly through a twin engine —
 // regardless of how the batcher grouped the concurrent submissions.
 func TestSubmitKeyedBitIdentical(t *testing.T) {
@@ -67,11 +66,7 @@ func TestSubmitKeyedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	brk, err := NewBreaker(pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(brk, WithBatch(8, 2*time.Millisecond))
+	srv, err := New(pair, WithBatch(8, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,8 @@
 // Zero-downtime weight updates are the fourth piece, in shadow.go: a
 // ShadowPair programs a standby engine while the live one keeps serving,
 // then swaps atomically — the write-asymmetry hiding of Section VI realized
-// as double-buffering at the serving layer. See docs/SERVING.md.
+// as double-buffering at the serving layer — and trips, shedding typed,
+// when a reprogram cannot land. See docs/SERVING.md.
 package serve
 
 import (
@@ -53,8 +54,8 @@ import (
 )
 
 // Backend is the batched inference kernel the pipeline feeds. Both
-// *dpe.Engine and *dpe.Cluster (and *ShadowPair and *Breaker, which wrap
-// engines) satisfy it.
+// *dpe.Engine and *dpe.Cluster (and *ShadowPair, which wraps two engines)
+// satisfy it.
 type Backend interface {
 	// InferBatch runs the batch, returning one output per input plus the
 	// simulated cost of the whole batch. It must be safe for the pipeline
@@ -64,7 +65,7 @@ type Backend interface {
 }
 
 // ctxBackend is the optional traced variant of Backend. Backends that
-// implement it (dpe.Engine, dpe.Cluster, ShadowPair, Breaker) have their
+// implement it (dpe.Engine, dpe.Cluster, ShadowPair) have their
 // span tree linked under the server's "serve.flush" spans; plain Backends
 // still work, they just appear as leaf flushes in a trace.
 type ctxBackend interface {
@@ -72,7 +73,7 @@ type ctxBackend interface {
 }
 
 // keyedBackend is the optional request-keyed-noise variant of Backend
-// (dpe.Engine, ShadowPair, Breaker, hybrid.Dispatcher). Every request
+// (dpe.Engine, ShadowPair, hybrid.Dispatcher). Every request
 // carries its own noise sequence number down to the engine, making its
 // output a pure function of (engine config, key, input) — independent of
 // batch composition, queue interleaving, or which engine of a fleet serves
@@ -273,7 +274,7 @@ func (s *Server) SimTimePS() int64 { return s.simPS.Load() }
 // stream for seq, so the output is a pure function of (engine config, seq,
 // input) — identical no matter how the batcher groups it or which engine of
 // a fleet serves it (docs/CLUSTER.md). That needs a backend implementing
-// InferBatchKeyedCtx (dpe.Engine, ShadowPair, Breaker, hybrid.Dispatcher);
+// InferBatchKeyedCtx (dpe.Engine, ShadowPair, hybrid.Dispatcher);
 // over a plain Backend the key is ignored.
 //
 // The returned cost is the request's share of its batch: the full batch
@@ -435,7 +436,7 @@ func (s *Server) flush(batch []*request) {
 	sp.End(cost)
 	if err != nil {
 		if errors.Is(err, ErrUnhealthy) {
-			// Health-driven shed: a tripped breaker (or an unhealthy
+			// Health-driven shed: a tripped shadow pair (or an unhealthy
 			// backend) fails every request identically, so the
 			// per-request fallback below would just hammer it N more
 			// times. Shed the whole batch with the typed error and let

@@ -62,11 +62,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{MaxBatch: 0, MaxDelay: time.Millisecond, QueueBound: 1},
-		{MaxBatch: -3, MaxDelay: time.Millisecond, QueueBound: 1},
-		{MaxBatch: 1, MaxDelay: 0, QueueBound: 1},
-		{MaxBatch: 1, MaxDelay: -time.Second, QueueBound: 1},
-		{MaxBatch: 1, MaxDelay: time.Millisecond, QueueBound: 0},
+		{MaxBatch: 0, QueueBound: 1},
+		{MaxBatch: -3, QueueBound: 1},
+		{MaxBatch: 1, QueueBound: 0},
+		{MaxBatch: 1, QueueBound: 1, MaxRetries: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -79,7 +78,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	net := testMLP(t, 16, 8)
 	eng := loadedEngine(t, net)
-	if _, err := New(eng, WithBatch(0, time.Millisecond)); err == nil {
+	if _, err := New(eng, WithBatch(0, 0)); err == nil {
 		t.Error("invalid config accepted by New")
 	}
 }
@@ -94,7 +93,7 @@ func TestServeMatchesDirectInfer(t *testing.T) {
 			parallel.SetWidth(width)
 			net := testMLP(t, 32, 24, 10)
 			eng := loadedEngine(t, net)
-			srv, err := New(eng, WithBatch(8, 5*time.Millisecond), WithQueueBound(256))
+			srv, err := New(eng, WithBatch(8, 0), WithQueueBound(256))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +185,7 @@ func (b *blockingBackend) InferBatch(inputs [][]float64) ([][]float64, energy.Co
 func TestBackpressure(t *testing.T) {
 	const bound = 4
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, time.Millisecond), WithQueueBound(bound))
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(bound))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +269,8 @@ func (b *countingBackend) InferBatch(inputs [][]float64) ([][]float64, energy.Co
 }
 
 // TestIdleServerDoesNotWait: a lone request on an idle server is flushed at
-// once as a batch of one — it never waits for batch-mates, however long
-// MaxDelay is.
+// once as a batch of one — it never waits for batch-mates, whatever delay
+// WithBatch is handed.
 func TestIdleServerDoesNotWait(t *testing.T) {
 	bk := &countingBackend{}
 	srv, err := New(bk, WithBatch(16, 10*time.Second), WithQueueBound(16))
@@ -298,7 +297,7 @@ func TestIdleServerDoesNotWait(t *testing.T) {
 func TestMaxBatchCap(t *testing.T) {
 	const maxBatch, n = 4, 64
 	bk := &countingBackend{delay: 2 * time.Millisecond} // lets the queue pile up
-	srv, err := New(bk, WithBatch(maxBatch, 50*time.Millisecond), WithQueueBound(n))
+	srv, err := New(bk, WithBatch(maxBatch, 0), WithQueueBound(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +336,7 @@ func TestMaxBatchCap(t *testing.T) {
 func TestCloseDrains(t *testing.T) {
 	net := testMLP(t, 16, 8)
 	eng := loadedEngine(t, net)
-	srv, err := New(eng, WithBatch(4, 20*time.Millisecond), WithQueueBound(64))
+	srv, err := New(eng, WithBatch(4, 0), WithQueueBound(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +405,7 @@ func conserve(t *testing.T, seed int64) {
 	const n = 64
 	rng := rand.New(rand.NewSource(seed))
 	bk := &echoBackend{delay: time.Duration(rng.Intn(100)) * time.Microsecond, seen: map[uint64]int{}}
-	srv, err := New(bk, WithBatch(1+rng.Intn(8), time.Millisecond), WithQueueBound(1+rng.Intn(32)))
+	srv, err := New(bk, WithBatch(1+rng.Intn(8), 0), WithQueueBound(1+rng.Intn(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +499,7 @@ func conserve(t *testing.T, seed int64) {
 func TestPoisonPillIsolated(t *testing.T) {
 	net := testMLP(t, 16, 8)
 	eng := loadedEngine(t, net)
-	srv, err := New(eng, WithBatch(4, 30*time.Millisecond), WithQueueBound(64))
+	srv, err := New(eng, WithBatch(4, 0), WithQueueBound(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +544,7 @@ func TestServeClusterBackend(t *testing.T) {
 	if _, err := cl.Load(net); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(cl, WithBatch(8, 10*time.Millisecond), WithQueueBound(128))
+	srv, err := New(cl, WithBatch(8, 0), WithQueueBound(128))
 	if err != nil {
 		t.Fatal(err)
 	}

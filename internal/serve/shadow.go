@@ -1,4 +1,4 @@
-// Shadow-engine reprogramming: zero-downtime weight updates.
+// Shadow-engine reprogramming: zero-downtime, health-gated weight updates.
 //
 // Section VI names memristor write asymmetry — writes are orders of
 // magnitude slower than reads — as the scaling challenge, and proposes
@@ -9,18 +9,47 @@
 // while the live engine keeps serving every request, then an atomic
 // pointer swap puts the new weights on the serving path. The only
 // reprogramming cost a request can ever observe is the swap itself.
+//
+// The fault subsystem (internal/faultinject, docs/FAULTS.md) makes that
+// write path fallible: program-and-verify can exhaust retry budgets, spare
+// columns can run out. So the pair is also the board's health gate:
+//
+//   - A standby that stays unhealthy after one in-place repair is never
+//     swapped in.
+//   - A failed attempt is retried with exponential backoff plus
+//     deterministic jitter (a counter-based noise stream, so tests replay
+//     bit-identically). Each retry re-runs Load on a fresh program epoch,
+//     which re-rolls transient write failures.
+//   - When every attempt fails, the pair trips: the live engine keeps its
+//     previous weights, but every batch sheds with a typed ErrUnhealthy
+//     instead of serving from a board the fault model could not
+//     reprogram. A later successful Reprogram closes it again.
+//
+// The Server's flush loop recognizes ErrUnhealthy and sheds whole batches
+// without the per-request fallback — retrying one request at a time
+// against a tripped board is pure waste.
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
+	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
+	"cimrev/internal/noise"
 	"cimrev/internal/obs"
 )
+
+// ErrUnhealthy is the typed sentinel for health-driven load shedding: a
+// tripped ShadowPair returns it from InferBatch, and a Reprogram whose
+// standby stays unhealthy after repair wraps it. Callers match it with
+// errors.Is; the Server's flusher sheds whole batches on it.
+var ErrUnhealthy = errors.New("serve: backend unhealthy")
 
 // guardedEngine pairs an engine with a reader/writer gate: inference holds
 // the read side, reprogramming holds the write side. The write side is
@@ -33,27 +62,52 @@ type guardedEngine struct {
 	eng *dpe.Engine
 }
 
-// ShadowPair is a double-buffered pair of DPE engines implementing
-// Backend. Inference always runs on the live engine; Reprogram programs
-// the standby and swaps. Both engines share one configuration and seed, so
-// the engine installed by a swap is bit-identical — outputs, noise stream,
-// and costs — to a fresh engine programmed with the new network.
-type ShadowPair struct {
-	cfg dpe.Config
+// pairMetrics holds the pair's interned health-gate counters.
+type pairMetrics struct {
+	shed    *metrics.Counter
+	trips   *metrics.Counter
+	retries *metrics.Counter
+}
 
-	// reprogramMu serializes Reprogram calls; swaps are rare and total
+// ShadowPair is one board of the serving tier: a double-buffered pair of
+// DPE engines behind a health gate, implementing Backend. Inference always
+// runs on the live engine; Reprogram programs the standby and swaps. Both
+// engines share one configuration and seed, so the engine installed by a
+// swap is bit-identical — outputs, noise stream, and costs — to a fresh
+// engine programmed with the new network. Construct with NewShadowPair;
+// InferBatch is safe for concurrent use and may run concurrently with
+// Reprogram.
+type ShadowPair struct {
+	cfg    Config
+	met    pairMetrics
+	jitter noise.Source
+	draws  atomic.Uint64 // jitter stream position
+
+	// reprogramMu serializes swap attempts; swaps are rare and total
 	// ordering keeps the live/standby invariant trivial.
 	reprogramMu sync.Mutex
 	live        atomic.Pointer[guardedEngine]
 	standby     *guardedEngine
 
-	swaps atomic.Int64
+	swaps   atomic.Int64
+	tripped atomic.Bool
 }
 
 // NewShadowPair builds the pair and programs net into the live engine,
 // returning the initial programming cost. The standby engine is created
 // (same config and seed) but left unprogrammed until the first Reprogram.
-func NewShadowPair(cfg dpe.Config, net *nn.Network) (*ShadowPair, energy.Cost, error) {
+// The pair is configured by Default() refined with opts: it reads the
+// retry/backoff fields (WithRetry, WithSeed), the Registry its health
+// counters land in, and the Tracer its reprogram spans go to.
+func NewShadowPair(cfg dpe.Config, net *nn.Network, opts ...Option) (*ShadowPair, energy.Cost, error) {
+	scfg := build(opts)
+	if err := scfg.Validate(); err != nil {
+		return nil, energy.Zero, err
+	}
+	reg := scfg.Registry
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	liveEng, err := dpe.New(cfg)
 	if err != nil {
 		return nil, energy.Zero, err
@@ -66,7 +120,16 @@ func NewShadowPair(cfg dpe.Config, net *nn.Network) (*ShadowPair, energy.Cost, e
 	if err != nil {
 		return nil, energy.Zero, fmt.Errorf("serve: shadow pair initial load: %w", err)
 	}
-	p := &ShadowPair{cfg: cfg, standby: &guardedEngine{eng: standbyEng}}
+	p := &ShadowPair{
+		cfg: scfg,
+		met: pairMetrics{
+			shed:    reg.Counter("serve.breaker_shed"),
+			trips:   reg.Counter("serve.breaker_trips"),
+			retries: reg.Counter("serve.reprogram_retries"),
+		},
+		jitter:  noise.NewSource(scfg.Seed),
+		standby: &guardedEngine{eng: standbyEng},
+	}
 	p.live.Store(&guardedEngine{eng: liveEng})
 	return p, cost, nil
 }
@@ -74,17 +137,35 @@ func NewShadowPair(cfg dpe.Config, net *nn.Network) (*ShadowPair, energy.Cost, e
 // Swaps returns how many reprogram-and-swap cycles have completed.
 func (p *ShadowPair) Swaps() int64 { return p.swaps.Load() }
 
+// Tripped reports whether the pair is shedding because its last Reprogram
+// failed every attempt.
+func (p *ShadowPair) Tripped() bool { return p.tripped.Load() }
+
+// shed refuses a batch of n while the pair is tripped, counting it in
+// serve.breaker_shed; nil means serve it.
+func (p *ShadowPair) shed(n int) error {
+	if !p.tripped.Load() {
+		return nil
+	}
+	p.met.shed.Add(int64(n))
+	return fmt.Errorf("serve: breaker open: %w", ErrUnhealthy)
+}
+
 // InferBatch serves the batch from the live engine. It takes the engine's
 // read gate for the duration, so a subsequent swap cannot reprogram this
 // engine until the batch retires. Requests that race a swap may be served
-// by either weight version — the swap is the linearization point.
+// by either weight version — the swap is the linearization point. While
+// the pair is tripped the whole batch sheds with ErrUnhealthy.
 func (p *ShadowPair) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error) {
 	return p.InferBatchCtx(obs.Ctx{}, inputs)
 }
 
 // InferBatchCtx is InferBatch with tracing: the live engine's
-// dpe.infer_batch span tree links under pc.
+// dpe.infer_batch span tree links under pc. Shed batches record no spans.
 func (p *ShadowPair) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error) {
+	if err := p.shed(len(inputs)); err != nil {
+		return nil, energy.Zero, err
+	}
 	g := p.live.Load()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -96,8 +177,12 @@ func (p *ShadowPair) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64,
 // both engines of the pair share one Config and seed, keyed outputs are
 // bit-identical across swaps — and across every other pair built from the
 // same Config, which is what lets a fleet of pairs fan requests out without
-// disturbing per-request determinism (docs/CLUSTER.md).
+// disturbing per-request determinism (docs/CLUSTER.md). It sheds exactly as
+// InferBatchCtx does.
 func (p *ShadowPair) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error) {
+	if err := p.shed(len(inputs)); err != nil {
+		return nil, energy.Zero, err
+	}
 	g := p.live.Load()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -130,44 +215,83 @@ func (p *ShadowPair) Health() dpe.Health {
 // returns the visible cost (one buffer-swap latency on the critical path,
 // but the full programming energy — energy is spent regardless of where
 // the latency hides) and the hidden cost (the full programming cost that
-// overlapped with serving).
+// overlapped with serving, summed over every attempt: failed programming
+// passes burn real energy, and the ledger shows it).
 //
 // The standby is programmed with Load, not Reprogram: the swapped-in
 // engine is indistinguishable from a freshly constructed engine loaded
 // with net — its noise sequence restarts at zero — and the new network may
 // even have a different topology than the old one.
 //
-// When device-fault injection is active (dpe.Config.Faults), Reprogram is
-// health-aware: if program-and-verify left the standby with lost columns,
-// it runs one Repair pass in place — still off the critical path, its
-// cost part of the returned hidden cost — before swapping. A standby that
-// remains unhealthy after repair is NEVER swapped in: Reprogram returns an
-// error wrapping ErrUnhealthy, the live engine keeps serving the old
-// weights, and the failed attempt's cost is still returned as hidden (the
-// energy was spent even though no swap happened).
+// When device-fault injection is active (dpe.Config.Faults), each attempt
+// is health-aware: if program-and-verify left the standby with lost
+// columns, it runs one Repair pass in place — still off the critical path —
+// before swapping, and a standby that remains unhealthy after repair is
+// never swapped in. A failed attempt is retried up to MaxRetries times
+// with backoff. If every attempt fails the pair trips and the last error
+// is returned (wrapping ErrUnhealthy when the standby stayed unhealthy);
+// the live engine keeps the previous weights. A success closes the pair.
+//
+// With a tracer configured, each Reprogram is one "serve.reprogram" root
+// span annotated with the attempt count, wrapping one "serve.shadow_swap"
+// span per attempt (and their dpe.load / tile.program children). The
+// root's cost is the visible cost; each attempt's span carries that
+// attempt's hidden cost.
 func (p *ShadowPair) Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error) {
-	return p.ReprogramCtx(obs.Ctx{}, net)
-}
-
-// ReprogramCtx is Reprogram with tracing: one "serve.shadow_swap" span
-// covering the standby programming, any repair pass, and the swap. The
-// span's cost is the *hidden* (full) programming cost — the work that
-// overlapped with serving — because that is where the simulated energy
-// went; the visible swap latency is an annotation (visible_ps).
-func (p *ShadowPair) ReprogramCtx(pc obs.Ctx, net *nn.Network) (visible, hidden energy.Cost, err error) {
-	sp := pc.Child("serve.shadow_swap")
-	visible, hidden, err = p.reprogram(sp, net)
+	sp := p.cfg.Tracer.Root("serve.reprogram")
+	budget := p.cfg.MaxRetries + 1
+	attempts := 0
+	for attempts < budget {
+		if attempts > 0 {
+			p.met.retries.Inc()
+			if d := p.backoff(attempts - 1); d > 0 {
+				time.Sleep(d)
+			}
+		}
+		attempts++
+		var v, h energy.Cost
+		v, h, err = p.swap(sp, net)
+		hidden = hidden.Seq(h)
+		if err == nil {
+			visible = v
+			break
+		}
+	}
+	if err != nil {
+		if !p.tripped.Swap(true) {
+			p.met.trips.Inc()
+		}
+		err = fmt.Errorf("serve: reprogram failed after %d attempts: %w", budget, err)
+	} else {
+		p.tripped.Store(false)
+	}
 	if sp.Active() {
-		sp.Annotate("visible_ps", float64(visible.LatencyPS))
+		sp.Annotate("attempts", float64(attempts))
 		if err != nil {
 			sp.Annotate("error", 1)
 		}
 	}
-	sp.End(hidden)
+	sp.End(visible)
 	return visible, hidden, err
 }
 
-func (p *ShadowPair) reprogram(sp obs.Ctx, net *nn.Network) (visible, hidden energy.Cost, err error) {
+// swap is one reprogram attempt under one "serve.shadow_swap" span: program
+// the standby, repair it if needed, and swap it in if it is healthy. The
+// span's cost is the attempt's hidden cost, because that is where the
+// simulated energy went; the visible swap latency is an annotation
+// (visible_ps).
+func (p *ShadowPair) swap(pc obs.Ctx, net *nn.Network) (visible, hidden energy.Cost, err error) {
+	sp := pc.Child("serve.shadow_swap")
+	defer func() {
+		if sp.Active() {
+			sp.Annotate("visible_ps", float64(visible.LatencyPS))
+			if err != nil {
+				sp.Annotate("error", 1)
+			}
+		}
+		sp.End(hidden)
+	}()
+
 	p.reprogramMu.Lock()
 	defer p.reprogramMu.Unlock()
 
@@ -204,4 +328,22 @@ func (p *ShadowPair) reprogram(sp obs.Ctx, net *nn.Network) (visible, hidden ene
 
 	visible = energy.Cost{LatencyPS: energy.EDRAMAccessLatencyPS, EnergyPJ: cost.EnergyPJ}
 	return visible, cost, nil
+}
+
+// backoff returns retry k's delay: BaseBackoff << k capped at MaxBackoff,
+// scaled by a deterministic jitter factor in [0.5, 1) so synchronized
+// retries decorrelate without losing replayability.
+func (p *ShadowPair) backoff(k int) time.Duration {
+	if p.cfg.BaseBackoff <= 0 {
+		return 0
+	}
+	d := p.cfg.BaseBackoff
+	for i := 0; i < k && d < 1<<40; i++ {
+		d *= 2
+	}
+	if p.cfg.MaxBackoff > 0 && d > p.cfg.MaxBackoff {
+		d = p.cfg.MaxBackoff
+	}
+	f := 0.5 + 0.5*p.jitter.Float64(p.draws.Add(1))
+	return time.Duration(float64(d) * f)
 }

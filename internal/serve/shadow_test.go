@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,7 +45,7 @@ func TestShadowSwapZeroDowntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(pair, WithBatch(8, time.Millisecond), WithQueueBound(1024))
+	srv, err := New(pair, WithBatch(8, 0), WithQueueBound(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +239,10 @@ func TestShadowTopologyChange(t *testing.T) {
 }
 
 // TestShadowReprogramError: a failed standby load must leave the live
-// engine serving the old weights and report a descriptive error.
+// engine's weights untouched, report a descriptive error and trip the
+// pair; the next good Reprogram closes it and it serves again.
 func TestShadowReprogramError(t *testing.T) {
-	netA, _ := twoNets(t, 16, 8)
+	netA, netB := twoNets(t, 16, 8)
 	pair, _, err := NewShadowPair(testEngineConfig(), netA)
 	if err != nil {
 		t.Fatal(err)
@@ -250,12 +253,29 @@ func TestShadowReprogramError(t *testing.T) {
 	if pair.Swaps() != 0 {
 		t.Errorf("failed reprogram counted a swap")
 	}
-	out, _, err := pair.InferBatch(testInputs(1, 16, 3))
-	if err != nil || len(out) != 1 {
-		t.Errorf("live engine damaged by failed reprogram: %v", err)
+	if !pair.Tripped() {
+		t.Error("failed reprogram did not trip the pair")
 	}
 	if got := pair.live.Load().eng.Network().Name; got != "net-a" {
 		t.Errorf("live network = %q, want \"net-a\"", got)
+	}
+	in := testInputs(1, 16, 3)
+	if _, _, err := pair.InferBatch(in); !errors.Is(err, ErrUnhealthy) {
+		t.Errorf("tripped pair served: %v", err)
+	}
+
+	if _, _, err := pair.Reprogram(netB); err != nil {
+		t.Fatal(err)
+	}
+	if pair.Tripped() || pair.Swaps() != 1 {
+		t.Fatalf("after a good reprogram: tripped=%v swaps=%d, want closed and 1", pair.Tripped(), pair.Swaps())
+	}
+	out, _, err := pair.InferBatch(in)
+	if err != nil || len(out) != 1 {
+		t.Errorf("closed pair did not serve: %v", err)
+	}
+	if !reflect.DeepEqual(out, faultFreeOutputs(t, netB, in)) {
+		t.Error("closed pair does not serve the new weights")
 	}
 }
 
@@ -271,7 +291,7 @@ func TestShadowServeParallelWidths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := New(pair, WithBatch(4, time.Millisecond), WithQueueBound(256))
+			srv, err := New(pair, WithBatch(4, 0), WithQueueBound(256))
 			if err != nil {
 				t.Fatal(err)
 			}
