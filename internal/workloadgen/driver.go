@@ -2,6 +2,7 @@ package workloadgen
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,11 +263,18 @@ func (d *driver) fire(req Request) (retry bool) {
 }
 
 // runOpen fires the absolute schedule: arrival i at start + Times[i],
-// catch-up semantics when the host oversleeps. Gaps below the host's
-// sleep granularity are handled by the absolute schedule — oversleeping
-// one arrival makes the following ones fire immediately until the
-// schedule is caught up, so the offered rate holds even when single gaps
-// cannot be slept accurately.
+// catch-up semantics when the host oversleeps — an arrival already due
+// fires at once, so the offered rate holds even when single gaps cannot
+// be slept accurately.
+//
+// The wait is sleepUntil, not time.Sleep: a Go timer on an idle process
+// wakes through the netpoller, which rounds any sub-millisecond timeout
+// up to a whole millisecond and so fires each millisecond of arrivals as
+// one burst. nanosleep(2) blocks the driver's thread instead, and the one
+// runtime.Gosched before it hands the driver's P to the arrivals just
+// fired, so they run on this thread rather than waking a second one. A
+// catch-up burst does not yield: the driver must not throttle itself
+// under overload.
 func (d *driver) runOpen(start time.Time) {
 	var wg sync.WaitGroup
 	next := start
@@ -278,8 +286,9 @@ func (d *driver) runOpen(start time.Time) {
 		gap := d.cfg.Arrivals.Gap(uint64(seq))
 		elapsed += gap
 		next = next.Add(gap)
-		if wait := time.Until(next); wait > 0 {
-			time.Sleep(wait)
+		if time.Until(next) > 0 {
+			runtime.Gosched()
+			sleepUntil(next)
 		}
 		lateness := time.Since(start) - elapsed
 		if lateness < 0 {

@@ -2,6 +2,8 @@ package workloadgen
 
 import (
 	"errors"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,6 +144,65 @@ func TestDriveOpenLoopDoesNotSelfThrottle(t *testing.T) {
 	// firing on schedule while the backend stalled.
 	if rep.PeakInFlight != n {
 		t.Errorf("peak in-flight %d, want %d (driver must not self-throttle)", rep.PeakInFlight, n)
+	}
+}
+
+// TestDriveOpenLoopNeverEarly: no request fires before its scheduled
+// offset. The clock starts before Drive's own, so the check holds
+// however late the driver runs.
+func TestDriveOpenLoopNeverEarly(t *testing.T) {
+	a, err := NewPoisson(83, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = Drive(DriveConfig{Arrivals: a, Requests: 500}, func(r Request) (Outcome, error) {
+		if since := time.Since(start); since < r.Scheduled {
+			t.Errorf("seq %d fired at %v, before its scheduled %v", r.Seq, since, r.Scheduled)
+		}
+		return OK, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDriveOpenLoopOnTime: at a rate whose gaps are well under a
+// millisecond, the median request fires within 300 µs of its schedule.
+// A driver sleeping on a Go timer fires about a millisecond late here,
+// because an idle process's timers wake through the netpoller's
+// whole-millisecond epoll_wait, on every attempt; a host busy with other
+// work can delay one attempt's wake-ups, so the test gets three.
+func TestDriveOpenLoopOnTime(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("sleepUntil is time.Sleep off Linux")
+	}
+	a, err := NewPoisson(84, 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 400
+	for attempt := 1; ; attempt++ {
+		var mu sync.Mutex
+		late := make([]time.Duration, 0, n)
+		_, err = Drive(DriveConfig{Arrivals: a, Requests: n}, func(r Request) (Outcome, error) {
+			mu.Lock()
+			late = append(late, r.Lateness)
+			mu.Unlock()
+			return OK, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+		med := late[n/2]
+		if med < 300*time.Microsecond {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("median lateness %v on attempt %d, want under 300µs (p90 %v)", med, attempt, late[n*9/10])
+		}
+		t.Logf("attempt %d: median lateness %v", attempt, med)
 	}
 }
 
