@@ -23,9 +23,13 @@ vet:
 # internal/crossbar's functional kernel has an amd64 assembly routine and no
 # other: everywhere else the Go kernel is the only one, and nothing but a
 # cross-build says that the package still compiles without the routine.
-# Both commands run offline and need no arm64 host.
+# internal/workloadgen likewise has a Linux-only sleepUntil (nanosleep(2)
+# at 1 ns timer slack) and a time.Sleep one for every other OS; the darwin
+# and windows commands compile the latter. All run offline, on any host.
 vet-arm64:
 	GOARCH=arm64 $(GO) vet ./internal/crossbar && GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/workloadgen
+	GOOS=windows $(GO) build ./internal/workloadgen
 
 # Fail if any tracked Go file is not gofmt-clean; prints the offenders.
 fmt-check:

@@ -34,7 +34,7 @@ func ExampleRouter() {
 
 	engines := f.Engines()
 	for seq := uint64(0); seq < 4; seq++ {
-		order, _ := f.Router().Route(engines, seq)
+		order, _ := f.Router().Route(nil, engines, seq)
 		ids := make([]int, len(order))
 		for i, e := range order {
 			ids[i] = e.ID()

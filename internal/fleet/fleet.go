@@ -50,6 +50,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -282,7 +283,8 @@ type Fleet struct {
 	met    fleetMetrics
 
 	// mu guards the engine set. SubmitSeq holds it shared just long
-	// enough to snapshot the engine slice; Close holds it exclusively.
+	// enough to read the engine slice (members); Close holds it
+	// exclusively.
 	mu      sync.RWMutex
 	engines []*Engine
 
@@ -406,12 +408,15 @@ func (f *Fleet) Hedging() bool { return f.hedge != nil }
 func (f *Fleet) BrownoutActive() bool { return f.over != nil && f.over.active() }
 
 // Engines returns a snapshot of the current members in ID order.
-func (f *Fleet) Engines() []*Engine {
+func (f *Fleet) Engines() []*Engine { return slices.Clone(f.members()) }
+
+// members returns the member slice itself, not a copy: New fills it and
+// Close swaps in nil, and nothing writes its elements, so a reader may
+// keep it after the lock is released.
+func (f *Fleet) members() []*Engine {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]*Engine, len(f.engines))
-	copy(out, f.engines)
-	return out
+	return f.engines
 }
 
 // Size returns the current member count.
@@ -427,7 +432,7 @@ func (f *Fleet) Size() int {
 // requests / (SimTimePS · 1e-12).
 func (f *Fleet) SimTimePS() int64 {
 	var max int64
-	for _, e := range f.Engines() {
+	for _, e := range f.members() {
 		if ps := e.SimTimePS(); ps > max {
 			max = ps
 		}
@@ -467,7 +472,8 @@ func (f *Fleet) SubmitSeqPri(ctx context.Context, seq uint64, in []float64, pri 
 		f.met.brownoutShed.Inc()
 		return nil, energy.Zero, fmt.Errorf("fleet: brownout shed (low priority): %w", serve.ErrOverloaded)
 	}
-	engines := f.Engines()
+	engines, buf, tripped := f.route(seq)
+	defer buf.release()
 	if len(engines) == 0 {
 		f.met.unrouteable.Inc()
 		return nil, energy.Zero, ErrNoEngines
@@ -475,7 +481,7 @@ func (f *Fleet) SubmitSeqPri(ctx context.Context, seq uint64, in []float64, pri 
 	if f.over != nil {
 		f.over.observe(engines)
 	}
-	order, tripped := f.router.Route(engines, seq)
+	order := buf.engines
 	if len(order) == 0 {
 		f.met.unrouteable.Inc()
 		if tripped > 0 {
@@ -489,7 +495,7 @@ func (f *Fleet) SubmitSeqPri(ctx context.Context, seq uint64, in []float64, pri 
 		err  error
 	)
 	if f.hedge != nil && len(order) > 1 {
-		out, cost, err = f.submitHedged(ctx, order, seq, in)
+		out, cost, err = f.submitHedged(ctx, buf, seq, in)
 	} else {
 		out, cost, err = f.tryOrder(ctx, order, seq, in)
 	}
@@ -501,6 +507,39 @@ func (f *Fleet) SubmitSeqPri(ctx context.Context, seq uint64, in []float64, pri 
 		f.met.unrouteable.Inc()
 	}
 	return nil, energy.Zero, err
+}
+
+// route orders request seq's routable engines into a pooled buffer the
+// caller releases, and returns the member snapshot it routed over and
+// how many members were tripped.
+func (f *Fleet) route(seq uint64) (members []*Engine, buf *orderBuf, tripped int) {
+	members = f.members()
+	buf = orderPool.Get().(*orderBuf)
+	buf.refs.Store(1)
+	buf.engines, tripped = f.router.Route(buf.engines, members, seq)
+	return members, buf, tripped
+}
+
+// orderBuf is one request's routing order, pooled so that routing
+// allocates nothing. refs counts its holders: the submit path, plus on
+// the hedged path the primary attempt, which can outlive the submit when
+// the hedge wins. The last release returns it to the pool.
+type orderBuf struct {
+	engines []*Engine
+	refs    atomic.Int32
+}
+
+var orderPool = sync.Pool{New: func() any { return new(orderBuf) }}
+
+// hold adds a holder; each holder calls release once.
+func (b *orderBuf) hold() { b.refs.Add(1) }
+
+func (b *orderBuf) release() {
+	if b.refs.Add(-1) == 0 {
+		clear(b.engines)
+		b.engines = b.engines[:0]
+		orderPool.Put(b)
+	}
 }
 
 // errExhausted marks a tryOrder failure where every routable engine

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -512,7 +514,7 @@ func TestRoundRobinOrder(t *testing.T) {
 	}
 	defer f.Close()
 	engines := f.Engines()
-	order, tripped := f.Router().Route(engines, 4)
+	order, tripped := f.Router().Route(nil, engines, 4)
 	if tripped != 0 {
 		t.Fatalf("tripped = %d, want 0", tripped)
 	}
@@ -541,21 +543,29 @@ func TestWearAwareFallback(t *testing.T) {
 			t.Fatalf("fault-free engines should wear identically: %d vs %d", e.Wear(), wear0)
 		}
 	}
-	got := WearAware().Order(engines, 0)[0]
-	want := LeastLoaded().Order(engines, 0)[0]
-	if got.ID() != want.ID() {
-		t.Errorf("wear-aware lead = engine %d, least-loaded fallback = engine %d", got.ID(), want.ID())
+	got, want := slices.Clone(engines), slices.Clone(engines)
+	WearAware().Order(got, 0)
+	LeastLoaded().Order(want, 0)
+	if got[0].ID() != want[0].ID() {
+		t.Errorf("wear-aware lead = engine %d, least-loaded fallback = engine %d", got[0].ID(), want[0].ID())
 	}
 	// Requests must still spread across queue state, not hammer engine 0
 	// exclusively by ID; with idle queues the tiebreak is ID order, so the
 	// check is simply that routing succeeds and is deterministic.
-	o1, _ := f.Router().Route(engines, 1)
-	o2, _ := f.Router().Route(engines, 1)
+	o1, _ := f.Router().Route(nil, engines, 1)
+	o2, _ := f.Router().Route(nil, engines, 1)
 	for i := range o1 {
 		if o1[i].ID() != o2[i].ID() {
 			t.Fatal("wear-aware fallback ordering not deterministic")
 		}
 	}
+}
+
+// damageScore is the wear-aware policy's score, written out from its
+// definition: lost columns, then used spares, then writes.
+func damageScore(e *Engine) int64 {
+	h := e.Health().Total
+	return int64(h.LostCols)*wearLostCol + int64(h.SparesUsed)*wearSpareUsed + e.Wear()/wearWriteDiv
 }
 
 // TestWearAwareDifferential: with per-engine fault seeds, engines damage
@@ -572,23 +582,101 @@ func TestWearAwareDifferential(t *testing.T) {
 	defer f.Close()
 	engines := f.Engines()
 
-	score := func(e *Engine) int64 {
-		h := e.Health().Total
-		return int64(h.LostCols)*wearLostCol + int64(h.SparesUsed)*wearSpareUsed + e.Wear()/wearWriteDiv
-	}
 	distinct := map[int64]bool{}
 	for _, e := range engines {
-		distinct[score(e)] = true
+		distinct[damageScore(e)] = true
 	}
 	if len(distinct) < 2 {
 		t.Skip("fault seeds produced identical damage; differential not exercised at this rate")
 	}
-	order, _ := f.Router().Route(engines, 0)
+	order, _ := f.Router().Route(nil, engines, 0)
 	for i := 1; i < len(order); i++ {
-		if score(order[i-1]) > score(order[i]) {
+		if damageScore(order[i-1]) > damageScore(order[i]) {
 			t.Fatalf("wear-aware order not ascending by damage: engine %d (score %d) before engine %d (score %d)",
-				order[i-1].ID(), score(order[i-1]), order[i].ID(), score(order[i]))
+				order[i-1].ID(), damageScore(order[i-1]), order[i].ID(), damageScore(order[i]))
 		}
+	}
+}
+
+// TestPolicyOrderMatchesDefinition pins each built-in policy's in-place
+// order to its definition, over random loads, sequence numbers and 1–8
+// candidates: round-robin rotates by seq; least-loaded rotates and then
+// stable-sorts by load; wear-aware does the same by (wear score, load).
+// The faulted fleet gives its engines different wear scores.
+func TestPolicyOrderMatchesDefinition(t *testing.T) {
+	net := testMLP(t, 3, 16, 8)
+	faulted := testConfig()
+	faulted.Crossbar.ReadNoise = 0
+	faulted.Faults = faultinject.Model{StuckLowRate: 0.03, StuckHighRate: 0.03, Seed: 11}
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range []dpe.Config{testConfig(), faulted} {
+		f, _, err := New(cfg, net, WithEngines(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		all := f.Engines()
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(len(all))
+			idx := rng.Perm(len(all))[:n]
+			sort.Ints(idx)
+			cands := make([]*Engine, n)
+			for i, k := range idx {
+				cands[i] = all[k]
+			}
+			for _, e := range all {
+				e.inflight.Store(int64(rng.Intn(3)))
+			}
+			seq := rng.Uint64()
+			rotated := make([]*Engine, n)
+			for i := range rotated {
+				rotated[i] = cands[(int(seq%uint64(n))+i)%n]
+			}
+			for _, p := range []Policy{RoundRobin(), LeastLoaded(), WearAware()} {
+				want := slices.Clone(rotated)
+				switch p.Name() {
+				case "least-loaded":
+					sort.SliceStable(want, func(i, j int) bool { return want[i].Load() < want[j].Load() })
+				case "wear-aware":
+					sort.SliceStable(want, func(i, j int) bool {
+						wi, wj := damageScore(want[i]), damageScore(want[j])
+						return wi < wj || wi == wj && want[i].Load() < want[j].Load()
+					})
+				}
+				got := slices.Clone(cands)
+				p.Order(got, seq)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s, %d candidates, seq %d: order[%d] = engine %d, want %d",
+							p.Name(), n, seq, i, got[i].ID(), want[i].ID())
+					}
+				}
+			}
+		}
+		for _, e := range all {
+			e.inflight.Store(0)
+		}
+	}
+}
+
+// TestRouteAllocs: routing a request — member snapshot, pooled order
+// buffer, least-loaded ordering — allocates nothing, so the fleet adds no
+// allocation over its engine's serve path.
+func TestRouteAllocs(t *testing.T) {
+	net := testMLP(t, 3, 16, 8)
+	f, _, err := New(testConfig(), net, WithEngines(2), WithPolicy(LeastLoaded()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var seq uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		_, buf, _ := f.route(seq)
+		buf.release()
+		seq++
+	})
+	if allocs != 0 {
+		t.Errorf("routing one request: %v allocs, want 0", allocs)
 	}
 }
 

@@ -144,14 +144,20 @@ type attemptResult struct {
 // bounded waste either way). If one side fails hard, the other's outcome
 // is awaited rather than discarded, so a hedge also doubles as fast
 // failover insurance: a keyed request is lost only when *both* lanes fail.
-func (f *Fleet) submitHedged(ctx context.Context, order []*Engine, seq uint64, in []float64) ([]float64, energy.Cost, error) {
+//
+// The primary attempt holds buf until it finishes, since it can outlive
+// this call; the caller's hold covers the arbiter's reads of the order.
+func (f *Fleet) submitHedged(ctx context.Context, buf *orderBuf, seq uint64, in []float64) ([]float64, energy.Cost, error) {
 	h := f.hedge
 	h.earn()
+	order := buf.engines
 
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	prim := make(chan attemptResult, 1)
+	buf.hold()
 	go func() {
+		defer buf.release()
 		out, cost, err := f.tryOrder(pctx, order, seq, in)
 		prim <- attemptResult{out, cost, err}
 	}()

@@ -129,10 +129,7 @@ func (f *Fleet) RollingReprogram(net *nn.Network) *RollingReport {
 	f.rollMu.Lock()
 	defer f.rollMu.Unlock()
 
-	f.mu.Lock()
-	engines := make([]*Engine, len(f.engines))
-	copy(engines, f.engines)
-	f.mu.Unlock()
+	engines := f.members()
 
 	f.met.rollings.Inc()
 	rep := &RollingReport{Visible: energy.Zero, Hidden: energy.Zero}

@@ -13,7 +13,7 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -21,15 +21,16 @@ import (
 //
 // Order receives the routable engine snapshot (non-draining, not
 // tripped; never empty) and the request's fleet sequence number, and
-// returns the engines in try-first order. Implementations must not mutate
-// candidates and should be pure functions of their arguments (plus
+// permutes it in place into try-first order. The slice is the request's
+// routing buffer: an implementation may reorder it but must not keep
+// it. Implementations should be pure functions of their arguments (plus
 // whatever live signals — queue depth, wear — they poll), so that a
 // replayed request stream routes the same way.
 type Policy interface {
 	// Name returns the policy's CLI name (cimserve -policy).
 	Name() string
-	// Order returns candidates sorted into try-first order.
-	Order(candidates []*Engine, seq uint64) []*Engine
+	// Order sorts candidates in place into try-first order.
+	Order(candidates []*Engine, seq uint64)
 }
 
 // Router applies a Policy to the fleet's live engine set, filtering out
@@ -49,24 +50,28 @@ func NewRouter(policy Policy) *Router {
 }
 
 // Route filters engines down to the routable set (not draining, not
-// tripped) and returns it in the policy's preference order, along with how
-// many engines were excluded for a tripped shadow pair — the signal the fleet
-// uses to type its all-refused error (health vs capacity).
-func (r *Router) Route(engines []*Engine, seq uint64) (order []*Engine, tripped int) {
-	routable := make([]*Engine, 0, len(engines))
+// tripped), writes it over dst in the policy's preference order, and
+// returns that order along with how many engines were excluded for a
+// tripped shadow pair — the signal the fleet uses to type its
+// all-refused error (health vs capacity). dst's contents are discarded
+// and its capacity reused, so a caller that keeps its buffer routes
+// without allocating; a nil dst allocates. The order is empty when no
+// engine is routable.
+func (r *Router) Route(dst, engines []*Engine, seq uint64) (order []*Engine, tripped int) {
+	order = dst[:0]
 	for _, e := range engines {
 		switch {
 		case e.Draining():
 		case e.Tripped():
 			tripped++
 		default:
-			routable = append(routable, e)
+			order = append(order, e)
 		}
 	}
-	if len(routable) == 0 {
-		return nil, tripped
+	if len(order) > 0 {
+		r.policy.Order(order, seq)
 	}
-	return r.policy.Order(routable, seq), tripped
+	return order, tripped
 }
 
 // ParsePolicy maps a CLI name to a policy: "round-robin" (alias "rr"),
@@ -100,14 +105,16 @@ type roundRobin struct{}
 
 func (roundRobin) Name() string { return "round-robin" }
 
-func (roundRobin) Order(candidates []*Engine, seq uint64) []*Engine {
-	n := len(candidates)
-	out := make([]*Engine, 0, n)
-	start := int(seq % uint64(n))
-	for i := 0; i < n; i++ {
-		out = append(out, candidates[(start+i)%n])
-	}
-	return out
+func (roundRobin) Order(candidates []*Engine, seq uint64) { rotate(candidates, seq) }
+
+// rotate turns order left by seq mod len(order) in place (three
+// reversals), so request seq leads with candidate seq mod n and the rest
+// follow in ring order.
+func rotate(order []*Engine, seq uint64) {
+	k := int(seq % uint64(len(order)))
+	slices.Reverse(order[:k])
+	slices.Reverse(order[k:])
+	slices.Reverse(order)
 }
 
 // LeastLoaded returns the policy that prefers the engine with the least
@@ -122,33 +129,23 @@ type leastLoaded struct{}
 
 func (leastLoaded) Name() string { return "least-loaded" }
 
-func (leastLoaded) Order(candidates []*Engine, seq uint64) []*Engine {
-	// Rotate first so equal-load engines tie-break round-robin, then
-	// stable-sort by load: the rotation only reorders within load classes.
-	out := roundRobin{}.Order(candidates, seq)
-	load := make(map[int]int64, len(out))
-	for _, e := range out {
-		load[e.id] = e.Load()
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return load[out[i].id] < load[out[j].id]
-	})
-	return out
-}
+func (leastLoaded) Order(candidates []*Engine, seq uint64) { orderByRank(candidates, seq, false) }
 
 // WearAware returns the policy that routes away from damaged engines. Each
 // engine scores by its live fault report — lost columns dominate (the
 // engine is serving corrupted columns), then consumed spares (one failure
 // from loss), then lifetime cell writes (endurance headroom) — and lower
-// scores lead. When every engine scores identically (the common fault-free
-// case, where inference performs no writes and no wear signal exists), the
-// policy falls back to least-loaded ordering rather than pinning all
-// traffic on the lowest engine ID.
+// scores lead, engines of equal score in least-loaded order. So when every
+// engine scores identically (the common fault-free case, where inference
+// performs no writes and no wear signal exists), the order is exactly
+// least-loaded's rather than pinning all traffic on the lowest engine ID.
 func WearAware() Policy { return wearAware{} }
 
 type wearAware struct{}
 
 func (wearAware) Name() string { return "wear-aware" }
+
+func (wearAware) Order(candidates []*Engine, seq uint64) { orderByRank(candidates, seq, true) }
 
 // Wear-score weights: a lost column is catastrophic relative to a used
 // spare, which in turn dominates raw write wear. Writes are divided down
@@ -160,34 +157,42 @@ const (
 	wearWriteDiv  = 1 << 10
 )
 
-func (wearAware) Order(candidates []*Engine, seq uint64) []*Engine {
-	score := make(map[int]int64, len(candidates))
-	allEqual := true
-	for i, e := range candidates {
-		h := e.Health().Total
-		s := int64(h.LostCols)*wearLostCol +
-			int64(h.SparesUsed)*wearSpareUsed +
-			e.Wear()/wearWriteDiv
-		score[e.id] = s
-		if i > 0 && s != score[candidates[0].id] {
-			allEqual = false
+// wearScore is an engine's damage score under the weights above.
+func wearScore(e *Engine) int64 {
+	h := e.Health().Total
+	return int64(h.LostCols)*wearLostCol + int64(h.SparesUsed)*wearSpareUsed + e.Wear()/wearWriteDiv
+}
+
+// rank is one candidate's sort key, read once per request: wear score
+// first (zero unless the policy weighs wear), then load.
+type rank struct{ wear, load int64 }
+
+func (a rank) less(b rank) bool {
+	return a.wear < b.wear || a.wear == b.wear && a.load < b.load
+}
+
+// orderByRank rotates order by seq and then stable-sorts it by rank, so
+// the rotation only reorders engines of equal rank. The sort is an
+// insertion sort that moves each engine with its rank: a fleet is a
+// handful of engines, and up to 16 ranks live on the stack, so ordering
+// allocates nothing.
+func orderByRank(order []*Engine, seq uint64, weighWear bool) {
+	rotate(order, seq)
+	var buf [16]rank
+	ranks := buf[:0]
+	for _, e := range order {
+		r := rank{load: e.Load()}
+		if weighWear {
+			r.wear = wearScore(e)
 		}
+		ranks = append(ranks, r)
 	}
-	if allEqual {
-		// No wear differential (typically: faults disabled, so no signal
-		// at all) — degrade gracefully to the load signal.
-		return leastLoaded{}.Order(candidates, seq)
-	}
-	out := roundRobin{}.Order(candidates, seq)
-	load := make(map[int]int64, len(out))
-	for _, e := range out {
-		load[e.id] = e.Load()
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if score[out[i].id] != score[out[j].id] {
-			return score[out[i].id] < score[out[j].id]
+	for i := 1; i < len(order); i++ {
+		e, r := order[i], ranks[i]
+		j := i
+		for ; j > 0 && r.less(ranks[j-1]); j-- {
+			order[j], ranks[j] = order[j-1], ranks[j-1]
 		}
-		return load[out[i].id] < load[out[j].id]
-	})
-	return out
+		order[j], ranks[j] = e, r
+	}
 }

@@ -270,7 +270,8 @@ func (d *driver) fire(req Request) (retry bool) {
 // The wait is sleepUntil, not time.Sleep: a Go timer on an idle process
 // wakes through the netpoller, which rounds any sub-millisecond timeout
 // up to a whole millisecond and so fires each millisecond of arrivals as
-// one burst. nanosleep(2) blocks the driver's thread instead, and the one
+// one burst. nanosleep(2) blocks the driver's thread instead, at 1 ns
+// timer slack rather than Linux's default 50 µs (sleepUntil), and the one
 // runtime.Gosched before it hands the driver's P to the arrivals just
 // fired, so they run on this thread rather than waking a second one. A
 // catch-up burst does not yield: the driver must not throttle itself
