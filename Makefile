@@ -8,8 +8,9 @@ BENCH_JSON := bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-c
 all: build vet test
 
 # Tier-1 verify path: format + docs cross-reference check + build + vet
-# (on amd64 that includes asmdecl over internal/crossbar's one assembly
-# file) + the same for a second architecture + tests, then the same tests
+# (on amd64 that includes asmdecl over the assembly files of
+# internal/crossbar and internal/noise) + the same for a second
+# architecture + tests, then the same tests
 # again under the race detector (the parallel simulation engine must stay
 # race-clean), then the repository benchmark's own module.
 verify: fmt-check docs-check build vet vet-arm64 test race bench-check
@@ -20,14 +21,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# internal/crossbar's functional kernel has an amd64 assembly routine and no
-# other: everywhere else the Go kernel is the only one, and nothing but a
-# cross-build says that the package still compiles without the routine.
+# internal/crossbar's functional kernel and internal/noise's strided fill
+# have amd64 assembly routines and no other: everywhere else the Go kernel
+# and the Go fill are the only ones, and nothing but a cross-build says that
+# the packages still compile without the routines.
 # internal/workloadgen likewise has a Linux-only sleepUntil (nanosleep(2)
 # at 1 ns timer slack) and a time.Sleep one for every other OS; the darwin
 # and windows commands compile the latter. All run offline, on any host.
 vet-arm64:
-	GOARCH=arm64 $(GO) vet ./internal/crossbar && GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/crossbar ./internal/noise && GOARCH=arm64 $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/workloadgen
 	GOOS=windows $(GO) build ./internal/workloadgen
 
@@ -51,6 +53,9 @@ test:
 
 # Race-detector pass over the whole tree; parallelism is on by default
 # (pool width = GOMAXPROCS), so this exercises the concurrent hot paths.
+# The host's vector routines stay selected under -race (nothing gates them
+# on it), so on an AVX-512 host the noise suite's concurrent fills run the
+# vector fill.
 # -count=1 so a cached result can never stand in for a run.
 race:
 	$(GO) test -race -count=1 ./...

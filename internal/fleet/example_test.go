@@ -9,12 +9,14 @@ import (
 	"cimrev/internal/dpe"
 	"cimrev/internal/fleet"
 	"cimrev/internal/nn"
+	"cimrev/internal/workloadgen"
 )
 
 // ExampleRouter shows how routing policies order engines for a request:
-// round-robin rotates by the request's fleet sequence number, and the
-// same sequence number always produces the same preference order — a
-// replayed trace routes identically.
+// round-robin leads with an engine hashed from the routing key — here the
+// ElementKey of each of four batch-1 requests, seq·8 — and the same key
+// always produces the same preference order, so a replayed trace routes
+// identically.
 func ExampleRouter() {
 	net, err := nn.NewMLP("example", []int{16, 8}, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -34,7 +36,8 @@ func ExampleRouter() {
 
 	engines := f.Engines()
 	for seq := uint64(0); seq < 4; seq++ {
-		order, _ := f.Router().Route(nil, engines, seq)
+		key := workloadgen.Request{Seq: seq}.ElementKey(0)
+		order, _ := f.Router().Route(nil, engines, key)
 		ids := make([]int, len(order))
 		for i, e := range order {
 			ids[i] = e.ID()
@@ -43,9 +46,9 @@ func ExampleRouter() {
 	}
 	// Output:
 	// request 0 tries engines [0 1 2]
-	// request 1 tries engines [1 2 0]
-	// request 2 tries engines [2 0 1]
-	// request 3 tries engines [0 1 2]
+	// request 1 tries engines [2 0 1]
+	// request 2 tries engines [1 2 0]
+	// request 3 tries engines [1 2 0]
 }
 
 // ExampleFleet_SubmitSeq shows the determinism contract: a request keyed

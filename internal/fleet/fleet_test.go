@@ -22,6 +22,7 @@ import (
 	"cimrev/internal/parallel"
 	"cimrev/internal/serve"
 	"cimrev/internal/vonneumann"
+	"cimrev/internal/workloadgen"
 )
 
 // testConfig is a small noisy DPE so determinism tests exercise the keyed
@@ -504,8 +505,8 @@ func TestRollingReprogramReloadsTwin(t *testing.T) {
 	}
 }
 
-// TestRoundRobinOrder pins the rotation: request seq leads with engine
-// seq mod n and wraps in ring order.
+// TestRoundRobinOrder pins the spread: request seq leads with engine
+// h(seq) mod n, h the fixed mixer, and wraps in ring order.
 func TestRoundRobinOrder(t *testing.T) {
 	net := testMLP(t, 3, 16, 8)
 	f, _, err := New(testConfig(), net, WithEngines(3))
@@ -514,14 +515,54 @@ func TestRoundRobinOrder(t *testing.T) {
 	}
 	defer f.Close()
 	engines := f.Engines()
-	order, tripped := f.Router().Route(nil, engines, 4)
-	if tripped != 0 {
-		t.Fatalf("tripped = %d, want 0", tripped)
+	for _, c := range []struct {
+		seq  uint64
+		want []int
+	}{
+		{0, []int{0, 1, 2}},  // h(0) mod 3 = 0
+		{4, []int{2, 0, 1}},  // h(4) mod 3 = 2
+		{8, []int{2, 0, 1}},  // h(8) mod 3 = 2
+		{16, []int{1, 2, 0}}, // h(16) mod 3 = 1
+	} {
+		order, tripped := f.Router().Route(nil, engines, c.seq)
+		if tripped != 0 {
+			t.Fatalf("tripped = %d, want 0", tripped)
+		}
+		for i, e := range order {
+			if e.ID() != c.want[i] {
+				t.Fatalf("seq %d: round-robin order[%d] = engine %d, want %d", c.seq, i, e.ID(), c.want[i])
+			}
+		}
 	}
-	wantIDs := []int{1, 2, 0} // 4 mod 3 = 1
-	for i, e := range order {
-		if e.ID() != wantIDs[i] {
-			t.Fatalf("round-robin order[%d] = engine %d, want %d", i, e.ID(), wantIDs[i])
+}
+
+// TestRoundRobinSpreadsElementKeys: the keys callers route by are
+// ElementKeys, seq·8 + j, so 4,000 sequential batch-1 requests route by
+// 0, 8, 16, …; at K = 2, 3, 4 and 8 engines each engine leads within ±10 %
+// of 1/K of them. (A rotation by the key itself gave engine 0 all of them
+// at K = 2, 4 and 8.)
+func TestRoundRobinSpreadsElementKeys(t *testing.T) {
+	net := testMLP(t, 3, 16, 8)
+	f, _, err := New(testConfig(), net, WithEngines(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const requests = 4000
+	for _, k := range []int{2, 3, 4, 8} {
+		engines := f.Engines()[:k]
+		share := make([]int, k)
+		var buf []*Engine
+		for seq := uint64(0); seq < requests; seq++ {
+			key := workloadgen.Request{Seq: seq}.ElementKey(0)
+			buf, _ = f.Router().Route(buf, engines, key)
+			share[buf[0].ID()]++
+		}
+		fair := float64(requests) / float64(k)
+		for id, n := range share {
+			if math.Abs(float64(n)-fair) > 0.1*fair {
+				t.Errorf("K=%d: engine %d leads %d of %d batch-1 requests, want %.0f ± 10 %% (shares %v)", k, id, n, requests, fair, share)
+			}
 		}
 	}
 }
@@ -600,7 +641,8 @@ func TestWearAwareDifferential(t *testing.T) {
 
 // TestPolicyOrderMatchesDefinition pins each built-in policy's in-place
 // order to its definition, over random loads, sequence numbers and 1–8
-// candidates: round-robin rotates by seq; least-loaded rotates and then
+// candidates: round-robin rotates by h(seq), word seq of the zero-seeded
+// noise stream; least-loaded rotates by seq and then
 // stable-sorts by load; wear-aware does the same by (wear score, load).
 // The faulted fleet gives its engines different wear scores.
 func TestPolicyOrderMatchesDefinition(t *testing.T) {
@@ -628,13 +670,18 @@ func TestPolicyOrderMatchesDefinition(t *testing.T) {
 				e.inflight.Store(int64(rng.Intn(3)))
 			}
 			seq := rng.Uint64()
-			rotated := make([]*Engine, n)
-			for i := range rotated {
-				rotated[i] = cands[(int(seq%uint64(n))+i)%n]
+			ring := func(lead uint64) []*Engine {
+				r := make([]*Engine, n)
+				for i := range r {
+					r[i] = cands[(int(lead%uint64(n))+i)%n]
+				}
+				return r
 			}
 			for _, p := range []Policy{RoundRobin(), LeastLoaded(), WearAware()} {
-				want := slices.Clone(rotated)
+				want := ring(seq)
 				switch p.Name() {
+				case "round-robin":
+					want = ring(noise.NewSource(0).Uint64(seq))
 				case "least-loaded":
 					sort.SliceStable(want, func(i, j int) bool { return want[i].Load() < want[j].Load() })
 				case "wear-aware":

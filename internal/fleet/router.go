@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"cimrev/internal/noise"
 )
 
 // Policy orders routable engines by preference for one request.
@@ -95,17 +97,26 @@ func PolicyNames() []string {
 	return []string{"round-robin", "least-loaded", "wear-aware"}
 }
 
-// RoundRobin returns the policy that rotates through engines by request
-// sequence number: request seq tries engine seq mod n first, then the
-// rest in ring order. With a dense request stream this spreads load
-// uniformly regardless of per-engine speed.
+// RoundRobin returns the policy that spreads requests over engines by
+// sequence number: request seq tries engine h(seq) mod n first, then the
+// rest in ring order, where h is a fixed bijection of the 64-bit sequence
+// number (spread). Callers key a request's elements seq·8 + j
+// (workloadgen.Request.ElementKey), so a rotation by the key itself would
+// lead every batch-1 request with the same engine whenever n divides 8;
+// the hash spreads any key stride about uniformly and keeps the order a
+// pure function of (snapshot, seq).
 func RoundRobin() Policy { return roundRobin{} }
 
 type roundRobin struct{}
 
 func (roundRobin) Name() string { return "round-robin" }
 
-func (roundRobin) Order(candidates []*Engine, seq uint64) { rotate(candidates, seq) }
+func (roundRobin) Order(candidates []*Engine, seq uint64) { rotate(candidates, spread.Uint64(seq)) }
+
+// spread is round-robin's h: word seq of one fixed noise stream, a
+// splitmix64 finalizer over seq's odd multiple (pinned by
+// noise.TestStreamGolden), so h never changes under a replayed trace.
+var spread = noise.NewSource(0)
 
 // rotate turns order left by seq mod len(order) in place (three
 // reversals), so request seq leads with candidate seq mod n and the rest
@@ -118,11 +129,15 @@ func rotate(order []*Engine, seq uint64) {
 }
 
 // LeastLoaded returns the policy that prefers the engine with the least
-// outstanding work — pending-list depth plus in-flight requests —
-// breaking ties by rotating on the sequence number so tied engines share
-// traffic instead of all landing on the lowest ID. A slow or momentarily
-// busy engine accumulates load and stops attracting traffic until it
-// drains.
+// outstanding work — pending-list depth plus in-flight requests — breaking
+// ties by rotating on the bare sequence number. A slow or momentarily busy
+// engine accumulates load and stops attracting traffic until it drains.
+// The tie-break is not a spread: with ElementKey-strided keys (seq·8 + j)
+// and n dividing 8, every batch-1 request that finds the engines tied
+// leads with the same engine, so an idle fleet serves light traffic on one
+// engine and spills to the others only as its load rises. That keeps the
+// busy engine's arrays warm; hashing the tie-break as round-robin does
+// would trade that warmth for spread (ROADMAP.md has the measurement).
 func LeastLoaded() Policy { return leastLoaded{} }
 
 type leastLoaded struct{}

@@ -52,7 +52,9 @@
 // indices — the conversions of one column are draws c, c+cols, c+2·cols, …
 // — so that the call leaves the conversion loop (Norm is too big for the Go
 // inliner to move into another package) and the fast path runs in a loop
-// of this package's own. The fill is Norm bit for bit, slow paths included.
+// of this package's own — on an AVX-512 host an assembly routine that takes
+// eight draws a step (norm_amd64.s), in Go everywhere else. The fill is
+// Norm bit for bit, slow paths included.
 //
 // Uint64, Float64 and Derive are the stream everything else is keyed by
 // (arrival schedules, fault maps, chaos spikes); TestStreamGolden pins
@@ -176,11 +178,27 @@ func (s Source) Norm(i uint64) float64 {
 // taken out of the caller's loop: the crossbar kernel's draws for one
 // (item, column) are one strided run, and Norm cannot inline into another
 // package (docs/PERF.md), so the counter steps by stride·golden and the
-// fast path runs here, in a loop the compiler sees whole. Norm stays the
-// definition; TestNormStrideMatchesNorm holds the fill to it.
+// fast path runs here, in a fill of this package's own — the host's vector
+// routine where it has one (normStrideVec), normStrideGo otherwise. Norm
+// stays the definition; TestNormStrideMatchesNorm holds the fill to it.
 func (s Source) NormStride(dst []float64, start, stride uint64) {
-	ctr := s.key + (start+1)*golden
-	step := stride * golden
+	ctr, step := s.key+(start+1)*golden, stride*golden
+	if normStrideVec != nil {
+		normStrideVec(dst, ctr, step)
+		return
+	}
+	normStrideGo(dst, ctr, step)
+}
+
+// normStrideVec is the host's vector fill, or nil where it has none: set at
+// start-up from CPUID (norm_amd64.go; there is no other implementation). It
+// fills dst[k] with the draw of counter ctr + k·step, as normStrideGo does,
+// and is held == to it and to Norm by the same tests.
+var normStrideVec func(dst []float64, ctr, step uint64)
+
+// normStrideGo is the fill in Go, and the only one on a host without a
+// vector routine: dst[k] is the draw of the counter word ctr + k·step.
+func normStrideGo(dst []float64, ctr, step uint64) {
 	for k := range dst {
 		w := mix(ctr)
 		ctr += step
@@ -197,8 +215,8 @@ func (s Source) NormStride(dst []float64, start, stride uint64) {
 // normSlow finishes a draw whose word w missed its layer's fast region.
 // Layer 0 samples the tail beyond zigR (Marsaglia's exponential rejection,
 // bounded by zigR + 54·ln2/zigR < 14.4 on the Float64 lattice); any other
-// layer tests the wedge between its rectangle and the curve, and on
-// rejection starts over. Every further word comes from the chain
+// layer tests the wedge between its rectangle and the curve (underCurve),
+// and on rejection starts over. Every further word comes from the chain
 // w ← mix(w + golden) seeded by the draw's own word, never from a
 // neighbouring counter, so the value cannot depend on evaluation order.
 func normSlow(w uint64) float64 {
@@ -224,11 +242,80 @@ func normSlow(w uint64) float64 {
 			return zigR + x
 		}
 		w = mix(w + golden)
-		if zigF[l]+unit(w)*(zigF[l-1]-zigF[l]) < math.Exp(-0.5*x*x) {
+		if underCurve(l, x, zigF[l]+unit(w)*(zigF[l-1]-zigF[l])) {
 			return x
 		}
 		w = mix(w + golden)
 	}
+}
+
+// underCurve reports whether the wedge point (x, y) of layer l ≥ 1 lies
+// under the curve, y < exp(−x²/2) with math.Exp's value of the right side,
+// calling math.Exp only when zigSqueeze[l]'s two lines cannot decide.
+func underCurve(l uint64, x, y float64) bool {
+	q := &zigSqueeze[l]
+	ax := math.Abs(x)
+	if y < q.lo0+q.lo1*ax {
+		return true
+	}
+	if y >= q.hi0+q.hi1*ax {
+		return false
+	}
+	return y < math.Exp(-0.5*x*x)
+}
+
+// zigSqueeze[l] brackets the curve f(x) = exp(−x²/2) over layer l's wedge,
+// |x| ∈ [x_{l−1}, x_l] (x_0 = 0), between two lines in |x|: lo0 + lo1·|x|
+// below it and hi0 + hi1·|x| above — McFarland's convexity squeeze (2016).
+// One line is the chord through the layer's end points, the other the
+// tangent at its middle. Where f is convex (|x| ≥ 1) the chord lies above
+// the curve and the tangent below; where it is concave, the other way
+// round. The one layer that straddles |x| = 1 has neither, so its lines are
+// −∞ and +∞ and every one of its wedge tests calls math.Exp.
+//
+// Both lines are moved apart by squeezeMargin·f(x_{l−1}), f's largest value
+// on the layer. What underCurve compares with is not f but its computed
+// value math.Exp(−0.5·x·x), and its lines are float64 expressions too: the
+// Exp result is within an ulp or two of f at the rounded argument, the
+// rounding of −0.5·x·x moves f by at most x²/2 ≈ 6 ulps relative at zigR,
+// a line's coefficients and its evaluation add a few ulps of the terms
+// (which cancel by at most 1 + x_l² ≈ 13×), and |x| falls short of
+// x_{l−1} by at most x_l·2⁻⁵² (zigK is truncated) — all under
+// 1e-14·f(x_{l−1}), a hundredth of the margin. So a point below the lower line is under the
+// computed curve and one at or above the upper line is not, and underCurve
+// decides every wedge test as `y < math.Exp(-0.5*x*x)` alone would:
+// TestNormSlowMatchesRef and TestSqueezeBounds hold it to that.
+var zigSqueeze = squeezeTables()
+
+// squeezeMargin is the relative gap between each squeeze line and the curve.
+const squeezeMargin = 1e-12
+
+type squeeze struct{ lo0, lo1, hi0, hi1 float64 }
+
+func squeezeTables() (q [zigLayers]squeeze) {
+	const m = 1 << 52
+	for l := 1; l < zigLayers; l++ {
+		a, b := 0.0, zigW[l]*m
+		if l > 1 {
+			a = zigW[l-1] * m
+		}
+		fa, fb := zigF[l-1], zigF[l]
+		s := (fb - fa) / (b - a)
+		chord0, chord1 := fa-s*a, s
+		t := (a + b) / 2
+		ft := math.Exp(-0.5 * t * t)
+		tan0, tan1 := ft*(1+t*t), -t*ft
+		d := squeezeMargin * fa
+		switch {
+		case b <= 1: // concave
+			q[l] = squeeze{chord0 - d, chord1, tan0 + d, tan1}
+		case a >= 1: // convex
+			q[l] = squeeze{tan0 - d, tan1, chord0 + d, chord1}
+		default:
+			q[l] = squeeze{math.Inf(-1), 0, math.Inf(1), 0}
+		}
+	}
+	return q
 }
 
 // unit maps a chain word to the same centered (0, 1) lattice as Float64.

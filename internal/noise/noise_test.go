@@ -462,41 +462,71 @@ func TestNormFinite(t *testing.T) {
 	}
 }
 
-// strideMatches holds NormStride to its definition: element k of a fill of
-// n draws from start at stride is Norm(start + k·stride), == and in any
+// fill is a strided fill under test: Source.NormStride as callers take it,
+// or goFill, the Go fill that is the only one on a host without a vector
+// routine.
+type fill func(s Source, dst []float64, start, stride uint64)
+
+func goFill(s Source, dst []float64, start, stride uint64) {
+	normStrideGo(dst, s.key+(start+1)*golden, stride*golden)
+}
+
+// strideMatches holds a fill to its definition: element k of a fill of n
+// draws from start at stride is Norm(start + k·stride), == and in any
 // order, the index wrapping mod 2^64 in both.
-func strideMatches(t *testing.T, s Source, start, stride uint64, n int) {
+func strideMatches(t *testing.T, f fill, s Source, start, stride uint64, n int) {
 	t.Helper()
 	dst := make([]float64, n)
-	s.NormStride(dst, start, stride)
+	f(s, dst, start, stride)
 	for k := n - 1; k >= 0; k-- {
 		i := start + uint64(k)*stride
 		if want := s.Norm(i); dst[k] != want {
-			t.Fatalf("NormStride(start %d, stride %d)[%d] = %v, Norm(%d) = %v (source %v)", start, stride, k, dst[k], i, want, s)
+			t.Fatalf("fill(start %d, stride %d, n %d)[%d] = %v, Norm(%d) = %v (source %v)", start, stride, n, k, dst[k], i, want, s)
 		}
 	}
 }
 
-// TestNormStrideMatchesNorm: the fill is Norm and nothing else — over the
-// strides the crossbar issues (1, a 10-column head, a 128-column array) and
-// one past 2^32, from starts whose indices wrap past 2^64, at lengths 0, 1
-// and the 256 conversions a column can have; on every draw slowDraws names
-// as a fill's first, last and middle element, so wedge accepts, rejections
-// and tail draws come out of the chain the same as out of Norm; and from 16
-// goroutines filling their own buffers at once.
+// TestNormStrideMatchesNorm: the fill is Norm and nothing else — the vector
+// routine where the host has one, and the Go fill on every host
+// (TestNormStrideGoMatchesNorm).
 func TestNormStrideMatchesNorm(t *testing.T) {
+	t.Logf("vector fill selected: %v", normStrideVec != nil)
+	checkFill(t, Source.NormStride)
+}
+
+func TestNormStrideGoMatchesNorm(t *testing.T) { checkFill(t, goFill) }
+
+// checkFill holds f to Norm over the strides the crossbar issues (1, a
+// 10-column head, a 128-column array) and one past 2^32, from starts whose
+// indices wrap past 2^64, at every length 0–17 (every tail of an
+// eight-draw group, and a full group before it) and at 63–65 and 256 (the
+// vector routine's 64-draw calls); on every draw slowDraws names, placed at
+// every element of a 32-draw fill — every lane of every group — and as the
+// last element of fills of 1–17, so wedge accepts, rejections and tail
+// draws come out of the chain the same as out of Norm wherever a group or a
+// call puts them; and from 16 goroutines filling their own buffers at once.
+func checkFill(t *testing.T, f fill) {
 	s := NewSource(5)
 	for _, stride := range []uint64{1, 10, 128, 1<<32 + 1} {
 		for _, start := range []uint64{0, 7, 1<<64 - 1, 1<<64 - 300, -(255 * stride)} { // the last: element 255 is index 0
-			for _, n := range []int{0, 1, 256} {
-				strideMatches(t, s, start, stride, n)
+			for n := 0; n <= 17; n++ {
+				strideMatches(t, f, s, start, stride, n)
+			}
+			for _, n := range []int{63, 64, 65, 256} {
+				strideMatches(t, f, s, start, stride, n)
 			}
 		}
 	}
 	for _, d := range slowDraws {
 		for _, stride := range []uint64{1, 16, 128} {
-			for _, at := range []uint64{0, 17, 31} { // the named draw is element at of 32
-				strideMatches(t, d.src, d.i-at*stride, stride, 32)
+			for at := uint64(0); at < 32; at++ { // the named draw is element at of 32
+				strideMatches(t, f, d.src, d.i-at*stride, stride, 32)
+			}
+			for n := uint64(1); n <= 17; n++ {
+				strideMatches(t, f, d.src, d.i-(n-1)*stride, stride, int(n))
+			}
+			for _, at := range []uint64{63, 64, 129} { // past the first 64-draw call
+				strideMatches(t, f, d.src, d.i-at*stride, stride, 130)
 			}
 		}
 	}
@@ -507,10 +537,10 @@ func TestNormStrideMatchesNorm(t *testing.T) {
 			defer wg.Done()
 			src := NewSource(82)
 			dst := make([]float64, 512)
-			src.NormStride(dst, g, 16) // 16 columns: draws 48, 52, 123, 382 … land in one fill or another
+			f(src, dst, g, 16) // 16 columns: draws 48, 52, 123, 382 … land in one fill or another
 			for k, v := range dst {
 				if want := src.Norm(g + uint64(k)*16); v != want {
-					t.Errorf("goroutine %d: NormStride[%d] = %v, Norm = %v", g, k, v, want)
+					t.Errorf("goroutine %d: fill[%d] = %v, Norm = %v", g, k, v, want)
 					return
 				}
 			}
@@ -519,9 +549,181 @@ func TestNormStrideMatchesNorm(t *testing.T) {
 	wg.Wait()
 }
 
+// normSlowRef is normSlow as it was before the squeeze: every wedge test
+// calls math.Exp. TestNormSlowMatchesRef holds normSlow to it.
+func normSlowRef(w uint64) float64 {
+	for {
+		j := int64(w) >> 11
+		l := w % zigLayers
+		x := float64(j) * zigW[l]
+		if uint64(max(j, -j)) < zigK[l] {
+			return x // only a retry lands here
+		}
+		if l == 0 {
+			for {
+				w = mix(w + golden)
+				x = -math.Log(unit(w)) / zigR
+				w = mix(w + golden)
+				if y := -math.Log(unit(w)); y+y >= x*x {
+					break
+				}
+			}
+			if j < 0 {
+				return -zigR - x
+			}
+			return zigR + x
+		}
+		w = mix(w + golden)
+		if zigF[l]+unit(w)*(zigF[l-1]-zigF[l]) < math.Exp(-0.5*x*x) {
+			return x
+		}
+		w = mix(w + golden)
+	}
+}
+
+// slowWord is a first word of layer l that misses the fast test: r's high
+// bits pick |j| in [zigK[l], 2^52) and its sign, its low bits the four
+// bits between the layer and the uniform.
+func slowWord(l, r uint64) uint64 {
+	k := zigK[l]
+	j := int64(k + (r>>12)%(1<<52-k))
+	if r&(1<<11) != 0 {
+		j = -j
+	}
+	return uint64(j)<<11 | (r>>7)&0xf<<7 | l
+}
+
+// TestNormSlowMatchesRef: the squeeze changes no decision. normSlow equals
+// normSlowRef on 10^7 first words that miss the fast test, the same number
+// in each of the 128 layers, and underCurve equals the bare comparison with
+// math.Exp on wedge points whose y lies within 1e-9 of either squeeze line
+// of its layer — where a line too close to the curve would decide wrongly —
+// at every |x| from a layer's inner edge through its middle (the tangent
+// point) to its outer edge. Both sides are compared as bits.
+func TestNormSlowMatchesRef(t *testing.T) {
+	words := uint64(10_000_000)
+	if testing.Short() {
+		words /= 10
+	}
+	src := NewSource(31)
+	for i := uint64(0); i < words; i++ {
+		w := slowWord(i%zigLayers, src.Uint64(i))
+		if got, want := normSlow(w), normSlowRef(w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("normSlow(%#016x) = %v, reference %v", w, got, want)
+		}
+	}
+	offsets := []float64{0, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16}
+	for l := uint64(1); l < zigLayers; l++ {
+		q := zigSqueeze[l]
+		if math.IsInf(q.lo0, 0) {
+			continue
+		}
+		k := int64(zigK[l])
+		for _, j := range []int64{k, k + 1, k + 2, (k + 1<<52) / 2, 1<<52 - 2, 1<<52 - 1} {
+			for _, sign := range []int64{1, -1} {
+				x := float64(sign*j) * zigW[l]
+				ax := math.Abs(x)
+				want := math.Exp(-0.5 * x * x)
+				for _, line := range []float64{q.lo0 + q.lo1*ax, q.hi0 + q.hi1*ax} {
+					for _, d := range offsets {
+						for _, y := range []float64{line - d*zigF[l-1], line + d*zigF[l-1]} {
+							for _, y := range []float64{math.Nextafter(y, 0), y, math.Nextafter(y, 2)} {
+								if got := underCurve(l, x, y); got != (y < want) {
+									t.Fatalf("layer %d, x %v, y %v: underCurve %v, math.Exp says %v", l, x, y, got, y < want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSqueezeBounds: every layer but one has both squeeze lines, at least
+// half the margin away from math.Exp's curve on the right side everywhere
+// on the layer — at its edges, its middle and 4,095 points between — so
+// the decisions underCurve takes from them are the curve's; the layer left
+// to math.Exp is the one across |x| = 1, where neither line is a bound.
+func TestSqueezeBounds(t *testing.T) {
+	const m = 1 << 52
+	var straddling []int
+	for l := 1; l < zigLayers; l++ {
+		q := zigSqueeze[l]
+		a, b := 0.0, zigW[l]*m
+		if l > 1 {
+			a = float64(zigK[l]) * zigW[l] // the least |x| that misses the fast test
+		}
+		if math.IsInf(q.lo0, -1) && math.IsInf(q.hi0, 1) {
+			straddling = append(straddling, l)
+			if !(a < 1 && b > 1) {
+				t.Errorf("layer %d, |x| in [%v, %v], has no squeeze but does not straddle 1", l, a, b)
+			}
+			continue
+		}
+		half := squeezeMargin / 2 * zigF[l-1]
+		const steps = 4096
+		for i := 0; i <= steps; i++ {
+			x := a + (b-a)*float64(i)/steps
+			g := math.Exp(-0.5 * x * x)
+			if lo := q.lo0 + q.lo1*x; !(g-lo >= half) {
+				t.Fatalf("layer %d, x %v: lower line %v is %.3g below the curve %v, want at least %.3g", l, x, lo, g-lo, g, half)
+			}
+			if hi := q.hi0 + q.hi1*x; !(hi-g >= half) {
+				t.Fatalf("layer %d, x %v: upper line %v is %.3g above the curve %v, want at least %.3g", l, x, hi, hi-g, g, half)
+			}
+		}
+	}
+	if len(straddling) != 1 {
+		t.Errorf("layers without a squeeze: %v, want exactly the one across |x| = 1", straddling)
+	}
+}
+
+// wedgeExps walks draw w's chain as normSlow does and counts its wedge tests
+// and those the squeeze leaves to math.Exp.
+func wedgeExps(w uint64) (tests, exps int) {
+	for {
+		j := int64(w) >> 11
+		l := w % zigLayers
+		x := float64(j) * zigW[l]
+		if uint64(max(j, -j)) < zigK[l] || l == 0 {
+			return tests, exps
+		}
+		w = mix(w + golden)
+		y := zigF[l] + unit(w)*(zigF[l-1]-zigF[l])
+		q, ax := zigSqueeze[l], math.Abs(x)
+		tests++
+		if !(y < q.lo0+q.lo1*ax) && !(y >= q.hi0+q.hi1*ax) {
+			exps++
+		}
+		if y < density(x) {
+			return tests, exps
+		}
+		w = mix(w + golden)
+	}
+}
+
+// TestWedgeExpShare: of the wedge tests a run of draws makes, at most a
+// fifth still call math.Exp (docs/PERF.md quotes the share).
+func TestWedgeExpShare(t *testing.T) {
+	s := NewSource(1)
+	var tests, exps int
+	for i := uint64(0); i < 1<<20; i++ {
+		a, b := wedgeExps(s.Uint64(i))
+		tests += a
+		exps += b
+	}
+	share := float64(exps) / float64(tests)
+	t.Logf("%d wedge tests in 2^20 draws, %d (%.1f %%) call math.Exp", tests, exps, 100*share)
+	if share > 0.2 {
+		t.Errorf("%.1f %% of wedge tests call math.Exp, want at most 20 %%", 100*share)
+	}
+}
+
 // FuzzNorm: for any key and index the draw is finite, inside the tail
 // sampler's bound, and the same when evaluated again; and for any start,
-// stride and length a strided fill is Norm element by element.
+// stride and length a strided fill — NormStride and the Go fill both — is
+// Norm element by element.
 func FuzzNorm(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(1), uint8(0))
 	f.Add(NewSource(82).key, uint64(123), uint64(128), uint8(32)) // a tail draw
@@ -536,7 +738,8 @@ func FuzzNorm(f *testing.F) {
 		if again := s.Norm(i); again != v {
 			t.Fatalf("Norm(%d) with key %#x = %v, then %v", i, key, v, again)
 		}
-		strideMatches(t, s, i, stride, int(n))
+		strideMatches(t, Source.NormStride, s, i, stride, int(n))
+		strideMatches(t, goFill, s, i, stride, int(n))
 	})
 }
 
@@ -555,12 +758,35 @@ func BenchmarkNorm(b *testing.B) {
 
 // BenchmarkNormStride is the same figure for the fill, as the crossbar
 // kernel issues it: the 32 conversions of one column of a 128-column
-// array, a fresh column every fill. ns/op is ns per draw.
+// array, a fresh column every fill. ns/op is ns per draw. The vector row is
+// NormStride on a host with a vector routine (skipped elsewhere), the go row
+// the Go fill; exp/wedge is the share of the wedge tests among the row's
+// draws that the squeeze leaves to math.Exp.
 func BenchmarkNormStride(b *testing.B) {
-	s := NewSource(1)
-	var z [32]float64
-	for i := 0; i < b.N; i += len(z) {
-		s.NormStride(z[:], uint64(i/len(z)), 128)
+	for _, row := range []struct {
+		name string
+		f    fill
+	}{{"vector", Source.NormStride}, {"go", goFill}} {
+		b.Run(row.name, func(b *testing.B) {
+			if row.name == "vector" && normStrideVec == nil {
+				b.Skip("no vector fill on this host")
+			}
+			s := NewSource(1)
+			var z [32]float64
+			for i := 0; i < b.N; i += len(z) {
+				row.f(s, z[:], uint64(i/len(z)), 128)
+			}
+			normSink = z[0]
+			b.StopTimer()
+			var tests, exps int
+			for i := 0; i < min(b.N, 1<<20); i++ {
+				a, e := wedgeExps(s.Uint64(uint64(i/len(z) + i%len(z)*128)))
+				tests += a
+				exps += e
+			}
+			if tests > 0 {
+				b.ReportMetric(float64(exps)/float64(tests), "exp/wedge")
+			}
+		})
 	}
-	normSink = z[0]
 }
