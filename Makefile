@@ -96,9 +96,11 @@ bench:
 # method, internal/experiments); cimbench writes the document first and
 # runs the gate second, so a failing sweep fails the target and still
 # leaves its numbers on disk. fault and hybrid are simulated cost only and
-# reproduce value for value; obs, fleet, chaos and capacity measure host
-# wall time, so a host stall can fail the chaos or capacity gate: run the
-# target again. All six take about fifteen seconds.
+# reproduce value for value (cmd/cimbench's TestArchivesReproduce holds
+# them to it, so a change that moves them re-archives them); obs, fleet,
+# chaos and capacity measure host wall time, so a host stall can fail the
+# chaos or capacity gate: run the target again. All six take about fifteen
+# seconds.
 bench-json: $(BENCH_JSON)
 
 $(BENCH_JSON): bench-%:

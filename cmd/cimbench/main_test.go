@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -153,6 +154,43 @@ func TestRunJSONEveryRow(t *testing.T) {
 		}
 		if dec.More() {
 			t.Errorf("%s: more than one JSON document", e.name)
+		}
+	}
+}
+
+// TestArchivesReproduce: the two archived sweeps that are simulated cost
+// only, BENCH_hybrid.json and BENCH_fault.json, reproduce value for value —
+// their result is what `cimbench -exp <x> -format json` prints now. A change
+// that moves a simulated number fails here until `make bench-<x>`
+// re-archives it.
+func TestArchivesReproduce(t *testing.T) {
+	result := func(r io.Reader) (any, error) {
+		var doc struct {
+			Result any `json:"result"`
+		}
+		err := json.NewDecoder(r).Decode(&doc)
+		return doc.Result, err
+	}
+	for _, exp := range []string{"hybrid", "fault"} {
+		var out bytes.Buffer
+		if err := run(&out, exp, "json", smallParams); err != nil {
+			t.Fatalf("run(%s, json): %v", exp, err)
+		}
+		got, err := result(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(filepath.Join("..", "..", "BENCH_"+exp+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := result(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("BENCH_%s.json: %v", exp, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-exp %s no longer reproduces BENCH_%s.json; re-archive it with `make bench-%s`", exp, exp, exp)
 		}
 	}
 }

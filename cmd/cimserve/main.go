@@ -39,9 +39,9 @@
 // (round-robin, least-loaded, wear-aware). The default, -engines 1, is a
 // fleet of one: the same stack, the same telemetry shape, and bench
 // lines named batch_* (N > 1 names them fleet_*_e<N>_<policy> and adds the
-// engines metric). Requests carry their noise key (the drive sequence
-// number), so per-request outputs are bit-identical at every fleet size
-// under every policy. -reprogram performs *rolling* reprograms: one standby
+// engines metric). Every element of a request carries its own noise key
+// (workloadgen.Request.ElementKey, under any -mix), so per-request outputs
+// are bit-identical at every fleet size under every policy. -reprogram performs *rolling* reprograms: one standby
 // programs at a time, health-gated promotion, zero fleet downtime. The
 // -listen endpoint exposes every engine's registry on one /metrics page
 // with {engine="<id>"} labels and aggregates fleet health on /healthz.
@@ -57,8 +57,9 @@
 // -dispatch selects the serving backend policy (internal/hybrid,
 // docs/HYBRID.md): cim (default) serves every flush from the crossbar
 // path, vn serves from the executing Von Neumann twin (bit-identical on
-// deterministic configs), and auto routes each flush by the calibrated
-// cost model — unless the deployment has no twin (-stuck > 0: each board's
+// deterministic configs), and auto routes each flush to whichever of the
+// two charges less for it (both prices are exact) — unless the deployment
+// has no twin (-stuck > 0: each board's
 // defects are its own), in which case everything is pinned to CIM and
 // counted as dispatch_pinned_noisy. Non-default modes add dispatch_cim /
 // dispatch_vn / dispatch_pinned_noisy to the bench line, and the
@@ -244,17 +245,6 @@ func (o options) validate() error {
 type loadgen struct {
 	arrivals workloadgen.Arrivals
 	mix      workloadgen.Picker
-}
-
-// noiseKey is the key element j of req is submitted under. A mix-less
-// drive keeps the drive sequence — bit-identical to the historical closed
-// loop; under a mix every class takes the one (request, element) rule, so
-// no two requests share a noise stream.
-func (g loadgen) noiseKey(req workloadgen.Request, element int) uint64 {
-	if g.mix == nil {
-		return req.Seq
-	}
-	return req.ElementKey(element)
 }
 
 // buildLoad constructs the arrival process and class picker the options
@@ -640,9 +630,9 @@ func classify(err error, deadlined, unhealthy *atomic.Int64) (workloadgen.Outcom
 
 // runFleet measures the serving stack: the workloadgen drive feeds
 // o.engines independent serving pipelines (one is a fleet too) behind the
-// o.policy router. Every request is stamped with its drive sequence number
-// as its noise key, so outputs are bit-identical at any fleet size
-// regardless of placement. -reprogram fires rolling reprograms — each one
+// o.policy router. Every element is stamped with its ElementKey as its
+// noise key, so outputs are bit-identical at any fleet size regardless of
+// placement. -reprogram fires rolling reprograms — each one
 // updates every engine, one standby at a time, with the fleet serving
 // throughout. Request failures are classified by cause rather than
 // collapsed into one count: backpressure (ErrOverloaded) retries in
@@ -762,7 +752,7 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 			if o.deadline > 0 {
 				ctx, cancel = context.WithTimeout(ctx, o.deadline)
 			}
-			seq := gen.noiseKey(req, element)
+			seq := req.ElementKey(element)
 			_, cost, err := f.SubmitSeq(ctx, seq, inputs[seq%uint64(len(inputs))])
 			cancel()
 			out, ferr := classify(err, &deadlined, &unhealthy)

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -435,31 +436,42 @@ func TestRunOpenLoopEndToEnd(t *testing.T) {
 	}
 }
 
-// TestNoiseKeys pins which noise key a submission carries: -mix none issues
-// the drive sequence itself (the keys the closed loop has always issued),
-// and under -mix default every class, batch 1 included, takes
-// workloadgen's one (request, element) rule — batch-1 requests used to
-// keep their bare sequence number beside batch-8 elements keyed seq*8 + j,
-// so request 8 and element 0 of request 1 collided.
+// TestNoiseKeys pins the one noise-key rule under both -mix settings: the
+// drive cimserve runs fans every request out to its class batch, element j
+// of request seq is submitted under workloadgen's ElementKey, seq*8 + j, and
+// no two submissions of a drive share a key. (A mix-less drive once keyed a
+// request by its bare seq, and under a mix batch-1 requests kept theirs
+// beside batch-8 elements keyed seq*8 + j, so request 8 and element 0 of
+// request 1 collided.)
 func TestNoiseKeys(t *testing.T) {
-	plain, err := buildLoad(options{arrivals: "closed", mix: "none", seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := buildLoad(options{arrivals: "closed", mix: "default", seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(0); seq < 64; seq++ {
-		if key := plain.noiseKey(workloadgen.Request{Seq: seq}, 0); key != seq {
-			t.Fatalf("-mix none: request %d keyed %d, want its sequence number", seq, key)
+	for _, mix := range []string{"none", "default"} {
+		o := options{arrivals: "closed", mix: mix, seed: 1, requests: 256, clients: 4}
+		gen, err := buildLoad(o)
+		if err != nil {
+			t.Fatal(err)
 		}
-		req := workloadgen.Request{Seq: seq, Class: mixed.mix.Pick(seq)}
-		for j := 0; j < req.Class.Batch; j++ {
-			if key := mixed.noiseKey(req, j); key != req.ElementKey(j) {
-				t.Fatalf("-mix default: request %d (%s) element %d keyed %d, want %d",
-					seq, req.Class.Name, j, key, req.ElementKey(j))
-			}
+		var mu sync.Mutex
+		seen := map[uint64]workloadgen.Request{}
+		_, err = workloadgen.Drive(driveConfig(o, gen), func(req workloadgen.Request) (workloadgen.Outcome, error) {
+			return workloadgen.Fanout(req, func(element int) (workloadgen.Outcome, error) {
+				key := req.ElementKey(element)
+				mu.Lock()
+				defer mu.Unlock()
+				if key != req.Seq*workloadgen.MaxClassBatch+uint64(element) {
+					t.Errorf("-mix %s: request %d element %d keyed %d", mix, req.Seq, element, key)
+				}
+				if prev, dup := seen[key]; dup {
+					t.Errorf("-mix %s: key %d submitted by requests %d and %d", mix, key, prev.Seq, req.Seq)
+				}
+				seen[key] = req
+				return workloadgen.OK, nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) < o.requests {
+			t.Errorf("-mix %s: %d keys for %d requests", mix, len(seen), o.requests)
 		}
 	}
 }

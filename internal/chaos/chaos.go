@@ -32,7 +32,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -122,27 +121,17 @@ func ScenarioPlan(name string, seed int64, scale float64) (Plan, error) {
 }
 
 // Injector executes a Plan against a set of wrapped engine backends. One
-// injector serves a whole fleet: Wrap each engine with its fleet ID. The
-// zero value and the nil injector are both fully disabled.
+// injector serves a whole fleet: Wrap each engine once, with its fleet ID.
+// The zero value and the nil injector are both fully disabled.
 type Injector struct {
 	plan Plan
 	src  noise.Source
-
-	// steps holds one engine-local batch counter per wrapped engine id
-	// (engines can join at any id, hence a map, interned once per engine
-	// at Wrap time — the hot path only touches the engine's own counter).
-	mu    sync.Mutex
-	steps map[int]*atomic.Uint64
 }
 
 // New builds an injector for plan. A plan that injects nothing returns a
 // perfectly inert injector (Wrap is the identity).
 func New(plan Plan) *Injector {
-	return &Injector{
-		plan:  plan,
-		src:   noise.NewSource(plan.Seed),
-		steps: make(map[int]*atomic.Uint64),
-	}
+	return &Injector{plan: plan, src: noise.NewSource(plan.Seed)}
 }
 
 // Plan returns the injector's scenario plan.
@@ -156,46 +145,27 @@ func (inj *Injector) Plan() Plan {
 // Active reports whether the injector actually injects faults.
 func (inj *Injector) Active() bool { return inj != nil && inj.plan.Enabled() }
 
-// ReprogramDelay returns how long engine id's standby reprogram should
+// ReprogramDelay returns how long each engine's standby reprogram should
 // hang under this plan (0 when disabled).
-func (inj *Injector) ReprogramDelay(id int) time.Duration {
+func (inj *Injector) ReprogramDelay() time.Duration {
 	if !inj.Active() {
 		return 0
 	}
 	return inj.plan.ReprogramHang
 }
 
-// ctxBackend / keyedBackend mirror internal/serve's optional backend
-// interfaces: the wrapper must expose whichever the wrapped backend has,
-// or serve.New would silently downgrade keyed requests to the unkeyed
-// path and break the fleet's bit-identity contract.
-type ctxBackend interface {
-	InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error)
-}
-
-type keyedBackend interface {
-	InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error)
-}
-
-// Wrap returns b perturbed by the injector's plan for engine id. When the
-// injector is nil or its plan injects nothing, Wrap returns b itself —
-// the disabled hook costs nothing, not even an interface indirection.
-// Wrapped backends pass keyed and traced calls straight through, so
-// chaos never perturbs *outputs*, only timing and availability.
+// Wrap returns b perturbed by the injector's plan for engine id, with its
+// own batch-step counter from zero. When the injector is nil or its plan
+// injects nothing, Wrap returns b itself — the disabled hook costs nothing,
+// not even an interface indirection. A wrapped backend passes keyed calls
+// straight through to a keyed b (serve.KeyedBackend), so chaos never
+// perturbs *outputs*, only timing and availability.
 func (inj *Injector) Wrap(id int, b serve.Backend) serve.Backend {
 	if !inj.Active() {
 		return b
 	}
-	inj.mu.Lock()
-	step, ok := inj.steps[id]
-	if !ok {
-		step = &atomic.Uint64{}
-		inj.steps[id] = step
-	}
-	inj.mu.Unlock()
-	w := &wrapped{inj: inj, id: id, step: step, b: b, eng: inj.src.Derive(uint64(id))}
-	w.cbe, _ = b.(ctxBackend)
-	w.kbe, _ = b.(keyedBackend)
+	w := &wrapped{inj: inj, id: id, b: b, eng: inj.src.Derive(uint64(id))}
+	w.kb, _ = b.(serve.KeyedBackend)
 	return w
 }
 
@@ -203,11 +173,10 @@ func (inj *Injector) Wrap(id int, b serve.Backend) serve.Backend {
 type wrapped struct {
 	inj  *Injector
 	id   int
-	step *atomic.Uint64
+	step atomic.Uint64
 	eng  noise.Source // per-engine spike stream
 	b    serve.Backend
-	cbe  ctxBackend
-	kbe  keyedBackend
+	kb   serve.KeyedBackend // b, when it is keyed
 }
 
 // gate runs the plan for one batch: it advances the engine's step counter,
@@ -243,27 +212,14 @@ func (w *wrapped) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, erro
 	return w.b.InferBatch(inputs)
 }
 
-// InferBatchCtx implements the traced backend variant.
-func (w *wrapped) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error) {
-	if err := w.gate(); err != nil {
-		return nil, energy.Zero, err
-	}
-	if w.cbe != nil {
-		return w.cbe.InferBatchCtx(pc, inputs)
-	}
-	return w.b.InferBatch(inputs)
-}
-
-// InferBatchKeyedCtx implements the keyed backend variant.
+// InferBatchKeyedCtx implements serve.KeyedBackend: keys go through to a
+// keyed backend and are dropped, as serve drops them, for a plain one.
 func (w *wrapped) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error) {
 	if err := w.gate(); err != nil {
 		return nil, energy.Zero, err
 	}
-	if w.kbe != nil {
-		return w.kbe.InferBatchKeyedCtx(pc, seqs, inputs)
-	}
-	if w.cbe != nil {
-		return w.cbe.InferBatchCtx(pc, inputs)
+	if w.kb != nil {
+		return w.kb.InferBatchKeyedCtx(pc, seqs, inputs)
 	}
 	return w.b.InferBatch(inputs)
 }

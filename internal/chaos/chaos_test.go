@@ -160,14 +160,14 @@ func TestScenarioPlan(t *testing.T) {
 // reprograms; nil and inert injectors return 0.
 func TestReprogramDelay(t *testing.T) {
 	var nilInj *Injector
-	if d := nilInj.ReprogramDelay(0); d != 0 {
+	if d := nilInj.ReprogramDelay(); d != 0 {
 		t.Errorf("nil injector ReprogramDelay = %v", d)
 	}
 	p, _ := ScenarioPlan("crash", 1, 1)
-	if d := New(p).ReprogramDelay(0); d != time.Millisecond {
+	if d := New(p).ReprogramDelay(); d != time.Millisecond {
 		t.Errorf("crash scenario ReprogramDelay = %v, want 1ms", d)
 	}
-	if d := New(Plan{SlowEngine: -1, CrashEngine: -1}).ReprogramDelay(0); d != 0 {
+	if d := New(Plan{SlowEngine: -1, CrashEngine: -1}).ReprogramDelay(); d != 0 {
 		t.Errorf("inert injector ReprogramDelay = %v", d)
 	}
 }

@@ -333,7 +333,7 @@ func (t *Tile) mvmBatch(sp obs.Ctx, dsts, inputs [][]float64, nss []noise.Source
 		nss = nil // no kernel reads them: spare the per-(block, item) derivations
 	}
 
-	brows, bcols := t.BlockGrid()
+	_, bcols := t.BlockGrid()
 	width := parallel.Width()
 	if t.cfg.Functional {
 		width = parallel.WidthFor(n * t.rows * t.cols)
@@ -401,24 +401,29 @@ func (t *Tile) mvmBatch(sp obs.Ctx, dsts, inputs [][]float64, nss []noise.Source
 	if err != nil {
 		return energy.Zero, err
 	}
+	return t.Cost(), nil
+}
 
-	// Per-item cost: block costs are shape-determined (tabulated at
-	// Program) and fold in fixed (row, column) order.
+// Cost returns the per-item cost of one read of the programmed tile — what
+// every MVM charges, a pure function of the programmed shape and the
+// configuration (zero before Program). Block costs are tabulated at Program
+// and fold in fixed (row, column) order; block rows past the first add one
+// digital merge per output element.
+func (t *Tile) Cost() energy.Cost {
 	cost := energy.Zero
 	for _, row := range t.blocks {
 		for _, b := range row {
 			cost = cost.Par(b.cost)
 		}
 	}
-	// Digital merge: one add per partial element beyond the first block row.
-	if brows > 1 {
+	if brows := len(t.blocks); brows > 1 {
 		merges := int64(brows-1) * int64(t.cols)
 		cost = cost.Seq(energy.Cost{
 			LatencyPS: energy.EDRAMAccessLatencyPS,
 			EnergyPJ:  float64(merges) * energy.ShiftAddEnergyPJ,
 		})
 	}
-	return cost, nil
+	return cost
 }
 
 // getBatchScratch pops (or grows) a pooled batch workspace of the given

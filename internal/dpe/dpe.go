@@ -423,21 +423,57 @@ func (e *Engine) InferCtx(pc obs.Ctx, in []float64) ([]float64, energy.Cost, err
 	return outs[0], cost, nil
 }
 
-// digitalCost is the per-item cost of an activation or pooling stage on the
-// digital micro-units.
-func digitalCost(layer nn.Layer) energy.Cost {
-	return energy.Cost{
-		LatencyPS: energy.EDRAMAccessLatencyPS,
-		EnergyPJ:  float64(layer.InSize()) * (energy.ShiftAddEnergyPJ + energy.EDRAMAccessEnergyPJPerByte),
+// price is the stage's per-item cost: what runStage charges every item of
+// a batch and what PredictBatchCost folds, a pure function of the programmed
+// network and the configuration. A dense stage is one tile read plus its
+// bias adds, which ride the shift-add hardware; a conv stage streams its
+// im2col patches through ConvReplicas copies of the filter tile, so latency
+// covers ceil(patches/replicas) waves and energy every patch; activation and
+// pooling stages run on the digital micro-units.
+func (e *Engine) price(s *stage) energy.Cost {
+	switch {
+	case s.dense != nil:
+		return s.tile.Cost().Seq(energy.Cost{EnergyPJ: float64(s.dense.OutSize()) * energy.ShiftAddEnergyPJ})
+	case s.conv != nil:
+		patch := s.tile.Cost()
+		patches := s.conv.OutH() * s.conv.OutW()
+		waves := (patches + e.cfg.ConvReplicas - 1) / e.cfg.ConvReplicas
+		return energy.Cost{
+			LatencyPS: patch.LatencyPS * int64(waves),
+			EnergyPJ:  patch.EnergyPJ * float64(patches),
+		}
+	default:
+		return energy.Cost{
+			LatencyPS: energy.EDRAMAccessLatencyPS,
+			EnergyPJ:  float64(s.layer.InSize()) * (energy.ShiftAddEnergyPJ + energy.EDRAMAccessEnergyPJPerByte),
+		}
 	}
 }
 
-// InferBatch runs a batch through the engine's stage pipeline. Stages are
-// physically distinct (each layer owns its arrays), so once the pipeline
-// fills, one result retires per bottleneck-stage interval: latency is
-// fill + (n-1) x bottleneck, far better than n x single-inference latency.
-// Energy is n x per-inference energy. This is the ISAAC-style throughput
-// mode behind the Section VI claims.
+// PredictBatchCost prices a batch of n items without running it: it is the
+// cost InferBatch (keyed or not, traced or not) returns for n items, exactly.
+// Stages are physically distinct (each layer owns its arrays), so once the
+// pipeline fills, one result retires per bottleneck-stage interval: latency
+// is fill + (n-1) x bottleneck, far better than n x single-inference
+// latency. Energy is n x per-inference energy. This is the ISAAC-style
+// throughput mode behind the Section VI claims. Like inference, it must not
+// race a Load or Reprogram of this engine.
+func (e *Engine) PredictBatchCost(n int) energy.Cost {
+	fill := energy.Zero
+	var bottleneck int64
+	for i := range e.stages {
+		c := e.price(&e.stages[i])
+		fill = fill.Seq(c)
+		bottleneck = max(bottleneck, c.LatencyPS)
+	}
+	return energy.Cost{
+		LatencyPS: fill.LatencyPS + int64(n-1)*bottleneck,
+		EnergyPJ:  fill.EnergyPJ * float64(n),
+	}
+}
+
+// InferBatch runs a batch through the engine's stage pipeline and charges
+// PredictBatchCost(len(inputs)).
 //
 // The simulator runs the batch stage-major: every item advances through a
 // stage together, and dense (and conv, per patch position) stages hand
@@ -552,11 +588,6 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 	vs := inputs
 	var held *panel // the pooled panel vs is, once a stage has written one
 	nss := make([]noise.Source, n)
-	// Stage costs are uniform across items (every item runs the same
-	// arrays), so one per-item total and the bottleneck stage suffice for
-	// the pipelined batch cost.
-	total := energy.Zero
-	var stageMax int64
 	for s := range e.stages {
 		st := &e.stages[s]
 		for i := range nss {
@@ -568,13 +599,8 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 			out = e.getPanel(n, st.layer.OutSize(), s == lastWritten)
 			outs = out.rows
 		}
-		cost, err := e.runStage(sp, st, outs, vs, nss)
-		if err != nil {
+		if err := e.runStage(sp, st, outs, vs, nss); err != nil {
 			return nil, energy.Zero, fmt.Errorf("dpe: stage %d (%s): %w", s, st.layer.Name(), err)
-		}
-		total = total.Seq(cost)
-		if cost.LatencyPS > stageMax {
-			stageMax = cost.LatencyPS
 		}
 		if out != nil {
 			if held != nil {
@@ -583,11 +609,7 @@ func (e *Engine) inferBatch(sp obs.Ctx, inputs [][]float64, seqs []uint64) ([][]
 			held, vs = out, outs
 		}
 	}
-	cost := energy.Cost{
-		LatencyPS: total.LatencyPS + int64(n-1)*stageMax,
-		EnergyPJ:  total.EnergyPJ * float64(n),
-	}
-	return vs, cost, nil
+	return vs, e.PredictBatchCost(n), nil
 }
 
 // inPlace reports whether the stage, at index i, works on the panel it is
@@ -602,31 +624,31 @@ func (s *stage) inPlace(i int) bool { return s.act != nil && i > 0 }
 // im2col patch, and tiles derive one grandchild per block, so every analog
 // draw in the engine has a unique position-keyed counter. pc is the
 // enclosing inference span; each stage opens one child under it for the
-// batch, carrying the serial-equivalent cost (per-item × batch); the
-// returned cost is the uniform per-item stage cost.
-func (e *Engine) runStage(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noise.Source) (energy.Cost, error) {
+// batch, carrying the serial-equivalent cost (the stage's price × batch).
+func (e *Engine) runStage(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noise.Source) error {
 	n := len(ins)
 	switch {
 	case s.dense != nil:
 		sp := pc.Child("dpe.dense")
-		cost, err := s.tile.MVMBatchIntoCtx(sp, outs, ins, nss, s.finish)
-		if err != nil {
+		if _, err := s.tile.MVMBatchIntoCtx(sp, outs, ins, nss, s.finish); err != nil {
 			sp.End(energy.Zero)
-			return energy.Zero, err
+			return err
 		}
-		// Bias adds ride the existing shift-add hardware.
-		cost = cost.Seq(energy.Cost{EnergyPJ: float64(s.dense.OutSize()) * energy.ShiftAddEnergyPJ})
-		sp.End(cost.Scale(int64(n)))
-		return cost, nil
+		sp.End(e.price(s).Scale(int64(n)))
+		return nil
 	case s.conv != nil:
 		sp := pc.Child("dpe.conv")
-		cost, err := e.runConv(sp, s, outs, ins, nss)
-		if sp.Active() && err == nil {
+		err := e.runConv(sp, s, outs, ins, nss)
+		if err != nil {
+			sp.End(energy.Zero)
+			return err
+		}
+		if sp.Active() {
 			sp.Annotate("patches", float64(s.conv.OutH()*s.conv.OutW()))
 			sp.Annotate("batch", float64(n))
 		}
-		sp.End(cost.Scale(int64(n)))
-		return cost, err
+		sp.End(e.price(s).Scale(int64(n)))
+		return nil
 	default:
 		// Activation and pooling stages run on digital micro-units.
 		sp := pc.Child("dpe.digital")
@@ -640,14 +662,13 @@ func (e *Engine) runStage(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noi
 				out, err := s.layer.Forward(in)
 				if err != nil {
 					sp.End(energy.Zero)
-					return energy.Zero, err
+					return err
 				}
 				copy(outs[i], out)
 			}
 		}
-		cost := digitalCost(s.layer)
-		sp.End(cost.Scale(int64(n)))
-		return cost, nil
+		sp.End(e.price(s).Scale(int64(n)))
+		return nil
 	}
 }
 
@@ -655,35 +676,29 @@ func (e *Engine) runStage(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noi
 // whole batch, one batched tile MVM per patch position: the filter panel
 // is streamed once per batch per position instead of once per item. Patch
 // (oy, ox) of item i draws noise from nss[i].Derive(oy*outW+ox),
-// independent of streaming order. Replicas process patches concurrently:
-// per item, latency covers ceil(patches/replicas) waves and energy covers
-// every patch.
-func (e *Engine) runConv(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noise.Source) (energy.Cost, error) {
+// independent of streaming order. The stage's price covers the replicas.
+func (e *Engine) runConv(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noise.Source) error {
 	l := s.conv
 	oh, ow := l.OutH(), l.OutW()
 	n := len(ins)
-	patches := oh * ow
 	patchIns := make([][]float64, n)
 	patchNss := make([]noise.Source, n)
 	ys := e.getPanel(n, l.F, false)
 	defer e.panels.Put(ys)
-	var patchCost energy.Cost
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			p := oy*ow + ox
 			for i := range ins {
 				patch, err := l.Patch(ins[i], oy, ox)
 				if err != nil {
-					return energy.Zero, err
+					return err
 				}
 				patchIns[i] = patch
 				patchNss[i] = nss[i].Derive(uint64(p))
 			}
-			cost, err := s.tile.MVMBatchIntoCtx(pc, ys.rows, patchIns, patchNss, nil)
-			if err != nil {
-				return energy.Zero, err
+			if _, err := s.tile.MVMBatchIntoCtx(pc, ys.rows, patchIns, patchNss, nil); err != nil {
+				return err
 			}
-			patchCost = cost // uniform across patches
 			for i := range ins {
 				for f := 0; f < l.F; f++ {
 					outs[i][p*l.F+f] = ys.rows[i][f] + l.B[f]
@@ -691,12 +706,7 @@ func (e *Engine) runConv(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []nois
 			}
 		}
 	}
-	waves := (patches + e.cfg.ConvReplicas - 1) / e.cfg.ConvReplicas
-	cost := energy.Cost{
-		LatencyPS: patchCost.LatencyPS * int64(waves),
-		EnergyPJ:  patchCost.EnergyPJ * float64(patches),
-	}
-	return cost, nil
+	return nil
 }
 
 // EffectiveWeightBandwidth returns the rate at which an inference "touches"

@@ -98,12 +98,12 @@ const (
 
 	// --- CIM board (suitability model scale) ---
 	//
-	// Board-level aggregates for the workload-suitability model (Table 2)
-	// and the hybrid dispatcher's static routing prior: a board of ~1000
-	// ISAAC-scale crossbars plus embedded digital micro-units. These are
-	// the single source of truth — internal/suitability and
-	// internal/hybrid both price the CIM side from here, exactly as the
-	// Von Neumann side prices from the CPU/GPU constants above.
+	// Board-level aggregates for the workload-suitability model (Table 2):
+	// a board of ~1000 ISAAC-scale crossbars plus embedded digital
+	// micro-units. internal/suitability prices the CIM side from here,
+	// exactly as the Von Neumann side prices from the CPU/GPU constants
+	// above. (The hybrid dispatcher needs no board model: a loaded
+	// engine prices a flush exactly, dpe.Engine.PredictBatchCost.)
 
 	// CIMPeakOps is the aggregate in-array op rate: ~1200 crossbars x
 	// 16384 MACs / 100 ns.

@@ -45,7 +45,7 @@ type HybridCell struct {
 // HybridMixed is one dispatch mode's result over the mixed workload: the
 // same request stream — every model class in the grid, flush after flush —
 // served entirely by the crossbar (cim), entirely by the twin (vn), or
-// routed per flush by the calibrated dispatcher (auto).
+// routed per flush to the backend with the lower price (auto).
 type HybridMixed struct {
 	Mode     string
 	Requests int

@@ -1,17 +1,20 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
 
+	"cimrev/internal/dpe"
+	"cimrev/internal/nn"
 	"cimrev/internal/parallel"
+	"cimrev/internal/vonneumann"
 )
 
 // TestHybridSweepCrossover pins the hybrid dispatch acceptance numbers on
 // a small grid: the crossover is real (the Von Neumann twin wins the tiny
-// single-item cell, the crossbar wins the large batched cell), and the
-// auto dispatcher's mixed-workload throughput is at least the best single
-// backend's — routing by the cost model must never lose to refusing to
-// route.
+// single-item cell, the crossbar wins the large batched cell), the auto
+// dispatcher pays exactly the cheaper backend's price for every flush, and
+// so its mixed-workload throughput is at least the best single backend's.
 func TestHybridSweepCrossover(t *testing.T) {
 	res, err := HybridSweep([]int{16, 512}, []int{1, 64}, 20)
 	if err != nil {
@@ -52,6 +55,31 @@ func TestHybridSweepCrossover(t *testing.T) {
 	}
 	if auto.CIMRouted == 0 || auto.VNRouted == 0 {
 		t.Errorf("auto never split the workload (cim %d, vn %d)", auto.CIMRouted, auto.VNRouted)
+	}
+	// Auto's mixed phase costs exactly the cheaper backend's price for
+	// every flush: Σ over classes of flushes × min(CIM, VN).
+	var minPS int64
+	for _, size := range []int{16, 512} {
+		net, err := nn.NewMLP("price", []int{size, size, size}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := dpe.DefaultConfig()
+		eng, err := dpe.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Load(net); err != nil {
+			t.Fatal(err)
+		}
+		twin, err := vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minPS += 20 * min(eng.PredictBatchCost(mixedBatch).LatencyPS, twin.PredictBatchCost(mixedBatch).LatencyPS)
+	}
+	if want := float64(auto.Requests) / (float64(minPS) * 1e-12); auto.SimThroughputRPS != want {
+		t.Errorf("auto mixed throughput %v req/s, want %v from Σ min(CIM, VN) flush prices", auto.SimThroughputRPS, want)
 	}
 	if res.AutoSpeedupVsBest < 1 {
 		t.Errorf("AutoSpeedupVsBest = %.4f, want >= 1", res.AutoSpeedupVsBest)

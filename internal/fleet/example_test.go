@@ -12,7 +12,8 @@ import (
 	"cimrev/internal/workloadgen"
 )
 
-// ExampleRouter shows how routing policies order engines for a request:
+// ExampleRouter shows how routing policies order engines for a request —
+// the router a fleet built WithPolicy(fleet.RoundRobin()) routes by:
 // round-robin leads with an engine hashed from the routing key — here the
 // ElementKey of each of four batch-1 requests, seq·8 — and the same key
 // always produces the same preference order, so a replayed trace routes
@@ -34,10 +35,11 @@ func ExampleRouter() {
 	}
 	defer f.Close()
 
+	router := fleet.NewRouter(fleet.RoundRobin())
 	engines := f.Engines()
 	for seq := uint64(0); seq < 4; seq++ {
 		key := workloadgen.Request{Seq: seq}.ElementKey(0)
-		order, _ := f.Router().Route(nil, engines, key)
+		order, _ := router.Route(nil, engines, key)
 		ids := make([]int, len(order))
 		for i, e := range order {
 			ids[i] = e.ID()

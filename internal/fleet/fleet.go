@@ -103,9 +103,6 @@ type Engine struct {
 // ID returns the engine's fleet-unique identifier: its position at New.
 func (e *Engine) ID() int { return e.id }
 
-// QueueDepth returns how many requests wait in the engine's pending list.
-func (e *Engine) QueueDepth() int { return e.srv.QueueDepth() }
-
 // InFlight returns how many fleet requests are currently inside the
 // engine's pipeline (queued or executing).
 func (e *Engine) InFlight() int64 { return e.inflight.Load() }
@@ -393,9 +390,6 @@ func (f *Fleet) newEngine(id int, net *nn.Network) (*Engine, energy.Cost, error)
 // per-engine serve.* series live in each Engine's own registry).
 func (f *Fleet) Registry() *metrics.Registry { return f.reg }
 
-// Router returns the fleet's router.
-func (f *Fleet) Router() *Router { return f.router }
-
 // Chaos returns the fleet's chaos injector (nil when none was wired);
 // cimserve's /healthz reports its active scenario.
 func (f *Fleet) Chaos() *chaos.Injector { return f.chaos }
@@ -417,13 +411,6 @@ func (f *Fleet) members() []*Engine {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.engines
-}
-
-// Size returns the current member count.
-func (f *Fleet) Size() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.engines)
 }
 
 // SimTimePS returns the fleet's simulated serving time: the maximum over

@@ -90,24 +90,25 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
+	byName := map[string]Policy{"round-robin": RoundRobin(), "least-loaded": LeastLoaded(), "wear-aware": WearAware()}
 	for _, name := range PolicyNames() {
 		p, err := ParsePolicy(name)
 		if err != nil {
 			t.Fatalf("ParsePolicy(%q): %v", name, err)
 		}
-		if p.Name() != name {
-			t.Errorf("ParsePolicy(%q).Name() = %q", name, p.Name())
+		if want, ok := byName[name]; !ok || p != want {
+			t.Errorf("ParsePolicy(%q) = %T, want %T", name, p, want)
 		}
 	}
-	for alias, want := range map[string]string{
+	for alias, name := range map[string]string{
 		"rr": "round-robin", "ll": "least-loaded", "wear": "wear-aware", "RoundRobin": "round-robin",
 	} {
 		p, err := ParsePolicy(alias)
 		if err != nil {
 			t.Fatalf("ParsePolicy(%q): %v", alias, err)
 		}
-		if p.Name() != want {
-			t.Errorf("ParsePolicy(%q).Name() = %q, want %q", alias, p.Name(), want)
+		if p != byName[name] {
+			t.Errorf("ParsePolicy(%q) = %T, want %T", alias, p, byName[name])
 		}
 	}
 	if _, err := ParsePolicy("random"); err == nil {
@@ -524,7 +525,7 @@ func TestRoundRobinOrder(t *testing.T) {
 		{8, []int{2, 0, 1}},  // h(8) mod 3 = 2
 		{16, []int{1, 2, 0}}, // h(16) mod 3 = 1
 	} {
-		order, tripped := f.Router().Route(nil, engines, c.seq)
+		order, tripped := NewRouter(RoundRobin()).Route(nil, engines, c.seq)
 		if tripped != 0 {
 			t.Fatalf("tripped = %d, want 0", tripped)
 		}
@@ -555,7 +556,7 @@ func TestRoundRobinSpreadsElementKeys(t *testing.T) {
 		var buf []*Engine
 		for seq := uint64(0); seq < requests; seq++ {
 			key := workloadgen.Request{Seq: seq}.ElementKey(0)
-			buf, _ = f.Router().Route(buf, engines, key)
+			buf, _ = NewRouter(RoundRobin()).Route(buf, engines, key)
 			share[buf[0].ID()]++
 		}
 		fair := float64(requests) / float64(k)
@@ -593,8 +594,9 @@ func TestWearAwareFallback(t *testing.T) {
 	// Requests must still spread across queue state, not hammer engine 0
 	// exclusively by ID; with idle queues the tiebreak is ID order, so the
 	// check is simply that routing succeeds and is deterministic.
-	o1, _ := f.Router().Route(nil, engines, 1)
-	o2, _ := f.Router().Route(nil, engines, 1)
+	router := NewRouter(WearAware())
+	o1, _ := router.Route(nil, engines, 1)
+	o2, _ := router.Route(nil, engines, 1)
 	for i := range o1 {
 		if o1[i].ID() != o2[i].ID() {
 			t.Fatal("wear-aware fallback ordering not deterministic")
@@ -630,7 +632,7 @@ func TestWearAwareDifferential(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Skip("fault seeds produced identical damage; differential not exercised at this rate")
 	}
-	order, _ := f.Router().Route(nil, engines, 0)
+	order, _ := NewRouter(WearAware()).Route(nil, engines, 0)
 	for i := 1; i < len(order); i++ {
 		if damageScore(order[i-1]) > damageScore(order[i]) {
 			t.Fatalf("wear-aware order not ascending by damage: engine %d (score %d) before engine %d (score %d)",
@@ -679,12 +681,12 @@ func TestPolicyOrderMatchesDefinition(t *testing.T) {
 			}
 			for _, p := range []Policy{RoundRobin(), LeastLoaded(), WearAware()} {
 				want := ring(seq)
-				switch p.Name() {
-				case "round-robin":
+				switch p.(type) {
+				case roundRobin:
 					want = ring(noise.NewSource(0).Uint64(seq))
-				case "least-loaded":
+				case leastLoaded:
 					sort.SliceStable(want, func(i, j int) bool { return want[i].Load() < want[j].Load() })
-				case "wear-aware":
+				case wearAware:
 					sort.SliceStable(want, func(i, j int) bool {
 						wi, wj := damageScore(want[i]), damageScore(want[j])
 						return wi < wj || wi == wj && want[i].Load() < want[j].Load()
@@ -694,8 +696,8 @@ func TestPolicyOrderMatchesDefinition(t *testing.T) {
 				p.Order(got, seq)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%s, %d candidates, seq %d: order[%d] = engine %d, want %d",
-							p.Name(), n, seq, i, got[i].ID(), want[i].ID())
+						t.Fatalf("%T, %d candidates, seq %d: order[%d] = engine %d, want %d",
+							p, n, seq, i, got[i].ID(), want[i].ID())
 					}
 				}
 			}

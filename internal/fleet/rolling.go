@@ -146,7 +146,7 @@ func (f *Fleet) RollingReprogram(net *nn.Network) *RollingReport {
 		// the roll (and the rollMu it holds) is pinned while the rest of
 		// the fleet keeps serving, which is exactly the window the
 		// crash-during-rolling-reprogram scenario stresses.
-		if d := f.chaos.ReprogramDelay(e.id); d > 0 {
+		if d := f.chaos.ReprogramDelay(); d > 0 {
 			time.Sleep(d)
 		}
 		v, h, err := e.rep.Reprogram(net)

@@ -29,8 +29,6 @@ import (
 // whatever live signals — queue depth, wear — they poll), so that a
 // replayed request stream routes the same way.
 type Policy interface {
-	// Name returns the policy's CLI name (cimserve -policy).
-	Name() string
 	// Order sorts candidates in place into try-first order.
 	Order(candidates []*Engine, seq uint64)
 }
@@ -109,8 +107,6 @@ func RoundRobin() Policy { return roundRobin{} }
 
 type roundRobin struct{}
 
-func (roundRobin) Name() string { return "round-robin" }
-
 func (roundRobin) Order(candidates []*Engine, seq uint64) { rotate(candidates, spread.Uint64(seq)) }
 
 // spread is round-robin's h: word seq of one fixed noise stream, a
@@ -142,8 +138,6 @@ func LeastLoaded() Policy { return leastLoaded{} }
 
 type leastLoaded struct{}
 
-func (leastLoaded) Name() string { return "least-loaded" }
-
 func (leastLoaded) Order(candidates []*Engine, seq uint64) { orderByRank(candidates, seq, false) }
 
 // WearAware returns the policy that routes away from damaged engines. Each
@@ -157,8 +151,6 @@ func (leastLoaded) Order(candidates []*Engine, seq uint64) { orderByRank(candida
 func WearAware() Policy { return wearAware{} }
 
 type wearAware struct{}
-
-func (wearAware) Name() string { return "wear-aware" }
 
 func (wearAware) Order(candidates []*Engine, seq uint64) { orderByRank(candidates, seq, true) }
 

@@ -1,9 +1,9 @@
 // Package hybrid is the runtime form of the paper's Section III.F, "CIM as
 // an accelerator inside a Von Neumann host": Dispatcher sits between the
 // serving pipeline and its two backends and routes every micro-batch flush
-// to the crossbar engine or to the executing Von Neumann twin, by a static
-// cost model seeded from the board constants and refined per batch-size
-// bucket by an online EWMA calibrator (docs/HYBRID.md).
+// to the crossbar engine or to the executing Von Neumann twin by comparing
+// two exact prices: each backend's PredictBatchCost for the flush, the cost
+// it would charge (docs/HYBRID.md).
 package hybrid
 
 import (
@@ -27,9 +27,9 @@ const (
 	// ModeVN routes every flush to the Von Neumann twin. It requires a
 	// twin, which in turn requires a deterministic (noise-free) config.
 	ModeVN
-	// ModeAuto routes each flush by the cost model: a twin-less (noisy or
-	// faulty) deployment pins everything to CIM; with a twin every flush,
-	// keyed or not, follows the calibrated crossover.
+	// ModeAuto routes each flush to the backend whose price for it is
+	// lower: a twin-less (noisy or faulty) deployment pins everything to
+	// CIM; with a twin every flush, keyed or not, is priced.
 	ModeAuto
 )
 
@@ -62,11 +62,13 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // CIMBackend is the crossbar side of the dispatcher: the batch-inference
-// surface shared by dpe.Engine and serve.ShadowPair.
+// surface shared by dpe.Engine and serve.ShadowPair, plus the exact price
+// of a batch of n (what inference of n items charges).
 type CIMBackend interface {
 	InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error)
 	InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error)
 	InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error)
+	PredictBatchCost(n int) energy.Cost
 }
 
 // Reprogrammer is the weight-update surface of serve.ShadowPair. A
@@ -93,21 +95,21 @@ type Reprogrammer interface {
 //     ReadNoise > 0 and callers build no twin for a faulty deployment, so
 //     a twin exists only where noise keys draw nothing: "has a twin" is
 //     the whole pin rule, and keyed traffic needs no rule of its own.
-//   - Everything else follows the calibrator: a static crossover model
-//     seeded from the shared CIM board constants and the twin's exact
-//     roofline prior, refined per batch-size class by an EWMA over
-//     observed flush costs.
+//   - Everything else goes to the backend with the lower price for the
+//     flush, ties to CIM. Both prices are exact — the crossbar engine's
+//     PredictBatchCost and the twin's roofline PredictBatchCost are what
+//     each charges a flush of n items — so there is nothing to learn or
+//     probe, and the decision is a pure function of (network, config, n).
 //
-// A Dispatcher is a serve.Backend (plus the ctx and keyed extensions), so
-// it slots between a ShadowPair and a serve.Server unchanged. The three entry
-// points are one body: InferBatch and InferBatchCtx are InferBatchKeyedCtx
-// with nil keys, which the crossbar side serves from its own counter.
+// A Dispatcher is a keyed serve.Backend, so it slots between a ShadowPair
+// and a serve.Server unchanged. The two entry points are one body:
+// InferBatch is InferBatchKeyedCtx with nil keys, which the crossbar side
+// serves from its own counter.
 type Dispatcher struct {
 	cim  CIMBackend
 	vn   *vonneumann.Backend
 	rep  Reprogrammer
 	mode Mode
-	cal  *calibrator
 
 	// suspended parks Von Neumann routing while a reprogram swaps both
 	// backends; flushes fall back to CIM (the pair serves throughout).
@@ -165,11 +167,6 @@ func New(cim CIMBackend, vn *vonneumann.Backend, opts ...Option) (*Dispatcher, e
 		cntPinned: cfg.reg.Counter("dispatch.pinned_noisy"),
 	}
 	d.rep, _ = cim.(Reprogrammer)
-	if vn != nil {
-		d.cal = newCalibrator(cimSeed(vn.Network()), func(n int) float64 {
-			return float64(vn.PredictBatchCost(n).LatencyPS) / float64(n)
-		})
-	}
 	return d, nil
 }
 
@@ -184,11 +181,6 @@ func (d *Dispatcher) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, e
 	return d.InferBatchKeyedCtx(obs.Ctx{}, nil, inputs)
 }
 
-// InferBatchCtx is InferBatch under a trace span context.
-func (d *Dispatcher) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error) {
-	return d.InferBatchKeyedCtx(pc, nil, inputs)
-}
-
 // useVN chooses the backend for one flush of n items and counts it under
 // that choice — the dispatcher's only routing decision.
 func (d *Dispatcher) useVN(n int) bool {
@@ -198,7 +190,7 @@ func (d *Dispatcher) useVN(n int) bool {
 		cnt = d.cntPinned
 	case d.mode == ModeCIM || d.suspended.Load():
 		// Forced, or a reprogram is swapping both backends: the crossbar.
-	case d.mode == ModeVN || d.cal.choose(n):
+	case d.mode == ModeVN || d.vn.PredictBatchCost(n).LatencyPS < d.cim.PredictBatchCost(n).LatencyPS:
 		vn, cnt = true, d.cntVN
 	}
 	cnt.Add(int64(n))
@@ -210,21 +202,15 @@ func (d *Dispatcher) useVN(n int) bool {
 // exact because a twin only exists for deterministic configs, where keys
 // consume no noise draws; the crossbar side gets the keys when there are
 // any.
-func (d *Dispatcher) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) (outs [][]float64, cost energy.Cost, err error) {
-	n := len(inputs)
-	vn := d.useVN(n)
+func (d *Dispatcher) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error) {
 	switch {
-	case vn:
-		outs, cost, err = d.vn.InferBatchCtx(pc, inputs)
+	case d.useVN(len(inputs)):
+		return d.vn.InferBatchCtx(pc, inputs)
 	case seqs == nil:
-		outs, cost, err = d.cim.InferBatchCtx(pc, inputs)
+		return d.cim.InferBatchCtx(pc, inputs)
 	default:
-		outs, cost, err = d.cim.InferBatchKeyedCtx(pc, seqs, inputs)
+		return d.cim.InferBatchKeyedCtx(pc, seqs, inputs)
 	}
-	if err == nil && d.cal != nil {
-		d.cal.observe(n, vn, cost.LatencyPS)
-	}
-	return outs, cost, err
 }
 
 // Reprogram swaps weights on both backends atomically with respect to

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cimrev/internal/dpe"
+	"cimrev/internal/energy"
 	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
 	"cimrev/internal/obs"
@@ -82,23 +83,34 @@ func requireSame(t *testing.T, want, got [][]float64, label string) {
 	}
 }
 
-// TestDispatchRouteInvariance pins the tentpole's user-visible contract:
-// auto dispatch returns outputs bit-identical to a CIM-only engine for
-// deterministic traffic, at worker-pool widths 1, 4, and 16, across a
-// flush sequence long and varied enough that both backends actually serve
-// (the calibrator prefers one side per bucket but probes the other).
-func TestDispatchRouteInvariance(t *testing.T) {
-	net, err := nn.NewMLP("route-mlp", []int{64, 48, 10}, rand.New(rand.NewSource(21)))
+// crossoverMLP is a network whose crossover falls inside the flush sizes
+// the tests use: the twin is cheaper for flushes of 1–3 items, the
+// crossbar pipeline from 4 on.
+func crossoverMLP(t *testing.T, name string, seed int64) *nn.Network {
+	t.Helper()
+	net, err := nn.NewMLP(name, []int{crossoverWidth, crossoverWidth, crossoverWidth}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return net
+}
+
+const crossoverWidth = 320
+
+// TestDispatchRouteInvariance pins the tentpole's user-visible contract:
+// auto dispatch returns outputs bit-identical to a CIM-only engine for
+// deterministic traffic, at worker-pool widths 1, 4, and 16, across a
+// flush sequence whose sizes straddle the network's crossover, so both
+// backends actually serve.
+func TestDispatchRouteInvariance(t *testing.T) {
+	net := crossoverMLP(t, "route-mlp", 21)
 	for _, w := range []int{1, 4, 16} {
 		parallel.SetWidth(w)
 		t.Cleanup(func() { parallel.SetWidth(0) })
 		ref, disp := dispatchFixture(t, ModeAuto, net, nil)
 		for flush := 0; flush < 40; flush++ {
 			n := 1 + flush%7
-			ins := dispatchInputs(t, n, 64, int64(100*w+flush))
+			ins := dispatchInputs(t, n, crossoverWidth, int64(100*w+flush))
 			want, _, err := ref.InferBatch(ins)
 			if err != nil {
 				t.Fatal(err)
@@ -120,17 +132,14 @@ func TestDispatchRouteInvariance(t *testing.T) {
 }
 
 // TestDispatchKeyedPinned pins when keyed auto traffic is pinned: only on
-// a twin-less dispatcher. Over a twin, keyed flushes follow the calibrator
-// exactly as unkeyed ones do — both backends serve, the requests are counted
+// a twin-less dispatcher. Over a twin, keyed flushes are priced exactly as
+// unkeyed ones are — both backends serve, the requests are counted
 // under dispatch.cim / dispatch.vn, none under dispatch.pinned_noisy — and
 // every output == the forced-cim dispatcher's for the same keys. Without a
 // twin the same traffic goes to CIM with its keys intact and is counted as
 // pinned.
 func TestDispatchKeyedPinned(t *testing.T) {
-	net, err := nn.NewMLP("keyed-mlp", []int{40, 20, 10}, rand.New(rand.NewSource(22)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := crossoverMLP(t, "keyed-mlp", 22)
 	reg := metrics.NewRegistry()
 	_, auto := dispatchFixture(t, ModeAuto, net, reg)
 	_, forced := dispatchFixture(t, ModeCIM, net, nil)
@@ -149,7 +158,7 @@ func TestDispatchKeyedPinned(t *testing.T) {
 	for flush := 0; flush < 40; flush++ {
 		n := 1 + flush%7
 		total += int64(n)
-		ins := dispatchInputs(t, n, 40, int64(2300+flush))
+		ins := dispatchInputs(t, n, crossoverWidth, int64(2300+flush))
 		seqs := make([]uint64, n)
 		for i := range seqs {
 			seqs[i] = uint64(31337*flush + 77*i) // out of order across flushes
@@ -382,65 +391,68 @@ func TestDispatchReprogram(t *testing.T) {
 	}
 }
 
-// TestCalibratorDeterminism pins the calibration loop: identical flush
-// sequences produce identical routing decisions, the probe cadence routes
-// against the preference exactly once per probeEvery flushes, and enough
-// contrary observations flip a bucket's preference.
-func TestCalibratorDeterminism(t *testing.T) {
-	mk := func() *calibrator {
-		return newCalibrator(
-			func(n int) float64 { return 100 }, // CIM prior: cheap
-			func(n int) float64 { return 200 }, // VN prior: dear
-		)
-	}
-	a, b := mk(), mk()
-	var seqA, seqB []bool
-	for i := 0; i < 32; i++ {
-		n := 1 + i%3
-		dA, dB := a.choose(n), b.choose(n)
-		seqA = append(seqA, dA)
-		seqB = append(seqB, dB)
-		a.observe(n, dA, int64(n)*150)
-		b.observe(n, dB, int64(n)*150)
-	}
-	for i := range seqA {
-		if seqA[i] != seqB[i] {
-			t.Fatalf("decision %d diverged: %v vs %v", i, seqA[i], seqB[i])
+// TestAutoRoutesToCheaperPrice pins the price rule over a size × batch grid
+// that straddles the crossover: every auto flush goes to the backend whose
+// PredictBatchCost latency is strictly lower, is counted under it, and
+// charges exactly that price — auto pays min(CIM, VN) per flush.
+func TestAutoRoutesToCheaperPrice(t *testing.T) {
+	var toCIM, toVN int
+	for _, size := range []int{16, 256, crossoverWidth, 512} {
+		net, err := nn.NewMLP("grid-mlp", []int{size, size, size}, rand.New(rand.NewSource(int64(size))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, disp := dispatchFixture(t, ModeAuto, net, nil)
+		for _, n := range []int{1, 2, 3, 4, 8, 64} {
+			cimPrice, vnPrice := disp.cim.PredictBatchCost(n), disp.vn.PredictBatchCost(n)
+			want, wantVN := cimPrice, int64(0)
+			if vnPrice.LatencyPS < cimPrice.LatencyPS {
+				want, wantVN = vnPrice, int64(n)
+				toVN++
+			} else {
+				toCIM++
+			}
+			c0, v0, _ := disp.Counts()
+			_, cost, err := disp.InferBatch(dispatchInputs(t, n, size, int64(size+n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c1, v1, _ := disp.Counts()
+			if cost != want || v1-v0 != wantVN || c1-c0 != int64(n)-wantVN {
+				t.Errorf("size %d, n=%d: charged %+v (cim +%d, vn +%d); cim price %+v, vn price %+v",
+					size, n, cost, c1-c0, v1-v0, cimPrice, vnPrice)
+			}
 		}
 	}
+	if toCIM == 0 || toVN == 0 {
+		t.Errorf("grid does not straddle the crossover: %d flushes priced to CIM, %d to VN", toCIM, toVN)
+	}
+}
 
-	c := mk()
-	var vnRouted int
-	for i := 0; i < 4*probeEvery; i++ {
-		if c.choose(2) {
-			vnRouted++
-		}
-	}
-	if vnRouted != 4 {
-		t.Errorf("probe cadence: %d VN routes in %d flushes, want 4", vnRouted, 4*probeEvery)
-	}
+// tiedEngine is a crossbar backend whose price is pinned to another
+// backend's, so the dispatcher sees a tie.
+type tiedEngine struct {
+	*dpe.Engine
+	price func(n int) energy.Cost
+}
 
-	// VN turns out far cheaper than its prior: the EWMA must flip the
-	// bucket preference once probes have fed it enough evidence.
-	flip := mk()
-	flipped := false
-	for i := 0; i < 64; i++ {
-		vn := flip.choose(2)
-		if vn {
-			flip.observe(2, true, 2*10) // 10 ps/item, far under CIM's 100
-		} else {
-			flip.observe(2, false, 2*100)
-		}
-		if b := flip.bucket(2); b.vn.v < b.cim.v {
-			flipped = true
-			break
-		}
-	}
-	if !flipped {
-		t.Error("calibrator never learned the cheaper backend")
-	}
+func (e tiedEngine) PredictBatchCost(n int) energy.Cost { return e.price(n) }
 
-	if bucketOf(1) == bucketOf(2) || bucketOf(2) != bucketOf(3) || bucketOf(7) == bucketOf(8) {
-		t.Error("log2 bucket boundaries wrong")
+// TestAutoTieGoesToCIM: a flush whose two prices are equal stays on the
+// crossbar.
+func TestAutoTieGoesToCIM(t *testing.T) {
+	net := crossoverMLP(t, "tie-mlp", 23)
+	_, base := dispatchFixture(t, ModeAuto, net, nil)
+	disp, err := New(tiedEngine{Engine: base.cim.(*dpe.Engine), price: base.vn.PredictBatchCost}, base.vn, WithMode(ModeAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 8; n++ {
+		if _, _, err := disp.InferBatch(dispatchInputs(t, n, crossoverWidth, int64(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cim, vn, _ := disp.Counts(); cim != 36 || vn != 0 {
+		t.Errorf("tied prices routed cim %d, vn %d; want 36, 0", cim, vn)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cimrev/internal/metrics"
 )
 
 // TestSubmitPreCanceledContext: a context that is already done never
@@ -54,7 +56,8 @@ func TestSubmitNilContext(t *testing.T) {
 func TestSubmitCanceledWhileQueued(t *testing.T) {
 	const parked = 4
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(parked+1))
+	reg := metrics.NewRegistry()
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(parked+1), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +112,7 @@ func TestSubmitCanceledWhileQueued(t *testing.T) {
 	if len(bk.batches) != 1 {
 		t.Errorf("backend saw %d batches, want 1 (abandoned work must be shed)", len(bk.batches))
 	}
-	if got := srv.Registry().Counter("serve.canceled").Value(); got != parked {
+	if got := reg.Counter("serve.canceled").Value(); got != parked {
 		t.Errorf("serve.canceled = %d, want %d", got, parked)
 	}
 	close(bk.entered)
@@ -120,7 +123,8 @@ func TestSubmitCanceledWhileQueued(t *testing.T) {
 // into the buffered response channel and nothing leaks or deadlocks.
 func TestSubmitCanceledMidBatch(t *testing.T) {
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(8))
+	reg := metrics.NewRegistry()
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(8), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func TestSubmitCanceledMidBatch(t *testing.T) {
 	close(bk.release)
 	srv.Close()
 	close(bk.entered)
-	if got := srv.Registry().Counter("serve.canceled").Value(); got != 1 {
+	if got := reg.Counter("serve.canceled").Value(); got != 1 {
 		t.Errorf("serve.canceled = %d, want 1", got)
 	}
 }
@@ -152,7 +156,8 @@ func TestSubmitCanceledMidBatch(t *testing.T) {
 // stage counters.
 func TestSubmitDeadlineExceeded(t *testing.T) {
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(8))
+	reg := metrics.NewRegistry()
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(8), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +183,6 @@ func TestSubmitDeadlineExceeded(t *testing.T) {
 	close(bk.release)
 	srv.Close()
 	close(bk.entered)
-	reg := srv.Registry()
 	if got := reg.Counter("serve.deadline_exceeded").Value(); got != 1 {
 		t.Errorf("serve.deadline_exceeded = %d, want 1", got)
 	}
@@ -195,7 +199,8 @@ func TestSubmitDeadlineExceeded(t *testing.T) {
 // cancel counter does not.
 func TestSubmitDeadlinePreEnqueue(t *testing.T) {
 	bk := &countingBackend{}
-	srv, err := New(bk, WithBatch(4, 0), WithQueueBound(16))
+	reg := metrics.NewRegistry()
+	srv, err := New(bk, WithBatch(4, 0), WithQueueBound(16), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +217,6 @@ func TestSubmitDeadlinePreEnqueue(t *testing.T) {
 		t.Fatalf("expired request reached the backend: batches %v", bk.sizes)
 	}
 	bk.mu.Unlock()
-	reg := srv.Registry()
 	if got := reg.Counter("serve.deadline_pre_enqueue").Value(); got != 1 {
 		t.Errorf("serve.deadline_pre_enqueue = %d, want 1", got)
 	}
@@ -231,7 +235,8 @@ func TestSubmitDeadlinePreEnqueue(t *testing.T) {
 func TestSubmitDeadlineWhileQueued(t *testing.T) {
 	const parked = 4
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(parked+1))
+	reg := metrics.NewRegistry()
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(parked+1), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +289,6 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 		t.Errorf("backend saw %d batches, want 1 (expired work must be shed)", len(bk.batches))
 	}
 	bk.mu.Unlock()
-	reg := srv.Registry()
 	if got := reg.Counter("serve.deadline_exceeded").Value(); got != parked {
 		t.Errorf("serve.deadline_exceeded = %d, want %d", got, parked)
 	}

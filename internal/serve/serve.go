@@ -2,7 +2,7 @@
 // millions of small, independent requests — each submitted through the one
 // entry point, Server.SubmitKeyed, under its own noise key — into the fast
 // batched kernels underneath (dpe.Engine.InferBatchKeyed; dpe.Cluster's
-// InferBatch, which takes no keys, is served through the fallback), which is
+// InferBatch, which takes no keys, is served through the plain path), which is
 // where the Section VI throughput claims actually live. "Breaking
 // Barriers" (Crafton et al., PAPERS.md) makes the point sharply: CIM
 // throughput is dominated by array *utilization*, not raw array speed, and
@@ -64,22 +64,16 @@ type Backend interface {
 	InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error)
 }
 
-// ctxBackend is the optional traced variant of Backend. Backends that
-// implement it (dpe.Engine, dpe.Cluster, ShadowPair) have their
-// span tree linked under the server's "serve.flush" spans; plain Backends
-// still work, they just appear as leaf flushes in a trace.
-type ctxBackend interface {
-	InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error)
-}
-
-// keyedBackend is the optional request-keyed-noise variant of Backend
-// (dpe.Engine, ShadowPair, hybrid.Dispatcher). Every request
-// carries its own noise sequence number down to the engine, making its
-// output a pure function of (engine config, key, input) — independent of
-// batch composition, queue interleaving, or which engine of a fleet serves
-// it (docs/CLUSTER.md). Backends without it are served through the plain
-// path, ignoring the keys.
-type keyedBackend interface {
+// KeyedBackend is the request-keyed-noise form of Backend (dpe.Engine,
+// ShadowPair, hybrid.Dispatcher), and a backend is either keyed or plain.
+// A keyed backend gets every request's noise sequence number down to the
+// engine, making its output a pure function of (engine config, key, input)
+// — independent of batch composition, queue interleaving, or which engine
+// of a fleet serves it (docs/CLUSTER.md) — and links its span tree under the
+// server's "serve.flush" spans. A plain Backend is served through
+// InferBatch, ignoring the keys, and appears as a leaf flush in a trace. A
+// wrapper around a backend must keep it keyed (chaos.Injector.Wrap does).
+type KeyedBackend interface {
 	InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error)
 }
 
@@ -113,7 +107,7 @@ var ErrCanceled = errors.New("serve: request canceled")
 var ErrDeadlineExceeded = errors.New("serve: request deadline exceeded")
 
 // request is one enqueued inference, carrying its own noise sequence number
-// down to a keyedBackend.
+// down to a KeyedBackend.
 type request struct {
 	ctx  context.Context
 	in   []float64
@@ -197,9 +191,7 @@ func (m *serverMetrics) expire(cause error) error {
 type Server struct {
 	cfg     Config
 	backend Backend
-	cbe     ctxBackend   // non-nil iff backend implements InferBatchCtx
-	kbe     keyedBackend // non-nil iff backend implements InferBatchKeyedCtx
-	reg     *metrics.Registry
+	kbe     KeyedBackend // non-nil iff backend implements InferBatchKeyedCtx
 	met     serverMetrics
 	tracer  *obs.Tracer
 
@@ -238,20 +230,15 @@ func New(backend Backend, opts ...Option) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		backend:     backend,
-		reg:         reg,
 		met:         newServerMetrics(reg),
 		tracer:      cfg.Tracer,
 		flusherDone: make(chan struct{}),
 	}
 	s.work = sync.NewCond(&s.mu)
-	s.cbe, _ = backend.(ctxBackend)
-	s.kbe, _ = backend.(keyedBackend)
+	s.kbe, _ = backend.(KeyedBackend)
 	go s.flusher()
 	return s, nil
 }
-
-// Registry returns the server's metrics registry.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // QueueDepth returns how many requests currently wait in the pending list
 // for the flusher to take them. It is a point-in-time reading, safe to
@@ -394,8 +381,8 @@ func (s *Server) shedExpired(batch []*request) []*request {
 
 // inferBatch invokes the backend for one device batch: with the requests'
 // noise keys through InferBatchKeyedCtx when the backend has it, otherwise
-// through the plain path (keys ignored), traced when the backend supports it.
-// Keys, unlike inputs, are allocated per flush: a backend may keep them.
+// through the plain InferBatch (keys ignored, untraced). Keys, unlike
+// inputs, are allocated per flush: a backend may keep them.
 func (s *Server) inferBatch(sp obs.Ctx, batch []*request, inputs [][]float64) ([][]float64, energy.Cost, error) {
 	if s.kbe != nil {
 		seqs := make([]uint64, len(batch))
@@ -403,9 +390,6 @@ func (s *Server) inferBatch(sp obs.Ctx, batch []*request, inputs [][]float64) ([
 			seqs[i] = req.seq
 		}
 		return s.kbe.InferBatchKeyedCtx(sp, seqs, inputs)
-	}
-	if s.cbe != nil {
-		return s.cbe.InferBatchCtx(sp, inputs)
 	}
 	return s.backend.InferBatch(inputs)
 }

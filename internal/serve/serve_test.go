@@ -12,6 +12,7 @@ import (
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
+	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
 	"cimrev/internal/obs"
 	"cimrev/internal/parallel"
@@ -93,7 +94,8 @@ func TestServeMatchesDirectInfer(t *testing.T) {
 			parallel.SetWidth(width)
 			net := testMLP(t, 32, 24, 10)
 			eng := loadedEngine(t, net)
-			srv, err := New(eng, WithBatch(8, 0), WithQueueBound(256))
+			reg := metrics.NewRegistry()
+			srv, err := New(eng, WithBatch(8, 0), WithQueueBound(256), WithRegistry(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +138,7 @@ func TestServeMatchesDirectInfer(t *testing.T) {
 				}
 			}
 
-			s := srv.Registry().Snapshot()
+			s := reg.Snapshot()
 			if s.Counters["serve.requests"] != n {
 				t.Errorf("serve.requests = %d, want %d", s.Counters["serve.requests"], n)
 			}
@@ -185,7 +187,8 @@ func (b *blockingBackend) InferBatch(inputs [][]float64) ([][]float64, energy.Co
 func TestBackpressure(t *testing.T) {
 	const bound = 4
 	bk := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(bound))
+	reg := metrics.NewRegistry()
+	srv, err := New(bk, WithBatch(1, 0), WithQueueBound(bound), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +227,7 @@ func TestBackpressure(t *testing.T) {
 	if _, _, err := srv.SubmitKeyed(context.Background(), 99, []float64{99}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("SubmitKeyed past high-water mark = %v, want ErrOverloaded", err)
 	}
-	if got := srv.Registry().Counter("serve.rejected").Value(); got != 1 {
+	if got := reg.Counter("serve.rejected").Value(); got != 1 {
 		t.Errorf("serve.rejected = %d, want 1", got)
 	}
 
@@ -405,7 +408,8 @@ func conserve(t *testing.T, seed int64) {
 	const n = 64
 	rng := rand.New(rand.NewSource(seed))
 	bk := &echoBackend{delay: time.Duration(rng.Intn(100)) * time.Microsecond, seen: map[uint64]int{}}
-	srv, err := New(bk, WithBatch(1+rng.Intn(8), 0), WithQueueBound(1+rng.Intn(32)))
+	reg := metrics.NewRegistry()
+	srv, err := New(bk, WithBatch(1+rng.Intn(8), 0), WithQueueBound(1+rng.Intn(32)), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +481,6 @@ func conserve(t *testing.T, seed int64) {
 	for _, c := range bk.seen {
 		served += int64(c)
 	}
-	reg := srv.Registry()
 	for name, want := range map[string]int64{
 		"serve.rejected":          over,
 		"serve.canceled":          canceled,

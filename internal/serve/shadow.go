@@ -189,6 +189,16 @@ func (p *ShadowPair) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]fl
 	return g.eng.InferBatchKeyedCtx(pc, seqs, inputs)
 }
 
+// PredictBatchCost is the live engine's dpe.Engine.PredictBatchCost, read
+// under its gate: the exact cost the pair charges a batch of n on the
+// weights it serves now (the hybrid dispatcher's crossbar price).
+func (p *ShadowPair) PredictBatchCost(n int) energy.Cost {
+	g := p.live.Load()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.eng.PredictBatchCost(n)
+}
+
 // Wear returns the live engine's lifetime cell-write count, read under its
 // gate so the count cannot race a reprogram of a just-retired standby. The
 // fleet router's wear-aware policy polls this between batches.

@@ -14,6 +14,7 @@ import (
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
 	"cimrev/internal/nn"
+	"cimrev/internal/obs"
 	"cimrev/internal/parallel"
 )
 
@@ -235,6 +236,40 @@ func TestShadowTopologyChange(t *testing.T) {
 	}
 	if got := pair.live.Load().eng.Network().Name; got != "wide" {
 		t.Errorf("live network = %q, want \"wide\"", got)
+	}
+}
+
+// TestShadowPredictBatchCost: the pair prices a batch from the engine it
+// serves from, across swaps to another shape and back: PredictBatchCost(n)
+// equals, with ==, the cost InferBatchKeyedCtx then charges for n items.
+// Before the first swap the standby is unprogrammed, and after one it holds
+// the other shape, so a price read from the standby fails every step.
+func TestShadowPredictBatchCost(t *testing.T) {
+	narrow, wide := testMLP(t, 24, 16, 8), testMLP(t, 24, 96, 40, 8)
+	pair, _, err := NewShadowPair(testEngineConfig(), narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, net := range []*nn.Network{narrow, wide, narrow} {
+		if step > 0 {
+			if _, _, err := pair.Reprogram(net); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range []int{1, 2, 3, 4, 7, 8, 16, 64} {
+			seqs := make([]uint64, n)
+			for i := range seqs {
+				seqs[i] = uint64(step*1000 + i)
+			}
+			_, charged, err := pair.InferBatchKeyedCtx(obs.Ctx{}, seqs, testInputs(n, 24, int64(n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if price := pair.PredictBatchCost(n); price != charged {
+				t.Errorf("step %d (%d layers), n=%d: PredictBatchCost %+v, charged %+v",
+					step, len(net.Layers), n, price, charged)
+			}
+		}
 	}
 }
 

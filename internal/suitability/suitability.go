@@ -13,8 +13,7 @@ import (
 
 // The CIM-side model constants (board scale, per-op energies) live in
 // internal/energy next to the CPU/GPU figures they are compared against —
-// energy.CIMPeakOps and friends — so suitability scoring and the hybrid
-// dispatcher's static routing prior price the fabric identically.
+// energy.CIMPeakOps and friends.
 
 // Rating is the CIM-benefit verdict.
 type Rating int

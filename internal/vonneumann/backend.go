@@ -172,7 +172,7 @@ func (b *Backend) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, en
 }
 
 // PredictBatchCost prices a batch of n items without executing it — the
-// dispatcher's exact Von Neumann prior (InferBatch returns the same cost).
+// dispatcher's Von Neumann price (InferBatch returns the same cost).
 func (b *Backend) PredictBatchCost(n int) energy.Cost {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

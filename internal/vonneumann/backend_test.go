@@ -371,8 +371,8 @@ func TestTwinRejectsNoisyAndInvalid(t *testing.T) {
 	}
 }
 
-// TestTwinPredictMatchesInferCost pins the calibrator's exact prior:
-// PredictBatchCost returns the same cost InferBatch charges.
+// TestTwinPredictMatchesInferCost pins the twin's price, the VN side of
+// auto dispatch: PredictBatchCost returns the same cost InferBatch charges.
 func TestTwinPredictMatchesInferCost(t *testing.T) {
 	cfg := dpe.DefaultConfig()
 	net, err := nn.NewMLP("twin-pred", []int{256, 256, 10}, rand.New(rand.NewSource(5)))
