@@ -151,11 +151,11 @@ func BenchmarkAblationADCBits(b *testing.B) {
 			if _, err := xb.Program(w); err != nil {
 				b.Fatal(err)
 			}
-			in := randomVector(rng, 64)
+			in, out := randomVector(rng, 64), make([]float64, 64)
 			var cost energy.Cost
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, cost, err = xb.MVM(in, crossbar.NoNoise)
+				cost, err = xb.MVMInto(out, in, crossbar.NoNoise)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -182,12 +182,12 @@ func BenchmarkAblationCellBits(b *testing.B) {
 			if _, err := xb.Program(randomMatrix(rng, 64, 64)); err != nil {
 				b.Fatal(err)
 			}
-			in := randomVector(rng, 64)
+			in, out := randomVector(rng, 64), make([]float64, 64)
 			var cost energy.Cost
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, cost, err = xb.MVM(in, crossbar.NoNoise)
+				cost, err = xb.MVMInto(out, in, crossbar.NoNoise)
 				if err != nil {
 					b.Fatal(err)
 				}

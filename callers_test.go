@@ -3,106 +3,178 @@ package cimrev
 // The deletion rule, enforced (ROADMAP item 7): code that no non-test file
 // calls is on no program's path — not a binary's, an example's, an
 // experiment's or the benchmark's — and is deleted, not kept for its own
-// tests. Two tests hold it: one per internal package, one per name declared
-// in internal/.
+// tests. The rule works on the repository type-checked with go/types, so a
+// name is matched by the object it denotes, not by its spelling: one test
+// per internal package, one per name and field declared in internal/, and
+// one that runs the rule over the fixtures in testdata/callers.
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-const module = "cimrev/"
-
-// sourceFile is one parsed non-test Go file; dir is its slash-separated
-// directory relative to the repository root.
-type sourceFile struct {
-	dir  string
-	file *ast.File
+// program is a tree of Go modules type-checked from source: every non-test
+// file under root that the host's build constraints select, one package per
+// directory, with import path module/<dir>. The standard library comes from
+// the compiler's export data.
+type program struct {
+	module string
+	fset   *token.FileSet
+	info   *types.Info
+	pkgs   map[string]*sourcePackage // import path → package
+	std    types.Importer
 }
 
-// nonTestFiles parses, in the given mode, every non-test Go file in the
-// repository — root, cmd/, examples/, the benchmark module and internal/
-// alike — skipping dot directories, which hold build output (among it
-// extracted parent trees under .bench_build), and testdata.
-func nonTestFiles(t *testing.T, mode parser.Mode) []sourceFile {
-	t.Helper()
-	fset := token.NewFileSet()
-	var files []sourceFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+// sourcePackage is one directory's non-test files; dir is slash-separated
+// and relative to the program's root.
+type sourcePackage struct {
+	dir   string
+	files []*ast.File
+	types *types.Package
+}
+
+// loadProgram parses and type-checks the tree under root. It skips dot
+// directories, which hold build output (among it extracted parent trees
+// under .bench_build), and testdata. The repository's second module,
+// benchmark/ (cimrev/benchmark), fits the same path scheme.
+func loadProgram(root, module string) (*program, error) {
+	p := &program{
+		module: module,
+		fset:   token.NewFileSet(),
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+		pkgs: map[string]*sourcePackage{},
+	}
+	p.std = importer.ForCompiler(p.fset, "gc", nil)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		bp, err := build.Default.ImportDir(path, 0)
+		var none *build.NoGoError
+		if errors.As(err, &none) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
+		pkg := &sourcePackage{dir: filepath.ToSlash(rel)}
+		for _, name := range bp.GoFiles {
+			file, err := parser.ParseFile(p.fset, filepath.Join(path, name), nil, 0)
+			if err != nil {
+				return err
 			}
-			return nil
+			pkg.files = append(pkg.files, file)
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, mode)
-		if err != nil {
-			return err
-		}
-		files = append(files, sourceFile{dir: filepath.ToSlash(filepath.Dir(path)), file: file})
+		p.pkgs[p.importPath(pkg.dir)] = pkg
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return files
+	for path := range p.pkgs {
+		if _, err := p.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
-// importTarget is the module-relative directory an import names
-// ("internal/serve"), or the import path itself outside the module.
-func importTarget(t *testing.T, imp *ast.ImportSpec) string {
-	path, err := strconv.Unquote(imp.Path.Value)
-	if err != nil {
-		t.Fatal(err)
+func (p *program) importPath(dir string) string {
+	if dir == "." {
+		return p.module
 	}
-	return strings.TrimPrefix(path, module)
+	return p.module + "/" + dir
+}
+
+// Import makes the program its own importer: its packages are checked from
+// source on first import, everything else is the standard library.
+func (p *program) Import(path string) (*types.Package, error) {
+	pkg := p.pkgs[path]
+	if pkg == nil {
+		return p.std.Import(path)
+	}
+	if pkg.types == nil {
+		conf := types.Config{Importer: p}
+		checked, err := conf.Check(path, p.fset, pkg.files, p.info)
+		if err != nil {
+			return nil, err
+		}
+		pkg.types = checked
+	}
+	return pkg.types, nil
+}
+
+// internal lists the program's packages under internal/, by directory.
+func (p *program) internal() []*sourcePackage {
+	var pkgs []*sourcePackage
+	for _, pkg := range p.pkgs {
+		if strings.HasPrefix(pkg.dir, "internal/") {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].dir < pkgs[j].dir })
+	return pkgs
+}
+
+var (
+	repoOnce sync.Once
+	repo     *program
+	repoErr  error
+)
+
+func loadRepo(t *testing.T) *program {
+	t.Helper()
+	repoOnce.Do(func() { repo, repoErr = loadProgram(".", "cimrev") })
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repo
 }
 
 func TestEveryInternalPackageHasACaller(t *testing.T) {
-	files := nonTestFiles(t, parser.ImportsOnly)
-	packages := map[string]bool{} // internal/<pkg> directories holding non-test Go
-	imported := map[string]bool{} // those some non-test file elsewhere imports
-	for _, f := range files {
-		if strings.HasPrefix(f.dir, "internal/") {
-			packages[f.dir] = true
-		}
-		for _, imp := range f.file.Imports {
-			if target := importTarget(t, imp); strings.HasPrefix(target, "internal/") && target != f.dir {
-				imported[target] = true
-			}
+	p := loadRepo(t)
+	imported := map[*types.Package]bool{}
+	for _, pkg := range p.pkgs {
+		for _, imp := range pkg.types.Imports() {
+			imported[imp] = true
 		}
 	}
-	if len(packages) == 0 {
+	pkgs := p.internal()
+	if len(pkgs) == 0 {
 		t.Fatal("found no internal packages")
 	}
-	var orphans []string
-	for pkg := range packages {
-		if !imported[pkg] {
-			orphans = append(orphans, pkg)
+	for _, pkg := range pkgs {
+		if !imported[pkg.types] {
+			t.Errorf("%s has no caller: no non-test file outside it imports it", pkg.dir)
 		}
-	}
-	sort.Strings(orphans)
-	for _, pkg := range orphans {
-		t.Errorf("%s has no caller: no non-test file outside it imports it", pkg)
 	}
 }
 
 // callerExempt lists the methods a caller reaches through a standard
-// library interface rather than by name, and the one method kept for its
-// tests alone.
+// library interface that the standard library itself calls, and the one
+// method kept for its tests alone.
 var callerExempt = map[string]string{
 	"String":            "fmt.Stringer",
 	"Error":             "error",
@@ -115,50 +187,14 @@ var callerExempt = map[string]string{
 	"noise.Source.Norm": "the definition of a draw: the crossbar and fleet tests hold NormStride == to it",
 }
 
-// span is a stretch of one file's text.
-type span struct {
-	file     *ast.File
-	pos, end token.Pos
-}
-
 // declaration is one judged name: a func, method, type, var or const
 // declared at the top level of a non-test file under internal/. A const
 // group that uses iota is one declaration under all of its names.
 type declaration struct {
-	pkg  string   // internal/<pkg>
-	name string   // Name, or Type.Method
-	keys []string // where its uses are filed: pkg.Name, or a method's bare name
-	own  []span   // text whose references do not count: itself, and a type's methods
-}
-
-func (d *declaration) usedIn(uses map[string][]span) bool {
-	for _, key := range d.keys {
-	next:
-		for _, use := range uses[key] {
-			for _, s := range d.own {
-				if s.file == use.file && s.pos <= use.pos && use.pos < s.end {
-					continue next
-				}
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// receiverType is the name of a method's receiver type.
-func receiverType(fn *ast.FuncDecl) string {
-	x := fn.Recv.List[0].Type
-	if star, ok := x.(*ast.StarExpr); ok {
-		x = star.X
-	}
-	switch generic := x.(type) {
-	case *ast.IndexExpr:
-		x = generic.X
-	case *ast.IndexListExpr:
-		x = generic.X
-	}
-	return x.(*ast.Ident).Name
+	pkg  string         // internal/<pkg>
+	name string         // Name, or Type.Method
+	objs []types.Object // what a use must denote
+	own  []ast.Node     // text whose references do not count: itself, and a type's methods
 }
 
 func usesIota(spec *ast.ValueSpec) bool {
@@ -174,46 +210,49 @@ func usesIota(spec *ast.ValueSpec) bool {
 	return found
 }
 
-// internalDecls lists every declaration the rule judges.
-func internalDecls(files []sourceFile) []*declaration {
+// declarations lists every name the rule judges.
+func (p *program) declarations() []*declaration {
 	var decls []*declaration
-	types := map[string]*declaration{} // pkg.Type → its declaration
-	add := func(f sourceFile, d ast.Decl, name string, keys ...string) *declaration {
-		decl := &declaration{pkg: f.dir, name: name, keys: keys, own: []span{{f.file, d.Pos(), d.End()}}}
-		decls = append(decls, decl)
-		return decl
-	}
-	for _, f := range files {
-		if !strings.HasPrefix(f.dir, "internal/") {
-			continue
+	typeDecls := map[types.Object]*declaration{} // a type → its declaration
+	var methods []*ast.FuncDecl
+	for _, pkg := range p.internal() {
+		add := func(d ast.Decl, name string, objs ...types.Object) *declaration {
+			decl := &declaration{pkg: pkg.dir, name: name, objs: objs, own: []ast.Node{d}}
+			decls = append(decls, decl)
+			return decl
 		}
-		for _, d := range f.file.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv != nil {
-					add(f, d, receiverType(d)+"."+d.Name.Name, d.Name.Name)
-				} else if d.Name.Name != "init" {
-					add(f, d, d.Name.Name, f.dir+"."+d.Name.Name)
-				}
-			case *ast.GenDecl:
-				var group *declaration
-				for _, spec := range d.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						types[f.dir+"."+spec.Name.Name] = add(f, d, spec.Name.Name, f.dir+"."+spec.Name.Name)
-					case *ast.ValueSpec:
-						if d.Tok == token.CONST && (group != nil || usesIota(spec)) {
-							if group == nil {
-								group = add(f, d, spec.Names[0].Name+" (iota group)")
+		for _, f := range pkg.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := p.info.Defs[d.Name].(*types.Func)
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+						add(d, receiverNamed(recv.Type()).Obj().Name()+"."+fn.Name(), fn)
+						methods = append(methods, d)
+					} else if fn.Name() != "init" {
+						add(d, fn.Name(), fn)
+					}
+				case *ast.GenDecl:
+					var group *declaration
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							obj := p.info.Defs[spec.Name]
+							typeDecls[obj] = add(d, spec.Name.Name, obj)
+						case *ast.ValueSpec:
+							if d.Tok == token.CONST && (group != nil || usesIota(spec)) {
+								if group == nil {
+									group = add(d, spec.Names[0].Name+" (iota group)")
+								}
+								for _, n := range spec.Names {
+									group.objs = append(group.objs, p.info.Defs[n])
+								}
+								continue
 							}
 							for _, n := range spec.Names {
-								group.keys = append(group.keys, f.dir+"."+n.Name)
-							}
-							continue
-						}
-						for _, n := range spec.Names {
-							if n.Name != "_" {
-								add(f, d, n.Name, f.dir+"."+n.Name)
+								if n.Name != "_" {
+									add(d, n.Name, p.info.Defs[n])
+								}
 							}
 						}
 					}
@@ -221,89 +260,288 @@ func internalDecls(files []sourceFile) []*declaration {
 			}
 		}
 	}
-	for _, f := range files {
-		for _, d := range f.file.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
-				if typ := types[f.dir+"."+receiverType(fn)]; typ != nil {
-					typ.own = append(typ.own, span{f.file, fn.Pos(), fn.End()})
-				}
-			}
+	for _, fn := range methods {
+		recv := p.info.Defs[fn.Name].Type().(*types.Signature).Recv()
+		if typ := typeDecls[receiverNamed(recv.Type()).Obj()]; typ != nil {
+			typ.own = append(typ.own, fn)
 		}
 	}
 	return decls
 }
 
-// references files every name each non-test file uses: a package-level
-// name as pkg.Name (qualified through the file's imports, or bare inside
-// its own package), and every selector also under its bare name, which is
-// how methods are matched.
-func references(t *testing.T, files []sourceFile) map[string][]span {
-	pkgName := map[string]string{} // internal dir → declared package name
-	for _, f := range files {
-		pkgName[f.dir] = f.file.Name.Name
+// receiverNamed is a method receiver's named type, through its pointer.
+func receiverNamed(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
-	uses := map[string][]span{}
-	for _, f := range files {
-		imports := map[string]string{} // local name → module-relative dir
-		for _, imp := range f.file.Imports {
-			target := importTarget(t, imp)
-			local := pkgName[target]
-			if imp.Name != nil {
-				local = imp.Name.Name
+	return t.(*types.Named)
+}
+
+// origin maps a generic instance's method or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return obj.Origin()
+	case *types.Var:
+		return obj.Origin()
+	}
+	return obj
+}
+
+// references files every use in the program under the object it denotes,
+// and separately every use of an interface's method, which may reach any
+// method that implements it.
+func (p *program) references() (uses map[types.Object][]token.Pos, abstract map[*types.Func][]token.Pos) {
+	uses = map[types.Object][]token.Pos{}
+	abstract = map[*types.Func][]token.Pos{}
+	for id, obj := range p.info.Uses {
+		obj = origin(obj)
+		uses[obj] = append(uses[obj], id.Pos())
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				abstract[fn] = append(abstract[fn], id.Pos())
 			}
-			imports[local] = target
 		}
-		file := f.file
-		skip := map[*ast.Ident]bool{} // names that are not references
-		ast.Inspect(file, func(n ast.Node) bool {
+	}
+	return uses, abstract
+}
+
+// outside reports whether any of the positions lies outside the nodes.
+func outside(at []token.Pos, own []ast.Node) bool {
+next:
+	for _, pos := range at {
+		for _, n := range own {
+			if n.Pos() <= pos && pos < n.End() {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// implements reports whether a method's receiver type, as a value or a
+// pointer, satisfies the interface that declares m.
+func implements(method *types.Func, m *types.Func) bool {
+	if method.Name() != m.Name() {
+		return false
+	}
+	iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	named := receiverNamed(method.Type().(*types.Signature).Recv().Type())
+	return types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)
+}
+
+// writeTargets is every identifier that names a field only to store into
+// it: an assignment's or range clause's target, an inc/dec, or a
+// composite literal's key.
+func writeTargets(files []*ast.File) map[*ast.Ident]bool {
+	targets := map[*ast.Ident]bool{}
+	target := func(x ast.Expr) {
+		switch x := ast.Unparen(x).(type) {
+		case *ast.SelectorExpr:
+			targets[x.Sel] = true
+		case *ast.Ident:
+			targets[x] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				skip[n.Name] = true
-			case *ast.SelectorExpr:
-				skip[n.Sel] = true
-				at := span{file: file, pos: n.Sel.Pos()}
-				uses[n.Sel.Name] = append(uses[n.Sel.Name], at)
-				if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
-					key := imports[x.Name] + "." + n.Sel.Name
-					uses[key] = append(uses[key], at)
-					return false
+			case *ast.AssignStmt:
+				for _, x := range n.Lhs {
+					target(x)
 				}
-			case *ast.Ident:
-				// Unresolved (declared in another file of the package)
-				// or resolved to this file's top level.
-				if !skip[n] && (n.Obj == nil || file.Scope.Objects[n.Name] == n.Obj) {
-					key := f.dir + "." + n.Name
-					uses[key] = append(uses[key], span{file: file, pos: n.Pos()})
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					for _, x := range []ast.Expr{n.Key, n.Value} {
+						if x != nil {
+							target(x)
+						}
+					}
 				}
+			case *ast.KeyValueExpr:
+				target(n.Key)
 			}
 			return true
 		})
 	}
-	return uses
+	return targets
 }
 
-// TestEveryInternalNameHasACaller is the rule at identifier granularity:
-// every top-level func, method, type, var and const in internal/ needs a
-// reference from a non-test file outside its own text. A type's methods do
-// not use the type, so a dead type takes its methods with it. Methods match
-// any selector of the same name, which is conservative: a dead method that
-// shares its name with a live one, or with a standard-library function,
-// passes.
-func TestEveryInternalNameHasACaller(t *testing.T) {
-	files := nonTestFiles(t, 0)
-	uses := references(t, files)
+// marshaled is every field encoding/json reads: the fields reachable from
+// the static type of a value passed to json.Marshal, json.MarshalIndent or
+// (*json.Encoder).Encode, where an interface stands for every named type of
+// the program that implements it.
+func (p *program) marshaled(files []*ast.File) map[*types.Var]bool {
+	var named []*types.Named
+	for _, pkg := range p.pkgs {
+		scope := pkg.types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	read := map[*types.Var]bool{}
+	seen := map[types.Type]bool{}
+	var reach func(t types.Type)
+	reach = func(t types.Type) {
+		t = types.Unalias(t)
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Named:
+			if iface, ok := t.Underlying().(*types.Interface); ok {
+				reach(iface)
+			} else {
+				reach(t.Underlying())
+			}
+		case *types.Pointer:
+			reach(t.Elem())
+		case *types.Slice:
+			reach(t.Elem())
+		case *types.Array:
+			reach(t.Elem())
+		case *types.Map:
+			reach(t.Key())
+			reach(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				f := t.Field(i)
+				if reflect.StructTag(t.Tag(i)).Get("json") == "-" || !f.Exported() && !f.Embedded() {
+					continue
+				}
+				read[f.Origin()] = true
+				reach(f.Type())
+			}
+		case *types.Interface:
+			for _, n := range named {
+				if types.Implements(n, t) || types.Implements(types.NewPointer(n), t) {
+					reach(n)
+				}
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := p.info.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/json" {
+				return true
+			}
+			switch fn.FullName() {
+			case "encoding/json.Marshal", "encoding/json.MarshalIndent", "(*encoding/json.Encoder).Encode":
+				reach(p.info.TypeOf(call.Args[0]))
+			}
+			return true
+		})
+	}
+	return read
+}
+
+// deadCode is the rule: the program's internal names that no non-test code
+// uses, and the fields of its internal struct types that no non-test code
+// reads, one finding per line, sorted.
+//
+// A name is used when code outside its own text refers to the object it
+// denotes; a type's methods are its own text, so a dead type takes its
+// methods with it. A method is also used when code calls an interface
+// method that its receiver type satisfies. A field is read by any
+// reference except a store into it, and by encoding/json (marshaled).
+// Embedded fields, which promote methods, are not judged.
+func (p *program) deadCode() []string {
+	var files []*ast.File
+	for _, pkg := range p.pkgs {
+		files = append(files, pkg.files...)
+	}
+	uses, abstract := p.references()
 	var dead []string
-	for _, d := range internalDecls(files) {
-		method := d.name[strings.LastIndex(d.name, ".")+1:]
-		if strings.Contains(d.name, ".") && (callerExempt[method] != "" || callerExempt[filepath.Base(d.pkg)+"."+d.name] != "") {
+	for _, d := range p.declarations() {
+		if strings.Contains(d.name, ".") && (callerExempt[d.name[strings.LastIndex(d.name, ".")+1:]] != "" ||
+			callerExempt[filepath.Base(d.pkg)+"."+d.name] != "") {
 			continue
 		}
-		if !d.usedIn(uses) {
-			dead = append(dead, d.pkg+": "+d.name)
+		used := false
+		for _, obj := range d.objs {
+			used = used || outside(uses[obj], d.own)
+			if fn, ok := obj.(*types.Func); ok {
+				for m, at := range abstract {
+					used = used || implements(fn, m) && outside(at, d.own)
+				}
+			}
+		}
+		if !used {
+			dead = append(dead, d.pkg+": "+d.name+" has no caller: no non-test code outside its own text uses it")
+		}
+	}
+
+	targets := writeTargets(files)
+	read := p.marshaled(files)
+	for id, obj := range p.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !targets[id] {
+			read[v.Origin()] = true
+		}
+	}
+	for _, pkg := range p.internal() {
+		scope := pkg.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); !f.Embedded() && !read[f] {
+					dead = append(dead, pkg.dir+": "+name+"."+f.Name()+" is never read: non-test code only stores into it")
+				}
+			}
 		}
 	}
 	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s has no caller: no non-test file names it outside its own text", d)
+	return dead
+}
+
+// TestEveryInternalNameHasACaller is the rule over the repository: every
+// top-level func, method, type, var and const in internal/ needs a use from
+// a non-test file outside its own text, and every field of a struct
+// declared there needs a non-test read.
+func TestEveryInternalNameHasACaller(t *testing.T) {
+	for _, d := range loadRepo(t).deadCode() {
+		t.Error(d)
+	}
+}
+
+// TestCallerRuleFixtures runs the rule over testdata/callers, whose
+// internal package holds one case of each kind the rule must tell apart;
+// the comments there say which are dead.
+func TestCallerRuleFixtures(t *testing.T) {
+	p, err := loadProgram(filepath.Join("testdata", "callers"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/fix: Local has no caller: no non-test code outside its own text uses it",
+		"internal/fix: Local.self has no caller: no non-test code outside its own text uses it",
+		"internal/fix: Offline.Run has no caller: no non-test code outside its own text uses it",
+		"internal/fix: Record.written is never read: non-test code only stores into it",
+	}
+	if got := p.deadCode(); !reflect.DeepEqual(got, want) {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

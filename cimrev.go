@@ -29,13 +29,11 @@ import (
 	"cimrev/internal/energy"
 	"cimrev/internal/fault"
 	"cimrev/internal/machines"
-	"cimrev/internal/memristor"
 	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
 	"cimrev/internal/noise"
 	"cimrev/internal/packet"
 	"cimrev/internal/parallel"
-	"cimrev/internal/service"
 	"cimrev/internal/suitability"
 	"cimrev/internal/vonneumann"
 	"cimrev/internal/workloads"
@@ -208,27 +206,12 @@ func MakeBlobs(n, classes, dim int, spread float64, rng *rand.Rand) ([][]float64
 	return nn.MakeBlobs(n, classes, dim, spread, rng)
 }
 
-// Associative computing (Section III.A: TCAM and associative processors).
-type (
-	// TCAM is a ternary content-addressable memory.
-	TCAM = associative.TCAM
-	// AssociativeProcessor computes via parallel compare/write sweeps.
-	AssociativeProcessor = associative.Processor
-)
+// Associative computing (Section III.A: TCAM).
+
+// TCAM is a ternary content-addressable memory.
+type TCAM = associative.TCAM
 
 // NewTCAM builds a ternary CAM of rows x width bits.
 func NewTCAM(rows, width int, led *Ledger) (*TCAM, error) {
 	return associative.NewTCAM(rows, width, led)
-}
-
-// NewAssociativeProcessor builds an associative processor.
-func NewAssociativeProcessor(rows, width int, led *Ledger) (*AssociativeProcessor, error) {
-	return associative.NewProcessor(rows, width, led)
-}
-
-// Serviceability (Section V.D: graceful aging and self-healing).
-
-// NewWearMonitor watches unit aging against the device endurance model.
-func NewWearMonitor(fabric *Fabric, threshold float64) (*service.Monitor, error) {
-	return service.NewMonitor(fabric, memristor.DefaultParams(), threshold)
 }

@@ -653,7 +653,7 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 		fleet.WithServeOptions(
 			serve.WithBatch(o.batch, 0),
 			serve.WithQueueBound(o.queue),
-			serve.WithRetry(3, time.Millisecond, 50*time.Millisecond),
+			serve.WithRetry(3),
 		),
 	}
 	// Resilience controls (docs/RESILIENCE.md), all defaulted: hedging at

@@ -78,7 +78,6 @@ func run() error {
 	cpu := cimrev.CPU()
 	scanBytes := float64(3 * words * 8)
 	cpuCost, err := cpu.Run(vonneumann.Kernel{
-		Name:  "bitmap-scan",
 		Flops: float64(2 * events), // two logic ops per row
 		Bytes: scanBytes,
 	})

@@ -94,7 +94,6 @@ func run() error {
 
 func edgeKernel(flops, weightBytes float64) vonneumann.Kernel {
 	return vonneumann.Kernel{
-		Name:  "edge-cnn",
 		Flops: flops,
 		Bytes: weightBytes + 2*frameSide*frameSide,
 	}

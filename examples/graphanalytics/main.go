@@ -100,7 +100,6 @@ func run() error {
 	// keeps it stationary.
 	cpu := cimrev.CPU()
 	cpuCost, err := cpu.Run(vonneumann.Kernel{
-		Name:  "pagerank",
 		Flops: flops,
 		Bytes: float64(iterations) * float64(nodes*nodes) * 8,
 	})

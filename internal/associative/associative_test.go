@@ -1,10 +1,8 @@
 package associative
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"cimrev/internal/energy"
 )
@@ -23,10 +21,13 @@ func TestTCAMValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc.Rows() != 4 || tc.Width() != 64 {
-		t.Error("geometry wrong")
+	if err := tc.Store(3, ^uint64(0), ^uint64(0)); err != nil {
+		t.Errorf("last row of a 64-wide TCAM rejected: %v", err)
 	}
-	if err := tc.Store(9, 0, 0); err == nil {
+	if hits, _ := tc.Match(^uint64(0), ^uint64(0)); !reflect.DeepEqual(hits, []int{3}) {
+		t.Errorf("64-bit key matched rows %v, want [3]", hits)
+	}
+	if err := tc.Store(4, 0, 0); err == nil {
 		t.Error("out-of-range store accepted")
 	}
 }
@@ -117,100 +118,5 @@ func TestTCAMLongestPrefixMatch(t *testing.T) {
 		if got != c.want {
 			t.Errorf("LPM(%#x) = %d, want %d", c.key, got, c.want)
 		}
-	}
-}
-
-func TestProcessorCompare(t *testing.T) {
-	led := energy.NewLedger()
-	p, err := NewProcessor(8, 16, led)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 8; r++ {
-		if err := p.Write(r, uint64(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Rows with the low bit set: the odd values.
-	if n := p.Compare(1, 1); n != 4 {
-		t.Errorf("Compare matched %d rows, want 4", n)
-	}
-	// Writes are masked to the width: bit 16 is dropped.
-	if err := p.Write(0, 1<<16|6); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.Compare(6, 0xFFFF); n != 2 {
-		t.Errorf("Compare(6) matched %d rows, want 2", n)
-	}
-	if led.Category("ap-compare").EnergyPJ == 0 {
-		t.Error("no compare energy charged")
-	}
-}
-
-func TestProcessorValidation(t *testing.T) {
-	if _, err := NewProcessor(0, 8, nil); err == nil {
-		t.Error("zero rows accepted")
-	}
-	if _, err := NewProcessor(4, 70, nil); err == nil {
-		t.Error("width > 64 accepted")
-	}
-	p, err := NewProcessor(2, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Write(5, 0); err == nil {
-		t.Error("out-of-range write accepted")
-	}
-}
-
-func TestProcessorMax(t *testing.T) {
-	p, err := NewProcessor(5, 16, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := []uint64{17, 9000, 3, 8999, 42}
-	for r, v := range vals {
-		if err := p.Write(r, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, cost := p.Max()
-	if got != 9000 {
-		t.Errorf("Max = %d, want 9000", got)
-	}
-	if cost.LatencyPS != 16*matchCycleLatencyPS {
-		t.Errorf("Max latency = %d, want width cycles", cost.LatencyPS)
-	}
-}
-
-// Property: Max matches the scalar maximum.
-func TestProcessorMaxProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 100, Values: func(vals []reflect.Value, r *rand.Rand) {
-		n := 1 + r.Intn(30)
-		vs := make([]uint16, n)
-		for i := range vs {
-			vs[i] = uint16(r.Uint32())
-		}
-		vals[0] = reflect.ValueOf(vs)
-	}}
-	f := func(vs []uint16) bool {
-		p, err := NewProcessor(len(vs), 16, nil)
-		if err != nil {
-			return false
-		}
-		var want uint64
-		for r, v := range vs {
-			if err := p.Write(r, uint64(v)); err != nil {
-				return false
-			}
-			if uint64(v) > want {
-				want = uint64(v)
-			}
-		}
-		got, _ := p.Max()
-		return got == want
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }

@@ -4,9 +4,7 @@
 // [53][54] and Associative Processors [55][56][57]".
 //
 // A TCAM matches a search key against every stored ternary word (0, 1,
-// don't-care) in a single array cycle; an associative Processor answers
-// compare and max queries over every row at once, where the data lives, in
-// bit-serial passes whose cost does not grow with the row count.
+// don't-care) in a single array cycle.
 package associative
 
 import (
@@ -56,12 +54,6 @@ func NewTCAM(rows, width int, led *energy.Ledger) (*TCAM, error) {
 		led:   led,
 	}, nil
 }
-
-// Rows returns the row count.
-func (t *TCAM) Rows() int { return t.rows }
-
-// Width returns the row width in bits.
-func (t *TCAM) Width() int { return t.width }
 
 func (t *TCAM) widthMask() uint64 {
 	if t.width == 64 {

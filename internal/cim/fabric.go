@@ -109,15 +109,6 @@ func NewFabric(cfg Config, ledger *energy.Ledger, reg *metrics.Registry) (*Fabri
 	return f, nil
 }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
-// Mesh exposes the board interconnect.
-func (f *Fabric) Mesh() *interconnect.Mesh { return f.mesh }
-
-// Ledger returns the fabric's cost ledger (may be nil).
-func (f *Fabric) Ledger() *energy.Ledger { return f.ledger }
-
 // coordOf maps a tile number to its mesh switch.
 func (f *Fabric) coordOf(addr packet.Address) interconnect.Coord {
 	t := int(addr.Tile)
@@ -163,7 +154,7 @@ func (f *Fabric) AddUnit(addr packet.Address, kind UnitKind, microUnits int) (*U
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{Addr: addr, Kind: kind, MicroUnits: microUnits, fn: isa.FuncForward}
+	u := &Unit{Kind: kind}
 	f.units[addr] = u
 	f.byNode[id] = addr
 	if f.reg != nil {
@@ -250,7 +241,6 @@ func (f *Fabric) Configure(addr packet.Address, fn isa.Function, weights [][]flo
 		if f.ledger != nil {
 			f.ledger.Charge("program", cost)
 		}
-		u.tile = tile
 		node.Fn = f.mvmFunc(tile)
 	} else {
 		nf, err := dataflow.DefaultFuncFactory(fn, weights)
@@ -259,29 +249,7 @@ func (f *Fabric) Configure(addr packet.Address, fn isa.Function, weights [][]flo
 		}
 		node.Fn = nf
 	}
-	u.fn = fn
 	return nil
-}
-
-// Reprogram loads new weights into an already-configured MVM unit, charging
-// the (slow, Section VI) write cost. It is the primitive behind
-// write-asymmetry experiments.
-func (f *Fabric) Reprogram(addr packet.Address, weights [][]float64) (energy.Cost, error) {
-	u, err := f.Unit(addr)
-	if err != nil {
-		return energy.Zero, err
-	}
-	if u.tile == nil {
-		return energy.Zero, fmt.Errorf("cim: unit %v has no crossbar to reprogram", addr)
-	}
-	cost, err := u.tile.Program(weights)
-	if err != nil {
-		return energy.Zero, err
-	}
-	if f.ledger != nil {
-		f.ledger.Charge("program", cost)
-	}
-	return cost, nil
 }
 
 // Connect wires unit src's output to unit dst's input.
@@ -295,15 +263,6 @@ func (f *Fabric) Connect(src, dst packet.Address) error {
 		return err
 	}
 	return f.graph.Connect(a.ID, b.ID)
-}
-
-// NodeID resolves a unit address to its dataflow node (for routers).
-func (f *Fabric) NodeID(addr packet.Address) (dataflow.NodeID, error) {
-	node, err := f.graph.NodeByAddr(addr)
-	if err != nil {
-		return 0, err
-	}
-	return node.ID, nil
 }
 
 // Predecessors returns the units with an edge into addr.

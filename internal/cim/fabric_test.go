@@ -125,17 +125,6 @@ func TestFabricMVMPipeline(t *testing.T) {
 	if led.Category("network").EnergyPJ == 0 {
 		t.Error("no network cost charged")
 	}
-
-	u, err := f.Unit(addr(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Writes() == 0 {
-		t.Error("crossbar writes not tracked")
-	}
-	if r, c := u.CrossbarShape(); r != 3 || c != 2 {
-		t.Errorf("CrossbarShape = %dx%d, want 3x2", r, c)
-	}
 }
 
 func TestConfigureErrors(t *testing.T) {
@@ -158,27 +147,18 @@ func TestConfigureErrors(t *testing.T) {
 }
 
 func TestReprogramWriteAsymmetry(t *testing.T) {
-	f, _ := newFabric(t)
+	f, led := newFabric(t)
 	if _, err := f.AddUnit(addr(0, 0), KindCrossbar, 1); err != nil {
 		t.Fatal(err)
 	}
 	w := [][]float64{{1, 0}, {0, 1}}
-	if err := f.Configure(addr(0, 0), isa.FuncMVM, w); err != nil {
-		t.Fatal(err)
-	}
-	cost, err := f.Reprogram(addr(0, 0), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost.LatencyPS < energy.CrossbarWriteLatencyPS {
-		t.Errorf("reprogram latency %d below one write", cost.LatencyPS)
-	}
-	// Reprogramming a non-crossbar unit fails.
-	if _, err := f.AddUnit(addr(0, 1), KindCompute, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Reprogram(addr(0, 1), w); err == nil {
-		t.Error("reprogram of compute unit accepted")
+	for pass := 1; pass <= 2; pass++ {
+		if err := f.Configure(addr(0, 0), isa.FuncMVM, w); err != nil {
+			t.Fatal(err)
+		}
+		if got := led.Category("program").LatencyPS; got < int64(pass)*energy.CrossbarWriteLatencyPS {
+			t.Errorf("after %d programming passes the ledger holds %d ps, below one write each", pass, got)
+		}
 	}
 }
 
@@ -352,7 +332,7 @@ func TestEdgeCostDistanceSensitivity(t *testing.T) {
 }
 
 func TestFabricTopologyIntrospection(t *testing.T) {
-	f, led := newFabric(t)
+	f, _ := newFabric(t)
 	a, b, c := addr(0, 0), addr(1, 0), addr(2, 0)
 	for _, u := range []packet.Address{a, b, c} {
 		if _, err := f.AddUnit(u, KindCompute, 1); err != nil {
@@ -394,16 +374,6 @@ func TestFabricTopologyIntrospection(t *testing.T) {
 		t.Error("connect to missing unit accepted")
 	}
 
-	// Accessors.
-	if f.Config().MeshW != 4 {
-		t.Error("Config accessor wrong")
-	}
-	if f.Mesh() == nil {
-		t.Error("Mesh accessor nil")
-	}
-	if f.Ledger() != led {
-		t.Error("Ledger accessor wrong")
-	}
 }
 
 func TestUnitKindStringsAndAccessors(t *testing.T) {
@@ -423,20 +393,11 @@ func TestUnitKindStringsAndAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Function() != isa.FuncForward {
-		t.Errorf("fresh unit function = %v, want forward", u.Function())
-	}
-	if u.Writes() != 0 {
-		t.Error("digital unit has writes")
-	}
-	if r, c := u.CrossbarShape(); r != 0 || c != 0 {
-		t.Error("digital unit has crossbar shape")
+	if u.Kind != KindCompute || u.Failed() {
+		t.Errorf("fresh unit: kind %v failed %v, want a healthy compute unit", u.Kind, u.Failed())
 	}
 	if err := f.Configure(addr(0, 0), isa.FuncSigmoid, nil); err != nil {
 		t.Fatal(err)
-	}
-	if u.Function() != isa.FuncSigmoid {
-		t.Errorf("configured function = %v", u.Function())
 	}
 }
 

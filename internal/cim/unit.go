@@ -13,10 +13,6 @@ package cim
 
 import (
 	"fmt"
-
-	"cimrev/internal/crossbar"
-	"cimrev/internal/isa"
-	"cimrev/internal/packet"
 )
 
 // UnitKind classifies a unit's hardware.
@@ -48,44 +44,11 @@ func (k UnitKind) String() string {
 
 // Unit is one addressable CIM unit.
 type Unit struct {
-	// Addr locates the unit (board/tile/unit).
-	Addr packet.Address
 	// Kind is the unit's hardware class.
 	Kind UnitKind
-	// MicroUnits is how many micro-units compose this unit; it scales the
-	// unit's parallel width (one micro-unit handles one vector lane
-	// grouping in the cost model).
-	MicroUnits int
-
-	// fn is the currently configured function.
-	fn isa.Function
-	// tile is the crossbar hardware for KindCrossbar units.
-	tile *crossbar.Tile
 
 	failed bool
 }
 
-// Function returns the configured ISA function (zero if unconfigured).
-func (u *Unit) Function() isa.Function { return u.fn }
-
 // Failed reports whether the unit has been fault-disabled.
 func (u *Unit) Failed() bool { return u.failed }
-
-// Writes returns the unit's crossbar cell-programming count; zero for
-// non-crossbar units. This is the wear signal the serviceability model
-// (Section V.D) watches.
-func (u *Unit) Writes() int64 {
-	if u.tile == nil {
-		return 0
-	}
-	return u.tile.Writes()
-}
-
-// CrossbarShape returns the programmed matrix dimensions of a crossbar
-// unit, or (0, 0) for other kinds.
-func (u *Unit) CrossbarShape() (rows, cols int) {
-	if u.tile == nil {
-		return 0, 0
-	}
-	return u.tile.Shape()
-}

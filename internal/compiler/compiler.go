@@ -7,8 +7,7 @@
 // The compiler lowers an nn.Network to a placement of units on a board
 // mesh, assigning dense layers to crossbar units and activations to digital
 // compute units, placing consecutive layers on mesh-adjacent tiles so
-// stream traffic stays local. A Plan can be applied directly to a fabric or
-// serialized to an ISA program (for tooling and program-carrying packets).
+// stream traffic stays local. Apply instantiates a Plan on a fabric.
 package compiler
 
 import (
@@ -22,8 +21,6 @@ import (
 
 // Placement records where one layer landed.
 type Placement struct {
-	// LayerIndex is the layer's position in the network.
-	LayerIndex int
 	// LayerName names the layer.
 	LayerName string
 	// Addr is the assigned unit address.
@@ -36,17 +33,11 @@ type Placement struct {
 	Weights [][]float64
 }
 
-// Plan is a compiled network: an ordered pipeline of placements.
+// Plan is a compiled network: an ordered pipeline of placements. The
+// first placement receives inference inputs; results appear at the last.
 type Plan struct {
-	// NetworkName labels the source network.
-	NetworkName string
 	// Placements are in pipeline order.
 	Placements []Placement
-	// InputAddr receives inference inputs.
-	InputAddr packet.Address
-	// OutputAddr is the final pipeline stage (the sink where results
-	// appear).
-	OutputAddr packet.Address
 }
 
 // Compile lowers net onto a board described by cfg. Supported layers:
@@ -61,7 +52,7 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 		return nil, err
 	}
 	tiles := cfg.MeshW * cfg.MeshH
-	plan := &Plan{NetworkName: net.Name}
+	plan := &Plan{}
 	unitOnTile := make(map[int]uint16, tiles)
 	for i, layer := range net.Layers {
 		// Consecutive layers land on consecutive tiles (wrapping), so a
@@ -75,7 +66,7 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 		switch l := layer.(type) {
 		case *nn.Dense:
 			pl = Placement{
-				LayerIndex: i, LayerName: l.Name(), Addr: addr,
+				LayerName: l.Name(), Addr: addr,
 				Kind: cim.KindCrossbar, Fn: isa.FuncMVM, Weights: l.WeightMatrix(),
 			}
 		case *nn.ActivationLayer:
@@ -84,16 +75,13 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 				return nil, fmt.Errorf("compiler: layer %d: %w", i, err)
 			}
 			pl = Placement{
-				LayerIndex: i, LayerName: l.Name(), Addr: addr,
-				Kind: cim.KindCompute, Fn: fn,
+				LayerName: l.Name(), Addr: addr, Kind: cim.KindCompute, Fn: fn,
 			}
 		default:
 			return nil, fmt.Errorf("compiler: layer %d (%s) is not supported in a static pipeline; use the DPE engine", i, layer.Name())
 		}
 		plan.Placements = append(plan.Placements, pl)
 	}
-	plan.InputAddr = plan.Placements[0].Addr
-	plan.OutputAddr = plan.Placements[len(plan.Placements)-1].Addr
 	return plan, nil
 }
 
@@ -138,42 +126,4 @@ func Apply(plan *Plan, fabric *cim.Fabric) error {
 		}
 	}
 	return nil
-}
-
-// Program serializes the plan to an ISA program (weights inline), suitable
-// for cimasm tooling or program-carrying packets.
-func (p *Plan) Program() (isa.Program, error) {
-	if len(p.Placements) == 0 {
-		return nil, fmt.Errorf("compiler: empty plan")
-	}
-	var prog isa.Program
-	for _, pl := range p.Placements {
-		if pl.Fn == isa.FuncMVM {
-			rows := len(pl.Weights)
-			if rows == 0 {
-				return nil, fmt.Errorf("compiler: MVM placement %s without weights", pl.LayerName)
-			}
-			cols := len(pl.Weights[0])
-			data := make([]float64, 0, rows*cols)
-			for _, row := range pl.Weights {
-				data = append(data, row...)
-			}
-			prog = append(prog, isa.Instruction{
-				Op: isa.OpLoadWeights, Unit: pl.Addr, Rows: rows, Cols: cols, Data: data,
-			})
-		}
-		prog = append(prog, isa.Instruction{Op: isa.OpConfigure, Unit: pl.Addr, Fn: pl.Fn})
-	}
-	for i := 1; i < len(p.Placements); i++ {
-		prog = append(prog, isa.Instruction{
-			Op:    isa.OpConnect,
-			Unit:  p.Placements[i-1].Addr,
-			Unit2: p.Placements[i].Addr,
-		})
-	}
-	prog = append(prog, isa.Instruction{Op: isa.OpHalt})
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	return prog, nil
 }

@@ -45,12 +45,6 @@ func TestCompilePlacements(t *testing.T) {
 	if plan.Placements[3].Fn != isa.FuncSoftmax {
 		t.Errorf("last placement fn = %v, want softmax", plan.Placements[3].Fn)
 	}
-	if plan.InputAddr != plan.Placements[0].Addr {
-		t.Error("input address mismatch")
-	}
-	if plan.OutputAddr != plan.Placements[3].Addr {
-		t.Error("output address mismatch")
-	}
 	// Consecutive layers on consecutive tiles (locality).
 	for i := 1; i < len(plan.Placements); i++ {
 		prev, cur := plan.Placements[i-1].Addr.Tile, plan.Placements[i].Addr.Tile
@@ -100,14 +94,14 @@ func TestApplyAndRunMatchesSoftware(t *testing.T) {
 	for i := range in {
 		in[i] = math.Sin(float64(i) + 0.5)
 	}
-	if err := fabric.Stream(plan.InputAddr, in); err != nil {
+	if err := fabric.Stream(plan.Placements[0].Addr, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := fabric.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out[plan.OutputAddr]
+	got := out[plan.Placements[len(plan.Placements)-1].Addr]
 	if len(got) != 1 {
 		t.Fatalf("fabric results = %d, want 1", len(got))
 	}
@@ -161,67 +155,5 @@ func TestApplyErrors(t *testing.T) {
 	}
 	if err := Apply(plan, fabric); err == nil {
 		t.Error("double apply accepted")
-	}
-}
-
-func TestPlanProgramRoundTrip(t *testing.T) {
-	net := smallMLP(t)
-	cfg := testFabricConfig()
-	plan, err := Compile(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := plan.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatalf("generated program invalid: %v", err)
-	}
-	// The program drives a fresh fabric to the same behaviour as Apply.
-	fabric, err := cim.NewFabric(cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pl := range plan.Placements {
-		micro := 1
-		if pl.Kind == cim.KindCrossbar {
-			micro = 4
-		}
-		if _, err := fabric.AddUnit(pl.Addr, pl.Kind, micro); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fabric.LoadProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	in := make([]float64, 8)
-	for i := range in {
-		in[i] = float64(i) / 8
-	}
-	if err := fabric.Stream(plan.InputAddr, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := fabric.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[plan.OutputAddr]) != 1 {
-		t.Errorf("program-driven fabric produced %d results", len(out[plan.OutputAddr]))
-	}
-	// Binary round trip survives.
-	code, err := prog.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := isa.Decode(code); err != nil {
-		t.Errorf("compiled program fails binary round trip: %v", err)
-	}
-}
-
-func TestPlanProgramEmptyPlan(t *testing.T) {
-	p := &Plan{}
-	if _, err := p.Program(); err == nil {
-		t.Error("empty plan serialized")
 	}
 }

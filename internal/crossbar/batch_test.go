@@ -29,6 +29,16 @@ func batchInputs(rng *rand.Rand, n, dim int) [][]float64 {
 	return ins
 }
 
+// mvm is MVMInto into a fresh result vector.
+func mvm(x *Crossbar, input []float64, ns noise.Source) ([]float64, energy.Cost, error) {
+	dst := make([]float64, x.usedCols)
+	cost, err := x.MVMInto(dst, input, ns)
+	if err != nil {
+		return nil, energy.Zero, err
+	}
+	return dst, cost, nil
+}
+
 // mvmBatch is MVMBatchInto into a fresh result panel.
 func mvmBatch(x *Crossbar, inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
 	dsts := newPanel(len(inputs), x.usedCols)
@@ -477,7 +487,7 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range ins {
-				single, _, err := xb.MVM(ins[i], NoNoise)
+				single, _, err := mvm(xb, ins[i], NoNoise)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -316,9 +316,6 @@ func New(cfg Config) (*Crossbar, error) {
 	}, nil
 }
 
-// Config returns the crossbar configuration.
-func (x *Crossbar) Config() Config { return x.cfg }
-
 // Writes returns the total cell-programming count (wear indicator).
 func (x *Crossbar) Writes() int64 { return x.writes }
 
@@ -787,26 +784,6 @@ func (x *Crossbar) programAndVerify(wIntT []int32, cellMask uint8) (pulses, veri
 	return pulses, verifies
 }
 
-// MVM computes y = W · input over the programmed submatrix through the full
-// analog pipeline, allocating the result vector. input must have usedRows
-// elements; the result has usedCols. ns supplies counter-based analog read
-// noise and may be NoNoise when ReadNoise is zero; the draw applied to
-// (input bit b, slice s, column c) is ns.Norm((b*slices+s)*usedCols + c) —
-// one word of the source's counter stream, or for the 3 % of draws that
-// leave the ziggurat's fast path, a chain of words seeded by that one — so
-// results are independent of evaluation order.
-func (x *Crossbar) MVM(input []float64, ns noise.Source) ([]float64, energy.Cost, error) {
-	if !x.programmed {
-		return nil, energy.Zero, fmt.Errorf("crossbar: MVM before Program")
-	}
-	out := make([]float64, x.usedCols)
-	cost, err := x.MVMInto(out, input, ns)
-	if err != nil {
-		return nil, energy.Zero, err
-	}
-	return out, cost, nil
-}
-
 // MVMIntoCtx is MVMInto under a trace span: the analog read is recorded
 // as an "xbar.mvm" child of pc carrying the MVM's simulated cost. With a
 // zero Ctx (tracing off) it is the raw kernel plus one branch — zero
@@ -822,10 +799,16 @@ func (x *Crossbar) MVMIntoCtx(pc obs.Ctx, dst, input []float64, ns noise.Source)
 	return cost, err
 }
 
-// MVMInto is MVM writing the result into dst (len usedCols): the batch
-// kernel on a batch of one, with the same checks, the same zero
-// steady-state allocation and the same concurrency contract as
-// MVMBatchInto.
+// MVMInto computes y = W · input over the programmed submatrix through the
+// full analog pipeline, writing y into dst (len usedCols). input must have
+// usedRows elements. ns supplies counter-based analog read noise and may be
+// NoNoise when ReadNoise is zero; the draw applied to (input bit b, slice
+// s, column c) is ns.Norm((b*slices+s)*usedCols + c) — one word of the
+// source's counter stream, or for the 3 % of draws that leave the
+// ziggurat's fast path, a chain of words seeded by that one — so results
+// are independent of evaluation order. It is the batch kernel on a batch of
+// one, with the same checks, the same zero steady-state allocation and the
+// same concurrency contract as MVMBatchInto.
 func (x *Crossbar) MVMInto(dst, input []float64, ns noise.Source) (energy.Cost, error) {
 	return x.MVMBatchInto([][]float64{dst}, [][]float64{input}, []noise.Source{ns})
 }

@@ -79,7 +79,7 @@ func TestCrossbarMVMMatchesIdeal(t *testing.T) {
 	if _, err := xb.Program(w); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := xb.MVM(input, NoNoise)
+	got, _, err := mvm(xb, input, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCrossbarMVMBeforeProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := xb.MVM([]float64{1}, NoNoise); err == nil {
+	if _, _, err := mvm(xb, []float64{1}, NoNoise); err == nil {
 		t.Error("MVM before Program should fail")
 	}
 }
@@ -137,13 +137,13 @@ func TestCrossbarInputErrors(t *testing.T) {
 	if _, err := xb.Program([][]float64{{1, 0}, {0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := xb.MVM([]float64{1}, NoNoise); err == nil {
+	if _, _, err := mvm(xb, []float64{1}, NoNoise); err == nil {
 		t.Error("wrong input length should fail")
 	}
-	if _, _, err := xb.MVM([]float64{1, math.Inf(1)}, NoNoise); err == nil {
+	if _, _, err := mvm(xb, []float64{1, math.Inf(1)}, NoNoise); err == nil {
 		t.Error("Inf input should fail")
 	}
-	if _, _, err := xb.MVM([]float64{math.NaN(), 1}, NoNoise); err == nil {
+	if _, _, err := mvm(xb, []float64{math.NaN(), 1}, NoNoise); err == nil {
 		t.Error("NaN input should fail")
 	}
 }
@@ -158,10 +158,10 @@ func TestCrossbarNoiseRequiresSource(t *testing.T) {
 	if _, err := xb.Program([][]float64{{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := xb.MVM([]float64{1}, NoNoise); err == nil {
+	if _, _, err := mvm(xb, []float64{1}, NoNoise); err == nil {
 		t.Error("noisy MVM without a noise source should fail")
 	}
-	if _, _, err := xb.MVM([]float64{1}, noise.NewSource(1)); err != nil {
+	if _, _, err := mvm(xb, []float64{1}, noise.NewSource(1)); err != nil {
 		t.Errorf("noisy MVM with a source failed: %v", err)
 	}
 }
@@ -174,7 +174,7 @@ func TestCrossbarZeroMatrix(t *testing.T) {
 	if _, err := xb.Program([][]float64{{0, 0}, {0, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := xb.MVM([]float64{1, 1}, NoNoise)
+	got, _, err := mvm(xb, []float64{1, 1}, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCrossbarWriteAsymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rcost, err := xb.MVM([]float64{1, 1}, NoNoise)
+	_, rcost, err := mvm(xb, []float64{1, 1}, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +214,8 @@ func TestCrossbarWearAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := xb.Writes()
-	if first != int64(2*2*xb.Config().slices()) {
-		t.Errorf("writes after 1 program = %d, want %d", first, 2*2*xb.Config().slices())
+	if first != int64(2*2*xb.cfg.slices()) {
+		t.Errorf("writes after 1 program = %d, want %d", first, 2*2*xb.cfg.slices())
 	}
 	if _, err := xb.Program(w); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestCrossbarADCBitsAblation(t *testing.T) {
 		if _, err := xb.Program(w); err != nil {
 			panic(err)
 		}
-		got, _, err := xb.MVM(input, NoNoise)
+		got, _, err := mvm(xb, input, NoNoise)
 		if err != nil {
 			panic(err)
 		}
@@ -282,7 +282,7 @@ func TestCrossbarEnergyScalesWithADCBits(t *testing.T) {
 		if _, err := xb.Program([][]float64{{1, 0}, {0, 1}}); err != nil {
 			panic(err)
 		}
-		_, c, err := xb.MVM([]float64{1, 1}, NoNoise)
+		_, c, err := mvm(xb, []float64{1, 1}, NoNoise)
 		if err != nil {
 			panic(err)
 		}
@@ -327,7 +327,7 @@ func TestCrossbarAccuracyProperty(t *testing.T) {
 		if _, err := xb.Program(tc.w); err != nil {
 			return false
 		}
-		got, _, err := xb.MVM(tc.input, NoNoise)
+		got, _, err := mvm(xb, tc.input, NoNoise)
 		if err != nil {
 			return false
 		}
@@ -382,7 +382,7 @@ func TestFunctionalModeMatchesIdealClosely(t *testing.T) {
 	if _, err := xb.Program(w); err != nil {
 		t.Fatal(err)
 	}
-	got, fcost, err := xb.MVM(input, NoNoise)
+	got, fcost, err := mvm(xb, input, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestFunctionalModeMatchesIdealClosely(t *testing.T) {
 	if _, err := xb2.Program(w); err != nil {
 		t.Fatal(err)
 	}
-	_, bcost, err := xb2.MVM(input, NoNoise)
+	_, bcost, err := mvm(xb2, input, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestFunctionalModeAtLeastAsAccurate(t *testing.T) {
 		if _, err := xb.Program(w); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := xb.MVM(input, NoNoise)
+		got, _, err := mvm(xb, input, NoNoise)
 		if err != nil {
 			t.Fatal(err)
 		}

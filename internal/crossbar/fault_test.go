@@ -59,7 +59,7 @@ func TestFaultZeroModelGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOut, _, err := ref.MVM(in, NoNoise)
+	refOut, _, err := mvm(ref, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFaultZeroModelGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := xb.MVM(in, NoNoise)
+	out, _, err := mvm(xb, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFaultRepairWithinSpares(t *testing.T) {
 	if _, err := ref.Program(w); err != nil {
 		t.Fatal(err)
 	}
-	refOut, _, err := ref.MVM(in, NoNoise)
+	refOut, _, err := mvm(ref, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFaultRepairWithinSpares(t *testing.T) {
 	if !rep.Healthy() {
 		t.Fatalf("report unhealthy within budget: %+v", rep)
 	}
-	out, _, err := xb.MVM(in, NoNoise)
+	out, _, err := mvm(xb, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestFaultSpareExhaustion(t *testing.T) {
 	if _, err := ref.Program(w); err != nil {
 		t.Fatal(err)
 	}
-	refOut, _, err := ref.MVM(in, NoNoise)
+	refOut, _, err := mvm(ref, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestFaultSpareExhaustion(t *testing.T) {
 	if rep.Healthy() {
 		t.Fatal("report claims healthy despite lost columns")
 	}
-	out, _, err := xb.MVM(in, NoNoise)
+	out, _, err := mvm(xb, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestFaultTransientRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOut, _, err := ref.MVM(in, NoNoise)
+	refOut, _, err := mvm(ref, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestFaultTransientRetries(t *testing.T) {
 	if rep.LostCols != 0 || rep.RemappedCols != 0 {
 		t.Fatalf("transient failures must settle without remap: %+v", rep)
 	}
-	out, _, err := xb.MVM(in, NoNoise)
+	out, _, err := mvm(xb, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestFaultDriftDegradesAcrossEpochs(t *testing.T) {
 	if _, err := ref.Program(w); err != nil {
 		t.Fatal(err)
 	}
-	refOut, _, err := ref.MVM(in, NoNoise)
+	refOut, _, err := mvm(ref, in, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestFaultDriftDegradesAcrossEpochs(t *testing.T) {
 		if rep.RemappedCols != 0 || rep.LostCols != 0 {
 			t.Fatalf("drift must not trigger remap (verify passes before relaxation): %+v", rep)
 		}
-		out, _, err := xb.MVM(in, NoNoise)
+		out, _, err := mvm(xb, in, NoNoise)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func TestFaultDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := xb.MVM(in, NoNoise)
+		out, _, err := mvm(xb, in, NoNoise)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,7 +214,7 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 			}
 		}
 		for rep := 0; rep < 2; rep++ {
-			single, _, err := xb.MVM(ins[0], source(0))
+			single, _, err := mvm(xb, ins[0], source(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -860,12 +860,12 @@ func TestNoisyMVMOrderIndependence(t *testing.T) {
 	}
 	in := randomVector(rng, 16)
 	ns := noise.NewSource(13)
-	first, _, err := xb.MVM(in, ns)
+	first, _, err := mvm(xb, in, ns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 5; k++ {
-		out, _, err := xb.MVM(in, ns)
+		out, _, err := mvm(xb, in, ns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -876,7 +876,7 @@ func TestNoisyMVMOrderIndependence(t *testing.T) {
 		}
 	}
 	// A different source must actually change the output.
-	other, _, err := xb.MVM(in, noise.NewSource(14))
+	other, _, err := mvm(xb, in, noise.NewSource(14))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,12 +73,6 @@ func NewTile(cfg Config) (*Tile, error) {
 	return &Tile{cfg: cfg}, nil
 }
 
-// Config returns the tile's per-crossbar configuration.
-func (t *Tile) Config() Config { return t.cfg }
-
-// Shape returns the programmed logical matrix dimensions.
-func (t *Tile) Shape() (rows, cols int) { return t.rows, t.cols }
-
 // BlockGrid returns the crossbar grid dimensions.
 func (t *Tile) BlockGrid() (brows, bcols int) {
 	if len(t.blocks) == 0 {

@@ -57,7 +57,7 @@ func TestTileSingleBlockMatchesCrossbar(t *testing.T) {
 	if _, err := xb.Program(w); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := xb.MVM(input, NoNoise)
+	want, _, err := mvm(xb, input, NoNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,9 @@ func TestTileShape(t *testing.T) {
 	if _, err := tile.Program(randomMatrix(rng, 20, 5)); err != nil {
 		t.Fatal(err)
 	}
-	r, c := tile.Shape()
-	if r != 20 || c != 5 {
-		t.Errorf("Shape = %dx%d, want 20x5", r, c)
+	out, _, err := tile.MVM(randomVector(rng, 20), NoNoise)
+	if err != nil || len(out) != 5 {
+		t.Errorf("20x5 tile: MVM of 20 inputs gave %d outputs, %v; want 5", len(out), err)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestTileWrites(t *testing.T) {
 	if _, err := tile.Program(randomMatrix(rng, 32, 16)); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(32*16) * int64(tile.Config().slices())
+	want := int64(32*16) * int64(tile.cfg.slices())
 	if got := tile.Writes(); got != want {
 		t.Errorf("Writes = %d, want %d", got, want)
 	}
@@ -264,7 +264,7 @@ func TestTileWearExactAcrossReshape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices := int64(tile.Config().slices())
+	slices := int64(tile.cfg.slices())
 	rng := rand.New(rand.NewSource(6))
 
 	if _, err := tile.Program(randomMatrix(rng, 8, 8)); err != nil {

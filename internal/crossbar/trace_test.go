@@ -97,7 +97,7 @@ func TestMVMTracedBitIdentical(t *testing.T) {
 			}
 
 			ref := mk()
-			want, wantCost, err := ref.MVM(in, noise.NewSource(3))
+			want, wantCost, err := mvm(ref, in, noise.NewSource(3))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,7 +58,6 @@ type Engine struct {
 
 	queue    []token
 	maxSteps int
-	seq      uint64
 
 	outputs map[NodeID][][]float64
 
@@ -121,10 +120,8 @@ func (e *Engine) Inject(node NodeID, payload []float64) error {
 	if err != nil {
 		return err
 	}
-	e.seq++
 	p := &packet.Packet{
 		Dst:     n.Addr,
-		Seq:     e.seq,
 		Type:    packet.TypeData,
 		Payload: append([]float64(nil), payload...),
 	}
@@ -252,12 +249,9 @@ func (e *Engine) applyData(n *Node, tok token) error {
 		if e.ledger != nil {
 			e.ledger.Charge("network", edgeCost)
 		}
-		e.seq++
 		np := &packet.Packet{
-			Src:     n.Addr,
 			Dst:     dn.Addr,
 			Stream:  p.Stream,
-			Seq:     e.seq,
 			Type:    packet.TypeData,
 			Payload: append([]float64(nil), out...),
 		}

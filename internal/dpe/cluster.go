@@ -16,7 +16,6 @@ import (
 // holds a replica of the network; batches split across boards, with inputs
 // and outputs crossing photonic links from the host-attached board 0.
 type Cluster struct {
-	cfg     Config
 	engines []*Engine
 	link    *interconnect.PhotonicLink
 }
@@ -44,18 +43,7 @@ func NewCluster(cfg Config, boards int, linkLenM, linkBW float64) (*Cluster, err
 		}
 		engines[i] = eng
 	}
-	return &Cluster{cfg: cfg, engines: engines, link: link}, nil
-}
-
-// Boards returns the board count.
-func (c *Cluster) Boards() int { return len(c.engines) }
-
-// Engine returns board i's engine.
-func (c *Cluster) Engine(i int) (*Engine, error) {
-	if i < 0 || i >= len(c.engines) {
-		return nil, fmt.Errorf("dpe: board %d outside [0,%d)", i, len(c.engines))
-	}
-	return c.engines[i], nil
+	return &Cluster{engines: engines, link: link}, nil
 }
 
 // Load programs every board with a replica of the network. Boards program

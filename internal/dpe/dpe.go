@@ -195,9 +195,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Network returns the loaded network (nil before Load).
-func (e *Engine) Network() *nn.Network { return e.net }
-
 // Wear returns the engine's lifetime cell-write count: the sum of every
 // stage tile's Writes(), retry pulses and retired-array history included.
 // Inference never writes, so wear moves only on Load/Reprogram/Repair; the

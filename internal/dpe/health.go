@@ -55,10 +55,6 @@ func (e *Engine) newTile(i int) (*crossbar.Tile, error) {
 
 // StageHealth is the fault record of one crossbar-bearing stage.
 type StageHealth struct {
-	// Stage is the layer index within the network.
-	Stage int
-	// Layer is the layer's name.
-	Layer string
 	// Report is the stage tile's aggregated fault report.
 	Report faultinject.Report
 }
@@ -94,7 +90,7 @@ func (e *Engine) HealthCheck() Health {
 		if s.tile == nil {
 			continue
 		}
-		sh := StageHealth{Stage: i, Layer: s.layer.Name(), Report: s.tile.FaultReport()}
+		sh := StageHealth{Report: s.tile.FaultReport()}
 		h.Stages = append(h.Stages, sh)
 		h.Total.Add(sh.Report)
 	}

@@ -52,7 +52,7 @@ func oracleBatchCost(e *Engine, n int) energy.Cost {
 func requirePriceIsCharged(t *testing.T, label string, e *Engine) {
 	t.Helper()
 	for _, n := range priceBatches {
-		ins := noisyInputs(n, e.Network().InSize(), int64(n))
+		ins := noisyInputs(n, e.net.InSize(), int64(n))
 		_, charged, err := e.InferBatch(ins)
 		if err != nil {
 			t.Fatalf("%s, n=%d: %v", label, n, err)

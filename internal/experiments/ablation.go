@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"cimrev/internal/dpe"
-	"cimrev/internal/nn"
 	"cimrev/internal/parallel"
 	"cimrev/internal/suitability"
 	"cimrev/internal/workloads"
@@ -36,23 +34,7 @@ func ADCAblation(bits []int) (*ADCResult, error) {
 	if len(bits) == 0 {
 		return nil, fmt.Errorf("experiments: empty bits sweep")
 	}
-	rng := rand.New(rand.NewSource(404))
-	const dim, classes = 10, 4
-	allIn, allLab, err := nn.MakeBlobs(400, classes, dim, 0.3, rng)
-	if err != nil {
-		return nil, err
-	}
-	trainIn, trainLab := allIn[:280], allLab[:280]
-	testIn, testLab := allIn[280:], allLab[280:]
-
-	net, err := nn.NewMLP("adc-ablation", []int{dim, 20, classes}, rng)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := nn.Train(net, trainIn, trainLab, 25, 0.05, rng); err != nil {
-		return nil, err
-	}
-	swAcc, err := nn.Accuracy(net, testIn, testLab)
+	c, err := trainClassifier("adc-ablation", 404)
 	if err != nil {
 		return nil, err
 	}
@@ -69,31 +51,22 @@ func ADCAblation(bits []int) (*ADCResult, error) {
 		if err != nil {
 			return ADCRow{}, fmt.Errorf("experiments: adc %d: %w", b, err)
 		}
-		if _, err := eng.Load(net); err != nil {
+		if _, err := eng.Load(c.net); err != nil {
 			return ADCRow{}, err
 		}
-		correct := 0
+		outs := make([][]float64, len(c.testIn))
 		var lastEnergy float64
-		for i, in := range testIn {
+		for i, in := range c.testIn {
 			out, cost, err := eng.Infer(in)
 			if err != nil {
 				return ADCRow{}, err
 			}
-			lastEnergy = cost.EnergyPJ
-			best := 0
-			for j := range out {
-				if out[j] > out[best] {
-					best = j
-				}
-			}
-			if best == testLab[i] {
-				correct++
-			}
+			outs[i], lastEnergy = out, cost.EnergyPJ
 		}
 		return ADCRow{
 			Bits:             b,
-			Accuracy:         float64(correct) / float64(len(testIn)),
-			SoftwareAccuracy: swAcc,
+			Accuracy:         c.accuracy(outs),
+			SoftwareAccuracy: c.swAcc,
 			EnergyPJ:         lastEnergy,
 		}, nil
 	})
@@ -137,23 +110,7 @@ func NoiseAblation(sigmas []float64) (*NoiseResult, error) {
 	if len(sigmas) == 0 {
 		return nil, fmt.Errorf("experiments: empty sigma sweep")
 	}
-	rng := rand.New(rand.NewSource(505))
-	const dim, classes = 10, 4
-	allIn, allLab, err := nn.MakeBlobs(400, classes, dim, 0.3, rng)
-	if err != nil {
-		return nil, err
-	}
-	trainIn, trainLab := allIn[:280], allLab[:280]
-	testIn, testLab := allIn[280:], allLab[280:]
-
-	net, err := nn.NewMLP("noise-ablation", []int{dim, 20, classes}, rng)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := nn.Train(net, trainIn, trainLab, 25, 0.05, rng); err != nil {
-		return nil, err
-	}
-	swAcc, err := nn.Accuracy(net, testIn, testLab)
+	c, err := trainClassifier("noise-ablation", 505)
 	if err != nil {
 		return nil, err
 	}
@@ -178,29 +135,17 @@ func NoiseAblation(sigmas []float64) (*NoiseResult, error) {
 		if err != nil {
 			return NoiseRow{}, err
 		}
-		if _, err := eng.Load(net); err != nil {
+		if _, err := eng.Load(c.net); err != nil {
 			return NoiseRow{}, err
 		}
-		outs, _, err := eng.InferBatch(testIn)
+		outs, _, err := eng.InferBatch(c.testIn)
 		if err != nil {
 			return NoiseRow{}, err
 		}
-		correct := 0
-		for i, out := range outs {
-			best := 0
-			for j := range out {
-				if out[j] > out[best] {
-					best = j
-				}
-			}
-			if best == testLab[i] {
-				correct++
-			}
-		}
 		return NoiseRow{
 			Sigma:            sigma,
-			Accuracy:         float64(correct) / float64(len(testIn)),
-			SoftwareAccuracy: swAcc,
+			Accuracy:         c.accuracy(outs),
+			SoftwareAccuracy: c.swAcc,
 		}, nil
 	})
 	if err != nil {
@@ -246,7 +191,6 @@ func ParallelismSweep(points []float64) (*ParallelismResult, error) {
 		return nil, fmt.Errorf("experiments: empty parallelism sweep")
 	}
 	base := workloads.Kernel{
-		Class:          workloads.NeuralNetworks,
 		Flops:          1e12,
 		DataBytes:      1e10,
 		Rounds:         1e3,

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/faultinject"
-	"cimrev/internal/nn"
 	"cimrev/internal/parallel"
 )
 
@@ -58,23 +56,7 @@ func FaultSweep(rates []float64, spares []int) (*FaultResult, error) {
 	if len(rates) == 0 || len(spares) == 0 {
 		return nil, fmt.Errorf("experiments: empty fault sweep")
 	}
-	rng := rand.New(rand.NewSource(606))
-	const dim, classes = 10, 4
-	allIn, allLab, err := nn.MakeBlobs(400, classes, dim, 0.3, rng)
-	if err != nil {
-		return nil, err
-	}
-	trainIn, trainLab := allIn[:280], allLab[:280]
-	testIn, testLab := allIn[280:], allLab[280:]
-
-	net, err := nn.NewMLP("fault-sweep", []int{dim, 20, classes}, rng)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := nn.Train(net, trainIn, trainLab, 25, 0.05, rng); err != nil {
-		return nil, err
-	}
-	swAcc, err := nn.Accuracy(net, testIn, testLab)
+	c, err := trainClassifier("fault-sweep", 606)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +87,7 @@ func FaultSweep(rates []float64, spares []int) (*FaultResult, error) {
 			return FaultRow{}, fmt.Errorf("experiments: fault point (%g, %d): %w",
 				row.StuckRate, row.SpareCols, err)
 		}
-		loadCost, err := eng.Load(net)
+		loadCost, err := eng.Load(c.net)
 		if err != nil {
 			return FaultRow{}, err
 		}
@@ -116,25 +98,13 @@ func FaultSweep(rates []float64, spares []int) (*FaultResult, error) {
 		row.RetryPulses = rep.RetryPulses
 		row.ProgramEnergyPJ = loadCost.EnergyPJ
 
-		outs, _, err := eng.InferBatch(testIn)
+		outs, _, err := eng.InferBatch(c.testIn)
 		if err != nil {
 			return FaultRow{}, err
 		}
-		correct := 0
-		for i, out := range outs {
-			best := 0
-			for j := range out {
-				if out[j] > out[best] {
-					best = j
-				}
-			}
-			if best == testLab[i] {
-				correct++
-			}
-		}
-		row.Accuracy = float64(correct) / float64(len(testIn))
-		row.SoftwareAccuracy = swAcc
-		if _, perInf, err := eng.Infer(testIn[0]); err == nil {
+		row.Accuracy = c.accuracy(outs)
+		row.SoftwareAccuracy = c.swAcc
+		if _, perInf, err := eng.Infer(c.testIn[0]); err == nil {
 			row.InferLatencyPS = perInf.LatencyPS
 			row.InferEnergyPJ = perInf.EnergyPJ
 		} else {

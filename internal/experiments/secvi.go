@@ -75,7 +75,6 @@ func vnBatchedCost(m vonneumann.Machine, n int) (energy.Cost, error) {
 	weightBytes := 4 * float64(n) * float64(n)
 	perSampleBytes := weightBytes/SecVIBatch + 4*float64(2*n)
 	k := vonneumann.Kernel{
-		Name:  "gemv-batched",
 		Flops: 2 * float64(n) * float64(n),
 		Bytes: perSampleBytes,
 	}

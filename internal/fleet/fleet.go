@@ -155,9 +155,8 @@ type Config struct {
 	// Router picks engines per request. Nil selects round-robin.
 	Router *Router
 	// ServeOptions are applied to every engine's ShadowPair and Server
-	// (batching, queue bound, retry). A per-engine jitter seed goes before
-	// them and the engine's private registry after them, so the registry
-	// cannot be overridden.
+	// (batching, queue bound, retry). The engine's private registry goes
+	// after them, so it cannot be overridden.
 	ServeOptions []serve.Option
 	// WrapBackend, when non-nil, wraps each engine's shadow pair before it
 	// is handed to the micro-batching server — the hybrid dispatcher's
@@ -346,16 +345,14 @@ func New(dcfg dpe.Config, net *nn.Network, opts ...Option) (*Fleet, energy.Cost,
 }
 
 // newEngine builds one fleet member and programs net into it. Engine id's
-// fault model (when enabled) seeds at base+id; its retry jitter seeds at
-// dcfg.Seed+id so synchronized retries decorrelate across the fleet.
+// fault model (when enabled) seeds at base+id.
 func (f *Fleet) newEngine(id int, net *nn.Network) (*Engine, energy.Cost, error) {
 	ecfg := f.dcfg
 	if ecfg.Faults.Enabled() {
 		ecfg.Faults.Seed += int64(id)
 	}
 	reg := metrics.NewRegistry()
-	sopts := make([]serve.Option, 0, len(f.cfg.ServeOptions)+2)
-	sopts = append(sopts, serve.WithSeed(f.dcfg.Seed+int64(id)))
+	sopts := make([]serve.Option, 0, len(f.cfg.ServeOptions)+1)
 	sopts = append(sopts, f.cfg.ServeOptions...)
 	sopts = append(sopts, serve.WithRegistry(reg))
 	pair, cost, err := serve.NewShadowPair(ecfg, net, sopts...)

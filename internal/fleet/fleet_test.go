@@ -748,8 +748,8 @@ func TestFleetMetricsAndSimTime(t *testing.T) {
 	if got := f.Registry().Counter("fleet.requests").Value(); got != n {
 		t.Errorf("fleet.requests = %d, want %d", got, n)
 	}
-	if h := f.Registry().Histogram("fleet.latency_ns"); h.Count() != n {
-		t.Errorf("fleet.latency_ns count = %d, want %d", h.Count(), n)
+	if h := f.Registry().Histogram("fleet.latency_ns"); h.Snapshot().Count != n {
+		t.Errorf("fleet.latency_ns count = %d, want %d", h.Snapshot().Count, n)
 	}
 	var maxPS int64
 	var total int64

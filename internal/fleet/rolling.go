@@ -42,11 +42,6 @@ type reprogrammer interface {
 type EngineReprogram struct {
 	// ID is the engine's fleet ID.
 	ID int
-	// Visible is the cost on the serving critical path (one buffer swap).
-	Visible energy.Cost
-	// Hidden is the full programming cost paid behind serving, including
-	// failed attempts and repair passes.
-	Hidden energy.Cost
 	// Err is the engine's failure, nil on success. A failed engine's
 	// shadow pair is left tripped.
 	Err error
@@ -150,7 +145,7 @@ func (f *Fleet) RollingReprogram(net *nn.Network) *RollingReport {
 			time.Sleep(d)
 		}
 		v, h, err := e.rep.Reprogram(net)
-		pe := EngineReprogram{ID: e.id, Visible: v, Hidden: h, Err: err}
+		pe := EngineReprogram{ID: e.id, Err: err}
 		rep.PerEngine = append(rep.PerEngine, pe)
 		rep.Attempted++
 		rep.Visible = rep.Visible.Seq(v)

@@ -39,9 +39,6 @@ func NewMesh(w, h int, linkBW float64, reg *metrics.Registry) (*Mesh, error) {
 	return &Mesh{w: w, h: h, linkBW: linkBW, reg: reg}, nil
 }
 
-// LinkBandwidth returns the per-link bandwidth in bytes/s.
-func (m *Mesh) LinkBandwidth() float64 { return m.linkBW }
-
 func (m *Mesh) inBounds(c Coord) bool {
 	return c.X >= 0 && c.X < m.w && c.Y >= 0 && c.Y < m.h
 }

@@ -18,7 +18,6 @@ import (
 type Record struct {
 	Year      int
 	Name      string
-	Class     string  // "vector", "cpu", "gpu"
 	PeakFlops float64 // FLOP/s
 	MemBW     float64 // bytes/s
 }
@@ -29,25 +28,28 @@ func (r Record) BytesPerFlop() float64 { return r.MemBW / r.PeakFlops }
 // All returns the database ordered by year.
 func All() []Record {
 	recs := []Record{
-		{1964, "CDC 6600", "vector", 3e6, 24e6},
-		{1969, "CDC 7600", "vector", 36e6, 144e6},
-		{1976, "Cray-1", "vector", 160e6, 640e6},
-		{1982, "Cray X-MP", "vector", 235e6, 940e6},
-		{1985, "Cray-2", "vector", 488e6, 990e6},
-		{1991, "Cray C90", "vector", 1e9, 2.7e9},
-		{1994, "Pentium 100", "cpu", 100e6, 180e6},
-		{1997, "Pentium II", "cpu", 300e6, 400e6},
-		{2001, "Pentium 4", "cpu", 3e9, 3.2e9},
-		{2006, "Core 2 Quad", "cpu", 38e9, 8.5e9},
-		{2009, "Nehalem-EP", "cpu", 85e9, 32e9},
-		{2011, "Sandy Bridge-EP", "cpu", 166e9, 51e9},
-		{2013, "Ivy Bridge-EP", "cpu", 259e9, 60e9},
-		{2014, "Haswell-EP", "cpu", 580e9, 68e9},
-		{2017, "Skylake-SP", "cpu", 2000e9, 128e9},
-		{2013, "Tesla K40", "gpu", 4.3e12, 288e9},
-		{2015, "Tesla M40", "gpu", 6.8e12, 288e9},
-		{2016, "Tesla P100", "gpu", 10.6e12, 732e9},
-		{2017, "Tesla V100", "gpu", 15.7e12, 900e9},
+		// Vector supercomputers.
+		{1964, "CDC 6600", 3e6, 24e6},
+		{1969, "CDC 7600", 36e6, 144e6},
+		{1976, "Cray-1", 160e6, 640e6},
+		{1982, "Cray X-MP", 235e6, 940e6},
+		{1985, "Cray-2", 488e6, 990e6},
+		{1991, "Cray C90", 1e9, 2.7e9},
+		// CPUs.
+		{1994, "Pentium 100", 100e6, 180e6},
+		{1997, "Pentium II", 300e6, 400e6},
+		{2001, "Pentium 4", 3e9, 3.2e9},
+		{2006, "Core 2 Quad", 38e9, 8.5e9},
+		{2009, "Nehalem-EP", 85e9, 32e9},
+		{2011, "Sandy Bridge-EP", 166e9, 51e9},
+		{2013, "Ivy Bridge-EP", 259e9, 60e9},
+		{2014, "Haswell-EP", 580e9, 68e9},
+		{2017, "Skylake-SP", 2000e9, 128e9},
+		// GPUs.
+		{2013, "Tesla K40", 4.3e12, 288e9},
+		{2015, "Tesla M40", 6.8e12, 288e9},
+		{2016, "Tesla P100", 10.6e12, 732e9},
+		{2017, "Tesla V100", 15.7e12, 900e9},
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Year < recs[j].Year })
 	return recs

@@ -1,3 +1,8 @@
+// Package memristor models the novel memory devices at the heart of the
+// paper's CIM vision (Section II.A, III.A): elements that "blur the boundary
+// between memory and compute, effectively providing both in the same
+// element". Its bitwise engine is the in-array AND of Chen et al. [18],
+// used for bulk bitwise workloads.
 package memristor
 
 import (
@@ -77,17 +82,6 @@ func (e *BitwiseEngine) Store(i int, data []uint64) error {
 	}
 	e.charge("bitwise-store", int64(e.words))
 	return nil
-}
-
-// Load reads row i (memory mode) into a fresh slice.
-func (e *BitwiseEngine) Load(i int) ([]uint64, error) {
-	if err := e.checkRow(i); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, e.words)
-	copy(out, e.rows[i])
-	e.charge("bitwise-load", int64(e.words))
-	return out, nil
 }
 
 // And computes dst ← a ∧ b in a single in-array pass.

@@ -18,11 +18,11 @@ func newEngine(t *testing.T, rows, words int) *BitwiseEngine {
 
 func TestBitwiseEngineDims(t *testing.T) {
 	e := newEngine(t, 4, 2)
-	if row, err := e.Load(3); err != nil || len(row) != 2 {
-		t.Errorf("row 3 = %v, %v; want 2 words", row, err)
+	if row := e.rows[3]; len(row) != 2 {
+		t.Errorf("row 3 = %v; want 2 words", row)
 	}
-	if _, err := e.Load(4); err == nil {
-		t.Error("row 4 of 4 loaded")
+	if _, err := e.PopCount(4); err == nil {
+		t.Error("row 4 of 4 read")
 	}
 	if _, err := NewBitwiseEngine(0, 1, nil); err == nil {
 		t.Error("zero rows should fail")
@@ -38,33 +38,27 @@ func TestBitwiseStoreLoad(t *testing.T) {
 	if err := e.Store(0, in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Load(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != in[0] || got[1] != in[1] {
-		t.Errorf("Load = %x, want %x", got, in)
+	if got := e.rows[0]; got[0] != in[0] || got[1] != in[1] {
+		t.Errorf("row 0 = %x, want %x", got, in)
 	}
 	// Short stores zero-fill.
 	if err := e.Store(0, []uint64{0x1}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = e.Load(0)
-	if got[0] != 1 || got[1] != 0 {
+	if got := e.rows[0]; got[0] != 1 || got[1] != 0 {
 		t.Errorf("short Store = %x, want [1 0]", got)
 	}
 }
 
-func TestBitwiseLoadIsCopy(t *testing.T) {
+func TestBitwiseStoreIsCopy(t *testing.T) {
 	e := newEngine(t, 1, 1)
-	if err := e.Store(0, []uint64{7}); err != nil {
+	in := []uint64{7}
+	if err := e.Store(0, in); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := e.Load(0)
-	got[0] = 99
-	again, _ := e.Load(0)
-	if again[0] != 7 {
-		t.Error("Load must return a copy, not internal state")
+	in[0] = 99
+	if got := e.rows[0][0]; got != 7 {
+		t.Errorf("row 0 = %d after the caller reused its slice; Store must copy", got)
 	}
 }
 
@@ -81,7 +75,7 @@ func TestBitwiseOps(t *testing.T) {
 	if err := e.And(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.Load(2); got[0] != a&b {
+	if got := e.rows[2]; got[0] != a&b {
 		t.Errorf("And = %b, want %b", got[0], a&b)
 	}
 }
@@ -101,8 +95,7 @@ func TestBitwiseOpsMatchIntegers(t *testing.T) {
 		if err := e.And(0, 1, 2); err != nil {
 			return false
 		}
-		rAnd, _ := e.Load(2)
-		return rAnd[0] == a&b
+		return e.rows[2][0] == a&b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -121,7 +114,7 @@ func TestBitwiseInPlaceTarget(t *testing.T) {
 	if err := e.And(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.Load(0); got[0] != 0b1000 {
+	if got := e.rows[0]; got[0] != 0b1000 {
 		t.Errorf("in-place And = %b, want 1000", got[0])
 	}
 }
@@ -147,9 +140,6 @@ func TestBitwiseBounds(t *testing.T) {
 	}
 	if err := e.Store(-1, nil); err == nil {
 		t.Error("negative row should fail")
-	}
-	if _, err := e.Load(2); err == nil {
-		t.Error("out-of-range Load should fail")
 	}
 	if _, err := e.PopCount(9); err == nil {
 		t.Error("out-of-range PopCount should fail")

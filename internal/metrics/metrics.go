@@ -159,19 +159,6 @@ func BucketUpperEdge(i int) float64 {
 	return math.Pow(2, float64(i))
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Mean returns the arithmetic mean, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 { return h.Snapshot().Mean() }
-
-// Max returns the largest observation, or 0 when empty.
-func (h *Histogram) Max() float64 { return h.Snapshot().Max }
-
-// Quantile returns an upper-bound estimate of the q-quantile (0 ≤ q ≤ 1)
-// using bucket upper edges. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state, cheap
 // to take and safe to hold while the live histogram keeps absorbing
 // observations. All quantile math happens on snapshots so that concurrent

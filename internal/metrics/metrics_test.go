@@ -79,7 +79,7 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Snapshot().Min != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if h.Snapshot().Count != 0 || h.Snapshot().Mean() != 0 || h.Snapshot().Min != 0 || h.Snapshot().Max != 0 || h.Snapshot().Quantile(0.5) != 0 {
 		t.Error("empty histogram must report zeros")
 	}
 }
@@ -89,16 +89,16 @@ func TestHistogramStats(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 10} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
+	if got := h.Snapshot().Count; got != 5 {
 		t.Errorf("Count = %d, want 5", got)
 	}
-	if got := h.Mean(); got != 4 {
+	if got := h.Snapshot().Mean(); got != 4 {
 		t.Errorf("Mean = %g, want 4", got)
 	}
 	if got := h.Snapshot().Min; got != 1 {
 		t.Errorf("Min = %g, want 1", got)
 	}
-	if got := h.Max(); got != 10 {
+	if got := h.Snapshot().Max; got != 10 {
 		t.Errorf("Max = %g, want 10", got)
 	}
 }
@@ -110,15 +110,15 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 	// The 0.5 quantile of 1..1000 is ~500; bucket upper edge gives ≤1024 and
 	// ≥256 (log2 buckets).
-	q := h.Quantile(0.5)
+	q := h.Snapshot().Quantile(0.5)
 	if q < 256 || q > 1024 {
 		t.Errorf("Quantile(0.5) = %g, want within [256,1024]", q)
 	}
 	// Out-of-range q is clamped rather than panicking.
-	if got := h.Quantile(-1); got < 1 {
+	if got := h.Snapshot().Quantile(-1); got < 1 {
 		t.Errorf("Quantile(-1) = %g, want >= 1", got)
 	}
-	if got := h.Quantile(2); got < q {
+	if got := h.Snapshot().Quantile(2); got < q {
 		t.Errorf("Quantile(2) = %g, want >= median", got)
 	}
 }
@@ -131,12 +131,12 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 		for _, r := range raw {
 			h.Observe(float64(r))
 		}
-		if h.Count() == 0 {
+		if h.Snapshot().Count == 0 {
 			return true
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {
-			cur := h.Quantile(q)
+			cur := h.Snapshot().Quantile(q)
 			if cur < prev {
 				return false
 			}
@@ -226,13 +226,13 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	// single observation reports itself exactly (min == max fast path).
 	h3 := NewHistogram()
 	h3.Observe(3) // bucket 2: [2,4)
-	if got := h3.Quantile(0.5); got != 3 {
+	if got := h3.Snapshot().Quantile(0.5); got != 3 {
 		t.Errorf("Quantile(0.5) of {3} = %g, want 3 (single observation)", got)
 	}
 	h4 := NewHistogram()
 	h4.Observe(3)
 	h4.Observe(3.5) // same bucket [2,4): edge 4 clamps to max 3.5
-	if got := h4.Quantile(0.99); got != 3.5 {
+	if got := h4.Snapshot().Quantile(0.99); got != 3.5 {
 		t.Errorf("Quantile(0.99) of {3,3.5} = %g, want clamp to max 3.5", got)
 	}
 	if got := BucketUpperEdge(0); got != 1 {
@@ -251,8 +251,8 @@ func TestHistogramSnapshotIndependent(t *testing.T) {
 	if got := s.Quantile(1); got != 5 {
 		t.Errorf("snapshot Quantile(1) = %g, want 5 (single observation)", got)
 	}
-	if h.Count() != 2 {
-		t.Errorf("live count = %d, want 2", h.Count())
+	if h.Snapshot().Count != 2 {
+		t.Errorf("live count = %d, want 2", h.Snapshot().Count)
 	}
 }
 

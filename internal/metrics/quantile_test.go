@@ -131,7 +131,7 @@ func TestQuantileOverflowBucket(t *testing.T) {
 	h.Observe(1.5e-76) // bucket 0
 	h.Observe(6.4e116) // overflow bucket: way past the 2^63 nominal edge
 	for _, q := range []float64{0.9, 0.99, 1} {
-		if got := h.Quantile(q); got != 6.4e116 {
+		if got := h.Snapshot().Quantile(q); got != 6.4e116 {
 			t.Errorf("Quantile(%g) = %g, want the overflow bucket's Max 6.4e116", q, got)
 		}
 	}
@@ -139,7 +139,7 @@ func TestQuantileOverflowBucket(t *testing.T) {
 	h2 := NewHistogram()
 	h2.Observe(2)
 	h2.Observe(1000)
-	if got := h2.Quantile(1); got != 1000 {
+	if got := h2.Snapshot().Quantile(1); got != 1000 {
 		t.Errorf("in-range Quantile(1) = %g, want clamp to Max 1000", got)
 	}
 }

@@ -74,13 +74,19 @@ func (n *Network) Classify(in []float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return Argmax(out), nil
+}
+
+// Argmax returns the index of the largest value, the first on a tie, and
+// 0 for an empty slice: the class a network's output vector predicts.
+func Argmax(v []float64) int {
 	best := 0
-	for i, v := range out {
-		if v > out[best] {
+	for i, x := range v {
+		if x > v[best] {
 			best = i
 		}
 	}
-	return best, nil
+	return best
 }
 
 // NewMLP builds a dense network with ReLU between hidden layers and softmax

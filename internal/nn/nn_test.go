@@ -457,8 +457,25 @@ func TestMLPForwardAndMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cls < 0 || cls >= 4 {
-		t.Errorf("class = %d", cls)
+	if cls != Argmax(out) {
+		t.Errorf("class = %d, want the argmax of %v", cls, out)
+	}
+}
+
+func TestArgmax(t *testing.T) {
+	for _, c := range []struct {
+		v    []float64
+		want int
+	}{
+		{nil, 0},
+		{[]float64{-3}, 0},
+		{[]float64{0.1, 0.7, 0.2}, 1},
+		{[]float64{0.4, 0.1, 0.4}, 0}, // a tie goes to the first
+		{[]float64{-2, -1, -5}, 1},
+	} {
+		if got := Argmax(c.v); got != c.want {
+			t.Errorf("Argmax(%v) = %d, want %d", c.v, got, c.want)
+		}
 	}
 }
 

@@ -182,7 +182,8 @@ func Attribution(spans []Span) []AttrRow {
 }
 
 // FormatAttribution renders the top-N attribution rows as a fixed-width
-// table (all rows when topN <= 0).
+// table (all rows when topN <= 0). The last column is host wall time,
+// inclusive like the total columns, beside the simulated ones.
 func FormatAttribution(rows []AttrRow, topN int) string {
 	if topN <= 0 || topN > len(rows) {
 		topN = len(rows)
@@ -193,17 +194,17 @@ func FormatAttribution(rows []AttrRow, topN int) string {
 	}
 	var b strings.Builder
 	b.WriteString("Cost attribution (self = exclusive of child spans)\n")
-	b.WriteString(fmt.Sprintf("%-24s %8s %12s %12s %7s %12s %12s\n",
-		"span", "count", "self energy", "self sim", "en%", "total energy", "total sim"))
+	b.WriteString(fmt.Sprintf("%-24s %8s %12s %12s %7s %12s %12s %12s\n",
+		"span", "count", "self energy", "self sim", "en%", "total energy", "total sim", "total wall"))
 	for _, r := range rows[:topN] {
 		pct := 0.0
 		if totalPJ > 0 {
 			pct = 100 * r.SelfEnergyPJ / totalPJ
 		}
-		b.WriteString(fmt.Sprintf("%-24s %8d %12s %12s %6.1f%% %12s %12s\n",
+		b.WriteString(fmt.Sprintf("%-24s %8d %12s %12s %6.1f%% %12s %12s %12s\n",
 			r.Name, r.Count,
 			energy.FormatEnergy(r.SelfEnergyPJ), energy.FormatLatency(r.SelfSimPS), pct,
-			energy.FormatEnergy(r.EnergyPJ), energy.FormatLatency(r.SimPS)))
+			energy.FormatEnergy(r.EnergyPJ), energy.FormatLatency(r.SimPS), energy.FormatLatency(r.WallNS*1000)))
 	}
 	if topN < len(rows) {
 		b.WriteString(fmt.Sprintf("... %d more span kinds\n", len(rows)-topN))

@@ -57,7 +57,6 @@ type span struct {
 	name       string
 	startNS    int64
 	endNS      int64
-	cost       energy.Cost
 	notes      []Note
 }
 
@@ -144,7 +143,6 @@ func (t *Tracer) begin(parent uint64, name string) *span {
 	sp.name = name
 	sp.startNS = int64(time.Since(t.epoch))
 	sp.endNS = 0
-	sp.cost = energy.Zero
 	sp.notes = sp.notes[:0]
 	return sp
 }
@@ -153,7 +151,6 @@ func (t *Tracer) begin(parent uint64, name string) *span {
 // limit) and recycles the record.
 func (t *Tracer) retire(sp *span, cost energy.Cost) {
 	sp.endNS = int64(time.Since(t.epoch))
-	sp.cost = cost
 	t.mu.Lock()
 	if len(t.done) >= t.limit {
 		t.mu.Unlock()

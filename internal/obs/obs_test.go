@@ -295,10 +295,20 @@ func TestAttribution(t *testing.T) {
 	c2.End(cost(90, 2))
 	p.End(cost(90, 4)) // par latency; child sum 170 > 90
 
-	rows := Attribution(tr.Snapshot())
+	spans := tr.Snapshot()
+	rows := Attribution(spans)
 	byName := map[string]AttrRow{}
 	for _, row := range rows {
 		byName[row.Name] = row
+	}
+	wall := map[string]int64{}
+	for _, s := range spans {
+		wall[s.Name] += s.EndNS - s.StartNS
+	}
+	for name, ns := range wall {
+		if byName[name].WallNS != ns {
+			t.Errorf("%s wall = %d ns, want the spans' sum %d", name, byName[name].WallNS, ns)
+		}
 	}
 	la := byName["leaf.a"]
 	if la.Count != 3 || la.EnergyPJ != 14 || la.SimPS != 270 {
@@ -326,6 +336,9 @@ func TestAttribution(t *testing.T) {
 	}
 
 	out := FormatAttribution(rows, 2)
+	if !strings.Contains(out, "total wall") {
+		t.Error("wall-time column missing from formatted table")
+	}
 	if !strings.Contains(out, "leaf.a") {
 		t.Error("top row missing from formatted table")
 	}

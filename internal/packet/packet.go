@@ -59,10 +59,9 @@ type StreamID uint32
 
 // Packet is one message in flight through the CIM fabric.
 type Packet struct {
-	Src, Dst Address
-	Stream   StreamID
-	Seq      uint64
-	Type     Type
+	Dst    Address
+	Stream StreamID
+	Type   Type
 
 	// Payload holds the stream values for TypeData packets.
 	Payload []float64

@@ -9,10 +9,8 @@ import (
 
 func samplePacket() *Packet {
 	return &Packet{
-		Src:     Address{Board: 1, Tile: 2, Unit: 3},
 		Dst:     Address{Board: 4, Tile: 5, Unit: 6},
 		Stream:  77,
-		Seq:     123456789,
 		Type:    TypeData,
 		Payload: []float64{1.5, -2.25, math.Pi},
 		Code:    []byte{0xDE, 0xAD},

@@ -9,10 +9,8 @@ import (
 
 func samplePacket() *packet.Packet {
 	return &packet.Packet{
-		Src:     packet.Address{Tile: 1},
 		Dst:     packet.Address{Tile: 2},
 		Stream:  7,
-		Seq:     1,
 		Type:    packet.TypeData,
 		Payload: []float64{1, 2, 3},
 	}

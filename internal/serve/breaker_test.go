@@ -45,9 +45,7 @@ func faultFreeOutputs(t *testing.T, net *nn.Network, inputs [][]float64) [][]flo
 func TestBreakerConfigValidate(t *testing.T) {
 	net := testMLP(t, 32, 24, 10)
 	bad := []Option{
-		WithRetry(-1, 0, 0),
-		WithRetry(0, -time.Second, 0),
-		WithRetry(0, time.Second, time.Millisecond),
+		WithRetry(-1),
 		WithBatch(0, 0),
 		WithQueueBound(0),
 	}
@@ -118,7 +116,7 @@ func TestBreakerRetryUntilHealthy(t *testing.T) {
 	netA, netB := twoNets(t, 32, 24, 10)
 	cfg := faultyEngineConfig(faultinject.Model{WriteFailRate: 0.885, Seed: 3}, 0)
 	reg := metrics.NewRegistry()
-	pair, _, err := NewShadowPair(cfg, netA, WithRetry(5, 0, 0), WithRegistry(reg))
+	pair, _, err := NewShadowPair(cfg, netA, WithRetry(5), WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +158,7 @@ func TestBreakerTripsOnSpareExhaustion(t *testing.T) {
 	cfg := faultyEngineConfig(faultinject.Model{StuckLowRate: 0.05, StuckHighRate: 0.05, Seed: 11}, 0)
 	reg := metrics.NewRegistry()
 	pair, _, err := NewShadowPair(cfg, netA,
-		WithRetry(2, time.Microsecond, time.Millisecond),
-		WithSeed(1),
+		WithRetry(2),
 		WithRegistry(reg),
 	)
 	if err != nil {
@@ -248,7 +245,7 @@ func TestServerShedsUnhealthyBatches(t *testing.T) {
 // detector: concurrent inference, reprogramming, and state flips.
 func TestBreakerConcurrentAccess(t *testing.T) {
 	netA, netB := twoNets(t, 32, 24, 10)
-	pair, _, err := NewShadowPair(testEngineConfig(), netA, WithRetry(1, 0, 0))
+	pair, _, err := NewShadowPair(testEngineConfig(), netA, WithRetry(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +305,7 @@ func TestReprogramSpanTree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := obs.New()
-			pair, _, err := NewShadowPair(tc.cfg, netA, WithRetry(5, 0, 0), WithTracer(tr))
+			pair, _, err := NewShadowPair(tc.cfg, netA, WithRetry(5), WithTracer(tr))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,12 +1,12 @@
 // Serving configuration: one validated Config for the whole pipeline
-// (batcher, pending list, reprogram retry/backoff, telemetry), built from
+// (batcher, pending list, reprogram retries, telemetry), built from
 // Default() plus functional options. A single Config feeds both New (the
 // Server) and NewShadowPair (the board); both validate the whole Config,
 // each reads the fields it consumes, and shared plumbing (Registry,
 // Tracer) is set once:
 //
 //	pair, _, err := serve.NewShadowPair(dcfg, net,
-//	    serve.WithRetry(3, time.Millisecond, 50*time.Millisecond),
+//	    serve.WithRetry(3),
 //	    serve.WithRegistry(reg),
 //	)
 //	srv, err := serve.New(pair,
@@ -42,18 +42,9 @@ type Config struct {
 
 	// --- Reprogram retry (ShadowPair) ---
 
-	// MaxRetries bounds how many times a failed Reprogram is retried
-	// (total attempts = MaxRetries + 1). Zero disables retries.
+	// MaxRetries bounds how many times a failed Reprogram is retried, back
+	// to back (total attempts = MaxRetries + 1). Zero disables retries.
 	MaxRetries int
-	// BaseBackoff is the first retry's nominal delay; attempt k waits
-	// BaseBackoff << k, capped at MaxBackoff, scaled by a jitter factor
-	// in [0.5, 1). Zero disables sleeping (retries run back to back).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Zero means uncapped.
-	MaxBackoff time.Duration
-	// Seed keys the retry-jitter stream. Jitter draws are a pure function
-	// of (Seed, attempt counter), so retry schedules replay exactly.
-	Seed int64
 
 	// --- Shared plumbing ---
 
@@ -84,10 +75,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: QueueBound must be >= 1, got %d (a zero-length pending list rejects every request)", c.QueueBound)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("serve: MaxRetries must be >= 0, got %d", c.MaxRetries)
-	case c.BaseBackoff < 0 || c.MaxBackoff < 0:
-		return fmt.Errorf("serve: backoff durations must be >= 0")
-	case c.MaxBackoff > 0 && c.BaseBackoff > c.MaxBackoff:
-		return fmt.Errorf("serve: BaseBackoff %v exceeds MaxBackoff %v", c.BaseBackoff, c.MaxBackoff)
 	}
 	return nil
 }
@@ -105,13 +92,8 @@ func WithBatch(maxBatch int, _ time.Duration) Option {
 // WithQueueBound sets the pending list's high-water mark.
 func WithQueueBound(n int) Option { return func(c *Config) { c.QueueBound = n } }
 
-// WithRetry sets the pair's reprogram retry budget and backoff window.
-func WithRetry(maxRetries int, base, max time.Duration) Option {
-	return func(c *Config) { c.MaxRetries, c.BaseBackoff, c.MaxBackoff = maxRetries, base, max }
-}
-
-// WithSeed keys the deterministic retry-jitter stream.
-func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
+// WithRetry sets the pair's reprogram retry budget.
+func WithRetry(maxRetries int) Option { return func(c *Config) { c.MaxRetries = maxRetries } }
 
 // WithRegistry routes metrics into reg instead of a private registry.
 func WithRegistry(reg *metrics.Registry) Option { return func(c *Config) { c.Registry = reg } }

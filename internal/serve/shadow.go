@@ -16,10 +16,12 @@
 //
 //   - A standby that stays unhealthy after one in-place repair is never
 //     swapped in.
-//   - A failed attempt is retried with exponential backoff plus
-//     deterministic jitter (a counter-based noise stream, so tests replay
-//     bit-identically). Each retry re-runs Load on a fresh program epoch,
-//     which re-rolls transient write failures.
+//   - A failed attempt is retried at once. Each retry re-runs Load on a
+//     fresh program epoch, which re-rolls transient write failures: the
+//     fault model draws them per program pass, not per unit of wall time,
+//     so waiting between attempts would change nothing. Reprograms are
+//     serialized per pair (and per fleet), so there is no retry storm to
+//     spread out either.
 //   - When every attempt fails, the pair trips: the live engine keeps its
 //     previous weights, but every batch sheds with a typed ErrUnhealthy
 //     instead of serving from a board the fault model could not
@@ -35,13 +37,11 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
 	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
-	"cimrev/internal/noise"
 	"cimrev/internal/obs"
 )
 
@@ -78,10 +78,8 @@ type pairMetrics struct {
 // InferBatch is safe for concurrent use and may run concurrently with
 // Reprogram.
 type ShadowPair struct {
-	cfg    Config
-	met    pairMetrics
-	jitter noise.Source
-	draws  atomic.Uint64 // jitter stream position
+	cfg Config
+	met pairMetrics
 
 	// reprogramMu serializes swap attempts; swaps are rare and total
 	// ordering keeps the live/standby invariant trivial.
@@ -97,7 +95,7 @@ type ShadowPair struct {
 // returning the initial programming cost. The standby engine is created
 // (same config and seed) but left unprogrammed until the first Reprogram.
 // The pair is configured by Default() refined with opts: it reads the
-// retry/backoff fields (WithRetry, WithSeed), the Registry its health
+// retry budget (WithRetry), the Registry its health
 // counters land in, and the Tracer its reprogram spans go to.
 func NewShadowPair(cfg dpe.Config, net *nn.Network, opts ...Option) (*ShadowPair, energy.Cost, error) {
 	scfg := build(opts)
@@ -127,7 +125,6 @@ func NewShadowPair(cfg dpe.Config, net *nn.Network, opts ...Option) (*ShadowPair
 			trips:   reg.Counter("serve.breaker_trips"),
 			retries: reg.Counter("serve.reprogram_retries"),
 		},
-		jitter:  noise.NewSource(scfg.Seed),
 		standby: &guardedEngine{eng: standbyEng},
 	}
 	p.live.Store(&guardedEngine{eng: liveEng})
@@ -237,8 +234,8 @@ func (p *ShadowPair) Health() dpe.Health {
 // is health-aware: if program-and-verify left the standby with lost
 // columns, it runs one Repair pass in place — still off the critical path —
 // before swapping, and a standby that remains unhealthy after repair is
-// never swapped in. A failed attempt is retried up to MaxRetries times
-// with backoff. If every attempt fails the pair trips and the last error
+// never swapped in. A failed attempt is retried at once, up to MaxRetries
+// times. If every attempt fails the pair trips and the last error
 // is returned (wrapping ErrUnhealthy when the standby stayed unhealthy);
 // the live engine keeps the previous weights. A success closes the pair.
 //
@@ -254,9 +251,6 @@ func (p *ShadowPair) Reprogram(net *nn.Network) (visible, hidden energy.Cost, er
 	for attempts < budget {
 		if attempts > 0 {
 			p.met.retries.Inc()
-			if d := p.backoff(attempts - 1); d > 0 {
-				time.Sleep(d)
-			}
 		}
 		attempts++
 		var v, h energy.Cost
@@ -338,22 +332,4 @@ func (p *ShadowPair) swap(pc obs.Ctx, net *nn.Network) (visible, hidden energy.C
 
 	visible = energy.Cost{LatencyPS: energy.EDRAMAccessLatencyPS, EnergyPJ: cost.EnergyPJ}
 	return visible, cost, nil
-}
-
-// backoff returns retry k's delay: BaseBackoff << k capped at MaxBackoff,
-// scaled by a deterministic jitter factor in [0.5, 1) so synchronized
-// retries decorrelate without losing replayability.
-func (p *ShadowPair) backoff(k int) time.Duration {
-	if p.cfg.BaseBackoff <= 0 {
-		return 0
-	}
-	d := p.cfg.BaseBackoff
-	for i := 0; i < k && d < 1<<40; i++ {
-		d *= 2
-	}
-	if p.cfg.MaxBackoff > 0 && d > p.cfg.MaxBackoff {
-		d = p.cfg.MaxBackoff
-	}
-	f := 0.5 + 0.5*p.jitter.Float64(p.draws.Add(1))
-	return time.Duration(float64(d) * f)
 }

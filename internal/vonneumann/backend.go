@@ -198,7 +198,6 @@ func (b *Backend) predictLocked(n int) energy.Cost {
 			k = b.stageGEMM(n, rows, cols, patches, replay)
 		} else {
 			k = Kernel{
-				Name:  layer.Name(),
 				Flops: float64(n) * layer.Flops(),
 				Bytes: float64(n) * 16 * float64(layer.InSize()),
 			}

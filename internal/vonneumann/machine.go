@@ -13,8 +13,6 @@ import (
 // per byte moved. This captures exactly the imbalance Fig 2 tracks — the
 // bytes/FLOP ratio — which is the quantity CIM attacks.
 type Machine struct {
-	// Name labels the machine in reports.
-	Name string
 	// PeakFlops is peak arithmetic throughput in FLOP/s.
 	PeakFlops float64
 	// MemBandwidth is sustained memory bandwidth in bytes/s.
@@ -44,13 +42,9 @@ func (m Machine) Validate() error {
 	return nil
 }
 
-// BytesPerFlop returns the machine's balance ratio — the Fig 2 metric.
-func (m Machine) BytesPerFlop() float64 { return m.MemBandwidth / m.PeakFlops }
-
 // CPU returns the modeled server CPU socket.
 func CPU() Machine {
 	return Machine{
-		Name:         "cpu",
 		PeakFlops:    energy.CPUPeakFlops,
 		MemBandwidth: energy.CPUMemBandwidth,
 		FlopEnergyPJ: energy.CPUFlopEnergyPJ,
@@ -62,7 +56,6 @@ func CPU() Machine {
 // GPU returns the modeled HBM-era accelerator.
 func GPU() Machine {
 	return Machine{
-		Name:            "gpu",
 		PeakFlops:       energy.GPUPeakFlops,
 		MemBandwidth:    energy.GPUMemBandwidth,
 		FlopEnergyPJ:    energy.GPUFlopEnergyPJ,
@@ -74,8 +67,6 @@ func GPU() Machine {
 
 // Kernel characterizes one computation for the roofline model.
 type Kernel struct {
-	// Name labels the kernel.
-	Name string
 	// Flops is the arithmetic operation count.
 	Flops float64
 	// Bytes is the memory traffic in bytes (compulsory + capacity misses).
@@ -114,7 +105,6 @@ func GEMM(items, m, n int, elemBytes int, cacheBytes float64, resident bool) Ker
 		bytes = vectorBytes
 	}
 	return Kernel{
-		Name:  fmt.Sprintf("gemm-%dx%dx%d", items, m, n),
 		Flops: flops,
 		Bytes: bytes,
 	}
@@ -135,7 +125,6 @@ func GEMV(m, n int, elemBytes int, cacheBytes float64, resident bool) Kernel {
 		bytes = vectorBytes
 	}
 	return Kernel{
-		Name:  fmt.Sprintf("gemv-%dx%d", m, n),
 		Flops: flops,
 		Bytes: bytes,
 	}

@@ -70,7 +70,7 @@ func TestMachineRunErrors(t *testing.T) {
 
 func TestMachineEnergyComposition(t *testing.T) {
 	m := Machine{
-		Name: "test", PeakFlops: 1e12, MemBandwidth: 1e12,
+		PeakFlops: 1e12, MemBandwidth: 1e12,
 		FlopEnergyPJ: 2, ByteEnergyPJ: 3, StaticPowerW: 0,
 	}
 	c, err := m.Run(Kernel{Flops: 10, Bytes: 20})
@@ -109,11 +109,10 @@ func TestGPULaunchOverhead(t *testing.T) {
 
 func TestBytesPerFlopDecline(t *testing.T) {
 	// The modern machines embody the Fig 2 problem: well under 1 byte/FLOP.
-	if r := CPU().BytesPerFlop(); r >= 1 {
-		t.Errorf("CPU bytes/flop = %g, want < 1", r)
-	}
-	if r := GPU().BytesPerFlop(); r >= 1 {
-		t.Errorf("GPU bytes/flop = %g, want < 1", r)
+	for _, m := range []Machine{CPU(), GPU()} {
+		if r := m.MemBandwidth / m.PeakFlops; r >= 1 {
+			t.Errorf("%g FLOP/s machine: bytes/flop = %g, want < 1", m.PeakFlops, r)
+		}
 	}
 }
 

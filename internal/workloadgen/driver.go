@@ -119,10 +119,10 @@ type DriveConfig struct {
 	// nil; ignored in open-loop mode, where concurrency is however many
 	// requests are in flight at once — that is the point).
 	Clients int
-	// RetryBackoff is the closed-loop pause before retrying a Shed
-	// request. Default 50us.
-	RetryBackoff time.Duration
 }
+
+// retryBackoff is the closed-loop pause before retrying a Shed request.
+const retryBackoff = 50 * time.Microsecond
 
 // validate fails fast on degenerate parameters.
 func (c DriveConfig) validate() error {
@@ -139,13 +139,12 @@ func (c DriveConfig) validate() error {
 type Report struct {
 	// Requests is the offered request count; OKs completed, Sheds were
 	// refused for capacity (and, open loop, never retried), Drops were
-	// refused for health/deadline reasons, Retries counts closed-loop
-	// re-submissions after a Shed.
+	// refused for health/deadline reasons. A closed loop re-submits a
+	// Shed request, so each of its Sheds is one retry.
 	Requests int
 	OKs      int64
 	Sheds    int64
 	Drops    int64
-	Retries  int64
 	// Wall is issue-to-drain wall time of the whole run.
 	Wall time.Duration
 	// OfferedRPS is the schedule's nominal rate (open loop; 0 closed —
@@ -173,9 +172,6 @@ func Drive(cfg DriveConfig, submit SubmitFunc) (Report, error) {
 	if err := cfg.validate(); err != nil {
 		return Report{}, err
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Microsecond
-	}
 	d := &driver{cfg: cfg, submit: submit, latency: metrics.NewHistogram(), lateness: metrics.NewHistogram()}
 	start := time.Now()
 	if cfg.Arrivals != nil {
@@ -190,7 +186,6 @@ func Drive(cfg DriveConfig, submit SubmitFunc) (Report, error) {
 		OKs:          d.oks.Load(),
 		Sheds:        d.sheds.Load(),
 		Drops:        d.drops.Load(),
-		Retries:      d.retries.Load(),
 		Wall:         wall,
 		Latency:      d.latency.Snapshot(),
 		Lateness:     d.lateness.Snapshot(),
@@ -213,10 +208,10 @@ type driver struct {
 	cfg    DriveConfig
 	submit SubmitFunc
 
-	oks, sheds, drops, retries atomic.Int64
-	inflight, peak             atomic.Int64
-	firstErr                   atomic.Value
-	latency, lateness          *metrics.Histogram
+	oks, sheds, drops atomic.Int64
+	inflight, peak    atomic.Int64
+	firstErr          atomic.Value
+	latency, lateness *metrics.Histogram
 }
 
 // request builds the Request for sequence seq.
@@ -326,8 +321,7 @@ func (d *driver) runClosed() {
 				}
 				req := d.request(uint64(seq), 0, 0)
 				for d.fire(req) {
-					d.retries.Add(1)
-					time.Sleep(d.cfg.RetryBackoff)
+					time.Sleep(retryBackoff)
 				}
 			}
 		}()

@@ -4,19 +4,14 @@ import (
 	"fmt"
 
 	"cimrev/internal/noise"
-	"cimrev/internal/workloads"
 )
 
 // Class is one request class in a traffic mix: what a request of this
-// class asks the serving tier to do. Classes combine a paper workload
-// class (internal/workloads, Appendix A taxonomy) with the two serving
-// dimensions the capacity planner cares about — model size and
-// client-side batching.
+// class asks the serving tier to do, in the two dimensions the capacity
+// planner cares about — model size and client-side batching.
 type Class struct {
 	// Name labels the class in traces, bench lines, and reports.
 	Name string
-	// Workload is the paper's application class the request represents.
-	Workload workloads.Class
 	// Batch is the client-side fan-out: a batch-k request submits k
 	// inputs and completes when all k answers are back (1 ..
 	// MaxClassBatch).
@@ -53,9 +48,6 @@ func (c Class) Validate() error {
 // evaluation orders, like Arrivals.Gap.
 type Picker interface {
 	Pick(i uint64) Class
-	// Classes lists the distinct classes the picker can return, in a
-	// stable order.
-	Classes() []Class
 }
 
 // Mix is a weighted request-class mix keyed by the counter-based noise
@@ -128,9 +120,9 @@ func (m Mix) ByName(name string) (Class, error) {
 // slice of bulk batch-8 inference, and a slice of analytic scans.
 func DefaultMix(seed int64) Mix {
 	m, err := NewMix(seed,
-		Class{Name: "nn-b1", Workload: workloads.NeuralNetworks, Batch: 1, Scale: 1, Weight: 0.70},
-		Class{Name: "nn-b8", Workload: workloads.NeuralNetworks, Batch: 8, Scale: 1, Weight: 0.20},
-		Class{Name: "analytics-b1", Workload: workloads.DBAnalytics, Batch: 1, Scale: 1, Weight: 0.10},
+		Class{Name: "nn-b1", Batch: 1, Scale: 1, Weight: 0.70},
+		Class{Name: "nn-b8", Batch: 8, Scale: 1, Weight: 0.20},
+		Class{Name: "analytics-b1", Batch: 1, Scale: 1, Weight: 0.10},
 	)
 	if err != nil {
 		// The classes above are compile-time constants; a failure is a
@@ -142,4 +134,4 @@ func DefaultMix(seed int64) Mix {
 
 // singleClass is the implicit class of a mix-less drive: batch-1
 // reference-size inference.
-var singleClass = Class{Name: "default", Workload: workloads.NeuralNetworks, Batch: 1, Scale: 1, Weight: 1}
+var singleClass = Class{Name: "default", Batch: 1, Scale: 1, Weight: 1}

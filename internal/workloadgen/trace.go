@@ -160,17 +160,11 @@ func (r *TraceReplay) Picker(m Mix) (Picker, error) {
 		}
 		classes[i] = c
 	}
-	return traceClasses{classes: classes, mix: m}, nil
+	return traceClasses(classes), nil
 }
 
 // traceClasses replays a recorded class sequence.
-type traceClasses struct {
-	classes []Class
-	mix     Mix
-}
+type traceClasses []Class
 
 // Pick implements Picker, cycling past the recorded window.
-func (t traceClasses) Pick(i uint64) Class { return t.classes[i%uint64(len(t.classes))] }
-
-// Classes implements Picker: the distinct classes of the resolving mix.
-func (t traceClasses) Classes() []Class { return t.mix.Classes() }
+func (t traceClasses) Pick(i uint64) Class { return t[i%uint64(len(t))] }

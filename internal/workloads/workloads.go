@@ -123,14 +123,12 @@ func (c Class) String() string {
 	}
 }
 
-// Traits is the paper's qualitative Table 2 row.
+// Traits is the part of the paper's qualitative Table 2 row the
+// reproduction uses: the compute and data-size columns, which size a
+// class's Kernel, and the verdict.
 type Traits struct {
-	Compute       Level
-	DataBandwidth Level
-	DataSize      Level
-	OpIntensity   Level
-	Communication Level
-	Parallelism   Level
+	Compute  Level
+	DataSize Level
 	// PaperCIM is the paper's verdict — the value our measured
 	// reproduction must match.
 	PaperCIM Level
@@ -141,33 +139,33 @@ type Traits struct {
 func (c Class) Traits() Traits {
 	switch c {
 	case MachineLearning:
-		return Traits{High, High, High, High, Low, High, High}
+		return Traits{High, High, High}
 	case NeuralNetworks:
-		return Traits{High, High, High, High, Low, High, High}
+		return Traits{High, High, High}
 	case GraphProblems:
-		return Traits{Low, Medium, High, High, High, High, High}
+		return Traits{Low, High, High}
 	case BayesianInference:
-		return Traits{High, Low, Low, High, High, Medium, Low}
+		return Traits{High, Low, Low}
 	case MarkovChain:
-		return Traits{High, Low, Low, Low, High, High, Low}
+		return Traits{High, Low, Low}
 	case KVS:
-		return Traits{Low, High, High, Low, Medium, High, Medium}
+		return Traits{Low, High, Medium}
 	case DBAnalytics:
-		return Traits{Low, High, High, Low, Medium, High, High}
+		return Traits{Low, High, High}
 	case DBTransactions:
-		return Traits{Medium, High, Medium, High, High, Medium, Medium}
+		return Traits{Medium, Medium, Medium}
 	case Search:
-		return Traits{High, High, High, High, High, High, Low}
+		return Traits{High, High, Low}
 	case Optimization:
-		return Traits{High, Low, Low, High, High, Low, Low}
+		return Traits{High, Low, Low}
 	case Scientific:
-		return Traits{High, Medium, Medium, Medium, High, High, Low}
+		return Traits{High, Medium, Low}
 	case FEM:
-		return Traits{High, Low, Medium, Medium, High, High, Medium}
+		return Traits{High, Medium, Medium}
 	case Collaborative:
-		return Traits{Low, High, Medium, Low, High, Low, Low}
+		return Traits{Low, Medium, Low}
 	case SignalProcessing:
-		return Traits{High, High, High, Low, High, Medium, Low}
+		return Traits{High, High, Low}
 	default:
 		return Traits{}
 	}
@@ -175,7 +173,6 @@ func (c Class) Traits() Traits {
 
 // Kernel is the quantitative characterization of one unit of work.
 type Kernel struct {
-	Class Class
 	// Flops is total arithmetic.
 	Flops float64
 	// DataBytes is the data touched.
@@ -239,7 +236,6 @@ func (c Class) Kernel(scale float64) (Kernel, error) {
 	}
 	tr := c.Traits()
 	k := Kernel{
-		Class:     c,
 		Flops:     flopsFor(tr.Compute) * scale,
 		DataBytes: bytesFor(tr.DataSize) * scale,
 	}
