@@ -200,11 +200,12 @@ profile:
 # Quick benchmark smoke: one iteration of the Section VI latency sweep
 # (functional kernel), of one noisy bit-serial MVM (the per-conversion
 # noise draw and ADC), of one odd functional batch (the vector routine's
-# one-item pass after its item pairs) and of one 125-row functional read
-# (the vector quantizer's masked one-lane tail), enough to catch a broken
-# hot path without a full benchmark run.
+# one-item pass after its item pairs), of one 125-row functional read
+# (the vector quantizer's masked one-lane tail) and of each engine Load
+# (the write path: quantize, bit planes, weight panels), enough to catch a
+# broken hot path without a full benchmark run.
 bench-smoke:
-	$(GO) test -bench='SecVILatency|CrossbarMVMBatch/(128x128_8b_(noisy_b1|func_b7)|125x128_8b_func_b1)$$' -benchtime=1x .
+	$(GO) test -bench='SecVILatency|CrossbarMVMBatch/(128x128_8b_(noisy_b1|func_b7)|125x128_8b_func_b1)$$|EngineLoad' -benchtime=1x .
 
 cover:
 	$(GO) test -cover ./...

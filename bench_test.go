@@ -262,7 +262,7 @@ func runFailover(b *testing.B, withSpare bool) float64 {
 	spare := Address{Tile: 1, Unit: 1}
 	sink := Address{Tile: 2}
 	for _, a := range []Address{src, mid, spare, sink} {
-		if _, err := fabric.AddUnit(a, cim.KindCompute, 1); err != nil {
+		if _, err := fabric.AddUnit(a, cim.KindCompute); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -527,6 +527,48 @@ func BenchmarkEngineWorkloads(b *testing.B) {
 	for _, batch := range []int{1, 2, 4, 16} {
 		run(fmt.Sprintf("small_functional_b%d", batch), small, 64, batch, "keyed")
 	}
+}
+
+// BenchmarkEngineLoad is the write path: dpe.Engine.Load of the repository
+// benchmark's two models on the arrays the workloads use, the call every
+// setup and every rolling reprogram makes. The engine is built once and
+// loaded every iteration, so after the first the tiles reprogram in place
+// as a same-shape Reprogram does. The big model loads in both modes: the
+// functional one fuses the stored levels into a weight panel, the
+// bit-serial one transposes them into bit planes.
+func BenchmarkEngineLoad(b *testing.B) {
+	run := func(name string, sizes []int, xbar int, functional bool) {
+		b.Run(name, func(b *testing.B) {
+			cfg := dpe.DefaultConfig()
+			cfg.Crossbar.Rows, cfg.Crossbar.Cols = xbar, xbar
+			if !functional {
+				cfg.Crossbar.Functional = false
+				cfg.Crossbar.ReadNoise = 0.01
+			}
+			net, err := nn.NewMLP("bench", sizes, rand.New(rand.NewSource(4242)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := dpe.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Load(net); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Load(net); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	big, small := []int{256, 256, 256, 256, 256, 128, 10}, []int{16, 16, 10}
+	run("big_functional", big, 128, true)
+	run("big_bitserial", big, 128, false)
+	run("small_functional", small, 64, true)
 }
 
 func BenchmarkDPEInference(b *testing.B) {

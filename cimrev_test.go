@@ -127,7 +127,7 @@ func TestFacadeSelfHealing(t *testing.T) {
 	primary := Address{Tile: 0}
 	spare := Address{Tile: 0, Unit: 1}
 	for _, a := range []Address{primary, spare} {
-		if _, err := fabric.AddUnit(a, cim.KindCrossbar, 1); err != nil {
+		if _, err := fabric.AddUnit(a, cim.KindCrossbar); err != nil {
 			t.Fatal(err)
 		}
 		if err := fabric.Configure(a, isa.FuncMVM, [][]float64{{1}}); err != nil {

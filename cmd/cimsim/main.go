@@ -62,7 +62,7 @@ func run(progPath, mesh string, unitsPerTile int, failAddr string) error {
 				kind = cim.KindCrossbar
 			}
 			addr := packet.Address{Tile: uint16(tile), Unit: uint16(u)}
-			if _, err := fabric.AddUnit(addr, kind, 4); err != nil {
+			if _, err := fabric.AddUnit(addr, kind); err != nil {
 				return err
 			}
 		}

@@ -36,7 +36,7 @@ func run() error {
 		sink   = cimrev.Address{Tile: 2}
 	)
 	for _, a := range []cimrev.Address{ingest, filter, spare, sink} {
-		if _, err := fabric.AddUnit(a, cim.KindCompute, 1); err != nil {
+		if _, err := fabric.AddUnit(a, cim.KindCompute); err != nil {
 			return err
 		}
 	}

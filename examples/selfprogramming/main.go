@@ -28,7 +28,7 @@ func run() error {
 		return err
 	}
 	unit := cimrev.Address{Tile: 0}
-	if _, err := fabric.AddUnit(unit, cim.KindCrossbar, 4); err != nil {
+	if _, err := fabric.AddUnit(unit, cim.KindCrossbar); err != nil {
 		return err
 	}
 

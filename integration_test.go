@@ -72,15 +72,15 @@ func TestIntegrationSelfHealingPipeline(t *testing.T) {
 	mvm := Address{Tile: 1}
 	spare := Address{Tile: 1, Unit: 1}
 	sink := Address{Tile: 2}
-	if _, err := fabric.AddUnit(src, cim.KindCompute, 1); err != nil {
+	if _, err := fabric.AddUnit(src, cim.KindCompute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fabric.AddUnit(sink, cim.KindCompute, 1); err != nil {
+	if _, err := fabric.AddUnit(sink, cim.KindCompute); err != nil {
 		t.Fatal(err)
 	}
 	w := [][]float64{{1, 0}, {0, 1}}
 	for _, u := range []Address{mvm, spare} {
-		if _, err := fabric.AddUnit(u, cim.KindCrossbar, 1); err != nil {
+		if _, err := fabric.AddUnit(u, cim.KindCrossbar); err != nil {
 			t.Fatal(err)
 		}
 		if err := fabric.Configure(u, isa.FuncMVM, w); err != nil {

@@ -131,15 +131,12 @@ func (f *Fabric) edgeCost(from, to dataflow.NodeID, nbytes int) energy.Cost {
 
 // AddUnit creates a unit at addr. The tile number must fit the mesh and the
 // board must match the fabric's.
-func (f *Fabric) AddUnit(addr packet.Address, kind UnitKind, microUnits int) (*Unit, error) {
+func (f *Fabric) AddUnit(addr packet.Address, kind UnitKind) (*Unit, error) {
 	if addr.Board != f.cfg.Board {
 		return nil, fmt.Errorf("cim: address %v is for board %d, fabric is board %d", addr, addr.Board, f.cfg.Board)
 	}
 	if int(addr.Tile) >= f.cfg.MeshW*f.cfg.MeshH {
 		return nil, fmt.Errorf("cim: tile %d outside %dx%d mesh", addr.Tile, f.cfg.MeshW, f.cfg.MeshH)
-	}
-	if microUnits <= 0 {
-		return nil, fmt.Errorf("cim: unit needs at least one micro-unit, got %d", microUnits)
 	}
 	if _, dup := f.units[addr]; dup {
 		return nil, fmt.Errorf("cim: unit %v already exists", addr)

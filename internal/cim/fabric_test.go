@@ -52,23 +52,20 @@ func TestConfigValidate(t *testing.T) {
 
 func TestAddUnitValidation(t *testing.T) {
 	f, _ := newFabric(t)
-	if _, err := f.AddUnit(addr(0, 0), KindCompute, 1); err != nil {
+	if _, err := f.AddUnit(addr(0, 0), KindCompute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AddUnit(addr(0, 0), KindCompute, 1); err == nil {
+	if _, err := f.AddUnit(addr(0, 0), KindCompute); err == nil {
 		t.Error("duplicate unit accepted")
 	}
-	if _, err := f.AddUnit(addr(99, 0), KindCompute, 1); err == nil {
+	if _, err := f.AddUnit(addr(99, 0), KindCompute); err == nil {
 		t.Error("tile outside mesh accepted")
 	}
-	if _, err := f.AddUnit(addr(0, 1), KindCompute, 0); err == nil {
-		t.Error("zero micro-units accepted")
-	}
-	if _, err := f.AddUnit(addr(0, 2), UnitKind(9), 1); err == nil {
+	if _, err := f.AddUnit(addr(0, 2), UnitKind(9)); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	other := packet.Address{Board: 3, Tile: 0, Unit: 5}
-	if _, err := f.AddUnit(other, KindCompute, 1); err == nil {
+	if _, err := f.AddUnit(other, KindCompute); err == nil {
 		t.Error("wrong board accepted")
 	}
 	if _, err := f.Unit(addr(9, 9)); err == nil {
@@ -78,10 +75,10 @@ func TestAddUnitValidation(t *testing.T) {
 
 func TestFabricMVMPipeline(t *testing.T) {
 	f, led := newFabric(t)
-	if _, err := f.AddUnit(addr(0, 0), KindCrossbar, 4); err != nil {
+	if _, err := f.AddUnit(addr(0, 0), KindCrossbar); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AddUnit(addr(1, 0), KindCompute, 1); err != nil {
+	if _, err := f.AddUnit(addr(1, 0), KindCompute); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,7 +126,7 @@ func TestFabricMVMPipeline(t *testing.T) {
 
 func TestConfigureErrors(t *testing.T) {
 	f, _ := newFabric(t)
-	if _, err := f.AddUnit(addr(0, 0), KindCompute, 1); err != nil {
+	if _, err := f.AddUnit(addr(0, 0), KindCompute); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Configure(addr(9, 9), isa.FuncReLU, nil); err == nil {
@@ -138,7 +135,7 @@ func TestConfigureErrors(t *testing.T) {
 	if err := f.Configure(addr(0, 0), isa.FuncMVM, [][]float64{{1}}); err == nil {
 		t.Error("MVM on compute unit accepted")
 	}
-	if _, err := f.AddUnit(addr(0, 1), KindCrossbar, 1); err != nil {
+	if _, err := f.AddUnit(addr(0, 1), KindCrossbar); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Configure(addr(0, 1), isa.FuncMVM, nil); err == nil {
@@ -148,7 +145,7 @@ func TestConfigureErrors(t *testing.T) {
 
 func TestReprogramWriteAsymmetry(t *testing.T) {
 	f, led := newFabric(t)
-	if _, err := f.AddUnit(addr(0, 0), KindCrossbar, 1); err != nil {
+	if _, err := f.AddUnit(addr(0, 0), KindCrossbar); err != nil {
 		t.Fatal(err)
 	}
 	w := [][]float64{{1, 0}, {0, 1}}
@@ -169,7 +166,7 @@ func TestLoadProgramStaticDataflow(t *testing.T) {
 		if a.Tile == 1 {
 			kind = KindCompute
 		}
-		if _, err := f.AddUnit(a, kind, 1); err != nil {
+		if _, err := f.AddUnit(a, kind); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +213,7 @@ func TestSelfProgrammingWithCrossbarHardware(t *testing.T) {
 	// A program packet configures an MVM unit: the fabric's func factory
 	// must provision real crossbar hardware (dataflow alone cannot).
 	f, _ := newFabric(t)
-	if _, err := f.AddUnit(addr(0, 0), KindCrossbar, 1); err != nil {
+	if _, err := f.AddUnit(addr(0, 0), KindCrossbar); err != nil {
 		t.Fatal(err)
 	}
 	prog := isa.Program{
@@ -248,7 +245,7 @@ func TestSelfProgrammingWithCrossbarHardware(t *testing.T) {
 func TestDisableUnitContainment(t *testing.T) {
 	f, _ := newFabric(t)
 	for i := uint16(0); i < 3; i++ {
-		if _, err := f.AddUnit(addr(i, 0), KindCompute, 1); err != nil {
+		if _, err := f.AddUnit(addr(i, 0), KindCompute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,10 +289,10 @@ func TestEdgeCostDistanceSensitivity(t *testing.T) {
 	// Transfers between distant tiles must cost more latency than
 	// same-tile transfers.
 	f, led := newFabric(t)
-	if _, err := f.AddUnit(addr(0, 0), KindCompute, 1); err != nil {
+	if _, err := f.AddUnit(addr(0, 0), KindCompute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AddUnit(addr(15, 0), KindCompute, 1); err != nil { // far corner of 4x4
+	if _, err := f.AddUnit(addr(15, 0), KindCompute); err != nil { // far corner of 4x4
 		t.Fatal(err)
 	}
 	if err := f.Connect(addr(0, 0), addr(15, 0)); err != nil {
@@ -310,10 +307,10 @@ func TestEdgeCostDistanceSensitivity(t *testing.T) {
 	farNet := led.Category("network").LatencyPS
 
 	f2, led2 := newFabric(t)
-	if _, err := f2.AddUnit(addr(0, 0), KindCompute, 1); err != nil {
+	if _, err := f2.AddUnit(addr(0, 0), KindCompute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f2.AddUnit(addr(0, 1), KindCompute, 1); err != nil {
+	if _, err := f2.AddUnit(addr(0, 1), KindCompute); err != nil {
 		t.Fatal(err)
 	}
 	if err := f2.Connect(addr(0, 0), addr(0, 1)); err != nil {
@@ -335,7 +332,7 @@ func TestFabricTopologyIntrospection(t *testing.T) {
 	f, _ := newFabric(t)
 	a, b, c := addr(0, 0), addr(1, 0), addr(2, 0)
 	for _, u := range []packet.Address{a, b, c} {
-		if _, err := f.AddUnit(u, KindCompute, 1); err != nil {
+		if _, err := f.AddUnit(u, KindCompute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +386,7 @@ func TestUnitKindStringsAndAccessors(t *testing.T) {
 	}
 
 	f, _ := newFabric(t)
-	u, err := f.AddUnit(addr(0, 0), KindCompute, 2)
+	u, err := f.AddUnit(addr(0, 0), KindCompute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +402,7 @@ func TestSelfProgrammingMVMWithoutWeights(t *testing.T) {
 	// The fabric func factory rejects an MVM configure that never received
 	// loadweights.
 	f, _ := newFabric(t)
-	if _, err := f.AddUnit(addr(0, 0), KindCrossbar, 1); err != nil {
+	if _, err := f.AddUnit(addr(0, 0), KindCrossbar); err != nil {
 		t.Fatal(err)
 	}
 	prog := isa.Program{

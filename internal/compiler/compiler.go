@@ -107,11 +107,7 @@ func Apply(plan *Plan, fabric *cim.Fabric) error {
 		return fmt.Errorf("compiler: empty plan")
 	}
 	for _, pl := range plan.Placements {
-		microUnits := 1
-		if pl.Kind == cim.KindCrossbar {
-			microUnits = 4
-		}
-		if _, err := fabric.AddUnit(pl.Addr, pl.Kind, microUnits); err != nil {
+		if _, err := fabric.AddUnit(pl.Addr, pl.Kind); err != nil {
 			return fmt.Errorf("compiler: place %s: %w", pl.LayerName, err)
 		}
 		if err := fabric.Configure(pl.Addr, pl.Fn, pl.Weights); err != nil {

@@ -405,15 +405,11 @@ func (x *Crossbar) multiplyCtx(pc obs.Ctx, s *mvmBatchScratch, dsts [][]float64,
 }
 
 // rowMasks sizes the bit-serial arenas and transposes every item's
-// quantized row into its per-input-bit row masks, once per quantize; the
-// kernel's column loop reuses them usedCols times. Eight rows a step, as
-// packSlices builds the planes: the low and the high byte of eight
-// quantized inputs are one word each, and gatherBits pulls one input bit
-// out of each.
+// quantized row into its per-input-bit row masks (bitPlanes), once per
+// quantize; the kernel's column loop reuses them usedCols times.
 func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
 	inBits, pw, rows := x.cfg.InputBits, x.planeWords, x.usedRows
 	s.masks = grow(s.masks, n*inBits*pw)
-	clear(s.masks) // OR-built below
 	if s.sums == nil {
 		// Fixed by the configuration, which a crossbar and so its pool
 		// never changes, not by the programmed shape.
@@ -421,22 +417,7 @@ func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
 		s.z = make([]float64, inBits*x.numSlices)
 	}
 	for i := 0; i < n; i++ {
-		xi := s.xInt[i*rows:][:rows]
-		mk := s.masks[i*inBits*pw:][:inBits*pw]
-		for r := 0; r < rows; r += 8 {
-			var lo, hi uint64
-			for j, q := range xi[r:min(r+8, rows)] {
-				lo |= uint64(q&0xFF) << uint(8*j)
-				hi |= uint64(q>>8) << uint(8*j)
-			}
-			for b := 0; b < inBits; b++ {
-				v := lo
-				if b >= 8 {
-					v = hi
-				}
-				mk[b*pw+r/64] |= gatherBits(v, uint(b%8)) << uint(r%64)
-			}
-		}
+		bitPlanes(s.masks[i*inBits*pw:][:inBits*pw], pw, inBits, s.xInt[i*rows:][:rows])
 	}
 }
 

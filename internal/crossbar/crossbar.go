@@ -27,13 +27,15 @@
 // of one. It is organized for locality and zero steady-state allocation (see
 // docs/PERF.md for measurements):
 //
-//   - Slice levels are stored column-major (sliceT[s][c*Rows+r]): what
-//     Program, program-and-verify and the fault tests read and write.
-//   - Functional mode needs one exact integer per (item, column), so
-//     Program fuses each cell's stored slice levels into its full integer
-//     weight, in one of two panels. On amd64 with AVX2, when weights and
-//     inputs are at most 15 bits and a padded column of largest products
-//     stays below 2^31, the panel is column-major int16, zero-padded to
+//   - Each cell's stored slice levels are one packed word, column-major
+//     (levels[c*Rows+r] = Σ_s level_s << s*CellBits): what Program,
+//     program-and-verify and the fault tests read and write. Program
+//     quantizes each weight once, eight rows a step, straight into it.
+//   - Functional mode needs one exact integer per (item, column), which is
+//     the packed word itself, laid out as one of two panels. On amd64 with
+//     AVX2, when weights and inputs are at most 15 bits and a padded
+//     column of largest products stays below 2^31, the panel is
+//     column-major int16, zero-padded to
 //     a multiple of 16 rows and of four columns (panel16), and the kernel
 //     is one assembly routine over the whole panel and all items of the
 //     call (dot_amd64.s: a register tile of four columns by two items,
@@ -50,7 +52,7 @@
 //   - Bit-serial mode needs every per-(input bit, slice) column sum for
 //     its ADC conversions, and one array cycle drives a binary word-line
 //     vector into the cells: the sum is Σ_p 2^p · popcount(rowmask_b AND
-//     plane_{s,p,c}). Program transposes the stored levels into weight bit
+//     plane_{s,p,c}). Program transposes the packed levels into weight bit
 //     planes (planes: 64 rows per word, one run of words per column and
 //     weight bit), the quantizer builds one row mask per item and input
 //     bit, and the one bit-serial kernel fills a column's sums by AND +
@@ -76,7 +78,6 @@
 package crossbar
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -180,14 +181,17 @@ type Crossbar struct {
 	cfg       Config
 	numSlices int
 
-	// sliceT[s][c*Rows+r] holds the CellBits-wide slice s of the shifted,
-	// quantized weight at (r, c) as the cell stores it — column-major, so a
-	// column is contiguous for program-and-verify's commit and for the
-	// transpositions the kernels read instead (fused or panel16, planes).
-	sliceT [][]uint8
+	// levels[c*Rows+r] is what the cells at (r, c) store, packed: Σ_s
+	// level_s << s*CellBits over the slices' levels, each below
+	// 2^CellBits, so the word (WeightBits ≤ 16) is lossless and, fault-free,
+	// is the shifted, quantized weight itself. Column-major, so a column is
+	// contiguous for program-and-verify's commit and for the layouts the
+	// kernels read instead (fused or panel16, planes). Zero past the
+	// programmed shape.
+	levels []uint16
 
-	// planes is the bit-serial kernel's view of the array: the stored slice
-	// levels (after fault remap and drift, exactly what sliceT holds)
+	// planes is the bit-serial kernel's view of the array: the stored
+	// levels (after fault remap and drift, exactly what levels holds)
 	// transposed into weight bit planes. Word planes[(c*WeightBits+k)*
 	// planeWords+w] has bit r%64 set when bit p of the level that slice s
 	// stores at (64w+r%64, c) is set, k = s*CellBits+p. planeWords is
@@ -196,10 +200,9 @@ type Crossbar struct {
 	planes     []uint64
 	planeWords int
 
-	// fused[cw*usedRows+r] is the functional-mode weight panel: the full
-	// integer weight Σ_s level_s << s*CellBits of cell (r, c), fused from
-	// the stored slice levels, with column c in 32-bit lane c%lanes of
-	// column word cw = c/lanes. lanes is 2 when wMax*xMax*usedRows fits
+	// fused[cw*usedRows+r] is the functional-mode weight panel: the packed
+	// level of cell (r, c), its full integer weight, with column c in
+	// 32-bit lane c%lanes of column word cw = c/lanes. lanes is 2 when wMax*xMax*usedRows fits
 	// 32 bits — a column's whole dot product fits its lane, so no lane can
 	// carry into its neighbour — and 1 otherwise. Functional mode only, and
 	// only when the vector kernel cannot run (fuseWeights): a functional
@@ -295,11 +298,6 @@ func New(cfg Config) (*Crossbar, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Rows * cfg.Cols
-	sl := make([][]uint8, cfg.slices())
-	for i := range sl {
-		sl[i] = make([]uint8, n)
-	}
 	scaleTab := make([]float64, 0, cfg.InputBits*cfg.slices())
 	for b := 0; b < cfg.InputBits; b++ {
 		for s := 0; s < cfg.slices(); s++ {
@@ -309,7 +307,7 @@ func New(cfg Config) (*Crossbar, error) {
 	return &Crossbar{
 		cfg:       cfg,
 		numSlices: cfg.slices(),
-		sliceT:    sl,
+		levels:    make([]uint16, cfg.Rows*cfg.Cols),
 		colSumInt: make([]int64, cfg.Cols),
 		colOffset: make([]float64, (cfg.Cols+3)&^3),
 		scaleTab:  scaleTab,
@@ -381,58 +379,47 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 	if cols == 0 || cols > x.cfg.Cols {
 		return energy.Zero, fmt.Errorf("crossbar: weight cols %d outside [1,%d]", cols, x.cfg.Cols)
 	}
-	// Fail fast: ragged/NaN/Inf checks complete before quantization starts
-	// or any stored state is touched.
-	wScale := 0.0
+	// Fail fast: the ragged and non-finite checks, row by row, complete
+	// before any stored state is touched. As in quantize, one unsigned
+	// maximum over the sign-cleared bits is both max |w| and the NaN/Inf
+	// check.
+	var top uint64
 	for r, row := range w {
 		if len(row) != cols {
 			return energy.Zero, fmt.Errorf("crossbar: ragged weight matrix at row %d (%d != %d)", r, len(row), cols)
 		}
+		var rowTop uint64
 		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return energy.Zero, fmt.Errorf("crossbar: non-finite weight at row %d", r)
-			}
-			if a := math.Abs(v); a > wScale {
-				wScale = a
-			}
+			rowTop = max(rowTop, math.Float64bits(v)&^signBit)
 		}
+		if rowTop >= infBits {
+			return energy.Zero, fmt.Errorf("crossbar: non-finite weight at row %d", r)
+		}
+		top = max(top, rowTop)
 	}
-	if wScale == 0 {
-		wScale = 1 // all-zero matrix programs cleanly
-	}
+	wScale := scaleOf(top) // an all-zero matrix programs cleanly
 
 	wMax := float64(int(1)<<x.cfg.WeightBits - 1)
-	cellMask := uint8(1<<x.cfg.CellBits - 1)
-	for i := range x.colSumInt {
-		x.colSumInt[i] = 0
+	if len(w) != x.usedRows || cols != x.usedCols {
+		clear(x.levels) // the cells past the new shape hold nothing
 	}
-	for _, sl := range x.sliceT {
-		for i := range sl {
-			sl[i] = 0
-		}
-	}
-	faulty := x.faults.Enabled()
-	// wIntT holds the desired quantized integer weight per cell,
-	// column-major — the reference pattern program-and-verify checks the
-	// stored levels against. Only materialized on the fault path; the
-	// fault-free path writes slice levels directly, exactly as before.
-	var wIntT []int32
-	if faulty {
-		wIntT = make([]int32, cols*len(w))
-	}
-	for r := 0; r < len(w); r++ {
+	clear(x.colSumInt)
+	// Quantize each weight once into the level the cells are to hold (the
+	// fault path's program-and-verify reads it as the pattern to write),
+	// eight rows a step: eight row streams are read in order and each
+	// column's eight levels are one contiguous write.
+	for r0 := 0; r0 < len(w); r0 += 8 {
+		blk := w[r0:min(r0+8, len(w))]
 		for c := 0; c < cols; c++ {
-			w01 := (w[r][c]/wScale + 1) / 2 // shift encode into [0,1]
-			wInt := int(math.Round(w01 * wMax))
-			x.colSumInt[c] += int64(wInt)
-			if faulty {
-				wIntT[c*len(w)+r] = int32(wInt)
-				continue
+			lv := x.levels[c*x.cfg.Rows+r0:][:len(blk)]
+			var sum int64
+			for j, row := range blk {
+				w01 := (row[c]/wScale + 1) / 2 // shift encode into [0,1]
+				q := roundHalfUp(float64(w01 * wMax))
+				lv[j] = uint16(q)
+				sum += int64(q)
 			}
-			for s := 0; s < x.numSlices; s++ {
-				shift := uint(s * x.cfg.CellBits)
-				x.sliceT[s][c*x.cfg.Rows+r] = uint8(wInt>>shift) & cellMask
-			}
+			x.colSumInt[c] += sum
 		}
 	}
 	x.usedRows, x.usedCols, x.accStride = len(w), cols, cols
@@ -440,13 +427,14 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 
 	// Device-fault path: per-cell program-and-verify with escalating
 	// retry pulses, then the built-in self-test scan and spare-column
-	// remapping. Fills sliceT with the *stored* (possibly faulty) levels;
+	// remapping. Overwrites levels with the *stored* (possibly faulty) ones;
 	// colSumInt keeps the intended sums — the digital backend removes the
 	// offset it programmed, and any analog deviation from stuck or
 	// drifting cells shows up as output error, exactly like hardware.
 	var pulses, verifies int64
+	faulty := x.faults.Enabled()
 	if faulty {
-		pulses, verifies = x.programAndVerify(wIntT, cellMask)
+		pulses, verifies = x.programAndVerify()
 	}
 
 	for c, sum := range x.colSumInt[:cols] {
@@ -490,9 +478,9 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 	}, nil
 }
 
-// fuseWeights builds the functional-mode panel from the stored slice levels
-// — after fault remap, so stuck and drifted cells reach the kernel exactly
-// as they reach the slice-at-a-time reduction — and in building one panel or
+// fuseWeights builds the functional-mode panel from the stored levels —
+// after fault remap, so stuck and drifted cells reach the kernel exactly as
+// they reach the slice-at-a-time reduction — and in building one panel or
 // the other selects the kernel that reads it, here and nowhere else: the
 // vector routines (Crossbar.panel16; vectorGEMM, and vectorQuantize in
 // quantize) when the host has them and the kernel is exact on the programmed
@@ -524,19 +512,16 @@ func (x *Crossbar) fuseWeights() {
 	for c := 0; c < x.usedCols; c++ {
 		col := x.fused[c/x.lanes*rows:][:rows]
 		lane := uint(c % x.lanes * 32)
-		for s, sl := range x.sliceT {
-			shift := lane + uint(s*x.cfg.CellBits)
-			for r, lv := range sl[c*x.cfg.Rows:][:rows] {
-				col[r] |= uint64(lv) << shift
-			}
+		for r, lv := range x.levels[c*x.cfg.Rows:][:rows] {
+			col[r] |= uint64(lv) << lane
 		}
 	}
 }
 
 // fuseWeights16 builds the vector kernel's panel (see Crossbar.panel16). The
-// arena is reused across reprograms, so it is cleared first: the levels are
-// OR-ed in, and the kernel multiplies the pad rows and columns, which a
-// smaller shape finds inside what a larger one wrote.
+// arena is reused across reprograms, so it is cleared first: the kernel
+// multiplies the pad rows and columns, which a smaller shape finds inside
+// what a larger one wrote.
 func (x *Crossbar) fuseWeights16() {
 	rows := x.usedRows
 	x.rows16 = (rows + 15) &^ 15
@@ -549,11 +534,8 @@ func (x *Crossbar) fuseWeights16() {
 	}
 	for c := 0; c < x.usedCols; c++ {
 		col := x.panel16[c*x.rows16:][:rows]
-		for s, sl := range x.sliceT {
-			shift := uint(s * x.cfg.CellBits)
-			for r, lv := range sl[c*x.cfg.Rows:][:rows] {
-				col[r] |= int16(lv) << shift
-			}
+		for r, lv := range x.levels[c*x.cfg.Rows:][:rows] {
+			col[r] = int16(lv)
 		}
 	}
 }
@@ -561,36 +543,14 @@ func (x *Crossbar) fuseWeights16() {
 // packSlices builds the bit-serial kernel's read-only tables for the
 // programmed shape: the weight bit planes and the ADC transfer.
 func (x *Crossbar) packSlices() {
-	rows, cellBits := x.usedRows, x.cfg.CellBits
+	rows, bits := x.usedRows, x.cfg.WeightBits
 	pw := (rows + 127) / 128 * 2
 	x.planeWords = pw
-	if need := x.usedCols * x.cfg.WeightBits * pw; cap(x.planes) < need {
-		x.planes = make([]uint64, need)
-	} else {
-		x.planes = x.planes[:need]
-		clear(x.planes)
-	}
-	// Eight rows a step, so that Program does not pay for the kernel: the
-	// eight level bytes are one word, and gatherBits pulls bit p of each
-	// into one byte of the plane.
+	x.planes = grow(x.planes, x.usedCols*bits*pw)
+	// Plane k of a column is bit k of its packed levels: bit p of slice s's
+	// level is bit s*CellBits+p.
 	for c := 0; c < x.usedCols; c++ {
-		for s, sl := range x.sliceT {
-			col := sl[c*x.cfg.Rows:][:rows]
-			pl := x.planes[(c*x.cfg.WeightBits+s*cellBits)*pw:][:cellBits*pw]
-			for r := 0; r < rows; r += 8 {
-				var v uint64
-				if r+8 <= rows {
-					v = binary.LittleEndian.Uint64(col[r:])
-				} else {
-					for j, lv := range col[r:] {
-						v |= uint64(lv) << uint(8*j)
-					}
-				}
-				for p := 0; p < cellBits; p++ {
-					pl[p*pw+r/64] |= gatherBits(v, uint(p)) << uint(r%64)
-				}
-			}
-		}
+		bitPlanes(x.planes[c*bits*pw:][:bits*pw], pw, bits, x.levels[c*x.cfg.Rows:][:rows])
 	}
 
 	// ADC transfer function for one cycle+slice: the largest possible
@@ -616,6 +576,41 @@ func (x *Crossbar) packSlices() {
 	}
 }
 
+// bitPlanes fills dst, bits runs of pw words, with the bit planes of src:
+// bit r%64 of dst[k*pw+r/64] is bit k of src[r], and zero for r past src.
+// Values are at most 16 bits: the bit-serial kernel's planes from the packed
+// levels, and its row masks from the quantized inputs. Eight rows a step, so
+// that neither Program nor quantize pays for the kernel: the low and the high
+// byte of eight values are one word each, gatherBits pulls one bit out of
+// each, and a plane word is built from its eight steps in a register and
+// stored once.
+func bitPlanes[T uint16 | int32](dst []uint64, pw, bits int, src []T) {
+	var lo, hi [8]uint64
+	for w := 0; w < pw; w++ {
+		blk := src[min(w*64, len(src)):min(w*64+64, len(src))]
+		steps := (len(blk) + 7) / 8
+		for g := range steps {
+			var l, h uint64
+			for j, q := range blk[g*8 : min(g*8+8, len(blk))] {
+				l |= uint64(q&0xFF) << uint(8*j)
+				h |= uint64(q>>8) << uint(8*j)
+			}
+			lo[g], hi[g] = l, h
+		}
+		for k := 0; k < bits; k++ {
+			v := &lo
+			if k >= 8 {
+				v = &hi
+			}
+			var word uint64
+			for g, b := range v[:steps] {
+				word |= gatherBits(b, uint(k%8)) << uint(8*g)
+			}
+			dst[k*pw+w] = word
+		}
+	}
+}
+
 // gatherBits returns bit p of each of v's eight bytes as one byte, byte j's
 // bit at position j. The mask leaves one bit per byte, at 8j; the multiplier
 // is Σ 2^(7i), i = 1..8, so the product holds byte j's bit at 8j+7i for
@@ -632,9 +627,21 @@ func gatherBits(v uint64, p uint) uint64 {
 // on each failed verify.
 const maxPulseTrains = 6
 
+// cellPos packs a physical cell coordinate (bit-slice, physical column,
+// row) into the fault-stream index. The packing is bit-field, not
+// stride-based, so a cell's fault draws depend only on its coordinate —
+// never on the array's column count or spare budget. That makes sweeps
+// over Config.SpareCols apples-to-apples: growing the budget adds spare
+// columns with their own faults but cannot move the faults already pinned
+// to the primary grid. 20-bit fields bound rows and physical columns at
+// 2^20, far beyond any simulated array.
+func cellPos(s, phys, r int) uint64 {
+	return uint64(s)<<40 | uint64(phys)<<20 | uint64(r)
+}
+
 // programAndVerify simulates the honest write loop for every cell of the
-// desired pattern wIntT (column-major, usedRows stride), then runs the
-// built-in self-test and spare-column remapping:
+// desired pattern — the quantized levels program leaves in levels — then
+// runs the built-in self-test and spare-column remapping:
 //
 //   - Each physical cell is erased and programmed with an escalating
 //     pulse train; after each train a verify read compares the stored
@@ -649,43 +656,34 @@ const maxPulseTrains = 6
 //     lost: its corrupted stored levels stay visible to MVM and the
 //     report says so (degradation is never silent).
 //
-// Stored levels land in sliceT at the *logical* column slot (the remap is
+// Stored levels overwrite the desired ones at the *logical* column slot (the remap is
 // resolved at program time, so the MVM kernels run unmodified), and
 // endurance drift attenuates verified levels after the fact — drift is a
 // retention effect the write verify cannot see. Returns total pulses and
 // verify reads for the cost ledger; the blast-radius record lands in
 // x.faultReport.
-// cellPos packs a physical cell coordinate (bit-slice, physical column,
-// row) into the fault-stream index. The packing is bit-field, not
-// stride-based, so a cell's fault draws depend only on its coordinate —
-// never on the array's column count or spare budget. That makes sweeps
-// over Config.SpareCols apples-to-apples: growing the budget adds spare
-// columns with their own faults but cannot move the faults already pinned
-// to the primary grid. 20-bit fields bound rows and physical columns at
-// 2^20, far beyond any simulated array.
-func cellPos(s, phys, r int) uint64 {
-	return uint64(s)<<40 | uint64(phys)<<20 | uint64(r)
-}
-
-func (x *Crossbar) programAndVerify(wIntT []int32, cellMask uint8) (pulses, verifies int64) {
+func (x *Crossbar) programAndVerify() (pulses, verifies int64) {
 	rows := x.usedRows
 	physCols := x.cfg.Cols + x.cfg.SpareCols
+	cellMask := uint16(1)<<x.cfg.CellBits - 1
 	rep := faultinject.Report{}
-	// stored holds one candidate physical column's levels, slice-major
-	// (s*rows + r), before being committed to the logical slot.
-	stored := make([]uint8, x.numSlices*rows)
+	// stored holds one candidate physical column's packed levels before
+	// they are committed to the logical slot.
+	stored := make([]uint16, rows)
 
 	// programColumn simulates programming the desired logical pattern
 	// into physical column phys, returning whether every cell verified.
 	programColumn := func(c, phys int) bool {
 		ok := true
+		desired := x.levels[c*x.cfg.Rows:][:rows]
+		clear(stored)
 		for s := 0; s < x.numSlices; s++ {
 			shift := uint(s * x.cfg.CellBits)
 			for r := 0; r < rows; r++ {
-				want := uint8(wIntT[c*rows+r]>>shift) & cellMask
+				want := desired[r] >> shift & cellMask
 				pos := cellPos(s, phys, r)
 				fault := x.faults.Cell(x.faultSrc, pos)
-				var level uint8
+				var level uint16
 				cellOK := false
 				switch fault {
 				case faultinject.StuckLow:
@@ -735,19 +733,15 @@ func (x *Crossbar) programAndVerify(wIntT []int32, cellMask uint8) (pulses, veri
 				// loop cannot see it — only a later health scan can.
 				if fault == faultinject.Drifter && cellOK && level > 0 {
 					f := x.faults.DriftFactor(x.faultSrc, pos, x.faultEpoch+1)
-					level = uint8(math.Round(float64(level) * f))
+					level = uint16(math.Round(float64(level) * f))
 				}
-				stored[s*rows+r] = level
+				stored[r] |= level << shift
 			}
 		}
 		return ok
 	}
 
-	commit := func(c int) {
-		for s := 0; s < x.numSlices; s++ {
-			copy(x.sliceT[s][c*x.cfg.Rows:c*x.cfg.Rows+rows], stored[s*rows:(s+1)*rows])
-		}
-	}
+	commit := func(c int) { copy(x.levels[c*x.cfg.Rows:][:rows], stored) }
 
 	spareNext := x.cfg.Cols // next unconsumed spare physical column
 	for c := 0; c < x.usedCols; c++ {

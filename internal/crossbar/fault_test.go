@@ -233,7 +233,7 @@ func TestFaultSpareExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, in := range ins {
-		if want := naiveMVMStored(xb.cfg, w, in, NoNoise, xb.sliceT); !reflect.DeepEqual(got[i], want) {
+		if want := naiveMVMStored(xb.cfg, w, in, NoNoise, xb.levels); !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("item %d: corrupted array %v != oracle over stored levels %v", i, got[i], want)
 		}
 	}

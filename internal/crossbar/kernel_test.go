@@ -23,11 +23,11 @@ func naiveMVM(cfg Config, w [][]float64, input []float64, ns noise.Source) []flo
 }
 
 // naiveMVMStored is naiveMVM over the levels a fault-injected crossbar
-// actually stored: stored[s][c*cfg.Rows+r] (the sliceT layout) replaces the
-// level the quantized weight asked for, while the digital offset removal
+// actually stored: slice s of stored[c*cfg.Rows+r] (the packed levels
+// layout) replaces the level the quantized weight asked for, while the digital offset removal
 // keeps the intended column sums, as Program does. A nil stored is the
 // fault-free array.
-func naiveMVMStored(cfg Config, w [][]float64, input []float64, ns noise.Source, stored [][]uint8) []float64 {
+func naiveMVMStored(cfg Config, w [][]float64, input []float64, ns noise.Source, stored []uint16) []float64 {
 	usedRows, usedCols := len(w), len(w[0])
 	slices := cfg.WeightBits / cfg.CellBits
 
@@ -61,7 +61,7 @@ func naiveMVMStored(cfg Config, w [][]float64, input []float64, ns noise.Source,
 			for s := 0; s < slices; s++ {
 				level[s][r][c] = (wInt >> uint(s*cfg.CellBits)) & cellMask
 				if stored != nil {
-					level[s][r][c] = int(stored[s][c*cfg.Rows+r])
+					level[s][r][c] = int(stored[c*cfg.Rows+r]>>uint(s*cfg.CellBits)) & cellMask
 				}
 			}
 		}
@@ -513,8 +513,8 @@ func TestVectorTileEdges(t *testing.T) {
 // from the intended ones in every way Program can make them differ —
 // columns remapped to spares, spares exhausted and corrupted columns
 // committed, verified cells drifted — every (row, column, slice) level
-// rebuilt from the planes equals sliceT, and every plane bit past the used
-// rows is zero.
+// rebuilt from the planes equals that slice of levels, and every plane bit
+// past the used rows is zero.
 func TestPlanesMatchStoredLevels(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rows, cfg.Cols = 140, 24
@@ -549,7 +549,7 @@ func TestPlanesMatchStoredLevels(t *testing.T) {
 				}
 				var want uint8
 				if r < rows {
-					want = xb.sliceT[s][c*cfg.Rows+r]
+					want = uint8(xb.levels[c*cfg.Rows+r]>>uint(s*cfg.CellBits)) & (1<<cfg.CellBits - 1)
 				}
 				if level != want {
 					t.Fatalf("row %d col %d slice %d: planes hold level %d, cells %d", r, c, s, level, want)
@@ -560,7 +560,7 @@ func TestPlanesMatchStoredLevels(t *testing.T) {
 }
 
 // TestFunctionalPanelMatchesStoredLevels is the same statement for functional
-// mode, made on outputs: either weight panel is fused from sliceT after
+// mode, made on outputs: either weight panel is built from levels after
 // programAndVerify, so on the same remapped, spare-exhausted and drifted array
 // both kernels equal the oracle's slice-at-a-time reduction over the stored
 // levels with == — and differ from the oracle over the intended ones.
@@ -600,7 +600,7 @@ func TestFunctionalPanelMatchesStoredLevels(t *testing.T) {
 		}
 		faulted := false
 		for i, in := range ins {
-			want, intended := naiveMVMStored(cfg, w, in, NoNoise, xb.sliceT), naiveMVM(cfg, w, in, NoNoise)
+			want, intended := naiveMVMStored(cfg, w, in, NoNoise, xb.levels), naiveMVM(cfg, w, in, NoNoise)
 			for c := range want {
 				if got[i][c] != want[c] {
 					t.Fatalf("vector kernel %v, item %d col %d: kernel %v != oracle over stored levels %v", xb.panel16 != nil, i, c, got[i][c], want[c])
@@ -616,7 +616,7 @@ func TestFunctionalPanelMatchesStoredLevels(t *testing.T) {
 
 // FuzzPlaneSums: for any shape, stored levels and quantized inputs, the
 // AND + popcount column sums over the planes and the row masks equal a
-// per-bit gather over sliceT — the integer the oracle's float loop adds up.
+// per-bit gather over the packed levels — the integer the oracle's float loop adds up.
 func FuzzPlaneSums(f *testing.F) {
 	f.Add(int64(1), uint16(128), uint8(2), uint8(4), uint8(8))  // the default block
 	f.Add(int64(2), uint16(300), uint8(8), uint8(1), uint8(16)) // sums past 16 bits
@@ -634,10 +634,8 @@ func FuzzPlaneSums(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		xb.usedRows, xb.usedCols = 1+rng.Intn(cfg.Rows), 1+rng.Intn(cfg.Cols)
-		for _, sl := range xb.sliceT {
-			for i := range sl {
-				sl[i] = uint8(rng.Intn(1 << cfg.CellBits))
-			}
+		for i := range xb.levels {
+			xb.levels[i] = uint16(rng.Intn(1 << cfg.WeightBits))
 		}
 		xb.packSlices()
 		const n = 2
@@ -658,7 +656,7 @@ func FuzzPlaneSums(f *testing.F) {
 						var want uint32
 						for r := 0; r < xb.usedRows; r++ {
 							if s.xInt[i*xb.usedRows+r]>>uint(b)&1 != 0 {
-								want += uint32(xb.sliceT[sl][c*cfg.Rows+r])
+								want += uint32(xb.levels[c*cfg.Rows+r]>>uint(sl*cfg.CellBits)) & (1<<cfg.CellBits - 1)
 							}
 						}
 						if got := s.sums[b*xb.numSlices+sl]; got != want {
@@ -707,7 +705,7 @@ func assertPadsZero(t *testing.T, xb *Crossbar, s *mvmBatchScratch, n int) {
 // and inputs, the y the routine stores — over the panel fuseWeights builds,
 // the 16-bit panel quantize fills and the per-item terms multiply computes
 // from what quantize returned — is what the Go dequantize computes from the
-// integer Σ_r W[r,c]·x[r] a scalar loop over sliceT and the quantized inputs
+// integer Σ_r W[r,c]·x[r] a scalar loop over levels and the quantized inputs
 // adds up, with ==, on a scratch whose 16-bit arena an earlier, larger call
 // left full of ones.
 func FuzzVectorDot(f *testing.F) {
@@ -738,10 +736,8 @@ func FuzzVectorDot(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		xb.usedRows, xb.usedCols = 1+rng.Intn(cfg.Rows), 1+rng.Intn(cfg.Cols)
-		for _, sl := range xb.sliceT {
-			for i := range sl {
-				sl[i] = uint8(rng.Intn(1 << cfg.CellBits))
-			}
+		for i := range xb.levels {
+			xb.levels[i] = uint16(rng.Intn(1 << cfg.WeightBits))
 		}
 		xb.fuseWeights()
 		if xb.panel16 == nil {
@@ -781,9 +777,7 @@ func FuzzVectorDot(f *testing.F) {
 			for c := 0; c < xb.usedCols; c++ {
 				var sum int64
 				for r := 0; r < xb.usedRows; r++ {
-					for sl := range xb.sliceT {
-						sum += int64(xb.sliceT[sl][c*cfg.Rows+r]) << uint(sl*cfg.CellBits) * int64(xi[r])
-					}
+					sum += int64(xb.levels[c*cfg.Rows+r]) * int64(xi[r])
 				}
 				ref.acc[i*xb.accStride+c] = float64(sum)
 			}

@@ -17,8 +17,8 @@ import (
 // row/column slice of w, block b = br·bcols + bc drawing from ns.Derive(b),
 // and per output element the block-row stripes summed from +0 in ascending
 // block-row order — the digital merge. stored, when not nil, gives block
-// (br, bc)'s stored levels (a fault-injected tile's sliceT).
-func naiveTileMVM(cfg Config, w [][]float64, input []float64, ns noise.Source, stored func(br, bc int) [][]uint8) []float64 {
+// (br, bc)'s stored levels (a fault-injected tile's levels).
+func naiveTileMVM(cfg Config, w [][]float64, input []float64, ns noise.Source, stored func(br, bc int) []uint16) []float64 {
 	rows, cols := len(w), len(w[0])
 	brows, bcols := (rows+cfg.Rows-1)/cfg.Rows, (cols+cfg.Cols-1)/cfg.Cols
 	out := make([]float64, cols) // +0
@@ -34,7 +34,7 @@ func naiveTileMVM(cfg Config, w [][]float64, input []float64, ns noise.Source, s
 			if ns.Valid() {
 				bns = ns.Derive(uint64(br*bcols + bc))
 			}
-			var levels [][]uint8
+			var levels []uint16
 			if stored != nil {
 				levels = stored(br, bc)
 			}
@@ -122,12 +122,12 @@ func TestTileMatchesNaiveOracle(t *testing.T) {
 				if _, err := tile.Program(w); err != nil {
 					t.Fatal(err)
 				}
-				var stored func(br, bc int) [][]uint8
+				var stored func(br, bc int) []uint16
 				if mode == "fault-remapped" {
 					if tile.FaultReport().StuckCells == 0 {
 						t.Fatal("fault model injected no stuck cells; the case is vacuous")
 					}
-					stored = func(br, bc int) [][]uint8 { return tile.blocks[br][bc].sliceT }
+					stored = func(br, bc int) []uint16 { return tile.blocks[br][bc].levels }
 				}
 				var nss []noise.Source
 				if mode == "noisy" {

@@ -143,7 +143,7 @@ func cimWorkLost() (float64, error) {
 	addrs := make([]packet.Address, stages)
 	for i := range addrs {
 		addrs[i] = packet.Address{Tile: uint16(i % 16), Unit: uint16(i / 16)}
-		if _, err := fabric.AddUnit(addrs[i], cim.KindCompute, 1); err != nil {
+		if _, err := fabric.AddUnit(addrs[i], cim.KindCompute); err != nil {
 			return 0, err
 		}
 		if err := fabric.Configure(addrs[i], isa.FuncForward, nil); err != nil {
@@ -151,7 +151,7 @@ func cimWorkLost() (float64, error) {
 		}
 	}
 	spare := packet.Address{Tile: 15, Unit: 15}
-	if _, err := fabric.AddUnit(spare, cim.KindCompute, 1); err != nil {
+	if _, err := fabric.AddUnit(spare, cim.KindCompute); err != nil {
 		return 0, err
 	}
 	for i := 1; i < stages; i++ {
@@ -218,7 +218,7 @@ func cimReachable() (float64, error) {
 	addrs := make([]packet.Address, units)
 	for i := range addrs {
 		addrs[i] = packet.Address{Tile: uint16(i % 16), Unit: uint16(i / 16)}
-		if _, err := fabric.AddUnit(addrs[i], cim.KindCompute, 1); err != nil {
+		if _, err := fabric.AddUnit(addrs[i], cim.KindCompute); err != nil {
 			return 0, err
 		}
 		iso.Assign(addrs[i], i%partitions+1)

@@ -135,7 +135,7 @@ func pipeline(t *testing.T) (*cim.Fabric, *Guard, packet.Address, packet.Address
 	}
 	src, mid, spare, sink := addr(0, 0), addr(1, 0), addr(1, 1), addr(2, 0)
 	for _, a := range []packet.Address{src, mid, spare, sink} {
-		if _, err := fabric.AddUnit(a, cim.KindCompute, 1); err != nil {
+		if _, err := fabric.AddUnit(a, cim.KindCompute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestHeldReplayAfterUnrecoveredFailure(t *testing.T) {
 	}
 	src, mid, spare, sink := addr(0, 0), addr(1, 0), addr(1, 1), addr(2, 0)
 	for _, a := range []packet.Address{src, mid, spare, sink} {
-		if _, err := fabric.AddUnit(a, cim.KindCompute, 1); err != nil {
+		if _, err := fabric.AddUnit(a, cim.KindCompute); err != nil {
 			t.Fatal(err)
 		}
 	}

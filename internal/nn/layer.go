@@ -213,12 +213,21 @@ func (d *Dense) Forward(in []float64) ([]float64, error) {
 
 // WeightMatrix returns the in x out matrix (transposed from W) suitable for
 // crossbar programming, where inputs drive rows and outputs read columns.
+// Its rows share one slab, filled eight outputs a step: eight rows of W are
+// read in order and each row of the result gets eight contiguous writes.
 func (d *Dense) WeightMatrix() [][]float64 {
+	slab := make([]float64, d.in*d.out)
 	m := make([][]float64, d.in)
 	for i := range m {
-		m[i] = make([]float64, d.out)
-		for o := 0; o < d.out; o++ {
-			m[i][o] = d.W[o][i]
+		m[i] = slab[i*d.out:][:d.out:d.out]
+	}
+	for o0 := 0; o0 < d.out; o0 += 8 {
+		blk := d.W[o0:min(o0+8, d.out)]
+		for i, row := range m {
+			dst := row[o0:][:len(blk)]
+			for j, w := range blk {
+				dst[j] = w[i]
+			}
 		}
 	}
 	return m

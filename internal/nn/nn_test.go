@@ -260,6 +260,23 @@ func TestDenseWeightMatrixTranspose(t *testing.T) {
 	if m[0][0] != 1 || m[1][0] != 2 || m[0][2] != 5 {
 		t.Errorf("transpose wrong: %v", m)
 	}
+	// Across the eight-output blocks and a partial last one, and with rows
+	// that do not run into each other.
+	big, err := NewDense(5, 19, rng())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = big.WeightMatrix()
+	for i := range m {
+		if len(m[i]) != 19 || cap(m[i]) != 19 {
+			t.Fatalf("row %d: len %d cap %d, want 19 and 19", i, len(m[i]), cap(m[i]))
+		}
+		for o, v := range m[i] {
+			if v != big.W[o][i] {
+				t.Fatalf("m[%d][%d] = %v, W[%d][%d] = %v", i, o, v, o, i, big.W[o][i])
+			}
+		}
+	}
 }
 
 func TestDenseMetadata(t *testing.T) {
