@@ -116,7 +116,7 @@ var registry = []experiment{
 		return experiments.NoiseAblation([]float64{0, 0.01, 0.02, 0.05, 0.1, 0.3})
 	}},
 	{name: "parallelism", run: func(params) (formatter, error) {
-		return experiments.ParallelismSweep([]float64{0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99})
+		return experiments.ParallelismSweep(experiments.ParallelismPoints)
 	}},
 	{name: "fault", run: func(params) (formatter, error) {
 		return experiments.FaultSweep(

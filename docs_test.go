@@ -9,7 +9,8 @@ package cimrev
 // into docs/perf/, its append-only dated entries. The same goes for the
 // things the docs tell a reader to open or type: every BENCH_<x>.json
 // archive, cmd/<name> executable and `make bench-<x>` target they name
-// must exist.
+// must exist. And the tables EXPERIMENTS.md quotes from the cost models
+// must be what those models print today.
 
 import (
 	"os"
@@ -17,6 +18,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"cimrev/internal/experiments"
 )
 
 var (
@@ -136,6 +139,48 @@ func TestDocsNameRealArtifacts(t *testing.T) {
 			if !targets[m[1]] {
 				t.Errorf("%s names `make %s`, which the Makefile has no rule for", file, m[1])
 			}
+		}
+	}
+}
+
+// experimentBlock returns the first fenced code block after heading in
+// EXPERIMENTS.md, with its trailing newline.
+func experimentBlock(t *testing.T, heading string) string {
+	t.Helper()
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatalf("reading EXPERIMENTS.md: %v", err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n"+heading+"\n")
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no %q heading", heading)
+	}
+	_, block, ok := strings.Cut(section, "\n```\n")
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md %q has no code block", heading)
+	}
+	block, _, ok = strings.Cut(block, "```\n")
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md %q code block is not closed", heading)
+	}
+	return block
+}
+
+func TestDocsExperimentTablesLive(t *testing.T) {
+	table2, err := experiments.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := experiments.ParallelismSweep(experiments.ParallelismPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ heading, live string }{
+		{"## E3 — Table 2: application suitability", table2.Format()},
+		{"## Sweep — application parallelism (Section VII next step)", sweep.Format()},
+	} {
+		if doc := experimentBlock(t, c.heading); doc != c.live {
+			t.Errorf("EXPERIMENTS.md %q block drifted from the live output:\n--- doc\n%s--- live\n%s", c.heading, doc, c.live)
 		}
 	}
 }

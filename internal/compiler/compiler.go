@@ -12,6 +12,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"cimrev/internal/cim"
 	"cimrev/internal/isa"
@@ -41,7 +42,7 @@ type Plan struct {
 }
 
 // Compile lowers net onto a board described by cfg. Supported layers:
-// Dense (crossbar MVM) and ActivationLayer (digital). Convolutional
+// bias-free Dense (crossbar MVM) and ActivationLayer (digital). Convolutional
 // networks are executed by the DPE engine's layer orchestrator instead of
 // being flattened to a static pipeline; Compile rejects them.
 func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
@@ -65,6 +66,11 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 		var pl Placement
 		switch l := layer.(type) {
 		case *nn.Dense:
+			// The ISA has no bias function: a crossbar MVM computes W·x
+			// alone, so a bias would be dropped without a word.
+			if slices.ContainsFunc(l.B, func(b float64) bool { return b != 0 }) {
+				return nil, fmt.Errorf("compiler: layer %d (%s) has a nonzero bias, which a static pipeline cannot apply; use the DPE engine", i, l.Name())
+			}
 			pl = Placement{
 				LayerName: l.Name(), Addr: addr,
 				Kind: cim.KindCrossbar, Fn: isa.FuncMVM, Weights: l.WeightMatrix(),

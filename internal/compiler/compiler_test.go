@@ -3,6 +3,7 @@ package compiler
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cimrev/internal/cim"
@@ -71,6 +72,21 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile(cnn, testFabricConfig()); err == nil {
 		t.Error("CNN accepted by static pipeline compiler")
+	}
+}
+
+func TestCompileRejectsBias(t *testing.T) {
+	// The crossbar MVM has no bias term, so a biased Dense layer cannot be
+	// lowered without changing the network's output.
+	net := smallMLP(t)
+	dense := net.Layers[2].(*nn.Dense)
+	dense.B[1] = 1.0
+	_, err := Compile(net, testFabricConfig())
+	if err == nil {
+		t.Fatal("Dense layer with a nonzero bias compiled")
+	}
+	if !strings.Contains(err.Error(), "layer 2 ("+dense.Name()+")") {
+		t.Errorf("error %q does not name the layer", err)
 	}
 }
 

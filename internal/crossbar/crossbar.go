@@ -263,7 +263,7 @@ type Crossbar struct {
 	scaleTab []float64
 
 	// cost is the simulated cost of one MVM on the programmed shape
-	// (mvmCost), tabulated at Program time: every read charges it.
+	// (Config.ReadCost), tabulated at Program time: every read charges it.
 	cost energy.Cost
 
 	// writes counts cell programming operations (wear). With fault
@@ -447,7 +447,7 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 		x.packSlices()
 	}
 
-	x.cost = x.mvmCost()
+	x.cost = x.cfg.ReadCost(x.usedRows, x.usedCols)
 	x.programmed = true
 
 	cells := int64(len(w)) * int64(cols) * int64(x.numSlices)
@@ -807,18 +807,20 @@ func (x *Crossbar) MVMInto(dst, input []float64, ns noise.Source) (energy.Cost, 
 	return x.MVMBatchInto([][]float64{dst}, [][]float64{input}, []noise.Source{ns})
 }
 
-// mvmCost returns the cost of one full MVM on the programmed shape:
-// InputBits array cycles (slices fire in parallel, each with its own ADC),
-// plus digital merge and buffer traffic. Program tabulates it (Crossbar.cost).
-func (x *Crossbar) mvmCost() energy.Cost {
-	cycles := int64(x.cfg.InputBits)
-	slices := float64(x.numSlices)
-	rows := float64(x.usedRows)
-	cols := float64(x.usedCols)
+// ReadCost returns the cost of one full MVM on a rows x cols block of an
+// array configured by c: InputBits array cycles (slices fire in parallel,
+// each with its own ADC), plus digital merge and buffer traffic. Program
+// tabulates it for the used shape (Crossbar.cost); the suitability model
+// prices a board read with the full array.
+func (c Config) ReadCost(usedRows, usedCols int) energy.Cost {
+	cycles := int64(c.InputBits)
+	slices := float64(c.slices())
+	rows := float64(usedRows)
+	cols := float64(usedCols)
 
 	// ADC energy scales exponentially with resolution relative to the 8-bit
 	// reference point.
-	adcEnergy := energy.ADCConversionEnergyPJ * math.Pow(2, float64(x.cfg.ADCBits-8))
+	adcEnergy := energy.ADCConversionEnergyPJ * math.Pow(2, float64(c.ADCBits-8))
 
 	perCycle := rows*cols*slices*energy.CrossbarCellReadEnergyPJ +
 		rows*slices*energy.DACDriveEnergyPJ +

@@ -60,6 +60,12 @@ type Config struct {
 	Faults faultinject.Model
 }
 
+// BoardCrossbars is how many DefaultConfig arrays a fully-populated DPE
+// board carries (ISAAC-scale chips hold on the order of 10^4 arrays per
+// package): the board behind Section VI's aggregate bandwidth and Table 2's
+// in-array rate.
+const BoardCrossbars = 16384
+
 // DefaultConfig returns ISAAC-scale arrays in functional-simulation mode
 // with 4-way conv replication.
 func DefaultConfig() Config {

@@ -98,35 +98,22 @@ const (
 
 	// --- CIM board (suitability model scale) ---
 	//
-	// Board-level aggregates for the workload-suitability model (Table 2):
-	// a board of ~1000 ISAAC-scale crossbars plus embedded digital
-	// micro-units. internal/suitability prices the CIM side from here,
-	// exactly as the Von Neumann side prices from the CPU/GPU constants
-	// above. (The hybrid dispatcher needs no board model: a loaded
-	// engine prices a flush exactly, dpe.Engine.PredictBatchCost.)
-
-	// CIMPeakOps is the aggregate in-array op rate: ~1200 crossbars x
-	// 16384 MACs / 100 ns.
-	CIMPeakOps = 2e14
+	// What the workload-suitability model (Table 2) needs beyond the
+	// engine's own prices: internal/suitability charges in-array work as
+	// reads of the default array (crossbar.Config.ReadCost) over a board
+	// of dpe.BoardCrossbars of them, and streaming on the default fabric
+	// mesh at LinkEnergyPJPerByte. Only the digital micro-units, the
+	// dataflow rounds and the board's static power have no other model.
 
 	// CIMControlFlops is the aggregate digital micro-unit rate for work
 	// that does not map in-array.
 	CIMControlFlops = 1e11
 
-	// CIMMeshBandwidth is the aggregate fabric streaming bandwidth.
-	CIMMeshBandwidth = 1e11
-
 	// CIMRoundLatencyS is one cross-unit dataflow synchronization.
 	CIMRoundLatencyS = 50e-9
 
-	// CIMMVMOpEnergyPJ is in-array energy per MAC (crossbar + converters).
-	CIMMVMOpEnergyPJ = 0.1
-
 	// CIMControlOpEnergyPJ is digital micro-unit energy per op.
 	CIMControlOpEnergyPJ = 5.0
-
-	// CIMStreamEnergyPJPerByte is fabric streaming energy.
-	CIMStreamEnergyPJPerByte = 2.0
 
 	// CIMStaticPowerW is board static power.
 	CIMStaticPowerW = 5.0

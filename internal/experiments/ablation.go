@@ -7,6 +7,7 @@ import (
 	"cimrev/internal/dpe"
 	"cimrev/internal/parallel"
 	"cimrev/internal/suitability"
+	"cimrev/internal/vonneumann"
 	"cimrev/internal/workloads"
 )
 
@@ -179,6 +180,10 @@ type ParallelismResult struct {
 	Rows []ParallelismRow
 }
 
+// ParallelismPoints are the parallelism levels `cimbench -exp parallelism`
+// sweeps, as EXPERIMENTS.md shows them.
+var ParallelismPoints = []float64{0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99}
+
 // ParallelismSweep holds an in-array-dominated kernel fixed (a large
 // training-scale tensor workload whose time is almost entirely crossbar
 // MVMs) and varies only its exploitable parallelism, reporting CIM speedup
@@ -198,7 +203,7 @@ func ParallelismSweep(points []float64) (*ParallelismResult, error) {
 		StationaryFrac: 0.95,
 		Parallelism:    1,
 	}
-	vn, err := suitability.VNCost(base)
+	vn, err := vonneumann.CPU().Run(vonneumann.Kernel{Flops: base.Flops, Bytes: base.DataBytes})
 	if err != nil {
 		return nil, err
 	}

@@ -29,10 +29,6 @@ import (
 // (power) mode.
 const SecVIBatch = 64
 
-// BoardCrossbars is how many crossbar arrays a fully-populated DPE board
-// carries (ISAAC-scale chips hold on the order of 10^4 arrays per package).
-const BoardCrossbars = 16384
-
 // SecVIRow is one layer-size point of the Section VI sweep.
 type SecVIRow struct {
 	N int // square dense layer dimension
@@ -141,13 +137,13 @@ func SecVI(sizes []int) (*SecVIResult, error) {
 
 		// Aggregate array bandwidth for a fully-populated board: every
 		// cell of every array is activated each pipeline cycle in
-		// throughput mode, so a board of BoardCrossbars arrays touches
-		// BoardCrossbars x rows x cols weights per cycle. This is the
+		// throughput mode, so a board of dpe.BoardCrossbars arrays touches
+		// dpe.BoardCrossbars x rows x cols weights per cycle. This is the
 		// board-level capability the Section VI bandwidth claim is about;
 		// the CPU comparison point is its physical memory interface.
 		xb := dpe.DefaultConfig().Crossbar
 		cellBytesPerWeight := float64(xb.WeightBits) / 8
-		aggBW := BoardCrossbars * float64(xb.Rows*xb.Cols) * cellBytesPerWeight /
+		aggBW := dpe.BoardCrossbars * float64(xb.Rows*xb.Cols) * cellBytesPerWeight /
 			(float64(energy.CrossbarReadLatencyPS) * 1e-12)
 		effBW := eng.EffectiveWeightBandwidth(dpeCost)
 

@@ -1,19 +1,19 @@
 // Package suitability turns the paper's qualitative Table 2 into measured
-// quantities: it runs each application-class kernel through a Von Neumann
-// cost model and a CIM cost model, computes latency and energy ratios, and
-// thresholds them back into the paper's low/medium/high CIM-benefit scale.
+// quantities: it prices each application-class kernel on the Von Neumann
+// roofline (vonneumann.CPU) and on a DPE board built from the engine's own
+// array read, computes latency and energy ratios, and thresholds them back
+// into the paper's low/medium/high CIM-benefit scale.
 package suitability
 
 import (
 	"fmt"
 
+	"cimrev/internal/cim"
+	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
+	"cimrev/internal/vonneumann"
 	"cimrev/internal/workloads"
 )
-
-// The CIM-side model constants (board scale, per-op energies) live in
-// internal/energy next to the CPU/GPU figures they are compared against —
-// energy.CIMPeakOps and friends.
 
 // Rating is the CIM-benefit verdict.
 type Rating int
@@ -79,44 +79,36 @@ func (r Result) Agrees() bool {
 	return int(r.Measured) == int(r.Paper)
 }
 
-// VNCost prices the kernel on the Von Neumann baseline (roofline CPU).
-func VNCost(k workloads.Kernel) (energy.Cost, error) {
-	if err := k.Validate(); err != nil {
-		return energy.Zero, err
-	}
-	computeS := k.Flops / energy.CPUPeakFlops
-	memoryS := k.DataBytes / energy.CPUMemBandwidth
-	runS := computeS
-	if memoryS > runS {
-		runS = memoryS
-	}
-	latency := energy.PicosecondsFromSeconds(runS)
-	dynamic := k.Flops*energy.CPUFlopEnergyPJ + k.DataBytes*energy.DRAMAccessEnergyPJPerByte
-	static := energy.CPUStaticPowerW * runS * 1e12
-	return energy.Cost{LatencyPS: latency, EnergyPJ: dynamic + static}, nil
-}
-
-// CIMCost prices the kernel on the CIM fabric model: the mappable fraction
-// runs in-array at massive parallel rate, the remainder on digital
-// micro-units, streaming covers only non-stationary data, and each
-// dataflow round serializes on the mesh.
+// CIMCost prices the kernel on a DPE board: the mappable fraction runs as
+// reads of the default array (one op per MAC), priced by the array's own
+// read cost (crossbar.Config.ReadCost) with dpe.BoardCrossbars of them in
+// flight at the kernel's parallelism; the remainder runs on digital
+// micro-units; streaming covers only non-stationary data across the
+// default fabric mesh's bisection; and each dataflow round serializes on
+// the mesh.
 func CIMCost(k workloads.Kernel) (energy.Cost, error) {
 	if err := k.Validate(); err != nil {
 		return energy.Zero, err
 	}
+	xb := dpe.DefaultConfig().Crossbar
+	read := xb.ReadCost(xb.Rows, xb.Cols)
+	mesh := cim.DefaultConfig()
+	bisection := float64(min(mesh.MeshW, mesh.MeshH)) * mesh.LinkBandwidth
+
 	mvmOps := k.Flops * k.MVMFrac
 	ctrlOps := k.Flops - mvmOps
 	streamBytes := k.DataBytes * (1 - k.StationaryFrac)
+	reads := mvmOps / float64(xb.Rows*xb.Cols)
 
-	mvmS := mvmOps / (energy.CIMPeakOps * k.Parallelism)
+	mvmS := reads * float64(read.LatencyPS) * 1e-12 / (dpe.BoardCrossbars * k.Parallelism)
 	ctrlS := ctrlOps / energy.CIMControlFlops
-	streamS := streamBytes / energy.CIMMeshBandwidth
+	streamS := streamBytes / bisection
 	roundS := k.Rounds * energy.CIMRoundLatencyS
 	runS := mvmS + ctrlS + streamS + roundS
 
 	latency := energy.PicosecondsFromSeconds(runS)
-	dynamic := mvmOps*energy.CIMMVMOpEnergyPJ + ctrlOps*energy.CIMControlOpEnergyPJ +
-		streamBytes*energy.CIMStreamEnergyPJPerByte
+	dynamic := reads*read.EnergyPJ + ctrlOps*energy.CIMControlOpEnergyPJ +
+		streamBytes*energy.LinkEnergyPJPerByte
 	static := energy.CIMStaticPowerW * runS * 1e12
 	return energy.Cost{LatencyPS: latency, EnergyPJ: dynamic + static}, nil
 }
@@ -127,25 +119,25 @@ func Score(c workloads.Class, scale float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	vn, err := VNCost(k)
+	cimCost, err := CIMCost(k)
 	if err != nil {
 		return Result{}, err
 	}
-	cim, err := CIMCost(k)
+	vn, err := vonneumann.CPU().Run(vonneumann.Kernel{Flops: k.Flops, Bytes: k.DataBytes})
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{
 		Class: c,
 		VN:    vn,
-		CIM:   cim,
+		CIM:   cimCost,
 		Paper: c.Traits().PaperCIM,
 	}
-	if cim.LatencyPS > 0 {
-		res.Speedup = float64(vn.LatencyPS) / float64(cim.LatencyPS)
+	if cimCost.LatencyPS > 0 {
+		res.Speedup = float64(vn.LatencyPS) / float64(cimCost.LatencyPS)
 	}
-	if cim.EnergyPJ > 0 {
-		res.EnergyX = vn.EnergyPJ / cim.EnergyPJ
+	if cimCost.EnergyPJ > 0 {
+		res.EnergyX = vn.EnergyPJ / cimCost.EnergyPJ
 	}
 	res.Measured = RatingFor(res.Speedup)
 	return res, nil

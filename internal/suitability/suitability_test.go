@@ -67,16 +67,9 @@ func TestCostModelsPositive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vn, err := VNCost(k)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cim, err := CIMCost(k)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if vn.LatencyPS <= 0 || vn.EnergyPJ <= 0 {
-			t.Errorf("%v: degenerate VN cost %v", c, vn)
 		}
 		if cim.LatencyPS <= 0 || cim.EnergyPJ <= 0 {
 			t.Errorf("%v: degenerate CIM cost %v", c, cim)
@@ -85,10 +78,9 @@ func TestCostModelsPositive(t *testing.T) {
 }
 
 func TestCostValidation(t *testing.T) {
+	// Score prices a class's kernel through CIMCost, which validates it
+	// before either side is priced.
 	bad := workloads.Kernel{Flops: -1}
-	if _, err := VNCost(bad); err == nil {
-		t.Error("invalid kernel accepted by VNCost")
-	}
 	if _, err := CIMCost(bad); err == nil {
 		t.Error("invalid kernel accepted by CIMCost")
 	}
