@@ -246,8 +246,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/edge
 	$(GO) run ./examples/graphanalytics
-	$(GO) run ./examples/faulttolerance
-	$(GO) run ./examples/selfprogramming
 	$(GO) run ./examples/training
 	$(GO) run ./examples/analytics
 

@@ -20,6 +20,7 @@ import (
 	"cimrev/internal/energy"
 	"cimrev/internal/experiments"
 	"cimrev/internal/fault"
+	"cimrev/internal/isa"
 	"cimrev/internal/nn"
 	"cimrev/internal/packet"
 	"cimrev/internal/vonneumann"
@@ -594,11 +595,15 @@ func BenchmarkDPEInference(b *testing.B) {
 }
 
 func BenchmarkDataflowPipeline(b *testing.B) {
+	relu, err := dataflow.DefaultFuncFactory(packet.Address{}, isa.FuncReLU, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	g := dataflow.NewGraph()
 	prev := dataflow.NodeID(-1)
 	var first dataflow.NodeID
 	for i := 0; i < 8; i++ {
-		id, err := g.AddNode("n", packet.Address{Unit: uint16(i)}, dataflow.ReLU())
+		id, err := g.AddNode("n", packet.Address{Unit: uint16(i)}, relu)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,15 +3,20 @@ package cimrev
 // The deletion rule, enforced (ROADMAP item 7): code that no non-test file
 // calls is on no program's path — not a binary's, an example's, an
 // experiment's or the benchmark's — and is deleted, not kept for its own
-// tests. The rule works on the repository type-checked with go/types, so a
-// name is matched by the object it denotes, not by its spelling: one test
+// tests. The one test code that counts is the root package's external test
+// package: its runnable examples (Example* with // Output:, which go test
+// runs and checks), where examples/ mains move to once they are run. The
+// rule works on the repository type-checked with go/types, so a name is
+// matched by the object it denotes, not by its spelling: one test
 // per internal package, one per name and field declared in internal/, and
 // one that runs the rule over the fixtures in testdata/callers.
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
+	"go/doc"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -27,8 +32,9 @@ import (
 
 // program is a tree of Go modules type-checked from source: every non-test
 // file under root that the host's build constraints select, one package per
-// directory, with import path module/<dir>. The standard library comes from
-// the compiler's export data.
+// directory, with import path module/<dir>, and the root's external test
+// files as package module_test. The standard library comes from the
+// compiler's export data.
 type program struct {
 	module string
 	fset   *token.FileSet
@@ -79,15 +85,44 @@ func loadProgram(root, module string) (*program, error) {
 		if err != nil {
 			return err
 		}
-		pkg := &sourcePackage{dir: filepath.ToSlash(rel)}
-		for _, name := range bp.GoFiles {
-			file, err := parser.ParseFile(p.fset, filepath.Join(path, name), nil, 0)
+		parse := func(names []string, mode parser.Mode) (*sourcePackage, error) {
+			pkg := &sourcePackage{dir: filepath.ToSlash(rel)}
+			for _, name := range names {
+				file, err := parser.ParseFile(p.fset, filepath.Join(path, name), nil, mode)
+				if err != nil {
+					return nil, err
+				}
+				pkg.files = append(pkg.files, file)
+			}
+			return pkg, nil
+		}
+		pkg, err := parse(bp.GoFiles, 0)
+		if err != nil {
+			return err
+		}
+		p.pkgs[p.importPath(pkg.dir)] = pkg
+		if path == root && len(bp.XTestGoFiles) > 0 {
+			examples, err := parse(bp.XTestGoFiles, parser.ParseComments)
 			if err != nil {
 				return err
 			}
-			pkg.files = append(pkg.files, file)
+			for _, ex := range doc.Examples(examples.files...) {
+				if ex.Output == "" && !ex.EmptyOutput {
+					return fmt.Errorf("%s: Example%s has no // Output: comment, so go test never runs it", p.fset.Position(ex.Code.Pos()), ex.Name)
+				}
+			}
+			for _, f := range examples.files {
+				for _, d := range f.Decls {
+					fn, ok := d.(*ast.FuncDecl)
+					for _, prefix := range []string{"Test", "Benchmark", "Fuzz"} {
+						if ok && strings.HasPrefix(fn.Name.Name, prefix) {
+							return fmt.Errorf("%s: %s: the root's external test package holds examples only", p.fset.Position(fn.Pos()), fn.Name.Name)
+						}
+					}
+				}
+			}
+			p.pkgs[module+"_test"] = examples
 		}
-		p.pkgs[p.importPath(pkg.dir)] = pkg
 		return nil
 	})
 	if err != nil {

@@ -79,11 +79,31 @@ func TestFacadeFabricPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sink := plan.Placements[len(plan.Placements)-1].Addr; len(out[sink]) != 1 {
+	sink := plan.Placements[len(plan.Placements)-1].Addr
+	if len(out[sink]) != 1 {
 		t.Fatalf("pipeline produced %d results", len(out[sink]))
 	}
 	if ledger.Total().EnergyPJ <= 0 {
 		t.Error("no energy accounted")
+	}
+	// The compiled pipeline computes what the engine does on the same arrays.
+	dcfg := DefaultDPEConfig()
+	dcfg.Crossbar, dcfg.Seed = cfg.Crossbar, cfg.Seed
+	engine, err := NewDPE(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Load(net); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := engine.Infer(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out[sink][0] {
+		if v != want[i] {
+			t.Errorf("fabric out[%d] = %v, engine %v", i, v, want[i])
+		}
 	}
 }
 

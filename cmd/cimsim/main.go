@@ -43,29 +43,11 @@ func run(progPath, mesh string, unitsPerTile int, failAddr string) error {
 	if err != nil {
 		return err
 	}
-	cfg := cim.DefaultConfig()
-	cfg.MeshW, cfg.MeshH = w, h
-	cfg.Crossbar.Functional = true
-
 	ledger := energy.NewLedger()
 	reg := metrics.NewRegistry()
-	fabric, err := cim.NewFabric(cfg, ledger, reg)
+	fabric, err := newBoard(w, h, unitsPerTile, ledger, reg)
 	if err != nil {
 		return err
-	}
-	// Pre-create a heterogeneous population: unit 0 of each tile is a
-	// crossbar unit, the rest digital compute.
-	for tile := 0; tile < w*h; tile++ {
-		for u := 0; u < unitsPerTile; u++ {
-			kind := cim.KindCompute
-			if u == 0 {
-				kind = cim.KindCrossbar
-			}
-			addr := packet.Address{Tile: uint16(tile), Unit: uint16(u)}
-			if _, err := fabric.AddUnit(addr, kind); err != nil {
-				return err
-			}
-		}
 	}
 	fmt.Printf("fabric: %dx%d mesh, %d units\n", w, h, w*h*unitsPerTile)
 
@@ -126,6 +108,32 @@ func run(progPath, mesh string, unitsPerTile int, failAddr string) error {
 	fmt.Println("metrics:")
 	fmt.Print(reg.Snapshot())
 	return nil
+}
+
+// newBoard builds a functional-mode w x h board with a heterogeneous
+// population: unit 0 of each tile is a crossbar unit, the rest digital
+// compute.
+func newBoard(w, h, unitsPerTile int, ledger *energy.Ledger, reg *metrics.Registry) (*cim.Fabric, error) {
+	cfg := cim.DefaultConfig()
+	cfg.MeshW, cfg.MeshH = w, h
+	cfg.Crossbar.Functional = true
+	fabric, err := cim.NewFabric(cfg, ledger, reg)
+	if err != nil {
+		return nil, err
+	}
+	for tile := 0; tile < w*h; tile++ {
+		for u := 0; u < unitsPerTile; u++ {
+			kind := cim.KindCompute
+			if u == 0 {
+				kind = cim.KindCrossbar
+			}
+			addr := packet.Address{Tile: uint16(tile), Unit: uint16(u)}
+			if _, err := fabric.AddUnit(addr, kind); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return fabric, nil
 }
 
 // demoProgram builds MVM -> relu across two tiles and streams two inputs.

@@ -3,8 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"cimrev/internal/isa"
+	"cimrev/internal/nn"
 	"cimrev/internal/packet"
 )
 
@@ -79,5 +82,66 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("", "2x2", 1, "0/9/9"); err == nil {
 		t.Error("failing a missing unit accepted")
+	}
+}
+
+// TestShippedPrograms runs the fabric programs under examples/programs:
+// pipeline.casm loaded as a static program, selfprogram.casm encoded into a
+// program packet that reconfigures its unit in flight.
+func TestShippedPrograms(t *testing.T) {
+	assemble := func(name string) isa.Program {
+		t.Helper()
+		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "programs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := isa.Assemble(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+
+	f, err := newBoard(4, 4, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.LoadProgram(assemble("pipeline.casm")); err != nil {
+		t.Fatal(err)
+	}
+	out, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out[packet.Address{Tile: 1, Unit: 1}]
+	want := [][]float64{{1.37, 0}, {0, 1.621}}
+	if len(got) != len(want) {
+		t.Fatalf("pipeline.casm: %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if r := round(got[i]); r[0] != want[i][0] || r[1] != want[i][1] {
+			t.Errorf("pipeline.casm result %d = %v, want %v", i, r, want[i])
+		}
+	}
+
+	f, err = newBoard(4, 4, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := assemble("selfprogram.casm").Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := packet.Address{Tile: 2}
+	if err := f.InjectPacket(&packet.Packet{Dst: unit, Type: packet.TypeProgram, Code: code}); err != nil {
+		t.Fatal(err)
+	}
+	if out, err = f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sig := []float64{0, -2, 2}
+	nn.ActSigmoid.Apply(sig)
+	if got := out[unit]; len(got) != 1 || !slices.Equal(got[0], sig) {
+		t.Errorf("selfprogram.casm packet: %v, want [%v]", got, sig)
 	}
 }

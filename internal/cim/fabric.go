@@ -2,7 +2,6 @@ package cim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"cimrev/internal/crossbar"
 	"cimrev/internal/dataflow"
@@ -27,8 +26,6 @@ type Config struct {
 	Crossbar crossbar.Config
 	// Seed drives all analog noise in the fabric.
 	Seed int64
-	// MaxSteps bounds dataflow deliveries per Run (cyclic graph guard).
-	MaxSteps int
 }
 
 // DefaultConfig returns a 4x4-tile board with 25 GB/s links and ISAAC-scale
@@ -40,7 +37,6 @@ func DefaultConfig() Config {
 		LinkBandwidth: 25e9,
 		Crossbar:      crossbar.DefaultConfig(),
 		Seed:          1,
-		MaxSteps:      1_000_000,
 	}
 }
 
@@ -51,9 +47,6 @@ func (c Config) Validate() error {
 	}
 	if c.LinkBandwidth <= 0 {
 		return fmt.Errorf("cim: link bandwidth must be positive, got %g", c.LinkBandwidth)
-	}
-	if c.MaxSteps <= 0 {
-		return fmt.Errorf("cim: MaxSteps must be positive, got %d", c.MaxSteps)
 	}
 	return c.Crossbar.Validate()
 }
@@ -66,12 +59,8 @@ type Fabric struct {
 	mesh   *interconnect.Mesh
 	ledger *energy.Ledger
 	reg    *metrics.Registry
-	// src roots the board's counter-based noise tree; mvmSeq numbers the
-	// board's MVMs so each analog read gets its own derived stream. The
-	// counter is atomic so concurrent dataflow execution stays race-free,
-	// and draws depend only on (seed, MVM number), not goroutine schedule.
-	src    noise.Source
-	mvmSeq atomic.Uint64
+	// src roots the board's counter-based noise tree (see funcFactory).
+	src noise.Source
 
 	units  map[packet.Address]*Unit
 	byNode map[dataflow.NodeID]packet.Address
@@ -100,7 +89,6 @@ func NewFabric(cfg Config, ledger *energy.Ledger, reg *metrics.Registry) (*Fabri
 	engine, err := dataflow.NewEngine(f.graph, ledger,
 		dataflow.WithEdgeCoster(f.edgeCost),
 		dataflow.WithFuncFactory(f.funcFactory),
-		dataflow.WithMaxSteps(cfg.MaxSteps),
 	)
 	if err != nil {
 		return nil, err
@@ -169,14 +157,28 @@ func (f *Fabric) Unit(addr packet.Address) (*Unit, error) {
 	return u, nil
 }
 
-// funcFactory builds node functions, backing FuncMVM with real crossbar
-// hardware (the capability dataflow.DefaultFuncFactory lacks).
-func (f *Fabric) funcFactory(fn isa.Function, weights [][]float64) (dataflow.NodeFunc, error) {
+// funcFactory is the fabric's half of the one configure path, which
+// Configure and program packets both take: FuncMVM programs a crossbar tile
+// on a crossbar unit, every other function is a digital one from
+// dataflow.DefaultFuncFactory.
+//
+// Stream k's read of the MVM unit at addr draws from
+// src.Derive(k).Derive(Unit·MeshW·MeshH + Tile). For a compiled plan that
+// unit number is the layer index, so stream k draws what a dpe.Engine with
+// the same crossbar config and seed draws for noise key k.
+func (f *Fabric) funcFactory(addr packet.Address, fn isa.Function, weights [][]float64) (dataflow.NodeFunc, error) {
 	if fn != isa.FuncMVM {
-		return dataflow.DefaultFuncFactory(fn, weights)
+		return dataflow.DefaultFuncFactory(addr, fn, weights)
+	}
+	u, err := f.Unit(addr)
+	if err != nil {
+		return nil, err
+	}
+	if u.Kind != KindCrossbar {
+		return nil, fmt.Errorf("cim: unit %v kind %v cannot host MVM", addr, u.Kind)
 	}
 	if len(weights) == 0 {
-		return nil, fmt.Errorf("cim: MVM configuration requires weights")
+		return nil, fmt.Errorf("cim: MVM on %v requires weights", addr)
 	}
 	tile, err := crossbar.NewTile(f.cfg.Crossbar)
 	if err != nil {
@@ -189,13 +191,9 @@ func (f *Fabric) funcFactory(fn isa.Function, weights [][]float64) (dataflow.Nod
 	if f.ledger != nil {
 		f.ledger.Charge("program", cost)
 	}
-	return f.mvmFunc(tile), nil
-}
-
-// mvmFunc wraps a crossbar tile as a dataflow node function.
-func (f *Fabric) mvmFunc(tile *crossbar.Tile) dataflow.NodeFunc {
-	return func(_ *dataflow.State, in []float64) ([]float64, energy.Cost, error) {
-		out, cost, err := tile.MVM(in, f.src.Derive(f.mvmSeq.Add(1)-1))
+	unit := uint64(addr.Unit)*uint64(f.cfg.MeshW*f.cfg.MeshH) + uint64(addr.Tile)
+	return func(_ *dataflow.State, stream packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
+		out, cost, err := tile.MVM(in, f.src.Derive(uint64(stream)).Derive(unit))
 		if err != nil {
 			return nil, energy.Zero, err
 		}
@@ -203,63 +201,18 @@ func (f *Fabric) mvmFunc(tile *crossbar.Tile) dataflow.NodeFunc {
 			f.reg.Counter("fabric.mvms").Inc()
 		}
 		return out, cost, nil
-	}
+	}, nil
 }
 
 // Configure assigns a function to a unit, programming crossbar hardware for
 // FuncMVM (weights is the in x out matrix). Non-crossbar units reject MVM.
 func (f *Fabric) Configure(addr packet.Address, fn isa.Function, weights [][]float64) error {
-	u, err := f.Unit(addr)
-	if err != nil {
-		return err
-	}
-	if u.failed {
-		return fmt.Errorf("cim: unit %v is failed", addr)
-	}
-	node, err := f.graph.NodeByAddr(addr)
-	if err != nil {
-		return err
-	}
-	if fn == isa.FuncMVM {
-		if u.Kind != KindCrossbar {
-			return fmt.Errorf("cim: unit %v kind %v cannot host MVM", addr, u.Kind)
-		}
-		if len(weights) == 0 {
-			return fmt.Errorf("cim: MVM on %v requires weights", addr)
-		}
-		tile, err := crossbar.NewTile(f.cfg.Crossbar)
-		if err != nil {
-			return err
-		}
-		cost, err := tile.Program(weights)
-		if err != nil {
-			return err
-		}
-		if f.ledger != nil {
-			f.ledger.Charge("program", cost)
-		}
-		node.Fn = f.mvmFunc(tile)
-	} else {
-		nf, err := dataflow.DefaultFuncFactory(fn, weights)
-		if err != nil {
-			return err
-		}
-		node.Fn = nf
-	}
-	return nil
+	return f.engine.Configure(addr, fn, weights)
 }
 
 // Connect wires unit src's output to unit dst's input.
 func (f *Fabric) Connect(src, dst packet.Address) error {
-	a, err := f.graph.NodeByAddr(src)
-	if err != nil {
-		return err
-	}
-	b, err := f.graph.NodeByAddr(dst)
-	if err != nil {
-		return err
-	}
-	return f.graph.Connect(a.ID, b.ID)
+	return f.engine.Connect(src, dst)
 }
 
 // Predecessors returns the units with an edge into addr.
@@ -321,58 +274,27 @@ func (f *Fabric) DisableUnit(addr packet.Address) error {
 
 // LoadProgram applies a full ISA program: configure/loadweights pairs,
 // connections, and initial streams. This is the static-dataflow
-// configuration path.
+// configuration path; it runs dataflow.Exec, the interpreter a program
+// packet runs.
 func (f *Fabric) LoadProgram(prog isa.Program) error {
-	if err := prog.Validate(); err != nil {
-		return err
-	}
-	var pendingWeights [][]float64
-	var pendingAddr packet.Address
-	for i, in := range prog {
-		switch in.Op {
-		case isa.OpLoadWeights:
-			w := make([][]float64, in.Rows)
-			for r := 0; r < in.Rows; r++ {
-				w[r] = append([]float64(nil), in.Data[r*in.Cols:(r+1)*in.Cols]...)
-			}
-			pendingWeights, pendingAddr = w, in.Unit
-		case isa.OpConfigure:
-			var weights [][]float64
-			if pendingWeights != nil && pendingAddr == in.Unit {
-				weights = pendingWeights
-				pendingWeights = nil
-			}
-			if err := f.Configure(in.Unit, in.Fn, weights); err != nil {
-				return fmt.Errorf("cim: program instr %d: %w", i, err)
-			}
-		case isa.OpConnect:
-			if err := f.Connect(in.Unit, in.Unit2); err != nil {
-				return fmt.Errorf("cim: program instr %d: %w", i, err)
-			}
-		case isa.OpStream:
-			if err := f.Stream(in.Unit, in.Data); err != nil {
-				return fmt.Errorf("cim: program instr %d: %w", i, err)
-			}
-		case isa.OpBarrier, isa.OpHalt:
-		}
-	}
-	return nil
+	return dataflow.Exec(f, prog)
 }
 
-// Stream injects data into a unit.
+// Stream injects data into a unit as the fabric's next stream (streams are
+// numbered in injection order from 0; see funcFactory).
 func (f *Fabric) Stream(addr packet.Address, data []float64) error {
-	node, err := f.graph.NodeByAddr(addr)
-	if err != nil {
+	if err := f.engine.Stream(addr, data); err != nil {
 		return err
 	}
 	if f.reg != nil {
 		f.reg.Counter("fabric.streams").Inc()
 	}
-	return f.engine.Inject(node.ID, data)
+	return nil
 }
 
 // InjectPacket delivers an arbitrary packet (program packets drive the
-// self-programmable dataflow model with fabric-backed MVM support).
+// self-programmable dataflow model with fabric-backed MVM support). A data
+// packet is read as the stream its Stream field names.
 func (f *Fabric) InjectPacket(p *packet.Packet) error {
 	return f.engine.InjectPacket(p)
 }

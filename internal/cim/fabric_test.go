@@ -39,11 +39,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("zero bandwidth accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.MaxSteps = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("zero max steps accepted")
-	}
-	cfg = DefaultConfig()
 	cfg.Crossbar.Rows = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("bad crossbar config accepted")
@@ -418,5 +413,86 @@ func TestSelfProgrammingMVMWithoutWeights(t *testing.T) {
 	}
 	if _, err := f.Run(); err == nil {
 		t.Error("MVM without weights accepted via program packet")
+	}
+}
+
+func TestProgramPacketChecksUnitKind(t *testing.T) {
+	// A program packet configures through the same factory as Configure,
+	// so it cannot put an MVM on a digital unit either.
+	f, _ := newFabric(t)
+	if _, err := f.AddUnit(addr(0, 0), KindCompute); err != nil {
+		t.Fatal(err)
+	}
+	prog := isa.Program{
+		{Op: isa.OpLoadWeights, Unit: addr(0, 0), Rows: 2, Cols: 1, Data: []float64{1, 1}},
+		{Op: isa.OpConfigure, Unit: addr(0, 0), Fn: isa.FuncMVM},
+		{Op: isa.OpStream, Unit: addr(0, 0), Data: []float64{0.5, 0.25}},
+		{Op: isa.OpHalt},
+	}
+	code, err := prog.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InjectPacket(&packet.Packet{Dst: addr(0, 0), Type: packet.TypeProgram, Code: code}); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := f.Run(); err == nil {
+		t.Errorf("program packet put an MVM on a compute unit; it returned %v", out[addr(0, 0)])
+	}
+}
+
+func TestStreamNoiseIndependence(t *testing.T) {
+	// A noisy stream's output is a function of (seed, stream, unit): stream
+	// B reads the same whether or not stream A ran through the fabric first.
+	runB := func(withA bool) []float64 {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Crossbar.Rows, cfg.Crossbar.Cols = 4, 4
+		cfg.Crossbar.ReadNoise = 0.05
+		f, err := NewFabric(cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.AddUnit(addr(0, 0), KindCrossbar); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.AddUnit(addr(1, 0), KindCrossbar); err != nil {
+			t.Fatal(err)
+		}
+		w := [][]float64{{1, -0.5, 0.25}, {0.5, 1, -1}, {-0.75, 0.25, 0.5}, {0.1, 0.2, 0.3}, {1, 1, -1}, {0, 0.5, 0.5}}
+		if err := f.Configure(addr(0, 0), isa.FuncMVM, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Configure(addr(1, 0), isa.FuncMVM, [][]float64{{1, 0}, {0.5, -1}, {0.25, 0.75}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Connect(addr(0, 0), addr(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		streams := []packet.Packet{{Stream: 1, Payload: []float64{0.5, -0.25, 1, 0.75, -1, 0.1}}}
+		if withA {
+			streams = append([]packet.Packet{{Stream: 0, Payload: []float64{-1, 0.5, 0.25, 0, 1, -0.5}}}, streams...)
+		}
+		for _, p := range streams {
+			p.Dst, p.Type = addr(0, 0), packet.TypeData
+			if err := f.InjectPacket(&p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := f.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := out[addr(1, 0)]
+		if len(res) != len(streams) {
+			t.Fatalf("%d results for %d streams", len(res), len(streams))
+		}
+		return res[len(res)-1]
+	}
+	alone, after := runB(false), runB(true)
+	for i := range alone {
+		if alone[i] != after[i] {
+			t.Errorf("stream B out[%d] = %v alone, %v after stream A", i, alone[i], after[i])
+		}
 	}
 }

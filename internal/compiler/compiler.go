@@ -7,7 +7,10 @@
 // The compiler lowers an nn.Network to a placement of units on a board
 // mesh, assigning dense layers to crossbar units and activations to digital
 // compute units, placing consecutive layers on mesh-adjacent tiles so
-// stream traffic stays local. Apply instantiates a Plan on a fabric.
+// stream traffic stays local. Apply instantiates a Plan on a fabric. Layer
+// i lands on unit number i (Unit·MeshW·MeshH + Tile), the number the
+// fabric keys its noise by, so a plan's outputs are == to a dpe.Engine's
+// on the same crossbar config.
 package compiler
 
 import (
@@ -15,6 +18,7 @@ import (
 	"slices"
 
 	"cimrev/internal/cim"
+	"cimrev/internal/dataflow"
 	"cimrev/internal/isa"
 	"cimrev/internal/nn"
 	"cimrev/internal/packet"
@@ -76,9 +80,11 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 				Kind: cim.KindCrossbar, Fn: isa.FuncMVM, Weights: l.WeightMatrix(),
 			}
 		case *nn.ActivationLayer:
-			fn, err := activationFunc(l.Kind())
-			if err != nil {
-				return nil, fmt.Errorf("compiler: layer %d: %w", i, err)
+			var fn isa.Function
+			for f, a := range dataflow.Activations {
+				if a == l.Kind() {
+					fn = f
+				}
 			}
 			pl = Placement{
 				LayerName: l.Name(), Addr: addr, Kind: cim.KindCompute, Fn: fn,
@@ -89,21 +95,6 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 		plan.Placements = append(plan.Placements, pl)
 	}
 	return plan, nil
-}
-
-func activationFunc(a nn.Activation) (isa.Function, error) {
-	switch a {
-	case nn.ActReLU:
-		return isa.FuncReLU, nil
-	case nn.ActSigmoid:
-		return isa.FuncSigmoid, nil
-	case nn.ActTanh:
-		return isa.FuncTanh, nil
-	case nn.ActSoftmax:
-		return isa.FuncSoftmax, nil
-	default:
-		return 0, fmt.Errorf("compiler: unknown activation %v", a)
-	}
 }
 
 // Apply instantiates the plan on a fabric: creates units, programs

@@ -5,6 +5,7 @@ import (
 
 	"cimrev/internal/energy"
 	"cimrev/internal/isa"
+	"cimrev/internal/nn"
 	"cimrev/internal/packet"
 )
 
@@ -20,29 +21,35 @@ func defaultEdgeCost(_, _ NodeID, nbytes int) energy.Cost {
 	}
 }
 
-// FuncFactory materializes a NodeFunc for an isa.Function during
-// self-programming. The engine owns no crossbar hardware, so MVM and other
-// hardware-backed functions must come from the embedding layer.
-type FuncFactory func(fn isa.Function, weights [][]float64) (NodeFunc, error)
+// FuncFactory materializes the NodeFunc for configuring the unit at addr
+// with fn. The engine owns no crossbar hardware, so MVM and other
+// hardware-backed functions must come from the embedding layer, which also
+// knows what kind of unit lives at addr.
+type FuncFactory func(addr packet.Address, fn isa.Function, weights [][]float64) (NodeFunc, error)
+
+// Activations maps each ISA activation function to the nn activation a
+// digital unit applies for it: the one table the compiler lowers
+// activation layers through.
+var Activations = map[isa.Function]nn.Activation{
+	isa.FuncReLU:    nn.ActReLU,
+	isa.FuncSigmoid: nn.ActSigmoid,
+	isa.FuncTanh:    nn.ActTanh,
+	isa.FuncSoftmax: nn.ActSoftmax,
+}
 
 // DefaultFuncFactory supports the digital functions; it rejects FuncMVM
 // because MVM needs crossbar hardware from the embedding fabric.
-func DefaultFuncFactory(fn isa.Function, _ [][]float64) (NodeFunc, error) {
+func DefaultFuncFactory(_ packet.Address, fn isa.Function, _ [][]float64) (NodeFunc, error) {
+	if a, ok := Activations[fn]; ok {
+		return activation(a), nil
+	}
 	switch fn {
 	case isa.FuncForward:
 		return Forward(), nil
-	case isa.FuncReLU:
-		return ReLU(), nil
-	case isa.FuncSigmoid:
-		return Sigmoid(), nil
 	case isa.FuncAccumulate:
 		return Accumulate(), nil
 	case isa.FuncMaxPool:
 		return MaxPool(), nil
-	case isa.FuncTanh:
-		return Tanh(), nil
-	case isa.FuncSoftmax:
-		return Softmax(), nil
 	default:
 		return nil, fmt.Errorf("dataflow: function %v not available without fabric hardware", fn)
 	}
@@ -56,8 +63,13 @@ type Engine struct {
 	edge    EdgeCoster
 	factory FuncFactory
 
-	queue    []token
+	queue []token
+	// maxSteps bounds token deliveries per Run, so a graph with a feedback
+	// loop terminates: 1,000,000.
 	maxSteps int
+	// streams numbers the data streams Inject starts, in injection order:
+	// it is the next stream's number.
+	streams packet.StreamID
 
 	outputs map[NodeID][][]float64
 
@@ -87,12 +99,6 @@ func WithFuncFactory(f FuncFactory) Option {
 	return func(e *Engine) { e.factory = f }
 }
 
-// WithMaxSteps bounds token deliveries per Run; graphs with feedback loops
-// need this to terminate. The default is 1,000,000.
-func WithMaxSteps(n int) Option {
-	return func(e *Engine) { e.maxSteps = n }
-}
-
 // NewEngine returns an engine over the graph, charging costs to ledger
 // (which may be nil to disable accounting).
 func NewEngine(g *Graph, ledger *energy.Ledger, opts ...Option) (*Engine, error) {
@@ -114,7 +120,8 @@ func NewEngine(g *Graph, ledger *energy.Ledger, opts ...Option) (*Engine, error)
 	return e, nil
 }
 
-// Inject queues a data token for the node.
+// Inject queues a data token for the node as a new stream, numbered in
+// injection order: the first stream the engine injects is stream 0.
 func (e *Engine) Inject(node NodeID, payload []float64) error {
 	n, err := e.graph.Node(node)
 	if err != nil {
@@ -122,16 +129,65 @@ func (e *Engine) Inject(node NodeID, payload []float64) error {
 	}
 	p := &packet.Packet{
 		Dst:     n.Addr,
+		Stream:  e.streams,
 		Type:    packet.TypeData,
 		Payload: append([]float64(nil), payload...),
 	}
+	e.streams++
 	e.queue = append(e.queue, token{node: node, pkt: p})
+	return nil
+}
+
+// Stream injects data into the unit at addr: Inject by address.
+func (e *Engine) Stream(addr packet.Address, data []float64) error {
+	n, err := e.graph.NodeByAddr(addr)
+	if err != nil {
+		return err
+	}
+	return e.Inject(n.ID, data)
+}
+
+// Connect adds the edge from the unit at src to the unit at dst.
+func (e *Engine) Connect(src, dst packet.Address) error {
+	a, err := e.graph.NodeByAddr(src)
+	if err != nil {
+		return err
+	}
+	b, err := e.graph.NodeByAddr(dst)
+	if err != nil {
+		return err
+	}
+	return e.graph.Connect(a.ID, b.ID)
+}
+
+// Configure gives the unit at addr the function the factory makes for fn
+// (weights feed an MVM), clears the node's state and charges the
+// reconfiguration: the one configure path, which a program packet's
+// configure and an embedding fabric's both take.
+func (e *Engine) Configure(addr packet.Address, fn isa.Function, weights [][]float64) error {
+	n, err := e.graph.NodeByAddr(addr)
+	if err != nil {
+		return err
+	}
+	nf, err := e.factory(addr, fn, weights)
+	if err != nil {
+		return err
+	}
+	n.Fn, n.state = nf, State{}
+	if e.ledger != nil {
+		e.ledger.Charge("reconfigure", energy.Cost{
+			LatencyPS: energy.EDRAMAccessLatencyPS,
+			EnergyPJ:  1,
+		})
+	}
 	return nil
 }
 
 // InjectPacket queues an arbitrary packet for the node whose address matches
 // the packet destination. Program packets will reconfigure the graph when
-// delivered (self-programmable dataflow).
+// delivered (self-programmable dataflow). A data packet keeps the Stream its
+// sender gave it: that sender owns the stream's number, and with it the
+// stream's noise.
 func (e *Engine) InjectPacket(p *packet.Packet) error {
 	n, err := e.graph.NodeByAddr(p.Dst)
 	if err != nil {
@@ -184,7 +240,11 @@ func (e *Engine) deliver(tok token) error {
 
 	switch tok.pkt.Type {
 	case packet.TypeProgram:
-		return e.applyProgram(tok.pkt.Code)
+		prog, err := isa.Decode(tok.pkt.Code)
+		if err != nil {
+			return fmt.Errorf("dataflow: decode program packet: %w", err)
+		}
+		return Exec(e, prog)
 	case packet.TypeData:
 		return e.applyData(n, tok)
 	case packet.TypeControl, packet.TypeConfig:
@@ -197,7 +257,7 @@ func (e *Engine) deliver(tok token) error {
 
 func (e *Engine) applyData(n *Node, tok token) error {
 	p := tok.pkt
-	out, cost, err := n.Fn(&n.state, p.Payload)
+	out, cost, err := n.Fn(&n.state, p.Stream, p.Payload)
 	if err != nil {
 		return fmt.Errorf("dataflow: node %q (%d): %w", n.Name, n.ID, err)
 	}
@@ -263,70 +323,47 @@ func (e *Engine) applyData(n *Node, tok token) error {
 	return nil
 }
 
-// applyProgram executes an embedded isa.Program against the graph — the
-// self-programmable dataflow model. Supported instructions: configure
-// (swap a node's function), loadweights (reconfigure via the factory),
-// connect, stream, barrier, halt.
-func (e *Engine) applyProgram(code []byte) error {
-	prog, err := isa.Decode(code)
-	if err != nil {
-		return fmt.Errorf("dataflow: decode program packet: %w", err)
+// Target is what an isa.Program drives: an Engine, or a fabric that embeds
+// one and adds its own bookkeeping.
+type Target interface {
+	Configure(addr packet.Address, fn isa.Function, weights [][]float64) error
+	Connect(src, dst packet.Address) error
+	Stream(addr packet.Address, data []float64) error
+}
+
+// Exec validates prog and runs it against t: the one isa.Program
+// interpreter, behind a loaded program (static dataflow) and a program
+// packet (self-programmable dataflow) alike. A loadweights supplies the
+// weights of the next configure of the same unit; barriers and halt are
+// implicit in the engine's run-to-drain loop.
+func Exec(t Target, prog isa.Program) error {
+	if err := prog.Validate(); err != nil {
+		return err
 	}
-	// loadweights preceding a configure supplies that configure's weights.
 	var pendingWeights [][]float64
 	var pendingAddr packet.Address
 	for i, in := range prog {
+		var err error
 		switch in.Op {
 		case isa.OpLoadWeights:
 			w := make([][]float64, in.Rows)
-			for r := 0; r < in.Rows; r++ {
-				w[r] = append([]float64(nil), in.Data[r*in.Cols:(r+1)*in.Cols]...)
+			for r := range w {
+				w[r] = in.Data[r*in.Cols : (r+1)*in.Cols]
 			}
 			pendingWeights, pendingAddr = w, in.Unit
 		case isa.OpConfigure:
-			n, err := e.graph.NodeByAddr(in.Unit)
-			if err != nil {
-				return fmt.Errorf("dataflow: program instr %d: %w", i, err)
-			}
 			var weights [][]float64
 			if pendingWeights != nil && pendingAddr == in.Unit {
-				weights = pendingWeights
-				pendingWeights = nil
+				weights, pendingWeights = pendingWeights, nil
 			}
-			fn, err := e.factory(in.Fn, weights)
-			if err != nil {
-				return fmt.Errorf("dataflow: program instr %d: %w", i, err)
-			}
-			n.Fn = fn
-			n.state = State{}
-			if e.ledger != nil {
-				e.ledger.Charge("reconfigure", energy.Cost{
-					LatencyPS: energy.EDRAMAccessLatencyPS,
-					EnergyPJ:  1,
-				})
-			}
+			err = t.Configure(in.Unit, in.Fn, weights)
 		case isa.OpConnect:
-			src, err := e.graph.NodeByAddr(in.Unit)
-			if err != nil {
-				return fmt.Errorf("dataflow: program instr %d: %w", i, err)
-			}
-			dst, err := e.graph.NodeByAddr(in.Unit2)
-			if err != nil {
-				return fmt.Errorf("dataflow: program instr %d: %w", i, err)
-			}
-			if err := e.graph.Connect(src.ID, dst.ID); err != nil {
-				return fmt.Errorf("dataflow: program instr %d: %w", i, err)
-			}
+			err = t.Connect(in.Unit, in.Unit2)
 		case isa.OpStream:
-			n, err := e.graph.NodeByAddr(in.Unit)
-			if err != nil {
-				return fmt.Errorf("dataflow: program instr %d: %w", i, err)
-			}
-			if err := e.Inject(n.ID, in.Data); err != nil {
-				return err
-			}
-		case isa.OpBarrier, isa.OpHalt:
-			// Barriers are implicit in the engine's run-to-drain loop.
+			err = t.Stream(in.Unit, in.Data)
+		}
+		if err != nil {
+			return fmt.Errorf("dataflow: program instr %d: %w", i, err)
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 
 	"cimrev/internal/energy"
 	"cimrev/internal/isa"
+	"cimrev/internal/nn"
 	"cimrev/internal/packet"
 )
 
@@ -14,7 +15,7 @@ func buildPipeline(t *testing.T) (*Graph, NodeID, NodeID, NodeID) {
 	t.Helper()
 	g := NewGraph()
 	src := mustNode(t, g, "src", addr(1), Forward())
-	relu := mustNode(t, g, "relu", addr(2), ReLU())
+	relu := mustNode(t, g, "relu", addr(2), activation(nn.ActReLU))
 	sink := mustNode(t, g, "sink", addr(3), Accumulate())
 	if err := g.Connect(src, relu); err != nil {
 		t.Fatal(err)
@@ -326,10 +327,11 @@ func TestEngineCycleGuard(t *testing.T) {
 	if err := g.Connect(b, a); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(g, nil, WithMaxSteps(100))
+	e, err := NewEngine(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.maxSteps = 100
 	if err := e.Inject(a, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -411,8 +413,8 @@ func TestEngineDeterminism(t *testing.T) {
 	build := func() (*Graph, NodeID, NodeID) {
 		g := NewGraph()
 		src := mustNode(t, g, "src", addr(1), Forward())
-		h1 := mustNode(t, g, "h1", addr(2), ReLU())
-		h2 := mustNode(t, g, "h2", addr(3), Sigmoid())
+		h1 := mustNode(t, g, "h1", addr(2), activation(nn.ActReLU))
+		h2 := mustNode(t, g, "h2", addr(3), activation(nn.ActSigmoid))
 		sink := mustNode(t, g, "sink", addr(4), Accumulate())
 		for _, e := range [][2]NodeID{{src, h1}, {src, h2}, {h1, sink}, {h2, sink}} {
 			if err := g.Connect(e[0], e[1]); err != nil {

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"cimrev/internal/energy"
+	"cimrev/internal/nn"
 	"cimrev/internal/packet"
 )
 
@@ -31,10 +32,11 @@ type State struct {
 	Vec []float64
 }
 
-// NodeFunc is a node's processing component: it consumes an input vector,
-// may read and update the node's persistent state, and produces an output
-// vector plus the cost of the computation.
-type NodeFunc func(s *State, in []float64) ([]float64, energy.Cost, error)
+// NodeFunc is a node's processing component: it consumes an input vector of
+// the given stream, may read and update the node's persistent state, and
+// produces an output vector plus the cost of the computation. A unit that
+// draws analog noise keys it by the stream number.
+type NodeFunc func(s *State, stream packet.StreamID, in []float64) ([]float64, energy.Cost, error)
 
 // Router decides where a node forwards its output, given the node's state
 // and the incoming packet — the implicit form of dynamic dataflow ("a
@@ -181,81 +183,30 @@ func (g *Graph) Predecessors(id NodeID) []NodeID {
 }
 
 // --- Built-in node functions ---
+//
+// Every built-in is a digital micro-unit pass, priced by energy.Digital.
 
-// Forward passes input through unchanged at negligible cost.
+// Forward passes input through unchanged.
 func Forward() NodeFunc {
-	return func(_ *State, in []float64) ([]float64, energy.Cost, error) {
+	return func(_ *State, _ packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
+		return append([]float64(nil), in...), energy.Digital(len(in)), nil
+	}
+}
+
+// activation applies a on a copy of the input: nn's definition of it, the
+// one the DPE's digital stages run.
+func activation(a nn.Activation) NodeFunc {
+	return func(_ *State, _ packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
 		out := append([]float64(nil), in...)
-		return out, energy.Cost{LatencyPS: energy.EDRAMAccessLatencyPS, EnergyPJ: float64(8*len(in)) * energy.EDRAMAccessEnergyPJPerByte}, nil
-	}
-}
-
-// ReLU applies max(0,x) elementwise.
-func ReLU() NodeFunc {
-	return elementwise(func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		return x
-	})
-}
-
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid() NodeFunc {
-	return elementwise(func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
-}
-
-// Tanh applies the hyperbolic tangent elementwise.
-func Tanh() NodeFunc {
-	return elementwise(math.Tanh)
-}
-
-// Softmax normalizes the vector into a probability distribution.
-func Softmax() NodeFunc {
-	return func(_ *State, in []float64) ([]float64, energy.Cost, error) {
-		out := make([]float64, len(in))
-		maxV := math.Inf(-1)
-		for _, v := range in {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		for i, v := range in {
-			out[i] = math.Exp(v - maxV)
-			sum += out[i]
-		}
-		if sum > 0 {
-			for i := range out {
-				out[i] /= sum
-			}
-		}
-		// Three digital passes over the vector.
-		return out, energy.Cost{
-			LatencyPS: 3 * energy.EDRAMAccessLatencyPS,
-			EnergyPJ:  3 * float64(len(in)) * energy.ShiftAddEnergyPJ,
-		}, nil
-	}
-}
-
-func elementwise(f func(float64) float64) NodeFunc {
-	return func(_ *State, in []float64) ([]float64, energy.Cost, error) {
-		out := make([]float64, len(in))
-		for i, v := range in {
-			out[i] = f(v)
-		}
-		// One digital ALU pass over the vector.
-		return out, energy.Cost{
-			LatencyPS: energy.EDRAMAccessLatencyPS,
-			EnergyPJ:  float64(len(in)) * energy.ShiftAddEnergyPJ,
-		}, nil
+		a.Apply(out)
+		return out, energy.Digital(len(in)), nil
 	}
 }
 
 // Accumulate sums successive inputs elementwise into node state and emits
 // the running sum.
 func Accumulate() NodeFunc {
-	return func(s *State, in []float64) ([]float64, energy.Cost, error) {
+	return func(s *State, _ packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
 		if len(s.Vec) < len(in) {
 			grown := make([]float64, len(in))
 			copy(grown, s.Vec)
@@ -264,17 +215,13 @@ func Accumulate() NodeFunc {
 		for i, v := range in {
 			s.Vec[i] += v
 		}
-		out := append([]float64(nil), s.Vec[:len(in)]...)
-		return out, energy.Cost{
-			LatencyPS: energy.EDRAMAccessLatencyPS,
-			EnergyPJ:  float64(len(in)) * energy.ShiftAddEnergyPJ,
-		}, nil
+		return append([]float64(nil), s.Vec[:len(in)]...), energy.Digital(len(in)), nil
 	}
 }
 
 // MaxPool emits the running elementwise maximum of everything seen.
 func MaxPool() NodeFunc {
-	return func(s *State, in []float64) ([]float64, energy.Cost, error) {
+	return func(s *State, _ packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
 		if len(s.Vec) < len(in) {
 			grown := make([]float64, len(in))
 			copy(grown, s.Vec)
@@ -288,10 +235,6 @@ func MaxPool() NodeFunc {
 				s.Vec[i] = v
 			}
 		}
-		out := append([]float64(nil), s.Vec[:len(in)]...)
-		return out, energy.Cost{
-			LatencyPS: energy.EDRAMAccessLatencyPS,
-			EnergyPJ:  float64(len(in)) * energy.ShiftAddEnergyPJ,
-		}, nil
+		return append([]float64(nil), s.Vec[:len(in)]...), energy.Digital(len(in)), nil
 	}
 }

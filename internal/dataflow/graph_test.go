@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cimrev/internal/isa"
+	"cimrev/internal/nn"
 	"cimrev/internal/packet"
 )
 
@@ -125,11 +126,11 @@ func TestBuiltinFunctions(t *testing.T) {
 		want []float64
 	}{
 		{"forward", Forward(), []float64{1, -2, 3}, []float64{1, -2, 3}},
-		{"relu", ReLU(), []float64{1, -2, 0}, []float64{1, 0, 0}},
+		{"relu", activation(nn.ActReLU), []float64{1, -2, 0}, []float64{1, 0, 0}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, cost, err := tt.fn(&s, tt.in)
+			got, cost, err := tt.fn(&s, 0, tt.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +148,7 @@ func TestBuiltinFunctions(t *testing.T) {
 
 func TestSigmoid(t *testing.T) {
 	var s State
-	got, _, err := Sigmoid()(&s, []float64{0, 100, -100})
+	got, _, err := activation(nn.ActSigmoid)(&s, 0, []float64{0, 100, -100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +163,10 @@ func TestSigmoid(t *testing.T) {
 func TestAccumulateState(t *testing.T) {
 	fn := Accumulate()
 	var s State
-	if _, _, err := fn(&s, []float64{1, 2}); err != nil {
+	if _, _, err := fn(&s, 0, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := fn(&s, []float64{10, 20})
+	got, _, err := fn(&s, 0, []float64{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestAccumulateState(t *testing.T) {
 		t.Errorf("accumulate = %v, want [11 22]", got)
 	}
 	// Growing input reuses existing prefix state.
-	got, _, err = fn(&s, []float64{1, 1, 1})
+	got, _, err = fn(&s, 0, []float64{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +186,10 @@ func TestAccumulateState(t *testing.T) {
 func TestMaxPoolState(t *testing.T) {
 	fn := MaxPool()
 	var s State
-	if _, _, err := fn(&s, []float64{1, 5}); err != nil {
+	if _, _, err := fn(&s, 0, []float64{1, 5}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := fn(&s, []float64{3, 2})
+	got, _, err := fn(&s, 0, []float64{3, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestMaxPoolState(t *testing.T) {
 		t.Errorf("maxpool = %v, want [3 5]", got)
 	}
 	// Negative values on fresh elements still work (init is -inf).
-	got, _, err = fn(&s, []float64{-1, -1, -7})
+	got, _, err = fn(&s, 0, []float64{-1, -1, -7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +228,14 @@ func TestGraphPredecessors(t *testing.T) {
 
 func TestTanhAndSoftmaxBuiltins(t *testing.T) {
 	var s State
-	out, _, err := Tanh()(&s, []float64{0, 2})
+	out, _, err := activation(nn.ActTanh)(&s, 0, []float64{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 0 || math.Abs(out[1]-math.Tanh(2)) > 1e-12 {
 		t.Errorf("tanh = %v", out)
 	}
-	out, cost, err := Softmax()(&s, []float64{1, 1, 1, 1})
+	out, cost, err := activation(nn.ActSoftmax)(&s, 0, []float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,17 +260,17 @@ func TestDefaultFuncFactoryCoversAll(t *testing.T) {
 		isa.FuncForward, isa.FuncReLU, isa.FuncSigmoid,
 		isa.FuncAccumulate, isa.FuncMaxPool, isa.FuncTanh, isa.FuncSoftmax,
 	} {
-		nf, err := DefaultFuncFactory(fn, nil)
+		nf, err := DefaultFuncFactory(packet.Address{}, fn, nil)
 		if err != nil {
 			t.Errorf("factory(%v): %v", fn, err)
 			continue
 		}
 		var s State
-		if _, _, err := nf(&s, []float64{1, -1}); err != nil {
+		if _, _, err := nf(&s, 0, []float64{1, -1}); err != nil {
 			t.Errorf("factory(%v) func failed: %v", fn, err)
 		}
 	}
-	if _, err := DefaultFuncFactory(isa.FuncMVM, nil); err == nil {
+	if _, err := DefaultFuncFactory(packet.Address{}, isa.FuncMVM, nil); err == nil {
 		t.Error("MVM from default factory accepted")
 	}
 }

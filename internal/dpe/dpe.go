@@ -127,7 +127,7 @@ func linkStages(stages []stage) {
 		s.finish = func(c0 int, stripe []float64) {
 			addBias(stripe, d.B[c0:])
 			if act != nil {
-				act.Apply(stripe)
+				act.Kind().Apply(stripe)
 			}
 		}
 	}
@@ -446,10 +446,7 @@ func (e *Engine) price(s *stage) energy.Cost {
 			EnergyPJ:  patch.EnergyPJ * float64(patches),
 		}
 	default:
-		return energy.Cost{
-			LatencyPS: energy.EDRAMAccessLatencyPS,
-			EnergyPJ:  float64(s.layer.InSize()) * (energy.ShiftAddEnergyPJ + energy.EDRAMAccessEnergyPJPerByte),
-		}
+		return energy.Digital(s.layer.InSize())
 	}
 }
 
@@ -660,7 +657,7 @@ func (e *Engine) runStage(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noi
 			case s.fused:
 			case s.act != nil:
 				copy(outs[i], in) // a no-op in place
-				s.act.Apply(outs[i])
+				s.act.Kind().Apply(outs[i])
 			default:
 				out, err := s.layer.Forward(in)
 				if err != nil {

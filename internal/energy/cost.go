@@ -56,6 +56,17 @@ func (c Cost) Scale(n int64) Cost {
 	return Cost{LatencyPS: c.LatencyPS * n, EnergyPJ: c.EnergyPJ * float64(n)}
 }
 
+// Digital is the price of one digital micro-unit pass over n elements: one
+// eDRAM buffer access of latency, and a shift-add plus an eDRAM byte of
+// energy per element. It is the one digital price: the DPE's activation and
+// pooling stages and the fabric's compute units both charge it.
+func Digital(n int) Cost {
+	return Cost{
+		LatencyPS: EDRAMAccessLatencyPS,
+		EnergyPJ:  float64(n) * (ShiftAddEnergyPJ + EDRAMAccessEnergyPJPerByte),
+	}
+}
+
 // Latency returns the latency in seconds.
 func (c Cost) Latency() float64 { return float64(c.LatencyPS) * 1e-12 }
 

@@ -59,6 +59,45 @@ func (a Activation) String() string {
 	}
 }
 
+// Apply applies the nonlinearity to v in place: the one definition of each
+// kind, which Forward, the DPE's digital stages and the fabric's compute
+// units all run. The elementwise
+// kinds (ReLU, sigmoid, tanh) take any run of elements, so a caller may apply
+// them stripe by stripe; softmax normalizes over exactly the slice it is
+// given. ReLU is max(v, 0), branch-free: +0 for −0 and for every negative
+// input, as the comparison it replaces gave (a NaN stays NaN).
+func (a Activation) Apply(v []float64) {
+	switch a {
+	case ActReLU:
+		for i, x := range v {
+			v[i] = max(x, 0)
+		}
+	case ActSigmoid:
+		for i, x := range v {
+			v[i] = 1 / (1 + math.Exp(-x))
+		}
+	case ActTanh:
+		for i, x := range v {
+			v[i] = math.Tanh(x)
+		}
+	case ActSoftmax:
+		maxV := math.Inf(-1)
+		for _, x := range v {
+			if x > maxV {
+				maxV = x
+			}
+		}
+		var sum float64
+		for i, x := range v {
+			v[i] = math.Exp(x - maxV)
+			sum += v[i]
+		}
+		for i := range v {
+			v[i] /= sum
+		}
+	}
+}
+
 // ActivationLayer applies a nonlinearity elementwise (softmax across the
 // vector).
 type ActivationLayer struct {
@@ -99,53 +138,15 @@ func (l *ActivationLayer) Flops() float64 { return float64(l.size) }
 // Params implements Layer.
 func (l *ActivationLayer) Params() int { return 0 }
 
-// Forward implements Layer: Apply on a copy of in.
+// Forward implements Layer: the kind's Apply on a copy of in.
 func (l *ActivationLayer) Forward(in []float64) ([]float64, error) {
 	if len(in) != l.size {
 		return nil, fmt.Errorf("nn: %s input %d != %d", l.Name(), len(in), l.size)
 	}
 	out := make([]float64, len(in))
 	copy(out, in)
-	l.Apply(out)
+	l.kind.Apply(out)
 	return out, nil
-}
-
-// Apply applies the nonlinearity to v in place: the one definition of each
-// kind, which Forward and the DPE's digital stages both run. The elementwise
-// kinds (ReLU, sigmoid, tanh) take any run of elements, so a caller may apply
-// them stripe by stripe; softmax normalizes over exactly the slice it is
-// given. ReLU is max(v, 0), branch-free: +0 for −0 and for every negative
-// input, as the comparison it replaces gave (a NaN stays NaN).
-func (l *ActivationLayer) Apply(v []float64) {
-	switch l.kind {
-	case ActReLU:
-		for i, x := range v {
-			v[i] = max(x, 0)
-		}
-	case ActSigmoid:
-		for i, x := range v {
-			v[i] = 1 / (1 + math.Exp(-x))
-		}
-	case ActTanh:
-		for i, x := range v {
-			v[i] = math.Tanh(x)
-		}
-	case ActSoftmax:
-		maxV := math.Inf(-1)
-		for _, x := range v {
-			if x > maxV {
-				maxV = x
-			}
-		}
-		var sum float64
-		for i, x := range v {
-			v[i] = math.Exp(x - maxV)
-			sum += v[i]
-		}
-		for i := range v {
-			v[i] /= sum
-		}
-	}
 }
 
 // Dense is a fully connected layer: out = W·in + b.

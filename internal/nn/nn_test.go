@@ -184,12 +184,12 @@ func TestApplyMatchesForward(t *testing.T) {
 		same(kind.String()+" Forward", got, want)
 		same(kind.String()+" Forward's input", src, kept)
 		inPlace := append([]float64(nil), src...)
-		l.Apply(inPlace)
+		kind.Apply(inPlace)
 		same(kind.String()+" Apply", inPlace, want)
 		if kind != ActSoftmax {
 			striped := append([]float64(nil), src...)
 			for c0 := 0; c0 < len(striped); c0 += 7 {
-				l.Apply(striped[c0:min(c0+7, len(striped))])
+				kind.Apply(striped[c0:min(c0+7, len(striped))])
 			}
 			same(kind.String()+" Apply by stripes", striped, want)
 		}

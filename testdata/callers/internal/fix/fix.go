@@ -42,3 +42,6 @@ type Doc interface{ Kind() string }
 type Report struct{ Total int }
 
 func (Report) Kind() string { return "report" }
+
+// Shown's one caller is the root's runnable example.
+func Shown() {}
