@@ -1,7 +1,7 @@
 GO ?= go
 
 # The sweeps archived as BENCH_<exp>.json, one bench-<exp> target each.
-BENCH_JSON := bench-fault bench-obs bench-fleet bench-hybrid bench-chaos bench-capacity
+BENCH_JSON := bench-fault bench-fleet bench-hybrid bench-chaos bench-capacity
 
 .PHONY: all build vet vet-arm64 fmt-check docs-check test race bench-check verify loc bench bench-smoke bench-json bench-pairs bench-alt profile $(BENCH_JSON) cover fuzz experiments examples clean
 
@@ -87,20 +87,21 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable archives of the six sweeps that are kept as files
-# (docs/FAULTS.md, OBSERVABILITY.md, CLUSTER.md, HYBRID.md, RESILIENCE.md,
-# CAPACITY.md say what each one shows): BENCH_<exp>.json is `cimbench -exp
-# <exp> -format json`, one {experiment, generated_at, result} document that
-# is encoding/json over the struct the text table is rendered from. The
+# Machine-readable archives of the five sweeps that are kept as files
+# (docs/FAULTS.md, CLUSTER.md, HYBRID.md, RESILIENCE.md, CAPACITY.md say
+# what each one shows): BENCH_<exp>.json is `cimbench -exp <exp> -format
+# json`, one {experiment, generated_at, result} document that is
+# encoding/json over the struct the text table is rendered from. The
 # hybrid, chaos and capacity results carry an acceptance gate (their Check
 # method, internal/experiments); cimbench writes the document first and
 # runs the gate second, so a failing sweep fails the target and still
 # leaves its numbers on disk. fault and hybrid are simulated cost only and
-# reproduce value for value (cmd/cimbench's TestArchivesReproduce holds
-# them to it, so a change that moves them re-archives them); obs, fleet,
-# chaos and capacity measure host wall time, so a host stall can fail the
-# chaos or capacity gate: run the target again. All six take about fifteen
-# seconds.
+# reproduce value for value, and so do fleet's round-robin rows
+# (cmd/cimbench's TestArchivesReproduce holds them to it, so a change that
+# moves them re-archives them); fleet's load-aware rows follow live load,
+# and chaos and capacity measure host wall time, so a host stall can fail
+# the chaos or capacity gate: run the target again. All five take about
+# fifteen seconds.
 bench-json: $(BENCH_JSON)
 
 $(BENCH_JSON): bench-%:

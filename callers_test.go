@@ -22,6 +22,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -208,18 +209,20 @@ func TestEveryInternalPackageHasACaller(t *testing.T) {
 }
 
 // callerExempt lists the methods a caller reaches through a standard
-// library interface that the standard library itself calls, and the one
-// method kept for its tests alone.
+// library interface that the standard library itself calls, the one
+// method kept for its tests alone, and the one parameter kept for
+// benchmark/'s calls alone.
 var callerExempt = map[string]string{
-	"String":            "fmt.Stringer",
-	"Error":             "error",
-	"Unwrap":            "errors.Is and errors.As",
-	"ServeHTTP":         "http.Handler",
-	"Len":               "sort.Interface",
-	"Less":              "sort.Interface",
-	"Swap":              "sort.Interface",
-	"MarshalJSON":       "json.Marshaler",
-	"noise.Source.Norm": "the definition of a draw: the crossbar and fleet tests hold NormStride == to it",
+	"String":             "fmt.Stringer",
+	"Error":              "error",
+	"Unwrap":             "errors.Is and errors.As",
+	"ServeHTTP":          "http.Handler",
+	"Len":                "sort.Interface",
+	"Less":               "sort.Interface",
+	"Swap":               "sort.Interface",
+	"MarshalJSON":        "json.Marshaler",
+	"noise.Source.Norm":  "the definition of a draw: the crossbar and fleet tests hold NormStride == to it",
+	"serve.WithBatch #2": "the batching delay the work-conserving batcher ignores: benchmark/ still passes it (ROADMAP item 1(g))",
 }
 
 // declaration is one judged name: a func, method, type, var or const
@@ -488,8 +491,9 @@ func (p *program) marshaled(files []*ast.File) map[*types.Var]bool {
 }
 
 // deadCode is the rule: the program's internal names that no non-test code
-// uses, and the fields of its internal struct types that no non-test code
-// reads, one finding per line, sorted.
+// uses, the fields of its internal struct types that no non-test code
+// reads, and the parameters no non-test code reads (deadParams), one
+// finding per line, sorted.
 //
 // A name is used when code outside its own text refers to the object it
 // denotes; a type's methods are its own text, so a dead type takes its
@@ -548,7 +552,128 @@ func (p *program) deadCode() []string {
 			}
 		}
 	}
+	dead = append(dead, p.deadParams(files, uses)...)
 	sort.Strings(dead)
+	return dead
+}
+
+// interfaces lists every interface type a method may satisfy: those the
+// program names or spells out, and those declared by the packages it
+// imports (the standard library's io.Writer or http.Handler, which the
+// standard library itself calls).
+func (p *program) interfaces() []*types.Interface {
+	var ifaces []*types.Interface
+	seen := map[*types.Interface]bool{}
+	add := func(t types.Type) {
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 && !seen[iface] {
+			seen[iface] = true
+			ifaces = append(ifaces, iface)
+		}
+	}
+	for _, tv := range p.info.Types {
+		add(tv.Type)
+	}
+	scopes := []*types.Scope{types.Universe}
+	for _, pkg := range p.pkgs {
+		scopes = append(scopes, pkg.types.Scope())
+		for _, imp := range pkg.types.Imports() {
+			scopes = append(scopes, imp.Scope())
+		}
+	}
+	for _, scope := range scopes {
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+	}
+	return ifaces
+}
+
+// deadParams judges the parameters of every function and method declared
+// in the program's non-test code, blank and unnamed ones included: a
+// parameter is dead when no code reads it, nothing uses its function as a
+// value (a func type, not the function, then fixes the signature), and no
+// interface reaches the method (an interface fixes its signature too).
+// Functions without a body are implemented in assembly and not judged.
+func (p *program) deadParams(files []*ast.File, uses map[types.Object][]token.Pos) []string {
+	called := map[*ast.Ident]bool{} // identifiers in a call's function position
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				fun := ast.Unparen(call.Fun)
+				if ix, ok := fun.(*ast.IndexExpr); ok {
+					fun = ix.X
+				} else if ix, ok := fun.(*ast.IndexListExpr); ok {
+					fun = ix.X
+				}
+				switch fun := fun.(type) {
+				case *ast.Ident:
+					called[fun] = true
+				case *ast.SelectorExpr:
+					called[fun.Sel] = true
+				}
+			}
+			return true
+		})
+	}
+	asValue := map[types.Object]bool{}
+	for id, obj := range p.info.Uses {
+		if _, ok := obj.(*types.Func); ok && !called[id] {
+			asValue[origin(obj)] = true
+		}
+	}
+	ifaces := p.interfaces()
+	reached := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		named := receiverNamed(recv.Type())
+		for _, iface := range ifaces {
+			for i := 0; i < iface.NumMethods(); i++ {
+				if iface.Method(i).Name() == fn.Name() &&
+					(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var dead []string
+	for _, pkg := range p.pkgs {
+		for _, f := range pkg.files {
+			for _, d := range f.Decls {
+				decl, ok := d.(*ast.FuncDecl)
+				if !ok || decl.Body == nil {
+					continue
+				}
+				fn := p.info.Defs[decl.Name].(*types.Func)
+				if asValue[fn] || reached(fn) {
+					continue
+				}
+				name := fn.Name()
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					name = receiverNamed(recv.Type()).Obj().Name() + "." + name
+				}
+				params := fn.Type().(*types.Signature).Params()
+				for i := 0; i < params.Len(); i++ {
+					v := params.At(i)
+					if len(uses[v]) > 0 {
+						continue
+					}
+					label := v.Name()
+					if label == "" || label == "_" {
+						label = fmt.Sprintf("#%d", i+1)
+					}
+					if callerExempt[path.Base(pkg.dir)+"."+name+" "+label] != "" {
+						continue
+					}
+					dead = append(dead, pkg.dir+": "+name+" parameter "+label+" is never read: no code reads it, nothing uses the function as a value and no interface reaches it")
+				}
+			}
+		}
+	}
 	return dead
 }
 
@@ -570,11 +695,15 @@ func TestCallerRuleFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const unread = " is never read: no code reads it, nothing uses the function as a value and no interface reaches it"
 	want := []string{
+		"internal/fix: Blank parameter #2" + unread,
 		"internal/fix: Local has no caller: no non-test code outside its own text uses it",
 		"internal/fix: Local.self has no caller: no non-test code outside its own text uses it",
 		"internal/fix: Offline.Run has no caller: no non-test code outside its own text uses it",
+		"internal/fix: Record.Set parameter unused" + unread,
 		"internal/fix: Record.written is never read: non-test code only stores into it",
+		"internal/fix: Scale parameter unused" + unread,
 	}
 	if got := p.deadCode(); !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -15,7 +15,7 @@
 //	                          # {experiment, generated_at, result}: result is
 //	                          # encoding/json over the same struct the text
 //	                          # table is rendered from (make bench-json
-//	                          # archives six of them as BENCH_<exp>.json)
+//	                          # archives five of them as BENCH_<exp>.json)
 //	cimbench -exp fleet -engines 1,2,4,8
 //	                          # cluster-scale serving sweep: routing policy x
 //	                          # fleet size, rolling reprogram mid-run
@@ -51,8 +51,8 @@
 // over that position's own word — so the noisy sweep fans out like the
 // noise-free ones instead of forcing itself serial. Selected experiments
 // also run concurrently with each other, with output printed in the
-// canonical order. The wall-clock experiments (obs, fleet, chaos,
-// capacity) are marked solo in the registry: they run only when selected
+// canonical order. The wall-clock experiments (fleet, chaos, capacity)
+// are marked solo in the registry: they run only when selected
 // explicitly, never under -exp all, where contention with the other
 // experiments would measure noise.
 package main
@@ -123,9 +123,6 @@ var registry = []experiment{
 			[]float64{0, 0.002, 0.005, 0.01, 0.02},
 			[]int{0, 4, 8, 16},
 		)
-	}},
-	{name: "obs", solo: true, run: func(params) (formatter, error) {
-		return experiments.ObsOverhead()
 	}},
 	{name: "hybrid", run: func(params) (formatter, error) {
 		return experiments.HybridSweep(

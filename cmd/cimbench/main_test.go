@@ -63,7 +63,7 @@ func TestRegistryShape(t *testing.T) {
 		}
 		seen[e.name] = true
 	}
-	for _, want := range []string{"fig2", "fault", "hybrid", "obs", "fleet", "chaos", "capacity"} {
+	for _, want := range []string{"fig2", "fault", "hybrid", "fleet", "chaos", "capacity"} {
 		if !seen[want] {
 			t.Errorf("registry lost experiment %q", want)
 		}
@@ -158,11 +158,13 @@ func TestRunJSONEveryRow(t *testing.T) {
 	}
 }
 
-// TestArchivesReproduce: the two archived sweeps that are simulated cost
-// only, BENCH_hybrid.json and BENCH_fault.json, reproduce value for value —
-// their result is what `cimbench -exp <x> -format json` prints now. A change
-// that moves a simulated number fails here until `make bench-<x>`
-// re-archives it.
+// TestArchivesReproduce: the archived results that are simulated cost only
+// reproduce value for value — BENCH_hybrid.json and BENCH_fault.json whole,
+// and the round-robin rows of BENCH_fleet.json, whose routing is a function
+// of each request's sequence number (the load-aware policies route on live
+// load, so their rows follow host scheduling). What must reproduce is what
+// `cimbench -exp <x> -format json` prints now; a change that moves a
+// simulated number fails here until `make bench-<x>` re-archives it.
 func TestArchivesReproduce(t *testing.T) {
 	result := func(r io.Reader) (any, error) {
 		var doc struct {
@@ -171,26 +173,50 @@ func TestArchivesReproduce(t *testing.T) {
 		err := json.NewDecoder(r).Decode(&doc)
 		return doc.Result, err
 	}
-	for _, exp := range []string{"hybrid", "fault"} {
+	whole := func(res any) any { return res }
+	roundRobin := func(res any) any {
+		var rows []any
+		if m, ok := res.(map[string]any); ok {
+			all, _ := m["Rows"].([]any)
+			for _, row := range all {
+				if r, ok := row.(map[string]any); ok && r["Policy"] == "round-robin" {
+					rows = append(rows, row)
+				}
+			}
+		}
+		return rows
+	}
+	for _, tc := range []struct {
+		exp  string
+		p    params
+		keep func(any) any
+	}{
+		{"hybrid", smallParams, whole},
+		{"fault", smallParams, whole},
+		{"fleet", params{engines: []int{1, 2, 4, 8}}, roundRobin},
+	} {
 		var out bytes.Buffer
-		if err := run(&out, exp, "json", smallParams); err != nil {
-			t.Fatalf("run(%s, json): %v", exp, err)
+		if err := run(&out, tc.exp, "json", tc.p); err != nil {
+			t.Fatalf("run(%s, json): %v", tc.exp, err)
 		}
 		got, err := result(&out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := os.Open(filepath.Join("..", "..", "BENCH_"+exp+".json"))
+		f, err := os.Open(filepath.Join("..", "..", "BENCH_"+tc.exp+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, err := result(f)
 		f.Close()
 		if err != nil {
-			t.Fatalf("BENCH_%s.json: %v", exp, err)
+			t.Fatalf("BENCH_%s.json: %v", tc.exp, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("-exp %s no longer reproduces BENCH_%s.json; re-archive it with `make bench-%s`", exp, exp, exp)
+		if kept := tc.keep(want); kept == nil || reflect.ValueOf(kept).Len() == 0 {
+			t.Fatalf("BENCH_%s.json holds nothing to reproduce", tc.exp)
+		}
+		if !reflect.DeepEqual(tc.keep(got), tc.keep(want)) {
+			t.Errorf("-exp %s no longer reproduces BENCH_%s.json; re-archive it with `make bench-%s`", tc.exp, tc.exp, tc.exp)
 		}
 	}
 }

@@ -778,21 +778,6 @@ func (x *Crossbar) programAndVerify() (pulses, verifies int64) {
 	return pulses, verifies
 }
 
-// MVMIntoCtx is MVMInto under a trace span: the analog read is recorded
-// as an "xbar.mvm" child of pc carrying the MVM's simulated cost. With a
-// zero Ctx (tracing off) it is the raw kernel plus one branch — zero
-// allocations, preserving the hot-path contract (see docs/OBSERVABILITY.md
-// and BenchmarkCrossbarMVMTracingOff).
-func (x *Crossbar) MVMIntoCtx(pc obs.Ctx, dst, input []float64, ns noise.Source) (energy.Cost, error) {
-	if !pc.Active() {
-		return x.MVMInto(dst, input, ns)
-	}
-	sp := pc.Child("xbar.mvm")
-	cost, err := x.MVMInto(dst, input, ns)
-	sp.End(cost)
-	return cost, err
-}
-
 // MVMInto computes y = W · input over the programmed submatrix through the
 // full analog pipeline, writing y into dst (len usedCols). input must have
 // usedRows elements. ns supplies counter-based analog read noise and may be

@@ -252,14 +252,8 @@ func (t *Tile) MVM(input []float64, ns noise.Source) ([]float64, energy.Cost, er
 // is the uniform per-item tile MVM cost; batch-level cost models belong
 // to the caller.
 func (t *Tile) MVMBatch(inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
-	return t.MVMBatchCtx(obs.Ctx{}, inputs, nss)
-}
-
-// MVMBatchCtx is MVMBatch under a trace span: MVMBatchIntoCtx into a fresh
-// output panel, with no finish.
-func (t *Tile) MVMBatchCtx(pc obs.Ctx, inputs [][]float64, nss []noise.Source) ([][]float64, energy.Cost, error) {
 	outs := newPanel(len(inputs), t.cols)
-	cost, err := t.MVMBatchIntoCtx(pc, outs, inputs, nss, nil)
+	cost, err := t.MVMBatchIntoCtx(obs.Ctx{}, outs, inputs, nss, nil)
 	if err != nil {
 		return nil, energy.Zero, err
 	}

@@ -37,35 +37,49 @@ func benchCrossbar(tb testing.TB, n int) (*Crossbar, []float64, []float64) {
 	return xb, in, make([]float64, n)
 }
 
+// read is the traced read a tile makes per block (Tile.mvmBatch): quantize
+// the inputs once, then multiplyCtx under pc, storing into dsts.
+func read(xb *Crossbar, pc obs.Ctx, dsts, inputs [][]float64, nss []noise.Source) error {
+	s := xb.getScratch()
+	defer xb.batchScratch.Put(s)
+	if err := xb.quantize(s, inputs); err != nil {
+		return err
+	}
+	xb.multiplyCtx(pc, s, dsts, nss, store)
+	return nil
+}
+
 // TestMVMTracingOffZeroAllocs pins the overhead contract from
-// docs/OBSERVABILITY.md: the Ctx-threaded MVM path with tracing disabled
-// (zero obs.Ctx, from a nil tracer) must allocate nothing — the hot loop
-// pays only a couple of nil-check branches.
+// docs/OBSERVABILITY.md: the read a tile makes per block, with tracing
+// disabled (zero obs.Ctx, from a nil tracer), must allocate nothing — the
+// hot loop pays only a couple of nil-check branches.
 func TestMVMTracingOffZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; run without -race")
 	}
 	xb, in, dst := benchCrossbar(t, 128)
-	ns := noise.NewSource(1)
+	dsts, inputs := [][]float64{dst}, [][]float64{in}
 	var tr *obs.Tracer // disabled
-	// Warm the scratch pool first: the first MVM allocates its scratch.
-	if _, err := xb.MVMIntoCtx(tr.Root("warm"), dst, in, ns); err != nil {
+	// Warm the scratch pool first: the first read allocates its scratch.
+	if err := read(xb, tr.Root("warm"), dsts, inputs, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := xb.MVMIntoCtx(tr.Root("xbar.mvm"), dst, in, ns); err != nil {
+		if err := read(xb, tr.Root("xbar.mvm_batch"), dsts, inputs, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("MVM with tracing off allocates %.1f per op, want 0", allocs)
+		t.Fatalf("read with tracing off allocates %.1f per op, want 0", allocs)
 	}
 }
 
 // TestMVMTracedBitIdentical: tracing must not perturb the kernel — the
-// traced MVM's outputs and cost equal the untraced ones exactly, and the
-// recorded span carries that exact cost.
+// traced read's outputs and per-item cost equal the untraced
+// MVMBatchInto's exactly, and the recorded xbar.mvm_batch span carries that
+// exact cost for the whole batch.
 func TestMVMTracedBitIdentical(t *testing.T) {
+	const batch = 3
 	for _, mode := range []string{"bitserial", "noisy"} {
 		t.Run(mode, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -91,67 +105,75 @@ func TestMVMTracedBitIdentical(t *testing.T) {
 				}
 				return xb
 			}
-			in := make([]float64, 64)
-			for i := range in {
-				in[i] = float64(i%13)/6.5 - 1
+			inputs := make([][]float64, batch)
+			nss := make([]noise.Source, batch)
+			for k := range inputs {
+				inputs[k] = make([]float64, 64)
+				for i := range inputs[k] {
+					inputs[k][i] = float64((i+5*k)%13)/6.5 - 1
+				}
+				nss[k] = noise.NewSource(int64(3 + k))
 			}
 
-			ref := mk()
-			want, wantCost, err := mvm(ref, in, noise.NewSource(3))
+			want := newPanel(batch, 64)
+			wantCost, err := mk().MVMBatchInto(want, inputs, nss)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			tr := obs.New()
 			xb := mk()
-			got := make([]float64, 64)
-			root := tr.Root("run.mvm")
-			gotCost, err := xb.MVMIntoCtx(root, got, in, noise.NewSource(3))
-			root.End(gotCost)
-			if err != nil {
+			got := newPanel(batch, 64)
+			root := tr.Root("run.mvm_batch")
+			if err := read(xb, root, got, inputs, nss); err != nil {
 				t.Fatal(err)
 			}
+			root.End(xb.cost)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatal("traced MVM output differs from untraced")
+				t.Fatal("traced read output differs from untraced")
 			}
-			if gotCost != wantCost {
-				t.Fatalf("traced cost %+v != untraced %+v", gotCost, wantCost)
+			if xb.cost != wantCost {
+				t.Fatalf("traced cost %+v != untraced %+v", xb.cost, wantCost)
 			}
 			spans := tr.Snapshot()
 			found := false
 			for _, s := range spans {
-				if s.Name == "xbar.mvm" && s.Cost == wantCost {
+				if s.Name == "xbar.mvm_batch" && s.Cost == wantCost.Scale(batch) &&
+					reflect.DeepEqual(s.Notes, []obs.Note{{Key: "batch", Val: batch}}) {
 					found = true
 				}
 			}
 			if !found {
-				t.Fatalf("no xbar.mvm span carrying the exact kernel cost (spans: %d)", len(spans))
+				t.Fatalf("no xbar.mvm_batch span carrying the exact batch cost (spans: %d)", len(spans))
 			}
 		})
 	}
 }
 
-// BenchmarkCrossbarMVMTracingOff measures the Ctx-threaded MVM hot path
-// with tracing disabled against the plain path — the disabled-tracer
-// overhead budget (<5%, 0 allocs) that docs/OBSERVABILITY.md promises.
-// `make bench-obs` records the wall-clock side of the same budget.
+// BenchmarkCrossbarMVMTracingOff measures the read a tile makes per block
+// with tracing disabled against the same read untraced — the
+// disabled-tracer overhead budget (<5%, 0 allocs) that
+// docs/OBSERVABILITY.md promises.
 func BenchmarkCrossbarMVMTracingOff(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		xb, in, dst := benchCrossbar(b, n)
-		ns := noise.NewSource(1)
+		dsts, inputs := [][]float64{dst}, [][]float64{in}
 		b.Run(sizeName("plain", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := xb.MVMInto(dst, in, ns); err != nil {
+				s := xb.getScratch()
+				if err := xb.quantize(s, inputs); err != nil {
 					b.Fatal(err)
 				}
+				xb.multiply(s, dsts, nil, store)
+				xb.batchScratch.Put(s)
 			}
 		})
 		b.Run(sizeName("ctx_off", n), func(b *testing.B) {
 			var tr *obs.Tracer
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := xb.MVMIntoCtx(tr.Root("xbar.mvm"), dst, in, ns); err != nil {
+				if err := read(xb, tr.Root("xbar.mvm_batch"), dsts, inputs, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -160,17 +182,17 @@ func BenchmarkCrossbarMVMTracingOff(b *testing.B) {
 }
 
 // BenchmarkCrossbarMVMTracingOn is the enabled-tracer counterpart: every
-// MVM records a root span (with per-block children), showing the full
+// read records a root span and its xbar.mvm_batch child, showing the full
 // recording cost next to the disabled path.
 func BenchmarkCrossbarMVMTracingOn(b *testing.B) {
 	xb, in, dst := benchCrossbar(b, 256)
-	ns := noise.NewSource(1)
+	dsts, inputs := [][]float64{dst}, [][]float64{in}
 	tr := obs.New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := tr.Root("bench.mvm")
-		cost, err := xb.MVMIntoCtx(sp, dst, in, ns)
-		sp.End(cost)
+		err := read(xb, sp, dsts, inputs, nil)
+		sp.End(xb.cost)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"cimrev/internal/energy"
 	"cimrev/internal/interconnect"
 	"cimrev/internal/nn"
-	"cimrev/internal/obs"
 	"cimrev/internal/parallel"
 )
 
@@ -80,25 +79,6 @@ func (c *Cluster) Load(net *nn.Network) (energy.Cost, error) {
 // link. Per-board costs fold in board order, so the total is bit-identical
 // to serial execution at any pool width.
 func (c *Cluster) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error) {
-	return c.InferBatchCtx(obs.Ctx{}, inputs)
-}
-
-// InferBatchCtx is InferBatch with tracing: a "cluster.infer_batch" span
-// (annotated with batch size and board count) whose children are the
-// per-item "dpe.infer" spans, retired by whichever board's worker ran the
-// item.
-func (c *Cluster) InferBatchCtx(pc obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error) {
-	sp := pc.Child("cluster.infer_batch")
-	outs, cost, err := c.inferBatch(sp, inputs)
-	if sp.Active() {
-		sp.Annotate("batch", float64(len(inputs)))
-		sp.Annotate("boards", float64(len(c.engines)))
-	}
-	sp.End(cost)
-	return outs, cost, err
-}
-
-func (c *Cluster) inferBatch(sp obs.Ctx, inputs [][]float64) ([][]float64, energy.Cost, error) {
 	if len(inputs) == 0 {
 		return nil, energy.Zero, fmt.Errorf("dpe: empty batch")
 	}
@@ -108,7 +88,7 @@ func (c *Cluster) inferBatch(sp obs.Ctx, inputs [][]float64) ([][]float64, energ
 		eng := c.engines[b]
 		for i := b; i < len(inputs); i += len(c.engines) {
 			in := inputs[i]
-			out, cost, err := eng.InferCtx(sp, in)
+			out, cost, err := eng.Infer(in)
 			if err != nil {
 				return fmt.Errorf("dpe: board %d input %d: %w", b, i, err)
 			}

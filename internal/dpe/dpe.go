@@ -325,25 +325,6 @@ func (e *Engine) load(sp obs.Ctx, net *nn.Network) (energy.Cost, error) {
 // hiding of Section VI) and only a reconfiguration swap appears on the
 // critical path.
 func (e *Engine) Reprogram(net *nn.Network, hide bool) (energy.Cost, error) {
-	return e.ReprogramCtx(obs.Ctx{}, net, hide)
-}
-
-// ReprogramCtx is Reprogram with tracing: a "dpe.reprogram" span whose
-// children are the per-layer tile.program spans. The span cost is the
-// *visible* (possibly hidden) cost — the same value the caller folds.
-func (e *Engine) ReprogramCtx(pc obs.Ctx, net *nn.Network, hide bool) (energy.Cost, error) {
-	sp := pc.Child("dpe.reprogram")
-	cost, err := e.reprogram(sp, net, hide)
-	if sp.Active() {
-		if hide {
-			sp.Annotate("hidden", 1)
-		}
-	}
-	sp.End(cost)
-	return cost, err
-}
-
-func (e *Engine) reprogram(sp obs.Ctx, net *nn.Network, hide bool) (energy.Cost, error) {
 	if e.net == nil {
 		return energy.Zero, fmt.Errorf("dpe: Reprogram before Load")
 	}
@@ -360,7 +341,7 @@ func (e *Engine) reprogram(sp obs.Ctx, net *nn.Network, hide bool) (energy.Cost,
 			if s.dense == nil || s.dense.InSize() != l.InSize() || s.dense.OutSize() != l.OutSize() {
 				return fmt.Errorf("dpe: layer %d shape mismatch", i)
 			}
-			c, err := s.tile.ProgramCtx(sp, l.WeightMatrix())
+			c, err := s.tile.Program(l.WeightMatrix())
 			if err != nil {
 				return err
 			}
@@ -370,7 +351,7 @@ func (e *Engine) reprogram(sp obs.Ctx, net *nn.Network, hide bool) (energy.Cost,
 			if s.conv == nil || s.conv.InSize() != l.InSize() || s.conv.OutSize() != l.OutSize() {
 				return fmt.Errorf("dpe: layer %d shape mismatch", i)
 			}
-			c, err := s.tile.ProgramCtx(sp, l.Im2ColMatrix())
+			c, err := s.tile.Program(l.Im2ColMatrix())
 			if err != nil {
 				return err
 			}
@@ -409,17 +390,7 @@ func (e *Engine) reprogram(sp obs.Ctx, net *nn.Network, hide bool) (energy.Cost,
 // noisy results depend only on (seed, inference index since Load) — not on
 // batching or pool width.
 func (e *Engine) Infer(in []float64) ([]float64, energy.Cost, error) {
-	return e.InferCtx(obs.Ctx{}, in)
-}
-
-// InferCtx is Infer with tracing: a "dpe.infer" span with one child per
-// stage ("dpe.dense" / "dpe.conv" / "dpe.digital"), each carrying that
-// stage's cost and wrapping the tile.mvm_batch spans beneath it. Cluster
-// hangs one such span per item under its batch span.
-func (e *Engine) InferCtx(pc obs.Ctx, in []float64) ([]float64, energy.Cost, error) {
-	sp := pc.Child("dpe.infer")
-	outs, cost, err := e.inferBatch(sp, [][]float64{in}, nil)
-	sp.End(cost)
+	outs, cost, err := e.inferBatch(obs.Ctx{}, [][]float64{in}, nil)
 	if err != nil {
 		return nil, energy.Zero, err
 	}

@@ -18,7 +18,6 @@ import (
 	"cimrev/internal/crossbar"
 	"cimrev/internal/energy"
 	"cimrev/internal/faultinject"
-	"cimrev/internal/obs"
 	"cimrev/internal/parallel"
 )
 
@@ -97,7 +96,7 @@ func (e *Engine) HealthCheck() Health {
 	return h
 }
 
-// RepairCtx reprograms every stage whose fault report shows lost columns,
+// Repair reprograms every stage whose fault report shows lost columns,
 // re-running program-and-verify, the self-test scan, and spare remapping
 // on the same physical arrays. Transient write failures re-roll on the
 // new program epoch, so losses they caused usually clear; stuck cells are
@@ -107,18 +106,8 @@ func (e *Engine) HealthCheck() Health {
 // The cost is real: every pulse of every retried cell lands in the
 // returned ledger entry (stages repair in parallel, so latency is the max
 // stage cost and energy sums — the same fold as Load). Repairing a
-// healthy engine returns zero cost. RepairCtx must not race inference.
-//
-// It is traced as a "dpe.repair" child of pc (annotated with the number of
-// stages reprogrammed) whose children are the per-stage tile.program spans.
-func (e *Engine) RepairCtx(pc obs.Ctx) (energy.Cost, Health, error) {
-	sp := pc.Child("dpe.repair")
-	cost, h, err := e.repair(sp)
-	sp.End(cost)
-	return cost, h, err
-}
-
-func (e *Engine) repair(sp obs.Ctx) (energy.Cost, Health, error) {
+// healthy engine returns zero cost. Repair must not race inference.
+func (e *Engine) Repair() (energy.Cost, Health, error) {
 	if e.net == nil {
 		return energy.Zero, Health{}, fmt.Errorf("dpe: Repair before Load")
 	}
@@ -129,9 +118,6 @@ func (e *Engine) repair(sp obs.Ctx) (energy.Cost, Health, error) {
 			bad = append(bad, i)
 		}
 	}
-	if sp.Active() {
-		sp.Annotate("stages", float64(len(bad)))
-	}
 	if len(bad) == 0 {
 		return energy.Zero, e.HealthCheck(), nil
 	}
@@ -140,13 +126,13 @@ func (e *Engine) repair(sp obs.Ctx) (energy.Cost, Health, error) {
 		s := &e.stages[bad[k]]
 		switch {
 		case s.dense != nil:
-			c, err := s.tile.ProgramCtx(sp, s.dense.WeightMatrix())
+			c, err := s.tile.Program(s.dense.WeightMatrix())
 			if err != nil {
 				return fmt.Errorf("dpe: repair stage %d (%s): %w", bad[k], s.layer.Name(), err)
 			}
 			costs[k] = c
 		case s.conv != nil:
-			c, err := s.tile.ProgramCtx(sp, s.conv.Im2ColMatrix())
+			c, err := s.tile.Program(s.conv.Im2ColMatrix())
 			if err != nil {
 				return fmt.Errorf("dpe: repair stage %d (%s): %w", bad[k], s.layer.Name(), err)
 			}

@@ -7,7 +7,6 @@ import (
 
 	"cimrev/internal/faultinject"
 	"cimrev/internal/nn"
-	"cimrev/internal/obs"
 	"cimrev/internal/parallel"
 )
 
@@ -53,7 +52,7 @@ func TestHealthCheckNoFaults(t *testing.T) {
 	if h.Total != (faultinject.Report{}) {
 		t.Fatalf("fault-free engine has nonzero report: %+v", h.Total)
 	}
-	cost, h2, err := eng.RepairCtx(obs.Ctx{})
+	cost, h2, err := eng.Repair()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestSpareExhaustionReported(t *testing.T) {
 	}
 	// Stuck-cell losses are position-pinned: Repair re-runs the write
 	// loop (charging real cost) but cannot conjure spare columns.
-	cost, h2, err := eng.RepairCtx(obs.Ctx{})
+	cost, h2, err := eng.Repair()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestRepairClearsTransientLosses(t *testing.T) {
 		t.Skipf("seed 4 produced no transient losses (report %s); pick a harsher seed", h)
 	}
 	for attempt := 0; attempt < 8 && !h.Healthy(); attempt++ {
-		if _, h, err = eng.RepairCtx(obs.Ctx{}); err != nil {
+		if _, h, err = eng.Repair(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,9 +42,10 @@ type ChaosRow struct {
 	// Hedges / HedgeWins / BrownoutSheds are the fleet's resilience
 	// counters for the run.
 	Hedges, HedgeWins, BrownoutSheds int64
-	// WallP50NS / WallP99NS are host-side latency quantiles over successful
-	// requests. Wall-clock: they exist to show tail recovery, not to replay.
-	WallP50NS, WallP99NS float64
+	// WallP99NS is the host-side p99 latency over successful requests, the
+	// number the overload SLO gate (Check) reads. Wall-clock: it varies run
+	// to run and is not replayed.
+	WallP99NS float64
 	// RolledEngines / RollingFailed report the rolling reprogram the crash
 	// scenario fires mid-run (0 for the other scenarios).
 	RolledEngines, RollingFailed int
@@ -261,7 +262,6 @@ func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenari
 		Hedges:        reg.Counter("fleet.hedged").Value(),
 		HedgeWins:     reg.Counter("fleet.hedge_won").Value(),
 		BrownoutSheds: reg.Counter("fleet.brownout_shed").Value(),
-		WallP50NS:     lat.Quantile(0.5),
 		WallP99NS:     lat.Quantile(0.99),
 		RolledEngines: rolled,
 		RollingFailed: rollFailed,
@@ -322,8 +322,8 @@ func (r *ChaosResult) Format() string {
 	var b strings.Builder
 	b.WriteString(fmt.Sprintf(
 		"Chaos — SLO retention under injected faults (%d engines, least-loaded, AIMD overload control)\n", r.Engines))
-	b.WriteString(fmt.Sprintf("%-11s %-6s %9s %6s %5s %8s %7s %6s %11s %11s %5s\n",
-		"scenario", "hedge", "requests", "shed", "lost", "hedges", "wins", "brown", "wall p50", "wall p99", "bits"))
+	b.WriteString(fmt.Sprintf("%-11s %-6s %9s %6s %5s %8s %7s %6s %11s %5s\n",
+		"scenario", "hedge", "requests", "shed", "lost", "hedges", "wins", "brown", "wall p99", "bits"))
 	for _, row := range r.Rows {
 		hedged := "off"
 		if row.Hedged {
@@ -333,10 +333,10 @@ func (r *ChaosResult) Format() string {
 		if !row.BitIdentical {
 			bits = fmt.Sprintf("%d!", row.Mismatched)
 		}
-		b.WriteString(fmt.Sprintf("%-11s %-6s %9d %6d %5d %8d %7d %6d %9.0fus %9.0fus %5s\n",
+		b.WriteString(fmt.Sprintf("%-11s %-6s %9d %6d %5d %8d %7d %6d %9.0fus %5s\n",
 			row.Scenario, hedged, row.Requests, row.Shed, row.Lost,
 			row.Hedges, row.HedgeWins, row.BrownoutSheds,
-			row.WallP50NS/1e3, row.WallP99NS/1e3, bits))
+			row.WallP99NS/1e3, bits))
 	}
 	return b.String()
 }

@@ -26,16 +26,14 @@ type FleetRow struct {
 	// SimThroughputRPS is simulated closed-loop throughput: requests
 	// divided by the busiest engine's accumulated simulated serving time.
 	// Boards serve concurrently in simulated time, so fleet time is the
-	// max over engines, not the sum. Deterministic at any -parallel width.
+	// max over engines, not the sum. Under round-robin it is exact at any
+	// -parallel width: which engine serves a request is a function of its
+	// sequence number. The load-aware policies route on live queue depth
+	// and wear, so their rows follow host scheduling and vary run to run.
 	SimThroughputRPS float64
 	// SpeedupVs1 is this row's throughput over the same policy's 1-engine
 	// row (1.0 when no 1-engine row is in the sweep).
 	SpeedupVs1 float64
-	// WallP50NS / WallP99NS are host-side request latency quantiles from
-	// the fleet's latency histogram. Wall-clock, not simulated: they vary
-	// run to run and exist to show tail behavior, not to be replayed.
-	WallP50NS float64
-	WallP99NS float64
 	// RolledEngines / RollingFailed report the rolling reprogram fired
 	// mid-traffic: how many engines swapped to the new weights and how
 	// many failed their health gate.
@@ -58,9 +56,9 @@ type FleetResult struct {
 // (policy, engine count) combination, firing one rolling reprogram to a
 // second weight set in the middle of each run. Grid points run serially —
 // each point saturates the worker pool with its own client goroutines,
-// and running them concurrently would contaminate the wall-clock latency
-// quantiles. All simulated measurements are bit-identical at any pool
-// width; only the WallP* columns are host-dependent.
+// and running them concurrently would skew the load-aware policies' routing.
+// The round-robin rows are exact at any pool width; least-loaded and
+// wear-aware route on live load, so their rows vary run to run.
 func FleetSweep(engineCounts []int, policies []string, clients, requests int) (*FleetResult, error) {
 	if len(engineCounts) == 0 || len(policies) == 0 {
 		return nil, fmt.Errorf("experiments: empty fleet sweep")
@@ -164,9 +162,6 @@ func fleetPoint(netA, netB *nn.Network, inputs [][]float64, policyName string, e
 	if ps := f.SimTimePS(); ps > 0 {
 		row.SimThroughputRPS = float64(requests) / (float64(ps) * 1e-12)
 	}
-	lat := f.Registry().Histogram("fleet.latency_ns").Snapshot()
-	row.WallP50NS = lat.Quantile(0.5)
-	row.WallP99NS = lat.Quantile(0.99)
 	return row, nil
 }
 
@@ -175,13 +170,12 @@ func (r *FleetResult) Format() string {
 	var b strings.Builder
 	b.WriteString(fmt.Sprintf(
 		"Fleet — routing policy x engine count (%d closed-loop clients, rolling reprogram mid-run)\n", r.Clients))
-	b.WriteString(fmt.Sprintf("%-13s %-8s %9s %13s %8s %7s %12s %12s %7s\n",
-		"policy", "engines", "requests", "sim rps", "speedup", "failed", "wall p50", "wall p99", "rolled"))
+	b.WriteString(fmt.Sprintf("%-13s %-8s %9s %13s %8s %7s %7s\n",
+		"policy", "engines", "requests", "sim rps", "speedup", "failed", "rolled"))
 	for _, row := range r.Rows {
-		b.WriteString(fmt.Sprintf("%-13s %-8d %9d %13.0f %7.2fx %7d %10.0fus %10.0fus %4d/%-2d\n",
+		b.WriteString(fmt.Sprintf("%-13s %-8d %9d %13.0f %7.2fx %7d %4d/%-2d\n",
 			row.Policy, row.Engines, row.Requests, row.SimThroughputRPS, row.SpeedupVs1,
-			row.Failed, row.WallP50NS/1e3, row.WallP99NS/1e3,
-			row.RolledEngines, row.RolledEngines+row.RollingFailed))
+			row.Failed, row.RolledEngines, row.RolledEngines+row.RollingFailed))
 	}
 	return b.String()
 }

@@ -38,30 +38,3 @@ func TestTraceRunBitIdentical(t *testing.T) {
 		})
 	}
 }
-
-// TestObsOverheadRuns: the overhead measurement completes and renders
-// its table with every variant measured. Wall-clock numbers are
-// host-dependent; the hard overhead guarantees are the allocation
-// assertions in internal/crossbar (TestMVMTracingOffZeroAllocs).
-func TestObsOverheadRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement; skipped in -short")
-	}
-	res, err := ObsOverhead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MVMUntracedNS <= 0 || res.MVMDisabledNS <= 0 || res.MVMEnabledNS <= 0 {
-		t.Fatalf("degenerate MVM timings: %+v", res)
-	}
-	if res.ServeUntracedNS <= 0 || res.ServeDisabledNS <= 0 {
-		t.Fatalf("degenerate serve timings: %+v", res)
-	}
-	if res.SpansRecorded < res.MVMIters {
-		t.Errorf("enabled run recorded %d spans, want >= %d (one root per MVM)",
-			res.SpansRecorded, res.MVMIters)
-	}
-	if !strings.Contains(res.Format(), "mvm disabled") {
-		t.Error("Format() missing variant table")
-	}
-}

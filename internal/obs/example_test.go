@@ -7,15 +7,15 @@ import (
 	"cimrev/internal/obs"
 )
 
-// ExampleTracer shows the span lifecycle: a root span per request, child
-// spans per pipeline stage, each ended with its simulated cost. SumRoots
+// ExampleTracer shows the span lifecycle: a root span per driver
+// operation, child spans per layer beneath it, each ended with its simulated cost. SumRoots
 // totals simulated time over root spans only, so nesting never
 // double-counts.
 func ExampleTracer() {
 	tr := obs.New()
 
-	root := tr.Root("serve.request")
-	infer := root.Child("dpe.infer")
+	root := tr.Root("run.infer_batch")
+	infer := root.Child("dpe.infer_batch")
 	infer.End(energy.Cost{LatencyPS: 100_000, EnergyPJ: 12})
 	root.End(energy.Cost{LatencyPS: 102_000, EnergyPJ: 12.5})
 

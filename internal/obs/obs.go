@@ -14,15 +14,15 @@
 //     attribution is exact: the simulated cost algebra is the source of
 //     truth, not a sampling profiler.
 //   - Tracing is threaded through the stack as an explicit obs.Ctx value
-//     (crossbar MVM/Program, dpe InferBatch/Load/Repair, serve flushes and
-//     shadow swaps, experiment sweeps). A zero Ctx means "not tracing" and
-//     every operation on it is a nil-check no-op — the hot MVM path pays a
+//     (dpe Load and InferBatch, tile Program and MVM, the crossbar's
+//     program and batched read), opened by the one traced driver,
+//     experiments.TraceRun. A zero Ctx means "not tracing" and every
+//     operation on it is a nil-check no-op — the hot MVM path pays a
 //     couple of predictable branches and zero allocations when tracing is
 //     off (see BenchmarkCrossbarMVMTracingOff and docs/OBSERVABILITY.md
 //     for the overhead budget).
-//   - The enable flag is atomic, so a long-lived Tracer can be toggled
-//     while the serving pipeline runs; completed-span records come from a
-//     sync.Pool, so repeated trace sessions reuse their buffers.
+//   - Completed-span records come from a sync.Pool, so repeated trace
+//     sessions reuse their buffers.
 //
 // Exporters live in export.go: Chrome trace_event JSON (loadable in
 // chrome://tracing or Perfetto, `cimbench -trace out.json`) and an
@@ -65,8 +65,8 @@ type Span struct {
 	// ID is unique within the tracer; Parent is the enclosing span's ID,
 	// 0 for root spans.
 	ID, Parent uint64
-	// Name identifies the operation, dotted by layer: "xbar.mvm",
-	// "dpe.infer_batch", "serve.flush". The prefix before the first dot is
+	// Name identifies the operation, dotted by layer: "xbar.mvm_batch",
+	// "dpe.infer_batch", "tile.program". The prefix before the first dot is
 	// the category exporters group by.
 	Name string
 	// StartNS / EndNS are wall-clock nanoseconds since the tracer epoch.
@@ -78,7 +78,7 @@ type Span struct {
 	Notes []Note
 }
 
-// Category returns the span name's layer prefix ("xbar" for "xbar.mvm").
+// Category returns the span name's layer prefix ("xbar" for "xbar.mvm_batch").
 func (s Span) Category() string {
 	for i := 0; i < len(s.Name); i++ {
 		if s.Name[i] == '.' {
@@ -88,15 +88,13 @@ func (s Span) Category() string {
 	return s.Name
 }
 
-// Tracer collects spans. The zero value and nil are both valid "tracing
-// off" tracers: every method is nil-safe, and Root on a disabled tracer
-// returns the zero Ctx, which turns the whole downstream span tree into
-// no-ops. Construct with New (enabled); Disable turns recording off.
+// Tracer collects spans. A nil Tracer is the "tracing off" tracer: every
+// method is nil-safe, and Root on it returns the zero Ctx, which turns the
+// whole downstream span tree into no-ops. Construct with New.
 //
 // Recording is safe for concurrent use: the parallel worker pool retires
 // spans from many goroutines.
 type Tracer struct {
-	on      atomic.Bool
 	epoch   time.Time
 	ids     atomic.Uint64
 	limit   int
@@ -108,23 +106,16 @@ type Tracer struct {
 	done []Span // completed spans in retirement (End) order
 }
 
-// New returns an enabled tracer with the default span limit.
+// New returns a recording tracer with the default span limit.
 func New() *Tracer {
-	t := &Tracer{epoch: time.Now(), limit: DefaultSpanLimit}
-	t.on.Store(true)
-	return t
+	return &Tracer{epoch: time.Now(), limit: DefaultSpanLimit}
 }
 
-// Disable turns recording off. In-flight spans still retire (their parents
-// are already committed to the tree); new Root calls become no-ops.
-func (t *Tracer) Disable() { t.on.Store(false) }
+// Enabled reports whether the tracer records: every tracer but nil does.
+func (t *Tracer) Enabled() bool { return t != nil }
 
-// Enabled reports whether the tracer records. Nil-safe: a nil tracer is
-// permanently disabled — this is the fast path the hot kernels branch on.
-func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() }
-
-// Root opens a top-level span. On a nil or disabled tracer it returns the
-// zero Ctx and allocates nothing.
+// Root opens a top-level span. On a nil tracer it returns the zero Ctx and
+// allocates nothing.
 func (t *Tracer) Root(name string) Ctx {
 	if !t.Enabled() {
 		return Ctx{}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cimrev/internal/dpe"
-	"cimrev/internal/energy"
 	"cimrev/internal/faultinject"
 	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
@@ -287,71 +286,4 @@ func TestBreakerConcurrentAccess(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-}
-
-// TestReprogramSpanTree pins the reprogram trace: one "serve.reprogram"
-// root per Reprogram whose attempts note counts its "serve.shadow_swap"
-// children, with the visible cost on the root and the hidden cost split
-// across the children — on a clean swap and on seed 3's retried one.
-func TestReprogramSpanTree(t *testing.T) {
-	netA, netB := twoNets(t, 32, 24, 10)
-	for _, tc := range []struct {
-		name  string
-		cfg   dpe.Config
-		retry bool // the faulty config must take more than one attempt
-	}{
-		{"clean", testEngineConfig(), false},
-		{"seed3", faultyEngineConfig(faultinject.Model{WriteFailRate: 0.885, Seed: 3}, 0), true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := obs.New()
-			pair, _, err := NewShadowPair(tc.cfg, netA, WithRetry(5), WithTracer(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			visible, hidden, err := pair.Reprogram(netB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spans := tr.Snapshot()
-			var roots []obs.Span
-			for _, s := range spans {
-				if s.Parent == 0 {
-					roots = append(roots, s)
-				}
-			}
-			if len(roots) != 1 || roots[0].Name != "serve.reprogram" {
-				t.Fatalf("roots = %+v, want one serve.reprogram", roots)
-			}
-			root := roots[0]
-			attempts := -1.0
-			for _, n := range root.Notes {
-				if n.Key == "attempts" {
-					attempts = n.Val
-				}
-			}
-			children, sum := 0, energy.Zero
-			for _, s := range spans {
-				if s.Parent == root.ID {
-					if s.Name != "serve.shadow_swap" {
-						t.Fatalf("root child %q, want serve.shadow_swap", s.Name)
-					}
-					children++
-					sum = sum.Seq(s.Cost)
-				}
-			}
-			if attempts != float64(children) {
-				t.Errorf("attempts note = %g, shadow_swap children = %d", attempts, children)
-			}
-			if tc.retry && children < 2 {
-				t.Errorf("%d attempts: seed 3 no longer exercises the retry path", children)
-			}
-			if root.Cost != visible {
-				t.Errorf("root cost %+v, want visible %+v", root.Cost, visible)
-			}
-			if sum != hidden {
-				t.Errorf("children's costs sum to %+v, want hidden %+v", sum, hidden)
-			}
-		})
-	}
 }

@@ -2,8 +2,8 @@
 // (batcher, pending list, reprogram retries, telemetry), built from
 // Default() plus functional options. A single Config feeds both New (the
 // Server) and NewShadowPair (the board); both validate the whole Config,
-// each reads the fields it consumes, and shared plumbing (Registry,
-// Tracer) is set once:
+// each reads the fields it consumes, and shared plumbing (the Registry) is
+// set once:
 //
 //	pair, _, err := serve.NewShadowPair(dcfg, net,
 //	    serve.WithRetry(3),
@@ -13,7 +13,6 @@
 //	    serve.WithBatch(64, 0),
 //	    serve.WithQueueBound(4096),
 //	    serve.WithRegistry(reg),
-//	    serve.WithTracer(tracer),
 //	)
 //
 // Zero options means Default().
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"cimrev/internal/metrics"
-	"cimrev/internal/obs"
 )
 
 // Config configures the serving pipeline. Construct with Default() (or
@@ -51,10 +49,6 @@ type Config struct {
 	// Registry receives serving metrics. Nil selects a private registry
 	// (always safe; reachable via Server.Registry).
 	Registry *metrics.Registry
-	// Tracer records serve-layer spans (flushes, reprograms and their
-	// shadow swaps) and is threaded down into the engine/crossbar spans.
-	// Nil or disabled means the pipeline pays only nil-check branches.
-	Tracer *obs.Tracer
 }
 
 // Default returns the serving configuration the benchmarks use: batches
@@ -97,10 +91,6 @@ func WithRetry(maxRetries int) Option { return func(c *Config) { c.MaxRetries = 
 
 // WithRegistry routes metrics into reg instead of a private registry.
 func WithRegistry(reg *metrics.Registry) Option { return func(c *Config) { c.Registry = reg } }
-
-// WithTracer records serve-layer (and downstream engine/crossbar) spans
-// into tr.
-func WithTracer(tr *obs.Tracer) Option { return func(c *Config) { c.Tracer = tr } }
 
 // build folds options over Default().
 func build(opts []Option) Config {

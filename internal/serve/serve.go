@@ -27,11 +27,8 @@
 //   - Observability: per-request wall-clock latency lands in a lock-free
 //     metrics.Histogram (p50/p95/p99 via HistogramSnapshot.Quantile), the
 //     simulated cost algebra (internal/energy) keeps running totals of
-//     virtual busy time and energy, and an optional obs.Tracer records one
-//     "serve.flush" span per batch with the whole engine/crossbar span tree
-//     beneath it (docs/OBSERVABILITY.md). All metric handles are interned
-//     once at construction; the request hot path never does a registry
-//     lookup.
+//     virtual busy time and energy. All metric handles are interned once
+//     at construction; the request hot path never does a registry lookup.
 //
 // Zero-downtime weight updates are the fourth piece, in shadow.go: a
 // ShadowPair programs a standby engine while the live one keeps serving,
@@ -69,10 +66,10 @@ type Backend interface {
 // A keyed backend gets every request's noise sequence number down to the
 // engine, making its output a pure function of (engine config, key, input)
 // — independent of batch composition, queue interleaving, or which engine
-// of a fleet serves it (docs/CLUSTER.md) — and links its span tree under the
-// server's "serve.flush" spans. A plain Backend is served through
-// InferBatch, ignoring the keys, and appears as a leaf flush in a trace. A
-// wrapper around a backend must keep it keyed (chaos.Injector.Wrap does).
+// of a fleet serves it (docs/CLUSTER.md). The server passes the zero
+// obs.Ctx: it records no spans. A plain Backend is served through
+// InferBatch, ignoring the keys. A wrapper around a backend must keep it
+// keyed (chaos.Injector.Wrap does).
 type KeyedBackend interface {
 	InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]float64) ([][]float64, energy.Cost, error)
 }
@@ -193,7 +190,6 @@ type Server struct {
 	backend Backend
 	kbe     KeyedBackend // non-nil iff backend implements InferBatchKeyedCtx
 	met     serverMetrics
-	tracer  *obs.Tracer
 
 	// mu guards pending and closed. work wakes the parked flusher when a
 	// request arrives or the server closes; flusherDone closes as it exits.
@@ -231,7 +227,6 @@ func New(backend Backend, opts ...Option) (*Server, error) {
 		cfg:         cfg,
 		backend:     backend,
 		met:         newServerMetrics(reg),
-		tracer:      cfg.Tracer,
 		flusherDone: make(chan struct{}),
 	}
 	s.work = sync.NewCond(&s.mu)
@@ -381,15 +376,15 @@ func (s *Server) shedExpired(batch []*request) []*request {
 
 // inferBatch invokes the backend for one device batch: with the requests'
 // noise keys through InferBatchKeyedCtx when the backend has it, otherwise
-// through the plain InferBatch (keys ignored, untraced). Keys, unlike
-// inputs, are allocated per flush: a backend may keep them.
-func (s *Server) inferBatch(sp obs.Ctx, batch []*request, inputs [][]float64) ([][]float64, energy.Cost, error) {
+// through the plain InferBatch (keys ignored). Keys, unlike inputs, are
+// allocated per flush: a backend may keep them.
+func (s *Server) inferBatch(batch []*request, inputs [][]float64) ([][]float64, energy.Cost, error) {
 	if s.kbe != nil {
 		seqs := make([]uint64, len(batch))
 		for i, req := range batch {
 			seqs[i] = req.seq
 		}
-		return s.kbe.InferBatchKeyedCtx(sp, seqs, inputs)
+		return s.kbe.InferBatchKeyedCtx(obs.Ctx{}, seqs, inputs)
 	}
 	return s.backend.InferBatch(inputs)
 }
@@ -398,8 +393,7 @@ func (s *Server) inferBatch(sp obs.Ctx, batch []*request, inputs [][]float64) ([
 // the backend as one device batch, and distributes results. A batch-level
 // error falls back to per-request execution so that one bad request (wrong
 // input length, say) cannot poison its batchmates: only the offending
-// request sees its error. Each flush is one root span ("serve.flush") when
-// tracing is enabled.
+// request sees its error.
 func (s *Server) flush(batch []*request) {
 	batch = s.shedExpired(batch)
 	if len(batch) == 0 {
@@ -409,15 +403,7 @@ func (s *Server) flush(batch []*request) {
 	for _, req := range batch {
 		s.inputs = append(s.inputs, req.in)
 	}
-	sp := s.tracer.Root("serve.flush")
-	outs, cost, err := s.inferBatch(sp, batch, s.inputs)
-	if sp.Active() {
-		sp.Annotate("batch", float64(len(batch)))
-		if err != nil {
-			sp.Annotate("error", 1)
-		}
-	}
-	sp.End(cost)
+	outs, cost, err := s.inferBatch(batch, s.inputs)
 	if err != nil {
 		if errors.Is(err, ErrUnhealthy) {
 			// Health-driven shed: a tripped shadow pair (or an unhealthy
@@ -458,9 +444,7 @@ func (s *Server) flush(batch []*request) {
 // retried output is bit-identical to the batched one.
 func (s *Server) flushIndividually(batch []*request) {
 	for _, req := range batch {
-		sp := s.tracer.Root("serve.flush_single")
-		outs, cost, err := s.inferBatch(sp, []*request{req}, [][]float64{req.in})
-		sp.End(cost)
+		outs, cost, err := s.inferBatch([]*request{req}, [][]float64{req.in})
 		if err != nil {
 			s.met.errors.Inc()
 			req.resp <- response{err: fmt.Errorf("serve: request failed: %w", err)}

@@ -95,8 +95,7 @@ type ShadowPair struct {
 // returning the initial programming cost. The standby engine is created
 // (same config and seed) but left unprogrammed until the first Reprogram.
 // The pair is configured by Default() refined with opts: it reads the
-// retry budget (WithRetry), the Registry its health
-// counters land in, and the Tracer its reprogram spans go to.
+// retry budget (WithRetry) and the Registry its health counters land in.
 func NewShadowPair(cfg dpe.Config, net *nn.Network, opts ...Option) (*ShadowPair, energy.Cost, error) {
 	scfg := build(opts)
 	if err := scfg.Validate(); err != nil {
@@ -238,23 +237,14 @@ func (p *ShadowPair) Health() dpe.Health {
 // times. If every attempt fails the pair trips and the last error
 // is returned (wrapping ErrUnhealthy when the standby stayed unhealthy);
 // the live engine keeps the previous weights. A success closes the pair.
-//
-// With a tracer configured, each Reprogram is one "serve.reprogram" root
-// span annotated with the attempt count, wrapping one "serve.shadow_swap"
-// span per attempt (and their dpe.load / tile.program children). The
-// root's cost is the visible cost; each attempt's span carries that
-// attempt's hidden cost.
 func (p *ShadowPair) Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error) {
-	sp := p.cfg.Tracer.Root("serve.reprogram")
 	budget := p.cfg.MaxRetries + 1
-	attempts := 0
-	for attempts < budget {
-		if attempts > 0 {
+	for attempt := 0; attempt < budget; attempt++ {
+		if attempt > 0 {
 			p.met.retries.Inc()
 		}
-		attempts++
 		var v, h energy.Cost
-		v, h, err = p.swap(sp, net)
+		v, h, err = p.swap(net)
 		hidden = hidden.Seq(h)
 		if err == nil {
 			visible = v
@@ -269,33 +259,13 @@ func (p *ShadowPair) Reprogram(net *nn.Network) (visible, hidden energy.Cost, er
 	} else {
 		p.tripped.Store(false)
 	}
-	if sp.Active() {
-		sp.Annotate("attempts", float64(attempts))
-		if err != nil {
-			sp.Annotate("error", 1)
-		}
-	}
-	sp.End(visible)
 	return visible, hidden, err
 }
 
-// swap is one reprogram attempt under one "serve.shadow_swap" span: program
-// the standby, repair it if needed, and swap it in if it is healthy. The
-// span's cost is the attempt's hidden cost, because that is where the
-// simulated energy went; the visible swap latency is an annotation
-// (visible_ps).
-func (p *ShadowPair) swap(pc obs.Ctx, net *nn.Network) (visible, hidden energy.Cost, err error) {
-	sp := pc.Child("serve.shadow_swap")
-	defer func() {
-		if sp.Active() {
-			sp.Annotate("visible_ps", float64(visible.LatencyPS))
-			if err != nil {
-				sp.Annotate("error", 1)
-			}
-		}
-		sp.End(hidden)
-	}()
-
+// swap is one reprogram attempt: program the standby, repair it if needed,
+// and swap it in if it is healthy. It returns the visible cost and the
+// attempt's hidden cost, where the simulated energy went.
+func (p *ShadowPair) swap(net *nn.Network) (visible, hidden energy.Cost, err error) {
 	p.reprogramMu.Lock()
 	defer p.reprogramMu.Unlock()
 
@@ -303,7 +273,7 @@ func (p *ShadowPair) swap(pc obs.Ctx, net *nn.Network) (visible, hidden energy.C
 	// Wait out any batch still running on the standby from before the
 	// previous swap, then program it. The live engine serves throughout.
 	sb.mu.Lock()
-	cost, err := sb.eng.LoadCtx(sp, net)
+	cost, err := sb.eng.Load(net)
 	if err != nil {
 		sb.mu.Unlock()
 		return energy.Zero, energy.Zero, fmt.Errorf("serve: shadow reprogram: %w", err)
@@ -312,7 +282,7 @@ func (p *ShadowPair) swap(pc obs.Ctx, net *nn.Network) (visible, hidden energy.C
 	// epoch and usually clear; stuck-cell losses past the spare budget do
 	// not, and block the swap.
 	if h := sb.eng.HealthCheck(); !h.Healthy() {
-		rcost, h2, rerr := sb.eng.RepairCtx(sp)
+		rcost, h2, rerr := sb.eng.Repair()
 		cost = cost.Seq(rcost)
 		if rerr == nil && !h2.Healthy() {
 			rerr = fmt.Errorf("serve: standby unhealthy after repair (%s): %w", h2, ErrUnhealthy)
