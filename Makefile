@@ -3,7 +3,7 @@ GO ?= go
 # The sweeps archived as BENCH_<exp>.json, one bench-<exp> target each.
 BENCH_JSON := bench-fault bench-fleet bench-hybrid bench-chaos bench-capacity
 
-.PHONY: all build vet vet-arm64 fmt-check docs-check test race bench-check verify loc bench bench-smoke bench-json bench-pairs bench-alt profile $(BENCH_JSON) cover fuzz experiments examples clean
+.PHONY: all build vet vet-arm64 fmt-check docs-check test race bench-check verify loc bench bench-smoke bench-json bench-pairs bench-alt profile $(BENCH_JSON) cover fuzz experiments clean
 
 all: build vet test
 
@@ -242,13 +242,6 @@ fuzz:
 # Regenerate every paper table and figure.
 experiments:
 	$(GO) run ./cmd/cimbench
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/edge
-	$(GO) run ./examples/graphanalytics
-	$(GO) run ./examples/training
-	$(GO) run ./examples/analytics
 
 clean:
 	$(GO) clean -testcache

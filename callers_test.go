@@ -5,11 +5,11 @@ package cimrev
 // experiment's or the benchmark's — and is deleted, not kept for its own
 // tests. The one test code that counts is the root package's external test
 // package: its runnable examples (Example* with // Output:, which go test
-// runs and checks), where examples/ mains move to once they are run. The
-// rule works on the repository type-checked with go/types, so a name is
-// matched by the object it denotes, not by its spelling: one test
-// per internal package, one per name and field declared in internal/, and
-// one that runs the rule over the fixtures in testdata/callers.
+// runs and checks) in the example*_test.go files, the repository's only
+// examples. The rule works on the repository type-checked with go/types,
+// so a name is matched by the object it denotes, not by its spelling: one
+// test per internal package, one per name and field declared in internal/,
+// and one that runs the rule over the fixtures in testdata/callers.
 
 import (
 	"errors"

@@ -96,7 +96,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -204,6 +203,8 @@ func (o options) validate() error {
 		return fmt.Errorf("-stuck must be in [0, 1), got %g", o.stuck)
 	case o.spares < 0:
 		return fmt.Errorf("-spares must be >= 0, got %d", o.spares)
+	case o.spares > 0 && o.stuck == 0:
+		return fmt.Errorf("-spares only applies with -stuck > 0: without injected faults no column is remapped")
 	case o.engines < 1:
 		return fmt.Errorf("-engines must be >= 1, got %d", o.engines)
 	case o.hedge && o.engines < 2:
@@ -367,7 +368,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "workload and engine seed")
 	flag.IntVar(&o.reprogram, "reprogram", 0, "rolling shadow-engine reprograms to perform mid-run (batch mode)")
 	flag.Float64Var(&o.stuck, "stuck", 0, "stuck-cell rate injected into every crossbar (split evenly GMin/GMax)")
-	flag.IntVar(&o.spares, "spares", 0, "spare columns per crossbar for fault remapping")
+	flag.IntVar(&o.spares, "spares", 0, "spare columns per crossbar for fault remapping (needs -stuck)")
 	flag.StringVar(&o.listen, "listen", "", "address for the live telemetry endpoint (/metrics, /healthz, /debug/pprof); empty disables")
 	flag.IntVar(&o.engines, "engines", 1, "fleet size: engines behind the request router")
 	flag.StringVar(&o.policy, "policy", "round-robin", "fleet routing policy: round-robin, least-loaded, wear-aware")
@@ -582,7 +583,7 @@ func runSerial(cfg dpe.Config, net *nn.Network, inputs [][]float64, o options) (
 
 	var mu sync.Mutex // serializes Infer: the no-pipeline baseline
 	var simPS atomic.Int64
-	var energyBits atomic.Uint64
+	var energyPJ metrics.Gauge
 	rep, err := workloadgen.Drive(driveConfig(o, loadgen{}), func(req workloadgen.Request) (workloadgen.Outcome, error) {
 		mu.Lock()
 		_, cost, err := eng.Infer(inputs[req.Seq%uint64(len(inputs))])
@@ -591,7 +592,7 @@ func runSerial(cfg dpe.Config, net *nn.Network, inputs [][]float64, o options) (
 			return workloadgen.Fatal, err
 		}
 		simPS.Add(cost.LatencyPS)
-		addEnergy(&energyBits, cost.EnergyPJ)
+		energyPJ.Add(cost.EnergyPJ)
 		return workloadgen.OK, nil
 	})
 	if err != nil {
@@ -599,7 +600,7 @@ func runSerial(cfg dpe.Config, net *nn.Network, inputs [][]float64, o options) (
 	}
 	st := runStats{
 		simPS:    simPS.Load(),
-		energyPJ: loadEnergy(&energyBits),
+		energyPJ: energyPJ.Value(),
 		lat:      rep.Latency,
 	}
 	st.fromReport(rep)
@@ -716,7 +717,7 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 	}
 
 	var deadlined, unhealthy, reprogramFailed atomic.Int64
-	var energyBits atomic.Uint64
+	var energyPJ metrics.Gauge
 
 	// Rolling reprograms spread across the run: every engine swaps, one
 	// standby at a time, and reprogramming costs the serving path nothing
@@ -757,7 +758,7 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 			cancel()
 			out, ferr := classify(err, &deadlined, &unhealthy)
 			if out == workloadgen.OK {
-				addEnergy(&energyBits, cost.EnergyPJ)
+				energyPJ.Add(cost.EnergyPJ)
 			}
 			return out, ferr
 		})
@@ -770,7 +771,7 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 	fsnap := f.Registry().Snapshot()
 	st := runStats{
 		simPS:            f.SimTimePS(),
-		energyPJ:         loadEnergy(&energyBits),
+		energyPJ:         energyPJ.Value(),
 		lat:              fsnap.Histograms["fleet.latency_ns"],
 		unhealthy:        unhealthy.Load(),
 		reprogramFailed:  reprogramFailed.Load(),
@@ -862,16 +863,3 @@ func loadDesc(o options) string {
 	}
 	return fmt.Sprintf("%d clients", o.clients)
 }
-
-// addEnergy CAS-adds pJ into a float64-bits cell.
-func addEnergy(cell *atomic.Uint64, pj float64) {
-	for {
-		old := cell.Load()
-		next := math.Float64bits(math.Float64frombits(old) + pj)
-		if cell.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func loadEnergy(cell *atomic.Uint64) float64 { return math.Float64frombits(cell.Load()) }

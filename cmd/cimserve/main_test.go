@@ -63,6 +63,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *options) { o.stuck = -0.1 },
 		func(o *options) { o.stuck = 1 },
 		func(o *options) { o.spares = -1 },
+		func(o *options) { o.spares = 1 }, // spares without -stuck
 		func(o *options) { o.engines = 0 },
 		func(o *options) { o.policy = "random" },
 		func(o *options) { o.dispatch = "gpu" },
@@ -84,6 +85,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *options) { o.overload = true },
 		func(o *options) { o.chaos = "straggler" },
 		func(o *options) { o.engines = 2; o.hedge = true },
+		func(o *options) { o.stuck = 0.01; o.spares = 1 },
 	} {
 		o := good
 		m(&o)

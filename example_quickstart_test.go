@@ -1,25 +1,36 @@
-// Quickstart: build a Dot Product Engine, load a small MLP into its
-// memristor crossbars, run an inference, and compare the cost against the
-// CPU and GPU baselines — the Section VI experiment in miniature.
-package main
+package cimrev_test
 
 import (
 	"fmt"
-	"log"
 	"math"
 	"math/rand"
 
 	"cimrev"
+	"cimrev/internal/nn"
 	"cimrev/internal/vonneumann"
 )
 
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
+// Quickstart: build a Dot Product Engine, load a small MLP into its
+// memristor crossbars, run an inference, and compare the cost against the
+// CPU and GPU baselines — the Section VI experiment in miniature.
+func Example_quickstart() {
+	if err := quickstart(); err != nil {
+		fmt.Println("error:", err)
 	}
+	// Output:
+	// loaded "quickstart": 34186 params in 3 crossbars, programmed in 12.8ms / 2.04uJ
+	// inference: class 6 (p=0.203) in 1.61us / 15.6nJ
+	// max deviation from float32 software reference: 0.0023
+	//
+	// engine          latency         energy
+	// DPE      1.61us / 15.6nJ
+	// CPU      2.65us / 109uJ
+	// GPU      5.15us / 259uJ
+	//
+	// DPE vs CPU: 2x latency, 6975x energy
 }
 
-func run() error {
+func quickstart() error {
 	rng := rand.New(rand.NewSource(42))
 
 	// A 256-128-10 classifier, weights held stationary in the arrays.
@@ -48,12 +59,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	best := 0
-	for i := range out {
-		if out[i] > out[best] {
-			best = i
-		}
-	}
+	best := nn.Argmax(out)
 	fmt.Printf("inference: class %d (p=%.3f) in %v\n", best, out[best], inferCost)
 
 	// Accuracy check against the software reference.
@@ -70,9 +76,8 @@ func run() error {
 	fmt.Printf("max deviation from float32 software reference: %.4f\n", maxErr)
 
 	// The same work on the Von Neumann baselines.
-	cpu := cimrev.CPU()
 	k := vonneumann.GEMV(256, 128, 4, 32<<20, false)
-	cpuCost, err := cpu.Run(k)
+	cpuCost, err := cimrev.CPU().Run(k)
 	if err != nil {
 		return err
 	}
@@ -81,7 +86,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\n%-8s %14s %14s\n", "engine", "latency", "energy")
-	fmt.Printf("%-8s %14v %14v\n", "DPE", inferCost, "")
+	fmt.Printf("%-8s %14v\n", "DPE", inferCost)
 	fmt.Printf("%-8s %14v\n", "CPU", cpuCost)
 	fmt.Printf("%-8s %14v\n", "GPU", gpuCost)
 	fmt.Printf("\nDPE vs CPU: %.0fx latency, %.0fx energy\n",

@@ -1,24 +1,30 @@
+package cimrev_test
+
+import (
+	"fmt"
+	"math/rand"
+
+	"cimrev"
+	"cimrev/internal/nn"
+)
+
 // Training and deployment (Section III.B): train a classifier in software,
 // program the trained weights into memristor crossbars, and verify that
 // classification accuracy survives the analog pipeline — then retrain and
 // hot-swap the model with write-asymmetry hiding.
-package main
-
-import (
-	"fmt"
-	"log"
-	"math/rand"
-
-	"cimrev"
-)
-
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
+func Example_training() {
+	if err := training(); err != nil {
+		fmt.Println("error:", err)
 	}
+	// Output:
+	// training: accuracy 0.45 -> 0.96 (final loss 0.056)
+	// deployed to 2 crossbars in 2.4ms / 23nJ
+	// analog accuracy: 0.95 (software 0.96) over 160 inferences in 258us / 242nJ
+	//
+	// model update: 2.4ms / 23nJ stalled vs 2ns / 23nJ with write hiding (1200000x less downtime)
 }
 
-func run() error {
+func training() error {
 	rng := rand.New(rand.NewSource(2024))
 	const dim, classes = 12, 4
 
@@ -69,7 +75,7 @@ func run() error {
 			return err
 		}
 		inferCost = inferCost.Seq(cost)
-		if argmax(out) == testLab[i] {
+		if nn.Argmax(out) == testLab[i] {
 			correct++
 		}
 	}
@@ -92,14 +98,4 @@ func run() error {
 	fmt.Printf("\nmodel update: %v stalled vs %v with write hiding (%.0fx less downtime)\n",
 		stall, hidden, float64(stall.LatencyPS)/float64(hidden.LatencyPS))
 	return nil
-}
-
-func argmax(v []float64) int {
-	best := 0
-	for i := range v {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }

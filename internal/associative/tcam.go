@@ -9,6 +9,7 @@ package associative
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cimrev/internal/energy"
 )
@@ -123,19 +124,9 @@ func (t *TCAM) LongestPrefixMatch(key uint64) (int, energy.Cost) {
 	hits, cost := t.Match(key, t.widthMask())
 	best, bestBits := -1, -1
 	for _, r := range hits {
-		bits := popcount(t.care[r])
-		if bits > bestBits {
-			best, bestBits = r, bits
+		if n := bits.OnesCount64(t.care[r]); n > bestBits {
+			best, bestBits = r, n
 		}
 	}
 	return best, cost
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

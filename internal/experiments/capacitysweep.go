@@ -169,13 +169,7 @@ func CapacitySweep(cfg CapacityConfig) (*CapacityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = make([]float64, dim)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.Float64()*2 - 1
-		}
-	}
+	inputs := uniformInputs(rng, 64, dim)
 	mix := workloadgen.DefaultMix(cfg.Seed)
 
 	res := &CapacityResult{SLO: cfg.SLO}

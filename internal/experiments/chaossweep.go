@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,13 +93,7 @@ func ChaosSweep(scenarios []string, requests int) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = make([]float64, dim)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.Float64()*2 - 1
-		}
-	}
+	inputs := uniformInputs(rng, 64, dim)
 
 	oracle, err := chaosOracle(net, inputs, requests)
 	if err != nil {
@@ -204,7 +199,8 @@ func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenari
 		out, _, err := f.SubmitSeqPri(context.Background(), seq, in, pri)
 		switch {
 		case err == nil:
-			if !sliceEqual(out, oracle[seq]) {
+			// Exact: the contract is bit-identity, not tolerance.
+			if !slices.Equal(out, oracle[seq]) {
 				mismatched.Add(1)
 			}
 			return workloadgen.OK, nil
@@ -267,20 +263,6 @@ func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenari
 		RollingFailed: rollFailed,
 	}
 	return row, nil
-}
-
-// sliceEqual is exact float comparison — the contract is bit-identity, not
-// tolerance.
-func sliceEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Check is the chaos-harness SLO gate; cimbench runs it after writing the

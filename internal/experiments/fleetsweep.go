@@ -76,13 +76,7 @@ func FleetSweep(engineCounts []int, policies []string, clients, requests int) (*
 	if err != nil {
 		return nil, err
 	}
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = make([]float64, dim)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.Float64()*2 - 1
-		}
-	}
+	inputs := uniformInputs(rng, 64, dim)
 
 	res := &FleetResult{Clients: clients}
 	base := make(map[string]float64) // policy -> 1-engine throughput

@@ -110,7 +110,7 @@ func HybridSweep(sizes, batches []int, flushes int) (*HybridResult, error) {
 			if batch < 1 {
 				return nil, fmt.Errorf("experiments: hybrid sweep batch must be >= 1, got %d", batch)
 			}
-			ins := hybridInputs(batch, size, int64(size*1000+batch))
+			ins := uniformInputs(rand.New(rand.NewSource(int64(size*1000+batch))), batch, size)
 			_, cimCost, err := eng.InferBatch(ins)
 			if err != nil {
 				return nil, err
@@ -173,7 +173,7 @@ func hybridMixed(cfg dpe.Config, mode hybrid.Mode, sizes []int, nets []*nn.Netwo
 			return nil, err
 		}
 		for f := 0; f < flushes; f++ {
-			ins := hybridInputs(mixedBatch, sizes[i], int64(9000+sizes[i]*100+f))
+			ins := uniformInputs(rand.New(rand.NewSource(int64(9000+sizes[i]*100+f))), mixedBatch, sizes[i])
 			_, cost, err := disp.InferBatch(ins)
 			if err != nil {
 				return nil, err
@@ -190,20 +190,6 @@ func hybridMixed(cfg dpe.Config, mode hybrid.Mode, sizes []int, nets []*nn.Netwo
 		m.SimThroughputRPS = float64(m.Requests) / (float64(totalPS) * 1e-12)
 	}
 	return m, nil
-}
-
-// hybridInputs builds a deterministic batch of inputs in [-1, 1).
-func hybridInputs(n, size int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	ins := make([][]float64, n)
-	for i := range ins {
-		in := make([]float64, size)
-		for j := range in {
-			in[j] = rng.Float64()*2 - 1
-		}
-		ins[i] = in
-	}
-	return ins
 }
 
 // hybridIntensity is the operational intensity (flops/byte) of serving one

@@ -65,6 +65,19 @@ func denseOnly(n int, rng *rand.Rand) (*nn.Network, error) {
 	return nn.NewNetwork(fmt.Sprintf("dense-%d", n), d)
 }
 
+// uniformInputs draws n input vectors of dim values uniform in [-1, 1)
+// from rng, row by row: the seeded panel every sweep serves.
+func uniformInputs(rng *rand.Rand, n, dim int) [][]float64 {
+	inputs := make([][]float64, n)
+	for i := range inputs {
+		inputs[i] = make([]float64, dim)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	return inputs
+}
+
 // vnBatchedCost returns per-sample cost with weights streamed once per
 // batch of SecVIBatch samples.
 func vnBatchedCost(m vonneumann.Machine, n int) (energy.Cost, error) {
@@ -107,11 +120,7 @@ func SecVI(sizes []int) (*SecVIResult, error) {
 		if _, err := eng.Load(net); err != nil {
 			return SecVIRow{}, err
 		}
-		in := make([]float64, n)
-		for i := range in {
-			in[i] = rng.Float64()*2 - 1
-		}
-		_, dpeCost, err := eng.Infer(in)
+		_, dpeCost, err := eng.Infer(uniformInputs(rng, 1, n)[0])
 		if err != nil {
 			return SecVIRow{}, err
 		}
@@ -218,13 +227,7 @@ func Scale(boardCounts []int, layerN, batch int) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs := make([][]float64, batch)
-	for i := range inputs {
-		inputs[i] = make([]float64, layerN)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.Float64()*2 - 1
-		}
-	}
+	inputs := uniformInputs(rng, batch, layerN)
 
 	// Board-count points are independent (each owns its cluster), so the
 	// expensive simulation fans across the worker pool; the efficiency

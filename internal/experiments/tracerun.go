@@ -50,13 +50,7 @@ func TraceRun() (*TraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs := make([][]float64, batches*batchSize)
-	for i := range inputs {
-		inputs[i] = make([]float64, dim)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.Float64()*2 - 1
-		}
-	}
+	inputs := uniformInputs(rng, batches*batchSize, dim)
 	cfg := dpe.DefaultConfig()
 	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
 

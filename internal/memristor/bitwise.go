@@ -7,6 +7,7 @@ package memristor
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cimrev/internal/energy"
 )
@@ -105,17 +106,8 @@ func (e *BitwiseEngine) PopCount(i int) (int, error) {
 	}
 	var n int
 	for _, w := range e.rows[i] {
-		n += popcount64(w)
+		n += bits.OnesCount64(w)
 	}
 	e.charge("bitwise-popcount", int64(e.words))
 	return n, nil
-}
-
-func popcount64(x uint64) int {
-	var n int
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -174,8 +174,16 @@ func TestPopcount64(t *testing.T) {
 		{0, 0}, {1, 1}, {0xFF, 8}, {^uint64(0), 64}, {1 << 63, 1},
 	}
 	for _, tt := range tests {
-		if got := popcount64(tt.x); got != tt.want {
-			t.Errorf("popcount64(%x) = %d, want %d", tt.x, got, tt.want)
+		e := newEngine(t, 1, 1)
+		if err := e.Store(0, []uint64{tt.x}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.PopCount(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tt.want {
+			t.Errorf("PopCount(%x) = %d, want %d", tt.x, got, tt.want)
 		}
 	}
 }
