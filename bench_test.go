@@ -532,13 +532,15 @@ func BenchmarkEngineWorkloads(b *testing.B) {
 
 // BenchmarkEngineLoad is the write path: dpe.Engine.Load of the repository
 // benchmark's two models on the arrays the workloads use, the call every
-// setup and every rolling reprogram makes. The engine is built once and
-// loaded every iteration, so after the first the tiles reprogram in place
-// as a same-shape Reprogram does. The big model loads in both modes: the
-// functional one fuses the stored levels into a weight panel, the
-// bit-serial one transposes them into bit planes.
+// setup and every rolling reprogram makes. In the plain rows the engine is
+// built once and loaded every iteration, so after the first the tiles
+// reprogram in place as a same-shape Reprogram does; the _fresh rows build
+// a new engine (dpe.New) every iteration and Load it, allocating its arrays
+// (crossbar.New) as every engine a workload sets up does. The big model
+// loads in both modes: the functional one fuses the stored levels into a
+// weight panel, the bit-serial one transposes them into bit planes.
 func BenchmarkEngineLoad(b *testing.B) {
-	run := func(name string, sizes []int, xbar int, functional bool) {
+	run := func(name string, sizes []int, xbar int, functional, fresh bool) {
 		b.Run(name, func(b *testing.B) {
 			cfg := dpe.DefaultConfig()
 			cfg.Crossbar.Rows, cfg.Crossbar.Cols = xbar, xbar
@@ -560,6 +562,11 @@ func BenchmarkEngineLoad(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if fresh {
+					if eng, err = dpe.New(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
 				if _, err := eng.Load(net); err != nil {
 					b.Fatal(err)
 				}
@@ -567,9 +574,15 @@ func BenchmarkEngineLoad(b *testing.B) {
 		})
 	}
 	big, small := []int{256, 256, 256, 256, 256, 128, 10}, []int{16, 16, 10}
-	run("big_functional", big, 128, true)
-	run("big_bitserial", big, 128, false)
-	run("small_functional", small, 64, true)
+	for _, fresh := range []bool{false, true} {
+		suffix := ""
+		if fresh {
+			suffix = "_fresh"
+		}
+		run("big_functional"+suffix, big, 128, true, fresh)
+		run("big_bitserial"+suffix, big, 128, false, fresh)
+		run("small_functional"+suffix, small, 64, true, fresh)
+	}
 }
 
 func BenchmarkDPEInference(b *testing.B) {

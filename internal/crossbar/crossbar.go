@@ -30,7 +30,9 @@
 //   - Each cell's stored slice levels are one packed word, column-major
 //     (levels[c*Rows+r] = Σ_s level_s << s*CellBits): what Program,
 //     program-and-verify and the fault tests read and write. Program
-//     quantizes each weight once, eight rows a step, straight into it.
+//     quantizes each weight once straight into it, a column of weights in
+//     (a layer's own layout: nn.Dense.W[o] is column o) to a column of
+//     levels out.
 //   - Functional mode needs one exact integer per (item, column), which is
 //     the packed word itself, laid out as one of two panels. On amd64 with
 //     AVX2, when weights and inputs are at most 15 bits and a padded
@@ -282,6 +284,13 @@ type Crossbar struct {
 	faultEpoch  uint64
 	faultReport faultinject.Report
 
+	// byCol is the row-major Program's transposition buffer. A field, not
+	// a pooled buffer as Tile.Program's: a same-shape reprogram allocates
+	// nothing (TestProgramAllocs) also under -race, where a sync.Pool drops
+	// what it holds. Only a crossbar programmed row-major fills it; a tile
+	// programs its blocks through the column path.
+	byCol columns
+
 	// batchScratch pools *mvmBatchScratch so concurrent MVMs on one
 	// crossbar don't contend on a shared buffer and steady-state MVMs
 	// don't allocate. Buffers are sized against the *current* programmed
@@ -342,87 +351,107 @@ func (x *Crossbar) FaultReport() faultinject.Report { return x.faultReport }
 
 // Program loads the weight matrix w (w[r][c], at most Rows x Cols). Weights
 // may be any finite values; the crossbar normalizes by max |w|. Shape and
-// finiteness are validated before any crossbar state changes. It returns
-// the programming cost: rows are written in parallel across columns but
-// serially row by row and slice stacks in parallel, so latency is
-// usedRows x write-latency, and energy covers every programmed cell.
+// finiteness are validated, row by row, before any crossbar state changes.
+// It returns the programming cost: rows are written in parallel across
+// columns but serially row by row and slice stacks in parallel, so latency
+// is usedRows x write-latency, and energy covers every programmed cell.
+//
+// The cells are written column by column (program); Program is the
+// row-major entry in front of that, and transposes w into a reused buffer as
+// it checks it.
 func (x *Crossbar) Program(w [][]float64) (energy.Cost, error) {
-	return x.program(w)
-}
-
-// ProgramCtx is Program under a trace span: the write (including the full
-// program-and-verify pulse train on the fault path) is recorded as an
-// "xbar.program" child of pc, annotated with the pulse/verify/remap blast
-// radius. A zero Ctx reduces to Program plus two branches.
-func (x *Crossbar) ProgramCtx(pc obs.Ctx, w [][]float64) (energy.Cost, error) {
-	sp := pc.Child("xbar.program")
-	cost, err := x.program(w)
-	if sp.Active() {
-		sp.Annotate("rows", float64(x.usedRows))
-		sp.Annotate("cols", float64(x.usedCols))
-		if x.faults.Enabled() {
-			rep := x.faultReport
-			sp.Annotate("retry_pulses", float64(rep.RetryPulses))
-			sp.Annotate("remapped_cols", float64(rep.RemappedCols))
-			sp.Annotate("lost_cols", float64(rep.LostCols))
-		}
-	}
-	sp.End(cost)
-	return cost, err
-}
-
-func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 	if len(w) == 0 || len(w) > x.cfg.Rows {
 		return energy.Zero, fmt.Errorf("crossbar: weight rows %d outside [1,%d]", len(w), x.cfg.Rows)
 	}
-	cols := len(w[0])
-	if cols == 0 || cols > x.cfg.Cols {
-		return energy.Zero, fmt.Errorf("crossbar: weight cols %d outside [1,%d]", cols, x.cfg.Cols)
+	n := len(w[0])
+	if n == 0 || n > x.cfg.Cols {
+		return energy.Zero, fmt.Errorf("crossbar: weight cols %d outside [1,%d]", n, x.cfg.Cols)
 	}
+	x.byCol.reset(len(w), n)
 	// Fail fast: the ragged and non-finite checks, row by row, complete
 	// before any stored state is touched. As in quantize, one unsigned
 	// maximum over the sign-cleared bits is both max |w| and the NaN/Inf
 	// check.
 	var top uint64
 	for r, row := range w {
-		if len(row) != cols {
-			return energy.Zero, fmt.Errorf("crossbar: ragged weight matrix at row %d (%d != %d)", r, len(row), cols)
+		if len(row) != n {
+			return energy.Zero, fmt.Errorf("crossbar: ragged weight matrix at row %d (%d != %d)", r, len(row), n)
 		}
 		var rowTop uint64
-		for _, v := range row {
+		for c, v := range row {
 			rowTop = max(rowTop, math.Float64bits(v)&^signBit)
+			x.byCol.cols[c][r] = v
 		}
 		if rowTop >= infBits {
 			return energy.Zero, fmt.Errorf("crossbar: non-finite weight at row %d", r)
 		}
 		top = max(top, rowTop)
 	}
-	wScale := scaleOf(top) // an all-zero matrix programs cleanly
+	return x.program(obs.Ctx{}, x.byCol.cols, top), nil
+}
 
+// columns is a column-major copy of a row-major weight matrix, cols[c] the
+// weights of column c: what the row-major Program entries transpose into in
+// front of the column path. Reused, and sized on every use (reset).
+type columns struct {
+	slab []float64
+	cols [][]float64
+}
+
+// reset sizes the buffer to rows × n, its contents unspecified.
+func (cb *columns) reset(rows, n int) {
+	cb.slab, cb.cols = grow(cb.slab, rows*n), grow(cb.cols, n)
+	for c := range cb.cols {
+		cb.cols[c] = cb.slab[c*rows:][:rows:rows]
+	}
+}
+
+// maxBits is the largest sign-cleared bit pattern in v: max |v| as bits,
+// and at or above infBits when v holds a NaN or an Inf. Four running
+// maxima, so that the compares do not wait on each other.
+func maxBits(v []float64) uint64 {
+	var t0, t1, t2, t3 uint64
+	for ; len(v) >= 4; v = v[4:] {
+		t0 = max(t0, math.Float64bits(v[0])&^signBit)
+		t1 = max(t1, math.Float64bits(v[1])&^signBit)
+		t2 = max(t2, math.Float64bits(v[2])&^signBit)
+		t3 = max(t3, math.Float64bits(v[3])&^signBit)
+	}
+	for _, w := range v {
+		t0 = max(t0, math.Float64bits(w)&^signBit)
+	}
+	return max(t0, t1, t2, t3)
+}
+
+// program writes the matrix whose column c is cols[c] — every column the
+// same length, at most Rows, at most Cols of them, every weight finite, and
+// top the maxBits of them all: the caller has checked — under an
+// "xbar.program" child of pc, annotated with the pulse/verify/remap blast
+// radius (a zero Ctx records nothing).
+func (x *Crossbar) program(pc obs.Ctx, cols [][]float64, top uint64) energy.Cost {
+	sp := pc.Child("xbar.program")
+	rows := len(cols[0])
+	wScale := scaleOf(top) // an all-zero matrix programs cleanly
 	wMax := float64(int(1)<<x.cfg.WeightBits - 1)
-	if len(w) != x.usedRows || cols != x.usedCols {
+	if rows != x.usedRows || len(cols) != x.usedCols {
 		clear(x.levels) // the cells past the new shape hold nothing
 	}
 	clear(x.colSumInt)
 	// Quantize each weight once into the level the cells are to hold (the
-	// fault path's program-and-verify reads it as the pattern to write),
-	// eight rows a step: eight row streams are read in order and each
-	// column's eight levels are one contiguous write.
-	for r0 := 0; r0 < len(w); r0 += 8 {
-		blk := w[r0:min(r0+8, len(w))]
-		for c := 0; c < cols; c++ {
-			lv := x.levels[c*x.cfg.Rows+r0:][:len(blk)]
-			var sum int64
-			for j, row := range blk {
-				w01 := (row[c]/wScale + 1) / 2 // shift encode into [0,1]
-				q := roundHalfUp(float64(w01 * wMax))
-				lv[j] = uint16(q)
-				sum += int64(q)
-			}
-			x.colSumInt[c] += sum
+	// fault path's program-and-verify reads it as the pattern to write): a
+	// column of weights is one contiguous stream in, its levels one out.
+	for c, col := range cols {
+		lv := x.levels[c*x.cfg.Rows:][:len(col)]
+		var sum int64
+		for r, v := range col {
+			w01 := (v/wScale + 1) / 2 // shift encode into [0,1]
+			q := roundHalfUp(float64(w01 * wMax))
+			lv[r] = uint16(q)
+			sum += int64(q)
 		}
+		x.colSumInt[c] = sum
 	}
-	x.usedRows, x.usedCols, x.accStride = len(w), cols, cols
+	x.usedRows, x.usedCols, x.accStride = rows, len(cols), len(cols)
 	x.wScale = wScale
 
 	// Device-fault path: per-cell program-and-verify with escalating
@@ -437,10 +466,10 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 		pulses, verifies = x.programAndVerify()
 	}
 
-	for c, sum := range x.colSumInt[:cols] {
+	for c, sum := range x.colSumInt[:len(cols)] {
 		x.colOffset[c] = 2 * float64(sum) / wMax
 	}
-	x.dequant = [3]float64{4, wMax * float64(int32(1)<<x.cfg.InputBits-1), float64(len(w))}
+	x.dequant = [3]float64{4, wMax * float64(int32(1)<<x.cfg.InputBits-1), float64(rows)}
 	if x.cfg.Functional {
 		x.fuseWeights()
 	} else {
@@ -450,7 +479,8 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 	x.cost = x.cfg.ReadCost(x.usedRows, x.usedCols)
 	x.programmed = true
 
-	cells := int64(len(w)) * int64(cols) * int64(x.numSlices)
+	cells := int64(rows) * int64(len(cols)) * int64(x.numSlices)
+	var cost energy.Cost
 	if faulty {
 		// Program-and-verify cost: every pulse is a real memristor write
 		// and every verify a real read-back — retries and spare-column
@@ -462,20 +492,33 @@ func (x *Crossbar) program(w [][]float64) (energy.Cost, error) {
 		x.writes += pulses
 		extraPulses := pulses - cells
 		extraVerifies := verifies - cells
-		return energy.Cost{
-			LatencyPS: int64(len(w))*(energy.CrossbarWriteLatencyPS+energy.CrossbarReadLatencyPS) +
+		cost = energy.Cost{
+			LatencyPS: int64(rows)*(energy.CrossbarWriteLatencyPS+energy.CrossbarReadLatencyPS) +
 				extraPulses*energy.CrossbarWriteLatencyPS +
 				extraVerifies*energy.CrossbarReadLatencyPS,
 			EnergyPJ: float64(pulses)*energy.CrossbarWriteEnergyPJ +
 				float64(verifies)*energy.CrossbarCellReadEnergyPJ,
-		}, nil
+		}
+	} else {
+		x.faultReport = faultinject.Report{}
+		x.writes += cells
+		cost = energy.Cost{
+			LatencyPS: int64(rows) * energy.CrossbarWriteLatencyPS,
+			EnergyPJ:  float64(cells) * energy.CrossbarWriteEnergyPJ,
+		}
 	}
-	x.faultReport = faultinject.Report{}
-	x.writes += cells
-	return energy.Cost{
-		LatencyPS: int64(len(w)) * energy.CrossbarWriteLatencyPS,
-		EnergyPJ:  float64(cells) * energy.CrossbarWriteEnergyPJ,
-	}, nil
+	if sp.Active() {
+		sp.Annotate("rows", float64(x.usedRows))
+		sp.Annotate("cols", float64(x.usedCols))
+		if faulty {
+			rep := x.faultReport
+			sp.Annotate("retry_pulses", float64(rep.RetryPulses))
+			sp.Annotate("remapped_cols", float64(rep.RemappedCols))
+			sp.Annotate("lost_cols", float64(rep.LostCols))
+		}
+	}
+	sp.End(cost)
+	return cost
 }
 
 // fuseWeights builds the functional-mode panel from the stored levels —

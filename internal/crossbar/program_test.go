@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cimrev/internal/faultinject"
+	"cimrev/internal/obs"
 )
 
 // programOracle is what Program stores and tabulates, computed the way the
@@ -106,7 +107,8 @@ func panelOracle(xb *Crossbar, levels []uint16) (panel16 []int16, fused []uint64
 // 1–8 with the widest weights it divides, 16-bit weights included (the Go
 // kernel's panel on every host), on row counts that are not a multiple of
 // eight, on a matrix with −0 and exact-half weights, on an all-zero matrix,
-// and after a reprogram to a smaller shape.
+// and after a reprogram to a smaller shape. Every matrix goes in twice: by
+// columns, the layout a tile hands each block, and then by rows (Program).
 func TestProgramMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	halves := func(cfg Config, rows, cols int) [][]float64 {
@@ -152,15 +154,30 @@ func TestProgramMatchesNaive(t *testing.T) {
 	}
 }
 
-// checkProgram programs w and compares the crossbar's stored state with
-// the oracles'.
+// checkProgram programs w through each entry — the column path first, so
+// that it is the one a reshape reaches, then the row-major Program — and
+// after each compares the crossbar's stored state with the oracles'.
 func checkProgram(t *testing.T, xb *Crossbar, w [][]float64) {
 	t.Helper()
+	byCol := columnsOf(w)
+	var top uint64
+	for _, col := range byCol {
+		top = max(top, maxBits(col))
+	}
+	xb.program(obs.Ctx{}, byCol, top)
+	checkStored(t, xb, w, "by columns")
 	if _, err := xb.Program(w); err != nil {
 		t.Fatal(err)
 	}
+	checkStored(t, xb, w, "by rows")
+}
+
+// checkStored compares the crossbar's stored state, w programmed, with the
+// oracles'.
+func checkStored(t *testing.T, xb *Crossbar, w [][]float64, entry string) {
+	t.Helper()
 	rows, cols := len(w), len(w[0])
-	shape := fmt.Sprintf("%dx%d", rows, cols)
+	shape := fmt.Sprintf("%dx%d %s", rows, cols, entry)
 	levels, colSum, colOffset := programOracle(xb.cfg, w)
 	equal(t, shape+" levels", xb.levels, levels)
 	equal(t, shape+" colSumInt", xb.colSumInt, colSum)

@@ -2,6 +2,8 @@ package crossbar
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"cimrev/internal/energy"
@@ -47,11 +49,18 @@ type Tile struct {
 	// parallel block programming is bit-identical to serial.
 	faults   faultinject.Model
 	faultSrc noise.Source
+	// views is Checked.Program's arena of block column slices, cleared
+	// after every write.
+	views [][]float64
 	// batchScratch pools the per-call view arenas so steady-state tile MVMs
 	// allocate nothing. Pooled (not a plain field) because a programmed tile
 	// may serve concurrent MVMs.
 	batchScratch sync.Pool
 }
+
+// byColPool holds the row-major Tile.Program's transposition buffers, so
+// that a tile keeps no second copy of its weights.
+var byColPool sync.Pool
 
 // tileBatchScratch is the pooled per-call workspace for a tile MVM: the
 // input-view, destination-view and derived-source arenas its tasks hand to
@@ -127,18 +136,14 @@ func (t *Tile) Writes() int64 {
 	return n
 }
 
-// Program loads an arbitrary M x N matrix, allocating the block grid. It
+// Program loads an arbitrary M x N matrix w[r][c], row r the weights input
+// r drives, allocating the block grid: the row-major entry in front of the
+// column path. It rejects a ragged w, transposes w into a pooled buffer (a
+// tile keeps no second copy of its weights), and then checks and writes it
+// as Check and Checked.Program do, so a rejected w writes nothing. It
 // returns the programming cost: blocks program in parallel (latency = max
 // block latency), energy sums.
 func (t *Tile) Program(w [][]float64) (energy.Cost, error) {
-	return t.ProgramCtx(obs.Ctx{}, w)
-}
-
-// ProgramCtx is Program under a trace span: the whole tile write is a
-// "tile.program" child of pc, with one "xbar.program" grandchild per block
-// (blocks program from pool workers; span recording is concurrency-safe).
-// A zero Ctx traces nothing.
-func (t *Tile) ProgramCtx(pc obs.Ctx, w [][]float64) (energy.Cost, error) {
 	m := len(w)
 	if m == 0 {
 		return energy.Zero, fmt.Errorf("crossbar: empty weight matrix")
@@ -152,11 +157,106 @@ func (t *Tile) ProgramCtx(pc obs.Ctx, w [][]float64) (energy.Cost, error) {
 			return energy.Zero, fmt.Errorf("crossbar: ragged matrix at row %d", r)
 		}
 	}
+	cb, _ := byColPool.Get().(*columns)
+	if cb == nil {
+		cb = &columns{}
+	}
+	defer byColPool.Put(cb)
+	cb.reset(m, n)
+	// Eight rows a step: eight row streams are read in order, and each
+	// column's eight weights are one contiguous write.
+	for r0 := 0; r0 < m; r0 += 8 {
+		blk := w[r0:min(r0+8, m)]
+		for c, col := range cb.cols {
+			dst := col[r0:][:len(blk)]
+			for j, row := range blk {
+				dst[j] = row[c]
+			}
+		}
+	}
+	ck, err := t.Check(cb.cols)
+	if err != nil {
+		return energy.Zero, err
+	}
+	return ck.Program(obs.Ctx{}), nil
+}
 
+// grid returns the block grid an m x n matrix splits into.
+func (t *Tile) grid(m, n int) (brows, bcols int) {
+	return (m + t.cfg.Rows - 1) / t.cfg.Rows, (n + t.cfg.Cols - 1) / t.cfg.Cols
+}
+
+// nonFiniteWeight names the first NaN or Inf of a matrix given by columns,
+// in column order: the rescan that runs only once a maximum over the
+// sign-cleared bits has found that there is one.
+func nonFiniteWeight(cols [][]float64) error {
+	for c, col := range cols {
+		if r := slices.IndexFunc(col, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }); r >= 0 {
+			return fmt.Errorf("crossbar: non-finite weight at row %d, column %d", r, c)
+		}
+	}
+	panic("crossbar: nonFiniteWeight called on a finite matrix")
+}
+
+// Checked is a weight matrix Check accepted for its tile, not yet written:
+// its columns and the scale of every block it splits into.
+type Checked struct {
+	t    *Tile
+	cols [][]float64
+	// tops[br*bcols+bc] is the maxBits of block (br, bc): the block's
+	// crossbar normalizes by it.
+	tops []uint64
+}
+
+// Check accepts or rejects the matrix whose column c is cols[c] — the
+// weights of output c, one per input row, the layout nn.Dense.W already
+// holds — for programming into the tile, and writes nothing: every column
+// must have the same nonzero length and every weight must be finite. The
+// columns must not change until the Checked is programmed. A caller
+// programming several tiles checks every matrix before it programs any, so
+// that a rejected one leaves every tile as it was.
+func (t *Tile) Check(cols [][]float64) (Checked, error) {
+	n := len(cols)
+	if n == 0 {
+		return Checked{}, fmt.Errorf("crossbar: empty weight matrix")
+	}
+	m := len(cols[0])
+	if m == 0 {
+		return Checked{}, fmt.Errorf("crossbar: empty weight columns")
+	}
+	brows, bcols := t.grid(m, n)
+	tops := make([]uint64, brows*bcols)
+	for c, col := range cols {
+		if len(col) != m {
+			return Checked{}, fmt.Errorf("crossbar: ragged matrix at column %d (%d != %d)", c, len(col), m)
+		}
+		for br := range brows {
+			b := &tops[br*bcols+c/t.cfg.Cols]
+			*b = max(*b, maxBits(col[br*t.cfg.Rows:min((br+1)*t.cfg.Rows, m)]))
+		}
+	}
+	for _, top := range tops {
+		if top >= infBits {
+			return Checked{}, nonFiniteWeight(cols)
+		}
+	}
+	return Checked{t: t, cols: cols, tops: tops}, nil
+}
+
+// Program writes the checked matrix into its tile: in place when the tile
+// holds one of the same shape, so wear accumulates on the physical cells,
+// and into a fresh block grid otherwise. Block (br, bc) is programmed with
+// the column slices cols[c][r0:r1] of its rows and columns. The write is a
+// "tile.program" child of pc, with one "xbar.program" grandchild per block
+// (blocks program from pool workers; span recording is concurrency-safe);
+// a zero Ctx traces nothing. It returns the programming cost: blocks
+// program in parallel (latency = max block latency), energy sums.
+func (ck Checked) Program(pc obs.Ctx) energy.Cost {
+	t, cols := ck.t, ck.cols
+	m, n := len(cols[0]), len(cols)
 	sp := pc.Child("tile.program")
 
-	brows := (m + t.cfg.Rows - 1) / t.cfg.Rows
-	bcols := (n + t.cfg.Cols - 1) / t.cfg.Cols
+	brows, bcols := t.grid(m, n)
 
 	// Same logical shape: reprogram the existing arrays in place so wear
 	// accumulates on the physical cells. A reshape retires the old arrays
@@ -173,53 +273,43 @@ func (t *Tile) ProgramCtx(pc obs.Ctx, w [][]float64) (energy.Cost, error) {
 			t.blocks[br] = make([]*Crossbar, bcols)
 		}
 	}
+	// views[br*n+c] is block row br's slice of column c.
+	t.views = grow(t.views, brows*n)
+	for br := range brows {
+		r0, r1 := br*t.cfg.Rows, min((br+1)*t.cfg.Rows, m)
+		for c, col := range cols {
+			t.views[br*n+c] = col[r0:r1]
+		}
+	}
 
 	// Blocks are independent (each owns its arrays), so programming fans
 	// out across the worker pool; per-block costs are folded afterwards in
 	// fixed (br, bc) order so the accumulated energy is bit-identical to a
 	// serial run at any pool width.
 	blockCosts := make([]energy.Cost, brows*bcols)
-	err := parallel.ForErr(brows*bcols, func(b int) error {
+	parallel.For(brows*bcols, func(b int) {
 		br, bc := b/bcols, b%bcols
-		r0 := br * t.cfg.Rows
-		r1 := min(r0+t.cfg.Rows, m)
 		c0 := bc * t.cfg.Cols
 		c1 := min(c0+t.cfg.Cols, n)
-		sub := make([][]float64, r1-r0)
-		for r := r0; r < r1; r++ {
-			sub[r-r0] = w[r][c0:c1]
-		}
 		xb := t.blocks[br][bc]
 		if xb == nil {
-			var err error
-			xb, err = New(t.cfg)
-			if err != nil {
-				return err
-			}
+			// Cannot fail: NewTile validated the configuration.
+			xb, _ = New(t.cfg)
 			t.blocks[br][bc] = xb
 		}
 		// (Re)install the fault model before programming: block b keys
 		// its faults off the derived child source, so stuck positions are
 		// stable across reprograms and pool widths. Idempotent when the
-		// model is unchanged; a zero model is a disable.
+		// model is unchanged; a zero model is a disable. Cannot fail:
+		// SetFaults validated the model and its source.
 		bsrc := NoNoise
 		if t.faultSrc.Valid() {
 			bsrc = t.faultSrc.Derive(uint64(b))
 		}
-		if err := xb.SetFaults(t.faults, bsrc); err != nil {
-			return fmt.Errorf("crossbar: block (%d,%d) faults: %w", br, bc, err)
-		}
-		c, err := xb.ProgramCtx(sp, sub)
-		if err != nil {
-			return fmt.Errorf("crossbar: program block (%d,%d): %w", br, bc, err)
-		}
-		blockCosts[b] = c
-		return nil
+		_ = xb.SetFaults(t.faults, bsrc)
+		blockCosts[b] = xb.program(sp, t.views[br*n+c0:br*n+c1], ck.tops[b])
 	})
-	if err != nil {
-		sp.End(energy.Zero)
-		return energy.Zero, err
-	}
+	clear(t.views) // hold no reference to the caller's weights
 	cost := energy.Zero
 	for _, c := range blockCosts {
 		cost = cost.Par(c)
@@ -230,7 +320,7 @@ func (t *Tile) ProgramCtx(pc obs.Ctx, w [][]float64) (energy.Cost, error) {
 		sp.Annotate("blocks", float64(brows*bcols))
 	}
 	sp.End(cost)
-	return cost, nil
+	return cost
 }
 
 // MVM computes y = W · input across the block grid: MVMBatch on a batch

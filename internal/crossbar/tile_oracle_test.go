@@ -61,12 +61,25 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// columnsOf is w given by columns: element [c][r] is w[r][c].
+func columnsOf(w [][]float64) [][]float64 {
+	cols := make([][]float64, len(w[0]))
+	for c := range cols {
+		cols[c] = make([]float64, len(w))
+		for r, row := range w {
+			cols[c][r] = row[c]
+		}
+	}
+	return cols
+}
+
 // TestTileMatchesNaiveOracle pins the tile to naiveTileMVM bit for bit.
 // Every other tile suite compares the tile with itself (batch against
 // looped, width against width), which a self-consistent change of merge
 // order, block keying or stripe placement passes. Grids 1×1, 2×2 and ragged
-// 3×2, on 16² arrays and on the default 128² ones; functional through both
-// kernels, bit-serial, noisy with keyed sources, and fault-remapped; batches
+// 3×2, on 16² arrays and on the default 128² ones, each programmed through
+// the row-major Program and through the column entry (Check); functional
+// through both kernels, bit-serial, noisy with keyed sources, and fault-remapped; batches
 // 1, 2, 3, 9 and 64 at pool widths 1, 2, 4 and 16, so both fan-out regimes
 // (column-block groups while the batch is narrower than the pool, item
 // chunks from there on) and the batch == width edge between them run every
@@ -100,114 +113,126 @@ func TestTileMatchesNaiveOracle(t *testing.T) {
 				case "fault-remapped":
 					cfg.SpareCols = 4
 				}
-				tile, err := NewTile(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mode == "fault-remapped" {
-					if err := tile.SetFaults(faultinject.Model{StuckLowRate: 0.02, StuckHighRate: 0.01}, noise.NewSource(3)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				rng := rand.New(rand.NewSource(int64(g.m*g.n + g.array)))
-				w := randomMatrix(rng, g.m, g.n)
-				ins := batchInputs(rng, items, g.m)
-				if mode == "underflow" {
-					for _, row := range append(w, ins...) {
-						for i := range row {
-							row[i] *= 1e-200
-						}
-					}
-				}
-				if _, err := tile.Program(w); err != nil {
-					t.Fatal(err)
-				}
-				var stored func(br, bc int) []uint16
-				if mode == "fault-remapped" {
-					if tile.FaultReport().StuckCells == 0 {
-						t.Fatal("fault model injected no stuck cells; the case is vacuous")
-					}
-					stored = func(br, bc int) []uint16 { return tile.blocks[br][bc].levels }
-				}
-				var nss []noise.Source
-				if mode == "noisy" {
-					nss = perItemSources(noise.NewSource(7), items)
-				}
-				bias := randomVector(rng, g.n)
-				want := make([][]float64, items)
-				wantFinished := make([][]float64, items)
-				for i, in := range ins {
-					ns := NoNoise
-					if nss != nil {
-						ns = nss[i]
-					}
-					want[i] = naiveTileMVM(cfg, w, in, ns, stored)
-					wantFinished[i] = make([]float64, g.n)
-					for c, v := range want[i] {
-						wantFinished[i][c] = max(v+bias[c], 0)
-					}
-				}
-				if mode == "underflow" {
-					for _, v := range want[0] {
-						if math.Float64bits(v) != 0 {
-							t.Fatalf("the oracle's underflowed output is %v (%#x), not +0; the case is vacuous", v, math.Float64bits(v))
-						}
-					}
-				}
-
-				for _, width := range []int{1, 2, 4, 16} {
-					parallel.SetWidth(width)
-					for _, bsz := range batches {
-						var bnss []noise.Source
-						if nss != nil {
-							bnss = nss[:bsz]
-						}
-						what := fmt.Sprintf("width=%d batch=%d", width, bsz)
-						got, _, err := tile.MVMBatch(ins[:bsz], bnss)
+				// Each grid goes in through both entries, on a fresh tile each:
+				// the row-major Program and the column entry (Check).
+				for _, entry := range []string{"by_rows", "by_columns"} {
+					t.Run(entry, func(t *testing.T) {
+						tile, err := NewTile(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for i := range got {
-							sameBits(t, fmt.Sprintf("%s item %d", what, i), got[i], want[i])
+						if mode == "fault-remapped" {
+							if err := tile.SetFaults(faultinject.Model{StuckLowRate: 0.02, StuckHighRate: 0.01}, noise.NewSource(3)); err != nil {
+								t.Fatal(err)
+							}
+						}
+						rng := rand.New(rand.NewSource(int64(g.m*g.n + g.array)))
+						w := randomMatrix(rng, g.m, g.n)
+						ins := batchInputs(rng, items, g.m)
+						if mode == "underflow" {
+							for _, row := range append(w, ins...) {
+								for i := range row {
+									row[i] *= 1e-200
+								}
+							}
+						}
+						if entry == "by_columns" {
+							ck, err := tile.Check(columnsOf(w))
+							if err != nil {
+								t.Fatal(err)
+							}
+							ck.Program(obs.Ctx{})
+						} else if _, err := tile.Program(w); err != nil {
+							t.Fatal(err)
+						}
+						var stored func(br, bc int) []uint16
+						if mode == "fault-remapped" {
+							if tile.FaultReport().StuckCells == 0 {
+								t.Fatal("fault model injected no stuck cells; the case is vacuous")
+							}
+							stored = func(br, bc int) []uint16 { return tile.blocks[br][bc].levels }
+						}
+						var nss []noise.Source
+						if mode == "noisy" {
+							nss = perItemSources(noise.NewSource(7), items)
+						}
+						bias := randomVector(rng, g.n)
+						want := make([][]float64, items)
+						wantFinished := make([][]float64, items)
+						for i, in := range ins {
+							ns := NoNoise
+							if nss != nil {
+								ns = nss[i]
+							}
+							want[i] = naiveTileMVM(cfg, w, in, ns, stored)
+							wantFinished[i] = make([]float64, g.n)
+							for c, v := range want[i] {
+								wantFinished[i][c] = max(v+bias[c], 0)
+							}
+						}
+						if mode == "underflow" {
+							for _, v := range want[0] {
+								if math.Float64bits(v) != 0 {
+									t.Fatalf("the oracle's underflowed output is %v (%#x), not +0; the case is vacuous", v, math.Float64bits(v))
+								}
+							}
 						}
 
-						// The same read with a finish — bias, then ReLU — into a
-						// dirty panel: every element finished exactly once, after
-						// its last block row.
-						visits := make([][]int, bsz)
-						for i := range got {
-							visits[i] = make([]int, g.n)
-							for c := range got[i] {
-								got[i][c] = math.NaN()
-							}
-						}
-						finish := func(c0 int, stripe []float64) {
-							for j := range stripe {
-								stripe[j] = max(stripe[j]+bias[c0+j], 0)
-							}
-						}
-						counted := func(c0 int, stripe []float64) {
-							finish(c0, stripe)
-							for i := range got {
-								if &got[i][c0] == &stripe[0] {
+						for _, width := range []int{1, 2, 4, 16} {
+							parallel.SetWidth(width)
+							for _, bsz := range batches {
+								var bnss []noise.Source
+								if nss != nil {
+									bnss = nss[:bsz]
+								}
+								what := fmt.Sprintf("width=%d batch=%d", width, bsz)
+								got, _, err := tile.MVMBatch(ins[:bsz], bnss)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for i := range got {
+									sameBits(t, fmt.Sprintf("%s item %d", what, i), got[i], want[i])
+								}
+
+								// The same read with a finish — bias, then ReLU — into a
+								// dirty panel: every element finished exactly once, after
+								// its last block row.
+								visits := make([][]int, bsz)
+								for i := range got {
+									visits[i] = make([]int, g.n)
+									for c := range got[i] {
+										got[i][c] = math.NaN()
+									}
+								}
+								finish := func(c0 int, stripe []float64) {
 									for j := range stripe {
-										visits[i][c0+j]++
+										stripe[j] = max(stripe[j]+bias[c0+j], 0)
+									}
+								}
+								counted := func(c0 int, stripe []float64) {
+									finish(c0, stripe)
+									for i := range got {
+										if &got[i][c0] == &stripe[0] {
+											for j := range stripe {
+												visits[i][c0+j]++
+											}
+										}
+									}
+								}
+								if _, err := tile.MVMBatchIntoCtx(obs.Ctx{}, got, ins[:bsz], bnss, counted); err != nil {
+									t.Fatal(err)
+								}
+								for i := range got {
+									sameBits(t, fmt.Sprintf("%s finished item %d", what, i), got[i], wantFinished[i])
+									for c, v := range visits[i] {
+										if v != 1 {
+											t.Fatalf("%s item %d col %d: finished %d times, want once", what, i, c, v)
+										}
 									}
 								}
 							}
 						}
-						if _, err := tile.MVMBatchIntoCtx(obs.Ctx{}, got, ins[:bsz], bnss, counted); err != nil {
-							t.Fatal(err)
-						}
-						for i := range got {
-							sameBits(t, fmt.Sprintf("%s finished item %d", what, i), got[i], wantFinished[i])
-							for c, v := range visits[i] {
-								if v != 1 {
-									t.Fatalf("%s item %d col %d: finished %d times, want once", what, i, c, v)
-								}
-							}
-						}
-					}
+					})
 				}
 			})
 		}

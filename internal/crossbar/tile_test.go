@@ -359,3 +359,52 @@ func TestTileReprogramKeepsResults(t *testing.T) {
 		t.Errorf("reprogrammed MVM = %v, want ~[0 1]", out)
 	}
 }
+
+// TestTileRejectedWriteWritesNothing: a matrix with a non-finite weight in
+// its last block is rejected before any block is written — also when it
+// would reshape the grid — so the tile keeps serving the matrix it held,
+// through either entry, with == outputs, the same wear and the same grid.
+func TestTileRejectedWriteWritesNothing(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Rows, cfg.Cols = 4, 4
+	rng := rand.New(rand.NewSource(40))
+	for _, same := range []bool{false, true} {
+		tile, err := NewTile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tile.Program(randomMatrix(rng, 6, 6)); err != nil {
+			t.Fatal(err)
+		}
+		input := randomVector(rng, 6)
+		want, _, err := tile.MVM(input, NoNoise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := tile.Writes()
+		n := 9 // a 3×3 grid: block (2,2) is the last one written
+		if same {
+			n = 6
+		}
+		bad := randomMatrix(rng, n, n)
+		bad[n-1][n-1] = math.Inf(1)
+		if _, err := tile.Program(bad); err == nil {
+			t.Fatalf("n=%d: Program accepted an Inf weight", n)
+		}
+		if _, err := tile.Check(columnsOf(bad)); err == nil {
+			t.Fatalf("n=%d: Check accepted an Inf weight", n)
+		}
+		got, _, err := tile.MVM(input, NoNoise)
+		if err != nil {
+			t.Fatalf("n=%d: MVM after a rejected write: %v", n, err)
+		}
+		for c := range want {
+			if got[c] != want[c] {
+				t.Fatalf("n=%d: output %d = %v after a rejected write, %v before", n, c, got[c], want[c])
+			}
+		}
+		if br, bc := tile.BlockGrid(); br != 2 || bc != 2 || tile.Writes() != writes {
+			t.Fatalf("n=%d: a rejected write left a %dx%d grid and %d writes, want 2x2 and %d", n, br, bc, tile.Writes(), writes)
+		}
+	}
+}

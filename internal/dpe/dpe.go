@@ -12,8 +12,9 @@
 // Section VI reports and this package's experiments reproduce.
 //
 // The simulator exploits the same spatial parallelism the hardware does:
-// Load and Reprogram fan independent layers across the internal/parallel
-// worker pool, Cluster fans independent boards, and InferBatch advances its
+// Load and Reprogram check every layer and then fan independent layers
+// across the internal/parallel worker pool (when the cells they write pay
+// for the fork-join), Cluster fans independent boards, and InferBatch advances its
 // batch stage by stage, handing each dense or conv stage's tile the whole
 // item panel — the fan-out of a batch is the tile's (item chunk ×
 // column-block group) tasks, not its items, and a dense stage's merge, bias
@@ -244,7 +245,8 @@ func (e *Engine) WeightBytes() float64 {
 // programming cost. Layers program in parallel across their own arrays
 // (latency is the max stage cost; energy sums), and the simulator fans
 // the independent layers across the worker pool; per-layer costs fold in
-// layer order so the total is identical at any pool width.
+// layer order so the total is identical at any pool width. A network with
+// an unsupported layer or a non-finite weight writes nothing.
 func (e *Engine) Load(net *nn.Network) (energy.Cost, error) {
 	return e.LoadCtx(obs.Ctx{}, net)
 }
@@ -266,50 +268,13 @@ func (e *Engine) load(sp obs.Ctx, net *nn.Network) (energy.Cost, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return energy.Zero, fmt.Errorf("dpe: empty network")
 	}
-	stages := make([]stage, len(net.Layers))
-	costs := make([]energy.Cost, len(net.Layers))
-	err := parallel.ForErr(len(net.Layers), func(i int) error {
-		layer := net.Layers[i]
-		s := stage{layer: layer}
-		switch l := layer.(type) {
-		case *nn.Dense:
-			tile, err := e.stageTile(i)
-			if err != nil {
-				return err
-			}
-			cost, err := tile.ProgramCtx(sp, l.WeightMatrix())
-			if err != nil {
-				return fmt.Errorf("dpe: program layer %d (%s): %w", i, l.Name(), err)
-			}
-			costs[i] = cost
-			s.tile, s.dense = tile, l
-		case *nn.Conv2D:
-			tile, err := e.stageTile(i)
-			if err != nil {
-				return err
-			}
-			cost, err := tile.ProgramCtx(sp, l.Im2ColMatrix())
-			if err != nil {
-				return fmt.Errorf("dpe: program layer %d (%s): %w", i, l.Name(), err)
-			}
-			// Replicas program in parallel but all cells cost energy.
-			cost.EnergyPJ *= float64(e.cfg.ConvReplicas)
-			costs[i] = cost
-			s.tile, s.conv = tile, l
-		case *nn.ActivationLayer, *nn.MaxPool2D:
-			// Digital stages need no programming.
-		default:
-			return fmt.Errorf("dpe: unsupported layer %d (%s)", i, layer.Name())
-		}
-		stages[i] = s
-		return nil
-	})
+	stages, err := e.stagesFor(net)
 	if err != nil {
 		return energy.Zero, err
 	}
-	total := energy.Zero
-	for _, c := range costs {
-		total = total.Par(c)
+	total, err := e.program(sp, stages, nil)
+	if err != nil {
+		return energy.Zero, err
 	}
 	linkStages(stages)
 	e.net = net
@@ -318,12 +283,109 @@ func (e *Engine) load(sp obs.Ctx, net *nn.Network) (energy.Cost, error) {
 	return total, nil
 }
 
+// stagesFor lays net out on the engine's arrays, one stage per layer, each
+// Dense or Conv2D stage on the tile its position already holds (stageTile).
+// It writes nothing.
+func (e *Engine) stagesFor(net *nn.Network) ([]stage, error) {
+	stages := make([]stage, len(net.Layers))
+	for i, layer := range net.Layers {
+		s := &stages[i]
+		s.layer = layer
+		switch l := layer.(type) {
+		case *nn.Dense:
+			s.dense = l
+		case *nn.Conv2D:
+			s.conv = l
+		case *nn.ActivationLayer, *nn.MaxPool2D:
+			continue // digital stages need no programming
+		default:
+			return nil, fmt.Errorf("dpe: unsupported layer %d (%s)", i, layer.Name())
+		}
+		tile, err := e.stageTile(i)
+		if err != nil {
+			return nil, err
+		}
+		s.tile = tile
+	}
+	return stages, nil
+}
+
+// cellMACs is what programming one crossbar cell costs the host, in the
+// multiply-accumulates parallel.WidthFor weighs a fan-out by. At -cpu 1 on
+// a 2-vCPU amd64 host a functional Load of the 256-wide MLP takes 3.5–4.8
+// ns a cell and a functional batch-64 read of it 0.058–0.071 ns a MAC
+// (BenchmarkEngineLoad, BenchmarkEngineWorkloads/big_functional_b64, two
+// alternated sets): 64 is that ratio, 61–67, rounded to a power of two. A
+// Load fans out from 32k cells: the 256-wide MLP's 296k do, the 16-16-10
+// MLP's 416 run inline.
+const cellMACs = 64
+
+// program writes the weights of stages[i] into its tile for every i in
+// only, or for every crossbar stage when only is nil: a dense layer's W as
+// it is (W[o] is column o), a conv layer's filters flattened
+// (FilterColumns). Every layer is checked before any array is written, so
+// a rejected one leaves every tile as it was. Layers check, then program,
+// in parallel — as wide as parallel.WidthFor grants the cells written — and
+// their costs fold in layer order: latency is the max layer cost, energy
+// sums, and all ConvReplicas copies of a conv stage's filters are paid for.
+func (e *Engine) program(sp obs.Ctx, stages []stage, only []int) (energy.Cost, error) {
+	if only == nil {
+		for i := range stages {
+			if stages[i].tile != nil {
+				only = append(only, i)
+			}
+		}
+	}
+	cells := 0
+	for _, i := range only {
+		if s := &stages[i]; s.dense != nil {
+			cells += s.dense.InSize() * s.dense.OutSize()
+		} else {
+			cells += s.conv.Kh * s.conv.Kw * s.conv.C * s.conv.F
+		}
+	}
+	width := parallel.WidthFor(cells * cellMACs)
+	checked := make([]crossbar.Checked, len(only))
+	err := parallel.ForErrWidth(width, len(only), func(k int) error {
+		s := &stages[only[k]]
+		var cols [][]float64
+		if s.dense != nil {
+			cols = s.dense.W
+		} else {
+			cols = s.conv.FilterColumns()
+		}
+		var err error
+		if checked[k], err = s.tile.Check(cols); err != nil {
+			return fmt.Errorf("dpe: program layer %d (%s): %w", only[k], s.layer.Name(), err)
+		}
+		return nil
+	})
+	if err != nil {
+		return energy.Zero, err
+	}
+	costs := make([]energy.Cost, len(only))
+	parallel.ForWidth(width, len(only), func(k int) {
+		costs[k] = checked[k].Program(sp)
+		if stages[only[k]].conv != nil {
+			// Replicas program in parallel but all cells cost energy.
+			costs[k].EnergyPJ *= float64(e.cfg.ConvReplicas)
+		}
+	})
+	total := energy.Zero
+	for _, c := range costs {
+		total = total.Par(c)
+	}
+	return total, nil
+}
+
 // Reprogram loads a new network of identical topology into the existing
 // arrays (wear accumulates on the same physical cells). With hide=false
 // the engine stalls for the full write latency; with hide=true shadow
 // arrays absorb the writes behind ongoing inference (the write-asymmetry
 // hiding of Section VI) and only a reconfiguration swap appears on the
-// critical path.
+// critical path. A rejected network — another topology, or a non-finite
+// weight in any layer — writes nothing: the engine serves the network it
+// held.
 func (e *Engine) Reprogram(net *nn.Network, hide bool) (energy.Cost, error) {
 	if e.net == nil {
 		return energy.Zero, fmt.Errorf("dpe: Reprogram before Load")
@@ -331,51 +393,31 @@ func (e *Engine) Reprogram(net *nn.Network, hide bool) (energy.Cost, error) {
 	if net == nil || len(net.Layers) != len(e.stages) {
 		return energy.Zero, fmt.Errorf("dpe: Reprogram requires identical topology")
 	}
-	// Layers rewrite their own arrays, so reprogramming fans across the
-	// worker pool; per-layer costs fold in layer order below.
-	costs := make([]energy.Cost, len(e.stages))
-	err := parallel.ForErr(len(e.stages), func(i int) error {
-		s := &e.stages[i]
-		switch l := net.Layers[i].(type) {
-		case *nn.Dense:
-			if s.dense == nil || s.dense.InSize() != l.InSize() || s.dense.OutSize() != l.OutSize() {
-				return fmt.Errorf("dpe: layer %d shape mismatch", i)
-			}
-			c, err := s.tile.Program(l.WeightMatrix())
-			if err != nil {
-				return err
-			}
-			costs[i] = c
-			s.dense, s.layer = l, l
-		case *nn.Conv2D:
-			if s.conv == nil || s.conv.InSize() != l.InSize() || s.conv.OutSize() != l.OutSize() {
-				return fmt.Errorf("dpe: layer %d shape mismatch", i)
-			}
-			c, err := s.tile.Program(l.Im2ColMatrix())
-			if err != nil {
-				return err
-			}
-			c.EnergyPJ *= float64(e.cfg.ConvReplicas)
-			costs[i] = c
-			s.conv, s.layer = l, l
-		default:
-			if s.tile != nil {
-				return fmt.Errorf("dpe: layer %d kind mismatch", i)
-			}
-			s.layer = net.Layers[i]
-		}
-		return nil
-	})
-	// Also after a failure: a finish must read the bias of the layer its
-	// stage now holds.
-	linkStages(e.stages)
+	next, err := e.stagesFor(net)
 	if err != nil {
 		return energy.Zero, err
 	}
-	cost := energy.Zero
-	for _, c := range costs {
-		cost = cost.Par(c)
+	for i := range next {
+		old, s := &e.stages[i], &next[i]
+		switch {
+		case s.dense != nil:
+			if old.dense == nil || old.dense.InSize() != s.dense.InSize() || old.dense.OutSize() != s.dense.OutSize() {
+				return energy.Zero, fmt.Errorf("dpe: layer %d shape mismatch", i)
+			}
+		case s.conv != nil:
+			if old.conv == nil || old.conv.InSize() != s.conv.InSize() || old.conv.OutSize() != s.conv.OutSize() {
+				return energy.Zero, fmt.Errorf("dpe: layer %d shape mismatch", i)
+			}
+		case old.tile != nil:
+			return energy.Zero, fmt.Errorf("dpe: layer %d kind mismatch", i)
+		}
 	}
+	cost, err := e.program(obs.Ctx{}, next, nil)
+	if err != nil {
+		return energy.Zero, err
+	}
+	linkStages(next)
+	e.stages = next
 	e.net = net
 	if hide {
 		// Writes retire off the critical path; the visible latency is one

@@ -18,7 +18,7 @@ import (
 	"cimrev/internal/crossbar"
 	"cimrev/internal/energy"
 	"cimrev/internal/faultinject"
-	"cimrev/internal/parallel"
+	"cimrev/internal/obs"
 )
 
 // stageTile returns the physical tile for stage i, reusing the array the
@@ -121,32 +121,9 @@ func (e *Engine) Repair() (energy.Cost, Health, error) {
 	if len(bad) == 0 {
 		return energy.Zero, e.HealthCheck(), nil
 	}
-	costs := make([]energy.Cost, len(bad))
-	err := parallel.ForErr(len(bad), func(k int) error {
-		s := &e.stages[bad[k]]
-		switch {
-		case s.dense != nil:
-			c, err := s.tile.Program(s.dense.WeightMatrix())
-			if err != nil {
-				return fmt.Errorf("dpe: repair stage %d (%s): %w", bad[k], s.layer.Name(), err)
-			}
-			costs[k] = c
-		case s.conv != nil:
-			c, err := s.tile.Program(s.conv.Im2ColMatrix())
-			if err != nil {
-				return fmt.Errorf("dpe: repair stage %d (%s): %w", bad[k], s.layer.Name(), err)
-			}
-			c.EnergyPJ *= float64(e.cfg.ConvReplicas)
-			costs[k] = c
-		}
-		return nil
-	})
+	total, err := e.program(obs.Ctx{}, e.stages, bad)
 	if err != nil {
 		return energy.Zero, Health{}, err
-	}
-	total := energy.Zero
-	for _, c := range costs {
-		total = total.Par(c)
 	}
 	return total, e.HealthCheck(), nil
 }

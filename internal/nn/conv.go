@@ -117,25 +117,25 @@ func (l *Conv2D) Forward(in []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Im2ColMatrix lowers the kernels to a (Kh*Kw*C) x F matrix so a crossbar
-// can compute all F filters for one patch in a single MVM.
-func (l *Conv2D) Im2ColMatrix() [][]float64 {
+// FilterColumns lowers the kernels to the F columns of the (Kh*Kw*C) x F
+// crossbar the DPE programs them into, so a crossbar can compute all F
+// filters for one patch in a single MVM: column f is filter K[f] flattened
+// in (ky, kx, c) order, the order Patch lays out an input patch. The
+// columns share one slab.
+func (l *Conv2D) FilterColumns() [][]float64 {
 	rows := l.Kh * l.Kw * l.C
-	m := make([][]float64, rows)
-	for r := range m {
-		m[r] = make([]float64, l.F)
-	}
-	for f := 0; f < l.F; f++ {
+	slab := make([]float64, rows*l.F)
+	cols := make([][]float64, l.F)
+	for f := range cols {
+		col := slab[f*rows:][:rows:rows]
 		for ky := 0; ky < l.Kh; ky++ {
 			for kx := 0; kx < l.Kw; kx++ {
-				for c := 0; c < l.C; c++ {
-					r := (ky*l.Kw+kx)*l.C + c
-					m[r][f] = l.K[f][ky][kx][c]
-				}
+				copy(col[(ky*l.Kw+kx)*l.C:][:l.C], l.K[f][ky][kx])
 			}
 		}
+		cols[f] = col
 	}
-	return m
+	return cols
 }
 
 // Patch extracts the im2col input patch for output position (oy, ox).

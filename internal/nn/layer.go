@@ -152,8 +152,9 @@ func (l *ActivationLayer) Forward(in []float64) ([]float64, error) {
 // Dense is a fully connected layer: out = W·in + b.
 type Dense struct {
 	in, out int
-	// W[o][i] is row-major by output neuron; this is the matrix the DPE
-	// compiler transposes onto crossbars.
+	// W[o][i] is row-major by output neuron: W[o] is crossbar column o,
+	// the weights input row i drives into output o, so the DPE programs
+	// W as it is, column by column.
 	W [][]float64
 	B []float64
 }

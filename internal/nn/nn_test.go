@@ -358,7 +358,7 @@ func TestConv2DIm2ColMatchesForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := l.Im2ColMatrix()
+	cols := l.FilterColumns()
 	for oy := 0; oy < l.OutH(); oy++ {
 		for ox := 0; ox < l.OutW(); ox++ {
 			patch, err := l.Patch(in, oy, ox)
@@ -368,7 +368,7 @@ func TestConv2DIm2ColMatchesForward(t *testing.T) {
 			for f := 0; f < l.F; f++ {
 				sum := l.B[f]
 				for r := range patch {
-					sum += patch[r] * m[r][f]
+					sum += patch[r] * cols[f][r]
 				}
 				got := want[(oy*l.OutW()+ox)*l.F+f]
 				if math.Abs(sum-got) > 1e-9 {

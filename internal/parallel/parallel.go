@@ -115,9 +115,6 @@ func WidthFor(macs int) int {
 	return Width()
 }
 
-// Sequential reports whether the pool is in sequential mode (width 1).
-func Sequential() bool { return Width() == 1 }
-
 // For runs fn(i) for every i in [0, n), fanning out across at most
 // Width() goroutines, and returns when all calls have completed. Indices
 // are claimed in ascending order. fn must either be safe for concurrent
@@ -191,10 +188,19 @@ func ForWidth(width, n int, fn func(i int)) {
 // are therefore best-effort, exactly as with hardware running ahead of a
 // fault.)
 func ForErr(n int, fn func(i int) error) error {
+	width := 1
+	if n > 1 { // one task never asks for GOMAXPROCS
+		width = Width()
+	}
+	return ForErrWidth(width, n, fn)
+}
+
+// ForErrWidth is ForErr with an explicit width, as ForWidth is For's.
+func ForErrWidth(width, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if n == 1 || Sequential() { // n first: one task never asks for GOMAXPROCS
+	if width <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -204,7 +210,7 @@ func ForErr(n int, fn func(i int) error) error {
 	}
 	errs := make([]error, n)
 	var failed atomic.Bool
-	For(n, func(i int) {
+	ForWidth(width, n, func(i int) {
 		if failed.Load() {
 			return
 		}

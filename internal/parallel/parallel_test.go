@@ -33,8 +33,8 @@ func TestWidthDefaultsToGOMAXPROCS(t *testing.T) {
 func TestSequentialMode(t *testing.T) {
 	resetWidth(t)
 	SetWidth(1)
-	if !Sequential() {
-		t.Fatal("Sequential() = false at width 1")
+	if Width() != 1 {
+		t.Fatalf("Width() = %d after SetWidth(1)", Width())
 	}
 	// Sequential mode must execute inline and in ascending index order:
 	// appending to a plain slice is race-free only if it does.
