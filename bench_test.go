@@ -537,8 +537,8 @@ func BenchmarkEngineWorkloads(b *testing.B) {
 // reprogram in place as a same-shape Reprogram does; the _fresh rows build
 // a new engine (dpe.New) every iteration and Load it, allocating its arrays
 // (crossbar.New) as every engine a workload sets up does. The big model
-// loads in both modes: the functional one fuses the stored levels into a
-// weight panel, the bit-serial one transposes them into bit planes.
+// loads in both modes: the functional one's vector kernel reads the stored
+// levels in place, the bit-serial one transposes them into bit planes.
 func BenchmarkEngineLoad(b *testing.B) {
 	run := func(name string, sizes []int, xbar int, functional, fresh bool) {
 		b.Run(name, func(b *testing.B) {

@@ -499,8 +499,10 @@ func (p *program) marshaled(files []*ast.File) map[*types.Var]bool {
 // denotes; a type's methods are its own text, so a dead type takes its
 // methods with it. A method is also used when code calls an interface
 // method that its receiver type satisfies. A field is read by any
-// reference except a store into it, and by encoding/json (marshaled).
-// Embedded fields, which promote methods, are not judged.
+// reference except a store into it, and by encoding/json (marshaled). A
+// field that only its own type's Validate or String reads is judged too,
+// with its own finding: checking or printing a value nothing acts on keeps
+// nothing alive. Embedded fields, which promote methods, are not judged.
 func (p *program) deadCode() []string {
 	var files []*ast.File
 	for _, pkg := range p.pkgs {
@@ -528,10 +530,20 @@ func (p *program) deadCode() []string {
 	}
 
 	targets := writeTargets(files)
-	read := p.marshaled(files)
+	marshaled := p.marshaled(files)
+	readAt := map[*types.Var][]token.Pos{}
 	for id, obj := range p.info.Uses {
 		if v, ok := obj.(*types.Var); ok && v.IsField() && !targets[id] {
-			read[v.Origin()] = true
+			readAt[v.Origin()] = append(readAt[v.Origin()], id.Pos())
+		}
+	}
+	selfChecks := map[types.Object][]ast.Node{} // a type → its Validate and String
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && (fn.Name.Name == "Validate" || fn.Name.Name == "String") {
+				recv := receiverNamed(p.info.Defs[fn.Name].Type().(*types.Signature).Recv().Type()).Obj()
+				selfChecks[recv] = append(selfChecks[recv], fn)
+			}
 		}
 	}
 	for _, pkg := range p.internal() {
@@ -546,8 +558,13 @@ func (p *program) deadCode() []string {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); !f.Embedded() && !read[f] {
+				f := st.Field(i)
+				switch {
+				case f.Embedded() || marshaled[f]:
+				case len(readAt[f]) == 0:
 					dead = append(dead, pkg.dir+": "+name+"."+f.Name()+" is never read: non-test code only stores into it")
+				case !outside(readAt[f], selfChecks[tn]):
+					dead = append(dead, pkg.dir+": "+name+"."+f.Name()+" is read only by its type's own Validate or String: no other non-test code reads it")
 				}
 			}
 		}
@@ -698,6 +715,7 @@ func TestCallerRuleFixtures(t *testing.T) {
 	const unread = " is never read: no code reads it, nothing uses the function as a value and no interface reaches it"
 	want := []string{
 		"internal/fix: Blank parameter #2" + unread,
+		"internal/fix: Limits.Max is read only by its type's own Validate or String: no other non-test code reads it",
 		"internal/fix: Local has no caller: no non-test code outside its own text uses it",
 		"internal/fix: Local.self has no caller: no non-test code outside its own text uses it",
 		"internal/fix: Offline.Run has no caller: no non-test code outside its own text uses it",

@@ -7,14 +7,14 @@ package crossbar
 // destination. MVMBatchInto is the one after the other; MVM and MVMInto are
 // a batch of one; a Tile runs quantize once per (row block, item chunk) and
 // multiply once per block of that row (tile.go). Functional mode runs one
-// exact integer GEMM, on the vector unit over 16-bit panels where Program
-// found that possible (vectorGEMM: amd64 with AVX2, operands of at most 15
-// bits, column sums below 2^31; one register-tiled routine, four columns by
-// two items a pass, that also finishes the epilogue, fed by a vector
-// quantizer) and in Go over the fused weight panel everywhere else
-// (functionalGEMM, then dequantize); bit-serial mode runs the bit-plane kernel
-// (bitSerialKernel): a column sum is AND + popcount of an input-bit row mask
-// against a weight bit plane.
+// exact integer GEMM, on the vector unit over the stored levels and a 16-bit
+// input panel where Program found that possible (vectorGEMM: amd64 with
+// AVX2, operands of at most 15 bits, column sums below 2^31; one
+// register-tiled routine, four columns by two items a pass, that also
+// finishes the epilogue, fed by a vector quantizer) and in Go over the fused
+// weight panel everywhere else (functionalGEMM, then dequantize); bit-serial
+// mode runs the bit-plane kernel (bitSerialKernel): a column sum is AND +
+// popcount of an input-bit row mask against a weight bit plane.
 //
 // The loop nest is matrix-matrix, not matrix-vector:
 //
@@ -66,7 +66,8 @@ type mvmBatchScratch struct {
 	xInt []int32
 	// x16 is the same panel as the vector kernel reads it, and what quantize
 	// fills instead of xInt on a crossbar that runs that kernel: signed
-	// 16-bit words, item i at x16[i*rows16:], zero from usedRows up to rows16.
+	// 16-bit words, item i at x16[i*stride:], zero from usedRows up to the
+	// crossbar's stride.
 	x16 []int16
 	// xScale and xSumInt are the per-item input scale and quantized sum.
 	xScale  []float64
@@ -233,7 +234,7 @@ const (
 // shift-encodes v to Round((v/scale + 1)/2 · xMax) and leaves in s what the
 // programmed kernel reads — x16 for the vector kernel, its pad zeroed on
 // every call (the arena is reused across shapes and the routine multiplies
-// the pad; panel16's pad is zero too, and neither side relies on the other),
+// the pad; levels' pad is zero too, and neither side relies on the other),
 // xInt for the Go kernel, xInt and its row masks for bit-serial — beside the
 // per-item scale and sum the epilogue needs. On the vector panel one
 // vectorQuantize call per item does the scan and the rounding; elsewhere
@@ -249,10 +250,10 @@ func (x *Crossbar) quantize(s *mvmBatchScratch, inputs [][]float64) error {
 	}
 	s.xScale, s.xSumInt = grow(s.xScale, n), grow(s.xSumInt, n)
 	xMax := float64(int32(1)<<x.cfg.InputBits - 1)
-	if x.panel16 != nil {
-		s.x16 = grow(s.x16, n*x.rows16)
+	if x.vectorKernel() {
+		s.x16 = grow(s.x16, n*x.stride)
 		for i, in := range inputs {
-			xi := s.x16[i*x.rows16:][:x.rows16]
+			xi := s.x16[i*x.stride:][:x.stride]
 			sum, top := vectorQuantize(&xi[0], &in[0], rows, xMax)
 			if top >= infBits {
 				return nonFinite(i, in)
@@ -349,7 +350,7 @@ func (x *Crossbar) multiply(s *mvmBatchScratch, dsts [][]float64, nss []noise.So
 		s.terms[2*i+1] = x.wScale * s.xScale[i]
 	}
 	switch {
-	case x.panel16 != nil:
+	case x.vectorKernel():
 		x.vectorGEMM(s, n)
 	case x.cfg.Functional:
 		x.functionalGEMM(s, n)
@@ -428,26 +429,33 @@ func (x *Crossbar) rowMasks(s *mvmBatchScratch, n int) {
 // Σ_r w[c*rows+r]·x[i*rows+r], for each of cols columns and n items, rows a
 // multiple of 16 and cols of 4 — and vectorQuantize one item of quantize into
 // the 16-bit panel, returning its sum and the maximum of its sign-cleared
-// bits. fuseWeights reads vectorDot when it picks the kernel, and the panel it
-// builds selects both routines: tests set vectorDot alone to nil to get the Go
-// kernel and quantizer on a host that has both.
+// bits. The routine reads w as signed 16-bit words; levels passes it, every
+// level below 2^15 on the vector path. fuseWeights reads vectorDot when it
+// picks the kernel, and the lanes it leaves select both routines
+// (vectorKernel): tests set vectorDot alone to nil to get the Go kernel and
+// quantizer on a host that has both.
 var (
-	vectorDot      func(y *float64, stride int, w, x *int16, rows, cols, n int, colOffset, terms *float64, k *[3]float64)
+	vectorDot      func(y *float64, stride int, w *uint16, x *int16, rows, cols, n int, colOffset, terms *float64, k *[3]float64)
 	vectorQuantize func(dst *int16, in *float64, n int, xMax float64) (sum int64, top uint64)
 )
 
+// vectorKernel reports whether the programmed crossbar runs the vector
+// kernel: a functional crossbar on which fuseWeights left lanes at 0.
+func (x *Crossbar) vectorKernel() bool { return x.cfg.Functional && x.lanes == 0 }
+
 // vectorGEMM is the functional-mode kernel and epilogue on the vector unit:
-// the exact integer product functionalGEMM computes, over 16-bit panels, and
-// dequantize's expression over it, in one vectorDot call. quantize left each
-// item's row in x16, pad zeroed; panel16 is zero-padded to the routine's
-// 16-row step and four-column tile, colOffset is as long as that tile, and
-// acc's stride is the padded column count, so the pad columns' outputs land
-// between items where the merge does not read. fuseWeights built panel16
-// only for shapes on which the integer is exact, so the float64 it converts
-// to is the one functionalGEMM and the oracle produce, and the y it stores
-// the one dequantize computes from it.
+// the exact integer product functionalGEMM computes, over the stored levels
+// and the 16-bit input panel, and dequantize's expression over it, in one
+// vectorDot call. quantize left each item's row in x16, pad zeroed; levels is
+// zero-padded to the routine's 16-row step (stride) and four-column tile,
+// colOffset is as long as that tile, and acc's stride is the padded column
+// count, so the pad columns' outputs land between items where the merge does
+// not read. fuseWeights chose this kernel only for shapes on which the
+// integer is exact, so the float64 it converts to is the one functionalGEMM
+// and the oracle produce, and the y it stores the one dequantize computes
+// from it.
 func (x *Crossbar) vectorGEMM(s *mvmBatchScratch, n int) {
-	vectorDot(&s.acc[0], x.accStride, &x.panel16[0], &s.x16[0], x.rows16, x.accStride, n,
+	vectorDot(&s.acc[0], x.accStride, &x.levels[0], &s.x16[0], x.stride, x.accStride, n,
 		&x.colOffset[0], &s.terms[0], &x.dequant)
 }
 

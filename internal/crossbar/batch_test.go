@@ -432,14 +432,14 @@ func TestMVMBatchValidation(t *testing.T) {
 // The 8-input-bit one is the vector kernel's where the host has it: 128 → 20
 // → 128 rows and back through a padded tail past 128 and a lone row, 130 → 10
 // → 8 columns and on through one to three pad columns, batches shrinking and
-// growing, even and odd, on one weight arena, one pooled 16-bit input arena
+// growing, even and odd, on one store of levels, one pooled 16-bit input arena
 // and one accumulator arena whose stride follows the padded column count
 // (assertLanes) — and last 130 → 10 columns on 128 rows, the benchmark MLP's
 // last layer after a full-width block, so the two pad columns of colOffset
 // the routine reads hold the wider shape's offsets. The kernel sums whatever
-// the rows past usedRows hold on both panels and whatever the weight panel's
-// columns past usedCols hold, so all three pads are checked for zeros after
-// every round as well as the outputs.
+// the rows past usedRows hold in levels and in the input panel and whatever
+// levels' columns past usedCols hold, so all three pads are checked for
+// zeros after every round as well as the outputs.
 func TestScratchReuseAcrossReshapes(t *testing.T) {
 	type shape struct{ m, n, lanes, batch int } // lanes: functional panel only
 	serial := []shape{{300, 8, 0, 5}, {5, 7, 0, 9}, {129, 3, 0, 1}, {64, 8, 0, 7}, {257, 5, 0, 2}, {128, 2, 0, 9}}
@@ -499,7 +499,7 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 					}
 				}
 			}
-			if xb.panel16 != nil {
+			if xb.vectorKernel() {
 				if _, _, err := mvmBatch(xb, ins, nil); err != nil { // the scratch's latest call is the batch again
 					t.Fatal(err)
 				}

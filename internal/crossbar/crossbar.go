@@ -27,24 +27,25 @@
 // of one. It is organized for locality and zero steady-state allocation (see
 // docs/PERF.md for measurements):
 //
-//   - Each cell's stored slice levels are one packed word, column-major
-//     (levels[c*Rows+r] = Σ_s level_s << s*CellBits): what Program,
-//     program-and-verify and the fault tests read and write. Program
-//     quantizes each weight once straight into it, a column of weights in
-//     (a layer's own layout: nn.Dense.W[o] is column o) to a column of
-//     levels out.
+//   - Each cell's stored slice levels are one packed word (Σ_s level_s <<
+//     s*CellBits), and levels is the array's one store of them, laid out as
+//     the vector kernel's panel in every mode: column-major, column c at
+//     c*stride with stride the used row count rounded up to 16, the columns
+//     running to a multiple of four, and every pad row and column zero.
+//     Program quantizes each weight once straight into it, a column of
+//     weights in (a layer's own layout: nn.Dense.W[o] is column o) to a
+//     column of levels out; program-and-verify commits to it, and every
+//     kernel reads it or a view built from it.
 //   - Functional mode needs one exact integer per (item, column), which is
-//     the packed word itself, laid out as one of two panels. On amd64 with
-//     AVX2, when weights and inputs are at most 15 bits and a padded
-//     column of largest products stays below 2^31, the panel is
-//     column-major int16, zero-padded to
-//     a multiple of 16 rows and of four columns (panel16), and the kernel
-//     is one assembly routine over the whole panel and all items of the
-//     call (dot_amd64.s: a register tile of four columns by two items,
-//     VPMADDWD, sixteen multiply-adds an instruction, summed in eight
-//     int32 lanes and then across them). Otherwise — every other
-//     architecture, x86 without AVX2, 16-bit operands, sums past 2^31 —
-//     Program packs adjacent columns into 32-bit lanes of one uint64
+//     the packed word itself. On amd64 with AVX2, when weights and inputs
+//     are at most 15 bits and a padded column of largest products stays
+//     below 2^31, the kernel is one assembly routine over levels as they
+//     stand and all items of the call (dot_amd64.s: a register tile of four
+//     columns by two items, VPMADDWD, sixteen multiply-adds an instruction,
+//     summed in eight int32 lanes and then across them; its signed 16-bit
+//     reads see the same bits, every level being below 2^15). Otherwise —
+//     every other architecture, x86 without AVX2, 16-bit operands, sums past
+//     2^31 — Program packs adjacent columns into 32-bit lanes of one uint64
 //     (fused: two columns per word when no lane can carry, one otherwise)
 //     and the kernel is functionalGEMM, the integer matrix-matrix product
 //     in Go, four items sharing each weight load. Both are exact, so they
@@ -183,14 +184,20 @@ type Crossbar struct {
 	cfg       Config
 	numSlices int
 
-	// levels[c*Rows+r] is what the cells at (r, c) store, packed: Σ_s
+	// levels[c*stride+r] is what the cells at (r, c) store, packed: Σ_s
 	// level_s << s*CellBits over the slices' levels, each below
 	// 2^CellBits, so the word (WeightBits ≤ 16) is lossless and, fault-free,
-	// is the shifted, quantized weight itself. Column-major, so a column is
-	// contiguous for program-and-verify's commit and for the layouts the
-	// kernels read instead (fused or panel16, planes). Zero past the
-	// programmed shape.
+	// is the shifted, quantized weight itself. It is the only copy of the
+	// weights, column-major so that a column is contiguous for
+	// program-and-verify's commit, for the vector kernel that reads it in
+	// place and for the views the other kernels build from it (fused,
+	// planes). New sizes it to ⌈Rows/16⌉·16 × ⌈Cols/4⌉·4 cells. Zero past
+	// the programmed shape: program clears it on a reshape, and nothing
+	// writes the pad rows and columns, which the vector kernel multiplies.
 	levels []uint16
+	// stride is levels' column stride: usedRows rounded up to the vector
+	// kernel's 16-row step, set by program with the shape.
+	stride int
 
 	// planes is the bit-serial kernel's view of the array: the stored
 	// levels (after fault remap and drift, exactly what levels holds)
@@ -207,28 +214,15 @@ type Crossbar struct {
 	// 32-bit lane c%lanes of column word cw = c/lanes. lanes is 2 when wMax*xMax*usedRows fits
 	// 32 bits — a column's whole dot product fits its lane, so no lane can
 	// carry into its neighbour — and 1 otherwise. Functional mode only, and
-	// only when the vector kernel cannot run (fuseWeights): a functional
-	// crossbar holds fused or panel16, never both.
+	// only when the vector kernel cannot run (fuseWeights): lanes is 0 and
+	// fused nil on a functional crossbar whose kernel reads levels itself.
 	fused []uint64
 	lanes int
 
-	// panel16[c*rows16+r] is the vector kernel's weight panel: the same
-	// fused integer weight as a signed 16-bit word, column-major, each column
-	// zero-padded to rows16 = usedRows rounded up to the kernel's 16-row
-	// step, and zero columns after the last up to the kernel's four-column
-	// tile. lanes is 0 beside it.
-	panel16 []int16
-	rows16  int
-
 	// accStride is the item stride of the kernel's accumulator panel
-	// (mvmBatchScratch.acc): usedCols, and on the vector kernel panel16's
+	// (mvmBatchScratch.acc): usedCols, and on the vector kernel levels'
 	// padded column count, which the routine fills whole.
 	accStride int
-
-	// colSumInt[c] is the column sum of the intended integer weights,
-	// accumulated at program time; digital offset removal reads it through
-	// colOffset.
-	colSumInt []int64
 
 	// usedRows and usedCols are the programmed submatrix dimensions.
 	usedRows, usedCols int
@@ -249,10 +243,11 @@ type Crossbar struct {
 	// Bit-serial mode only.
 	adcLUT []float64
 
-	// colOffset[c] = 2*colSumInt[c]/wMax, the weight-offset term of the
-	// output epilogue, tabulated at Program time with the epilogue's own
-	// expression. It is Cols rounded up to four long: the vector routine
-	// reads it four columns at a time, pad columns included.
+	// colOffset[c] = 2*sum/wMax, sum the column's intended integer weights,
+	// the weight-offset term of the output epilogue, tabulated by program's
+	// quantize loop with the epilogue's own expression. It is Cols rounded
+	// up to four long: the vector routine reads it four columns at a time,
+	// pad columns included.
 	colOffset []float64
 
 	// dequant is the epilogue's three constants for the programmed shape,
@@ -316,8 +311,7 @@ func New(cfg Config) (*Crossbar, error) {
 	return &Crossbar{
 		cfg:       cfg,
 		numSlices: cfg.slices(),
-		levels:    make([]uint16, cfg.Rows*cfg.Cols),
-		colSumInt: make([]int64, cfg.Cols),
+		levels:    make([]uint16, ((cfg.Rows+15)&^15)*((cfg.Cols+3)&^3)),
 		colOffset: make([]float64, (cfg.Cols+3)&^3),
 		scaleTab:  scaleTab,
 	}, nil
@@ -434,14 +428,14 @@ func (x *Crossbar) program(pc obs.Ctx, cols [][]float64, top uint64) energy.Cost
 	wScale := scaleOf(top) // an all-zero matrix programs cleanly
 	wMax := float64(int(1)<<x.cfg.WeightBits - 1)
 	if rows != x.usedRows || len(cols) != x.usedCols {
-		clear(x.levels) // the cells past the new shape hold nothing
+		clear(x.levels) // the cells and pads past the new shape hold nothing
+		x.stride = (rows + 15) &^ 15
 	}
-	clear(x.colSumInt)
 	// Quantize each weight once into the level the cells are to hold (the
 	// fault path's program-and-verify reads it as the pattern to write): a
 	// column of weights is one contiguous stream in, its levels one out.
 	for c, col := range cols {
-		lv := x.levels[c*x.cfg.Rows:][:len(col)]
+		lv := x.levels[c*x.stride:][:len(col)]
 		var sum int64
 		for r, v := range col {
 			w01 := (v/wScale + 1) / 2 // shift encode into [0,1]
@@ -449,7 +443,7 @@ func (x *Crossbar) program(pc obs.Ctx, cols [][]float64, top uint64) energy.Cost
 			lv[r] = uint16(q)
 			sum += int64(q)
 		}
-		x.colSumInt[c] = sum
+		x.colOffset[c] = 2 * float64(sum) / wMax
 	}
 	x.usedRows, x.usedCols, x.accStride = rows, len(cols), len(cols)
 	x.wScale = wScale
@@ -457,7 +451,7 @@ func (x *Crossbar) program(pc obs.Ctx, cols [][]float64, top uint64) energy.Cost
 	// Device-fault path: per-cell program-and-verify with escalating
 	// retry pulses, then the built-in self-test scan and spare-column
 	// remapping. Overwrites levels with the *stored* (possibly faulty) ones;
-	// colSumInt keeps the intended sums — the digital backend removes the
+	// colOffset keeps the intended sums — the digital backend removes the
 	// offset it programmed, and any analog deviation from stuck or
 	// drifting cells shows up as output error, exactly like hardware.
 	var pulses, verifies int64
@@ -466,9 +460,6 @@ func (x *Crossbar) program(pc obs.Ctx, cols [][]float64, top uint64) energy.Cost
 		pulses, verifies = x.programAndVerify()
 	}
 
-	for c, sum := range x.colSumInt[:len(cols)] {
-		x.colOffset[c] = 2 * float64(sum) / wMax
-	}
 	x.dequant = [3]float64{4, wMax * float64(int32(1)<<x.cfg.InputBits-1), float64(rows)}
 	if x.cfg.Functional {
 		x.fuseWeights()
@@ -521,25 +512,27 @@ func (x *Crossbar) program(pc obs.Ctx, cols [][]float64, top uint64) energy.Cost
 	return cost
 }
 
-// fuseWeights builds the functional-mode panel from the stored levels —
-// after fault remap, so stuck and drifted cells reach the kernel exactly as
-// they reach the slice-at-a-time reduction — and in building one panel or
-// the other selects the kernel that reads it, here and nowhere else: the
-// vector routines (Crossbar.panel16; vectorGEMM, and vectorQuantize in
-// quantize) when the host has them and the kernel is exact on the programmed
-// shape, functionalGEMM over Crossbar.fused and quantizeRow otherwise. Exact means every operand is a non-negative int16 and a whole
-// padded column of largest products stays below 2^31, so that no signed pair
-// sum, 32-bit lane or horizontal partial sum of the kernel can wrap.
+// fuseWeights selects the functional-mode kernel, here and nowhere else, and
+// builds what it reads from the stored levels — after fault remap, so stuck
+// and drifted cells reach the kernel exactly as they reach the
+// slice-at-a-time reduction. The vector routines (vectorGEMM, and
+// vectorQuantize in quantize) read levels in place; they run when the host
+// has them and the kernel is exact on the programmed shape, and fuseWeights
+// then leaves lanes at 0 (vectorKernel) and widens accStride to levels'
+// padded column count. Otherwise it fills Crossbar.fused for functionalGEMM
+// and quantizeRow. Exact means every operand is a non-negative int16 and a
+// whole padded column of largest products stays below 2^31, so that no
+// signed pair sum, 32-bit lane or horizontal partial sum of the kernel can
+// wrap.
 func (x *Crossbar) fuseWeights() {
 	wMax := uint64(1)<<x.cfg.WeightBits - 1
 	xMax := uint64(1)<<x.cfg.InputBits - 1
 	if vectorDot != nil && x.cfg.WeightBits <= 15 && x.cfg.InputBits <= 15 &&
 		wMax*xMax*uint64(x.usedRows+15) < 1<<31 {
 		x.fused, x.lanes = nil, 0
-		x.fuseWeights16()
+		x.accStride = (x.usedCols + 3) &^ 3
 		return
 	}
-	x.panel16 = nil
 	x.lanes = 1
 	if wMax*xMax*uint64(x.usedRows) <= math.MaxUint32 {
 		x.lanes = 2
@@ -555,30 +548,8 @@ func (x *Crossbar) fuseWeights() {
 	for c := 0; c < x.usedCols; c++ {
 		col := x.fused[c/x.lanes*rows:][:rows]
 		lane := uint(c % x.lanes * 32)
-		for r, lv := range x.levels[c*x.cfg.Rows:][:rows] {
+		for r, lv := range x.levels[c*x.stride:][:rows] {
 			col[r] |= uint64(lv) << lane
-		}
-	}
-}
-
-// fuseWeights16 builds the vector kernel's panel (see Crossbar.panel16). The
-// arena is reused across reprograms, so it is cleared first: the kernel
-// multiplies the pad rows and columns, which a smaller shape finds inside
-// what a larger one wrote.
-func (x *Crossbar) fuseWeights16() {
-	rows := x.usedRows
-	x.rows16 = (rows + 15) &^ 15
-	x.accStride = (x.usedCols + 3) &^ 3
-	if need := x.accStride * x.rows16; cap(x.panel16) < need {
-		x.panel16 = make([]int16, need)
-	} else {
-		x.panel16 = x.panel16[:need]
-		clear(x.panel16)
-	}
-	for c := 0; c < x.usedCols; c++ {
-		col := x.panel16[c*x.rows16:][:rows]
-		for r, lv := range x.levels[c*x.cfg.Rows:][:rows] {
-			col[r] = int16(lv)
 		}
 	}
 }
@@ -593,7 +564,7 @@ func (x *Crossbar) packSlices() {
 	// Plane k of a column is bit k of its packed levels: bit p of slice s's
 	// level is bit s*CellBits+p.
 	for c := 0; c < x.usedCols; c++ {
-		bitPlanes(x.planes[c*bits*pw:][:bits*pw], pw, bits, x.levels[c*x.cfg.Rows:][:rows])
+		bitPlanes(x.planes[c*bits*pw:][:bits*pw], pw, bits, x.levels[c*x.stride:][:rows])
 	}
 
 	// ADC transfer function for one cycle+slice: the largest possible
@@ -718,7 +689,7 @@ func (x *Crossbar) programAndVerify() (pulses, verifies int64) {
 	// into physical column phys, returning whether every cell verified.
 	programColumn := func(c, phys int) bool {
 		ok := true
-		desired := x.levels[c*x.cfg.Rows:][:rows]
+		desired := x.levels[c*x.stride:][:rows]
 		clear(stored)
 		for s := 0; s < x.numSlices; s++ {
 			shift := uint(s * x.cfg.CellBits)
@@ -784,7 +755,7 @@ func (x *Crossbar) programAndVerify() (pulses, verifies int64) {
 		return ok
 	}
 
-	commit := func(c int) { copy(x.levels[c*x.cfg.Rows:][:rows], stored) }
+	commit := func(c int) { copy(x.levels[c*x.stride:][:rows], stored) }
 
 	spareNext := x.cfg.Cols // next unconsumed spare physical column
 	for c := 0; c < x.usedCols; c++ {

@@ -224,8 +224,8 @@ func TestFaultSpareExhaustion(t *testing.T) {
 	if reflect.DeepEqual(out, refOut) {
 		t.Fatal("lost columns produced bit-identical outputs — degradation is silent")
 	}
-	// The functional panel is fused from the stored levels, not the
-	// intended ones: the corrupted array still equals the oracle run over
+	// The functional kernel reads the stored levels, not the intended
+	// ones: the corrupted array still equals the oracle run over
 	// what the cells hold, through the four-item block and its remainder.
 	ins := [][]float64{in, randVec(16, 5), randVec(16, 6), randVec(16, 7), randVec(16, 8)}
 	got, _, err := mvmBatch(xb, ins, nil)
@@ -233,7 +233,7 @@ func TestFaultSpareExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, in := range ins {
-		if want := naiveMVMStored(xb.cfg, w, in, NoNoise, xb.levels); !reflect.DeepEqual(got[i], want) {
+		if want := naiveMVMStored(xb.cfg, w, in, NoNoise, storedLevels(xb)); !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("item %d: corrupted array %v != oracle over stored levels %v", i, got[i], want)
 		}
 	}

@@ -23,8 +23,8 @@ func naiveMVM(cfg Config, w [][]float64, input []float64, ns noise.Source) []flo
 }
 
 // naiveMVMStored is naiveMVM over the levels a fault-injected crossbar
-// actually stored: slice s of stored[c*cfg.Rows+r] (the packed levels
-// layout) replaces the level the quantized weight asked for, while the digital offset removal
+// actually stored: slice s of stored[c*cfg.Rows+r] (the layout storedLevels
+// returns) replaces the level the quantized weight asked for, while the digital offset removal
 // keeps the intended column sums, as Program does. A nil stored is the
 // fault-free array.
 func naiveMVMStored(cfg Config, w [][]float64, input []float64, ns noise.Source, stored []uint16) []float64 {
@@ -139,6 +139,17 @@ func naiveMVMStored(cfg Config, w [][]float64, input []float64, ns noise.Source,
 	return out
 }
 
+// storedLevels returns what the cells of xb hold in the oracles' layout,
+// stored[c*Rows+r], over the whole Rows × Cols array: levels at its stride
+// for the programmed shape, zero past it.
+func storedLevels(xb *Crossbar) []uint16 {
+	stored := make([]uint16, xb.cfg.Rows*xb.cfg.Cols)
+	for c := 0; c < xb.usedCols; c++ {
+		copy(stored[c*xb.cfg.Rows:], xb.levels[c*xb.stride:][:xb.usedRows])
+	}
+	return stored
+}
+
 // oracleBatches are the batch sizes every oracle case runs: a lone item,
 // the Go functional kernel's four-item block exactly, and blocks with 1–3
 // remainder items before and after it. A case that brings more inputs than
@@ -207,7 +218,7 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 				for c := range want[i] {
 					if got[i][c] != want[i][c] {
 						t.Fatalf("%s functional=%v (vector kernel: %v) cell=%d weight=%d input=%d sigma=%g shape=%dx%d batch=%d item %d col %d: kernel %v != oracle %v",
-							path, cfg.Functional, xb.panel16 != nil, cfg.CellBits, cfg.WeightBits, cfg.InputBits, cfg.ReadNoise,
+							path, cfg.Functional, xb.vectorKernel(), cfg.CellBits, cfg.WeightBits, cfg.InputBits, cfg.ReadNoise,
 							len(w), len(w[0]), len(got), i, c, got[i][c], want[i][c])
 					}
 				}
@@ -233,18 +244,18 @@ func checkAgainstOracle(t *testing.T, cfg Config, w [][]float64, ins [][]float64
 		}
 		if s := xb.getScratch(); cfg.Functional && (s.masks != nil || s.sums != nil) {
 			t.Fatal("functional MVM sized the bit-serial arenas (masks/sums)")
-		} else if xb.panel16 == nil && s.x16 != nil {
+		} else if !xb.vectorKernel() && s.x16 != nil {
 			t.Fatal("an MVM that is not the vector kernel's sized the 16-bit input panel (x16)")
-		} else if xb.panel16 != nil && s.xInt != nil {
+		} else if xb.vectorKernel() && s.xInt != nil {
 			t.Fatal("the vector kernel's MVM sized the 32-bit input panel (xInt) beside its own")
 		}
 	}
 }
 
-// assertLanes is the functional-mode path assertion: Program built exactly
-// one weight panel, the one its kernel reads — the 16-bit panel, padded to
-// the 16-row step and the four-column tile, the accumulators at the padded
-// column count, when the host has the vector kernel and the shape is in its
+// assertLanes is the functional-mode path assertion: levels at the 16-row
+// step, and Program chose the kernel the shape admits — the vector kernel,
+// which reads levels itself (lanes 0, no fused panel) with the accumulators
+// at the padded column count, when the host has it and the shape is in its
 // envelope; the fused panel at the expected lane count, the accumulators at
 // usedCols, otherwise — colOffset at least as long as the accumulator stride
 // (the vector routine reads it four columns at a time), and neither the bit
@@ -255,15 +266,17 @@ func assertLanes(t *testing.T, want int) func(*Crossbar) {
 		if len(xb.colOffset) < xb.accStride {
 			t.Fatalf("rows=%d cols=%d: colOffset holds %d columns, the accumulator stride is %d", xb.usedRows, xb.usedCols, len(xb.colOffset), xb.accStride)
 		}
+		if rows16 := (xb.usedRows + 15) / 16 * 16; xb.stride != rows16 {
+			t.Fatalf("rows=%d: levels at stride %d, want %d", xb.usedRows, xb.stride, rows16)
+		}
 		if vectorDot != nil && vectorShape(xb.cfg, xb.usedRows) {
-			rows16, cols4 := (xb.usedRows+15)/16*16, (xb.usedCols+3)/4*4
-			if len(xb.panel16) != cols4*rows16 || xb.rows16 != rows16 || xb.accStride != cols4 || xb.fused != nil || xb.lanes != 0 {
-				t.Fatalf("weight=%d input=%d rows=%d cols=%d in the vector envelope: panel16 %d words at stride %d, acc stride %d (fused nil: %v, lanes %d)",
-					xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.usedCols, len(xb.panel16), xb.rows16, xb.accStride, xb.fused == nil, xb.lanes)
+			if cols4 := (xb.usedCols + 3) / 4 * 4; xb.accStride != cols4 || xb.fused != nil || xb.lanes != 0 {
+				t.Fatalf("weight=%d input=%d rows=%d cols=%d in the vector envelope: acc stride %d (fused nil: %v, lanes %d)",
+					xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.usedCols, xb.accStride, xb.fused == nil, xb.lanes)
 			}
-		} else if xb.lanes != want || xb.fused == nil || xb.panel16 != nil || xb.accStride != xb.usedCols {
-			t.Fatalf("weight=%d input=%d rows=%d cols=%d: lanes=%d, acc stride %d (fused nil: %v, panel16 nil: %v), table expects %d",
-				xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.usedCols, xb.lanes, xb.accStride, xb.fused == nil, xb.panel16 == nil, want)
+		} else if xb.lanes != want || xb.fused == nil || xb.accStride != xb.usedCols {
+			t.Fatalf("weight=%d input=%d rows=%d cols=%d: lanes=%d, acc stride %d (fused nil: %v), table expects %d",
+				xb.cfg.WeightBits, xb.cfg.InputBits, xb.usedRows, xb.usedCols, xb.lanes, xb.accStride, xb.fused == nil, want)
 		}
 		if xb.planes != nil || xb.adcLUT != nil {
 			t.Fatal("functional crossbar built the bit-serial tables (planes/adcLUT)")
@@ -279,26 +292,27 @@ func assertPlanes(t *testing.T) func(*Crossbar) {
 		if want := (xb.usedRows + 127) / 128 * 2; xb.planes == nil || xb.planeWords != want {
 			t.Fatalf("rows=%d: planeWords=%d (planes nil: %v), want %d", xb.usedRows, xb.planeWords, xb.planes == nil, want)
 		}
-		if xb.fused != nil || xb.panel16 != nil {
+		if xb.fused != nil {
 			t.Fatal("bit-serial crossbar built a functional weight panel beside its bit planes")
 		}
 	}
 }
 
 // TestKernelMatchesNaiveOracle asserts the kernels (functional: the vector
-// kernel over 16-bit panels where the host has it, and the fused lane-packed
-// integer GEMM, each functional row through both; bit-serial: weight bit
-// planes, input-bit row masks, AND + popcount column sums, one strided draw
-// fill, scale and ADC tables; pooled scratch) are bit-identical to the naive
-// reference across functional/bit-serial modes, cell and weight widths on
-// both sides of the functional lane bound and of the vector envelope, every
-// used-row count around a plane-word boundary (the padded tail word
-// included) in every cell width at the 256 conversions per column Validate
-// admits at most, every used-row count around the vector kernel's 16-row
-// step on one column and on 129, an odd cell width (a plane pair and a lone
-// plane per slice), noise on/off, odd tile-remainder shapes (an odd usedCols
-// leaves the fused panel's last word half empty), and through MVM as well as
-// MVMBatch at every oracleBatches size, the 16-row-step rows at 64 as well.
+// kernel over levels and a 16-bit input panel where the host has it, and the
+// fused lane-packed integer GEMM, each functional row through both;
+// bit-serial: weight bit planes, input-bit row masks, AND + popcount column
+// sums, one strided draw fill, scale and ADC tables; pooled scratch) are
+// bit-identical to the naive reference across functional/bit-serial modes,
+// cell and weight widths on both sides of the functional lane bound and of
+// the vector envelope, every used-row count around a plane-word boundary
+// (the padded tail word included) in every cell width at the 256 conversions
+// per column Validate admits at most, every used-row count around the vector
+// kernel's 16-row step on one column and on 129, an odd cell width (a plane
+// pair and a lone plane per slice), noise on/off, odd tile-remainder shapes
+// (an odd usedCols leaves the fused panel's last word half empty), and
+// through MVM as well as MVMBatch at every oracleBatches size, the
+// 16-row-step rows at 64 as well.
 func TestKernelMatchesNaiveOracle(t *testing.T) {
 	if vectorDot == nil {
 		t.Log("host has no vector kernel (amd64 with AVX2): functional rows ran through functionalGEMM only")
@@ -343,7 +357,7 @@ func TestKernelMatchesNaiveOracle(t *testing.T) {
 	// the same around the 128-row step; three steps with a padded tail.
 	// 16-bit weights, so 1-bit cells with 16 input bits reach the 256
 	// conversions a column can have. The array is taller than any of them,
-	// so the stored levels' column stride is never the used-row count.
+	// so the used rows never fill it.
 	for _, rows := range []int{1, 63, 64, 65, 127, 128, 129, 300} {
 		for _, cellBits := range []int{1, 2, 4, 8} {
 			arrays = append(arrays, array{301, 4, cellBits, 16, 0, []shape{{rows, 3}}})
@@ -442,8 +456,8 @@ func TestVectorEnvelope(t *testing.T) {
 		checkAgainstOracle(t, cfg, randomMatrix(rng, tc.rows, 2), batchInputs(rng, 9, tc.rows), nil, func(xb *Crossbar) {
 			// The second pass runs under goKernelOnly: fused whatever the shape.
 			want := tc.vector && vectorDot != nil
-			if vector := xb.panel16 != nil; vector != want || (xb.fused != nil) == vector {
-				t.Errorf("%s: vector panel built: %v, fused panel built: %v; want the vector kernel: %v",
+			if vector := xb.vectorKernel(); vector != want || (xb.fused != nil) == vector {
+				t.Errorf("%s: vector kernel chosen: %v, fused panel built: %v; want the vector kernel: %v",
 					tc.name, vector, xb.fused != nil, want)
 			}
 		})
@@ -498,7 +512,7 @@ func TestVectorTileEdges(t *testing.T) {
 						for c := range want[i] {
 							if got[i][c] != want[i][c] {
 								t.Fatalf("vector kernel %v shape=%dx%d batch=%d item %d col %d: kernel %v != oracle %v",
-									xb.panel16 != nil, rows, cols, n, i, c, got[i][c], want[i][c])
+									xb.vectorKernel(), rows, cols, n, i, c, got[i][c], want[i][c])
 							}
 						}
 					}
@@ -539,6 +553,7 @@ func TestPlanesMatchStoredLevels(t *testing.T) {
 		t.Fatalf("array is not remapped, spare-exhausted and drifted; the test is vacuous: %+v", rep)
 	}
 	pw := xb.planeWords
+	stored := storedLevels(xb)
 	for c := 0; c < cols; c++ {
 		for s := 0; s < xb.numSlices; s++ {
 			for r := 0; r < 64*pw; r++ {
@@ -549,7 +564,7 @@ func TestPlanesMatchStoredLevels(t *testing.T) {
 				}
 				var want uint8
 				if r < rows {
-					want = uint8(xb.levels[c*cfg.Rows+r]>>uint(s*cfg.CellBits)) & (1<<cfg.CellBits - 1)
+					want = uint8(stored[c*cfg.Rows+r]>>uint(s*cfg.CellBits)) & (1<<cfg.CellBits - 1)
 				}
 				if level != want {
 					t.Fatalf("row %d col %d slice %d: planes hold level %d, cells %d", r, c, s, level, want)
@@ -560,8 +575,8 @@ func TestPlanesMatchStoredLevels(t *testing.T) {
 }
 
 // TestFunctionalPanelMatchesStoredLevels is the same statement for functional
-// mode, made on outputs: either weight panel is built from levels after
-// programAndVerify, so on the same remapped, spare-exhausted and drifted array
+// mode, made on outputs: either kernel reads levels, or the panel built from
+// them, after programAndVerify, so on the same remapped, spare-exhausted and drifted array
 // both kernels equal the oracle's slice-at-a-time reduction over the stored
 // levels with == — and differ from the oracle over the intended ones.
 func TestFunctionalPanelMatchesStoredLevels(t *testing.T) {
@@ -600,10 +615,10 @@ func TestFunctionalPanelMatchesStoredLevels(t *testing.T) {
 		}
 		faulted := false
 		for i, in := range ins {
-			want, intended := naiveMVMStored(cfg, w, in, NoNoise, xb.levels), naiveMVM(cfg, w, in, NoNoise)
+			want, intended := naiveMVMStored(cfg, w, in, NoNoise, storedLevels(xb)), naiveMVM(cfg, w, in, NoNoise)
 			for c := range want {
 				if got[i][c] != want[c] {
-					t.Fatalf("vector kernel %v, item %d col %d: kernel %v != oracle over stored levels %v", xb.panel16 != nil, i, c, got[i][c], want[c])
+					t.Fatalf("vector kernel %v, item %d col %d: kernel %v != oracle over stored levels %v", xb.vectorKernel(), i, c, got[i][c], want[c])
 				}
 				faulted = faulted || want[c] != intended[c]
 			}
@@ -634,7 +649,8 @@ func FuzzPlaneSums(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		xb.usedRows, xb.usedCols = 1+rng.Intn(cfg.Rows), 1+rng.Intn(cfg.Cols)
-		for i := range xb.levels {
+		xb.stride = (xb.usedRows + 15) &^ 15
+		for i := range xb.levels { // the pads too: no plane may read them
 			xb.levels[i] = uint16(rng.Intn(1 << cfg.WeightBits))
 		}
 		xb.packSlices()
@@ -656,7 +672,7 @@ func FuzzPlaneSums(f *testing.F) {
 						var want uint32
 						for r := 0; r < xb.usedRows; r++ {
 							if s.xInt[i*xb.usedRows+r]>>uint(b)&1 != 0 {
-								want += uint32(xb.levels[c*cfg.Rows+r]>>uint(sl*cfg.CellBits)) & (1<<cfg.CellBits - 1)
+								want += uint32(xb.levels[c*xb.stride+r]>>uint(sl*cfg.CellBits)) & (1<<cfg.CellBits - 1)
 							}
 						}
 						if got := s.sums[b*xb.numSlices+sl]; got != want {
@@ -671,28 +687,29 @@ func FuzzPlaneSums(f *testing.F) {
 }
 
 // assertPadsZero checks the rows the vector kernel reads past usedRows, on
-// both sides: each column of the weight panel and each of the n items the
-// latest call left in scratch s. Either side being zero makes the products
-// zero; both are pinned, so neither relies on the other. The columns it reads
-// past usedCols are the weight panel's alone, and zero whole. A scratch the
-// pool handed out fresh (under -race it drops items) has no items to check.
+// both sides: each column of levels and each of the n items the latest call
+// left in scratch s. Either side being zero makes the products zero; both are
+// pinned, so neither relies on the other. The columns it reads past usedCols
+// are levels' alone, and levels is zero from the first of them to its end. A
+// scratch the pool handed out fresh (under -race it drops items) has no items
+// to check.
 func assertPadsZero(t *testing.T, xb *Crossbar, s *mvmBatchScratch, n int) {
 	t.Helper()
-	rows, rows16 := xb.usedRows, xb.rows16
+	rows, stride := xb.usedRows, xb.stride
 	for c := 0; c < xb.usedCols; c++ {
-		for r, w := range xb.panel16[c*rows16:][rows:rows16] {
+		for r, w := range xb.levels[c*stride:][rows:stride] {
 			if w != 0 {
-				t.Fatalf("rows=%d: weight panel column %d pad row %d holds %d", rows, c, rows+r, w)
+				t.Fatalf("rows=%d: levels column %d pad row %d holds %d", rows, c, rows+r, w)
 			}
 		}
 	}
-	for j, w := range xb.panel16[xb.usedCols*rows16:] {
+	for j, w := range xb.levels[xb.usedCols*stride:] {
 		if w != 0 {
-			t.Fatalf("cols=%d: weight panel pad column %d row %d holds %d", xb.usedCols, xb.usedCols+j/rows16, j%rows16, w)
+			t.Fatalf("cols=%d: levels pad column %d row %d holds %d", xb.usedCols, xb.usedCols+j/stride, j%stride, w)
 		}
 	}
-	for i := 0; i < n && len(s.x16) >= n*rows16; i++ {
-		for r, q := range s.x16[i*rows16:][rows:rows16] {
+	for i := 0; i < n && len(s.x16) >= n*stride; i++ {
+		for r, q := range s.x16[i*stride:][rows:stride] {
 			if q != 0 {
 				t.Fatalf("rows=%d batch=%d: input panel item %d pad row %d holds %d", rows, n, i, rows+r, q)
 			}
@@ -702,8 +719,8 @@ func assertPadsZero(t *testing.T, xb *Crossbar, s *mvmBatchScratch, n int) {
 
 // FuzzVectorDot: for any shape, batch and operand widths inside the vector
 // kernel's envelope, any stored levels, weight scale, non-zero column offsets
-// and inputs, the y the routine stores — over the panel fuseWeights builds,
-// the 16-bit panel quantize fills and the per-item terms multiply computes
+// and inputs, the y the routine stores — over levels at the stride program
+// sets, the 16-bit panel quantize fills and the per-item terms multiply computes
 // from what quantize returned — is what the Go dequantize computes from the
 // integer Σ_r W[r,c]·x[r] a scalar loop over levels and the quantized inputs
 // adds up, with ==, on a scratch whose 16-bit arena an earlier, larger call
@@ -736,14 +753,18 @@ func FuzzVectorDot(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		xb.usedRows, xb.usedCols = 1+rng.Intn(cfg.Rows), 1+rng.Intn(cfg.Cols)
-		for i := range xb.levels {
-			xb.levels[i] = uint16(rng.Intn(1 << cfg.WeightBits))
+		// Levels as program lays them out: the pads stay zero.
+		xb.stride = (xb.usedRows + 15) &^ 15
+		for c := 0; c < xb.usedCols; c++ {
+			for r := 0; r < xb.usedRows; r++ {
+				xb.levels[c*xb.stride+r] = uint16(rng.Intn(1 << cfg.WeightBits))
+			}
 		}
 		xb.fuseWeights()
-		if xb.panel16 == nil {
-			t.Fatalf("weight=%d input=%d rows=%d is in the envelope, and fuseWeights built no 16-bit panel", cfg.WeightBits, cfg.InputBits, xb.usedRows)
+		if !xb.vectorKernel() {
+			t.Fatalf("weight=%d input=%d rows=%d is in the envelope, and fuseWeights chose the Go kernel", cfg.WeightBits, cfg.InputBits, xb.usedRows)
 		}
-		// What Program tabulates beside the panel, from random column sums
+		// What Program tabulates beside the levels, from random column sums
 		// up to a column of largest weights and a scale of any magnitude.
 		wMax := float64(int(1)<<cfg.WeightBits - 1)
 		for c := range xb.colOffset[:xb.usedCols] {
@@ -753,7 +774,7 @@ func FuzzVectorDot(f *testing.F) {
 		xb.dequant = [3]float64{4, wMax * float64(int(1)<<cfg.InputBits-1), float64(xb.usedRows)}
 		n := 1 + int(items)%70
 		s := xb.getScratch()
-		s.x16 = make([]int16, (n+1)*xb.rows16)
+		s.x16 = make([]int16, (n+1)*xb.stride)
 		for i := range s.x16 {
 			s.x16[i] = 1
 		}
@@ -773,11 +794,11 @@ func FuzzVectorDot(f *testing.F) {
 		// stride, finished by dequantize with the terms multiply computed.
 		ref := &mvmBatchScratch{acc: make([]float64, n*xb.accStride), terms: s.terms}
 		for i := 0; i < n; i++ {
-			xi := s.x16[i*xb.rows16:][:xb.usedRows]
+			xi := s.x16[i*xb.stride:][:xb.usedRows]
 			for c := 0; c < xb.usedCols; c++ {
 				var sum int64
 				for r := 0; r < xb.usedRows; r++ {
-					sum += int64(xb.levels[c*cfg.Rows+r]) * int64(xi[r])
+					sum += int64(xb.levels[c*xb.stride+r]) * int64(xi[r])
 				}
 				ref.acc[i*xb.accStride+c] = float64(sum)
 			}

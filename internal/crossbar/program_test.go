@@ -17,9 +17,9 @@ import (
 // crossbar once did it: row-major over the weights, max |w| by math.Abs,
 // math.Round once per weight, and every slice level cut out of the rounded
 // integer on its own. It returns the packed levels over the whole Rows ×
-// Cols array (zero past the programmed shape), the column sums and their
-// offsets, Cols long, the first len(w[0]) of them meaningful.
-func programOracle(cfg Config, w [][]float64) (levels []uint16, colSum []int64, colOffset []float64) {
+// Cols array, levels[c*Rows+r] (zero past the programmed shape), and the
+// column offsets, Cols long, the first len(w[0]) of them meaningful.
+func programOracle(cfg Config, w [][]float64) (levels []uint16, colOffset []float64) {
 	wScale := 0.0
 	for _, row := range w {
 		for _, v := range row {
@@ -34,7 +34,7 @@ func programOracle(cfg Config, w [][]float64) (levels []uint16, colSum []int64, 
 	wMax := float64(int(1)<<cfg.WeightBits - 1)
 	cellMask := 1<<cfg.CellBits - 1
 	levels = make([]uint16, cfg.Rows*cfg.Cols)
-	colSum = make([]int64, cfg.Cols)
+	colSum := make([]int64, cfg.Cols)
 	colOffset = make([]float64, cfg.Cols)
 	for r := range w {
 		for c := range w[r] {
@@ -50,7 +50,7 @@ func programOracle(cfg Config, w [][]float64) (levels []uint16, colSum []int64, 
 	for c := range w[0] {
 		colOffset[c] = 2 * float64(colSum[c]) / wMax
 	}
-	return levels, colSum, colOffset
+	return levels, colOffset
 }
 
 // planesOracle transposes the stored levels into the bit-serial kernel's
@@ -75,40 +75,39 @@ func planesOracle(cfg Config, levels []uint16, rows, cols int) []uint64 {
 	return planes
 }
 
-// panelOracle builds the functional weight panel the programmed crossbar
-// chose, from the stored levels and with the layout the Crossbar fields
-// document: panel16 zero-padded to rows16 rows and accStride columns, or
-// fused with lanes columns per word.
-func panelOracle(xb *Crossbar, levels []uint16) (panel16 []int16, fused []uint64) {
-	rows, cols, stride := xb.usedRows, xb.usedCols, xb.cfg.Rows
-	if xb.panel16 != nil {
-		rows16, padCols := (rows+15)&^15, (cols+3)&^3
-		panel16 = make([]int16, padCols*rows16)
-		for c := 0; c < cols; c++ {
-			for r := 0; r < rows; r++ {
-				panel16[c*rows16+r] = int16(levels[c*stride+r])
-			}
-		}
-		return panel16, nil
+// panelOracle lays the oracle's levels (levels[c*Rows+r]) out as the
+// Crossbar fields document: the store, as long as the crossbar's, with
+// column c at c*stride, stride the used rows rounded up to 16, and zero in
+// every pad row, pad column and cell past them; and on the Go kernel the
+// fused panel, lanes columns per word.
+func panelOracle(xb *Crossbar, levels []uint16) (panel []uint16, fused []uint64) {
+	rows, cols, stride := xb.usedRows, xb.usedCols, (xb.usedRows+15)&^15
+	panel = make([]uint16, len(xb.levels))
+	for c := 0; c < cols; c++ {
+		copy(panel[c*stride:], levels[c*xb.cfg.Rows:][:rows])
+	}
+	if !xb.cfg.Functional || xb.lanes == 0 {
+		return panel, nil
 	}
 	fused = make([]uint64, (cols+xb.lanes-1)/xb.lanes*rows)
 	for c := 0; c < cols; c++ {
 		for r := 0; r < rows; r++ {
-			fused[c/xb.lanes*rows+r] |= uint64(levels[c*stride+r]) << uint(32*(c%xb.lanes))
+			fused[c/xb.lanes*rows+r] |= uint64(levels[c*xb.cfg.Rows+r]) << uint(32*(c%xb.lanes))
 		}
 	}
-	return nil, fused
+	return panel, fused
 }
 
 // TestProgramMatchesNaive holds what Program stores and tabulates — the
-// packed levels, the column sums and offsets, and whichever kernel view the
-// mode reads (the bit planes, panel16, or fused on the Go kernel) — equal
-// with == to the row-major, per-slice math.Round oracle: at every cell width
-// 1–8 with the widest weights it divides, 16-bit weights included (the Go
-// kernel's panel on every host), on row counts that are not a multiple of
-// eight, on a matrix with −0 and exact-half weights, on an all-zero matrix,
-// and after a reprogram to a smaller shape. Every matrix goes in twice: by
-// columns, the layout a tile hands each block, and then by rows (Program).
+// packed levels in the vector kernel's layout, pads included, the column
+// offsets, and whichever view of them the mode reads (the bit planes, or
+// fused on the Go kernel) — equal with == to the row-major, per-slice
+// math.Round oracle: at every cell width 1–8 with the widest weights it
+// divides, 16-bit weights included (the Go kernel's panel on every host), on
+// row counts that are not a multiple of eight, on a matrix with −0 and
+// exact-half weights, on an all-zero matrix, and after a reprogram to a
+// smaller shape. Every matrix goes in twice: by columns, the layout a tile
+// hands each block, and then by rows (Program).
 func TestProgramMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	halves := func(cfg Config, rows, cols int) [][]float64 {
@@ -178,19 +177,17 @@ func checkStored(t *testing.T, xb *Crossbar, w [][]float64, entry string) {
 	t.Helper()
 	rows, cols := len(w), len(w[0])
 	shape := fmt.Sprintf("%dx%d %s", rows, cols, entry)
-	levels, colSum, colOffset := programOracle(xb.cfg, w)
-	equal(t, shape+" levels", xb.levels, levels)
-	equal(t, shape+" colSumInt", xb.colSumInt, colSum)
+	levels, colOffset := programOracle(xb.cfg, w)
+	panel, fused := panelOracle(xb, levels)
+	equal(t, shape+" levels", xb.levels, panel)
 	equal(t, shape+" colOffset", xb.colOffset[:cols], colOffset[:cols])
 	if !xb.cfg.Functional {
 		equal(t, shape+" planes", xb.planes, planesOracle(xb.cfg, levels, rows, cols))
 		return
 	}
-	if xb.cfg.WeightBits > 15 && xb.panel16 != nil {
-		t.Fatalf("weight=%d: the vector panel was built where only the Go kernel is exact", xb.cfg.WeightBits)
+	if xb.cfg.WeightBits > 15 && xb.vectorKernel() {
+		t.Fatalf("weight=%d: the vector kernel was chosen where only the Go kernel is exact", xb.cfg.WeightBits)
 	}
-	panel16, fused := panelOracle(xb, levels)
-	equal(t, shape+" panel16", xb.panel16, panel16)
 	equal(t, shape+" fused", xb.fused, fused)
 }
 

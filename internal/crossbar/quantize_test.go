@@ -52,7 +52,7 @@ func quantizerFor(t testing.TB, inputBits, rows int, vector bool) *Crossbar {
 	if _, err := xb.Program(w); err != nil {
 		t.Fatal(err)
 	}
-	if vector != (xb.panel16 != nil) {
+	if vector != xb.vectorKernel() {
 		return nil
 	}
 	return xb
@@ -81,10 +81,10 @@ func checkQuantize(t *testing.T, inputBits int, ins [][]float64) {
 			t.Fatal(err)
 		}
 		if vector {
-			if (rows+3)&^3 > xb.rows16 {
-				t.Fatalf("rows=%d: the routine's last group of four ends past the item's %d rows", rows, xb.rows16)
+			if (rows+3)&^3 > xb.stride {
+				t.Fatalf("rows=%d: the routine's last group of four ends past the item's %d rows", rows, xb.stride)
 			}
-			for j, q := range s.x16[len(ins)*xb.rows16 : cap(s.x16)] {
+			for j, q := range s.x16[len(ins)*xb.stride : cap(s.x16)] {
 				if q != 1 {
 					t.Fatalf("input=%d rows=%d: the arena %d elements past the last item holds %d", inputBits, rows, j, q)
 				}
@@ -98,7 +98,7 @@ func checkQuantize(t *testing.T, inputBits int, ins [][]float64) {
 			for r := range in {
 				var got int
 				if vector {
-					got = int(s.x16[i*xb.rows16+r])
+					got = int(s.x16[i*xb.stride+r])
 				} else {
 					got = int(s.xInt[i*rows+r])
 				}
@@ -107,7 +107,7 @@ func checkQuantize(t *testing.T, inputBits int, ins [][]float64) {
 				}
 			}
 			if vector {
-				for r, q := range s.x16[i*xb.rows16:][rows:xb.rows16] {
+				for r, q := range s.x16[i*xb.stride:][rows:xb.stride] {
 					if q != 0 {
 						t.Fatalf("input=%d item %d: pad row %d holds %d", inputBits, i, rows+r, q)
 					}

@@ -150,7 +150,7 @@ func TestTileMatchesNaiveOracle(t *testing.T) {
 							if tile.FaultReport().StuckCells == 0 {
 								t.Fatal("fault model injected no stuck cells; the case is vacuous")
 							}
-							stored = func(br, bc int) []uint16 { return tile.blocks[br][bc].levels }
+							stored = func(br, bc int) []uint16 { return storedLevels(tile.blocks[br][bc]) }
 						}
 						var nss []noise.Source
 						if mode == "noisy" {

@@ -7,8 +7,8 @@ import (
 )
 
 // Class is one request class in a traffic mix: what a request of this
-// class asks the serving tier to do, in the two dimensions the capacity
-// planner cares about — model size and client-side batching.
+// class asks the serving tier to do — how many inputs it fans out into —
+// and how often it comes.
 type Class struct {
 	// Name labels the class in traces, bench lines, and reports.
 	Name string
@@ -16,9 +16,6 @@ type Class struct {
 	// inputs and completes when all k answers are back (1 ..
 	// MaxClassBatch).
 	Batch int
-	// Scale is the model-size scale factor relative to the deployment's
-	// reference network (> 0); drivers use it to pick input payloads.
-	Scale float64
 	// Weight is the class's relative frequency in the mix (> 0).
 	Weight float64
 }
@@ -35,8 +32,6 @@ func (c Class) Validate() error {
 		return fmt.Errorf("workloadgen: class needs a name")
 	case c.Batch < 1 || c.Batch > MaxClassBatch:
 		return fmt.Errorf("workloadgen: class %q batch must be in [1, %d], got %d", c.Name, MaxClassBatch, c.Batch)
-	case c.Scale <= 0:
-		return fmt.Errorf("workloadgen: class %q scale must be > 0, got %g", c.Name, c.Scale)
 	case c.Weight <= 0:
 		return fmt.Errorf("workloadgen: class %q weight must be > 0, got %g", c.Name, c.Weight)
 	}
@@ -116,13 +111,13 @@ func (m Mix) ByName(name string) (Class, error) {
 }
 
 // DefaultMix is the reference serving mix the capacity docs describe:
-// mostly interactive batch-1 inference at the reference model size, a
-// slice of bulk batch-8 inference, and a slice of analytic scans.
+// mostly interactive batch-1 inference, a slice of bulk batch-8
+// inference, and a slice of analytic scans.
 func DefaultMix(seed int64) Mix {
 	m, err := NewMix(seed,
-		Class{Name: "nn-b1", Batch: 1, Scale: 1, Weight: 0.70},
-		Class{Name: "nn-b8", Batch: 8, Scale: 1, Weight: 0.20},
-		Class{Name: "analytics-b1", Batch: 1, Scale: 1, Weight: 0.10},
+		Class{Name: "nn-b1", Batch: 1, Weight: 0.70},
+		Class{Name: "nn-b8", Batch: 8, Weight: 0.20},
+		Class{Name: "analytics-b1", Batch: 1, Weight: 0.10},
 	)
 	if err != nil {
 		// The classes above are compile-time constants; a failure is a
@@ -134,4 +129,4 @@ func DefaultMix(seed int64) Mix {
 
 // singleClass is the implicit class of a mix-less drive: batch-1
 // reference-size inference.
-var singleClass = Class{Name: "default", Batch: 1, Scale: 1, Weight: 1}
+var singleClass = Class{Name: "default", Batch: 1, Weight: 1}

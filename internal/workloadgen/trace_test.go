@@ -159,7 +159,7 @@ func TestMixDeterminismAndWeights(t *testing.T) {
 
 // TestMixValidation: bad classes and duplicate names are rejected.
 func TestMixValidation(t *testing.T) {
-	good := Class{Name: "a", Batch: 1, Scale: 1, Weight: 1}
+	good := Class{Name: "a", Batch: 1, Weight: 1}
 	if _, err := NewMix(1); err == nil {
 		t.Error("empty mix accepted")
 	}
@@ -167,11 +167,10 @@ func TestMixValidation(t *testing.T) {
 		t.Error("duplicate class name accepted")
 	}
 	for _, bad := range []Class{
-		{Batch: 1, Scale: 1, Weight: 1},
-		{Name: "b", Batch: 0, Scale: 1, Weight: 1},
-		{Name: "b", Batch: MaxClassBatch + 1, Scale: 1, Weight: 1},
-		{Name: "b", Batch: 1, Scale: 0, Weight: 1},
-		{Name: "b", Batch: 1, Scale: 1, Weight: 0},
+		{Batch: 1, Weight: 1},
+		{Name: "b", Batch: 0, Weight: 1},
+		{Name: "b", Batch: MaxClassBatch + 1, Weight: 1},
+		{Name: "b", Batch: 1, Weight: 0},
 	} {
 		if _, err := NewMix(1, bad); err == nil {
 			t.Errorf("invalid class accepted: %+v", bad)

@@ -1,10 +1,13 @@
 // Package fix holds one case of each kind the deletion rule must tell
-// apart. Local, Local.self, Offline.Run and Record.written are dead, and
-// so are Scale's unused, Blank's second parameter and Record.Set's unused;
-// everything else is live.
+// apart. Local, Local.self, Offline.Run, Record.written and Limits.Max are
+// dead, and so are Scale's unused, Blank's second parameter and Record.Set's
+// unused; everything else is live.
 package fix
 
-import "net/http"
+import (
+	"errors"
+	"net/http"
+)
 
 // Online and Offline share a method name; only Online's is called.
 type Online struct{}
@@ -25,6 +28,18 @@ func (r *Record) Bump() {
 	r.written++
 	r.written = r.Read
 }
+
+// Limits.Max is read only by Limits' own Validate; Min is read by Clamp too.
+type Limits struct{ Min, Max int }
+
+func (l Limits) Validate() error {
+	if l.Min > l.Max {
+		return errors.New("fix: min above max")
+	}
+	return nil
+}
+
+func (l Limits) Clamp(v int) int { return max(v, l.Min) }
 
 // Local is named only by its own method.
 type Local struct{}

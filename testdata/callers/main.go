@@ -24,4 +24,8 @@ func main() {
 	var sink fix.Sink = fix.Drop{}
 	sink.Put(hook(4, 5))
 	http.Handle("/", fix.Page{})
+	lim := fix.Limits{Max: 9}
+	if lim.Validate() == nil {
+		fmt.Println(lim.Clamp(-1))
+	}
 }
