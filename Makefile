@@ -3,7 +3,7 @@ GO ?= go
 # The sweeps archived as BENCH_<exp>.json, one bench-<exp> target each.
 BENCH_JSON := bench-fault bench-fleet bench-hybrid bench-chaos bench-capacity
 
-.PHONY: all build vet vet-arm64 fmt-check docs-check test race bench-check verify loc bench bench-smoke bench-json bench-pairs bench-alt profile $(BENCH_JSON) cover fuzz experiments clean
+.PHONY: all build vet vet-arm64 fmt-check docs-check test race bench-check verify loc bench bench-smoke bench-json bench-pairs bench-alt exp-identity profile $(BENCH_JSON) cover fuzz experiments clean
 
 all: build vet test
 
@@ -137,6 +137,23 @@ bench-pairs:
 		done; \
 	done; \
 	bash benchmark/run.sh compare $$d/parent.json $$d/change.json
+
+# Every simulated number, parent against change: extracts PARENT into a
+# tree under .bench_build/identity/ as bench-pairs does, runs `cimbench
+# -exp all -format json` in both trees, drops the generated_at stamps and
+# exits non-zero on any difference. A change that says it moves no number
+# (a refactor, a deletion, a speed-up) shows it with this. The change side
+# is the working tree.
+#   make exp-identity PARENT=HEAD
+exp-identity:
+	@set -eu; d=$(CURDIR)/.bench_build/identity; \
+	rm -rf $$d; mkdir -p $$d/parent; \
+	git archive $(PARENT) | tar -x -C $$d/parent; \
+	(cd $$d/parent && $(GO) run ./cmd/cimbench -exp all -format json) > $$d/parent.json; \
+	$(GO) run ./cmd/cimbench -exp all -format json > $$d/change.json; \
+	for side in parent change; do grep -v '"generated_at"' $$d/$$side.json > $$d/$$side.stable; done; \
+	diff $$d/parent.stable $$d/change.stable; \
+	echo "exp-identity: cimbench -exp all is identical to $(PARENT)'s"
 
 # Alternating micro-benchmark runs, the form every kernel-level number in
 # docs/PERF.md takes (a single `go test -bench` run spans 40–110 µs for one

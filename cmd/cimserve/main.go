@@ -262,9 +262,9 @@ func buildLoad(o options) (loadgen, error) {
 	case "poisson":
 		g.arrivals, err = workloadgen.NewPoisson(o.seed, o.rate)
 	case "mmpp":
-		g.arrivals, err = workloadgen.NewMMPP(workloadgen.MMPPConfig{Seed: o.seed, Rate: o.rate})
+		g.arrivals, err = workloadgen.NewMMPP(o.seed, o.rate)
 	case "diurnal":
-		g.arrivals, err = workloadgen.NewDiurnal(workloadgen.DiurnalConfig{Seed: o.seed, Rate: o.rate})
+		g.arrivals, err = workloadgen.NewDiurnal(o.seed, o.rate)
 	case "trace":
 		f, ferr := os.Open(o.tracefile)
 		if ferr != nil {

@@ -76,7 +76,7 @@ func quickstart() error {
 	fmt.Printf("max deviation from float32 software reference: %.4f\n", maxErr)
 
 	// The same work on the Von Neumann baselines.
-	k := vonneumann.GEMV(256, 128, 4, 32<<20, false)
+	k := vonneumann.GEMM(1, 256, 128, 4, 32<<20, false)
 	cpuCost, err := cimrev.CPU().Run(k)
 	if err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"cimrev"
+	"cimrev/internal/energy"
 	"cimrev/internal/nn"
 )
 
@@ -87,14 +88,11 @@ func training() error {
 	if _, err := cimrev.Train(net, trainIn, trainLab, 5, 0.02, rng); err != nil {
 		return err
 	}
-	stall, err := engine.Reprogram(net, false)
+	stall, err := engine.Load(net)
 	if err != nil {
 		return err
 	}
-	hidden, err := engine.Reprogram(net, true)
-	if err != nil {
-		return err
-	}
+	hidden := energy.HiddenWrite(stall)
 	fmt.Printf("\nmodel update: %v stalled vs %v with write hiding (%.0fx less downtime)\n",
 		stall, hidden, float64(stall.LatencyPS)/float64(hidden.LatencyPS))
 	return nil

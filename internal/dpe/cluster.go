@@ -115,29 +115,6 @@ func (c *Cluster) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, erro
 	return outs, total, nil
 }
 
-// ReprogramAll loads a new same-topology network on every board, with or
-// without write-asymmetry hiding. Boards reprogram in parallel, fanned
-// across the worker pool with a board-ordered cost fold.
-func (c *Cluster) ReprogramAll(net *nn.Network, hide bool) (energy.Cost, error) {
-	costs := make([]energy.Cost, len(c.engines))
-	err := parallel.ForErr(len(c.engines), func(i int) error {
-		cost, err := c.engines[i].Reprogram(net, hide)
-		if err != nil {
-			return fmt.Errorf("dpe: reprogram board %d: %w", i, err)
-		}
-		costs[i] = cost
-		return nil
-	})
-	if err != nil {
-		return energy.Zero, err
-	}
-	total := energy.Zero
-	for _, cost := range costs {
-		total = total.Par(cost)
-	}
-	return total, nil
-}
-
 // ScalingEfficiency returns throughput(boards)/(boards x throughput(1))
 // for the given batch latencies: 1.0 is perfectly linear scaling.
 func ScalingEfficiency(oneBoard, nBoards energy.Cost, boards int) float64 {

@@ -28,35 +28,20 @@ func clusterForReprogram(t *testing.T, boards int) (*Cluster, *nn.Network) {
 	return cl, netB
 }
 
-// TestClusterReprogramAllHiding pins the write-asymmetry-hiding contract
-// across a multi-board cluster:
-//
-//   - hide=false: boards rewrite in parallel, so the cluster-wide latency
-//     is the per-board reprogram latency (max over boards, NOT the sum),
-//     and energy is boards x per-board energy.
-//   - hide=true: the visible latency collapses to one buffer swap while
-//     the energy is identical to hide=false — hiding moves the write off
-//     the critical path, it does not make the writes free.
-func TestClusterReprogramAllHiding(t *testing.T) {
+// TestClusterReload pins a model update across a multi-board cluster: a
+// Load of the loaded cluster rewrites every board in parallel, so its
+// latency is one board's re-Load latency (the max over boards, not the
+// sum) and its energy is boards x that board's energy; afterwards the
+// cluster serves the new weights, == to a fresh cluster loaded with them.
+func TestClusterReload(t *testing.T) {
 	const boards = 3
 	cl, netB := clusterForReprogram(t, boards)
-
-	full, err := cl.ReprogramAll(netB, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hidden, err := cl.ReprogramAll(netB, true)
+	full, err := cl.Load(netB)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Energy is identical across modes: every cell is written either way.
-	if hidden.EnergyPJ != full.EnergyPJ {
-		t.Errorf("hidden energy %g pJ != full energy %g pJ (hiding must not change energy)",
-			hidden.EnergyPJ, full.EnergyPJ)
-	}
-
-	// Reference: the same reprogram on a single standalone board.
+	// Reference: the same update on a single standalone board.
 	eng, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -64,69 +49,19 @@ func TestClusterReprogramAllHiding(t *testing.T) {
 	if _, err := eng.Load(mlp(t, 48, 32, 10)); err != nil {
 		t.Fatal(err)
 	}
-	single, err := eng.Reprogram(netB, false)
+	single, err := eng.Load(netB)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// hide=false latency: boards overlap, so cluster latency == one
-	// board's latency (max, not sum)...
 	if full.LatencyPS != single.LatencyPS {
-		t.Errorf("cluster hide=false latency %d ps != single-board %d ps (boards must overlap: max, not sum)",
+		t.Errorf("cluster re-Load latency %d ps != single-board %d ps (boards must overlap: max, not sum)",
 			full.LatencyPS, single.LatencyPS)
 	}
-	if wrongSum := single.LatencyPS * boards; full.LatencyPS == wrongSum && boards > 1 {
-		t.Errorf("cluster latency equals %d x single board (%d ps): boards serialized instead of overlapping",
-			boards, wrongSum)
-	}
-	// ...while energy sums across boards.
 	if want := single.EnergyPJ * boards; full.EnergyPJ != want {
-		t.Errorf("cluster hide=false energy %g pJ, want %g (boards x single)", full.EnergyPJ, want)
+		t.Errorf("cluster re-Load energy %g pJ, want %g (boards x single)", full.EnergyPJ, want)
 	}
 
-	// hide=true latency: one buffer swap, orders of magnitude below the
-	// full write latency.
-	if hidden.LatencyPS != energy.EDRAMAccessLatencyPS {
-		t.Errorf("hidden latency %d ps, want one buffer swap (%d ps)",
-			hidden.LatencyPS, energy.EDRAMAccessLatencyPS)
-	}
-	if hidden.LatencyPS >= full.LatencyPS {
-		t.Errorf("hidden latency %d ps not below full %d ps — nothing was hidden",
-			hidden.LatencyPS, full.LatencyPS)
-	}
-}
-
-// TestClusterReprogramAllParallelEquivalence: ReprogramAll costs must be
-// bit-identical at pool widths 1/4/16 in both hide modes.
-func TestClusterReprogramAllParallelEquivalence(t *testing.T) {
-	t.Cleanup(func() { parallel.SetWidth(0) })
-	run := func(width int, hide bool) energy.Cost {
-		parallel.SetWidth(width)
-		cl, netB := clusterForReprogram(t, 3)
-		cost, err := cl.ReprogramAll(netB, hide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cost
-	}
-	for _, hide := range []bool{false, true} {
-		ref := run(1, hide)
-		for _, w := range []int{4, 16} {
-			if got := run(w, hide); got != ref {
-				t.Errorf("hide=%v width %d cost %v != serial %v", hide, w, got, ref)
-			}
-		}
-	}
-}
-
-// TestClusterReprogramAllStillServes: after a hidden reprogram the cluster
-// serves the new weights — outputs match a fresh cluster loaded with them.
-func TestClusterReprogramAllStillServes(t *testing.T) {
-	cl, netB := clusterForReprogram(t, 2)
-	if _, err := cl.ReprogramAll(netB, true); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewCluster(testConfig(), 2, 5, 12.5e9)
+	fresh, err := NewCluster(testConfig(), boards, 5, 12.5e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +89,28 @@ func TestClusterReprogramAllStillServes(t *testing.T) {
 			if got[i][j] != want[i][j] {
 				t.Fatalf("input %d output[%d] = %g, want %g", i, j, got[i][j], want[i][j])
 			}
+		}
+	}
+}
+
+// TestClusterReloadParallelEquivalence: a re-Load's board costs fold in
+// board order, so the cluster's cost is bit-identical at pool widths 1, 4
+// and 16.
+func TestClusterReloadParallelEquivalence(t *testing.T) {
+	t.Cleanup(func() { parallel.SetWidth(0) })
+	run := func(width int) energy.Cost {
+		parallel.SetWidth(width)
+		cl, netB := clusterForReprogram(t, 3)
+		cost, err := cl.Load(netB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cost
+	}
+	ref := run(1)
+	for _, w := range []int{4, 16} {
+		if got := run(w); got != ref {
+			t.Errorf("width %d cost %v != serial %v", w, got, ref)
 		}
 	}
 }

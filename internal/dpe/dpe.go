@@ -12,9 +12,9 @@
 // Section VI reports and this package's experiments reproduce.
 //
 // The simulator exploits the same spatial parallelism the hardware does:
-// Load and Reprogram check every layer and then fan independent layers
-// across the internal/parallel worker pool (when the cells they write pay
-// for the fork-join), Cluster fans independent boards, and InferBatch advances its
+// Load checks every layer and then fans independent layers across the
+// internal/parallel worker pool (when the cells they write pay for the
+// fork-join), Cluster fans independent boards, and InferBatch advances its
 // batch stage by stage, handing each dense or conv stage's tile the whole
 // item panel — the fan-out of a batch is the tile's (item chunk ×
 // column-block group) tasks, not its items, and a dense stage's merge, bias
@@ -204,9 +204,9 @@ func New(cfg Config) (*Engine, error) {
 
 // Wear returns the engine's lifetime cell-write count: the sum of every
 // stage tile's Writes(), retry pulses and retired-array history included.
-// Inference never writes, so wear moves only on Load/Reprogram/Repair; the
+// Inference never writes, so wear moves only on Load/Repair; the
 // fleet router's wear-aware policy reads it between batches. Wear must not
-// race a concurrent Load/Reprogram/Repair (serve.ShadowPair.Wear holds the
+// race a concurrent Load/Repair (serve.ShadowPair.Wear holds the
 // live engine's read gate for exactly this reason).
 func (e *Engine) Wear() int64 {
 	var w int64
@@ -247,6 +247,12 @@ func (e *Engine) WeightBytes() float64 {
 // the independent layers across the worker pool; per-layer costs fold in
 // layer order so the total is identical at any pool width. A network with
 // an unsupported layer or a non-finite weight writes nothing.
+//
+// Load is how weights enter an engine, the first time and every time
+// after: on a loaded engine it reprograms each stage's tile in place (wear
+// accumulates on the same cells), whatever the new network's topology. The
+// cost is the write on the critical path; a standby that absorbs it shows
+// only energy.HiddenWrite of it.
 func (e *Engine) Load(net *nn.Network) (energy.Cost, error) {
 	return e.LoadCtx(obs.Ctx{}, net)
 }
@@ -378,55 +384,6 @@ func (e *Engine) program(sp obs.Ctx, stages []stage, only []int) (energy.Cost, e
 	return total, nil
 }
 
-// Reprogram loads a new network of identical topology into the existing
-// arrays (wear accumulates on the same physical cells). With hide=false
-// the engine stalls for the full write latency; with hide=true shadow
-// arrays absorb the writes behind ongoing inference (the write-asymmetry
-// hiding of Section VI) and only a reconfiguration swap appears on the
-// critical path. A rejected network — another topology, or a non-finite
-// weight in any layer — writes nothing: the engine serves the network it
-// held.
-func (e *Engine) Reprogram(net *nn.Network, hide bool) (energy.Cost, error) {
-	if e.net == nil {
-		return energy.Zero, fmt.Errorf("dpe: Reprogram before Load")
-	}
-	if net == nil || len(net.Layers) != len(e.stages) {
-		return energy.Zero, fmt.Errorf("dpe: Reprogram requires identical topology")
-	}
-	next, err := e.stagesFor(net)
-	if err != nil {
-		return energy.Zero, err
-	}
-	for i := range next {
-		old, s := &e.stages[i], &next[i]
-		switch {
-		case s.dense != nil:
-			if old.dense == nil || old.dense.InSize() != s.dense.InSize() || old.dense.OutSize() != s.dense.OutSize() {
-				return energy.Zero, fmt.Errorf("dpe: layer %d shape mismatch", i)
-			}
-		case s.conv != nil:
-			if old.conv == nil || old.conv.InSize() != s.conv.InSize() || old.conv.OutSize() != s.conv.OutSize() {
-				return energy.Zero, fmt.Errorf("dpe: layer %d shape mismatch", i)
-			}
-		case old.tile != nil:
-			return energy.Zero, fmt.Errorf("dpe: layer %d kind mismatch", i)
-		}
-	}
-	cost, err := e.program(obs.Ctx{}, next, nil)
-	if err != nil {
-		return energy.Zero, err
-	}
-	linkStages(next)
-	e.stages = next
-	e.net = net
-	if hide {
-		// Writes retire off the critical path; the visible latency is one
-		// buffer swap. Energy is still paid in full.
-		return energy.Cost{LatencyPS: energy.EDRAMAccessLatencyPS, EnergyPJ: cost.EnergyPJ}, nil
-	}
-	return cost, nil
-}
-
 // Infer runs one inference, returning the output vector and its cost: a
 // batch of one. The inference claims the next noise sequence number, so
 // noisy results depend only on (seed, inference index since Load) — not on
@@ -470,7 +427,7 @@ func (e *Engine) price(s *stage) energy.Cost {
 // is fill + (n-1) x bottleneck, far better than n x single-inference
 // latency. Energy is n x per-inference energy. This is the ISAAC-style
 // throughput mode behind the Section VI claims. Like inference, it must not
-// race a Load or Reprogram of this engine.
+// race a Load of this engine.
 func (e *Engine) PredictBatchCost(n int) energy.Cost {
 	fill := energy.Zero
 	var bottleneck int64

@@ -48,9 +48,6 @@ func TestEngineLifecycle(t *testing.T) {
 	if _, _, err := e.Infer([]float64{1}); err == nil {
 		t.Error("Infer before Load accepted")
 	}
-	if _, err := e.Reprogram(nil, false); err == nil {
-		t.Error("Reprogram before Load accepted")
-	}
 	if _, err := e.Load(nil); err == nil {
 		t.Error("nil network accepted")
 	}
@@ -179,6 +176,10 @@ func TestConvReplicasSpeedup(t *testing.T) {
 	}
 }
 
+// TestReprogramHiding pins the one hiding rule on a real write: a Load of
+// a loaded engine stalls it for the whole write, and the price a standby
+// shows for that write (energy.HiddenWrite) is one eDRAM access of latency
+// with the write's energy in full.
 func TestReprogramHiding(t *testing.T) {
 	net := mlp(t, 32, 64, 8)
 	e, err := New(testConfig())
@@ -188,16 +189,13 @@ func TestReprogramHiding(t *testing.T) {
 	if _, err := e.Load(net); err != nil {
 		t.Fatal(err)
 	}
-	stall, err := e.Reprogram(net, false)
+	stall, err := e.Load(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Load(net); err != nil {
-		t.Fatal(err)
-	}
-	hidden, err := e.Reprogram(net, true)
-	if err != nil {
-		t.Fatal(err)
+	hidden := energy.HiddenWrite(stall)
+	if hidden.LatencyPS != energy.EDRAMAccessLatencyPS {
+		t.Errorf("hidden latency %d ps, want one eDRAM access (%d ps)", hidden.LatencyPS, energy.EDRAMAccessLatencyPS)
 	}
 	if hidden.LatencyPS >= stall.LatencyPS/100 {
 		t.Errorf("hidden reprogram latency %d not << stall %d", hidden.LatencyPS, stall.LatencyPS)
@@ -304,28 +302,6 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if _, _, err := c.InferBatch(nil); err == nil {
 		t.Error("empty batch accepted")
-	}
-}
-
-func TestClusterReprogramHiding(t *testing.T) {
-	net := mlp(t, 64, 64, 8)
-	c, err := NewCluster(testConfig(), 2, 1, 100e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Load(net); err != nil {
-		t.Fatal(err)
-	}
-	stall, err := c.ReprogramAll(net, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hidden, err := c.ReprogramAll(net, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hidden.LatencyPS >= stall.LatencyPS {
-		t.Errorf("hidden %d not below stall %d", hidden.LatencyPS, stall.LatencyPS)
 	}
 }
 

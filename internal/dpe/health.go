@@ -79,7 +79,7 @@ func (h Health) String() string {
 // HealthCheck scans the engine's crossbars and returns their fault state.
 // The underlying self-test ran (and was charged) during the last
 // program-and-verify pass, so the scan itself is free and safe to run
-// between batches; it must not race a concurrent Load/Reprogram/Repair.
+// between batches; it must not race a concurrent Load/Repair.
 // An engine without a loaded network, or without fault injection, reports
 // healthy with no stages.
 func (e *Engine) HealthCheck() Health {

@@ -58,9 +58,9 @@ func convNet(t *testing.T, seed int64) *nn.Network {
 	return net
 }
 
-// TestLoadColumnsMatchRowMajor: Load and Reprogram, which hand each tile
-// the layer's own columns (Dense.W, Conv2D.FilterColumns), leave every
-// stage tile equal — every stored level, bit plane, weight panel, column
+// TestLoadColumnsMatchRowMajor: Load, first and again on the loaded engine
+// (a same-shape reprogram), which hands each tile the layer's own columns
+// (Dense.W, Conv2D.FilterColumns), leaves every stage tile equal — every stored level, bit plane, weight panel, column
 // offset, fault report and wear count, by reflect.DeepEqual — to a tile of
 // the same fault key programmed through the row-major entry with the
 // transposed matrix (Dense.WeightMatrix, im2col), and charge the same cost:
@@ -91,12 +91,7 @@ func TestLoadColumnsMatchRowMajor(t *testing.T) {
 					}
 					refs := map[int]*crossbar.Tile{}
 					for step, net := range pair {
-						var cost energy.Cost
-						if step == 0 {
-							cost, err = e.Load(net)
-						} else {
-							cost, err = e.Reprogram(net, false)
-						}
+						cost, err := e.Load(net)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -153,9 +148,9 @@ func mlpSeeded(t *testing.T, seed int64, sizes ...int) *nn.Network {
 }
 
 // TestRejectedWeightsWriteNothing: a network with a NaN in its last layer
-// fails Reprogram and Load, and the engine then serves the network it held
-// with == outputs and unchanged wear — no layer was written before the bad
-// one was found.
+// fails a Load of the loaded engine, and the engine then serves the network
+// it held with == outputs and unchanged wear — no layer was written before
+// the bad one was found.
 func TestRejectedWeightsWriteNothing(t *testing.T) {
 	e, err := New(testConfig())
 	if err != nil {
@@ -176,9 +171,6 @@ func TestRejectedWeightsWriteNothing(t *testing.T) {
 	bad := mlpSeeded(t, 7, 32, 24, 10)
 	last := bad.Layers[len(bad.Layers)-2].(*nn.Dense)
 	last.W[3][5] = math.NaN()
-	if _, err := e.Reprogram(bad, false); err == nil {
-		t.Fatal("Reprogram accepted a NaN weight")
-	}
 	if _, err := e.Load(bad); err == nil {
 		t.Fatal("Load accepted a NaN weight")
 	}

@@ -38,7 +38,7 @@ func TestSectionVILatencyBandShape(t *testing.T) {
 	}
 
 	cpu := vonneumann.CPU()
-	k := vonneumann.GEMV(512, 512, 4, 32<<20, false)
+	k := vonneumann.GEMM(1, 512, 512, 4, 32<<20, false)
 	cpuCost, err := cpu.Run(k)
 	if err != nil {
 		t.Fatal(err)

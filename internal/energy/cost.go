@@ -67,6 +67,15 @@ func Digital(n int) Cost {
 	}
 }
 
+// HiddenWrite is the visible price of a weight write c that a standby
+// array absorbs (the write-asymmetry hiding of Section VI): the write
+// retires off the critical path, so its latency shows only as one eDRAM
+// buffer swap, and its energy is still paid in full. It is the one hiding
+// rule: serve.ShadowPair's swap and the scaling experiment both charge it.
+func HiddenWrite(c Cost) Cost {
+	return Cost{LatencyPS: EDRAMAccessLatencyPS, EnergyPJ: c.EnergyPJ}
+}
+
 // Latency returns the latency in seconds.
 func (c Cost) Latency() float64 { return float64(c.LatencyPS) * 1e-12 }
 

@@ -126,11 +126,11 @@ func SecVI(sizes []int) (*SecVIResult, error) {
 		}
 
 		// Single-sample latency on the baselines (weights stream).
-		cpuSingle, err := cpu.Run(vonneumann.GEMV(n, n, 4, 32<<20, false))
+		cpuSingle, err := cpu.Run(vonneumann.GEMM(1, n, n, 4, 32<<20, false))
 		if err != nil {
 			return SecVIRow{}, err
 		}
-		gpuSingle, err := gpu.Run(vonneumann.GEMV(n, n, 4, 32<<20, false))
+		gpuSingle, err := gpu.Run(vonneumann.GEMM(1, n, n, 4, 32<<20, false))
 		if err != nil {
 			return SecVIRow{}, err
 		}
@@ -249,15 +249,13 @@ func Scale(boardCounts []int, layerN, batch int) (*ScaleResult, error) {
 		if err != nil {
 			return scalePoint{}, err
 		}
-		stall, err := cluster.ReprogramAll(net, false)
+		// The model update: a Load of the loaded boards stalls them for the
+		// whole write; standby arrays would show only its hidden price.
+		stall, err := cluster.Load(net)
 		if err != nil {
 			return scalePoint{}, err
 		}
-		hidden, err := cluster.ReprogramAll(net, true)
-		if err != nil {
-			return scalePoint{}, err
-		}
-		return scalePoint{batchCost: batchCost, stall: stall, hidden: hidden}, nil
+		return scalePoint{batchCost: batchCost, stall: stall, hidden: energy.HiddenWrite(stall)}, nil
 	})
 	if err != nil {
 		return nil, err

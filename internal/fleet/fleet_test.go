@@ -427,20 +427,15 @@ func TestRollingReprogramZeroDowntime(t *testing.T) {
 	}
 }
 
-// TestRollingReprogramReloadsTwin is the stale-twin regression: an engine
-// wrapped in a forced-vn hybrid dispatcher serves from the dispatcher's
-// digital twin, so a rolling reprogram has to go through the dispatcher
-// (crossbar swap + twin reload), not through the pair underneath it —
-// otherwise the fleet keeps answering from the old network after the roll.
-func TestRollingReprogramReloadsTwin(t *testing.T) {
-	netA := testMLP(t, 3, 24, 16, 8)
-	netB := testMLP(t, 4, 24, 16, 8)
-	cfg := dpe.DefaultConfig() // noise-free: the only kind of config with a twin
-	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
+// vnFleet builds a one-engine fleet on net whose engine is wrapped in a
+// forced-vn hybrid dispatcher, so every request is served by the
+// dispatcher's digital twin.
+func vnFleet(t *testing.T, cfg dpe.Config, net *nn.Network) *Fleet {
+	t.Helper()
 	var wrapErr error
-	f, _, err := New(cfg, netA, WithEngines(1),
+	f, _, err := New(cfg, net, WithEngines(1),
 		WithWrapBackend(func(_ int, b serve.Backend, reg *metrics.Registry) serve.Backend {
-			twin, err := vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, netA)
+			twin, err := vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, net)
 			if err != nil {
 				wrapErr = err
 				return b
@@ -455,27 +450,44 @@ func TestRollingReprogramReloadsTwin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	t.Cleanup(f.Close)
 	if wrapErr != nil {
 		t.Fatal(wrapErr)
 	}
+	return f
+}
 
-	oracle := func(net *nn.Network, in []float64) []float64 {
-		eng, err := dpe.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Load(net); err != nil {
-			t.Fatal(err)
-		}
-		out, _, err := eng.Infer(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+// oracleOut is a fresh engine's output for in on net.
+func oracleOut(t *testing.T, cfg dpe.Config, net *nn.Network, in []float64) []float64 {
+	t.Helper()
+	eng, err := dpe.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := eng.Load(net); err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := eng.Infer(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRollingReprogramReloadsTwin is the stale-twin regression: an engine
+// wrapped in a forced-vn hybrid dispatcher serves from the dispatcher's
+// digital twin, so a rolling reprogram has to go through the dispatcher
+// (crossbar swap + twin reload), not through the pair underneath it —
+// otherwise the fleet keeps answering from the old network after the roll.
+func TestRollingReprogramReloadsTwin(t *testing.T) {
+	netA := testMLP(t, 3, 24, 16, 8)
+	netB := testMLP(t, 4, 24, 16, 8)
+	cfg := dpe.DefaultConfig() // noise-free: the only kind of config with a twin
+	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
+	f := vnFleet(t, cfg, netA)
+
 	in := testInputs(1, 24, 5)[0]
-	wantA, wantB := oracle(netA, in), oracle(netB, in)
+	wantA, wantB := oracleOut(t, cfg, netA, in), oracleOut(t, cfg, netB, in)
 	if sliceEq(wantA, wantB) {
 		t.Fatal("netA and netB agree on the probe input: the test cannot tell them apart")
 	}
@@ -500,6 +512,38 @@ func TestRollingReprogramReloadsTwin(t *testing.T) {
 	e := f.Engines()[0]
 	if vn := e.Registry().Counter("dispatch.vn").Value(); vn != 2 {
 		t.Errorf("dispatch.vn = %d, want 2: the test must be served by the twin", vn)
+	}
+	if e.Pair().Swaps() != 1 {
+		t.Errorf("crossbar side swapped %d times, want 1", e.Pair().Swaps())
+	}
+}
+
+// TestRollingReprogramNewTopology is the split-brain regression: a rolling
+// reprogram onto a network of another hidden width, under a forced-vn
+// dispatcher, succeeds on the engine (the pair swaps and the twin reloads
+// the new topology), and the twin then serves the new network.
+func TestRollingReprogramNewTopology(t *testing.T) {
+	netA := testMLP(t, 3, 24, 16, 8)
+	netW := testMLP(t, 6, 24, 32, 8)
+	cfg := dpe.DefaultConfig()
+	cfg.Crossbar.Rows, cfg.Crossbar.Cols = 64, 64
+	f := vnFleet(t, cfg, netA)
+
+	rep := f.RollingReprogram(netW)
+	if rep.Failed != 0 || rep.Succeeded != 1 {
+		t.Fatalf("rolling reprogram onto a wider hidden layer: %+v (%v)", rep, rep.Err())
+	}
+	in := testInputs(1, 24, 5)[0]
+	got, _, err := f.SubmitSeq(context.Background(), 0, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleOut(t, cfg, netW, in); !sliceEq(got, want) {
+		t.Errorf("after the roll the twin serves %v, want the new network's %v", got, want)
+	}
+	e := f.Engines()[0]
+	if vn := e.Registry().Counter("dispatch.vn").Value(); vn != 1 {
+		t.Errorf("dispatch.vn = %d, want 1: the probe must be served by the twin", vn)
 	}
 	if e.Pair().Swaps() != 1 {
 		t.Errorf("crossbar side swapped %d times, want 1", e.Pair().Swaps())

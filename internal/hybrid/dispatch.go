@@ -217,9 +217,9 @@ func (d *Dispatcher) InferBatchKeyedCtx(pc obs.Ctx, seqs []uint64, inputs [][]fl
 // routing: Von Neumann routing is suspended (flushes fall back to the CIM
 // side, which the underlying pair keeps serving mid-swap), the wrapped
 // Reprogrammer performs the crossbar swap, and on success the twin is
-// reloaded from the same network before routing resumes. A twin reload
-// failure is returned after the crossbar swap has already happened — the
-// caller's view is the same as a ShadowPair reprogram failure mid-retry.
+// reloaded from the same network before routing resumes. The twin reloads
+// any network the pair's Load accepted, whatever its topology, so a nil
+// return means both sides serve the new weights.
 func (d *Dispatcher) Reprogram(net *nn.Network) (visible, hidden energy.Cost, err error) {
 	if d.rep == nil {
 		return energy.Zero, energy.Zero, fmt.Errorf("hybrid: CIM backend does not support Reprogram")

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -388,6 +389,67 @@ func TestDispatchReprogram(t *testing.T) {
 	}
 	if _, _, err := bare.Reprogram(netB); err == nil {
 		t.Error("Reprogram accepted on a backend without reprogram support")
+	}
+}
+
+// TestDispatchReprogramNewTopology is the split-brain regression: a
+// Dispatcher.Reprogram onto a network of another hidden width returns nil,
+// and afterwards every flush, whichever side it is routed to, equals a
+// fresh engine loaded with the new network — the twin reloads any topology
+// the pair's Load accepted, so the two sides never serve different
+// networks.
+func TestDispatchReprogramNewTopology(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	netA, err := nn.NewMLP("narrow", []int{8, 16, 4}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netW, err := nn.NewMLP("wide", []int{8, 32, 4}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := dpe.DefaultConfig()
+	ref, err := dpe.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Load(netW); err != nil {
+		t.Fatal(err)
+	}
+	var toCIM, toVN int64
+	for _, mode := range []Mode{ModeCIM, ModeVN, ModeAuto} {
+		pair, _, err := serve.NewShadowPair(cfg, netA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, netA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disp, err := New(pair, twin, WithMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := disp.Reprogram(netW); err != nil {
+			t.Fatalf("mode %v: Reprogram onto another hidden width: %v", mode, err)
+		}
+		for _, n := range []int{1, 64} {
+			ins := dispatchInputs(t, n, 8, int64(n))
+			want, _, err := ref.InferBatch(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := disp.InferBatch(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSame(t, want, got, fmt.Sprintf("mode %v batch %d", mode, n))
+		}
+		cim, vn, _ := disp.Counts()
+		toCIM, toVN = toCIM+cim, toVN+vn
+	}
+	if toCIM == 0 || toVN == 0 {
+		t.Errorf("flushes routed cim %d, vn %d: each side must serve at least one", toCIM, toVN)
 	}
 }
 

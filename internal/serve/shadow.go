@@ -2,13 +2,12 @@
 //
 // Section VI names memristor write asymmetry — writes are orders of
 // magnitude slower than reads — as the scaling challenge, and proposes
-// hiding it behind ongoing computation. dpe.Engine.Reprogram(hide=true)
-// models that claim as a cost-algebra identity (visible latency collapses
-// to one buffer swap). ShadowPair *mechanizes* it: two engines, one live
-// and one standby; weight updates program the standby at full write cost
-// while the live engine keeps serving every request, then an atomic
-// pointer swap puts the new weights on the serving path. The only
-// reprogramming cost a request can ever observe is the swap itself.
+// hiding it behind ongoing computation. ShadowPair is that model: two
+// engines, one live and one standby; weight updates program the standby
+// with Load at full write cost while the live engine keeps serving every
+// request, then an atomic pointer swap puts the new weights on the serving
+// path. The only reprogramming cost a request can ever observe is the swap
+// itself, priced by energy.HiddenWrite.
 //
 // The fault subsystem (internal/faultinject, docs/FAULTS.md) makes that
 // write path fallible: program-and-verify can exhaust retry budgets, spare
@@ -224,10 +223,10 @@ func (p *ShadowPair) Health() dpe.Health {
 // overlapped with serving, summed over every attempt: failed programming
 // passes burn real energy, and the ledger shows it).
 //
-// The standby is programmed with Load, not Reprogram: the swapped-in
-// engine is indistinguishable from a freshly constructed engine loaded
-// with net — its noise sequence restarts at zero — and the new network may
-// even have a different topology than the old one.
+// The standby is programmed with Load, so the swapped-in engine is
+// indistinguishable from a freshly constructed engine loaded with net —
+// its noise sequence restarts at zero — and the new network may have a
+// different topology than the old one.
 //
 // When device-fault injection is active (dpe.Config.Faults), each attempt
 // is health-aware: if program-and-verify left the standby with lost
@@ -300,6 +299,5 @@ func (p *ShadowPair) swap(net *nn.Network) (visible, hidden energy.Cost, err err
 	p.standby = old
 	p.swaps.Add(1)
 
-	visible = energy.Cost{LatencyPS: energy.EDRAMAccessLatencyPS, EnergyPJ: cost.EnergyPJ}
-	return visible, cost, nil
+	return energy.HiddenWrite(cost), cost, nil
 }

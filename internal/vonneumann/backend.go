@@ -30,7 +30,9 @@ import (
 // pretending the cheap functional GEMM suffices.
 //
 // A Backend is safe for concurrent InferBatch calls; Reload swaps in a
-// freshly loaded engine under the write half of a RW lock. Noisy or faulty
+// freshly loaded engine, of any network the engine can map, under the
+// write half of a RW lock, so it follows every weight set the crossbar
+// side is reprogrammed to (hybrid.Dispatcher.Reprogram). Noisy or faulty
 // configurations have no twin — NewBackend rejects ReadNoise > 0, and
 // callers with fault injection enabled must not build one (the dispatcher
 // pins that traffic to CIM).
@@ -71,31 +73,14 @@ func NewBackend(mach Machine, hcfg HierarchyConfig, xcfg crossbar.Config, net *n
 	return b, nil
 }
 
-// Network returns the currently loaded network.
-func (b *Backend) Network() *nn.Network {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.net
-}
-
 // Reload loads net into a fresh engine and swaps it in — the digital
-// analogue of a shadow-pair reprogram. After the first load the topology
-// must stay identical, mirroring dpe.Engine.Reprogram. In-flight InferBatch
-// calls finish on the engine they started on: the swap waits for them, the
-// load does not make them wait. A failed Reload changes nothing.
+// analogue of a shadow-pair reprogram, and like the standby it shadows it
+// accepts any topology. In-flight InferBatch calls finish on the engine
+// they started on: the swap waits for them, the load does not make them
+// wait. A failed Reload changes nothing.
 func (b *Backend) Reload(net *nn.Network) error {
 	if net == nil || len(net.Layers) == 0 {
 		return fmt.Errorf("vonneumann: empty network")
-	}
-	if cur := b.Network(); cur != nil {
-		if len(net.Layers) != len(cur.Layers) {
-			return fmt.Errorf("vonneumann: Reload requires identical topology")
-		}
-		for i, l := range net.Layers {
-			if was := cur.Layers[i]; l.InSize() != was.InSize() || l.OutSize() != was.OutSize() {
-				return fmt.Errorf("vonneumann: Reload layer %d shape mismatch", i)
-			}
-		}
 	}
 	eng, err := dpe.New(dpe.Config{Crossbar: b.xcfg, ConvReplicas: 1})
 	if err == nil {

@@ -176,7 +176,9 @@ func TestTwinKeyedTrafficMatches(t *testing.T) {
 }
 
 // TestTwinReload pins the reprogram analogue: after Reload the twin tracks
-// the engine's Reprogram output exactly, and shape mismatches are rejected.
+// the engine's re-Load output exactly; a network of another topology
+// reloads too, and the twin then equals a fresh engine loaded with it; and
+// a rejected network changes nothing.
 func TestTwinReload(t *testing.T) {
 	cfg := dpe.DefaultConfig()
 	rng := rand.New(rand.NewSource(2))
@@ -189,7 +191,7 @@ func TestTwinReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, twin := twinPair(t, cfg, net)
-	if _, err := eng.Reprogram(netB, true); err != nil {
+	if _, err := eng.Load(netB); err != nil {
 		t.Fatal(err)
 	}
 	if err := twin.Reload(netB); err != nil {
@@ -206,16 +208,32 @@ func TestTwinReload(t *testing.T) {
 	}
 	requireBitIdentical(t, want, got, "reload")
 
-	bad, err := nn.NewMLP("twin-bad", []int{100, 30, 10}, rng)
+	wide, err := nn.NewMLP("twin-wide", []int{100, 30, 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.Reload(bad); err == nil {
-		t.Fatal("shape-mismatched Reload accepted")
+	if err := twin.Reload(wide); err != nil {
+		t.Fatalf("Reload of another topology: %v", err)
 	}
-	// A rejected Reload changes nothing: the twin still serves netB.
-	got, _, err = twin.InferBatch(ins)
+	fresh, _ := twinPair(t, cfg, wide)
+	if want, _, err = fresh.InferBatch(ins); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err = twin.InferBatch(ins); err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, want, got, "topology reload")
+
+	bad, err := nn.NewMLP("twin-nan", []int{100, 40, 10}, rng)
 	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Layers[0].(*nn.Dense).W[1][2] = math.NaN()
+	if err := twin.Reload(bad); err == nil {
+		t.Fatal("Reload accepted a NaN weight")
+	}
+	// A rejected Reload changes nothing: the twin still serves wide.
+	if got, _, err = twin.InferBatch(ins); err != nil {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, want, got, "after rejected reload")

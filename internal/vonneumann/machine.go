@@ -91,37 +91,18 @@ func (m Machine) Run(k Kernel) (energy.Cost, error) {
 }
 
 // GEMM builds the kernel for Y = X·W with a batch of `items` input vectors
-// against an m x n matrix of elemBytes-wide weights: the batched
-// generalization of GEMV. The weight panel streams once per call — not
-// once per vector — which is what batching buys on a Von Neumann machine;
-// when the panel fits in cache and resident is true even that single pass
-// is free after first touch and only per-vector traffic remains.
+// against an m x n matrix of elemBytes-wide weights; items = 1 is the
+// single-vector product. The weight panel streams once per call — not
+// once per vector — which is what batching buys on a Von Neumann machine
+// and the data movement CIM eliminates by computing where the weights
+// already are; when the panel fits in cache and resident is true even that
+// single pass is free after first touch and only per-vector traffic remains.
 func GEMM(items, m, n int, elemBytes int, cacheBytes float64, resident bool) Kernel {
 	flops := 2 * float64(items) * float64(m) * float64(n)
 	weightBytes := float64(m) * float64(n) * float64(elemBytes)
 	vectorBytes := float64(items) * float64(m+n) * float64(elemBytes)
 	bytes := weightBytes + vectorBytes
 	if resident && weightBytes <= cacheBytes {
-		bytes = vectorBytes
-	}
-	return Kernel{
-		Flops: flops,
-		Bytes: bytes,
-	}
-}
-
-// GEMV builds the kernel for y = W·x with an m x n matrix of elemBytes-wide
-// weights, given the machine's cache capacity in bytes. If the working set
-// (weights + vectors) fits in cache and resident is true, weight traffic is
-// free after the first touch and only vector traffic remains; otherwise
-// every weight streams from memory — the data movement CIM eliminates by
-// computing where the weights already are.
-func GEMV(m, n int, elemBytes int, cacheBytes float64, resident bool) Kernel {
-	flops := 2 * float64(m) * float64(n)
-	weightBytes := float64(m) * float64(n) * float64(elemBytes)
-	vectorBytes := float64(m+n) * float64(elemBytes)
-	bytes := weightBytes + vectorBytes
-	if resident && weightBytes+vectorBytes <= cacheBytes {
 		bytes = vectorBytes
 	}
 	return Kernel{

@@ -117,8 +117,8 @@ func TestBytesPerFlopDecline(t *testing.T) {
 }
 
 func TestGEMVKernel(t *testing.T) {
-	// Non-resident: weights stream from DRAM.
-	k := GEMV(1024, 1024, 4, 32<<20, false)
+	// A single vector (GEMM of one item) streams the weights from DRAM.
+	k := GEMM(1, 1024, 1024, 4, 32<<20, false)
 	wantFlops := 2.0 * 1024 * 1024
 	if k.Flops != wantFlops {
 		t.Errorf("flops = %g, want %g", k.Flops, wantFlops)
@@ -127,14 +127,15 @@ func TestGEMVKernel(t *testing.T) {
 		t.Errorf("streaming GEMV bytes = %g, want >= weight bytes", k.Bytes)
 	}
 
-	// Resident small matrix: only vector traffic.
-	k = GEMV(64, 64, 4, 32<<20, true)
+	// Resident small matrix: only vector traffic. This is GEMM's rule (the
+	// weights alone against the cache), the one the twin prices flushes by.
+	k = GEMM(1, 64, 64, 4, 32<<20, true)
 	if k.Bytes != 4*(64+64) {
 		t.Errorf("resident GEMV bytes = %g, want vector-only %d", k.Bytes, 4*(64+64))
 	}
 
 	// Resident flag with oversized matrix still streams.
-	k = GEMV(4096, 4096, 4, 1<<20, true)
+	k = GEMM(1, 4096, 4096, 4, 1<<20, true)
 	if k.Bytes < 4*4096*4096 {
 		t.Errorf("oversized resident GEMV bytes = %g, want full stream", k.Bytes)
 	}
@@ -146,7 +147,7 @@ func TestGEMVCrossoverShape(t *testing.T) {
 	cpu := CPU()
 	cache := float64(32 << 20)
 	lat := func(n int) float64 {
-		k := GEMV(n, n, 4, cache, true)
+		k := GEMM(1, n, n, 4, cache, true)
 		c, err := cpu.Run(k)
 		if err != nil {
 			t.Fatal(err)

@@ -17,11 +17,11 @@ func testProcesses(t *testing.T) []Arrivals {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMMPP(MMPPConfig{Seed: 11, Rate: 8000})
+	m, err := NewMMPP(11, 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDiurnal(DiurnalConfig{Seed: 11, Rate: 8000})
+	d, err := NewDiurnal(11, 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestArrivalsDeterminismAcrossWidths(t *testing.T) {
 func TestArrivalsSameSeedSameSchedule(t *testing.T) {
 	build := func(seed int64) []Arrivals {
 		p, _ := NewPoisson(seed, 8000)
-		m, _ := NewMMPP(MMPPConfig{Seed: seed, Rate: 8000})
-		d, _ := NewDiurnal(DiurnalConfig{Seed: seed, Rate: 8000})
+		m, _ := NewMMPP(seed, 8000)
+		d, _ := NewDiurnal(seed, 8000)
 		return []Arrivals{p, m, d}
 	}
 	a1, a2, b := build(5), build(5), build(6)
@@ -136,7 +136,7 @@ func TestArrivalsMeanRate(t *testing.T) {
 // regimes occur, the burst fraction is in the configured ballpark, and
 // burst-epoch gaps are shorter on average than base-epoch gaps.
 func TestMMPPBurstStructure(t *testing.T) {
-	m, err := NewMMPP(MMPPConfig{Seed: 21, Rate: 10000})
+	m, err := NewMMPP(21, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +172,14 @@ func TestMMPPBurstStructure(t *testing.T) {
 }
 
 // TestDiurnalEnvelope: the instantaneous rate peaks a quarter-cycle in
-// and troughs at three quarters, and the configured amplitude separates
-// them.
+// and troughs at three quarters of the 1024-arrival cycle, and the
+// amplitude separates them.
 func TestDiurnalEnvelope(t *testing.T) {
-	d, err := NewDiurnal(DiurnalConfig{Seed: 31, Rate: 1000, Amplitude: 0.5, Cycle: 1000})
+	d, err := NewDiurnal(31, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak, trough := d.RateAt(250), d.RateAt(750)
+	peak, trough := d.RateAt(256), d.RateAt(768)
 	if peak <= trough {
 		t.Fatalf("peak rate %.0f <= trough rate %.0f", peak, trough)
 	}
@@ -197,29 +197,17 @@ func TestArrivalsConfigValidation(t *testing.T) {
 	if _, err := NewPoisson(1, math.Inf(1)); err == nil {
 		t.Error("NewPoisson(rate +Inf) did not fail")
 	}
-	bad := []MMPPConfig{
-		{Seed: 1, Rate: 0},
-		{Seed: 1, Rate: 100, Burst: 0.5},
-		{Seed: 1, Rate: 100, BurstFrac: 1.5},
-		{Seed: 1, Rate: 100, MeanBurstEpochs: 0.1},
-		{Seed: 1, Rate: 100, Epoch: -1},
-		{Seed: 1, Rate: 100, BurstFrac: 0.9, MeanBurstEpochs: 1}, // pEnter > 1
+	if _, err := NewMMPP(1, 0); err == nil {
+		t.Error("NewMMPP(rate 0) did not fail")
 	}
-	for i, cfg := range bad {
-		if _, err := NewMMPP(cfg); err == nil {
-			t.Errorf("NewMMPP case %d did not fail: %+v", i, cfg)
-		}
+	if _, err := NewMMPP(1, math.NaN()); err == nil {
+		t.Error("NewMMPP(rate NaN) did not fail")
 	}
-	badD := []DiurnalConfig{
-		{Seed: 1, Rate: 0},
-		{Seed: 1, Rate: 100, Amplitude: 1},
-		{Seed: 1, Rate: 100, Amplitude: -0.1},
-		{Seed: 1, Rate: 100, Cycle: 1},
+	if _, err := NewDiurnal(1, 0); err == nil {
+		t.Error("NewDiurnal(rate 0) did not fail")
 	}
-	for i, cfg := range badD {
-		if _, err := NewDiurnal(cfg); err == nil {
-			t.Errorf("NewDiurnal case %d did not fail: %+v", i, cfg)
-		}
+	if _, err := NewDiurnal(1, math.Inf(-1)); err == nil {
+		t.Error("NewDiurnal(rate -Inf) did not fail")
 	}
 }
 

@@ -27,14 +27,17 @@
 //   - Poisson: exponential i.i.d. gaps — the memoryless baseline (the
 //     chaos sweep's overload burst; TestPoissonGapFormula pins the draws).
 //   - MMPP: a two-state Markov-modulated Poisson process — a base regime
-//     and a burst regime whose rate is Burst times higher, switching on
-//     epoch boundaries. Bursty traffic with tunable burst fraction and
-//     residence time.
+//     and a burst regime whose rate is 8 times higher, switching on
+//     32-arrival epoch boundaries: a fifth of the epochs are bursts, four
+//     epochs long on average.
 //   - Diurnal: a sinusoidal rate envelope over the arrival index —
-//     peak/trough traffic with the cycle-average rate normalized to the
-//     nominal rate.
+//     peak/trough traffic (±50 % over a 1024-arrival cycle) with the
+//     cycle-average rate normalized to the nominal rate.
 //   - Trace: replay of a recorded schedule (timestamps + request
 //     classes), cycling past the recorded window.
+//
+// Poisson, MMPP and Diurnal take the same two arguments, (seed, rate):
+// the modulated processes have one fixed shape each.
 //
 // MMPP and Diurnal modulate over the arrival *index*, not wall time: the
 // regime of arrival i depends on i alone. For an open-loop schedule the
@@ -91,11 +94,20 @@ type Poisson struct {
 	rps    float64
 }
 
+// checkRate rejects a rate that is not a positive finite number of
+// requests per second.
+func checkRate(process string, rps float64) error {
+	if rps <= 0 || math.IsInf(rps, 0) || math.IsNaN(rps) {
+		return fmt.Errorf("workloadgen: %s rate must be a positive finite rps, got %g", process, rps)
+	}
+	return nil
+}
+
 // NewPoisson returns a Poisson process averaging rps arrivals per second,
 // keyed by seed.
 func NewPoisson(seed int64, rps float64) (Poisson, error) {
-	if rps <= 0 || math.IsInf(rps, 0) || math.IsNaN(rps) {
-		return Poisson{}, fmt.Errorf("workloadgen: poisson rate must be a positive finite rps, got %g", rps)
+	if err := checkRate("poisson", rps); err != nil {
+		return Poisson{}, err
 	}
 	return Poisson{src: noise.NewSource(seed), meanNS: 1e9 / rps, rps: rps}, nil
 }
@@ -114,99 +126,58 @@ func (p Poisson) Gap(i uint64) time.Duration {
 	return time.Duration(-p.meanNS * math.Log(u))
 }
 
-// MMPPConfig parameterizes the two-state Markov-modulated Poisson
-// process. The zero value is invalid; fill Seed and Rate and leave the
-// rest zero for the documented defaults.
-type MMPPConfig struct {
-	// Seed keys every draw (gap draws and regime transitions).
-	Seed int64
-	// Rate is the long-run mean arrival rate (requests per second)
-	// across both regimes.
-	Rate float64
-	// Burst is the burst-regime rate as a multiple of the base-regime
-	// rate (> 1). Default 8.
-	Burst float64
-	// BurstFrac is the stationary fraction of epochs spent in the burst
-	// regime, in (0, 1). Default 0.2.
-	BurstFrac float64
-	// MeanBurstEpochs is the mean burst residence time in epochs (>= 1):
-	// the chain leaves the burst state with probability
-	// 1/MeanBurstEpochs per epoch. Default 4.
-	MeanBurstEpochs float64
-	// Epoch is the number of arrivals per regime epoch (>= 1): the chain
-	// is sampled once per Epoch arrivals. Default 32.
-	Epoch int
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (c MMPPConfig) withDefaults() MMPPConfig {
-	if c.Burst == 0 {
-		c.Burst = 8
-	}
-	if c.BurstFrac == 0 {
-		c.BurstFrac = 0.2
-	}
-	if c.MeanBurstEpochs == 0 {
-		c.MeanBurstEpochs = 4
-	}
-	if c.Epoch == 0 {
-		c.Epoch = 32
-	}
-	return c
-}
+// The MMPP's fixed shape: the burst regime runs at mmppBurst times the
+// base rate, a stationary mmppBurstFrac of epochs are bursts, a burst lasts
+// mmppMeanBurstEpochs epochs on average (the chain leaves it with
+// probability 1/mmppMeanBurstEpochs per epoch), and the chain is sampled
+// once per mmppEpoch arrivals.
+const (
+	mmppBurst           = 8
+	mmppBurstFrac       = 0.2
+	mmppMeanBurstEpochs = 4
+	mmppEpoch           = 32
+)
 
 // MMPP is the two-state Markov-modulated Poisson process: epochs of
-// Epoch arrivals each draw their gaps at the base rate or the burst rate
-// according to a two-state Markov chain over epochs. The regime of epoch
-// k is a pure function of (seed, k): it is recomputed by walking the
-// chain from epoch 0, so Gap(i) costs O(i/Epoch) chain steps — cheap for
-// the schedule lengths the drivers use, and entirely stateless.
+// mmppEpoch arrivals each draw their gaps at the base rate or the burst
+// rate according to a two-state Markov chain over epochs. The regime of
+// epoch k is a pure function of (seed, k): it is recomputed by walking the
+// chain from epoch 0, so Gap(i) costs O(i/mmppEpoch) chain steps — cheap
+// for the schedule lengths the drivers use, and entirely stateless.
 type MMPP struct {
-	cfg      MMPPConfig
-	gaps     noise.Source // one exponential draw per arrival
-	chain    noise.Source // one transition draw per epoch
-	baseNS   float64      // mean gap in the base regime
-	burstNS  float64      // mean gap in the burst regime
-	pEnter   float64      // P(base -> burst) per epoch
-	pLeave   float64      // P(burst -> base) per epoch
-	burstLen uint64       // arrivals per epoch
+	rps     float64
+	gaps    noise.Source // one exponential draw per arrival
+	chain   noise.Source // one transition draw per epoch
+	baseNS  float64      // mean gap in the base regime
+	burstNS float64      // mean gap in the burst regime
+	pEnter  float64      // P(base -> burst) per epoch
+	pLeave  float64      // P(burst -> base) per epoch
 }
 
-// NewMMPP validates the config and returns the process. The base and
-// burst rates are solved so the long-run mean rate equals cfg.Rate:
-// with stationary burst fraction f and multiplier B, the base rate is
-// Rate*((1-f) + f/B) and the burst rate B times that.
-func NewMMPP(cfg MMPPConfig) (MMPP, error) {
-	cfg = cfg.withDefaults()
-	switch {
-	case cfg.Rate <= 0 || math.IsInf(cfg.Rate, 0) || math.IsNaN(cfg.Rate):
-		return MMPP{}, fmt.Errorf("workloadgen: mmpp rate must be a positive finite rps, got %g", cfg.Rate)
-	case cfg.Burst <= 1:
-		return MMPP{}, fmt.Errorf("workloadgen: mmpp burst multiplier must be > 1, got %g", cfg.Burst)
-	case cfg.BurstFrac <= 0 || cfg.BurstFrac >= 1:
-		return MMPP{}, fmt.Errorf("workloadgen: mmpp burst fraction must be in (0,1), got %g", cfg.BurstFrac)
-	case cfg.MeanBurstEpochs < 1:
-		return MMPP{}, fmt.Errorf("workloadgen: mmpp mean burst residence must be >= 1 epoch, got %g", cfg.MeanBurstEpochs)
-	case cfg.Epoch < 1:
-		return MMPP{}, fmt.Errorf("workloadgen: mmpp epoch must be >= 1 arrival, got %d", cfg.Epoch)
+// NewMMPP returns the process at mean rate rps (requests per second),
+// every draw keyed by seed. The base and burst rates are solved so the
+// long-run mean rate equals rps: with stationary burst fraction f and
+// multiplier B, the base rate is rps*((1-f) + f/B) and the burst rate B
+// times that.
+func NewMMPP(seed int64, rps float64) (MMPP, error) {
+	if err := checkRate("mmpp", rps); err != nil {
+		return MMPP{}, err
 	}
-	pLeave := 1 / cfg.MeanBurstEpochs
-	pEnter := cfg.BurstFrac * pLeave / (1 - cfg.BurstFrac)
-	if pEnter > 1 {
-		return MMPP{}, fmt.Errorf("workloadgen: mmpp burst fraction %g unreachable with mean residence %g epochs (entry probability %g > 1)",
-			cfg.BurstFrac, cfg.MeanBurstEpochs, pEnter)
-	}
-	baseRate := cfg.Rate * ((1 - cfg.BurstFrac) + cfg.BurstFrac/cfg.Burst)
-	root := noise.NewSource(cfg.Seed)
+	// float64 variables, not constant expressions: Go evaluates constant
+	// arithmetic exactly, which could move the rates below by an ulp and
+	// so a recorded schedule; on variables every operation rounds.
+	burst, frac, residence := float64(mmppBurst), float64(mmppBurstFrac), float64(mmppMeanBurstEpochs)
+	pLeave := 1 / residence
+	baseRate := rps * ((1 - frac) + frac/burst)
+	root := noise.NewSource(seed)
 	return MMPP{
-		cfg:      cfg,
-		gaps:     root.Derive(0),
-		chain:    root.Derive(1),
-		baseNS:   1e9 / baseRate,
-		burstNS:  1e9 / (baseRate * cfg.Burst),
-		pEnter:   pEnter,
-		pLeave:   pLeave,
-		burstLen: uint64(cfg.Epoch),
+		rps:     rps,
+		gaps:    root.Derive(0),
+		chain:   root.Derive(1),
+		baseNS:  1e9 / baseRate,
+		burstNS: 1e9 / (baseRate * burst),
+		pEnter:  frac * pLeave / (1 - frac),
+		pLeave:  pLeave,
 	}, nil
 }
 
@@ -214,10 +185,10 @@ func NewMMPP(cfg MMPPConfig) (MMPP, error) {
 func (m MMPP) Name() string { return "mmpp" }
 
 // Rate implements Arrivals.
-func (m MMPP) Rate() float64 { return m.cfg.Rate }
+func (m MMPP) Rate() float64 { return m.rps }
 
 // Bursting reports whether arrival i falls in a burst epoch.
-func (m MMPP) Bursting(i uint64) bool { return m.state(i / m.burstLen) }
+func (m MMPP) Bursting(i uint64) bool { return m.state(i / mmppEpoch) }
 
 // state walks the regime chain from epoch 0 to epoch k. Every epoch
 // consumes exactly one transition draw whichever state it is in, so the
@@ -246,82 +217,57 @@ func (m MMPP) Gap(i uint64) time.Duration {
 	return time.Duration(-mean * math.Log(u))
 }
 
-// DiurnalConfig parameterizes the sinusoidal rate envelope. The zero
-// value is invalid; fill Seed and Rate and leave the rest zero for the
-// documented defaults.
-type DiurnalConfig struct {
-	// Seed keys the gap draws.
-	Seed int64
-	// Rate is the cycle-average arrival rate in requests per second.
-	Rate float64
-	// Amplitude is the peak swing as a fraction of the mean rate, in
-	// [0, 1): the instantaneous rate runs between Rate*(1-A) and
-	// Rate*(1+A) (up to the cycle-average normalization). Default 0.5.
-	Amplitude float64
-	// Cycle is the period of the envelope in arrivals (>= 2). Default
-	// 1024.
-	Cycle int
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (c DiurnalConfig) withDefaults() DiurnalConfig {
-	if c.Amplitude == 0 {
-		c.Amplitude = 0.5
-	}
-	if c.Cycle == 0 {
-		c.Cycle = 1024
-	}
-	return c
-}
+// The diurnal envelope's fixed shape: the instantaneous rate swings
+// diurnalAmplitude of the mean either way (up to the cycle-average
+// normalization) over a period of diurnalCycle arrivals.
+const (
+	diurnalAmplitude = 0.5
+	diurnalCycle     = 1024
+)
 
 // Diurnal is a Poisson process whose rate follows a sinusoidal envelope
-// over the arrival index with period Cycle: a compressed day of traffic
-// with a peak and a trough. The envelope is normalized so the expected
-// time to serve one full cycle is exactly Cycle/Rate — the cycle-average
-// offered rate is the nominal rate, whatever the amplitude.
+// over the arrival index with period diurnalCycle: a compressed day of
+// traffic with a peak and a trough. The envelope is normalized so the
+// expected time to serve one full cycle is exactly diurnalCycle/rate — the
+// cycle-average offered rate is the nominal rate.
 type Diurnal struct {
-	cfg  DiurnalConfig
+	rps  float64
 	src  noise.Source
 	norm float64 // cycle mean of 1/envelope, the Jensen correction
 }
 
-// NewDiurnal validates the config and returns the process.
-func NewDiurnal(cfg DiurnalConfig) (Diurnal, error) {
-	cfg = cfg.withDefaults()
-	switch {
-	case cfg.Rate <= 0 || math.IsInf(cfg.Rate, 0) || math.IsNaN(cfg.Rate):
-		return Diurnal{}, fmt.Errorf("workloadgen: diurnal rate must be a positive finite rps, got %g", cfg.Rate)
-	case cfg.Amplitude < 0 || cfg.Amplitude >= 1:
-		return Diurnal{}, fmt.Errorf("workloadgen: diurnal amplitude must be in [0,1), got %g", cfg.Amplitude)
-	case cfg.Cycle < 2:
-		return Diurnal{}, fmt.Errorf("workloadgen: diurnal cycle must be >= 2 arrivals, got %d", cfg.Cycle)
+// NewDiurnal returns the process at cycle-average rate rps (requests per
+// second), its gap draws keyed by seed.
+func NewDiurnal(seed int64, rps float64) (Diurnal, error) {
+	if err := checkRate("diurnal", rps); err != nil {
+		return Diurnal{}, err
 	}
-	// E[cycle time] = sum over the cycle of 1/(Rate*h*env_j) where
-	// h = mean(1/env): the h factor cancels the sum to Cycle/Rate exactly.
+	// E[cycle time] = sum over the cycle of 1/(rps*h*env_j) where
+	// h = mean(1/env): the h factor cancels the sum to diurnalCycle/rps
+	// exactly.
 	var sum float64
-	for j := 0; j < cfg.Cycle; j++ {
-		sum += 1 / envelope(cfg.Amplitude, j, cfg.Cycle)
+	for j := 0; j < diurnalCycle; j++ {
+		sum += 1 / envelope(j)
 	}
-	return Diurnal{cfg: cfg, src: noise.NewSource(cfg.Seed), norm: sum / float64(cfg.Cycle)}, nil
+	return Diurnal{rps: rps, src: noise.NewSource(seed), norm: sum / diurnalCycle}, nil
 }
 
-// envelope is the sinusoid 1 + A*sin(2*pi*phase), strictly positive for
-// A < 1.
-func envelope(a float64, j, cycle int) float64 {
-	return 1 + a*math.Sin(2*math.Pi*float64(j)/float64(cycle))
+// envelope is the sinusoid 1 + A*sin(2*pi*j/diurnalCycle), strictly
+// positive since A < 1.
+func envelope(j int) float64 {
+	return 1 + diurnalAmplitude*math.Sin(2*math.Pi*float64(j)/diurnalCycle)
 }
 
 // Name implements Arrivals.
 func (d Diurnal) Name() string { return "diurnal" }
 
 // Rate implements Arrivals.
-func (d Diurnal) Rate() float64 { return d.cfg.Rate }
+func (d Diurnal) Rate() float64 { return d.rps }
 
 // RateAt returns the instantaneous rate at arrival i — the envelope
 // value the gap draw for i uses.
 func (d Diurnal) RateAt(i uint64) float64 {
-	j := int(i % uint64(d.cfg.Cycle))
-	return d.cfg.Rate * d.norm * envelope(d.cfg.Amplitude, j, d.cfg.Cycle)
+	return d.rps * d.norm * envelope(int(i%diurnalCycle))
 }
 
 // Gap returns the gap preceding arrival i: exponential at the envelope
