@@ -149,7 +149,10 @@ func NewFabric(cfg FabricConfig, ledger *Ledger, reg *metrics.Registry) (*Fabric
 	return cim.NewFabric(cfg, ledger, reg)
 }
 
-// CompilePlan maps a network onto a fabric configuration.
+// CompilePlan maps a network of Dense layers, biases included, and
+// activations onto a fabric configuration; each Dense layer runs as a DPE
+// engine's dense stage. The ISA has no convolution operand, so convolution
+// and pooling layers are rejected.
 func CompilePlan(net *Network, cfg FabricConfig) (*compiler.Plan, error) {
 	return compiler.Compile(net, cfg)
 }

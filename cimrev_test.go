@@ -10,6 +10,7 @@ import (
 
 	"cimrev/internal/cim"
 	"cimrev/internal/isa"
+	"cimrev/internal/nn"
 )
 
 func TestFacadeTrainDeployInfer(t *testing.T) {
@@ -150,7 +151,11 @@ func TestFacadeSelfHealing(t *testing.T) {
 		if _, err := fabric.AddUnit(a, cim.KindCrossbar); err != nil {
 			t.Fatal(err)
 		}
-		if err := fabric.Configure(a, isa.FuncMVM, [][]float64{{1}}); err != nil {
+		one, err := nn.NewDenseCols([][]float64{{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fabric.Configure(a, isa.FuncMVM, one); err != nil {
 			t.Fatal(err)
 		}
 	}

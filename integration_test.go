@@ -11,6 +11,7 @@ import (
 	"cimrev/internal/cim"
 	"cimrev/internal/fault"
 	"cimrev/internal/isa"
+	"cimrev/internal/nn"
 	"cimrev/internal/security"
 )
 
@@ -78,7 +79,10 @@ func TestIntegrationSelfHealingPipeline(t *testing.T) {
 	if _, err := fabric.AddUnit(sink, cim.KindCompute); err != nil {
 		t.Fatal(err)
 	}
-	w := [][]float64{{1, 0}, {0, 1}}
+	w, err := nn.NewDenseCols([][]float64{{1, 0}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, u := range []Address{mvm, spare} {
 		if _, err := fabric.AddUnit(u, cim.KindCrossbar); err != nil {
 			t.Fatal(err)

@@ -5,11 +5,14 @@ import (
 
 	"cimrev/internal/crossbar"
 	"cimrev/internal/dataflow"
+	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
 	"cimrev/internal/interconnect"
 	"cimrev/internal/isa"
 	"cimrev/internal/metrics"
+	"cimrev/internal/nn"
 	"cimrev/internal/noise"
+	"cimrev/internal/obs"
 	"cimrev/internal/packet"
 )
 
@@ -120,19 +123,8 @@ func (f *Fabric) edgeCost(from, to dataflow.NodeID, nbytes int) energy.Cost {
 // AddUnit creates a unit at addr. The tile number must fit the mesh and the
 // board must match the fabric's.
 func (f *Fabric) AddUnit(addr packet.Address, kind UnitKind) (*Unit, error) {
-	if addr.Board != f.cfg.Board {
-		return nil, fmt.Errorf("cim: address %v is for board %d, fabric is board %d", addr, addr.Board, f.cfg.Board)
-	}
-	if int(addr.Tile) >= f.cfg.MeshW*f.cfg.MeshH {
-		return nil, fmt.Errorf("cim: tile %d outside %dx%d mesh", addr.Tile, f.cfg.MeshW, f.cfg.MeshH)
-	}
-	if _, dup := f.units[addr]; dup {
-		return nil, fmt.Errorf("cim: unit %v already exists", addr)
-	}
-	switch kind {
-	case KindCompute, KindCrossbar, KindControl:
-	default:
-		return nil, fmt.Errorf("cim: unknown unit kind %d", kind)
+	if err := f.CheckUnit(addr, kind, nil); err != nil {
+		return nil, err
 	}
 	name := fmt.Sprintf("%s@%v", kind, addr)
 	id, err := f.graph.AddNode(name, addr, dataflow.Forward())
@@ -148,6 +140,37 @@ func (f *Fabric) AddUnit(addr packet.Address, kind UnitKind) (*Unit, error) {
 	return u, nil
 }
 
+// CheckUnit reports whether AddUnit(addr, kind) would succeed and, for a
+// layer that is not nil, whether Configure(addr, isa.FuncMVM, layer) would
+// then succeed too. It changes nothing, so a caller placing several units
+// checks them all before it adds any.
+func (f *Fabric) CheckUnit(addr packet.Address, kind UnitKind, layer *nn.Dense) error {
+	if addr.Board != f.cfg.Board {
+		return fmt.Errorf("cim: address %v is for board %d, fabric is board %d", addr, addr.Board, f.cfg.Board)
+	}
+	if int(addr.Tile) >= f.cfg.MeshW*f.cfg.MeshH {
+		return fmt.Errorf("cim: tile %d outside %dx%d mesh", addr.Tile, f.cfg.MeshW, f.cfg.MeshH)
+	}
+	if _, dup := f.units[addr]; dup {
+		return fmt.Errorf("cim: unit %v already exists", addr)
+	}
+	switch kind {
+	case KindCompute, KindCrossbar, KindControl:
+	default:
+		return fmt.Errorf("cim: unknown unit kind %d", kind)
+	}
+	if layer == nil {
+		return nil
+	}
+	if kind != KindCrossbar {
+		return fmt.Errorf("cim: unit %v kind %v cannot host MVM", addr, kind)
+	}
+	if _, _, err := dpe.NewDenseStage(f.cfg.Crossbar, layer); err != nil {
+		return fmt.Errorf("cim: MVM on %v: %w", addr, err)
+	}
+	return nil
+}
+
 // Unit returns the unit at addr.
 func (f *Fabric) Unit(addr packet.Address) (*Unit, error) {
 	u, ok := f.units[addr]
@@ -158,17 +181,18 @@ func (f *Fabric) Unit(addr packet.Address) (*Unit, error) {
 }
 
 // funcFactory is the fabric's half of the one configure path, which
-// Configure and program packets both take: FuncMVM programs a crossbar tile
-// on a crossbar unit, every other function is a digital one from
+// Configure and program packets both take: FuncMVM puts layer on a crossbar
+// unit as a dpe.DenseStage, every other function is a digital one from
 // dataflow.DefaultFuncFactory.
 //
 // Stream k's read of the MVM unit at addr draws from
-// src.Derive(k).Derive(Unit·MeshW·MeshH + Tile). For a compiled plan that
-// unit number is the layer index, so stream k draws what a dpe.Engine with
-// the same crossbar config and seed draws for noise key k.
-func (f *Fabric) funcFactory(addr packet.Address, fn isa.Function, weights [][]float64) (dataflow.NodeFunc, error) {
+// src.Derive(k).Derive(Unit·MeshW·MeshH + Tile) and costs the stage's
+// Price. For a compiled plan that unit number is the layer index, so stream
+// k draws what a dpe.Engine with the same crossbar config and seed draws
+// for noise key k.
+func (f *Fabric) funcFactory(addr packet.Address, fn isa.Function, layer *nn.Dense) (dataflow.NodeFunc, error) {
 	if fn != isa.FuncMVM {
-		return dataflow.DefaultFuncFactory(addr, fn, weights)
+		return dataflow.DefaultFuncFactory(addr, fn, layer)
 	}
 	u, err := f.Unit(addr)
 	if err != nil {
@@ -177,37 +201,37 @@ func (f *Fabric) funcFactory(addr packet.Address, fn isa.Function, weights [][]f
 	if u.Kind != KindCrossbar {
 		return nil, fmt.Errorf("cim: unit %v kind %v cannot host MVM", addr, u.Kind)
 	}
-	if len(weights) == 0 {
+	if layer == nil {
 		return nil, fmt.Errorf("cim: MVM on %v requires weights", addr)
 	}
-	tile, err := crossbar.NewTile(f.cfg.Crossbar)
+	st, ck, err := dpe.NewDenseStage(f.cfg.Crossbar, layer)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cim: MVM on %v: %w", addr, err)
 	}
-	cost, err := tile.Program(weights)
-	if err != nil {
-		return nil, err
-	}
+	cost := ck.Program(obs.Ctx{})
 	if f.ledger != nil {
 		f.ledger.Charge("program", cost)
 	}
 	unit := uint64(addr.Unit)*uint64(f.cfg.MeshW*f.cfg.MeshH) + uint64(addr.Tile)
+	price := st.Price()
 	return func(_ *dataflow.State, stream packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
-		out, cost, err := tile.MVM(in, f.src.Derive(uint64(stream)).Derive(unit))
-		if err != nil {
+		out := make([]float64, layer.OutSize())
+		ns := f.src.Derive(uint64(stream)).Derive(unit)
+		if err := st.Read(obs.Ctx{}, [][]float64{out}, [][]float64{in}, []noise.Source{ns}); err != nil {
 			return nil, energy.Zero, err
 		}
 		if f.reg != nil {
 			f.reg.Counter("fabric.mvms").Inc()
 		}
-		return out, cost, nil
+		return out, price, nil
 	}, nil
 }
 
-// Configure assigns a function to a unit, programming crossbar hardware for
-// FuncMVM (weights is the in x out matrix). Non-crossbar units reject MVM.
-func (f *Fabric) Configure(addr packet.Address, fn isa.Function, weights [][]float64) error {
-	return f.engine.Configure(addr, fn, weights)
+// Configure assigns a function to a unit, putting layer on crossbar
+// hardware for FuncMVM (nil for every other function). Non-crossbar units
+// reject MVM.
+func (f *Fabric) Configure(addr packet.Address, fn isa.Function, layer *nn.Dense) error {
+	return f.engine.Configure(addr, fn, layer)
 }
 
 // Connect wires unit src's output to unit dst's input.

@@ -2,15 +2,28 @@ package cim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
 	"cimrev/internal/isa"
 	"cimrev/internal/metrics"
+	"cimrev/internal/nn"
 	"cimrev/internal/packet"
 )
 
 func addr(tile, unit uint16) packet.Address { return packet.Address{Tile: tile, Unit: unit} }
+
+// dense is the bias-free layer whose output o reads cols[o].
+func dense(t *testing.T, cols ...[]float64) *nn.Dense {
+	t.Helper()
+	d, err := nn.NewDenseCols(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 func newFabric(t *testing.T) (*Fabric, *energy.Ledger) {
 	t.Helper()
@@ -77,7 +90,7 @@ func TestFabricMVMPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := [][]float64{{1, 0}, {0, 1}, {0.5, -0.5}} // 3 inputs -> 2 outputs
+	w := dense(t, []float64{1, 0, 0.5}, []float64{0, 1, -0.5}) // 3 inputs -> 2 outputs
 	if err := f.Configure(addr(0, 0), isa.FuncMVM, w); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +140,7 @@ func TestConfigureErrors(t *testing.T) {
 	if err := f.Configure(addr(9, 9), isa.FuncReLU, nil); err == nil {
 		t.Error("configure of missing unit accepted")
 	}
-	if err := f.Configure(addr(0, 0), isa.FuncMVM, [][]float64{{1}}); err == nil {
+	if err := f.Configure(addr(0, 0), isa.FuncMVM, dense(t, []float64{1})); err == nil {
 		t.Error("MVM on compute unit accepted")
 	}
 	if _, err := f.AddUnit(addr(0, 1), KindCrossbar); err != nil {
@@ -138,12 +151,32 @@ func TestConfigureErrors(t *testing.T) {
 	}
 }
 
+func TestCheckUnitChangesNothing(t *testing.T) {
+	f, _ := newFabric(t)
+	w := dense(t, []float64{1, 0}, []float64{0, 1})
+	if err := f.CheckUnit(addr(0, 0), KindCrossbar, w); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CheckUnit(addr(0, 0), KindCompute, w); err == nil {
+		t.Error("an MVM layer checked on a compute unit")
+	}
+	if err := f.CheckUnit(addr(0, 0), KindCrossbar, dense(t, []float64{1, math.NaN()})); err == nil {
+		t.Error("a NaN weight checked")
+	}
+	if err := f.CheckUnit(addr(99, 0), KindCompute, nil); err == nil {
+		t.Error("a tile outside the mesh checked")
+	}
+	if _, err := f.Unit(addr(0, 0)); err == nil {
+		t.Error("CheckUnit added a unit")
+	}
+}
+
 func TestReprogramWriteAsymmetry(t *testing.T) {
 	f, led := newFabric(t)
 	if _, err := f.AddUnit(addr(0, 0), KindCrossbar); err != nil {
 		t.Fatal(err)
 	}
-	w := [][]float64{{1, 0}, {0, 1}}
+	w := dense(t, []float64{1, 0}, []float64{0, 1})
 	for pass := 1; pass <= 2; pass++ {
 		if err := f.Configure(addr(0, 0), isa.FuncMVM, w); err != nil {
 			t.Fatal(err)
@@ -459,11 +492,11 @@ func TestStreamNoiseIndependence(t *testing.T) {
 		if _, err := f.AddUnit(addr(1, 0), KindCrossbar); err != nil {
 			t.Fatal(err)
 		}
-		w := [][]float64{{1, -0.5, 0.25}, {0.5, 1, -1}, {-0.75, 0.25, 0.5}, {0.1, 0.2, 0.3}, {1, 1, -1}, {0, 0.5, 0.5}}
+		w := dense(t, []float64{1, 0.5, -0.75, 0.1, 1, 0}, []float64{-0.5, 1, 0.25, 0.2, 1, 0.5}, []float64{0.25, -1, 0.5, 0.3, -1, 0.5})
 		if err := f.Configure(addr(0, 0), isa.FuncMVM, w); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Configure(addr(1, 0), isa.FuncMVM, [][]float64{{1, 0}, {0.5, -1}, {0.25, 0.75}}); err != nil {
+		if err := f.Configure(addr(1, 0), isa.FuncMVM, dense(t, []float64{1, 0.5, 0.25}, []float64{0, -1, 0.75})); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Connect(addr(0, 0), addr(1, 0)); err != nil {
@@ -493,6 +526,111 @@ func TestStreamNoiseIndependence(t *testing.T) {
 	for i := range alone {
 		if alone[i] != after[i] {
 			t.Errorf("stream B out[%d] = %v alone, %v after stream A", i, alone[i], after[i])
+		}
+	}
+}
+
+// TestISAMatchesEngine: a loadweights operand, in x out, configures an MVM
+// unit that reads == to a dpe.Engine loaded with the bias-free Dense whose
+// W is the operand's transpose — stream k against noise key k — and whose
+// compute ledger is the engine's PredictBatchCost(1) a stream, through
+// LoadProgram and through a program packet alike, in functional and in
+// noisy bit-serial mode. The 5 x 3 operand spans two 4 x 4 block rows.
+func TestISAMatchesEngine(t *testing.T) {
+	const in, out = 5, 3
+	rng := rand.New(rand.NewSource(3))
+	data := make([]float64, in*out)
+	for i := range data {
+		data[i] = rng.Float64()*2 - 1
+	}
+	cols := make([][]float64, out)
+	for o := range cols {
+		cols[o] = make([]float64, in)
+		for r := range cols[o] {
+			cols[o][r] = data[r*out+o]
+		}
+	}
+	streams := [][]float64{{1, -0.5, 0.25, 0.75, -1}, {-0.25, 0.5, 1, 0, 0.5}, {0.1, 0.2, -0.3, 0.4, -0.5}}
+	unit := addr(0, 0)
+	prog := isa.Program{
+		{Op: isa.OpLoadWeights, Unit: unit, Rows: in, Cols: out, Data: data},
+		{Op: isa.OpConfigure, Unit: unit, Fn: isa.FuncMVM},
+	}
+	for _, s := range streams {
+		prog = append(prog, isa.Instruction{Op: isa.OpStream, Unit: unit, Data: s})
+	}
+	prog = append(prog, isa.Instruction{Op: isa.OpHalt})
+	code, err := prog.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, mode := range []string{"functional", "noisy_bitserial"} {
+		for _, path := range []string{"LoadProgram", "packet"} {
+			t.Run(mode+"/"+path, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Crossbar.Rows, cfg.Crossbar.Cols = 4, 4
+				cfg.Crossbar.Functional = mode == "functional"
+				if !cfg.Crossbar.Functional {
+					cfg.Crossbar.ReadNoise = 0.05
+				}
+				led := energy.NewLedger()
+				f, err := NewFabric(cfg, led, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.AddUnit(unit, KindCrossbar); err != nil {
+					t.Fatal(err)
+				}
+				if path == "LoadProgram" {
+					err = f.LoadProgram(prog)
+				} else {
+					err = f.InjectPacket(&packet.Packet{Dst: unit, Type: packet.TypeProgram, Code: code})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := f.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := res[unit]
+				if len(got) != len(streams) {
+					t.Fatalf("%d results for %d streams", len(got), len(streams))
+				}
+
+				ecfg := dpe.DefaultConfig()
+				ecfg.Crossbar, ecfg.Seed = cfg.Crossbar, cfg.Seed
+				eng, err := dpe.New(ecfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := nn.NewNetwork("operand", dense(t, cols...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Load(net); err != nil {
+					t.Fatal(err)
+				}
+				for k, s := range streams {
+					want, _, err := eng.InferBatchKeyed([]uint64{uint64(k)}, [][]float64{s})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j := range want[0] {
+						if got[k][j] != want[0][j] {
+							t.Errorf("stream %d out[%d] = %v on the fabric, %v on the engine", k, j, got[k][j], want[0][j])
+						}
+					}
+				}
+				compute, want := led.Category("compute"), eng.PredictBatchCost(1).Scale(int64(len(streams)))
+				if compute.LatencyPS != want.LatencyPS {
+					t.Errorf("compute latency %d ps on the fabric, engine %d ps", compute.LatencyPS, want.LatencyPS)
+				}
+				if rel := math.Abs(compute.EnergyPJ-want.EnergyPJ) / want.EnergyPJ; rel > 1e-12 {
+					t.Errorf("compute energy %.10g pJ on the fabric, engine %.10g pJ (rel %g)", compute.EnergyPJ, want.EnergyPJ, rel)
+				}
+			})
 		}
 	}
 }

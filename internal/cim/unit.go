@@ -10,7 +10,7 @@
 // The fabric executes dataflow programs loaded through the ISA, charging
 // every computation and packet movement to an energy ledger.
 //
-// The fabric runs the DPE's arithmetic, so a compiled network computes on it
+// The fabric runs the DPE's code, so a compiled network computes on it
 // what it computes on a dpe.Engine with the same crossbar config and seed:
 //
 //   - Noise key. Streams are numbered in injection order from 0. Stream
@@ -18,14 +18,19 @@
 //     src.Derive(k).Derive(Unit·MeshW·MeshH + Tile). For a compiled plan
 //     that unit number is the layer index, so stream k draws what the
 //     engine draws for noise key k.
-//   - One digital half. Digital units apply nn.Activation.Apply and every
-//     digital pass is priced by energy.Digital, the price of the engine's
-//     digital stages. A crossbar unit adds no bias, so a pipeline's compute
-//     energy is the engine's less its dense bias adds.
+//   - One dense stage. An MVM unit is a dpe.DenseStage, the engine's own
+//     unit for a Dense layer: the layer's tile, programmed on its columns,
+//     plus its bias add, and every read costs the stage's Price. Digital
+//     units apply nn.Activation.Apply after it, in the float order of the
+//     engine's fused finish, and every digital pass is priced by
+//     energy.Digital, the price of the engine's digital stages. A
+//     pipeline's outputs and compute energy are the engine's.
 //   - One configure path. Configure and program packets both reach
 //     dataflow.Engine.Configure and the fabric's address-aware factory,
 //     which alone puts an MVM on a unit and checks the unit's kind; a
-//     loaded program and a program packet both run dataflow.Exec.
+//     loaded program and a program packet both run dataflow.Exec, which
+//     transposes a loadweights operand (in x out) into the bias-free
+//     layer the unit runs.
 package cim
 
 import (

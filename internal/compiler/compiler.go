@@ -7,15 +7,15 @@
 // The compiler lowers an nn.Network to a placement of units on a board
 // mesh, assigning dense layers to crossbar units and activations to digital
 // compute units, placing consecutive layers on mesh-adjacent tiles so
-// stream traffic stays local. Apply instantiates a Plan on a fabric. Layer
-// i lands on unit number i (Unit·MeshW·MeshH + Tile), the number the
-// fabric keys its noise by, so a plan's outputs are == to a dpe.Engine's
-// on the same crossbar config.
+// stream traffic stays local. Apply instantiates a Plan on a fabric. A
+// crossbar unit runs its layer as the dpe.DenseStage a dpe.Engine runs for
+// it, bias included, and layer i lands on unit number i (Unit·MeshW·MeshH +
+// Tile), the number the fabric keys its noise by, so a plan's outputs and
+// compute energy are == to a dpe.Engine's on the same crossbar config.
 package compiler
 
 import (
 	"fmt"
-	"slices"
 
 	"cimrev/internal/cim"
 	"cimrev/internal/dataflow"
@@ -34,8 +34,9 @@ type Placement struct {
 	Kind cim.UnitKind
 	// Fn is the configured ISA function.
 	Fn isa.Function
-	// Weights is the in x out matrix for MVM placements (nil otherwise).
-	Weights [][]float64
+	// Layer is the Dense layer an MVM placement runs, the network's own
+	// (nil otherwise).
+	Layer *nn.Dense
 }
 
 // Plan is a compiled network: an ordered pipeline of placements. The
@@ -45,10 +46,10 @@ type Plan struct {
 	Placements []Placement
 }
 
-// Compile lowers net onto a board described by cfg. Supported layers:
-// bias-free Dense (crossbar MVM) and ActivationLayer (digital). Convolutional
-// networks are executed by the DPE engine's layer orchestrator instead of
-// being flattened to a static pipeline; Compile rejects them.
+// Compile lowers net onto a board described by cfg. Supported layers: Dense
+// (crossbar MVM, with its bias) and ActivationLayer (digital). The ISA has
+// no convolution operand, so Compile rejects Conv2D and MaxPool2D; the DPE
+// engine runs those networks.
 func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("compiler: empty network")
@@ -70,14 +71,9 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 		var pl Placement
 		switch l := layer.(type) {
 		case *nn.Dense:
-			// The ISA has no bias function: a crossbar MVM computes W·x
-			// alone, so a bias would be dropped without a word.
-			if slices.ContainsFunc(l.B, func(b float64) bool { return b != 0 }) {
-				return nil, fmt.Errorf("compiler: layer %d (%s) has a nonzero bias, which a static pipeline cannot apply; use the DPE engine", i, l.Name())
-			}
 			pl = Placement{
 				LayerName: l.Name(), Addr: addr,
-				Kind: cim.KindCrossbar, Fn: isa.FuncMVM, Weights: l.WeightMatrix(),
+				Kind: cim.KindCrossbar, Fn: isa.FuncMVM, Layer: l,
 			}
 		case *nn.ActivationLayer:
 			var fn isa.Function
@@ -89,6 +85,8 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 			pl = Placement{
 				LayerName: l.Name(), Addr: addr, Kind: cim.KindCompute, Fn: fn,
 			}
+		case *nn.Conv2D, *nn.MaxPool2D:
+			return nil, fmt.Errorf("compiler: layer %d (%s) needs a convolution operand, which the ISA does not have; use the DPE engine", i, layer.Name())
 		default:
 			return nil, fmt.Errorf("compiler: layer %d (%s) is not supported in a static pipeline; use the DPE engine", i, layer.Name())
 		}
@@ -98,16 +96,23 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 }
 
 // Apply instantiates the plan on a fabric: creates units, programs
-// crossbars, and wires the pipeline.
+// crossbars, and wires the pipeline. Every placement is checked before any
+// unit is added (cim.Fabric.CheckUnit), so a rejected plan leaves the fabric
+// as it was.
 func Apply(plan *Plan, fabric *cim.Fabric) error {
 	if plan == nil || len(plan.Placements) == 0 {
 		return fmt.Errorf("compiler: empty plan")
 	}
 	for _, pl := range plan.Placements {
+		if err := fabric.CheckUnit(pl.Addr, pl.Kind, pl.Layer); err != nil {
+			return fmt.Errorf("compiler: place %s: %w", pl.LayerName, err)
+		}
+	}
+	for _, pl := range plan.Placements {
 		if _, err := fabric.AddUnit(pl.Addr, pl.Kind); err != nil {
 			return fmt.Errorf("compiler: place %s: %w", pl.LayerName, err)
 		}
-		if err := fabric.Configure(pl.Addr, pl.Fn, pl.Weights); err != nil {
+		if err := fabric.Configure(pl.Addr, pl.Fn, pl.Layer); err != nil {
 			return fmt.Errorf("compiler: configure %s: %w", pl.LayerName, err)
 		}
 	}

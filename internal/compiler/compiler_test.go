@@ -65,28 +65,33 @@ func TestCompileErrors(t *testing.T) {
 		t.Error("bad fabric config accepted")
 	}
 
-	// CNN layers are rejected (DPE orchestrates them instead).
+	// CNN layers are rejected (DPE orchestrates them instead): the ISA has
+	// no convolution operand.
 	cnn, err := nn.NewLeNetStyle("cnn", 8, 16, 4, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(cnn, testFabricConfig()); err == nil {
-		t.Error("CNN accepted by static pipeline compiler")
+	_, err = Compile(cnn, testFabricConfig())
+	if err == nil {
+		t.Fatal("CNN accepted by static pipeline compiler")
+	}
+	if !strings.Contains(err.Error(), "layer 0 ("+cnn.Layers[0].Name()+") needs a convolution operand") {
+		t.Errorf("error %q does not name the layer and why", err)
 	}
 }
 
-func TestCompileRejectsBias(t *testing.T) {
-	// The crossbar MVM has no bias term, so a biased Dense layer cannot be
-	// lowered without changing the network's output.
+func TestCompileAcceptsBias(t *testing.T) {
+	// A crossbar unit adds its layer's bias, so a biased Dense layer
+	// compiles, and its placement holds the network's own layer.
 	net := smallMLP(t)
 	dense := net.Layers[2].(*nn.Dense)
 	dense.B[1] = 1.0
-	_, err := Compile(net, testFabricConfig())
-	if err == nil {
-		t.Fatal("Dense layer with a nonzero bias compiled")
+	plan, err := Compile(net, testFabricConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "layer 2 ("+dense.Name()+")") {
-		t.Errorf("error %q does not name the layer", err)
+	if got := plan.Placements[2].Layer; got != dense {
+		t.Errorf("placement 2 holds layer %p, the network's is %p", got, dense)
 	}
 }
 
@@ -148,6 +153,46 @@ func TestApplyAndRunMatchesSoftware(t *testing.T) {
 	}
 	if led.Category("program").LatencyPS == 0 {
 		t.Error("no programming cost charged")
+	}
+}
+
+// TestApplyRejectedPlanWritesNothing: a plan with a non-finite weight in its
+// last crossbar layer is rejected before any unit is added, so the fabric
+// holds none of its units and the mended plan then applies and runs.
+func TestApplyRejectedPlanWritesNothing(t *testing.T) {
+	net := smallMLP(t)
+	w := net.Layers[2].(*nn.Dense).W
+	w[1][3] = math.NaN()
+	cfg := testFabricConfig()
+	plan, err := Compile(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric, err := cim.NewFabric(cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(plan, fabric); err == nil {
+		t.Fatal("a plan with a NaN weight applied")
+	}
+	for _, pl := range plan.Placements {
+		if _, err := fabric.Unit(pl.Addr); err == nil {
+			t.Errorf("the rejected plan left unit %v (%s) on the fabric", pl.Addr, pl.LayerName)
+		}
+	}
+	w[1][3] = 0.5
+	if err := Apply(plan, fabric); err != nil {
+		t.Fatalf("the mended plan: %v", err)
+	}
+	if err := fabric.Stream(plan.Placements[0].Addr, make([]float64, 8)); err != nil {
+		t.Fatal(err)
+	}
+	out, err := fabric.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out[plan.Placements[3].Addr]; len(got) != 1 {
+		t.Errorf("the mended plan gave %d results, want 1", len(got))
 	}
 }
 

@@ -22,10 +22,11 @@ func defaultEdgeCost(_, _ NodeID, nbytes int) energy.Cost {
 }
 
 // FuncFactory materializes the NodeFunc for configuring the unit at addr
-// with fn. The engine owns no crossbar hardware, so MVM and other
-// hardware-backed functions must come from the embedding layer, which also
-// knows what kind of unit lives at addr.
-type FuncFactory func(addr packet.Address, fn isa.Function, weights [][]float64) (NodeFunc, error)
+// with fn; layer is the Dense layer an MVM runs (W[o] is the weights of
+// output o) and nil for every other function. The engine owns no crossbar
+// hardware, so MVM and other hardware-backed functions must come from the
+// embedding layer, which also knows what kind of unit lives at addr.
+type FuncFactory func(addr packet.Address, fn isa.Function, layer *nn.Dense) (NodeFunc, error)
 
 // Activations maps each ISA activation function to the nn activation a
 // digital unit applies for it: the one table the compiler lowers
@@ -39,7 +40,7 @@ var Activations = map[isa.Function]nn.Activation{
 
 // DefaultFuncFactory supports the digital functions; it rejects FuncMVM
 // because MVM needs crossbar hardware from the embedding fabric.
-func DefaultFuncFactory(_ packet.Address, fn isa.Function, _ [][]float64) (NodeFunc, error) {
+func DefaultFuncFactory(_ packet.Address, fn isa.Function, _ *nn.Dense) (NodeFunc, error) {
 	if a, ok := Activations[fn]; ok {
 		return activation(a), nil
 	}
@@ -161,15 +162,15 @@ func (e *Engine) Connect(src, dst packet.Address) error {
 }
 
 // Configure gives the unit at addr the function the factory makes for fn
-// (weights feed an MVM), clears the node's state and charges the
+// (layer is an MVM's), clears the node's state and charges the
 // reconfiguration: the one configure path, which a program packet's
 // configure and an embedding fabric's both take.
-func (e *Engine) Configure(addr packet.Address, fn isa.Function, weights [][]float64) error {
+func (e *Engine) Configure(addr packet.Address, fn isa.Function, layer *nn.Dense) error {
 	n, err := e.graph.NodeByAddr(addr)
 	if err != nil {
 		return err
 	}
-	nf, err := e.factory(addr, fn, weights)
+	nf, err := e.factory(addr, fn, layer)
 	if err != nil {
 		return err
 	}
@@ -326,7 +327,7 @@ func (e *Engine) applyData(n *Node, tok token) error {
 // Target is what an isa.Program drives: an Engine, or a fabric that embeds
 // one and adds its own bookkeeping.
 type Target interface {
-	Configure(addr packet.Address, fn isa.Function, weights [][]float64) error
+	Configure(addr packet.Address, fn isa.Function, layer *nn.Dense) error
 	Connect(src, dst packet.Address) error
 	Stream(addr packet.Address, data []float64) error
 }
@@ -334,29 +335,35 @@ type Target interface {
 // Exec validates prog and runs it against t: the one isa.Program
 // interpreter, behind a loaded program (static dataflow) and a program
 // packet (self-programmable dataflow) alike. A loadweights supplies the
-// weights of the next configure of the same unit; barriers and halt are
-// implicit in the engine's run-to-drain loop.
+// layer of the next configure of the same unit: its in x out operand
+// (Data[r*Cols+c] is the weight input r drives into output c) transposed,
+// once, into the bias-free layer whose column o is the operand's column o.
+// Barriers and halt are implicit in the engine's run-to-drain loop.
 func Exec(t Target, prog isa.Program) error {
 	if err := prog.Validate(); err != nil {
 		return err
 	}
-	var pendingWeights [][]float64
+	var pending *nn.Dense
 	var pendingAddr packet.Address
 	for i, in := range prog {
 		var err error
 		switch in.Op {
 		case isa.OpLoadWeights:
-			w := make([][]float64, in.Rows)
-			for r := range w {
-				w[r] = in.Data[r*in.Cols : (r+1)*in.Cols]
+			w := make([][]float64, in.Cols)
+			for o := range w {
+				w[o] = make([]float64, in.Rows)
+				for r := range w[o] {
+					w[o][r] = in.Data[r*in.Cols+o]
+				}
 			}
-			pendingWeights, pendingAddr = w, in.Unit
+			pending, err = nn.NewDenseCols(w)
+			pendingAddr = in.Unit
 		case isa.OpConfigure:
-			var weights [][]float64
-			if pendingWeights != nil && pendingAddr == in.Unit {
-				weights, pendingWeights = pendingWeights, nil
+			var layer *nn.Dense
+			if pending != nil && pendingAddr == in.Unit {
+				layer, pending = pending, nil
 			}
-			err = t.Configure(in.Unit, in.Fn, weights)
+			err = t.Configure(in.Unit, in.Fn, layer)
 		case isa.OpConnect:
 			err = t.Connect(in.Unit, in.Unit2)
 		case isa.OpStream:

@@ -86,23 +86,85 @@ func (c Config) Validate() error {
 	return c.Crossbar.Validate()
 }
 
+// DenseStage is one Dense layer on crossbar hardware: the layer's tile,
+// programmed on the layer's own columns (W[o] is column o), and its bias
+// add, which rides the shift-add hardware. An Engine runs one for every
+// Dense layer and a cim fabric one for every MVM unit; Price is what each
+// read costs either way.
+type DenseStage struct {
+	layer *nn.Dense
+	tile  *crossbar.Tile
+	// finish is what the tile's tasks run on every finished output stripe:
+	// the bias add, then the activation the stage fuses, if any (fuse).
+	finish func(c0 int, stripe []float64)
+}
+
+// NewDenseStage lays d out on a fresh tile of xb and checks every weight,
+// writing nothing: the Checked it returns writes the tile, so a caller
+// placing several stages can check them all before it programs any, as
+// Load does. The stage's reads add the bias and fuse no activation.
+func NewDenseStage(xb crossbar.Config, d *nn.Dense) (*DenseStage, crossbar.Checked, error) {
+	tile, err := crossbar.NewTile(xb)
+	if err != nil {
+		return nil, crossbar.Checked{}, err
+	}
+	ck, err := tile.Check(d.W)
+	if err != nil {
+		return nil, crossbar.Checked{}, err
+	}
+	s := &DenseStage{layer: d, tile: tile}
+	s.fuse(nil)
+	return s, ck, nil
+}
+
+// fuse sets the stage's finish: the bias add, then act when it is not nil.
+func (s *DenseStage) fuse(act *nn.ActivationLayer) {
+	d := s.layer
+	s.finish = func(c0 int, stripe []float64) {
+		addBias(stripe, d.B[c0:])
+		if act != nil {
+			act.Kind().Apply(stripe)
+		}
+	}
+}
+
+func addBias(stripe, b []float64) {
+	for j, v := range b[:len(stripe)] {
+		stripe[j] += v
+	}
+}
+
+// Read computes outs[i] = W·ins[i] + B for every item, then the fused
+// activation, item i drawing its read noise from nss[i]: one batched tile
+// read under pc.
+func (s *DenseStage) Read(pc obs.Ctx, outs, ins [][]float64, nss []noise.Source) error {
+	_, err := s.tile.MVMBatchIntoCtx(pc, outs, ins, nss, s.finish)
+	return err
+}
+
+// Price is the per-item cost of one Read, a pure function of the programmed
+// layer and the configuration: the tile read, then OutSize bias adds on the
+// shift-add hardware.
+func (s *DenseStage) Price() energy.Cost {
+	return s.tile.Cost().Seq(energy.Cost{EnergyPJ: float64(s.layer.OutSize()) * energy.ShiftAddEnergyPJ})
+}
+
 // stage is one loaded layer.
 type stage struct {
 	layer nn.Layer
-	// tile holds weights for Dense and Conv2D stages.
+	// tile holds weights for Dense and Conv2D stages (for a Dense stage, the
+	// tile dense reads).
 	tile *crossbar.Tile
 	// conv is set for Conv2D stages.
 	conv *nn.Conv2D
 	// dense is set for Dense stages.
-	dense *nn.Dense
+	dense *DenseStage
 	// act is set for activation stages.
 	act *nn.ActivationLayer
-	// finish, on a Dense stage, is what the tile's tasks run on every
-	// finished output stripe: the bias add, then — when the next stage is an
-	// elementwise activation — that activation. That stage is then fused: it
-	// keeps its slot, its span and its simulated cost, and touches no data.
-	finish func(c0 int, stripe []float64)
-	fused  bool
+	// fused is set on an activation stage whose Dense predecessor applies it
+	// (DenseStage.fuse): it keeps its slot, its span and its simulated cost,
+	// and touches no data.
+	fused bool
 }
 
 // linkStages derives each Dense stage's finish, and the activation stages
@@ -117,26 +179,14 @@ func linkStages(stages []stage) {
 	for i := range stages {
 		s := &stages[i]
 		s.fused = i > 0 && stages[i-1].dense != nil && elementwise(s.act)
-		d := s.dense
-		if d == nil {
+		if s.dense == nil {
 			continue
 		}
 		var act *nn.ActivationLayer
 		if i+1 < len(stages) && elementwise(stages[i+1].act) {
 			act = stages[i+1].act
 		}
-		s.finish = func(c0 int, stripe []float64) {
-			addBias(stripe, d.B[c0:])
-			if act != nil {
-				act.Kind().Apply(stripe)
-			}
-		}
-	}
-}
-
-func addBias(stripe, b []float64) {
-	for j, v := range b[:len(stripe)] {
-		stripe[j] += v
+		s.dense.fuse(act)
 	}
 }
 
@@ -299,7 +349,7 @@ func (e *Engine) stagesFor(net *nn.Network) ([]stage, error) {
 		s.layer = layer
 		switch l := layer.(type) {
 		case *nn.Dense:
-			s.dense = l
+			s.dense = &DenseStage{layer: l}
 		case *nn.Conv2D:
 			s.conv = l
 		case *nn.ActivationLayer, *nn.MaxPool2D:
@@ -312,6 +362,9 @@ func (e *Engine) stagesFor(net *nn.Network) ([]stage, error) {
 			return nil, err
 		}
 		s.tile = tile
+		if s.dense != nil {
+			s.dense.tile = tile
+		}
 	}
 	return stages, nil
 }
@@ -345,7 +398,7 @@ func (e *Engine) program(sp obs.Ctx, stages []stage, only []int) (energy.Cost, e
 	cells := 0
 	for _, i := range only {
 		if s := &stages[i]; s.dense != nil {
-			cells += s.dense.InSize() * s.dense.OutSize()
+			cells += s.dense.layer.InSize() * s.dense.layer.OutSize()
 		} else {
 			cells += s.conv.Kh * s.conv.Kw * s.conv.C * s.conv.F
 		}
@@ -356,7 +409,7 @@ func (e *Engine) program(sp obs.Ctx, stages []stage, only []int) (energy.Cost, e
 		s := &stages[only[k]]
 		var cols [][]float64
 		if s.dense != nil {
-			cols = s.dense.W
+			cols = s.dense.layer.W
 		} else {
 			cols = s.conv.FilterColumns()
 		}
@@ -398,15 +451,14 @@ func (e *Engine) Infer(in []float64) ([]float64, energy.Cost, error) {
 
 // price is the stage's per-item cost: what runStage charges every item of
 // a batch and what PredictBatchCost folds, a pure function of the programmed
-// network and the configuration. A dense stage is one tile read plus its
-// bias adds, which ride the shift-add hardware; a conv stage streams its
-// im2col patches through ConvReplicas copies of the filter tile, so latency
-// covers ceil(patches/replicas) waves and energy every patch; activation and
-// pooling stages run on the digital micro-units.
+// network and the configuration. A dense stage costs its DenseStage.Price;
+// a conv stage streams its im2col patches through ConvReplicas copies of the
+// filter tile, so latency covers ceil(patches/replicas) waves and energy
+// every patch; activation and pooling stages run on the digital micro-units.
 func (e *Engine) price(s *stage) energy.Cost {
 	switch {
 	case s.dense != nil:
-		return s.tile.Cost().Seq(energy.Cost{EnergyPJ: float64(s.dense.OutSize()) * energy.ShiftAddEnergyPJ})
+		return s.dense.Price()
 	case s.conv != nil:
 		patch := s.tile.Cost()
 		patches := s.conv.OutH() * s.conv.OutW()
@@ -600,7 +652,7 @@ func (e *Engine) runStage(pc obs.Ctx, s *stage, outs, ins [][]float64, nss []noi
 	switch {
 	case s.dense != nil:
 		sp := pc.Child("dpe.dense")
-		if _, err := s.tile.MVMBatchIntoCtx(sp, outs, ins, nss, s.finish); err != nil {
+		if err := s.dense.Read(sp, outs, ins, nss); err != nil {
 			sp.End(energy.Zero)
 			return err
 		}

@@ -71,7 +71,7 @@ func unfusedInfer(t *testing.T, e *Engine, in []float64, key uint64) []float64 {
 				t.Fatal(err)
 			}
 			for o := range out {
-				out[o] += st.dense.B[o]
+				out[o] += st.dense.layer.B[o]
 			}
 			v = out
 			continue

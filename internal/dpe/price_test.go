@@ -27,7 +27,7 @@ func oracleBatchCost(e *Engine, n int) energy.Cost {
 		switch {
 		case s.dense != nil:
 			read := s.tile.Cost()
-			c = energy.Cost{LatencyPS: read.LatencyPS, EnergyPJ: read.EnergyPJ + float64(s.dense.OutSize())*energy.ShiftAddEnergyPJ}
+			c = energy.Cost{LatencyPS: read.LatencyPS, EnergyPJ: read.EnergyPJ + float64(s.dense.layer.OutSize())*energy.ShiftAddEnergyPJ}
 		case s.conv != nil:
 			read := s.tile.Cost()
 			patches := s.conv.OutH() * s.conv.OutW()

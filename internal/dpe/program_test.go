@@ -135,7 +135,7 @@ func rowMajor(s *stage) [][]float64 {
 	if s.conv != nil {
 		return im2col(s.conv)
 	}
-	return s.dense.WeightMatrix()
+	return s.dense.layer.WeightMatrix()
 }
 
 func mlpSeeded(t *testing.T, seed int64, sizes ...int) *nn.Network {

@@ -181,6 +181,21 @@ func NewDense(in, out int, rng *rand.Rand) (*Dense, error) {
 	return d, nil
 }
 
+// NewDenseCols returns the bias-free dense layer whose output o reads the
+// column w[o], the layout W holds, keeping w itself. Every column must have
+// the same nonzero length.
+func NewDenseCols(w [][]float64) (*Dense, error) {
+	if len(w) == 0 {
+		return nil, fmt.Errorf("nn: dense needs a column")
+	}
+	for _, col := range w {
+		if len(col) == 0 || len(col) != len(w[0]) {
+			return nil, fmt.Errorf("nn: dense columns must share one nonzero length")
+		}
+	}
+	return &Dense{in: len(w[0]), out: len(w), W: w, B: make([]float64, len(w))}, nil
+}
+
 // Name implements Layer.
 func (d *Dense) Name() string { return fmt.Sprintf("dense-%dx%d", d.in, d.out) }
 

@@ -279,6 +279,31 @@ func TestDenseWeightMatrixTranspose(t *testing.T) {
 	}
 }
 
+func TestNewDenseCols(t *testing.T) {
+	w := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+	d, err := NewDenseCols(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.InSize() != 2 || d.OutSize() != 3 || &d.W[0][0] != &w[0][0] {
+		t.Errorf("layer %s does not hold the 3 columns of 2 it was given", d.Name())
+	}
+	got, err := d.Forward([]float64{1, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o, want := range []float64{-1, -1, -1} {
+		if got[o] != want {
+			t.Errorf("out[%d] = %g, want %g (no bias)", o, got[o], want)
+		}
+	}
+	for _, bad := range [][][]float64{nil, {{}}, {{1, 2}, {3}}} {
+		if _, err := NewDenseCols(bad); err == nil {
+			t.Errorf("NewDenseCols(%v) accepted", bad)
+		}
+	}
+}
+
 func TestDenseMetadata(t *testing.T) {
 	d, err := NewDense(10, 5, rng())
 	if err != nil {
