@@ -15,7 +15,6 @@ import (
 
 	"cimrev/internal/cim"
 	"cimrev/internal/crossbar"
-	"cimrev/internal/dataflow"
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
 	"cimrev/internal/experiments"
@@ -612,37 +611,34 @@ func BenchmarkDPEInference(b *testing.B) {
 	}
 }
 
+// BenchmarkDataflowPipeline drives one stream through an 8-stage ReLU
+// chain of compute units on one tile.
 func BenchmarkDataflowPipeline(b *testing.B) {
-	relu, err := dataflow.DefaultFuncFactory(packet.Address{}, isa.FuncReLU, nil)
+	fabric, err := cim.NewFabric(cim.DefaultConfig(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := dataflow.NewGraph()
-	prev := dataflow.NodeID(-1)
-	var first dataflow.NodeID
 	for i := 0; i < 8; i++ {
-		id, err := g.AddNode("n", packet.Address{Unit: uint16(i)}, relu)
-		if err != nil {
+		a := packet.Address{Unit: uint16(i)}
+		if _, err := fabric.AddUnit(a, cim.KindCompute); err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			first = id
-		} else if err := g.Connect(prev, id); err != nil {
+		if err := fabric.Configure(a, isa.FuncReLU, nil); err != nil {
 			b.Fatal(err)
 		}
-		prev = id
-	}
-	eng, err := dataflow.NewEngine(g, nil)
-	if err != nil {
-		b.Fatal(err)
+		if i > 0 {
+			if err := fabric.Connect(packet.Address{Unit: uint16(i - 1)}, a); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 	in := randomVector(rand.New(rand.NewSource(1)), 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.Inject(first, in); err != nil {
+		if err := fabric.Stream(packet.Address{}, in); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Run(); err != nil {
+		if _, err := fabric.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,8 +8,8 @@ package cimrev
 // document cannot land orphaned. docs/PERF.md is in turn the entry point
 // into docs/perf/, its append-only dated entries. The same goes for the
 // things the docs tell a reader to open or type: every BENCH_<x>.json
-// archive, cmd/<name> executable and `make bench-<x>` target they name
-// must exist. And the tables EXPERIMENTS.md quotes from the cost models
+// archive, cmd/<name> executable, internal/<pkg> package and `make
+// bench-<x>` target they name must exist. And the tables EXPERIMENTS.md quotes from the cost models
 // must be what those models print today.
 
 import (
@@ -75,6 +75,7 @@ func checkDocsReferenced(t *testing.T, re *regexp.Regexp, glob string, entryPoin
 var (
 	benchFileRe = regexp.MustCompile(`BENCH_[a-z0-9]+\.json`)
 	cmdDirRe    = regexp.MustCompile(`cmd/[a-z0-9]+`)
+	internalRe  = regexp.MustCompile(`internal/[a-z0-9]+`)
 	makeBenchRe = regexp.MustCompile(`make (bench-[a-z0-9]+)`)
 	makeVarRe   = regexp.MustCompile(`^([A-Z_]+) *[:?]?= *(.*)$`)
 )
@@ -130,7 +131,10 @@ func TestDocsNameRealArtifacts(t *testing.T) {
 			t.Fatalf("reading %s: %v", file, err)
 		}
 		text := string(data)
-		for _, path := range append(benchFileRe.FindAllString(text, -1), cmdDirRe.FindAllString(text, -1)...) {
+		paths := benchFileRe.FindAllString(text, -1)
+		paths = append(paths, cmdDirRe.FindAllString(text, -1)...)
+		paths = append(paths, internalRe.FindAllString(text, -1)...)
+		for _, path := range paths {
 			if _, err := os.Stat(path); err != nil {
 				t.Errorf("%s names %s: %v", file, path, err)
 			}

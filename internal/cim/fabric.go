@@ -2,9 +2,9 @@ package cim
 
 import (
 	"fmt"
+	"slices"
 
 	"cimrev/internal/crossbar"
-	"cimrev/internal/dataflow"
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
 	"cimrev/internal/interconnect"
@@ -54,19 +54,34 @@ func (c Config) Validate() error {
 	return c.Crossbar.Validate()
 }
 
-// Fabric is one CIM board.
+// Fabric is one CIM board and the dataflow runtime that drives it.
 type Fabric struct {
 	cfg    Config
-	graph  *dataflow.Graph
-	engine *dataflow.Engine
 	mesh   *interconnect.Mesh
 	ledger *energy.Ledger
 	reg    *metrics.Registry
-	// src roots the board's counter-based noise tree (see funcFactory).
+	// src roots the board's counter-based noise tree (see mvm).
 	src noise.Source
 
-	units  map[packet.Address]*Unit
-	byNode map[dataflow.NodeID]packet.Address
+	// units indexes every unit ever added by its address, failed ones too;
+	// order holds the same units in the order they were added, the order
+	// Predecessors reports them in.
+	units map[packet.Address]*Unit
+	order []*Unit
+
+	queue []token
+	// maxSteps bounds token deliveries per Run, so a graph with a feedback
+	// loop terminates: 1,000,000.
+	maxSteps int
+	// streams numbers the data streams Stream starts, in injection order:
+	// it is the next stream's number.
+	streams packet.StreamID
+	// outputs collects what sink units emit until Run returns it.
+	outputs map[packet.Address][][]float64
+	// busyUntil is each unit's virtual time during a Run: a unit
+	// serializes its own work while distinct units overlap, so tokens are
+	// delivered in the order a pipelined, fanned-out fabric would see them.
+	busyUntil map[*Unit]int64
 }
 
 // NewFabric builds an empty fabric charging to ledger (nil disables
@@ -79,25 +94,17 @@ func NewFabric(cfg Config, ledger *energy.Ledger, reg *metrics.Registry) (*Fabri
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{
-		cfg:    cfg,
-		graph:  dataflow.NewGraph(),
-		mesh:   mesh,
-		ledger: ledger,
-		reg:    reg,
-		src:    noise.NewSource(cfg.Seed),
-		units:  make(map[packet.Address]*Unit),
-		byNode: make(map[dataflow.NodeID]packet.Address),
-	}
-	engine, err := dataflow.NewEngine(f.graph, ledger,
-		dataflow.WithEdgeCoster(f.edgeCost),
-		dataflow.WithFuncFactory(f.funcFactory),
-	)
-	if err != nil {
-		return nil, err
-	}
-	f.engine = engine
-	return f, nil
+	return &Fabric{
+		cfg:       cfg,
+		mesh:      mesh,
+		ledger:    ledger,
+		reg:       reg,
+		src:       noise.NewSource(cfg.Seed),
+		units:     make(map[packet.Address]*Unit),
+		maxSteps:  1_000_000,
+		outputs:   make(map[packet.Address][][]float64),
+		busyUntil: make(map[*Unit]int64),
+	}, nil
 }
 
 // coordOf maps a tile number to its mesh switch.
@@ -106,34 +113,16 @@ func (f *Fabric) coordOf(addr packet.Address) interconnect.Coord {
 	return interconnect.Coord{X: t % f.cfg.MeshW, Y: t / f.cfg.MeshW}
 }
 
-// edgeCost prices a dataflow edge using the board mesh.
-func (f *Fabric) edgeCost(from, to dataflow.NodeID, nbytes int) energy.Cost {
-	src, okS := f.byNode[from]
-	dst, okD := f.byNode[to]
-	if !okS || !okD {
-		return energy.Zero
-	}
-	cost, err := f.mesh.Transfer(f.coordOf(src), f.coordOf(dst), nbytes)
-	if err != nil {
-		return energy.Zero
-	}
-	return cost
-}
-
-// AddUnit creates a unit at addr. The tile number must fit the mesh and the
-// board must match the fabric's.
+// AddUnit creates a unit at addr, forwarding its input until a configure
+// gives it a function. The tile number must fit the mesh and the board
+// must match the fabric's.
 func (f *Fabric) AddUnit(addr packet.Address, kind UnitKind) (*Unit, error) {
 	if err := f.CheckUnit(addr, kind, nil); err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("%s@%v", kind, addr)
-	id, err := f.graph.AddNode(name, addr, dataflow.Forward())
-	if err != nil {
-		return nil, err
-	}
-	u := &Unit{Kind: kind}
+	u := &Unit{Kind: kind, addr: addr, fn: forward}
 	f.units[addr] = u
-	f.byNode[id] = addr
+	f.order = append(f.order, u)
 	if f.reg != nil {
 		f.reg.Counter("fabric.units").Inc()
 	}
@@ -171,7 +160,7 @@ func (f *Fabric) CheckUnit(addr packet.Address, kind UnitKind, layer *nn.Dense) 
 	return nil
 }
 
-// Unit returns the unit at addr.
+// Unit returns the unit at addr, failed or not.
 func (f *Fabric) Unit(addr packet.Address) (*Unit, error) {
 	u, ok := f.units[addr]
 	if !ok {
@@ -180,41 +169,84 @@ func (f *Fabric) Unit(addr packet.Address) (*Unit, error) {
 	return u, nil
 }
 
-// funcFactory is the fabric's half of the one configure path, which
-// Configure and program packets both take: FuncMVM puts layer on a crossbar
-// unit as a dpe.DenseStage, every other function is a digital one from
-// dataflow.DefaultFuncFactory.
+// live returns the working unit at addr: a failed unit has left the
+// dataflow, so nothing configures, wires or feeds it.
+func (f *Fabric) live(addr packet.Address) (*Unit, error) {
+	u, err := f.Unit(addr)
+	if err != nil {
+		return nil, err
+	}
+	if u.failed {
+		return nil, fmt.Errorf("cim: unit %v has failed", addr)
+	}
+	return u, nil
+}
+
+// Configure gives the unit at addr the function fn, clears its state and
+// charges the reconfiguration: the one configure path, which a loaded
+// program and a program packet take too. FuncMVM puts layer on crossbar
+// hardware (see mvm); every other function is digital and takes a nil
+// layer.
+func (f *Fabric) Configure(addr packet.Address, fn isa.Function, layer *nn.Dense) error {
+	u, err := f.live(addr)
+	if err != nil {
+		return err
+	}
+	var uf unitFunc
+	switch fn {
+	case isa.FuncForward:
+		uf = forward
+	case isa.FuncAccumulate:
+		uf = accumulate
+	case isa.FuncMaxPool:
+		uf = maxPool
+	case isa.FuncMVM:
+		if uf, err = f.mvm(u, layer); err != nil {
+			return err
+		}
+	default:
+		a, ok := Activations[fn]
+		if !ok {
+			return fmt.Errorf("cim: unit %v: unknown function %v", addr, fn)
+		}
+		uf = activation(a)
+	}
+	u.fn, u.state = uf, nil
+	if f.ledger != nil {
+		f.ledger.Charge("reconfigure", energy.Cost{
+			LatencyPS: energy.EDRAMAccessLatencyPS,
+			EnergyPJ:  1,
+		})
+	}
+	return nil
+}
+
+// mvm puts layer on the crossbar unit u as a dpe.DenseStage, charging the
+// array write to "program", and returns the function that reads it.
 //
 // Stream k's read of the MVM unit at addr draws from
 // src.Derive(k).Derive(Unit·MeshW·MeshH + Tile) and costs the stage's
 // Price. For a compiled plan that unit number is the layer index, so stream
 // k draws what a dpe.Engine with the same crossbar config and seed draws
 // for noise key k.
-func (f *Fabric) funcFactory(addr packet.Address, fn isa.Function, layer *nn.Dense) (dataflow.NodeFunc, error) {
-	if fn != isa.FuncMVM {
-		return dataflow.DefaultFuncFactory(addr, fn, layer)
-	}
-	u, err := f.Unit(addr)
-	if err != nil {
-		return nil, err
-	}
+func (f *Fabric) mvm(u *Unit, layer *nn.Dense) (unitFunc, error) {
 	if u.Kind != KindCrossbar {
-		return nil, fmt.Errorf("cim: unit %v kind %v cannot host MVM", addr, u.Kind)
+		return nil, fmt.Errorf("cim: unit %v kind %v cannot host MVM", u.addr, u.Kind)
 	}
 	if layer == nil {
-		return nil, fmt.Errorf("cim: MVM on %v requires weights", addr)
+		return nil, fmt.Errorf("cim: MVM on %v requires weights", u.addr)
 	}
 	st, ck, err := dpe.NewDenseStage(f.cfg.Crossbar, layer)
 	if err != nil {
-		return nil, fmt.Errorf("cim: MVM on %v: %w", addr, err)
+		return nil, fmt.Errorf("cim: MVM on %v: %w", u.addr, err)
 	}
 	cost := ck.Program(obs.Ctx{})
 	if f.ledger != nil {
 		f.ledger.Charge("program", cost)
 	}
-	unit := uint64(addr.Unit)*uint64(f.cfg.MeshW*f.cfg.MeshH) + uint64(addr.Tile)
+	unit := uint64(u.addr.Unit)*uint64(f.cfg.MeshW*f.cfg.MeshH) + uint64(u.addr.Tile)
 	price := st.Price()
-	return func(_ *dataflow.State, stream packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
+	return func(_ *[]float64, stream packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
 		out := make([]float64, layer.OutSize())
 		ns := f.src.Derive(uint64(stream)).Derive(unit)
 		if err := st.Read(obs.Ctx{}, [][]float64{out}, [][]float64{in}, []noise.Source{ns}); err != nil {
@@ -227,52 +259,60 @@ func (f *Fabric) funcFactory(addr packet.Address, fn isa.Function, layer *nn.Den
 	}, nil
 }
 
-// Configure assigns a function to a unit, putting layer on crossbar
-// hardware for FuncMVM (nil for every other function). Non-crossbar units
-// reject MVM.
-func (f *Fabric) Configure(addr packet.Address, fn isa.Function, layer *nn.Dense) error {
-	return f.engine.Configure(addr, fn, layer)
-}
-
-// Connect wires unit src's output to unit dst's input.
+// Connect wires unit src's output to unit dst's input. Self-edges and
+// duplicate edges are rejected.
 func (f *Fabric) Connect(src, dst packet.Address) error {
-	return f.engine.Connect(src, dst)
+	a, err := f.live(src)
+	if err != nil {
+		return err
+	}
+	b, err := f.live(dst)
+	if err != nil {
+		return err
+	}
+	if a == b {
+		return fmt.Errorf("cim: self-edge on unit %v", src)
+	}
+	if slices.Contains(a.succs, b) {
+		return fmt.Errorf("cim: edge %v->%v already exists", src, dst)
+	}
+	a.succs = append(a.succs, b)
+	return nil
 }
 
-// Predecessors returns the units with an edge into addr.
+// Predecessors returns the units with an edge into addr, in the order they
+// were added.
 func (f *Fabric) Predecessors(addr packet.Address) ([]packet.Address, error) {
-	node, err := f.graph.NodeByAddr(addr)
+	u, err := f.live(addr)
 	if err != nil {
 		return nil, err
 	}
-	ids := f.graph.Predecessors(node.ID)
-	out := make([]packet.Address, 0, len(ids))
-	for _, id := range ids {
-		if a, ok := f.byNode[id]; ok {
-			out = append(out, a)
+	out := []packet.Address{}
+	for _, p := range f.order {
+		if slices.Contains(p.succs, u) {
+			out = append(out, p.addr)
 		}
 	}
 	return out, nil
 }
 
-// Successors returns the units addr feeds into.
+// Successors returns the units addr feeds into, in the order they were
+// connected.
 func (f *Fabric) Successors(addr packet.Address) ([]packet.Address, error) {
-	node, err := f.graph.NodeByAddr(addr)
+	u, err := f.live(addr)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]packet.Address, 0, len(node.Successors()))
-	for _, id := range node.Successors() {
-		if a, ok := f.byNode[id]; ok {
-			out = append(out, a)
-		}
+	out := make([]packet.Address, 0, len(u.succs))
+	for _, s := range u.succs {
+		out = append(out, s.addr)
 	}
 	return out, nil
 }
 
-// DisableUnit fault-disables a unit: its node leaves the graph so in-flight
-// tokens addressed to it are dropped at the containment boundary
-// (Section V.A).
+// DisableUnit fault-disables a unit: it leaves the dataflow with every edge
+// touching it, so tokens on their way to it are dropped at the containment
+// boundary (Section V.A).
 func (f *Fabric) DisableUnit(addr packet.Address) error {
 	u, err := f.Unit(addr)
 	if err != nil {
@@ -281,61 +321,57 @@ func (f *Fabric) DisableUnit(addr packet.Address) error {
 	if u.failed {
 		return fmt.Errorf("cim: unit %v already failed", addr)
 	}
-	node, err := f.graph.NodeByAddr(addr)
-	if err != nil {
-		return err
+	u.failed, u.succs = true, nil
+	for _, other := range f.order {
+		other.succs = slices.DeleteFunc(other.succs, func(s *Unit) bool { return s == u })
 	}
-	if err := f.graph.RemoveNode(node.ID); err != nil {
-		return err
-	}
-	delete(f.byNode, node.ID)
-	u.failed = true
 	if f.reg != nil {
 		f.reg.Counter("fabric.failures").Inc()
 	}
 	return nil
 }
 
-// LoadProgram applies a full ISA program: configure/loadweights pairs,
-// connections, and initial streams. This is the static-dataflow
-// configuration path; it runs dataflow.Exec, the interpreter a program
-// packet runs.
+// LoadProgram validates prog and runs it on the fabric: the one
+// isa.Program interpreter, behind static dataflow (a loaded program) and
+// self-programmable dataflow (a program packet) alike. A loadweights
+// supplies the layer of the next configure of the same unit: its in x out
+// operand (Data[r*Cols+c] is the weight input r drives into output c)
+// transposed, once, into the bias-free layer whose column o is the
+// operand's column o. Barriers and halt are implicit in Run's
+// run-to-drain loop.
 func (f *Fabric) LoadProgram(prog isa.Program) error {
-	return dataflow.Exec(f, prog)
-}
-
-// Stream injects data into a unit as the fabric's next stream (streams are
-// numbered in injection order from 0; see funcFactory).
-func (f *Fabric) Stream(addr packet.Address, data []float64) error {
-	if err := f.engine.Stream(addr, data); err != nil {
+	if err := prog.Validate(); err != nil {
 		return err
 	}
-	if f.reg != nil {
-		f.reg.Counter("fabric.streams").Inc()
+	var pending *nn.Dense
+	var pendingAddr packet.Address
+	for i, in := range prog {
+		var err error
+		switch in.Op {
+		case isa.OpLoadWeights:
+			w := make([][]float64, in.Cols)
+			for o := range w {
+				w[o] = make([]float64, in.Rows)
+				for r := range w[o] {
+					w[o][r] = in.Data[r*in.Cols+o]
+				}
+			}
+			pending, err = nn.NewDenseCols(w)
+			pendingAddr = in.Unit
+		case isa.OpConfigure:
+			var layer *nn.Dense
+			if pending != nil && pendingAddr == in.Unit {
+				layer, pending = pending, nil
+			}
+			err = f.Configure(in.Unit, in.Fn, layer)
+		case isa.OpConnect:
+			err = f.Connect(in.Unit, in.Unit2)
+		case isa.OpStream:
+			err = f.Stream(in.Unit, in.Data)
+		}
+		if err != nil {
+			return fmt.Errorf("cim: program instr %d: %w", i, err)
+		}
 	}
 	return nil
-}
-
-// InjectPacket delivers an arbitrary packet (program packets drive the
-// self-programmable dataflow model with fabric-backed MVM support). A data
-// packet is read as the stream its Stream field names.
-func (f *Fabric) InjectPacket(p *packet.Packet) error {
-	return f.engine.InjectPacket(p)
-}
-
-// Run drains the dataflow queue, returning outputs keyed by unit address.
-func (f *Fabric) Run() (map[packet.Address][][]float64, error) {
-	raw, err := f.engine.Run()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[packet.Address][][]float64, len(raw))
-	for id, results := range raw {
-		addr, ok := f.byNode[id]
-		if !ok {
-			continue
-		}
-		out[addr] = results
-	}
-	return out, nil
 }

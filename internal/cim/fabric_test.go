@@ -238,8 +238,8 @@ func TestLoadProgramErrors(t *testing.T) {
 }
 
 func TestSelfProgrammingWithCrossbarHardware(t *testing.T) {
-	// A program packet configures an MVM unit: the fabric's func factory
-	// must provision real crossbar hardware (dataflow alone cannot).
+	// A program packet configures an MVM unit: its configure must
+	// provision real crossbar hardware.
 	f, _ := newFabric(t)
 	if _, err := f.AddUnit(addr(0, 0), KindCrossbar); err != nil {
 		t.Fatal(err)
@@ -421,14 +421,16 @@ func TestUnitKindStringsAndAccessors(t *testing.T) {
 	if u.Kind != KindCompute || u.Failed() {
 		t.Errorf("fresh unit: kind %v failed %v, want a healthy compute unit", u.Kind, u.Failed())
 	}
+	if got, err := f.Unit(addr(0, 0)); err != nil || got != u {
+		t.Errorf("Unit(0/0/0) = %p, %v; want the unit AddUnit returned, %p", got, err, u)
+	}
 	if err := f.Configure(addr(0, 0), isa.FuncSigmoid, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSelfProgrammingMVMWithoutWeights(t *testing.T) {
-	// The fabric func factory rejects an MVM configure that never received
-	// loadweights.
+	// Configure rejects an MVM that never received loadweights.
 	f, _ := newFabric(t)
 	if _, err := f.AddUnit(addr(0, 0), KindCrossbar); err != nil {
 		t.Fatal(err)
@@ -450,8 +452,8 @@ func TestSelfProgrammingMVMWithoutWeights(t *testing.T) {
 }
 
 func TestProgramPacketChecksUnitKind(t *testing.T) {
-	// A program packet configures through the same factory as Configure,
-	// so it cannot put an MVM on a digital unit either.
+	// A program packet configures through Configure itself, so it cannot
+	// put an MVM on a digital unit either.
 	f, _ := newFabric(t)
 	if _, err := f.AddUnit(addr(0, 0), KindCompute); err != nil {
 		t.Fatal(err)

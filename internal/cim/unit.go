@@ -7,8 +7,28 @@
 // A Fabric is one board: a mesh-interconnected set of tiles, each holding
 // addressable units. Units are heterogeneous ("every CIM unit can be
 // different"): digital compute units, crossbar MVM units, and control units.
-// The fabric executes dataflow programs loaded through the ISA, charging
-// every computation and packet movement to an energy ledger.
+// A Unit is one record of the three components: its processing (the
+// function a configure gives it), its data (the state a stateful function
+// keeps) and its control (the units it forwards to, and an optional router).
+//
+// The fabric is also the dataflow runtime. The paper grounds CIM in
+// "dataflow-like architectures, where data is continuously input into [a]
+// device which is able to both store some data and computation" (Section
+// I), and Section III.B defines three programming models, all of which the
+// fabric runs:
+//
+//   - Static dataflow: units configured and wired once (LoadProgram, or
+//     Configure and Connect), then fed stream after stream.
+//   - Dynamic dataflow: per-packet routing, explicit (the packet carries its
+//     route) or implicit (a router function of unit state and input).
+//   - Self-programmable dataflow: a program packet carries an isa.Program
+//     that reconfigures and rewires units in flight.
+//
+// Run delivers tokens in virtual-time order: each unit serializes its own
+// work while distinct units overlap, every computation is charged to the
+// ledger's "compute" category and every hop, priced by the board mesh, to
+// "network". A token whose unit has failed is dropped at the containment
+// boundary (Section V.A).
 //
 // The fabric runs the DPE's code, so a compiled network computes on it
 // what it computes on a dpe.Engine with the same crossbar config and seed:
@@ -25,16 +45,21 @@
 //     engine's fused finish, and every digital pass is priced by
 //     energy.Digital, the price of the engine's digital stages. A
 //     pipeline's outputs and compute energy are the engine's.
-//   - One configure path. Configure and program packets both reach
-//     dataflow.Engine.Configure and the fabric's address-aware factory,
-//     which alone puts an MVM on a unit and checks the unit's kind; a
-//     loaded program and a program packet both run dataflow.Exec, which
-//     transposes a loadweights operand (in x out) into the bias-free
-//     layer the unit runs.
+//   - One configure path. Configure is the one place a unit gets its
+//     function, and the only one that puts an MVM on a unit and checks the
+//     unit's kind. LoadProgram is the one isa.Program interpreter, which a
+//     program packet runs too; it transposes a loadweights operand
+//     (in x out) into the bias-free layer the unit runs.
 package cim
 
 import (
 	"fmt"
+	"math"
+
+	"cimrev/internal/energy"
+	"cimrev/internal/isa"
+	"cimrev/internal/nn"
+	"cimrev/internal/packet"
 )
 
 // UnitKind classifies a unit's hardware.
@@ -69,8 +94,81 @@ type Unit struct {
 	// Kind is the unit's hardware class.
 	Kind UnitKind
 
+	addr   packet.Address
 	failed bool
+	fn     unitFunc
+	state  []float64
+	// router, when set, picks where a data token goes next from the unit's
+	// state and the packet: implicit dynamic dataflow, routing as "a
+	// function of the state in CIM and the input data". A nil result falls
+	// back to succs.
+	router func(state []float64, p *packet.Packet) []*Unit
+	succs  []*Unit
 }
 
 // Failed reports whether the unit has been fault-disabled.
 func (u *Unit) Failed() bool { return u.failed }
+
+// unitFunc is a unit's processing component: it consumes an input vector of
+// the given stream, may read and update the unit's persistent state, and
+// produces an output vector plus the cost of the computation. A nil output
+// means the unit did not fire. A unit that draws analog noise keys it by
+// the stream number.
+type unitFunc func(state *[]float64, stream packet.StreamID, in []float64) ([]float64, energy.Cost, error)
+
+// Activations maps each ISA activation function to the nn activation a
+// digital unit applies for it: the one table the compiler lowers
+// activation layers through.
+var Activations = map[isa.Function]nn.Activation{
+	isa.FuncReLU:    nn.ActReLU,
+	isa.FuncSigmoid: nn.ActSigmoid,
+	isa.FuncTanh:    nn.ActTanh,
+	isa.FuncSoftmax: nn.ActSoftmax,
+}
+
+// Every digital function is one micro-unit pass, priced by energy.Digital.
+
+// forward passes input through unchanged: a fresh unit's function.
+func forward(_ *[]float64, _ packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
+	return append([]float64(nil), in...), energy.Digital(len(in)), nil
+}
+
+// activation applies a on a copy of the input: nn's definition of it, the
+// one the DPE's digital stages run.
+func activation(a nn.Activation) unitFunc {
+	return func(_ *[]float64, _ packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
+		out := append([]float64(nil), in...)
+		a.Apply(out)
+		return out, energy.Digital(len(in)), nil
+	}
+}
+
+// accumulate sums successive inputs elementwise into the unit's state and
+// emits the running sum.
+func accumulate(state *[]float64, _ packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
+	s := grow(state, len(in), 0)
+	for i, v := range in {
+		s[i] += v
+	}
+	return append([]float64(nil), s[:len(in)]...), energy.Digital(len(in)), nil
+}
+
+// maxPool emits the running elementwise maximum of everything seen.
+func maxPool(state *[]float64, _ packet.StreamID, in []float64) ([]float64, energy.Cost, error) {
+	s := grow(state, len(in), math.Inf(-1))
+	for i, v := range in {
+		if v > s[i] {
+			s[i] = v
+		}
+	}
+	return append([]float64(nil), s[:len(in)]...), energy.Digital(len(in)), nil
+}
+
+// grow extends *state to at least n values, each new one fill, and returns
+// it.
+func grow(state *[]float64, n int, fill float64) []float64 {
+	for len(*state) < n {
+		*state = append(*state, fill)
+	}
+	return *state
+}

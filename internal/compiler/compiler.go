@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"cimrev/internal/cim"
-	"cimrev/internal/dataflow"
 	"cimrev/internal/isa"
 	"cimrev/internal/nn"
 	"cimrev/internal/packet"
@@ -77,7 +76,7 @@ func Compile(net *nn.Network, cfg cim.Config) (*Plan, error) {
 			}
 		case *nn.ActivationLayer:
 			var fn isa.Function
-			for f, a := range dataflow.Activations {
+			for f, a := range cim.Activations {
 				if a == l.Kind() {
 					fn = f
 				}
