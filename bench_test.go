@@ -116,15 +116,17 @@ func BenchmarkSecVIPower(b *testing.B) {
 // --- E7: Section VI scale ---
 
 func BenchmarkSecVIScale(b *testing.B) {
+	boards := []int{1, 4, 8}
 	var res *experiments.ScaleResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Scale([]int{1, 4, 8}, 256, 32)
+		res, err = experiments.Scale(boards, 256, 32)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	last := res.Rows[len(res.Rows)-1]
+	// The one-layer net's 8-board row; the deep net's rows follow it.
+	last := res.Rows[len(boards)-1]
 	b.ReportMetric(100*last.Efficiency, "eff8_pct")
 	b.ReportMetric(last.UpdateStallPct, "stall_pct")
 	b.ReportMetric(last.UpdateHiddenPct, "hidden_pct")

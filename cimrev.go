@@ -96,8 +96,6 @@ type (
 	DPEConfig = dpe.Config
 	// DPE is a programmed Dot Product Engine.
 	DPE = dpe.Engine
-	// DPECluster is a multi-board DPE deployment.
-	DPECluster = dpe.Cluster
 )
 
 // DefaultDPEConfig returns the standard engine configuration.
@@ -105,11 +103,6 @@ func DefaultDPEConfig() DPEConfig { return dpe.DefaultConfig() }
 
 // NewDPE builds an empty engine.
 func NewDPE(cfg DPEConfig) (*DPE, error) { return dpe.New(cfg) }
-
-// NewDPECluster builds a multi-board deployment.
-func NewDPECluster(cfg DPEConfig, boards int, linkLenM, linkBW float64) (*DPECluster, error) {
-	return dpe.NewCluster(cfg, boards, linkLenM, linkBW)
-}
 
 // Neural networks.
 type (

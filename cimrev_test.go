@@ -171,24 +171,6 @@ func TestFacadeSelfHealing(t *testing.T) {
 	}
 }
 
-func TestFacadeCluster(t *testing.T) {
-	cluster, err := NewDPECluster(DefaultDPEConfig(), 2, 1.0, 100e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := NewMLP("cluster", []int{8, 4}, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cluster.Load(net); err != nil {
-		t.Fatal(err)
-	}
-	ins := [][]float64{make([]float64, 8), make([]float64, 8), make([]float64, 8)}
-	if out, _, err := cluster.InferBatch(ins); err != nil || len(out) != 3 {
-		t.Errorf("InferBatch over 2 boards = %d outputs, %v; want 3", len(out), err)
-	}
-}
-
 func TestFacadeCrossbar(t *testing.T) {
 	xb, err := NewCrossbar(DefaultCrossbarConfig())
 	if err != nil {

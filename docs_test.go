@@ -179,9 +179,14 @@ func TestDocsExperimentTablesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scale, err := experiments.Scale([]int{1, 2, 4, 8, 16}, 512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ heading, live string }{
 		{"## E3 — Table 2: application suitability", table2.Format()},
 		{"## Sweep — application parallelism (Section VII next step)", sweep.Format()},
+		{"## E7 — Section VI: scale and write asymmetry", scale.Format()},
 	} {
 		if doc := experimentBlock(t, c.heading); doc != c.live {
 			t.Errorf("EXPERIMENTS.md %q block drifted from the live output:\n--- doc\n%s--- live\n%s", c.heading, doc, c.live)

@@ -53,7 +53,14 @@ func (f *Fabric) InjectPacket(p *packet.Packet) error {
 // Run delivers tokens until the queue drains, returning what each sink unit
 // emitted since the last Run, keyed by its address. It fails if maxSteps
 // deliveries occur without draining (the livelock guard for cyclic graphs).
-func (f *Fabric) Run() (map[packet.Address][][]float64, error) {
+// A failed Run drops its pending tokens and outputs; the ledger keeps what ran.
+func (f *Fabric) Run() (_ map[packet.Address][][]float64, err error) {
+	defer func() {
+		if err != nil {
+			f.queue = nil
+			clear(f.outputs)
+		}
+	}()
 	clear(f.busyUntil)
 	for steps := 0; len(f.queue) > 0; steps++ {
 		if steps >= f.maxSteps {

@@ -210,6 +210,42 @@ func TestExplicitRouteThroughDisabledUnit(t *testing.T) {
 	}
 }
 
+// TestFailedRunLeavesNothingBehind: a Run that fails drops the tokens it
+// did not deliver and the outputs it gathered, so the next Run, with
+// nothing injected, returns nothing; the ledger keeps the work that ran.
+func TestFailedRunLeavesNothingBehind(t *testing.T) {
+	f, led := newFabric(t)
+	for _, a := range []packet.Address{addr(0, 0), addr(1, 0), addr(2, 0)} {
+		if _, err := f.AddUnit(a, KindCompute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Stream(addr(2, 0), []float64{5}); err != nil {
+		t.Fatal(err)
+	}
+	nowhere := &packet.Packet{Dst: addr(0, 0), Type: packet.TypeData, Payload: []float64{1},
+		Route: []packet.Address{addr(9, 9)}}
+	if err := f.InjectPacket(nowhere); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Stream(addr(1, 0), []float64{7}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(); err == nil {
+		t.Fatal("a route to an address with no unit did not fail the run")
+	}
+	ran := led.Category("compute")
+	if ran == energy.Zero {
+		t.Error("the ledger lost the work the failed run did")
+	}
+	if out := run(t, f); len(out) != 0 {
+		t.Errorf("the run after a failed one returned %v, want nothing", out)
+	}
+	if got := led.Category("compute"); got != ran {
+		t.Errorf("the run after a failed one charged %v, want nothing beyond %v", got, ran)
+	}
+}
+
 func programPacket(t *testing.T, dst packet.Address, prog isa.Program) *packet.Packet {
 	t.Helper()
 	code, err := prog.Encode()

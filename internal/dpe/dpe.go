@@ -14,14 +14,14 @@
 // The simulator exploits the same spatial parallelism the hardware does:
 // Load checks every layer and then fans independent layers across the
 // internal/parallel worker pool (when the cells they write pay for the
-// fork-join), Cluster fans independent boards, and InferBatch advances its
-// batch stage by stage, handing each dense or conv stage's tile the whole
-// item panel — the fan-out of a batch is the tile's (item chunk ×
-// column-block group) tasks, not its items, and a dense stage's merge, bias
-// and elementwise activation finish inside the task that computed the
-// elements — all with deterministic index-ordered reductions, so
-// outputs and energy/latency totals are bit-identical to serial execution
-// at any pool width (see docs/PARALLELISM.md). Analog read noise comes
+// fork-join), and InferBatch advances its batch stage by stage, handing
+// each dense or conv stage's tile the whole item panel — the fan-out of a
+// batch is the tile's (item chunk × column-block group) tasks, not its
+// items, and a dense stage's merge, bias and elementwise activation finish
+// inside the task that computed the elements — all with deterministic
+// index-ordered reductions, so outputs and energy/latency totals are
+// bit-identical to serial execution at any pool width (see
+// docs/PARALLELISM.md). Analog read noise comes
 // from a counter-based internal/noise tree keyed by (seed, inference
 // sequence, stage, patch, block, position), so noisy batches fan out
 // exactly like noise-free ones and still reproduce bit-identically;

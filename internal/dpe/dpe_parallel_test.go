@@ -200,48 +200,3 @@ func TestReprogramParallelEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestClusterParallelEquivalence: cluster batches split across boards must
-// produce identical outputs and totals at any pool width.
-func TestClusterParallelEquivalence(t *testing.T) {
-	t.Cleanup(func() { parallel.SetWidth(0) })
-
-	run := func(width int) ([][]float64, energy.Cost) {
-		parallel.SetWidth(width)
-		cluster, err := NewCluster(testConfig(), 3, 1.0, 100e9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net := mlp(t, 48, 24, 8)
-		if _, err := cluster.Load(net); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(31))
-		inputs := make([][]float64, 10)
-		for i := range inputs {
-			inputs[i] = make([]float64, 48)
-			for j := range inputs[i] {
-				inputs[i][j] = rng.Float64()*2 - 1
-			}
-		}
-		outs, cost, err := cluster.InferBatch(inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outs, cost
-	}
-	refOuts, refCost := run(1)
-	for _, w := range []int{4, 16} {
-		outs, cost := run(w)
-		if cost != refCost {
-			t.Fatalf("width %d: cluster cost %v != serial %v", w, cost, refCost)
-		}
-		for i := range outs {
-			for j := range outs[i] {
-				if outs[i][j] != refOuts[i][j] {
-					t.Fatalf("width %d: cluster out[%d][%d] differs", w, i, j)
-				}
-			}
-		}
-	}
-}

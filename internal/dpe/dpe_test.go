@@ -205,6 +205,51 @@ func TestReprogramHiding(t *testing.T) {
 	}
 }
 
+// TestReloadMatchesFreshLoad: a Load of a loaded engine leaves it serving
+// the new weights == to a fresh engine loaded with them, functional and
+// noisy bit-serial alike (the reload restarts the noise sequence).
+func TestReloadMatchesFreshLoad(t *testing.T) {
+	noisy := testConfig()
+	noisy.Crossbar.Functional = false
+	noisy.Crossbar.ReadNoise = 0.01
+	netB := mlpSeeded(t, 77, 48, 32, 10)
+	rng := rand.New(rand.NewSource(5))
+	inputs := make([][]float64, 6)
+	for i := range inputs {
+		inputs[i] = make([]float64, 48)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	for name, cfg := range map[string]Config{"functional": testConfig(), "bit-serial": noisy} {
+		// serve loads each network in turn and serves the batch on it,
+		// returning the last network's outputs.
+		serve := func(nets ...*nn.Network) (outs [][]float64) {
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, net := range nets {
+				if _, err := e.Load(net); err != nil {
+					t.Fatal(err)
+				}
+				if outs, _, err = e.InferBatch(inputs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return outs
+		}
+		got, want := serve(mlp(t, 48, 32, 10), netB), serve(netB)
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("%s: input %d output[%d] = %g, want %g", name, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
+
 func TestWriteAsymmetryDominatesProgramming(t *testing.T) {
 	net := mlp(t, 64, 64, 8)
 	e, err := New(testConfig())
@@ -253,66 +298,6 @@ func TestEffectiveWeightBandwidth(t *testing.T) {
 	}
 	if e.EffectiveWeightBandwidth(energy.Zero) != 0 {
 		t.Error("zero-latency bandwidth should be 0")
-	}
-}
-
-func TestClusterScaling(t *testing.T) {
-	net := mlp(t, 128, 128, 10)
-	mkBatch := func(n int) [][]float64 {
-		b := make([][]float64, n)
-		for i := range b {
-			b[i] = make([]float64, 128)
-			for j := range b[i] {
-				b[i][j] = math.Sin(float64(i + j))
-			}
-		}
-		return b
-	}
-	run := func(boards int) energy.Cost {
-		c, err := NewCluster(testConfig(), boards, 1.0, 100e9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Load(net); err != nil {
-			t.Fatal(err)
-		}
-		outs, cost, err := c.InferBatch(mkBatch(16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(outs) != 16 {
-			t.Fatalf("outputs = %d, want 16", len(outs))
-		}
-		return cost
-	}
-	c1, c4 := run(1), run(4)
-	eff := ScalingEfficiency(c1, c4, 4)
-	if eff < 0.5 || eff > 1.1 {
-		t.Errorf("4-board scaling efficiency = %g, want near-linear [0.5, 1.1]", eff)
-	}
-}
-
-func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(testConfig(), 0, 1, 1e9); err == nil {
-		t.Error("zero boards accepted")
-	}
-	c, err := NewCluster(testConfig(), 2, 1, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.InferBatch(nil); err == nil {
-		t.Error("empty batch accepted")
-	}
-}
-
-func TestScalingEfficiencyEdgeCases(t *testing.T) {
-	if ScalingEfficiency(energy.Zero, energy.Zero, 4) != 0 {
-		t.Error("zero costs should yield 0")
-	}
-	one := energy.Cost{LatencyPS: 100}
-	four := energy.Cost{LatencyPS: 25}
-	if got := ScalingEfficiency(one, four, 4); got != 1 {
-		t.Errorf("perfect scaling = %g, want 1", got)
 	}
 }
 

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"cimrev/internal/energy"
 )
 
 func TestFig2Shape(t *testing.T) {
@@ -156,29 +159,83 @@ func TestSecVIValidation(t *testing.T) {
 }
 
 func TestScaleShape(t *testing.T) {
-	res, err := Scale([]int{1, 2, 4, 8}, 256, 32)
+	boards := []int{1, 2, 4, 8}
+	res, err := Scale(boards, 256, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
+	if len(res.Rows) != 2*len(boards) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	// Shape criterion E7: near-linear scaling; hiding removes nearly the
 	// whole update stall.
 	for _, row := range res.Rows {
 		if row.Efficiency < 0.5 || row.Efficiency > 1.15 {
-			t.Errorf("boards=%d efficiency = %g outside [0.5, 1.15]", row.Boards, row.Efficiency)
+			t.Errorf("%s boards=%d efficiency = %g outside [0.5, 1.15]", row.Net, row.Boards, row.Efficiency)
 		}
 		if row.UpdateHiddenPct >= row.UpdateStallPct/10 {
-			t.Errorf("boards=%d hiding ineffective: %g%% vs %g%%",
-				row.Boards, row.UpdateHiddenPct, row.UpdateStallPct)
+			t.Errorf("%s boards=%d hiding ineffective: %g%% vs %g%%",
+				row.Net, row.Boards, row.UpdateHiddenPct, row.UpdateStallPct)
 		}
 		if row.UpdateStallPct < 10 {
-			t.Errorf("boards=%d stall = %g%%, expected write asymmetry to dominate", row.Boards, row.UpdateStallPct)
+			t.Errorf("%s boards=%d stall = %g%%, expected write asymmetry to dominate", row.Net, row.Boards, row.UpdateStallPct)
+		}
+	}
+	// The deep net's pipeline fill does not split across boards: its
+	// efficiency never rises with boards, and falls below the one-layer
+	// net's from 4 boards on.
+	wide, deep := res.Rows[:len(boards)], res.Rows[len(boards):]
+	for i := range deep {
+		if i > 0 && deep[i].Efficiency > deep[i-1].Efficiency {
+			t.Errorf("%s efficiency rose from %g at %d boards to %g at %d",
+				deep[i].Net, deep[i-1].Efficiency, deep[i-1].Boards, deep[i].Efficiency, deep[i].Boards)
+		}
+		if deep[i].Boards >= 4 && deep[i].Efficiency >= wide[i].Efficiency {
+			t.Errorf("boards=%d: %s efficiency %g not below %s's %g",
+				deep[i].Boards, deep[i].Net, deep[i].Efficiency, wide[i].Net, wide[i].Efficiency)
+		}
+	}
+	// Boards rewrite in parallel, so the update stalls for one board's write
+	// at every board count. A row holds only the shares of wall-clock, so the
+	// stall latency comes back from them: the hidden write is one eDRAM
+	// access h, which fixes the batch latency, h x (100/hidden - 1), and the
+	// stall is that batch latency x stall/(100 - stall).
+	stall := func(r ScaleRow) float64 {
+		batch := float64(energy.EDRAMAccessLatencyPS) * (100/r.UpdateHiddenPct - 1)
+		return batch * r.UpdateStallPct / (100 - r.UpdateStallPct)
+	}
+	for _, rows := range [][]ScaleRow{wide, deep} {
+		one := stall(rows[0])
+		for _, r := range rows[1:] {
+			if got := stall(r); math.Abs(got-one) > 1e-6*one {
+				t.Errorf("%s boards=%d: update stalls %.0f ps, one board's write is %.0f ps", r.Net, r.Boards, got, one)
+			}
 		}
 	}
 	if !strings.Contains(res.Format(), "boards") {
 		t.Error("Format missing content")
+	}
+}
+
+// TestScaleReferenceIndependentOfBoardList: every row is priced against one
+// board's batch, whether or not the board list names one board.
+func TestScaleReferenceIndependentOfBoardList(t *testing.T) {
+	got, err := Scale([]int{2, 4}, 512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Scale([]int{1, 2, 4}, 512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []ScaleRow
+	for _, row := range full.Rows {
+		if row.Boards != 1 {
+			want = append(want, row)
+		}
+	}
+	if !slices.Equal(got.Rows, want) {
+		t.Errorf("Scale([2 4]) rows differ from those of Scale([1 2 4]):\n got  %+v\n want %+v", got.Rows, want)
 	}
 }
 
@@ -191,6 +248,23 @@ func TestScaleValidation(t *testing.T) {
 	}
 	if _, err := Scale([]int{1}, 128, 0); err == nil {
 		t.Error("zero batch accepted")
+	}
+	if _, err := Scale([]int{1, 0}, 128, 8); err == nil {
+		t.Error("zero boards accepted")
+	}
+	if _, err := Scale([]int{-2}, 128, 8); err == nil {
+		t.Error("negative boards accepted")
+	}
+}
+
+func TestScalingEfficiencyEdgeCases(t *testing.T) {
+	if scalingEfficiency(energy.Zero, energy.Zero, 4) != 0 {
+		t.Error("zero costs should yield 0")
+	}
+	one := energy.Cost{LatencyPS: 100}
+	four := energy.Cost{LatencyPS: 25}
+	if got := scalingEfficiency(one, four, 4); got != 1 {
+		t.Errorf("perfect scaling = %g, want 1", got)
 	}
 }
 

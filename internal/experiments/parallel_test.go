@@ -45,8 +45,9 @@ func TestSecVIParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestScaleParallelEquivalence checks the E7 harness the same way: the
-// one-board efficiency normalization must survive the parallel fan-out.
+// TestScaleParallelEquivalence checks the E7 harness the same way: its
+// rows, priced from one loaded engine per network, do not move with the
+// pool width that engine's Loads run at.
 func TestScaleParallelEquivalence(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWidth(0) })
 

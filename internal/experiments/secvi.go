@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
+	"cimrev/internal/interconnect"
 	"cimrev/internal/nn"
 	"cimrev/internal/parallel"
 	"cimrev/internal/vonneumann"
@@ -56,13 +58,19 @@ type SecVIResult struct {
 	Rows []SecVIRow
 }
 
-// denseOnly builds a single n x n dense layer network.
-func denseOnly(n int, rng *rand.Rand) (*nn.Network, error) {
-	d, err := nn.NewDense(n, n, rng)
-	if err != nil {
-		return nil, err
+// denseStack builds a network of dense layers of the given sizes, with no
+// activation stage between them, named after its sizes ("dense-512-512").
+func denseStack(rng *rand.Rand, sizes ...int) (*nn.Network, error) {
+	layers := make([]nn.Layer, len(sizes)-1)
+	name := fmt.Sprintf("dense-%d", sizes[0])
+	for i := range layers {
+		d, err := nn.NewDense(sizes[i], sizes[i+1], rng)
+		if err != nil {
+			return nil, err
+		}
+		layers[i], name = d, fmt.Sprintf("%s-%d", name, sizes[i+1])
 	}
-	return nn.NewNetwork(fmt.Sprintf("dense-%d", n), d)
+	return nn.NewNetwork(name, layers...)
 }
 
 // uniformInputs draws n input vectors of dim values uniform in [-1, 1)
@@ -109,7 +117,7 @@ func SecVI(sizes []int) (*SecVIResult, error) {
 			return SecVIRow{}, fmt.Errorf("experiments: invalid layer size %d", n)
 		}
 		rng := rand.New(rand.NewSource(int64(n)))
-		net, err := denseOnly(n, rng)
+		net, err := denseStack(rng, n, n)
 		if err != nil {
 			return SecVIRow{}, err
 		}
@@ -199,8 +207,9 @@ func (r *SecVIResult) Format() string {
 	return b.String()
 }
 
-// ScaleRow is one board-count point of the scaling experiment.
+// ScaleRow is one (network, board-count) point of the scaling experiment.
 type ScaleRow struct {
+	Net    string
 	Boards int
 	// Efficiency is throughput(boards) / (boards x throughput(1)).
 	Efficiency float64
@@ -215,82 +224,97 @@ type ScaleResult struct {
 	Rows []ScaleRow
 }
 
-// Scale runs the multi-board scaling and write-asymmetry-hiding experiment:
-// boards split a fixed inference batch; midway, the model is reprogrammed
-// either stalling (writes on the critical path) or hidden (shadow arrays).
+// Scale runs the multi-board scaling and write-asymmetry-hiding experiment
+// on a layerN x layerN dense layer and on the four-layer [layerN, layerN/2,
+// layerN/2, layerN/2, 10] dense stack: boards split a fixed inference batch;
+// midway, the model is reprogrammed either stalling (writes on the critical
+// path) or hidden (shadow arrays). Board replicas differ only in their noise
+// seed, which moves no cost, so one loaded engine per net prices every
+// board's share with the PredictBatchCost its InferBatch charges.
 func Scale(boardCounts []int, layerN, batch int) (*ScaleResult, error) {
-	if len(boardCounts) == 0 || layerN <= 0 || batch <= 0 {
+	if len(boardCounts) == 0 || slices.Min(boardCounts) <= 0 || layerN <= 0 || batch <= 0 {
 		return nil, fmt.Errorf("experiments: invalid scale parameters")
 	}
+	// Boards reach host-attached board 0 through 1 m photonic links.
+	link, err := interconnect.NewPhotonicLink(1.0, 100e9)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(7))
-	net, err := denseOnly(layerN, rng)
-	if err != nil {
-		return nil, err
-	}
-	inputs := uniformInputs(rng, batch, layerN)
-
-	// Board-count points are independent (each owns its cluster), so the
-	// expensive simulation fans across the worker pool; the efficiency
-	// normalization against the one-board point runs in a serial pass
-	// afterwards, in sweep order, so results match serial execution.
-	type scalePoint struct {
-		batchCost, stall, hidden energy.Cost
-	}
-	points, err := parallel.MapErr(len(boardCounts), func(i int) (scalePoint, error) {
-		boards := boardCounts[i]
-		cluster, err := dpe.NewCluster(dpe.DefaultConfig(), boards, 1.0, 100e9)
-		if err != nil {
-			return scalePoint{}, err
-		}
-		if _, err := cluster.Load(net); err != nil {
-			return scalePoint{}, err
-		}
-		_, batchCost, err := cluster.InferBatch(inputs)
-		if err != nil {
-			return scalePoint{}, err
-		}
-		// The model update: a Load of the loaded boards stalls them for the
-		// whole write; standby arrays would show only its hidden price.
-		stall, err := cluster.Load(net)
-		if err != nil {
-			return scalePoint{}, err
-		}
-		return scalePoint{batchCost: batchCost, stall: stall, hidden: energy.HiddenWrite(stall)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var oneBoard energy.Cost
 	res := &ScaleResult{}
-	for i, boards := range boardCounts {
-		p := points[i]
-		if boards == boardCounts[0] && boardCounts[0] == 1 {
-			oneBoard = p.batchCost
+	for _, sizes := range [][]int{{layerN, layerN}, {layerN, layerN / 2, layerN / 2, layerN / 2, 10}} {
+		net, err := denseStack(rng, sizes...)
+		if err != nil {
+			return nil, err
 		}
-		eff := 1.0
-		if oneBoard.LatencyPS > 0 {
-			eff = dpe.ScalingEfficiency(oneBoard, p.batchCost, boards)
+		eng, err := dpe.New(dpe.DefaultConfig())
+		if err != nil {
+			return nil, err
 		}
-		res.Rows = append(res.Rows, ScaleRow{
-			Boards:          boards,
-			Efficiency:      eff,
-			UpdateStallPct:  100 * float64(p.stall.LatencyPS) / float64(p.batchCost.LatencyPS+p.stall.LatencyPS),
-			UpdateHiddenPct: 100 * float64(p.hidden.LatencyPS) / float64(p.batchCost.LatencyPS+p.hidden.LatencyPS),
-		})
+		if _, err := eng.Load(net); err != nil {
+			return nil, err
+		}
+		// The model update: a Load of the loaded engine stalls it for the
+		// whole write. Boards write in parallel, so the stall is one
+		// board's; standby arrays would show only its hidden price.
+		stall, err := eng.Load(net)
+		if err != nil {
+			return nil, err
+		}
+		hidden := energy.HiddenWrite(stall).LatencyPS
+		xfer, err := link.Transfer(8 * (net.InSize() + net.OutSize()))
+		if err != nil {
+			return nil, err
+		}
+		for _, boards := range boardCounts {
+			batchCost := boardsCost(eng, xfer, boards, batch)
+			res.Rows = append(res.Rows, ScaleRow{
+				Net:             net.Name,
+				Boards:          boards,
+				Efficiency:      scalingEfficiency(eng.PredictBatchCost(batch), batchCost, boards),
+				UpdateStallPct:  100 * float64(stall.LatencyPS) / float64(batchCost.LatencyPS+stall.LatencyPS),
+				UpdateHiddenPct: 100 * float64(hidden) / float64(batchCost.LatencyPS+hidden),
+			})
+		}
 	}
 	return res, nil
+}
+
+// boardsCost prices a batch split round-robin across boards: board b runs
+// its ceil((batch-b)/boards) items as one pipelined batch, plus one link
+// transfer (xfer) per item, in series, unless it is board 0; boards run in
+// parallel.
+func boardsCost(eng *dpe.Engine, xfer energy.Cost, boards, batch int) energy.Cost {
+	total := energy.Zero
+	for b := 0; b < min(boards, batch); b++ {
+		share := (batch - b + boards - 1) / boards
+		cost := eng.PredictBatchCost(share)
+		if b != 0 {
+			cost = cost.Seq(xfer.Scale(int64(share)))
+		}
+		total = total.Par(cost)
+	}
+	return total
+}
+
+// scalingEfficiency returns throughput(boards)/(boards x throughput(1))
+// for the given batch latencies: 1.0 is perfectly linear scaling.
+func scalingEfficiency(oneBoard, nBoards energy.Cost, boards int) float64 {
+	if nBoards.LatencyPS == 0 || oneBoard.LatencyPS == 0 || boards <= 0 {
+		return 0
+	}
+	return float64(oneBoard.LatencyPS) / float64(nBoards.LatencyPS) / float64(boards)
 }
 
 // Format renders the scaling table.
 func (r *ScaleResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Section VI — multi-board scaling and write-asymmetry hiding\n")
-	b.WriteString(fmt.Sprintf("%-8s %12s %18s %18s\n",
-		"boards", "efficiency", "update stall", "update hidden"))
+	b.WriteString(fmt.Sprintf("%-26s %-8s %12s %18s %18s\n",
+		"net", "boards", "efficiency", "update stall", "update hidden"))
 	for _, row := range r.Rows {
-		b.WriteString(fmt.Sprintf("%-8d %11.2f%% %17.1f%% %17.3f%%\n",
-			row.Boards, 100*row.Efficiency, row.UpdateStallPct, row.UpdateHiddenPct))
+		b.WriteString(fmt.Sprintf("%-26s %-8d %11.2f%% %17.1f%% %17.3f%%\n",
+			row.Net, row.Boards, 100*row.Efficiency, row.UpdateStallPct, row.UpdateHiddenPct))
 	}
 	return b.String()
 }

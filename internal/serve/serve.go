@@ -1,8 +1,8 @@
 // Package serve is the request-level inference serving pipeline: it fans
 // millions of small, independent requests — each submitted through the one
 // entry point, Server.SubmitKeyed, under its own noise key — into the fast
-// batched kernels underneath (dpe.Engine.InferBatchKeyed; dpe.Cluster's
-// InferBatch, which takes no keys, is served through the plain path), which is
+// batched kernels underneath (dpe.Engine.InferBatchKeyed; a backend that
+// takes no keys is served through the plain InferBatch path), which is
 // where the Section VI throughput claims actually live. "Breaking
 // Barriers" (Crafton et al., PAPERS.md) makes the point sharply: CIM
 // throughput is dominated by array *utilization*, not raw array speed, and
@@ -50,9 +50,8 @@ import (
 	"cimrev/internal/obs"
 )
 
-// Backend is the batched inference kernel the pipeline feeds. Both
-// *dpe.Engine and *dpe.Cluster (and *ShadowPair, which wraps two engines)
-// satisfy it.
+// Backend is the batched inference kernel the pipeline feeds. *dpe.Engine
+// (and *ShadowPair, which wraps two engines) satisfies it.
 type Backend interface {
 	// InferBatch runs the batch, returning one output per input plus the
 	// simulated cost of the whole batch. It must be safe for the pipeline

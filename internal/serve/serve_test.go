@@ -535,38 +535,3 @@ func TestPoisonPillIsolated(t *testing.T) {
 		}
 	}
 }
-
-// TestServeClusterBackend: the batcher runs unchanged over a multi-board
-// dpe.Cluster — the Backend seam covers both deployment shapes.
-func TestServeClusterBackend(t *testing.T) {
-	net := testMLP(t, 24, 16, 8)
-	cl, err := dpe.NewCluster(testEngineConfig(), 2, 5, 12.5e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Load(net); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(cl, WithBatch(8, 0), WithQueueBound(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	inputs := testInputs(16, 24, 13)
-	var wg sync.WaitGroup
-	for i := range inputs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, _, err := srv.SubmitKeyed(context.Background(), uint64(i), inputs[i])
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			if len(out) != 8 {
-				t.Errorf("request %d: output length %d", i, len(out))
-			}
-		}(i)
-	}
-	wg.Wait()
-}
