@@ -141,30 +141,34 @@ bench-pairs:
 # Every simulated number, parent against change: extracts PARENT into a
 # tree under .bench_build/identity/ as bench-pairs does, runs `cimbench
 # -exp all -format json` in both trees, drops the generated_at stamps and
-# exits non-zero on any difference; then runs each tree's cimsim — the
-# built-in demo and every examples/programs/*.casm, the ISA path — and
-# diffs those outputs the same way. A change that says it moves no number
-# (a refactor, a deletion, a speed-up) shows it with this. The change side
-# is the working tree.
+# diffs them; then runs each tree's cimsim — the built-in demo and every
+# examples/programs/*.casm, the ISA path — and diffs those outputs the same
+# way. Every comparison runs and prints its own verdict, and the target
+# exits non-zero at the end if any of them differed. A change that says it
+# moves no number (a refactor, a deletion, a speed-up) shows it with this.
+# The change side is the working tree.
 #   make exp-identity PARENT=HEAD
 exp-identity:
-	@set -eu; d=$(CURDIR)/.bench_build/identity; \
+	@set -eu; d=$(CURDIR)/.bench_build/identity; differ=0; \
 	rm -rf $$d; mkdir -p $$d/parent; \
 	git archive $(PARENT) | tar -x -C $$d/parent; \
 	(cd $$d/parent && $(GO) run ./cmd/cimbench -exp all -format json) > $$d/parent.json; \
 	$(GO) run ./cmd/cimbench -exp all -format json > $$d/change.json; \
 	for side in parent change; do grep -v '"generated_at"' $$d/$$side.json > $$d/$$side.stable; done; \
-	diff $$d/parent.stable $$d/change.stable; \
-	echo "exp-identity: cimbench -exp all is identical to $(PARENT)'s"; \
+	if diff $$d/parent.stable $$d/change.stable; then \
+		echo "exp-identity: cimbench -exp all is identical to $(PARENT)'s"; \
+	else echo "exp-identity: cimbench -exp all DIFFERS from $(PARENT)'s"; differ=1; fi; \
 	(cd $$d/parent && $(GO) build -o $$d/cimsim-parent ./cmd/cimsim); \
 	$(GO) build -o $$d/cimsim-change ./cmd/cimsim; \
 	for prog in "" examples/programs/*.casm; do \
 		args=; if [ -n "$$prog" ]; then args="-prog $$prog"; fi; \
 		(cd $$d/parent && $$d/cimsim-parent $$args) > $$d/parent.cimsim; \
 		$$d/cimsim-change $$args > $$d/change.cimsim; \
-		diff $$d/parent.cimsim $$d/change.cimsim; \
-		echo "exp-identity: cimsim $${args:-(demo)} is identical to $(PARENT)'s"; \
-	done
+		if diff $$d/parent.cimsim $$d/change.cimsim; then \
+			echo "exp-identity: cimsim $${args:-(demo)} is identical to $(PARENT)'s"; \
+		else echo "exp-identity: cimsim $${args:-(demo)} DIFFERS from $(PARENT)'s"; differ=1; fi; \
+	done; \
+	exit $$differ
 
 # Alternating micro-benchmark runs, the form every kernel-level number in
 # docs/PERF.md takes (a single `go test -bench` run spans 40–110 µs for one

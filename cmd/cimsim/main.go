@@ -68,7 +68,7 @@ func run(progPath, mesh string, unitsPerTile int, failAddr string) error {
 	}
 
 	if failAddr != "" {
-		addr, err := parseAddr(failAddr)
+		addr, err := packet.ParseAddress(failAddr)
 		if err != nil {
 			return err
 		}
@@ -166,22 +166,6 @@ func parseMesh(s string) (int, int, error) {
 		return 0, 0, fmt.Errorf("mesh height: %w", err)
 	}
 	return w, h, nil
-}
-
-func parseAddr(s string) (packet.Address, error) {
-	parts := strings.Split(s, "/")
-	if len(parts) != 3 {
-		return packet.Address{}, fmt.Errorf("address %q must be board/tile/unit", s)
-	}
-	var vals [3]uint16
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 16)
-		if err != nil {
-			return packet.Address{}, err
-		}
-		vals[i] = uint16(v)
-	}
-	return packet.Address{Board: vals[0], Tile: vals[1], Unit: vals[2]}, nil
 }
 
 func round(v []float64) []float64 {

@@ -23,22 +23,6 @@ func TestParseMesh(t *testing.T) {
 	}
 }
 
-func TestParseAddr(t *testing.T) {
-	a, err := parseAddr("1/2/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := packet.Address{Board: 1, Tile: 2, Unit: 3}
-	if a != want {
-		t.Errorf("parseAddr = %v, want %v", a, want)
-	}
-	for _, bad := range []string{"1/2", "a/b/c", "1/2/99999"} {
-		if _, err := parseAddr(bad); err == nil {
-			t.Errorf("parseAddr(%q) accepted", bad)
-		}
-	}
-}
-
 func TestRound(t *testing.T) {
 	got := round([]float64{1.23456, -0.5})
 	if got[0] != 1.235 {

@@ -2,6 +2,7 @@ package cim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,32 +117,26 @@ func TestFabricFanOut(t *testing.T) {
 	}
 }
 
-func TestFabricImplicitRouter(t *testing.T) {
-	// The router sends positive-sum payloads to pos, others to neg:
-	// routing as "a function of the state in CIM and the input data".
+func TestFabricFanInDeliversInQueueOrder(t *testing.T) {
+	// Two paths of unequal length meet at tile 15: six mesh hops from tile
+	// 0, one from tile 14. Run delivers in queue order, so the sink sees
+	// the streams in the order they were injected, not the order their
+	// hops would land.
 	f, _ := newFabric(t)
-	addUnits(t, f, []packet.Address{addr(0, 0), addr(1, 0), addr(2, 0)}, isa.FuncForward, isa.FuncForward, isa.FuncForward)
-	classifier, _ := f.Unit(addr(0, 0))
-	pos, _ := f.Unit(addr(1, 0))
-	neg, _ := f.Unit(addr(2, 0))
-	classifier.router = func(_ []float64, p *packet.Packet) []*Unit {
-		var sum float64
-		for _, v := range p.Payload {
-			sum += v
-		}
-		if sum > 0 {
-			return []*Unit{pos}
-		}
-		return []*Unit{neg}
-	}
-	for _, v := range []float64{5, -5} {
-		if err := f.Stream(addr(0, 0), []float64{v}); err != nil {
+	far, near, sink := addr(0, 0), addr(14, 0), addr(15, 0)
+	addUnits(t, f, []packet.Address{far, near, sink}, isa.FuncForward, isa.FuncForward, isa.FuncForward)
+	connect(t, f, [2]packet.Address{far, sink}, [2]packet.Address{near, sink})
+	for _, s := range []struct {
+		at packet.Address
+		v  float64
+	}{{far, 1}, {near, 2}} {
+		if err := f.Stream(s.at, []float64{s.v}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	out := run(t, f)
-	if len(out[addr(1, 0)]) != 1 || len(out[addr(2, 0)]) != 1 {
-		t.Errorf("router split: pos=%d neg=%d, want 1 each", len(out[addr(1, 0)]), len(out[addr(2, 0)]))
+	if got, want := out[sink], [][]float64{{1}, {2}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("sink outputs = %v, want %v", got, want)
 	}
 }
 

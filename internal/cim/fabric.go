@@ -54,7 +54,9 @@ func (c Config) Validate() error {
 	return c.Crossbar.Validate()
 }
 
-// Fabric is one CIM board and the dataflow runtime that drives it.
+// Fabric is one CIM board and the dataflow runtime that drives it: a queue
+// of tokens that Run drains in order. It keeps no clock; what a run cost is
+// what it charged to the ledger.
 type Fabric struct {
 	cfg    Config
 	mesh   *interconnect.Mesh
@@ -69,7 +71,9 @@ type Fabric struct {
 	units map[packet.Address]*Unit
 	order []*Unit
 
-	queue []token
+	// queue holds the tokens Run has yet to deliver, in delivery order: a
+	// token is a packet whose Dst is a unit of the fabric.
+	queue []*packet.Packet
 	// maxSteps bounds token deliveries per Run, so a graph with a feedback
 	// loop terminates: 1,000,000.
 	maxSteps int
@@ -78,10 +82,6 @@ type Fabric struct {
 	streams packet.StreamID
 	// outputs collects what sink units emit until Run returns it.
 	outputs map[packet.Address][][]float64
-	// busyUntil is each unit's virtual time during a Run: a unit
-	// serializes its own work while distinct units overlap, so tokens are
-	// delivered in the order a pipelined, fanned-out fabric would see them.
-	busyUntil map[*Unit]int64
 }
 
 // NewFabric builds an empty fabric charging to ledger (nil disables
@@ -95,15 +95,14 @@ func NewFabric(cfg Config, ledger *energy.Ledger, reg *metrics.Registry) (*Fabri
 		return nil, err
 	}
 	return &Fabric{
-		cfg:       cfg,
-		mesh:      mesh,
-		ledger:    ledger,
-		reg:       reg,
-		src:       noise.NewSource(cfg.Seed),
-		units:     make(map[packet.Address]*Unit),
-		maxSteps:  1_000_000,
-		outputs:   make(map[packet.Address][][]float64),
-		busyUntil: make(map[*Unit]int64),
+		cfg:      cfg,
+		mesh:     mesh,
+		ledger:   ledger,
+		reg:      reg,
+		src:      noise.NewSource(cfg.Seed),
+		units:    make(map[packet.Address]*Unit),
+		maxSteps: 1_000_000,
+		outputs:  make(map[packet.Address][][]float64),
 	}, nil
 }
 
@@ -151,13 +150,24 @@ func (f *Fabric) CheckUnit(addr packet.Address, kind UnitKind, layer *nn.Dense) 
 	if layer == nil {
 		return nil
 	}
+	_, _, err := f.stage(addr, kind, layer)
+	return err
+}
+
+// stage lays layer out as the dense stage of the unit of kind at addr,
+// writing nothing: the one check that the unit can host the MVM.
+func (f *Fabric) stage(addr packet.Address, kind UnitKind, layer *nn.Dense) (*dpe.DenseStage, crossbar.Checked, error) {
 	if kind != KindCrossbar {
-		return fmt.Errorf("cim: unit %v kind %v cannot host MVM", addr, kind)
+		return nil, crossbar.Checked{}, fmt.Errorf("cim: unit %v kind %v cannot host MVM", addr, kind)
 	}
-	if _, _, err := dpe.NewDenseStage(f.cfg.Crossbar, layer); err != nil {
-		return fmt.Errorf("cim: MVM on %v: %w", addr, err)
+	if layer == nil {
+		return nil, crossbar.Checked{}, fmt.Errorf("cim: MVM on %v requires weights", addr)
 	}
-	return nil
+	st, ck, err := dpe.NewDenseStage(f.cfg.Crossbar, layer)
+	if err != nil {
+		return nil, crossbar.Checked{}, fmt.Errorf("cim: MVM on %v: %w", addr, err)
+	}
+	return st, ck, nil
 }
 
 // Unit returns the unit at addr, failed or not.
@@ -230,15 +240,9 @@ func (f *Fabric) Configure(addr packet.Address, fn isa.Function, layer *nn.Dense
 // k draws what a dpe.Engine with the same crossbar config and seed draws
 // for noise key k.
 func (f *Fabric) mvm(u *Unit, layer *nn.Dense) (unitFunc, error) {
-	if u.Kind != KindCrossbar {
-		return nil, fmt.Errorf("cim: unit %v kind %v cannot host MVM", u.addr, u.Kind)
-	}
-	if layer == nil {
-		return nil, fmt.Errorf("cim: MVM on %v requires weights", u.addr)
-	}
-	st, ck, err := dpe.NewDenseStage(f.cfg.Crossbar, layer)
+	st, ck, err := f.stage(u.addr, u.Kind, layer)
 	if err != nil {
-		return nil, fmt.Errorf("cim: MVM on %v: %w", u.addr, err)
+		return nil, err
 	}
 	cost := ck.Program(obs.Ctx{})
 	if f.ledger != nil {
@@ -262,22 +266,29 @@ func (f *Fabric) mvm(u *Unit, layer *nn.Dense) (unitFunc, error) {
 // Connect wires unit src's output to unit dst's input. Self-edges and
 // duplicate edges are rejected.
 func (f *Fabric) Connect(src, dst packet.Address) error {
-	a, err := f.live(src)
+	a, b, err := f.edge(src, dst)
 	if err != nil {
 		return err
-	}
-	b, err := f.live(dst)
-	if err != nil {
-		return err
-	}
-	if a == b {
-		return fmt.Errorf("cim: self-edge on unit %v", src)
-	}
-	if slices.Contains(a.succs, b) {
-		return fmt.Errorf("cim: edge %v->%v already exists", src, dst)
 	}
 	a.succs = append(a.succs, b)
 	return nil
+}
+
+// edge returns the units Connect(src, dst) would wire, or why it cannot.
+func (f *Fabric) edge(src, dst packet.Address) (a, b *Unit, err error) {
+	if a, err = f.live(src); err != nil {
+		return nil, nil, err
+	}
+	if b, err = f.live(dst); err != nil {
+		return nil, nil, err
+	}
+	if a == b {
+		return nil, nil, fmt.Errorf("cim: self-edge on unit %v", src)
+	}
+	if slices.Contains(a.succs, b) {
+		return nil, nil, fmt.Errorf("cim: edge %v->%v already exists", src, dst)
+	}
+	return a, b, nil
 }
 
 // Predecessors returns the units with an edge into addr, in the order they
@@ -331,18 +342,21 @@ func (f *Fabric) DisableUnit(addr packet.Address) error {
 	return nil
 }
 
-// LoadProgram validates prog and runs it on the fabric: the one
-// isa.Program interpreter, behind static dataflow (a loaded program) and
-// self-programmable dataflow (a program packet) alike. A loadweights
-// supplies the layer of the next configure of the same unit: its in x out
-// operand (Data[r*Cols+c] is the weight input r drives into output c)
-// transposed, once, into the bias-free layer whose column o is the
-// operand's column o. Barriers and halt are implicit in Run's
+// LoadProgram validates prog, checks every instruction against the fabric
+// and only then runs it: the one isa.Program interpreter, behind static
+// dataflow (a loaded program) and self-programmable dataflow (a program
+// packet) alike. A program that fails a check changes nothing. A
+// loadweights supplies the layer of the next configure of the same unit:
+// its in x out operand (Data[r*Cols+c] is the weight input r drives into
+// output c) transposed, once, into the bias-free layer whose column o is
+// the operand's column o. Barriers and halt are implicit in Run's
 // run-to-drain loop.
 func (f *Fabric) LoadProgram(prog isa.Program) error {
 	if err := prog.Validate(); err != nil {
 		return err
 	}
+	var apply []func() error
+	added := make(map[[2]packet.Address]bool)
 	var pending *nn.Dense
 	var pendingAddr packet.Address
 	for i, in := range prog {
@@ -363,14 +377,29 @@ func (f *Fabric) LoadProgram(prog isa.Program) error {
 			if pending != nil && pendingAddr == in.Unit {
 				layer, pending = pending, nil
 			}
-			err = f.Configure(in.Unit, in.Fn, layer)
+			var u *Unit
+			if u, err = f.live(in.Unit); err == nil && in.Fn == isa.FuncMVM {
+				_, _, err = f.stage(u.addr, u.Kind, layer)
+			}
+			apply = append(apply, func() error { return f.Configure(in.Unit, in.Fn, layer) })
 		case isa.OpConnect:
-			err = f.Connect(in.Unit, in.Unit2)
+			e := [2]packet.Address{in.Unit, in.Unit2}
+			if _, _, err = f.edge(in.Unit, in.Unit2); err == nil && added[e] {
+				err = fmt.Errorf("cim: edge %v->%v already exists", in.Unit, in.Unit2)
+			}
+			added[e] = true
+			apply = append(apply, func() error { return f.Connect(in.Unit, in.Unit2) })
 		case isa.OpStream:
-			err = f.Stream(in.Unit, in.Data)
+			_, err = f.live(in.Unit)
+			apply = append(apply, func() error { return f.Stream(in.Unit, in.Data) })
 		}
 		if err != nil {
 			return fmt.Errorf("cim: program instr %d: %w", i, err)
+		}
+	}
+	for _, a := range apply {
+		if err := a(); err != nil {
+			return err
 		}
 	}
 	return nil

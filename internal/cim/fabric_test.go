@@ -237,6 +237,66 @@ func TestLoadProgramErrors(t *testing.T) {
 	}
 }
 
+func TestLoadProgramAllOrNothing(t *testing.T) {
+	// Each program wires 0/0/0 -> 0/1/0 and streams into 0/0/0 before an
+	// instruction the fabric must refuse: neither path may leave the edge,
+	// the stream or a charge behind.
+	for _, bad := range []struct {
+		name string
+		in   isa.Instruction
+	}{
+		{"missing unit", isa.Instruction{Op: isa.OpConfigure, Unit: addr(9, 9), Fn: isa.FuncReLU}},
+		{"failed unit", isa.Instruction{Op: isa.OpConfigure, Unit: addr(3, 0), Fn: isa.FuncReLU}},
+		{"mvm on compute", isa.Instruction{Op: isa.OpConfigure, Unit: addr(1, 0), Fn: isa.FuncMVM}},
+		{"mvm without weights", isa.Instruction{Op: isa.OpConfigure, Unit: addr(2, 0), Fn: isa.FuncMVM}},
+		{"edge twice", isa.Instruction{Op: isa.OpConnect, Unit: addr(0, 0), Unit2: addr(1, 0)}},
+		{"edge from missing", isa.Instruction{Op: isa.OpConnect, Unit: addr(9, 9), Unit2: addr(1, 0)}},
+		{"edge to failed", isa.Instruction{Op: isa.OpConnect, Unit: addr(1, 0), Unit2: addr(3, 0)}},
+		{"stream to missing", isa.Instruction{Op: isa.OpStream, Unit: addr(9, 9), Data: []float64{1}}},
+		{"stream to failed", isa.Instruction{Op: isa.OpStream, Unit: addr(3, 0), Data: []float64{1}}},
+	} {
+		for _, path := range []string{"LoadProgram", "packet"} {
+			f, led := newFabric(t)
+			addUnits(t, f, []packet.Address{addr(0, 0), addr(1, 0), addr(3, 0)}, isa.FuncForward, isa.FuncForward, isa.FuncForward)
+			if _, err := f.AddUnit(addr(2, 0), KindCrossbar); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.DisableUnit(addr(3, 0)); err != nil {
+				t.Fatal(err)
+			}
+			before := led.Report()
+			prog := isa.Program{
+				{Op: isa.OpConnect, Unit: addr(0, 0), Unit2: addr(1, 0)},
+				{Op: isa.OpStream, Unit: addr(0, 0), Data: []float64{3}},
+				bad.in,
+				{Op: isa.OpHalt},
+			}
+			var err error
+			if path == "LoadProgram" {
+				err = f.LoadProgram(prog)
+			} else if err = f.InjectPacket(programPacket(t, addr(0, 0), prog)); err == nil {
+				_, err = f.Run()
+			}
+			if err == nil {
+				t.Errorf("%s via %s: program accepted", bad.name, path)
+				continue
+			}
+			if succ, _ := f.Successors(addr(0, 0)); len(succ) != 0 {
+				t.Errorf("%s via %s: edge left behind: %v", bad.name, path, succ)
+			}
+			if f.streams != 0 || f.reg.Counter("fabric.streams").Value() != 0 {
+				t.Errorf("%s via %s: stream counted", bad.name, path)
+			}
+			if out := run(t, f); len(out) != 0 {
+				t.Errorf("%s via %s: next Run returned %v", bad.name, path, out)
+			}
+			if after := led.Report(); after != before {
+				t.Errorf("%s via %s: ledger moved:\n%s\nwant:\n%s", bad.name, path, after, before)
+			}
+		}
+	}
+}
+
 func TestSelfProgrammingWithCrossbarHardware(t *testing.T) {
 	// A program packet configures an MVM unit: its configure must
 	// provision real crossbar hardware.

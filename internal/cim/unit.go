@@ -9,7 +9,7 @@
 // different"): digital compute units, crossbar MVM units, and control units.
 // A Unit is one record of the three components: its processing (the
 // function a configure gives it), its data (the state a stateful function
-// keeps) and its control (the units it forwards to, and an optional router).
+// keeps) and its control (its edges: the units it forwards to).
 //
 // The fabric is also the dataflow runtime. The paper grounds CIM in
 // "dataflow-like architectures, where data is continuously input into [a]
@@ -19,16 +19,17 @@
 //
 //   - Static dataflow: units configured and wired once (LoadProgram, or
 //     Configure and Connect), then fed stream after stream.
-//   - Dynamic dataflow: per-packet routing, explicit (the packet carries its
-//     route) or implicit (a router function of unit state and input).
+//   - Dynamic dataflow: per-packet routing, the packet carrying its own
+//     route; a packet without one follows each unit's edges.
 //   - Self-programmable dataflow: a program packet carries an isa.Program
 //     that reconfigures and rewires units in flight.
 //
-// Run delivers tokens in virtual-time order: each unit serializes its own
-// work while distinct units overlap, every computation is charged to the
+// Run drains one first-in, first-out queue: the tokens injected before it
+// in injection order, then every hop (and every stream a program packet
+// starts) in the order it was queued. Every computation is charged to the
 // ledger's "compute" category and every hop, priced by the board mesh, to
-// "network". A token whose unit has failed is dropped at the containment
-// boundary (Section V.A).
+// "network"; the fabric keeps no clock of its own. A token whose unit has
+// failed is dropped at the containment boundary (Section V.A).
 //
 // The fabric runs the DPE's code, so a compiled network computes on it
 // what it computes on a dpe.Engine with the same crossbar config and seed:
@@ -48,8 +49,9 @@
 //   - One configure path. Configure is the one place a unit gets its
 //     function, and the only one that puts an MVM on a unit and checks the
 //     unit's kind. LoadProgram is the one isa.Program interpreter, which a
-//     program packet runs too; it transposes a loadweights operand
-//     (in x out) into the bias-free layer the unit runs.
+//     program packet runs too; it checks every instruction before it
+//     applies any, and transposes a loadweights operand (in x out) into
+//     the bias-free layer the unit runs.
 package cim
 
 import (
@@ -98,11 +100,6 @@ type Unit struct {
 	failed bool
 	fn     unitFunc
 	state  []float64
-	// router, when set, picks where a data token goes next from the unit's
-	// state and the packet: implicit dynamic dataflow, routing as "a
-	// function of the state in CIM and the input data". A nil result falls
-	// back to succs.
-	router func(state []float64, p *packet.Packet) []*Unit
 	succs  []*Unit
 }
 

@@ -186,13 +186,34 @@ func TestLedgerChargeAndTotal(t *testing.T) {
 	l.Charge("memory", Cost{LatencyPS: 5, EnergyPJ: 2})
 	total := l.Total()
 	if total.LatencyPS != 15 {
-		t.Errorf("critical path = %d, want 15", total.LatencyPS)
+		t.Errorf("total latency = %d, want 15", total.LatencyPS)
 	}
 	if total.EnergyPJ != 3 {
 		t.Errorf("total energy = %g, want 3", total.EnergyPJ)
 	}
 	if got := l.Category("compute"); got.EnergyPJ != 1 {
 		t.Errorf("compute category = %+v", got)
+	}
+}
+
+func TestLedgerTotalFoldsInCategoryOrder(t *testing.T) {
+	// Float addition is not associative: folded in map order these four
+	// energies sum to one of two values, so Total must fold in the sorted
+	// order Categories and Report use.
+	l := NewLedger()
+	names := []string{"compute", "network", "program", "reconfigure"}
+	energies := []float64{0.1, 0.2, 0.3, 1e-17}
+	want := Zero
+	for i, name := range names {
+		c := Cost{LatencyPS: int64(i + 1), EnergyPJ: energies[i]}
+		l.Charge(name, c)
+		want = want.Seq(c)
+	}
+	for i := 0; i < 200; i++ {
+		if got := l.Total(); got != want {
+			t.Fatalf("call %d: Total = %d ps / %.17g pJ, want the sorted fold's %d ps / %.17g pJ",
+				i, got.LatencyPS, got.EnergyPJ, want.LatencyPS, want.EnergyPJ)
+		}
 	}
 }
 

@@ -7,15 +7,15 @@ import (
 	"sync"
 )
 
-// Ledger accumulates costs by named category while tracking the overall
-// critical path. A Ledger is safe for concurrent use; simulators running
+// Ledger accumulates costs by named category. Every charge is serial and
+// the total is the sum of the categories: the ledger keeps no second
+// latency total. A Ledger is safe for concurrent use; simulators running
 // parallel components charge the same ledger from multiple goroutines.
 //
 // The zero value is NOT ready to use; construct with NewLedger.
 type Ledger struct {
-	mu       sync.Mutex
-	byCat    map[string]Cost
-	critical int64 // critical-path latency, advanced explicitly
+	mu    sync.Mutex
+	byCat map[string]Cost
 }
 
 // NewLedger returns an empty ledger.
@@ -23,26 +23,24 @@ func NewLedger() *Ledger {
 	return &Ledger{byCat: make(map[string]Cost)}
 }
 
-// Charge records cost against category and extends the critical path
-// serially; callers whose work overlapped compose Costs with Par before
-// charging.
+// Charge records cost against category serially; callers whose work
+// overlapped compose Costs with Par before charging.
 func (l *Ledger) Charge(category string, c Cost) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.byCat[category] = l.byCat[category].Seq(c)
-	l.critical += c.LatencyPS
 }
 
-// Total returns the summed cost across all categories with the ledger's
-// critical-path latency (not the sum of category latencies).
+// Total returns the serial sum of every category, folded in sorted
+// category order so the float sum is the same on every call.
 func (l *Ledger) Total() Cost {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var e float64
-	for _, c := range l.byCat {
-		e += c.EnergyPJ
+	total := Zero
+	for _, name := range l.names() {
+		total = total.Seq(l.byCat[name])
 	}
-	return Cost{LatencyPS: l.critical, EnergyPJ: e}
+	return total
 }
 
 // Category returns the accumulated cost for one category.
@@ -56,6 +54,11 @@ func (l *Ledger) Category(name string) Cost {
 func (l *Ledger) Categories() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.names()
+}
+
+// names returns the category names in sorted order; l.mu must be held.
+func (l *Ledger) names() []string {
 	names := make([]string, 0, len(l.byCat))
 	for k := range l.byCat {
 		names = append(names, k)

@@ -55,7 +55,7 @@ func assembleLine(fields []string) (Instruction, error) {
 		if len(fields) != 3 {
 			return in, fmt.Errorf("configure wants 2 operands, got %d", len(fields)-1)
 		}
-		addr, err := parseAddr(fields[1])
+		addr, err := packet.ParseAddress(fields[1])
 		if err != nil {
 			return in, err
 		}
@@ -68,7 +68,7 @@ func assembleLine(fields []string) (Instruction, error) {
 		if len(fields) != 5 {
 			return in, fmt.Errorf("loadweights wants 4 operands, got %d", len(fields)-1)
 		}
-		addr, err := parseAddr(fields[1])
+		addr, err := packet.ParseAddress(fields[1])
 		if err != nil {
 			return in, err
 		}
@@ -89,11 +89,11 @@ func assembleLine(fields []string) (Instruction, error) {
 		if len(fields) != 3 {
 			return in, fmt.Errorf("connect wants 2 operands, got %d", len(fields)-1)
 		}
-		src, err := parseAddr(fields[1])
+		src, err := packet.ParseAddress(fields[1])
 		if err != nil {
 			return in, err
 		}
-		dst, err := parseAddr(fields[2])
+		dst, err := packet.ParseAddress(fields[2])
 		if err != nil {
 			return in, err
 		}
@@ -102,7 +102,7 @@ func assembleLine(fields []string) (Instruction, error) {
 		if len(fields) != 3 {
 			return in, fmt.Errorf("stream wants 2 operands, got %d", len(fields)-1)
 		}
-		addr, err := parseAddr(fields[1])
+		addr, err := packet.ParseAddress(fields[1])
 		if err != nil {
 			return in, err
 		}
@@ -119,22 +119,6 @@ func assembleLine(fields []string) (Instruction, error) {
 		return in, fmt.Errorf("unknown mnemonic %q", fields[0])
 	}
 	return in, in.Validate()
-}
-
-func parseAddr(s string) (packet.Address, error) {
-	parts := strings.Split(s, "/")
-	if len(parts) != 3 {
-		return packet.Address{}, fmt.Errorf("address %q must be board/tile/unit", s)
-	}
-	vals := make([]uint16, 3)
-	for i, part := range parts {
-		v, err := strconv.ParseUint(part, 10, 16)
-		if err != nil {
-			return packet.Address{}, fmt.Errorf("address %q: %w", s, err)
-		}
-		vals[i] = uint16(v)
-	}
-	return packet.Address{Board: vals[0], Tile: vals[1], Unit: vals[2]}, nil
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -8,7 +8,11 @@
 // cost accounting.
 package packet
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Type discriminates what a packet carries.
 type Type uint8
@@ -54,6 +58,23 @@ func (a Address) String() string {
 	return fmt.Sprintf("%d/%d/%d", a.Board, a.Tile, a.Unit)
 }
 
+// ParseAddress parses the board/tile/unit form String renders.
+func ParseAddress(s string) (Address, error) {
+	parts := strings.Split(s, "/")
+	if len(parts) != 3 {
+		return Address{}, fmt.Errorf("address %q must be board/tile/unit", s)
+	}
+	var vals [3]uint16
+	for i, part := range parts {
+		v, err := strconv.ParseUint(part, 10, 16)
+		if err != nil {
+			return Address{}, fmt.Errorf("address %q: %w", s, err)
+		}
+		vals[i] = uint16(v)
+	}
+	return Address{Board: vals[0], Tile: vals[1], Unit: vals[2]}, nil
+}
+
 // StreamID identifies one dataflow stream end to end.
 type StreamID uint32
 
@@ -71,7 +92,8 @@ type Packet struct {
 	Code []byte
 
 	// Route optionally pins the exact path (dynamic dataflow with
-	// explicit routing). Empty means the fabric routes implicitly.
+	// explicit routing). Empty means the packet follows the static edges
+	// of each unit it reaches.
 	Route []Address
 }
 

@@ -74,3 +74,20 @@ func TestAddressString(t *testing.T) {
 		t.Errorf("Address.String() = %q", got)
 	}
 }
+
+func TestParseAddressRoundTrip(t *testing.T) {
+	for _, a := range []Address{{}, {Board: 1, Tile: 2, Unit: 3}, {Board: 65535, Tile: 15, Unit: 65535}} {
+		got, err := ParseAddress(a.String())
+		if err != nil {
+			t.Fatalf("ParseAddress(%q): %v", a.String(), err)
+		}
+		if got != a {
+			t.Errorf("ParseAddress(%q) = %v, want %v", a.String(), got, a)
+		}
+	}
+	for _, bad := range []string{"1/2", "a/b/c", "1/2/99999"} {
+		if _, err := ParseAddress(bad); err == nil {
+			t.Errorf("ParseAddress(%q) accepted", bad)
+		}
+	}
+}
